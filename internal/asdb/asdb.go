@@ -116,19 +116,37 @@ func (r *Registry) LookupIP(addr netip.Addr) (AS, bool) {
 	return AS{}, false
 }
 
-// AddrFor returns the n-th address inside the AS's synthetic prefix
-// (wrapping within the /16 host space, skipping the network address). It is
-// how the generator mints endpoint addresses for an AS.
-func (r *Registry) AddrFor(asn uint32, n uint32) (netip.Addr, error) {
+// AddrPool mints the endpoint addresses of one AS: the hosts of its
+// synthetic /16. The traffic generator resolves one per AS it samples
+// from, so minting an address costs no registry lookup.
+type AddrPool struct{ base [4]byte }
+
+// AddrPool returns the address pool of an AS.
+func (r *Registry) AddrPool(asn uint32) (AddrPool, bool) {
 	a, ok := r.byASN[asn]
+	if !ok {
+		return AddrPool{}, false
+	}
+	return AddrPool{base: a.prefix.Addr().As4()}, true
+}
+
+// Addr returns the n-th address of the pool (wrapping within the /16 host
+// space, skipping the network address).
+func (p AddrPool) Addr(n uint32) netip.Addr {
+	host := n%65534 + 1
+	p.base[2] = byte(host >> 8)
+	p.base[3] = byte(host)
+	return netip.AddrFrom4(p.base)
+}
+
+// AddrFor returns the n-th address inside the AS's synthetic prefix; see
+// AddrPool.Addr.
+func (r *Registry) AddrFor(asn uint32, n uint32) (netip.Addr, error) {
+	p, ok := r.AddrPool(asn)
 	if !ok {
 		return netip.Addr{}, fmt.Errorf("asdb: unknown ASN %d", asn)
 	}
-	base := a.prefix.Addr().As4()
-	host := n%65534 + 1
-	base[2] = byte(host >> 8)
-	base[3] = byte(host)
-	return netip.AddrFrom4(base), nil
+	return p.Addr(n), nil
 }
 
 // All returns every AS sorted by ASN. The slice is shared; do not modify.

@@ -862,10 +862,8 @@ func (c *Cluster) supervise(sh *shard) {
 
 // Stats returns the cluster's aggregated accounting.
 func (c *Cluster) Stats() Stats {
-	s := Stats{
-		Bridge:  c.bridge.Stats(),
-		Streams: c.bridge.StreamStats(),
-	}
+	snap := c.bridge.Snapshot()
+	s := Stats{Bridge: snap.Total, Streams: snap.Streams}
 	for _, sh := range c.shards {
 		s.Shards = append(s.Shards, sh.status(!c.spec.Subprocess))
 	}

@@ -90,6 +90,35 @@ func waitForDeadShard(t *testing.T, c *Cluster, shard int, deadline time.Duratio
 	}
 }
 
+// settledStats returns the cluster's stats once the chaos relay has gone
+// quiet. A bucket completes on row count, so a fetch returns while its
+// trailing END frame is still on its way through the relay; a snapshot
+// taken right then counts that datagram or not depending on scheduling.
+// The relay is settled when its datagram count has not moved for 100 ms —
+// the END follows the last data packet within microseconds.
+func settledStats(t *testing.T, c *Cluster) Stats {
+	t.Helper()
+	limit := time.Now().Add(10 * time.Second)
+	stats := c.Stats()
+	for quiet := 0; quiet < 10; {
+		if stats.Chaos == nil {
+			t.Fatal("no chaos stats")
+		}
+		if time.Now().After(limit) {
+			t.Fatalf("chaos relay still moving after 10s: %+v", stats.Chaos.Total)
+		}
+		time.Sleep(10 * time.Millisecond)
+		next := c.Stats()
+		if next.Chaos.Total == stats.Chaos.Total {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		stats = next
+	}
+	return stats
+}
+
 // fetchEqual fetches one vantage-point hour over the cluster and
 // compares it bit-for-bit against the reference model.
 func fetchEqual(t *testing.T, c *Cluster, ref *core.SyntheticSource, vp synth.VantagePoint, hour time.Time) {
@@ -294,10 +323,7 @@ func TestClusterChaosReproducible(t *testing.T) {
 				}
 			}
 		}
-		stats := c.Stats()
-		if stats.Chaos == nil {
-			t.Fatal("no chaos stats")
-		}
+		stats := settledStats(t, c)
 		return *stats.Chaos, stats.Bridge.Retries, stats.Bridge.LostRows
 	}
 	relayA, retriesA, lostA := run(7)

@@ -63,6 +63,7 @@ type Dataset struct {
 
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
+	models  map[synth.VantagePoint]*vpModel
 	flows   []*flowEntry // installed flow entries, for the compaction scan
 
 	// Cache instruments. These are the single source of truth for both
@@ -162,6 +163,7 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		opts:    opts,
 		tracer:  opts.Tracer,
 		entries: make(map[string]*cacheEntry),
+		models:  make(map[synth.VantagePoint]*vpModel),
 		budget:  opts.CacheBudget,
 		lru:     list.New(),
 		hits:    reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
@@ -779,18 +781,44 @@ func (p *Pin) Release() {
 	d.enforceBudget()
 }
 
-// config builds the synth configuration for a vantage point under the
-// dataset's options.
-func (d *Dataset) config(vp synth.VantagePoint) synth.Config {
-	return d.opts.synthConfig(vp)
+// vpModel is a vantage point's traffic model as the dataset's options
+// resolve it, built on first use and then shared by every lookup: the
+// generator configuration (Options.Model is asked exactly once per vantage
+// point), its fingerprint, and the cache-key prefixes derived from it.
+type vpModel struct {
+	once        sync.Once
+	cfg         synth.Config
+	fingerprint string
+	// Flow-batch key prefixes; the hour key (and, for component flows,
+	// the component name) is appended per lookup.
+	flowsKey, vpnFlowsKey, componentFlowsKey string
+}
+
+// model returns the resolved model of a vantage point.
+func (d *Dataset) model(vp synth.VantagePoint) *vpModel {
+	d.mu.Lock()
+	m := d.models[vp]
+	if m == nil {
+		m = &vpModel{}
+		d.models[vp] = m
+	}
+	d.mu.Unlock()
+	m.once.Do(func() {
+		m.cfg = d.opts.synthConfig(vp)
+		m.fingerprint = m.cfg.Fingerprint()
+		m.flowsKey = "flows/" + m.fingerprint + "/"
+		m.vpnFlowsKey = "vpn-flows/" + m.fingerprint + "/"
+		m.componentFlowsKey = "component-flows/" + m.fingerprint + "/"
+	})
+	return m
 }
 
 // Generator returns the shared generator of a vantage point. The instance
 // is safe for concurrent read-only use; never call its mutating methods.
 func (d *Dataset) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
-	cfg := d.config(vp)
-	v, err := d.get("gen/"+cfg.Fingerprint(), func() (any, error) {
-		return synth.New(cfg)
+	m := d.model(vp)
+	v, err := d.get("gen/"+m.fingerprint, func() (any, error) {
+		return synth.New(m.cfg)
 	})
 	if err != nil {
 		return nil, err
@@ -800,8 +828,7 @@ func (d *Dataset) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
 
 // VPN returns the shared VPN-detection dataset of a vantage point.
 func (d *Dataset) VPN(vp synth.VantagePoint) (*VPNData, error) {
-	cfg := d.config(vp)
-	v, err := d.get("vpn/"+cfg.Fingerprint(), func() (any, error) {
+	v, err := d.get("vpn/"+d.model(vp).fingerprint, func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
 			return nil, err
@@ -823,8 +850,7 @@ func hourKey(t time.Time) string {
 // of a vantage point. The series is sorted before it is published, so the
 // read-only methods of the returned instance are safe for concurrent use.
 func (d *Dataset) studySeries(vp synth.VantagePoint) (*timeseries.Series, error) {
-	cfg := d.config(vp)
-	v, err := d.get("study-series/"+cfg.Fingerprint(), func() (any, error) {
+	v, err := d.get("study-series/"+d.model(vp).fingerprint, func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
 			return nil, err
@@ -852,8 +878,7 @@ func (d *Dataset) Series(vp synth.VantagePoint, from, to time.Time) (*timeseries
 		}
 		return s.Slice(from, to), nil
 	}
-	cfg := d.config(vp)
-	key := fmt.Sprintf("series/%s/%s-%s", cfg.Fingerprint(), hourKey(from), hourKey(to))
+	key := fmt.Sprintf("series/%s/%s-%s", d.model(vp).fingerprint, hourKey(from), hourKey(to))
 	v, err := d.get(key, func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
@@ -873,8 +898,7 @@ func (d *Dataset) Series(vp synth.VantagePoint, from, to time.Time) (*timeseries
 // to), memoized by range.
 func (d *Dataset) ClassSeries(vp synth.VantagePoint, class synth.Class, from, to time.Time) (*timeseries.Series, error) {
 	from, to = from.UTC().Truncate(time.Hour), to.UTC().Truncate(time.Hour)
-	cfg := d.config(vp)
-	key := fmt.Sprintf("class-series/%s/%s/%s-%s", cfg.Fingerprint(), class, hourKey(from), hourKey(to))
+	key := fmt.Sprintf("class-series/%s/%s/%s-%s", d.model(vp).fingerprint, class, hourKey(from), hourKey(to))
 	v, err := d.get(key, func() (any, error) {
 		g, err := d.Generator(vp)
 		if err != nil {
@@ -900,8 +924,7 @@ func (d *Dataset) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Bat
 }
 
 func (d *Dataset) flowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	cfg := d.config(vp)
-	key := "flows/" + cfg.Fingerprint() + "/" + hourKey(hour)
+	key := d.model(vp).flowsKey + hourKey(hour)
 	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
 		return d.src.FlowBatch(vp, hour.UTC().Truncate(time.Hour))
 	})
@@ -914,8 +937,7 @@ func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.
 }
 
 func (d *Dataset) vpnFlowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	cfg := d.config(vp)
-	key := "vpn-flows/" + cfg.Fingerprint() + "/" + hourKey(hour)
+	key := d.model(vp).vpnFlowsKey + hourKey(hour)
 	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
 		return d.src.VPNFlowBatch(vp, hour.UTC().Truncate(time.Hour))
 	})
@@ -928,8 +950,7 @@ func (d *Dataset) ComponentFlowBatch(vp synth.VantagePoint, name string, hour ti
 }
 
 func (d *Dataset) componentFlowBatch(vp synth.VantagePoint, name string, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	cfg := d.config(vp)
-	key := "component-flows/" + cfg.Fingerprint() + "/" + name + "/" + hourKey(hour)
+	key := d.model(vp).componentFlowsKey + name + "/" + hourKey(hour)
 	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
 		return d.src.ComponentFlowBatch(vp, name, hour.UTC().Truncate(time.Hour))
 	})

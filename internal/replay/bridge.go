@@ -445,35 +445,44 @@ func (b *Bridge) Close() error {
 	return err
 }
 
-// Stats returns a snapshot of the bridge's counters, aggregated over all
-// streams plus traffic attributable to none.
-func (b *Bridge) Stats() Stats {
-	s := Stats{
+// Snapshot is one consistent reading of the bridge's accounting: the
+// per-stream counters keyed by stream id, and the aggregate derived from
+// those same readings plus the traffic attributable to no stream
+// (collector-level bad frames and decode errors). Because Total is summed
+// from Streams rather than read separately, no stream can ever exceed it.
+type Snapshot struct {
+	Total   Stats
+	Streams map[uint32]Stats
+}
+
+// Snapshot reads every stream's counters once, under one acquisition of
+// the bridge lock.
+func (b *Bridge) Snapshot() Snapshot {
+	snap := Snapshot{Total: Stats{
 		OrphanRows:   b.orphanRows.Value(),
 		StaleFrames:  b.staleFrames.Value(),
 		BadFrames:    b.badFrames.Value(),
 		DecodeErrors: b.decodeErrors.Value(),
-	}
+	}}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for _, st := range b.streams {
-		s.add(st.stats())
+	snap.Streams = make(map[uint32]Stats, len(b.streams))
+	for id, st := range b.streams {
+		s := st.stats()
+		snap.Streams[id] = s
+		snap.Total.add(s)
 	}
-	return s
+	return snap
 }
 
+// Stats returns the bridge's counters aggregated over all streams plus
+// traffic attributable to none (Snapshot().Total).
+func (b *Bridge) Stats() Stats { return b.Snapshot().Total }
+
 // StreamStats returns the per-stream counters keyed by stream id
-// (collector-level counters — bad frames, decode errors — appear only in
-// the aggregate Stats, since they are attributable to no stream).
-func (b *Bridge) StreamStats() map[uint32]Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[uint32]Stats, len(b.streams))
-	for id, st := range b.streams {
-		out[id] = st.stats()
-	}
-	return out
-}
+// (Snapshot().Streams). Callers that need both views of one instant take
+// a Snapshot instead of calling Stats and StreamStats in turn.
+func (b *Bridge) StreamStats() map[uint32]Stats { return b.Snapshot().Streams }
 
 // FlowBatch implements core.FlowSource.
 func (b *Bridge) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {

@@ -311,9 +311,10 @@ func TestBridgeRetriesDroppedBegin(t *testing.T) {
 func TestBridgeToleratesDroppedEnd(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	var droppedEnd atomic.Bool
+	endSeen := make(chan struct{})
 	br, pump, _ := newLossyHarness(t, opts, func(pkt []byte) bool {
-		if isCtrl(pkt) && frameType(pkt) == frameEnd && !droppedEnd.Load() {
-			droppedEnd.Store(true)
+		if isCtrl(pkt) && frameType(pkt) == frameEnd && droppedEnd.CompareAndSwap(false, true) {
+			close(endSeen)
 			return true
 		}
 		return false
@@ -328,7 +329,11 @@ func TestBridgeToleratesDroppedEnd(t *testing.T) {
 		t.Fatalf("fetch with a dropped END failed: %v", err)
 	}
 	batchesEqual(t, want, got)
-	if !droppedEnd.Load() {
+	// The bucket completes on row count, so the fetch can return before
+	// the trailing END has even reached the relay: wait for it.
+	select {
+	case <-endSeen:
+	case <-time.After(10 * time.Second):
 		t.Fatal("relay never saw an END frame; the test exercised nothing")
 	}
 

@@ -141,6 +141,65 @@ func TestShardedBridgeConcurrentStreams(t *testing.T) {
 	}
 }
 
+// TestBridgeSnapshotConsistentUnderFetches takes snapshots while three
+// streams serve buckets: in every one the aggregate must be exactly the sum
+// of the per-stream readings it carries. Reading the two views through
+// separate Stats() and StreamStats() calls let a stream advance in between
+// and exceed its own "aggregate".
+func TestBridgeSnapshotConsistentUnderFetches(t *testing.T) {
+	opts := core.Options{FlowScale: 0.05}
+	br, _ := newShardedHarness(t, collector.FormatIPFIX, opts, 3)
+	vps := []synth.VantagePoint{synth.ISPCE, synth.IXPCE, synth.IXPSE}
+
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap := br.Snapshot()
+				var keys, rows int64
+				for _, s := range snap.Streams {
+					keys += s.Keys
+					rows += s.Rows
+				}
+				if snap.Total.Keys != keys || snap.Total.Rows != rows {
+					t.Errorf("torn snapshot: total %d keys / %d rows, streams sum to %d / %d",
+						snap.Total.Keys, snap.Total.Rows, keys, rows)
+					return
+				}
+			}
+		}()
+	}
+
+	var fetchers sync.WaitGroup
+	for _, vp := range vps {
+		fetchers.Add(1)
+		go func() {
+			defer fetchers.Done()
+			for h := 0; h < 6; h++ {
+				if _, err := br.FlowBatch(vp, testHour.Add(time.Duration(h)*time.Hour)); err != nil {
+					t.Errorf("%s hour %d: %v", vp, h, err)
+					return
+				}
+			}
+		}()
+	}
+	fetchers.Wait()
+	close(stop)
+	readers.Wait()
+
+	if got := br.Stats(); got.Keys != int64(6*len(vps)) {
+		t.Errorf("served %d keys, want %d", got.Keys, 6*len(vps))
+	}
+}
+
 // TestShardedBridgeStreamMismatchNacks wires stream 1 to a pump that
 // believes it is stream 2: the pump must NACK (echoing the requested
 // stream so the frame routes back) and the fetch must fail fast.

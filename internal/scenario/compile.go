@@ -32,10 +32,6 @@ func (s *Scenario) Config(vp synth.VantagePoint) synth.Config {
 		}
 	}
 
-	if s.ModelVersion == 2 {
-		cfg.SamplerVersion = 2
-		changed = true
-	}
 	if n, ok := s.Members[vp]; ok && n != cfg.Members {
 		cfg.Members = n
 		changed = true

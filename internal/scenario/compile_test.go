@@ -143,12 +143,9 @@ func TestSharedResponsePointersCopied(t *testing.T) {
 }
 
 func TestOverlayWaveAttachesToAllComponents(t *testing.T) {
-	s := mustParse(t, "name: w2\nmodel_version: 2\nvantage_points: [ISP-CE]\nevents:\n"+paperWave+
+	s := mustParse(t, "name: w2\nvantage_points: [ISP-CE]\nevents:\n"+paperWave+
 		"  - type: lockdown_wave\n    start: 2020-04-25\n    severity: 0.6\n    ramp_days: 7\n    decay_start: 2020-05-08\n    end: 2020-05-15\n    retained: 0.25\n")
 	cfg := s.Config(synth.ISPCE)
-	if cfg.SamplerVersion != 2 {
-		t.Errorf("SamplerVersion = %d, want 2", cfg.SamplerVersion)
-	}
 	if cfg.Variant != "w2" {
 		t.Errorf("Variant = %q, want \"w2\"", cfg.Variant)
 	}

@@ -70,10 +70,6 @@ type Scenario struct {
 	// their synth.Config.Variant.
 	Name        string
 	Description string
-	// ModelVersion selects versioned model behaviour: 1 (default) is the
-	// golden model, 2 additionally switches the flow sampler to the PCG
-	// fast path (synth.Config.SamplerVersion 2).
-	ModelVersion int
 	// Seed and FlowScale, when non-zero, are the scenario's declared
 	// defaults; explicit CLI flags still win.
 	Seed      int64
@@ -259,7 +255,7 @@ func Parse(file string, data []byte) (*Scenario, error) {
 	d := &decoder{file: file}
 	s := &Scenario{file: file}
 	if err := d.strictKeys(root, "",
-		"name", "description", "model_version", "seed", "flow_scale",
+		"name", "description", "seed", "flow_scale",
 		"vantage_points", "members", "class_mix", "events"); err != nil {
 		return nil, err
 	}
@@ -293,15 +289,6 @@ func (d *decoder) decodeTop(root *node, s *Scenario) error {
 		s.Description = desc
 	}
 
-	s.ModelVersion = 1
-	if v, line, ok, err := d.int(root, "", "model_version"); err != nil {
-		return err
-	} else if ok {
-		if v != 1 && v != 2 {
-			return d.errf(line, "model_version", "unsupported version %d (have 1-2)", v)
-		}
-		s.ModelVersion = int(v)
-	}
 	if v, _, ok, err := d.int(root, "", "seed"); err != nil {
 		return err
 	} else if ok {

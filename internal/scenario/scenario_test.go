@@ -51,9 +51,11 @@ func TestMalformedScenarios(t *testing.T) {
 			"vantage_points[1]: duplicate vantage point \"EDU\"",
 		},
 		{
+			// The key was retired with the historic sampler; a file still
+			// carrying it gets the ordinary unknown-key error.
 			"bad-model-version",
-			"name: x\nmodel_version: 3\nvantage_points: [EDU]\n",
-			"test.yaml:2: model_version: unsupported version 3 (have 1-2)",
+			"name: x\nmodel_version: 2\nvantage_points: [EDU]\n",
+			"test.yaml:2: model_version: unknown key",
 		},
 		{
 			"seed-not-integer",
@@ -232,7 +234,6 @@ func TestMalformedScenarios(t *testing.T) {
 func TestParseFullScenario(t *testing.T) {
 	src := `name: full
 description: exercises every field
-model_version: 2
 seed: 42
 flow_scale: 0.5
 vantage_points: [ISP-CE, IXP-SE]
@@ -266,7 +267,7 @@ events:
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if s.Name != "full" || s.ModelVersion != 2 || s.Seed != 42 || s.FlowScale != 0.5 {
+	if s.Name != "full" || s.Seed != 42 || s.FlowScale != 0.5 {
 		t.Errorf("top level = %+v", s)
 	}
 	if len(s.VPs) != 2 || s.Members["IXP-SE"] != 75 || s.ClassMix["gaming"] != 1.5 {

@@ -1,103 +1,15 @@
 package synth
 
 import (
-	"hash/fnv"
-	"math/rand"
-	"net/netip"
-	"sync"
 	"time"
 
 	"lockdown/internal/flowrec"
 )
 
-// historicRNGPool amortises the historic sampler's per-component-hour
-// math/rand state (rand.Rand plus its ~5 KB rngSource) across hours and
-// goroutines; every Get is followed by a full Seed, so pooled state never
-// leaks between component-hours.
-var historicRNGPool = sync.Pool{
-	New: func() any { return rand.New(rand.NewSource(0)) },
-}
-
-// flowBasePerHour is the baseline number of flow records the sampler emits
-// per component and hour (before shape/response scaling and FlowScale).
-// Flow counts track the component's connection response so connection-level
-// analyses (Section 7, Figure 8, Figure 12) see the documented growth
-// factors; bytes are distributed over however many records are emitted, so
-// volume analyses remain consistent with the volume model.
-const flowBasePerHour = 40
-
-// hourSeed derives a deterministic RNG seed for a component-hour.
-func hourSeed(seed int64, name string, t time.Time) int64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
-	}
-	h.Write(b[:])
-	h.Write([]byte(name))
-	u := uint64(t.UTC().Unix() / 3600)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	h.Write(b[:])
-	return int64(h.Sum64())
-}
-
-// connMultiplier returns the connection-count multiplier of a component at
-// t: the dedicated connection response if present, otherwise the volume
-// response (with the weekend override applied the same way VolumeAt does),
-// times any scenario overlays so flow counts follow outages and flash
-// events the same way volumes do.
-func connMultiplier(c Component, t time.Time) float64 {
-	weekend := c.weekendLike(t)
-	resp := c.Resp
-	if weekend && c.WeekendResp != nil {
-		resp = *c.WeekendResp
-	}
-	if c.ConnResp != nil && !weekend {
-		resp = *c.ConnResp
-	}
-	m := resp.AtDay(t, weekend)
-	if len(c.Waves) != 0 || len(c.Mods) != 0 {
-		m *= c.overlayMultiplier(t, resp.peakFor(t, weekend))
-	}
-	return m
-}
-
-// flowCount returns how many flow records the sampler emits for component c
-// in the hour starting at t. A raw count of exactly zero — a silenced
-// profile hour or a scenario outage — yields zero records; a fractional
-// count below one keeps the historic clamp to a single record, preserving
-// every default-timeline hour byte for byte (the built-in profiles and
-// responses are strictly positive, so the raw count is never zero where
-// the volume model emits bytes; TestFlowCountClampOnlyTrimsLiveHours pins
-// that invariant).
-func (g *Generator) flowCount(c Component, t time.Time) int {
-	prof := c.Workday
-	if c.weekendLike(t) {
-		prof = c.Weekend
-	}
-	mean := prof.Mean()
-	if mean == 0 {
-		return 0
-	}
-	shape := prof.At(t.UTC().Hour()) / mean
-	raw := flowBasePerHour * shape * connMultiplier(c, t) * g.cfg.FlowScale
-	if raw <= 0 {
-		return 0
-	}
-	n := int(raw)
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// pickWeighted picks an index from precomputed Zipf weights using the
-// RNG. The RNG consumption contract matters for determinism: exactly one
-// Float64 is drawn when len(w) > 1 and none otherwise, matching the
-// historic per-flow sampler.
-func pickWeighted(rng sampleRNG, w []float64) int {
+// pickWeighted picks an index from precomputed Zipf weights. The draw
+// contract matters for determinism: exactly one Float64 is drawn when
+// len(w) > 1 and none otherwise.
+func pickWeighted(rng *pcg, w []float64) int {
 	if len(w) <= 1 {
 		return 0
 	}
@@ -112,14 +24,6 @@ func pickWeighted(rng sampleRNG, w []float64) int {
 	return len(w) - 1
 }
 
-// zipfFor returns the cached weight vector for an endpoint fan of n.
-func (g *Generator) zipfFor(n int) []float64 {
-	if n < len(g.zipf) {
-		return g.zipf[n]
-	}
-	return zipfWeights(n) // config mutated after New; fall back to computing
-}
-
 // FlowsForHourBatch samples synthetic flows for the hour starting at t
 // into one columnar batch sized from the components' flow counts, so a
 // component-hour costs one bulk allocation per column instead of one
@@ -129,30 +33,33 @@ func (g *Generator) zipfFor(n int) []float64 {
 // components' AS prefixes with a pool that widens as usage grows (so
 // unique-IP counts rise during the lockdown, as in Figure 8).
 func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
-	t = t.UTC().Truncate(time.Hour)
 	b := flowrec.NewBatch(0)
-	g.flowsForHourInto(b, t, make([]float64, len(g.cfg.Components)))
+	h := hourAt(t)
+	g.flowsForHourInto(b, &h, make([]componentHour, len(g.plan)))
 	return b
 }
 
-// flowsForHourInto appends one hour's flows of every component to b. The
-// hour's volumes are evaluated once into the vols scratch slice (len ==
-// number of components) and the batch is grown by the hour's exact flow
-// count before any row is appended — one bulk (re)allocation per column
-// per component-hour, none when the caller pre-sized or reuses b.
-func (g *Generator) flowsForHourInto(b *flowrec.Batch, t time.Time, vols []float64) {
-	comps := g.cfg.Components
-	n := 0
-	for i, c := range comps {
-		vols[i] = c.VolumeAt(t, g.cfg.Seed)
-		if vols[i] > 0 {
-			n += g.flowCount(c, t)
-		}
+// flowsForHourInto appends one hour's flows of every component to b. Every
+// component-hour is evaluated once into the scratch slice (len == number
+// of components) and the batch is grown by the hour's exact flow count
+// before any row is appended — one bulk (re)allocation per column per
+// hour, none when the caller pre-sized or reuses b.
+func (g *Generator) flowsForHourInto(b *flowrec.Batch, h *hour, scratch []componentHour) {
+	total := 0
+	for i := range g.plan {
+		scratch[i] = g.sampled(&g.plan[i], h)
+		total += scratch[i].flows
 	}
-	b.Grow(n)
-	for i, c := range comps {
-		g.componentFlowsInto(b, c, t, vols[i])
+	b.Grow(total)
+	for i := range g.plan {
+		g.sampleInto(b, &g.plan[i], h, &scratch[i])
 	}
+}
+
+// sampled evaluates one component-hour for the sampler: volume, connection
+// multiplier and flow count, each computed once.
+func (g *Generator) sampled(p *componentPlan, h *hour) componentHour {
+	return p.withFlows(h, p.evaluate(h), g.cfg.FlowScale)
 }
 
 // FlowsForHour samples synthetic flow records for the hour starting at t
@@ -166,20 +73,15 @@ func (g *Generator) FlowsForHour(t time.Time) []flowrec.Record {
 // ComponentFlowsForHourBatch samples one named component's flows for the
 // hour starting at t into a columnar batch sized from its flow count.
 func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowrec.Batch {
-	t = t.UTC().Truncate(time.Hour)
-	for _, c := range g.cfg.Components {
-		if c.Name == name {
-			vol := c.VolumeAt(t, g.cfg.Seed)
-			n := 0
-			if vol > 0 {
-				n = g.flowCount(c, t)
-			}
-			b := flowrec.NewBatch(n)
-			g.componentFlowsInto(b, c, t, vol)
-			return b
-		}
+	p := g.planOf(name)
+	if p == nil {
+		return flowrec.NewBatch(0)
 	}
-	return flowrec.NewBatch(0)
+	h := hourAt(t)
+	s := g.sampled(p, &h)
+	b := flowrec.NewBatch(s.flows)
+	g.sampleInto(b, p, &h, &s)
+	return b
 }
 
 // ComponentFlowsForHour samples flow records for a single named component,
@@ -189,62 +91,39 @@ func (g *Generator) ComponentFlowsForHour(name string, t time.Time) []flowrec.Re
 	return g.ComponentFlowsForHourBatch(name, t).Records()
 }
 
-// componentFlowsInto appends component c's flows for the hour starting at
-// t (already truncated) to b; vol is the component's precomputed modelled
-// volume for that hour. The RNG draw order is the contract here: it is a
-// pure function of (seed, component, hour), so batches, record slices and
-// the dataset cache all observe identical flows.
-func (g *Generator) componentFlowsInto(b *flowrec.Batch, c Component, t time.Time, vol float64) {
-	if vol <= 0 {
+// sampleInto appends the s.flows flows of component p for hour h to b. The
+// draw order is the contract here: it is a pure function of (seed,
+// component, hour), so batches, record slices and the dataset cache all
+// observe identical flows.
+func (g *Generator) sampleInto(b *flowrec.Batch, p *componentPlan, h *hour, s *componentHour) {
+	if s.flows == 0 {
 		return
 	}
-	n := g.flowCount(c, t)
-	if n == 0 {
-		return
-	}
-	var rng sampleRNG
-	if g.cfg.SamplerVersion >= 2 {
-		rng = newPCG(uint64(hourSeed(g.cfg.Seed, c.Name, t)))
-	} else {
-		// Boxing a freshly built *rand.Rand into the interface would
-		// defeat escape analysis and heap-allocate the ~5 KB generator
-		// state per component-hour, so the historic path re-seeds a
-		// pooled instance instead: Seed fully resets the source, making
-		// the draw sequence identical to rand.New(rand.NewSource(s)).
-		r := historicRNGPool.Get().(*rand.Rand)
-		r.Seed(hourSeed(g.cfg.Seed, c.Name, t))
-		defer historicRNGPool.Put(r)
-		rng = r
-	}
-	bytesPerFlow := vol / float64(n)
+	c := p.c
+	rng := newPCG(s.hash)
+	bytesPerFlow := s.volume / float64(s.flows)
 	if bytesPerFlow < 64 {
 		bytesPerFlow = 64
 	}
-
-	pool := c.EndpointPool
-	if pool <= 0 {
-		pool = 1000
-	}
-	mult := connMultiplier(c, t)
-	scaledPool := int(float64(pool) * mult)
+	scaledPool := int(float64(p.pool) * s.connMult)
 	if scaledPool < 1 {
 		scaledPool = 1
 	}
+	// VPN-over-TLS components pin the enterprise (source) side to the
+	// known gateway addresses so domain-based detection can find them.
+	pinGateways := c.Class == ClassVPNTLS && len(g.vpnGateways) > 0
+	hourEnd := h.ns + int64(time.Hour)
 
-	srcW, dstW := g.zipfFor(len(c.SrcASNs)), g.zipfFor(len(c.DstASNs))
-	for i := 0; i < n; i++ {
-		srcASN := c.SrcASNs[pickWeighted(rng, srcW)]
-		dstASN := c.DstASNs[pickWeighted(rng, dstW)]
+	for i := 0; i < s.flows; i++ {
+		src := pickWeighted(&rng, p.srcWeights)
+		dst := pickWeighted(&rng, p.dstWeights)
+		srcASN, dstASN := c.SrcASNs[src], c.DstASNs[dst]
 
-		srcIP := g.addrFor(srcASN, uint32(rng.Intn(scaledPool)))
-		dstIP := g.addrFor(dstASN, uint32(rng.Intn(scaledPool)))
-		// VPN-over-TLS components pin the enterprise (source) side to the
-		// known gateway addresses so domain-based detection can find them.
-		if c.Class == ClassVPNTLS && len(g.vpnGateways) > 0 {
-			srcIP = g.vpnGateways[rng.Intn(len(g.vpnGateways))]
-			if a, ok := g.reg.LookupIP(srcIP); ok {
-				srcASN = a.ASN
-			}
+		srcIP := p.srcPools[src].Addr(uint32(rng.Intn(scaledPool)))
+		dstIP := p.dstPools[dst].Addr(uint32(rng.Intn(scaledPool)))
+		if pinGateways {
+			gw := &g.vpnGateways[rng.Intn(len(g.vpnGateways))]
+			srcIP, srcASN = gw.addr, gw.asn
 		}
 
 		pp := c.Ports[0]
@@ -252,11 +131,10 @@ func (g *Generator) componentFlowsInto(b *flowrec.Batch, c Component, t time.Tim
 			pp = c.Ports[1+rng.Intn(len(c.Ports)-1)]
 		}
 
-		start := t.Add(time.Duration(rng.Intn(3600)) * time.Second)
-		dur := time.Duration(5+rng.Intn(290)) * time.Second
-		end := start.Add(dur)
-		if end.After(t.Add(time.Hour)) {
-			end = t.Add(time.Hour)
+		start := h.ns + int64(rng.Intn(3600))*int64(time.Second)
+		end := start + int64(5+rng.Intn(290))*int64(time.Second)
+		if end > hourEnd {
+			end = hourEnd
 		}
 
 		bytes := uint64(bytesPerFlow * (0.5 + rng.Float64()))
@@ -268,33 +146,30 @@ func (g *Generator) componentFlowsInto(b *flowrec.Batch, c Component, t time.Tim
 			packets = 1
 		}
 
-		dir := c.Dir
-		if c.ConnDir != flowrec.DirUnknown {
-			dir = c.ConnDir
-		}
-		rec := flowrec.Record{
-			Start:   start,
-			End:     end,
-			SrcIP:   srcIP,
-			DstIP:   dstIP,
-			SrcAS:   srcASN,
-			DstAS:   dstASN,
-			Proto:   pp.Proto,
-			SrcPort: pp.Port,
-			DstPort: uint16(49152 + rng.Intn(16000)),
-			Bytes:   bytes,
-			Packets: packets,
-			Dir:     dir,
-			InIf:    1,
-			OutIf:   2,
-		}
+		srcPort, dstPort := pp.Port, uint16(49152+rng.Intn(16000))
 		if pp.Proto == flowrec.ProtoGRE || pp.Proto == flowrec.ProtoESP {
-			rec.SrcPort, rec.DstPort = 0, 0
+			srcPort, dstPort = 0, 0
 		}
+		var tcpFlags uint8
 		if pp.Proto == flowrec.ProtoTCP {
-			rec.TCPFlags = 0x1b
+			tcpFlags = 0x1b
 		}
-		b.Append(rec)
+
+		b.StartNs = append(b.StartNs, start)
+		b.EndNs = append(b.EndNs, end)
+		b.SrcIP = append(b.SrcIP, srcIP)
+		b.DstIP = append(b.DstIP, dstIP)
+		b.SrcPort = append(b.SrcPort, srcPort)
+		b.DstPort = append(b.DstPort, dstPort)
+		b.Proto = append(b.Proto, pp.Proto)
+		b.Bytes = append(b.Bytes, bytes)
+		b.Packets = append(b.Packets, packets)
+		b.SrcAS = append(b.SrcAS, srcASN)
+		b.DstAS = append(b.DstAS, dstASN)
+		b.InIf = append(b.InIf, 1)
+		b.OutIf = append(b.OutIf, 2)
+		b.Dir = append(b.Dir, p.connDir)
+		b.TCPFlags = append(b.TCPFlags, tcpFlags)
 	}
 }
 
@@ -302,12 +177,11 @@ func (g *Generator) componentFlowsInto(b *flowrec.Batch, c Component, t time.Tim
 // batch. Each hour is generated with an exact pre-grow; across hours the
 // columns grow amortised.
 func (g *Generator) FlowsBetweenBatch(from, to time.Time) *flowrec.Batch {
-	from = from.UTC().Truncate(time.Hour)
 	b := flowrec.NewBatch(0)
-	vols := make([]float64, len(g.cfg.Components))
-	for t := from; t.Before(to); t = t.Add(time.Hour) {
-		g.flowsForHourInto(b, t, vols)
-	}
+	scratch := make([]componentHour, len(g.plan))
+	eachHour(from, to, func(h *hour) {
+		g.flowsForHourInto(b, h, scratch)
+	})
 	return b
 }
 
@@ -315,12 +189,4 @@ func (g *Generator) FlowsBetweenBatch(from, to time.Time) *flowrec.Batch {
 // slice (adapter over FlowsBetweenBatch, one exact allocation).
 func (g *Generator) FlowsBetween(from, to time.Time) []flowrec.Record {
 	return g.FlowsBetweenBatch(from, to).Records()
-}
-
-func (g *Generator) addrFor(asn uint32, n uint32) netip.Addr {
-	a, err := g.reg.AddrFor(asn, n)
-	if err != nil {
-		return netip.AddrFrom4([4]byte{192, 0, 2, 1})
-	}
-	return a
 }

@@ -15,17 +15,24 @@ import (
 type Generator struct {
 	cfg Config
 	reg *asdb.Registry
+	// plan is cfg.Components compiled for evaluation (see plan.go),
+	// index-aligned with it.
+	plan []componentPlan
 	// vpnGateways are the addresses the vpn-tls components should pin
 	// their enterprise-side endpoints to (see Config and Section 6).
-	vpnGateways []netip.Addr
-	// zipf[n] caches zipfWeights(n) for every endpoint-fan size the
-	// components use, so the flow sampler picks AS endpoints without
-	// recomputing (and reallocating) the weight vector per flow.
-	zipf [][]float64
+	vpnGateways []gateway
 }
 
-// New validates cfg and returns a Generator. Missing optional fields are
-// filled with defaults (the built-in AS registry, flow scale 1).
+// gateway is a VPN gateway address and the AS owning its prefix.
+type gateway struct {
+	addr netip.Addr
+	asn  uint32
+}
+
+// New validates cfg, compiles its components and returns a Generator.
+// Missing optional fields are filled with defaults (the built-in AS
+// registry, flow scale 1). The configuration is compiled here, once:
+// cfg.Components must not be modified afterwards.
 func New(cfg Config) (*Generator, error) {
 	if len(cfg.Components) == 0 {
 		return nil, fmt.Errorf("synth: config for %q has no components", cfg.VP)
@@ -36,14 +43,9 @@ func New(cfg Config) (*Generator, error) {
 	if cfg.FlowScale <= 0 {
 		cfg.FlowScale = 1
 	}
-	if cfg.SamplerVersion > 2 {
-		return nil, fmt.Errorf("synth: unknown sampler version %d (have 0-2)", cfg.SamplerVersion)
-	}
-	if cfg.SamplerVersion == 2 && cfg.Variant == "" {
-		return nil, fmt.Errorf("synth: sampler version 2 changes the flow stream and requires a variant tag")
-	}
 	seen := make(map[string]bool, len(cfg.Components))
-	for _, c := range cfg.Components {
+	for i := range cfg.Components {
+		c := &cfg.Components[i]
 		if c.Name == "" {
 			return nil, fmt.Errorf("synth: component with empty name in %q", cfg.VP)
 		}
@@ -57,26 +59,19 @@ func New(cfg Config) (*Generator, error) {
 		if len(c.SrcASNs) == 0 || len(c.DstASNs) == 0 {
 			return nil, fmt.Errorf("synth: component %q lacks source or destination ASes", c.Name)
 		}
-		for _, asn := range append(append([]uint32{}, c.SrcASNs...), c.DstASNs...) {
-			if _, ok := cfg.Registry.Lookup(asn); !ok {
-				return nil, fmt.Errorf("synth: component %q references unknown AS%d", c.Name, asn)
+		for _, asns := range [][]uint32{c.SrcASNs, c.DstASNs} {
+			for _, asn := range asns {
+				if _, ok := cfg.Registry.Lookup(asn); !ok {
+					return nil, fmt.Errorf("synth: component %q references unknown AS%d", c.Name, asn)
+				}
 			}
 		}
 	}
-	maxFan := 0
-	for _, c := range cfg.Components {
-		if len(c.SrcASNs) > maxFan {
-			maxFan = len(c.SrcASNs)
-		}
-		if len(c.DstASNs) > maxFan {
-			maxFan = len(c.DstASNs)
-		}
+	plan, err := compile(&cfg)
+	if err != nil {
+		return nil, err
 	}
-	zipf := make([][]float64, maxFan+1)
-	for n := 1; n <= maxFan; n++ {
-		zipf[n] = zipfWeights(n)
-	}
-	return &Generator{cfg: cfg, reg: cfg.Registry, zipf: zipf}, nil
+	return &Generator{cfg: cfg, reg: cfg.Registry, plan: plan}, nil
 }
 
 // NewDefault builds a generator for the built-in model of the vantage
@@ -102,8 +97,8 @@ func MustNewDefault(vp VantagePoint) *Generator {
 func (g *Generator) SetVPNGateways(addrs []netip.Addr) {
 	g.vpnGateways = nil
 	for _, a := range addrs {
-		if _, ok := g.reg.LookupIP(a); ok {
-			g.vpnGateways = append(g.vpnGateways, a)
+		if as, ok := g.reg.LookupIP(a); ok {
+			g.vpnGateways = append(g.vpnGateways, gateway{addr: a, asn: as.ASN})
 		}
 	}
 }
@@ -114,12 +109,7 @@ func (g *Generator) SetVPNGateways(addrs []netip.Addr) {
 // without mutating the shared instance.
 func (g *Generator) WithVPNGateways(addrs []netip.Addr) *Generator {
 	c := *g
-	c.vpnGateways = nil
-	for _, a := range addrs {
-		if _, ok := c.reg.LookupIP(a); ok {
-			c.vpnGateways = append(c.vpnGateways, a)
-		}
-	}
+	c.SetVPNGateways(addrs)
 	return &c
 }
 
@@ -128,9 +118,9 @@ func (g *Generator) WithVPNGateways(addrs []netip.Addr) *Generator {
 // tag of a modified model. For generators built from the built-in
 // component model (DefaultConfig), equal fingerprints imply byte-identical
 // series and flow samples, so the fingerprint is a safe memoization key
-// for derived datasets. Compiled scenarios and sampler upgrades must carry
-// a distinct Variant; hand-edited Components or a custom Registry without
-// one are not covered — do not key caches on it for such configurations.
+// for derived datasets. Compiled scenarios must carry a distinct Variant;
+// hand-edited Components or a custom Registry without one are not covered
+// — do not key caches on it for such configurations.
 func (g *Generator) Fingerprint() string { return g.cfg.Fingerprint() }
 
 // Fingerprint returns the memoization key of the configuration; see
@@ -155,32 +145,49 @@ func (g *Generator) Registry() *asdb.Registry { return g.reg }
 // modify.
 func (g *Generator) Components() []Component { return g.cfg.Components }
 
-// HourlyVolume returns the total bytes of the hour starting at t.
-func (g *Generator) HourlyVolume(t time.Time) float64 {
+// planOf returns the plan of a named component (nil for unknown names).
+func (g *Generator) planOf(name string) *componentPlan {
+	for i := range g.plan {
+		if g.plan[i].c.Name == name {
+			return &g.plan[i]
+		}
+	}
+	return nil
+}
+
+// hourlyVolume sums every component's volume for hour h.
+func (g *Generator) hourlyVolume(h *hour) float64 {
 	var v float64
-	for _, c := range g.cfg.Components {
-		v += c.VolumeAt(t, g.cfg.Seed)
+	for i := range g.plan {
+		v += g.plan[i].evaluate(h).volume
 	}
 	return v
+}
+
+// HourlyVolume returns the total bytes of the hour starting at t.
+func (g *Generator) HourlyVolume(t time.Time) float64 {
+	h := hourAt(t)
+	return g.hourlyVolume(&h)
 }
 
 // ComponentVolume returns the bytes of one named component for the hour
 // starting at t (zero for unknown names).
 func (g *Generator) ComponentVolume(name string, t time.Time) float64 {
-	for _, c := range g.cfg.Components {
-		if c.Name == name {
-			return c.VolumeAt(t, g.cfg.Seed)
-		}
+	p := g.planOf(name)
+	if p == nil {
+		return 0
 	}
-	return 0
+	h := hourAt(t)
+	return p.evaluate(&h).volume
 }
 
 // HourlyClassVolume returns the bytes of the hour starting at t broken
 // down by traffic class.
 func (g *Generator) HourlyClassVolume(t time.Time) map[Class]float64 {
+	h := hourAt(t)
 	out := make(map[Class]float64)
-	for _, c := range g.cfg.Components {
-		out[c.Class] += c.VolumeAt(t, g.cfg.Seed)
+	for i := range g.plan {
+		out[g.plan[i].c.Class] += g.plan[i].evaluate(&h).volume
 	}
 	return out
 }
@@ -188,9 +195,9 @@ func (g *Generator) HourlyClassVolume(t time.Time) map[Class]float64 {
 // TotalSeries returns the hourly total-volume series for [from, to).
 func (g *Generator) TotalSeries(from, to time.Time) *timeseries.Series {
 	s := timeseries.New(string(g.cfg.VP) + " total")
-	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
-		s.Add(t, g.HourlyVolume(t))
-	}
+	eachHour(from, to, func(h *hour) {
+		s.Add(h.start, g.hourlyVolume(h))
+	})
 	return s
 }
 
@@ -198,24 +205,29 @@ func (g *Generator) TotalSeries(from, to time.Time) *timeseries.Series {
 // to).
 func (g *Generator) ClassSeries(class Class, from, to time.Time) *timeseries.Series {
 	s := timeseries.New(string(g.cfg.VP) + " " + string(class))
-	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
+	eachHour(from, to, func(h *hour) {
 		var v float64
-		for _, c := range g.cfg.Components {
-			if c.Class == class {
-				v += c.VolumeAt(t, g.cfg.Seed)
+		for i := range g.plan {
+			if g.plan[i].c.Class == class {
+				v += g.plan[i].evaluate(h).volume
 			}
 		}
-		s.Add(t, v)
-	}
+		s.Add(h.start, v)
+	})
 	return s
 }
 
 // ComponentSeries returns the hourly series of one named component.
 func (g *Generator) ComponentSeries(name string, from, to time.Time) *timeseries.Series {
 	s := timeseries.New(string(g.cfg.VP) + " " + name)
-	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
-		s.Add(t, g.ComponentVolume(name, t))
-	}
+	p := g.planOf(name)
+	eachHour(from, to, func(h *hour) {
+		var v float64
+		if p != nil {
+			v = p.evaluate(h).volume
+		}
+		s.Add(h.start, v)
+	})
 	return s
 }
 
@@ -223,10 +235,10 @@ func (g *Generator) ComponentSeries(name string, from, to time.Time) *timeseries
 func (g *Generator) Classes() []Class {
 	seen := make(map[Class]bool)
 	var out []Class
-	for _, c := range g.cfg.Components {
-		if !seen[c.Class] {
-			seen[c.Class] = true
-			out = append(out, c.Class)
+	for i := range g.cfg.Components {
+		if class := g.cfg.Components[i].Class; !seen[class] {
+			seen[class] = true
+			out = append(out, class)
 		}
 	}
 	return out
@@ -249,33 +261,26 @@ func zipfWeights(n int) []float64 {
 	return w
 }
 
-// hypergiantShare returns the fraction of a component's volume originated
-// by hypergiant ASes, based on the component's Zipf source weights.
-func (g *Generator) hypergiantShare(c Component) float64 {
-	w := zipfWeights(len(c.SrcASNs))
-	var share float64
-	for i, asn := range c.SrcASNs {
-		if g.reg.IsHypergiant(asn) {
-			share += w[i]
+// hypergiantSplit is HypergiantSplit for an already described hour.
+func (g *Generator) hypergiantSplit(h *hour) (hypergiant, other float64) {
+	for i := range g.plan {
+		p := &g.plan[i]
+		if !p.c.Residential {
+			continue
 		}
+		v := p.evaluate(h).volume
+		hypergiant += v * p.hypergiantShare
+		other += v * (1 - p.hypergiantShare)
 	}
-	return share
+	return hypergiant, other
 }
 
 // HypergiantSplit returns the bytes of the hour starting at t delivered by
 // hypergiant ASes and by all other ASes (Section 3.2, Figure 4). As in the
 // paper, only subscriber-facing (non-transit) traffic is considered.
 func (g *Generator) HypergiantSplit(t time.Time) (hypergiant, other float64) {
-	for _, c := range g.cfg.Components {
-		if !c.Residential {
-			continue
-		}
-		v := c.VolumeAt(t, g.cfg.Seed)
-		share := g.hypergiantShare(c)
-		hypergiant += v * share
-		other += v * (1 - share)
-	}
-	return hypergiant, other
+	h := hourAt(t)
+	return g.hypergiantSplit(&h)
 }
 
 // HypergiantSeries returns hourly series for hypergiant and other-AS
@@ -283,22 +288,19 @@ func (g *Generator) HypergiantSplit(t time.Time) (hypergiant, other float64) {
 func (g *Generator) HypergiantSeries(from, to time.Time) (hypergiant, other *timeseries.Series) {
 	hypergiant = timeseries.New(string(g.cfg.VP) + " hypergiants")
 	other = timeseries.New(string(g.cfg.VP) + " other ASes")
-	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
-		h, o := g.HypergiantSplit(t)
-		hypergiant.Add(t, h)
-		other.Add(t, o)
-	}
+	eachHour(from, to, func(h *hour) {
+		hg, o := g.hypergiantSplit(h)
+		hypergiant.Add(h.start, hg)
+		other.Add(h.start, o)
+	})
 	return hypergiant, other
 }
 
-// DirectionSplit returns the bytes entering (ingress) and leaving (egress)
-// the measured network for the hour starting at t. Components without a
-// direction count as ingress for the EDU/ISP perspective and are split
-// evenly otherwise.
-func (g *Generator) DirectionSplit(t time.Time) (ingress, egress float64) {
-	for _, c := range g.cfg.Components {
-		v := c.VolumeAt(t, g.cfg.Seed)
-		switch c.Dir {
+// directionSplit is DirectionSplit for an already described hour.
+func (g *Generator) directionSplit(h *hour) (ingress, egress float64) {
+	for i := range g.plan {
+		v := g.plan[i].evaluate(h).volume
+		switch g.plan[i].c.Dir {
 		case flowrec.DirIngress:
 			ingress += v
 		case flowrec.DirEgress:
@@ -311,16 +313,25 @@ func (g *Generator) DirectionSplit(t time.Time) (ingress, egress float64) {
 	return ingress, egress
 }
 
+// DirectionSplit returns the bytes entering (ingress) and leaving (egress)
+// the measured network for the hour starting at t. Components without a
+// direction count as ingress for the EDU/ISP perspective and are split
+// evenly otherwise.
+func (g *Generator) DirectionSplit(t time.Time) (ingress, egress float64) {
+	h := hourAt(t)
+	return g.directionSplit(&h)
+}
+
 // DirectionSeries returns hourly ingress and egress series over [from,
 // to).
 func (g *Generator) DirectionSeries(from, to time.Time) (ingress, egress *timeseries.Series) {
 	ingress = timeseries.New(string(g.cfg.VP) + " ingress")
 	egress = timeseries.New(string(g.cfg.VP) + " egress")
-	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
-		in, out := g.DirectionSplit(t)
-		ingress.Add(t, in)
-		egress.Add(t, out)
-	}
+	eachHour(from, to, func(h *hour) {
+		in, out := g.directionSplit(h)
+		ingress.Add(h.start, in)
+		egress.Add(h.start, out)
+	})
 	return ingress, egress
 }
 
@@ -330,37 +341,46 @@ type ASHourVolume struct {
 	Residential float64
 }
 
-// ASVolumes attributes the hour starting at t to source ASes, reporting
-// both total bytes and the bytes exchanged with eyeball networks
-// (residential traffic). It feeds the remote-work analysis of Section 3.4.
-func (g *Generator) ASVolumes(t time.Time) map[uint32]ASHourVolume {
-	out := make(map[uint32]ASHourVolume)
-	for _, c := range g.cfg.Components {
-		v := c.VolumeAt(t, g.cfg.Seed)
-		w := zipfWeights(len(c.SrcASNs))
-		for i, asn := range c.SrcASNs {
+// asVolumesInto attributes hour h to source ASes, accumulating into out.
+func (g *Generator) asVolumesInto(out map[uint32]ASHourVolume, h *hour) {
+	for i := range g.plan {
+		p := &g.plan[i]
+		v := p.evaluate(h).volume
+		for j, asn := range p.c.SrcASNs {
 			e := out[asn]
-			share := v * w[i]
+			share := v * p.srcWeights[j]
 			e.Total += share
-			if c.Residential {
+			if p.c.Residential {
 				e.Residential += share
 			}
 			out[asn] = e
 		}
 	}
+}
+
+// ASVolumes attributes the hour starting at t to source ASes, reporting
+// both total bytes and the bytes exchanged with eyeball networks
+// (residential traffic). It feeds the remote-work analysis of Section 3.4.
+func (g *Generator) ASVolumes(t time.Time) map[uint32]ASHourVolume {
+	out := make(map[uint32]ASHourVolume)
+	h := hourAt(t)
+	g.asVolumesInto(out, &h)
 	return out
 }
 
 // ASVolumeBetween sums ASVolumes over the whole-hour grid of [from, to).
 func (g *Generator) ASVolumeBetween(from, to time.Time) map[uint32]ASHourVolume {
 	out := make(map[uint32]ASHourVolume)
-	for t := from.UTC().Truncate(time.Hour); t.Before(to); t = t.Add(time.Hour) {
-		for asn, v := range g.ASVolumes(t) {
+	hourly := make(map[uint32]ASHourVolume)
+	eachHour(from, to, func(h *hour) {
+		clear(hourly)
+		g.asVolumesInto(hourly, h)
+		for asn, v := range hourly {
 			e := out[asn]
 			e.Total += v.Total
 			e.Residential += v.Residential
 			out[asn] = e
 		}
-	}
+	})
 	return out
 }

@@ -41,11 +41,12 @@ func (g *Generator) MemberUtilization(day time.Time) []MemberLinkStats {
 
 	shares := zipfWeights(n)
 	rng := rand.New(rand.NewSource(g.cfg.Seed ^ 0x5eed))
+	platformPeak := g.baselinePeakGbps()
 	stats := make([]MemberLinkStats, 0, n)
 	for i := 0; i < n; i++ {
 		// Baseline peak rate of this member (pre-lockdown February
 		// weekday), used to size the port with 30-75% headroom.
-		peakBase := g.baselinePeakGbps() * shares[i]
+		peakBase := platformPeak * shares[i]
 		headroom := 1.3 + rng.Float64()*1.5
 		capacity := nextPortSize(peakBase * headroom)
 

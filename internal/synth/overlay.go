@@ -1,16 +1,11 @@
 package synth
 
-import (
-	"time"
-
-	"lockdown/internal/calendar"
-)
+import "time"
 
 // This file holds the scenario overlay types: time-varying modifiers a
 // compiled scenario (internal/scenario) attaches to components on top of
-// their built-in primary Response. The built-in model attaches none, and
-// every evaluation path loops over empty slices, so the default timeline
-// is bit-identical with or without this layer.
+// their built-in primary Response; plan.go compiles and evaluates them.
+// The built-in model attaches none.
 
 // Wave is an additional lockdown wave overlaid on a component. Unlike a
 // flat Modulation it reuses the component's own response character: at
@@ -37,43 +32,6 @@ type Wave struct {
 	Retained float64
 }
 
-// frac returns the wave's effect fraction (0..1 ramp, then decay to
-// Retained) at time t.
-func (w Wave) frac(t time.Time) float64 {
-	decay := w.DecayStart
-	if decay.IsZero() {
-		decay = w.End
-	}
-	switch {
-	case t.Before(w.Start):
-		return 0
-	case t.Before(w.Full):
-		return progress(w.Start, w.Full, t)
-	case decay.IsZero() || t.Before(decay):
-		return 1
-	case w.End.IsZero() || !w.End.After(decay):
-		return w.Retained
-	case t.Before(w.End):
-		return 1 - (1-w.Retained)*progress(decay, w.End, t)
-	default:
-		return w.Retained
-	}
-}
-
-// At returns the wave's volume multiplier for a component whose
-// applicable peak multiplier at t is peak.
-func (w Wave) At(t time.Time, peak float64) float64 {
-	f := w.frac(t)
-	if f == 0 {
-		return 1
-	}
-	m := 1 + (peak-1)*w.Severity*f
-	if m < 0 {
-		m = 0
-	}
-	return m
-}
-
 // Modulation is a flat, windowed volume multiplier: a flash event
 // (Factor > 1) or a link outage (Factor < 1, 0 silencing the component
 // entirely). It applies to volumes and flow counts alike; a Factor of
@@ -87,49 +45,4 @@ type Modulation struct {
 	RampIn, RampOut time.Duration
 	// Factor is the multiplier at full effect.
 	Factor float64
-}
-
-// At returns the modulation's multiplier at t: 1 outside the window,
-// Factor at full effect, linearly interpolated across the ramp edges.
-func (m Modulation) At(t time.Time) float64 {
-	if t.Before(m.Start) || !t.Before(m.End) {
-		return 1
-	}
-	eff := 1.0
-	if m.RampIn > 0 {
-		eff = progress(m.Start, m.Start.Add(m.RampIn), t)
-	}
-	if m.RampOut > 0 {
-		out := progress(m.End.Add(-m.RampOut), m.End, t)
-		if rem := 1 - out; rem < eff {
-			eff = rem
-		}
-	}
-	return 1 + (m.Factor-1)*eff
-}
-
-// overlayMultiplier folds the component's waves and modulations into one
-// volume multiplier for time t. peak is the component's applicable peak
-// for the hour (after the weekend/work-hours selection), which the waves
-// reuse. The built-in model has no overlays and returns 1 without
-// touching the clock.
-func (c Component) overlayMultiplier(t time.Time, peak float64) float64 {
-	if len(c.Waves) == 0 && len(c.Mods) == 0 {
-		return 1
-	}
-	m := 1.0
-	for _, w := range c.Waves {
-		m *= w.At(t, peak)
-	}
-	for _, mod := range c.Mods {
-		m *= mod.At(t)
-	}
-	return m
-}
-
-// weekendLike reports whether t should be treated as a weekend-like day
-// for this component: an actual weekend, a built-in regional holiday, or
-// a scenario-declared extra holiday.
-func (c Component) weekendLike(t time.Time) bool {
-	return calendar.IsWeekend(t) || calendar.IsHoliday(t) || c.Holidays.Contains(t)
 }

@@ -1,6 +1,8 @@
 package synth
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -27,29 +29,24 @@ func TestFlowCountClampOnlyTrimsLiveHours(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range g.Components() {
-				for ts := calendar.StudyStart; ts.Before(calendar.StudyEnd); ts = ts.Add(time.Hour) {
-					vol := c.VolumeAt(ts, cfg.Seed)
-					if vol <= 0 {
+			eachHour(calendar.StudyStart, calendar.StudyEnd, func(h *hour) {
+				for i := range g.plan {
+					s := g.sampled(&g.plan[i], h)
+					if s.volume <= 0 {
 						continue
 					}
-					n := g.flowCount(c, ts)
-					if n < 1 {
+					c := g.plan[i].c
+					if s.flows < 1 {
 						t.Fatalf("%s/%s at %v: volume %.3g but flow count %d — genuine-zero branch fired on the default model",
-							vp, c.Name, ts, vol, n)
+							vp, c.Name, h.start, s.volume, s.flows)
 					}
-					// Recompute the raw count to record where the
-					// historic sub-1 clamp is live.
-					prof := c.Workday
-					if c.weekendLike(ts) {
-						prof = c.Weekend
-					}
-					raw := flowBasePerHour * (prof.At(ts.UTC().Hour()) / prof.Mean()) * connMultiplier(c, ts) * scale
-					if raw < 1 {
+					// Recompute the raw count to record where the sub-1
+					// clamp is live.
+					if raw, _ := refRawFlowCount(*c, h.start, scale); raw < 1 {
 						clampFired++
 					}
 				}
-			}
+			})
 		}
 	}
 	if clampFired == 0 {
@@ -127,29 +124,38 @@ func TestWaveFraction(t *testing.T) {
 		{date(2020, 4, 26), 1 - 0.75*0.5},
 		{date(2020, 5, 2), 0.25},
 	}
+	var k compiler
+	frac := func(w Wave, at time.Time) float64 {
+		p := k.wave(&w)
+		return p.frac(at.UnixNano())
+	}
+	waveAt := func(w Wave, at time.Time, peak float64) float64 {
+		p := k.wave(&w)
+		return p.at(at.UnixNano(), peak)
+	}
 	for _, c := range cases {
-		if got := w.frac(c.at); !approxEq(got, c.want) {
+		if got := frac(w, c.at); !approxEq(got, c.want) {
 			t.Errorf("frac(%v) = %v, want %v", c.at, got, c.want)
 		}
 	}
 
 	// No decay window: the wave holds at full effect indefinitely.
 	hold := Wave{Start: date(2020, 4, 1), Full: date(2020, 4, 11), Severity: 1}
-	if got := hold.frac(calendar.StudyEnd); got != 1 {
+	if got := frac(hold, calendar.StudyEnd); got != 1 {
 		t.Errorf("open-ended wave frac = %v, want 1", got)
 	}
 
 	// The multiplier reuses the component's peak and scales by severity.
 	half := Wave{Start: date(2020, 4, 1), Full: date(2020, 4, 11), Severity: 0.5}
-	if got := half.At(date(2020, 4, 15), 3.0); !approxEq(got, 2.0) {
+	if got := waveAt(half, date(2020, 4, 15), 3.0); !approxEq(got, 2.0) {
 		t.Errorf("At(peak=3, severity=0.5) = %v, want 2.0", got)
 	}
-	if got := half.At(date(2020, 3, 1), 3.0); got != 1 {
+	if got := waveAt(half, date(2020, 3, 1), 3.0); got != 1 {
 		t.Errorf("At before the wave = %v, want exact 1", got)
 	}
 	// A crushing wave on a declining component cannot go negative.
 	crush := Wave{Start: date(2020, 4, 1), Full: date(2020, 4, 2), Severity: 3}
-	if got := crush.At(date(2020, 4, 15), 0.45); got < 0 {
+	if got := waveAt(crush, date(2020, 4, 15), 0.45); got < 0 {
 		t.Errorf("At clamped multiplier = %v, want >= 0", got)
 	}
 }
@@ -157,14 +163,19 @@ func TestWaveFraction(t *testing.T) {
 // TestModulationRampEdges pins the flash-event envelope: hard edges by
 // default, linear fades when ramps are declared, unity outside the window.
 func TestModulationRampEdges(t *testing.T) {
+	var k compiler
+	modAt := func(m Modulation, at time.Time) float64 {
+		p := k.modulation(&m)
+		return p.at(at.UnixNano())
+	}
 	hard := Modulation{Start: date(2020, 4, 1), End: date(2020, 4, 3), Factor: 2}
-	if got := hard.At(date(2020, 3, 31).Add(23 * time.Hour)); got != 1 {
+	if got := modAt(hard, date(2020, 3, 31).Add(23*time.Hour)); got != 1 {
 		t.Errorf("before window = %v, want exact 1", got)
 	}
-	if got := hard.At(date(2020, 4, 1)); got != 2 {
+	if got := modAt(hard, date(2020, 4, 1)); got != 2 {
 		t.Errorf("at hard start = %v, want 2", got)
 	}
-	if got := hard.At(date(2020, 4, 3)); got != 1 {
+	if got := modAt(hard, date(2020, 4, 3)); got != 1 {
 		t.Errorf("at (exclusive) end = %v, want exact 1", got)
 	}
 
@@ -172,13 +183,13 @@ func TestModulationRampEdges(t *testing.T) {
 		Start: date(2020, 4, 1), End: date(2020, 4, 3),
 		RampIn: 12 * time.Hour, RampOut: 12 * time.Hour, Factor: 3,
 	}
-	if got := ramped.At(date(2020, 4, 1).Add(6 * time.Hour)); !approxEq(got, 2.0) {
+	if got := modAt(ramped, date(2020, 4, 1).Add(6*time.Hour)); !approxEq(got, 2.0) {
 		t.Errorf("half-ramped-in = %v, want 2.0", got)
 	}
-	if got := ramped.At(date(2020, 4, 1).Add(18 * time.Hour)); !approxEq(got, 3.0) {
+	if got := modAt(ramped, date(2020, 4, 1).Add(18*time.Hour)); !approxEq(got, 3.0) {
 		t.Errorf("full effect = %v, want 3.0", got)
 	}
-	if got := ramped.At(date(2020, 4, 2).Add(21 * time.Hour)); !approxEq(got, 1.5) {
+	if got := modAt(ramped, date(2020, 4, 2).Add(21*time.Hour)); !approxEq(got, 1.5) {
 		t.Errorf("three-quarters ramped out = %v, want 1.5", got)
 	}
 }
@@ -259,60 +270,32 @@ func TestPCGDeterminism(t *testing.T) {
 	}
 }
 
-// TestSamplerVersionTwo verifies the PCG sampler path: it must be guarded
-// by a variant tag, keep flow counts and record validity identical to the
-// historic path (the count is RNG-free), produce a different — but
-// deterministic — stream, and stamp a distinct fingerprint.
-func TestSamplerVersionTwo(t *testing.T) {
-	cfg := DefaultConfig(ISPCE)
-	cfg.SamplerVersion = 2
-	if _, err := New(cfg); err == nil {
-		t.Error("sampler version 2 without a variant tag accepted")
+// TestSamplerStreamPinned pins the flow sampler's output stream: the first
+// rows of one ISP-CE hour at the default seed. The stream is a function of
+// the hour hash, the splitmix64/PCG construction and the sampler's draw
+// order; a change to any of them silently re-rolls every flow-level
+// metric of the suite, so it has to fail here first.
+func TestSamplerStreamPinned(t *testing.T) {
+	g := MustNewDefault(ISPCE)
+	b := g.FlowsForHourBatch(date(2020, 3, 25).Add(20 * time.Hour))
+	if b.Len() != 1982 {
+		t.Fatalf("hour has %d rows, want 1982", b.Len())
 	}
-	cfg.Variant = "pcg"
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var got []string
+	for i := 0; i < 4; i++ {
+		r := b.Record(i)
+		got = append(got, fmt.Sprintf("%s+%s %s:%d>%s:%d %s AS%d>AS%d %dB/%dp",
+			r.Start.Format("15:04:05"), r.End.Sub(r.Start), r.SrcIP, r.SrcPort, r.DstIP, r.DstPort,
+			r.Proto, r.SrcAS, r.DstAS, r.Bytes, r.Packets))
 	}
-	bad := cfg
-	bad.SamplerVersion = 3
-	if _, err := New(bad); err == nil {
-		t.Error("unknown sampler version accepted")
+	want := []string{
+		"20:30:04+54s 10.12.11.55:443>10.50.15.221:53124 TCP AS46489>AS12956 1832580855691B/1527150713p",
+		"20:31:31+4m36s 10.6.6.210:443>10.55.14.98:49727 TCP AS2906>AS64700 2537785451318B/2114821209p",
+		"20:48:39+3m34s 10.6.12.249:443>10.48.8.116:53492 TCP AS2906>AS3209 2355357507735B/1962797923p",
+		"20:37:00+56s 10.6.14.7:443>10.47.9.72:60482 TCP AS2906>AS3320 2356342639506B/1963618866p",
 	}
-
-	plain := MustNewDefault(ISPCE)
-	probe := date(2020, 3, 25).Add(20 * time.Hour)
-	pcgFlows, oldFlows := g.FlowsForHour(probe), plain.FlowsForHour(probe)
-	if len(pcgFlows) != len(oldFlows) {
-		t.Fatalf("flow count depends on the sampler version: %d vs %d", len(pcgFlows), len(oldFlows))
-	}
-	differs := false
-	for i := range pcgFlows {
-		if err := pcgFlows[i].Validate(); err != nil {
-			t.Fatalf("invalid PCG-sampled record: %v", err)
-		}
-		if pcgFlows[i] != oldFlows[i] {
-			differs = true
-		}
-	}
-	if !differs {
-		t.Error("PCG sampler reproduced the math/rand stream exactly; version gate is not selecting it")
-	}
-	again, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rerun := again.FlowsForHour(probe)
-	for i := range pcgFlows {
-		if pcgFlows[i] != rerun[i] {
-			t.Fatal("PCG sampling not deterministic")
-		}
-	}
-
-	if fp := g.Fingerprint(); fp == plain.Fingerprint() {
-		t.Error("variant config shares the default fingerprint")
-	} else if want := plain.Fingerprint() + "|variant=pcg"; fp != want {
-		t.Errorf("fingerprint = %q, want %q", fp, want)
+	if !slices.Equal(got, want) {
+		t.Errorf("sampler stream changed:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -321,17 +304,10 @@ func approxEq(a, b float64) bool {
 	return d < 1e-9 && d > -1e-9
 }
 
-// The sampler benchmarks measure one full ISP-CE hour (24 components, each
-// seeding a fresh generator) on both PRNG paths; the delta is the
-// per-component-hour reseeding cost the ROADMAP flags.
-func benchmarkSamplerHour(b *testing.B, version int, variant string) {
-	cfg := DefaultConfig(ISPCE)
-	cfg.SamplerVersion = version
-	cfg.Variant = variant
-	g, err := New(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
+// BenchmarkSamplerHour measures one full ISP-CE hour: 24 components, each
+// evaluated once and sampled from its own freshly seeded generator.
+func BenchmarkSamplerHour(b *testing.B) {
+	g := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -339,6 +315,3 @@ func benchmarkSamplerHour(b *testing.B, version int, variant string) {
 		g.FlowsForHourBatch(probe)
 	}
 }
-
-func BenchmarkSamplerHistoricHour(b *testing.B) { benchmarkSamplerHour(b, 0, "") }
-func BenchmarkSamplerPCGHour(b *testing.B)      { benchmarkSamplerHour(b, 2, "pcg") }

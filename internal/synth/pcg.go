@@ -1,21 +1,10 @@
 package synth
 
-// sampleRNG is the randomness contract of the flow sampler: the historic
-// math/rand path and the PCG fast path both satisfy it, and the sampler's
-// draw order is identical across them — only the stream of values differs.
-type sampleRNG interface {
-	// Float64 returns a uniform value in [0, 1).
-	Float64() float64
-	// Intn returns a uniform value in [0, n). It panics if n <= 0.
-	Intn(n int) int
-}
-
-// pcg is a PCG-XSH-RR 64/32 generator seeded through splitmix64. It
-// replaces the per-component-hour rand.New(rand.NewSource(...)) of the
-// historic sampler for scenarios that opt into Config.SamplerVersion 2:
-// construction is two multiplications instead of math/rand's 607-word
-// lagged-Fibonacci seeding loop, which dominated the sampler profile
-// because every component-hour seeds a fresh generator.
+// pcg is the flow sampler's generator: PCG-XSH-RR 64/32 seeded through
+// splitmix64. Every component-hour seeds a fresh one from its hour hash,
+// so construction has to be cheap — two splitmix64 steps — and the value
+// lives on the sampler's stack: it is passed by pointer to the draw
+// helpers but never boxed or stored.
 type pcg struct {
 	state uint64
 	inc   uint64
@@ -35,9 +24,9 @@ func splitmix64(x *uint64) uint64 {
 
 // newPCG returns a PCG generator whose state and stream are both derived
 // from seed via splitmix64.
-func newPCG(seed uint64) *pcg {
+func newPCG(seed uint64) pcg {
 	s := seed
-	return &pcg{
+	return pcg{
 		state: splitmix64(&s),
 		inc:   splitmix64(&s) | 1, // increment must be odd
 	}
@@ -58,8 +47,7 @@ func (p *pcg) next64() uint64 {
 	return uint64(p.next32())<<32 | uint64(p.next32())
 }
 
-// Float64 returns a uniform value in [0, 1) with 53 random bits, the same
-// resolution math/rand provides.
+// Float64 returns a uniform value in [0, 1) with 53 random bits.
 func (p *pcg) Float64() float64 {
 	return float64(p.next64()>>11) / (1 << 53)
 }

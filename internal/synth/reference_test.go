@@ -1,0 +1,301 @@
+package synth
+
+import (
+	"hash/fnv"
+	"time"
+
+	"lockdown/internal/calendar"
+	"lockdown/internal/diurnal"
+)
+
+// This file is the reference evaluator of the traffic model: the
+// straight-line, time.Time-based evaluation the generator used before the
+// model was compiled into a per-generator plan (plan.go). It re-derives
+// every breakpoint, profile and hash per call, which is what made it slow
+// and what makes it easy to read against the Component documentation. The
+// equivalence tests hold the compiled plan to it with ==, not ≈: the plan
+// may hoist and share work, never change a floating-point expression.
+
+func refProgress(from, to, t time.Time) float64 {
+	if !t.After(from) {
+		return 0
+	}
+	if !t.Before(to) {
+		return 1
+	}
+	return float64(t.Sub(from)) / float64(to.Sub(from))
+}
+
+func refRampFraction(r Response, t time.Time) float64 {
+	outbreak := calendar.OutbreakEurope.Add(r.Delay)
+	lock := calendar.LockdownEurope.Add(r.Delay)
+	if !r.RampStart.IsZero() {
+		lock = r.RampStart
+	}
+	full := lock.AddDate(0, 0, 10)
+	if !r.RampFull.IsZero() {
+		full = r.RampFull
+	}
+	relax := calendar.RelaxationEurope.Add(r.Delay)
+	if !r.DecayStart.IsZero() {
+		relax = r.DecayStart
+	}
+	end := calendar.StudyEnd
+	if outbreak.After(lock) {
+		outbreak = lock.AddDate(0, 0, -14)
+	}
+
+	switch {
+	case t.Before(outbreak):
+		return 0
+	case t.Before(lock):
+		return r.PreRamp * refProgress(outbreak, lock, t)
+	case t.Before(full):
+		return r.PreRamp + (1-r.PreRamp)*refProgress(lock, full, t)
+	case t.Before(relax):
+		return 1
+	default:
+		return 1 - (1-r.Retained)*refProgress(relax, end, t)
+	}
+}
+
+func refPeakFor(r Response, t time.Time, weekend bool) float64 {
+	peak := r.Peak
+	if peak == 0 {
+		peak = 1
+	}
+	if weekend {
+		if r.PeakWeekend != 0 {
+			return r.PeakWeekend
+		}
+		return peak
+	}
+	if r.PeakWorkHours != 0 && calendar.WorkingHours(t.UTC().Hour()) {
+		return r.PeakWorkHours
+	}
+	return peak
+}
+
+func refResponseAt(r Response, t time.Time, weekend bool) float64 {
+	frac := refRampFraction(r, t)
+	m := 1 + (refPeakFor(r, t, weekend)-1)*frac
+	if r.Dip != 0 {
+		dipStart := calendar.ResolutionReduction.Add(r.Delay)
+		dipEnd := calendar.RelaxationEurope.Add(r.Delay)
+		if !t.Before(dipStart) && t.Before(dipEnd) {
+			m *= r.Dip
+		}
+	}
+	if r.Outage != nil && !t.Before(r.Outage.Start) && t.Before(r.Outage.End) {
+		m *= r.Outage.Residual
+	}
+	if m < 0 {
+		m = 0
+	}
+	return m
+}
+
+func refPatternShift(t time.Time, delay time.Duration) float64 {
+	lock := calendar.LockdownEurope.Add(delay)
+	full := lock.AddDate(0, 0, 7)
+	relax := calendar.RelaxationEurope.Add(delay)
+	end := calendar.StudyEnd
+	switch {
+	case t.Before(lock):
+		return 0.15 * refProgress(calendar.OutbreakEurope.Add(delay), lock, t)
+	case t.Before(full):
+		return 0.15 + 0.85*refProgress(lock, full, t)
+	case t.Before(relax):
+		return 1
+	default:
+		return 1 - 0.4*refProgress(relax, end, t)
+	}
+}
+
+func refWaveFrac(w Wave, t time.Time) float64 {
+	decay := w.DecayStart
+	if decay.IsZero() {
+		decay = w.End
+	}
+	switch {
+	case t.Before(w.Start):
+		return 0
+	case t.Before(w.Full):
+		return refProgress(w.Start, w.Full, t)
+	case decay.IsZero() || t.Before(decay):
+		return 1
+	case w.End.IsZero() || !w.End.After(decay):
+		return w.Retained
+	case t.Before(w.End):
+		return 1 - (1-w.Retained)*refProgress(decay, w.End, t)
+	default:
+		return w.Retained
+	}
+}
+
+func refWaveAt(w Wave, t time.Time, peak float64) float64 {
+	f := refWaveFrac(w, t)
+	if f == 0 {
+		return 1
+	}
+	m := 1 + (peak-1)*w.Severity*f
+	if m < 0 {
+		m = 0
+	}
+	return m
+}
+
+func refModulationAt(m Modulation, t time.Time) float64 {
+	if t.Before(m.Start) || !t.Before(m.End) {
+		return 1
+	}
+	eff := 1.0
+	if m.RampIn > 0 {
+		eff = refProgress(m.Start, m.Start.Add(m.RampIn), t)
+	}
+	if m.RampOut > 0 {
+		out := refProgress(m.End.Add(-m.RampOut), m.End, t)
+		if rem := 1 - out; rem < eff {
+			eff = rem
+		}
+	}
+	return 1 + (m.Factor-1)*eff
+}
+
+func refOverlayMultiplier(c Component, t time.Time, peak float64) float64 {
+	if len(c.Waves) == 0 && len(c.Mods) == 0 {
+		return 1
+	}
+	m := 1.0
+	for _, w := range c.Waves {
+		m *= refWaveAt(w, t, peak)
+	}
+	for _, mod := range c.Mods {
+		m *= refModulationAt(mod, t)
+	}
+	return m
+}
+
+func refWeekendLike(c Component, t time.Time) bool {
+	return calendar.IsWeekend(t) || calendar.IsHoliday(t) || c.Holidays.Contains(t)
+}
+
+// refHourHash is FNV-1a over (seed, component name, hour index): the
+// volume noise and the flow sampler's seed are both derived from it.
+func refHourHash(seed int64, name string, t time.Time) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for i := 0; i < 8; i++ {
+		b[i] = byte(seed >> (8 * i))
+	}
+	h.Write(b[:])
+	h.Write([]byte(name))
+	u := uint64(t.UTC().Unix() / 3600)
+	for i := 0; i < 8; i++ {
+		b[i] = byte(u >> (8 * i))
+	}
+	h.Write(b[:])
+	return h.Sum64()
+}
+
+func refNoise(seed int64, name string, t time.Time) float64 {
+	v := refHourHash(seed, name, t)
+	// Map to [-0.03, +0.03].
+	return (float64(v%10000)/10000 - 0.5) * 0.06
+}
+
+// refVolumeAt returns the component's bytes for the hour starting at t.
+func refVolumeAt(c Component, t time.Time, seed int64) float64 {
+	t = t.UTC()
+	hour := t.Hour()
+	weekend := refWeekendLike(c, t)
+
+	// Diurnal shape.
+	var prof diurnal.Profile
+	level := 1.0
+	if weekend {
+		prof = c.Weekend
+		if c.WeekendLevel != 0 {
+			level = c.WeekendLevel
+		}
+	} else {
+		prof = c.Workday
+		if c.ShiftsPattern {
+			target := c.LockdownShape
+			if target == (diurnal.Profile{}) {
+				target = diurnal.LockdownWorkday()
+			}
+			prof = diurnal.Blend(c.Workday, target, refPatternShift(t, c.Resp.Delay))
+		}
+	}
+	mean := prof.Mean()
+	if mean == 0 {
+		return 0
+	}
+	shape := prof.At(hour) / mean
+
+	// Lockdown response.
+	resp := c.Resp
+	if weekend && c.WeekendResp != nil {
+		resp = *c.WeekendResp
+	}
+	mult := refResponseAt(resp, t, weekend)
+	if len(c.Waves) != 0 || len(c.Mods) != 0 {
+		mult *= refOverlayMultiplier(c, t, refPeakFor(resp, t, weekend))
+	}
+
+	v := c.BaseGbps * 1e9 / 8 * 3600 * shape * level * mult
+	v *= 1 + refNoise(seed, c.Name, t)
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// refConnMultiplier returns the connection-count multiplier of a
+// component at t: the dedicated connection response if present, otherwise
+// the volume response, times any scenario overlays.
+func refConnMultiplier(c Component, t time.Time) float64 {
+	weekend := refWeekendLike(c, t)
+	resp := c.Resp
+	if weekend && c.WeekendResp != nil {
+		resp = *c.WeekendResp
+	}
+	if c.ConnResp != nil && !weekend {
+		resp = *c.ConnResp
+	}
+	m := refResponseAt(resp, t, weekend)
+	if len(c.Waves) != 0 || len(c.Mods) != 0 {
+		m *= refOverlayMultiplier(c, t, refPeakFor(resp, t, weekend))
+	}
+	return m
+}
+
+// refRawFlowCount is the unclamped flow count of a component-hour; ok is
+// false for a silenced profile (zero mean).
+func refRawFlowCount(c Component, t time.Time, flowScale float64) (raw float64, ok bool) {
+	prof := c.Workday
+	if refWeekendLike(c, t) {
+		prof = c.Weekend
+	}
+	mean := prof.Mean()
+	if mean == 0 {
+		return 0, false
+	}
+	shape := prof.At(t.UTC().Hour()) / mean
+	return flowBasePerHour * shape * refConnMultiplier(c, t) * flowScale, true
+}
+
+// refFlowCount returns how many flow records the sampler emits for
+// component c in the hour starting at t.
+func refFlowCount(c Component, t time.Time, flowScale float64) int {
+	raw, ok := refRawFlowCount(c, t, flowScale)
+	if !ok || raw <= 0 {
+		return 0
+	}
+	n := int(raw)
+	if n < 1 {
+		n = 1
+	}
+	return n
+}

@@ -24,7 +24,6 @@
 package synth
 
 import (
-	"hash/fnv"
 	"time"
 
 	"lockdown/internal/calendar"
@@ -133,122 +132,6 @@ type Outage struct {
 	Residual float64 // volume multiplier during the outage (e.g. 0.25)
 }
 
-// progress returns how far t has advanced through [from, to], clamped to
-// [0, 1].
-func progress(from, to, t time.Time) float64 {
-	if !t.After(from) {
-		return 0
-	}
-	if !t.Before(to) {
-		return 1
-	}
-	return float64(t.Sub(from)) / float64(to.Sub(from))
-}
-
-// rampFraction returns the fraction (0..1) of the lockdown change applied
-// at time t, given the response's delay and pre-ramp.
-func (r Response) rampFraction(t time.Time) float64 {
-	outbreak := calendar.OutbreakEurope.Add(r.Delay)
-	lock := calendar.LockdownEurope.Add(r.Delay)
-	if !r.RampStart.IsZero() {
-		lock = r.RampStart
-	}
-	full := lock.AddDate(0, 0, 10)
-	if !r.RampFull.IsZero() {
-		full = r.RampFull
-	}
-	relax := calendar.RelaxationEurope.Add(r.Delay)
-	if !r.DecayStart.IsZero() {
-		relax = r.DecayStart
-	}
-	end := calendar.StudyEnd
-	if outbreak.After(lock) {
-		outbreak = lock.AddDate(0, 0, -14)
-	}
-
-	switch {
-	case t.Before(outbreak):
-		return 0
-	case t.Before(lock):
-		return r.PreRamp * progress(outbreak, lock, t)
-	case t.Before(full):
-		return r.PreRamp + (1-r.PreRamp)*progress(lock, full, t)
-	case t.Before(relax):
-		return 1
-	default:
-		return 1 - (1-r.Retained)*progress(relax, end, t)
-	}
-}
-
-// peakFor selects the applicable peak multiplier for the time of day,
-// given whether t counts as a weekend-like day. Callers that know extra
-// scenario holidays pass that knowledge in; At derives it from the
-// built-in calendar alone.
-func (r Response) peakFor(t time.Time, weekend bool) float64 {
-	peak := r.Peak
-	if peak == 0 {
-		peak = 1
-	}
-	if weekend {
-		if r.PeakWeekend != 0 {
-			return r.PeakWeekend
-		}
-		return peak
-	}
-	if r.PeakWorkHours != 0 && calendar.WorkingHours(t.UTC().Hour()) {
-		return r.PeakWorkHours
-	}
-	return peak
-}
-
-// At returns the volume multiplier at time t.
-func (r Response) At(t time.Time) float64 {
-	return r.AtDay(t, calendar.IsWeekend(t) || calendar.IsHoliday(t))
-}
-
-// AtDay is At with the weekend-like classification of t supplied by the
-// caller, so scenario-declared extra holidays can steer the weekend peak
-// selection without the Response knowing about them.
-func (r Response) AtDay(t time.Time, weekend bool) float64 {
-	frac := r.rampFraction(t)
-	m := 1 + (r.peakFor(t, weekend)-1)*frac
-	if r.Dip != 0 {
-		dipStart := calendar.ResolutionReduction.Add(r.Delay)
-		dipEnd := calendar.RelaxationEurope.Add(r.Delay)
-		if !t.Before(dipStart) && t.Before(dipEnd) {
-			m *= r.Dip
-		}
-	}
-	if r.Outage != nil && !t.Before(r.Outage.Start) && t.Before(r.Outage.End) {
-		m *= r.Outage.Residual
-	}
-	if m < 0 {
-		m = 0
-	}
-	return m
-}
-
-// PatternShift returns how far (0..1) residential usage has shifted from
-// the normal workday pattern towards the lockdown (weekend-like) pattern at
-// time t. It ramps up with the lockdown and partially recedes after the
-// relaxations, as observed in Figures 2 and 3.
-func PatternShift(t time.Time, delay time.Duration) float64 {
-	lock := calendar.LockdownEurope.Add(delay)
-	full := lock.AddDate(0, 0, 7)
-	relax := calendar.RelaxationEurope.Add(delay)
-	end := calendar.StudyEnd
-	switch {
-	case t.Before(lock):
-		return 0.15 * progress(calendar.OutbreakEurope.Add(delay), lock, t)
-	case t.Before(full):
-		return 0.15 + 0.85*progress(lock, full, t)
-	case t.Before(relax):
-		return 1
-	default:
-		return 1 - 0.4*progress(relax, end, t)
-	}
-}
-
 // Component is one modelled traffic aggregate of a vantage point.
 type Component struct {
 	// Name uniquely identifies the component within its vantage point.
@@ -315,78 +198,4 @@ type Component struct {
 	// Holidays are scenario-declared extra holidays treated as
 	// weekend-like days; nil for the built-in model.
 	Holidays *calendar.HolidaySet
-}
-
-// bytesPerHourAtBase converts BaseGbps into bytes per hour.
-func (c Component) bytesPerHourAtBase() float64 {
-	return c.BaseGbps * 1e9 / 8 * 3600
-}
-
-// noise returns a small deterministic perturbation (±3%) derived from the
-// component name, the hour and the seed, giving series a realistic texture
-// without breaking reproducibility.
-func noise(seed int64, name string, t time.Time) float64 {
-	h := fnv.New64a()
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(seed >> (8 * i))
-	}
-	h.Write(b[:])
-	h.Write([]byte(name))
-	u := uint64(t.Unix() / 3600)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(u >> (8 * i))
-	}
-	h.Write(b[:])
-	v := h.Sum64()
-	// Map to [-0.03, +0.03].
-	return (float64(v%10000)/10000 - 0.5) * 0.06
-}
-
-// VolumeAt returns the component's bytes for the hour starting at t.
-func (c Component) VolumeAt(t time.Time, seed int64) float64 {
-	t = t.UTC()
-	hour := t.Hour()
-	weekend := c.weekendLike(t)
-
-	// Diurnal shape.
-	var prof diurnal.Profile
-	level := 1.0
-	if weekend {
-		prof = c.Weekend
-		if c.WeekendLevel != 0 {
-			level = c.WeekendLevel
-		}
-	} else {
-		prof = c.Workday
-		if c.ShiftsPattern {
-			target := c.LockdownShape
-			if target == (diurnal.Profile{}) {
-				target = diurnal.LockdownWorkday()
-			}
-			prof = diurnal.Blend(c.Workday, target, PatternShift(t, c.Resp.Delay))
-		}
-	}
-	mean := prof.Mean()
-	if mean == 0 {
-		return 0
-	}
-	shape := prof.At(hour) / mean
-
-	// Lockdown response.
-	resp := c.Resp
-	if weekend && c.WeekendResp != nil {
-		resp = *c.WeekendResp
-	}
-	mult := resp.AtDay(t, weekend)
-	if len(c.Waves) != 0 || len(c.Mods) != 0 {
-		mult *= c.overlayMultiplier(t, resp.peakFor(t, weekend))
-	}
-
-	v := c.bytesPerHourAtBase() * shape * level * mult
-	v *= 1 + noise(seed, c.Name, t)
-	if v < 0 {
-		v = 0
-	}
-	return v
 }

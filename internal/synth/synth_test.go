@@ -14,20 +14,36 @@ func date(y int, m time.Month, d int) time.Time {
 	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
 }
 
+// at evaluates a Response the way a generator does for a component that
+// carries it as its Resp: compiled, on the built-in calendar.
+func (r Response) at(t time.Time) float64 {
+	var k compiler
+	tl := k.response(&r)
+	h := hourAt(t)
+	return tl.at(h.ns, tl.peakFor(&h, h.weekend))
+}
+
+// patternShift evaluates the compiled pattern-shift ramp at t.
+func patternShift(t time.Time, delay time.Duration) float64 {
+	var k compiler
+	s := k.shift(delay)
+	return s.at(t.UnixNano())
+}
+
 func TestResponseRampAndRetention(t *testing.T) {
 	r := Response{Peak: 2.0, Retained: 0.5, PreRamp: 0.2}
-	if got := r.At(date(2020, 1, 10)); math.Abs(got-1) > 1e-9 {
+	if got := r.at(date(2020, 1, 10)); math.Abs(got-1) > 1e-9 {
 		t.Errorf("pre-outbreak multiplier = %v, want 1", got)
 	}
-	pre := r.At(date(2020, 3, 1))
+	pre := r.at(date(2020, 3, 1))
 	if pre <= 1 || pre >= 1.3 {
 		t.Errorf("pre-lockdown multiplier = %v, want small build-up", pre)
 	}
-	peak := r.At(date(2020, 4, 1))
+	peak := r.at(date(2020, 4, 1))
 	if math.Abs(peak-2.0) > 1e-6 {
 		t.Errorf("peak multiplier = %v, want 2.0", peak)
 	}
-	late := r.At(calendar.StudyEnd.Add(-time.Hour))
+	late := r.at(calendar.StudyEnd.Add(-time.Hour))
 	if late >= peak || late <= 1.3 {
 		t.Errorf("late multiplier = %v, want partial retention between 1.3 and %v", late, peak)
 	}
@@ -36,28 +52,28 @@ func TestResponseRampAndRetention(t *testing.T) {
 func TestResponseWorkHoursAndWeekendPeaks(t *testing.T) {
 	r := Response{Peak: 1.5, PeakWorkHours: 3.0, PeakWeekend: 1.1}
 	peakDay := date(2020, 4, 1) // Wednesday, full effect
-	if got := r.At(peakDay.Add(11 * time.Hour)); math.Abs(got-3.0) > 1e-6 {
+	if got := r.at(peakDay.Add(11 * time.Hour)); math.Abs(got-3.0) > 1e-6 {
 		t.Errorf("working-hours multiplier = %v, want 3.0", got)
 	}
-	if got := r.At(peakDay.Add(21 * time.Hour)); math.Abs(got-1.5) > 1e-6 {
+	if got := r.at(peakDay.Add(21 * time.Hour)); math.Abs(got-1.5) > 1e-6 {
 		t.Errorf("evening multiplier = %v, want 1.5", got)
 	}
 	sat := date(2020, 4, 4).Add(11 * time.Hour)
-	if got := r.At(sat); math.Abs(got-1.1) > 1e-6 {
+	if got := r.at(sat); math.Abs(got-1.1) > 1e-6 {
 		t.Errorf("weekend multiplier = %v, want 1.1", got)
 	}
 }
 
 func TestResponseDipAndOutage(t *testing.T) {
 	r := Response{Peak: 1.5, Dip: 0.8}
-	inDip := r.At(date(2020, 3, 25))
-	noDip := Response{Peak: 1.5}.At(date(2020, 3, 25))
+	inDip := r.at(date(2020, 3, 25))
+	noDip := Response{Peak: 1.5}.at(date(2020, 3, 25))
 	if inDip >= noDip {
 		t.Errorf("dip multiplier %v should be below undipped %v", inDip, noDip)
 	}
 	out := Response{Peak: 1.5, Outage: &Outage{Start: date(2020, 3, 16), End: date(2020, 3, 18), Residual: 0.25}}
-	during := out.At(date(2020, 3, 16).Add(12 * time.Hour))
-	after := out.At(date(2020, 3, 19).Add(12 * time.Hour))
+	during := out.at(date(2020, 3, 16).Add(12 * time.Hour))
+	after := out.at(date(2020, 3, 19).Add(12 * time.Hour))
 	if during >= after/2 {
 		t.Errorf("outage multiplier %v should be far below post-outage %v", during, after)
 	}
@@ -67,19 +83,19 @@ func TestResponseDelayShiftsTimeline(t *testing.T) {
 	eu := Response{Peak: 2.0}
 	us := Response{Peak: 2.0, Delay: 8 * 24 * time.Hour}
 	probe := date(2020, 3, 18)
-	if us.At(probe) >= eu.At(probe) {
-		t.Errorf("delayed response at %v (%v) should lag the EU response (%v)", probe, us.At(probe), eu.At(probe))
+	if us.at(probe) >= eu.at(probe) {
+		t.Errorf("delayed response at %v (%v) should lag the EU response (%v)", probe, us.at(probe), eu.at(probe))
 	}
 }
 
 func TestPatternShiftTimeline(t *testing.T) {
-	if s := PatternShift(date(2020, 1, 10), 0); s != 0 {
+	if s := patternShift(date(2020, 1, 10), 0); s != 0 {
 		t.Errorf("shift before outbreak = %v, want 0", s)
 	}
-	if s := PatternShift(date(2020, 4, 1), 0); s != 1 {
+	if s := patternShift(date(2020, 4, 1), 0); s != 1 {
 		t.Errorf("shift at lockdown height = %v, want 1", s)
 	}
-	late := PatternShift(calendar.StudyEnd.Add(-24*time.Hour), 0)
+	late := patternShift(calendar.StudyEnd.Add(-24*time.Hour), 0)
 	if late >= 1 || late < 0.5 {
 		t.Errorf("shift after relaxation = %v, want partial (0.5..1)", late)
 	}

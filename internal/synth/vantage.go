@@ -21,16 +21,10 @@ type Config struct {
 	// hour (1 = default density). Lower values make flow-level
 	// experiments cheaper without changing volumes.
 	FlowScale float64
-	// SamplerVersion selects the flow sampler's PRNG: 0 and 1 are the
-	// historic per-component-hour math/rand reseeding path (the golden
-	// default), 2 the splitmix64-seeded PCG fast path. Scenarios opt
-	// into 2 via their model version; flows differ between versions, so
-	// 2 requires a non-empty Variant.
-	SamplerVersion int
 	// Variant tags configurations whose components differ from the
-	// built-in model of VP (compiled scenarios, sampler upgrades). It is
-	// folded into Fingerprint so derived-dataset caches never alias a
-	// modified model with the golden default. Empty for DefaultConfig.
+	// built-in model of VP (compiled scenarios). It is folded into
+	// Fingerprint so derived-dataset caches never alias a modified model
+	// with the golden default. Empty for DefaultConfig.
 	Variant string
 }
 
