@@ -53,9 +53,9 @@
 //	              are the same clock as the _runtime/wall-ms metrics
 //	-cache-budget n  resident flow-batch cache cap (bytes, K/M/G suffixes;
 //	              0 = unlimited). Colder hours spill to mmap-backed columnar
-//	              segments and fault back in; output is byte-identical at
+//	              spans and fault back in; output is byte-identical at
 //	              any budget (see internal/flowstore)
-//	-cache-dir d  directory for spilled segments (default: OS temp dir)
+//	-cache-dir d  directory for span files (default: OS temp dir)
 //	-format f     replay/cluster wire format: v5, v9 or ipfix (default ipfix)
 //	-addr a       replay/cluster bridge UDP listen address (default 127.0.0.1:0)
 //	-pps f        replay/cluster pump pacing, datagrams per second (0 = unlimited)
@@ -147,7 +147,6 @@ func usage() {
   lockdown scenario run <file.yaml> [same flags as all]
   lockdown scenario doc
   lockdown cache stat <dir>
-  lockdown cache compact <dir>
 
 experiments:
 `)
@@ -220,48 +219,24 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("unknown scenario subcommand %q (want validate, run or doc)", args[1])
 		}
 	case "cache":
-		// Operator tooling for a persistent -cache-dir: inspect segment
-		// and spanned-file integrity, or merge idle segments the way the
-		// dataset's online compaction would.
-		if len(args) != 3 {
-			return fmt.Errorf("usage: lockdown cache stat|compact <dir>")
+		// Operator tooling for a spill directory a killed run left behind
+		// under -cache-dir: verify every sealed span file span by span.
+		if len(args) != 3 || args[1] != "stat" {
+			return fmt.Errorf("usage: lockdown cache stat <dir>")
 		}
-		dir := args[2]
-		switch args[1] {
-		case "stat":
-			st, err := flowstore.StatDir(dir)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("segments: %d intact (%.1f MB), %d damaged\n",
-				st.Segments, float64(st.SegmentBytes)/(1<<20), st.SegmentsBad)
-			fmt.Printf("spanned:  %d intact (%.1f MB, %d spans, %d damaged spans), %d damaged files\n",
-				st.SpannedFiles, float64(st.SpannedBytes)/(1<<20), st.Spans, st.SpansBad, st.SpannedBad)
-			for _, f := range st.BadFiles {
-				fmt.Printf("damaged: %s\n", f)
-			}
-			if len(st.BadFiles) > 0 {
-				return fmt.Errorf("%d damaged files", len(st.BadFiles))
-			}
-			return nil
-		case "compact":
-			cr, err := flowstore.CompactDir(dir)
-			if err != nil {
-				return err
-			}
-			if cr == nil {
-				fmt.Println("no segment files to compact")
-				return nil
-			}
-			fmt.Printf("compacted %d segments into %s (%.1f MB)\n",
-				cr.Spans, cr.Output, float64(cr.Size)/(1<<20))
-			for _, s := range cr.Skipped {
-				fmt.Printf("skipped (damaged, left in place): %s\n", s)
-			}
-			return nil
-		default:
-			return fmt.Errorf("unknown cache subcommand %q (want stat or compact)", args[1])
+		st, err := flowstore.StatDir(args[2])
+		if err != nil {
+			return err
 		}
+		fmt.Printf("span files: %d sealed (%.1f MB, %d spans, %d damaged spans), %d unsealed or damaged\n",
+			st.Files, float64(st.Bytes)/(1<<20), st.Spans, st.SpansBad, st.FilesBad)
+		for _, f := range st.BadFiles {
+			fmt.Printf("bad: %s\n", f)
+		}
+		if len(st.BadFiles) > 0 {
+			return fmt.Errorf("%d bad files or spans", len(st.BadFiles))
+		}
+		return nil
 	case "run", "all", "doc", "replay", "cluster", "scenario-run":
 		fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
 		csvOut := fs.Bool("csv", false, "emit CSV instead of text tables")
@@ -274,7 +249,7 @@ func run(ctx context.Context, args []string) error {
 		metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (':0' picks a free port; empty = off)")
 		tracePath := fs.String("trace", "", "write a Chrome trace_event JSON trace of the run to this file (empty = off)")
 		cacheBudget := fs.String("cache-budget", "0", "resident flow-batch cache budget (bytes, K/M/G suffixes; 0 = unlimited, no spilling)")
-		cacheDir := fs.String("cache-dir", "", "directory for spilled flow-batch segments (default: OS temp dir)")
+		cacheDir := fs.String("cache-dir", "", "directory for spilled flow-batch span files (default: OS temp dir)")
 		scanChunk := fs.Int("scan-chunk", 0, "grid items per intra-experiment scan chunk (0 = per-scan default; never changes results)")
 		formatName := fs.String("format", "ipfix", "replay/cluster wire format: v5, v9 or ipfix")
 		addr := fs.String("addr", "127.0.0.1:0", "replay/cluster bridge UDP listen address")

@@ -39,12 +39,12 @@ type Options struct {
 	Seed int64
 	// CacheBudget caps the estimated heap bytes of flow batches the
 	// dataset cache keeps resident; least-recently-used unpinned batches
-	// beyond it spill to columnar segment files and fault back in on
+	// beyond it spill to append-only span files and fault back in on
 	// access (see internal/flowstore). 0 disables spilling — every batch
 	// stays resident, the pre-storage-layer behaviour. The budget does
-	// not affect results: batches round-trip segments bit-identically.
+	// not affect results: batches round-trip spans bit-identically.
 	CacheBudget int64
-	// CacheDir is the directory spilled segments are written under (a
+	// CacheDir is the directory span files are written under (a
 	// private temp dir is created inside it per dataset and removed by
 	// Dataset.Close). Empty selects the OS temp dir.
 	CacheDir string

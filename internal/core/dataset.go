@@ -35,16 +35,16 @@ import (
 // Flow-batch entries form a tiered cache. With Options.CacheBudget unset
 // every batch stays resident, exactly as before the storage layer
 // existed. With a budget, the least-recently-used unpinned batches are
-// spilled to columnar segment files (package flowstore) once the
-// resident estimate exceeds the budget, and faulted back in — via a
-// read-only mmap view, no decode for the numeric columns — on their next
-// access. Entries touched by a running experiment are pinned through its
-// Env and never evicted mid-scan. A damaged segment (truncation, bit
-// flips) is detected by its checksums and the batch is regenerated from
-// the flow source instead; spilling is an optimisation, never a new
-// failure mode. Batches are identical bit for bit whether they were
-// generated, faulted in, or regenerated, so every metric of the suite is
-// byte-identical at any budget.
+// appended as spans to append-only span files (package flowstore) once
+// the resident estimate exceeds the budget, and faulted back in — via a
+// read-only mmap view of exactly that span, no decode for the numeric
+// columns — on their next access. Entries touched by a running
+// experiment are pinned through its Env and never evicted mid-scan. A
+// damaged span (truncation, bit flips) is detected by its checksum and
+// the batch is regenerated from the flow source instead; spilling is an
+// optimisation, never a new failure mode. Batches are identical bit for
+// bit whether they were generated, faulted in, or regenerated, so every
+// metric of the suite is byte-identical at any budget.
 //
 // Concurrency model: a per-key entry is installed under a short mutex, and
 // the expensive generation runs inside the entry's sync.Once, so
@@ -53,7 +53,7 @@ import (
 // per-entry mutex. Cached values are immutable by convention: callers
 // must not modify returned slices or call mutating methods (e.g.
 // synth.Generator.SetVPNGateways) on shared instances. Batches handed out
-// remain valid even if the entry is evicted afterwards (segments stay
+// remain valid even if the entry is evicted afterwards (spans stay
 // mapped until Close), so an unpinned caller is never left with a
 // dangling view.
 type Dataset struct {
@@ -64,7 +64,6 @@ type Dataset struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 	models  map[synth.VantagePoint]*vpModel
-	flows   []*flowEntry // installed flow entries, for the compaction scan
 
 	// Cache instruments. These are the single source of truth for both
 	// CacheStats and the lockdown_cache_* metric families: Stats() reads
@@ -74,7 +73,9 @@ type Dataset struct {
 	hits   *obs.Counter
 	misses *obs.Counter
 
-	// Spill tier (flow-batch entries only).
+	// Spill tier (flow-batch entries only). The tier counters move under
+	// lmu together with the byte totals they explain, so a Stats snapshot
+	// never shows spilled bytes without the spill that wrote them.
 	budget int64
 	spills *obs.Counter
 	faults *obs.Counter
@@ -84,35 +85,12 @@ type Dataset struct {
 	lmu      sync.Mutex // guards the fields below; acquired after an entry's mu
 	lru      *list.List // *flowEntry; front = most recently used
 	resident int64      // heap-byte estimate of resident flow batches
-	spilled  int64      // bytes of live segment files
-	segFiles int        // standalone segment files eligible for compaction
+	spilled  int64      // bytes of live spans
 	dir      string     // spill directory, created on first spill
-	dirMade  bool
-	dirErr   error
-	seq      int // segment file counter
+	dirErr   error      // why there is no spill directory (sticky)
+	files    []*flowstore.SpanFile
 	closed   bool
-
-	// Compacted tier: opened spanned files, shared by every entry whose
-	// segment was merged into them. compactBusy serialises compaction
-	// without blocking the access path.
-	spmu        sync.Mutex
-	spanned     map[string]*flowstore.SpannedFile
-	compactBusy atomic.Bool
 }
-
-// Online segment compaction: once compactMin standalone segment files
-// have accumulated, the next flow-batch access merges up to compactMax
-// of them into one spanned file (package flowstore) and deletes the
-// sources. Compacted entries fault through SpannedFile.Span — one open
-// and one header/index validation per spanned file instead of one full
-// open + data-CRC pass per hour — which is what cuts the
-// lockdown_flowstore_opens_total count on budgeted month-walk scans.
-// compactMax bounds the assembly buffer of one compaction (the spanned
-// file is built in memory, like every segment write).
-const (
-	compactMin = 16
-	compactMax = 64
-)
 
 type cacheEntry struct {
 	once sync.Once
@@ -124,8 +102,8 @@ type cacheEntry struct {
 // the entries map behind the per-key sync.Once like every other value;
 // the extra machinery tracks which tier the batch currently occupies:
 //
-//	resident ──evict (spill on first time)──▶ spilled
-//	resident ◀──────fault (mmap view)─────── spilled
+//	resident ──evict (append on first time)──▶ spilled
+//	resident ◀──────fault (mmap view)──────── spilled
 //
 // The entry's mutex serialises tier transitions; pins (atomic, bumped
 // under mu) keep it resident while experiments scan it.
@@ -135,13 +113,11 @@ type flowEntry struct {
 
 	mu        sync.Mutex
 	pins      atomic.Int32
-	batch     *flowrec.Batch // nil while spilled
-	heapBytes int64          // resident heap estimate of batch
-	seg       *flowstore.Segment
-	path      string // standalone segment file; "" until first spill or after compaction
-	segSize   int64
-	spanPath  string // spanned file holding this entry's segment image; "" if none
-	spanIdx   int    // span index within spanPath
+	batch     *flowrec.Batch      // nil while spilled
+	heapBytes int64               // resident heap estimate of batch
+	file      *flowstore.SpanFile // span file holding the batch; nil until first spill
+	ref       flowstore.SpanRef   // the batch's span in file
+	seg       *flowstore.Segment  // the mapped, verified span; nil until first fault
 
 	elem *list.Element // LRU position, guarded by Dataset.lmu; nil if unlinked
 }
@@ -168,9 +144,9 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		lru:     list.New(),
 		hits:    reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
 		misses:  reg.Counter("lockdown_cache_misses_total", "Dataset cache key lookups that installed a new entry."),
-		spills:  reg.Counter("lockdown_cache_spills_total", "Flow batches written to a columnar segment file on eviction."),
+		spills:  reg.Counter("lockdown_cache_spills_total", "Flow batches appended to a span file on eviction."),
 		faults:  reg.Counter("lockdown_cache_faults_total", "Spilled flow batches mapped back in for an access."),
-		regens:  reg.Counter("lockdown_cache_regens_total", "Faults that found a damaged segment and rebuilt from the flow source."),
+		regens:  reg.Counter("lockdown_cache_regens_total", "Faults that found a damaged span and rebuilt from the flow source."),
 	}
 	if src == nil {
 		src = datasetSource{d}
@@ -184,7 +160,7 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		func() float64 { return float64(d.Stats().Entries) })
 	reg.GaugeFunc("lockdown_cache_resident_bytes", "Estimated heap held by resident flow batches.",
 		func() float64 { return float64(d.Stats().ResidentBytes) })
-	reg.GaugeFunc("lockdown_cache_spilled_bytes", "Total size of live segment files on disk.",
+	reg.GaugeFunc("lockdown_cache_spilled_bytes", "Total size of live spans on disk.",
 		func() float64 { return float64(d.Stats().SpilledBytes) })
 	reg.GaugeFunc("lockdown_cache_pinned", "Flow-batch entries currently pinned by a running experiment or scan chunk.",
 		func() float64 { return float64(d.Stats().Pinned) })
@@ -219,7 +195,7 @@ func (d *Dataset) get(key string, build func() (any, error)) (any, error) {
 
 // getFlow is get for spillable flow batches: the first access generates
 // the batch inside the per-key once; later accesses return the resident
-// batch or fault it back in from its segment. pin (optional) keeps the
+// batch or fault it back in from its span. pin (optional) keeps the
 // entry resident until the pin is released.
 func (d *Dataset) getFlow(key string, pin *Pin, build func() (*flowrec.Batch, error)) (*flowrec.Batch, error) {
 	e := d.entry(key)
@@ -231,12 +207,7 @@ func (d *Dataset) getFlow(key string, pin *Pin, build func() (*flowrec.Batch, er
 		}
 		fe := &flowEntry{key: key, build: build, batch: b, heapBytes: b.HeapBytes()}
 		e.val = fe
-		d.link(fe, fe.heapBytes)
-		// Register for the compaction scan: compactOnce must not read
-		// e.val, which this once is still writing.
-		d.mu.Lock()
-		d.flows = append(d.flows, fe)
-		d.mu.Unlock()
+		d.link(fe, fe.heapBytes, false)
 	})
 	if e.err != nil {
 		return nil, e.err
@@ -246,7 +217,6 @@ func (d *Dataset) getFlow(key string, pin *Pin, build func() (*flowrec.Batch, er
 		return nil, err
 	}
 	d.enforceBudget()
-	d.maybeCompact()
 	return b, nil
 }
 
@@ -266,8 +236,7 @@ func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 			sp.EndArgs(map[string]any{"key": fe.key, "bytes": heap})
 		}
 		fe.batch, fe.heapBytes = b, heap
-		d.faults.Add(1)
-		d.link(fe, heap)
+		d.link(fe, heap, true)
 	} else {
 		d.touch(fe)
 	}
@@ -280,25 +249,16 @@ func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 }
 
 // faultIn rebuilds the entry's batch, called with fe.mu held. The happy
-// path serves the entry's span (after compaction) or opens (once) and
-// views its standalone segment; storage that fails its checksums or
-// cannot be mapped is dropped and the batch is regenerated from the
-// flow source — the cache never propagates storage corruption as an
-// error or a panic. A damaged span only degrades its own entry; the
-// other spans of the file keep serving.
+// path maps (once) and views the entry's span; a span that fails its
+// checksum, reaches beyond its file or cannot be read is dropped and the
+// batch is regenerated from the flow source — the cache never propagates
+// storage corruption as an error or a panic. A damaged span only
+// degrades its own entry; its neighbours in the file keep serving.
 func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
-	if fe.seg == nil && fe.spanPath != "" {
-		seg, err := d.spanSegment(fe.spanPath, fe.spanIdx)
+	if fe.seg == nil && fe.file != nil {
+		seg, err := fe.file.Span(fe.ref)
 		if err != nil {
 			d.dropSpan(fe)
-		} else {
-			fe.seg = seg
-		}
-	}
-	if fe.seg == nil && fe.path != "" {
-		seg, err := flowstore.Open(fe.path)
-		if err != nil {
-			d.dropSegment(fe)
 		} else {
 			fe.seg = seg
 		}
@@ -310,11 +270,7 @@ func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
 		}
 		fe.seg.Close()
 		fe.seg = nil
-		if fe.spanPath != "" {
-			d.dropSpan(fe)
-		} else if fe.path != "" {
-			d.dropSegment(fe)
-		}
+		d.dropSpan(fe)
 	}
 	b, err := fe.build()
 	if err != nil {
@@ -323,64 +279,29 @@ func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
 	return b, b.HeapBytes(), nil
 }
 
-// spanSegment opens (memoized per path) the spanned file and faults one
-// span out of it. Called with an entry's mu held; takes only spmu.
-func (d *Dataset) spanSegment(path string, idx int) (*flowstore.Segment, error) {
-	d.spmu.Lock()
-	sf := d.spanned[path]
-	if sf == nil {
-		var err error
-		sf, err = flowstore.OpenSpanned(path)
-		if err != nil {
-			d.spmu.Unlock()
-			return nil, err
-		}
-		if d.spanned == nil {
-			d.spanned = make(map[string]*flowstore.SpannedFile)
-		}
-		d.spanned[path] = sf
-	}
-	d.spmu.Unlock()
-	return sf.Span(idx)
-}
-
-// dropSpan forgets a damaged (or unopenable) span so the next eviction
-// spills a fresh standalone segment, and counts the regeneration. The
-// spanned file itself stays: its other spans are independently
-// checksummed and may be fine.
+// dropSpan forgets a damaged (or unreadable) span so the next eviction
+// appends a fresh one, and counts the regeneration. The bytes stay in
+// the append-only file; its other spans are independently checksummed.
 func (d *Dataset) dropSpan(fe *flowEntry) {
-	fe.spanPath = ""
-	d.regens.Add(1)
 	if d.tracer != nil {
 		d.tracer.Instant("cache-regen", "cache", map[string]any{"key": fe.key})
 	}
 	d.lmu.Lock()
-	d.spilled -= fe.segSize
-	d.lmu.Unlock()
-	fe.segSize = 0
-}
-
-// dropSegment forgets a damaged segment file so the next eviction spills
-// a fresh one, and counts the regeneration.
-func (d *Dataset) dropSegment(fe *flowEntry) {
-	os.Remove(fe.path)
-	fe.path = ""
 	d.regens.Add(1)
-	if d.tracer != nil {
-		d.tracer.Instant("cache-regen", "cache", map[string]any{"key": fe.key})
-	}
-	d.lmu.Lock()
-	d.spilled -= fe.segSize
-	d.segFiles--
+	d.spilled -= fe.ref.Size
 	d.lmu.Unlock()
-	fe.segSize = 0
+	fe.file = nil
 }
 
-// link adds heap bytes for an entry that just became resident and moves
-// it to the LRU front. Called with fe.mu held (or from inside the
-// generating once, where the entry is not yet visible to eviction).
-func (d *Dataset) link(fe *flowEntry, heap int64) {
+// link adds heap bytes for an entry that just became resident — counting
+// the fault if that is how it did — and moves it to the LRU front. Called
+// with fe.mu held (or from inside the generating once, where the entry
+// is not yet visible to eviction).
+func (d *Dataset) link(fe *flowEntry, heap int64, faulted bool) {
 	d.lmu.Lock()
+	if faulted {
+		d.faults.Add(1)
+	}
 	d.resident += heap
 	if fe.elem == nil {
 		fe.elem = d.lru.PushFront(fe)
@@ -444,7 +365,7 @@ func (d *Dataset) enforceBudget() {
 	}
 }
 
-// evict spills one entry (first eviction writes the segment; later ones
+// evict spills one entry (first eviction appends the span; later ones
 // reuse it) and drops its resident batch. Returns false when the spill
 // failed and eviction should stop instead of spinning on the same entry.
 func (d *Dataset) evict(fe *flowEntry) bool {
@@ -457,23 +378,11 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 		d.relink(fe)
 		return true
 	}
-	if fe.path == "" && fe.spanPath == "" {
+	if fe.file == nil {
 		sp := d.tracer.Start("cache-spill", "cache")
-		path, err := d.spillPath("seg-%06d.lfs")
-		var size int64
-		if err == nil {
-			size, err = flowstore.Write(path, fe.batch)
-			if err == nil {
-				fe.path, fe.segSize = path, size
-				d.spills.Add(1)
-				d.lmu.Lock()
-				d.spilled += size
-				d.segFiles++
-				d.lmu.Unlock()
-			}
-		}
+		file, ref, err := d.spill(fe.batch)
 		if sp.Active() {
-			sp.EndArgs(map[string]any{"key": fe.key, "bytes": size})
+			sp.EndArgs(map[string]any{"key": fe.key, "bytes": ref.Size})
 		}
 		if err != nil {
 			// Cannot spill (disk full, unwritable dir, zoned address):
@@ -481,6 +390,7 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 			d.relink(fe)
 			return false
 		}
+		fe.file, fe.ref = file, ref
 	}
 	fe.batch = nil
 	d.lmu.Lock()
@@ -491,12 +401,12 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 		if fe.seg.Mapped() {
 			fe.seg.Evicted() // hint the OS to reclaim the mapped pages
 		} else {
-			// Heap-fallback segment (non-linux, or mmap failed): the
-			// whole file lives in a heap buffer the Segment holds, so
-			// keeping it open would defeat the eviction. Close drops
-			// the cache's reference — views already handed out keep
-			// the buffer alive through their aliasing slices — and the
-			// next fault re-opens (and re-verifies) the file.
+			// Heap-fallback span (non-linux, or mmap failed): the span
+			// lives in a heap buffer the Segment holds, so keeping it
+			// would defeat the eviction. Close drops the cache's
+			// reference — views already handed out keep the buffer
+			// alive through their aliasing slices — and the next fault
+			// re-reads (and re-verifies) the span.
 			fe.seg.Close()
 			fe.seg = nil
 		}
@@ -504,131 +414,59 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 	return true
 }
 
-// spillPath names the next spill file from a sequence-number pattern,
-// creating the spill directory on first use: a private temp dir under
-// Options.CacheDir (or the OS temp dir), removed by Close.
-func (d *Dataset) spillPath(pattern string) (string, error) {
+// spill appends the batch to the current span file, starting the next
+// file when another eviction sealed this one first.
+func (d *Dataset) spill(b *flowrec.Batch) (*flowstore.SpanFile, flowstore.SpanRef, error) {
+	for {
+		file, err := d.spanFile()
+		if err != nil {
+			return nil, flowstore.SpanRef{}, err
+		}
+		ref, err := file.Append(b)
+		if err == flowstore.ErrSealed {
+			continue
+		}
+		if err != nil {
+			return nil, flowstore.SpanRef{}, err
+		}
+		d.lmu.Lock()
+		d.spills.Add(1)
+		d.spilled += ref.Size
+		d.lmu.Unlock()
+		return file, ref, nil
+	}
+}
+
+// spanFile returns the span file evictions currently append to. The
+// spill directory — a private temp dir under Options.CacheDir (or the OS
+// temp dir), removed by Close — and the first file are created on the
+// first spill; a sealed file is followed by a new one.
+func (d *Dataset) spanFile() (*flowstore.SpanFile, error) {
 	d.lmu.Lock()
 	defer d.lmu.Unlock()
-	if !d.dirMade {
-		d.dirMade = true
-		base := d.opts.CacheDir
-		if base != "" {
-			if err := os.MkdirAll(base, 0o755); err != nil {
-				d.dirErr = err
-			}
+	if n := len(d.files); n > 0 && !d.files[n-1].Sealed() {
+		return d.files[n-1], nil
+	}
+	if d.dir == "" && d.dirErr == nil {
+		if base := d.opts.CacheDir; base != "" {
+			d.dirErr = os.MkdirAll(base, 0o755)
 		}
 		if d.dirErr == nil {
-			d.dir, d.dirErr = os.MkdirTemp(base, "lockdown-flowstore-")
+			d.dir, d.dirErr = os.MkdirTemp(d.opts.CacheDir, "lockdown-flowstore-")
 		}
 	}
 	if d.dirErr != nil {
-		return "", d.dirErr
+		return nil, d.dirErr
 	}
-	if d.closed {
-		return "", fmt.Errorf("core: dataset is closed")
-	}
-	d.seq++
-	return filepath.Join(d.dir, fmt.Sprintf(pattern, d.seq)), nil
-}
-
-// maybeCompact runs one compaction pass when enough standalone segment
-// files have accumulated. The CAS makes it single-flight: concurrent
-// accessors skip instead of queueing, so the access path never stalls
-// behind more than one compaction.
-func (d *Dataset) maybeCompact() {
-	if d.budget <= 0 {
-		return
-	}
-	d.lmu.Lock()
-	n, closed := d.segFiles, d.closed
-	d.lmu.Unlock()
-	if closed || n < compactMin {
-		return
-	}
-	if !d.compactBusy.CompareAndSwap(false, true) {
-		return
-	}
-	defer d.compactBusy.Store(false)
-	d.compactOnce()
-}
-
-// compactOnce merges up to compactMax standalone segments into one
-// spanned file and repoints their entries at it. It takes no entry lock
-// across the file I/O: candidates are snapshotted, the spanned file is
-// written from the on-disk paths, and each entry is repointed only if
-// its path is still the one that was compacted (a concurrent
-// dropSegment loses nothing — its source file is already gone and
-// WriteSpanned skipped it).
-func (d *Dataset) compactOnce() {
-	d.mu.Lock()
-	fes := make([]*flowEntry, len(d.flows))
-	copy(fes, d.flows)
-	d.mu.Unlock()
-
-	type cand struct {
-		fe   *flowEntry
-		path string
-	}
-	var cands []cand
-	for _, fe := range fes {
-		fe.mu.Lock()
-		if fe.path != "" && fe.spanPath == "" {
-			cands = append(cands, cand{fe, fe.path})
-		}
-		fe.mu.Unlock()
-		if len(cands) == compactMax {
-			break
-		}
-	}
-	if len(cands) < compactMin {
-		return
-	}
-	out, err := d.spillPath("span-%06d.lfss")
+	file, err := flowstore.Create(filepath.Join(d.dir, fmt.Sprintf("spill-%06d%s", len(d.files)+1, flowstore.SpannedExt)))
 	if err != nil {
-		return
+		return nil, err
 	}
-	srcs := make([]string, len(cands))
-	for i, c := range cands {
-		srcs[i] = c.path
-	}
-	sp := d.tracer.Start("cache-compact", "cache")
-	res, err := flowstore.WriteSpanned(out, srcs)
-	if err != nil {
-		if sp.Active() {
-			sp.EndArgs(map[string]any{"error": err.Error()})
-		}
-		return
-	}
-	moved := 0
-	for k, s := range res.Sources {
-		if s.Span < 0 {
-			continue
-		}
-		fe := cands[k].fe
-		fe.mu.Lock()
-		if fe.path == cands[k].path {
-			fe.path = ""
-			fe.spanPath, fe.spanIdx = out, s.Span
-			moved++
-			os.Remove(cands[k].path)
-			d.lmu.Lock()
-			d.segFiles--
-			d.lmu.Unlock()
-		}
-		fe.mu.Unlock()
-	}
-	if sp.Active() {
-		sp.EndArgs(map[string]any{"spans": res.Spans, "moved": moved, "bytes": res.Size})
-	}
-	if moved == 0 {
-		// Every candidate was repointed or dropped while we wrote: the
-		// spanned file has no users.
-		os.Remove(out)
-	}
+	d.files = append(d.files, file)
+	return file, nil
 }
 
-// Close releases every mapped segment and removes the spill directory.
+// Close releases every mapped span and removes the spill directory.
 // It must only be called once no experiment is running and no returned
 // batch is in use; the CLI defers it around a whole run. Close is
 // idempotent. A dataset keeps working after Close — subsequent accesses
@@ -660,25 +498,20 @@ func (d *Dataset) Close() error {
 				fe.heapBytes = 0
 			}
 		}
-		fe.path, fe.segSize = "", 0
-		fe.spanPath = ""
+		fe.file = nil
 		fe.mu.Unlock()
 	}
-	d.spmu.Lock()
-	for _, sf := range d.spanned {
-		if err := sf.Close(); err != nil && firstErr == nil {
+	d.lmu.Lock()
+	dir, files := d.dir, d.files
+	d.dir, d.files, d.dirErr = "", nil, fmt.Errorf("core: dataset is closed")
+	d.spilled = 0
+	d.closed = true
+	d.lmu.Unlock()
+	for _, file := range files {
+		if err := file.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	d.spanned = nil
-	d.spmu.Unlock()
-	d.lmu.Lock()
-	dir := d.dir
-	d.dir, d.dirMade, d.dirErr = "", true, fmt.Errorf("core: dataset is closed")
-	d.spilled = 0
-	d.segFiles = 0
-	d.closed = true
-	d.lmu.Unlock()
 	if dir != "" {
 		if err := os.RemoveAll(dir); err != nil && firstErr == nil {
 			firstErr = err
@@ -688,24 +521,22 @@ func (d *Dataset) Close() error {
 }
 
 // Stats returns the cache's entry, hit/miss and spill-tier counters.
+// Each group is read inside the lock that orders its writers — the
+// lookup counters under mu, the tier counters and byte totals under
+// lmu — so the snapshot is consistent within a group: Entries equals
+// Misses, and spilled bytes never appear without their spill.
 func (d *Dataset) Stats() CacheStats {
+	var s CacheStats
 	d.mu.Lock()
-	n := len(d.entries)
+	s.Entries = len(d.entries)
+	s.Hits, s.Misses = d.hits.Value(), d.misses.Value()
 	d.mu.Unlock()
 	d.lmu.Lock()
-	res, sp := d.resident, d.spilled
+	s.ResidentBytes, s.SpilledBytes = d.resident, d.spilled
+	s.Spills, s.Faults, s.Regens = d.spills.Value(), d.faults.Value(), d.regens.Value()
 	d.lmu.Unlock()
-	return CacheStats{
-		Entries:       n,
-		Hits:          d.hits.Value(),
-		Misses:        d.misses.Value(),
-		Spills:        d.spills.Value(),
-		Faults:        d.faults.Value(),
-		Regens:        d.regens.Value(),
-		ResidentBytes: res,
-		SpilledBytes:  sp,
-		Pinned:        int(d.pinned.Load()),
-	}
+	s.Pinned = int(d.pinned.Load())
+	return s
 }
 
 // DegradedKeys lists the component-hours the dataset's flow source

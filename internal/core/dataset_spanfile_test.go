@@ -1,0 +1,301 @@
+package core
+
+import (
+	"os"
+	"path/filepath"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"lockdown/internal/flowstore"
+	"lockdown/internal/obs"
+	"lockdown/internal/synth"
+)
+
+// spillFiles lists the files under dir by extension.
+func spillFiles(t *testing.T, dir string) map[string][]string {
+	t.Helper()
+	byExt := make(map[string][]string)
+	err := filepath.WalkDir(dir, func(path string, de os.DirEntry, err error) error {
+		if err == nil && !de.IsDir() {
+			byExt[filepath.Ext(path)] = append(byExt[filepath.Ext(path)], path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return byExt
+}
+
+// spillHours is a run of distinct study-window hours.
+func spillHours(n int) []time.Time {
+	hours := make([]time.Time, n)
+	for i := range hours {
+		hours[i] = spillHour.Add(time.Duration(i) * time.Hour)
+	}
+	return hours
+}
+
+// sameAsGenerated asserts every hour of d equals a fresh uncached
+// dataset's.
+func sameAsGenerated(t *testing.T, d *Dataset, scale float64, hours []time.Time) {
+	t.Helper()
+	fresh := NewDataset(Options{FlowScale: scale})
+	defer fresh.Close()
+	for _, h := range hours {
+		got, err := d.FlowBatch(synth.ISPCE, h)
+		if err != nil {
+			t.Fatalf("hour %v: %v", h, err)
+		}
+		ref, err := fresh.FlowBatch(synth.ISPCE, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(ref.Records(), got.Records()) {
+			t.Fatalf("hour %v: faulted batch differs from generated", h)
+		}
+	}
+}
+
+// TestOnlineCompaction keeps its name to document the removal: there is
+// no compaction. A run of spilled hours lands, each written once, in one
+// append-only span file — never a per-hour .lfs file — and every hour
+// faults back bit-identical through the span reference its entry kept.
+func TestOnlineCompaction(t *testing.T) {
+	opts := tinyOpts(t)
+	d := NewDataset(opts)
+	defer d.Close()
+
+	hours := spillHours(24)
+	for _, h := range hours {
+		if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := spillFiles(t, opts.CacheDir)
+	if len(files) != 1 || len(files[flowstore.SpannedExt]) != 1 {
+		t.Fatalf("%d spilled hours must share one span file, found %v", len(hours), files)
+	}
+	sameAsGenerated(t, d, opts.FlowScale, hours)
+	s := d.Stats()
+	if s.Spills != int64(len(hours)) || s.Faults != int64(len(hours)) || s.Regens != 0 {
+		t.Errorf("each hour is written once and faulted once, never regenerated: %+v", s)
+	}
+}
+
+// TestCompactionDamagedSpan flips a bit inside one entry's span and
+// asserts the damage stays span-granular: that entry regenerates, its
+// neighbours in the same file keep serving without a regen.
+func TestCompactionDamagedSpan(t *testing.T) {
+	opts := tinyOpts(t)
+	d := NewDataset(opts)
+	defer d.Close()
+
+	hours := spillHours(8)
+	for _, h := range hours {
+		if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	files := spillFiles(t, opts.CacheDir)[flowstore.SpannedExt]
+	if len(files) != 1 {
+		t.Fatalf("want one span file, found %v", files)
+	}
+	victim := d.entries[d.model(synth.ISPCE).flowsKey+hourKey(hours[3])].val.(*flowEntry)
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[victim.ref.Off+victim.ref.Size/2] ^= 0xff
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	sameAsGenerated(t, d, opts.FlowScale, hours)
+	if s := d.Stats(); s.Regens != 1 || s.Faults != int64(len(hours)) {
+		t.Errorf("want exactly the damaged hour regenerated: %+v", s)
+	}
+	// The regenerated hour spills again, as a new span of the same file.
+	sameAsGenerated(t, d, opts.FlowScale, hours)
+	if s := d.Stats(); s.Regens != 1 || s.Spills != int64(len(hours))+1 {
+		t.Errorf("regenerated hour must respill once and then fault cleanly: %+v", s)
+	}
+}
+
+// TestCompactionConcurrentAccess hammers one span file from many
+// goroutines under a tiny budget: concurrent appends (first evictions of
+// fresh hours), faults of spans other goroutines appended and repeated
+// evictions must be free of races (run with -race in CI) and every
+// batch must stay correct.
+func TestCompactionConcurrentAccess(t *testing.T) {
+	opts := tinyOpts(t)
+	d := NewDataset(opts)
+	defer d.Close()
+
+	hours := spillHours(24)
+	fresh := NewDataset(Options{FlowScale: opts.FlowScale})
+	defer fresh.Close()
+	wantLens := make([]int, len(hours))
+	for i, h := range hours {
+		b, err := fresh.FlowBatch(synth.ISPCE, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantLens[i] = b.Len()
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for rep := 0; rep < 4; rep++ {
+				for k := range hours {
+					i := (k + w*3) % len(hours) // workers start apart, so first accesses overlap
+					b, err := d.FlowBatch(synth.ISPCE, hours[i])
+					if err != nil {
+						t.Errorf("worker %d: hour %v: %v", w, hours[i], err)
+						return
+					}
+					if b.Len() != wantLens[i] {
+						t.Errorf("worker %d: hour %v: %d rows, want %d", w, hours[i], b.Len(), wantLens[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	sameAsGenerated(t, d, opts.FlowScale, hours)
+	if s := d.Stats(); s.Regens != 0 || s.Spills != int64(len(hours)) {
+		t.Errorf("every hour spills exactly once and none regenerates: %+v", s)
+	}
+}
+
+// TestSpillFailureKeepsBatchResident: when the tier cannot write — no
+// spill directory can be made, or the append itself fails — the batch
+// stays resident, eviction stops, and the experiment sees no error.
+func TestSpillFailureKeepsBatchResident(t *testing.T) {
+	check := func(t *testing.T, d *Dataset, wantSpills int64) {
+		t.Helper()
+		for round := 0; round < 2; round++ {
+			b, err := d.FlowBatch(synth.ISPCE, spillHour.Add(time.Hour))
+			if err != nil {
+				t.Fatalf("a failed spill must not reach the caller: %v", err)
+			}
+			if b.IsView() {
+				t.Fatal("batch was evicted although it could not be spilled")
+			}
+		}
+		s := d.Stats()
+		if s.Spills != wantSpills || s.ResidentBytes == 0 || s.Regens != 0 {
+			t.Errorf("batch must stay resident, unspilled: %+v", s)
+		}
+	}
+	t.Run("unwritable-dir", func(t *testing.T) {
+		// A cache dir below a regular file cannot be created by anyone,
+		// root included (a read-only directory would not stop root).
+		file := filepath.Join(t.TempDir(), "plain-file")
+		if err := os.WriteFile(file, nil, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d := NewDataset(Options{FlowScale: 0.02, CacheBudget: 1, CacheDir: filepath.Join(file, "cache")})
+		defer d.Close()
+		check(t, d, 0)
+	})
+	t.Run("append-fails", func(t *testing.T) {
+		d := NewDataset(tinyOpts(t))
+		defer d.Close()
+		if _, err := d.FlowBatch(synth.ISPCE, spillHour); err != nil {
+			t.Fatal(err)
+		}
+		if len(d.files) != 1 {
+			t.Fatalf("want one span file after the first spill, have %d", len(d.files))
+		}
+		d.files[0].Close() // every later pwrite fails, like a full disk
+		check(t, d, 1)
+	})
+}
+
+// TestWriteBytesCountsEverySpilledByte compares
+// lockdown_flowstore_write_bytes_total with the spill directory before
+// Close removes it: every byte of every file is either counted or an
+// alignment hole after a span.
+func TestWriteBytesCountsEverySpilledByte(t *testing.T) {
+	opts := tinyOpts(t)
+	opts.Obs = obs.NewRegistry()
+	d := NewDataset(opts)
+	defer d.Close()
+	defer flowstore.Instrument(nil)
+
+	for _, h := range spillHours(12) {
+		if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var onDisk, holes int64
+	for _, file := range d.files {
+		if err := file.Seal(); err != nil { // as a roll-over would
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(file.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		onDisk += fi.Size()
+		for _, ref := range file.Refs() {
+			holes += (4096 - ref.Size%4096) % 4096
+		}
+	}
+	written := opts.Obs.Counter("lockdown_flowstore_write_bytes_total", "").Value()
+	if written == 0 || written != onDisk-holes {
+		t.Fatalf("write_bytes_total = %d, spill dir holds %d bytes of which %d are alignment holes", written, onDisk, holes)
+	}
+	if s := d.Stats(); written <= s.SpilledBytes {
+		t.Fatalf("write_bytes_total %d must exceed the %d span bytes by the index and header", written, s.SpilledBytes)
+	}
+}
+
+// TestStatsSnapshotConsistent takes snapshots while eight goroutines
+// look up and evict: every snapshot must be consistent within each of
+// its lock groups — one miss per entry, no spilled bytes without a
+// spill. Run with -race.
+func TestStatsSnapshotConsistent(t *testing.T) {
+	d := NewDataset(tinyOpts(t))
+	defer d.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := d.FlowBatch(synth.ISPCE, spillHour.Add(time.Duration(w*1000+i)*time.Hour)); err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 2000; i++ {
+		s := d.Stats()
+		if int64(s.Entries) != s.Misses {
+			t.Errorf("snapshot %d: %d entries but %d misses", i, s.Entries, s.Misses)
+			break
+		}
+		if s.SpilledBytes > 0 && s.Spills == 0 {
+			t.Errorf("snapshot %d: %d spilled bytes without a spill", i, s.SpilledBytes)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+}

@@ -142,17 +142,17 @@ type CacheStats struct {
 	// Hits and Misses count cache-key lookups.
 	Hits   int64
 	Misses int64
-	// Spills counts flow-batch entries written to a segment file (each
-	// entry is written at most once; later evictions reuse the file).
+	// Spills counts flow-batch entries appended to a span file (each
+	// entry is written once; later evictions reuse the span).
 	Spills int64
 	// Faults counts spilled entries brought back for an access.
 	Faults int64
-	// Regens counts faults that found a damaged segment and rebuilt the
+	// Regens counts faults that found a damaged span and rebuilt the
 	// batch from the flow source instead.
 	Regens int64
 	// ResidentBytes estimates the heap held by resident flow batches.
 	ResidentBytes int64
-	// SpilledBytes is the total size of live segment files on disk.
+	// SpilledBytes is the total size of live spans on disk.
 	SpilledBytes int64
 	// Pinned counts flow-batch entries currently pinned by a running
 	// experiment or scan chunk. Outside a run it must be 0: a non-zero

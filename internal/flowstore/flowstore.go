@@ -1,16 +1,13 @@
-// Package flowstore persists flowrec.Batch values as columnar segment
-// files and maps them back as read-only views, so the dataset cache of
-// package core can spill cold component-hours to disk and fault them back
-// in without a decode step for the numeric columns.
+// Package flowstore persists flowrec.Batch values as columnar spans of
+// append-only span files and maps them back as read-only views, so the
+// dataset cache of package core can spill cold component-hours to disk
+// and fault them back in without a decode step for the numeric columns.
 //
-// A segment is a single file:
+// A span is the column data of one batch (the file format around it is
+// described at SpanFile):
 //
 //	┌────────────────────────────────────────────────────────────┐
-//	│ header page (4096 B): magic "LFS1", version, row count,    │
-//	│ data size, CRC-64 of the data region, CRC-64 of the header,│
-//	│ and the column table (absolute offset + byte size per blob)│
-//	├────────────────────────────────────────────────────────────┤
-//	│ data region (page-aligned, each blob 64-byte aligned):     │
+//	│ page-aligned start, each blob 64-byte aligned:             │
 //	│   StartNs  int64 ×rows   │ EndNs    int64 ×rows            │
 //	│   SrcAddr  16 B  ×rows   │ SrcVer   1 B ×rows              │
 //	│   DstAddr  16 B  ×rows   │ DstVer   1 B ×rows              │
@@ -19,18 +16,20 @@
 //	│   InIf/OutIf     uint16  │ Dir 1 B  │ TCPFlags 1 B         │
 //	└────────────────────────────────────────────────────────────┘
 //
-// All fixed-width values are little-endian. On a little-endian host the
-// numeric columns of an opened segment are returned as zero-copy slices
-// straight into the mapping (the blob alignment makes the casts legal);
-// on big-endian or misaligned mappings they are decoded into heap slices
-// instead, so the format is portable either way. The two IP address
-// columns are always materialised into []netip.Addr on open — netip.Addr
-// holds an internal pointer, so it can never alias a file.
+// A span carries no header of its own: its row count fixes the layout,
+// and the row count, size and CRC-64 travel in the span's reference
+// (SpanRef). All fixed-width values are little-endian. On a
+// little-endian host the numeric columns of a faulted span are returned
+// as zero-copy slices straight into the mapping (the blob alignment
+// makes the casts legal); on big-endian or misaligned mappings they are
+// decoded into heap slices instead, so the format is portable either
+// way. The two IP address columns are always materialised into
+// []netip.Addr on fault — netip.Addr holds an internal pointer, so it
+// can never alias a file.
 //
-// Segments are written to a temporary name and renamed into place, and
-// both CRCs are verified before any row is served, so a truncated or
-// corrupted file surfaces as an error from Open — never as wrong rows —
-// and the cache regenerates the batch from its source instead.
+// The span's CRC is verified before any row is served, so a truncated
+// or corrupted file surfaces as an error from Span — never as wrong
+// rows — and the cache regenerates the batch from its source instead.
 package flowstore
 
 import (
@@ -38,23 +37,20 @@ import (
 	"fmt"
 	"hash/crc64"
 	"net/netip"
-	"os"
 	"sync"
 	"unsafe"
 
 	"lockdown/internal/flowrec"
 )
 
-// Format constants. Version bumps whenever the layout changes; readers
-// reject versions they do not understand.
-const (
-	magic      = "LFS1"
-	version    = 1
-	headerSize = 4096
-	blobAlign  = 64
-)
+// blobAlign is the alignment of every column blob inside a span.
+const blobAlign = 64
 
-// Column indices of the segment's blob table, in file order.
+// maxRows bounds a span's row count against a corrupted index entry
+// claiming an absurd layout.
+const maxRows = 1 << 40
+
+// Column indices of a span's blobs, in file order.
 const (
 	colStartNs = iota
 	colEndNs
@@ -104,10 +100,10 @@ var hostLE = binary.NativeEndian.Uint16([]byte{0x01, 0x02}) == 0x0201
 // align64 rounds n up to the blob alignment.
 func align64(n int) int { return (n + blobAlign - 1) &^ (blobAlign - 1) }
 
-// Layout computes the blob offsets for a row count. Offsets are absolute
-// file offsets; the data region starts at the first page boundary.
-func layout(rows int) (offs [numCols]int, fileSize int) {
-	off := headerSize
+// layout computes the blob offsets for a row count, relative to the
+// span's (page-aligned) start, and the span's size.
+func layout(rows int) (offs [numCols]int, size int) {
+	off := 0
 	for c := 0; c < numCols; c++ {
 		off = align64(off)
 		offs[c] = off
@@ -116,9 +112,9 @@ func layout(rows int) (offs [numCols]int, fileSize int) {
 	return offs, off
 }
 
-// writeBufPool recycles the file-assembly buffers across spills: a cache
+// writeBufPool recycles the span-assembly buffers across spills: a cache
 // evicting thousands of batches under memory pressure should not churn a
-// segment-sized allocation per eviction.
+// span-sized allocation per eviction.
 var writeBufPool sync.Pool
 
 // getWriteBuf returns a zeroed buffer of exactly size bytes. Zeroing a
@@ -128,33 +124,24 @@ func getWriteBuf(size int) []byte {
 	if v := writeBufPool.Get(); v != nil {
 		if buf := v.([]byte); cap(buf) >= size {
 			buf = buf[:size]
-			for i := range buf {
-				buf[i] = 0
-			}
+			clear(buf)
 			return buf
 		}
 	}
 	return make([]byte, size)
 }
 
-// Write persists the batch as a segment file at path, returning the file
-// size. The file is assembled in memory, written to a temporary sibling
-// and renamed into place, so a crash mid-write never leaves a live
-// half-segment behind. Batches whose addresses carry IPv6 zones are
+// encodeSpan writes the batch's span image into buf, a zeroed buffer of
+// the layout's size. Batches whose addresses carry IPv6 zones are
 // rejected: zones are interned strings that cannot round-trip a file.
-func Write(path string, b *flowrec.Batch) (int64, error) {
-	rows := b.Len()
-	offs, size := layout(rows)
-	buf := getWriteBuf(size)
-	defer writeBufPool.Put(buf)
-
+func encodeSpan(buf []byte, offs [numCols]int, b *flowrec.Batch) error {
 	putInt64s(buf, offs[colStartNs], b.StartNs)
 	putInt64s(buf, offs[colEndNs], b.EndNs)
 	if err := putAddrs(buf, offs[colSrcAddr], offs[colSrcVer], b.SrcIP); err != nil {
-		return 0, fmt.Errorf("flowstore: src addresses: %w", err)
+		return fmt.Errorf("flowstore: src addresses: %w", err)
 	}
 	if err := putAddrs(buf, offs[colDstAddr], offs[colDstVer], b.DstIP); err != nil {
-		return 0, fmt.Errorf("flowstore: dst addresses: %w", err)
+		return fmt.Errorf("flowstore: dst addresses: %w", err)
 	}
 	putUint16s(buf, offs[colSrcPort], b.SrcPort)
 	putUint16s(buf, offs[colDstPort], b.DstPort)
@@ -167,165 +154,36 @@ func Write(path string, b *flowrec.Batch) (int64, error) {
 	putUint16s(buf, offs[colOutIf], b.OutIf)
 	copy(buf[offs[colDir]:], dirBytes(b.Dir))
 	copy(buf[offs[colTCPFlags]:], b.TCPFlags)
-
-	h := buf[:headerSize]
-	copy(h[0:4], magic)
-	binary.LittleEndian.PutUint32(h[4:8], version)
-	binary.LittleEndian.PutUint64(h[8:16], uint64(rows))
-	binary.LittleEndian.PutUint64(h[16:24], uint64(size-headerSize))
-	binary.LittleEndian.PutUint64(h[24:32], crc64.Checksum(buf[headerSize:], crcTable))
-	binary.LittleEndian.PutUint32(h[40:44], numCols)
-	tab := h[44:]
-	for c := 0; c < numCols; c++ {
-		binary.LittleEndian.PutUint64(tab[c*16:], uint64(offs[c]))
-		binary.LittleEndian.PutUint64(tab[c*16+8:], uint64(rows*colWidth[c]))
-	}
-	// The header CRC is computed with its own field zeroed (it is zero at
-	// this point) and covers the whole header page.
-	binary.LittleEndian.PutUint64(h[32:40], crc64.Checksum(h, crcTable))
-
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return 0, fmt.Errorf("flowstore: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return 0, fmt.Errorf("flowstore: %w", err)
-	}
-	if m := metricsPtr.Load(); m != nil {
-		m.wrote(int64(size))
-	}
-	return int64(size), nil
+	return nil
 }
 
-// Segment is an opened, checksum-verified segment file. On linux the file
-// is mmap'ed read-only and the numeric columns of Batch alias the mapping
-// directly; elsewhere (or when mmap fails) the file is read onto the heap
-// and the same views point there. A Segment stays valid until Close; the
-// owner must not Close it while view batches built from it are in use.
+// Segment is one faulted, checksum-verified span. On linux the span is
+// mmap'ed read-only and the numeric columns of Batch alias the mapping
+// directly; elsewhere (or when mmap fails) the span is read onto the
+// heap and the same views point there. A Segment stays valid until
+// Close; the owner must not Close it while view batches built from it
+// are in use.
 type Segment struct {
 	data   []byte
 	mapped bool
-	// shared marks a sub-slice of a SpannedFile's mapping: the spanned
-	// file owns the memory, so Close is a no-op.
-	shared bool
 	rows   int
 	offs   [numCols]int
 }
 
-// Open maps (or reads) and verifies a segment file. Every failure mode of
-// a damaged file — truncation, bit flips in header or data, a bad rename —
-// returns an error here; a non-nil Segment always serves exactly the rows
-// that were written.
-func Open(path string) (*Segment, error) {
-	s, err := openSegment(path)
-	if m := metricsPtr.Load(); m != nil {
-		if err != nil {
-			m.openFails.Add(1)
-		} else {
-			m.opens.Add(1)
-		}
-	}
-	return s, err
-}
-
-func openSegment(path string) (*Segment, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("flowstore: %w", err)
-	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("flowstore: %w", err)
-	}
-	size := int(fi.Size())
-	if size < headerSize {
-		return nil, fmt.Errorf("flowstore: %s: truncated header (%d bytes)", path, size)
-	}
-	data, mapped, err := mapFile(f, size)
-	if err != nil {
-		return nil, fmt.Errorf("flowstore: %s: %w", path, err)
-	}
-	s := &Segment{data: data, mapped: mapped}
-	if err := s.validate(path, false); err != nil {
-		s.Close()
-		return nil, err
-	}
-	return s, nil
-}
-
-// validate checks the header and both checksums against the mapped
-// bytes. skipDataCRC elides the data-region pass for callers that have
-// already checksummed the segment's full byte image (a spanned file's
-// per-span CRC covers header and data together).
-func (s *Segment) validate(path string, skipDataCRC bool) error {
-	h := s.data[:headerSize]
-	if string(h[0:4]) != magic {
-		return fmt.Errorf("flowstore: %s: bad magic %q", path, h[0:4])
-	}
-	if v := binary.LittleEndian.Uint32(h[4:8]); v != version {
-		return fmt.Errorf("flowstore: %s: unsupported version %d (want %d)", path, v, version)
-	}
-	wantHeaderCRC := binary.LittleEndian.Uint64(h[32:40])
-	// Recompute the header CRC over a copy with the CRC field zeroed.
-	hc := make([]byte, headerSize)
-	copy(hc, h)
-	for i := 32; i < 40; i++ {
-		hc[i] = 0
-	}
-	if got := crc64.Checksum(hc, crcTable); got != wantHeaderCRC {
-		return fmt.Errorf("flowstore: %s: header checksum mismatch (file %#x, computed %#x)", path, wantHeaderCRC, got)
-	}
-	rows := binary.LittleEndian.Uint64(h[8:16])
-	if rows > 1<<40 {
-		return fmt.Errorf("flowstore: %s: implausible row count %d", path, rows)
-	}
-	s.rows = int(rows)
-	offs, wantSize := layout(s.rows)
-	dataSize := binary.LittleEndian.Uint64(h[16:24])
-	if int(dataSize) != wantSize-headerSize || len(s.data) != wantSize {
-		return fmt.Errorf("flowstore: %s: size mismatch: file %d bytes, header claims %d, layout wants %d",
-			path, len(s.data), headerSize+int(dataSize), wantSize)
-	}
-	if n := binary.LittleEndian.Uint32(h[40:44]); n != numCols {
-		return fmt.Errorf("flowstore: %s: %d columns, want %d", path, n, numCols)
-	}
-	tab := h[44:]
-	for c := 0; c < numCols; c++ {
-		off := binary.LittleEndian.Uint64(tab[c*16:])
-		sz := binary.LittleEndian.Uint64(tab[c*16+8:])
-		if int(off) != offs[c] || int(sz) != s.rows*colWidth[c] {
-			return fmt.Errorf("flowstore: %s: column %d table entry (off %d, size %d) does not match layout (off %d, size %d)",
-				path, c, off, sz, offs[c], s.rows*colWidth[c])
-		}
-	}
-	s.offs = offs
-	if !skipDataCRC {
-		if got := crc64.Checksum(s.data[headerSize:], crcTable); got != binary.LittleEndian.Uint64(h[24:32]) {
-			return fmt.Errorf("flowstore: %s: data checksum mismatch", path)
-		}
-	}
-	return nil
-}
-
-// Rows returns the number of rows in the segment.
+// Rows returns the number of rows in the span.
 func (s *Segment) Rows() int { return s.rows }
 
-// Mapped reports whether the segment is served from an mmap (as opposed
+// Mapped reports whether the span is served from an mmap (as opposed
 // to the heap fallback).
 func (s *Segment) Mapped() bool { return s.mapped }
-
-// Size returns the segment's file size in bytes.
-func (s *Segment) Size() int64 { return int64(len(s.data)) }
 
 // col returns the raw bytes of one blob.
 func (s *Segment) col(c int) []byte {
 	return s.data[s.offs[c] : s.offs[c]+s.rows*colWidth[c]]
 }
 
-// Batch builds a read-only view batch over the segment. Numeric columns
-// alias the segment memory when the host allows it (little-endian,
+// Batch builds a read-only view batch over the span. Numeric columns
+// alias the span memory when the host allows it (little-endian,
 // aligned mapping); the address columns are always decoded onto the heap.
 // The returned batch is marked as a view (flowrec.Batch.IsView), its
 // columns have len == cap so appends copy, and it must not be used after
@@ -366,24 +224,20 @@ func (s *Segment) Batch() (b *flowrec.Batch, heapBytes int64, err error) {
 	return b, heapBytes, nil
 }
 
-// Evicted hints the OS that the segment's pages will not be needed soon
-// (MADV_DONTNEED on linux, no-op elsewhere). The cache calls it when the
-// last view over the segment is dropped; the next fault-in re-reads the
-// pages from the file.
+// Evicted hints the OS that the span's pages will not be needed soon
+// (MADV_DONTNEED on linux, no-op elsewhere; spans are page-aligned by
+// format). The cache calls it when the last view over the span is
+// dropped; the next access re-reads the pages from the file.
 func (s *Segment) Evicted() {
 	adviseDontNeed(s.data, s.mapped)
 }
 
 // Close releases the mapping (or the heap copy). View batches built from
-// the segment must not be used afterwards. Closing a shared segment (a
-// span of a SpannedFile) is a no-op: the spanned file owns the mapping.
+// the segment must not be used afterwards.
 func (s *Segment) Close() error {
-	if s.shared {
-		return nil
-	}
 	data, mapped := s.data, s.mapped
 	s.data, s.mapped, s.rows = nil, false, 0
-	return unmapFile(data, mapped)
+	return unmapSpan(data, mapped)
 }
 
 // decodeAddrs materialises one address column.
@@ -564,14 +418,4 @@ func putUint16s(buf []byte, off int, s []uint16) {
 	for i, v := range s {
 		binary.LittleEndian.PutUint16(buf[off+i*2:], v)
 	}
-}
-
-// readFile is the heap fallback behind mapFile: one exact allocation
-// holding the whole segment.
-func readFile(f *os.File, size int) ([]byte, bool, error) {
-	buf := make([]byte, size)
-	if _, err := f.ReadAt(buf, 0); err != nil {
-		return nil, false, err
-	}
-	return buf, false, nil
 }

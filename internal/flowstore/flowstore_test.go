@@ -72,41 +72,53 @@ func equalBatches(t *testing.T, want, got *flowrec.Batch) {
 	}
 }
 
-func writeSegment(t *testing.T, b *flowrec.Batch) string {
+// liveFile appends the batches to a fresh span file and leaves it open
+// and unsealed: the state the dataset cache reads its spills in.
+func liveFile(t testing.TB, batches ...*flowrec.Batch) (*SpanFile, []SpanRef) {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "seg.lfs")
-	size, err := Write(path, b)
+	sf, err := Create(filepath.Join(t.TempDir(), "spill"+SpannedExt))
 	if err != nil {
-		t.Fatalf("Write: %v", err)
+		t.Fatalf("Create: %v", err)
 	}
-	fi, err := os.Stat(path)
-	if err != nil || fi.Size() != size {
-		t.Fatalf("Write reported %d bytes, file has %v (%v)", size, fi, err)
+	t.Cleanup(func() { sf.Close() })
+	refs := make([]SpanRef, len(batches))
+	for i, b := range batches {
+		if refs[i], err = sf.Append(b); err != nil {
+			t.Fatalf("Append %d: %v", i, err)
+		}
 	}
-	return path
+	return sf, refs
+}
+
+// faultBatch faults one span and returns its view.
+func faultBatch(t *testing.T, sf *SpanFile, ref SpanRef) (*Segment, *flowrec.Batch, int64) {
+	t.Helper()
+	seg, err := sf.Span(ref)
+	if err != nil {
+		t.Fatalf("Span(%+v): %v", ref, err)
+	}
+	t.Cleanup(func() { seg.Close() })
+	view, heap, err := seg.Batch()
+	if err != nil {
+		t.Fatalf("Batch: %v", err)
+	}
+	return seg, view, heap
 }
 
 func TestRoundTrip(t *testing.T) {
 	for _, rows := range []int{0, 1, 7, 1000} {
 		b := testBatch(rows, int64(rows)+1)
-		path := writeSegment(t, b)
-		seg, err := Open(path)
-		if err != nil {
-			t.Fatalf("rows=%d: Open: %v", rows, err)
-		}
+		sf, refs := liveFile(t, b)
+		seg, view, heap := faultBatch(t, sf, refs[0])
 		if seg.Rows() != rows {
 			t.Fatalf("rows=%d: segment reports %d rows", rows, seg.Rows())
-		}
-		view, heap, err := seg.Batch()
-		if err != nil {
-			t.Fatalf("rows=%d: Batch: %v", rows, err)
 		}
 		if heap <= 0 {
 			t.Errorf("rows=%d: heapBytes = %d, want > 0 (struct + addresses)", rows, heap)
 		}
 		equalBatches(t, b, view)
 		if !view.IsView() {
-			t.Error("segment batch must be marked as a view")
+			t.Error("span batch must be marked as a view")
 		}
 		if err := seg.Close(); err != nil {
 			t.Errorf("Close: %v", err)
@@ -115,18 +127,10 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestViewIsImmutableAndUnpooled(t *testing.T) {
-	b := testBatch(64, 3)
-	seg, err := Open(writeSegment(t, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	view, _, err := seg.Batch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf, refs := liveFile(t, testBatch(64, 3))
+	_, view, _ := faultBatch(t, sf, refs[0])
 	// Columns must have len == cap so that appending copies instead of
-	// scribbling past the view into segment (or mapped) memory.
+	// scribbling past the view into span (or mapped) memory.
 	if cap(view.Bytes) != view.Len() || cap(view.SrcPort) != view.Len() {
 		t.Fatalf("view columns must have len == cap (len %d, cap %d)", view.Len(), cap(view.Bytes))
 	}
@@ -150,48 +154,79 @@ func TestViewIsImmutableAndUnpooled(t *testing.T) {
 
 func TestEvictedAdviseIsSafe(t *testing.T) {
 	b := testBatch(512, 9)
-	seg, err := Open(writeSegment(t, b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
+	sf, refs := liveFile(t, b)
+	seg, view, _ := faultBatch(t, sf, refs[0])
 	seg.Evicted() // advisory; must not invalidate the data
-	view, _, err := seg.Batch()
-	if err != nil {
-		t.Fatal(err)
-	}
 	equalBatches(t, b, view)
 }
 
-// TestCorruption asserts that every damaged-file shape is rejected by
-// Open with an error instead of serving wrong rows or panicking.
+// TestCorruption damages a span file underneath the process that wrote
+// it and still holds its references — the state the dataset cache is in
+// — and asserts the one read path: a span whose bytes are damaged or
+// gone is rejected by Span with an error instead of serving wrong rows,
+// crashing on a mapping past the end of the file, or taking its
+// neighbours with it; and the header, which that path never reads, can
+// be damaged without consequence.
 func TestCorruption(t *testing.T) {
-	b := testBatch(256, 5)
-	pristine := writeSegment(t, b)
-	raw, err := os.ReadFile(pristine)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	damage := map[string]func([]byte) []byte{
-		"bad-magic":       func(d []byte) []byte { d[0] ^= 0xff; return d },
-		"bad-version":     func(d []byte) []byte { d[4] = 99; return d },
-		"header-bitflip":  func(d []byte) []byte { d[44] ^= 0x01; return d }, // column table
-		"data-bitflip":    func(d []byte) []byte { d[headerSize+100] ^= 0x80; return d },
-		"truncated-data":  func(d []byte) []byte { return d[:len(d)-128] },
-		"truncated-head":  func(d []byte) []byte { return d[:100] },
-		"empty":           func(d []byte) []byte { return nil },
-		"row-count-bumps": func(d []byte) []byte { d[8]++; return d },
-	}
-	for name, mutate := range damage {
-		t.Run(name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "bad.lfs")
-			if err := os.WriteFile(path, mutate(append([]byte(nil), raw...)), 0o644); err != nil {
+	batches := []*flowrec.Batch{testBatch(256, 5), testBatch(300, 6), testBatch(200, 7)}
+	rewrite := func(mutate func(d []byte, refs []SpanRef) []byte) func(*testing.T, string, []SpanRef) {
+		return func(t *testing.T, path string, refs []SpanRef) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if seg, err := Open(path); err == nil {
-				seg.Close()
-				t.Fatalf("Open accepted a %s segment", name)
+			// WriteFile truncates and rewrites the same inode, so the open
+			// descriptor sees the damage.
+			if err := os.WriteFile(path, mutate(raw, refs), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := map[string]struct {
+		damage func(*testing.T, string, []SpanRef)
+		bad    [3]bool // which spans must be rejected
+	}{
+		"bad-magic":      {damage: rewrite(func(d []byte, _ []SpanRef) []byte { d[0] ^= 0xff; return d })},
+		"bad-version":    {damage: rewrite(func(d []byte, _ []SpanRef) []byte { d[4] = 99; return d })},
+		"header-bitflip": {damage: rewrite(func(d []byte, _ []SpanRef) []byte { d[44] ^= 0x01; return d })},
+		"data-bitflip": {
+			damage: rewrite(func(d []byte, refs []SpanRef) []byte { d[refs[1].Off+100] ^= 0x80; return d }),
+			bad:    [3]bool{false, true, false},
+		},
+		"truncated-data": {
+			damage: rewrite(func(d []byte, refs []SpanRef) []byte { return d[:refs[2].Off+refs[2].Size-128] }),
+			bad:    [3]bool{false, false, true},
+		},
+		"truncated-head": {
+			damage: rewrite(func(d []byte, _ []SpanRef) []byte { return d[:100] }),
+			bad:    [3]bool{true, true, true},
+		},
+		"empty": {
+			damage: rewrite(func(d []byte, _ []SpanRef) []byte { return nil }),
+			bad:    [3]bool{true, true, true},
+		},
+		"row-count-bumps": {
+			damage: func(_ *testing.T, _ string, refs []SpanRef) { refs[0].Rows++ },
+			bad:    [3]bool{true, false, false},
+		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			sf, refs := liveFile(t, batches...)
+			if err := sf.Seal(); err != nil {
+				t.Fatal(err)
+			}
+			tc.damage(t, sf.Path(), refs)
+			for i, ref := range refs {
+				if tc.bad[i] {
+					if seg, err := sf.Span(ref); err == nil {
+						seg.Close()
+						t.Fatalf("Span %d accepted after %s", i, name)
+					}
+					continue
+				}
+				_, view, _ := faultBatch(t, sf, ref) // fatal if the intact span is rejected
+				equalBatches(t, batches[i], view)
 			}
 		})
 	}
@@ -203,62 +238,104 @@ func TestWriteRejectsZones(t *testing.T) {
 		SrcIP: netip.MustParseAddr("fe80::1%eth0"),
 		DstIP: netip.MustParseAddr("10.0.0.1"),
 	})
-	if _, err := Write(filepath.Join(t.TempDir(), "z.lfs"), b); err == nil {
-		t.Fatal("Write must reject zoned addresses")
+	sf, _ := liveFile(t)
+	if _, err := sf.Append(b); err == nil {
+		t.Fatal("Append must reject zoned addresses")
+	}
+	if n := len(sf.Refs()); n != 0 {
+		t.Fatalf("a rejected batch left %d index entries", n)
 	}
 }
 
+// TestWriteIsAtomic: a span file passes for valid only once it is
+// sealed. Before that there is no header to read, so a reader of the
+// path — or of what a killed writer left — is refused, while the writer
+// itself serves every span it appended; there is no temporary file
+// beside it at any point, and Create never reopens an existing file.
 func TestWriteIsAtomic(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "seg.lfs")
-	if _, err := Write(path, testBatch(32, 1)); err != nil {
+	b := testBatch(32, 1)
+	sf, refs := liveFile(t, b)
+	path := sf.Path()
+	if opened, err := OpenSpanned(path); err == nil {
+		opened.Close()
+		t.Fatal("OpenSpanned accepted an unsealed file")
+	}
+	_, view, _ := faultBatch(t, sf, refs[0])
+	equalBatches(t, b, view)
+	if _, err := Create(path); err == nil {
+		t.Fatal("Create reopened an existing span file")
+	}
+
+	if err := sf.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	// No temporary residue after a successful write.
-	entries, err := os.ReadDir(dir)
+	if err := sf.Seal(); err != nil {
+		t.Fatalf("second Seal: %v", err)
+	}
+	if _, err := sf.Append(b); err != ErrSealed {
+		t.Fatalf("Append after Seal = %v, want ErrSealed", err)
+	}
+	opened, err := OpenSpanned(path)
+	if err != nil {
+		t.Fatalf("OpenSpanned of a sealed file: %v", err)
+	}
+	defer opened.Close()
+	if got := opened.Refs(); len(got) != 1 || got[0] != refs[0] {
+		t.Fatalf("sealed index = %+v, want %+v", got, refs)
+	}
+	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != 1 || entries[0].Name() != "seg.lfs" {
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
 		t.Fatalf("directory has unexpected entries: %v", entries)
-	}
-	// Overwrite with different content: readers of the old segment name
-	// must see either the old or the new file, never a partial one.
-	if _, err := Write(path, testBatch(64, 2)); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	if seg.Rows() != 64 {
-		t.Fatalf("reopened segment has %d rows, want 64", seg.Rows())
 	}
 }
 
 func TestOpenMissing(t *testing.T) {
-	if _, err := Open(filepath.Join(t.TempDir(), "absent.lfs")); err == nil {
-		t.Fatal("Open of a missing file must fail")
+	if _, err := OpenSpanned(filepath.Join(t.TempDir(), "absent"+SpannedExt)); err == nil {
+		t.Fatal("OpenSpanned of a missing file must fail")
+	}
+	if _, err := Create(filepath.Join(t.TempDir(), "no-such-dir", "x"+SpannedExt)); err == nil {
+		t.Fatal("Create in a missing directory must fail")
+	}
+}
+
+// TestAppendWriteError: a failed write surfaces as an error from Append
+// (the cache then keeps the batch resident), not as a reference to bytes
+// that are not there.
+func TestAppendWriteError(t *testing.T) {
+	sf, _ := liveFile(t, testBatch(8, 1))
+	sf.Close() // every later pwrite fails
+	if ref, err := sf.Append(testBatch(8, 2)); err == nil {
+		t.Fatalf("Append on a closed file returned %+v", ref)
 	}
 }
 
 // BenchmarkSegmentWriteFault measures one full spill/fault cycle: encode
-// and write a component-hour-sized batch, then open, verify and build the
+// and append a component-hour-sized batch, then map, verify and build the
 // view. This is the cost the tiered cache pays per eviction + re-access;
 // cmd/benchgate gates its allocs/op in CI.
 func BenchmarkSegmentWriteFault(bm *testing.B) {
 	b := testBatch(4096, 11)
-	dir := bm.TempDir()
-	path := filepath.Join(dir, "bench.lfs")
+	sf, _ := liveFile(bm)
 	var rows int64
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		if _, err := Write(path, b); err != nil {
+		ref, err := sf.Append(b)
+		if err == ErrSealed {
+			// Roll over like the cache does, dropping the full file so
+			// a long run stays within one file's size on disk.
+			sf.Close()
+			os.Remove(sf.Path())
+			sf, _ = liveFile(bm)
+			ref, err = sf.Append(b)
+		}
+		if err != nil {
 			bm.Fatal(err)
 		}
-		seg, err := Open(path)
+		seg, err := sf.Span(ref)
 		if err != nil {
 			bm.Fatal(err)
 		}
@@ -284,16 +361,8 @@ func TestPortableFallback(t *testing.T) {
 	hostLE = false
 
 	b := testBatch(333, 21)
-	path := writeSegment(t, b)
-	seg, err := Open(path)
-	if err != nil {
-		t.Fatalf("Open via fallback: %v", err)
-	}
-	defer seg.Close()
-	view, heap, err := seg.Batch()
-	if err != nil {
-		t.Fatal(err)
-	}
+	sf, refs := liveFile(t, b)
+	_, view, heap := faultBatch(t, sf, refs[0])
 	equalBatches(t, b, view)
 	// Every numeric column was decode-copied, so the heap estimate must
 	// exceed the view-path estimate (struct + addresses only).
@@ -301,17 +370,16 @@ func TestPortableFallback(t *testing.T) {
 		t.Errorf("fallback heapBytes = %d, want > %d (copied columns must be accounted)", heap, minHeap)
 	}
 
-	// Cross-path compatibility: a segment written by the fallback opens
-	// on the fast path and vice versa.
+	// Cross-path compatibility: a span written by the fallback faults on
+	// the fast path and vice versa.
 	hostLE = orig
-	seg2, err := Open(path)
-	if err != nil {
-		t.Fatalf("fast-path Open of fallback-written segment: %v", err)
-	}
-	defer seg2.Close()
-	view2, _, err := seg2.Batch()
+	_, view2, _ := faultBatch(t, sf, refs[0])
+	equalBatches(t, b, view2)
+	fast, err := sf.Append(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	equalBatches(t, b, view2)
+	hostLE = false
+	_, view3, _ := faultBatch(t, sf, fast)
+	equalBatches(t, b, view3)
 }

@@ -6,20 +6,16 @@ import (
 	"lockdown/internal/obs"
 )
 
-// The store's instruments are package-level because Write and Open are
-// package functions (the dataset cache calls them with bare paths). They
-// live behind one atomic pointer so the uninstrumented hot path — every
-// spill and fault under a cache budget — pays a single pointer load and
-// nil check, and Instrument can be called at any time, including while
-// segments are being written.
+// The store's instruments are package-level and live behind one atomic
+// pointer so the uninstrumented hot path — every spill and fault under
+// a cache budget — pays a single pointer load and nil check, and
+// Instrument can be called at any time, including while spans are being
+// appended.
 type storeMetrics struct {
-	writes       *obs.Counter
-	writeBytes   *obs.Counter
-	opens        *obs.Counter
-	openFails    *obs.Counter
-	compactions  *obs.Counter
-	spannedOpens *obs.Counter
-	spanFaults   *obs.Counter
+	writes     *obs.Counter
+	writeBytes *obs.Counter
+	openFails  *obs.Counter
+	spanFaults *obs.Counter
 }
 
 var metricsPtr atomic.Pointer[storeMetrics]
@@ -33,23 +29,12 @@ func Instrument(reg *obs.Registry) {
 	}
 	metricsPtr.Store(&storeMetrics{
 		writes: reg.Counter("lockdown_flowstore_writes_total",
-			"Segment files written (cache spills)."),
+			"Spans appended to span files (cache spills)."),
 		writeBytes: reg.Counter("lockdown_flowstore_write_bytes_total",
-			"Total bytes of segment files written."),
-		opens: reg.Counter("lockdown_flowstore_opens_total",
-			"Segment files opened and verified (cache faults)."),
+			"Total bytes written to span files: spans, and the index and header of each sealed file."),
 		openFails: reg.Counter("lockdown_flowstore_open_failures_total",
-			"Segment opens rejected by validation (truncation, bad checksums)."),
-		compactions: reg.Counter("lockdown_flowstore_compactions_total",
-			"Spanned files written by segment compaction."),
-		spannedOpens: reg.Counter("lockdown_flowstore_spanned_opens_total",
-			"Spanned files opened and header/index-verified."),
+			"Span files and spans rejected by validation (unsealed, truncation, bad checksums)."),
 		spanFaults: reg.Counter("lockdown_flowstore_span_faults_total",
-			"Spans checksummed and served from opened spanned files."),
+			"Spans mapped, checksummed and served."),
 	})
-}
-
-func (m *storeMetrics) wrote(size int64) {
-	m.writes.Add(1)
-	m.writeBytes.Add(size)
 }

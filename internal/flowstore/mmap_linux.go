@@ -7,22 +7,23 @@ import (
 	"syscall"
 )
 
-// mapFile maps the file read-only. mmap failures (exotic filesystems,
-// exhausted mappings) fall back to a heap read so a segment is never
-// unreadable just because it cannot be mapped.
-func mapFile(f *os.File, size int) (data []byte, mapped bool, err error) {
+// mapSpan maps size bytes of the file at the page-aligned offset off,
+// read-only. mmap failures (exotic filesystems, exhausted mappings) fall
+// back to a heap read of the one span, so a span is never unreadable
+// just because it cannot be mapped.
+func mapSpan(f *os.File, off int64, size int) (data []byte, mapped bool, err error) {
 	if size == 0 {
 		return nil, false, nil
 	}
-	d, err := syscall.Mmap(int(f.Fd()), 0, size, syscall.PROT_READ, syscall.MAP_SHARED)
+	d, err := syscall.Mmap(int(f.Fd()), off, size, syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
-		return readFile(f, size)
+		return readSpan(f, off, size)
 	}
 	return d, true, nil
 }
 
-// unmapFile releases a mapping created by mapFile.
-func unmapFile(data []byte, mapped bool) error {
+// unmapSpan releases a mapping created by mapSpan.
+func unmapSpan(data []byte, mapped bool) error {
 	if !mapped || data == nil {
 		return nil
 	}

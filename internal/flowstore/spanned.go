@@ -2,236 +2,269 @@ package flowstore
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
+
+	"lockdown/internal/flowrec"
 )
 
-// Spanned files merge many small per-hour segment files into one file
-// with an embedded index, so a long-lived cache pays one open + one
-// mmap + one header validation for a whole stretch of spilled hours
-// instead of one per hour:
+// A span file is the one on-disk format of the store: an append-only
+// run of page-aligned spans, made self-describing when it is sealed:
 //
 //	┌────────────────────────────────────────────────────────────┐
 //	│ header page (4096 B): magic "LFSS", version, span count,   │
 //	│ index offset/size, CRC-64 of the index, CRC-64 of header   │
+//	│ — a hole until the file is sealed, written last            │
 //	├────────────────────────────────────────────────────────────┤
-//	│ index: span count × {offset u64, size u64, crc64 u64}      │
-//	├────────────────────────────────────────────────────────────┤
-//	│ span 0: a complete LFS1 segment image, page-aligned        │
+//	│ span 0: the column data of one batch, page-aligned         │
 //	├────────────────────────────────────────────────────────────┤
 //	│ span 1: …                                                  │
+//	├────────────────────────────────────────────────────────────┤
+//	│ index: span count × {offset, size, rows, crc64}, appended  │
+//	│ at the next page boundary when the file is sealed          │
 //	└────────────────────────────────────────────────────────────┘
 //
-// Every span is a byte-for-byte LFS1 segment starting on a page
-// boundary, which preserves the 64-byte blob alignment (so the
-// zero-copy column casts stay legal on a sub-slice of one mapping) and
-// makes Evicted's page-granular madvise valid per span. Opening the
-// file validates only the spanned header and the index checksum — no
-// pass over the span bytes; each span is verified lazily on first
-// fault (one CRC pass over that span only, covering its inner header
-// and data together) and memoized, so a month-walk experiment touching
-// hour h pays for hour h, not for the file.
+// Page alignment preserves the 64-byte blob alignment inside a span's
+// own mapping (so the zero-copy column casts stay legal) and makes
+// Segment.Evicted's page-granular madvise valid per span. Append hands
+// back a SpanRef; Span maps exactly the referenced bytes and verifies
+// their CRC before serving a row. The process that wrote a file reads
+// it through the references it kept, sealed or not; OpenSpanned
+// recovers the same references from a sealed file's index, and from
+// there the read path is the same one. A file whose writer died before
+// sealing has no magic and is rejected whole.
 const (
 	spanMagic      = "LFSS"
-	spanVersion    = 1
-	spanAlign      = headerSize // page alignment for spans and their inner blobs
-	indexEntrySize = 24
+	spanVersion    = 2
+	headerSize     = 4096
+	spanAlign      = headerSize // page alignment of spans and the index
+	indexEntrySize = 32
 	// maxSpans bounds the span count against a corrupted header claiming
-	// an absurd index (the same plausibility role as the row-count bound
-	// of the segment validator).
+	// an absurd index.
 	maxSpans = 1 << 24
+	// spanFileSize is the roll-over size: the append that carries a file
+	// to it seals the file.
+	spanFileSize = 16 << 20
 )
+
+// SpannedExt is the file extension of span files.
+const SpannedExt = ".lfss"
+
+// ErrSealed is returned by Append once the file has reached its
+// roll-over size (or was opened from disk): the caller starts a new one.
+var ErrSealed = errors.New("flowstore: span file is sealed")
 
 // alignSpan rounds n up to the span alignment.
 func alignSpan(n int64) int64 {
 	return (n + spanAlign - 1) &^ (spanAlign - 1)
 }
 
-type spanEntry struct {
-	off, size int64
-	crc       uint64
+// SpanRef locates one span inside its file and carries what is needed
+// to verify and lay out its bytes.
+type SpanRef struct {
+	Off, Size int64
+	Rows      int
+	CRC       uint64
 }
 
-// SpannedFile is an opened, header-verified spanned file. Span bytes are
-// validated lazily by Span and served as shared sub-slice Segments of
-// the single mapping.
-type SpannedFile struct {
-	path   string
-	data   []byte
-	mapped bool
+// SpanFile is one span file, either being appended to (Create) or
+// opened sealed from disk (OpenSpanned). All methods are safe for
+// concurrent use.
+type SpanFile struct {
+	path string
+	f    *os.File
 
-	mu      sync.Mutex
-	entries []spanEntry
-	segs    []*Segment
+	// Append holds flush shared from before it reserves until its bytes
+	// are written; Seal takes it exclusively, so the index never
+	// describes a span still in flight.
+	flush sync.RWMutex
+
+	mu     sync.Mutex
+	end    int64 // next free offset, span-aligned
+	index  []SpanRef
+	sealed bool // no further appends
+	onDisk bool // header and index written; guarded by flush
 }
 
-// SpanSource reports what happened to one input of WriteSpanned: the
-// span index it landed in, or the validation error that excluded it.
-type SpanSource struct {
-	Path string
-	Span int // index in the spanned file; -1 when skipped
-	Err  error
+// Create starts an empty span file at path.
+func Create(path string) (*SpanFile, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("flowstore: %w", err)
+	}
+	return &SpanFile{path: path, f: f, end: headerSize}, nil
 }
 
-// SpannedWriteResult summarises one WriteSpanned call.
-type SpannedWriteResult struct {
-	Sources []SpanSource // aligned with the input paths
-	Spans   int
-	Size    int64
+// Path returns the file's path.
+func (sf *SpanFile) Path() string { return sf.path }
+
+// Sealed reports whether the file has stopped accepting appends.
+func (sf *SpanFile) Sealed() bool {
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	return sf.sealed
 }
 
-// WriteSpanned merges the given segment files into one spanned file at
-// path, in input order. Damaged sources (any shape Open would reject)
-// are skipped, not fatal: their entries carry the error and the
-// surviving spans still compact — a cache with one corrupt spill keeps
-// its other hours. The file is assembled in memory and renamed into
-// place like Write. Reading the sources does not count as cache faults
-// (the opens/open_failures counters are untouched); the compaction
-// itself is counted once.
-func WriteSpanned(path string, srcs []string) (*SpannedWriteResult, error) {
-	res := &SpannedWriteResult{Sources: make([]SpanSource, len(srcs))}
-	type goodSrc struct {
-		idx  int
-		data []byte
-		seg  *Segment
-	}
-	var good []goodSrc
-	defer func() {
-		for _, g := range good {
-			g.seg.Close()
-		}
-	}()
-	for i, src := range srcs {
-		res.Sources[i] = SpanSource{Path: src, Span: -1}
-		seg, err := openSegment(src)
-		if err != nil {
-			res.Sources[i].Err = err
-			continue
-		}
-		good = append(good, goodSrc{idx: i, data: seg.data, seg: seg})
-	}
-	if len(good) == 0 {
-		return res, fmt.Errorf("flowstore: %s: no intact source segments to compact", path)
-	}
+// Refs returns the references of the file's spans, in file order.
+func (sf *SpanFile) Refs() []SpanRef {
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	return append([]SpanRef(nil), sf.index...)
+}
 
-	indexSize := int64(len(good) * indexEntrySize)
-	off := alignSpan(headerSize + indexSize)
-	entries := make([]spanEntry, len(good))
-	for k, g := range good {
-		entries[k] = spanEntry{off: off, size: int64(len(g.data))}
-		off = alignSpan(off + int64(len(g.data)))
+// Append writes the batch as the file's next span and returns its
+// reference. The offset is reserved under the file's lock; assembling,
+// checksumming and writing the span happen outside it, so concurrent
+// evictions overlap. The append that carries the file to the roll-over
+// size seals it; every later one gets ErrSealed.
+func (sf *SpanFile) Append(b *flowrec.Batch) (SpanRef, error) {
+	ref, full, err := sf.appendSpan(b)
+	if full {
+		// A failed seal loses only the file's self-description: this
+		// process reads through the references it holds.
+		_ = sf.Seal()
 	}
-	size := off
-	buf := getWriteBuf(int(size))
+	return ref, err
+}
+
+func (sf *SpanFile) appendSpan(b *flowrec.Batch) (ref SpanRef, full bool, err error) {
+	sf.flush.RLock()
+	defer sf.flush.RUnlock()
+
+	offs, size := layout(b.Len())
+	buf := getWriteBuf(size)
 	defer writeBufPool.Put(buf)
+	if err := encodeSpan(buf, offs, b); err != nil {
+		return SpanRef{}, false, err
+	}
+	ref = SpanRef{Size: int64(size), Rows: b.Len(), CRC: crc64.Checksum(buf, crcTable)}
 
-	for k, g := range good {
-		copy(buf[entries[k].off:], g.data)
-		entries[k].crc = crc64.Checksum(g.data, crcTable)
-		res.Sources[g.idx].Span = k
+	sf.mu.Lock()
+	if sf.sealed {
+		sf.mu.Unlock()
+		return SpanRef{}, false, ErrSealed
+	}
+	ref.Off = sf.end
+	sf.end = alignSpan(ref.Off + ref.Size)
+	sf.index = append(sf.index, ref)
+	full = sf.end >= spanFileSize || len(sf.index) == maxSpans
+	sf.sealed = full
+	sf.mu.Unlock()
+
+	if _, err := sf.f.WriteAt(buf, ref.Off); err != nil {
+		return SpanRef{}, full, fmt.Errorf("flowstore: %w", err)
+	}
+	if m := metricsPtr.Load(); m != nil {
+		m.writes.Add(1)
+		m.writeBytes.Add(ref.Size)
+	}
+	return ref, full, nil
+}
+
+// Seal stops appends, waits for those in flight, and writes the index
+// and then the header, which makes the file openable by OpenSpanned.
+// Sealing twice is harmless.
+func (sf *SpanFile) Seal() error {
+	sf.mu.Lock()
+	sf.sealed = true
+	sf.mu.Unlock()
+	sf.flush.Lock()
+	defer sf.flush.Unlock()
+	if sf.onDisk {
+		return nil
 	}
 
-	index := buf[headerSize : headerSize+indexSize]
-	for k, e := range entries {
-		binary.LittleEndian.PutUint64(index[k*indexEntrySize:], uint64(e.off))
-		binary.LittleEndian.PutUint64(index[k*indexEntrySize+8:], uint64(e.size))
-		binary.LittleEndian.PutUint64(index[k*indexEntrySize+16:], e.crc)
+	index := make([]byte, len(sf.index)*indexEntrySize)
+	for k, e := range sf.index {
+		binary.LittleEndian.PutUint64(index[k*indexEntrySize:], uint64(e.Off))
+		binary.LittleEndian.PutUint64(index[k*indexEntrySize+8:], uint64(e.Size))
+		binary.LittleEndian.PutUint64(index[k*indexEntrySize+16:], uint64(e.Rows))
+		binary.LittleEndian.PutUint64(index[k*indexEntrySize+24:], e.CRC)
 	}
-
-	h := buf[:headerSize]
+	h := make([]byte, headerSize)
 	copy(h[0:4], spanMagic)
 	binary.LittleEndian.PutUint32(h[4:8], spanVersion)
-	binary.LittleEndian.PutUint64(h[8:16], uint64(len(good)))
-	binary.LittleEndian.PutUint64(h[16:24], headerSize)
-	binary.LittleEndian.PutUint64(h[24:32], uint64(indexSize))
+	binary.LittleEndian.PutUint64(h[8:16], uint64(len(sf.index)))
+	binary.LittleEndian.PutUint64(h[16:24], uint64(sf.end))
+	binary.LittleEndian.PutUint64(h[24:32], uint64(len(index)))
 	binary.LittleEndian.PutUint64(h[32:40], crc64.Checksum(index, crcTable))
 	// The header CRC is computed with its own field zeroed (it is zero at
-	// this point), like the segment header.
+	// this point) and covers the whole header page.
 	binary.LittleEndian.PutUint64(h[40:48], crc64.Checksum(h, crcTable))
 
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return res, fmt.Errorf("flowstore: %w", err)
+	if _, err := sf.f.WriteAt(index, sf.end); err != nil {
+		return fmt.Errorf("flowstore: %w", err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return res, fmt.Errorf("flowstore: %w", err)
+	if _, err := sf.f.WriteAt(h, 0); err != nil {
+		return fmt.Errorf("flowstore: %w", err)
 	}
-	res.Spans = len(good)
-	res.Size = size
+	sf.onDisk = true
 	if m := metricsPtr.Load(); m != nil {
-		m.compactions.Add(1)
+		m.writeBytes.Add(int64(len(index) + headerSize))
 	}
-	return res, nil
+	return nil
 }
 
-// OpenSpanned maps (or reads) a spanned file and verifies its header and
-// index. Span bytes are NOT verified here — that is Span's job, one span
-// at a time — so opening a multi-gigabyte compacted cache costs two CRC
-// passes over at most a few hundred kilobytes. Every rejection shape
-// (truncation, bad magic/version, header or index bit flips, implausible
-// or inconsistent index entries) counts as an open failure, like a
-// damaged segment.
-func OpenSpanned(path string) (*SpannedFile, error) {
+// OpenSpanned opens a sealed span file and verifies its header and
+// index; only those two are read, so opening costs two CRC passes over
+// at most a few hundred kilobytes whatever the file holds. Span bytes
+// are verified by Span, one span at a time. Every rejection shape (no
+// header because the writer never sealed, truncation, bad
+// magic/version, header or index bit flips, implausible or inconsistent
+// index entries) counts as an open failure.
+func OpenSpanned(path string) (*SpanFile, error) {
 	sf, err := openSpanned(path)
-	if m := metricsPtr.Load(); m != nil {
-		if err != nil {
+	if err != nil {
+		if m := metricsPtr.Load(); m != nil {
 			m.openFails.Add(1)
-		} else {
-			m.spannedOpens.Add(1)
 		}
 	}
 	return sf, err
 }
 
-func openSpanned(path string) (*SpannedFile, error) {
+func openSpanned(path string) (*SpanFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("flowstore: %w", err)
 	}
-	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return nil, fmt.Errorf("flowstore: %w", err)
-	}
-	size := int(fi.Size())
-	if size < headerSize {
-		return nil, fmt.Errorf("flowstore: %s: truncated spanned header (%d bytes)", path, size)
-	}
-	data, mapped, err := mapFile(f, size)
-	if err != nil {
-		return nil, fmt.Errorf("flowstore: %s: %w", path, err)
-	}
-	sf := &SpannedFile{path: path, data: data, mapped: mapped}
-	if err := sf.validate(); err != nil {
-		sf.Close()
+	sf := &SpanFile{path: path, f: f, sealed: true, onDisk: true}
+	if err := sf.readIndex(); err != nil {
+		f.Close()
 		return nil, err
 	}
 	return sf, nil
 }
 
-func (sf *SpannedFile) validate() error {
+// readIndex validates the header page and loads the index it points to.
+func (sf *SpanFile) readIndex() error {
 	path := sf.path
-	h := sf.data[:headerSize]
+	fi, err := sf.f.Stat()
+	if err != nil {
+		return fmt.Errorf("flowstore: %w", err)
+	}
+	fileSize := fi.Size()
+	if fileSize < headerSize {
+		return fmt.Errorf("flowstore: %s: truncated header (%d bytes)", path, fileSize)
+	}
+	h := make([]byte, headerSize)
+	if _, err := sf.f.ReadAt(h, 0); err != nil {
+		return fmt.Errorf("flowstore: %s: %w", path, err)
+	}
 	if string(h[0:4]) != spanMagic {
-		return fmt.Errorf("flowstore: %s: bad spanned magic %q", path, h[0:4])
+		return fmt.Errorf("flowstore: %s: bad magic %q (unsealed or not a span file)", path, h[0:4])
 	}
 	if v := binary.LittleEndian.Uint32(h[4:8]); v != spanVersion {
-		return fmt.Errorf("flowstore: %s: unsupported spanned version %d (want %d)", path, v, spanVersion)
+		return fmt.Errorf("flowstore: %s: unsupported version %d (want %d)", path, v, spanVersion)
 	}
 	wantHeaderCRC := binary.LittleEndian.Uint64(h[40:48])
-	hc := make([]byte, headerSize)
-	copy(hc, h)
-	for i := 40; i < 48; i++ {
-		hc[i] = 0
-	}
-	if got := crc64.Checksum(hc, crcTable); got != wantHeaderCRC {
-		return fmt.Errorf("flowstore: %s: spanned header checksum mismatch (file %#x, computed %#x)", path, wantHeaderCRC, got)
+	clear(h[40:48])
+	if got := crc64.Checksum(h, crcTable); got != wantHeaderCRC {
+		return fmt.Errorf("flowstore: %s: header checksum mismatch (file %#x, computed %#x)", path, wantHeaderCRC, got)
 	}
 	count := binary.LittleEndian.Uint64(h[8:16])
 	if count == 0 || count > maxSpans {
@@ -239,136 +272,133 @@ func (sf *SpannedFile) validate() error {
 	}
 	indexOff := binary.LittleEndian.Uint64(h[16:24])
 	indexSize := binary.LittleEndian.Uint64(h[24:32])
-	if indexOff != headerSize || indexSize != count*indexEntrySize {
-		return fmt.Errorf("flowstore: %s: index geometry (off %d, size %d) does not match %d spans",
-			path, indexOff, indexSize, count)
+	if indexSize != count*indexEntrySize || indexOff < headerSize || indexOff%spanAlign != 0 ||
+		indexOff > uint64(fileSize) || indexOff+indexSize != uint64(fileSize) {
+		return fmt.Errorf("flowstore: %s: index geometry (off %d, size %d) does not match %d spans in %d bytes",
+			path, indexOff, indexSize, count, fileSize)
 	}
-	if uint64(len(sf.data)) < headerSize+indexSize {
-		return fmt.Errorf("flowstore: %s: truncated index: file %d bytes, index needs %d",
-			path, len(sf.data), headerSize+indexSize)
+	index := make([]byte, indexSize)
+	if _, err := sf.f.ReadAt(index, int64(indexOff)); err != nil {
+		return fmt.Errorf("flowstore: %s: %w", path, err)
 	}
-	index := sf.data[headerSize : headerSize+indexSize]
 	if got := crc64.Checksum(index, crcTable); got != binary.LittleEndian.Uint64(h[32:40]) {
 		return fmt.Errorf("flowstore: %s: index checksum mismatch", path)
 	}
-	entries := make([]spanEntry, count)
-	prevEnd := alignSpan(int64(headerSize) + int64(indexSize))
-	for k := range entries {
-		e := spanEntry{
-			off:  int64(binary.LittleEndian.Uint64(index[k*indexEntrySize:])),
-			size: int64(binary.LittleEndian.Uint64(index[k*indexEntrySize+8:])),
-			crc:  binary.LittleEndian.Uint64(index[k*indexEntrySize+16:]),
+	refs := make([]SpanRef, count)
+	prevEnd := int64(headerSize)
+	for k := range refs {
+		e := index[k*indexEntrySize:]
+		ref := SpanRef{
+			Off:  int64(binary.LittleEndian.Uint64(e)),
+			Size: int64(binary.LittleEndian.Uint64(e[8:])),
+			Rows: int(binary.LittleEndian.Uint64(e[16:])),
+			CRC:  binary.LittleEndian.Uint64(e[24:]),
 		}
-		if e.off%spanAlign != 0 || e.off < prevEnd || e.size < headerSize || e.off+e.size > int64(len(sf.data)) {
-			return fmt.Errorf("flowstore: %s: span %d entry (off %d, size %d) out of bounds or misordered",
-				path, k, e.off, e.size)
+		if err := ref.check(); err != nil {
+			return fmt.Errorf("flowstore: %s: span %d: %w", path, k, err)
 		}
-		prevEnd = e.off + e.size
-		entries[k] = e
+		if ref.Off < prevEnd || ref.Off > int64(indexOff)-ref.Size {
+			return fmt.Errorf("flowstore: %s: span %d (off %d, size %d) out of bounds or misordered",
+				path, k, ref.Off, ref.Size)
+		}
+		prevEnd = ref.Off + ref.Size
+		refs[k] = ref
 	}
-	sf.entries = entries
-	sf.segs = make([]*Segment, count)
+	sf.index, sf.end = refs, int64(indexOff)
 	return nil
 }
 
-// Spans returns the number of spans in the file.
-func (sf *SpannedFile) Spans() int { return len(sf.entries) }
+// check rejects a reference no writer could have produced: an
+// implausible row count, a size that is not the row count's layout, or
+// an offset off the page grid.
+func (r SpanRef) check() error {
+	if r.Rows < 0 || r.Rows > maxRows {
+		return fmt.Errorf("implausible row count %d", r.Rows)
+	}
+	if _, size := layout(r.Rows); r.Size != int64(size) {
+		return fmt.Errorf("size %d is not the layout of %d rows (%d)", r.Size, r.Rows, size)
+	}
+	if r.Off < headerSize || r.Off%spanAlign != 0 {
+		return fmt.Errorf("offset %d is not a span boundary", r.Off)
+	}
+	return nil
+}
 
-// Size returns the spanned file's size in bytes.
-func (sf *SpannedFile) Size() int64 { return int64(len(sf.data)) }
-
-// Path returns the file path the spanned file was opened from.
-func (sf *SpannedFile) Path() string { return sf.path }
-
-// Span verifies and returns span i as a shared Segment: its columns are
-// sub-slices of the spanned file's single mapping, its Close is a no-op
-// (the SpannedFile owns the mapping), and repeated calls return the
-// memoized value without re-checksumming. The one CRC pass on first
-// fault covers the span's full byte image — inner header and data
-// together — so the inner validation skips its own data-CRC pass and
-// only re-checks the structural header fields. A corrupted span counts
-// as an open failure and leaves every other span servable.
-func (sf *SpannedFile) Span(i int) (*Segment, error) {
-	seg, fresh, err := sf.span(i)
+// Span maps the referenced span and verifies its CRC; a non-nil Segment
+// always serves exactly the rows that were appended. The caller owns the
+// Segment and keeps it for later faults of the same span, so the bytes
+// are checksummed once. A span reaching beyond the file's current size
+// is rejected before it is mapped — truncation is an error, not a
+// SIGBUS. Any rejection counts as an open failure and leaves every
+// other span of the file servable.
+func (sf *SpanFile) Span(ref SpanRef) (*Segment, error) {
+	seg, err := sf.span(ref)
 	if m := metricsPtr.Load(); m != nil {
 		if err != nil {
 			m.openFails.Add(1)
-		} else if fresh {
+		} else {
 			m.spanFaults.Add(1)
 		}
 	}
 	return seg, err
 }
 
-func (sf *SpannedFile) span(i int) (*Segment, bool, error) {
-	if i < 0 || i >= len(sf.entries) {
-		return nil, false, fmt.Errorf("flowstore: %s: span %d out of range (%d spans)", sf.path, i, len(sf.entries))
+func (sf *SpanFile) span(ref SpanRef) (*Segment, error) {
+	if err := ref.check(); err != nil {
+		return nil, fmt.Errorf("flowstore: %s: %w", sf.path, err)
 	}
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	if sf.segs[i] != nil {
-		return sf.segs[i], false, nil
+	if ref.Size > 0 { // an empty span maps nothing
+		fi, err := sf.f.Stat()
+		if err != nil {
+			return nil, fmt.Errorf("flowstore: %w", err)
+		}
+		if ref.Off > fi.Size()-ref.Size {
+			return nil, fmt.Errorf("flowstore: %s: span [%d, %d) beyond the file's %d bytes",
+				sf.path, ref.Off, ref.Off+ref.Size, fi.Size())
+		}
 	}
-	e := sf.entries[i]
-	blob := sf.data[e.off : e.off+e.size]
-	if got := crc64.Checksum(blob, crcTable); got != e.crc {
-		return nil, false, fmt.Errorf("flowstore: %s: span %d checksum mismatch", sf.path, i)
+	data, mapped, err := mapSpan(sf.f, ref.Off, int(ref.Size))
+	if err != nil {
+		return nil, fmt.Errorf("flowstore: %s: %w", sf.path, err)
 	}
-	seg := &Segment{data: blob, mapped: sf.mapped, shared: true}
-	if err := seg.validate(fmt.Sprintf("%s[span %d]", sf.path, i), true); err != nil {
+	if got := crc64.Checksum(data, crcTable); got != ref.CRC {
+		_ = unmapSpan(data, mapped) // the checksum error is the one to report
+		return nil, fmt.Errorf("flowstore: %s: span at %d: checksum mismatch", sf.path, ref.Off)
+	}
+	offs, _ := layout(ref.Rows)
+	return &Segment{data: data, mapped: mapped, rows: ref.Rows, offs: offs}, nil
+}
+
+// readSpan is the heap fallback behind mapSpan: one exact allocation
+// holding the one span.
+func readSpan(f *os.File, off int64, size int) ([]byte, bool, error) {
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, off); err != nil {
 		return nil, false, err
 	}
-	sf.segs[i] = seg
-	return seg, true, nil
+	return buf, false, nil
 }
 
-// Evicted drops the resident pages of one span (page-aligned by format),
-// like Segment.Evicted for a standalone file.
-func (sf *SpannedFile) Evicted(i int) {
-	if i < 0 || i >= len(sf.entries) {
-		return
-	}
-	e := sf.entries[i]
-	adviseDontNeed(sf.data[e.off:e.off+e.size], sf.mapped)
+// Close closes the file. Segments already returned by Span stay valid:
+// a mapping outlives its descriptor.
+func (sf *SpanFile) Close() error {
+	return sf.f.Close()
 }
 
-// Close releases the mapping. Segments returned by Span — and view
-// batches built from them — must not be used afterwards.
-func (sf *SpannedFile) Close() error {
-	data, mapped := sf.data, sf.mapped
-	sf.data, sf.mapped = nil, false
-	sf.mu.Lock()
-	sf.entries, sf.segs = nil, nil
-	sf.mu.Unlock()
-	return unmapFile(data, mapped)
-}
-
-// ---- operator helpers behind `lockdown cache compact` / `stat` ----
-
-// SegmentExt and SpannedExt are the file extensions the directory
-// helpers recognise.
-const (
-	SegmentExt = ".lfs"
-	SpannedExt = ".lfss"
-)
-
-// DirStats summarises a cache directory for `lockdown cache stat`.
+// DirStats summarises a spill directory for `lockdown cache stat`.
 type DirStats struct {
-	Segments     int   // intact standalone segment files
-	SegmentBytes int64 // their total size
-	SegmentsBad  int   // standalone segments failing validation
-	SpannedFiles int   // intact spanned files
-	SpannedBytes int64 // their total size
-	Spans        int   // spans across all intact spanned files
-	SpansBad     int   // spans failing their checksum
-	SpannedBad   int   // spanned files failing header/index validation
-	BadFiles     []string
+	Files    int   // sealed span files with an intact header and index
+	Bytes    int64 // their total size
+	Spans    int   // spans across them that verify
+	SpansBad int   // spans failing their checksum or bounds
+	FilesBad int   // span files rejected whole: unsealed, truncated, damaged
+	BadFiles []string
 }
 
-// StatDir validates every segment and spanned file in dir and returns
-// the tallies. Validation here is complete (every span is checksummed) —
-// this is the operator's integrity check, not the lazy fault path — and
-// none of it touches the cache-fault metrics.
+// StatDir validates every span file in dir and returns the tallies.
+// Validation here is complete (every span is checksummed) — this is the
+// operator's integrity check, not the lazy fault path — and none of it
+// touches the cache-fault metrics.
 func StatDir(dir string) (*DirStats, error) {
 	names, err := os.ReadDir(dir)
 	if err != nil {
@@ -376,95 +406,29 @@ func StatDir(dir string) (*DirStats, error) {
 	}
 	st := &DirStats{}
 	for _, de := range names {
-		if de.IsDir() {
+		if de.IsDir() || !strings.HasSuffix(de.Name(), SpannedExt) {
 			continue
 		}
 		path := filepath.Join(dir, de.Name())
-		switch {
-		case strings.HasSuffix(de.Name(), SpannedExt):
-			sf, err := openSpanned(path)
-			if err != nil {
-				st.SpannedBad++
-				st.BadFiles = append(st.BadFiles, path)
-				continue
-			}
-			st.SpannedFiles++
-			st.SpannedBytes += sf.Size()
-			for i := 0; i < sf.Spans(); i++ {
-				if _, _, err := sf.span(i); err != nil {
-					st.SpansBad++
-					st.BadFiles = append(st.BadFiles, fmt.Sprintf("%s[span %d]", path, i))
-					continue
-				}
-				st.Spans++
-			}
-			sf.Close()
-		case strings.HasSuffix(de.Name(), SegmentExt):
-			seg, err := openSegment(path)
-			if err != nil {
-				st.SegmentsBad++
-				st.BadFiles = append(st.BadFiles, path)
-				continue
-			}
-			st.Segments++
-			st.SegmentBytes += seg.Size()
-			seg.Close()
-		}
-	}
-	return st, nil
-}
-
-// CompactResult summarises one CompactDir call.
-type CompactResult struct {
-	Output  string
-	Spans   int
-	Size    int64
-	Removed int      // source files deleted after compaction
-	Skipped []string // damaged sources left in place
-}
-
-// CompactDir merges every standalone segment file in dir into one new
-// spanned file (sources in name order, so re-running is deterministic)
-// and removes the compacted sources. Damaged sources are skipped and
-// left in place for inspection. With no segment files present it
-// returns a nil result and no error — nothing to do.
-func CompactDir(dir string) (*CompactResult, error) {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("flowstore: %w", err)
-	}
-	var srcs []string
-	for _, de := range names {
-		if !de.IsDir() && strings.HasSuffix(de.Name(), SegmentExt) {
-			srcs = append(srcs, filepath.Join(dir, de.Name()))
-		}
-	}
-	if len(srcs) == 0 {
-		return nil, nil
-	}
-	sort.Strings(srcs)
-
-	// Pick a spanned name that does not collide with earlier compactions.
-	var out string
-	for n := 0; ; n++ {
-		out = filepath.Join(dir, fmt.Sprintf("compact-%06d%s", n, SpannedExt))
-		if _, err := os.Stat(out); os.IsNotExist(err) {
-			break
-		}
-	}
-	res, err := WriteSpanned(out, srcs)
-	if err != nil {
-		return nil, err
-	}
-	cr := &CompactResult{Output: out, Spans: res.Spans, Size: res.Size}
-	for _, s := range res.Sources {
-		if s.Span < 0 {
-			cr.Skipped = append(cr.Skipped, s.Path)
+		sf, err := openSpanned(path)
+		if err != nil {
+			st.FilesBad++
+			st.BadFiles = append(st.BadFiles, path)
 			continue
 		}
-		if os.Remove(s.Path) == nil {
-			cr.Removed++
+		st.Files++
+		st.Bytes += sf.end + int64(len(sf.index))*indexEntrySize
+		for i, ref := range sf.index {
+			seg, err := sf.span(ref)
+			if err != nil {
+				st.SpansBad++
+				st.BadFiles = append(st.BadFiles, fmt.Sprintf("%s[span %d]", path, i))
+				continue
+			}
+			st.Spans++
+			seg.Close()
 		}
+		sf.Close()
 	}
-	return cr, nil
+	return st, nil
 }

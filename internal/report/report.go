@@ -229,16 +229,14 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Memory is bounded by the tiered dataset cache: `-cache-budget 64M`")
 	fmt.Fprintln(w, "(any of run/all/doc/replay/cluster) caps the resident flow batches;")
-	fmt.Fprintln(w, "colder hours spill to checksummed columnar segment files under")
-	fmt.Fprintln(w, "`-cache-dir` (default: OS temp dir) and mmap back in on access.")
-	fmt.Fprintln(w, "Long-lived caches are compacted online: once enough standalone")
-	fmt.Fprintln(w, "segments accumulate they are merged into one spanned file with an")
-	fmt.Fprintln(w, "embedded per-span CRC index, opened and validated once and")
-	fmt.Fprintln(w, "sub-sliced per hour on fault-in (`lockdown cache stat|compact`")
-	fmt.Fprintln(w, "inspects and drives the same machinery offline). The budget never")
-	fmt.Fprintln(w, "changes a metric — spilled batches round-trip bit for bit, spanned")
-	fmt.Fprintln(w, "or not (see docs/ARCHITECTURE.md, \"The spillable dataset store\"")
-	fmt.Fprintln(w, "and \"Scan kernels and the compacted segment tier\").")
+	fmt.Fprintln(w, "colder hours are appended, each written once, as checksummed")
+	fmt.Fprintln(w, "columnar spans to append-only span files under `-cache-dir`")
+	fmt.Fprintln(w, "(default: OS temp dir), and a later access maps exactly that span")
+	fmt.Fprintln(w, "back in. A file is sealed with an index of its spans when it reaches")
+	fmt.Fprintln(w, "a fixed size; `lockdown cache stat <dir>` verifies what a killed run")
+	fmt.Fprintln(w, "left behind. The budget never changes a metric — spilled batches")
+	fmt.Fprintln(w, "round-trip bit for bit (see docs/ARCHITECTURE.md, \"The spillable")
+	fmt.Fprintln(w, "dataset store\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "The per-row column scans those experiments run — per-class byte")
 	fmt.Fprintln(w, "volumes, VPN method splits, EDU class/direction counts, port")
@@ -247,8 +245,7 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "the compiler can drop bounds checks and branches. The kernels")
 	fmt.Fprintln(w, "accumulate in exact integer arithmetic and are quick-checked against")
 	fmt.Fprintln(w, "their scalar references, so they change wall clock, never a metric")
-	fmt.Fprintln(w, "(see docs/ARCHITECTURE.md, \"Scan kernels and the compacted segment")
-	fmt.Fprintln(w, "tier\").")
+	fmt.Fprintln(w, "(see docs/ARCHITECTURE.md, \"Scan kernels\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Parallelism is two-level under one budget: `-parallel n` bounds the")
 	fmt.Fprintln(w, "total worker count, experiments run concurrently on it, and the hour-")
