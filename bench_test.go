@@ -240,63 +240,11 @@ func BenchmarkRunAllParallel8(b *testing.B) {
 
 func benchRecords(n int) []flowrec.Record {
 	g := synth.MustNewDefault(synth.ISPCE)
-	recs := g.FlowsForHour(time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC))
+	recs := g.FlowsForHourBatch(time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)).Records()
 	for len(recs) < n {
 		recs = append(recs, recs...)
 	}
 	return recs[:n]
-}
-
-func BenchmarkCodecNetflowV5(b *testing.B) {
-	recs := benchRecords(netflow.V5MaxRecords)
-	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := netflow.EncodeV5(recs, export, uint32(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := netflow.DecodeV5(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(netflow.V5MaxRecords), "records/op")
-}
-
-func BenchmarkCodecNetflowV9(b *testing.B) {
-	recs := benchRecords(100)
-	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	enc := &netflow.V9Encoder{SourceID: 1}
-	dec := netflow.NewV9Decoder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pkt, err := enc.Encode(recs, export)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.Decode(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100, "records/op")
-}
-
-func BenchmarkCodecIPFIX(b *testing.B) {
-	recs := benchRecords(100)
-	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	enc := &ipfix.Encoder{DomainID: 1}
-	dec := ipfix.NewDecoder()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		msg, err := enc.Encode(recs, export)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dec.Decode(msg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(100, "records/op")
 }
 
 // --- batch-path micro-benchmarks ----------------------------------------
@@ -304,7 +252,7 @@ func BenchmarkCodecIPFIX(b *testing.B) {
 // The *Batch codec benchmarks exercise the steady-state export/collect
 // loop: one reused packet buffer and one reused decode batch. Run with
 // -benchmem; the CI bench gate fails the build if allocs/op regresses by
-// more than 10% against the BENCH_pr2.json baseline (~0 allocs/op).
+// more than 10% against the BENCH_gates.json baseline (~0 allocs/op).
 
 func BenchmarkCodecNetflowV5Batch(b *testing.B) {
 	src := flowrec.FromRecords(benchRecords(netflow.V5MaxRecords))
@@ -413,15 +361,4 @@ func BenchmarkGeneratorHourlyVolume(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = g.HourlyVolume(t.Add(time.Duration(i%168) * time.Hour))
 	}
-}
-
-func BenchmarkGeneratorFlowsForHour(b *testing.B) {
-	g := synth.MustNewDefault(synth.ISPCE)
-	t := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
-	b.ResetTimer()
-	var n int
-	for i := 0; i < b.N; i++ {
-		n = len(g.FlowsForHour(t.Add(time.Duration(i%168) * time.Hour)))
-	}
-	b.ReportMetric(float64(n), "flows/op")
 }

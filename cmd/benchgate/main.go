@@ -1,7 +1,7 @@
 // Command benchgate guards the allocation budget of the batch codec hot
 // paths. It reads `go test -bench -benchmem` output on stdin, compares
 // the allocs/op of every gated benchmark against the baseline recorded in
-// a BENCH_*.json file, and exits non-zero if any gate regresses by more
+// BENCH_gates.json, and exits non-zero if any gate regresses by more
 // than 10% (plus one allocation of slack for integer rounding). CI runs
 // it after the codec benchmarks so a change that reintroduces per-record
 // allocations on the NetFlow/IPFIX batch paths fails the build instead of
@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	go test -bench Codec -benchmem -run '^$' . | go run ./cmd/benchgate -baseline BENCH_pr2.json [-out observed.json]
+//	go test -bench Codec -benchmem -run '^$' . | go run ./cmd/benchgate [-baseline BENCH_gates.json] [-out observed.json]
 package main
 
 import (
@@ -75,7 +75,7 @@ func parseBenchLine(line string) (string, Observed, bool) {
 }
 
 func run() error {
-	baselinePath := flag.String("baseline", "BENCH_pr2.json", "JSON file with the allocation gates")
+	baselinePath := flag.String("baseline", "BENCH_gates.json", "JSON file with the allocation gates")
 	outPath := flag.String("out", "", "optional file to write the observed results to (JSON)")
 	flag.Parse()
 

@@ -34,8 +34,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Collector side: batch mode streams one flowrec.Batch per datagram.
-	col, err := collector.NewBatchCollector(format, "127.0.0.1:0")
+	// Collector side: one flowrec.Batch per datagram, tagged with its
+	// exporter stream (a single exporter here, so the tag is ignored).
+	col, err := collector.NewCollector(format, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -76,13 +77,13 @@ func main() {
 loop:
 	for got < flows.Len() {
 		select {
-		case b, ok := <-col.Batches():
+		case tb, ok := <-col.Tagged():
 			if !ok {
 				break loop
 			}
-			got += b.Len()
-			clf.VolumeByClassInto(volumes, b)
-			flowrec.PutBatch(b)
+			got += tb.Batch.Len()
+			clf.VolumeByClassInto(volumes, tb.Batch)
+			flowrec.PutBatch(tb.Batch)
 		case <-deadline:
 			break loop
 		}

@@ -213,7 +213,7 @@ func hashVP(vp synth.VantagePoint, n int) uint32 {
 // HealthEvent is one entry of a shard's supervision history.
 type HealthEvent struct {
 	Time   time.Time
-	Kind   string // "launch", "ready", "crash", "restart", "restart-failed", "gave-up"
+	Kind   string // "launch", "ready", "crash", "restart", "restart-failed", "reconnect-failed", "gave-up"
 	Detail string
 }
 
@@ -672,7 +672,6 @@ func (c *Cluster) giveUp(sh *shard) {
 		c.tracer.Instant("shard-gave-up", "cluster",
 			map[string]any{"shard": sh.id, "budget": c.spec.maxRestarts()})
 	}
-	fmt.Fprintf(os.Stderr, "cluster: shard %d exceeded %d restarts, giving up\n", sh.id, c.spec.maxRestarts())
 	c.repartition(sh, "restart budget exhausted")
 }
 
@@ -719,8 +718,6 @@ func (c *Cluster) repartition(from *shard, reason string) {
 			c.part[vp] = to
 			ev.Moved[vp] = to
 		}
-		fmt.Fprintf(os.Stderr, "cluster: shard %d dead, re-partitioned %d vantage points over %d surviving shards\n",
-			from.id, len(moved), len(targets))
 	}
 	c.rebalances = append(c.rebalances, ev)
 	c.rebalancesC.Add(1)
@@ -758,7 +755,6 @@ func (c *Cluster) superviseInProc(sh *shard) {
 		}
 		next, err := c.newInProcPump(sh)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "cluster: shard %d restart failed: %v\n", sh.id, err)
 			sh.mu.Lock()
 			sh.note("restart-failed", err.Error())
 			sh.mu.Unlock()
@@ -776,7 +772,9 @@ func (c *Cluster) superviseInProc(sh *shard) {
 		}
 		c.armKill(sh)
 		if err := c.bridge.ConnectStream(uint32(sh.id), next.CtrlAddr()); err != nil {
-			fmt.Fprintf(os.Stderr, "cluster: shard %d reconnect failed: %v\n", sh.id, err)
+			sh.mu.Lock()
+			sh.note("reconnect-failed", err.Error())
+			sh.mu.Unlock()
 		}
 	}
 }
@@ -822,7 +820,6 @@ func (c *Cluster) supervise(sh *shard) {
 			// Spawn failures — including a READY handshake timeout — count
 			// against the restart budget: the dead cmd's Wait returns
 			// immediately on the next pass and charges another restart.
-			fmt.Fprintf(os.Stderr, "cluster: shard %d restart failed: %v\n", sh.id, err)
 			sh.mu.Lock()
 			sh.note("restart-failed", err.Error())
 			sh.mu.Unlock()
@@ -855,7 +852,9 @@ func (c *Cluster) supervise(sh *shard) {
 			c.tracer.Instant("shard-restart", "cluster", map[string]any{"shard": sh.id})
 		}
 		if err := c.bridge.ConnectStream(uint32(sh.id), addr); err != nil {
-			fmt.Fprintf(os.Stderr, "cluster: shard %d reconnect failed: %v\n", sh.id, err)
+			sh.mu.Lock()
+			sh.note("reconnect-failed", err.Error())
+			sh.mu.Unlock()
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"io"
 	"os"
 	"reflect"
 	"strings"
@@ -119,6 +120,30 @@ func settledStats(t *testing.T, c *Cluster) Stats {
 	return stats
 }
 
+// captureStderr points os.Stderr at a pipe and returns a function that
+// restores it and returns what was written meanwhile. Not for parallel
+// tests: os.Stderr is process-global.
+func captureStderr(t *testing.T) func() string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stderr
+	os.Stderr = w
+	t.Cleanup(func() { os.Stderr = old }) // also when the test fails before reading
+	return func() string {
+		os.Stderr = old
+		w.Close()
+		out, err := io.ReadAll(r)
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(out)
+	}
+}
+
 // fetchEqual fetches one vantage-point hour over the cluster and
 // compares it bit-for-bit against the reference model.
 func fetchEqual(t *testing.T, c *Cluster, ref *core.SyntheticSource, vp synth.VantagePoint, hour time.Time) {
@@ -154,6 +179,7 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := core.Options{FlowScale: 0.05}
+	stderr := captureStderr(t)
 	c := newTestCluster(t, Spec{
 		Shards:         3,
 		Format:         collector.FormatIPFIX,
@@ -166,6 +192,11 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 	ref := core.NewSyntheticSource(opts)
 
 	stats := waitForDeadShard(t, c, 1, 15*time.Second)
+	// The supervisor reports through shard history, rebalance events and
+	// the trace — which the CLI renders — and never prints on its own.
+	if out := stderr(); strings.Contains(out, "cluster:") {
+		t.Errorf("supervisor printed to stderr instead of recording events:\n%s", out)
+	}
 	sh := stats.Shards[1]
 	if sh.Restarts <= 1 {
 		t.Errorf("shard 1 restarts = %d; the re-armed kill should have burned the budget past 1", sh.Restarts)

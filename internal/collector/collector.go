@@ -5,18 +5,14 @@
 // or in-memory record batches
 // (as the synthetic generator produces).
 //
-// The collector has three delivery modes. NewBatchCollector streams one
-// columnar flowrec.Batch per decoded datagram on Batches(); the batches
+// A Collector has one delivery channel: every decoded datagram arrives on
+// Tagged() as one columnar flowrec.Batch together with the stream
+// identity carried in the datagram header (IPFIX observation domain,
+// NetFlow v9 source ID, NetFlow v5 engine ID — see StreamID), which is
+// what lets one collector socket demux the interleaved export of several
+// pumps; a consumer with a single exporter ignores the field. The batches
 // come from the flowrec pool, so a consumer that returns them with
 // flowrec.PutBatch keeps the receive loop allocation-free.
-// NewTaggedCollector is batch mode with exporter attribution: each batch
-// is delivered on Tagged() together with the stream identity carried in
-// the datagram header (IPFIX observation domain, NetFlow v9 source ID,
-// NetFlow v5 engine ID — see StreamID), which is what lets one collector
-// socket demux the interleaved export of several pumps. NewCollector
-// delivers individual records on Records() for legacy consumers; it
-// decodes into one reused scratch batch, so only the channel sends
-// remain per-record work.
 //
 // Datagrams prefixed with ControlMagic are not flow export: they are
 // delivered verbatim on Control(), giving in-band protocols (the
@@ -103,54 +99,90 @@ const batchHint = 128
 // too short to carry the field report stream 0, and the subsequent
 // decode rejects them.
 func StreamID(format Format, pkt []byte) uint32 {
-	switch format {
-	case FormatNetflowV5:
-		return uint32(netflow.V5EngineID(pkt))
-	case FormatNetflowV9:
-		return netflow.V9SourceID(pkt)
-	case FormatIPFIX:
-		return ipfix.DomainID(pkt)
-	default:
+	w, err := format.wire()
+	if err != nil {
 		return 0
 	}
+	return w.stream(pkt)
 }
 
 // MaxV5Stream is the largest stream identity NetFlow v5 can carry: its
 // engine ID field is a single byte.
 const MaxV5Stream = 0xFF
 
-// TaggedBatch is one decoded datagram of a tagged-mode collector: the
-// batch plus the exporter stream it came from.
+type (
+	decodeFunc func(dst *flowrec.Batch, pkt []byte) (int, error)
+	encodeFunc func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error)
+)
+
+// wire is what differs between the formats. A Collector resolves it once,
+// at construction, to its decoder; an Exporter to its encoder. Both carry
+// the format's per-connection state (template cache, sequence counter).
+type wire struct {
+	rows       int // rows per packet
+	stream     func(pkt []byte) uint32
+	newDecoder func() decodeFunc
+	newEncoder func(stream uint32) encodeFunc
+}
+
+// wire is the one place that knows the formats apart.
+func (f Format) wire() (wire, error) {
+	switch f {
+	case FormatNetflowV5:
+		return wire{
+			rows:   netflow.V5MaxRecords,
+			stream: func(pkt []byte) uint32 { return uint32(netflow.V5EngineID(pkt)) },
+			newDecoder: func() decodeFunc {
+				return func(dst *flowrec.Batch, pkt []byte) (int, error) {
+					h, err := netflow.DecodeV5Batch(dst, pkt)
+					return h.Count, err
+				}
+			},
+			newEncoder: func(stream uint32) encodeFunc {
+				var seq uint32 // v5's flow sequence counts records
+				return func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error) {
+					dst, err := netflow.EncodeV5StreamBatch(dst, b, lo, hi, exportTime, seq, uint8(stream))
+					seq += uint32(hi - lo)
+					return dst, err
+				}
+			},
+		}, nil
+	case FormatNetflowV9:
+		return wire{
+			rows:       100,
+			stream:     netflow.V9SourceID,
+			newDecoder: func() decodeFunc { return netflow.NewV9Decoder().DecodeBatch },
+			newEncoder: func(stream uint32) encodeFunc { return (&netflow.V9Encoder{SourceID: stream}).EncodeBatch },
+		}, nil
+	case FormatIPFIX:
+		return wire{
+			rows:       100,
+			stream:     ipfix.DomainID,
+			newDecoder: func() decodeFunc { return ipfix.NewDecoder().DecodeBatch },
+			newEncoder: func(stream uint32) encodeFunc { return (&ipfix.Encoder{DomainID: stream}).EncodeBatch },
+		}, nil
+	default:
+		return wire{}, fmt.Errorf("collector: unsupported format %v", f)
+	}
+}
+
+// TaggedBatch is one decoded datagram: the batch plus the exporter stream
+// it came from.
 type TaggedBatch struct {
 	Stream uint32
 	Batch  *flowrec.Batch
 }
 
-// Delivery modes of a Collector.
-type mode int
-
-const (
-	recordMode mode = iota
-	batchMode
-	taggedMode
-)
-
 // Collector listens on a UDP socket, decodes arriving export packets and
-// delivers them on its channel — whole batches in batch or tagged mode,
-// individual records otherwise. It is safe to run one goroutine per
+// delivers each as one TaggedBatch. It is safe to run one goroutine per
 // Collector; Close releases the socket and closes the delivery channel.
 type Collector struct {
-	format  Format
-	conn    *net.UDPConn
-	mode    mode
-	out     chan flowrec.Record
-	batches chan *flowrec.Batch
-	tagged  chan TaggedBatch
-	ctrl    chan []byte
-	errs    chan error
-
-	v9  *netflow.V9Decoder
-	ipf *ipfix.Decoder
+	conn   *net.UDPConn
+	stream func(pkt []byte) uint32
+	decode decodeFunc
+	tagged chan TaggedBatch
+	ctrl   chan []byte
+	errs   chan error
 
 	// metrics is nil until Instrument attaches a registry; the receive
 	// loop pays one pointer load and nil check per datagram either way.
@@ -189,29 +221,12 @@ func (c *Collector) Instrument(reg *obs.Registry) {
 }
 
 // NewCollector opens a UDP listener on addr ("127.0.0.1:0" for an
-// ephemeral port) for the given format, delivering individual records on
-// Records(). Call Run to start receiving.
+// ephemeral port) for the given format. Call Run to start receiving.
 func NewCollector(format Format, addr string) (*Collector, error) {
-	return newCollector(format, addr, recordMode)
-}
-
-// NewBatchCollector is NewCollector in batch mode: every decoded datagram
-// is delivered as one columnar batch on Batches(). Batches are drawn from
-// the flowrec pool; consumers should hand processed batches back with
-// flowrec.PutBatch to keep the receive path allocation-free.
-func NewBatchCollector(format Format, addr string) (*Collector, error) {
-	return newCollector(format, addr, batchMode)
-}
-
-// NewTaggedCollector is NewBatchCollector with exporter attribution:
-// every decoded datagram is delivered on Tagged() as a TaggedBatch
-// carrying the stream identity of its header (see StreamID). The replay
-// bridge uses it to demux the interleaved export of several pumps.
-func NewTaggedCollector(format Format, addr string) (*Collector, error) {
-	return newCollector(format, addr, taggedMode)
-}
-
-func newCollector(format Format, addr string, m mode) (*Collector, error) {
+	w, err := format.wire()
+	if err != nil {
+		return nil, err
+	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("collector: resolve %q: %w", addr, err)
@@ -220,42 +235,25 @@ func newCollector(format Format, addr string, m mode) (*Collector, error) {
 	if err != nil {
 		return nil, fmt.Errorf("collector: listen %q: %w", addr, err)
 	}
-	c := &Collector{
-		format: format,
+	return &Collector{
 		conn:   conn,
-		mode:   m,
+		stream: w.stream,
+		decode: w.newDecoder(),
+		// 64 datagrams of slack, so a consumer hiccup backs up into the
+		// channel before it backs up into the socket buffer.
+		tagged: make(chan TaggedBatch, 64),
 		ctrl:   make(chan []byte, 16),
 		errs:   make(chan error, 16),
-		v9:     netflow.NewV9Decoder(),
-		ipf:    ipfix.NewDecoder(),
 		done:   make(chan struct{}),
-	}
-	switch m {
-	case batchMode:
-		c.batches = make(chan *flowrec.Batch, 64)
-	case taggedMode:
-		c.tagged = make(chan TaggedBatch, 64)
-	default:
-		c.out = make(chan flowrec.Record, 1024)
-	}
-	return c, nil
+	}, nil
 }
 
 // Addr returns the local address the collector listens on.
 func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
 
-// Records returns the channel decoded flow records are delivered on (nil
-// in batch mode). The channel is closed when the collector stops.
-func (c *Collector) Records() <-chan flowrec.Record { return c.out }
-
-// Batches returns the channel decoded batches are delivered on (nil
-// outside batch mode). The channel is closed when the collector stops.
-// Return consumed batches with flowrec.PutBatch.
-func (c *Collector) Batches() <-chan *flowrec.Batch { return c.batches }
-
 // Tagged returns the channel decoded batches and their stream identity
-// are delivered on (nil outside tagged mode). The channel is closed when
-// the collector stops. Return consumed batches with flowrec.PutBatch.
+// are delivered on, one per datagram. The channel is closed when the
+// collector stops. Return consumed batches with flowrec.PutBatch.
 func (c *Collector) Tagged() <-chan TaggedBatch { return c.tagged }
 
 // Control returns the channel replay control datagrams (packets prefixed
@@ -281,14 +279,7 @@ func (c *Collector) SetReadBuffer(bytes int) error { return c.conn.SetReadBuffer
 // always closes the delivery, control and error channels before
 // returning, so consumers ranging over any of them terminate.
 func (c *Collector) Run(ctx context.Context) {
-	switch c.mode {
-	case batchMode:
-		defer close(c.batches)
-	case taggedMode:
-		defer close(c.tagged)
-	default:
-		defer close(c.out)
-	}
+	defer close(c.tagged)
 	defer close(c.ctrl)
 	defer close(c.errs)
 	go func() {
@@ -299,11 +290,6 @@ func (c *Collector) Run(ctx context.Context) {
 		c.conn.SetReadDeadline(time.Now()) // unblock the read loop
 	}()
 	buf := make([]byte, maxDatagram)
-	var scratch *flowrec.Batch // record mode: one reused decode target
-	if c.mode == recordMode {
-		scratch = flowrec.GetBatch(batchHint)
-		defer flowrec.PutBatch(scratch)
-	}
 	for {
 		select {
 		case <-ctx.Done():
@@ -346,80 +332,30 @@ func (c *Collector) Run(ctx context.Context) {
 			continue
 		}
 		// The decoders copy every value out of the datagram, so the read
-		// buffer is reused without a per-packet copy.
-		if c.mode == batchMode || c.mode == taggedMode {
-			// Tagged mode reads the stream off the raw header before the
-			// decode; a packet the decoder rejects never reaches the
-			// channel, so a garbage tag cannot either.
-			var stream uint32
-			if c.mode == taggedMode {
-				stream = StreamID(c.format, buf[:n])
-			}
-			b := flowrec.GetBatch(batchHint)
-			if err := c.decodeInto(b, buf[:n]); err != nil {
-				flowrec.PutBatch(b)
-				c.reportErr(err)
-				continue
-			}
-			if b.Len() == 0 {
-				flowrec.PutBatch(b)
-				continue
-			}
-			if c.mode == batchMode {
-				select {
-				case c.batches <- b:
-				case <-ctx.Done():
-					flowrec.PutBatch(b)
-					return
-				case <-c.done:
-					flowrec.PutBatch(b)
-					return
-				}
-				continue
-			}
-			select {
-			case c.tagged <- TaggedBatch{Stream: stream, Batch: b}:
-			case <-ctx.Done():
-				flowrec.PutBatch(b)
-				return
-			case <-c.done:
-				flowrec.PutBatch(b)
-				return
-			}
-			continue
-		}
-		scratch.Reset()
-		if err := c.decodeInto(scratch, buf[:n]); err != nil {
+		// buffer is reused without a per-packet copy. The stream is read
+		// off the raw header before the decode; a packet the decoder
+		// rejects never reaches the channel, so a garbage tag cannot
+		// either.
+		stream := c.stream(buf[:n])
+		b := flowrec.GetBatch(batchHint)
+		if _, err := c.decode(b, buf[:n]); err != nil {
+			flowrec.PutBatch(b)
 			c.reportErr(err)
 			continue
 		}
-		for i := 0; i < scratch.Len(); i++ {
-			select {
-			case c.out <- scratch.Record(i):
-			case <-ctx.Done():
-				return
-			case <-c.done:
-				return
-			}
+		if b.Len() == 0 {
+			flowrec.PutBatch(b)
+			continue
 		}
-	}
-}
-
-// decodeInto appends the packet's records to b using the format's batch
-// decoder.
-func (c *Collector) decodeInto(b *flowrec.Batch, pkt []byte) error {
-	switch c.format {
-	case FormatNetflowV5:
-		_, err := netflow.DecodeV5Batch(b, pkt)
-		return err
-	case FormatNetflowV9:
-		_, err := c.v9.DecodeBatch(b, pkt)
-		return err
-	case FormatIPFIX:
-		_, err := c.ipf.DecodeBatch(b, pkt)
-		return err
-	default:
-		return fmt.Errorf("collector: unsupported format %v", c.format)
+		select {
+		case c.tagged <- TaggedBatch{Stream: stream, Batch: b}:
+		case <-ctx.Done():
+			flowrec.PutBatch(b)
+			return
+		case <-c.done:
+			flowrec.PutBatch(b)
+			return
+		}
 	}
 }
 
@@ -445,13 +381,10 @@ func (c *Collector) Close() error {
 // allocates nothing per record. An Exporter is not safe for concurrent
 // use (it carries sequence state).
 type Exporter struct {
-	format Format
-	conn   *net.UDPConn
-	stream uint32
-
-	v9      netflow.V9Encoder
-	ipf     ipfix.Encoder
-	seq     uint32
+	conn    *net.UDPConn
+	stream  uint32
+	rows    int // rows per packet
+	encode  encodeFunc
 	buf     []byte
 	limiter *tokenBucket
 }
@@ -465,12 +398,16 @@ func NewExporter(format Format, addr string) (*Exporter, error) {
 // NewStreamExporter is NewExporter with an explicit stream identity,
 // stamped into every packet header as the IPFIX observation domain,
 // NetFlow v9 source ID, or NetFlow v5 engine ID. NetFlow v5 carries only
-// 8 bits of identity, so v5 streams above MaxV5Stream are rejected. A
-// tagged-mode collector recovers the identity per datagram (StreamID),
-// which is what lets several exporters share one collector socket.
+// 8 bits of identity, so v5 streams above MaxV5Stream are rejected. The
+// collector recovers the identity per datagram (StreamID), which is what
+// lets several exporters share one collector socket.
 func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, error) {
 	if format == FormatNetflowV5 && stream > MaxV5Stream {
 		return nil, fmt.Errorf("exporter: stream %d does not fit NetFlow v5's 8-bit engine ID (max %d)", stream, MaxV5Stream)
+	}
+	w, err := format.wire()
+	if err != nil {
+		return nil, err
 	}
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -480,10 +417,7 @@ func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, er
 	if err != nil {
 		return nil, fmt.Errorf("exporter: dial %q: %w", addr, err)
 	}
-	e := &Exporter{format: format, conn: conn, stream: stream}
-	e.v9.SourceID = stream
-	e.ipf.DomainID = stream
-	return e, nil
+	return &Exporter{conn: conn, stream: stream, rows: w.rows, encode: w.newEncoder(stream)}, nil
 }
 
 // Stream returns the exporter's stream identity.
@@ -503,16 +437,6 @@ func (e *Exporter) SetRate(pps float64) {
 	e.limiter = newTokenBucket(pps, max(1, pps/10))
 }
 
-// batchSize returns how many records fit into one packet for the format.
-func (e *Exporter) batchSize() int {
-	switch e.format {
-	case FormatNetflowV5:
-		return netflow.V5MaxRecords
-	default:
-		return 100
-	}
-}
-
 // ExportBatch encodes and sends the batch, splitting it into as many
 // packets as needed. The export timestamp is now.
 func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
@@ -527,26 +451,10 @@ func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
 // second-resolution timestamps survive the round trip exactly.
 func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
 	now := exportTime.UTC()
-	bs := e.batchSize()
-	for lo := 0; lo < b.Len(); lo += bs {
-		hi := lo + bs
-		if hi > b.Len() {
-			hi = b.Len()
-		}
+	for lo := 0; lo < b.Len(); lo += e.rows {
+		hi := min(lo+e.rows, b.Len())
 		var err error
-		e.buf = e.buf[:0]
-		switch e.format {
-		case FormatNetflowV5:
-			e.buf, err = netflow.EncodeV5StreamBatch(e.buf, b, lo, hi, now, e.seq, uint8(e.stream))
-			e.seq += uint32(hi - lo)
-		case FormatNetflowV9:
-			e.buf, err = e.v9.EncodeBatch(e.buf, b, lo, hi, now)
-		case FormatIPFIX:
-			e.buf, err = e.ipf.EncodeBatch(e.buf, b, lo, hi, now)
-		default:
-			err = fmt.Errorf("exporter: unsupported format %v", e.format)
-		}
-		if err != nil {
+		if e.buf, err = e.encode(e.buf[:0], b, lo, hi, now); err != nil {
 			return err
 		}
 		if err := e.send(e.buf); err != nil {
@@ -607,53 +515,25 @@ func (tb *tokenBucket) wait() {
 	}
 }
 
-// Export encodes and sends the records (record-slice adapter over
-// ExportBatch; the packets are byte-identical).
-func (e *Exporter) Export(recs []flowrec.Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	return e.ExportBatch(flowrec.FromRecords(recs))
-}
-
 // Close releases the exporter socket.
 func (e *Exporter) Close() error { return e.conn.Close() }
 
-// Collect gathers up to want records from the collector channel, waiting at
-// most timeout. It is a convenience for tests and examples.
-func Collect(c *Collector, want int, timeout time.Duration) []flowrec.Record {
-	var out []flowrec.Record
-	deadline := time.After(timeout)
-	for len(out) < want {
-		select {
-		case r, ok := <-c.Records():
-			if !ok {
-				return out
-			}
-			out = append(out, r)
-		case <-deadline:
-			return out
-		}
-	}
-	return out
-}
-
-// CollectBatch gathers up to want rows from a batch-mode collector into
-// one batch, waiting at most timeout. Received batches are returned to
-// the flowrec pool after their rows are copied; rows beyond want in the
-// final datagram are dropped, so the result never exceeds want (matching
-// Collect).
+// CollectBatch gathers up to want rows from the collector into one batch,
+// whatever their stream, waiting at most timeout. It is a convenience for
+// tests and examples. Received batches are returned to the flowrec pool
+// after their rows are copied; rows beyond want in the final datagram are
+// dropped, so the result never exceeds want.
 func CollectBatch(c *Collector, want int, timeout time.Duration) *flowrec.Batch {
 	out := flowrec.NewBatch(want)
 	deadline := time.After(timeout)
 	for out.Len() < want {
 		select {
-		case b, ok := <-c.Batches():
+		case tb, ok := <-c.Tagged():
 			if !ok {
 				return out
 			}
-			out.AppendBatch(b)
-			flowrec.PutBatch(b)
+			out.AppendBatch(tb.Batch)
+			flowrec.PutBatch(tb.Batch)
 		case <-deadline:
 			return out
 		}

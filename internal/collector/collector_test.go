@@ -30,60 +30,46 @@ func testRecords(n int) []flowrec.Record {
 	return recs
 }
 
-func roundTrip(t *testing.T, format Format, n int) []flowrec.Record {
-	t.Helper()
-	col, err := NewCollector(format, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go col.Run(ctx)
-	defer col.Close()
-
-	exp, err := NewExporter(format, col.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-	if err := exp.Export(testRecords(n)); err != nil {
-		t.Fatal(err)
-	}
-	return Collect(col, n, 3*time.Second)
-}
-
 func TestRoundTripV5(t *testing.T) {
-	got := roundTrip(t, FormatNetflowV5, 45) // spans two v5 packets
-	if len(got) != 45 {
-		t.Fatalf("collected %d records, want 45", len(got))
+	got := batchRoundTrip(t, FormatNetflowV5, 45) // spans two v5 packets
+	if got.Len() != 45 {
+		t.Fatalf("collected %d rows, want 45", got.Len())
 	}
-	if got[0].DstPort != 443 || got[0].Proto != flowrec.ProtoTCP {
-		t.Errorf("record content mangled: %+v", got[0])
+	if got.DstPort[0] != 443 || got.Proto[0] != flowrec.ProtoTCP {
+		t.Errorf("row content mangled: %+v", got.Record(0))
 	}
 }
 
 func TestRoundTripV9(t *testing.T) {
-	got := roundTrip(t, FormatNetflowV9, 10)
-	if len(got) != 10 {
-		t.Fatalf("collected %d records, want 10", len(got))
+	got := batchRoundTrip(t, FormatNetflowV9, 10)
+	if got.Len() != 10 {
+		t.Fatalf("collected %d rows, want 10", got.Len())
 	}
-	if got[3].SrcAS != 64700 || got[3].DstAS != 15169 {
-		t.Errorf("AS numbers mangled: %+v", got[3])
+	if got.SrcAS[3] != 64700 || got.DstAS[3] != 15169 {
+		t.Errorf("AS numbers mangled: %+v", got.Record(3))
 	}
 }
 
+// TestRoundTripIPFIX also checks every row against what was exported.
 func TestRoundTripIPFIX(t *testing.T) {
-	got := roundTrip(t, FormatIPFIX, 250) // spans multiple messages
-	if len(got) != 250 {
-		t.Fatalf("collected %d records, want 250", len(got))
+	got := batchRoundTrip(t, FormatIPFIX, 250) // spans multiple messages
+	if got.Len() != 250 {
+		t.Fatalf("collected %d rows, want 250", got.Len())
+	}
+	for i, want := range testRecords(250) {
+		// testRecords stamps relative to now; compare what does not move.
+		want.Start, want.End = got.StartAt(i), got.EndAt(i)
+		if got.Record(i) != want {
+			t.Fatalf("row %d = %+v, want %+v", i, got.Record(i), want)
+		}
 	}
 }
 
-// batchRoundTrip is roundTrip through a batch-mode collector and the
-// batch export path.
+// batchRoundTrip exports n test records to a fresh collector and gathers
+// them back.
 func batchRoundTrip(t *testing.T, format Format, n int) *flowrec.Batch {
 	t.Helper()
-	col, err := NewBatchCollector(format, "127.0.0.1:0")
+	col, err := NewCollector(format, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,22 +108,6 @@ func TestBatchRoundTripAllFormats(t *testing.T) {
 	}
 }
 
-// TestBatchAndRecordCollectorsAgree exports the same records through both
-// collector modes and checks the decoded flows match.
-func TestBatchAndRecordCollectorsAgree(t *testing.T) {
-	const n = 30
-	fromBatches := batchRoundTrip(t, FormatIPFIX, n).Records()
-	fromRecords := roundTrip(t, FormatIPFIX, n)
-	if len(fromBatches) != n || len(fromRecords) != n {
-		t.Fatalf("collected %d batch rows and %d records, want %d of both", len(fromBatches), len(fromRecords), n)
-	}
-	for i := range fromRecords {
-		if fromBatches[i] != fromRecords[i] {
-			t.Fatalf("row %d differs between modes: %+v vs %+v", i, fromBatches[i], fromRecords[i])
-		}
-	}
-}
-
 func TestCollectorErrorsOnGarbage(t *testing.T) {
 	col, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
 	if err != nil {
@@ -153,7 +123,7 @@ func TestCollectorErrorsOnGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer exp.Close()
-	if err := exp.Export(testRecords(1)); err != nil {
+	if err := exp.ExportBatch(flowrec.FromRecords(testRecords(1))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -183,10 +153,10 @@ func TestCollectorCloseClosesChannel(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("Run did not return after Close")
 	}
-	if _, ok := <-col.Records(); ok {
-		// Channel may still hold buffered records in general, but here
+	if _, ok := <-col.Tagged(); ok {
+		// Channel may still hold buffered batches in general, but here
 		// nothing was sent, so it must be closed and empty.
-		t.Error("record channel not closed after Close")
+		t.Error("delivery channel not closed after Close")
 	}
 }
 
@@ -223,5 +193,14 @@ func TestExporterBadAddress(t *testing.T) {
 	}
 	if _, err := NewCollector(FormatIPFIX, "not an address"); err == nil {
 		t.Error("bad collector address accepted")
+	}
+	if _, err := NewCollector(Format(9), "127.0.0.1:0"); err == nil {
+		t.Error("collector for an unknown format accepted")
+	}
+	if _, err := NewExporter(Format(9), "127.0.0.1:9"); err == nil {
+		t.Error("exporter for an unknown format accepted")
+	}
+	if StreamID(Format(9), make([]byte, 64)) != 0 {
+		t.Error("an unknown format must report stream 0")
 	}
 }

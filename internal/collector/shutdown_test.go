@@ -51,7 +51,7 @@ func exportHour(t *testing.T, format Format, addr string) *flowrec.Batch {
 // Run must return promptly, close every channel and leak nothing.
 func TestCloseDuringRun(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
-	c, err := NewBatchCollector(FormatIPFIX, "127.0.0.1:0")
+	c, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestCloseDuringRun(t *testing.T) {
 	exportHour(t, FormatIPFIX, c.Addr())
 	// Consume a little, then close mid-stream.
 	select {
-	case <-c.Batches():
+	case <-c.Tagged():
 	case <-time.After(5 * time.Second):
 		t.Fatal("no batch arrived before Close")
 	}
@@ -76,7 +76,7 @@ func TestCloseDuringRun(t *testing.T) {
 		t.Fatal("Run did not return after Close")
 	}
 	// All delivery channels must be closed now.
-	for range c.Batches() {
+	for range c.Tagged() {
 	}
 	for range c.Control() {
 	}
@@ -85,12 +85,12 @@ func TestCloseDuringRun(t *testing.T) {
 	leak()
 }
 
-// TestSlowConsumerClose fills the batch channel until the receive loop
+// TestSlowConsumerClose fills the delivery channel until the receive loop
 // blocks on delivery, then closes; Run must unblock and return instead
 // of leaking a goroutine stuck on the channel send.
 func TestSlowConsumerClose(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
-	c, err := NewBatchCollector(FormatNetflowV5, "127.0.0.1:0")
+	c, err := NewCollector(FormatNetflowV5, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestSlowConsumerClose(t *testing.T) {
 // still decodes valid traffic.
 func TestErrorOverflowKeepsCollecting(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
-	c, err := NewBatchCollector(FormatIPFIX, "127.0.0.1:0")
+	c, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestErrorOverflowKeepsCollecting(t *testing.T) {
 // decoded as flow packets.
 func TestControlChannelDelivery(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
-	c, err := NewBatchCollector(FormatIPFIX, "127.0.0.1:0")
+	c, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,8 +191,8 @@ func TestControlChannelDelivery(t *testing.T) {
 	select {
 	case err := <-c.Errors():
 		t.Fatalf("control datagram leaked into the decoder: %v", err)
-	case b := <-c.Batches():
-		t.Fatalf("control datagram decoded as %d flow rows", b.Len())
+	case tb := <-c.Tagged():
+		t.Fatalf("control datagram decoded as %d flow rows", tb.Batch.Len())
 	case <-time.After(100 * time.Millisecond):
 	}
 	cancel()
@@ -205,7 +205,7 @@ func TestControlChannelDelivery(t *testing.T) {
 // started still terminates Run immediately when it is called late.
 func TestCloseBeforeRun(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
-	c, err := NewBatchCollector(FormatNetflowV9, "127.0.0.1:0")
+	c, err := NewCollector(FormatNetflowV9, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,12 +33,12 @@ func collectTagged(c *Collector, want int, timeout time.Duration) map[uint32]int
 }
 
 // TestTaggedCollectorDemuxesStreams sends the same rows from three
-// exporters with distinct stream identities into one tagged collector
+// exporters with distinct stream identities into one collector
 // and checks per-datagram attribution in every format.
 func TestTaggedCollectorDemuxesStreams(t *testing.T) {
 	for _, format := range []Format{FormatNetflowV5, FormatNetflowV9, FormatIPFIX} {
 		t.Run(format.String(), func(t *testing.T) {
-			col, err := NewTaggedCollector(format, "127.0.0.1:0")
+			col, err := NewCollector(format, "127.0.0.1:0")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestStreamExporterRejectsWideV5Stream(t *testing.T) {
 // the token bucket actually spreads the sends out — and that removing
 // the limit removes the wait.
 func TestExporterPacing(t *testing.T) {
-	sink, err := NewTaggedCollector(FormatIPFIX, "127.0.0.1:0")
+	sink, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -786,35 +786,3 @@ func (d *Dataset) componentFlowBatch(vp synth.VantagePoint, name string, hour ti
 		return d.src.ComponentFlowBatch(vp, name, hour.UTC().Truncate(time.Hour))
 	})
 }
-
-// Flows returns the sampled flow records of one hour: a thin record-slice
-// adapter over FlowBatch for call sites that have not migrated to
-// batches. The slice is materialised per call (one exact allocation) —
-// deliberately not memoized, so legacy callers never double the cache's
-// resident memory with parallel record copies of every hour.
-func (d *Dataset) Flows(vp synth.VantagePoint, hour time.Time) ([]flowrec.Record, error) {
-	b, err := d.FlowBatch(vp, hour)
-	if err != nil {
-		return nil, err
-	}
-	return b.Records(), nil
-}
-
-// VPNFlows is Flows for the gateway-pinned generator of the VPN analyses.
-func (d *Dataset) VPNFlows(vp synth.VantagePoint, hour time.Time) ([]flowrec.Record, error) {
-	b, err := d.VPNFlowBatch(vp, hour)
-	if err != nil {
-		return nil, err
-	}
-	return b.Records(), nil
-}
-
-// ComponentFlows returns the sampled flow records of one named component
-// for one hour (per-call record-slice adapter over ComponentFlowBatch).
-func (d *Dataset) ComponentFlows(vp synth.VantagePoint, name string, hour time.Time) ([]flowrec.Record, error) {
-	b, err := d.ComponentFlowBatch(vp, name, hour)
-	if err != nil {
-		return nil, err
-	}
-	return b.Records(), nil
-}

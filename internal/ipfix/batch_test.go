@@ -1,56 +1,11 @@
 package ipfix
 
 import (
-	"bytes"
-	"reflect"
 	"testing"
 	"time"
 
 	"lockdown/internal/flowrec"
 )
-
-// TestBatchRecordEquivalence pins the two API layers together: the batch
-// and record encoders must produce byte-identical messages, and the batch
-// and record decoders identical records from them. Two encoders are
-// compared so both observe the same sequence numbers (IPFIX sequence
-// counters advance per record).
-func TestBatchRecordEquivalence(t *testing.T) {
-	export := time.Date(2020, 3, 25, 20, 30, 0, 0, time.UTC)
-	recs := sample(100)
-	b := flowrec.FromRecords(recs)
-	encRec := &Encoder{DomainID: 7}
-	encBatch := &Encoder{DomainID: 7}
-
-	for round := 0; round < 3; round++ {
-		msgRec, err := encRec.Encode(recs, export)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msgBatch, err := encBatch.EncodeBatch(nil, b, 0, b.Len(), export)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(msgRec, msgBatch) {
-			t.Fatalf("round %d: Encode and EncodeBatch messages differ", round)
-		}
-
-		legacy, err := NewDecoder().Decode(msgRec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var db flowrec.Batch
-		n, err := NewDecoder().DecodeBatch(&db, msgBatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(legacy) {
-			t.Fatalf("DecodeBatch appended %d rows, legacy decoded %d", n, len(legacy))
-		}
-		if !reflect.DeepEqual(db.Records(), legacy) {
-			t.Error("DecodeBatch and Decode records differ")
-		}
-	}
-}
 
 // TestEncodeBatchAppendAndErrors verifies the append-style contracts.
 func TestEncodeBatchAppendAndErrors(t *testing.T) {
@@ -70,10 +25,10 @@ func TestEncodeBatchAppendAndErrors(t *testing.T) {
 		t.Fatalf("two appended messages occupy %d bytes, want %d", len(buf), 2*one)
 	}
 	dec := NewDecoder()
-	if _, err := dec.Decode(buf[:one]); err != nil {
+	if _, err := decode(dec, buf[:one]); err != nil {
 		t.Errorf("first appended message does not decode: %v", err)
 	}
-	if _, err := dec.Decode(buf[one:]); err != nil {
+	if _, err := decode(dec, buf[one:]); err != nil {
 		t.Errorf("second appended message does not decode: %v", err)
 	}
 	seqBefore := enc.seq

@@ -9,6 +9,10 @@ import (
 	"lockdown/internal/synth"
 )
 
+// FuzzDecodeBatch replays the IPFIX seed corpus through this package's
+// decoder name. The decoder itself is fuzzed once, for both of its
+// framings, by tmpl's FuzzDecodeBatch — that is the target CI spends its
+// budget on.
 func FuzzDecodeBatch(f *testing.F) {
 	cfg := synth.DefaultConfig(synth.IXPCE)
 	cfg.FlowScale = 0.05
@@ -30,7 +34,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		f.Add(msg)
 		f.Add(msg[:len(msg)/2])
-		f.Add(msg[:headerLen])
+		f.Add(msg[:16]) // header only
 	}
 	f.Add(shortFieldMessage())
 	f.Add(zeroLengthFieldMessage())
@@ -51,37 +55,45 @@ func FuzzDecodeBatch(f *testing.F) {
 	})
 }
 
-// shortFieldMessage builds a well-framed IPFIX message whose template
-// declares numeric information elements narrower than their natural
-// width. Template lengths are untrusted input: this shape crashed the
-// decoder before the beUint fix.
-func shortFieldMessage() []byte {
+// message hand-builds a well-framed IPFIX message from observation
+// domain 9 that announces one template of (element, length) pairs and
+// carries the given data-set body. Template lengths are untrusted input;
+// the hostile shapes below are built with it.
+func message(tplID uint16, fields [][2]uint16, data []byte) []byte {
 	be := binary.BigEndian
-	var msg []byte
-	u16 := func(v uint16) { var b [2]byte; be.PutUint16(b[:], v); msg = append(msg, b[:]...) }
-	u32 := func(v uint32) { var b [4]byte; be.PutUint32(b[:], v); msg = append(msg, b[:]...) }
-	u16(version)
-	u16(0) // total length, patched below
-	u32(uint32(time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC).Unix()))
-	u32(0) // sequence
-	u32(9) // domain
-	// Template set: id 500, three narrow fields.
-	u16(TemplateSetID)
-	u16(20)
-	u16(500)
-	u16(3)
-	u16(ieFlowStartSeconds)
-	u16(2)
-	u16(ieSrcPort)
-	u16(1)
-	u16(ieOctetDeltaCount)
-	u16(3)
-	// Data set: one 6-byte record.
-	u16(500)
-	u16(10)
-	msg = append(msg, 0x5e, 0x7b, 0x21, 0x01, 0x02, 0x03)
+	msg := be.AppendUint16(nil, 10)
+	msg = be.AppendUint16(msg, 0) // total length, patched below
+	msg = be.AppendUint32(msg, uint32(time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC).Unix()))
+	msg = be.AppendUint32(msg, 0) // sequence
+	msg = be.AppendUint32(msg, 9) // domain
+	msg = be.AppendUint16(msg, 2) // template set
+	msg = be.AppendUint16(msg, uint16(8+4*len(fields)))
+	msg = be.AppendUint16(msg, tplID)
+	msg = be.AppendUint16(msg, uint16(len(fields)))
+	for _, f := range fields {
+		msg = be.AppendUint16(be.AppendUint16(msg, f[0]), f[1])
+	}
+	msg = be.AppendUint16(msg, tplID)
+	msg = be.AppendUint16(msg, uint16(4+len(data)))
+	msg = append(msg, data...)
 	be.PutUint16(msg[2:], uint16(len(msg)))
 	return msg
+}
+
+// IPFIX information elements the hand-built templates use.
+const (
+	ieOctetDeltaCount  = 1
+	ieProtocol         = 4
+	ieSrcPort          = 7
+	ieFlowStartSeconds = 150
+)
+
+// shortFieldMessage declares numeric information elements narrower than
+// their natural width (a timestamp in 2 bytes, a port in 1, a counter in
+// 3). This shape crashed the decoder before the beUint fix.
+func shortFieldMessage() []byte {
+	return message(500, [][2]uint16{{ieFlowStartSeconds, 2}, {ieSrcPort, 1}, {ieOctetDeltaCount, 3}},
+		[]byte{0x5e, 0x7b, 0x21, 0x01, 0x02, 0x03})
 }
 
 // zeroLengthFieldMessage declares a zero-length single-byte IE
@@ -89,28 +101,7 @@ func shortFieldMessage() []byte {
 // (protocol, TCP control bits, direction) must not index the empty value
 // slice; this shape panicked the decoder before the skip guard.
 func zeroLengthFieldMessage() []byte {
-	be := binary.BigEndian
-	var msg []byte
-	u16 := func(v uint16) { var b [2]byte; be.PutUint16(b[:], v); msg = append(msg, b[:]...) }
-	u32 := func(v uint32) { var b [4]byte; be.PutUint32(b[:], v); msg = append(msg, b[:]...) }
-	u16(version)
-	u16(0) // patched below
-	u32(uint32(time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC).Unix()))
-	u32(0)
-	u32(9)
-	u16(TemplateSetID)
-	u16(16) // 4 + 4 + 2*4
-	u16(501)
-	u16(2)
-	u16(ieProtocol)
-	u16(0) // zero-length IE
-	u16(ieSrcPort)
-	u16(2)
-	u16(501) // data set: one 2-byte record
-	u16(6)
-	msg = append(msg, 0x01, 0xbb)
-	be.PutUint16(msg[2:], uint16(len(msg)))
-	return msg
+	return message(501, [][2]uint16{{ieProtocol, 0}, {ieSrcPort, 2}}, []byte{0x01, 0xbb})
 }
 
 // TestDecodeZeroLengthField is the regression test for the review-found

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lockdown/internal/flowrec"
+	"lockdown/internal/tmpl"
 )
 
 var export = time.Date(2020, 4, 23, 11, 0, 0, 0, time.UTC)
@@ -35,15 +36,29 @@ func sample(n int) []flowrec.Record {
 	return recs
 }
 
+// encode and decode run record-slice fixtures through the batch codec.
+func encode(enc *Encoder, recs []flowrec.Record) ([]byte, error) {
+	return enc.EncodeBatch(nil, flowrec.FromRecords(recs), 0, len(recs), export)
+}
+
+func decode(dec *tmpl.Decoder, msg []byte) ([]flowrec.Record, error) {
+	var b flowrec.Batch
+	_, err := dec.DecodeBatch(&b, msg)
+	return b.Records(), err
+}
+
 func TestRoundTrip(t *testing.T) {
 	enc := &Encoder{DomainID: 77}
 	recs := sample(9)
-	msg, err := enc.Encode(recs, export)
+	msg, err := encode(enc, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := DomainID(msg); got != 77 {
+		t.Errorf("DomainID = %d, want 77", got)
+	}
 	dec := NewDecoder()
-	got, err := dec.Decode(msg)
+	got, err := decode(dec, msg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +81,7 @@ func TestRoundTrip(t *testing.T) {
 
 func TestMessageLengthField(t *testing.T) {
 	enc := &Encoder{DomainID: 1}
-	msg, err := enc.Encode(sample(3), export)
+	msg, err := encode(enc, sample(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +93,8 @@ func TestMessageLengthField(t *testing.T) {
 
 func TestSequenceAdvancesByRecordCount(t *testing.T) {
 	enc := &Encoder{DomainID: 1}
-	m1, _ := enc.Encode(sample(4), export)
-	m2, _ := enc.Encode(sample(1), export)
+	m1, _ := encode(enc, sample(4))
+	m2, _ := encode(enc, sample(1))
 	seq1 := uint32(m1[8])<<24 | uint32(m1[9])<<16 | uint32(m1[10])<<8 | uint32(m1[11])
 	seq2 := uint32(m2[8])<<24 | uint32(m2[9])<<16 | uint32(m2[10])<<8 | uint32(m2[11])
 	if seq1 != 0 || seq2 != 4 {
@@ -89,7 +104,7 @@ func TestSequenceAdvancesByRecordCount(t *testing.T) {
 
 func TestDataBeforeTemplateRejected(t *testing.T) {
 	enc := &Encoder{DomainID: 5}
-	msg, err := enc.Encode(sample(2), export)
+	msg, err := encode(enc, sample(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,13 +115,13 @@ func TestDataBeforeTemplateRejected(t *testing.T) {
 	mangled[2] = byte(len(mangled) >> 8)
 	mangled[3] = byte(len(mangled))
 	dec := NewDecoder()
-	if _, err := dec.Decode(mangled); err == nil {
+	if _, err := decode(dec, mangled); err == nil {
 		t.Error("data set without template accepted")
 	}
-	if _, err := dec.Decode(msg); err != nil {
+	if _, err := decode(dec, msg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Decode(mangled); err != nil {
+	if _, err := decode(dec, mangled); err != nil {
 		t.Errorf("cached template not used: %v", err)
 	}
 }
@@ -114,46 +129,46 @@ func TestDataBeforeTemplateRejected(t *testing.T) {
 func TestTemplateCacheIsPerDomain(t *testing.T) {
 	encA := &Encoder{DomainID: 1}
 	encB := &Encoder{DomainID: 2}
-	msgA, _ := encA.Encode(sample(1), export)
+	msgA, _ := encode(encA, sample(1))
 	dec := NewDecoder()
-	if _, err := dec.Decode(msgA); err != nil {
+	if _, err := decode(dec, msgA); err != nil {
 		t.Fatal(err)
 	}
 	// Build a domain-2 message and strip its template: the domain-1
 	// template must not be reused.
-	msgB, _ := encB.Encode(sample(1), export)
+	msgB, _ := encode(encB, sample(1))
 	tplLen := int(msgB[18])<<8 | int(msgB[19])
 	mangled := append(append([]byte{}, msgB[:16]...), msgB[16+tplLen:]...)
 	mangled[2] = byte(len(mangled) >> 8)
 	mangled[3] = byte(len(mangled))
-	if _, err := dec.Decode(mangled); err == nil {
+	if _, err := decode(dec, mangled); err == nil {
 		t.Error("template from another observation domain was reused")
 	}
 }
 
 func TestMalformed(t *testing.T) {
 	dec := NewDecoder()
-	if _, err := dec.Decode([]byte{0, 10, 0}); err == nil {
+	if _, err := decode(dec, []byte{0, 10, 0}); err == nil {
 		t.Error("short message accepted")
 	}
 	enc := &Encoder{}
-	if _, err := enc.Encode(nil, export); err == nil {
+	if _, err := encode(enc, nil); err == nil {
 		t.Error("empty encode accepted")
 	}
-	msg, _ := enc.Encode(sample(1), export)
+	msg, _ := encode(enc, sample(1))
 	bad := append([]byte{}, msg...)
 	bad[0], bad[1] = 0, 9
-	if _, err := dec.Decode(bad); err == nil {
+	if _, err := decode(dec, bad); err == nil {
 		t.Error("wrong version accepted")
 	}
 	bad = append([]byte{}, msg...)
 	bad[2], bad[3] = 0, 7 // wrong length
-	if _, err := dec.Decode(bad); err == nil {
+	if _, err := decode(dec, bad); err == nil {
 		t.Error("wrong length field accepted")
 	}
 	v6 := sample(1)
 	v6[0].DstIP = netip.MustParseAddr("2001:db8::2")
-	if _, err := enc.Encode(v6, export); err == nil {
+	if _, err := encode(enc, v6); err == nil {
 		t.Error("IPv6 record accepted")
 	}
 }
@@ -172,11 +187,11 @@ func TestRoundTripQuick(t *testing.T) {
 		} else {
 			r.Dir = flowrec.DirIngress
 		}
-		msg, err := enc.Encode([]flowrec.Record{r}, export)
+		msg, err := encode(enc, []flowrec.Record{r})
 		if err != nil {
 			return false
 		}
-		got, err := dec.Decode(msg)
+		got, err := decode(dec, msg)
 		if err != nil || len(got) != 1 {
 			return false
 		}

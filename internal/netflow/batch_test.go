@@ -1,49 +1,11 @@
 package netflow
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
 	"lockdown/internal/flowrec"
 )
-
-// TestV5BatchRecordEquivalence pins the two v5 API layers together: the
-// batch and record encoders must produce byte-identical packets, and the
-// batch and record decoders must produce identical records from them.
-func TestV5BatchRecordEquivalence(t *testing.T) {
-	recs := sampleRecords(V5MaxRecords)
-	b := flowrec.FromRecords(recs)
-
-	pktRec, err := EncodeV5(recs, export, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pktBatch, err := EncodeV5Batch(nil, b, 0, b.Len(), export, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pktRec, pktBatch) {
-		t.Fatal("EncodeV5 and EncodeV5Batch packets differ")
-	}
-
-	legacy, err := DecodeV5(pktRec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var db flowrec.Batch
-	h, err := DecodeV5Batch(&db, pktBatch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.FlowSequence != legacy.FlowSequence || !h.ExportTime.Equal(legacy.ExportTime) ||
-		h.SysUptime != legacy.SysUptime || h.Count != len(legacy.Records) {
-		t.Errorf("V5Header %+v does not match legacy packet metadata", h)
-	}
-	if !reflect.DeepEqual(db.Records(), legacy.Records) {
-		t.Error("DecodeV5Batch and DecodeV5 records differ")
-	}
-}
 
 // TestV5BatchAppendSemantics verifies the append-style contracts: packets
 // accumulate in the destination buffer and errors leave it untouched.
@@ -61,53 +23,14 @@ func TestV5BatchAppendSemantics(t *testing.T) {
 	if len(buf) != 2*one {
 		t.Fatalf("two appended packets occupy %d bytes, want %d", len(buf), 2*one)
 	}
-	if _, err := DecodeV5(buf[:one]); err != nil {
+	if _, _, err := decodeV5(buf[:one]); err != nil {
 		t.Errorf("first appended packet does not decode: %v", err)
 	}
-	if _, err := DecodeV5(buf[one:]); err != nil {
+	if _, _, err := decodeV5(buf[one:]); err != nil {
 		t.Errorf("second appended packet does not decode: %v", err)
 	}
 	if got, err := EncodeV5Batch(buf, b, 0, 0, export, 0); err == nil || len(got) != len(buf) {
 		t.Error("empty range should error and leave dst unchanged")
-	}
-}
-
-// TestV9BatchRecordEquivalence does the same for the v9 codec. Two
-// encoders are compared so both observe the same sequence numbers.
-func TestV9BatchRecordEquivalence(t *testing.T) {
-	recs := sampleRecords(100)
-	b := flowrec.FromRecords(recs)
-	encRec := &V9Encoder{SourceID: 9}
-	encBatch := &V9Encoder{SourceID: 9}
-
-	for round := 0; round < 3; round++ {
-		pktRec, err := encRec.Encode(recs, export)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pktBatch, err := encBatch.EncodeBatch(nil, b, 0, b.Len(), export)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(pktRec, pktBatch) {
-			t.Fatalf("round %d: Encode and EncodeBatch packets differ", round)
-		}
-
-		legacy, err := NewV9Decoder().Decode(pktRec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var db flowrec.Batch
-		n, err := NewV9Decoder().DecodeBatch(&db, pktBatch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != len(legacy) {
-			t.Fatalf("DecodeBatch appended %d rows, legacy decoded %d", n, len(legacy))
-		}
-		if !reflect.DeepEqual(db.Records(), legacy) {
-			t.Error("DecodeBatch and Decode records differ")
-		}
 	}
 }
 
@@ -134,8 +57,7 @@ func TestV9DecodeBatchReuse(t *testing.T) {
 	if dst.Len() != 4*len(recs) {
 		t.Fatalf("reused batch holds %d rows, want %d", dst.Len(), 4*len(recs))
 	}
-	want := NewV9Decoder()
-	first, err := want.Decode(pkt)
+	first, err := decodeV9(NewV9Decoder(), pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +70,7 @@ func TestV9DecodeBatchReuse(t *testing.T) {
 // partial rows in the destination batch.
 func TestV9DecodeBatchRollsBackOnError(t *testing.T) {
 	enc := &V9Encoder{SourceID: 1}
-	pkt, err := enc.Encode(sampleRecords(4), export)
+	pkt, err := encodeV9(enc, sampleRecords(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,6 +62,10 @@ func FuzzDecodeV5Batch(f *testing.F) {
 	})
 }
 
+// FuzzDecodeV9Batch replays the v9 seed corpus through this package's
+// decoder name. The decoder itself is fuzzed once, for both of its
+// framings, by tmpl's FuzzDecodeBatch — that is the target CI spends its
+// budget on.
 func FuzzDecodeV9Batch(f *testing.F) {
 	b := fuzzSeedBatch(f)
 	var enc V9Encoder
@@ -95,68 +99,54 @@ func FuzzDecodeV9Batch(f *testing.F) {
 	})
 }
 
-// shortFieldV9Packet builds a well-framed v9 packet whose template
-// declares numeric fields narrower than their natural width (a timestamp
-// in 2 bytes, a port in 1). Decoders must treat template-declared field
-// lengths as untrusted: this exact shape crashed the decoder before the
-// beUint fix.
-func shortFieldV9Packet() []byte {
+// v9Packet hand-builds a well-framed v9 packet from source 7 that
+// announces one template of (field type, length) pairs and carries the
+// given data-flowset body. Decoders must treat template-declared field
+// lengths as untrusted; the hostile shapes below are built with it.
+func v9Packet(tplID uint16, fields [][2]uint16, data []byte) []byte {
 	be := binary.BigEndian
-	var pkt []byte
-	u16 := func(v uint16) { var b [2]byte; be.PutUint16(b[:], v); pkt = append(pkt, b[:]...) }
-	u32 := func(v uint32) { var b [4]byte; be.PutUint32(b[:], v); pkt = append(pkt, b[:]...) }
-	// Header.
-	u16(9)    // version
-	u16(2)    // count: template + 1 data record
-	u32(1000) // uptime
-	u32(uint32(time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC).Unix()))
-	u32(0) // sequence
-	u32(7) // source id
-	// Template flowset: id 300, three narrow fields.
-	u16(0)  // template set
-	u16(20) // set length: 4 + 4 + 3*4
-	u16(300)
-	u16(3)
-	u16(fieldFirstSwt)
-	u16(2) // 2-byte timestamp
-	u16(fieldL4SrcPort)
-	u16(1) // 1-byte port
-	u16(fieldInBytes)
-	u16(3) // 3-byte counter
-	// Data flowset: one 6-byte record + 2 bytes padding.
-	u16(300)
-	u16(12)
-	pkt = append(pkt, 0x5e, 0x7b, 0x21, 0x01, 0x02, 0x03, 0, 0)
-	return pkt
+	pkt := be.AppendUint16(nil, 9)
+	pkt = be.AppendUint16(pkt, 2)    // count: template + 1 data record
+	pkt = be.AppendUint32(pkt, 1000) // uptime
+	pkt = be.AppendUint32(pkt, uint32(time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC).Unix()))
+	pkt = be.AppendUint32(pkt, 0) // sequence
+	pkt = be.AppendUint32(pkt, 7) // source id
+	pkt = be.AppendUint16(pkt, 0) // template flowset
+	pkt = be.AppendUint16(pkt, uint16(8+4*len(fields)))
+	pkt = be.AppendUint16(pkt, tplID)
+	pkt = be.AppendUint16(pkt, uint16(len(fields)))
+	for _, f := range fields {
+		pkt = be.AppendUint16(be.AppendUint16(pkt, f[0]), f[1])
+	}
+	pkt = be.AppendUint16(pkt, tplID)
+	pkt = be.AppendUint16(pkt, uint16(4+len(data)))
+	return append(pkt, data...)
+}
+
+// NetFlow v9 field types the hand-built templates use.
+const (
+	fieldInBytes   = 1
+	fieldProtocol  = 4
+	fieldL4SrcPort = 7
+	fieldFirstSwt  = 22
+)
+
+// shortFieldV9Packet declares numeric fields narrower than their natural
+// width (a timestamp in 2 bytes, a port in 1, a counter in 3), followed by
+// two bytes of flowset padding. This exact shape crashed the decoder
+// before the beUint fix.
+func shortFieldV9Packet() []byte {
+	return v9Packet(300, [][2]uint16{{fieldFirstSwt, 2}, {fieldL4SrcPort, 1}, {fieldInBytes, 3}},
+		[]byte{0x5e, 0x7b, 0x21, 0x01, 0x02, 0x03, 0, 0})
 }
 
 // zeroLengthFieldV9Packet declares a zero-length single-byte field
 // (fieldProtocol) next to a real one. The single-byte reads of the
 // decoder (protocol, TCP flags, direction) must not index the empty
 // value slice; this shape panicked the decoder before the skip guard.
+// The flowset is unpadded so the padding cannot parse as a second record.
 func zeroLengthFieldV9Packet() []byte {
-	be := binary.BigEndian
-	var pkt []byte
-	u16 := func(v uint16) { var b [2]byte; be.PutUint16(b[:], v); pkt = append(pkt, b[:]...) }
-	u32 := func(v uint32) { var b [4]byte; be.PutUint32(b[:], v); pkt = append(pkt, b[:]...) }
-	u16(9)
-	u16(2)
-	u32(1000)
-	u32(uint32(time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC).Unix()))
-	u32(0)
-	u32(7)
-	u16(0)  // template set
-	u16(16) // 4 + 4 + 2*4
-	u16(301)
-	u16(2)
-	u16(fieldProtocol)
-	u16(0) // zero-length field
-	u16(fieldL4SrcPort)
-	u16(2)
-	u16(301) // data flowset: exactly one 2-byte record, unpadded so the
-	u16(6)   // padding cannot parse as a second record
-	pkt = append(pkt, 0x01, 0xbb)
-	return pkt
+	return v9Packet(301, [][2]uint16{{fieldProtocol, 0}, {fieldL4SrcPort, 2}}, []byte{0x01, 0xbb})
 }
 
 // TestDecodeV9ZeroLengthField is the regression test for the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lockdown/internal/flowrec"
+	"lockdown/internal/tmpl"
 )
 
 var export = time.Date(2020, 3, 25, 20, 30, 0, 0, time.UTC)
@@ -35,26 +36,51 @@ func sampleRecords(n int) []flowrec.Record {
 	return recs
 }
 
+// encodeV5 and decodeV5 run record-slice fixtures through the batch codec.
+func encodeV5(recs []flowrec.Record, seq uint32) ([]byte, error) {
+	return EncodeV5Batch(nil, flowrec.FromRecords(recs), 0, len(recs), export, seq)
+}
+
+func decodeV5(pkt []byte) (V5Header, []flowrec.Record, error) {
+	var b flowrec.Batch
+	h, err := DecodeV5Batch(&b, pkt)
+	return h, b.Records(), err
+}
+
+// encodeV9 and decodeV9 do the same for the v9 codec.
+func encodeV9(enc *V9Encoder, recs []flowrec.Record) ([]byte, error) {
+	return enc.EncodeBatch(nil, flowrec.FromRecords(recs), 0, len(recs), export)
+}
+
+func decodeV9(dec *tmpl.Decoder, pkt []byte) ([]flowrec.Record, error) {
+	var b flowrec.Batch
+	_, err := dec.DecodeBatch(&b, pkt)
+	return b.Records(), err
+}
+
 func TestV5RoundTrip(t *testing.T) {
 	recs := sampleRecords(5)
-	pkt, err := EncodeV5(recs, export, 100)
+	pkt, err := encodeV5(recs, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeV5(pkt)
+	h, got, err := decodeV5(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.FlowSequence != 100 {
-		t.Errorf("FlowSequence = %d, want 100", dec.FlowSequence)
+	if h.FlowSequence != 100 {
+		t.Errorf("FlowSequence = %d, want 100", h.FlowSequence)
 	}
-	if !dec.ExportTime.Equal(export) {
-		t.Errorf("ExportTime = %v, want %v", dec.ExportTime, export)
+	if !h.ExportTime.Equal(export) {
+		t.Errorf("ExportTime = %v, want %v", h.ExportTime, export)
 	}
-	if len(dec.Records) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(dec.Records), len(recs))
+	if h.SysUptime != time.Hour || h.Count != len(recs) {
+		t.Errorf("header %+v, want an uptime of one hour and %d records", h, len(recs))
 	}
-	for i, got := range dec.Records {
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	}
+	for i, got := range got {
 		want := recs[i]
 		if got.SrcIP != want.SrcIP || got.DstIP != want.DstIP {
 			t.Errorf("record %d addresses differ: %v->%v vs %v->%v", i, got.SrcIP, got.DstIP, want.SrcIP, want.DstIP)
@@ -79,35 +105,35 @@ func TestV5RoundTrip(t *testing.T) {
 }
 
 func TestV5Limits(t *testing.T) {
-	if _, err := EncodeV5(nil, export, 0); err == nil {
+	if _, err := encodeV5(nil, 0); err == nil {
 		t.Error("empty encode accepted")
 	}
-	if _, err := EncodeV5(sampleRecords(31), export, 0); err == nil {
+	if _, err := encodeV5(sampleRecords(31), 0); err == nil {
 		t.Error("oversized encode accepted")
 	}
 	v6rec := sampleRecords(1)
 	v6rec[0].SrcIP = netip.MustParseAddr("2001:db8::1")
-	if _, err := EncodeV5(v6rec, export, 0); err == nil {
+	if _, err := encodeV5(v6rec, 0); err == nil {
 		t.Error("IPv6 record accepted by v5 encoder")
 	}
 }
 
 func TestDecodeV5Malformed(t *testing.T) {
-	if _, err := DecodeV5([]byte{1, 2, 3}); err == nil {
+	if _, _, err := decodeV5([]byte{1, 2, 3}); err == nil {
 		t.Error("short packet accepted")
 	}
-	pkt, _ := EncodeV5(sampleRecords(2), export, 0)
+	pkt, _ := encodeV5(sampleRecords(2), 0)
 	pkt[0], pkt[1] = 0, 9 // wrong version
-	if _, err := DecodeV5(pkt); err == nil {
+	if _, _, err := decodeV5(pkt); err == nil {
 		t.Error("wrong version accepted")
 	}
-	pkt, _ = EncodeV5(sampleRecords(2), export, 0)
-	if _, err := DecodeV5(pkt[:len(pkt)-10]); err == nil {
+	pkt, _ = encodeV5(sampleRecords(2), 0)
+	if _, _, err := decodeV5(pkt[:len(pkt)-10]); err == nil {
 		t.Error("truncated packet accepted")
 	}
-	pkt, _ = EncodeV5(sampleRecords(2), export, 0)
+	pkt, _ = encodeV5(sampleRecords(2), 0)
 	pkt[2], pkt[3] = 0, 0 // zero count
-	if _, err := DecodeV5(pkt); err == nil {
+	if _, _, err := decodeV5(pkt); err == nil {
 		t.Error("zero record count accepted")
 	}
 }
@@ -115,12 +141,15 @@ func TestDecodeV5Malformed(t *testing.T) {
 func TestV9RoundTrip(t *testing.T) {
 	recs := sampleRecords(7)
 	enc := &V9Encoder{SourceID: 42}
-	pkt, err := enc.Encode(recs, export)
+	pkt, err := encodeV9(enc, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := V9SourceID(pkt); got != 42 {
+		t.Errorf("V9SourceID = %d, want 42", got)
+	}
 	dec := NewV9Decoder()
-	got, err := dec.Decode(pkt)
+	got, err := decodeV9(dec, pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +173,11 @@ func TestV9RoundTrip(t *testing.T) {
 
 func TestV9SequenceIncrements(t *testing.T) {
 	enc := &V9Encoder{SourceID: 1}
-	p1, err := enc.Encode(sampleRecords(1), export)
+	p1, err := encodeV9(enc, sampleRecords(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := enc.Encode(sampleRecords(1), export)
+	p2, err := encodeV9(enc, sampleRecords(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +188,7 @@ func TestV9SequenceIncrements(t *testing.T) {
 
 func TestV9DataBeforeTemplateRejected(t *testing.T) {
 	enc := &V9Encoder{SourceID: 7}
-	pkt, err := enc.Encode(sampleRecords(2), export)
+	pkt, err := encodeV9(enc, sampleRecords(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,49 +197,56 @@ func TestV9DataBeforeTemplateRejected(t *testing.T) {
 	tplLen := int(uint16(pkt[22])<<8 | uint16(pkt[23]))
 	mangled := append(append([]byte{}, pkt[:20]...), pkt[20+tplLen:]...)
 	dec := NewV9Decoder()
-	if _, err := dec.Decode(mangled); err == nil {
+	if _, err := decodeV9(dec, mangled); err == nil {
 		t.Error("data flowset without template accepted")
 	}
 	// After seeing the full packet once, the template is cached and the
 	// mangled packet decodes.
-	if _, err := dec.Decode(pkt); err != nil {
+	if _, err := decodeV9(dec, pkt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dec.Decode(mangled); err != nil {
+	if _, err := decodeV9(dec, mangled); err != nil {
 		t.Errorf("cached template not used: %v", err)
 	}
 }
 
 func TestV9Malformed(t *testing.T) {
 	dec := NewV9Decoder()
-	if _, err := dec.Decode([]byte{0, 9}); err == nil {
+	if _, err := decodeV9(dec, []byte{0, 9}); err == nil {
 		t.Error("short v9 packet accepted")
 	}
 	enc := &V9Encoder{}
-	if _, err := enc.Encode(nil, export); err == nil {
+	if _, err := encodeV9(enc, nil); err == nil {
 		t.Error("empty v9 encode accepted")
 	}
-	pkt, _ := enc.Encode(sampleRecords(1), export)
+	pkt, _ := encodeV9(enc, sampleRecords(1))
 	pkt[1] = 5 // version
-	if _, err := dec.Decode(pkt); err == nil {
+	if _, err := decodeV9(dec, pkt); err == nil {
 		t.Error("wrong version accepted")
 	}
-	pkt, _ = enc.Encode(sampleRecords(1), export)
+	pkt, _ = encodeV9(enc, sampleRecords(1))
 	pkt[22], pkt[23] = 0xff, 0xff // absurd set length
-	if _, err := dec.Decode(pkt); err == nil {
+	if _, err := decodeV9(dec, pkt); err == nil {
 		t.Error("invalid set length accepted")
 	}
 }
 
+// TestBeUint: counters decode big-endian at whatever width the template
+// announces, from one byte to eight.
 func TestBeUint(t *testing.T) {
-	if beUint([]byte{0x01, 0x02}) != 0x0102 {
-		t.Error("beUint 2 bytes wrong")
-	}
-	if beUint([]byte{0xff}) != 255 {
-		t.Error("beUint 1 byte wrong")
-	}
-	if beUint([]byte{1, 0, 0, 0, 0, 0, 0, 0}) != 1<<56 {
-		t.Error("beUint 8 bytes wrong")
+	for _, tc := range []struct {
+		wire []byte
+		want uint64
+	}{
+		{[]byte{0xff}, 255},
+		{[]byte{0x01, 0x02}, 0x0102},
+		{[]byte{1, 0, 0, 0, 0, 0, 0, 0}, 1 << 56},
+	} {
+		pkt := v9Packet(300, [][2]uint16{{fieldInBytes, uint16(len(tc.wire))}}, tc.wire)
+		got, err := decodeV9(NewV9Decoder(), pkt)
+		if err != nil || len(got) != 1 || got[0].Bytes != tc.want {
+			t.Errorf("%d-byte counter decoded as %+v (err %v), want %d", len(tc.wire), got, err, tc.want)
+		}
 	}
 }
 
@@ -224,11 +260,11 @@ func TestV9RoundTripQuick(t *testing.T) {
 		r.SrcPort, r.DstPort = sp, dp
 		r.Bytes, r.Packets = uint64(bytes), uint64(packets)
 		r.SrcAS, r.DstAS = srcAS, dstAS
-		pkt, err := enc.Encode([]flowrec.Record{r}, export)
+		pkt, err := encodeV9(enc, []flowrec.Record{r})
 		if err != nil {
 			return false
 		}
-		got, err := dec.Decode(pkt)
+		got, err := decodeV9(dec, pkt)
 		if err != nil || len(got) != 1 {
 			return false
 		}
@@ -249,15 +285,15 @@ func TestV5RoundTripQuick(t *testing.T) {
 		r.Bytes = uint64(bytes)
 		r.Packets = uint64(pkts)
 		r.SrcPort, r.DstPort = sp, dp
-		pkt, err := EncodeV5([]flowrec.Record{r}, export, 1)
+		pkt, err := encodeV5([]flowrec.Record{r}, 1)
 		if err != nil {
 			return false
 		}
-		dec, err := DecodeV5(pkt)
-		if err != nil || len(dec.Records) != 1 {
+		_, got, err := decodeV5(pkt)
+		if err != nil || len(got) != 1 {
 			return false
 		}
-		g := dec.Records[0]
+		g := got[0]
 		return g.Bytes == uint64(bytes) && g.Packets == uint64(pkts) && g.SrcPort == sp && g.DstPort == dp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -1,18 +1,26 @@
 // Package netflow implements the Cisco NetFlow version 5 and version 9
 // export formats used by the ISP, EDU and mobile vantage points of "The
-// Lockdown Effect" (IMC 2020). Only the features the analyses need are implemented — IPv4 flow
-// records with byte/packet counters, ports, protocol, AS numbers and
-// interfaces — but the wire formats follow the published specifications so
-// the codecs interoperate with standard tooling.
+// Lockdown Effect" (IMC 2020). Only the features the analyses need are
+// implemented — IPv4 flow records with byte/packet counters, ports,
+// protocol, AS numbers and interfaces.
 //
-// Both versions expose two API layers. The batch layer (EncodeV5Batch,
-// DecodeV5Batch, V9Encoder.EncodeBatch, V9Decoder.DecodeBatch) is
-// append-style: encoders append one packet to a caller-supplied byte
-// slice and decoders append rows to a caller-supplied flowrec.Batch, so a
-// steady-state export or collect loop that reuses its buffer and batch
-// performs zero allocations per record. The record layer (EncodeV5,
-// DecodeV5, V9Encoder.Encode, V9Decoder.Decode) adapts []flowrec.Record
-// through the batch layer and produces byte-identical packets.
+// Version 5 is the fixed-layout format and is implemented here in full
+// (EncodeV5Batch, DecodeV5Batch). Version 9 is template-based and shares
+// everything but its framing with IPFIX, so its codec is package tmpl;
+// this package holds the v9 framing and the V9Encoder / NewV9Decoder names
+// over it. Both are append-style: encoders append one packet to a
+// caller-supplied byte slice and decoders append rows to a caller-supplied
+// flowrec.Batch, so a steady-state export or collect loop that reuses its
+// buffer and batch performs zero allocations per record.
+//
+// The v5 wire format follows the published specification and interoperates
+// with standard tooling. The v9 framing does too, with one known
+// deviation: RFC 3954 defines FIRST_SWITCHED / LAST_SWITCHED (fields 22 /
+// 21) as sysUptime-relative milliseconds, and this codec writes epoch
+// seconds into them with the header's sysUptime pinned at one hour. A
+// standard v9 collector therefore reads wrong flow timestamps; our own
+// decoder round-trips them exactly. The wire bytes are pinned by the
+// golden-packet tests, so changing this is its own change.
 package netflow
 
 import (
@@ -43,14 +51,6 @@ type V5Header struct {
 	ExportTime   time.Time
 	FlowSequence uint32
 	Count        int
-}
-
-// V5Packet is a decoded NetFlow v5 packet: export metadata plus records.
-type V5Packet struct {
-	SysUptime    time.Duration
-	ExportTime   time.Time
-	FlowSequence uint32
-	Records      []flowrec.Record
 }
 
 // EncodeV5Batch appends one NetFlow v5 packet carrying rows [lo, hi) of b
@@ -136,20 +136,6 @@ func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime ti
 	return dst, nil
 }
 
-// EncodeV5 serialises up to V5MaxRecords flow records into one NetFlow v5
-// packet (record-slice adapter over EncodeV5Batch; the packets are
-// byte-identical).
-func EncodeV5(recs []flowrec.Record, exportTime time.Time, seq uint32) ([]byte, error) {
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("netflow: no records to encode")
-	}
-	pkt, err := EncodeV5Batch(nil, flowrec.FromRecords(recs), 0, len(recs), exportTime, seq)
-	if err != nil {
-		return nil, err
-	}
-	return pkt, nil
-}
-
 // DecodeV5Batch parses a NetFlow v5 packet, appending its records to dst
 // and returning the header metadata. A caller that reuses dst across
 // packets (Reset between packets, or one growing batch) decodes with zero
@@ -215,20 +201,4 @@ func V5EngineID(pkt []byte) uint8 {
 		return 0
 	}
 	return pkt[21]
-}
-
-// DecodeV5 parses a NetFlow v5 packet (record-slice adapter over
-// DecodeV5Batch).
-func DecodeV5(pkt []byte) (*V5Packet, error) {
-	var b flowrec.Batch
-	h, err := DecodeV5Batch(&b, pkt)
-	if err != nil {
-		return nil, err
-	}
-	return &V5Packet{
-		SysUptime:    h.SysUptime,
-		ExportTime:   h.ExportTime,
-		FlowSequence: h.FlowSequence,
-		Records:      b.Records(),
-	}, nil
 }

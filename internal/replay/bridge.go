@@ -275,7 +275,7 @@ func NewBridge(cfg Config) (*Bridge, error) {
 	if cfg.ReadBuffer <= 0 {
 		cfg.ReadBuffer = DefaultReadBuffer
 	}
-	col, err := collector.NewTaggedCollector(cfg.Format, cfg.ListenAddr)
+	col, err := collector.NewCollector(cfg.Format, cfg.ListenAddr)
 	if err != nil {
 		return nil, err
 	}

@@ -16,9 +16,9 @@
 //     its flow packets, and an explicit field of its control frames — so
 //     several pumps (one per vantage-point shard; see internal/cluster)
 //     can share one bridge.
-//   - The Bridge is a core.FlowSource backed by a collector.Collector in
-//     tagged-batch mode. On a dataset-cache miss it routes the key to the
-//     stream that serves it, requests it from that stream's pump, gathers
+//   - The Bridge is a core.FlowSource backed by a collector.Collector. On
+//     a dataset-cache miss it routes the key to the stream that serves
+//     it, requests it from that stream's pump, gathers
 //     the decoded batches the demux attributes to the stream, verifies
 //     every row bit-for-bit against its own reference model, and hands
 //     the wire batch to the engine. Buckets of different streams are in

@@ -288,7 +288,7 @@ func TestOutageSilencesGeneratedHours(t *testing.T) {
 	if v := g.HourlyVolume(dark); v != 0 {
 		t.Errorf("volume during outage = %g, want 0", v)
 	}
-	if n := len(g.FlowsForHour(dark)); n != 0 {
+	if n := len(g.FlowsForHourBatch(dark).Records()); n != 0 {
 		t.Errorf("flows during outage = %d, want 0", n)
 	}
 	lit := time.Date(2020, 4, 5, 14, 0, 0, 0, time.UTC)

@@ -11,7 +11,7 @@
 // compares, and arithmetic masks instead of data-dependent branches — so
 // the instruction selection improves transparently with GOAMD64 (v1
 // baseline vs v3's SSE4.2/AVX/BMI era) and the loops stay at the memory
-// bandwidth the container allows. The A/B numbers live in BENCH_pr10.json.
+// bandwidth the container allows.
 //
 // Accumulator arrays are fixed-size (Lanes entries) and passed by array
 // pointer: indexing them with a uint8 lane needs no bounds check, the

@@ -62,14 +62,6 @@ func (g *Generator) sampled(p *componentPlan, h *hour) componentHour {
 	return p.withFlows(h, p.evaluate(h), g.cfg.FlowScale)
 }
 
-// FlowsForHour samples synthetic flow records for the hour starting at t
-// as a record slice. It is a thin adapter over FlowsForHourBatch: the
-// batch is generated with exact capacity and materialised with one exact
-// allocation. Batch consumers should use FlowsForHourBatch directly.
-func (g *Generator) FlowsForHour(t time.Time) []flowrec.Record {
-	return g.FlowsForHourBatch(t).Records()
-}
-
 // ComponentFlowsForHourBatch samples one named component's flows for the
 // hour starting at t into a columnar batch sized from its flow count.
 func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowrec.Batch {
@@ -82,13 +74,6 @@ func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowre
 	b := flowrec.NewBatch(s.flows)
 	g.sampleInto(b, p, &h, &s)
 	return b
-}
-
-// ComponentFlowsForHour samples flow records for a single named component,
-// preallocated from the component's flow count (adapter over
-// ComponentFlowsForHourBatch).
-func (g *Generator) ComponentFlowsForHour(name string, t time.Time) []flowrec.Record {
-	return g.ComponentFlowsForHourBatch(name, t).Records()
 }
 
 // sampleInto appends the s.flows flows of component p for hour h to b. The
@@ -183,10 +168,4 @@ func (g *Generator) FlowsBetweenBatch(from, to time.Time) *flowrec.Batch {
 		g.flowsForHourInto(b, h, scratch)
 	})
 	return b
-}
-
-// FlowsBetween samples flows for every hour in [from, to) as a record
-// slice (adapter over FlowsBetweenBatch, one exact allocation).
-func (g *Generator) FlowsBetween(from, to time.Time) []flowrec.Record {
-	return g.FlowsBetweenBatch(from, to).Records()
 }

@@ -8,8 +8,8 @@ import (
 	"lockdown/internal/flowrec"
 )
 
-// TestFlowsForHourBatchMatchesRecords pins the columnar generation path
-// to the record adapter: converting the record slice back into a batch
+// TestFlowsForHourBatchMatchesRecords pins the generated batch to its
+// record view: materialising the hour as records and converting them back
 // must reproduce the generated batch column for column.
 func TestFlowsForHourBatchMatchesRecords(t *testing.T) {
 	g := MustNewDefault(ISPCE)
@@ -18,8 +18,8 @@ func TestFlowsForHourBatchMatchesRecords(t *testing.T) {
 	if b.Len() == 0 {
 		t.Fatal("expected flows for the probe hour")
 	}
-	if !reflect.DeepEqual(flowrec.FromRecords(g.FlowsForHour(probe)), b) {
-		t.Error("FlowsForHour records do not round-trip to the generated batch")
+	if !reflect.DeepEqual(flowrec.FromRecords(g.FlowsForHourBatch(probe).Records()), b) {
+		t.Error("the hour's records do not round-trip to the generated batch")
 	}
 }
 

@@ -75,7 +75,7 @@ func TestModulationSilencesComponentHour(t *testing.T) {
 	if v := g.HourlyVolume(during); v != 0 {
 		t.Errorf("volume during factor-0 outage = %g, want exact 0", v)
 	}
-	if flows := g.FlowsForHour(during); len(flows) != 0 {
+	if flows := g.FlowsForHourBatch(during).Records(); len(flows) != 0 {
 		t.Errorf("sampled %d flows during a factor-0 outage, want 0", len(flows))
 	}
 	if b := g.FlowsForHourBatch(during); b.Len() != 0 {
@@ -90,7 +90,7 @@ func TestModulationSilencesComponentHour(t *testing.T) {
 		if got, want := g.HourlyVolume(probe), plain.HourlyVolume(probe); got != want {
 			t.Errorf("volume outside outage at %v: %g, want the unmodified %g", probe, got, want)
 		}
-		got, want := g.FlowsForHour(probe), plain.FlowsForHour(probe)
+		got, want := g.FlowsForHourBatch(probe).Records(), plain.FlowsForHourBatch(probe).Records()
 		if len(got) != len(want) {
 			t.Fatalf("flow count outside outage at %v: %d vs %d", probe, len(got), len(want))
 		}
@@ -223,7 +223,7 @@ func TestExtraHolidayTreatedAsWeekend(t *testing.T) {
 	if got, want := g.HourlyVolume(before), plain.HourlyVolume(before); got != want {
 		t.Errorf("volume on the eve of the extra holiday: %g, want unchanged %g", got, want)
 	}
-	gf, pf := g.FlowsForHour(before), plain.FlowsForHour(before)
+	gf, pf := g.FlowsForHourBatch(before).Records(), plain.FlowsForHourBatch(before).Records()
 	if len(gf) != len(pf) {
 		t.Errorf("flow count on the eve changed: %d vs %d", len(gf), len(pf))
 	}

@@ -17,7 +17,7 @@
 //     which are exact evaluations of the model and fast enough for the
 //     multi-month figures, and
 //   - flow-record sampling, which turns hourly component volumes into
-//     synthetic flowrec.Records for the flow-level analyses (top ports,
+//     synthetic flowrec.Batch rows for the flow-level analyses (top ports,
 //     VPN detection, EDU connection counts, unique IPs).
 //
 // Everything is deterministic for a fixed Config.Seed.

@@ -341,11 +341,11 @@ func TestVolumeDeterminism(t *testing.T) {
 func TestFlowSamplingConsistency(t *testing.T) {
 	g := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
-	flows := g.FlowsForHour(probe)
+	flows := g.FlowsForHourBatch(probe).Records()
 	if len(flows) == 0 {
 		t.Fatal("no flows sampled")
 	}
-	again := g.FlowsForHour(probe)
+	again := g.FlowsForHourBatch(probe).Records()
 	if len(flows) != len(again) {
 		t.Fatalf("sampling not deterministic: %d vs %d", len(flows), len(again))
 	}
@@ -387,7 +387,7 @@ func TestFlowScaleReducesRecordCount(t *testing.T) {
 	}
 	full := MustNewDefault(ISPCE)
 	probe := date(2020, 3, 25).Add(20 * time.Hour)
-	if len(small.FlowsForHour(probe)) >= len(full.FlowsForHour(probe)) {
+	if len(small.FlowsForHourBatch(probe).Records()) >= len(full.FlowsForHourBatch(probe).Records()) {
 		t.Error("FlowScale < 1 should reduce the number of sampled flows")
 	}
 }
@@ -397,7 +397,7 @@ func TestEDUConnectionGrowthByClass(t *testing.T) {
 	countIn := func(name string, day time.Time) int {
 		n := 0
 		for h := 0; h < 24; h++ {
-			n += len(g.ComponentFlowsForHour(name, day.Add(time.Duration(h)*time.Hour)))
+			n += len(g.ComponentFlowsForHourBatch(name, day.Add(time.Duration(h)*time.Hour)).Records())
 		}
 		return n
 	}
@@ -484,7 +484,7 @@ func TestVPNGatewayPinning(t *testing.T) {
 	}
 	g.SetVPNGateways([]netip.Addr{gw})
 	probe := date(2020, 4, 22).Add(11 * time.Hour)
-	flows := g.ComponentFlowsForHour("vpn-tls", probe)
+	flows := g.ComponentFlowsForHourBatch("vpn-tls", probe).Records()
 	if len(flows) == 0 {
 		t.Fatal("no vpn-tls flows sampled")
 	}

@@ -1,0 +1,452 @@
+// Package tmpl implements the template-based flow export family — NetFlow
+// v9 (RFC 3954) and IPFIX (RFC 7011) — once. IPFIX grew out of NetFlow v9:
+// the set structure and the template records are the same, and IANA's
+// IPFIX elements 1–127 are the NetFlow v9 field types, so one encoder and
+// one decoder serve both. What does differ — the message header, the set
+// and field numbers around it, and two conventions — is a Framing value;
+// packages netflow and ipfix hold one each and export their codec names
+// over it.
+//
+// The API is append-style and columnar: EncodeBatch appends one message
+// to a caller-supplied byte slice, DecodeBatch appends rows to a
+// caller-supplied flowrec.Batch, so a steady-state export or collect loop
+// that reuses its buffer and batch performs zero allocations per record.
+// Only IPv4 flows with the fields the analyses of "The Lockdown Effect"
+// (IMC 2020) need are supported.
+package tmpl
+
+import (
+	"encoding/binary"
+	"fmt"
+	"net/netip"
+	"slices"
+	"time"
+
+	"lockdown/internal/flowrec"
+)
+
+// Framing is everything that differs between the members of the family.
+type Framing struct {
+	Name        string // error prefix
+	Version     uint16 // header word 0
+	HeaderLen   int
+	StreamOff   int    // header offset of the 32-bit exporter stream identity
+	TemplateSet uint16 // ID of the sets that announce templates
+	TemplateID  uint16 // the one template the encoder exports with
+	StartID     uint16 // field carrying the flow start, in epoch seconds
+	EndID       uint16 // field carrying the flow end, in epoch seconds
+	IfLen       uint16 // wire width of the interface indexes: 2 or 4
+	PadSets     bool   // data sets are zero-padded to a multiple of four bytes
+	SeqRecords  bool   // the sequence number counts records, not messages
+	HasLength   bool   // header word 1 is the message length; decode verifies it
+	// PutHeader fills the rest of hdr[:HeaderLen] for a message of size
+	// bytes carrying rows data records; the version word and the stream
+	// identity are written by the codec, where it reads them back.
+	PutHeader func(hdr []byte, size, rows int, export, seq uint32)
+}
+
+// Field numbers the two registries share (RFC 3954 §8, RFC 7012 §4). Flow
+// start and end are the exception and come from the Framing.
+const (
+	fieldBytes     = 1
+	fieldPackets   = 2
+	fieldProtocol  = 4
+	fieldTCPFlags  = 6
+	fieldSrcPort   = 7
+	fieldSrcIPv4   = 8
+	fieldInIf      = 10
+	fieldDstPort   = 11
+	fieldDstIPv4   = 12
+	fieldOutIf     = 14
+	fieldSrcAS     = 16
+	fieldDstAS     = 17
+	fieldDirection = 61
+)
+
+const (
+	// maxLen is the largest value a 16-bit set or message length holds.
+	maxLen = 0xFFFF
+	// maxGrowRows bounds the per-data-set batch reservation; see
+	// parseData.
+	maxGrowRows = 4096
+)
+
+// Column opcodes: what a cached template field decodes into. A template
+// is interpreted once, when it is cached; the row loop then switches on
+// these dense constants instead of comparing field numbers per value.
+const (
+	colSkip uint8 = iota // unknown field, or one of zero length
+	colSrcIP
+	colDstIP
+	colBytes
+	colPackets
+	colStart
+	colEnd
+	colSrcPort
+	colDstPort
+	colProto
+	colTCPFlags
+	colDir
+	colInIf
+	colOutIf
+	colSrcAS
+	colDstAS
+)
+
+// field is one field of a cached template: its number and length as
+// announced on the wire, and the column it resolves to.
+type field struct {
+	id, length uint16
+	col        uint8
+}
+
+// template is a cached template with its record length summed up.
+type template struct {
+	fields []field
+	recLen int
+}
+
+// standardTemplate is the single template the encoder emits, as
+// (field number, length) pairs; it carries every column of a
+// flowrec.Batch for IPv4 flows. EncodeBatch writes rows in this order.
+func (f *Framing) standardTemplate() [15][2]uint16 {
+	return [...][2]uint16{
+		{fieldSrcIPv4, 4},
+		{fieldDstIPv4, 4},
+		{fieldBytes, 8},
+		{fieldPackets, 8},
+		{f.StartID, 4},
+		{f.EndID, 4},
+		{fieldSrcPort, 2},
+		{fieldDstPort, 2},
+		{fieldProtocol, 1},
+		{fieldTCPFlags, 1},
+		{fieldDirection, 1},
+		{fieldInIf, f.IfLen},
+		{fieldOutIf, f.IfLen},
+		{fieldSrcAS, 4},
+		{fieldDstAS, 4},
+	}
+}
+
+// EncodeBatch appends one message carrying the template set and rows
+// [lo, hi) of b to dst and returns the extended slice. stream and *seq are
+// the exporter's identity and sequence counter. Rows must be IPv4. The
+// message is written in place: a caller that reuses the returned slice
+// across messages encodes with zero allocations once the buffer has grown
+// to message size. On error — an empty range, a non-IPv4 row, or more
+// rows than the 16-bit length fields can describe — dst is returned
+// unmodified and the sequence number is not consumed.
+func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time, stream uint32, seq *uint32) ([]byte, error) {
+	n := hi - lo
+	if n <= 0 {
+		return dst, fmt.Errorf("%s: no records to encode", f.Name)
+	}
+	tpl := f.standardTemplate()
+	recLen := 0
+	for _, fl := range tpl {
+		recLen += int(fl[1])
+	}
+	tplSetLen := 4 + 4 + 4*len(tpl)
+	dataSetLen := 4 + n*recLen
+	pad := 0
+	if f.PadSets {
+		pad = -dataSetLen & 3
+		dataSetLen += pad
+	}
+	total := f.HeaderLen + tplSetLen + dataSetLen
+	if dataSetLen > maxLen || f.HasLength && total > maxLen {
+		return dst, fmt.Errorf("%s: %d records do not fit one message (%d bytes, length fields hold %d)", f.Name, n, total, maxLen)
+	}
+	for i := lo; i < hi; i++ {
+		if !b.SrcIP[i].Is4() || !b.DstIP[i].Is4() {
+			return dst, fmt.Errorf("%s: record %d is not IPv4", f.Name, i-lo)
+		}
+	}
+
+	be := binary.BigEndian
+	off0 := len(dst)
+	dst = slices.Grow(dst, total)[:off0+total]
+	msg := dst[off0:]
+	be.PutUint16(msg[0:], f.Version)
+	be.PutUint32(msg[f.StreamOff:], stream)
+	f.PutHeader(msg, total, n, uint32(exportTime.Unix()), *seq)
+
+	set := msg[f.HeaderLen:]
+	be.PutUint16(set[0:], f.TemplateSet)
+	be.PutUint16(set[2:], uint16(tplSetLen))
+	be.PutUint16(set[4:], f.TemplateID)
+	be.PutUint16(set[6:], uint16(len(tpl)))
+	for i, fl := range tpl {
+		be.PutUint16(set[8+4*i:], fl[0])
+		be.PutUint16(set[10+4*i:], fl[1])
+	}
+
+	set = set[tplSetLen:]
+	be.PutUint16(set[0:], f.TemplateID)
+	be.PutUint16(set[2:], uint16(dataSetLen))
+	for i := lo; i < hi; i++ {
+		rec := set[4+(i-lo)*recLen:][:recLen]
+		src, dip := b.SrcIP[i].As4(), b.DstIP[i].As4()
+		copy(rec[0:], src[:])
+		copy(rec[4:], dip[:])
+		be.PutUint64(rec[8:], b.Bytes[i])
+		be.PutUint64(rec[16:], b.Packets[i])
+		be.PutUint32(rec[24:], uint32(b.StartNs[i]/int64(time.Second)))
+		be.PutUint32(rec[28:], uint32(b.EndNs[i]/int64(time.Second)))
+		be.PutUint16(rec[32:], b.SrcPort[i])
+		be.PutUint16(rec[34:], b.DstPort[i])
+		rec[36] = byte(b.Proto[i])
+		rec[37] = b.TCPFlags[i]
+		rec[38] = byte(b.Dir[i])
+		as := rec[39+2*f.IfLen:]
+		if f.IfLen == 2 {
+			be.PutUint16(rec[39:], b.InIf[i])
+			be.PutUint16(rec[41:], b.OutIf[i])
+		} else {
+			be.PutUint32(rec[39:], uint32(b.InIf[i]))
+			be.PutUint32(rec[43:], uint32(b.OutIf[i]))
+		}
+		be.PutUint32(as[0:], b.SrcAS[i])
+		be.PutUint32(as[4:], b.DstAS[i])
+	}
+	clear(set[dataSetLen-pad : dataSetLen]) // the buffer may be reused
+	if f.SeqRecords {
+		*seq += uint32(n)
+	} else {
+		*seq++
+	}
+	return dst, nil
+}
+
+// StreamID returns the exporter stream identity of a message header
+// without decoding the sets (0 for messages too short to carry a header —
+// the decoder rejects those anyway). Collectors use it to attribute a
+// datagram to its exporter; the sharded replay cluster demuxes
+// interleaved pump streams by it.
+func (f *Framing) StreamID(msg []byte) uint32 {
+	if len(msg) < f.HeaderLen {
+		return 0
+	}
+	return binary.BigEndian.Uint32(msg[f.StreamOff:])
+}
+
+// Decoder parses the messages of one framing, maintaining the template
+// cache required to interpret data sets. Templates are cached per
+// exporter stream.
+type Decoder struct {
+	f         *Framing
+	templates map[uint64]template // key: stream<<16 | template ID
+}
+
+// NewDecoder returns a decoder for f with an empty template cache.
+func NewDecoder(f *Framing) *Decoder {
+	return &Decoder{f: f, templates: make(map[uint64]template)}
+}
+
+func tplKey(stream uint32, tplID uint16) uint64 {
+	return uint64(stream)<<16 | uint64(tplID)
+}
+
+// DecodeBatch parses one message, appending the flow records of all data
+// sets to dst, and returns how many rows were appended. A data set whose
+// template is unknown is an error (the encoder always sends the template
+// first); on error dst is rolled back to its original length.
+// Re-announcements of an unchanged template do not allocate, so a
+// steady-state decode loop over a reused dst performs zero allocations
+// per message.
+func (d *Decoder) DecodeBatch(dst *flowrec.Batch, msg []byte) (int, error) {
+	f := d.f
+	be := binary.BigEndian
+	if len(msg) < f.HeaderLen {
+		return 0, fmt.Errorf("%s: message too short (%d bytes)", f.Name, len(msg))
+	}
+	if v := be.Uint16(msg[0:]); v != f.Version {
+		return 0, fmt.Errorf("%s: unexpected version %d", f.Name, v)
+	}
+	if l := int(be.Uint16(msg[2:])); f.HasLength && l != len(msg) {
+		return 0, fmt.Errorf("%s: length field %d does not match message size %d", f.Name, l, len(msg))
+	}
+	stream := be.Uint32(msg[f.StreamOff:])
+	before := dst.Len()
+	for off := f.HeaderLen; off+4 <= len(msg); {
+		setID := be.Uint16(msg[off:])
+		setLen := int(be.Uint16(msg[off+2:]))
+		if setLen < 4 || off+setLen > len(msg) {
+			dst.Truncate(before)
+			return 0, fmt.Errorf("%s: invalid set length %d at offset %d", f.Name, setLen, off)
+		}
+		body := msg[off+4 : off+setLen]
+		var err error
+		switch {
+		case setID == f.TemplateSet:
+			err = d.parseTemplates(stream, body)
+		case setID >= 256:
+			err = d.parseData(dst, stream, setID, body)
+		default:
+			// Options templates and other reserved sets are skipped.
+		}
+		if err != nil {
+			dst.Truncate(before)
+			return 0, err
+		}
+		off += setLen
+	}
+	return dst.Len() - before, nil
+}
+
+func (d *Decoder) parseTemplates(stream uint32, body []byte) error {
+	be := binary.BigEndian
+	for off := 0; off+4 <= len(body); {
+		tplID := be.Uint16(body[off:])
+		count := int(be.Uint16(body[off+2:]))
+		off += 4
+		if off+4*count > len(body) {
+			return fmt.Errorf("%s: truncated template %d", d.f.Name, tplID)
+		}
+		key := tplKey(stream, tplID)
+		// Exporters re-announce templates in every message; only allocate
+		// and store when the template actually changed.
+		if !templateUnchanged(d.templates[key].fields, body[off:], count) {
+			tpl := template{fields: make([]field, count)}
+			for i := range tpl.fields {
+				id, length := be.Uint16(body[off+4*i:]), be.Uint16(body[off+4*i+2:])
+				tpl.fields[i] = field{id: id, length: length, col: d.f.column(id, length)}
+				tpl.recLen += int(length)
+			}
+			d.templates[key] = tpl
+		}
+		off += 4 * count
+	}
+	return nil
+}
+
+// templateUnchanged reports whether the cached template matches the
+// wire-format field list starting at body.
+func templateUnchanged(cached []field, body []byte, count int) bool {
+	if len(cached) != count {
+		return false
+	}
+	be := binary.BigEndian
+	for i, fl := range cached {
+		if fl.id != be.Uint16(body[4*i:]) || fl.length != be.Uint16(body[4*i+2:]) {
+			return false
+		}
+	}
+	return true
+}
+
+// column resolves an announced field to the column it decodes into.
+// Zero-length fields carry no value; resolving them to colSkip also keeps
+// the single-byte reads of parseData (v[0]) safe against hostile
+// templates.
+func (f *Framing) column(id, length uint16) uint8 {
+	switch {
+	case length == 0:
+		return colSkip
+	case id == f.StartID:
+		return colStart
+	case id == f.EndID:
+		return colEnd
+	}
+	switch id {
+	case fieldSrcIPv4:
+		return colSrcIP
+	case fieldDstIPv4:
+		return colDstIP
+	case fieldBytes:
+		return colBytes
+	case fieldPackets:
+		return colPackets
+	case fieldSrcPort:
+		return colSrcPort
+	case fieldDstPort:
+		return colDstPort
+	case fieldProtocol:
+		return colProto
+	case fieldTCPFlags:
+		return colTCPFlags
+	case fieldDirection:
+		return colDir
+	case fieldInIf:
+		return colInIf
+	case fieldOutIf:
+		return colOutIf
+	case fieldSrcAS:
+		return colSrcAS
+	case fieldDstAS:
+		return colDstAS
+	}
+	return colSkip
+}
+
+func (d *Decoder) parseData(dst *flowrec.Batch, stream uint32, tplID uint16, body []byte) error {
+	tpl, ok := d.templates[tplKey(stream, tplID)]
+	if !ok {
+		return fmt.Errorf("%s: data set %d before its template", d.f.Name, tplID)
+	}
+	if tpl.recLen == 0 {
+		return fmt.Errorf("%s: template %d has zero length", d.f.Name, tplID)
+	}
+	// Cap the up-front reservation: a hostile template with tiny records
+	// would otherwise amplify every input byte into ~100 bytes of column
+	// reservation. Real export packets stay far below the cap, so the
+	// steady-state decode path still performs exactly one bulk grow.
+	dst.Grow(min(len(body)/tpl.recLen, maxGrowRows))
+	for off := 0; off+tpl.recLen <= len(body); off += tpl.recLen {
+		var r flowrec.Record
+		pos := off
+		for _, fl := range tpl.fields {
+			v := body[pos : pos+int(fl.length)]
+			pos += int(fl.length)
+			switch fl.col {
+			case colSrcIP:
+				var a [4]byte
+				copy(a[:], v)
+				r.SrcIP = netip.AddrFrom4(a)
+			case colDstIP:
+				var a [4]byte
+				copy(a[:], v)
+				r.DstIP = netip.AddrFrom4(a)
+			case colBytes:
+				r.Bytes = beUint(v)
+			case colPackets:
+				r.Packets = beUint(v)
+			case colStart:
+				r.Start = time.Unix(int64(beUint(v)), 0).UTC()
+			case colEnd:
+				r.End = time.Unix(int64(beUint(v)), 0).UTC()
+			case colSrcPort:
+				r.SrcPort = uint16(beUint(v))
+			case colDstPort:
+				r.DstPort = uint16(beUint(v))
+			case colProto:
+				r.Proto = flowrec.Proto(v[0])
+			case colTCPFlags:
+				r.TCPFlags = v[0]
+			case colDir:
+				r.Dir = flowrec.Direction(v[0])
+			case colInIf:
+				r.InIf = uint16(beUint(v))
+			case colOutIf:
+				r.OutIf = uint16(beUint(v))
+			case colSrcAS:
+				r.SrcAS = uint32(beUint(v))
+			case colDstAS:
+				r.DstAS = uint32(beUint(v))
+			}
+		}
+		dst.Append(r)
+	}
+	return nil
+}
+
+// beUint reads a big-endian unsigned integer of 1-8 bytes; template
+// lengths are untrusted, so it takes whatever width was announced.
+func beUint(b []byte) uint64 {
+	var v uint64
+	for _, x := range b {
+		v = v<<8 | uint64(x)
+	}
+	return v
+}
