@@ -130,14 +130,17 @@ func (r *Registry) AddrPool(asn uint32) (AddrPool, bool) {
 	return AddrPool{base: a.prefix.Addr().As4()}, true
 }
 
-// Addr returns the n-th address of the pool (wrapping within the /16 host
-// space, skipping the network address).
-func (p AddrPool) Addr(n uint32) netip.Addr {
+// Addr4 returns the n-th address of the pool (wrapping within the /16 host
+// space, skipping the network address) as its four bytes.
+func (p AddrPool) Addr4(n uint32) [4]byte {
 	host := n%65534 + 1
 	p.base[2] = byte(host >> 8)
 	p.base[3] = byte(host)
-	return netip.AddrFrom4(p.base)
+	return p.base
 }
+
+// Addr is Addr4 as a netip.Addr.
+func (p AddrPool) Addr(n uint32) netip.Addr { return netip.AddrFrom4(p.Addr4(n)) }
 
 // AddrFor returns the n-th address inside the AS's synthetic prefix; see
 // AddrPool.Addr.

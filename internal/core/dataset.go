@@ -37,8 +37,8 @@ import (
 // existed. With a budget, the least-recently-used unpinned batches are
 // appended as spans to append-only span files (package flowstore) once
 // the resident estimate exceeds the budget, and faulted back in — via a
-// read-only mmap view of exactly that span, no decode for the numeric
-// columns — on their next access. Entries touched by a running
+// read-only mmap view of exactly that span, no decode and no copy — on
+// their next access. Entries touched by a running
 // experiment are pinned through its Env and never evicted mid-scan. A
 // damaged span (truncation, bit flips) is detected by its checksum and
 // the batch is regenerated from the flow source instead; spilling is an
@@ -110,6 +110,8 @@ type cacheEntry struct {
 type flowEntry struct {
 	key   string
 	build func() (*flowrec.Batch, error)
+
+	rows int // of the batch, in whichever tier it is
 
 	mu        sync.Mutex
 	pins      atomic.Int32
@@ -205,7 +207,7 @@ func (d *Dataset) getFlow(key string, pin *Pin, build func() (*flowrec.Batch, er
 			e.err = err
 			return
 		}
-		fe := &flowEntry{key: key, build: build, batch: b, heapBytes: b.HeapBytes()}
+		fe := &flowEntry{key: key, build: build, rows: b.Len(), batch: b, heapBytes: b.HeapBytes()}
 		e.val = fe
 		d.link(fe, fe.heapBytes, false)
 	})
@@ -385,8 +387,8 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 			sp.EndArgs(map[string]any{"key": fe.key, "bytes": ref.Size})
 		}
 		if err != nil {
-			// Cannot spill (disk full, unwritable dir, zoned address):
-			// keep the batch resident rather than losing it.
+			// Cannot spill (disk full, unwritable dir): keep the batch
+			// resident rather than losing it.
 			d.relink(fe)
 			return false
 		}
@@ -560,10 +562,40 @@ type Pin struct {
 	d       *Dataset
 	entries []*flowEntry
 	seen    map[*flowEntry]struct{}
+	// drawn, when set, is the accounting every pin of one experiment
+	// reports its entries to (see Env.newPin).
+	drawn *drawnSet
 }
 
 // NewPin returns an empty pin.
 func (d *Dataset) NewPin() *Pin { return &Pin{d: d} }
+
+// drawnSet is the distinct flow-batch entries one experiment drew —
+// through its own pin or the chunk, prefetch and day pins derived from
+// it — with their summed rows: what MetricBatchMB reports. Being a set
+// it reads the same however the scans were chunked, prefetched,
+// parallelised or re-faulted.
+type drawnSet struct {
+	mu   sync.Mutex
+	seen map[*flowEntry]struct{}
+	rows int64
+}
+
+func (s *drawnSet) add(fe *flowEntry) {
+	s.mu.Lock()
+	if _, ok := s.seen[fe]; !ok {
+		s.seen[fe] = struct{}{}
+		s.rows += int64(fe.rows)
+	}
+	s.mu.Unlock()
+}
+
+// batchMB is the drawn rows at their resident size, in MiB.
+func (s *drawnSet) batchMB() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return float64(s.rows*int64(flowrec.RowBytes)) / (1 << 20)
+}
 
 // add registers the entry, called with fe.mu held.
 func (p *Pin) add(fe *flowEntry) {
@@ -577,6 +609,9 @@ func (p *Pin) add(fe *flowEntry) {
 	p.entries = append(p.entries, fe)
 	if fe.pins.Add(1) == 1 {
 		p.d.pinned.Add(1)
+	}
+	if p.drawn != nil {
+		p.drawn.add(fe)
 	}
 }
 

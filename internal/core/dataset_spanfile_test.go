@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/crc64"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -85,42 +86,59 @@ func TestOnlineCompaction(t *testing.T) {
 	}
 }
 
-// TestCompactionDamagedSpan flips a bit inside one entry's span and
-// asserts the damage stays span-granular: that entry regenerates, its
-// neighbours in the same file keep serving without a regen.
+// TestCompactionDamagedSpan damages one entry's span — a flipped bit the
+// checksum catches, and an address row no writer produces under a
+// checksum recomputed to match, which only the canonical-form check of
+// the view catches — and asserts the damage stays span-granular: that
+// entry regenerates, its neighbours in the same file keep serving
+// without a regen.
 func TestCompactionDamagedSpan(t *testing.T) {
-	opts := tinyOpts(t)
-	d := NewDataset(opts)
-	defer d.Close()
+	cases := map[string]func(span []byte, ref *flowstore.SpanRef){
+		"bitflip": func(span []byte, _ *flowstore.SpanRef) { span[len(span)/2] ^= 0xff },
+		"hostile-address": func(span []byte, ref *flowstore.SpanRef) {
+			// The source-address blob follows the two 64-byte-aligned
+			// timestamp blobs; byte 16 of a row is its family.
+			srcAddr := 2 * ((ref.Rows*8 + 63) &^ 63)
+			span[srcAddr+16] = 9
+			ref.CRC = crc64.Checksum(span, crc64.MakeTable(crc64.ECMA))
+		},
+	}
+	for name, damage := range cases {
+		t.Run(name, func(t *testing.T) {
+			opts := tinyOpts(t)
+			d := NewDataset(opts)
+			defer d.Close()
 
-	hours := spillHours(8)
-	for _, h := range hours {
-		if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
-			t.Fatal(err)
-		}
-	}
-	files := spillFiles(t, opts.CacheDir)[flowstore.SpannedExt]
-	if len(files) != 1 {
-		t.Fatalf("want one span file, found %v", files)
-	}
-	victim := d.entries[d.model(synth.ISPCE).flowsKey+hourKey(hours[3])].val.(*flowEntry)
-	raw, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[victim.ref.Off+victim.ref.Size/2] ^= 0xff
-	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			hours := spillHours(8)
+			for _, h := range hours {
+				if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
+					t.Fatal(err)
+				}
+			}
+			files := spillFiles(t, opts.CacheDir)[flowstore.SpannedExt]
+			if len(files) != 1 {
+				t.Fatalf("want one span file, found %v", files)
+			}
+			victim := d.entries[d.model(synth.ISPCE).flowsKey+hourKey(hours[3])].val.(*flowEntry)
+			raw, err := os.ReadFile(files[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			damage(raw[victim.ref.Off:victim.ref.Off+victim.ref.Size], &victim.ref)
+			if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	sameAsGenerated(t, d, opts.FlowScale, hours)
-	if s := d.Stats(); s.Regens != 1 || s.Faults != int64(len(hours)) {
-		t.Errorf("want exactly the damaged hour regenerated: %+v", s)
-	}
-	// The regenerated hour spills again, as a new span of the same file.
-	sameAsGenerated(t, d, opts.FlowScale, hours)
-	if s := d.Stats(); s.Regens != 1 || s.Spills != int64(len(hours))+1 {
-		t.Errorf("regenerated hour must respill once and then fault cleanly: %+v", s)
+			sameAsGenerated(t, d, opts.FlowScale, hours)
+			if s := d.Stats(); s.Regens != 1 || s.Faults != int64(len(hours)) {
+				t.Errorf("want exactly the damaged hour regenerated: %+v", s)
+			}
+			// The regenerated hour spills again, as a new span of the same file.
+			sameAsGenerated(t, d, opts.FlowScale, hours)
+			if s := d.Stats(); s.Regens != 1 || s.Spills != int64(len(hours))+1 {
+				t.Errorf("regenerated hour must respill once and then fault cleanly: %+v", s)
+			}
+		})
 	}
 }
 

@@ -20,11 +20,11 @@ import (
 const (
 	// MetricWallMS is the experiment's wall-clock time in milliseconds.
 	MetricWallMS = "_runtime/wall-ms"
-	// MetricAllocMB is the heap allocated while the experiment ran, in
-	// MiB. The counter is process-global, so under a parallel RunAll it
-	// includes allocations of concurrently running experiments and is
-	// only an upper bound.
-	MetricAllocMB = "_runtime/alloc-mb"
+	// MetricBatchMB is the flow-batch memory the experiment's scans read,
+	// in MiB: over the distinct flow batches it drew from the dataset,
+	// rows × flowrec.RowBytes. It is a property of the experiment and the
+	// options, the same at any -parallel, chunk size and cache budget.
+	MetricBatchMB = "_runtime/batch-mb"
 	// MetricScanChunks counts the grid chunks the experiment's sharded
 	// scans processed (0 = the experiment has no sharded scan).
 	MetricScanChunks = "_runtime/scan-chunks"
@@ -112,7 +112,7 @@ func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, hour time
 // holds one day resident at a time under a tight budget instead of its
 // whole history.
 func (env *Env) flowBatchBetween(vp synth.VantagePoint, from, to time.Time) (*flowrec.Batch, error) {
-	local := env.Data.NewPin()
+	local := env.newPin()
 	defer local.Release()
 	from = from.UTC().Truncate(time.Hour)
 	total := 0
@@ -239,21 +239,20 @@ func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
 	return e.runTimed(ctx, exp, budget)
 }
 
-// runTimed executes an experiment and records wall time and (approximate,
-// process-global) allocation growth into the result's runtime metrics.
+// runTimed executes an experiment and records its wall time, the batch
+// memory it read and its scan activity into the result's runtime metrics.
 // The experiment's Env carries a Pin: every flow batch it draws stays
 // resident until the run returns, then the pin releases and the cache may
 // spill what no longer fits the budget. budget is the shared worker pool
 // the experiment's sharded scans may borrow spare tokens from; the caller
 // must already hold one of its tokens.
 func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBudget) (*Result, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	// The span is the wall-clock measurement: its End duration stamps
 	// MetricWallMS and feeds the duration histogram, so the timing table,
 	// -json output, /metrics and the trace file all report one number.
 	sp := e.opts.Tracer.Start("exp:"+exp.ID, "experiment")
-	env := &Env{Options: e.opts, Data: e.data, pin: e.data.NewPin(), ctx: ctx, budget: budget, scan: &scanStats{}}
+	drawn := &drawnSet{seen: make(map[*flowEntry]struct{})}
+	env := &Env{Options: e.opts, Data: e.data, pin: &Pin{d: e.data, drawn: drawn}, ctx: ctx, budget: budget, scan: &scanStats{}}
 	defer env.pin.Release()
 	res, err := exp.Run(env)
 	if err != nil {
@@ -274,9 +273,8 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBud
 	} else {
 		wall = sp.End()
 	}
-	runtime.ReadMemStats(&after)
 	res.Metrics[MetricWallMS] = float64(wall) / float64(time.Millisecond)
-	res.Metrics[MetricAllocMB] = float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	res.Metrics[MetricBatchMB] = drawn.batchMB()
 	res.Metrics[MetricScanChunks] = float64(chunks)
 	res.Metrics[MetricScanWorkers] = float64(extra)
 	res.Metrics[MetricScanPrefetch] = float64(prefetched)

@@ -5,12 +5,14 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
+	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
 )
 
 // stripRuntime returns the experiment-produced metrics only, dropping the
-// engine's nondeterministic wall-time/allocation stamps.
+// engine's stamps (wall time, scan activity).
 func stripRuntime(m map[string]float64) map[string]float64 {
 	out := make(map[string]float64, len(m))
 	for k, v := range m {
@@ -136,13 +138,72 @@ func TestEngineStampsRuntimeMetrics(t *testing.T) {
 	if _, ok := res.Metrics[MetricWallMS]; !ok {
 		t.Errorf("result lacks %s", MetricWallMS)
 	}
-	if _, ok := res.Metrics[MetricAllocMB]; !ok {
-		t.Errorf("result lacks %s", MetricAllocMB)
+	if mb, ok := res.Metrics[MetricBatchMB]; !ok || mb != 0 {
+		t.Errorf("%s = %v, %v; tab2 draws no flow batch and must read 0", MetricBatchMB, mb, ok)
 	}
-	if !IsRuntimeMetric(MetricWallMS) || !IsRuntimeMetric(MetricAllocMB) {
+	if !IsRuntimeMetric(MetricWallMS) || !IsRuntimeMetric(MetricBatchMB) {
 		t.Error("runtime metric keys should classify as runtime metrics")
 	}
 	if IsRuntimeMetric("hypergiants") {
 		t.Error("experiment metrics must not classify as runtime metrics")
+	}
+}
+
+// TestBatchMBIsAttributable: _runtime/batch-mb is a property of the
+// experiment — the distinct flow batches its scans drew, at their
+// resident size — not of the process, so it reads the same however the
+// run was parallelised, chunked or budgeted (the column it replaces,
+// a process-global allocation delta, tripled from -parallel 1 to 4).
+func TestBatchMBIsAttributable(t *testing.T) {
+	ids := []string{"fig7a", "fig8", "fig12", "tab2"}
+	run := func(opts Options, parallel int) map[string]float64 {
+		t.Helper()
+		e := NewEngine(opts)
+		defer e.Data().Close()
+		rs, err := e.RunMany(context.Background(), ids, parallel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]float64)
+		for _, r := range rs {
+			out[r.ID] = r.Metrics[MetricBatchMB]
+		}
+		return out
+	}
+	base := Options{FlowScale: 0.05}
+	want := run(base, 1)
+	for _, id := range ids {
+		if flows := id != "tab2"; flows != (want[id] > 0) {
+			t.Errorf("%s: batch-mb = %v, reads flows: %v", id, want[id], flows)
+		}
+	}
+	// fig8 draws exactly the gaming component's hours of weeks 7-17.
+	d := NewDataset(base)
+	defer d.Close()
+	var rows int
+	for h := time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC); h.Before(time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC)); h = h.Add(time.Hour) {
+		b, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows += b.Len()
+	}
+	if mb := float64(rows*flowrec.RowBytes) / (1 << 20); want["fig8"] != mb {
+		t.Errorf("fig8: batch-mb = %v, its %d rows at %d bytes are %v", want["fig8"], rows, flowrec.RowBytes, mb)
+	}
+
+	chunked := base
+	chunked.ScanChunk = 7
+	tiny := base
+	tiny.CacheBudget, tiny.CacheDir = 1, t.TempDir()
+	for label, got := range map[string]map[string]float64{
+		"parallel-4":         run(base, 4),
+		"scan-chunk-7":       run(chunked, 4),
+		"cache-budget-1":     run(tiny, 1),
+		"cache-budget-1, p4": run(tiny, 4),
+	} {
+		if !reflect.DeepEqual(want, got) {
+			t.Errorf("%s: batch-mb = %v, want %v as at -parallel 1", label, got, want)
+		}
 	}
 }

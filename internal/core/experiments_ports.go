@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"net/netip"
 	"time"
 
 	"lockdown/internal/appclass"
@@ -189,7 +188,7 @@ func runFig8(env *Env) (*Result, error) {
 
 	type weekAgg struct {
 		volume  uint64
-		uniques map[netip.Addr]bool
+		uniques map[flowrec.Addr]bool
 	}
 	var hours []time.Time
 	for t := start; t.Before(end); t = t.Add(time.Hour) {
@@ -207,7 +206,7 @@ func runFig8(env *Env) (*Result, error) {
 			w := calendar.ISOWeek(t)
 			agg, ok := part[w]
 			if !ok {
-				agg = &weekAgg{uniques: make(map[netip.Addr]bool)}
+				agg = &weekAgg{uniques: make(map[flowrec.Addr]bool)}
 				part[w] = agg
 			}
 			for i := 0; i < b.Len(); i++ {

@@ -381,10 +381,20 @@ func (env *Env) chunkEnv() *Env {
 	return &Env{
 		Options: env.Options,
 		Data:    env.Data,
-		pin:     env.Data.NewPin(),
+		pin:     env.newPin(),
 		ctx:     env.ctx,
 		scan:    env.scan,
 	}
+}
+
+// newPin returns a pin with a lifetime of its own that still reports the
+// entries it draws to the experiment's batch accounting.
+func (env *Env) newPin() *Pin {
+	p := env.Data.NewPin()
+	if env.pin != nil {
+		p.drawn = env.pin.drawn
+	}
+	return p
 }
 
 // context returns the run's context (Background for hand-built Envs).

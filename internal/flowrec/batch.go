@@ -1,7 +1,6 @@
 package flowrec
 
 import (
-	"net/netip"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -21,15 +20,18 @@ import (
 //
 // Timestamps are stored as Unix nanoseconds so the column is a flat int64
 // array; the conversion is lossless for every time the generator or the
-// codecs produce. Appending never fails: rows are plain value copies.
+// codecs produce. Addresses are stored as Addr, so no column holds a
+// pointer: batch memory is noscan, the garbage collector never walks it,
+// and a span file's bytes can stand in for any column. Appending never
+// fails: rows are plain value copies.
 //
 // A Batch is not safe for concurrent mutation. Shared read-only use (as
 // practiced by the core.Dataset cache) is safe.
 type Batch struct {
 	StartNs  []int64
 	EndNs    []int64
-	SrcIP    []netip.Addr
-	DstIP    []netip.Addr
+	SrcIP    []Addr
+	DstIP    []Addr
 	SrcPort  []uint16
 	DstPort  []uint16
 	Proto    []Proto
@@ -156,12 +158,15 @@ func timeAt(ns int64) time.Time {
 	return time.Unix(0, ns).UTC()
 }
 
-// Append adds one record as a new row.
+// Append adds one record as a new row. A record whose address carries an
+// IPv6 zone cannot be stored (see AddrFrom) and panics: no generator or
+// decoder produces one, and Record.Validate reports it beforehand.
 func (b *Batch) Append(r Record) {
+	src, dst := mustAddr(r.SrcIP), mustAddr(r.DstIP)
 	b.StartNs = append(b.StartNs, timeNs(r.Start))
 	b.EndNs = append(b.EndNs, timeNs(r.End))
-	b.SrcIP = append(b.SrcIP, r.SrcIP)
-	b.DstIP = append(b.DstIP, r.DstIP)
+	b.SrcIP = append(b.SrcIP, src)
+	b.DstIP = append(b.DstIP, dst)
 	b.SrcPort = append(b.SrcPort, r.SrcPort)
 	b.DstPort = append(b.DstPort, r.DstPort)
 	b.Proto = append(b.Proto, r.Proto)
@@ -205,8 +210,8 @@ func (b *Batch) Record(i int) Record {
 	return Record{
 		Start:    b.StartAt(i),
 		End:      b.EndAt(i),
-		SrcIP:    b.SrcIP[i],
-		DstIP:    b.DstIP[i],
+		SrcIP:    b.SrcIP[i].Netip(),
+		DstIP:    b.DstIP[i].Netip(),
 		SrcPort:  b.SrcPort[i],
 		DstPort:  b.DstPort[i],
 		Proto:    b.Proto[i],
@@ -344,13 +349,17 @@ func (b *Batch) IsView() bool {
 	return atomic.LoadUint32(&b.state) == batchView
 }
 
+// RowBytes is what one row occupies across the columns (85): the sum of the
+// column element sizes.
+const RowBytes = 2*8 + 2*int(unsafe.Sizeof(Addr{})) + 2*2 + 1 + 2*8 + 2*4 + 2*2 + 1 + 1
+
 // HeapBytes estimates the batch's heap footprint: the backing arrays of
 // all columns at their current capacity. The dataset cache budgets its
 // resident set with this figure. For a view batch it over-counts the
 // columns that alias segment memory, so the cache computes those
 // separately (see flowstore.Segment.Batch).
 func (b *Batch) HeapBytes() int64 {
-	const addrSize = int64(unsafe.Sizeof(netip.Addr{}))
+	const addrSize = int64(unsafe.Sizeof(Addr{}))
 	n := int64(cap(b.StartNs))*8 + int64(cap(b.EndNs))*8 +
 		(int64(cap(b.SrcIP))+int64(cap(b.DstIP)))*addrSize +
 		int64(cap(b.SrcPort))*2 + int64(cap(b.DstPort))*2 +

@@ -7,6 +7,12 @@
 // via NetFlow v5/v9 or IPFIX: the 5-tuple, byte and packet counters, the
 // source and destination autonomous system numbers, router interfaces and a
 // direction label. Records never carry payload.
+//
+// Record is the edge type: one flow with time.Time stamps and netip.Addr
+// endpoints, for fixtures, reference implementations and anything that
+// hands a flow to code outside this repository. The data path moves
+// flows as a Batch, whose columns are flat and pointer-free; there the
+// address type is Addr, and Batch.Record / Batch.Append convert.
 package flowrec
 
 import (
@@ -199,11 +205,16 @@ func (r Record) ServerPort() PortProto {
 }
 
 // Validate reports whether the record is internally consistent: addresses
-// are valid, the time interval is ordered and counters are plausible
-// (packets implies bytes).
+// are valid and storable in a batch (no IPv6 zone), the time interval is
+// ordered and counters are plausible (packets implies bytes).
 func (r Record) Validate() error {
 	if !r.SrcIP.IsValid() || !r.DstIP.IsValid() {
 		return fmt.Errorf("flowrec: invalid address src=%v dst=%v", r.SrcIP, r.DstIP)
+	}
+	for _, a := range [...]netip.Addr{r.SrcIP, r.DstIP} {
+		if _, err := AddrFrom(a); err != nil {
+			return err
+		}
 	}
 	if r.End.Before(r.Start) {
 		return fmt.Errorf("flowrec: end %v before start %v", r.End, r.Start)

@@ -1,7 +1,7 @@
 // Package flowstore persists flowrec.Batch values as columnar spans of
 // append-only span files and maps them back as read-only views, so the
 // dataset cache of package core can spill cold component-hours to disk
-// and fault them back in without a decode step for the numeric columns.
+// and fault them back in without a decode step.
 //
 // A span is the column data of one batch (the file format around it is
 // described at SpanFile):
@@ -9,8 +9,7 @@
 //	┌────────────────────────────────────────────────────────────┐
 //	│ page-aligned start, each blob 64-byte aligned:             │
 //	│   StartNs  int64 ×rows   │ EndNs    int64 ×rows            │
-//	│   SrcAddr  16 B  ×rows   │ SrcVer   1 B ×rows              │
-//	│   DstAddr  16 B  ×rows   │ DstVer   1 B ×rows              │
+//	│   SrcAddr  17 B  ×rows   │ DstAddr  17 B  ×rows            │
 //	│   SrcPort/DstPort uint16 │ Proto    1 B                    │
 //	│   Bytes/Packets  uint64  │ SrcAS/DstAS uint32              │
 //	│   InIf/OutIf     uint16  │ Dir 1 B  │ TCPFlags 1 B         │
@@ -18,25 +17,28 @@
 //
 // A span carries no header of its own: its row count fixes the layout,
 // and the row count, size and CRC-64 travel in the span's reference
-// (SpanRef). All fixed-width values are little-endian. On a
-// little-endian host the numeric columns of a faulted span are returned
-// as zero-copy slices straight into the mapping (the blob alignment
-// makes the casts legal); on big-endian or misaligned mappings they are
-// decoded into heap slices instead, so the format is portable either
-// way. The two IP address columns are always materialised into
-// []netip.Addr on fault — netip.Addr holds an internal pointer, so it
-// can never alias a file.
+// (SpanRef). All fixed-width values are little-endian; an address is a
+// flowrec.Addr as it sits in memory, 16-byte slot then family byte. On a
+// little-endian host every column of a faulted span is a zero-copy slice
+// straight into the mapping (the blob alignment makes the casts legal);
+// on big-endian or misaligned mappings the multi-byte numeric columns
+// are decoded into heap slices instead, so the format is portable either
+// way. The byte-typed columns — addresses included — alias the span on
+// any host.
 //
 // The span's CRC is verified before any row is served, so a truncated
 // or corrupted file surfaces as an error from Span — never as wrong
 // rows — and the cache regenerates the batch from its source instead.
+// A checksum only proves the bytes are the ones written, so the address
+// columns of a view are also checked for canonical form
+// (flowrec.CheckAddrs): a row no writer could have produced fails the
+// fault the same way.
 package flowstore
 
 import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc64"
-	"net/netip"
 	"sync"
 	"unsafe"
 
@@ -55,9 +57,7 @@ const (
 	colStartNs = iota
 	colEndNs
 	colSrcAddr
-	colSrcVer
 	colDstAddr
-	colDstVer
 	colSrcPort
 	colDstPort
 	colProto
@@ -75,21 +75,14 @@ const (
 // colWidth is the per-row byte width of each blob.
 var colWidth = [numCols]int{
 	colStartNs: 8, colEndNs: 8,
-	colSrcAddr: 16, colSrcVer: 1, colDstAddr: 16, colDstVer: 1,
+	colSrcAddr: addrWidth, colDstAddr: addrWidth,
 	colSrcPort: 2, colDstPort: 2, colProto: 1,
 	colBytes: 8, colPackets: 8, colSrcAS: 4, colDstAS: 4,
 	colInIf: 2, colOutIf: 2, colDir: 1, colTCPFlags: 1,
 }
 
-// Address version markers stored in the SrcVer/DstVer blobs. They
-// preserve the exact netip.Addr representation (an IPv4 address and its
-// v4-in-6 mapped form compare unequal), so a faulted-in batch is
-// indistinguishable from the generated one.
-const (
-	addrInvalid = 0 // the zero netip.Addr
-	addrV4      = 4 // Is4: last 4 bytes of the 16-byte slot
-	addrV6      = 6 // everything else, including v4-in-6
-)
+// addrWidth is the size of a flowrec.Addr, in memory and on file.
+const addrWidth = int(unsafe.Sizeof(flowrec.Addr{}))
 
 var crcTable = crc64.MakeTable(crc64.ECMA)
 
@@ -118,8 +111,8 @@ func layout(rows int) (offs [numCols]int, size int) {
 var writeBufPool sync.Pool
 
 // getWriteBuf returns a zeroed buffer of exactly size bytes. Zeroing a
-// pooled buffer is required, not cosmetic: alignment gaps and the unused
-// parts of address slots are never overwritten and must read as zero.
+// pooled buffer is required, not cosmetic: the alignment gaps are never
+// overwritten and must read as zero.
 func getWriteBuf(size int) []byte {
 	if v := writeBufPool.Get(); v != nil {
 		if buf := v.([]byte); cap(buf) >= size {
@@ -132,37 +125,30 @@ func getWriteBuf(size int) []byte {
 }
 
 // encodeSpan writes the batch's span image into buf, a zeroed buffer of
-// the layout's size. Batches whose addresses carry IPv6 zones are
-// rejected: zones are interned strings that cannot round-trip a file.
-func encodeSpan(buf []byte, offs [numCols]int, b *flowrec.Batch) error {
+// the layout's size.
+func encodeSpan(buf []byte, offs [numCols]int, b *flowrec.Batch) {
 	putInt64s(buf, offs[colStartNs], b.StartNs)
 	putInt64s(buf, offs[colEndNs], b.EndNs)
-	if err := putAddrs(buf, offs[colSrcAddr], offs[colSrcVer], b.SrcIP); err != nil {
-		return fmt.Errorf("flowstore: src addresses: %w", err)
-	}
-	if err := putAddrs(buf, offs[colDstAddr], offs[colDstVer], b.DstIP); err != nil {
-		return fmt.Errorf("flowstore: dst addresses: %w", err)
-	}
+	copy(buf[offs[colSrcAddr]:], rawBytes(b.SrcIP))
+	copy(buf[offs[colDstAddr]:], rawBytes(b.DstIP))
 	putUint16s(buf, offs[colSrcPort], b.SrcPort)
 	putUint16s(buf, offs[colDstPort], b.DstPort)
-	copy(buf[offs[colProto]:], protoBytes(b.Proto))
+	copy(buf[offs[colProto]:], rawBytes(b.Proto))
 	putUint64s(buf, offs[colBytes], b.Bytes)
 	putUint64s(buf, offs[colPackets], b.Packets)
 	putUint32s(buf, offs[colSrcAS], b.SrcAS)
 	putUint32s(buf, offs[colDstAS], b.DstAS)
 	putUint16s(buf, offs[colInIf], b.InIf)
 	putUint16s(buf, offs[colOutIf], b.OutIf)
-	copy(buf[offs[colDir]:], dirBytes(b.Dir))
+	copy(buf[offs[colDir]:], rawBytes(b.Dir))
 	copy(buf[offs[colTCPFlags]:], b.TCPFlags)
-	return nil
 }
 
 // Segment is one faulted, checksum-verified span. On linux the span is
-// mmap'ed read-only and the numeric columns of Batch alias the mapping
-// directly; elsewhere (or when mmap fails) the span is read onto the
-// heap and the same views point there. A Segment stays valid until
-// Close; the owner must not Close it while view batches built from it
-// are in use.
+// mmap'ed read-only and the columns of Batch alias the mapping directly;
+// elsewhere (or when mmap fails) the span is read onto the heap and the
+// same views point there. A Segment stays valid until Close; the owner
+// must not Close it while view batches built from it are in use.
 type Segment struct {
 	data   []byte
 	mapped bool
@@ -182,19 +168,33 @@ func (s *Segment) col(c int) []byte {
 	return s.data[s.offs[c] : s.offs[c]+s.rows*colWidth[c]]
 }
 
-// Batch builds a read-only view batch over the span. Numeric columns
-// alias the span memory when the host allows it (little-endian,
-// aligned mapping); the address columns are always decoded onto the heap.
-// The returned batch is marked as a view (flowrec.Batch.IsView), its
-// columns have len == cap so appends copy, and it must not be used after
-// the segment is closed. heapBytes is the estimated heap footprint of the
-// view — the part of the batch the OS cannot reclaim by dropping pages.
+// Batch builds a read-only view batch over the span. Columns alias the
+// span memory when the host allows it (always for the byte-typed ones;
+// little-endian and an aligned mapping for the rest) and are decoded
+// onto the heap otherwise. The address columns are checked for canonical
+// form first; a span that fails serves no rows. The returned batch is
+// marked as a view (flowrec.Batch.IsView), its columns have len == cap
+// so appends copy, and it must not be used after the segment is closed.
+// heapBytes is the heap footprint of the view — the part of the batch
+// the OS cannot reclaim by dropping pages: the decoded columns, and the
+// whole span when it is a heap buffer rather than a mapping.
 func (s *Segment) Batch() (b *flowrec.Batch, heapBytes int64, err error) {
 	rows := s.rows
 	b = &flowrec.Batch{}
-	heapBytes = int64(unsafe.Sizeof(flowrec.Batch{}))
 
-	var copied int64 // bytes that landed on the heap instead of aliasing the map
+	b.SrcIP = viewBytes[flowrec.Addr](s.col(colSrcAddr), rows)
+	if err := flowrec.CheckAddrs(b.SrcIP); err != nil {
+		return nil, 0, fmt.Errorf("flowstore: src addresses: %w", err)
+	}
+	b.DstIP = viewBytes[flowrec.Addr](s.col(colDstAddr), rows)
+	if err := flowrec.CheckAddrs(b.DstIP); err != nil {
+		return nil, 0, fmt.Errorf("flowstore: dst addresses: %w", err)
+	}
+	b.Proto = viewBytes[flowrec.Proto](s.col(colProto), rows)
+	b.Dir = viewBytes[flowrec.Direction](s.col(colDir), rows)
+	b.TCPFlags = viewBytes[uint8](s.col(colTCPFlags), rows)
+
+	var copied int64 // bytes that landed on the heap instead of aliasing the span
 	b.StartNs, copied = viewInt64(s.col(colStartNs), rows, copied)
 	b.EndNs, copied = viewInt64(s.col(colEndNs), rows, copied)
 	b.SrcPort, copied = viewUint16(s.col(colSrcPort), rows, copied)
@@ -205,21 +205,11 @@ func (s *Segment) Batch() (b *flowrec.Batch, heapBytes int64, err error) {
 	b.DstAS, copied = viewUint32(s.col(colDstAS), rows, copied)
 	b.InIf, copied = viewUint16(s.col(colInIf), rows, copied)
 	b.OutIf, copied = viewUint16(s.col(colOutIf), rows, copied)
-	// Single-byte columns can alias the mapping on any host.
-	b.Proto = viewProtos(s.col(colProto), rows)
-	b.Dir = viewDirs(s.col(colDir), rows)
-	b.TCPFlags = s.col(colTCPFlags)[:rows:rows]
 
-	b.SrcIP, err = decodeAddrs(s.col(colSrcAddr), s.col(colSrcVer), rows)
-	if err != nil {
-		return nil, 0, fmt.Errorf("flowstore: src addresses: %w", err)
+	heapBytes = int64(unsafe.Sizeof(flowrec.Batch{})) + copied
+	if !s.mapped {
+		heapBytes += int64(len(s.data))
 	}
-	b.DstIP, err = decodeAddrs(s.col(colDstAddr), s.col(colDstVer), rows)
-	if err != nil {
-		return nil, 0, fmt.Errorf("flowstore: dst addresses: %w", err)
-	}
-	heapBytes += copied + 2*int64(rows)*int64(unsafe.Sizeof(netip.Addr{}))
-
 	b.MarkView()
 	return b, heapBytes, nil
 }
@@ -240,51 +230,6 @@ func (s *Segment) Close() error {
 	return unmapSpan(data, mapped)
 }
 
-// decodeAddrs materialises one address column.
-func decodeAddrs(addr, ver []byte, rows int) ([]netip.Addr, error) {
-	if rows == 0 {
-		return nil, nil
-	}
-	out := make([]netip.Addr, rows)
-	for i := 0; i < rows; i++ {
-		slot := addr[i*16 : i*16+16]
-		switch ver[i] {
-		case addrInvalid:
-			// leave the zero Addr
-		case addrV4:
-			out[i] = netip.AddrFrom4([4]byte(slot[12:16]))
-		case addrV6:
-			out[i] = netip.AddrFrom16([16]byte(slot))
-		default:
-			return nil, fmt.Errorf("row %d: unknown address version %d", i, ver[i])
-		}
-	}
-	return out, nil
-}
-
-// putAddrs encodes one address column into its two blobs.
-func putAddrs(buf []byte, addrOff, verOff int, addrs []netip.Addr) error {
-	for i, a := range addrs {
-		if a.Zone() != "" {
-			return fmt.Errorf("row %d: address %v has a zone; zones cannot be persisted", i, a)
-		}
-		slot := buf[addrOff+i*16 : addrOff+i*16+16]
-		switch {
-		case !a.IsValid():
-			buf[verOff+i] = addrInvalid
-		case a.Is4():
-			b4 := a.As4()
-			copy(slot[12:16], b4[:])
-			buf[verOff+i] = addrV4
-		default:
-			b16 := a.As16()
-			copy(slot, b16[:])
-			buf[verOff+i] = addrV6
-		}
-	}
-	return nil
-}
-
 // ---- column encoding / view helpers ----
 //
 // On a little-endian host the on-file representation of the numeric
@@ -292,14 +237,25 @@ func putAddrs(buf []byte, addrOff, verOff int, addrs []netip.Addr) error {
 // and decoding is a pointer cast (when the blob is suitably aligned).
 // The per-element fallbacks keep the format correct everywhere else.
 
-// rawBytes views a numeric slice as its backing bytes (little-endian
-// hosts only).
+// rawBytes views a column as its backing bytes: the file representation
+// of a byte-typed column on any host, of a numeric one on little-endian
+// hosts only.
 func rawBytes[T any](s []T) []byte {
 	if len(s) == 0 {
 		return nil
 	}
 	var t T
 	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s)*int(unsafe.Sizeof(t)))
+}
+
+// viewBytes reinterprets a blob as a column of a byte-typed element
+// (alignment 1: uint8, Proto, Direction, Addr) with len == cap; legal on
+// any host and at any address.
+func viewBytes[T any](blob []byte, rows int) []T {
+	if rows == 0 {
+		return nil
+	}
+	return unsafe.Slice((*T)(unsafe.Pointer(&blob[0])), rows)[:rows:rows]
 }
 
 // view casts a blob to a typed column slice with len == cap when the host
@@ -349,35 +305,6 @@ func viewUint16(blob []byte, rows int, copied int64) ([]uint16, int64) {
 			out[i] = binary.LittleEndian.Uint16(b[i*2:])
 		}
 	})
-}
-
-// viewProtos / viewDirs reinterpret single-byte blobs; safe on any host.
-func viewProtos(blob []byte, rows int) []flowrec.Proto {
-	if rows == 0 {
-		return nil
-	}
-	return unsafe.Slice((*flowrec.Proto)(unsafe.Pointer(&blob[0])), rows)[:rows:rows]
-}
-
-func viewDirs(blob []byte, rows int) []flowrec.Direction {
-	if rows == 0 {
-		return nil
-	}
-	return unsafe.Slice((*flowrec.Direction)(unsafe.Pointer(&blob[0])), rows)[:rows:rows]
-}
-
-func protoBytes(s []flowrec.Proto) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s))
-}
-
-func dirBytes(s []flowrec.Direction) []byte {
-	if len(s) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&s[0])), len(s))
 }
 
 func putInt64s(buf []byte, off int, s []int64) {

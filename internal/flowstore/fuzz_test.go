@@ -8,7 +8,8 @@ import (
 
 // FuzzOpenSpanned feeds arbitrary bytes to the sealed-file reader. The
 // seeds are a writer-produced sealed file, the same file never sealed
-// (what a killed run leaves) and every shape of damageShapes. Whatever
+// (what a killed run leaves) and every shape of damageShapes and
+// hostileShapes. Whatever
 // the input, opening and faulting must not panic, must not map a span
 // reaching past the end of the file (a fault there is a SIGBUS, which
 // would kill the fuzzer), and every span that is served must be row for
@@ -25,6 +26,9 @@ func FuzzOpenSpanned(f *testing.F) {
 	f.Add(unsealed[:len(unsealed)-3*indexEntrySize])
 	for _, shape := range damageShapes {
 		f.Add(shape.mutate(append([]byte(nil), raw...)))
+	}
+	for _, mutate := range hostileShapes {
+		f.Add(mutate(append([]byte(nil), raw...)))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

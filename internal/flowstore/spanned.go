@@ -40,7 +40,7 @@ import (
 // sealing has no magic and is rejected whole.
 const (
 	spanMagic      = "LFSS"
-	spanVersion    = 2
+	spanVersion    = 3
 	headerSize     = 4096
 	spanAlign      = headerSize // page alignment of spans and the index
 	indexEntrySize = 32
@@ -139,9 +139,7 @@ func (sf *SpanFile) appendSpan(b *flowrec.Batch) (ref SpanRef, full bool, err er
 	offs, size := layout(b.Len())
 	buf := getWriteBuf(size)
 	defer writeBufPool.Put(buf)
-	if err := encodeSpan(buf, offs, b); err != nil {
-		return SpanRef{}, false, err
-	}
+	encodeSpan(buf, offs, b)
 	ref = SpanRef{Size: int64(size), Rows: b.Len(), CRC: crc64.Checksum(buf, crcTable)}
 
 	sf.mu.Lock()
@@ -390,7 +388,7 @@ type DirStats struct {
 	Files    int   // sealed span files with an intact header and index
 	Bytes    int64 // their total size
 	Spans    int   // spans across them that verify
-	SpansBad int   // spans failing their checksum or bounds
+	SpansBad int   // spans failing their checksum, bounds or address check
 	FilesBad int   // span files rejected whole: unsealed, truncated, damaged
 	BadFiles []string
 }
@@ -420,13 +418,16 @@ func StatDir(dir string) (*DirStats, error) {
 		st.Bytes += sf.end + int64(len(sf.index))*indexEntrySize
 		for i, ref := range sf.index {
 			seg, err := sf.span(ref)
+			if err == nil {
+				_, _, err = seg.Batch()
+				seg.Close()
+			}
 			if err != nil {
 				st.SpansBad++
 				st.BadFiles = append(st.BadFiles, fmt.Sprintf("%s[span %d]", path, i))
 				continue
 			}
 			st.Spans++
-			seg.Close()
 		}
 		sf.Close()
 	}

@@ -26,7 +26,6 @@ package netflow
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 	"slices"
 	"time"
 
@@ -163,31 +162,25 @@ func DecodeV5Batch(dst *flowrec.Batch, pkt []byte) (V5Header, error) {
 		FlowSequence: be.Uint32(pkt[16:]),
 		Count:        count,
 	}
-	bootTime := export.Add(-uptime)
+	bootNs := export.UnixNano() - int64(uptime)
 	dst.Grow(count)
 	for i := 0; i < count; i++ {
-		off := v5HeaderLen + i*v5RecordLen
-		var src, dip [4]byte
-		copy(src[:], pkt[off+0:off+4])
-		copy(dip[:], pkt[off+4:off+8])
-		first := time.Duration(be.Uint32(pkt[off+24:])) * time.Millisecond
-		last := time.Duration(be.Uint32(pkt[off+28:])) * time.Millisecond
-		dst.Append(flowrec.Record{
-			SrcIP:    netip.AddrFrom4(src),
-			DstIP:    netip.AddrFrom4(dip),
-			InIf:     be.Uint16(pkt[off+12:]),
-			OutIf:    be.Uint16(pkt[off+14:]),
-			Packets:  uint64(be.Uint32(pkt[off+16:])),
-			Bytes:    uint64(be.Uint32(pkt[off+20:])),
-			Start:    bootTime.Add(first),
-			End:      bootTime.Add(last),
-			SrcPort:  be.Uint16(pkt[off+32:]),
-			DstPort:  be.Uint16(pkt[off+34:]),
-			TCPFlags: pkt[off+37],
-			Proto:    flowrec.Proto(pkt[off+38]),
-			SrcAS:    uint32(be.Uint16(pkt[off+40:])),
-			DstAS:    uint32(be.Uint16(pkt[off+42:])),
-		})
+		rec := pkt[v5HeaderLen+i*v5RecordLen:][:v5RecordLen]
+		dst.StartNs = append(dst.StartNs, bootNs+int64(be.Uint32(rec[24:]))*int64(time.Millisecond))
+		dst.EndNs = append(dst.EndNs, bootNs+int64(be.Uint32(rec[28:]))*int64(time.Millisecond))
+		dst.SrcIP = append(dst.SrcIP, flowrec.AddrFrom4([4]byte(rec[0:4])))
+		dst.DstIP = append(dst.DstIP, flowrec.AddrFrom4([4]byte(rec[4:8])))
+		dst.SrcPort = append(dst.SrcPort, be.Uint16(rec[32:]))
+		dst.DstPort = append(dst.DstPort, be.Uint16(rec[34:]))
+		dst.Proto = append(dst.Proto, flowrec.Proto(rec[38]))
+		dst.Bytes = append(dst.Bytes, uint64(be.Uint32(rec[20:])))
+		dst.Packets = append(dst.Packets, uint64(be.Uint32(rec[16:])))
+		dst.SrcAS = append(dst.SrcAS, uint32(be.Uint16(rec[40:])))
+		dst.DstAS = append(dst.DstAS, uint32(be.Uint16(rec[42:])))
+		dst.InIf = append(dst.InIf, be.Uint16(rec[12:]))
+		dst.OutIf = append(dst.OutIf, be.Uint16(rec[14:]))
+		dst.Dir = append(dst.Dir, flowrec.DirUnknown)
+		dst.TCPFlags = append(dst.TCPFlags, rec[37])
 	}
 	return h, nil
 }

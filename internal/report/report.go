@@ -134,8 +134,8 @@ func WriteJSONAll(w io.Writer, rs []*core.Result) error {
 	return enc.Encode(rs)
 }
 
-// WriteTimings renders the engine's per-experiment wall-time and
-// allocation stats (the runtime metrics stamped by core.Engine) as a
+// WriteTimings renders the engine's per-experiment wall time and batch
+// memory read (the runtime metrics stamped by core.Engine) as a
 // bench-style summary table, slowest first, followed by the total. The
 // scan columns expose the intra-experiment sharding activity: how many
 // grid chunks the experiment's sharded scans processed, how many extra
@@ -145,7 +145,7 @@ func WriteTimings(w io.Writer, rs []*core.Result) error {
 	type row struct {
 		id         string
 		wallMS     float64
-		allocMB    float64
+		batchMB    float64
 		chunks     float64
 		extra      float64
 		prefetched float64
@@ -156,22 +156,22 @@ func WriteTimings(w io.Writer, rs []*core.Result) error {
 		rw := row{
 			id:         r.ID,
 			wallMS:     r.Metric(core.MetricWallMS),
-			allocMB:    r.Metric(core.MetricAllocMB),
+			batchMB:    r.Metric(core.MetricBatchMB),
 			chunks:     r.Metric(core.MetricScanChunks),
 			extra:      r.Metric(core.MetricScanWorkers),
 			prefetched: r.Metric(core.MetricScanPrefetch),
 		}
 		totalMS += rw.wallMS
-		totalMB += rw.allocMB
+		totalMB += rw.batchMB
 		totalChunks += rw.chunks
 		totalExtra += rw.extra
 		totalPrefetched += rw.prefetched
 		rows = append(rows, rw)
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].wallMS > rows[j].wallMS })
-	t := core.Table{Title: "Timing summary (slowest first)", Columns: []string{"experiment", "wall ms", "alloc MB", "scan chunks", "extra workers", "prefetched"}}
+	t := core.Table{Title: "Timing summary (slowest first)", Columns: []string{"experiment", "wall ms", "batch MB", "scan chunks", "extra workers", "prefetched"}}
 	for _, rw := range rows {
-		t.Rows = append(t.Rows, []string{rw.id, fmt.Sprintf("%.1f", rw.wallMS), fmt.Sprintf("%.1f", rw.allocMB),
+		t.Rows = append(t.Rows, []string{rw.id, fmt.Sprintf("%.1f", rw.wallMS), fmt.Sprintf("%.1f", rw.batchMB),
 			fmt.Sprintf("%.0f", rw.chunks), fmt.Sprintf("%.0f", rw.extra), fmt.Sprintf("%.0f", rw.prefetched)})
 	}
 	t.Rows = append(t.Rows, []string{"TOTAL (cpu)", fmt.Sprintf("%.1f", totalMS), fmt.Sprintf("%.1f", totalMB),

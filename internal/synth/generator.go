@@ -23,9 +23,10 @@ type Generator struct {
 	vpnGateways []gateway
 }
 
-// gateway is a VPN gateway address and the AS owning its prefix.
+// gateway is a VPN gateway address, in column form, and the AS owning
+// its prefix.
 type gateway struct {
-	addr netip.Addr
+	addr flowrec.Addr
 	asn  uint32
 }
 
@@ -97,8 +98,10 @@ func MustNewDefault(vp VantagePoint) *Generator {
 func (g *Generator) SetVPNGateways(addrs []netip.Addr) {
 	g.vpnGateways = nil
 	for _, a := range addrs {
-		if as, ok := g.reg.LookupIP(a); ok {
-			g.vpnGateways = append(g.vpnGateways, gateway{addr: a, asn: as.ASN})
+		as, ok := g.reg.LookupIP(a)
+		col, err := flowrec.AddrFrom(a)
+		if ok && err == nil {
+			g.vpnGateways = append(g.vpnGateways, gateway{addr: col, asn: as.ASN})
 		}
 	}
 }

@@ -18,7 +18,6 @@ package tmpl
 import (
 	"encoding/binary"
 	"fmt"
-	"net/netip"
 	"slices"
 	"time"
 
@@ -394,7 +393,18 @@ func (d *Decoder) parseData(dst *flowrec.Batch, stream uint32, tplID uint16, bod
 	// steady-state decode path still performs exactly one bulk grow.
 	dst.Grow(min(len(body)/tpl.recLen, maxGrowRows))
 	for off := 0; off+tpl.recLen <= len(body); off += tpl.recLen {
-		var r flowrec.Record
+		// One row in column types; a field the template lacks stays zero.
+		var (
+			startNs, endNs   int64
+			srcIP, dstIP     flowrec.Addr
+			srcPort, dstPort uint16
+			proto            flowrec.Proto
+			bytes, packets   uint64
+			srcAS, dstAS     uint32
+			inIf, outIf      uint16
+			dir              flowrec.Direction
+			tcpFlags         uint8
+		)
 		pos := off
 		for _, fl := range tpl.fields {
 			v := body[pos : pos+int(fl.length)]
@@ -403,40 +413,54 @@ func (d *Decoder) parseData(dst *flowrec.Batch, stream uint32, tplID uint16, bod
 			case colSrcIP:
 				var a [4]byte
 				copy(a[:], v)
-				r.SrcIP = netip.AddrFrom4(a)
+				srcIP = flowrec.AddrFrom4(a)
 			case colDstIP:
 				var a [4]byte
 				copy(a[:], v)
-				r.DstIP = netip.AddrFrom4(a)
+				dstIP = flowrec.AddrFrom4(a)
 			case colBytes:
-				r.Bytes = beUint(v)
+				bytes = beUint(v)
 			case colPackets:
-				r.Packets = beUint(v)
+				packets = beUint(v)
 			case colStart:
-				r.Start = time.Unix(int64(beUint(v)), 0).UTC()
+				startNs = int64(beUint(v)) * int64(time.Second)
 			case colEnd:
-				r.End = time.Unix(int64(beUint(v)), 0).UTC()
+				endNs = int64(beUint(v)) * int64(time.Second)
 			case colSrcPort:
-				r.SrcPort = uint16(beUint(v))
+				srcPort = uint16(beUint(v))
 			case colDstPort:
-				r.DstPort = uint16(beUint(v))
+				dstPort = uint16(beUint(v))
 			case colProto:
-				r.Proto = flowrec.Proto(v[0])
+				proto = flowrec.Proto(v[0])
 			case colTCPFlags:
-				r.TCPFlags = v[0]
+				tcpFlags = v[0]
 			case colDir:
-				r.Dir = flowrec.Direction(v[0])
+				dir = flowrec.Direction(v[0])
 			case colInIf:
-				r.InIf = uint16(beUint(v))
+				inIf = uint16(beUint(v))
 			case colOutIf:
-				r.OutIf = uint16(beUint(v))
+				outIf = uint16(beUint(v))
 			case colSrcAS:
-				r.SrcAS = uint32(beUint(v))
+				srcAS = uint32(beUint(v))
 			case colDstAS:
-				r.DstAS = uint32(beUint(v))
+				dstAS = uint32(beUint(v))
 			}
 		}
-		dst.Append(r)
+		dst.StartNs = append(dst.StartNs, startNs)
+		dst.EndNs = append(dst.EndNs, endNs)
+		dst.SrcIP = append(dst.SrcIP, srcIP)
+		dst.DstIP = append(dst.DstIP, dstIP)
+		dst.SrcPort = append(dst.SrcPort, srcPort)
+		dst.DstPort = append(dst.DstPort, dstPort)
+		dst.Proto = append(dst.Proto, proto)
+		dst.Bytes = append(dst.Bytes, bytes)
+		dst.Packets = append(dst.Packets, packets)
+		dst.SrcAS = append(dst.SrcAS, srcAS)
+		dst.DstAS = append(dst.DstAS, dstAS)
+		dst.InIf = append(dst.InIf, inIf)
+		dst.OutIf = append(dst.OutIf, outIf)
+		dst.Dir = append(dst.Dir, dir)
+		dst.TCPFlags = append(dst.TCPFlags, tcpFlags)
 	}
 	return nil
 }

@@ -47,20 +47,28 @@ const laneCandidate = 3
 
 // Detector classifies flow records as VPN traffic.
 type Detector struct {
-	vpnPorts   map[flowrec.PortProto]bool
-	candidates map[netip.Addr]bool
+	vpnPorts map[flowrec.PortProto]bool
+	// candidates is keyed by the column form of the address, so the
+	// batch kernel looks a row up without converting it.
+	candidates map[flowrec.Addr]bool
 	// lanes is the port table of the batch kernel: VPN ports to ByPort,
 	// TCP/443 to laneCandidate, everything else to NotVPN.
 	lanes *flowrec.PortLanes
 }
 
 // New builds a detector from the candidate address set (may be nil, in
-// which case only port-based detection is available).
+// which case only port-based detection is available). A candidate with
+// an IPv6 zone is dropped: no flow column can hold its equal.
 func New(candidates map[netip.Addr]bool) *Detector {
 	d := &Detector{
 		vpnPorts:   make(map[flowrec.PortProto]bool),
-		candidates: candidates,
+		candidates: make(map[flowrec.Addr]bool, len(candidates)),
 		lanes:      flowrec.NewPortLanes(uint8(NotVPN)),
+	}
+	for ip, ok := range candidates {
+		if a, err := flowrec.AddrFrom(ip); err == nil {
+			d.candidates[a] = ok
+		}
 	}
 	for _, p := range ports.VPNPorts() {
 		d.vpnPorts[p] = true
@@ -82,14 +90,12 @@ func (d *Detector) Candidates() int { return len(d.candidates) }
 
 // classify is the shared core of the record and batch paths: the two
 // methods need only the service-side port and the endpoint addresses.
-func (d *Detector) classify(sp flowrec.PortProto, src, dst netip.Addr) Method {
+func (d *Detector) classify(sp flowrec.PortProto, src, dst flowrec.Addr) Method {
 	if d.vpnPorts[sp] {
 		return ByPort
 	}
-	if sp.Proto == flowrec.ProtoTCP && sp.Port == 443 && d.candidates != nil {
-		if d.candidates[src] || d.candidates[dst] {
-			return ByDomain
-		}
+	if sp.Proto == flowrec.ProtoTCP && sp.Port == 443 && (d.candidates[src] || d.candidates[dst]) {
+		return ByDomain
 	}
 	return NotVPN
 }
@@ -99,7 +105,11 @@ func (d *Detector) classify(sp flowrec.PortProto, src, dst netip.Addr) Method {
 // method only considers HTTPS (TCP/443) flows, mirroring the paper's
 // conservative approach.
 func (d *Detector) Classify(r flowrec.Record) Method {
-	return d.classify(r.ServerPort(), r.SrcIP, r.DstIP)
+	// A zoned address converts to the zero Addr and is looked up as an
+	// unset one would be.
+	src, _ := flowrec.AddrFrom(r.SrcIP)
+	dst, _ := flowrec.AddrFrom(r.DstIP)
+	return d.classify(r.ServerPort(), src, dst)
 }
 
 // ClassifyAt classifies batch row i, reading only the port and address
@@ -119,9 +129,8 @@ func (d *Detector) Split(recs []flowrec.Record) map[Method]float64 {
 
 // methodLanes runs the shared lane scan of the batch kernels over rows
 // [lo, hi): a bulk port-lane pass, then a fixup resolving laneCandidate
-// (TCP/443) rows against the candidate address set — a nil set resolves
-// them all to NotVPN, matching classify's nil guard. After it, every
-// lane is a Method value.
+// (TCP/443) rows against the candidate address set (an empty one
+// resolves them all to NotVPN). After it, every lane is a Method value.
 func (d *Detector) methodLanes(b *flowrec.Batch, lo, hi int, lanes []uint8) {
 	b.ServerPortLanes(d.lanes, lo, hi, lanes)
 	src := b.SrcIP[lo:hi]
