@@ -45,22 +45,22 @@ func TestCacheStatKilledRun(t *testing.T) {
 		t.Fatal("cache compact is gone and must be refused")
 	}
 
-	// A sealed file of the previous format version (16-byte address blobs
-	// with separate version bytes) is counted bad, not misread.
+	// A sealed file of the previous format version (every span full-width,
+	// index entries without a column set) is counted bad, not misread.
 	sealed := filepath.Join(dir, "spill-000001"+flowstore.SpannedExt)
 	raw, err := os.ReadFile(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw[4] != 3 {
-		t.Fatalf("header version byte = %d, want 3", raw[4])
+	if raw[4] != 4 {
+		t.Fatalf("header version byte = %d, want 4", raw[4])
 	}
-	raw[4] = 2
+	raw[4] = 3
 	if err := os.WriteFile(sealed, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = run(context.Background(), []string{"cache", "stat", dir})
 	if err == nil || !strings.Contains(err.Error(), "2 bad") {
-		t.Fatalf("cache stat with an unsealed and a version-2 file = %v, want a 2-bad-files error", err)
+		t.Fatalf("cache stat with an unsealed and a version-3 file = %v, want a 2-bad-files error", err)
 	}
 }

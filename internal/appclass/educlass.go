@@ -94,6 +94,11 @@ func ClassifyEDU(r flowrec.Record) EDUClass {
 	return classifyEDU(r.SrcAS, r.DstAS, r.ServerPort())
 }
 
+// EDUColumns is what the Appendix B batch scans (ClassifyEDUAt,
+// CountEDUByClassDirBatch) read of a batch: the server-port columns, both
+// AS numbers and the direction.
+const EDUColumns = flowrec.PortLaneColumns | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColDir
+
 // ClassifyEDUAt attributes batch row i, reading only the AS and port
 // columns.
 func ClassifyEDUAt(b *flowrec.Batch, i int) EDUClass {

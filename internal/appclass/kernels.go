@@ -115,6 +115,11 @@ func (p *program) asnBits(as uint32) uint64 {
 	return p.asnTab[idx] & m
 }
 
+// Columns is what the Classifier's batch scans (ClassifyAt, the
+// VolumeByClass family) read of a batch: the server-port columns, both AS
+// numbers and the byte counter.
+const Columns = flowrec.PortLaneColumns | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColBytes
+
 // laneOf classifies one flow from the three values classification
 // depends on, returning the class lane (index in evaluation order;
 // len(order) for unclassified).

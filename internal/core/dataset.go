@@ -111,7 +111,10 @@ type flowEntry struct {
 	key   string
 	build func() (*flowrec.Batch, error)
 
-	rows int // of the batch, in whichever tier it is
+	// rows and cols of the batch as the source delivered it, in whichever
+	// tier it is.
+	rows int
+	cols flowrec.Columns
 
 	mu        sync.Mutex
 	pins      atomic.Int32
@@ -198,16 +201,20 @@ func (d *Dataset) get(key string, build func() (any, error)) (any, error) {
 // getFlow is get for spillable flow batches: the first access generates
 // the batch inside the per-key once; later accesses return the resident
 // batch or fault it back in from its span. pin (optional) keeps the
-// entry resident until the pin is released.
-func (d *Dataset) getFlow(key string, pin *Pin, build func() (*flowrec.Batch, error)) (*flowrec.Batch, error) {
+// entry resident until the pin is released. need is the column set of
+// the batch's kind: a source may deliver more, never less.
+func (d *Dataset) getFlow(key string, pin *Pin, need flowrec.Columns, build func() (*flowrec.Batch, error)) (*flowrec.Batch, error) {
 	e := d.entry(key)
 	e.once.Do(func() {
 		b, err := build()
+		if err == nil {
+			err = b.Require(need)
+		}
 		if err != nil {
 			e.err = err
 			return
 		}
-		fe := &flowEntry{key: key, build: build, rows: b.Len(), batch: b, heapBytes: b.HeapBytes()}
+		fe := &flowEntry{key: key, build: build, rows: b.Len(), cols: b.Columns(), batch: b, heapBytes: b.HeapBytes()}
 		e.val = fe
 		d.link(fe, fe.heapBytes, false)
 	})
@@ -252,10 +259,11 @@ func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 
 // faultIn rebuilds the entry's batch, called with fe.mu held. The happy
 // path maps (once) and views the entry's span; a span that fails its
-// checksum, reaches beyond its file or cannot be read is dropped and the
-// batch is regenerated from the flow source — the cache never propagates
-// storage corruption as an error or a panic. A damaged span only
-// degrades its own entry; its neighbours in the file keep serving.
+// checksum, reaches beyond its file, cannot be read or holds fewer columns
+// than the entry's batch had is dropped and the batch is regenerated from
+// the flow source — the cache never propagates storage corruption as an
+// error or a panic. A damaged span only degrades its own entry; its
+// neighbours in the file keep serving.
 func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
 	if fe.seg == nil && fe.file != nil {
 		seg, err := fe.file.Span(fe.ref)
@@ -267,7 +275,7 @@ func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
 	}
 	if fe.seg != nil {
 		b, heap, err := fe.seg.Batch()
-		if err == nil {
+		if err == nil && b.Columns().Has(fe.cols) {
 			return b, heap, nil
 		}
 		fe.seg.Close()
@@ -572,29 +580,29 @@ func (d *Dataset) NewPin() *Pin { return &Pin{d: d} }
 
 // drawnSet is the distinct flow-batch entries one experiment drew —
 // through its own pin or the chunk, prefetch and day pins derived from
-// it — with their summed rows: what MetricBatchMB reports. Being a set
-// it reads the same however the scans were chunked, prefetched,
-// parallelised or re-faulted.
+// it — with their summed size, rows × the width of the columns each
+// entry stores: what MetricBatchMB reports. Being a set it reads the same
+// however the scans were chunked, prefetched, parallelised or re-faulted.
 type drawnSet struct {
-	mu   sync.Mutex
-	seen map[*flowEntry]struct{}
-	rows int64
+	mu    sync.Mutex
+	seen  map[*flowEntry]struct{}
+	bytes int64
 }
 
 func (s *drawnSet) add(fe *flowEntry) {
 	s.mu.Lock()
 	if _, ok := s.seen[fe]; !ok {
 		s.seen[fe] = struct{}{}
-		s.rows += int64(fe.rows)
+		s.bytes += int64(fe.rows) * int64(fe.cols.RowBytes())
 	}
 	s.mu.Unlock()
 }
 
-// batchMB is the drawn rows at their resident size, in MiB.
+// batchMB is the drawn rows at their stored size, in MiB.
 func (s *drawnSet) batchMB() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return float64(s.rows*int64(flowrec.RowBytes)) / (1 << 20)
+	return float64(s.bytes) / (1 << 20)
 }
 
 // add registers the entry, called with fe.mu held.
@@ -791,7 +799,7 @@ func (d *Dataset) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Bat
 
 func (d *Dataset) flowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
 	key := d.model(vp).flowsKey + hourKey(hour)
-	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
+	return d.getFlow(key, pin, flowColumns, func() (*flowrec.Batch, error) {
 		return d.src.FlowBatch(vp, hour.UTC().Truncate(time.Hour))
 	})
 }
@@ -804,7 +812,7 @@ func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.
 
 func (d *Dataset) vpnFlowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
 	key := d.model(vp).vpnFlowsKey + hourKey(hour)
-	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
+	return d.getFlow(key, pin, vpnFlowColumns, func() (*flowrec.Batch, error) {
 		return d.src.VPNFlowBatch(vp, hour.UTC().Truncate(time.Hour))
 	})
 }
@@ -817,7 +825,7 @@ func (d *Dataset) ComponentFlowBatch(vp synth.VantagePoint, name string, hour ti
 
 func (d *Dataset) componentFlowBatch(vp synth.VantagePoint, name string, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
 	key := d.model(vp).componentFlowsKey + name + "/" + hourKey(hour)
-	return d.getFlow(key, pin, func() (*flowrec.Batch, error) {
+	return d.getFlow(key, pin, componentFlowColumns, func() (*flowrec.Batch, error) {
 		return d.src.ComponentFlowBatch(vp, name, hour.UTC().Truncate(time.Hour))
 	})
 }

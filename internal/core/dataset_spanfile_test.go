@@ -4,11 +4,11 @@ import (
 	"hash/crc64"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"lockdown/internal/flowrec"
 	"lockdown/internal/flowstore"
 	"lockdown/internal/obs"
 	"lockdown/internal/synth"
@@ -43,18 +43,25 @@ func spillHours(n int) []time.Time {
 // dataset's.
 func sameAsGenerated(t *testing.T, d *Dataset, scale float64, hours []time.Time) {
 	t.Helper()
+	sameKindAsGenerated(t, d, scale, hours, (*Dataset).FlowBatch)
+}
+
+// sameKindAsGenerated is sameAsGenerated for any batch kind of the ISP-CE.
+func sameKindAsGenerated(t *testing.T, d *Dataset, scale float64, hours []time.Time,
+	get func(*Dataset, synth.VantagePoint, time.Time) (*flowrec.Batch, error)) {
+	t.Helper()
 	fresh := NewDataset(Options{FlowScale: scale})
 	defer fresh.Close()
 	for _, h := range hours {
-		got, err := d.FlowBatch(synth.ISPCE, h)
+		got, err := get(d, synth.ISPCE, h)
 		if err != nil {
 			t.Fatalf("hour %v: %v", h, err)
 		}
-		ref, err := fresh.FlowBatch(synth.ISPCE, h)
+		ref, err := get(fresh, synth.ISPCE, h)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(ref.Records(), got.Records()) {
+		if !ref.Equal(got) {
 			t.Fatalf("hour %v: faulted batch differs from generated", h)
 		}
 	}
@@ -87,20 +94,50 @@ func TestOnlineCompaction(t *testing.T) {
 }
 
 // TestCompactionDamagedSpan damages one entry's span — a flipped bit the
-// checksum catches, and an address row no writer produces under a
-// checksum recomputed to match, which only the canonical-form check of
-// the view catches — and asserts the damage stays span-granular: that
-// entry regenerates, its neighbours in the same file keep serving
-// without a regen.
+// checksum catches; an address row no writer produces under a checksum
+// recomputed to match, which only the canonical-form check of the view
+// catches; and a reference to an intact span that holds fewer columns
+// than the entry's batch had, which only the entry's own column set
+// catches — and asserts the damage stays span-granular: that entry
+// regenerates, its neighbours in the same file keep serving without a
+// regen. The hours are VPN flow batches, the kind that stores addresses.
 func TestCompactionDamagedSpan(t *testing.T) {
-	cases := map[string]func(span []byte, ref *flowstore.SpanRef){
-		"bitflip": func(span []byte, _ *flowstore.SpanRef) { span[len(span)/2] ^= 0xff },
-		"hostile-address": func(span []byte, ref *flowstore.SpanRef) {
-			// The source-address blob follows the two 64-byte-aligned
-			// timestamp blobs; byte 16 of a row is its family.
-			srcAddr := 2 * ((ref.Rows*8 + 63) &^ 63)
-			span[srcAddr+16] = 9
-			ref.CRC = crc64.Checksum(span, crc64.MakeTable(crc64.ECMA))
+	// rewrite edits the victim's span in its file.
+	rewrite := func(t *testing.T, victim *flowEntry, edit func(span []byte)) {
+		path := victim.file.Path()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(raw[victim.ref.Off : victim.ref.Off+victim.ref.Size])
+		if err := os.WriteFile(path, raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cases := map[string]func(t *testing.T, d *Dataset, victim *flowEntry, hour time.Time){
+		"bitflip": func(t *testing.T, _ *Dataset, victim *flowEntry, _ time.Time) {
+			rewrite(t, victim, func(span []byte) { span[len(span)/2] ^= 0xff })
+		},
+		"hostile-address": func(t *testing.T, _ *Dataset, victim *flowEntry, _ time.Time) {
+			// The kind stores no timestamps, so the source-address blob
+			// opens the span; byte 16 of a row is its family.
+			rewrite(t, victim, func(span []byte) {
+				span[16] = 9
+				victim.ref.CRC = crc64.Checksum(span, crc64.MakeTable(crc64.ECMA))
+			})
+		},
+		"narrower-set": func(t *testing.T, d *Dataset, victim *flowEntry, hour time.Time) {
+			// An intact span of the same hour without its addresses: it
+			// maps, verifies and views, and must still not be served.
+			b, err := d.src.VPNFlowBatch(synth.ISPCE, hour)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := victim.file.Append(b.Project(vpnFlowColumns &^ (flowrec.ColSrcIP | flowrec.ColDstIP)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			victim.ref = ref
 		},
 	}
 	for name, damage := range cases {
@@ -111,30 +148,25 @@ func TestCompactionDamagedSpan(t *testing.T) {
 
 			hours := spillHours(8)
 			for _, h := range hours {
-				if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
+				if _, err := d.VPNFlowBatch(synth.ISPCE, h); err != nil {
 					t.Fatal(err)
 				}
 			}
-			files := spillFiles(t, opts.CacheDir)[flowstore.SpannedExt]
-			if len(files) != 1 {
+			if files := spillFiles(t, opts.CacheDir)[flowstore.SpannedExt]; len(files) != 1 {
 				t.Fatalf("want one span file, found %v", files)
 			}
-			victim := d.entries[d.model(synth.ISPCE).flowsKey+hourKey(hours[3])].val.(*flowEntry)
-			raw, err := os.ReadFile(files[0])
-			if err != nil {
-				t.Fatal(err)
+			victim := d.entries[d.model(synth.ISPCE).vpnFlowsKey+hourKey(hours[3])].val.(*flowEntry)
+			if victim.cols != vpnFlowColumns || victim.ref.Cols != vpnFlowColumns {
+				t.Fatalf("entry stores %s, its span %s, want the kind's %s", victim.cols, victim.ref.Cols, vpnFlowColumns)
 			}
-			damage(raw[victim.ref.Off:victim.ref.Off+victim.ref.Size], &victim.ref)
-			if err := os.WriteFile(files[0], raw, 0o644); err != nil {
-				t.Fatal(err)
-			}
+			damage(t, d, victim, hours[3])
 
-			sameAsGenerated(t, d, opts.FlowScale, hours)
+			sameKindAsGenerated(t, d, opts.FlowScale, hours, (*Dataset).VPNFlowBatch)
 			if s := d.Stats(); s.Regens != 1 || s.Faults != int64(len(hours)) {
 				t.Errorf("want exactly the damaged hour regenerated: %+v", s)
 			}
 			// The regenerated hour spills again, as a new span of the same file.
-			sameAsGenerated(t, d, opts.FlowScale, hours)
+			sameKindAsGenerated(t, d, opts.FlowScale, hours, (*Dataset).VPNFlowBatch)
 			if s := d.Stats(); s.Regens != 1 || s.Spills != int64(len(hours))+1 {
 				t.Errorf("regenerated hour must respill once and then fault cleanly: %+v", s)
 			}

@@ -34,7 +34,7 @@ func TestSpillFaultAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b1.Records()
+	want := b1.Project(b1.Columns()) // a heap copy the cache does not own
 	s := d.Stats()
 	if s.Spills == 0 {
 		t.Fatalf("unpinned access under a 1-byte budget must spill immediately: %+v", s)
@@ -50,7 +50,7 @@ func TestSpillFaultAccounting(t *testing.T) {
 	}
 
 	// The evicted batch we still hold must remain fully readable.
-	if got := b1.Records(); !reflect.DeepEqual(want, got) {
+	if !want.Equal(b1) {
 		t.Fatal("batch handed out before eviction changed under the caller")
 	}
 
@@ -65,7 +65,7 @@ func TestSpillFaultAccounting(t *testing.T) {
 	if s.Regens != 0 {
 		t.Errorf("clean segment must not regenerate: %+v", s)
 	}
-	if got := b2.Records(); !reflect.DeepEqual(want, got) {
+	if !want.Equal(b2) {
 		t.Fatal("faulted-in batch differs from the generated one")
 	}
 	if !b2.IsView() {
@@ -187,7 +187,7 @@ func TestCrashSafetyCorruptSegment(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := b.Records()
+			want := b.Project(b.Columns())
 			if n := corruptSegments(t, opts.CacheDir, tc.mutate); n == 0 {
 				t.Fatal("no span files found to damage")
 			}
@@ -195,7 +195,7 @@ func TestCrashSafetyCorruptSegment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("access after %s must not fail, got error: %v", tc.name, err)
 			}
-			if !reflect.DeepEqual(want, got.Records()) {
+			if !want.Equal(got) {
 				t.Fatalf("batch differs after %s", tc.name)
 			}
 			s := d.Stats()
@@ -208,7 +208,7 @@ func TestCrashSafetyCorruptSegment(t *testing.T) {
 			if err != nil {
 				t.Fatalf("entry unusable after %s: %v", tc.name, err)
 			}
-			if !reflect.DeepEqual(want, got.Records()) {
+			if !want.Equal(got) {
 				t.Fatalf("second access differs after %s", tc.name)
 			}
 		})
@@ -224,7 +224,7 @@ func TestDatasetCloseReleasesSpill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := b.Records()
+	want := b.Project(b.Columns())
 	if err := d.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -238,8 +238,38 @@ func TestDatasetCloseReleasesSpill(t *testing.T) {
 	if err != nil {
 		t.Fatalf("access after Close: %v", err)
 	}
-	if !reflect.DeepEqual(want, got.Records()) {
+	if !want.Equal(got) {
 		t.Fatal("batch after Close differs")
+	}
+}
+
+// sameResults asserts two suite runs agree result for result: IDs,
+// tables, notes, and every metric outside _runtime/ bit for bit.
+func sameResults(t *testing.T, label string, want, got []*Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		w, g := want[i], got[i]
+		if w.ID != g.ID {
+			t.Fatalf("%s: result %d is %s, want %s", label, i, g.ID, w.ID)
+		}
+		wm, gm := stripRuntime(w.Metrics), stripRuntime(g.Metrics)
+		if len(wm) != len(gm) {
+			t.Errorf("%s: %s: metric counts differ (%d vs %d)", label, w.ID, len(wm), len(gm))
+		}
+		for k, wv := range wm {
+			if gv, ok := gm[k]; !ok || math.Float64bits(wv) != math.Float64bits(gv) {
+				t.Errorf("%s: %s: metric %q = %v, want bit-exact %v", label, w.ID, k, gm[k], wv)
+			}
+		}
+		if !reflect.DeepEqual(w.Tables, g.Tables) {
+			t.Errorf("%s: %s: tables differ", label, w.ID)
+		}
+		if !reflect.DeepEqual(w.Notes, g.Notes) {
+			t.Errorf("%s: %s: notes differ", label, w.ID)
+		}
 	}
 }
 
@@ -282,29 +312,6 @@ func TestRunAllSpillDeterminism(t *testing.T) {
 		if tc.wantSpills && (stats.Spills == 0 || stats.Faults == 0) {
 			t.Errorf("%s: expected spill/fault activity, got %+v", tc.label, stats)
 		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d results, want %d", tc.label, len(got), len(want))
-		}
-		for i := range want {
-			w, g := want[i], got[i]
-			if w.ID != g.ID {
-				t.Fatalf("%s: result %d is %s, want %s", tc.label, i, g.ID, w.ID)
-			}
-			wm, gm := stripRuntime(w.Metrics), stripRuntime(g.Metrics)
-			if len(wm) != len(gm) {
-				t.Errorf("%s: %s: metric counts differ (%d vs %d)", tc.label, w.ID, len(wm), len(gm))
-			}
-			for k, wv := range wm {
-				if gv, ok := gm[k]; !ok || math.Float64bits(wv) != math.Float64bits(gv) {
-					t.Errorf("%s: %s: metric %q = %v, want bit-exact %v", tc.label, w.ID, k, gm[k], wv)
-				}
-			}
-			if !reflect.DeepEqual(w.Tables, g.Tables) {
-				t.Errorf("%s: %s: tables differ", tc.label, w.ID)
-			}
-			if !reflect.DeepEqual(w.Notes, g.Notes) {
-				t.Errorf("%s: %s: notes differ", tc.label, w.ID)
-			}
-		}
+		sameResults(t, tc.label, want, got)
 	}
 }

@@ -22,7 +22,8 @@ const (
 	MetricWallMS = "_runtime/wall-ms"
 	// MetricBatchMB is the flow-batch memory the experiment's scans read,
 	// in MiB: over the distinct flow batches it drew from the dataset,
-	// rows × flowrec.RowBytes. It is a property of the experiment and the
+	// rows × the width of the columns each stores (Columns.RowBytes; 85
+	// for a full-width batch). It is a property of the experiment and the
 	// options, the same at any -parallel, chunk size and cache budget.
 	MetricBatchMB = "_runtime/batch-mb"
 	// MetricScanChunks counts the grid chunks the experiment's sharded
@@ -105,8 +106,9 @@ func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, hour time
 
 // flowBatchBetween concatenates the cached per-hour batches of [from, to)
 // into one batch, preallocated from the summed hour lengths (two passes
-// over the cache, one bulk allocation, no append growth). The result is a
-// heap-owned copy, so the source hours are pinned only for the duration
+// over the cache, one bulk allocation, no append growth) and storing the
+// columns the hours store. The result is a heap-owned copy, so the source
+// hours are pinned only for the duration
 // of this call — not for the experiment's lifetime like the per-hour
 // accessors. A day-grid scan (fig12 walks months of EDU hours) therefore
 // holds one day resident at a time under a tight budget instead of its
@@ -115,15 +117,16 @@ func (env *Env) flowBatchBetween(vp synth.VantagePoint, from, to time.Time) (*fl
 	local := env.newPin()
 	defer local.Release()
 	from = from.UTC().Truncate(time.Hour)
-	total := 0
+	total, cols := 0, flowrec.AllColumns
 	for t := from; t.Before(to); t = t.Add(time.Hour) {
 		b, err := local.FlowBatch(vp, t)
 		if err != nil {
 			return nil, err
 		}
 		total += b.Len()
+		cols &= b.Columns()
 	}
-	out := flowrec.NewBatch(total)
+	out := flowrec.NewProjected(total, cols)
 	for t := from; t.Before(to); t = t.Add(time.Hour) {
 		b, err := local.FlowBatch(vp, t)
 		if err != nil {

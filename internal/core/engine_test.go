@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
 )
 
@@ -150,8 +149,8 @@ func TestEngineStampsRuntimeMetrics(t *testing.T) {
 }
 
 // TestBatchMBIsAttributable: _runtime/batch-mb is a property of the
-// experiment — the distinct flow batches its scans drew, at their
-// resident size — not of the process, so it reads the same however the
+// experiment — the distinct flow batches its scans drew, at the width of
+// the columns they store — not of the process, so it reads the same however the
 // run was parallelised, chunked or budgeted (the column it replaces,
 // a process-global allocation delta, tripled from -parallel 1 to 4).
 func TestBatchMBIsAttributable(t *testing.T) {
@@ -177,7 +176,8 @@ func TestBatchMBIsAttributable(t *testing.T) {
 			t.Errorf("%s: batch-mb = %v, reads flows: %v", id, want[id], flows)
 		}
 	}
-	// fig8 draws exactly the gaming component's hours of weeks 7-17.
+	// fig8 draws exactly the gaming component's hours of weeks 7-17, which
+	// store a byte counter and one address: 25 bytes a row, not 85.
 	d := NewDataset(base)
 	defer d.Close()
 	var rows int
@@ -188,8 +188,12 @@ func TestBatchMBIsAttributable(t *testing.T) {
 		}
 		rows += b.Len()
 	}
-	if mb := float64(rows*flowrec.RowBytes) / (1 << 20); want["fig8"] != mb {
-		t.Errorf("fig8: batch-mb = %v, its %d rows at %d bytes are %v", want["fig8"], rows, flowrec.RowBytes, mb)
+	width := componentFlowColumns.RowBytes()
+	if width != 25 {
+		t.Errorf("a component-flow row stores %d bytes, want 25", width)
+	}
+	if mb := float64(rows*width) / (1 << 20); want["fig8"] != mb {
+		t.Errorf("fig8: batch-mb = %v, its %d rows at %d bytes are %v", want["fig8"], rows, width, mb)
 	}
 
 	chunked := base

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"lockdown/internal/appclass"
 	"lockdown/internal/dnsdb"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
@@ -22,11 +23,35 @@ import (
 // replay, which serves the same batches off live NetFlow/IPFIX export.
 // Returned batches are published read-only through the cache; a source
 // must never retain or mutate a batch after returning it.
+//
+// Projection is a property of the batch kind: every scan of a kind reads
+// inside the kind's column set below, so the default source generates
+// (and the cache holds and spills) those columns and no others. A source
+// may return more — the wire carries every field, so the bridge and
+// SyntheticSource return full-width batches — and the cache stores a
+// batch as delivered; it must not return fewer.
 type FlowSource interface {
 	FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
 	VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
 	ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error)
 }
+
+// The column set of each batch kind: the union of what the kernels that
+// scan the kind read, each declared by the package that owns the kernel.
+// A new reader of a kind widens the kind's set here; core's
+// TestProjectedSuiteEqualsFullWidth fails when one is forgotten.
+const (
+	// flowColumns (22 B a row): the port histograms (server-port lanes
+	// and bytes), the application classifier, and the EDU connection
+	// counts by class and direction.
+	flowColumns = flowrec.PortLaneColumns | flowrec.ColBytes | appclass.Columns | appclass.EDUColumns
+	// vpnFlowColumns (47 B a row): the VPN detector, the one scan that
+	// looks at both addresses.
+	vpnFlowColumns = vpndetect.Columns
+	// componentFlowColumns (25 B a row): Figure 8's volume and
+	// unique-eyeball-address count of the gaming component.
+	componentFlowColumns = flowrec.ColBytes | flowrec.ColDstIP
+)
 
 // DegradationReporter is implemented by flow sources that can serve
 // explicitly-degraded results — empty batches standing in for
@@ -61,8 +86,8 @@ func buildVPNData(g *synth.Generator) *VPNData {
 }
 
 // datasetSource is the default FlowSource of a Dataset: it draws batches
-// from the dataset's own memoized generators, so the default path does no
-// extra work over the pre-FlowSource code.
+// from the dataset's own memoized generators, projected to the kind's
+// column set.
 type datasetSource struct{ d *Dataset }
 
 func (s datasetSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
@@ -70,7 +95,7 @@ func (s datasetSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowre
 	if err != nil {
 		return nil, err
 	}
-	return g.FlowsForHourBatch(hour), nil
+	return g.HourBatch(hour, "", flowColumns), nil
 }
 
 func (s datasetSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
@@ -78,7 +103,7 @@ func (s datasetSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flo
 	if err != nil {
 		return nil, err
 	}
-	return vd.Gen.FlowsForHourBatch(hour), nil
+	return vd.Gen.HourBatch(hour, "", vpnFlowColumns), nil
 }
 
 func (s datasetSource) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
@@ -86,16 +111,17 @@ func (s datasetSource) ComponentFlowBatch(vp synth.VantagePoint, name string, ho
 	if err != nil {
 		return nil, err
 	}
-	return g.ComponentFlowsForHourBatch(name, hour), nil
+	return g.HourBatch(hour, name, componentFlowColumns), nil
 }
 
 // SyntheticSource is a standalone generator-backed FlowSource: it
 // memoizes the generators (and the VPN gateway derivation) per vantage
-// point but generates every requested batch on demand, without caching
-// it. It is the model oracle of the wire-replay harness — both the pump
-// (which exports the batches) and the bridge (which verifies the received
-// rows bit-for-bit) hold one — and can serve anywhere a FlowSource is
-// needed without the memory footprint of a full Dataset.
+// point but generates every requested batch on demand and full-width,
+// without caching it. It is the model oracle of the wire-replay harness —
+// both the pump (which exports the batches) and the bridge (which
+// verifies the received rows bit-for-bit) hold one — and can serve
+// anywhere a FlowSource is needed without the memory footprint of a full
+// Dataset.
 type SyntheticSource struct {
 	opts Options
 

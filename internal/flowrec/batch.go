@@ -1,6 +1,7 @@
 package flowrec
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -25,6 +26,13 @@ import (
 // and a span file's bytes can stand in for any column. Appending never
 // fails: rows are plain value copies.
 //
+// A batch stores a set of its columns (Columns). The zero value and
+// NewBatch store all fifteen, which is what the wire codecs and the
+// Record conversions need; NewProjected stores a chosen subset and leaves
+// the other columns nil, so a batch built for readers that declare what
+// they read costs memory for nothing else. Every present column has the
+// batch's length; the set is fixed for the batch's life.
+//
 // A Batch is not safe for concurrent mutation. Shared read-only use (as
 // practiced by the core.Dataset cache) is safe.
 type Batch struct {
@@ -44,6 +52,10 @@ type Batch struct {
 	Dir      []Direction
 	TCPFlags []uint8
 
+	// absent is the set of columns the batch does not store: the
+	// complement of Columns, so that the zero value is full-width.
+	absent Columns
+
 	// state tracks the batch's pool lifecycle (see Release). Accessed
 	// atomically so a racing double-Release panics deterministically
 	// instead of corrupting the pool.
@@ -61,37 +73,97 @@ const (
 	batchView
 )
 
-// NewBatch returns an empty batch with capacity for n rows in every
-// column (one bulk allocation per column, no reallocation until row n+1).
+// NewBatch returns an empty full-width batch with capacity for n rows in
+// every column (one bulk allocation per column, no reallocation until row
+// n+1).
 func NewBatch(n int) *Batch {
 	b := &Batch{}
 	b.Grow(n)
 	return b
 }
 
-// Len returns the number of rows.
-func (b *Batch) Len() int { return len(b.Bytes) }
+// NewProjected returns an empty batch that stores only the columns of
+// cols, with capacity for n rows in each. An empty set or one naming a
+// column that does not exist is a programming error and panics.
+func NewProjected(n int, cols Columns) *Batch {
+	if !cols.Valid() {
+		panic(fmt.Sprintf("flowrec: NewProjected with column set %s", cols))
+	}
+	b := &Batch{absent: AllColumns &^ cols}
+	b.Grow(n)
+	return b
+}
 
-// Grow ensures capacity for at least n more rows without reallocation.
+// Columns returns the set of columns the batch stores.
+func (b *Batch) Columns() Columns { return AllColumns &^ b.absent }
+
+// Require returns an error naming the columns of need that the batch does
+// not store, nil when it stores them all. The wire encoders call it
+// before reading the fields they carry.
+func (b *Batch) Require(need Columns) error {
+	if missing := need &^ b.Columns(); missing != 0 {
+		return fmt.Errorf("flowrec: batch does not store column %s (its set is %s)", missing, b.Columns())
+	}
+	return nil
+}
+
+// mustStore panics when the batch lacks a column of need: the Record
+// conversions are full-width by definition, and reaching one with a
+// projected batch is a bug in the caller, reported by column name instead
+// of as an index out of range.
+func (b *Batch) mustStore(need Columns, op string) {
+	if err := b.Require(need); err != nil {
+		panic(fmt.Sprintf("%v; %s needs it", err, op))
+	}
+}
+
+// Len returns the number of rows.
+func (b *Batch) Len() int {
+	if b.absent&ColBytes == 0 {
+		return len(b.Bytes)
+	}
+	return b.lenAny()
+}
+
+// lenAny is Len for a set without the byte column: absent columns are
+// nil, present ones all have the batch's length, so it is the longest.
+func (b *Batch) lenAny() int {
+	return max(len(b.StartNs), len(b.EndNs), len(b.SrcIP), len(b.DstIP),
+		len(b.SrcPort), len(b.DstPort), len(b.Proto), len(b.Packets),
+		len(b.SrcAS), len(b.DstAS), len(b.InIf), len(b.OutIf),
+		len(b.Dir), len(b.TCPFlags))
+}
+
+// growCol is slices.Grow for a column the set c stores, a no-op otherwise.
+func growCol[T any](s []T, c, col Columns, n int) []T {
+	if c&col == 0 {
+		return s
+	}
+	return slices.Grow(s, n)
+}
+
+// Grow ensures capacity for at least n more rows without reallocation, in
+// the columns the batch stores.
 func (b *Batch) Grow(n int) {
 	if n <= 0 {
 		return
 	}
-	b.StartNs = slices.Grow(b.StartNs, n)
-	b.EndNs = slices.Grow(b.EndNs, n)
-	b.SrcIP = slices.Grow(b.SrcIP, n)
-	b.DstIP = slices.Grow(b.DstIP, n)
-	b.SrcPort = slices.Grow(b.SrcPort, n)
-	b.DstPort = slices.Grow(b.DstPort, n)
-	b.Proto = slices.Grow(b.Proto, n)
-	b.Bytes = slices.Grow(b.Bytes, n)
-	b.Packets = slices.Grow(b.Packets, n)
-	b.SrcAS = slices.Grow(b.SrcAS, n)
-	b.DstAS = slices.Grow(b.DstAS, n)
-	b.InIf = slices.Grow(b.InIf, n)
-	b.OutIf = slices.Grow(b.OutIf, n)
-	b.Dir = slices.Grow(b.Dir, n)
-	b.TCPFlags = slices.Grow(b.TCPFlags, n)
+	c := b.Columns()
+	b.StartNs = growCol(b.StartNs, c, ColStartNs, n)
+	b.EndNs = growCol(b.EndNs, c, ColEndNs, n)
+	b.SrcIP = growCol(b.SrcIP, c, ColSrcIP, n)
+	b.DstIP = growCol(b.DstIP, c, ColDstIP, n)
+	b.SrcPort = growCol(b.SrcPort, c, ColSrcPort, n)
+	b.DstPort = growCol(b.DstPort, c, ColDstPort, n)
+	b.Proto = growCol(b.Proto, c, ColProto, n)
+	b.Bytes = growCol(b.Bytes, c, ColBytes, n)
+	b.Packets = growCol(b.Packets, c, ColPackets, n)
+	b.SrcAS = growCol(b.SrcAS, c, ColSrcAS, n)
+	b.DstAS = growCol(b.DstAS, c, ColDstAS, n)
+	b.InIf = growCol(b.InIf, c, ColInIf, n)
+	b.OutIf = growCol(b.OutIf, c, ColOutIf, n)
+	b.Dir = growCol(b.Dir, c, ColDir, n)
+	b.TCPFlags = growCol(b.TCPFlags, c, ColTCPFlags, n)
 }
 
 // Reset truncates the batch to zero rows, keeping the column capacity for
@@ -115,27 +187,35 @@ func (b *Batch) Reset() {
 	b.TCPFlags = b.TCPFlags[:0]
 }
 
+// truncCol shortens a column to n rows; an absent (nil) column stays nil.
+func truncCol[T any](s []T, n int) []T {
+	if len(s) <= n {
+		return s
+	}
+	return s[:n]
+}
+
 // Truncate shortens the batch to n rows, keeping capacity. Decoders use
 // it to roll back partially appended packets on error.
 func (b *Batch) Truncate(n int) {
 	if n < 0 || n >= b.Len() {
 		return
 	}
-	b.StartNs = b.StartNs[:n]
-	b.EndNs = b.EndNs[:n]
-	b.SrcIP = b.SrcIP[:n]
-	b.DstIP = b.DstIP[:n]
-	b.SrcPort = b.SrcPort[:n]
-	b.DstPort = b.DstPort[:n]
-	b.Proto = b.Proto[:n]
-	b.Bytes = b.Bytes[:n]
-	b.Packets = b.Packets[:n]
-	b.SrcAS = b.SrcAS[:n]
-	b.DstAS = b.DstAS[:n]
-	b.InIf = b.InIf[:n]
-	b.OutIf = b.OutIf[:n]
-	b.Dir = b.Dir[:n]
-	b.TCPFlags = b.TCPFlags[:n]
+	b.StartNs = truncCol(b.StartNs, n)
+	b.EndNs = truncCol(b.EndNs, n)
+	b.SrcIP = truncCol(b.SrcIP, n)
+	b.DstIP = truncCol(b.DstIP, n)
+	b.SrcPort = truncCol(b.SrcPort, n)
+	b.DstPort = truncCol(b.DstPort, n)
+	b.Proto = truncCol(b.Proto, n)
+	b.Bytes = truncCol(b.Bytes, n)
+	b.Packets = truncCol(b.Packets, n)
+	b.SrcAS = truncCol(b.SrcAS, n)
+	b.DstAS = truncCol(b.DstAS, n)
+	b.InIf = truncCol(b.InIf, n)
+	b.OutIf = truncCol(b.OutIf, n)
+	b.Dir = truncCol(b.Dir, n)
+	b.TCPFlags = truncCol(b.TCPFlags, n)
 }
 
 // timeNs converts a timestamp to its column representation. The zero
@@ -160,8 +240,10 @@ func timeAt(ns int64) time.Time {
 
 // Append adds one record as a new row. A record whose address carries an
 // IPv6 zone cannot be stored (see AddrFrom) and panics: no generator or
-// decoder produces one, and Record.Validate reports it beforehand.
+// decoder produces one, and Record.Validate reports it beforehand. A
+// record is full-width, so appending one to a projected batch panics too.
 func (b *Batch) Append(r Record) {
+	b.mustStore(AllColumns, "Append")
 	src, dst := mustAddr(r.SrcIP), mustAddr(r.DstIP)
 	b.StartNs = append(b.StartNs, timeNs(r.Start))
 	b.EndNs = append(b.EndNs, timeNs(r.End))
@@ -180,23 +262,57 @@ func (b *Batch) Append(r Record) {
 	b.TCPFlags = append(b.TCPFlags, r.TCPFlags)
 }
 
-// AppendBatch appends all rows of o.
+// appendCol appends src to a column the set c stores; an absent one stays
+// nil.
+func appendCol[T any](dst, src []T, c, col Columns) []T {
+	if c&col == 0 {
+		return dst
+	}
+	return append(dst, src...)
+}
+
+// AppendBatch appends all rows of o, in the columns b stores. o may store
+// more than b does; it panics when o lacks one of b's columns.
 func (b *Batch) AppendBatch(o *Batch) {
-	b.StartNs = append(b.StartNs, o.StartNs...)
-	b.EndNs = append(b.EndNs, o.EndNs...)
-	b.SrcIP = append(b.SrcIP, o.SrcIP...)
-	b.DstIP = append(b.DstIP, o.DstIP...)
-	b.SrcPort = append(b.SrcPort, o.SrcPort...)
-	b.DstPort = append(b.DstPort, o.DstPort...)
-	b.Proto = append(b.Proto, o.Proto...)
-	b.Bytes = append(b.Bytes, o.Bytes...)
-	b.Packets = append(b.Packets, o.Packets...)
-	b.SrcAS = append(b.SrcAS, o.SrcAS...)
-	b.DstAS = append(b.DstAS, o.DstAS...)
-	b.InIf = append(b.InIf, o.InIf...)
-	b.OutIf = append(b.OutIf, o.OutIf...)
-	b.Dir = append(b.Dir, o.Dir...)
-	b.TCPFlags = append(b.TCPFlags, o.TCPFlags...)
+	c := b.Columns()
+	o.mustStore(c, "AppendBatch")
+	b.StartNs = appendCol(b.StartNs, o.StartNs, c, ColStartNs)
+	b.EndNs = appendCol(b.EndNs, o.EndNs, c, ColEndNs)
+	b.SrcIP = appendCol(b.SrcIP, o.SrcIP, c, ColSrcIP)
+	b.DstIP = appendCol(b.DstIP, o.DstIP, c, ColDstIP)
+	b.SrcPort = appendCol(b.SrcPort, o.SrcPort, c, ColSrcPort)
+	b.DstPort = appendCol(b.DstPort, o.DstPort, c, ColDstPort)
+	b.Proto = appendCol(b.Proto, o.Proto, c, ColProto)
+	b.Bytes = appendCol(b.Bytes, o.Bytes, c, ColBytes)
+	b.Packets = appendCol(b.Packets, o.Packets, c, ColPackets)
+	b.SrcAS = appendCol(b.SrcAS, o.SrcAS, c, ColSrcAS)
+	b.DstAS = appendCol(b.DstAS, o.DstAS, c, ColDstAS)
+	b.InIf = appendCol(b.InIf, o.InIf, c, ColInIf)
+	b.OutIf = appendCol(b.OutIf, o.OutIf, c, ColOutIf)
+	b.Dir = appendCol(b.Dir, o.Dir, c, ColDir)
+	b.TCPFlags = appendCol(b.TCPFlags, o.TCPFlags, c, ColTCPFlags)
+}
+
+// Project returns a heap-owned copy of the batch that stores only cols,
+// all of which b must store.
+func (b *Batch) Project(cols Columns) *Batch {
+	out := NewProjected(b.Len(), cols)
+	out.AppendBatch(b)
+	return out
+}
+
+// Equal reports whether the two batches store the same columns and the
+// same rows in them.
+func (b *Batch) Equal(o *Batch) bool {
+	return b.Columns() == o.Columns() &&
+		slices.Equal(b.StartNs, o.StartNs) && slices.Equal(b.EndNs, o.EndNs) &&
+		slices.Equal(b.SrcIP, o.SrcIP) && slices.Equal(b.DstIP, o.DstIP) &&
+		slices.Equal(b.SrcPort, o.SrcPort) && slices.Equal(b.DstPort, o.DstPort) &&
+		slices.Equal(b.Proto, o.Proto) &&
+		slices.Equal(b.Bytes, o.Bytes) && slices.Equal(b.Packets, o.Packets) &&
+		slices.Equal(b.SrcAS, o.SrcAS) && slices.Equal(b.DstAS, o.DstAS) &&
+		slices.Equal(b.InIf, o.InIf) && slices.Equal(b.OutIf, o.OutIf) &&
+		slices.Equal(b.Dir, o.Dir) && slices.Equal(b.TCPFlags, o.TCPFlags)
 }
 
 // StartAt returns row i's flow start time.
@@ -205,8 +321,10 @@ func (b *Batch) StartAt(i int) time.Time { return timeAt(b.StartNs[i]) }
 // EndAt returns row i's flow end time.
 func (b *Batch) EndAt(i int) time.Time { return timeAt(b.EndNs[i]) }
 
-// Record materialises row i as a Record.
+// Record materialises row i as a Record. A record is full-width: on a
+// projected batch this panics, naming the missing column.
 func (b *Batch) Record(i int) Record {
+	b.mustStore(AllColumns, "Record")
 	return Record{
 		Start:    b.StartAt(i),
 		End:      b.EndAt(i),
@@ -230,6 +348,7 @@ func (b *Batch) Record(i int) Record {
 // allocation). It returns nil for an empty batch, matching the historic
 // behaviour of the record-slice APIs it adapts.
 func (b *Batch) Records() []Record {
+	b.mustStore(AllColumns, "Records")
 	if b.Len() == 0 {
 		return nil
 	}
@@ -278,8 +397,10 @@ func (b *Batch) ServerPortAt(i int) PortProto {
 }
 
 // Filter appends the rows for which keep returns true to a new batch and
-// returns it. The receiver is unchanged.
+// returns it. The receiver is unchanged. The rows travel as records, so
+// the receiver must be full-width.
 func (b *Batch) Filter(keep func(b *Batch, i int) bool) *Batch {
+	b.mustStore(AllColumns, "Filter")
 	out := NewBatch(0)
 	for i := 0; i < b.Len(); i++ {
 		if keep(b, i) {
@@ -300,11 +421,12 @@ func (b *Batch) TotalBytes() uint64 {
 // loop gets a batch once, resets it per packet and never allocates again.
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
-// GetBatch returns an empty pooled batch with capacity for at least n
-// rows. Return it with Release (or PutBatch) when done.
+// GetBatch returns an empty full-width pooled batch with capacity for at
+// least n rows. Return it with Release (or PutBatch) when done.
 func GetBatch(n int) *Batch {
 	b := batchPool.Get().(*Batch)
 	atomic.StoreUint32(&b.state, batchLive)
+	b.absent = 0 // whatever set it was released with, it is drawn full-width
 	b.Reset()
 	b.Grow(n)
 	return b
@@ -349,19 +471,23 @@ func (b *Batch) IsView() bool {
 	return atomic.LoadUint32(&b.state) == batchView
 }
 
-// RowBytes is what one row occupies across the columns (85): the sum of the
-// column element sizes.
-const RowBytes = 2*8 + 2*int(unsafe.Sizeof(Addr{})) + 2*2 + 1 + 2*8 + 2*4 + 2*2 + 1 + 1
+// addrSize is the size of an Addr, in memory and in a span file.
+const addrSize = int(unsafe.Sizeof(Addr{}))
+
+// RowBytes is what one row occupies across all fifteen columns (85): the
+// sum of the column element sizes. A projected batch's rows occupy
+// Columns.RowBytes.
+const RowBytes = 2*8 + 2*addrSize + 2*2 + 1 + 2*8 + 2*4 + 2*2 + 1 + 1
 
 // HeapBytes estimates the batch's heap footprint: the backing arrays of
-// all columns at their current capacity. The dataset cache budgets its
+// its columns at their current capacity (an absent column has none). The
+// dataset cache budgets its
 // resident set with this figure. For a view batch it over-counts the
 // columns that alias segment memory, so the cache computes those
 // separately (see flowstore.Segment.Batch).
 func (b *Batch) HeapBytes() int64 {
-	const addrSize = int64(unsafe.Sizeof(Addr{}))
 	n := int64(cap(b.StartNs))*8 + int64(cap(b.EndNs))*8 +
-		(int64(cap(b.SrcIP))+int64(cap(b.DstIP)))*addrSize +
+		(int64(cap(b.SrcIP))+int64(cap(b.DstIP)))*int64(addrSize) +
 		int64(cap(b.SrcPort))*2 + int64(cap(b.DstPort))*2 +
 		int64(cap(b.Proto)) +
 		int64(cap(b.Bytes))*8 + int64(cap(b.Packets))*8 +

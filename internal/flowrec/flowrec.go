@@ -13,6 +13,13 @@
 // hands a flow to code outside this repository. The data path moves
 // flows as a Batch, whose columns are flat and pointer-free; there the
 // address type is Addr, and Batch.Record / Batch.Append convert.
+//
+// A Batch stores a set of its fifteen columns (Columns). Full width is
+// the default and what the wire codecs and the Record conversions
+// require; a batch built for scans that declare what they read
+// (PortLaneColumns and the sets the kernel packages export) stores those
+// columns alone, and asking it for a record, or a codec for its bytes,
+// fails naming the missing column.
 package flowrec
 
 import (

@@ -7,7 +7,8 @@
 // described at SpanFile):
 //
 //	┌────────────────────────────────────────────────────────────┐
-//	│ page-aligned start, each blob 64-byte aligned:             │
+//	│ page-aligned start, each blob 64-byte aligned, present     │
+//	│ columns only (an absent column is a zero-width blob):      │
 //	│   StartNs  int64 ×rows   │ EndNs    int64 ×rows            │
 //	│   SrcAddr  17 B  ×rows   │ DstAddr  17 B  ×rows            │
 //	│   SrcPort/DstPort uint16 │ Proto    1 B                    │
@@ -15,10 +16,12 @@
 //	│   InIf/OutIf     uint16  │ Dir 1 B  │ TCPFlags 1 B         │
 //	└────────────────────────────────────────────────────────────┘
 //
-// A span carries no header of its own: its row count fixes the layout,
-// and the row count, size and CRC-64 travel in the span's reference
-// (SpanRef). All fixed-width values are little-endian; an address is a
-// flowrec.Addr as it sits in memory, 16-byte slot then family byte. On a
+// A span carries no header of its own: its row count and column set
+// (the batch's flowrec.Columns) fix the layout, and they travel with the
+// size and CRC-64 in the span's reference (SpanRef). A fault views
+// exactly the columns that were written. All fixed-width values are
+// little-endian; an address is a flowrec.Addr as it sits in memory,
+// 16-byte slot then family byte. On a
 // little-endian host every column of a faulted span is a zero-copy slice
 // straight into the mapping (the blob alignment makes the casts legal);
 // on big-endian or misaligned mappings the multi-byte numeric columns
@@ -52,7 +55,8 @@ const blobAlign = 64
 // claiming an absurd layout.
 const maxRows = 1 << 40
 
-// Column indices of a span's blobs, in file order.
+// Column indices of a span's blobs, in file order: blob c holds the
+// column of flowrec.Columns bit 1<<c.
 const (
 	colStartNs = iota
 	colEndNs
@@ -93,14 +97,23 @@ var hostLE = binary.NativeEndian.Uint16([]byte{0x01, 0x02}) == 0x0201
 // align64 rounds n up to the blob alignment.
 func align64(n int) int { return (n + blobAlign - 1) &^ (blobAlign - 1) }
 
-// layout computes the blob offsets for a row count, relative to the
-// span's (page-aligned) start, and the span's size.
-func layout(rows int) (offs [numCols]int, size int) {
+// blobBytes is the size of blob c in a span of rows rows storing cols:
+// zero for an absent column.
+func blobBytes(c, rows int, cols flowrec.Columns) int {
+	if cols&(1<<c) == 0 {
+		return 0
+	}
+	return rows * colWidth[c]
+}
+
+// layout computes the blob offsets for a row count and column set,
+// relative to the span's (page-aligned) start, and the span's size.
+func layout(rows int, cols flowrec.Columns) (offs [numCols]int, size int) {
 	off := 0
 	for c := 0; c < numCols; c++ {
 		off = align64(off)
 		offs[c] = off
-		off += rows * colWidth[c]
+		off += blobBytes(c, rows, cols)
 	}
 	return offs, off
 }
@@ -125,7 +138,8 @@ func getWriteBuf(size int) []byte {
 }
 
 // encodeSpan writes the batch's span image into buf, a zeroed buffer of
-// the layout's size.
+// the layout's size. A column the batch does not store is nil and writes
+// nothing into its zero-width blob.
 func encodeSpan(buf []byte, offs [numCols]int, b *flowrec.Batch) {
 	putInt64s(buf, offs[colStartNs], b.StartNs)
 	putInt64s(buf, offs[colEndNs], b.EndNs)
@@ -153,6 +167,7 @@ type Segment struct {
 	data   []byte
 	mapped bool
 	rows   int
+	cols   flowrec.Columns
 	offs   [numCols]int
 }
 
@@ -163,14 +178,15 @@ func (s *Segment) Rows() int { return s.rows }
 // to the heap fallback).
 func (s *Segment) Mapped() bool { return s.mapped }
 
-// col returns the raw bytes of one blob.
+// col returns the raw bytes of one blob, empty for an absent column.
 func (s *Segment) col(c int) []byte {
-	return s.data[s.offs[c] : s.offs[c]+s.rows*colWidth[c]]
+	return s.data[s.offs[c] : s.offs[c]+blobBytes(c, s.rows, s.cols)]
 }
 
-// Batch builds a read-only view batch over the span. Columns alias the
-// span memory when the host allows it (always for the byte-typed ones;
-// little-endian and an aligned mapping for the rest) and are decoded
+// Batch builds a read-only view batch over the span, storing the span's
+// column set. Columns alias the span memory when the host allows it
+// (always for the byte-typed ones; little-endian and an aligned mapping
+// for the rest) and are decoded
 // onto the heap otherwise. The address columns are checked for canonical
 // form first; a span that fails serves no rows. The returned batch is
 // marked as a view (flowrec.Batch.IsView), its columns have len == cap
@@ -180,7 +196,7 @@ func (s *Segment) col(c int) []byte {
 // whole span when it is a heap buffer rather than a mapping.
 func (s *Segment) Batch() (b *flowrec.Batch, heapBytes int64, err error) {
 	rows := s.rows
-	b = &flowrec.Batch{}
+	b = flowrec.NewProjected(0, s.cols)
 
 	b.SrcIP = viewBytes[flowrec.Addr](s.col(colSrcAddr), rows)
 	if err := flowrec.CheckAddrs(b.SrcIP); err != nil {
@@ -250,9 +266,10 @@ func rawBytes[T any](s []T) []byte {
 
 // viewBytes reinterprets a blob as a column of a byte-typed element
 // (alignment 1: uint8, Proto, Direction, Addr) with len == cap; legal on
-// any host and at any address.
+// any host and at any address. An empty blob — no rows, or an absent
+// column — is a nil column.
 func viewBytes[T any](blob []byte, rows int) []T {
-	if rows == 0 {
+	if len(blob) == 0 {
 		return nil
 	}
 	return unsafe.Slice((*T)(unsafe.Pointer(&blob[0])), rows)[:rows:rows]
@@ -262,7 +279,7 @@ func viewBytes[T any](blob []byte, rows int) []T {
 // representation matches the file; otherwise it decodes into a fresh heap
 // slice via dec. copied accumulates heap bytes for the cache's accounting.
 func view[T any](blob []byte, rows int, copied int64, dec func([]byte, []T)) ([]T, int64) {
-	if rows == 0 {
+	if len(blob) == 0 {
 		return nil, copied
 	}
 	var t T

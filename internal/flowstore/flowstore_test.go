@@ -134,6 +134,43 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRoundTripProjected: a span holds exactly the columns of the batch
+// that was appended — its size is the layout of that set, the set travels
+// in the reference, and the fault views those columns with their values
+// and no others.
+func TestRoundTripProjected(t *testing.T) {
+	full := testBatch(777, 21)
+	_, fullSize := layout(full.Len(), flowrec.AllColumns)
+	sets := []flowrec.Columns{
+		flowrec.PortLaneColumns | flowrec.ColBytes | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColDir,
+		flowrec.PortLaneColumns | flowrec.ColBytes | flowrec.ColSrcIP | flowrec.ColDstIP,
+		flowrec.ColBytes | flowrec.ColDstIP,
+		flowrec.ColStartNs, flowrec.ColTCPFlags, // the first and the last blob alone, neither with Bytes
+		flowrec.AllColumns,
+	}
+	for _, cols := range sets {
+		for _, rows := range []int{0, full.Len()} {
+			want := full.Project(cols)
+			want.Truncate(rows)
+			sf, refs := liveFile(t, want)
+			ref := refs[0]
+			if ref.Cols != cols || ref.Rows != rows {
+				t.Fatalf("%s: reference carries %s × %d rows", cols, ref.Cols, ref.Rows)
+			}
+			if cols != flowrec.AllColumns && rows > 0 && ref.Size >= int64(fullSize) {
+				t.Errorf("%s: span is %d bytes, the full-width one %d", cols, ref.Size, fullSize)
+			}
+			_, view, _ := faultBatch(t, sf, ref)
+			if view.Columns() != cols || view.Len() != rows {
+				t.Fatalf("%s: view stores %s × %d rows, want %d", cols, view.Columns(), view.Len(), rows)
+			}
+			if !view.Equal(want) {
+				t.Errorf("%s × %d rows: the view differs from the batch that was appended", cols, rows)
+			}
+		}
+	}
+}
+
 // aliases reports whether p points into data.
 func aliases(data []byte, p unsafe.Pointer) bool {
 	base := uintptr(unsafe.Pointer(&data[0]))
@@ -157,8 +194,8 @@ func TestViewHeapBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	offs, _ := layout(ref.Rows)
-	seg := &Segment{data: data, mapped: mapped, rows: ref.Rows, offs: offs}
+	offs, _ := layout(ref.Rows, ref.Cols)
+	seg := &Segment{data: data, mapped: mapped, rows: ref.Rows, cols: ref.Cols, offs: offs}
 	view, heap, err := seg.Batch()
 	if err != nil {
 		t.Fatal(err)

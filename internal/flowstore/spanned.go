@@ -25,8 +25,8 @@ import (
 //	├────────────────────────────────────────────────────────────┤
 //	│ span 1: …                                                  │
 //	├────────────────────────────────────────────────────────────┤
-//	│ index: span count × {offset, size, rows, crc64}, appended  │
-//	│ at the next page boundary when the file is sealed          │
+//	│ index: span count × {offset, size, rows, crc64, columns},  │
+//	│ appended at the next page boundary when the file is sealed │
 //	└────────────────────────────────────────────────────────────┘
 //
 // Page alignment preserves the 64-byte blob alignment inside a span's
@@ -40,10 +40,10 @@ import (
 // sealing has no magic and is rejected whole.
 const (
 	spanMagic      = "LFSS"
-	spanVersion    = 3
+	spanVersion    = 4
 	headerSize     = 4096
 	spanAlign      = headerSize // page alignment of spans and the index
-	indexEntrySize = 32
+	indexEntrySize = 40
 	// maxSpans bounds the span count against a corrupted header claiming
 	// an absurd index.
 	maxSpans = 1 << 24
@@ -70,6 +70,9 @@ type SpanRef struct {
 	Off, Size int64
 	Rows      int
 	CRC       uint64
+	// Cols is the column set of the batch that was appended: the span
+	// holds those columns and Segment.Batch views exactly them.
+	Cols flowrec.Columns
 }
 
 // SpanFile is one span file, either being appended to (Create) or
@@ -136,11 +139,11 @@ func (sf *SpanFile) appendSpan(b *flowrec.Batch) (ref SpanRef, full bool, err er
 	sf.flush.RLock()
 	defer sf.flush.RUnlock()
 
-	offs, size := layout(b.Len())
+	offs, size := layout(b.Len(), b.Columns())
 	buf := getWriteBuf(size)
 	defer writeBufPool.Put(buf)
 	encodeSpan(buf, offs, b)
-	ref = SpanRef{Size: int64(size), Rows: b.Len(), CRC: crc64.Checksum(buf, crcTable)}
+	ref = SpanRef{Size: int64(size), Rows: b.Len(), CRC: crc64.Checksum(buf, crcTable), Cols: b.Columns()}
 
 	sf.mu.Lock()
 	if sf.sealed {
@@ -183,6 +186,7 @@ func (sf *SpanFile) Seal() error {
 		binary.LittleEndian.PutUint64(index[k*indexEntrySize+8:], uint64(e.Size))
 		binary.LittleEndian.PutUint64(index[k*indexEntrySize+16:], uint64(e.Rows))
 		binary.LittleEndian.PutUint64(index[k*indexEntrySize+24:], e.CRC)
+		binary.LittleEndian.PutUint64(index[k*indexEntrySize+32:], uint64(e.Cols))
 	}
 	h := make([]byte, headerSize)
 	copy(h[0:4], spanMagic)
@@ -292,6 +296,10 @@ func (sf *SpanFile) readIndex() error {
 			Rows: int(binary.LittleEndian.Uint64(e[16:])),
 			CRC:  binary.LittleEndian.Uint64(e[24:]),
 		}
+		cols := binary.LittleEndian.Uint64(e[32:])
+		if ref.Cols = flowrec.Columns(cols); uint64(ref.Cols) != cols {
+			return fmt.Errorf("flowstore: %s: span %d: column set %#x has bits above %d", path, k, cols, flowrec.NumColumns)
+		}
 		if err := ref.check(); err != nil {
 			return fmt.Errorf("flowstore: %s: span %d: %w", path, k, err)
 		}
@@ -307,14 +315,18 @@ func (sf *SpanFile) readIndex() error {
 }
 
 // check rejects a reference no writer could have produced: an
-// implausible row count, a size that is not the row count's layout, or
-// an offset off the page grid.
+// implausible row count, an empty column set or one naming a column that
+// does not exist, a size that is not the layout of that row count and
+// set, or an offset off the page grid.
 func (r SpanRef) check() error {
 	if r.Rows < 0 || r.Rows > maxRows {
 		return fmt.Errorf("implausible row count %d", r.Rows)
 	}
-	if _, size := layout(r.Rows); r.Size != int64(size) {
-		return fmt.Errorf("size %d is not the layout of %d rows (%d)", r.Size, r.Rows, size)
+	if !r.Cols.Valid() {
+		return fmt.Errorf("column set %#x is empty or has bits above %d", uint16(r.Cols), flowrec.NumColumns)
+	}
+	if _, size := layout(r.Rows, r.Cols); r.Size != int64(size) {
+		return fmt.Errorf("size %d is not the layout of %d rows of %s (%d)", r.Size, r.Rows, r.Cols, size)
 	}
 	if r.Off < headerSize || r.Off%spanAlign != 0 {
 		return fmt.Errorf("offset %d is not a span boundary", r.Off)
@@ -363,8 +375,8 @@ func (sf *SpanFile) span(ref SpanRef) (*Segment, error) {
 		_ = unmapSpan(data, mapped) // the checksum error is the one to report
 		return nil, fmt.Errorf("flowstore: %s: span at %d: checksum mismatch", sf.path, ref.Off)
 	}
-	offs, _ := layout(ref.Rows)
-	return &Segment{data: data, mapped: mapped, rows: ref.Rows, offs: offs}, nil
+	offs, _ := layout(ref.Rows, ref.Cols)
+	return &Segment{data: data, mapped: mapped, rows: ref.Rows, cols: ref.Cols, offs: offs}, nil
 }
 
 // readSpan is the heap fallback behind mapSpan: one exact allocation

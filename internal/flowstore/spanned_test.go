@@ -142,6 +142,14 @@ var damageShapes = map[string]damageShape{
 		resign(d)
 		return d
 	}, -1},
+	// The column set of an index entry, re-signed so the entry check is
+	// what rejects it: a bit no column has (inside and beyond the 16 a
+	// Columns holds), a set the span's size is not the layout of, and no
+	// column at all for a span with rows.
+	"cols-bit-15":   {setCols(0, func(c uint64) uint64 { return c | 1<<15 }), -1},
+	"cols-bit-40":   {setCols(0, func(c uint64) uint64 { return c | 1<<40 }), -1},
+	"cols-narrower": {setCols(1, func(c uint64) uint64 { return c &^ uint64(flowrec.ColPackets) }), -1},
+	"cols-empty":    {setCols(2, func(uint64) uint64 { return 0 }), -1},
 	// Header intact, file cut inside the spans or inside the index: the
 	// index must be the file's tail, so both are rejected at open.
 	"truncated-spans": {func(d []byte) []byte { return d[:headerSize+100] }, -1},
@@ -153,6 +161,16 @@ var damageShapes = map[string]damageShape{
 		d[binary.LittleEndian.Uint64(d[16:24])-spanAlign+32] ^= 0x80
 		return d
 	}, 2},
+}
+
+// setCols edits the column-set field of index entry k and re-signs.
+func setCols(k int, edit func(cols uint64) uint64) func(d []byte) []byte {
+	return func(d []byte) []byte {
+		field := d[binary.LittleEndian.Uint64(d[16:24])+uint64(k)*indexEntrySize+32:]
+		binary.LittleEndian.PutUint64(field, edit(binary.LittleEndian.Uint64(field)))
+		resign(d)
+		return d
+	}
 }
 
 // hostileShapes rewrite one address of span 1 of the same file into a
@@ -172,7 +190,7 @@ func hostileAddr(col, row int, edit func(addr []byte)) func(d []byte) []byte {
 		entry := d[le.Uint64(d[16:24])+indexEntrySize:] // index entry of span 1
 		off, size, rows := le.Uint64(entry), le.Uint64(entry[8:]), int(le.Uint64(entry[16:]))
 		span := d[off : off+size]
-		offs, _ := layout(rows)
+		offs, _ := layout(rows, flowrec.AllColumns)
 		edit(span[offs[col]+row*addrWidth:][:addrWidth])
 		le.PutUint64(entry[24:], crc64.Checksum(span, crcTable))
 		resign(d)

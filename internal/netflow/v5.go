@@ -56,7 +56,8 @@ type V5Header struct {
 // to dst and returns the extended slice. At most V5MaxRecords rows fit in
 // one packet; rows must be IPv4. dst may be nil; a caller that reuses the
 // returned slice across packets encodes with zero allocations once the
-// buffer has grown to packet size. On error dst is returned unmodified.
+// buffer has grown to packet size. b must store every column a v5 record
+// carries (all but Dir). On error dst is returned unmodified.
 //
 // exportTime stamps the header; seq is the cumulative flow sequence
 // counter. NetFlow v5 expresses flow start/end as router-uptime offsets in
@@ -80,6 +81,9 @@ func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime ti
 	}
 	if n > V5MaxRecords {
 		return dst, fmt.Errorf("netflow: %d records exceed the v5 packet limit of %d", n, V5MaxRecords)
+	}
+	if err := b.Require(flowrec.AllColumns &^ flowrec.ColDir); err != nil {
+		return dst, fmt.Errorf("netflow: v5 carries a field the batch lacks: %w", err)
 	}
 	const uptimeAtExport = time.Hour
 	off0 := len(dst)

@@ -25,17 +25,33 @@ func pickWeighted(rng *pcg, w []float64) int {
 }
 
 // FlowsForHourBatch samples synthetic flows for the hour starting at t
-// into one columnar batch sized from the components' flow counts, so a
-// component-hour costs one bulk allocation per column instead of one
-// record struct per flow. The records' byte counters sum (approximately)
-// to the hour's modelled volume; their count follows the components'
-// connection responses; their endpoint addresses are minted from the
-// components' AS prefixes with a pool that widens as usage grows (so
-// unique-IP counts rise during the lockdown, as in Figure 8).
+// into one full-width columnar batch sized from the components' flow
+// counts, so a component-hour costs one bulk allocation per column instead
+// of one record struct per flow. The records' byte counters sum
+// (approximately) to the hour's modelled volume; their count follows the
+// components' connection responses; their endpoint addresses are minted
+// from the components' AS prefixes with a pool that widens as usage grows
+// (so unique-IP counts rise during the lockdown, as in Figure 8).
 func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
-	b := flowrec.NewBatch(0)
+	return g.HourBatch(t, "", flowrec.AllColumns)
+}
+
+// HourBatch samples the hour starting at t into a batch that stores only
+// cols: the flows of every component, or of the named one when component
+// is not empty (no rows for a name the model does not have). The rows are
+// those of FlowsForHourBatch and ComponentFlowsForHourBatch column for
+// column — the sampler draws the same random stream whatever is stored —
+// so a caller whose readers declare their columns pays for no others.
+func (g *Generator) HourBatch(t time.Time, component string, cols flowrec.Columns) *flowrec.Batch {
+	b := flowrec.NewProjected(0, cols)
 	h := hourAt(t)
-	g.flowsForHourInto(b, &h, make([]componentHour, len(g.plan)))
+	if component == "" {
+		g.flowsForHourInto(b, &h, make([]componentHour, len(g.plan)))
+	} else if p := g.planOf(component); p != nil {
+		s := g.sampled(p, &h)
+		b.Grow(s.flows)
+		g.sampleInto(b, p, &h, &s)
+	}
 	return b
 }
 
@@ -63,23 +79,16 @@ func (g *Generator) sampled(p *componentPlan, h *hour) componentHour {
 }
 
 // ComponentFlowsForHourBatch samples one named component's flows for the
-// hour starting at t into a columnar batch sized from its flow count.
+// hour starting at t into a full-width batch sized from its flow count.
 func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowrec.Batch {
-	p := g.planOf(name)
-	if p == nil {
-		return flowrec.NewBatch(0)
-	}
-	h := hourAt(t)
-	s := g.sampled(p, &h)
-	b := flowrec.NewBatch(s.flows)
-	g.sampleInto(b, p, &h, &s)
-	return b
+	return g.HourBatch(t, name, flowrec.AllColumns)
 }
 
 // sampleInto appends the s.flows flows of component p for hour h to b. The
 // draw order is the contract here: it is a pure function of (seed,
 // component, hour), so batches, record slices and the dataset cache all
-// observe identical flows.
+// observe identical flows. Every row is drawn in full whatever b stores;
+// only the stores are masked by b's column set.
 func (g *Generator) sampleInto(b *flowrec.Batch, p *componentPlan, h *hour, s *componentHour) {
 	if s.flows == 0 {
 		return
@@ -98,6 +107,7 @@ func (g *Generator) sampleInto(b *flowrec.Batch, p *componentPlan, h *hour, s *c
 	// known gateway addresses so domain-based detection can find them.
 	pinGateways := c.Class == ClassVPNTLS && len(g.vpnGateways) > 0
 	hourEnd := h.ns + int64(time.Hour)
+	cols := b.Columns()
 
 	for i := 0; i < s.flows; i++ {
 		src := pickWeighted(&rng, p.srcWeights)
@@ -140,21 +150,51 @@ func (g *Generator) sampleInto(b *flowrec.Batch, p *componentPlan, h *hour, s *c
 			tcpFlags = 0x1b
 		}
 
-		b.StartNs = append(b.StartNs, start)
-		b.EndNs = append(b.EndNs, end)
-		b.SrcIP = append(b.SrcIP, srcIP)
-		b.DstIP = append(b.DstIP, dstIP)
-		b.SrcPort = append(b.SrcPort, srcPort)
-		b.DstPort = append(b.DstPort, dstPort)
-		b.Proto = append(b.Proto, pp.Proto)
-		b.Bytes = append(b.Bytes, bytes)
-		b.Packets = append(b.Packets, packets)
-		b.SrcAS = append(b.SrcAS, srcASN)
-		b.DstAS = append(b.DstAS, dstASN)
-		b.InIf = append(b.InIf, 1)
-		b.OutIf = append(b.OutIf, 2)
-		b.Dir = append(b.Dir, p.connDir)
-		b.TCPFlags = append(b.TCPFlags, tcpFlags)
+		if cols&flowrec.ColStartNs != 0 {
+			b.StartNs = append(b.StartNs, start)
+		}
+		if cols&flowrec.ColEndNs != 0 {
+			b.EndNs = append(b.EndNs, end)
+		}
+		if cols&flowrec.ColSrcIP != 0 {
+			b.SrcIP = append(b.SrcIP, srcIP)
+		}
+		if cols&flowrec.ColDstIP != 0 {
+			b.DstIP = append(b.DstIP, dstIP)
+		}
+		if cols&flowrec.ColSrcPort != 0 {
+			b.SrcPort = append(b.SrcPort, srcPort)
+		}
+		if cols&flowrec.ColDstPort != 0 {
+			b.DstPort = append(b.DstPort, dstPort)
+		}
+		if cols&flowrec.ColProto != 0 {
+			b.Proto = append(b.Proto, pp.Proto)
+		}
+		if cols&flowrec.ColBytes != 0 {
+			b.Bytes = append(b.Bytes, bytes)
+		}
+		if cols&flowrec.ColPackets != 0 {
+			b.Packets = append(b.Packets, packets)
+		}
+		if cols&flowrec.ColSrcAS != 0 {
+			b.SrcAS = append(b.SrcAS, srcASN)
+		}
+		if cols&flowrec.ColDstAS != 0 {
+			b.DstAS = append(b.DstAS, dstASN)
+		}
+		if cols&flowrec.ColInIf != 0 {
+			b.InIf = append(b.InIf, 1)
+		}
+		if cols&flowrec.ColOutIf != 0 {
+			b.OutIf = append(b.OutIf, 2)
+		}
+		if cols&flowrec.ColDir != 0 {
+			b.Dir = append(b.Dir, p.connDir)
+		}
+		if cols&flowrec.ColTCPFlags != 0 {
+			b.TCPFlags = append(b.TCPFlags, tcpFlags)
+		}
 	}
 }
 

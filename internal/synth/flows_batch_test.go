@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"net/netip"
 	"reflect"
 	"testing"
 	"time"
@@ -49,5 +50,68 @@ func TestFlowsBetweenBatchConcatenatesHours(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.Records(), want.Records()) {
 		t.Error("FlowsBetweenBatch differs from the concatenated per-hour batches")
+	}
+}
+
+// TestHourBatchMasksStoresOnly: whatever columns HourBatch is asked to
+// store, the sampler draws the same rows — each stored column equals the
+// full-width hour's, every other column is nil — for the three sets the
+// dataset cache generates with (22, 47 and 25 bytes a row), every single
+// column, and all fifteen; for the whole hour and for one component.
+func TestHourBatchMasksStoresOnly(t *testing.T) {
+	ports := flowrec.PortLaneColumns
+	sets := []flowrec.Columns{
+		ports | flowrec.ColBytes | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColDir,
+		ports | flowrec.ColBytes | flowrec.ColSrcIP | flowrec.ColDstIP,
+		flowrec.ColBytes | flowrec.ColDstIP,
+		flowrec.AllColumns,
+	}
+	for i, want := range []int{22, 47, 25, flowrec.RowBytes} {
+		if got := sets[i].RowBytes(); got != want {
+			t.Errorf("set %s is %d bytes a row, want %d", sets[i], got, want)
+		}
+	}
+	for c := 0; c < flowrec.NumColumns; c++ {
+		sets = append(sets, 1<<c)
+	}
+	probe := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
+	// The gateway-pinned generator takes the sampler's one conditional
+	// draw (VPN-over-TLS sources), so the masked stores are checked around it.
+	pinned := MustNewDefault(IXPCE).WithVPNGateways([]netip.Addr{netip.MustParseAddr("10.99.0.1"), netip.MustParseAddr("10.99.0.2")})
+	for _, tc := range []struct {
+		name      string
+		g         *Generator
+		component string
+	}{
+		{"isp-ce", MustNewDefault(ISPCE), ""},
+		{"ixp-ce-pinned", pinned, ""},
+		{"ixp-se-gaming", MustNewDefault(IXPSE), "gaming"},
+	} {
+		full := tc.g.HourBatch(probe, tc.component, flowrec.AllColumns)
+		if full.Len() == 0 {
+			t.Fatalf("%s: no flows in the probe hour", tc.name)
+		}
+		for _, cols := range sets {
+			got := tc.g.HourBatch(probe, tc.component, cols)
+			if got.Columns() != cols || got.Len() != full.Len() {
+				t.Fatalf("%s/%s: stores %s × %d rows, want %d", tc.name, cols, got.Columns(), got.Len(), full.Len())
+			}
+			if !got.Equal(full.Project(cols)) {
+				t.Errorf("%s/%s: a stored column differs from the full-width hour's", tc.name, cols)
+			}
+			v := reflect.ValueOf(got).Elem()
+			for f, c := 0, 0; f < v.NumField(); f++ {
+				if v.Field(f).Kind() != reflect.Slice {
+					continue
+				}
+				if absent := cols&(1<<c) == 0; absent != v.Field(f).IsNil() {
+					t.Errorf("%s/%s: column %s nil = %v", tc.name, cols, v.Type().Field(f).Name, !absent)
+				}
+				c++
+			}
+		}
+	}
+	if b := MustNewDefault(IXPSE).HourBatch(probe, "no-such-component", flowrec.ColBytes); b.Len() != 0 || b.Columns() != flowrec.ColBytes {
+		t.Errorf("an unknown component must yield an empty batch of the asked set, got %s × %d", b.Columns(), b.Len())
 	}
 }

@@ -18,7 +18,10 @@
 //     multi-month figures, and
 //   - flow-record sampling, which turns hourly component volumes into
 //     synthetic flowrec.Batch rows for the flow-level analyses (top ports,
-//     VPN detection, EDU connection counts, unique IPs).
+//     VPN detection, EDU connection counts, unique IPs). One sampler loop
+//     serves every caller: HourBatch stores the columns it is asked for
+//     (what the dataset cache's readers declared), FlowsForHourBatch all
+//     fifteen (what the wire exports); the rows drawn are the same.
 //
 // Everything is deterministic for a fixed Config.Seed.
 package synth

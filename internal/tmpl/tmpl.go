@@ -133,13 +133,17 @@ func (f *Framing) standardTemplate() [15][2]uint16 {
 // the exporter's identity and sequence counter. Rows must be IPv4. The
 // message is written in place: a caller that reuses the returned slice
 // across messages encodes with zero allocations once the buffer has grown
-// to message size. On error — an empty range, a non-IPv4 row, or more
-// rows than the 16-bit length fields can describe — dst is returned
-// unmodified and the sequence number is not consumed.
+// to message size. On error — an empty range, a batch that does not store
+// all fifteen columns (the template carries every one), a non-IPv4 row,
+// or more rows than the 16-bit length fields can describe — dst is
+// returned unmodified and the sequence number is not consumed.
 func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time, stream uint32, seq *uint32) ([]byte, error) {
 	n := hi - lo
 	if n <= 0 {
 		return dst, fmt.Errorf("%s: no records to encode", f.Name)
+	}
+	if err := b.Require(flowrec.AllColumns); err != nil {
+		return dst, fmt.Errorf("%s: the template carries a field the batch lacks: %w", f.Name, err)
 	}
 	tpl := f.standardTemplate()
 	recLen := 0

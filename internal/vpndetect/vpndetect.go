@@ -112,6 +112,11 @@ func (d *Detector) Classify(r flowrec.Record) Method {
 	return d.classify(r.ServerPort(), src, dst)
 }
 
+// Columns is what the detector's batch scans (ClassifyAt, SplitBatch,
+// SplitBatchSums) read of a batch: the server-port columns, both
+// addresses and the byte counter.
+const Columns = flowrec.PortLaneColumns | flowrec.ColSrcIP | flowrec.ColDstIP | flowrec.ColBytes
+
 // ClassifyAt classifies batch row i, reading only the port and address
 // columns.
 func (d *Detector) ClassifyAt(b *flowrec.Batch, i int) Method {
