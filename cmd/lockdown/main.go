@@ -81,11 +81,12 @@
 //	              stays byte-identical to `all` while faults are recoverable
 //
 // `replay` runs the same suite as `all`, but every flow batch travels a
-// real UDP wire first: a pump exports the synthetic component-hours as
-// NetFlow v5/v9 or IPFIX packets and the bridge decodes, demuxes and
-// verifies them bit-for-bit before the engine consumes them (see
-// internal/replay). The results are byte-identical to `all`; the wire
-// and loss accounting is printed to stderr.
+// real UDP wire first: one pump per vantage point exports the synthetic
+// component-hours as NetFlow v5/v9 or IPFIX packets on its own stream and
+// the bridge decodes, demuxes and verifies them bit-for-bit before the
+// engine consumes them (see internal/replay). The results are
+// byte-identical to `all`; the wire and loss accounting, in total and per
+// stream, is printed to stderr.
 //
 // `cluster` is `replay` distributed the way the paper's measurement
 // actually was: the vantage points are partitioned over N pumps — each
@@ -457,18 +458,19 @@ type retryTuning struct {
 	allowPartial   bool
 }
 
-// runReplay executes the full experiment suite over a live loopback wire
-// pair: a replay.Pump exports every requested component-hour as real
-// NetFlow/IPFIX packets, and a replay.Bridge feeds the decoded,
-// bit-for-bit verified batches into the engine as its FlowSource. The
-// emitted results are byte-identical to `lockdown all` at the same
-// options; the wire and loss accounting goes to stderr.
+// runReplay executes the full experiment suite over live loopback wire
+// export: one replay.Pump per vantage point exports every requested
+// component-hour as real NetFlow/IPFIX packets on its own stream, and a
+// replay.Bridge feeds the decoded, bit-for-bit verified batches into the
+// engine as its FlowSource (the topology is replay.Loopback). The emitted
+// results are byte-identical to `lockdown all` at the same options; the
+// wire and loss accounting goes to stderr.
 func runReplay(ctx context.Context, opts core.Options, formatName, addr string, pps float64, unverified bool, tuning retryTuning, parallel int, asCSV, asJSON bool) error {
 	format, err := collector.ParseFormat(formatName)
 	if err != nil {
 		return err
 	}
-	br, err := replay.NewBridge(replay.Config{
+	lb, err := replay.NewLoopback(replay.Config{
 		Format:         format,
 		ListenAddr:     addr,
 		Options:        opts,
@@ -477,27 +479,18 @@ func runReplay(ctx context.Context, opts core.Options, formatName, addr string, 
 		MaxAttempts:    tuning.maxAttempts,
 		FetchBudget:    tuning.fetchBudget,
 		AllowPartial:   tuning.allowPartial,
-	})
+	}, pps)
 	if err != nil {
 		return err
 	}
-	defer br.Close()
-	pump, err := replay.NewPump(replay.PumpConfig{Format: format, DataAddr: br.DataAddr(), Rate: pps, Options: opts})
-	if err != nil {
-		return err
-	}
-	defer pump.Close()
-	if err := br.ConnectPump(pump.CtrlAddr()); err != nil {
-		return err
-	}
+	defer lb.Close()
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	go pump.Run(runCtx)
-	br.Start(runCtx)
-	fmt.Fprintf(os.Stderr, "replay: %v bridge on %s, pump control on %s\n",
-		format, br.DataAddr(), pump.CtrlAddr())
+	lb.Start(runCtx)
+	fmt.Fprintf(os.Stderr, "replay: %v bridge on %s, %d pump streams (one per vantage point)\n",
+		format, lb.Bridge.DataAddr(), len(lb.Pumps))
 
-	engine := core.NewEngineWithSource(opts, br)
+	engine := core.NewEngineWithSource(opts, lb.Bridge)
 	defer engine.Data().Close()
 	results, err := engine.RunAll(runCtx, parallel)
 	if err != nil {
@@ -506,23 +499,50 @@ func runReplay(ctx context.Context, opts core.Options, formatName, addr string, 
 	if err := emitSuite(results, engine.Data(), opts.Tracer, asCSV, asJSON); err != nil {
 		return err
 	}
-	bs, ps := br.Stats(), pump.Stats()
-	return emitEvents(opts.Tracer, []obs.Event{
-		{Cat: "bridge", Msg: "wire bridge", Fields: []obs.Field{
-			obs.Fi("buckets", bs.Keys),
-			obs.Fi("rows verified", bs.Rows),
-			obs.Fi("retries", bs.Retries),
-			obs.Fi("rows lost", bs.LostRows),
-			obs.Fi("orphan rows", bs.OrphanRows),
-			obs.Fi("decode errors", bs.DecodeErrors),
-			obs.Fi("unverified", bs.Unverified),
-		}},
-		{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{
-			obs.Fi("requests", ps.Requests),
-			obs.Fi("rows exported", ps.RowsSent),
-			obs.Fi("nacks", ps.Nacks),
-		}},
-	})
+	return emitEvents(opts.Tracer, replayEvents(lb.Bridge.Snapshot(), lb.PumpStats()))
+}
+
+// replayEvents converts a replay run's accounting into its summary events:
+// the bridge totals, one indented detail per vantage-point stream, and the
+// pumps' counters summed over all streams.
+func replayEvents(snap replay.Snapshot, ps replay.PumpStats) []obs.Event {
+	bridge := bridgeEvent(snap.Total)
+	bridge.Fields = append(bridge.Fields, obs.Fi("unverified", snap.Total.Unverified))
+	events := []obs.Event{bridge}
+	for i, vp := range synth.AllVantagePoints() {
+		events = append(events, obs.Event{Cat: "bridge", Sub: true,
+			Msg:    fmt.Sprintf("stream %d (%s)", i, vp),
+			Fields: streamFields(snap.Streams[uint32(i)])})
+	}
+	return append(events, obs.Event{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{
+		obs.Fi("requests", ps.Requests),
+		obs.Fi("rows exported", ps.RowsSent),
+		obs.Fi("nacks", ps.Nacks),
+	}})
+}
+
+// bridgeEvent is the aggregate wire accounting line replay and cluster
+// share.
+func bridgeEvent(bs replay.Stats) obs.Event {
+	return obs.Event{Cat: "bridge", Msg: "wire bridge", Fields: []obs.Field{
+		obs.Fi("buckets", bs.Keys),
+		obs.Fi("rows verified", bs.Rows),
+		obs.Fi("retries", bs.Retries),
+		obs.Fi("rows lost", bs.LostRows),
+		obs.Fi("orphan rows", bs.OrphanRows),
+		obs.Fi("decode errors", bs.DecodeErrors),
+	}}
+}
+
+// streamFields is one stream's share of it: a replay stream's detail line,
+// a cluster shard's.
+func streamFields(ss replay.Stats) []obs.Field {
+	return []obs.Field{
+		obs.Fi("buckets", ss.Keys),
+		obs.Fi("rows", ss.Rows),
+		obs.Fi("retries", ss.Retries),
+		obs.Fi("rows lost", ss.LostRows),
+	}
 }
 
 // runCluster executes the full experiment suite over a sharded pump
@@ -601,17 +621,8 @@ func runCluster(ctx context.Context, opts core.Options, formatName, addr string,
 // shard, every rebalance, and the chaos relay totals when fault
 // injection was active.
 func clusterEvents(stats cluster.Stats) []obs.Event {
-	bs := stats.Bridge
-	events := []obs.Event{{Cat: "bridge", Msg: "wire bridge", Fields: []obs.Field{
-		obs.Fi("buckets", bs.Keys),
-		obs.Fi("rows verified", bs.Rows),
-		obs.Fi("retries", bs.Retries),
-		obs.Fi("rows lost", bs.LostRows),
-		obs.Fi("orphan rows", bs.OrphanRows),
-		obs.Fi("decode errors", bs.DecodeErrors),
-	}}}
+	events := []obs.Event{bridgeEvent(stats.Bridge)}
 	for _, sh := range stats.Shards {
-		ss := stats.Streams[sh.Stream]
 		health := "healthy"
 		sev := obs.Info
 		switch {
@@ -621,13 +632,8 @@ func clusterEvents(stats cluster.Stats) []obs.Event {
 			health, sev = "DOWN", obs.Warn
 		}
 		events = append(events, obs.Event{Cat: "cluster", Sub: true, Severity: sev,
-			Msg: fmt.Sprintf("shard %d (%s, %d restarts)", sh.Shard, health, sh.Restarts),
-			Fields: []obs.Field{
-				obs.Fi("buckets", ss.Keys),
-				obs.Fi("rows", ss.Rows),
-				obs.Fi("retries", ss.Retries),
-				obs.Fi("rows lost", ss.LostRows),
-			}})
+			Msg:    fmt.Sprintf("shard %d (%s, %d restarts)", sh.Shard, health, sh.Restarts),
+			Fields: streamFields(stats.Streams[sh.Stream])})
 	}
 	for _, ev := range stats.Rebalances {
 		events = append(events, obs.Event{Cat: "cluster", Sub: true, Severity: obs.Warn,

@@ -9,6 +9,9 @@ import (
 
 	"lockdown/internal/flowrec"
 	"lockdown/internal/flowstore"
+	"lockdown/internal/replay"
+	"lockdown/internal/report"
+	"lockdown/internal/synth"
 )
 
 // TestCacheStatKilledRun: a spill directory left by a killed run holds
@@ -62,5 +65,42 @@ func TestCacheStatKilledRun(t *testing.T) {
 	err = run(context.Background(), []string{"cache", "stat", dir})
 	if err == nil || !strings.Contains(err.Error(), "2 bad") {
 		t.Fatalf("cache stat with an unsealed and a version-3 file = %v, want a 2-bad-files error", err)
+	}
+}
+
+// TestReplayEventsListEveryStream: the replay summary carries the bridge
+// totals, one indented line per vantage-point stream (idle ones included,
+// so a stream that served nothing is visible as such) and a single pump
+// line holding the counters summed over all streams.
+func TestReplayEventsListEveryStream(t *testing.T) {
+	snap := replay.Snapshot{
+		Total: replay.Stats{Keys: 30, Rows: 600, Retries: 1, LostRows: 7},
+		Streams: map[uint32]replay.Stats{
+			0: {Keys: 10, Rows: 200},
+			6: {Keys: 20, Rows: 400, Retries: 1, LostRows: 7},
+		},
+	}
+	var out strings.Builder
+	if err := report.WriteEvents(&out, replayEvents(snap, replay.PumpStats{Requests: 31, RowsSent: 607})); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	vps := synth.AllVantagePoints()
+	if len(lines) != len(vps)+2 {
+		t.Fatalf("%d lines, want the bridge, %d streams and the pumps:\n%s", len(lines), len(vps), out.String())
+	}
+	for _, want := range []struct {
+		line int
+		text string
+	}{
+		{0, "wire bridge: 30 buckets, 600 rows verified, 1 retries, 7 rows lost"},
+		{1, "  stream 0 (ISP-CE): 10 buckets, 200 rows, 0 retries, 0 rows lost"},
+		{2, "  stream 1 (IXP-CE): 0 buckets, 0 rows"},
+		{7, "  stream 6 (EDU): 20 buckets, 400 rows, 1 retries, 7 rows lost"},
+		{8, "wire pump: 31 requests, 607 rows exported, 0 nacks"},
+	} {
+		if !strings.HasPrefix(lines[want.line], want.text) {
+			t.Errorf("line %d = %q, want prefix %q", want.line, lines[want.line], want.text)
+		}
 	}
 }

@@ -24,6 +24,16 @@ import (
 // Returned batches are published read-only through the cache; a source
 // must never retain or mutate a batch after returning it.
 //
+// Ownership: a batch a source returns belongs to the caller, and only the
+// caller may hand it to the flowrec pool (Batch.Release). The Dataset keeps
+// what it caches and never releases it, so on the default path the pool the
+// generator draws from (synth.HourBatch) is always empty and every batch is
+// a fresh allocation. The wire-replay harness is the caller that releases:
+// a pump releases the batch it exported once the bucket's END frame is out,
+// and the bridge releases its reference when the fetch returns — after the
+// NetFlow v5 repair has copied out of it — while the wire batch it returns
+// passes to the cache like any other.
+//
 // Projection is a property of the batch kind: every scan of a kind reads
 // inside the kind's column set below, so the default source generates
 // (and the cache holds and spills) those columns and no others. A source
@@ -119,9 +129,9 @@ func (s datasetSource) ComponentFlowBatch(vp synth.VantagePoint, name string, ho
 // point but generates every requested batch on demand and full-width,
 // without caching it. It is the model oracle of the wire-replay harness —
 // both the pump (which exports the batches) and the bridge (which
-// verifies the received rows bit-for-bit) hold one — and can serve
-// anywhere a FlowSource is needed without the memory footprint of a full
-// Dataset.
+// verifies the received rows bit-for-bit) hold one, and both release each
+// batch when done with it (see FlowSource) — and can serve anywhere a
+// FlowSource is needed without the memory footprint of a full Dataset.
 type SyntheticSource struct {
 	opts Options
 

@@ -416,17 +416,32 @@ func (b *Batch) TotalBytes() uint64 {
 	return simd.SumUint64(b.Bytes)
 }
 
-// batchPool recycles batches (and, transitively, their column arrays) for
-// the decode paths of the collector and the codecs: a steady-state decode
-// loop gets a batch once, resets it per packet and never allocates again.
+// batchPool recycles batches (and, transitively, their column arrays): the
+// collector's decode loop gets a batch once, resets it per packet and never
+// allocates again, and the wire-replay harness returns the bucket-sized
+// batches it generates only to export or to compare (see core.FlowSource
+// for who releases what).
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // GetBatch returns an empty full-width pooled batch with capacity for at
 // least n rows. Return it with Release (or PutBatch) when done.
-func GetBatch(n int) *Batch {
+func GetBatch(n int) *Batch { return GetProjected(n, AllColumns) }
+
+// GetProjected is NewProjected drawing from the pool: an empty batch that
+// stores only the columns of cols, with capacity for at least n rows in
+// each, to be returned with Release when done. A caller that keeps the
+// batch instead simply leaves the pool one short. A pooled batch of another
+// column set is of no use to the draw and is dropped whole, so the columns
+// outside cols are nil as in any projected batch.
+func GetProjected(n int, cols Columns) *Batch {
+	if !cols.Valid() {
+		panic(fmt.Sprintf("flowrec: GetProjected with column set %s", cols))
+	}
 	b := batchPool.Get().(*Batch)
+	if absent := AllColumns &^ cols; b.absent != absent {
+		*b = Batch{absent: absent}
+	}
 	atomic.StoreUint32(&b.state, batchLive)
-	b.absent = 0 // whatever set it was released with, it is drawn full-width
 	b.Reset()
 	b.Grow(n)
 	return b

@@ -127,6 +127,40 @@ func TestProjectedBatchOperations(t *testing.T) {
 	}
 }
 
+// TestGetProjectedHonoursTheSet draws from a pool that holds batches of
+// other column sets: whatever the pool hands back, the draw stores exactly
+// the requested columns, empty, with the requested capacity, and the
+// others are nil.
+func TestGetProjectedHonoursTheSet(t *testing.T) {
+	full := flowrec.FromRecords(genRecords(40))
+	sets := []flowrec.Columns{flowrec.AllColumns, flowrec.ColBytes | flowrec.ColDstIP, flowrec.PortLaneColumns}
+	for round := 0; round < 4; round++ {
+		for _, cols := range sets {
+			// Seed the pool with a full-width and a narrower batch.
+			full.Project(flowrec.AllColumns).Release()
+			full.Project(flowrec.ColBytes).Release()
+			b := flowrec.GetProjected(64, cols)
+			if b.Columns() != cols || nilColumns(b) != flowrec.AllColumns&^cols {
+				t.Fatalf("GetProjected(%s) stores %s, nil columns %s", cols, b.Columns(), nilColumns(b))
+			}
+			if b.Len() != 0 {
+				t.Fatalf("GetProjected(%s) returned %d rows", cols, b.Len())
+			}
+			b.AppendBatch(full)
+			if !b.Equal(full.Project(cols)) {
+				t.Fatalf("rows appended to a pooled %s batch differ from the projection", cols)
+			}
+			b.Release()
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("GetProjected with an empty column set must panic")
+		}
+	}()
+	flowrec.GetProjected(1, 0)
+}
+
 // genRecords draws n wire-representable records (see genRecord).
 func genRecords(n int) []flowrec.Record {
 	rng := rand.New(rand.NewSource(21))

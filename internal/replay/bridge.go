@@ -303,8 +303,10 @@ func NewBridge(cfg Config) (*Bridge, error) {
 // pumps' data destination).
 func (b *Bridge) DataAddr() string { return b.col.Addr() }
 
-// ConnectPump dials a single pump as stream 0 (the one-pump topology of
-// `lockdown replay`).
+// ConnectPump dials a single pump as stream 0: the one-pump topology, with
+// a nil Route. `lockdown replay` runs one stream per vantage point instead
+// (see Loopback); this remains for the benchmark harness and the
+// single-pump tests.
 func (b *Bridge) ConnectPump(addr string) error { return b.ConnectStream(0, addr) }
 
 // ConnectStream dials the request socket of the pump serving the given
@@ -583,6 +585,10 @@ func (b *Bridge) fetchKey(k Key) (*flowrec.Batch, error) {
 		}
 		ref = nil // capture mode serves keys the model cannot build
 	}
+	// The reference is this fetch's alone and every attempt compares
+	// against it, so it goes back to the pool only when the fetch is over
+	// — by then the v5 repair has copied what it needs out of it.
+	defer ref.Release()
 	// expected < 0 means no authoritative reference row count: the
 	// pump's announced count rules the bucket. That is always the case
 	// in capture mode — even when the model produced a reference, a
@@ -695,6 +701,7 @@ func (b *Bridge) fetchFromStream(st *stream, k Key, ref *flowrec.Batch, expected
 			// Usually stray rows that happened to fill the bucket; a
 			// genuine model divergence keeps failing and surfaces after
 			// the attempts run out.
+			got.Release()
 			lastErr = err
 			continue
 		}
@@ -759,8 +766,13 @@ const (
 // sizeHint preallocates the bucket independently of acceptance (capture
 // mode passes the reference length it refuses to enforce). The attempt
 // timeout is truncated to the fetch deadline so the last attempt cannot
-// overrun the budget.
-func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, deadline time.Time) (*flowrec.Batch, error) {
+// overrun the budget. An attempt that fails (loss, overrun, timeout)
+// releases its bucket to the pool, where the next reference or export
+// batch picks the columns up; a completed one passes to the caller and,
+// once verified, to the dataset cache for good. That is also why the
+// bucket is allocated at its exact size and not drawn from the pool: the
+// cache would keep whatever capacity a pooled batch happened to have.
+func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, deadline time.Time) (_ *flowrec.Batch, err error) {
 	timeout := b.cfg.AttemptTimeout
 	if remaining := time.Until(deadline); remaining < timeout {
 		timeout = max(remaining, 10*time.Millisecond)
@@ -768,6 +780,11 @@ func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, 
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
 	out := flowrec.NewBatch(max(expected, sizeHint, 0))
+	defer func() {
+		if err != nil {
+			out.Release()
+		}
+	}()
 	var pending []*flowrec.Batch // data seen before BEGIN
 	defer func() {
 		for _, p := range pending {

@@ -524,3 +524,92 @@ func TestBridgeReordersBeginAfterData(t *testing.T) {
 		t.Errorf("pump.Stats().Requests = %d, want 1", ps.Requests)
 	}
 }
+
+// TestShardedBridgeRetriesUnderLoss runs three streams side by side behind
+// one lossy relay, each losing something else on the first attempt of every
+// bucket (odd generations; the retry of a bucket is the even one and goes
+// through clean): stream 0 a data packet, stream 1 its BEGIN frame, stream
+// 2 every END frame. Streams 0 and 1 must retry every bucket and stream 2
+// none, every batch must arrive bit-identical, and — the point of running
+// it under -race — the buckets abandoned by the failed attempts, the
+// references shared by both attempts of a fetch and the pumps' export
+// batches all cycle through the flowrec pool while the other streams draw
+// from it.
+func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
+	opts := core.Options{FlowScale: 0.1}
+	const shards, hours = 3, 3
+	var (
+		relay   *lossyRelay
+		gen     [shards]uint32 // generation of the bucket each stream is sending
+		dataIdx [shards]int    // data packets seen of that bucket
+	)
+	drop := func(pkt []byte) bool { // runs under the relay's lock
+		if isCtrl(pkt) {
+			f, err := parseCtrl(pkt)
+			if err != nil {
+				t.Errorf("relay saw an unparsable control frame: %v", err)
+				return false
+			}
+			if f.typ == frameBegin {
+				gen[f.stream], dataIdx[f.stream] = f.gen, 0
+			}
+			return f.stream == 1 && f.typ == frameBegin && f.gen%2 == 1 ||
+				f.stream == 2 && f.typ == frameEnd
+		}
+		s := collector.StreamID(collector.FormatIPFIX, pkt)
+		dataIdx[s]++
+		return s == 0 && gen[s]%2 == 1 && dataIdx[s] == 2
+	}
+	br, pumps := newShardedHarnessVia(t, Config{
+		Format:         collector.FormatIPFIX,
+		Options:        opts,
+		AttemptTimeout: 2 * time.Second,
+		MaxAttempts:    6,
+	}, shards, func(bridgeAddr string) string {
+		relay = newLossyRelay(t, bridgeAddr, drop)
+		return relay.ln.LocalAddr().String()
+	})
+
+	// One vantage point per stream (index mod shards), a few hours each.
+	vps := []synth.VantagePoint{synth.ISPCE, synth.IXPCE, synth.IXPSE}
+	ref := core.NewSyntheticSource(opts)
+	var wg sync.WaitGroup
+	errs := make([]error, len(vps))
+	for i, vp := range vps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for h := 0; h < hours && errs[i] == nil; h++ {
+				errs[i] = fetchAndCompare(ref, br, vp, testHour.Add(time.Duration(h)*time.Hour))
+			}
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("stream %d (%s): %v", i, vps[i], err)
+		}
+	}
+
+	per := br.StreamStats()
+	for id, wantRetries := range []int64{hours, hours, 0} {
+		s := per[uint32(id)]
+		if s.Keys != hours || s.Retries != wantRetries {
+			t.Errorf("stream %d: %d keys, %d retries, want %d and %d: %+v", id, s.Keys, s.Retries, hours, wantRetries, s)
+		}
+		if ps := pumps[id].Stats(); ps.Requests != hours+wantRetries {
+			t.Errorf("pump %d served %d requests, want %d", id, ps.Requests, hours+wantRetries)
+		}
+	}
+	// Only stream 0 lost data packets; stream 1's unattributable first
+	// attempts count in full, as lost and as orphans.
+	if _, droppedRows := relay.stats(); per[0].LostRows != int64(droppedRows) {
+		t.Errorf("stream 0 lost %d rows, the relay dropped %d", per[0].LostRows, droppedRows)
+	}
+	if per[1].LostRows != per[1].Rows || per[1].OrphanRows != per[1].Rows {
+		t.Errorf("stream 1: %d lost and %d orphan rows, want its %d rows once each", per[1].LostRows, per[1].OrphanRows, per[1].Rows)
+	}
+	if per[2].LostRows != 0 || per[2].OrphanRows != 0 {
+		t.Errorf("stream 2 completes on row count and loses nothing: %+v", per[2])
+	}
+}

@@ -37,6 +37,14 @@ type PumpStats struct {
 	RowsSent     int64 // flow rows exported
 }
 
+func (s *PumpStats) add(o PumpStats) {
+	s.Requests += o.Requests
+	s.BadRequests += o.BadRequests
+	s.Nacks += o.Nacks
+	s.ExportErrors += o.ExportErrors
+	s.RowsSent += o.RowsSent
+}
+
 // PumpConfig configures a Pump.
 type PumpConfig struct {
 	// Format is the wire format the pump exports.
@@ -67,8 +75,8 @@ type PumpConfig struct {
 // serves one bridge (the exporter socket is dialed to the bridge's data
 // address); it is driven entirely by requests, so an idle pump costs
 // nothing. Several pumps with distinct stream identities may serve the
-// same bridge — the sharded cluster in internal/cluster runs one per
-// vantage-point shard.
+// same bridge — Loopback (`lockdown replay`) runs one per vantage point,
+// the sharded cluster in internal/cluster one per vantage-point shard.
 type Pump struct {
 	format collector.Format
 	stream uint32
@@ -178,7 +186,9 @@ func (p *Pump) Run(ctx context.Context) {
 
 // serve exports one requested bucket: BEGIN frame, the batch as flow
 // packets, END frame. Oracle failures turn into a NACK frame so the
-// bridge fails fast instead of timing out.
+// bridge fails fast instead of timing out. The batch is the pump's own
+// (see core.FlowSource) and nothing holds it once the bucket is closed,
+// so every exit hands it back to the pool the next request draws from.
 func (p *Pump) serve(gen uint32, key Key) {
 	b, err := batchForKey(p.src, key)
 	if err != nil {
@@ -186,6 +196,7 @@ func (p *Pump) serve(gen uint32, key Key) {
 		p.exp.WriteRaw(encodeCtrl(frameNack, p.stream, gen, 0, key, err.Error()))
 		return
 	}
+	defer b.Release()
 	if err := p.exp.WriteRaw(encodeCtrl(frameBegin, p.stream, gen, b.Len(), key, "")); err != nil {
 		// Same policy as the export-error path below: close the bucket
 		// (best effort) so the bridge retries via the fast

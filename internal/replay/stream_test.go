@@ -18,8 +18,17 @@ import (
 // partition shape internal/cluster uses.
 func newShardedHarness(t testing.TB, format collector.Format, opts core.Options, n int) (*Bridge, []*Pump) {
 	t.Helper()
+	return newShardedHarnessVia(t, Config{Format: format, Options: opts}, n, nil)
+}
+
+// newShardedHarnessVia is newShardedHarness under an explicit bridge
+// config, with the pumps exporting to via(bridge data address) instead of
+// to the bridge itself when via is set — the lossy tests splice a relay in
+// there.
+func newShardedHarnessVia(t testing.TB, cfg Config, n int, via func(bridgeAddr string) string) (*Bridge, []*Pump) {
+	t.Helper()
 	vps := synth.AllVantagePoints()
-	route := func(k Key) uint32 {
+	cfg.Route = func(k Key) uint32 {
 		for i, vp := range vps {
 			if vp == k.VP {
 				return uint32(i % n)
@@ -27,18 +36,22 @@ func newShardedHarness(t testing.TB, format collector.Format, opts core.Options,
 		}
 		return 0
 	}
-	br, err := NewBridge(Config{Format: format, Options: opts, Route: route})
+	br, err := NewBridge(cfg)
 	if err != nil {
 		t.Fatalf("NewBridge: %v", err)
+	}
+	dataAddr := br.DataAddr()
+	if via != nil {
+		dataAddr = via(dataAddr)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	pumps := make([]*Pump, n)
 	for i := range pumps {
 		pump, err := NewPump(PumpConfig{
-			Format:   format,
-			DataAddr: br.DataAddr(),
+			Format:   cfg.Format,
+			DataAddr: dataAddr,
 			Stream:   uint32(i),
-			Options:  opts,
+			Options:  cfg.Options,
 		})
 		if err != nil {
 			t.Fatalf("NewPump(stream %d): %v", i, err)
@@ -62,12 +75,12 @@ func newShardedHarness(t testing.TB, format collector.Format, opts core.Options,
 
 // fetchAndCompare fetches one hour batch over the bridge and compares
 // it to the reference row by row, goroutine-safe (no testing.T calls).
-func fetchAndCompare(ref *core.SyntheticSource, br *Bridge, vp synth.VantagePoint) error {
-	want, err := ref.FlowBatch(vp, testHour)
+func fetchAndCompare(ref *core.SyntheticSource, br *Bridge, vp synth.VantagePoint, hour time.Time) error {
+	want, err := ref.FlowBatch(vp, hour)
 	if err != nil {
 		return err
 	}
-	got, err := br.FlowBatch(vp, testHour)
+	got, err := br.FlowBatch(vp, hour)
 	if err != nil {
 		return err
 	}
@@ -105,7 +118,7 @@ func TestShardedBridgeConcurrentStreams(t *testing.T) {
 					defer wg.Done()
 					// Report mismatches through errs: t.Fatalf must not
 					// run off the test goroutine.
-					errs[i] = fetchAndCompare(ref, br, vp)
+					errs[i] = fetchAndCompare(ref, br, vp, testHour)
 				}()
 			}
 			wg.Wait()

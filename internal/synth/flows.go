@@ -42,8 +42,13 @@ func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
 // those of FlowsForHourBatch and ComponentFlowsForHourBatch column for
 // column — the sampler draws the same random stream whatever is stored —
 // so a caller whose readers declare their columns pays for no others.
+//
+// The batch is drawn from the flowrec pool and belongs to the caller: one
+// that only exports or compares it hands the columns back with Release, one
+// that keeps it (the dataset cache) never releases, and its draws then find
+// the pool empty and allocate.
 func (g *Generator) HourBatch(t time.Time, component string, cols flowrec.Columns) *flowrec.Batch {
-	b := flowrec.NewProjected(0, cols)
+	b := flowrec.GetProjected(0, cols)
 	h := hourAt(t)
 	if component == "" {
 		g.flowsForHourInto(b, &h, make([]componentHour, len(g.plan)))
