@@ -52,10 +52,16 @@
 //	              and injected faults. The per-experiment span durations
 //	              are the same clock as the _runtime/wall-ms metrics
 //	-cache-budget n  resident flow-batch cache cap (bytes, K/M/G suffixes;
-//	              0 = unlimited). Colder hours spill to mmap-backed columnar
-//	              spans and fault back in; output is byte-identical at
-//	              any budget (see internal/flowstore)
-//	-cache-dir d  directory for span files (default: OS temp dir)
+//	              0 = unlimited, every batch stays resident). Default 16M
+//	              for run/all/doc/scenario run, whose flow source is the
+//	              in-process generator: colder hours are dropped and
+//	              generated again if touched again. Default 0 for
+//	              replay/cluster, where a re-touch is a wire round trip.
+//	              Output is byte-identical at any budget
+//	-cache-dir d  keep evicted flow batches as mmap-backed columnar spans
+//	              in files under d and fault them back in, instead of
+//	              dropping them (see internal/flowstore). Default: none,
+//	              no file is written
 //	-format f     replay/cluster wire format: v5, v9 or ipfix (default ipfix)
 //	-addr a       replay/cluster bridge UDP listen address (default 127.0.0.1:0)
 //	-pps f        replay/cluster pump pacing, datagrams per second (0 = unlimited)
@@ -249,8 +255,15 @@ func run(ctx context.Context, args []string) error {
 		memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
 		metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (':0' picks a free port; empty = off)")
 		tracePath := fs.String("trace", "", "write a Chrome trace_event JSON trace of the run to this file (empty = off)")
-		cacheBudget := fs.String("cache-budget", "0", "resident flow-batch cache budget (bytes, K/M/G suffixes; 0 = unlimited, no spilling)")
-		cacheDir := fs.String("cache-dir", "", "directory for spilled flow-batch span files (default: OS temp dir)")
+		// The modes that generate in process bound their memory by
+		// default: a re-touched hour costs one more generation. Over the
+		// wire it costs a round trip, so those modes keep everything.
+		defaultBudget := "16M"
+		if args[0] == "replay" || args[0] == "cluster" {
+			defaultBudget = "0"
+		}
+		cacheBudget := fs.String("cache-budget", defaultBudget, "resident flow-batch cache budget (bytes, K/M/G suffixes; 0 = unlimited); evicted batches are dropped and generated again on their next access")
+		cacheDir := fs.String("cache-dir", "", "spill evicted flow batches to span files under this directory instead of dropping them (empty = no disk tier)")
 		scanChunk := fs.Int("scan-chunk", 0, "grid items per intra-experiment scan chunk (0 = per-scan default; never changes results)")
 		formatName := fs.String("format", "ipfix", "replay/cluster wire format: v5, v9 or ipfix")
 		addr := fs.String("addr", "127.0.0.1:0", "replay/cluster bridge UDP listen address")
@@ -691,15 +704,16 @@ func suiteEvents(data *core.Dataset) []obs.Event {
 		obs.Fi("hits", stats.Hits),
 		obs.Fi("misses", stats.Misses),
 	}}}
-	// Only runs with spill-tier activity carry the tier event; unbudgeted
-	// runs always have resident batches and would emit noise otherwise.
-	if stats.Spills > 0 || stats.Faults > 0 || stats.SpilledBytes > 0 {
+	// Only budgeted runs carry the tier event; an unbudgeted run keeps
+	// every batch resident and has nothing to say here.
+	if stats.Budget > 0 {
 		events = append(events, obs.Event{Cat: "cache", Msg: "flow-batch tiers", Fields: []obs.Field{
 			obs.Fi("spills", stats.Spills),
 			obs.Fi("faults", stats.Faults),
 			obs.Fi("regens", stats.Regens),
 			obs.Ff("MB resident", float64(stats.ResidentBytes)/(1<<20)),
 			obs.Ff("MB spilled", float64(stats.SpilledBytes)/(1<<20)),
+			obs.Fi("evictions", stats.Evictions),
 		}})
 	}
 	// A degraded (allow-partial) run is stamped explicitly so its output

@@ -95,7 +95,7 @@ func ClassifyEDU(r flowrec.Record) EDUClass {
 }
 
 // EDUColumns is what the Appendix B batch scans (ClassifyEDUAt,
-// CountEDUByClassDirBatch) read of a batch: the server-port columns, both
+// CountEDUByClassDirBatch, EDUCounter) read of a batch: the server-port columns, both
 // AS numbers and the direction.
 const EDUColumns = flowrec.PortLaneColumns | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColDir
 
@@ -149,18 +149,31 @@ var eduLanes = sync.OnceValue(func() *flowrec.PortLanes {
 
 // CountEDUByClassDirBatch counts connections (rows) per class and
 // direction over a columnar batch, without materialising records.
+func CountEDUByClassDirBatch(b *flowrec.Batch) map[EDUClass]map[flowrec.Direction]int {
+	var c EDUCounter
+	c.AddBatch(b)
+	return c.Counts()
+}
+
+// EDUCounter accumulates connection counts per class and direction over
+// any number of batches: the zero value is empty, AddBatch scans one more
+// batch into it without allocating, Counts renders the total. A day's
+// count built from its 24 hour batches equals the count of their
+// concatenation — the counts are integers.
+type EDUCounter struct {
+	acc [simd.PairLanes]uint64
+}
+
+// AddBatch counts the rows of b.
 //
 // The scan is the tiled kernel pattern: a bulk port-lane pass, a
 // branchless fixup resolving port-less rows to Spotify or Other by AS,
 // then a paired scatter count over (class lane, direction byte). Counts
-// are integers, so accumulation order cannot matter; a (class,
-// direction) map key exists iff its count is non-zero — exactly the
-// rows-seen semantics of the per-row map writes this replaces. The
-// direction lane deliberately spans the full byte so rows carrying an
-// out-of-range Dir value land under their own key, as they always did.
-func CountEDUByClassDirBatch(b *flowrec.Batch) map[EDUClass]map[flowrec.Direction]int {
+// are integers, so accumulation order cannot matter. The direction lane
+// deliberately spans the full byte so rows carrying an out-of-range Dir
+// value land under their own key, as they always did.
+func (c *EDUCounter) AddBatch(b *flowrec.Batch) {
 	tab := eduLanes()
-	var acc [simd.PairLanes]uint64
 	var lanes, dirs [simd.Tile]uint8
 	n := b.Len()
 	for lo := 0; lo < n; lo += simd.Tile {
@@ -180,17 +193,22 @@ func CountEDUByClassDirBatch(b *flowrec.Batch) map[EDUClass]map[flowrec.Directio
 		for i, d := range dcol {
 			td[i] = uint8(d)
 		}
-		simd.ScatterCountBytePairs(&acc, lanes[:hi-lo], dirs[:hi-lo])
+		simd.ScatterCountBytePairs(&c.acc, lanes[:hi-lo], dirs[:hi-lo])
 	}
+}
 
+// Counts returns the accumulated counts. A (class, direction) key exists
+// iff its count is non-zero — the rows-seen semantics of per-row map
+// writes.
+func (c *EDUCounter) Counts() map[EDUClass]map[flowrec.Direction]int {
 	out := make(map[EDUClass]map[flowrec.Direction]int)
 	for k, cls := range eduLaneOrder {
 		for d := 0; d < 256; d++ {
-			if c := acc[k<<8|d]; c > 0 {
+			if n := c.acc[k<<8|d]; n > 0 {
 				if out[cls] == nil {
 					out[cls] = make(map[flowrec.Direction]int)
 				}
-				out[cls][flowrec.Direction(d)] += int(c)
+				out[cls][flowrec.Direction(d)] += int(n)
 			}
 		}
 	}

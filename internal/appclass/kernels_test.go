@@ -2,6 +2,7 @@ package appclass
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -158,6 +159,30 @@ func TestEDUCountKernelMatchesRowPath(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEDUCounterSplitsSumToWhole: counting a batch in pieces — Figure 12
+// adds a day's 24 hour batches one at a time — gives the count of the
+// whole, key presence included, and an empty counter renders no keys.
+func TestEDUCounterSplitsSumToWhole(t *testing.T) {
+	var empty EDUCounter
+	if got := empty.Counts(); len(got) != 0 {
+		t.Fatalf("an empty counter has %d classes", len(got))
+	}
+	rng := rand.New(rand.NewSource(12))
+	whole := randomBatch(rng, 10000)
+	var c EDUCounter
+	for lo, step := 0, 1; lo < whole.Len(); lo, step = lo+step, step*3 {
+		hi := min(lo+step, whole.Len())
+		c.AddBatch(&flowrec.Batch{
+			SrcAS: whole.SrcAS[lo:hi], DstAS: whole.DstAS[lo:hi],
+			SrcPort: whole.SrcPort[lo:hi], DstPort: whole.DstPort[lo:hi],
+			Proto: whole.Proto[lo:hi], Bytes: whole.Bytes[lo:hi], Dir: whole.Dir[lo:hi],
+		})
+	}
+	if got, want := c.Counts(), CountEDUByClassDirBatch(whole); !reflect.DeepEqual(got, want) {
+		t.Errorf("counted in pieces: %v, whole: %v", got, want)
 	}
 }
 

@@ -38,15 +38,18 @@ type Options struct {
 	// Seed overrides the generator seed (0 keeps the default).
 	Seed int64
 	// CacheBudget caps the estimated heap bytes of flow batches the
-	// dataset cache keeps resident; least-recently-used unpinned batches
-	// beyond it spill to append-only span files and fault back in on
-	// access (see internal/flowstore). 0 disables spilling — every batch
-	// stays resident, the pre-storage-layer behaviour. The budget does
-	// not affect results: batches round-trip spans bit-identically.
+	// dataset cache keeps resident: least-recently-used unpinned batches
+	// beyond it are evicted, and an evicted batch is rebuilt from the flow
+	// source on its next access (or, with CacheDir, mapped back from its
+	// span). 0 is unlimited — every batch stays resident; the CLI sets a
+	// default for the modes that generate in process. The budget does not
+	// affect results: a rebuilt or mapped batch is bit-identical.
 	CacheBudget int64
-	// CacheDir is the directory span files are written under (a
-	// private temp dir is created inside it per dataset and removed by
-	// Dataset.Close). Empty selects the OS temp dir.
+	// CacheDir, if non-empty, adds a disk tier under the budget: evicted
+	// batches are appended to span files under it (see internal/flowstore;
+	// a private temp dir is created inside it per dataset and removed by
+	// Dataset.Close) instead of being forgotten. Empty means no disk
+	// tier, and no file is ever created.
 	CacheDir string
 	// ScanChunk overrides the chunk size of every intra-experiment
 	// sharded scan (see ShardedScan): the number of grid items merged as

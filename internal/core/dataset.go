@@ -32,19 +32,21 @@ import (
 // NetFlow/IPFIX export. Volume series always come from the local
 // generator model; only the flow-record path is sourced.
 //
-// Flow-batch entries form a tiered cache. With Options.CacheBudget unset
-// every batch stays resident, exactly as before the storage layer
-// existed. With a budget, the least-recently-used unpinned batches are
-// appended as spans to append-only span files (package flowstore) once
-// the resident estimate exceeds the budget, and faulted back in — via a
-// read-only mmap view of exactly that span, no decode and no copy — on
-// their next access. Entries touched by a running
-// experiment are pinned through its Env and never evicted mid-scan. A
-// damaged span (truncation, bit flips) is detected by its checksum and
-// the batch is regenerated from the flow source instead; spilling is an
-// optimisation, never a new failure mode. Batches are identical bit for
-// bit whether they were generated, faulted in, or regenerated, so every
-// metric of the suite is byte-identical at any budget.
+// Flow-batch entries are a working set, not the dataset. With
+// Options.CacheBudget unset every batch stays resident. With a budget,
+// the least-recently-used unpinned batches are evicted once the resident
+// estimate exceeds it, and an evicted batch is simply forgotten: its next
+// access rebuilds it from the flow source, which is a pure function of
+// the key. Naming Options.CacheDir adds a disk tier in between: an evicted
+// batch is first appended as a span to an append-only span file (package
+// flowstore) and faulted back in — via a read-only mmap view of exactly
+// that span, no decode and no copy — on its next access. Entries touched
+// by a running experiment are pinned through its Env and never evicted
+// mid-scan. A damaged span (truncation, bit flips) is detected by its
+// checksum and the batch is rebuilt from the flow source like a forgotten
+// one; spilling is an optimisation, never a new failure mode. Batches are
+// identical bit for bit whether they were generated, faulted in, or
+// rebuilt, so every metric of the suite is byte-identical at any budget.
 //
 // Concurrency model: a per-key entry is installed under a short mutex, and
 // the expensive generation runs inside the entry's sync.Once, so
@@ -53,9 +55,10 @@ import (
 // per-entry mutex. Cached values are immutable by convention: callers
 // must not modify returned slices or call mutating methods (e.g.
 // synth.Generator.SetVPNGateways) on shared instances. Batches handed out
-// remain valid even if the entry is evicted afterwards (spans stay
-// mapped until Close), so an unpinned caller is never left with a
-// dangling view.
+// remain valid even if the entry is evicted afterwards — eviction only
+// drops the cache's reference to a heap batch and never reuses its
+// columns, and spans stay mapped until Close — so an unpinned caller is
+// never left with a dangling view.
 type Dataset struct {
 	opts   Options
 	src    FlowSource
@@ -73,20 +76,22 @@ type Dataset struct {
 	hits   *obs.Counter
 	misses *obs.Counter
 
-	// Spill tier (flow-batch entries only). The tier counters move under
-	// lmu together with the byte totals they explain, so a Stats snapshot
-	// never shows spilled bytes without the spill that wrote them.
-	budget int64
-	spills *obs.Counter
-	faults *obs.Counter
-	regens *obs.Counter
-	pinned atomic.Int64 // entries with at least one live pin
+	// Eviction and the spill tier (flow-batch entries only). The tier
+	// counters move under lmu together with the byte totals they explain,
+	// so a Stats snapshot never shows spilled bytes without the spill that
+	// wrote them, or freed bytes without their eviction.
+	budget    int64
+	evictions *obs.Counter
+	spills    *obs.Counter
+	faults    *obs.Counter
+	regens    *obs.Counter
+	pinned    atomic.Int64 // entries with at least one live pin
 
 	lmu      sync.Mutex // guards the fields below; acquired after an entry's mu
 	lru      *list.List // *flowEntry; front = most recently used
 	resident int64      // heap-byte estimate of resident flow batches
 	spilled  int64      // bytes of live spans
-	dir      string     // spill directory, created on first spill
+	dir      string     // spill directory under opts.CacheDir, created on first spill
 	dirErr   error      // why there is no spill directory (sticky)
 	files    []*flowstore.SpanFile
 	closed   bool
@@ -98,11 +103,13 @@ type cacheEntry struct {
 	err  error
 }
 
-// flowEntry is the spillable cache slot of one flow batch. It lives in
+// flowEntry is the evictable cache slot of one flow batch. It lives in
 // the entries map behind the per-key sync.Once like every other value;
 // the extra machinery tracks which tier the batch currently occupies:
 //
-//	resident ──evict (append on first time)──▶ spilled
+//	resident ──evict────────────────────────▶ forgotten   (no CacheDir)
+//	resident ◀──────fault (build again)────── forgotten
+//	resident ──evict (append on first time)──▶ spilled     (CacheDir set)
 //	resident ◀──────fault (mmap view)──────── spilled
 //
 // The entry's mutex serialises tier transitions; pins (atomic, bumped
@@ -118,7 +125,7 @@ type flowEntry struct {
 
 	mu        sync.Mutex
 	pins      atomic.Int32
-	batch     *flowrec.Batch      // nil while spilled
+	batch     *flowrec.Batch      // nil while evicted
 	heapBytes int64               // resident heap estimate of batch
 	file      *flowstore.SpanFile // span file holding the batch; nil until first spill
 	ref       flowstore.SpanRef   // the batch's span in file
@@ -141,17 +148,18 @@ func NewDataset(opts Options) *Dataset {
 func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 	reg := opts.Obs
 	d := &Dataset{
-		opts:    opts,
-		tracer:  opts.Tracer,
-		entries: make(map[string]*cacheEntry),
-		models:  make(map[synth.VantagePoint]*vpModel),
-		budget:  opts.CacheBudget,
-		lru:     list.New(),
-		hits:    reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
-		misses:  reg.Counter("lockdown_cache_misses_total", "Dataset cache key lookups that installed a new entry."),
-		spills:  reg.Counter("lockdown_cache_spills_total", "Flow batches appended to a span file on eviction."),
-		faults:  reg.Counter("lockdown_cache_faults_total", "Spilled flow batches mapped back in for an access."),
-		regens:  reg.Counter("lockdown_cache_regens_total", "Faults that found a damaged span and rebuilt from the flow source."),
+		opts:      opts,
+		tracer:    opts.Tracer,
+		entries:   make(map[string]*cacheEntry),
+		models:    make(map[synth.VantagePoint]*vpModel),
+		budget:    opts.CacheBudget,
+		lru:       list.New(),
+		hits:      reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
+		misses:    reg.Counter("lockdown_cache_misses_total", "Dataset cache key lookups that installed a new entry."),
+		evictions: reg.Counter("lockdown_cache_evictions_total", "Resident flow batches dropped to fit the cache budget."),
+		spills:    reg.Counter("lockdown_cache_spills_total", "Flow batches appended to a span file on eviction."),
+		faults:    reg.Counter("lockdown_cache_faults_total", "Evicted flow batches brought back for an access, mapped from a span or rebuilt."),
+		regens:    reg.Counter("lockdown_cache_regens_total", "Faults that found a damaged span and rebuilt from the flow source."),
 	}
 	if src == nil {
 		src = datasetSource{d}
@@ -198,9 +206,9 @@ func (d *Dataset) get(key string, build func() (any, error)) (any, error) {
 	return e.val, e.err
 }
 
-// getFlow is get for spillable flow batches: the first access generates
+// getFlow is get for evictable flow batches: the first access generates
 // the batch inside the per-key once; later accesses return the resident
-// batch or fault it back in from its span. pin (optional) keeps the
+// batch or fault it back in. pin (optional) keeps the
 // entry resident until the pin is released. need is the column set of
 // the batch's kind: a source may deliver more, never less.
 func (d *Dataset) getFlow(key string, pin *Pin, need flowrec.Columns, build func() (*flowrec.Batch, error)) (*flowrec.Batch, error) {
@@ -230,7 +238,7 @@ func (d *Dataset) getFlow(key string, pin *Pin, need flowrec.Columns, build func
 }
 
 // acquire returns the entry's batch, faulting it back in if it is
-// spilled, and registers the pin. The returned batch stays valid even if
+// evicted, and registers the pin. The returned batch stays valid even if
 // the entry is evicted afterwards.
 func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 	fe.mu.Lock()
@@ -257,11 +265,12 @@ func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 	return b, nil
 }
 
-// faultIn rebuilds the entry's batch, called with fe.mu held. The happy
-// path maps (once) and views the entry's span; a span that fails its
-// checksum, reaches beyond its file, cannot be read or holds fewer columns
-// than the entry's batch had is dropped and the batch is regenerated from
-// the flow source — the cache never propagates storage corruption as an
+// faultIn brings an evicted entry's batch back, called with fe.mu held.
+// An entry with a span maps (once) and views it; an entry without one —
+// there is no cache directory, or its span was damaged — is rebuilt from
+// the flow source. A span that fails its checksum, reaches beyond its
+// file, cannot be read or holds fewer columns than the entry's batch had
+// is dropped first — the cache never propagates storage corruption as an
 // error or a panic. A damaged span only degrades its own entry; its
 // neighbours in the file keep serving.
 func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
@@ -341,8 +350,8 @@ func (d *Dataset) relink(fe *flowEntry) {
 }
 
 // enforceBudget evicts least-recently-used unpinned flow batches until
-// the resident estimate fits the budget (0 = unlimited; spilling
-// disabled). Pinned entries are skipped, so the budget is a target the
+// the resident estimate fits the budget (0 = unlimited; nothing is ever
+// evicted). Pinned entries are skipped, so the budget is a target the
 // cache converges to as pins release, not a hard cap during a scan.
 func (d *Dataset) enforceBudget() {
 	if d.budget <= 0 {
@@ -375,9 +384,11 @@ func (d *Dataset) enforceBudget() {
 	}
 }
 
-// evict spills one entry (first eviction appends the span; later ones
-// reuse it) and drops its resident batch. Returns false when the spill
-// failed and eviction should stop instead of spinning on the same entry.
+// evict drops one entry's resident batch. Without a cache directory that
+// is all of it: the batch is forgotten and its next access rebuilds it
+// from the flow source. With one, the first eviction appends the batch as
+// a span (later ones reuse it). Returns false when the spill failed and
+// eviction should stop instead of spinning on the same entry.
 func (d *Dataset) evict(fe *flowEntry) bool {
 	fe.mu.Lock()
 	defer fe.mu.Unlock()
@@ -388,7 +399,7 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 		d.relink(fe)
 		return true
 	}
-	if fe.file == nil {
+	if fe.file == nil && d.opts.CacheDir != "" {
 		sp := d.tracer.Start("cache-spill", "cache")
 		file, ref, err := d.spill(fe.batch)
 		if sp.Active() {
@@ -404,6 +415,7 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 	}
 	fe.batch = nil
 	d.lmu.Lock()
+	d.evictions.Add(1)
 	d.resident -= fe.heapBytes
 	d.lmu.Unlock()
 	fe.heapBytes = 0
@@ -448,9 +460,9 @@ func (d *Dataset) spill(b *flowrec.Batch) (*flowstore.SpanFile, flowstore.SpanRe
 }
 
 // spanFile returns the span file evictions currently append to. The
-// spill directory — a private temp dir under Options.CacheDir (or the OS
-// temp dir), removed by Close — and the first file are created on the
-// first spill; a sealed file is followed by a new one.
+// spill directory — a private temp dir under Options.CacheDir, removed by
+// Close — and the first file are created on the first spill; a sealed
+// file is followed by a new one.
 func (d *Dataset) spanFile() (*flowstore.SpanFile, error) {
 	d.lmu.Lock()
 	defer d.lmu.Unlock()
@@ -458,10 +470,7 @@ func (d *Dataset) spanFile() (*flowstore.SpanFile, error) {
 		return d.files[n-1], nil
 	}
 	if d.dir == "" && d.dirErr == nil {
-		if base := d.opts.CacheDir; base != "" {
-			d.dirErr = os.MkdirAll(base, 0o755)
-		}
-		if d.dirErr == nil {
+		if d.dirErr = os.MkdirAll(d.opts.CacheDir, 0o755); d.dirErr == nil {
 			d.dir, d.dirErr = os.MkdirTemp(d.opts.CacheDir, "lockdown-flowstore-")
 		}
 	}
@@ -480,7 +489,7 @@ func (d *Dataset) spanFile() (*flowstore.SpanFile, error) {
 // It must only be called once no experiment is running and no returned
 // batch is in use; the CLI defers it around a whole run. Close is
 // idempotent. A dataset keeps working after Close — subsequent accesses
-// regenerate from the source — but it no longer spills.
+// regenerate from the source — but it no longer evicts or spills.
 func (d *Dataset) Close() error {
 	d.mu.Lock()
 	fes := make([]*flowEntry, 0, len(d.entries))
@@ -530,7 +539,8 @@ func (d *Dataset) Close() error {
 	return firstErr
 }
 
-// Stats returns the cache's entry, hit/miss and spill-tier counters.
+// Stats returns the cache's entry, hit/miss, eviction and spill-tier
+// counters.
 // Each group is read inside the lock that orders its writers — the
 // lookup counters under mu, the tier counters and byte totals under
 // lmu — so the snapshot is consistent within a group: Entries equals
@@ -543,9 +553,10 @@ func (d *Dataset) Stats() CacheStats {
 	d.mu.Unlock()
 	d.lmu.Lock()
 	s.ResidentBytes, s.SpilledBytes = d.resident, d.spilled
-	s.Spills, s.Faults, s.Regens = d.spills.Value(), d.faults.Value(), d.regens.Value()
+	s.Evictions, s.Spills, s.Faults, s.Regens = d.evictions.Value(), d.spills.Value(), d.faults.Value(), d.regens.Value()
 	d.lmu.Unlock()
 	s.Pinned = int(d.pinned.Load())
+	s.Budget = d.budget
 	return s
 }
 

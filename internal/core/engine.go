@@ -104,51 +104,25 @@ func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, hour time
 	return env.Data.ComponentFlowBatch(vp, name, hour)
 }
 
-// flowBatchBetween concatenates the cached per-hour batches of [from, to)
-// into one batch, preallocated from the summed hour lengths (two passes
-// over the cache, one bulk allocation, no append growth) and storing the
-// columns the hours store. The result is a heap-owned copy, so the source
-// hours are pinned only for the duration
-// of this call — not for the experiment's lifetime like the per-hour
-// accessors. A day-grid scan (fig12 walks months of EDU hours) therefore
-// holds one day resident at a time under a tight budget instead of its
-// whole history.
-func (env *Env) flowBatchBetween(vp synth.VantagePoint, from, to time.Time) (*flowrec.Batch, error) {
-	local := env.newPin()
-	defer local.Release()
-	from = from.UTC().Truncate(time.Hour)
-	total, cols := 0, flowrec.AllColumns
-	for t := from; t.Before(to); t = t.Add(time.Hour) {
-		b, err := local.FlowBatch(vp, t)
-		if err != nil {
-			return nil, err
-		}
-		total += b.Len()
-		cols &= b.Columns()
-	}
-	out := flowrec.NewProjected(total, cols)
-	for t := from; t.Before(to); t = t.Add(time.Hour) {
-		b, err := local.FlowBatch(vp, t)
-		if err != nil {
-			return nil, err
-		}
-		out.AppendBatch(b)
-	}
-	return out, nil
-}
-
 // CacheStats summarises the dataset cache's effectiveness and, when a
-// cache budget is set, the activity of the spill tier.
+// cache budget is set, its eviction activity.
 type CacheStats struct {
 	// Entries counts all memoized keys (generators, series, flow batches).
 	Entries int
 	// Hits and Misses count cache-key lookups.
 	Hits   int64
 	Misses int64
+	// Budget is the Options.CacheBudget in force (0 = unlimited).
+	Budget int64
+	// Evictions counts resident flow batches dropped to fit the budget,
+	// forgotten or left in their span.
+	Evictions int64
 	// Spills counts flow-batch entries appended to a span file (each
-	// entry is written once; later evictions reuse the span).
+	// entry is written once; later evictions reuse the span). Always 0
+	// without Options.CacheDir.
 	Spills int64
-	// Faults counts spilled entries brought back for an access.
+	// Faults counts evicted entries brought back for an access, whether
+	// mapped from their span or rebuilt from the flow source.
 	Faults int64
 	// Regens counts faults that found a damaged span and rebuilt the
 	// batch from the flow source instead.
@@ -246,7 +220,7 @@ func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
 // memory it read and its scan activity into the result's runtime metrics.
 // The experiment's Env carries a Pin: every flow batch it draws stays
 // resident until the run returns, then the pin releases and the cache may
-// spill what no longer fits the budget. budget is the shared worker pool
+// evict what no longer fits the budget. budget is the shared worker pool
 // the experiment's sharded scans may borrow spare tokens from; the caller
 // must already hold one of its tokens.
 func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBudget) (*Result, error) {

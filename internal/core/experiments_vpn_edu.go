@@ -7,7 +7,6 @@ import (
 	"lockdown/internal/appclass"
 	"lockdown/internal/calendar"
 	"lockdown/internal/edu"
-	"lockdown/internal/flowrec"
 	"lockdown/internal/patterns"
 	"lockdown/internal/synth"
 	"lockdown/internal/timeseries"
@@ -192,12 +191,13 @@ func runFig12(env *Env) (*Result, error) {
 		}
 		days = append(days, d)
 	}
-	// The month walk shards over the sampled days (each day concatenates
-	// its 24 cached hours into one heap-owned batch, so a chunk holds one
-	// day resident, not its history); the per-chunk maps are key-disjoint,
-	// making the merge trivially exact. The read-ahead hook faults the
-	// next day's hour batches while the current day is concatenated.
-	byDay, err := ShardedScan(env, len(days),
+	// The month walk shards over the sampled days and counts where it
+	// reads: each cached hour is classified in place into its day's
+	// counter, so nothing but the cache holds a flow batch and the cache
+	// budget bounds the walk. Counts are integers, which makes the merge
+	// exact at any chunking. The read-ahead hook faults the next day's hour
+	// batches while the current day is counted.
+	counts, err := ShardedScan(env, len(days),
 		ScanOptions{
 			Chunk: 1,
 			Prefetch: func(env *Env, lo, hi int) error {
@@ -211,27 +211,25 @@ func runFig12(env *Env) (*Result, error) {
 				return nil
 			},
 		},
-		func(env *Env, lo, hi int) (map[time.Time]*flowrec.Batch, error) {
-			part := make(map[time.Time]*flowrec.Batch, hi-lo)
+		func(env *Env, lo, hi int) (edu.DailyCounts, error) {
+			part := make(edu.DailyCounts, hi-lo)
 			for _, d := range days[lo:hi] {
-				b, err := env.flowBatchBetween(synth.EDU, d, d.AddDate(0, 0, 1))
-				if err != nil {
-					return nil, err
+				var day appclass.EDUCounter
+				for h := d; h.Before(d.AddDate(0, 0, 1)); h = h.Add(time.Hour) {
+					b, err := env.flowBatch(synth.EDU, h)
+					if err != nil {
+						return nil, err
+					}
+					day.AddBatch(b)
 				}
-				part[d] = b
+				part[calendar.DayStart(d)] = day.Counts()
 			}
 			return part, nil
 		},
-		func(dst, src map[time.Time]*flowrec.Batch) map[time.Time]*flowrec.Batch {
-			for d, b := range src {
-				dst[d] = b
-			}
-			return dst
-		})
+		edu.DailyCounts.Merge)
 	if err != nil {
 		return nil, err
 	}
-	counts := edu.CountConnections(byDay)
 	cats := append(edu.DefaultCategories(), edu.ExtraCategories()...)
 	growth := edu.ConnectionGrowth(counts, start, cats)
 

@@ -122,7 +122,7 @@ func (o ScanOptions) chunkSize(env *Env, n int) int {
 //
 // Each scan invocation receives a chunk-scoped Env: same options and
 // dataset, but a private Pin that keeps every batch the chunk draws
-// resident until the chunk completes — the tiered cache never evicts a
+// resident until the chunk completes — the cache never evicts a
 // batch mid-chunk, and released chunks let it converge back to its budget.
 // Chunk envs carry no budget, so a nested ShardedScan inside scan runs
 // sequentially instead of recursively forking.

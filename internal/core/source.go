@@ -15,8 +15,10 @@ import (
 // per-hour flow batches of a vantage point, the gateway-pinned variant
 // used by the VPN analyses, and the per-component batches. The Dataset
 // cache consumes exactly one FlowSource and memoizes every batch it
-// returns behind the per-key sync.Once, so a source is asked for each key
-// at most once per engine.
+// returns behind the per-key sync.Once, so a source is asked for a key
+// once — and again only when the batch was evicted under a cache budget
+// with no span to bring it back from, which is why a source must return
+// the same batch for the same key every time.
 //
 // Two implementations exist: the in-process synthetic generator (the
 // default, see SyntheticSource) and the wire-replay bridge in package
@@ -26,13 +28,15 @@ import (
 //
 // Ownership: a batch a source returns belongs to the caller, and only the
 // caller may hand it to the flowrec pool (Batch.Release). The Dataset keeps
-// what it caches and never releases it, so on the default path the pool the
-// generator draws from (synth.HourBatch) is always empty and every batch is
-// a fresh allocation. The wire-replay harness is the caller that releases:
-// a pump releases the batch it exported once the bucket's END frame is out,
-// and the bridge releases its reference when the fetch returns — after the
-// NetFlow v5 repair has copied out of it — while the wire batch it returns
-// passes to the cache like any other.
+// what it caches and never releases it — an evicted batch is dropped, not
+// released, because a pin-less reader may still hold it — so on the
+// default path the pool the generator draws from (synth.HourBatch) is
+// always empty and every batch is a fresh allocation. The wire-replay
+// harness is the caller that releases: a pump releases the batch it
+// exported once the bucket's END frame is out, and the bridge releases its
+// reference when the fetch returns — after the NetFlow v5 repair has
+// copied out of it — while the wire batch it returns passes to the cache
+// like any other.
 //
 // Projection is a property of the batch kind: every scan of a kind reads
 // inside the kind's column set below, so the default source generates

@@ -146,7 +146,13 @@ func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 			if stats.Rows == 0 || stats.LostRows != 0 || stats.Retries != 0 {
 				t.Errorf("unexpected stats: %+v", stats)
 			}
-			if ps := pump.Stats(); ps.Requests != 3 || ps.RowsSent != stats.Rows {
+			// The bridge returns a bucket once its rows are in, which can be
+			// before the pump has counted them: give the counter a moment.
+			ps := pump.Stats()
+			for deadline := time.Now().Add(2 * time.Second); ps.RowsSent != stats.Rows && time.Now().Before(deadline); ps = pump.Stats() {
+				time.Sleep(time.Millisecond)
+			}
+			if ps.Requests != 3 || ps.RowsSent != stats.Rows {
 				t.Errorf("pump stats %+v do not match bridge stats %+v", ps, stats)
 			}
 		})

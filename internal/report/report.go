@@ -227,16 +227,19 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "component-hours (see docs/ARCHITECTURE.md, \"Failure modes and")
 	fmt.Fprintln(w, "recovery\").")
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Memory is bounded by the tiered dataset cache: `-cache-budget 64M`")
-	fmt.Fprintln(w, "(any of run/all/doc/replay/cluster) caps the resident flow batches;")
-	fmt.Fprintln(w, "colder hours are appended, each written once, as checksummed")
-	fmt.Fprintln(w, "columnar spans to append-only span files under `-cache-dir`")
-	fmt.Fprintln(w, "(default: OS temp dir), and a later access maps exactly that span")
-	fmt.Fprintln(w, "back in. A file is sealed with an index of its spans when it reaches")
-	fmt.Fprintln(w, "a fixed size; `lockdown cache stat <dir>` verifies what a killed run")
-	fmt.Fprintln(w, "left behind. The budget never changes a metric — spilled batches")
-	fmt.Fprintln(w, "round-trip bit for bit (see docs/ARCHITECTURE.md, \"The spillable")
-	fmt.Fprintln(w, "dataset store\").")
+	fmt.Fprintln(w, "Memory is bounded by default: the dataset cache keeps a working set")
+	fmt.Fprintln(w, "of flow batches, not the dataset. `run`, `all`, `doc` and `scenario")
+	fmt.Fprintln(w, "run` cap the resident batches at `-cache-budget 16M`; colder hours")
+	fmt.Fprintln(w, "are dropped and generated again if an experiment touches them again")
+	fmt.Fprintln(w, "(about one batch in eleven is). `replay` and `cluster`, where a")
+	fmt.Fprintln(w, "re-touch is a wire round trip, keep every batch (`-cache-budget 0`)")
+	fmt.Fprintln(w, "unless told otherwise. Naming a `-cache-dir` adds a disk tier:")
+	fmt.Fprintln(w, "evicted batches are appended, each written once, as checksummed")
+	fmt.Fprintln(w, "columnar spans to append-only span files under it, and a later")
+	fmt.Fprintln(w, "access maps exactly that span back in; `lockdown cache stat <dir>`")
+	fmt.Fprintln(w, "verifies what a killed run left behind. The budget never changes a")
+	fmt.Fprintln(w, "metric — rebuilt and mapped batches are bit for bit the generated")
+	fmt.Fprintln(w, "ones (see docs/ARCHITECTURE.md, \"The spillable dataset store\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "The per-row column scans those experiments run — per-class byte")
 	fmt.Fprintln(w, "volumes, VPN method splits, EDU class/direction counts, port")
