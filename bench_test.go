@@ -159,8 +159,8 @@ func BenchmarkFig12EDUConnections(b *testing.B) {
 // single experiment, so it is the headline case for core.ShardedScan.
 // Sequential holds the worker budget at one token (the sharded scan
 // degrades to the old in-order loop); Sharded4 gives the engine four
-// tokens, so the day-grid scan borrows the three spares and prefetches
-// day h+1 while day h scans. Output is bit-identical either way
+// tokens, so the day-grid scan borrows the three spares as extra chunk
+// workers. Output is bit-identical either way
 // (TestRunAllShardingInvariance pins this).
 func benchFig12Workers(b *testing.B, parallel int) {
 	for i := 0; i < b.N; i++ {

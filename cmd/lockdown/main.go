@@ -27,7 +27,8 @@
 //
 //	-csv          emit CSV instead of aligned text tables (run/all/replay/cluster)
 //	-json         emit JSON instead of text tables (run/all/replay/cluster)
-//	-scale f      flow sampling density for flow-level experiments (default 0.5)
+//	-scale f      flow sampling density for flow-level experiments (default
+//	              0.5; 0 selects it; not finite or negative: usage error, exit 2)
 //	-seed n       generator seed override
 //	-parallel n   global worker budget for all/doc/replay/cluster (default
 //	              GOMAXPROCS). One budget governs both scheduling levels:
@@ -119,8 +120,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"runtime"
@@ -171,9 +174,19 @@ func main() {
 	context.AfterFunc(ctx, stop)
 	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "lockdown:", err)
+		var ue usageError
+		if errors.As(err, &ue) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 }
+
+// usageError is a command line refused before any work was done; main
+// exits 2 for it and 1 for a run that failed.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
 
 func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
@@ -294,6 +307,11 @@ func run(ctx context.Context, args []string) error {
 		}
 		if *csvOut && *jsonOut {
 			return fmt.Errorf("-csv and -json are mutually exclusive")
+		}
+		// 0 selects the default density (core.Options.FlowScale); NaN fails
+		// every comparison the generator makes and would sample garbage.
+		if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale < 0 {
+			return usageError(fmt.Sprintf("-scale must be a finite, non-negative number, got %g", *scale))
 		}
 		// The flag set is shared across subcommands; reject flags that do
 		// not apply to the one being run instead of silently ignoring them.

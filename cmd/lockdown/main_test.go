@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -102,5 +103,37 @@ func TestReplayEventsListEveryStream(t *testing.T) {
 		if !strings.HasPrefix(lines[want.line], want.text) {
 			t.Errorf("line %d = %q, want prefix %q", want.line, lines[want.line], want.text)
 		}
+	}
+}
+
+// TestScaleFlagRejected: a -scale that is NaN, infinite or negative is a
+// usage error (exit 2) in every mode that takes the flag, raised before
+// the scenario file is opened or an engine built; 0 still selects the
+// default density.
+func TestScaleFlagRejected(t *testing.T) {
+	modes := [][]string{
+		{"run", "fig9"}, {"all"}, {"doc"}, {"replay"}, {"cluster"},
+		{"scenario", "run", filepath.Join(t.TempDir(), "never-opened.yaml")},
+	}
+	for _, mode := range modes {
+		for _, v := range []string{"NaN", "+Inf", "-Inf", "-0.5"} {
+			args := append(append([]string(nil), mode...), "-scale="+v)
+			err := run(context.Background(), args)
+			var ue usageError
+			if !errors.As(err, &ue) || !strings.Contains(err.Error(), "-scale") {
+				t.Errorf("%v = %v, want a -scale usage error", args, err)
+			}
+		}
+	}
+
+	stdout := os.Stdout
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = null
+	defer func() { os.Stdout = stdout; null.Close() }()
+	if err := run(context.Background(), []string{"run", "fig3a", "-scale", "0"}); err != nil {
+		t.Errorf("-scale 0 selects the default and must run: %v", err)
 	}
 }

@@ -224,6 +224,12 @@ func (d *Dataset) getFlow(key string, pin *Pin, need flowrec.Columns, build func
 		}
 		fe := &flowEntry{key: key, build: build, rows: b.Len(), cols: b.Columns(), batch: b, heapBytes: b.HeapBytes()}
 		e.val = fe
+		// Pin before linking: once the entry is in the LRU another
+		// goroutine's enforceBudget could evict it unpinned, and this
+		// reader would generate the batch a second time.
+		if pin != nil {
+			pin.add(fe)
+		}
 		d.link(fe, fe.heapBytes, false)
 	})
 	if e.err != nil {
@@ -582,7 +588,7 @@ type Pin struct {
 	entries []*flowEntry
 	seen    map[*flowEntry]struct{}
 	// drawn, when set, is the accounting every pin of one experiment
-	// reports its entries to (see Env.newPin).
+	// reports its entries to (see Env.chunkEnv).
 	drawn *drawnSet
 }
 
@@ -590,10 +596,10 @@ type Pin struct {
 func (d *Dataset) NewPin() *Pin { return &Pin{d: d} }
 
 // drawnSet is the distinct flow-batch entries one experiment drew —
-// through its own pin or the chunk, prefetch and day pins derived from
-// it — with their summed size, rows × the width of the columns each
-// entry stores: what MetricBatchMB reports. Being a set it reads the same
-// however the scans were chunked, prefetched, parallelised or re-faulted.
+// through its own pin or the chunk pins derived from it — with their
+// summed size, rows × the width of the columns each entry stores: what
+// MetricBatchMB reports. Being a set it reads the same however the scans
+// were chunked, parallelised or re-faulted.
 type drawnSet struct {
 	mu    sync.Mutex
 	seen  map[*flowEntry]struct{}
@@ -616,7 +622,8 @@ func (s *drawnSet) batchMB() float64 {
 	return float64(s.bytes) / (1 << 20)
 }
 
-// add registers the entry, called with fe.mu held.
+// add registers the entry, called with fe.mu held (or before the entry is
+// linked, when no other goroutine can reach it).
 func (p *Pin) add(fe *flowEntry) {
 	if _, ok := p.seen[fe]; ok {
 		return

@@ -75,6 +75,42 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 	}
 }
 
+// TestBudgetedFaultsMatchSerial: under a 1-byte budget a batch comes back
+// exactly when a later chunk or experiment reads it again, so the serial
+// run's fault count is a property of the suite (392 re-reads of its 4344
+// batches) and the scheduler may not add to it: no goroutine touches a
+// batch ahead of the scan that reads it, and a fresh batch is pinned by
+// its first reader before eviction can see it. RunAll at -parallel 1 and 2
+// reports exactly that count; at -parallel 4 the experiments that share
+// weeks (fig7a/fig7b with fig9, fig10 with ablation-vpn) may overlap and
+// read one resident batch together, so the count can only be lower.
+func TestBudgetedFaultsMatchSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full suite six times")
+	}
+	for _, seed := range []int64{0, 7} {
+		faults := func(parallel int) int64 {
+			t.Helper()
+			e := NewEngine(Options{FlowScale: 0.05, Seed: seed, CacheBudget: 1})
+			defer e.Data().Close()
+			if _, err := e.RunAll(context.Background(), parallel); err != nil {
+				t.Fatalf("seed %d, parallel %d: %v", seed, parallel, err)
+			}
+			return e.Data().Stats().Faults
+		}
+		serial := faults(1)
+		if serial != 392 {
+			t.Errorf("seed %d: the serial suite re-reads %d batches, want 392", seed, serial)
+		}
+		if got := faults(2); got != serial {
+			t.Errorf("seed %d: %d faults at -parallel 2, want the serial %d", seed, got, serial)
+		}
+		if got := faults(4); got > serial {
+			t.Errorf("seed %d: %d faults at -parallel 4, more than the serial %d", seed, got, serial)
+		}
+	}
+}
+
 // TestReadersSurviveNeighbourRebuilds: a batch a reader holds — pinned, or
 // obtained through the pin-less Dataset.FlowBatch and evicted the moment
 // it was returned — is never written to again. Eviction drops the cache's

@@ -33,8 +33,9 @@ const (
 	// borrowed from the engine's worker budget beyond the experiment's
 	// own goroutine (0 = every scan ran sequentially).
 	MetricScanWorkers = "_runtime/scan-extra-workers"
-	// MetricScanPrefetch counts the chunks the read-ahead prefetcher
-	// warmed before the scan frontier reached them.
+	// MetricScanPrefetch is retired: the read-ahead prefetcher it counted
+	// is gone and the engine never stamps it. The name stays because
+	// bench/ indexes Result.Metrics with it (reads 0).
 	MetricScanPrefetch = "_runtime/scan-prefetched"
 )
 
@@ -152,12 +153,11 @@ type Engine struct {
 // standalone atomics) even without a metrics server; the `_runtime/*`
 // stamps and these instruments are fed from the same measurements.
 type engineMetrics struct {
-	experiments  *obs.Counter
-	failures     *obs.Counter
-	duration     *obs.Histogram
-	scanChunks   *obs.Counter
-	scanWorkers  *obs.Counter
-	scanPrefetch *obs.Counter
+	experiments *obs.Counter
+	failures    *obs.Counter
+	duration    *obs.Histogram
+	scanChunks  *obs.Counter
+	scanWorkers *obs.Counter
 }
 
 func newEngineMetrics(reg *obs.Registry) engineMetrics {
@@ -172,8 +172,6 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 			"Grid chunks processed by intra-experiment sharded scans."),
 		scanWorkers: reg.Counter("lockdown_scan_extra_workers_total",
 			"Extra workers sharded scans borrowed from the engine's budget."),
-		scanPrefetch: reg.Counter("lockdown_scan_prefetched_total",
-			"Chunks the scan read-ahead prefetcher warmed in time."),
 	}
 }
 
@@ -243,7 +241,6 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBud
 	}
 	chunks := env.scan.chunks.Load()
 	extra := env.scan.extraWorkers.Load()
-	prefetched := env.scan.prefetched.Load()
 	var wall time.Duration
 	if sp.Active() {
 		wall = sp.EndArgs(map[string]any{"id": exp.ID, "scan_chunks": chunks})
@@ -254,12 +251,10 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBud
 	res.Metrics[MetricBatchMB] = drawn.batchMB()
 	res.Metrics[MetricScanChunks] = float64(chunks)
 	res.Metrics[MetricScanWorkers] = float64(extra)
-	res.Metrics[MetricScanPrefetch] = float64(prefetched)
 	e.m.experiments.Add(1)
 	e.m.duration.Observe(wall.Seconds())
 	e.m.scanChunks.Add(chunks)
 	e.m.scanWorkers.Add(extra)
-	e.m.scanPrefetch.Add(prefetched)
 	return res, nil
 }
 

@@ -80,8 +80,7 @@ func collectPortVolumes(env *Env, vp synth.VantagePoint, week calendar.Week, top
 			dst.workdayHours += src.workdayHours
 			dst.weekendHours += src.weekendHours
 			return dst
-		},
-		prefetchFlowHours(vp))
+		})
 	if err != nil {
 		return portWeekVolumes{}, err
 	}
@@ -228,8 +227,7 @@ func runFig8(env *Env) (*Result, error) {
 				}
 			}
 			return dst
-		},
-		prefetchComponentHours(synth.IXPSE, "gaming"))
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -298,23 +296,15 @@ func classGrowth(base, stage map[appclass.Class]float64, cls appclass.Class) flo
 // early-morning hours and the condensed comparison focuses on business
 // hours, where the Figure 9 effects are strongest).
 func collectClassVolumes(env *Env, vp synth.VantagePoint, clf *appclass.Classifier, week calendar.Week) (map[appclass.Class]float64, error) {
-	// classHourKept reports whether the hour contributes at all; the
-	// read-ahead hook honours it too, so prefetching never generates
-	// batches the sequential walk would not have.
-	kept := func(hour time.Time) bool {
-		h := hour.UTC().Hour()
-		if calendar.EarlyMorning(h) || !calendar.WorkingHours(h) {
-			return false
-		}
-		return !calendar.IsWeekend(hour) && !calendar.IsHoliday(hour)
-	}
 	// uint64 accumulation keeps the partial sums exact (a week of volume
 	// crosses 2^53), so merging them in any chunk grouping is lossless;
 	// the single uint64→float64 conversion happens after the full merge.
 	sums, err := ScanHours(env, week.Hours(),
 		func() map[appclass.Class]uint64 { return make(map[appclass.Class]uint64) },
 		func(env *Env, part map[appclass.Class]uint64, hour time.Time) error {
-			if !kept(hour) {
+			h := hour.UTC().Hour()
+			if calendar.EarlyMorning(h) || !calendar.WorkingHours(h) ||
+				calendar.IsWeekend(hour) || calendar.IsHoliday(hour) {
 				return nil
 			}
 			b, err := env.flowBatch(vp, hour)
@@ -329,13 +319,6 @@ func collectClassVolumes(env *Env, vp synth.VantagePoint, clf *appclass.Classifi
 				dst[cls] += v
 			}
 			return dst
-		},
-		func(env *Env, hour time.Time) error {
-			if !kept(hour) {
-				return nil
-			}
-			_, err := env.flowBatch(vp, hour)
-			return err
 		})
 	if err != nil {
 		return nil, err

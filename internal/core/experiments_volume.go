@@ -34,17 +34,7 @@ func runFig1(env *Env) (*Result, error) {
 		perVP   map[synth.VantagePoint]map[int]float64
 		weekSet map[int]bool
 	}
-	agg, err := ShardedScan(env, len(vps), ScanOptions{
-		Chunk: 1,
-		Prefetch: func(env *Env, lo, hi int) error {
-			for _, vp := range vps[lo:hi] {
-				if _, err := env.series(vp, calendar.StudyStart, calendar.StudyEnd); err != nil {
-					return err
-				}
-			}
-			return nil
-		},
-	}, func(env *Env, lo, hi int) (fig1Part, error) {
+	agg, err := ShardedScan(env, len(vps), 1, func(env *Env, lo, hi int) (fig1Part, error) {
 		part := fig1Part{
 			perVP:   make(map[synth.VantagePoint]map[int]float64, hi-lo),
 			weekSet: make(map[int]bool),
@@ -283,19 +273,7 @@ func runFig3b(env *Env) (*Result, error) {
 		vp    synth.VantagePoint
 		stats []weekStats
 	}
-	all, err := ShardedScan(env, len(vps), ScanOptions{
-		Chunk: 1,
-		Prefetch: func(env *Env, lo, hi int) error {
-			for _, vp := range vps[lo:hi] {
-				for _, w := range calendar.IXPWeeks() {
-					if _, err := env.series(vp, w.Start, w.End); err != nil {
-						return err
-					}
-				}
-			}
-			return nil
-		},
-	}, func(env *Env, lo, hi int) ([]vpStats, error) {
+	all, err := ShardedScan(env, len(vps), 1, func(env *Env, lo, hi int) ([]vpStats, error) {
 		out := make([]vpStats, 0, hi-lo)
 		for _, vp := range vps[lo:hi] {
 			stats, err := statsForWeeks(env, vp, calendar.IXPWeeks())

@@ -61,8 +61,7 @@ func collectVPNSplit(env *Env, vp synth.VantagePoint, det *vpndetect.Detector, w
 			dst.domainWork += src.domainWork
 			dst.domainOther += src.domainOther
 			return dst
-		},
-		prefetchVPNHours(vp))
+		})
 	if err != nil {
 		return vpnWeekSplit{}, err
 	}
@@ -195,22 +194,8 @@ func runFig12(env *Env) (*Result, error) {
 	// reads: each cached hour is classified in place into its day's
 	// counter, so nothing but the cache holds a flow batch and the cache
 	// budget bounds the walk. Counts are integers, which makes the merge
-	// exact at any chunking. The read-ahead hook faults the next day's hour
-	// batches while the current day is counted.
-	counts, err := ShardedScan(env, len(days),
-		ScanOptions{
-			Chunk: 1,
-			Prefetch: func(env *Env, lo, hi int) error {
-				for _, d := range days[lo:hi] {
-					for h := d; h.Before(d.AddDate(0, 0, 1)); h = h.Add(time.Hour) {
-						if _, err := env.flowBatch(synth.EDU, h); err != nil {
-							return err
-						}
-					}
-				}
-				return nil
-			},
-		},
+	// exact at any chunking.
+	counts, err := ShardedScan(env, len(days), 1,
 		func(env *Env, lo, hi int) (edu.DailyCounts, error) {
 			part := make(edu.DailyCounts, hi-lo)
 			for _, d := range days[lo:hi] {
@@ -297,8 +282,7 @@ func runAblationVPN(env *Env) (*Result, error) {
 			dst.port += src.port
 			dst.domain += src.domain
 			return dst
-		},
-		prefetchVPNHours(synth.IXPCE))
+		})
 	if err != nil {
 		return nil, err
 	}

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"lockdown/internal/synth"
 )
 
 // This file is the intra-experiment parallel scan layer. The engine
@@ -80,45 +78,27 @@ func (b *workerBudget) release() { b.tokens <- struct{}{} }
 type scanStats struct {
 	chunks       atomic.Int64 // chunks scanned across all sharded scans
 	extraWorkers atomic.Int64 // budget tokens borrowed beyond the caller
-	prefetched   atomic.Int64 // chunks warmed by the read-ahead prefetcher
 }
 
-// ScanOptions tune one sharded scan.
-type ScanOptions struct {
-	// Chunk is the number of grid items per chunk (the merge granularity).
-	// Hour-grid walkers use 24 (one day per chunk); scans whose items are
-	// already expensive (vantage points, sampled days) use 1. Values < 1
-	// select the whole grid as one chunk. Options.ScanChunk overrides it
-	// for every scan of a run (the determinism tests sweep it).
-	Chunk int
-	// Prefetch, when set, is the read-ahead hook: it should touch the
-	// chunk's inputs through the given Env (fault or generate them into
-	// the dataset cache) without aggregating. A dedicated prefetcher —
-	// gated on a spare budget token, bounded to stay at most one worker
-	// set ahead of the scan — faults chunk h+1 while chunk h is scanned.
-	// Prefetching only warms the cache; it cannot change any result.
-	Prefetch func(env *Env, lo, hi int) error
-}
-
-// chunkSize resolves the effective chunk size for a grid of n items.
-func (o ScanOptions) chunkSize(env *Env, n int) int {
-	c := o.Chunk
+// chunkSize resolves the effective chunk size for a grid of n items: the
+// scan's own chunk, overridden by Options.ScanChunk for every scan of a
+// run (the determinism tests sweep it), clamped to [1, n].
+func chunkSize(env *Env, chunk, n int) int {
 	if env.ScanChunk > 0 {
-		c = env.ScanChunk
+		chunk = env.ScanChunk
 	}
-	if c < 1 || c > n {
-		c = n
+	if chunk < 1 || chunk > n {
+		chunk = n
 	}
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return max(chunk, 1)
 }
 
 // ShardedScan partitions the index range [0, n) into contiguous chunks of
-// opts.Chunk items, runs scan on every chunk, and folds the per-chunk
-// partial aggregates with merge in ascending chunk order, returning the
-// final aggregate.
+// chunk items, runs scan on every chunk, and folds the per-chunk partial
+// aggregates with merge in ascending chunk order, returning the final
+// aggregate. chunk is the merge granularity: hour-grid walkers use 24 (one
+// day per chunk); scans whose items are already expensive (vantage points,
+// sampled days) use 1; values < 1 select the whole grid as one chunk.
 //
 // Each scan invocation receives a chunk-scoped Env: same options and
 // dataset, but a private Pin that keeps every batch the chunk draws
@@ -133,7 +113,7 @@ func (o ScanOptions) chunkSize(env *Env, n int) int {
 // range as its only input: determinism rests on the chunk partition and
 // merge order alone, so merge must be exact (uint64 sums, set unions,
 // disjoint maps, order-preserving appends).
-func ShardedScan[T any](env *Env, n int, opts ScanOptions, scan func(env *Env, lo, hi int) (T, error), merge func(dst, src T) T) (T, error) {
+func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) (T, error), merge func(dst, src T) T) (T, error) {
 	var zero T
 	if n <= 0 {
 		return zero, nil
@@ -142,7 +122,7 @@ func ShardedScan[T any](env *Env, n int, opts ScanOptions, scan func(env *Env, l
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
-	c := opts.chunkSize(env, n)
+	c := chunkSize(env, chunk, n)
 	chunks := (n + c - 1) / c
 	if env.scan != nil {
 		env.scan.chunks.Add(int64(chunks))
@@ -151,7 +131,6 @@ func ShardedScan[T any](env *Env, n int, opts ScanOptions, scan func(env *Env, l
 	parts := make([]T, chunks)
 	var (
 		next     atomic.Int64 // next chunk index to claim
-		done     atomic.Int64 // chunks completed (prefetch lead bound)
 		errOnce  sync.Once
 		firstErr error
 		failed   atomic.Bool
@@ -193,16 +172,8 @@ func ShardedScan[T any](env *Env, n int, opts ScanOptions, scan func(env *Env, l
 				return
 			}
 			parts[i] = part
-			done.Add(1)
 		}
 	}
-
-	// Reserve the prefetcher's token before the extra-worker loop drains
-	// the spares: one token of read-ahead beats one more scan worker when
-	// the scan is faulting or generating its inputs, and the loop below
-	// would otherwise leave the prefetcher nothing to acquire.
-	prefetching := opts.Prefetch != nil && env.budget != nil && chunks > 1 &&
-		env.budget.tryAcquire()
 
 	// Borrow spare tokens for extra scan workers; the caller is a worker
 	// too, so zero borrowed tokens degrades to the sequential walk.
@@ -217,15 +188,6 @@ func ShardedScan[T any](env *Env, n int, opts ScanOptions, scan func(env *Env, l
 	}
 
 	var wg sync.WaitGroup
-	stopPrefetch := make(chan struct{})
-	if prefetching {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer env.budget.release()
-			prefetchChunks(env, n, c, chunks, extra+1, opts.Prefetch, &done, &failed, stopPrefetch)
-		}()
-	}
 	for w := 0; w < extra; w++ {
 		wg.Add(1)
 		go func() {
@@ -235,7 +197,6 @@ func ShardedScan[T any](env *Env, n int, opts ScanOptions, scan func(env *Env, l
 		}()
 	}
 	worker()
-	close(stopPrefetch) // scan work is claimed; stop the read-ahead
 	wg.Wait()
 
 	if firstErr != nil {
@@ -251,92 +212,14 @@ func ShardedScan[T any](env *Env, n int, opts ScanOptions, scan func(env *Env, l
 	return acc, nil
 }
 
-// prefetchChunks is the read-ahead dispatcher: it walks the chunks in
-// grid order, touching each chunk's inputs through a short-lived pin so
-// the batches of chunk h+1 fault (or generate) into the cache while
-// chunk h is being scanned. When spare budget tokens exist it fans out —
-// each borrowed token warms one chunk concurrently, so several upcoming
-// hours fault in parallel — and with none it degrades to the original
-// serial walk on its own reserved token. The lead bound grows with the
-// active warmers (lead = workers + 1 + active warmers), keeping the
-// read-ahead frontier at most one in-flight set past the completed scan
-// frontier, so under a tight cache budget it does not evict the very
-// chunks the scan is using. Prefetch errors are ignored: the scan will
-// surface them (or succeed anyway) when it reads for real.
-func prefetchChunks(env *Env, n, c, chunks, workers int, prefetch func(*Env, int, int) error, scanned *atomic.Int64, failed *atomic.Bool, stop <-chan struct{}) {
-	var warmers atomic.Int64
-	var wg sync.WaitGroup
-	defer wg.Wait()
-	baseLead := int64(workers + 1)
-	for i := 0; i < chunks; i++ {
-		for int64(i) > scanned.Load()+baseLead+warmers.Load() {
-			select {
-			case <-stop:
-				return
-			case <-time.After(100 * time.Microsecond):
-			}
-		}
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		if failed.Load() {
-			return
-		}
-		lo := i * c
-		hi := lo + c
-		if hi > n {
-			hi = n
-		}
-		warm := func() {
-			cenv := env.chunkEnv()
-			_ = prefetch(cenv, lo, hi)
-			cenv.pin.Release()
-			if env.scan != nil {
-				env.scan.prefetched.Add(1)
-			}
-			if env.Tracer != nil {
-				env.Tracer.Instant("scan-prefetch", "scan", map[string]any{"lo": lo, "hi": hi})
-			}
-		}
-		if env.budget != nil && env.budget.tryAcquire() {
-			warmers.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer env.budget.release()
-				defer warmers.Add(-1)
-				warm()
-			}()
-		} else {
-			warm()
-		}
-	}
-}
-
 // ScanHours is the hour-grid convenience wrapper over ShardedScan: it
 // partitions hours into day-sized chunks (24 hours, unless overridden by
 // Options.ScanChunk), scans each chunk into a fresh partial aggregate with
-// per-hour visits, and merges the partials in grid order. get is the
-// read-ahead hook: the batch accessor the scan visits per hour, used to
-// fault hours ahead of the scan frontier.
+// per-hour visits, and merges the partials in grid order.
 func ScanHours[T any](env *Env, hours []time.Time, newPart func() T,
 	visit func(env *Env, part T, hour time.Time) error,
-	merge func(dst, src T) T,
-	get func(env *Env, hour time.Time) error) (T, error) {
-	opts := ScanOptions{Chunk: 24}
-	if get != nil {
-		opts.Prefetch = func(env *Env, lo, hi int) error {
-			for _, h := range hours[lo:hi] {
-				if err := get(env, h); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-	}
-	return ShardedScan(env, len(hours), opts,
+	merge func(dst, src T) T) (T, error) {
+	return ShardedScan(env, len(hours), 24,
 		func(env *Env, lo, hi int) (T, error) {
 			part := newPart()
 			for _, h := range hours[lo:hi] {
@@ -349,52 +232,23 @@ func ScanHours[T any](env *Env, hours []time.Time, newPart func() T,
 		}, merge)
 }
 
-// prefetchFlowHours returns a ScanHours read-ahead hook that faults the
-// plain flow batches of vp.
-func prefetchFlowHours(vp synth.VantagePoint) func(*Env, time.Time) error {
-	return func(env *Env, h time.Time) error {
-		_, err := env.flowBatch(vp, h)
-		return err
-	}
-}
-
-// prefetchVPNHours is prefetchFlowHours for the gateway-pinned batches.
-func prefetchVPNHours(vp synth.VantagePoint) func(*Env, time.Time) error {
-	return func(env *Env, h time.Time) error {
-		_, err := env.vpnFlowBatch(vp, h)
-		return err
-	}
-}
-
-// prefetchComponentHours is prefetchFlowHours for one named component.
-func prefetchComponentHours(vp synth.VantagePoint, name string) func(*Env, time.Time) error {
-	return func(env *Env, h time.Time) error {
-		_, err := env.componentFlowBatch(vp, name, h)
-		return err
-	}
-}
-
 // chunkEnv derives the execution environment of one chunk: same options,
 // dataset, context and stats, but a private pin (released by the scan
-// when the chunk completes) and no budget (nested scans run sequentially).
+// when the chunk completes, yet still reporting the entries it draws to
+// the experiment's batch accounting) and no budget (nested scans run
+// sequentially).
 func (env *Env) chunkEnv() *Env {
+	pin := env.Data.NewPin()
+	if env.pin != nil {
+		pin.drawn = env.pin.drawn
+	}
 	return &Env{
 		Options: env.Options,
 		Data:    env.Data,
-		pin:     env.newPin(),
+		pin:     pin,
 		ctx:     env.ctx,
 		scan:    env.scan,
 	}
-}
-
-// newPin returns a pin with a lifetime of its own that still reports the
-// entries it draws to the experiment's batch accounting.
-func (env *Env) newPin() *Pin {
-	p := env.Data.NewPin()
-	if env.pin != nil {
-		p.drawn = env.pin.drawn
-	}
-	return p
 }
 
 // context returns the run's context (Background for hand-built Envs).

@@ -85,7 +85,7 @@ func TestShardedScanOrderAndCoverage(t *testing.T) {
 			scan:    &scanStats{},
 		}
 		env.budget.acquire() // the caller holds a token, like the engine
-		got, err := ShardedScan(env, n, ScanOptions{Chunk: 24},
+		got, err := ShardedScan(env, n, 24,
 			func(env *Env, lo, hi int) ([]int, error) {
 				out := make([]int, 0, hi-lo)
 				for i := lo; i < hi; i++ {
@@ -123,7 +123,7 @@ func TestShardedScanErrorPropagation(t *testing.T) {
 	env := &Env{Data: data, budget: newWorkerBudget(4), scan: &scanStats{}}
 	env.budget.acquire()
 	boom := errors.New("boom")
-	_, err := ShardedScan(env, 100, ScanOptions{Chunk: 10},
+	_, err := ShardedScan(env, 100, 10,
 		func(env *Env, lo, hi int) (int, error) {
 			if lo >= 50 {
 				return 0, fmt.Errorf("chunk [%d,%d): %w", lo, hi, boom)
@@ -151,7 +151,7 @@ func TestScanChunkSizeResolution(t *testing.T) {
 	}
 	for _, c := range cases {
 		env := &Env{Options: Options{ScanChunk: c.scanChunk}}
-		got := ScanOptions{Chunk: c.optChunk}.chunkSize(env, c.n)
+		got := chunkSize(env, c.optChunk, c.n)
 		if got != c.want {
 			t.Errorf("chunkSize(ScanChunk=%d, Chunk=%d, n=%d) = %d, want %d",
 				c.scanChunk, c.optChunk, c.n, got, c.want)
@@ -278,8 +278,8 @@ func TestShardedScanCancellation(t *testing.T) {
 	if src.calls.Load() < src.after {
 		t.Fatalf("source saw %d fetches, cancellation never fired", src.calls.Load())
 	}
-	// Scan workers and the prefetcher are joined before ShardedScan
-	// returns, so the goroutine count must settle back to the baseline.
+	// Scan workers are joined before ShardedScan returns, so the
+	// goroutine count must settle back to the baseline.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {
@@ -302,7 +302,7 @@ func TestScanMetricsStamped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, k := range []string{MetricScanChunks, MetricScanWorkers, MetricScanPrefetch} {
+	for _, k := range []string{MetricScanChunks, MetricScanWorkers} {
 		if _, ok := res.Metrics[k]; !ok {
 			t.Errorf("result lacks %s", k)
 		}
@@ -313,20 +313,39 @@ func TestScanMetricsStamped(t *testing.T) {
 	if res.Metrics[MetricScanChunks] < 1 {
 		t.Errorf("fig9 should scan at least one chunk, got %v", res.Metrics[MetricScanChunks])
 	}
+	if v, ok := res.Metrics[MetricScanPrefetch]; ok {
+		t.Errorf("the retired %s is stamped (%v)", MetricScanPrefetch, v)
+	}
 }
 
-// TestScanPrefetchRuns pins the read-ahead path: with spare budget tokens
-// available (one experiment on a 4-token pool), the prefetcher must
-// actually claim one and warm chunks ahead of the scan — this metric going
-// to zero means the prefetcher lost its token race and became dead code.
-func TestScanPrefetchRuns(t *testing.T) {
-	eng := NewEngine(Options{FlowScale: 0.02})
-	defer eng.Data().Close()
-	res, err := eng.RunMany(context.Background(), []string{"fig12"}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res[0].Metrics[MetricScanPrefetch]; got < 1 {
-		t.Errorf("fig12 with 3 spare workers prefetched %v chunks, want >= 1", got)
+// TestSingleRunBorrowsSpareWorker: Engine.Run has no RunMany pool to share
+// with, so its scans are the only takers of the GOMAXPROCS budget. On two
+// processors the caller holds one token and every multi-chunk scan must
+// borrow the other — fig12 has one such scan, fig9 twelve (3 weeks at each
+// of 4 vantage points), and the scans of one experiment run one after the
+// other, so the count is exact. The result equals the serial one.
+func TestSingleRunBorrowsSpareWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for id, scans := range map[string]float64{"fig12": 1, "fig9": 12} {
+		opts := Options{FlowScale: 0.02}
+		serial := NewEngine(opts)
+		want, err := serial.RunMany(context.Background(), []string{id}, 1)
+		serial.Data().Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := want[0].Metrics[MetricScanWorkers]; got != 0 {
+			t.Errorf("%s on a 1-token pool borrowed %v workers", id, got)
+		}
+		eng := NewEngine(opts)
+		res, err := eng.Run(context.Background(), id)
+		eng.Data().Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Metrics[MetricScanWorkers]; got != scans {
+			t.Errorf("%s: %s = %v, want one spare worker for each of its %v scans", id, MetricScanWorkers, got, scans)
+		}
+		requireSameResults(t, id+" Run vs RunMany(1)", want, []*Result{res})
 	}
 }

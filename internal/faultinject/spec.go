@@ -136,8 +136,8 @@ func parseProb(key, val string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("probability %g outside [0,1]", p)
+	if !(p >= 0 && p <= 1) { // negated so that NaN fails too
+		return 0, fmt.Errorf("%s probability %g outside [0,1]", key, p)
 	}
 	return p, nil
 }

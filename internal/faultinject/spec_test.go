@@ -78,6 +78,27 @@ func TestParseSpecErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsNonFinite: NaN compares false with everything, so it
+// used to pass both the range check and the sum guard — and a NaN
+// probability renders as "", breaking the String round trip. Every
+// non-finite probability is refused with its field named.
+func TestParseSpecRejectsNonFinite(t *testing.T) {
+	for _, tc := range []struct{ in, field string }{
+		{"drop=NaN", "drop"},
+		{"drop=nan,dup=0.9,corrupt=0.9", "drop"}, // would have summed to 1.8
+		{"dup=0.1,reorder=+Inf", "reorder"},
+		{"corrupt=-inf", "corrupt"},
+		{"dup=nan", "dup"},
+	} {
+		_, err := ParseSpec(tc.in)
+		if err == nil {
+			t.Errorf("ParseSpec(%q) accepted", tc.in)
+		} else if !strings.Contains(err.Error(), tc.field+" probability") {
+			t.Errorf("ParseSpec(%q) = %v, want the %s probability named", tc.in, err, tc.field)
+		}
+	}
+}
+
 func TestSpecActive(t *testing.T) {
 	if (Spec{}).Active() {
 		t.Fatal("zero spec reported active")

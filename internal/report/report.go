@@ -139,43 +139,39 @@ func WriteJSONAll(w io.Writer, rs []*core.Result) error {
 // bench-style summary table, slowest first, followed by the total. The
 // scan columns expose the intra-experiment sharding activity: how many
 // grid chunks the experiment's sharded scans processed, how many extra
-// workers they borrowed from the -parallel budget, and how many chunks
-// the read-ahead prefetcher warmed.
+// workers they borrowed from the -parallel budget.
 func WriteTimings(w io.Writer, rs []*core.Result) error {
 	type row struct {
-		id         string
-		wallMS     float64
-		batchMB    float64
-		chunks     float64
-		extra      float64
-		prefetched float64
+		id      string
+		wallMS  float64
+		batchMB float64
+		chunks  float64
+		extra   float64
 	}
 	rows := make([]row, 0, len(rs))
-	var totalMS, totalMB, totalChunks, totalExtra, totalPrefetched float64
+	var totalMS, totalMB, totalChunks, totalExtra float64
 	for _, r := range rs {
 		rw := row{
-			id:         r.ID,
-			wallMS:     r.Metric(core.MetricWallMS),
-			batchMB:    r.Metric(core.MetricBatchMB),
-			chunks:     r.Metric(core.MetricScanChunks),
-			extra:      r.Metric(core.MetricScanWorkers),
-			prefetched: r.Metric(core.MetricScanPrefetch),
+			id:      r.ID,
+			wallMS:  r.Metric(core.MetricWallMS),
+			batchMB: r.Metric(core.MetricBatchMB),
+			chunks:  r.Metric(core.MetricScanChunks),
+			extra:   r.Metric(core.MetricScanWorkers),
 		}
 		totalMS += rw.wallMS
 		totalMB += rw.batchMB
 		totalChunks += rw.chunks
 		totalExtra += rw.extra
-		totalPrefetched += rw.prefetched
 		rows = append(rows, rw)
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].wallMS > rows[j].wallMS })
-	t := core.Table{Title: "Timing summary (slowest first)", Columns: []string{"experiment", "wall ms", "batch MB", "scan chunks", "extra workers", "prefetched"}}
+	t := core.Table{Title: "Timing summary (slowest first)", Columns: []string{"experiment", "wall ms", "batch MB", "scan chunks", "extra workers"}}
 	for _, rw := range rows {
 		t.Rows = append(t.Rows, []string{rw.id, fmt.Sprintf("%.1f", rw.wallMS), fmt.Sprintf("%.1f", rw.batchMB),
-			fmt.Sprintf("%.0f", rw.chunks), fmt.Sprintf("%.0f", rw.extra), fmt.Sprintf("%.0f", rw.prefetched)})
+			fmt.Sprintf("%.0f", rw.chunks), fmt.Sprintf("%.0f", rw.extra)})
 	}
 	t.Rows = append(t.Rows, []string{"TOTAL (cpu)", fmt.Sprintf("%.1f", totalMS), fmt.Sprintf("%.1f", totalMB),
-		fmt.Sprintf("%.0f", totalChunks), fmt.Sprintf("%.0f", totalExtra), fmt.Sprintf("%.0f", totalPrefetched)})
+		fmt.Sprintf("%.0f", totalChunks), fmt.Sprintf("%.0f", totalExtra)})
 	return writeTable(w, t)
 }
 
