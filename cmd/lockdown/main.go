@@ -8,11 +8,12 @@
 //	lockdown all [flags]          run every experiment on the parallel engine
 //	lockdown doc [flags]          emit the generated EXPERIMENTS.md to stdout
 //	lockdown replay [flags]       run every experiment over live wire export
-//	lockdown cluster [flags]      run every experiment over N sharded pumps
+//	lockdown cluster [flags]      the same, over N supervised pump shards
 //	lockdown pump [flags]         serve one cluster shard (spawned by cluster)
 //	lockdown scenario validate <file>  check a declarative scenario file
 //	lockdown scenario run <file> [flags]  run the suite on a scenario model
 //	lockdown scenario doc         emit the scenario schema reference
+//	lockdown cache stat <dir>     verify the span files a killed run left
 //
 // A scenario is a YAML file (see docs/SCENARIOS.md and the gallery under
 // examples/scenarios/) declaring vantage points, membership and class
@@ -23,21 +24,29 @@
 // a scenario's declared seed/flow_scale are defaults that explicit
 // -seed/-scale flags override.
 //
-// Flags for run/all/doc/replay/cluster:
+// Flags, grouped by the modes that register them (the table is `modes`
+// below). A flag given to a mode that does not register it is refused like
+// any unknown flag; every refused command line is a usage error, exit 2,
+// and nothing runs.
 //
-//	-csv          emit CSV instead of aligned text tables (run/all/replay/cluster)
-//	-json         emit JSON instead of text tables (run/all/replay/cluster)
+// run, all, doc, replay, cluster, scenario run:
+//
 //	-scale f      flow sampling density for flow-level experiments (default
-//	              0.5; 0 selects it; not finite or negative: usage error, exit 2)
+//	              0.5; 0 selects it; not finite or negative: usage error)
 //	-seed n       generator seed override
-//	-parallel n   global worker budget for all/doc/replay/cluster (default
-//	              GOMAXPROCS). One budget governs both scheduling levels:
-//	              experiments run concurrently on it, and the sharded scans
-//	              inside each experiment borrow whatever is spare, so total
-//	              concurrency never exceeds n (see internal/core.ShardedScan)
 //	-scan-chunk n grid items per intra-experiment scan chunk (0 = per-scan
 //	              default: 24 for hour grids, 1 for vantage-point/day grids).
 //	              Output is byte-identical at any chunk size
+//	-cache-budget n  resident flow-batch cache cap (bytes, K/M/G suffixes;
+//	              0 = unlimited, every batch stays resident). Default 16M
+//	              where the flow source is the in-process generator: colder
+//	              hours are dropped and generated again if touched again.
+//	              Default 0 for replay/cluster, where a re-touch is a wire
+//	              round trip. Output is byte-identical at any budget
+//	-cache-dir d  keep evicted flow batches as mmap-backed columnar spans
+//	              in files under d and fault them back in, instead of
+//	              dropping them (see internal/flowstore). Default: none,
+//	              no file is written
 //	-cpuprofile f write a pprof CPU profile of the command to f
 //	-memprofile f write a pprof heap profile (after the run) to f
 //	-metrics-addr a  serve live observability over HTTP at a for the life
@@ -52,63 +61,62 @@
 //	              bridge fetches and retries, pump restarts, rebalances
 //	              and injected faults. The per-experiment span durations
 //	              are the same clock as the _runtime/wall-ms metrics
-//	-cache-budget n  resident flow-batch cache cap (bytes, K/M/G suffixes;
-//	              0 = unlimited, every batch stays resident). Default 16M
-//	              for run/all/doc/scenario run, whose flow source is the
-//	              in-process generator: colder hours are dropped and
-//	              generated again if touched again. Default 0 for
-//	              replay/cluster, where a re-touch is a wire round trip.
-//	              Output is byte-identical at any budget
-//	-cache-dir d  keep evicted flow batches as mmap-backed columnar spans
-//	              in files under d and fault them back in, instead of
-//	              dropping them (see internal/flowstore). Default: none,
-//	              no file is written
-//	-format f     replay/cluster wire format: v5, v9 or ipfix (default ipfix)
-//	-addr a       replay/cluster bridge UDP listen address (default 127.0.0.1:0)
-//	-pps f        replay/cluster pump pacing, datagrams per second (0 = unlimited)
-//	-unverified   replay only: capture mode, serve wire rows without failing on
+//
+// All of those but doc, which always emits markdown:
+//
+//	-csv          emit CSV instead of aligned text tables
+//	-json         emit JSON instead of text tables
+//
+// All of those but run:
+//
+//	-parallel n   global worker budget (default GOMAXPROCS). One budget
+//	              governs both scheduling levels: experiments run
+//	              concurrently on it, and the sharded scans inside each
+//	              experiment borrow whatever is spare, so total concurrency
+//	              never exceeds n (see internal/core.ShardedScan)
+//
+// replay, cluster:
+//
+//	-format f     wire format: v5, v9 or ipfix (default ipfix)
+//	-addr a       bridge UDP listen address (default 127.0.0.1:0)
+//	-pps f        pump pacing, datagrams per second (0 = unlimited)
+//	-attempt-timeout d  per-attempt bucket collection timeout (default 5s)
+//	-max-attempts n  attempts per bucket (default 4)
+//	-fetch-budget d  wall-clock retry budget per bucket; when set it
+//	              replaces the flat attempt-timeout × max-attempts cap and
+//	              alone decides when the bridge gives up
+//	-allow-partial  serve explicitly-accounted empty batches for buckets
+//	              whose retry budget ran out instead of failing the run;
+//	              the degraded component-hours are stamped on stderr
+//
+// replay:
+//
+//	-unverified   capture mode: serve wire rows without failing on
 //	              verification mismatches (accounted in the bridge stats)
-//	-attempt-timeout d  replay/cluster: per-attempt bucket collection timeout
-//	              (default 2s)
-//	-max-attempts n  replay/cluster: attempts per bucket (default 5)
-//	-fetch-budget d  replay/cluster: wall-clock retry budget per bucket; when
-//	              set it replaces the flat attempt-timeout × max-attempts cap
-//	              and alone decides when the bridge gives up
-//	-allow-partial  replay/cluster: serve explicitly-accounted empty batches
-//	              for buckets whose retry budget ran out instead of failing
-//	              the run; the degraded component-hours are stamped on stderr
-//	-shards n     cluster only: number of pump shards (default 4)
-//	-subprocess   cluster only: run each pump as its own `lockdown pump` process
-//	-max-restarts n  cluster only: restarts per shard before it is declared
-//	              dead and its vantage points re-partition away (default 3)
-//	-chaos spec   cluster only: deterministic fault injection, e.g.
+//
+// cluster:
+//
+//	-shards n     number of pump shards (default 4; replay: always 7)
+//	-subprocess   run each pump as its own `lockdown pump` process
+//	-max-restarts n  restarts per shard before it is declared dead and its
+//	              vantage points re-partition away (default 3)
+//	-chaos spec   deterministic fault injection, e.g.
 //	              'drop=0.05,kill=shard1@t+2s,seed=7' (drop/dup/reorder/
 //	              corrupt probabilities, delay, kill/stall schedules; see
 //	              internal/faultinject). Same seed, same faults; output
 //	              stays byte-identical to `all` while faults are recoverable
 //
-// `replay` runs the same suite as `all`, but every flow batch travels a
-// real UDP wire first: one pump per vantage point exports the synthetic
-// component-hours as NetFlow v5/v9 or IPFIX packets on its own stream and
-// the bridge decodes, demuxes and verifies them bit-for-bit before the
-// engine consumes them (see internal/replay). The results are
-// byte-identical to `all`; the wire and loss accounting, in total and per
-// stream, is printed to stderr.
-//
-// `cluster` is `replay` distributed the way the paper's measurement
-// actually was: the vantage points are partitioned over N pumps — each
-// with its own wire stream identity (IPFIX observation domain, NetFlow
-// v9 source ID, v5 engine ID) — and the bridge demuxes their
-// interleaved export per stream, with N buckets in flight concurrently
-// (see internal/cluster). Pumps run as in-process goroutines or (with
-// -subprocess) separate `lockdown pump` processes; either way a crashed
-// pump restarts under jittered backoff, and a pump that exhausts
-// -max-restarts is declared dead and its vantage points re-partition
-// over the survivors. -chaos injects a seeded, reproducible fault
-// schedule (datagram faults on the wire, scheduled pump kills) to
-// exercise exactly those paths. The results remain byte-identical to
-// `all`; per-shard wire accounting, health history and rebalance events
-// are printed to stderr.
+// `replay` and `cluster` run the same suite as `all`, but every flow batch
+// travels a real UDP wire first, the way the paper's measurement did: the
+// vantage points are partitioned over supervised pumps, each exporting its
+// component-hours as NetFlow v5/v9 or IPFIX packets under its own stream
+// identity, and one bridge decodes, demuxes per stream and verifies them
+// bit-for-bit before the engine consumes them (see internal/cluster and
+// internal/replay). They are one code path: `replay` is the cluster at one
+// shard per vantage point, `cluster` adds the shard count and the
+// operational flags. The results are byte-identical to `all`; the wire
+// and loss accounting — bridge totals, one line per shard naming its
+// vantage points, rebalances, chaos and pump totals — goes to stderr.
 //
 // `all` prints a bench-style timing summary and the dataset-cache stats to
 // stderr after the results. The profile flags exist so performance work on
@@ -128,6 +136,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -145,16 +154,12 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `usage:
-  lockdown list
-  lockdown run <experiment-id> [-csv|-json] [-scale f] [-seed n] [-cache-budget n] [-cache-dir d] [-scan-chunk n] [-cpuprofile f] [-memprofile f] [-metrics-addr a] [-trace f]
-  lockdown all [-csv|-json] [-scale f] [-seed n] [-parallel n] [-cache-budget n] [-cache-dir d] [-scan-chunk n] [-cpuprofile f] [-memprofile f] [-metrics-addr a] [-trace f]
-  lockdown doc [-scale f] [-seed n] [-parallel n] [-cache-budget n] [-cache-dir d] [-scan-chunk n] [-cpuprofile f] [-memprofile f] [-metrics-addr a] [-trace f]
-  lockdown replay [-format v5|v9|ipfix] [-addr host:port] [-pps f] [-unverified] [-attempt-timeout d] [-max-attempts n] [-fetch-budget d] [-allow-partial] [-csv|-json] [-scale f] [-seed n] [-parallel n] [-cache-budget n] [-cache-dir d] [-scan-chunk n] [-cpuprofile f] [-memprofile f] [-metrics-addr a] [-trace f]
-  lockdown cluster [-shards n] [-subprocess] [-max-restarts n] [-chaos spec] [-format v5|v9|ipfix] [-addr host:port] [-pps f] [-attempt-timeout d] [-max-attempts n] [-fetch-budget d] [-allow-partial] [-csv|-json] [-scale f] [-seed n] [-parallel n] [-cache-budget n] [-cache-dir d] [-scan-chunk n] [-cpuprofile f] [-memprofile f] [-metrics-addr a] [-trace f]
-  lockdown pump -data host:port [-format v5|v9|ipfix] [-ctrl host:port] [-shard i/n] [-scale f] [-seed n] [-pps f]
+	fmt.Fprintln(os.Stderr, "usage:\n  lockdown list")
+	for _, m := range modes {
+		fmt.Fprintln(os.Stderr, " ", m.synopsis())
+	}
+	fmt.Fprint(os.Stderr, `  lockdown pump -data host:port [-format v5|v9|ipfix] [-ctrl host:port] [-shard i/n] [-scale f] [-seed n] [-pps f]
   lockdown scenario validate <file.yaml>
-  lockdown scenario run <file.yaml> [same flags as all]
   lockdown scenario doc
   lockdown cache stat <dir>
 
@@ -191,7 +196,7 @@ func (e usageError) Error() string { return string(e) }
 func run(ctx context.Context, args []string) error {
 	if len(args) == 0 {
 		usage()
-		return fmt.Errorf("missing command")
+		return usageError("missing command")
 	}
 	switch args[0] {
 	case "list":
@@ -201,13 +206,12 @@ func run(ctx context.Context, args []string) error {
 		return nil
 	case "pump":
 		// The exporter half of a subprocess cluster; it has its own flag
-		// shape and speaks the READY handshake on stdout, so it bypasses
-		// the shared flag set below.
+		// shape and speaks the READY handshake on stdout.
 		return cluster.PumpMain(ctx, args[1:], os.Stdin, os.Stdout)
 	case "scenario":
 		if len(args) < 2 {
 			usage()
-			return fmt.Errorf("scenario needs a subcommand: validate, run or doc")
+			return usageError("scenario needs a subcommand: validate, run or doc")
 		}
 		switch args[1] {
 		case "doc":
@@ -215,7 +219,7 @@ func run(ctx context.Context, args []string) error {
 			return nil
 		case "validate":
 			if len(args) != 3 {
-				return fmt.Errorf("usage: lockdown scenario validate <file.yaml>")
+				return usageError("usage: lockdown scenario validate <file.yaml>")
 			}
 			s, err := scenario.Load(args[2])
 			if err != nil {
@@ -229,20 +233,15 @@ func run(ctx context.Context, args []string) error {
 				s.Name, len(s.VPs), len(s.Events), shape)
 			return nil
 		case "run":
-			if len(args) < 3 {
-				return fmt.Errorf("usage: lockdown scenario run <file.yaml> [flags]")
-			}
-			// Re-enter the shared flag machinery as the synthetic
-			// scenario-run command, with the file where run's id goes.
-			return run(ctx, append([]string{"scenario-run", args[2]}, args[3:]...))
+			return runMode(ctx, "scenario run", args[2:])
 		default:
-			return fmt.Errorf("unknown scenario subcommand %q (want validate, run or doc)", args[1])
+			return usageError(fmt.Sprintf("unknown scenario subcommand %q (want validate, run or doc)", args[1]))
 		}
 	case "cache":
 		// Operator tooling for a spill directory a killed run left behind
 		// under -cache-dir: verify every sealed span file span by span.
 		if len(args) != 3 || args[1] != "stat" {
-			return fmt.Errorf("usage: lockdown cache stat <dir>")
+			return usageError("usage: lockdown cache stat <dir>")
 		}
 		st, err := flowstore.StatDir(args[2])
 		if err != nil {
@@ -257,414 +256,373 @@ func run(ctx context.Context, args []string) error {
 			return fmt.Errorf("%d bad files or spans", len(st.BadFiles))
 		}
 		return nil
-	case "run", "all", "doc", "replay", "cluster", "scenario-run":
-		fs := flag.NewFlagSet(args[0], flag.ContinueOnError)
-		csvOut := fs.Bool("csv", false, "emit CSV instead of text tables")
-		jsonOut := fs.Bool("json", false, "emit JSON instead of text tables")
-		scale := fs.Float64("scale", 0.5, "flow sampling density for flow-level experiments")
-		seed := fs.Int64("seed", 0, "generator seed override (0 = default)")
-		parallel := fs.Int("parallel", 0, "worker count for all/doc/replay/cluster (0 = GOMAXPROCS)")
-		cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-		metricsAddr := fs.String("metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this address (':0' picks a free port; empty = off)")
-		tracePath := fs.String("trace", "", "write a Chrome trace_event JSON trace of the run to this file (empty = off)")
-		// The modes that generate in process bound their memory by
-		// default: a re-touched hour costs one more generation. Over the
-		// wire it costs a round trip, so those modes keep everything.
-		defaultBudget := "16M"
-		if args[0] == "replay" || args[0] == "cluster" {
-			defaultBudget = "0"
-		}
-		cacheBudget := fs.String("cache-budget", defaultBudget, "resident flow-batch cache budget (bytes, K/M/G suffixes; 0 = unlimited); evicted batches are dropped and generated again on their next access")
-		cacheDir := fs.String("cache-dir", "", "spill evicted flow batches to span files under this directory instead of dropping them (empty = no disk tier)")
-		scanChunk := fs.Int("scan-chunk", 0, "grid items per intra-experiment scan chunk (0 = per-scan default; never changes results)")
-		formatName := fs.String("format", "ipfix", "replay/cluster wire format: v5, v9 or ipfix")
-		addr := fs.String("addr", "127.0.0.1:0", "replay/cluster bridge UDP listen address")
-		pps := fs.Float64("pps", 0, "pump pacing in datagrams per second (0 = unlimited)")
-		unverified := fs.Bool("unverified", false, "replay capture mode: serve wire rows without failing verification")
-		attemptTimeout := fs.Duration("attempt-timeout", 0, "replay/cluster per-attempt bucket timeout (0 = default)")
-		maxAttempts := fs.Int("max-attempts", 0, "replay/cluster attempts per bucket (0 = default)")
-		fetchBudget := fs.Duration("fetch-budget", 0, "replay/cluster wall-clock retry budget per bucket (0 = attempt-timeout × max-attempts)")
-		allowPartial := fs.Bool("allow-partial", false, "replay/cluster: degrade to accounted empty batches instead of failing when a bucket's retries run out")
-		shards := fs.Int("shards", cluster.DefaultShards, "cluster pump shard count")
-		subprocess := fs.Bool("subprocess", false, "cluster: run each pump as its own process")
-		maxRestarts := fs.Int("max-restarts", 0, "cluster restarts per shard before give-up and re-partition (0 = default)")
-		chaosSpec := fs.String("chaos", "", "cluster fault-injection spec, e.g. 'drop=0.05,kill=shard1@t+2s,seed=7'")
-
-		rest := args[1:]
-		var id string
-		if args[0] == "run" || args[0] == "scenario-run" {
-			if len(args) < 2 {
-				usage()
-				return fmt.Errorf("run needs an experiment id")
-			}
-			// For scenario-run, id carries the scenario file path.
-			id = args[1]
-			rest = args[2:]
-		}
-		if err := fs.Parse(rest); err != nil {
-			return err
-		}
-		if *csvOut && *jsonOut {
-			return fmt.Errorf("-csv and -json are mutually exclusive")
-		}
-		// 0 selects the default density (core.Options.FlowScale); NaN fails
-		// every comparison the generator makes and would sample garbage.
-		if math.IsNaN(*scale) || math.IsInf(*scale, 0) || *scale < 0 {
-			return usageError(fmt.Sprintf("-scale must be a finite, non-negative number, got %g", *scale))
-		}
-		// The flag set is shared across subcommands; reject flags that do
-		// not apply to the one being run instead of silently ignoring them.
-		switch args[0] {
-		case "run":
-			if *parallel != 0 {
-				return fmt.Errorf("-parallel only applies to all/doc/replay/cluster")
-			}
-		case "doc":
-			if *csvOut || *jsonOut {
-				return fmt.Errorf("doc always emits markdown; -csv/-json only apply to run/all/replay/cluster")
-			}
-		}
-		if args[0] != "replay" && args[0] != "cluster" {
-			if *formatName != "ipfix" || *addr != "127.0.0.1:0" || *pps != 0 {
-				return fmt.Errorf("-format/-addr/-pps only apply to replay/cluster")
-			}
-		}
-		if args[0] != "replay" && *unverified {
-			return fmt.Errorf("-unverified only applies to replay")
-		}
-		if args[0] != "replay" && args[0] != "cluster" {
-			if *attemptTimeout != 0 || *maxAttempts != 0 || *fetchBudget != 0 || *allowPartial {
-				return fmt.Errorf("-attempt-timeout/-max-attempts/-fetch-budget/-allow-partial only apply to replay/cluster")
-			}
-		}
-		if args[0] != "cluster" && (*shards != cluster.DefaultShards || *subprocess || *maxRestarts != 0 || *chaosSpec != "") {
-			return fmt.Errorf("-shards/-subprocess/-max-restarts/-chaos only apply to cluster")
-		}
-		if *attemptTimeout < 0 || *fetchBudget < 0 {
-			return fmt.Errorf("-attempt-timeout and -fetch-budget must not be negative")
-		}
-		if *maxAttempts < 0 || *maxRestarts < 0 {
-			return fmt.Errorf("-max-attempts and -max-restarts must not be negative")
-		}
-		if *cpuProfile != "" {
-			f, err := os.Create(*cpuProfile)
-			if err != nil {
-				return fmt.Errorf("cpuprofile: %w", err)
-			}
-			defer f.Close()
-			if err := pprof.StartCPUProfile(f); err != nil {
-				return fmt.Errorf("cpuprofile: %w", err)
-			}
-			defer pprof.StopCPUProfile()
-		}
-		if *memProfile != "" {
-			defer func() {
-				f, err := os.Create(*memProfile)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, "lockdown: memprofile:", err)
-					return
-				}
-				defer f.Close()
-				runtime.GC() // materialise the live heap before snapshotting
-				if err := pprof.WriteHeapProfile(f); err != nil {
-					fmt.Fprintln(os.Stderr, "lockdown: memprofile:", err)
-				}
-			}()
-		}
-		// Observability backends live for the whole command: the metrics
-		// server keeps serving scrapes while experiments run, and the
-		// trace file is finalised (the JSON array closed) on the way out,
-		// after the run's last span has ended.
-		var reg *obs.Registry
-		if *metricsAddr != "" {
-			reg = obs.NewRegistry()
-			srv, err := obs.Serve(*metricsAddr, reg)
-			if err != nil {
-				return fmt.Errorf("-metrics-addr: %w", err)
-			}
-			defer srv.Close()
-			fmt.Fprintf(os.Stderr, "metrics: serving http://%s/metrics (live pprof under /debug/pprof/)\n", srv.Addr())
-		}
-		var tracer *obs.Tracer
-		if *tracePath != "" {
-			tr, err := obs.Create(*tracePath)
-			if err != nil {
-				return fmt.Errorf("-trace: %w", err)
-			}
-			tracer = tr
-			defer func() {
-				if err := tracer.Close(); err != nil {
-					fmt.Fprintln(os.Stderr, "lockdown: trace:", err)
-					return
-				}
-				fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", tracer.Events(), *tracePath)
-			}()
-		}
-		budget, err := parseSize(*cacheBudget)
-		if err != nil {
-			return fmt.Errorf("-cache-budget: %w", err)
-		}
-		opts := core.Options{FlowScale: *scale, Seed: *seed, CacheBudget: budget, CacheDir: *cacheDir, ScanChunk: *scanChunk, Obs: reg, Tracer: tracer}
-		if args[0] == "scenario-run" {
-			s, err := scenario.Load(id)
-			if err != nil {
-				return err
-			}
-			// The scenario's declared seed/flow_scale are defaults only;
-			// a flag the user actually set on the command line wins.
-			explicit := map[string]bool{}
-			fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-			if s.FlowScale != 0 && !explicit["scale"] {
-				opts.FlowScale = s.FlowScale
-			}
-			if s.Seed != 0 && !explicit["seed"] {
-				opts.Seed = s.Seed
-			}
-			declared := map[synth.VantagePoint]bool{}
-			for _, vp := range s.VPs {
-				declared[vp] = true
-			}
-			opts.Model = func(vp synth.VantagePoint) synth.Config {
-				if declared[vp] {
-					return s.Config(vp)
-				}
-				// Vantage points the scenario does not declare keep the
-				// untouched built-in model.
-				return synth.DefaultConfig(vp)
-			}
-			fmt.Fprintf(os.Stderr, "scenario: %q from %s\n", s.Name, s.File())
-		}
-
-		tuning := retryTuning{
-			attemptTimeout: *attemptTimeout,
-			maxAttempts:    *maxAttempts,
-			fetchBudget:    *fetchBudget,
-			allowPartial:   *allowPartial,
-		}
-		if args[0] == "replay" {
-			return runReplay(ctx, opts, *formatName, *addr, *pps, *unverified, tuning, *parallel, *csvOut, *jsonOut)
-		}
-		if args[0] == "cluster" {
-			return runCluster(ctx, opts, *formatName, *addr, *pps, *shards, *subprocess, *maxRestarts, *chaosSpec, tuning, *parallel, *csvOut, *jsonOut)
-		}
-		engine := core.NewEngine(opts)
-		defer engine.Data().Close()
-
-		switch args[0] {
-		case "run":
-			res, err := engine.Run(ctx, id)
-			if err != nil {
-				return err
-			}
-			return emit(res, *csvOut, *jsonOut)
-		case "all", "scenario-run":
-			results, err := engine.RunAll(ctx, *parallel)
-			if err != nil {
-				return err
-			}
-			return emitSuite(results, engine.Data(), tracer, *csvOut, *jsonOut)
-		default: // doc
-			results, err := engine.RunAll(ctx, *parallel)
-			if err != nil {
-				return err
-			}
-			return report.WriteExperimentsDoc(os.Stdout, results)
-		}
+	case "run", "all", "doc", "replay", "cluster":
+		return runMode(ctx, args[0], args[1:])
 	case "help", "-h", "--help":
 		usage()
 		return nil
 	default:
 		usage()
-		return fmt.Errorf("unknown command %q", args[0])
+		return usageError(fmt.Sprintf("unknown command %q", args[0]))
 	}
 }
 
-// retryTuning carries the shared bridge retry/degradation flags of the
-// replay and cluster subcommands.
-type retryTuning struct {
-	attemptTimeout time.Duration
-	maxAttempts    int
-	fetchBudget    time.Duration
-	allowPartial   bool
+// mode is one of the commands that run experiments. They share one
+// options struct, one set of flag definitions and one set-up; what tells
+// them apart is all here.
+type mode struct {
+	name  string   // as typed after "lockdown"
+	arg   string   // the positional argument it takes before its flags ("" = none)
+	flags []string // the flags it registers; the flag package refuses the rest
+	// shards is a wire mode's default pump shard count; 0 means the flows
+	// come from the in-process generator.
+	shards int
+	run    func(context.Context, *options) error
 }
 
-// runReplay executes the full experiment suite over live loopback wire
-// export: one replay.Pump per vantage point exports every requested
-// component-hour as real NetFlow/IPFIX packets on its own stream, and a
-// replay.Bridge feeds the decoded, bit-for-bit verified batches into the
-// engine as its FlowSource (the topology is replay.Loopback). The emitted
-// results are byte-identical to `lockdown all` at the same options; the
-// wire and loss accounting goes to stderr.
-func runReplay(ctx context.Context, opts core.Options, formatName, addr string, pps float64, unverified bool, tuning retryTuning, parallel int, asCSV, asJSON bool) error {
-	format, err := collector.ParseFormat(formatName)
-	if err != nil {
-		return err
-	}
-	lb, err := replay.NewLoopback(replay.Config{
-		Format:         format,
-		ListenAddr:     addr,
-		Options:        opts,
-		Unverified:     unverified,
-		AttemptTimeout: tuning.attemptTimeout,
-		MaxAttempts:    tuning.maxAttempts,
-		FetchBudget:    tuning.fetchBudget,
-		AllowPartial:   tuning.allowPartial,
-	}, pps)
-	if err != nil {
-		return err
-	}
-	defer lb.Close()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	lb.Start(runCtx)
-	fmt.Fprintf(os.Stderr, "replay: %v bridge on %s, %d pump streams (one per vantage point)\n",
-		format, lb.Bridge.DataAddr(), len(lb.Pumps))
+var (
+	engineFlags = []string{"scale", "seed", "scan-chunk", "cache-budget", "cache-dir", "cpuprofile", "memprofile", "metrics-addr", "trace"}
+	suiteFlags  = slices.Concat(engineFlags, []string{"csv", "json", "parallel"})
+	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "pps", "attempt-timeout", "max-attempts", "fetch-budget", "allow-partial"})
+)
 
-	engine := core.NewEngineWithSource(opts, lb.Bridge)
+var modes = []mode{
+	{name: "run", arg: "<experiment-id>", run: runOne, flags: slices.Concat(engineFlags, []string{"csv", "json"})},
+	{name: "all", run: runAll, flags: suiteFlags},
+	{name: "doc", run: runDoc, flags: slices.Concat(engineFlags, []string{"parallel"})},
+	{name: "scenario run", arg: "<file.yaml>", run: runScenario, flags: suiteFlags},
+	{name: "replay", run: runWire, shards: len(synth.AllVantagePoints()),
+		flags: slices.Concat(wireFlags, []string{"unverified"})},
+	{name: "cluster", run: runWire, shards: cluster.DefaultShards,
+		flags: slices.Concat(wireFlags, []string{"shards", "subprocess", "max-restarts", "chaos"})},
+}
+
+// options is a mode's parsed command line. A flag the mode does not
+// register keeps its default here.
+type options struct {
+	arg string          // the mode's positional argument
+	set map[string]bool // the flags given on the command line
+
+	csv, json   bool
+	parallel    int
+	cpuProfile  string
+	memProfile  string
+	metricsAddr string
+	tracePath   string
+	core        core.Options // the engine flags bind here; runMode adds Obs and Tracer
+	wire        cluster.Spec // the wire and fleet flags bind here; runWire adds Options
+}
+
+// flagSet returns the mode's flag set over o: every flag is defined once,
+// here, and the mode's set takes the ones it lists.
+func (m mode) flagSet(o *options) *flag.FlagSet {
+	all := flag.NewFlagSet(m.name, flag.ContinueOnError)
+	all.BoolVar(&o.csv, "csv", false, "emit CSV instead of text tables")
+	all.BoolVar(&o.json, "json", false, "emit JSON instead of text tables")
+	all.Float64Var(&o.core.FlowScale, "scale", 0.5, "flow sampling `density` for flow-level experiments")
+	all.Int64Var(&o.core.Seed, "seed", 0, "generator seed override (0 = default)")
+	all.IntVar(&o.parallel, "parallel", 0, "global worker budget (0 = GOMAXPROCS)")
+	all.StringVar(&o.cpuProfile, "cpuprofile", "", "write a pprof CPU profile to this `file`")
+	all.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to this `file`")
+	all.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this `address` (':0' picks a free port; empty = off)")
+	all.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON trace of the run to this `file` (empty = off)")
+	// The modes that generate in process bound their memory by default: a
+	// re-touched hour costs one more generation. Over the wire it costs a
+	// round trip, so those modes keep everything.
+	budget := "16M"
+	if m.shards > 0 {
+		budget = "0"
+	}
+	o.core.CacheBudget, _ = parseSize(budget)
+	all.Func("cache-budget", "resident flow-batch cache budget in `bytes` (K/M/G suffixes; 0 = unlimited; default "+budget+"); evicted batches are dropped and generated again on their next access", func(s string) (err error) {
+		o.core.CacheBudget, err = parseSize(s)
+		return err
+	})
+	all.StringVar(&o.core.CacheDir, "cache-dir", "", "spill evicted flow batches to span files under this `directory` instead of dropping them (empty = no disk tier)")
+	all.IntVar(&o.core.ScanChunk, "scan-chunk", 0, "grid items per intra-experiment scan chunk (0 = per-scan default; never changes results)")
+	o.wire.Format = collector.FormatIPFIX
+	all.Func("format", "wire format `name`: v5, v9 or ipfix (default ipfix)", func(s string) (err error) {
+		o.wire.Format, err = collector.ParseFormat(s)
+		return err
+	})
+	all.StringVar(&o.wire.BridgeListen, "addr", "127.0.0.1:0", "bridge UDP listen `address`")
+	all.Float64Var(&o.wire.Rate, "pps", 0, "pump pacing in datagrams per second (0 = unlimited)")
+	all.BoolVar(&o.wire.Unverified, "unverified", false, "capture mode: serve wire rows without failing verification")
+	all.DurationVar(&o.wire.AttemptTimeout, "attempt-timeout", 0, "per-attempt bucket timeout (0 = default)")
+	all.IntVar(&o.wire.MaxAttempts, "max-attempts", 0, "attempts per bucket (0 = default)")
+	all.DurationVar(&o.wire.FetchBudget, "fetch-budget", 0, "wall-clock retry budget per bucket (0 = attempt-timeout × max-attempts)")
+	all.BoolVar(&o.wire.AllowPartial, "allow-partial", false, "degrade to accounted empty batches instead of failing when a bucket's retries run out")
+	all.IntVar(&o.wire.Shards, "shards", m.shards, "pump shard count")
+	all.BoolVar(&o.wire.Subprocess, "subprocess", false, "run each pump as its own process")
+	all.IntVar(&o.wire.MaxRestarts, "max-restarts", 0, "restarts per shard before give-up and re-partition (0 = default)")
+	all.Func("chaos", "fault-injection `spec`, e.g. 'drop=0.05,kill=shard1@t+2s,seed=7'", func(s string) error {
+		faults, err := faultinject.ParseSpec(s)
+		if err == nil {
+			o.wire.Chaos = &faults
+		}
+		return err
+	})
+
+	fs := flag.NewFlagSet(m.name, flag.ContinueOnError)
+	for _, name := range m.flags {
+		f := all.Lookup(name)
+		fs.Var(f.Value, f.Name, f.Usage)
+	}
+	return fs
+}
+
+// synopsis is the mode's line of usage(), generated from its flag set.
+func (m mode) synopsis() string {
+	line := "lockdown " + m.name
+	if m.arg != "" {
+		line += " " + m.arg
+	}
+	m.flagSet(new(options)).VisitAll(func(f *flag.Flag) {
+		if value, _ := flag.UnquoteUsage(f); value != "" {
+			line += fmt.Sprintf(" [-%s %s]", f.Name, value)
+		} else {
+			line += fmt.Sprintf(" [-%s]", f.Name)
+		}
+	})
+	return line
+}
+
+// check refuses what the flag package cannot. Flags the mode did not
+// register hold defaults that pass.
+func (o *options) check(m mode) error {
+	switch scale := o.core.FlowScale; {
+	case o.csv && o.json:
+		return errors.New("-csv and -json are mutually exclusive")
+	// 0 selects the default density (core.Options.FlowScale); NaN fails
+	// every comparison the generator makes and would sample garbage.
+	case math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0:
+		return fmt.Errorf("-scale must be a finite, non-negative number, got %g", scale)
+	case o.wire.AttemptTimeout < 0 || o.wire.FetchBudget < 0:
+		return errors.New("-attempt-timeout and -fetch-budget must not be negative")
+	case o.wire.MaxAttempts < 0 || o.wire.MaxRestarts < 0:
+		return errors.New("-max-attempts and -max-restarts must not be negative")
+	case m.shards > 0 && o.wire.Shards < 1:
+		return fmt.Errorf("-shards must be at least 1, got %d", o.wire.Shards)
+	}
+	return nil
+}
+
+// runMode parses and checks the named mode's command line, brings up what
+// every mode shares — profiles, the metrics server, the tracer — and runs
+// the mode.
+func runMode(ctx context.Context, name string, args []string) error {
+	m := modes[slices.IndexFunc(modes, func(m mode) bool { return m.name == name })]
+	o := &options{set: map[string]bool{}}
+	fs := m.flagSet(o)
+	if m.arg != "" {
+		if len(args) == 0 {
+			usage()
+			return usageError(fmt.Sprintf("%s needs %s", m.name, m.arg))
+		}
+		o.arg, args = args[0], args[1:]
+	}
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError(err.Error())
+	}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
+	if err := o.check(m); err != nil {
+		return usageError(err.Error())
+	}
+
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
+		if err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return fmt.Errorf("cpuprofile: %w", err)
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if o.memProfile != "" {
+		defer func() {
+			f, err := os.Create(o.memProfile)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "lockdown: memprofile:", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // materialise the live heap before snapshotting
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "lockdown: memprofile:", err)
+			}
+		}()
+	}
+	// Observability backends live for the whole command: the metrics
+	// server keeps serving scrapes while experiments run, and the
+	// trace file is finalised (the JSON array closed) on the way out,
+	// after the run's last span has ended.
+	if o.metricsAddr != "" {
+		o.core.Obs = obs.NewRegistry()
+		srv, err := obs.Serve(o.metricsAddr, o.core.Obs)
+		if err != nil {
+			return fmt.Errorf("-metrics-addr: %w", err)
+		}
+		defer srv.Close()
+		fmt.Fprintf(os.Stderr, "metrics: serving http://%s/metrics (live pprof under /debug/pprof/)\n", srv.Addr())
+	}
+	if o.tracePath != "" {
+		tracer, err := obs.Create(o.tracePath)
+		if err != nil {
+			return fmt.Errorf("-trace: %w", err)
+		}
+		o.core.Tracer = tracer
+		defer func() {
+			if err := tracer.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "lockdown: trace:", err)
+				return
+			}
+			fmt.Fprintf(os.Stderr, "trace: %d events written to %s\n", tracer.Events(), o.tracePath)
+		}()
+	}
+	return m.run(ctx, o)
+}
+
+func runOne(ctx context.Context, o *options) error {
+	engine := core.NewEngine(o.core)
 	defer engine.Data().Close()
-	results, err := engine.RunAll(runCtx, parallel)
+	res, err := engine.Run(ctx, o.arg)
 	if err != nil {
 		return err
 	}
-	if err := emitSuite(results, engine.Data(), opts.Tracer, asCSV, asJSON); err != nil {
+	return emit(res, o.csv, o.json)
+}
+
+func runAll(ctx context.Context, o *options) error {
+	return runSuite(ctx, core.NewEngine(o.core), o)
+}
+
+func runDoc(ctx context.Context, o *options) error {
+	engine := core.NewEngine(o.core)
+	defer engine.Data().Close()
+	results, err := engine.RunAll(ctx, o.parallel)
+	if err != nil {
 		return err
 	}
-	return emitEvents(opts.Tracer, replayEvents(lb.Bridge.Snapshot(), lb.PumpStats()))
+	return report.WriteExperimentsDoc(os.Stdout, results)
 }
 
-// replayEvents converts a replay run's accounting into its summary events:
-// the bridge totals, one indented detail per vantage-point stream, and the
-// pumps' counters summed over all streams.
-func replayEvents(snap replay.Snapshot, ps replay.PumpStats) []obs.Event {
-	bridge := bridgeEvent(snap.Total)
-	bridge.Fields = append(bridge.Fields, obs.Fi("unverified", snap.Total.Unverified))
-	events := []obs.Event{bridge}
-	for i, vp := range synth.AllVantagePoints() {
-		events = append(events, obs.Event{Cat: "bridge", Sub: true,
-			Msg:    fmt.Sprintf("stream %d (%s)", i, vp),
-			Fields: streamFields(snap.Streams[uint32(i)])})
+// runScenario is runAll on the model the scenario file o.arg compiles to.
+func runScenario(ctx context.Context, o *options) error {
+	s, err := scenario.Load(o.arg)
+	if err != nil {
+		return err
 	}
-	return append(events, obs.Event{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{
-		obs.Fi("requests", ps.Requests),
-		obs.Fi("rows exported", ps.RowsSent),
-		obs.Fi("nacks", ps.Nacks),
-	}})
+	// The scenario's declared seed/flow_scale are defaults only; a flag
+	// the user actually set on the command line wins.
+	if s.FlowScale != 0 && !o.set["scale"] {
+		o.core.FlowScale = s.FlowScale
+	}
+	if s.Seed != 0 && !o.set["seed"] {
+		o.core.Seed = s.Seed
+	}
+	declared := map[synth.VantagePoint]bool{}
+	for _, vp := range s.VPs {
+		declared[vp] = true
+	}
+	o.core.Model = func(vp synth.VantagePoint) synth.Config {
+		if declared[vp] {
+			return s.Config(vp)
+		}
+		// Vantage points the scenario does not declare keep the
+		// untouched built-in model.
+		return synth.DefaultConfig(vp)
+	}
+	fmt.Fprintf(os.Stderr, "scenario: %q from %s\n", s.Name, s.File())
+	return runAll(ctx, o)
 }
 
-// bridgeEvent is the aggregate wire accounting line replay and cluster
-// share.
-func bridgeEvent(bs replay.Stats) obs.Event {
-	return obs.Event{Cat: "bridge", Msg: "wire bridge", Fields: []obs.Field{
+// runWire is runAll with the engine's flows drawn from a cluster of
+// o.wire.Shards pumps behind one bridge (see the package comment); its
+// accounting follows the suite's on stderr.
+func runWire(ctx context.Context, o *options) error {
+	spec := o.wire
+	spec.Options = o.core
+	if spec.Chaos != nil && spec.FetchBudget == 0 {
+		// A fault schedule stretches fetches across restart and
+		// re-partition windows; without an explicit budget, give the
+		// bridge one wide enough to ride out a full give-up sequence.
+		spec.FetchBudget = 60 * time.Second
+	}
+	c, err := cluster.New(spec)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	if err := c.Start(ctx); err != nil {
+		return err
+	}
+	pumps := "in-process"
+	if spec.Subprocess {
+		pumps = "subprocess"
+	}
+	fmt.Fprintf(os.Stderr, "wire: %v bridge on %s, %d %s pump shards\n", spec.Format, c.Bridge().DataAddr(), spec.Shards, pumps)
+	if spec.Chaos != nil {
+		fmt.Fprintf(os.Stderr, "wire: chaos active: %s\n", spec.Chaos)
+	}
+	if err := runSuite(ctx, core.NewEngineWithSource(o.core, c.Source()), o); err != nil {
+		return err
+	}
+	return emitEvents(o.core.Tracer, wireEvents(c.Stats(), c.Partition()))
+}
+
+// wireEvents converts a wire run's accounting into its summary events: the
+// bridge totals, one indented detail per shard naming the vantage points
+// it owns under part (the live partition), every rebalance, the chaos
+// relay totals when fault injection was active, and — when the pumps ran
+// in process, where their counters can be read — the pumps' counters
+// summed over all shards.
+func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Event {
+	bs := stats.Bridge
+	events := []obs.Event{{Cat: "bridge", Msg: "wire bridge", Fields: []obs.Field{
 		obs.Fi("buckets", bs.Keys),
 		obs.Fi("rows verified", bs.Rows),
 		obs.Fi("retries", bs.Retries),
 		obs.Fi("rows lost", bs.LostRows),
 		obs.Fi("orphan rows", bs.OrphanRows),
 		obs.Fi("decode errors", bs.DecodeErrors),
-	}}
-}
-
-// streamFields is one stream's share of it: a replay stream's detail line,
-// a cluster shard's.
-func streamFields(ss replay.Stats) []obs.Field {
-	return []obs.Field{
-		obs.Fi("buckets", ss.Keys),
-		obs.Fi("rows", ss.Rows),
-		obs.Fi("retries", ss.Retries),
-		obs.Fi("rows lost", ss.LostRows),
-	}
-}
-
-// runCluster executes the full experiment suite over a sharded pump
-// fleet: the vantage points are partitioned over N pumps (in-process
-// goroutines, or supervised `lockdown pump` subprocesses), each pump
-// exports with its own wire stream identity, and one bridge demuxes,
-// verifies and serves the interleaved export to the engine. The emitted
-// results are byte-identical to `lockdown all` at the same options;
-// per-shard wire accounting goes to stderr.
-func runCluster(ctx context.Context, opts core.Options, formatName, addr string, pps float64, shards int, subprocess bool, maxRestarts int, chaosSpec string, tuning retryTuning, parallel int, asCSV, asJSON bool) error {
-	format, err := collector.ParseFormat(formatName)
-	if err != nil {
-		return err
-	}
-	var chaos *faultinject.Spec
-	if chaosSpec != "" {
-		parsed, err := faultinject.ParseSpec(chaosSpec)
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
-		chaos = &parsed
-		// A fault schedule stretches fetches across restart and
-		// re-partition windows; without an explicit budget, give the
-		// bridge one wide enough to ride out a full give-up sequence.
-		if tuning.fetchBudget == 0 {
-			tuning.fetchBudget = 60 * time.Second
-		}
-	}
-	c, err := cluster.New(cluster.Spec{
-		Shards:         shards,
-		Format:         format,
-		Options:        opts,
-		Rate:           pps,
-		Subprocess:     subprocess,
-		MaxRestarts:    maxRestarts,
-		BridgeListen:   addr,
-		AttemptTimeout: tuning.attemptTimeout,
-		MaxAttempts:    tuning.maxAttempts,
-		FetchBudget:    tuning.fetchBudget,
-		AllowPartial:   tuning.allowPartial,
-		Chaos:          chaos,
-	})
-	if err != nil {
-		return err
-	}
-	defer c.Close()
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if err := c.Start(runCtx); err != nil {
-		return err
-	}
-	mode := "in-process"
-	if subprocess {
-		mode = "subprocess"
-	}
-	fmt.Fprintf(os.Stderr, "cluster: %v bridge on %s, %d %s pump shards\n",
-		format, c.Bridge().DataAddr(), shards, mode)
-	if chaos != nil {
-		fmt.Fprintf(os.Stderr, "cluster: chaos active: %s\n", chaos)
-	}
-
-	engine := core.NewEngineWithSource(opts, c.Source())
-	defer engine.Data().Close()
-	results, err := engine.RunAll(runCtx, parallel)
-	if err != nil {
-		return err
-	}
-	if err := emitSuite(results, engine.Data(), opts.Tracer, asCSV, asJSON); err != nil {
-		return err
-	}
-	return emitEvents(opts.Tracer, clusterEvents(c.Stats()))
-}
-
-// clusterEvents converts a cluster stats snapshot into the per-run
-// summary events: aggregate bridge accounting, one indented detail per
-// shard, every rebalance, and the chaos relay totals when fault
-// injection was active.
-func clusterEvents(stats cluster.Stats) []obs.Event {
-	events := []obs.Event{bridgeEvent(stats.Bridge)}
+		obs.Fi("unverified", bs.Unverified),
+	}}}
+	var pumps replay.PumpStats
+	inProcess := false
 	for _, sh := range stats.Shards {
-		health := "healthy"
-		sev := obs.Info
+		var owns []string
+		for _, vp := range synth.AllVantagePoints() {
+			if part[vp] == sh.Shard {
+				owns = append(owns, string(vp))
+			}
+		}
+		health, sev := "healthy", obs.Info
 		switch {
 		case sh.Dead:
 			health, sev = "DEAD", obs.Warn
 		case !sh.Healthy:
 			health, sev = "DOWN", obs.Warn
 		}
+		ss := stats.Streams[sh.Stream]
 		events = append(events, obs.Event{Cat: "cluster", Sub: true, Severity: sev,
-			Msg:    fmt.Sprintf("shard %d (%s, %d restarts)", sh.Shard, health, sh.Restarts),
-			Fields: streamFields(stats.Streams[sh.Stream])})
+			Msg: fmt.Sprintf("shard %d [%s] (%s, %d restarts)", sh.Shard, strings.Join(owns, " "), health, sh.Restarts),
+			Fields: []obs.Field{
+				obs.Fi("buckets", ss.Keys),
+				obs.Fi("rows", ss.Rows),
+				obs.Fi("retries", ss.Retries),
+				obs.Fi("rows lost", ss.LostRows),
+			}})
+		if sh.InProcess {
+			inProcess = true
+			pumps.Requests += sh.Pump.Requests
+			pumps.RowsSent += sh.Pump.RowsSent
+			pumps.Nacks += sh.Pump.Nacks
+		}
 	}
 	for _, ev := range stats.Rebalances {
 		events = append(events, obs.Event{Cat: "cluster", Sub: true, Severity: obs.Warn,
@@ -684,24 +642,37 @@ func clusterEvents(stats cluster.Stats) []obs.Event {
 				obs.Fi("stalled", cs.Total.Stalled),
 			}})
 	}
+	if inProcess {
+		events = append(events, obs.Event{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{
+			obs.Fi("requests", pumps.Requests),
+			obs.Fi("rows exported", pumps.RowsSent),
+			obs.Fi("nacks", pumps.Nacks),
+		}})
+	}
 	return events
 }
 
-// emitSuite writes a full-suite run the way `all` and `replay` share it:
-// the results to stdout (text, CSV or JSON), then the timing summary and
-// dataset-cache stats to stderr — keeping the two commands' output
-// byte-identical by construction. The stderr accounting travels as
-// structured obs Events through one renderer (and into the trace when
-// one is active), so the terminal summary, the trace file and the
-// /metrics exposition are three views of the same counters.
-func emitSuite(results []*core.Result, data *core.Dataset, tracer *obs.Tracer, asCSV, asJSON bool) error {
-	if asJSON {
+// runSuite runs every experiment on engine and writes the run the way
+// `all`, `scenario run`, `replay` and `cluster` share it: the results to
+// stdout (text, CSV or JSON), then the timing summary and dataset-cache
+// stats to stderr — keeping the commands' output byte-identical by
+// construction. The stderr accounting travels as structured obs Events
+// through one renderer (and into the trace when one is active), so the
+// terminal summary, the trace file and the /metrics exposition are three
+// views of the same counters.
+func runSuite(ctx context.Context, engine *core.Engine, o *options) error {
+	defer engine.Data().Close()
+	results, err := engine.RunAll(ctx, o.parallel)
+	if err != nil {
+		return err
+	}
+	if o.json {
 		if err := report.WriteJSONAll(os.Stdout, results); err != nil {
 			return err
 		}
 	} else {
 		for _, res := range results {
-			if err := emit(res, asCSV, false); err != nil {
+			if err := emit(res, o.csv, false); err != nil {
 				return err
 			}
 		}
@@ -710,7 +681,7 @@ func emitSuite(results []*core.Result, data *core.Dataset, tracer *obs.Tracer, a
 		return err
 	}
 	fmt.Fprintln(os.Stderr)
-	return emitEvents(tracer, suiteEvents(data))
+	return emitEvents(o.core.Tracer, suiteEvents(engine.Data()))
 }
 
 // suiteEvents converts the dataset's cache accounting and degradation

@@ -3,11 +3,15 @@ package main
 import (
 	"context"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"lockdown/internal/cluster"
+	"lockdown/internal/faultinject"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/flowstore"
 	"lockdown/internal/replay"
@@ -69,39 +73,186 @@ func TestCacheStatKilledRun(t *testing.T) {
 	}
 }
 
-// TestReplayEventsListEveryStream: the replay summary carries the bridge
-// totals, one indented line per vantage-point stream (idle ones included,
-// so a stream that served nothing is visible as such) and a single pump
-// line holding the counters summed over all streams.
-func TestReplayEventsListEveryStream(t *testing.T) {
-	snap := replay.Snapshot{
-		Total: replay.Stats{Keys: 30, Rows: 600, Retries: 1, LostRows: 7},
+// silence points *f — os.Stdout or os.Stderr — at the null device for the
+// rest of the test. Not for parallel tests: both are process-global.
+func silence(t *testing.T, f **os.File) {
+	t.Helper()
+	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := *f
+	*f = null
+	t.Cleanup(func() { *f = old; null.Close() })
+}
+
+// TestWireEvents: the wire summary carries the bridge totals, one indented
+// line per shard naming the vantage points it owns (idle shards included,
+// so one that served nothing is visible as such), rebalances and chaos
+// totals when there were any, and — only when the pumps ran in process —
+// a single pump line holding their counters summed over all shards.
+func TestWireEvents(t *testing.T) {
+	render := func(stats cluster.Stats, part map[synth.VantagePoint]int) []string {
+		t.Helper()
+		var out strings.Builder
+		if err := report.WriteEvents(&out, wireEvents(stats, part)); err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	}
+	expect := func(lines []string, want ...string) {
+		t.Helper()
+		if len(lines) != len(want) {
+			t.Fatalf("%d lines, want %d:\n%s", len(lines), len(want), strings.Join(lines, "\n"))
+		}
+		for i := range want {
+			if !strings.HasPrefix(lines[i], want[i]) {
+				t.Errorf("line %d = %q, want prefix %q", i, lines[i], want[i])
+			}
+		}
+	}
+
+	// `replay`: seven healthy in-process shards, one vantage point each.
+	vps := synth.AllVantagePoints()
+	replayRun := cluster.Stats{
+		Bridge: replay.Stats{Keys: 30, Rows: 600, Retries: 1, LostRows: 7},
 		Streams: map[uint32]replay.Stats{
 			0: {Keys: 10, Rows: 200},
 			6: {Keys: 20, Rows: 400, Retries: 1, LostRows: 7},
 		},
 	}
-	var out strings.Builder
-	if err := report.WriteEvents(&out, replayEvents(snap, replay.PumpStats{Requests: 31, RowsSent: 607})); err != nil {
-		t.Fatal(err)
+	part := map[synth.VantagePoint]int{}
+	for i, vp := range vps {
+		part[vp] = i
+		replayRun.Shards = append(replayRun.Shards, cluster.ShardStatus{Shard: i, Stream: uint32(i), Healthy: true, InProcess: true})
 	}
-	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
-	vps := synth.AllVantagePoints()
-	if len(lines) != len(vps)+2 {
-		t.Fatalf("%d lines, want the bridge, %d streams and the pumps:\n%s", len(lines), len(vps), out.String())
+	replayRun.Shards[0].Pump = replay.PumpStats{Requests: 10, RowsSent: 200}
+	replayRun.Shards[6].Pump = replay.PumpStats{Requests: 21, RowsSent: 407}
+	expect(render(replayRun, part),
+		"wire bridge: 30 buckets, 600 rows verified, 1 retries, 7 rows lost, 0 orphan rows, 0 decode errors, 0 unverified",
+		"  shard 0 [ISP-CE] (healthy, 0 restarts): 10 buckets, 200 rows, 0 retries, 0 rows lost",
+		"  shard 1 [IXP-CE] (healthy, 0 restarts): 0 buckets, 0 rows",
+		"  shard 2 [IXP-SE] (healthy", "  shard 3 [IXP-US] (healthy", "  shard 4 [MOBILE] (healthy", "  shard 5 [IPX] (healthy",
+		"  shard 6 [EDU] (healthy, 0 restarts): 20 buckets, 400 rows, 1 retries, 7 rows lost",
+		"wire pump: 31 requests, 607 rows exported, 0 nacks")
+
+	// `cluster -subprocess -shards 3 -chaos …`: shard 1 died and its
+	// vantage points moved; the pumps' counters live in their processes.
+	clusterRun := cluster.Stats{
+		Bridge:  replay.Stats{Keys: 9, Rows: 90, Retries: 4},
+		Streams: map[uint32]replay.Stats{0: {Keys: 5, Rows: 50}, 1: {Keys: 1, Rows: 10, Retries: 4}, 2: {Keys: 3, Rows: 30}},
+		Shards: []cluster.ShardStatus{
+			{Shard: 0, Stream: 0, Healthy: true},
+			{Shard: 1, Stream: 1, Dead: true, Restarts: 4},
+			{Shard: 2, Stream: 2, Restarts: 1},
+		},
+		Rebalances: []cluster.RebalanceEvent{{From: 1, Reason: "restart budget exhausted",
+			Moved: map[synth.VantagePoint]int{synth.IXPCE: 0, synth.Mobile: 2}}},
+		Chaos: &faultinject.RelayStats{Total: faultinject.Counts{Seen: 100, Dropped: 5}},
 	}
-	for _, want := range []struct {
-		line int
-		text string
-	}{
-		{0, "wire bridge: 30 buckets, 600 rows verified, 1 retries, 7 rows lost"},
-		{1, "  stream 0 (ISP-CE): 10 buckets, 200 rows, 0 retries, 0 rows lost"},
-		{2, "  stream 1 (IXP-CE): 0 buckets, 0 rows"},
-		{7, "  stream 6 (EDU): 20 buckets, 400 rows, 1 retries, 7 rows lost"},
-		{8, "wire pump: 31 requests, 607 rows exported, 0 nacks"},
+	for i, vp := range vps {
+		part[vp] = i % 3
+	}
+	part[synth.IXPCE], part[synth.Mobile] = 0, 2
+	expect(render(clusterRun, part),
+		"wire bridge: 9 buckets, 90 rows verified, 4 retries",
+		"  shard 0 [ISP-CE IXP-CE IXP-US EDU] (healthy, 0 restarts): 5 buckets, 50 rows",
+		"  shard 1 [] (DEAD, 4 restarts): 1 buckets, 10 rows, 4 retries",
+		"  shard 2 [IXP-SE MOBILE IPX] (DOWN, 1 restarts): 3 buckets",
+		"  rebalance: shard 1 (restart budget exhausted), 2 vantage points moved",
+		"  chaos relay: 100 datagrams, 5 dropped")
+}
+
+// flagModes names, for every flag, the modes that take it, its default and
+// another value. It is kept by hand, apart from the mode table it checks.
+var flagModes = map[string]struct{ modes, def, other string }{
+	"scale":           {"run all doc scenario-run replay cluster", "0.5", "0.25"},
+	"seed":            {"run all doc scenario-run replay cluster", "0", "7"},
+	"scan-chunk":      {"run all doc scenario-run replay cluster", "0", "7"},
+	"cache-budget":    {"run all doc scenario-run replay cluster", "16M", "1M"},
+	"cache-dir":       {"run all doc scenario-run replay cluster", "", "d"},
+	"cpuprofile":      {"run all doc scenario-run replay cluster", "", "f"},
+	"memprofile":      {"run all doc scenario-run replay cluster", "", "f"},
+	"metrics-addr":    {"run all doc scenario-run replay cluster", "", ":0"},
+	"trace":           {"run all doc scenario-run replay cluster", "", "f"},
+	"csv":             {"run all scenario-run replay cluster", "false", "true"},
+	"json":            {"run all scenario-run replay cluster", "false", "true"},
+	"parallel":        {"all doc scenario-run replay cluster", "0", "2"},
+	"format":          {"replay cluster", "ipfix", "v9"},
+	"addr":            {"replay cluster", "127.0.0.1:0", "127.0.0.1:9"},
+	"pps":             {"replay cluster", "0", "100"},
+	"attempt-timeout": {"replay cluster", "0s", "1s"},
+	"max-attempts":    {"replay cluster", "0", "2"},
+	"fetch-budget":    {"replay cluster", "0s", "1s"},
+	"allow-partial":   {"replay cluster", "false", "true"},
+	"unverified":      {"replay", "false", "true"},
+	"shards":          {"cluster", "4", "2"},
+	"subprocess":      {"cluster", "false", "true"},
+	"max-restarts":    {"cluster", "0", "1"},
+	"chaos":           {"cluster", "", "drop=0.1"},
+}
+
+// TestFlagsRejectedOutsideTheirMode: a mode registers exactly the flags it
+// takes, so any other is refused as an unknown flag — a usage error, before
+// the scenario file is opened or anything runs — whether it is set to its
+// default or to something else.
+func TestFlagsRejectedOutsideTheirMode(t *testing.T) {
+	silence(t, &os.Stderr) // the flag package prints the mode's usage on every refusal
+
+	if len(flagModes) != 24 {
+		t.Errorf("%d distinct flags, want 24", len(flagModes))
+	}
+	for _, m := range modes {
+		name := strings.ReplaceAll(m.name, " ", "-")
+		args := strings.Fields(m.name)
+		if m.arg != "" {
+			args = append(args, filepath.Join(t.TempDir(), "never-opened"))
+		}
+		fs := m.flagSet(new(options))
+		n := 0
+		fs.VisitAll(func(f *flag.Flag) {
+			n++
+			if _, ok := flagModes[f.Name]; !ok {
+				t.Errorf("%s registers -%s, which the table does not know", m.name, f.Name)
+			}
+		})
+		if n != len(m.flags) {
+			t.Errorf("%s lists %d flags and registers %d", m.name, len(m.flags), n)
+		}
+		for flagName, fm := range flagModes {
+			takes := slices.Contains(strings.Fields(fm.modes), name)
+			if f := fs.Lookup(flagName); takes != (f != nil) {
+				t.Errorf("%s registers -%s: %v, want %v", m.name, flagName, f != nil, takes)
+			}
+			if takes {
+				continue
+			}
+			for _, value := range []string{fm.def, fm.other} {
+				line := append(slices.Clone(args), "-"+flagName+"="+value)
+				err := run(context.Background(), line)
+				var ue usageError
+				if !errors.As(err, &ue) || !strings.Contains(err.Error(), "not defined: -"+flagName) {
+					t.Errorf("%v = %v, want an unknown-flag usage error", line, err)
+				}
+			}
+		}
+	}
+}
+
+// TestRefusedCommandLinesAreUsageErrors: what the flag package lets through
+// and check refuses is a usage error too, raised before anything runs.
+func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
+	silence(t, &os.Stderr)
+	for _, line := range []string{
+		"", "frobnicate", "run", "scenario", "scenario frobnicate", "cache compact d",
+		"all -csv -json", "all -bogus", "all -cache-budget 5x",
+		"replay -format v7", "replay -attempt-timeout -1s", "replay -fetch-budget -1s", "replay -max-attempts -1",
+		"cluster -max-restarts -1", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
 	} {
-		if !strings.HasPrefix(lines[want.line], want.text) {
-			t.Errorf("line %d = %q, want prefix %q", want.line, lines[want.line], want.text)
+		err := run(context.Background(), strings.Fields(line))
+		var ue usageError
+		if !errors.As(err, &ue) {
+			t.Errorf("lockdown %s = %v, want a usage error", line, err)
 		}
 	}
 }
@@ -126,13 +277,7 @@ func TestScaleFlagRejected(t *testing.T) {
 		}
 	}
 
-	stdout := os.Stdout
-	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stdout = null
-	defer func() { os.Stdout = stdout; null.Close() }()
+	silence(t, &os.Stdout)
 	if err := run(context.Background(), []string{"run", "fig3a", "-scale", "0"}); err != nil {
 		t.Errorf("-scale 0 selects the default and must run: %v", err)
 	}

@@ -1,9 +1,11 @@
-// Package cluster shards the wire-replay harness over several exporter
-// processes, reproducing the multi-vantage-point topology of "The
-// Lockdown Effect" (IMC 2020): the paper's observations come from an
-// ISP, IXPs, an EDU network and a mobile operator measured
-// simultaneously, and here each vantage point's flow export likewise
-// comes from its own pump.
+// Package cluster runs the wire-replay harness over several exporter
+// pumps, reproducing the multi-vantage-point topology of "The Lockdown
+// Effect" (IMC 2020): the paper's observations come from an ISP, IXPs,
+// an EDU network and a mobile operator measured simultaneously, and here
+// each vantage point's flow export likewise comes from a pump of its
+// own. It is the one place a bridge-plus-pumps topology is built:
+// `lockdown replay` is a cluster of one shard per vantage point,
+// `lockdown cluster -shards n` the same thing at another shard count.
 //
 // A Spec partitions the vantage points over N shards. Each shard is one
 // replay.Pump carrying the shard index as its wire stream identity
@@ -11,17 +13,17 @@
 // all pumps share one bridge socket and the bridge demuxes their
 // interleaved export per stream (see internal/replay). The Cluster
 // supervisor launches the pumps — in-process goroutines, or `lockdown
-// pump` subprocesses with a READY handshake — wires every stream to the
-// bridge, and aggregates the per-shard accounting.
+// pump` subprocesses with a READY handshake; launch is the only place
+// the two differ — wires every stream to the bridge, and aggregates the
+// per-shard accounting.
 //
-// Both pump modes are supervised identically: a crashed pump is
-// restarted with jittered capped-exponential backoff up to MaxRestarts;
-// a pump that exhausts the budget is declared dead and its vantage
-// points are re-partitioned over the surviving shards — the bridge
-// re-routes affected fetches mid-retry, each with a fresh request
-// generation so anything still in flight from the dead assignment is
-// discarded as stale. Restart, crash and rebalance history is surfaced
-// in Stats (per-shard HealthEvents, cluster RebalanceEvents).
+// A crashed pump is restarted with jittered capped-exponential backoff
+// up to MaxRestarts; a pump that exhausts the budget is declared dead
+// and its vantage points are re-partitioned over the surviving shards —
+// the bridge re-routes affected fetches mid-retry, each with a fresh
+// request generation so anything still in flight from the dead
+// assignment is discarded as stale. Restart, crash and rebalance history
+// is surfaced in Stats (per-shard HealthEvents, cluster RebalanceEvents).
 //
 // Spec.Chaos splices the deterministic fault harness of
 // internal/faultinject into the topology: a seeded relay on the
@@ -90,9 +92,8 @@ type Spec struct {
 	// has its vantage points reassigned to surviving shards.
 	Partition map[synth.VantagePoint]int
 	// Subprocess launches each pump as its own OS process (`<Exe> pump
-	// -shard i/N …`) instead of an in-process goroutine. Supervision —
-	// restart with jittered backoff, the MaxRestarts budget, the
-	// give-up → re-partition path — applies in both modes.
+	// -shard i/N …`) instead of an in-process goroutine; supervision is
+	// the same either way.
 	Subprocess bool
 	// Exe is the binary spawned in subprocess mode (the running
 	// executable if empty).
@@ -121,6 +122,9 @@ type Spec struct {
 	// whose retry budget ran out instead of failing the run; see
 	// replay.Config.AllowPartial.
 	AllowPartial bool
+	// Unverified switches the bridge to capture mode; see
+	// replay.Config.Unverified.
+	Unverified bool
 	// Chaos injects the deterministic fault schedule: a seeded relay on
 	// the pump → bridge data path plus scheduled pump kills and stalls
 	// (see internal/faultinject). Nil runs clean.
@@ -187,23 +191,9 @@ func (s Spec) partition() map[synth.VantagePoint]int {
 	return part
 }
 
-// Route builds a static key→stream route from the spec's initial
-// partition. A running Cluster does not use it — its route reads the
-// live partition, which rebalances away from dead shards — but it
-// remains the reference for what the topology looks like at start.
-// Vantage points outside the partition (none in the standard suite)
-// route by a stable hash so the route is total and deterministic.
-func (s Spec) Route() replay.Route {
-	n := s.shards()
-	part := s.partition()
-	return func(k replay.Key) uint32 {
-		if shard, ok := part[k.VP]; ok {
-			return uint32(shard)
-		}
-		return hashVP(k.VP, n)
-	}
-}
-
+// hashVP is the route of a vantage point outside the partition (none in
+// the standard suite; a capture-mode bridge may ask for one): a stable
+// hash, so the route stays total and deterministic.
 func hashVP(vp synth.VantagePoint, n int) uint32 {
 	h := fnv.New32a()
 	io.WriteString(h, string(vp))
@@ -213,7 +203,7 @@ func hashVP(vp synth.VantagePoint, n int) uint32 {
 // HealthEvent is one entry of a shard's supervision history.
 type HealthEvent struct {
 	Time   time.Time
-	Kind   string // "launch", "ready", "crash", "restart", "restart-failed", "reconnect-failed", "gave-up"
+	Kind   string // "launch", "crash", "restart", "restart-failed", "reconnect-failed", "gave-up"
 	Detail string
 }
 
@@ -259,19 +249,27 @@ type Stats struct {
 // crash-looping shard keeps its most recent events.
 const historyCap = 64
 
-// shard is the supervisor's handle on one pump.
+// incarnation is one launched pump of a shard as its supervisor sees it,
+// the same whether it is a goroutine or a process.
+type incarnation struct {
+	addr string       // the pump's request socket
+	wait func()       // blocks until the pump has stopped; in-process it is the serve loop itself
+	stop func()       // ends the pump and releases what is held of it; safe to repeat, and once the pump is dead
+	pump *replay.Pump // in-process only: Stats reads its counters
+	cmd  *exec.Cmd    // subprocess only: the child
+}
+
+// shard is the supervisor's handle on one pump: its current incarnation
+// and its health.
 type shard struct {
 	id int
 
-	mu       sync.Mutex
-	addr     string
+	mu sync.Mutex
+	incarnation
 	healthy  bool
 	dead     bool
 	restarts int
 	history  []HealthEvent
-	pump     *replay.Pump // in-process mode
-	cmd      *exec.Cmd    // subprocess mode
-	stdin    io.Closer    // closing it tells the child to exit
 }
 
 // note appends a supervision event; callers hold sh.mu.
@@ -282,7 +280,7 @@ func (sh *shard) note(kind, detail string) {
 	sh.history = append(sh.history, HealthEvent{Time: time.Now(), Kind: kind, Detail: detail})
 }
 
-func (sh *shard) status(inProcess bool) ShardStatus {
+func (sh *shard) status() ShardStatus {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := ShardStatus{
@@ -293,9 +291,9 @@ func (sh *shard) status(inProcess bool) ShardStatus {
 		Dead:      sh.dead,
 		Restarts:  sh.restarts,
 		History:   append([]HealthEvent(nil), sh.history...),
-		InProcess: inProcess,
+		InProcess: sh.pump != nil,
 	}
-	if inProcess && sh.pump != nil {
+	if sh.pump != nil {
 		st.Pump = sh.pump.Stats()
 	}
 	return st
@@ -377,6 +375,7 @@ func New(spec Spec) (*Cluster, error) {
 		MaxAttempts:    spec.MaxAttempts,
 		FetchBudget:    spec.FetchBudget,
 		AllowPartial:   spec.AllowPartial,
+		Unverified:     spec.Unverified,
 	})
 	if err != nil {
 		return nil, err
@@ -438,10 +437,11 @@ func (c *Cluster) dataAddr() string {
 	return c.bridge.DataAddr()
 }
 
-// Start launches every pump, connects its stream to the bridge and
-// starts the bridge's demux. It blocks until all shards answered (in
-// subprocess mode: printed their READY line); a shard that cannot start
-// fails the whole cluster. Start also anchors the chaos schedule's t+0.
+// Start launches every pump, hands it to its supervisor, connects its
+// stream to the bridge and starts the bridge's demux. It blocks until all
+// shards answered (in subprocess mode: printed their READY line); a shard
+// that cannot start fails the whole cluster. Start also anchors the chaos
+// schedule's t+0.
 func (c *Cluster) Start(ctx context.Context) error {
 	c.ctx, c.cancel = context.WithCancel(ctx)
 	c.epoch = time.Now()
@@ -450,7 +450,13 @@ func (c *Cluster) Start(ctx context.Context) error {
 	}
 	c.bridge.Start(c.ctx)
 	for _, sh := range c.shards {
-		if err := c.launchShard(sh); err != nil {
+		inc, err := c.bringUp(sh, "launch")
+		if err == nil {
+			c.wg.Add(1)
+			go c.supervise(sh, inc)
+			err = c.bridge.ConnectStream(uint32(sh.id), inc.addr)
+		}
+		if err != nil {
 			c.Close()
 			return fmt.Errorf("cluster: shard %d: %w", sh.id, err)
 		}
@@ -458,91 +464,65 @@ func (c *Cluster) Start(ctx context.Context) error {
 	return nil
 }
 
-// newInProcPump builds one in-process pump for a shard.
-func (c *Cluster) newInProcPump(sh *shard) (*replay.Pump, error) {
-	return replay.NewPump(replay.PumpConfig{
+// bringUp launches the shard's next incarnation, makes it the current one
+// (noted in the history as kind) and arms its chaos kill. Kills are
+// permanent by design: every incarnation is armed, so a killed shard dies
+// again until its restart budget burns out and the re-partition path runs.
+func (c *Cluster) bringUp(sh *shard, kind string) (incarnation, error) {
+	inc, err := c.launch(sh.id)
+	if err != nil {
+		return inc, err
+	}
+	sh.mu.Lock()
+	sh.incarnation = inc
+	sh.healthy = true
+	sh.note(kind, inc.addr)
+	sh.mu.Unlock()
+	if c.spec.Chaos != nil {
+		if at, ok := c.spec.Chaos.KillFor(sh.id); ok {
+			c.timerMu.Lock() // (a time already past fires at once)
+			c.killTimers = append(c.killTimers, time.AfterFunc(time.Until(c.epoch.Add(at)), inc.stop))
+			c.timerMu.Unlock()
+		}
+	}
+	return inc, nil
+}
+
+// launch starts one pump for a shard, exporting to the cluster's data
+// address under the shard's stream identity. It is the only place the
+// in-process and subprocess modes differ.
+func (c *Cluster) launch(id int) (incarnation, error) {
+	if c.spec.Subprocess {
+		return c.spawn(id)
+	}
+	pump, err := replay.NewPump(replay.PumpConfig{
 		Format:   c.spec.Format,
 		DataAddr: c.dataAddr(),
-		Stream:   uint32(sh.id),
+		Stream:   uint32(id),
 		Rate:     c.spec.Rate,
 		Options:  c.spec.Options,
 	})
+	if err != nil {
+		return incarnation{}, err
+	}
+	return incarnation{
+		addr: pump.CtrlAddr(),
+		wait: func() { pump.Run(c.ctx) },
+		stop: func() { pump.Close() },
+		pump: pump,
+	}, nil
 }
 
-// launchShard brings one shard up, wires its stream and hands it to its
-// supervisor.
-func (c *Cluster) launchShard(sh *shard) error {
-	if c.spec.Subprocess {
-		if err := c.spawn(sh); err != nil {
-			return err
-		}
-		c.wg.Add(1)
-		go c.supervise(sh)
-	} else {
-		pump, err := c.newInProcPump(sh)
-		if err != nil {
-			return err
-		}
-		sh.mu.Lock()
-		sh.pump = pump
-		sh.addr = pump.CtrlAddr()
-		sh.healthy = true
-		sh.note("launch", pump.CtrlAddr())
-		sh.mu.Unlock()
-		c.armKill(sh)
-		c.wg.Add(1)
-		go c.superviseInProc(sh)
-	}
-	sh.mu.Lock()
-	addr := sh.addr
-	sh.mu.Unlock()
-	return c.bridge.ConnectStream(uint32(sh.id), addr)
-}
-
-// armKill schedules the chaos kill of the shard's *current* pump
-// incarnation. Kills are permanent by design: the supervisor re-arms
-// after every restart, so a killed shard is killed again until its
-// restart budget burns out and the re-partition path runs.
-func (c *Cluster) armKill(sh *shard) {
-	chaos := c.spec.Chaos
-	if chaos == nil {
-		return
-	}
-	at, ok := chaos.KillFor(sh.id)
-	if !ok {
-		return
-	}
-	sh.mu.Lock()
-	pump := sh.pump
-	var proc *os.Process
-	if sh.cmd != nil {
-		proc = sh.cmd.Process
-	}
-	sh.mu.Unlock()
-	kill := func() {
-		if pump != nil {
-			pump.Close()
-		}
-		if proc != nil {
-			proc.Kill()
-		}
-	}
-	delay := max(time.Until(c.epoch.Add(at)), 0)
-	c.timerMu.Lock()
-	c.killTimers = append(c.killTimers, time.AfterFunc(delay, kill))
-	c.timerMu.Unlock()
-}
-
-// spawn starts one subprocess pump and waits for its READY handshake
-// under the spec's deadline; the caller owns supervision. A handshake
-// timeout kills the child and fails the spawn — during supervision that
-// consumes a restart, exactly like a crash.
-func (c *Cluster) spawn(sh *shard) error {
+// spawn starts one `lockdown pump` child and waits for its READY
+// handshake under the spec's deadline. A handshake timeout kills the
+// child and fails the spawn — during supervision that consumes a restart,
+// exactly like a crash.
+func (c *Cluster) spawn(id int) (incarnation, error) {
 	exe := c.spec.Exe
 	if exe == "" {
 		var err error
 		if exe, err = os.Executable(); err != nil {
-			return fmt.Errorf("resolve executable: %w", err)
+			return incarnation{}, fmt.Errorf("resolve executable: %w", err)
 		}
 	}
 	args := []string{
@@ -550,7 +530,7 @@ func (c *Cluster) spawn(sh *shard) error {
 		"-format", c.spec.Format.String(),
 		"-data", c.dataAddr(),
 		"-ctrl", "127.0.0.1:0",
-		"-shard", fmt.Sprintf("%d/%d", sh.id, c.spec.shards()),
+		"-shard", fmt.Sprintf("%d/%d", id, c.spec.shards()),
 		"-scale", strconv.FormatFloat(c.spec.Options.FlowScale, 'g', -1, 64),
 		"-seed", strconv.FormatInt(c.spec.Options.Seed, 10),
 		"-pps", strconv.FormatFloat(c.spec.Rate, 'g', -1, 64),
@@ -563,14 +543,14 @@ func (c *Cluster) spawn(sh *shard) error {
 	cmd.Stderr = os.Stderr
 	stdin, err := cmd.StdinPipe()
 	if err != nil {
-		return err
+		return incarnation{}, err
 	}
 	stdout, err := cmd.StdoutPipe()
 	if err != nil {
-		return err
+		return incarnation{}, err
 	}
 	if err := cmd.Start(); err != nil {
-		return fmt.Errorf("start %s pump: %w", exe, err)
+		return incarnation{}, fmt.Errorf("start %s pump: %w", exe, err)
 	}
 
 	// READY handshake: the pump prints its ephemeral control address
@@ -595,28 +575,23 @@ func (c *Cluster) spawn(sh *shard) error {
 	}()
 	select {
 	case addr := <-addrCh:
-		sh.mu.Lock()
-		sh.cmd = cmd
-		sh.stdin = stdin
-		sh.addr = addr
-		sh.healthy = true
-		sh.note("ready", addr)
-		sh.mu.Unlock()
-	case err := <-errCh:
-		cmd.Process.Kill()
-		cmd.Wait()
-		return err
+		return incarnation{
+			addr: addr,
+			wait: func() { cmd.Wait() },
+			// Closing stdin tells the child to exit; the kill does not
+			// wait for it to listen.
+			stop: func() { stdin.Close(); cmd.Process.Kill() },
+			cmd:  cmd,
+		}, nil
+	case err = <-errCh:
 	case <-time.After(c.spec.readyTimeout()):
-		cmd.Process.Kill()
-		cmd.Wait()
-		return fmt.Errorf("pump did not answer READY within %v", c.spec.readyTimeout())
+		err = fmt.Errorf("pump did not answer READY within %v", c.spec.readyTimeout())
 	case <-c.ctx.Done():
-		cmd.Process.Kill()
-		cmd.Wait()
-		return c.ctx.Err()
+		err = c.ctx.Err()
 	}
-	c.armKill(sh)
-	return nil
+	cmd.Process.Kill()
+	cmd.Wait()
+	return incarnation{}, err
 }
 
 // restartBackoff is the supervisor's delay before restart attempt n:
@@ -629,18 +604,6 @@ func (c *Cluster) spawn(sh *shard) error {
 func restartBackoff(restarts int) time.Duration {
 	base := min(100*time.Millisecond<<min(restarts, 5), 2*time.Second)
 	return base - base/5 + time.Duration(rand.Int63n(int64(2*base/5)))
-}
-
-// sleepRestartBackoff waits the jittered backoff out, waking
-// immediately when the cluster shuts down; it reports whether the
-// supervisor should continue.
-func (c *Cluster) sleepRestartBackoff(restarts int) bool {
-	select {
-	case <-time.After(restartBackoff(restarts)):
-		return true
-	case <-c.ctx.Done():
-		return false
-	}
 }
 
 // noteCrash moves a shard into the crashed state and charges its
@@ -727,131 +690,56 @@ func (c *Cluster) repartition(from *shard, reason string) {
 	}
 }
 
-// superviseInProc owns one in-process shard's lifecycle: it runs the
-// pump, and when the pump dies while the cluster is live (a chaos kill,
-// a socket failure) it restarts it with jittered backoff — the same
-// crash/restart/give-up path subprocess shards get.
-func (c *Cluster) superviseInProc(sh *shard) {
+// supervise owns one shard's lifecycle, starting with the incarnation
+// Start launched: it waits the pump out, and when the pump dies while the
+// cluster is live (a crash, a chaos kill, a socket failure) it launches
+// the next one after a jittered capped-exponential backoff. Each restart
+// re-dials the shard's stream (the bridge keeps the stream's generation
+// counter and accounting across the reconnect), so in-flight fetches
+// recover on their next retry attempt; beyond MaxRestarts the shard is
+// declared dead and its vantage points are re-partitioned away.
+func (c *Cluster) supervise(sh *shard, inc incarnation) {
 	defer c.wg.Done()
 	for {
-		sh.mu.Lock()
-		pump := sh.pump
-		sh.mu.Unlock()
-		if pump == nil {
-			return
-		}
-		pump.Run(c.ctx)
+		inc.wait()
 		if c.ctx.Err() != nil {
-			pump.Close() // covers a restart racing shutdown's sweep
-			return
+			return // shutdown; Close stops the incarnation
 		}
 		restarts := c.noteCrash(sh, "pump stopped")
+		inc.stop() // the pump is gone; this releases what is held of it (a child's stdin pipe)
 		if restarts > c.spec.maxRestarts() {
 			c.giveUp(sh)
 			return
 		}
-		if !c.sleepRestartBackoff(restarts) {
+		select {
+		case <-time.After(restartBackoff(restarts)):
+		case <-c.ctx.Done():
 			return
 		}
-		next, err := c.newInProcPump(sh)
+		next, err := c.bringUp(sh, "restart")
 		if err != nil {
-			sh.mu.Lock()
-			sh.note("restart-failed", err.Error())
-			sh.mu.Unlock()
-			continue // the dead pump's Run returns immediately; counts against the budget next pass
-		}
-		sh.mu.Lock()
-		sh.pump = next
-		sh.addr = next.CtrlAddr()
-		sh.healthy = true
-		sh.note("restart", next.CtrlAddr())
-		sh.mu.Unlock()
-		c.restartsC.Add(1)
-		if c.tracer != nil {
-			c.tracer.Instant("shard-restart", "cluster", map[string]any{"shard": sh.id})
-		}
-		c.armKill(sh)
-		if err := c.bridge.ConnectStream(uint32(sh.id), next.CtrlAddr()); err != nil {
-			sh.mu.Lock()
-			sh.note("reconnect-failed", err.Error())
-			sh.mu.Unlock()
-		}
-	}
-}
-
-// supervise owns one subprocess shard's lifecycle: it waits on the
-// process and restarts it with jittered capped-exponential backoff when
-// it dies while the cluster is still running. Each restart re-dials the
-// shard's stream (the bridge keeps the stream's generation counter and
-// accounting across the reconnect), so in-flight fetches recover on
-// their next retry attempt; beyond MaxRestarts the shard is declared
-// dead and its vantage points are re-partitioned away.
-func (c *Cluster) supervise(sh *shard) {
-	defer c.wg.Done()
-	for {
-		sh.mu.Lock()
-		cmd := sh.cmd
-		sh.mu.Unlock()
-		if cmd == nil { // detached by the Close race path below
-			return
-		}
-		cmd.Wait()
-		if c.ctx.Err() != nil {
-			sh.mu.Lock()
-			sh.healthy = false
-			sh.mu.Unlock()
-			return
-		}
-		restarts := c.noteCrash(sh, "process exited")
-		sh.mu.Lock()
-		if sh.stdin != nil {
-			sh.stdin.Close()
-			sh.stdin = nil
-		}
-		sh.mu.Unlock()
-		if restarts > c.spec.maxRestarts() {
-			c.giveUp(sh)
-			return
-		}
-		if !c.sleepRestartBackoff(restarts) {
-			return
-		}
-		if err := c.spawn(sh); err != nil {
-			// Spawn failures — including a READY handshake timeout — count
-			// against the restart budget: the dead cmd's Wait returns
-			// immediately on the next pass and charges another restart.
+			// A failed launch — including a READY handshake timeout —
+			// counts against the restart budget: the dead incarnation's
+			// wait returns at once on the next pass and charges another.
 			sh.mu.Lock()
 			sh.note("restart-failed", err.Error())
 			sh.mu.Unlock()
 			continue
 		}
+		inc = next
 		if c.ctx.Err() != nil {
-			// Close raced the restart: it already swept this shard, so
-			// nothing else will reap the fresh child. Kill it here or it
-			// leaks and wg.Wait hangs on this loop's next cmd.Wait.
-			sh.mu.Lock()
-			cmd, stdin := sh.cmd, sh.stdin
-			sh.cmd, sh.stdin = nil, nil
-			sh.healthy = false
-			sh.mu.Unlock()
-			if stdin != nil {
-				stdin.Close()
-			}
-			if cmd != nil && cmd.Process != nil {
-				cmd.Process.Kill()
-				cmd.Wait()
-			}
+			// Close raced the restart: its sweep may have passed this
+			// shard already, so nothing else would stop the fresh pump —
+			// a child would leak and wg.Wait hang on its wait.
+			inc.stop()
+			inc.wait()
 			return
 		}
-		sh.mu.Lock()
-		addr := sh.addr
-		sh.note("restart", addr)
-		sh.mu.Unlock()
 		c.restartsC.Add(1)
 		if c.tracer != nil {
 			c.tracer.Instant("shard-restart", "cluster", map[string]any{"shard": sh.id})
 		}
-		if err := c.bridge.ConnectStream(uint32(sh.id), addr); err != nil {
+		if err := c.bridge.ConnectStream(uint32(sh.id), inc.addr); err != nil {
 			sh.mu.Lock()
 			sh.note("reconnect-failed", err.Error())
 			sh.mu.Unlock()
@@ -864,7 +752,7 @@ func (c *Cluster) Stats() Stats {
 	snap := c.bridge.Snapshot()
 	s := Stats{Bridge: snap.Total, Streams: snap.Streams}
 	for _, sh := range c.shards {
-		s.Shards = append(s.Shards, sh.status(!c.spec.Subprocess))
+		s.Shards = append(s.Shards, sh.status())
 	}
 	c.partMu.Lock()
 	s.Rebalances = append([]RebalanceEvent(nil), c.rebalances...)
@@ -881,9 +769,9 @@ func (c *Cluster) Stats() Stats {
 // healthy run.
 func (c *Cluster) DegradedKeys() []string { return c.bridge.DegradedKeys() }
 
-// Close tears the cluster down: chaos timers stopped, pumps closed
-// (in-process closed, subprocesses told to exit via stdin and then
-// killed), then the relay and the bridge. Safe to call more than once.
+// Close tears the cluster down: chaos timers stopped, pumps stopped
+// (in-process closed; subprocesses told to exit via stdin and killed),
+// then the relay and the bridge. Safe to call more than once.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		if c.cancel != nil {
@@ -896,14 +784,8 @@ func (c *Cluster) Close() error {
 		c.timerMu.Unlock()
 		for _, sh := range c.shards {
 			sh.mu.Lock()
-			if sh.pump != nil {
-				sh.pump.Close()
-			}
-			if sh.stdin != nil {
-				sh.stdin.Close()
-			}
-			if sh.cmd != nil && sh.cmd.Process != nil {
-				sh.cmd.Process.Kill()
+			if sh.stop != nil { // nil: Start failed before this shard's turn
+				sh.stop()
 			}
 			sh.healthy = false
 			sh.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -47,8 +48,12 @@ func TestSpecValidation(t *testing.T) {
 }
 
 func TestSpecPartitionAndRoute(t *testing.T) {
-	spec := Spec{Shards: 3, Partition: map[synth.VantagePoint]int{synth.EDU: 0}}
-	part := spec.partition()
+	c, err := New(Spec{Shards: 3, Format: collector.FormatIPFIX, Partition: map[synth.VantagePoint]int{synth.EDU: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	part := c.Partition()
 	vps := synth.AllVantagePoints()
 	for i, vp := range vps {
 		want := i % 3
@@ -59,18 +64,18 @@ func TestSpecPartitionAndRoute(t *testing.T) {
 			t.Errorf("partition[%s] = %d, want %d", vp, part[vp], want)
 		}
 	}
-	route := spec.Route()
+	// The live route the bridge asks before every attempt.
 	for vp, shard := range part {
 		for _, kind := range []replay.Kind{replay.KindFlows, replay.KindVPNFlows, replay.KindComponentFlows} {
 			k := replay.Key{Kind: kind, VP: vp, Name: "x", Hour: testHour}
-			if got := route(k); got != uint32(shard) {
+			if got := c.routeKey(k); got != uint32(shard) {
 				t.Errorf("route(%s %s) = %d, want %d: all kinds of one vantage point must share a shard", kind, vp, got, shard)
 			}
 		}
 	}
 	// A foreign vantage point still routes deterministically in range.
 	k := replay.Key{Kind: replay.KindFlows, VP: "NOT-IN-THE-PAPER", Hour: testHour}
-	if a, b := route(k), route(k); a != b || a >= 3 {
+	if a, b := c.routeKey(k), c.routeKey(k); a != b || a >= 3 {
 		t.Errorf("foreign vantage point routed unstably or out of range: %d, %d", a, b)
 	}
 }
@@ -139,6 +144,104 @@ func TestInProcessClusterServesShardedKeys(t *testing.T) {
 	}
 	if s := c.Stats(); s.Bridge.Keys != 3 || s.Bridge.LostRows != 0 {
 		t.Errorf("bridge stats %+v, want 3 clean keys", s.Bridge)
+	}
+}
+
+// fetchDiff fetches one vantage-point hour over the cluster and reports how
+// it differs from the reference model (nil: bit-identical). Unlike
+// fetchEqual it may be called off the test goroutine.
+func fetchDiff(c *Cluster, ref *core.SyntheticSource, vp synth.VantagePoint, hour time.Time) error {
+	want, err := ref.FlowBatch(vp, hour)
+	if err != nil {
+		return err
+	}
+	got, err := c.Source().FlowBatch(vp, hour)
+	if err != nil {
+		return err
+	}
+	if want.Len() != got.Len() {
+		return fmt.Errorf("%d rows over the cluster, want %d", got.Len(), want.Len())
+	}
+	for r := 0; r < want.Len(); r++ {
+		if want.Record(r) != got.Record(r) {
+			return fmt.Errorf("row %d differs", r)
+		}
+	}
+	return nil
+}
+
+// TestSevenShardsStreamPerVantagePoint fetches one hour of every vantage
+// point concurrently over the `lockdown replay` topology — seven shards,
+// inside NetFlow v5's 8-bit engine ID: shard i must own and serve exactly
+// vantage point i's bucket, bit-identical to the model, and the pumps'
+// counters must account for every stream's request.
+func TestSevenShardsStreamPerVantagePoint(t *testing.T) {
+	opts := core.Options{FlowScale: 0.1}
+	vps := synth.AllVantagePoints()
+	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatIPFIX} {
+		t.Run(format.String(), func(t *testing.T) {
+			c := newTestCluster(t, Spec{Shards: len(vps), Format: format, Options: opts})
+			part := c.Partition()
+			for i, vp := range vps {
+				if got := part[vp]; got != i {
+					t.Fatalf("%s lives on shard %d, want %d", vp, got, i)
+				}
+			}
+			ref := core.NewSyntheticSource(opts)
+			var wg sync.WaitGroup
+			errs := make([]error, len(vps))
+			for i, vp := range vps {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					errs[i] = fetchDiff(c, ref, vp, testHour)
+				}()
+			}
+			wg.Wait()
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("shard %d (%s): %v", i, vps[i], err)
+				}
+			}
+
+			stats := c.Stats()
+			var rows int64
+			for i, vp := range vps {
+				s := stats.Streams[uint32(i)]
+				if s.Keys != 1 {
+					t.Errorf("stream %d (%s) served %d buckets, want 1", i, vp, s.Keys)
+				}
+				if sh := stats.Shards[i]; sh.Pump.Requests != 1 || sh.Pump.Nacks != 0 {
+					t.Errorf("pump %d (%s) stats %+v, want the one request, served", i, vp, sh.Pump)
+				}
+				rows += s.Rows
+			}
+			if stats.Bridge.Keys != int64(len(vps)) || stats.Bridge.Rows != rows {
+				t.Errorf("bridge total %+v, want %d buckets and %d rows", stats.Bridge, len(vps), rows)
+			}
+		})
+	}
+}
+
+// TestSevenShardsUnknownVantagePointNacks pins the route's fallback. A
+// verifying bridge refuses a vantage point its own model does not have
+// before asking anyone; in capture mode (Spec.Unverified) the key goes
+// out, to the shard its name hashes to, whose pump refuses it, and the
+// fetch fails fast instead of timing out.
+func TestSevenShardsUnknownVantagePointNacks(t *testing.T) {
+	c := newTestCluster(t, Spec{Shards: 7, Format: collector.FormatIPFIX, Options: core.Options{FlowScale: 0.1}, Unverified: true})
+	if _, err := c.Source().FlowBatch("NOWHERE", testHour); err == nil {
+		t.Fatal("a fetch for an unknown vantage point succeeded")
+	}
+	asked := c.routeKey(replay.Key{Kind: replay.KindFlows, VP: "NOWHERE", Hour: testHour})
+	for _, sh := range c.Stats().Shards {
+		want := replay.PumpStats{}
+		if uint32(sh.Shard) == asked {
+			want = replay.PumpStats{Requests: 1, Nacks: 1}
+		}
+		if sh.Pump != want {
+			t.Errorf("pump %d stats %+v, want %+v (the one request, refused, on shard %d)", sh.Shard, sh.Pump, want, asked)
+		}
 	}
 }
 

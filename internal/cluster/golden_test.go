@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"lockdown/internal/collector"
 	"lockdown/internal/core"
 	"lockdown/internal/goldentest"
+	"lockdown/internal/synth"
 )
 
 // goldenOpts matches the replay golden test: the scale only shrinks the
@@ -24,21 +26,54 @@ func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*
 // runShardedOpts is runSharded under explicit engine options (the
 // tiered-cache golden variant tightens the cache budget so the sharded
 // bridge's batches spill and fault). The run-and-close harness lives in
-// goldentest.RunSuite, shared with the single-pump golden test.
+// goldentest.RunSuite, shared with the single-pump golden test. It also
+// checks what must hold of the accounting whatever the results are: the
+// per-stream bucket counts sum to the bridge total, every shard owning one
+// of the five vantage points whose flows the suite reads (the ISP, the
+// three IXPs, the EDU network) served buckets — the partition distributes
+// — and the pumps saw a request per bucket and refused none. Retries are
+// not asserted to be zero: a loaded box may drop a loopback datagram, and
+// a retried bucket is still a verified one.
 func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, opts core.Options) ([]*core.Result, Stats, core.CacheStats) {
 	t.Helper()
 	c := newTestCluster(t, Spec{Shards: n, Format: format, Options: opts})
 	results, cache := goldentest.RunSuite(t, c.Source(), ids, 4, opts)
-	return results, c.Stats(), cache
+	stats := c.Stats()
+	var keys int64
+	for _, s := range stats.Streams {
+		keys += s.Keys
+	}
+	if keys == 0 || keys != stats.Bridge.Keys {
+		t.Errorf("%v: the streams served %d buckets, the bridge total says %d", format, keys, stats.Bridge.Keys)
+	}
+	for vp, shard := range c.Partition() {
+		if stats.Streams[uint32(shard)].Keys == 0 && vp != synth.Mobile && vp != synth.IPX {
+			t.Errorf("%v: shard %d (owning %s) served no bucket", format, shard, vp)
+		}
+	}
+	// (A pump counts its exported rows after the bucket's last packet is
+	// out, by when the bridge may have completed it: only requests are
+	// settled here.)
+	var requests, nacks int64
+	for _, sh := range stats.Shards {
+		requests += sh.Pump.Requests
+		nacks += sh.Pump.Nacks
+	}
+	if requests < keys || nacks != 0 {
+		t.Errorf("%v: pumps took %d requests with %d NACKs, want >= %d and none", format, requests, nacks, keys)
+	}
+	return results, stats, cache
 }
 
 // TestGoldenClusterEquivalence is the golden test of the sharded
-// cluster: the full 21-experiment suite over three IPFIX shards, and
-// the flow-consuming experiments over NetFlow v5 and v9 shards, must
-// produce bit-identical metrics to the in-memory engine at the same
-// options. It runs under -race in CI. Together with the single-pump
-// golden test in internal/replay this pins the acceptance contract:
-// `lockdown cluster -shards N` output equals `lockdown all`.
+// cluster: the full 21-experiment suite over IPFIX shards, and the
+// flow-consuming experiments over NetFlow v5 and v9 shards, must produce
+// bit-identical metrics to the in-memory engine at the same options —
+// at three shards, and at seven, one per vantage point, which is the
+// topology `lockdown replay` ships. It runs under -race in CI. Together
+// with the single-pump golden test in internal/replay this pins the
+// acceptance contract: `lockdown replay` and `lockdown cluster -shards N`
+// output equals `lockdown all`.
 func TestGoldenClusterEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster golden test is not short")
@@ -51,33 +86,25 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 	for _, r := range wantAll {
 		byID[r.ID] = r
 	}
+	flowWant := make([]*core.Result, len(goldentest.FlowExperiments))
+	for i, id := range goldentest.FlowExperiments {
+		flowWant[i] = byID[id]
+	}
 
-	t.Run("ipfix-full-suite-3-shards", func(t *testing.T) {
-		got, stats := runSharded(t, collector.FormatIPFIX, nil, 3)
-		goldentest.CompareResults(t, "ipfix 3-shard cluster", wantAll, got)
-		if stats.Bridge.Keys == 0 || stats.Bridge.Rows == 0 {
-			t.Errorf("cluster served nothing: %+v", stats.Bridge)
-		}
-		// The partition must actually distribute: every shard serves
-		// keys (all three shards own flow-consuming vantage points).
-		for id, s := range stats.Streams {
-			if s.Keys == 0 {
-				t.Errorf("stream %d served no keys; the partition did not distribute", id)
-			}
-		}
-		t.Logf("ipfix 3-shard full suite: %+v", stats.Bridge)
-	})
-
-	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9} {
-		t.Run(format.String()+"-flow-experiments-3-shards", func(t *testing.T) {
-			want := make([]*core.Result, len(goldentest.FlowExperiments))
-			for i, id := range goldentest.FlowExperiments {
-				want[i] = byID[id]
-			}
-			got, stats := runSharded(t, format, goldentest.FlowExperiments, 3)
-			goldentest.CompareResults(t, format.String()+" 3-shard cluster", want, got)
-			t.Logf("%v 3-shard flow experiments: %+v", format, stats.Bridge)
+	for _, n := range []int{3, len(synth.AllVantagePoints())} {
+		label := fmt.Sprintf("%d-shards", n)
+		t.Run("ipfix-full-suite-"+label, func(t *testing.T) {
+			got, stats := runSharded(t, collector.FormatIPFIX, nil, n)
+			goldentest.CompareResults(t, "ipfix "+label, wantAll, got)
+			t.Logf("ipfix %s full suite: %+v", label, stats.Bridge)
 		})
+		for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9} {
+			t.Run(format.String()+"-flow-experiments-"+label, func(t *testing.T) {
+				got, stats := runSharded(t, format, goldentest.FlowExperiments, n)
+				goldentest.CompareResults(t, format.String()+" "+label, flowWant, got)
+				t.Logf("%v %s flow experiments: %+v", format, label, stats.Bridge)
+			})
+		}
 	}
 
 	// Tiered-cache variant: with a 1-byte cache budget every batch the
@@ -87,12 +114,8 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 	t.Run("ipfix-flow-experiments-3-shards-tiny-budget", func(t *testing.T) {
 		opts := goldenOpts
 		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
-		want := make([]*core.Result, len(goldentest.FlowExperiments))
-		for i, id := range goldentest.FlowExperiments {
-			want[i] = byID[id]
-		}
 		got, stats, cache := runShardedOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, 3, opts)
-		goldentest.CompareResults(t, "ipfix 3-shard tiny-budget", want, got)
+		goldentest.CompareResults(t, "ipfix 3-shard tiny-budget", flowWant, got)
 		if cache.Spills == 0 || cache.Faults == 0 {
 			t.Errorf("tiny budget should spill and fault sharded-bridge batches: %+v", cache)
 		}

@@ -145,24 +145,11 @@ func captureStderr(t *testing.T) func() string {
 }
 
 // fetchEqual fetches one vantage-point hour over the cluster and
-// compares it bit-for-bit against the reference model.
+// compares it bit-for-bit against the reference model (fetchDiff, fatal).
 func fetchEqual(t *testing.T, c *Cluster, ref *core.SyntheticSource, vp synth.VantagePoint, hour time.Time) {
 	t.Helper()
-	want, err := ref.FlowBatch(vp, hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Source().FlowBatch(vp, hour)
-	if err != nil {
+	if err := fetchDiff(c, ref, vp, hour); err != nil {
 		t.Fatalf("%s over the cluster: %v", vp, err)
-	}
-	if want.Len() != got.Len() {
-		t.Fatalf("%s: %d rows, want %d", vp, got.Len(), want.Len())
-	}
-	for r := 0; r < want.Len(); r++ {
-		if want.Record(r) != got.Record(r) {
-			t.Fatalf("%s row %d differs", vp, r)
-		}
 	}
 }
 

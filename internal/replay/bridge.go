@@ -304,8 +304,8 @@ func NewBridge(cfg Config) (*Bridge, error) {
 func (b *Bridge) DataAddr() string { return b.col.Addr() }
 
 // ConnectPump dials a single pump as stream 0: the one-pump topology, with
-// a nil Route. `lockdown replay` runs one stream per vantage point instead
-// (see Loopback); this remains for the benchmark harness and the
+// a nil Route. The commands run one stream per shard instead (see
+// internal/cluster); this remains for the benchmark harness and the
 // single-pump tests.
 func (b *Bridge) ConnectPump(addr string) error { return b.ConnectStream(0, addr) }
 

@@ -7,7 +7,6 @@ import (
 	"lockdown/internal/collector"
 	"lockdown/internal/core"
 	"lockdown/internal/goldentest"
-	"lockdown/internal/synth"
 )
 
 // goldenOpts keeps the golden runs cheap: the flow scale only shrinks
@@ -32,46 +31,13 @@ func runWireOpts(t *testing.T, format collector.Format, ids []string, opts core.
 	return results, br.Stats(), cache
 }
 
-// runLoopback is runWire over the topology `lockdown replay` ships: one
-// stream per vantage point, built by NewLoopback. It checks what must hold
-// of the accounting whatever the results are — the per-stream bucket
-// counts sum to the total, and the five vantage points whose flows the
-// suite reads (the ISP, the three IXPs, the EDU network) each served
-// buckets on their own stream. Retries are not asserted to be zero: a
-// loaded box may drop a loopback datagram, and a retried bucket is still a
-// verified one.
-func runLoopback(t *testing.T, format collector.Format, ids []string) []*core.Result {
-	t.Helper()
-	lb := newLoopback(t, Config{Format: format, Options: goldenOpts})
-	results, _ := goldentest.RunSuite(t, lb.Bridge, ids, 4, goldenOpts)
-	snap := lb.Bridge.Snapshot()
-	var keys int64
-	for i, vp := range synth.AllVantagePoints() {
-		s := snap.Streams[uint32(i)]
-		keys += s.Keys
-		if s.Keys == 0 && vp != synth.Mobile && vp != synth.IPX {
-			t.Errorf("%v: stream %d (%s) served no bucket", format, i, vp)
-		}
-	}
-	if keys == 0 || keys != snap.Total.Keys {
-		t.Errorf("%v: the streams served %d buckets, the bridge total says %d", format, keys, snap.Total.Keys)
-	}
-	// (A pump counts its exported rows after the bucket's last packet is
-	// out, by when the bridge may have completed it: only requests are
-	// settled here.)
-	if ps := lb.PumpStats(); ps.Requests < keys || ps.Nacks != 0 {
-		t.Errorf("%v: pumps %+v, want >= %d requests and no NACK", format, ps, keys)
-	}
-	t.Logf("%v per-vantage-point streams: %+v", format, snap.Total)
-	return results
-}
-
 // TestGoldenWireEquivalence is the golden test of the wire-replay
 // bridge: the full 21-experiment suite over IPFIX, and the flow-consuming
 // experiments over NetFlow v5 and v9, must produce bit-identical metrics
-// to the in-memory engine at the same options — over a single pump, and
-// over the per-vantage-point streams of `lockdown replay`. It runs under
-// -race in CI.
+// to the in-memory engine at the same options, over a single pump. (The
+// multi-pump topologies the commands ship — `lockdown replay`'s stream per
+// vantage point included — have theirs in internal/cluster.) It runs
+// under -race in CI.
 func TestGoldenWireEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wire golden test is not short")
@@ -104,16 +70,6 @@ func TestGoldenWireEquivalence(t *testing.T) {
 			got, stats := runWire(t, format, goldentest.FlowExperiments)
 			goldentest.CompareResults(t, format.String(), flowWant, got)
 			t.Logf("%v flow experiments: %+v", format, stats)
-		})
-	}
-
-	t.Run("ipfix-full-suite-per-vp-streams", func(t *testing.T) {
-		goldentest.CompareResults(t, "ipfix per-vp streams", wantAll, runLoopback(t, collector.FormatIPFIX, nil))
-	})
-	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9} {
-		t.Run(format.String()+"-flow-experiments-per-vp-streams", func(t *testing.T) {
-			got := runLoopback(t, format, goldentest.FlowExperiments)
-			goldentest.CompareResults(t, format.String()+" per-vp streams", flowWant, got)
 		})
 	}
 

@@ -14,9 +14,8 @@
 //     buckets. Each pump carries a stream identity on the wire — the
 //     IPFIX observation domain, NetFlow v9 source ID or v5 engine ID of
 //     its flow packets, and an explicit field of its control frames — so
-//     several pumps (one per vantage point in `lockdown replay`, see
-//     Loopback; one per vantage-point shard in internal/cluster) share
-//     one bridge.
+//     several pumps (one per vantage-point shard, see internal/cluster;
+//     `lockdown replay` runs one per vantage point) share one bridge.
 //   - The Bridge is a core.FlowSource backed by a collector.Collector. On
 //     a dataset-cache miss it routes the key to the stream that serves
 //     it, requests it from that stream's pump, gathers

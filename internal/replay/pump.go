@@ -37,14 +37,6 @@ type PumpStats struct {
 	RowsSent     int64 // flow rows exported
 }
 
-func (s *PumpStats) add(o PumpStats) {
-	s.Requests += o.Requests
-	s.BadRequests += o.BadRequests
-	s.Nacks += o.Nacks
-	s.ExportErrors += o.ExportErrors
-	s.RowsSent += o.RowsSent
-}
-
 // PumpConfig configures a Pump.
 type PumpConfig struct {
 	// Format is the wire format the pump exports.
@@ -75,8 +67,8 @@ type PumpConfig struct {
 // serves one bridge (the exporter socket is dialed to the bridge's data
 // address); it is driven entirely by requests, so an idle pump costs
 // nothing. Several pumps with distinct stream identities may serve the
-// same bridge — Loopback (`lockdown replay`) runs one per vantage point,
-// the sharded cluster in internal/cluster one per vantage-point shard.
+// same bridge: internal/cluster runs one per vantage-point shard
+// (`lockdown replay`: one per vantage point).
 type Pump struct {
 	format collector.Format
 	stream uint32
@@ -127,9 +119,6 @@ func NewPump(cfg PumpConfig) (*Pump, error) {
 
 // CtrlAddr returns the address the pump receives key requests on.
 func (p *Pump) CtrlAddr() string { return p.ctrl.LocalAddr().String() }
-
-// Stream returns the pump's wire stream identity.
-func (p *Pump) Stream() uint32 { return p.stream }
 
 // Stats returns a snapshot of the pump's counters.
 func (p *Pump) Stats() PumpStats {

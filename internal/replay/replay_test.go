@@ -347,3 +347,25 @@ func TestVerifyAndRepair(t *testing.T) {
 		t.Fatal("tampered SrcPort accepted on the v5 path")
 	}
 }
+
+// TestServedBatchDoubleReleasePanics: the batches the model oracle serves
+// are pool-drawn and released by the pump and the bridge exactly once; a
+// second Release of one must keep panicking, or two later draws would
+// alias one set of columns.
+func TestServedBatchDoubleReleasePanics(t *testing.T) {
+	src := core.NewSyntheticSource(core.Options{FlowScale: 0.1})
+	b, err := batchForKey(src, Key{Kind: KindFlows, VP: synth.ISPCE, Hour: testHour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Len() == 0 {
+		t.Fatal("empty hour")
+	}
+	b.Release()
+	defer func() {
+		if recover() == nil {
+			t.Error("a second Release of a served batch must panic")
+		}
+	}()
+	b.Release()
+}

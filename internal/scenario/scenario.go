@@ -14,6 +14,7 @@ package scenario
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -181,11 +182,19 @@ func (d *decoder) float(m *node, path, key string) (float64, int, bool, error) {
 	if !ok || err != nil {
 		return 0, line, ok, err
 	}
-	v, perr := strconv.ParseFloat(s, 64)
-	if perr != nil {
+	v, finite := parseFinite(s)
+	if !finite {
 		return 0, line, true, d.errf(line, joinPath(path, key), "invalid number %q", s)
 	}
 	return v, line, true, nil
+}
+
+// parseFinite parses a float and refuses NaN and ±Inf, which ParseFloat
+// accepts by name: the range checks behind every float of the schema are
+// comparisons, and NaN passes those.
+func parseFinite(s string) (v float64, ok bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && !math.IsNaN(v) && !math.IsInf(v, 0)
 }
 
 func (d *decoder) int(m *node, path, key string) (int64, int, bool, error) {
@@ -366,8 +375,8 @@ func (d *decoder) decodeTop(root *node, s *Scenario) error {
 			if err != nil {
 				return err
 			}
-			f, perr := strconv.ParseFloat(val, 64)
-			if perr != nil || f <= 0 {
+			f, finite := parseFinite(val)
+			if !finite || f <= 0 {
 				return d.errf(line, path, "scale factor must be a positive number, got %q", val)
 			}
 			s.ClassMix[class] = f

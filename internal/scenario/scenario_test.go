@@ -213,6 +213,43 @@ func TestMalformedScenarios(t *testing.T) {
 			"events[0].date: invalid date \"someday\"",
 		},
 		{
+			// NaN fails every range comparison behind a float, and +Inf
+			// passes the one-sided ones: neither is a number here.
+			"flow-scale-nan",
+			"name: x\nflow_scale: NaN\nvantage_points: [EDU]\n",
+			"test.yaml:2: flow_scale: invalid number \"NaN\"",
+		},
+		{
+			"flow-scale-inf",
+			"name: x\nflow_scale: +Inf\nvantage_points: [EDU]\n",
+			"test.yaml:2: flow_scale: invalid number \"+Inf\"",
+		},
+		{
+			"severity-nan",
+			"name: x\nvantage_points: [EDU]\nevents:\n  - type: lockdown_wave\n    start: 2020-03-14\n    severity: nan\n",
+			"test.yaml:6: events[0].severity: invalid number \"nan\"",
+		},
+		{
+			"factor-inf",
+			"name: x\nvantage_points: [EDU]\nevents:\n  - type: flash_event\n    start: 2020-03-28\n    end: 2020-03-29\n    factor: Infinity\n",
+			"test.yaml:7: events[0].factor: invalid number \"Infinity\"",
+		},
+		{
+			"residual-nan",
+			"name: x\nvantage_points: [EDU]\nevents:\n  - type: link_outage\n    start: 2020-04-02\n    end: 2020-04-04\n    residual: NaN\n",
+			"test.yaml:7: events[0].residual: invalid number \"NaN\"",
+		},
+		{
+			"class-mix-nan",
+			"name: x\nvantage_points: [EDU]\nclass_mix:\n  gaming: NaN\n",
+			"test.yaml:4: class_mix.gaming: scale factor must be a positive number, got \"NaN\"",
+		},
+		{
+			"class-mix-inf",
+			"name: x\nvantage_points: [EDU]\nclass_mix:\n  gaming: Inf\n",
+			"test.yaml:4: class_mix.gaming: scale factor must be a positive number, got \"Inf\"",
+		},
+		{
 			"return-retained-out-of-range",
 			"name: x\nvantage_points: [EDU]\nevents:\n  - type: return_to_office\n    start: 2020-03-30\n    retained: 2\n",
 			"events[0].retained: must be within [0, 1], got 2",

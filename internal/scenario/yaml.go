@@ -101,7 +101,7 @@ func parseYAML(file string, data []byte) (*node, error) {
 		p.lines = append(p.lines, srcLine{num: i + 1, indent: len(text) - len(trimmed), text: trimmed})
 	}
 	if len(p.lines) == 0 {
-		return nil, fmt.Errorf("%s: empty document", file)
+		return nil, parseErr(file, 1, "empty document")
 	}
 	if first := p.lines[0]; first.indent != 0 {
 		return nil, parseErr(file, first.num, "top level must not be indented")
