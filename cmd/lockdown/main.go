@@ -397,12 +397,22 @@ func (o *options) check(m mode) error {
 	// every comparison the generator makes and would sample garbage.
 	case math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0:
 		return fmt.Errorf("-scale must be a finite, non-negative number, got %g", scale)
-	case o.wire.AttemptTimeout < 0 || o.wire.FetchBudget < 0:
-		return errors.New("-attempt-timeout and -fetch-budget must not be negative")
-	case o.wire.MaxAttempts < 0 || o.wire.MaxRestarts < 0:
-		return errors.New("-max-attempts and -max-restarts must not be negative")
 	case m.shards > 0 && o.wire.Shards < 1:
 		return fmt.Errorf("-shards must be at least 1, got %d", o.wire.Shards)
+	// A value below 1 reads as "use the default" where these are consumed,
+	// and the run would go ahead with it.
+	case o.parallel < 0 || o.core.ScanChunk < 0:
+		return errors.New("-parallel and -scan-chunk must not be negative")
+	case math.IsNaN(o.wire.Rate) || math.IsInf(o.wire.Rate, 0) || o.wire.Rate < 0:
+		return fmt.Errorf("-pps must be a finite, non-negative number, got %g", o.wire.Rate)
+	}
+	if m.shards > 0 {
+		// Negative retry tuning, more shards than the format has stream
+		// IDs, a chaos event for a shard that does not exist. The spec's
+		// messages name no flag, so say which command was refused.
+		if err := o.wire.Validate(); err != nil {
+			return fmt.Errorf("%s: %w", m.name, err)
+		}
 	}
 	return nil
 }

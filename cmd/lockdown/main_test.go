@@ -53,23 +53,23 @@ func TestCacheStatKilledRun(t *testing.T) {
 		t.Fatal("cache compact is gone and must be refused")
 	}
 
-	// A sealed file of the previous format version (every span full-width,
-	// index entries without a column set) is counted bad, not misread.
+	// A sealed file of the previous format version (17-byte address
+	// slots) is counted bad, not misread.
 	sealed := filepath.Join(dir, "spill-000001"+flowstore.SpannedExt)
 	raw, err := os.ReadFile(sealed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if raw[4] != 4 {
-		t.Fatalf("header version byte = %d, want 4", raw[4])
+	if raw[4] != 5 {
+		t.Fatalf("header version byte = %d, want 5", raw[4])
 	}
-	raw[4] = 3
+	raw[4] = 4
 	if err := os.WriteFile(sealed, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	err = run(context.Background(), []string{"cache", "stat", dir})
 	if err == nil || !strings.Contains(err.Error(), "2 bad") {
-		t.Fatalf("cache stat with an unsealed and a version-3 file = %v, want a 2-bad-files error", err)
+		t.Fatalf("cache stat with an unsealed and a version-4 file = %v, want a 2-bad-files error", err)
 	}
 }
 
@@ -248,6 +248,8 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 		"all -csv -json", "all -bogus", "all -cache-budget 5x",
 		"replay -format v7", "replay -attempt-timeout -1s", "replay -fetch-budget -1s", "replay -max-attempts -1",
 		"cluster -max-restarts -1", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
+		"all -parallel -3", "all -scan-chunk -5", "replay -pps -1", "replay -pps NaN", "replay -pps +Inf",
+		"cluster -shards 300 -format v5", "cluster -shards 3 -chaos kill=shard3@t+1s",
 	} {
 		err := run(context.Background(), strings.Fields(line))
 		var ue usageError

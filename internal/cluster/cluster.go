@@ -152,8 +152,10 @@ func (s Spec) readyTimeout() time.Duration {
 	return s.ReadyTimeout
 }
 
-// validate rejects specs the wire or the partition cannot express.
-func (s Spec) validate() error {
+// Validate rejects specs the wire or the partition cannot express. New
+// calls it; a command line calls it first, to refuse the spec as a usage
+// error before anything runs.
+func (s Spec) Validate() error {
 	n := s.shards()
 	if s.Format == collector.FormatNetflowV5 && n > collector.MaxV5Stream+1 {
 		return fmt.Errorf("cluster: %d shards do not fit NetFlow v5's 8-bit engine ID (max %d)", n, collector.MaxV5Stream+1)
@@ -338,7 +340,7 @@ type Cluster struct {
 // New validates the spec and opens the bridge socket (and, with a chaos
 // spec, the fault relay in front of it). No pumps run until Start.
 func New(spec Spec) (*Cluster, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	reg := spec.Options.Obs

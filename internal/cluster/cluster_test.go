@@ -32,17 +32,17 @@ func TestMain(m *testing.M) {
 var testHour = time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
 
 func TestSpecValidation(t *testing.T) {
-	if err := (Spec{Shards: 300, Format: collector.FormatNetflowV5}).validate(); err == nil {
+	if err := (Spec{Shards: 300, Format: collector.FormatNetflowV5}).Validate(); err == nil {
 		t.Error("v5 spec with 300 shards validated; the engine ID carries 8 bits")
 	}
-	if err := (Spec{Shards: 256, Format: collector.FormatNetflowV5}).validate(); err != nil {
+	if err := (Spec{Shards: 256, Format: collector.FormatNetflowV5}).Validate(); err != nil {
 		t.Errorf("v5 spec with 256 shards rejected: %v", err)
 	}
-	if err := (Spec{Shards: 300, Format: collector.FormatIPFIX}).validate(); err != nil {
+	if err := (Spec{Shards: 300, Format: collector.FormatIPFIX}).Validate(); err != nil {
 		t.Errorf("ipfix spec with 300 shards rejected: %v", err)
 	}
 	bad := Spec{Shards: 2, Partition: map[synth.VantagePoint]int{synth.EDU: 5}}
-	if err := bad.validate(); err == nil {
+	if err := bad.Validate(); err == nil {
 		t.Error("partition outside the shard range validated")
 	}
 }

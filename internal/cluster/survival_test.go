@@ -22,25 +22,25 @@ func TestSpecValidationSurvival(t *testing.T) {
 		}
 		return &spec
 	}
-	if err := (Spec{Shards: 3, Chaos: chaos("kill=shard3@t+1s")}).validate(); err == nil {
+	if err := (Spec{Shards: 3, Chaos: chaos("kill=shard3@t+1s")}).Validate(); err == nil {
 		t.Error("chaos kill of shard 3 in a 3-shard cluster validated")
 	}
-	if err := (Spec{Shards: 3, Chaos: chaos("kill=shard2@t+1s,stall=shard0@t+1s:1s")}).validate(); err != nil {
+	if err := (Spec{Shards: 3, Chaos: chaos("kill=shard2@t+1s,stall=shard0@t+1s:1s")}).Validate(); err != nil {
 		t.Errorf("in-range chaos spec rejected: %v", err)
 	}
-	if err := (Spec{AttemptTimeout: -time.Second}).validate(); err == nil {
+	if err := (Spec{AttemptTimeout: -time.Second}).Validate(); err == nil {
 		t.Error("negative AttemptTimeout validated")
 	}
-	if err := (Spec{FetchBudget: -time.Second}).validate(); err == nil {
+	if err := (Spec{FetchBudget: -time.Second}).Validate(); err == nil {
 		t.Error("negative FetchBudget validated")
 	}
-	if err := (Spec{ReadyTimeout: -time.Second}).validate(); err == nil {
+	if err := (Spec{ReadyTimeout: -time.Second}).Validate(); err == nil {
 		t.Error("negative ReadyTimeout validated")
 	}
-	if err := (Spec{MaxAttempts: -1}).validate(); err == nil {
+	if err := (Spec{MaxAttempts: -1}).Validate(); err == nil {
 		t.Error("negative MaxAttempts validated")
 	}
-	if err := (Spec{MaxRestarts: -1}).validate(); err == nil {
+	if err := (Spec{MaxRestarts: -1}).Validate(); err == nil {
 		t.Error("negative MaxRestarts validated")
 	}
 }

@@ -289,8 +289,7 @@ func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
 		}
 	}
 	if fe.seg != nil {
-		b, heap, err := fe.seg.Batch()
-		if err == nil && b.Columns().Has(fe.cols) {
+		if b, heap := fe.seg.Batch(); b.Columns().Has(fe.cols) {
 			return b, heap, nil
 		}
 		fe.seg.Close()

@@ -228,7 +228,9 @@ func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 		t.Skip("runs the full suite twice at a scale that exceeds the budget")
 	}
 	const budget = 16 << 20
-	opts := Options{FlowScale: 0.5, CacheBudget: budget}
+	// Scale 1, not the CLI's 0.5: with 59 B rows the smaller suite fits 16 MB
+	// so nearly that a -parallel 4 run may never read an evicted batch back.
+	opts := Options{FlowScale: 1, CacheBudget: budget}
 	for _, parallel := range []int{1, 4} {
 		e := NewEngine(opts)
 		d := e.Data()
@@ -252,7 +254,7 @@ func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 			t.Errorf("parallel %d: after the run %d bytes resident under a %d-byte budget, %d pinned", parallel, s.ResidentBytes, s.Budget, s.Pinned)
 		}
 		if s.Evictions == 0 || s.Faults == 0 || s.Spills != 0 {
-			t.Errorf("parallel %d: scale 0.5 must not fit 16 MB, and nothing may spill: %+v", parallel, s)
+			t.Errorf("parallel %d: scale 1 must not fit 16 MB, and nothing may spill: %+v", parallel, s)
 		}
 		if parallel == 1 && (samples < 4344 || peak < budget/2) {
 			t.Errorf("%d samples with a peak of %d resident bytes: the bound was not exercised", samples, peak)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sync"
@@ -94,11 +93,9 @@ func TestOnlineCompaction(t *testing.T) {
 }
 
 // TestCompactionDamagedSpan damages one entry's span — a flipped bit the
-// checksum catches; an address row no writer produces under a checksum
-// recomputed to match, which only the canonical-form check of the view
-// catches; and a reference to an intact span that holds fewer columns
-// than the entry's batch had, which only the entry's own column set
-// catches — and asserts the damage stays span-granular: that entry
+// checksum catches, and a reference to an intact span that holds fewer
+// columns than the entry's batch had, which only the entry's own column
+// set catches — and asserts the damage stays span-granular: that entry
 // regenerates, its neighbours in the same file keep serving without a
 // regen. The hours are VPN flow batches, the kind that stores addresses.
 func TestCompactionDamagedSpan(t *testing.T) {
@@ -117,14 +114,6 @@ func TestCompactionDamagedSpan(t *testing.T) {
 	cases := map[string]func(t *testing.T, d *Dataset, victim *flowEntry, hour time.Time){
 		"bitflip": func(t *testing.T, _ *Dataset, victim *flowEntry, _ time.Time) {
 			rewrite(t, victim, func(span []byte) { span[len(span)/2] ^= 0xff })
-		},
-		"hostile-address": func(t *testing.T, _ *Dataset, victim *flowEntry, _ time.Time) {
-			// The kind stores no timestamps, so the source-address blob
-			// opens the span; byte 16 of a row is its family.
-			rewrite(t, victim, func(span []byte) {
-				span[16] = 9
-				victim.ref.CRC = crc64.Checksum(span, crc64.MakeTable(crc64.ECMA))
-			})
 		},
 		"narrower-set": func(t *testing.T, d *Dataset, victim *flowEntry, hour time.Time) {
 			// An intact span of the same hour without its addresses: it

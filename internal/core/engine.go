@@ -22,7 +22,7 @@ const (
 	MetricWallMS = "_runtime/wall-ms"
 	// MetricBatchMB is the flow-batch memory the experiment's scans read,
 	// in MiB: over the distinct flow batches it drew from the dataset,
-	// rows × the width of the columns each stores (Columns.RowBytes; 85
+	// rows × the width of the columns each stores (Columns.RowBytes; 59
 	// for a full-width batch). It is a property of the experiment and the
 	// options, the same at any -parallel, chunk size and cache budget.
 	MetricBatchMB = "_runtime/batch-mb"

@@ -177,7 +177,7 @@ func TestBatchMBIsAttributable(t *testing.T) {
 		}
 	}
 	// fig8 draws exactly the gaming component's hours of weeks 7-17, which
-	// store a byte counter and one address: 25 bytes a row, not 85.
+	// store a byte counter and one address: 12 bytes a row, not 59.
 	d := NewDataset(base)
 	defer d.Close()
 	var rows int
@@ -189,8 +189,8 @@ func TestBatchMBIsAttributable(t *testing.T) {
 		rows += b.Len()
 	}
 	width := componentFlowColumns.RowBytes()
-	if width != 25 {
-		t.Errorf("a component-flow row stores %d bytes, want 25", width)
+	if width != 12 {
+		t.Errorf("a component-flow row stores %d bytes, want 12", width)
 	}
 	if mb := float64(rows*width) / (1 << 20); want["fig8"] != mb {
 		t.Errorf("fig8: batch-mb = %v, its %d rows at %d bytes are %v", want["fig8"], rows, width, mb)

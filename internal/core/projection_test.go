@@ -45,8 +45,8 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 		width int
 	}{
 		"flows":           {flowColumns, 22},
-		"vpn-flows":       {vpnFlowColumns, 47},
-		"component-flows": {componentFlowColumns, 25},
+		"vpn-flows":       {vpnFlowColumns, 21},
+		"component-flows": {componentFlowColumns, 12},
 	} {
 		if got := want.cols.RowBytes(); got != want.width {
 			t.Errorf("%s rows store %d bytes (%s), want %d", kind, got, want.cols, want.width)

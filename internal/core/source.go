@@ -59,10 +59,10 @@ const (
 	// and bytes), the application classifier, and the EDU connection
 	// counts by class and direction.
 	flowColumns = flowrec.PortLaneColumns | flowrec.ColBytes | appclass.Columns | appclass.EDUColumns
-	// vpnFlowColumns (47 B a row): the VPN detector, the one scan that
+	// vpnFlowColumns (21 B a row): the VPN detector, the one scan that
 	// looks at both addresses.
 	vpnFlowColumns = vpndetect.Columns
-	// componentFlowColumns (25 B a row): Figure 8's volume and
+	// componentFlowColumns (12 B a row): Figure 8's volume and
 	// unique-eyeball-address count of the gaming component.
 	componentFlowColumns = flowrec.ColBytes | flowrec.ColDstIP
 )

@@ -3,23 +3,32 @@ package flowrec_test
 import (
 	"math/rand"
 	"net/netip"
+	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 	"unsafe"
 
 	"lockdown/internal/flowrec"
+	"lockdown/internal/flowstore"
+	"lockdown/internal/ipfix"
+	"lockdown/internal/netflow"
 )
 
 // TestBatchColumnsArePointerFree pins the mechanism the pointer-free
 // batch rests on, not its speed: every column of a Batch is a slice whose
 // element type holds no pointer (so the runtime allocates the backing
-// arrays noscan and the GC never walks them), an Addr is 17 bytes, and
-// RowBytes is the sum of the column element sizes.
+// arrays noscan and the GC never walks them), an Addr is 4 bytes, and
+// RowBytes is the sum of the column element sizes, 59.
 func TestBatchColumnsArePointerFree(t *testing.T) {
-	if got := unsafe.Sizeof(flowrec.Addr{}); got != 17 {
-		t.Errorf("unsafe.Sizeof(Addr{}) = %d, want 17", got)
+	if got := unsafe.Sizeof(flowrec.Addr{}); got != 4 {
+		t.Errorf("unsafe.Sizeof(Addr{}) = %d, want 4", got)
+	}
+	if flowrec.RowBytes != 59 {
+		t.Errorf("RowBytes = %d, want 59", flowrec.RowBytes)
 	}
 	var hasPointer func(reflect.Type) bool
 	hasPointer = func(ty reflect.Type) bool {
@@ -61,87 +70,46 @@ func TestBatchColumnsArePointerFree(t *testing.T) {
 	}
 }
 
-// addrFixtures are the addresses whose representation is easiest to get
-// wrong: unset, the IPv4 extremes, the IPv6 zero, a v4-in-6 mapped
-// address (not equal to its IPv4 form) and an ordinary IPv6 one.
-var addrFixtures = []netip.Addr{
-	{},
-	netip.MustParseAddr("0.0.0.0"),
-	netip.MustParseAddr("255.255.255.255"),
-	netip.MustParseAddr("::"),
-	netip.MustParseAddr("::ffff:1.2.3.4"),
-	netip.MustParseAddr("1.2.3.4"),
-	netip.MustParseAddr("2001:db8::1"),
-}
-
-// randomAddr draws from a space small enough that equal pairs — and
-// IPv4 / v4-in-6 pairs of the same four bytes — actually occur.
-func randomAddr(rng *rand.Rand) netip.Addr {
-	b4 := [4]byte{10, 0, 0, byte(rng.Intn(4))}
-	switch rng.Intn(4) {
-	case 0:
-		return netip.Addr{}
-	case 1:
-		return netip.AddrFrom4(b4)
-	case 2:
-		return netip.AddrFrom16([16]byte{10: 0xff, 11: 0xff, 12: b4[0], 13: b4[1], 14: b4[2], 15: b4[3]})
-	}
-	var b16 [16]byte
-	rng.Read(b16[:])
-	return netip.AddrFrom16(b16)
-}
-
-// checkAddrPair asserts that Addr means what netip.Addr meant for x and
-// y: conversion is lossless, equality is preserved in both directions,
-// and Is4 / As4 / String agree.
-func checkAddrPair(t *testing.T, x, y netip.Addr) {
-	t.Helper()
-	ax, err := flowrec.AddrFrom(x)
-	if err != nil {
-		t.Fatalf("AddrFrom(%v): %v", x, err)
-	}
-	ay, err := flowrec.AddrFrom(y)
-	if err != nil {
-		t.Fatalf("AddrFrom(%v): %v", y, err)
-	}
-	if got := ax.Netip(); got != x {
-		t.Errorf("AddrFrom(%v).Netip() = %v", x, got)
-	}
-	if (x == y) != (ax == ay) {
-		t.Errorf("%v == %v is %v, but their Addrs compare %v", x, y, x == y, ax == ay)
-	}
-	if ax.Is4() != x.Is4() {
-		t.Errorf("AddrFrom(%v).Is4() = %v, netip says %v", x, ax.Is4(), x.Is4())
-	}
-	if x.Is4() {
-		if ax.As4() != x.As4() {
-			t.Errorf("AddrFrom(%v).As4() = %v", x, ax.As4())
-		}
-		if ax != flowrec.AddrFrom4(x.As4()) {
-			t.Errorf("AddrFrom(%v) differs from AddrFrom4 of its bytes", x)
-		}
-	}
-	if ax.String() != x.String() {
-		t.Errorf("AddrFrom(%v).String() = %q", x, ax.String())
-	}
-	if err := flowrec.CheckAddrs([]flowrec.Addr{ax, ay}); err != nil {
-		t.Errorf("constructed Addrs are not canonical: %v", err)
-	}
-}
-
+// TestAddrMatchesNetip: for IPv4, Addr means what netip.Addr means —
+// conversion is lossless in both directions, equality is preserved, the
+// bytes are the address's own and String agrees.
 func TestAddrMatchesNetip(t *testing.T) {
-	for _, x := range addrFixtures {
-		for _, y := range addrFixtures {
-			checkAddrPair(t, x, y)
+	check := func(x, y netip.Addr) {
+		t.Helper()
+		ax, errX := flowrec.AddrFrom(x)
+		ay, errY := flowrec.AddrFrom(y)
+		if errX != nil || errY != nil {
+			t.Fatalf("AddrFrom(%v), AddrFrom(%v): %v, %v", x, y, errX, errY)
+		}
+		if got := ax.Netip(); got != x {
+			t.Errorf("AddrFrom(%v).Netip() = %v", x, got)
+		}
+		if (x == y) != (ax == ay) {
+			t.Errorf("%v == %v is %v, but their Addrs compare %v", x, y, x == y, ax == ay)
+		}
+		if ax != flowrec.Addr(x.As4()) {
+			t.Errorf("AddrFrom(%v) = %v, not its four bytes", x, ax)
+		}
+		if ax.String() != x.String() {
+			t.Errorf("AddrFrom(%v).String() = %q", x, ax.String())
 		}
 	}
-	if (flowrec.Addr{}).Netip().IsValid() {
-		t.Error("the zero Addr must convert to the zero netip.Addr")
+	fixtures := []netip.Addr{
+		netip.MustParseAddr("0.0.0.0"),
+		netip.MustParseAddr("255.255.255.255"),
+		netip.MustParseAddr("1.2.3.4"),
+	}
+	for _, x := range fixtures {
+		for _, y := range fixtures {
+			check(x, y)
+		}
 	}
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
+		// A space small enough that equal pairs actually occur.
+		draw := func() netip.Addr { return netip.AddrFrom4([4]byte{10, 0, byte(rng.Intn(2)), byte(rng.Intn(4))}) }
 		for i := 0; i < 64; i++ {
-			checkAddrPair(t, randomAddr(rng), randomAddr(rng))
+			check(draw(), draw())
 		}
 		return !t.Failed()
 	}
@@ -150,68 +118,120 @@ func TestAddrMatchesNetip(t *testing.T) {
 	}
 }
 
-// TestZonesAreRejected: an IPv6 zone is an interned string and cannot
-// enter a pointer-free column. AddrFrom is the one place that says so;
-// Record.Validate reports it ahead of time and Batch.Append, which has
-// no error to return, treats it as the caller's bug.
-func TestZonesAreRejected(t *testing.T) {
-	zoned := netip.MustParseAddr("fe80::1%eth0")
-	if _, err := flowrec.AddrFrom(zoned); err == nil || !strings.Contains(err.Error(), "zone") {
-		t.Fatalf("AddrFrom(%v) = %v, want a zone error", zoned, err)
-	}
-	if a, err := flowrec.AddrFrom(zoned.WithZone("")); err != nil || a.Netip() != zoned.WithZone("") {
-		t.Fatalf("the same address without its zone must convert: %v, %v", a, err)
-	}
-	for name, r := range map[string]flowrec.Record{
-		"src": {SrcIP: zoned, DstIP: netip.MustParseAddr("10.0.0.1")},
-		"dst": {SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: zoned},
-	} {
-		if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "zone") {
-			t.Errorf("%s: Validate() = %v, want a zone error", name, err)
+// TestNonIPv4IsRefusedAtTheEdge: a batch stores four bytes an address,
+// and AddrFrom is the one place that says so — IPv6, v4-in-6 mapped and
+// zoned addresses are errors there; Record.Validate reports them ahead of
+// time and Batch.Append, which has no error to return, treats one as the
+// caller's bug. The invalid netip.Addr is the one lossy edge: it
+// converts to the zero Addr, which is 0.0.0.0.
+func TestNonIPv4IsRefusedAtTheEdge(t *testing.T) {
+	v4 := netip.MustParseAddr("10.0.0.1")
+	for _, s := range []string{"2001:db8::1", "::ffff:1.2.3.4", "fe80::1%eth0"} {
+		bad := netip.MustParseAddr(s)
+		if a, err := flowrec.AddrFrom(bad); err == nil || !strings.Contains(err.Error(), "not IPv4") || a != (flowrec.Addr{}) {
+			t.Fatalf("AddrFrom(%v) = %v, %v; want the not-IPv4 error", bad, a, err)
 		}
-		b := flowrec.NewBatch(1)
-		func() {
-			defer func() {
-				if msg := recover(); msg == nil || !strings.Contains(msg.(error).Error(), "zone") {
-					t.Errorf("%s: Append of a zoned record recovered %v, want the zone panic", name, msg)
-				}
+		for name, r := range map[string]flowrec.Record{
+			"src": {SrcIP: bad, DstIP: v4},
+			"dst": {SrcIP: v4, DstIP: bad},
+		} {
+			if err := r.Validate(); err == nil || !strings.Contains(err.Error(), "not IPv4") {
+				t.Errorf("%s %s: Validate() = %v, want the not-IPv4 error", s, name, err)
+			}
+			b := flowrec.NewBatch(1)
+			func() {
+				defer func() {
+					if msg := recover(); msg == nil || !strings.Contains(msg.(error).Error(), "not IPv4") {
+						t.Errorf("%s %s: Append recovered %v, want the not-IPv4 panic", s, name, msg)
+					}
+				}()
+				b.Append(r)
 			}()
-			b.Append(r)
-		}()
-		if b.Len() != 0 || len(b.SrcIP) != 0 || len(b.StartNs) != 0 {
-			t.Errorf("%s: the refused record left %d rows behind", name, b.Len())
+			if b.Len() != 0 || len(b.SrcIP) != 0 || len(b.StartNs) != 0 {
+				t.Errorf("%s %s: the refused record left %d rows behind", s, name, b.Len())
+			}
 		}
+	}
+
+	zero, err := flowrec.AddrFrom(netip.Addr{})
+	if err != nil || zero != (flowrec.Addr{}) {
+		t.Fatalf("AddrFrom(invalid) = %v, %v; want the zero Addr", zero, err)
+	}
+	if got := zero.Netip(); got != netip.MustParseAddr("0.0.0.0") {
+		t.Errorf("the zero Addr converts to %v, want 0.0.0.0", got)
+	}
+	if err := (flowrec.Record{SrcIP: v4}).Validate(); err == nil {
+		t.Error("Validate accepted a record with an unset address")
+	}
+	b := flowrec.FromRecords([]flowrec.Record{{SrcIP: v4}})
+	if got := b.Record(0).DstIP; got != netip.MustParseAddr("0.0.0.0") {
+		t.Errorf("an unset address came back from a batch as %v, want 0.0.0.0", got)
 	}
 }
 
-// TestCheckAddrs: the canonical-form check accepts exactly what the
-// constructors produce. Non-canonical values cannot be built through the
-// API, so they are built the way a span file delivers them: as bytes.
-func TestCheckAddrs(t *testing.T) {
-	raw := func(fam byte, slot ...byte) flowrec.Addr {
-		var b [17]byte
-		copy(b[:16], slot)
-		b[16] = fam
-		return *(*flowrec.Addr)(unsafe.Pointer(&b))
+// TestEveryAddrRoundTrips: every four-byte pattern is an address, and
+// each layer that carries one carries it unchanged — the three wire
+// codecs, encode to decode, and a span file, Append to Span to the
+// mapped view.
+func TestEveryAddrRoundTrips(t *testing.T) {
+	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
+	sf, err := flowstore.Create(filepath.Join(t.TempDir(), "addrs"+flowstore.SpannedExt))
+	if err != nil {
+		t.Fatal(err)
 	}
-	v4 := []byte{12: 1, 13: 2, 14: 3, 15: 4}
-	if got := raw(4, v4...); got != flowrec.AddrFrom4([4]byte{1, 2, 3, 4}) {
-		t.Fatalf("raw layout is not slot-then-family: %v", got)
-	}
-	good := []flowrec.Addr{{}, raw(4, v4...), raw(6, 0x20, 0x01), raw(6)}
-	if err := flowrec.CheckAddrs(good); err != nil {
-		t.Fatalf("canonical column rejected: %v", err)
-	}
-	for name, bad := range map[string]flowrec.Addr{
-		"unknown family":      raw(9, v4...),
-		"v4 dirty prefix lo":  raw(4, 1),
-		"v4 dirty prefix hi":  raw(4, []byte{11: 1, 15: 4}...),
-		"unset dirty slot lo": raw(0, 1),
-		"unset dirty slot hi": raw(0, []byte{15: 1}...),
-	} {
-		err := flowrec.CheckAddrs(append(append([]flowrec.Addr(nil), good...), bad))
-		if err == nil || !strings.Contains(err.Error(), "row 4") {
-			t.Errorf("%s: CheckAddrs = %v, want an error naming row 4", name, err)
+	defer sf.Close()
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		b := flowrec.NewBatch(netflow.V5MaxRecords)
+		for i := 0; i < netflow.V5MaxRecords; i++ {
+			b.Append(genRecord(rng))
+			rng.Read(b.SrcIP[i][:])
+			rng.Read(b.DstIP[i][:])
 		}
+		b.SrcIP[0], b.DstIP[0] = flowrec.Addr{}, flowrec.Addr{255, 255, 255, 255}
+		b.SrcIP[1], b.DstIP[1] = flowrec.Addr{255, 255, 255, 255}, flowrec.Addr{}
+
+		v5out, v9out, ipout := flowrec.NewBatch(b.Len()), flowrec.NewBatch(b.Len()), flowrec.NewBatch(b.Len())
+		pkt, err := netflow.EncodeV5Batch(nil, b, 0, b.Len(), export, 0)
+		if err == nil {
+			_, err = netflow.DecodeV5Batch(v5out, pkt)
+		}
+		if err != nil {
+			t.Errorf("v5: %v", err)
+		}
+		var v9e netflow.V9Encoder
+		if pkt, err = v9e.EncodeBatch(nil, b, 0, b.Len(), export); err == nil {
+			_, err = netflow.NewV9Decoder().DecodeBatch(v9out, pkt)
+		}
+		if err != nil {
+			t.Errorf("v9: %v", err)
+		}
+		var ipe ipfix.Encoder
+		if pkt, err = ipe.EncodeBatch(nil, b, 0, b.Len(), export); err == nil {
+			_, err = ipfix.NewDecoder().DecodeBatch(ipout, pkt)
+		}
+		if err != nil {
+			t.Errorf("ipfix: %v", err)
+		}
+		ref, err := sf.Append(b)
+		if err != nil {
+			t.Fatalf("span append: %v", err)
+		}
+		seg, err := sf.Span(ref)
+		if err != nil {
+			t.Fatalf("span fault: %v", err)
+		}
+		defer seg.Close()
+		view, _ := seg.Batch()
+
+		for name, out := range map[string]*flowrec.Batch{"v5": v5out, "v9": v9out, "ipfix": ipout, "span": view} {
+			if !slices.Equal(out.SrcIP, b.SrcIP) || !slices.Equal(out.DstIP, b.DstIP) {
+				t.Errorf("%s: the address columns changed in transit", name)
+			}
+		}
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, quickCfg); err != nil {
+		t.Error(err)
 	}
 }

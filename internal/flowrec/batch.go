@@ -238,8 +238,8 @@ func timeAt(ns int64) time.Time {
 	return time.Unix(0, ns).UTC()
 }
 
-// Append adds one record as a new row. A record whose address carries an
-// IPv6 zone cannot be stored (see AddrFrom) and panics: no generator or
+// Append adds one record as a new row. A record whose address is not
+// IPv4 cannot be stored (see AddrFrom) and panics: no generator or
 // decoder produces one, and Record.Validate reports it beforehand. A
 // record is full-width, so appending one to a projected batch panics too.
 func (b *Batch) Append(r Record) {
@@ -489,7 +489,7 @@ func (b *Batch) IsView() bool {
 // addrSize is the size of an Addr, in memory and in a span file.
 const addrSize = int(unsafe.Sizeof(Addr{}))
 
-// RowBytes is what one row occupies across all fifteen columns (85): the
+// RowBytes is what one row occupies across all fifteen columns (59): the
 // sum of the column element sizes. A projected batch's rows occupy
 // Columns.RowBytes.
 const RowBytes = 2*8 + 2*addrSize + 2*2 + 1 + 2*8 + 2*4 + 2*2 + 1 + 1

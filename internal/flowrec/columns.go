@@ -61,7 +61,7 @@ func (c Columns) Has(need Columns) bool { return c&need == need }
 // exist.
 func (c Columns) Valid() bool { return c != 0 && c&^AllColumns == 0 }
 
-// RowBytes is what one row occupies across the set's columns: 85 for
+// RowBytes is what one row occupies across the set's columns: 59 for
 // AllColumns (the RowBytes constant).
 func (c Columns) RowBytes() int {
 	n := 0

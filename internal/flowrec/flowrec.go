@@ -94,8 +94,8 @@ type Record struct {
 	Start time.Time
 	End   time.Time
 
-	// SrcIP and DstIP are the flow endpoints. They may be anonymised
-	// (see package anon); analyses never rely on real address values.
+	// SrcIP and DstIP are the flow endpoints; analyses never rely on
+	// real address values.
 	SrcIP netip.Addr
 	DstIP netip.Addr
 
@@ -212,7 +212,7 @@ func (r Record) ServerPort() PortProto {
 }
 
 // Validate reports whether the record is internally consistent: addresses
-// are valid and storable in a batch (no IPv6 zone), the time interval is
+// are valid and storable in a batch (IPv4), the time interval is
 // ordered and counters are plausible (packets implies bytes).
 func (r Record) Validate() error {
 	if !r.SrcIP.IsValid() || !r.DstIP.IsValid() {

@@ -10,7 +10,7 @@
 //	│ page-aligned start, each blob 64-byte aligned, present     │
 //	│ columns only (an absent column is a zero-width blob):      │
 //	│   StartNs  int64 ×rows   │ EndNs    int64 ×rows            │
-//	│   SrcAddr  17 B  ×rows   │ DstAddr  17 B  ×rows            │
+//	│   SrcAddr  4 B   ×rows   │ DstAddr  4 B   ×rows            │
 //	│   SrcPort/DstPort uint16 │ Proto    1 B                    │
 //	│   Bytes/Packets  uint64  │ SrcAS/DstAS uint32              │
 //	│   InIf/OutIf     uint16  │ Dir 1 B  │ TCPFlags 1 B         │
@@ -20,8 +20,7 @@
 // (the batch's flowrec.Columns) fix the layout, and they travel with the
 // size and CRC-64 in the span's reference (SpanRef). A fault views
 // exactly the columns that were written. All fixed-width values are
-// little-endian; an address is a flowrec.Addr as it sits in memory,
-// 16-byte slot then family byte. On a
+// little-endian; an address is its four bytes in network order. On a
 // little-endian host every column of a faulted span is a zero-copy slice
 // straight into the mapping (the blob alignment makes the casts legal);
 // on big-endian or misaligned mappings the multi-byte numeric columns
@@ -32,15 +31,10 @@
 // The span's CRC is verified before any row is served, so a truncated
 // or corrupted file surfaces as an error from Span — never as wrong
 // rows — and the cache regenerates the batch from its source instead.
-// A checksum only proves the bytes are the ones written, so the address
-// columns of a view are also checked for canonical form
-// (flowrec.CheckAddrs): a row no writer could have produced fails the
-// fault the same way.
 package flowstore
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc64"
 	"sync"
 	"unsafe"
@@ -186,26 +180,19 @@ func (s *Segment) col(c int) []byte {
 // Batch builds a read-only view batch over the span, storing the span's
 // column set. Columns alias the span memory when the host allows it
 // (always for the byte-typed ones; little-endian and an aligned mapping
-// for the rest) and are decoded
-// onto the heap otherwise. The address columns are checked for canonical
-// form first; a span that fails serves no rows. The returned batch is
-// marked as a view (flowrec.Batch.IsView), its columns have len == cap
-// so appends copy, and it must not be used after the segment is closed.
+// for the rest) and are decoded onto the heap otherwise. The returned
+// batch is marked as a view (flowrec.Batch.IsView), its columns have
+// len == cap so appends copy, and it must not be used after the segment
+// is closed.
 // heapBytes is the heap footprint of the view — the part of the batch
 // the OS cannot reclaim by dropping pages: the decoded columns, and the
 // whole span when it is a heap buffer rather than a mapping.
-func (s *Segment) Batch() (b *flowrec.Batch, heapBytes int64, err error) {
+func (s *Segment) Batch() (b *flowrec.Batch, heapBytes int64) {
 	rows := s.rows
 	b = flowrec.NewProjected(0, s.cols)
 
 	b.SrcIP = viewBytes[flowrec.Addr](s.col(colSrcAddr), rows)
-	if err := flowrec.CheckAddrs(b.SrcIP); err != nil {
-		return nil, 0, fmt.Errorf("flowstore: src addresses: %w", err)
-	}
 	b.DstIP = viewBytes[flowrec.Addr](s.col(colDstAddr), rows)
-	if err := flowrec.CheckAddrs(b.DstIP); err != nil {
-		return nil, 0, fmt.Errorf("flowstore: dst addresses: %w", err)
-	}
 	b.Proto = viewBytes[flowrec.Proto](s.col(colProto), rows)
 	b.Dir = viewBytes[flowrec.Direction](s.col(colDir), rows)
 	b.TCPFlags = viewBytes[uint8](s.col(colTCPFlags), rows)
@@ -227,7 +214,7 @@ func (s *Segment) Batch() (b *flowrec.Batch, heapBytes int64, err error) {
 		heapBytes += int64(len(s.data))
 	}
 	b.MarkView()
-	return b, heapBytes, nil
+	return b, heapBytes
 }
 
 // Evicted hints the OS that the span's pages will not be needed soon

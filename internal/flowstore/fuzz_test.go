@@ -8,8 +8,7 @@ import (
 
 // FuzzOpenSpanned feeds arbitrary bytes to the sealed-file reader. The
 // seeds are a writer-produced sealed file, the same file never sealed
-// (what a killed run leaves) and every shape of damageShapes and
-// hostileShapes. Whatever
+// (what a killed run leaves) and every shape of damageShapes. Whatever
 // the input, opening and faulting must not panic, must not map a span
 // reaching past the end of the file (a fault there is a SIGBUS, which
 // would kill the fuzzer), and every span that is served must be row for
@@ -26,9 +25,6 @@ func FuzzOpenSpanned(f *testing.F) {
 	f.Add(unsealed[:len(unsealed)-3*indexEntrySize])
 	for _, shape := range damageShapes {
 		f.Add(shape.mutate(append([]byte(nil), raw...)))
-	}
-	for _, mutate := range hostileShapes {
-		f.Add(mutate(append([]byte(nil), raw...)))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -49,13 +45,11 @@ func FuzzOpenSpanned(f *testing.F) {
 			if ref.Off+ref.Size > int64(len(data)) {
 				t.Fatalf("span %d [%d, %d) served from a %d-byte file", i, ref.Off, ref.Off+ref.Size, len(data))
 			}
-			view, _, err := seg.Batch()
-			if err == nil {
-				if i >= 3 {
-					t.Fatalf("span %d served, only 3 were appended", i)
-				}
-				equalBatches(t, hourBatch(i), view)
+			if i >= 3 {
+				t.Fatalf("span %d served, only 3 were appended", i)
 			}
+			view, _ := seg.Batch()
+			equalBatches(t, hourBatch(i), view)
 			seg.Close()
 		}
 	})

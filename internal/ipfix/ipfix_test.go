@@ -166,11 +166,6 @@ func TestMalformed(t *testing.T) {
 	if _, err := decode(dec, bad); err == nil {
 		t.Error("wrong length field accepted")
 	}
-	v6 := sample(1)
-	v6[0].DstIP = netip.MustParseAddr("2001:db8::2")
-	if _, err := encode(enc, v6); err == nil {
-		t.Error("IPv6 record accepted")
-	}
 }
 
 // Property: encode/decode round-trips counters, ports and AS numbers.

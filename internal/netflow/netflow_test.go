@@ -111,11 +111,6 @@ func TestV5Limits(t *testing.T) {
 	if _, err := encodeV5(sampleRecords(31), 0); err == nil {
 		t.Error("oversized encode accepted")
 	}
-	v6rec := sampleRecords(1)
-	v6rec[0].SrcIP = netip.MustParseAddr("2001:db8::1")
-	if _, err := encodeV5(v6rec, 0); err == nil {
-		t.Error("IPv6 record accepted by v5 encoder")
-	}
 }
 
 func TestDecodeV5Malformed(t *testing.T) {

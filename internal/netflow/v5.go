@@ -54,10 +54,10 @@ type V5Header struct {
 
 // EncodeV5Batch appends one NetFlow v5 packet carrying rows [lo, hi) of b
 // to dst and returns the extended slice. At most V5MaxRecords rows fit in
-// one packet; rows must be IPv4. dst may be nil; a caller that reuses the
-// returned slice across packets encodes with zero allocations once the
-// buffer has grown to packet size. b must store every column a v5 record
-// carries (all but Dir). On error dst is returned unmodified.
+// one packet. dst may be nil; a caller that reuses the returned slice
+// across packets encodes with zero allocations once the buffer has grown
+// to packet size. b must store every column a v5 record carries (all but
+// Dir). On error dst is returned unmodified.
 //
 // exportTime stamps the header; seq is the cumulative flow sequence
 // counter. NetFlow v5 expresses flow start/end as router-uptime offsets in
@@ -102,13 +102,9 @@ func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime ti
 
 	exportNs := exportTime.UnixNano()
 	for i := lo; i < hi; i++ {
-		if !b.SrcIP[i].Is4() || !b.DstIP[i].Is4() {
-			return dst[:off0], fmt.Errorf("netflow: record %d is not IPv4", i-lo)
-		}
 		off := v5HeaderLen + (i-lo)*v5RecordLen
-		src, dip := b.SrcIP[i].As4(), b.DstIP[i].As4()
-		copy(buf[off+0:], src[:])
-		copy(buf[off+4:], dip[:])
+		copy(buf[off+0:], b.SrcIP[i][:])
+		copy(buf[off+4:], b.DstIP[i][:])
 		be.PutUint32(buf[off+8:], 0) // next hop 0.0.0.0 (buffer may be reused)
 		be.PutUint16(buf[off+12:], b.InIf[i])
 		be.PutUint16(buf[off+14:], b.OutIf[i])
@@ -172,8 +168,8 @@ func DecodeV5Batch(dst *flowrec.Batch, pkt []byte) (V5Header, error) {
 		rec := pkt[v5HeaderLen+i*v5RecordLen:][:v5RecordLen]
 		dst.StartNs = append(dst.StartNs, bootNs+int64(be.Uint32(rec[24:]))*int64(time.Millisecond))
 		dst.EndNs = append(dst.EndNs, bootNs+int64(be.Uint32(rec[28:]))*int64(time.Millisecond))
-		dst.SrcIP = append(dst.SrcIP, flowrec.AddrFrom4([4]byte(rec[0:4])))
-		dst.DstIP = append(dst.DstIP, flowrec.AddrFrom4([4]byte(rec[4:8])))
+		dst.SrcIP = append(dst.SrcIP, flowrec.Addr(rec[0:4]))
+		dst.DstIP = append(dst.DstIP, flowrec.Addr(rec[4:8]))
 		dst.SrcPort = append(dst.SrcPort, be.Uint16(rec[32:]))
 		dst.DstPort = append(dst.DstPort, be.Uint16(rec[34:]))
 		dst.Proto = append(dst.Proto, flowrec.Proto(rec[38]))

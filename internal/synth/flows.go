@@ -119,8 +119,8 @@ func (g *Generator) sampleInto(b *flowrec.Batch, p *componentPlan, h *hour, s *c
 		dst := pickWeighted(&rng, p.dstWeights)
 		srcASN, dstASN := c.SrcASNs[src], c.DstASNs[dst]
 
-		srcIP := flowrec.AddrFrom4(p.srcPools[src].Addr4(uint32(rng.Intn(scaledPool))))
-		dstIP := flowrec.AddrFrom4(p.dstPools[dst].Addr4(uint32(rng.Intn(scaledPool))))
+		srcIP := flowrec.Addr(p.srcPools[src].Addr4(uint32(rng.Intn(scaledPool))))
+		dstIP := flowrec.Addr(p.dstPools[dst].Addr4(uint32(rng.Intn(scaledPool))))
 		if pinGateways {
 			gw := &g.vpnGateways[rng.Intn(len(g.vpnGateways))]
 			srcIP, srcASN = gw.addr, gw.asn

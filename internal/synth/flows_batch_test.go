@@ -56,7 +56,7 @@ func TestFlowsBetweenBatchConcatenatesHours(t *testing.T) {
 // TestHourBatchMasksStoresOnly: whatever columns HourBatch is asked to
 // store, the sampler draws the same rows — each stored column equals the
 // full-width hour's, every other column is nil — for the three sets the
-// dataset cache generates with (22, 47 and 25 bytes a row), every single
+// dataset cache generates with (22, 21 and 12 bytes a row), every single
 // column, and all fifteen; for the whole hour and for one component.
 func TestHourBatchMasksStoresOnly(t *testing.T) {
 	ports := flowrec.PortLaneColumns
@@ -66,7 +66,7 @@ func TestHourBatchMasksStoresOnly(t *testing.T) {
 		flowrec.ColBytes | flowrec.ColDstIP,
 		flowrec.AllColumns,
 	}
-	for i, want := range []int{22, 47, 25, flowrec.RowBytes} {
+	for i, want := range []int{22, 21, 12, flowrec.RowBytes} {
 		if got := sets[i].RowBytes(); got != want {
 			t.Errorf("set %s is %d bytes a row, want %d", sets[i], got, want)
 		}

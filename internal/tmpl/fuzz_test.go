@@ -35,6 +35,9 @@ func FuzzDecodeBatch(f *testing.F) {
 		}
 		f.Add(shortFields(fr))
 		f.Add(zeroLengthField(fr))
+		// The source address twice, 4 bytes then 2: the second copy lands
+		// over the first's leading bytes.
+		f.Add(fr.message(302, [][2]uint16{{8, 4}, {8, 2}}, []byte{10, 1, 2, 3, 172, 16}))
 	}
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		for _, fr := range framings {

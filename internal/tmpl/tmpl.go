@@ -130,13 +130,13 @@ func (f *Framing) standardTemplate() [15][2]uint16 {
 
 // EncodeBatch appends one message carrying the template set and rows
 // [lo, hi) of b to dst and returns the extended slice. stream and *seq are
-// the exporter's identity and sequence counter. Rows must be IPv4. The
-// message is written in place: a caller that reuses the returned slice
-// across messages encodes with zero allocations once the buffer has grown
-// to message size. On error — an empty range, a batch that does not store
-// all fifteen columns (the template carries every one), a non-IPv4 row,
-// or more rows than the 16-bit length fields can describe — dst is
-// returned unmodified and the sequence number is not consumed.
+// the exporter's identity and sequence counter. The message is written
+// in place: a caller that reuses the returned slice across messages
+// encodes with zero allocations once the buffer has grown to message
+// size. On error — an empty range, a batch that does not store all
+// fifteen columns (the template carries every one), or more rows than the
+// 16-bit length fields can describe — dst is returned unmodified and the
+// sequence number is not consumed.
 func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time, stream uint32, seq *uint32) ([]byte, error) {
 	n := hi - lo
 	if n <= 0 {
@@ -160,11 +160,6 @@ func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTi
 	total := f.HeaderLen + tplSetLen + dataSetLen
 	if dataSetLen > maxLen || f.HasLength && total > maxLen {
 		return dst, fmt.Errorf("%s: %d records do not fit one message (%d bytes, length fields hold %d)", f.Name, n, total, maxLen)
-	}
-	for i := lo; i < hi; i++ {
-		if !b.SrcIP[i].Is4() || !b.DstIP[i].Is4() {
-			return dst, fmt.Errorf("%s: record %d is not IPv4", f.Name, i-lo)
-		}
 	}
 
 	be := binary.BigEndian
@@ -190,9 +185,8 @@ func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTi
 	be.PutUint16(set[2:], uint16(dataSetLen))
 	for i := lo; i < hi; i++ {
 		rec := set[4+(i-lo)*recLen:][:recLen]
-		src, dip := b.SrcIP[i].As4(), b.DstIP[i].As4()
-		copy(rec[0:], src[:])
-		copy(rec[4:], dip[:])
+		copy(rec[0:], b.SrcIP[i][:])
+		copy(rec[4:], b.DstIP[i][:])
 		be.PutUint64(rec[8:], b.Bytes[i])
 		be.PutUint64(rec[16:], b.Packets[i])
 		be.PutUint32(rec[24:], uint32(b.StartNs[i]/int64(time.Second)))
@@ -415,13 +409,9 @@ func (d *Decoder) parseData(dst *flowrec.Batch, stream uint32, tplID uint16, bod
 			pos += int(fl.length)
 			switch fl.col {
 			case colSrcIP:
-				var a [4]byte
-				copy(a[:], v)
-				srcIP = flowrec.AddrFrom4(a)
+				copy(srcIP[:], v)
 			case colDstIP:
-				var a [4]byte
-				copy(a[:], v)
-				dstIP = flowrec.AddrFrom4(a)
+				copy(dstIP[:], v)
 			case colBytes:
 				bytes = beUint(v)
 			case colPackets:

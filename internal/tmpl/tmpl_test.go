@@ -266,7 +266,7 @@ func TestTemplateCache(t *testing.T) {
 
 func TestMalformed(t *testing.T) {
 	forEachFraming(t, func(t *testing.T, fr framing) {
-		recs, b := sample(1)
+		_, b := sample(1)
 		enc, dec := fr.encoder(0), fr.decoder()
 		msg := mustEncode(t, enc, b)
 		corrupt := func(edit func(m []byte) []byte) []byte {
@@ -307,10 +307,6 @@ func TestMalformed(t *testing.T) {
 		if _, err := enc(nil, b, 0, 0, export); err == nil {
 			t.Error("empty encode accepted")
 		}
-		recs[0].DstIP = netip.MustParseAddr("2001:db8::2")
-		if _, err := enc(nil, flowrec.FromRecords(recs), 0, 1, export); err == nil {
-			t.Error("IPv6 record accepted")
-		}
 	})
 }
 
@@ -342,11 +338,8 @@ func TestEncodeAppendAndErrors(t *testing.T) {
 		if !reflect.DeepEqual(got.Records(), recs) {
 			t.Error("rows of the two appended messages differ from the input")
 		}
-		recs[3].SrcIP = netip.MustParseAddr("2001:db8::1")
-		v6 := flowrec.FromRecords(recs)
 		for name, fail := range map[string]func() ([]byte, error){
 			"empty range":   func() ([]byte, error) { return enc(buf, b, 3, 3, export) },
-			"non-IPv4 row":  func() ([]byte, error) { return enc(buf, v6, 0, 10, export) },
 			"too many rows": func() ([]byte, error) { return enc(buf, bigBatch(fr.maxRows+1), 0, fr.maxRows+1, export) },
 		} {
 			if got, err := fail(); err == nil || len(got) != len(buf) {

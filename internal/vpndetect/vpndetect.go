@@ -57,8 +57,8 @@ type Detector struct {
 }
 
 // New builds a detector from the candidate address set (may be nil, in
-// which case only port-based detection is available). A candidate with
-// an IPv6 zone is dropped: no flow column can hold its equal.
+// which case only port-based detection is available). A non-IPv4
+// candidate is dropped: no flow column can hold its equal.
 func New(candidates map[netip.Addr]bool) *Detector {
 	d := &Detector{
 		vpnPorts:   make(map[flowrec.PortProto]bool),
@@ -105,8 +105,7 @@ func (d *Detector) classify(sp flowrec.PortProto, src, dst flowrec.Addr) Method 
 // method only considers HTTPS (TCP/443) flows, mirroring the paper's
 // conservative approach.
 func (d *Detector) Classify(r flowrec.Record) Method {
-	// A zoned address converts to the zero Addr and is looked up as an
-	// unset one would be.
+	// A non-IPv4 address is looked up as an unset one: 0.0.0.0.
 	src, _ := flowrec.AddrFrom(r.SrcIP)
 	dst, _ := flowrec.AddrFrom(r.DstIP)
 	return d.classify(r.ServerPort(), src, dst)
