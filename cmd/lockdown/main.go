@@ -89,11 +89,6 @@
 //	              whose retry budget ran out instead of failing the run;
 //	              the degraded component-hours are stamped on stderr
 //
-// replay:
-//
-//	-unverified   capture mode: serve wire rows without failing on
-//	              verification mismatches (accounted in the bridge stats)
-//
 // cluster:
 //
 //	-shards n     number of pump shards (default 4; replay: always 7)
@@ -291,8 +286,7 @@ var modes = []mode{
 	{name: "all", run: runAll, flags: suiteFlags},
 	{name: "doc", run: runDoc, flags: slices.Concat(engineFlags, []string{"parallel"})},
 	{name: "scenario run", arg: "<file.yaml>", run: runScenario, flags: suiteFlags},
-	{name: "replay", run: runWire, shards: len(synth.AllVantagePoints()),
-		flags: slices.Concat(wireFlags, []string{"unverified"})},
+	{name: "replay", run: runWire, shards: len(synth.AllVantagePoints()), flags: wireFlags},
 	{name: "cluster", run: runWire, shards: cluster.DefaultShards,
 		flags: slices.Concat(wireFlags, []string{"shards", "subprocess", "max-restarts", "chaos"})},
 }
@@ -347,7 +341,6 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 	})
 	all.StringVar(&o.wire.BridgeListen, "addr", "127.0.0.1:0", "bridge UDP listen `address`")
 	all.Float64Var(&o.wire.Rate, "pps", 0, "pump pacing in datagrams per second (0 = unlimited)")
-	all.BoolVar(&o.wire.Unverified, "unverified", false, "capture mode: serve wire rows without failing verification")
 	all.DurationVar(&o.wire.AttemptTimeout, "attempt-timeout", 0, "per-attempt bucket timeout (0 = default)")
 	all.IntVar(&o.wire.MaxAttempts, "max-attempts", 0, "attempts per bucket (0 = default)")
 	all.DurationVar(&o.wire.FetchBudget, "fetch-budget", 0, "wall-clock retry budget per bucket (0 = attempt-timeout × max-attempts)")
@@ -600,7 +593,6 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 		obs.Fi("rows lost", bs.LostRows),
 		obs.Fi("orphan rows", bs.OrphanRows),
 		obs.Fi("decode errors", bs.DecodeErrors),
-		obs.Fi("unverified", bs.Unverified),
 	}}}
 	var pumps replay.PumpStats
 	inProcess := false

@@ -129,7 +129,7 @@ func TestWireEvents(t *testing.T) {
 	replayRun.Shards[0].Pump = replay.PumpStats{Requests: 10, RowsSent: 200}
 	replayRun.Shards[6].Pump = replay.PumpStats{Requests: 21, RowsSent: 407}
 	expect(render(replayRun, part),
-		"wire bridge: 30 buckets, 600 rows verified, 1 retries, 7 rows lost, 0 orphan rows, 0 decode errors, 0 unverified",
+		"wire bridge: 30 buckets, 600 rows verified, 1 retries, 7 rows lost, 0 orphan rows, 0 decode errors",
 		"  shard 0 [ISP-CE] (healthy, 0 restarts): 10 buckets, 200 rows, 0 retries, 0 rows lost",
 		"  shard 1 [IXP-CE] (healthy, 0 restarts): 0 buckets, 0 rows",
 		"  shard 2 [IXP-SE] (healthy", "  shard 3 [IXP-US] (healthy", "  shard 4 [MOBILE] (healthy", "  shard 5 [IPX] (healthy",
@@ -185,7 +185,6 @@ var flagModes = map[string]struct{ modes, def, other string }{
 	"max-attempts":    {"replay cluster", "0", "2"},
 	"fetch-budget":    {"replay cluster", "0s", "1s"},
 	"allow-partial":   {"replay cluster", "false", "true"},
-	"unverified":      {"replay", "false", "true"},
 	"shards":          {"cluster", "4", "2"},
 	"subprocess":      {"cluster", "false", "true"},
 	"max-restarts":    {"cluster", "0", "1"},
@@ -199,8 +198,8 @@ var flagModes = map[string]struct{ modes, def, other string }{
 func TestFlagsRejectedOutsideTheirMode(t *testing.T) {
 	silence(t, &os.Stderr) // the flag package prints the mode's usage on every refusal
 
-	if len(flagModes) != 24 {
-		t.Errorf("%d distinct flags, want 24", len(flagModes))
+	if len(flagModes) != 23 {
+		t.Errorf("%d distinct flags, want 23", len(flagModes))
 	}
 	for _, m := range modes {
 		name := strings.ReplaceAll(m.name, " ", "-")
@@ -245,7 +244,7 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 	silence(t, &os.Stderr)
 	for _, line := range []string{
 		"", "frobnicate", "run", "scenario", "scenario frobnicate", "cache compact d",
-		"all -csv -json", "all -bogus", "all -cache-budget 5x",
+		"all -csv -json", "all -bogus", "all -cache-budget 5x", "replay -unverified",
 		"replay -format v7", "replay -attempt-timeout -1s", "replay -fetch-budget -1s", "replay -max-attempts -1",
 		"cluster -max-restarts -1", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
 		"all -parallel -3", "all -scan-chunk -5", "replay -pps -1", "replay -pps NaN", "replay -pps +Inf",

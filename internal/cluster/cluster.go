@@ -43,7 +43,6 @@ import (
 	"bufio"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"math/rand"
 	"os"
@@ -122,9 +121,6 @@ type Spec struct {
 	// whose retry budget ran out instead of failing the run; see
 	// replay.Config.AllowPartial.
 	AllowPartial bool
-	// Unverified switches the bridge to capture mode; see
-	// replay.Config.Unverified.
-	Unverified bool
 	// Chaos injects the deterministic fault schedule: a seeded relay on
 	// the pump → bridge data path plus scheduled pump kills and stalls
 	// (see internal/faultinject). Nil runs clean.
@@ -191,15 +187,6 @@ func (s Spec) partition() map[synth.VantagePoint]int {
 		part[vp] = shard
 	}
 	return part
-}
-
-// hashVP is the route of a vantage point outside the partition (none in
-// the standard suite; a capture-mode bridge may ask for one): a stable
-// hash, so the route stays total and deterministic.
-func hashVP(vp synth.VantagePoint, n int) uint32 {
-	h := fnv.New32a()
-	io.WriteString(h, string(vp))
-	return h.Sum32() % uint32(n)
 }
 
 // HealthEvent is one entry of a shard's supervision history.
@@ -377,7 +364,6 @@ func New(spec Spec) (*Cluster, error) {
 		MaxAttempts:    spec.MaxAttempts,
 		FetchBudget:    spec.FetchBudget,
 		AllowPartial:   spec.AllowPartial,
-		Unverified:     spec.Unverified,
 	})
 	if err != nil {
 		return nil, err
@@ -400,17 +386,13 @@ func New(spec Spec) (*Cluster, error) {
 }
 
 // routeKey is the bridge's live route: the current partition under the
-// rebalance lock, with a stable hash fallback for vantage points
-// outside it. The bridge calls it before every attempt, so a rebalance
-// re-targets in-flight fetches on their next retry.
-func (c *Cluster) routeKey(k replay.Key) uint32 {
+// rebalance lock. The bridge calls it before every attempt, so a rebalance
+// re-targets in-flight fetches on their next retry. (It refuses a vantage
+// point outside the partition at its reference build, before routing.)
+func (c *Cluster) routeKey(k core.FlowKey) uint32 {
 	c.partMu.Lock()
-	shard, ok := c.part[k.VP]
-	c.partMu.Unlock()
-	if ok {
-		return uint32(shard)
-	}
-	return hashVP(k.VP, c.spec.shards())
+	defer c.partMu.Unlock()
+	return uint32(c.part[k.VP])
 }
 
 // Partition returns a snapshot of the live vantage-point→shard map.

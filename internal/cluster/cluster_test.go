@@ -66,15 +66,15 @@ func TestSpecPartitionAndRoute(t *testing.T) {
 	}
 	// The live route the bridge asks before every attempt.
 	for vp, shard := range part {
-		for _, kind := range []replay.Kind{replay.KindFlows, replay.KindVPNFlows, replay.KindComponentFlows} {
-			k := replay.Key{Kind: kind, VP: vp, Name: "x", Hour: testHour}
+		for _, kind := range []core.FlowKind{core.KindFlows, core.KindVPNFlows, core.KindComponentFlows} {
+			k := core.FlowKey{Kind: kind, VP: vp, Name: "x", Hour: core.HourOf(testHour)}
 			if got := c.routeKey(k); got != uint32(shard) {
 				t.Errorf("route(%s %s) = %d, want %d: all kinds of one vantage point must share a shard", kind, vp, got, shard)
 			}
 		}
 	}
 	// A foreign vantage point still routes deterministically in range.
-	k := replay.Key{Kind: replay.KindFlows, VP: "NOT-IN-THE-PAPER", Hour: testHour}
+	k := core.FlowKey{Kind: core.KindFlows, VP: "NOT-IN-THE-PAPER", Hour: core.HourOf(testHour)}
 	if a, b := c.routeKey(k), c.routeKey(k); a != b || a >= 3 {
 		t.Errorf("foreign vantage point routed unstably or out of range: %d, %d", a, b)
 	}
@@ -223,24 +223,18 @@ func TestSevenShardsStreamPerVantagePoint(t *testing.T) {
 	}
 }
 
-// TestSevenShardsUnknownVantagePointNacks pins the route's fallback. A
-// verifying bridge refuses a vantage point its own model does not have
-// before asking anyone; in capture mode (Spec.Unverified) the key goes
-// out, to the shard its name hashes to, whose pump refuses it, and the
-// fetch fails fast instead of timing out.
+// TestSevenShardsUnknownVantagePointNacks: the bridge refuses a vantage
+// point its own model does not have when it builds the reference, before
+// routing — the fetch fails fast and no pump is asked. (A pump refusing
+// one is replay.TestBridgeNackFromPump.)
 func TestSevenShardsUnknownVantagePointNacks(t *testing.T) {
-	c := newTestCluster(t, Spec{Shards: 7, Format: collector.FormatIPFIX, Options: core.Options{FlowScale: 0.1}, Unverified: true})
+	c := newTestCluster(t, Spec{Shards: 7, Format: collector.FormatIPFIX, Options: core.Options{FlowScale: 0.1}})
 	if _, err := c.Source().FlowBatch("NOWHERE", testHour); err == nil {
 		t.Fatal("a fetch for an unknown vantage point succeeded")
 	}
-	asked := c.routeKey(replay.Key{Kind: replay.KindFlows, VP: "NOWHERE", Hour: testHour})
 	for _, sh := range c.Stats().Shards {
-		want := replay.PumpStats{}
-		if uint32(sh.Shard) == asked {
-			want = replay.PumpStats{Requests: 1, Nacks: 1}
-		}
-		if sh.Pump != want {
-			t.Errorf("pump %d stats %+v, want %+v (the one request, refused, on shard %d)", sh.Shard, sh.Pump, want, asked)
+		if sh.Pump != (replay.PumpStats{}) {
+			t.Errorf("pump %d stats %+v: no pump should have seen a request", sh.Shard, sh.Pump)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,15 +20,15 @@ import (
 // Dataset is the memoized input layer of an engine. Every input an
 // experiment can consume — generators, VPN-detection datasets, hourly
 // volume series and per-hour flow samples — is produced at most once per
-// key and shared across experiments. Keys incorporate the generator
-// fingerprint (vantage point, seed, flow scale), so one Dataset serves
-// exactly one Options value.
+// key and shared across experiments. One Dataset serves exactly one
+// Options value, so a key names the input alone: the vantage point for a
+// model, a FlowKey for a flow batch, a range for a series.
 //
 // Flow batches (FlowBatch, VPNFlowBatch, ComponentFlowBatch) are drawn
-// from the dataset's FlowSource: by default the in-process synthetic
-// generator, or — via NewDatasetWithSource — any other implementation,
-// e.g. the wire-replay bridge that serves the same batches off live
-// NetFlow/IPFIX export. Volume series always come from the local
+// from the dataset's FlowSource: by default its own model, projected to
+// each kind's columns, or — via NewDatasetWithSource — any other
+// implementation, e.g. the wire-replay bridge that serves the same batches
+// off live NetFlow/IPFIX export. Volume series always come from the local
 // generator model; only the flow-record path is sourced.
 //
 // Flow-batch entries are a working set, not the dataset. With
@@ -61,14 +60,17 @@ import (
 // never left with a dangling view.
 type Dataset struct {
 	opts   Options
-	src    FlowSource
+	model  *SyntheticSource // generator and VPN data per vantage point
+	src    FlowSource       // model unless NewDatasetWithSource named another
 	tracer *obs.Tracer
 
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	models  map[synth.VantagePoint]*vpModel
+	mu     sync.Mutex
+	flows  map[FlowKey]*flowEntry
+	series map[seriesKey]*memo[*timeseries.Series]
 
-	// Cache instruments. These are the single source of truth for both
+	// Cache instruments: one count per memoized lookup — a model part, a
+	// series range, a flow batch — a miss when the lookup installed the
+	// value. These are the single source of truth for both
 	// CacheStats and the lockdown_cache_* metric families: Stats() reads
 	// the same counters a /metrics scrape does, so the stderr summary
 	// and the exposition can never disagree. With Options.Obs unset the
@@ -97,15 +99,17 @@ type Dataset struct {
 	closed   bool
 }
 
-type cacheEntry struct {
-	once sync.Once
-	val  any
-	err  error
+// seriesKey names a memoized hourly series over a range: the total volume
+// (the whole study window, or a range outside it) or one class's.
+type seriesKey struct {
+	vp       synth.VantagePoint
+	class    synth.Class
+	from, to Hour
 }
 
-// flowEntry is the evictable cache slot of one flow batch. It lives in
-// the entries map behind the per-key sync.Once like every other value;
-// the extra machinery tracks which tier the batch currently occupies:
+// flowEntry is the evictable cache slot of one flow batch. The first
+// access generates the batch inside once; the rest of the machinery tracks
+// which tier the batch currently occupies:
 //
 //	resident ──evict────────────────────────▶ forgotten   (no CacheDir)
 //	resident ◀──────fault (build again)────── forgotten
@@ -115,8 +119,9 @@ type cacheEntry struct {
 // The entry's mutex serialises tier transitions; pins (atomic, bumped
 // under mu) keep it resident while experiments scan it.
 type flowEntry struct {
-	key   string
-	build func() (*flowrec.Batch, error)
+	key  FlowKey
+	once sync.Once
+	err  error // the first build failed; the entry never holds a batch
 
 	// rows and cols of the batch as the source delivered it, in whichever
 	// tier it is.
@@ -141,7 +146,7 @@ func NewDataset(opts Options) *Dataset {
 }
 
 // NewDatasetWithSource returns an empty dataset cache whose flow batches
-// are drawn from src (nil selects the synthetic generator). The source
+// are drawn from src (nil selects the dataset's own model). The source
 // must produce batches bit-identical to the generator at the same options
 // for the suite's determinism guarantees to hold; the replay bridge
 // verifies this per batch.
@@ -150,8 +155,8 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 	d := &Dataset{
 		opts:      opts,
 		tracer:    opts.Tracer,
-		entries:   make(map[string]*cacheEntry),
-		models:    make(map[synth.VantagePoint]*vpModel),
+		flows:     make(map[FlowKey]*flowEntry),
+		series:    make(map[seriesKey]*memo[*timeseries.Series]),
 		budget:    opts.CacheBudget,
 		lru:       list.New(),
 		hits:      reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
@@ -161,8 +166,10 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		faults:    reg.Counter("lockdown_cache_faults_total", "Evicted flow batches brought back for an access, mapped from a span or rebuilt."),
 		regens:    reg.Counter("lockdown_cache_regens_total", "Faults that found a damaged span and rebuilt from the flow source."),
 	}
+	d.model = NewSyntheticSource(opts)
+	d.model.projected, d.model.count = true, d.count
 	if src == nil {
-		src = datasetSource{d}
+		src = d.model
 	}
 	d.src = src
 	// Tier occupancy as scrape-time snapshots of the same fields Stats()
@@ -183,47 +190,39 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 	return d
 }
 
-// entry installs (counting a miss) or finds (counting a hit) the cache
-// slot of a key under the short map mutex.
-func (d *Dataset) entry(key string) *cacheEntry {
-	d.mu.Lock()
-	e, ok := d.entries[key]
-	if !ok {
-		e = &cacheEntry{}
-		d.entries[key] = e
+// count books one memoized lookup.
+func (d *Dataset) count(miss bool) {
+	if miss {
 		d.misses.Add(1)
 	} else {
 		d.hits.Add(1)
 	}
+}
+
+// batch returns the flow batch k names: the first access asks the flow
+// source for it inside the entry's once; later accesses return the
+// resident batch or fault it back in. pin (optional) keeps the entry
+// resident until the pin is released. A source may deliver more than
+// k.Columns(), never less.
+func (d *Dataset) batch(k FlowKey, pin *Pin) (*flowrec.Batch, error) {
+	d.mu.Lock()
+	fe, ok := d.flows[k]
+	if !ok {
+		fe = &flowEntry{key: k}
+		d.flows[k] = fe
+	}
 	d.mu.Unlock()
-	return e
-}
-
-// get memoizes build under key with a per-key once.
-func (d *Dataset) get(key string, build func() (any, error)) (any, error) {
-	e := d.entry(key)
-	e.once.Do(func() { e.val, e.err = build() })
-	return e.val, e.err
-}
-
-// getFlow is get for evictable flow batches: the first access generates
-// the batch inside the per-key once; later accesses return the resident
-// batch or fault it back in. pin (optional) keeps the
-// entry resident until the pin is released. need is the column set of
-// the batch's kind: a source may deliver more, never less.
-func (d *Dataset) getFlow(key string, pin *Pin, need flowrec.Columns, build func() (*flowrec.Batch, error)) (*flowrec.Batch, error) {
-	e := d.entry(key)
-	e.once.Do(func() {
-		b, err := build()
+	d.count(!ok)
+	fe.once.Do(func() {
+		b, err := fetch(d.src, k)
 		if err == nil {
-			err = b.Require(need)
+			err = b.Require(k.Columns())
 		}
 		if err != nil {
-			e.err = err
+			fe.err = err
 			return
 		}
-		fe := &flowEntry{key: key, build: build, rows: b.Len(), cols: b.Columns(), batch: b, heapBytes: b.HeapBytes()}
-		e.val = fe
+		fe.rows, fe.cols, fe.batch, fe.heapBytes = b.Len(), b.Columns(), b, b.HeapBytes()
 		// Pin before linking: once the entry is in the LRU another
 		// goroutine's enforceBudget could evict it unpinned, and this
 		// reader would generate the batch a second time.
@@ -232,10 +231,10 @@ func (d *Dataset) getFlow(key string, pin *Pin, need flowrec.Columns, build func
 		}
 		d.link(fe, fe.heapBytes, false)
 	})
-	if e.err != nil {
-		return nil, e.err
+	if fe.err != nil {
+		return nil, fe.err
 	}
-	b, err := d.acquire(e.val.(*flowEntry), pin)
+	b, err := d.acquire(fe, pin)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +255,7 @@ func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 			return nil, err
 		}
 		if sp.Active() {
-			sp.EndArgs(map[string]any{"key": fe.key, "bytes": heap})
+			sp.EndArgs(map[string]any{"key": fe.key.String(), "bytes": heap})
 		}
 		fe.batch, fe.heapBytes = b, heap
 		d.link(fe, heap, true)
@@ -296,7 +295,7 @@ func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
 		fe.seg = nil
 		d.dropSpan(fe)
 	}
-	b, err := fe.build()
+	b, err := fetch(d.src, fe.key)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -308,7 +307,7 @@ func (d *Dataset) faultIn(fe *flowEntry) (*flowrec.Batch, int64, error) {
 // the append-only file; its other spans are independently checksummed.
 func (d *Dataset) dropSpan(fe *flowEntry) {
 	if d.tracer != nil {
-		d.tracer.Instant("cache-regen", "cache", map[string]any{"key": fe.key})
+		d.tracer.Instant("cache-regen", "cache", map[string]any{"key": fe.key.String()})
 	}
 	d.lmu.Lock()
 	d.regens.Add(1)
@@ -408,7 +407,7 @@ func (d *Dataset) evict(fe *flowEntry) bool {
 		sp := d.tracer.Start("cache-spill", "cache")
 		file, ref, err := d.spill(fe.batch)
 		if sp.Active() {
-			sp.EndArgs(map[string]any{"key": fe.key, "bytes": ref.Size})
+			sp.EndArgs(map[string]any{"key": fe.key.String(), "bytes": ref.Size})
 		}
 		if err != nil {
 			// Cannot spill (disk full, unwritable dir): keep the batch
@@ -497,11 +496,9 @@ func (d *Dataset) spanFile() (*flowstore.SpanFile, error) {
 // regenerate from the source — but it no longer evicts or spills.
 func (d *Dataset) Close() error {
 	d.mu.Lock()
-	fes := make([]*flowEntry, 0, len(d.entries))
-	for _, e := range d.entries {
-		if fe, ok := e.val.(*flowEntry); ok {
-			fes = append(fes, fe)
-		}
+	fes := make([]*flowEntry, 0, len(d.flows))
+	for _, fe := range d.flows {
+		fes = append(fes, fe)
 	}
 	d.mu.Unlock()
 	var firstErr error
@@ -546,16 +543,14 @@ func (d *Dataset) Close() error {
 
 // Stats returns the cache's entry, hit/miss, eviction and spill-tier
 // counters.
-// Each group is read inside the lock that orders its writers — the
-// lookup counters under mu, the tier counters and byte totals under
-// lmu — so the snapshot is consistent within a group: Entries equals
-// Misses, and spilled bytes never appear without their spill.
+// Every miss memoizes one value and none is ever removed, so Entries is
+// the miss count; the tier counters and byte totals are read inside lmu,
+// the lock that orders their writers, so spilled bytes never appear
+// without their spill.
 func (d *Dataset) Stats() CacheStats {
 	var s CacheStats
-	d.mu.Lock()
-	s.Entries = len(d.entries)
 	s.Hits, s.Misses = d.hits.Value(), d.misses.Value()
-	d.mu.Unlock()
+	s.Entries = int(s.Misses)
 	d.lmu.Lock()
 	s.ResidentBytes, s.SpilledBytes = d.resident, d.spilled
 	s.Evictions, s.Spills, s.Faults, s.Regens = d.evictions.Value(), d.spills.Value(), d.faults.Value(), d.regens.Value()
@@ -640,20 +635,8 @@ func (p *Pin) add(fe *flowEntry) {
 	}
 }
 
-// FlowBatch is Dataset.FlowBatch with the result pinned.
-func (p *Pin) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return p.d.flowBatch(vp, hour, p)
-}
-
-// VPNFlowBatch is Dataset.VPNFlowBatch with the result pinned.
-func (p *Pin) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return p.d.vpnFlowBatch(vp, hour, p)
-}
-
-// ComponentFlowBatch is Dataset.ComponentFlowBatch with the result pinned.
-func (p *Pin) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	return p.d.componentFlowBatch(vp, name, hour, p)
-}
+// Batch returns the flow batch k names, pinned.
+func (p *Pin) Batch(k FlowKey) (*flowrec.Batch, error) { return p.d.batch(k, p) }
 
 // Release unpins every entry and lets the cache evict what no longer
 // fits. Safe to call on a nil pin and more than once.
@@ -672,137 +655,62 @@ func (p *Pin) Release() {
 	d.enforceBudget()
 }
 
-// vpModel is a vantage point's traffic model as the dataset's options
-// resolve it, built on first use and then shared by every lookup: the
-// generator configuration (Options.Model is asked exactly once per vantage
-// point), its fingerprint, and the cache-key prefixes derived from it.
-type vpModel struct {
-	once        sync.Once
-	cfg         synth.Config
-	fingerprint string
-	// Flow-batch key prefixes; the hour key (and, for component flows,
-	// the component name) is appended per lookup.
-	flowsKey, vpnFlowsKey, componentFlowsKey string
-}
-
-// model returns the resolved model of a vantage point.
-func (d *Dataset) model(vp synth.VantagePoint) *vpModel {
-	d.mu.Lock()
-	m := d.models[vp]
-	if m == nil {
-		m = &vpModel{}
-		d.models[vp] = m
-	}
-	d.mu.Unlock()
-	m.once.Do(func() {
-		m.cfg = d.opts.synthConfig(vp)
-		m.fingerprint = m.cfg.Fingerprint()
-		m.flowsKey = "flows/" + m.fingerprint + "/"
-		m.vpnFlowsKey = "vpn-flows/" + m.fingerprint + "/"
-		m.componentFlowsKey = "component-flows/" + m.fingerprint + "/"
-	})
-	return m
-}
-
 // Generator returns the shared generator of a vantage point. The instance
 // is safe for concurrent read-only use; never call its mutating methods.
 func (d *Dataset) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
-	m := d.model(vp)
-	v, err := d.get("gen/"+m.fingerprint, func() (any, error) {
-		return synth.New(m.cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*synth.Generator), nil
+	return d.model.Generator(vp)
 }
 
 // VPN returns the shared VPN-detection dataset of a vantage point.
-func (d *Dataset) VPN(vp synth.VantagePoint) (*VPNData, error) {
-	v, err := d.get("vpn/"+d.model(vp).fingerprint, func() (any, error) {
-		g, err := d.Generator(vp)
-		if err != nil {
-			return nil, err
-		}
-		return buildVPNData(g), nil
-	})
-	if err != nil {
-		return nil, err
+func (d *Dataset) VPN(vp synth.VantagePoint) (*VPNData, error) { return d.model.VPN(vp) }
+
+// rangeSeries memoizes one generated series under its range key.
+func (d *Dataset) rangeSeries(k seriesKey, gen func(*synth.Generator) *timeseries.Series) (*timeseries.Series, error) {
+	d.mu.Lock()
+	m := d.series[k]
+	if m == nil {
+		m = new(memo[*timeseries.Series])
+		d.series[k] = m
 	}
-	return v.(*VPNData), nil
-}
-
-// hourKey identifies one whole hour in cache keys.
-func hourKey(t time.Time) string {
-	return strconv.FormatInt(t.UTC().Truncate(time.Hour).Unix()/3600, 10)
-}
-
-// studySeries returns the memoized full study-window total-volume series
-// of a vantage point. The series is sorted before it is published, so the
-// read-only methods of the returned instance are safe for concurrent use.
-func (d *Dataset) studySeries(vp synth.VantagePoint) (*timeseries.Series, error) {
-	v, err := d.get("study-series/"+d.model(vp).fingerprint, func() (any, error) {
-		g, err := d.Generator(vp)
+	d.mu.Unlock()
+	return m.get(d.count, func() (*timeseries.Series, error) {
+		g, err := d.Generator(k.vp)
 		if err != nil {
 			return nil, err
 		}
-		s := g.TotalSeries(calendar.StudyStart, calendar.StudyEnd)
+		s := gen(g)
 		s.Points() // force the sort before the series is shared
 		return s, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*timeseries.Series), nil
 }
 
 // Series returns the hourly total-volume series of [from, to). Ranges
-// inside the study window are sliced from the memoized study series;
-// anything else is generated (and memoized) directly. Values are identical
-// either way because the generator is a pure function of its fingerprint.
+// inside the study window are sliced from one memoized series of the whole
+// window; anything else is generated (and memoized) directly. Values are
+// identical either way because the generator is a pure function of its
+// configuration.
 func (d *Dataset) Series(vp synth.VantagePoint, from, to time.Time) (*timeseries.Series, error) {
 	from, to = from.UTC().Truncate(time.Hour), to.UTC().Truncate(time.Hour)
+	genFrom, genTo := from, to
 	if !from.Before(calendar.StudyStart) && !to.After(calendar.StudyEnd) {
-		s, err := d.studySeries(vp)
-		if err != nil {
-			return nil, err
-		}
-		return s.Slice(from, to), nil
+		genFrom, genTo = calendar.StudyStart, calendar.StudyEnd
 	}
-	key := fmt.Sprintf("series/%s/%s-%s", d.model(vp).fingerprint, hourKey(from), hourKey(to))
-	v, err := d.get(key, func() (any, error) {
-		g, err := d.Generator(vp)
-		if err != nil {
-			return nil, err
-		}
-		s := g.TotalSeries(from, to)
-		s.Points()
-		return s, nil
+	s, err := d.rangeSeries(seriesKey{vp: vp, from: HourOf(genFrom), to: HourOf(genTo)}, func(g *synth.Generator) *timeseries.Series {
+		return g.TotalSeries(genFrom, genTo)
 	})
 	if err != nil {
 		return nil, err
 	}
-	return v.(*timeseries.Series).Slice(from, to), nil
+	return s.Slice(from, to), nil
 }
 
 // ClassSeries returns the hourly series of one traffic class over [from,
 // to), memoized by range.
 func (d *Dataset) ClassSeries(vp synth.VantagePoint, class synth.Class, from, to time.Time) (*timeseries.Series, error) {
 	from, to = from.UTC().Truncate(time.Hour), to.UTC().Truncate(time.Hour)
-	key := fmt.Sprintf("class-series/%s/%s/%s-%s", d.model(vp).fingerprint, class, hourKey(from), hourKey(to))
-	v, err := d.get(key, func() (any, error) {
-		g, err := d.Generator(vp)
-		if err != nil {
-			return nil, err
-		}
-		s := g.ClassSeries(class, from, to)
-		s.Points()
-		return s, nil
+	return d.rangeSeries(seriesKey{vp: vp, class: class, from: HourOf(from), to: HourOf(to)}, func(g *synth.Generator) *timeseries.Series {
+		return g.ClassSeries(class, from, to)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*timeseries.Series), nil
 }
 
 // FlowBatch returns the sampled flows of one hour as a columnar batch,
@@ -811,38 +719,17 @@ func (d *Dataset) ClassSeries(vp synth.VantagePoint, class synth.Class, from, to
 // share one sample. The batch comes from the dataset's FlowSource; the
 // returned batch is shared and callers must not modify it.
 func (d *Dataset) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return d.flowBatch(vp, hour, nil)
-}
-
-func (d *Dataset) flowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	key := d.model(vp).flowsKey + hourKey(hour)
-	return d.getFlow(key, pin, flowColumns, func() (*flowrec.Batch, error) {
-		return d.src.FlowBatch(vp, hour.UTC().Truncate(time.Hour))
-	})
+	return d.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: HourOf(hour)}, nil)
 }
 
 // VPNFlowBatch is FlowBatch for the gateway-pinned generator of the VPN
 // analyses.
 func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return d.vpnFlowBatch(vp, hour, nil)
-}
-
-func (d *Dataset) vpnFlowBatch(vp synth.VantagePoint, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	key := d.model(vp).vpnFlowsKey + hourKey(hour)
-	return d.getFlow(key, pin, vpnFlowColumns, func() (*flowrec.Batch, error) {
-		return d.src.VPNFlowBatch(vp, hour.UTC().Truncate(time.Hour))
-	})
+	return d.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: HourOf(hour)}, nil)
 }
 
 // ComponentFlowBatch returns the sampled flows of one named component for
 // one hour as a columnar batch, memoized per hour.
 func (d *Dataset) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	return d.componentFlowBatch(vp, name, hour, nil)
-}
-
-func (d *Dataset) componentFlowBatch(vp synth.VantagePoint, name string, hour time.Time, pin *Pin) (*flowrec.Batch, error) {
-	key := d.model(vp).componentFlowsKey + name + "/" + hourKey(hour)
-	return d.getFlow(key, pin, componentFlowColumns, func() (*flowrec.Batch, error) {
-		return d.src.ComponentFlowBatch(vp, name, hour.UTC().Truncate(time.Hour))
-	})
+	return d.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: HourOf(hour)}, nil)
 }

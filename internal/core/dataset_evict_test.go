@@ -80,33 +80,42 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 // run's fault count is a property of the suite (392 re-reads of its 4344
 // batches) and the scheduler may not add to it: no goroutine touches a
 // batch ahead of the scan that reads it, and a fresh batch is pinned by
-// its first reader before eviction can see it. RunAll at -parallel 1 and 2
-// reports exactly that count; at -parallel 4 the experiments that share
-// weeks (fig7a/fig7b with fig9, fig10 with ablation-vpn) may overlap and
-// read one resident batch together, so the count can only be lower.
+// its first reader before eviction can see it. How many re-reads a
+// parallel run of the whole suite saves is a property of the schedule —
+// experiments that share weeks (fig7a/fig7b with fig9, fig10 with
+// ablation-vpn) may overlap and read one resident batch together — so
+// there the count can only be lower. The scheduler's own contribution is
+// read where no batch is shared at all: five experiments over disjoint
+// batches fault nothing serially, so any fault at -parallel 2, 4 or 8 is a
+// rebuild the scheduler added.
 func TestBudgetedFaultsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite six times")
 	}
+	disjoint := []string{"fig7a", "fig7b", "fig8", "fig10", "fig12"}
 	for _, seed := range []int64{0, 7} {
-		faults := func(parallel int) int64 {
+		faults := func(ids []string, parallel int) int64 {
 			t.Helper()
 			e := NewEngine(Options{FlowScale: 0.05, Seed: seed, CacheBudget: 1})
 			defer e.Data().Close()
-			if _, err := e.RunAll(context.Background(), parallel); err != nil {
+			if _, err := e.RunMany(context.Background(), ids, parallel); err != nil {
 				t.Fatalf("seed %d, parallel %d: %v", seed, parallel, err)
 			}
 			return e.Data().Stats().Faults
 		}
-		serial := faults(1)
+		serial := faults(nil, 1)
 		if serial != 392 {
 			t.Errorf("seed %d: the serial suite re-reads %d batches, want 392", seed, serial)
 		}
-		if got := faults(2); got != serial {
-			t.Errorf("seed %d: %d faults at -parallel 2, want the serial %d", seed, got, serial)
+		for _, parallel := range []int{2, 4} {
+			if got := faults(nil, parallel); got > serial {
+				t.Errorf("seed %d: %d faults at -parallel %d, more than the serial %d", seed, got, parallel, serial)
+			}
 		}
-		if got := faults(4); got > serial {
-			t.Errorf("seed %d: %d faults at -parallel 4, more than the serial %d", seed, got, serial)
+		for _, parallel := range []int{1, 2, 4, 8} {
+			if got := faults(disjoint, parallel); got != 0 {
+				t.Errorf("seed %d: %v share no batch and faulted %d at -parallel %d, want 0", seed, disjoint, got, parallel)
+			}
 		}
 	}
 }
@@ -124,7 +133,7 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 
 	pin := d.NewPin()
 	defer pin.Release()
-	pinned, err := pin.FlowBatch(synth.ISPCE, spillHour)
+	pinned, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 	if s.Pinned != 1 || s.ResidentBytes != pinned.HeapBytes() {
 		t.Errorf("only the pinned hour may be resident: %+v, pinned batch holds %d bytes", s, pinned.HeapBytes())
 	}
-	if again, err := pin.FlowBatch(synth.ISPCE, spillHour); err != nil || again != pinned {
+	if again, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)}); err != nil || again != pinned {
 		t.Errorf("the pinned entry was evicted under its reader (%v)", err)
 	}
 
@@ -208,8 +217,8 @@ func pinnedBytes(d *Dataset) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	var n int64
-	for _, e := range d.entries {
-		if fe, ok := e.val.(*flowEntry); ok && fe.pins.Load() > 0 {
+	for _, fe := range d.flows {
+		if fe.pins.Load() > 0 {
 			n += fe.heapBytes
 		}
 	}

@@ -122,7 +122,7 @@ func TestCompactionDamagedSpan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ref, err := victim.file.Append(b.Project(vpnFlowColumns &^ (flowrec.ColSrcIP | flowrec.ColDstIP)))
+			ref, err := victim.file.Append(b.Project(victim.key.Columns() &^ (flowrec.ColSrcIP | flowrec.ColDstIP)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,9 +144,9 @@ func TestCompactionDamagedSpan(t *testing.T) {
 			if files := spillFiles(t, opts.CacheDir)[flowstore.SpannedExt]; len(files) != 1 {
 				t.Fatalf("want one span file, found %v", files)
 			}
-			victim := d.entries[d.model(synth.ISPCE).vpnFlowsKey+hourKey(hours[3])].val.(*flowEntry)
-			if victim.cols != vpnFlowColumns || victim.ref.Cols != vpnFlowColumns {
-				t.Fatalf("entry stores %s, its span %s, want the kind's %s", victim.cols, victim.ref.Cols, vpnFlowColumns)
+			victim := d.flows[FlowKey{Kind: KindVPNFlows, VP: synth.ISPCE, Hour: HourOf(hours[3])}]
+			if want := victim.key.Columns(); victim.cols != want || victim.ref.Cols != want {
+				t.Fatalf("entry stores %s, its span %s, want the kind's %s", victim.cols, victim.ref.Cols, want)
 			}
 			damage(t, d, victim, hours[3])
 

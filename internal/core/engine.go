@@ -58,7 +58,7 @@ type Env struct {
 	// revisit its hour grid without fault-in churn and cache eviction
 	// never races a reader. The engine creates and releases it around
 	// each run; a hand-built Env (tests) may leave it nil, in which case
-	// the accessors fall back to unpinned cache access.
+	// the accessors read the cache unpinned.
 	pin *Pin
 	// ctx is the run's context: sharded scans observe it between chunks
 	// so a cancelled RunAll stops mid-grid instead of finishing the
@@ -84,33 +84,29 @@ func (env *Env) series(vp synth.VantagePoint, from, to time.Time) (*timeseries.S
 	return env.Data.Series(vp, from, to)
 }
 
+// batch draws a flow batch through the run's pin (none on a hand-built
+// Env: the access is then unpinned).
+func (env *Env) batch(k FlowKey) (*flowrec.Batch, error) { return env.Data.batch(k, env.pin) }
+
 func (env *Env) flowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	if env.pin != nil {
-		return env.pin.FlowBatch(vp, hour)
-	}
-	return env.Data.FlowBatch(vp, hour)
+	return env.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: HourOf(hour)})
 }
 
 func (env *Env) vpnFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	if env.pin != nil {
-		return env.pin.VPNFlowBatch(vp, hour)
-	}
-	return env.Data.VPNFlowBatch(vp, hour)
+	return env.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: HourOf(hour)})
 }
 
 func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	if env.pin != nil {
-		return env.pin.ComponentFlowBatch(vp, name, hour)
-	}
-	return env.Data.ComponentFlowBatch(vp, name, hour)
+	return env.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: HourOf(hour)})
 }
 
 // CacheStats summarises the dataset cache's effectiveness and, when a
 // cache budget is set, its eviction activity.
 type CacheStats struct {
-	// Entries counts all memoized keys (generators, series, flow batches).
+	// Entries counts all memoized values (generators, series, flow
+	// batches). Each was installed by one miss and none is ever removed.
 	Entries int
-	// Hits and Misses count cache-key lookups.
+	// Hits and Misses count memoized lookups.
 	Hits   int64
 	Misses int64
 	// Budget is the Options.CacheBudget in force (0 = unlimited).

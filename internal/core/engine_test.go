@@ -188,7 +188,7 @@ func TestBatchMBIsAttributable(t *testing.T) {
 		}
 		rows += b.Len()
 	}
-	width := componentFlowColumns.RowBytes()
+	width := FlowKey{Kind: KindComponentFlows}.Columns().RowBytes()
 	if width != 12 {
 		t.Errorf("a component-flow row stores %d bytes, want 12", width)
 	}

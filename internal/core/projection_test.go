@@ -2,24 +2,20 @@ package core
 
 import (
 	"context"
-	"strings"
 	"testing"
 
 	"lockdown/internal/flowrec"
+	"lockdown/internal/synth"
 )
 
 // storedColumns returns the column set of every flow-batch entry of d,
-// keyed by batch kind (the cache key up to its first slash).
+// keyed by batch kind.
 func storedColumns(d *Dataset) map[string]map[flowrec.Columns]int {
 	out := make(map[string]map[flowrec.Columns]int)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for key, e := range d.entries {
-		fe, ok := e.val.(*flowEntry)
-		if !ok {
-			continue
-		}
-		kind, _, _ := strings.Cut(key, "/")
+	for key, fe := range d.flows {
+		kind := key.Kind.String()
 		if out[kind] == nil {
 			out[kind] = make(map[flowrec.Columns]int)
 		}
@@ -44,9 +40,9 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 		cols  flowrec.Columns
 		width int
 	}{
-		"flows":           {flowColumns, 22},
-		"vpn-flows":       {vpnFlowColumns, 21},
-		"component-flows": {componentFlowColumns, 12},
+		"flows":           {FlowKey{Kind: KindFlows}.Columns(), 22},
+		"vpn-flows":       {FlowKey{Kind: KindVPNFlows}.Columns(), 21},
+		"component-flows": {FlowKey{Kind: KindComponentFlows}.Columns(), 12},
 	} {
 		if got := want.cols.RowBytes(); got != want.width {
 			t.Errorf("%s rows store %d bytes (%s), want %d", kind, got, want.cols, want.width)
@@ -88,7 +84,7 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 			// Neither side of the comparison is vacuous: the default engine
 			// stored exactly the kind sets, the reference all fifteen.
 			for kind, cols := range map[string]flowrec.Columns{
-				"flows": flowColumns, "vpn-flows": vpnFlowColumns, "component-flows": componentFlowColumns,
+				"flows": FlowKey{Kind: KindFlows}.Columns(), "vpn-flows": FlowKey{Kind: KindVPNFlows}.Columns(), "component-flows": FlowKey{Kind: KindComponentFlows}.Columns(),
 			} {
 				if n := gotCols[kind][cols]; n == 0 || len(gotCols[kind]) != 1 {
 					t.Errorf("seed %d: default engine's %s entries store %v, want only %s", seed, kind, gotCols[kind], cols)
@@ -100,6 +96,44 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 			if gotMB <= 0 || gotMB > 0.4*fullMB {
 				t.Errorf("seed %d: batch MB %.1f projected vs %.1f full-width, want about a third", seed, gotMB, fullMB)
 			}
+		}
+	}
+}
+
+// TestDefaultSourceIsProjectedSyntheticSource: a dataset's default flow
+// source is the SyntheticSource that holds its models, asked for each
+// kind's columns; NewSyntheticSource generates every column; and the two
+// agree column for column on what both store — the unit fact
+// TestProjectedSuiteEqualsFullWidth rests on.
+func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
+	opts := Options{FlowScale: 0.1}
+	d := NewDataset(opts)
+	defer d.Close()
+	if d.src != FlowSource(d.model) {
+		t.Fatalf("default source is %T, want the dataset's own model", d.src)
+	}
+	full := NewSyntheticSource(opts)
+	for _, k := range []FlowKey{
+		{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)},
+		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: HourOf(spillHour)},
+		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: HourOf(spillHour)},
+	} {
+		got, err := fetch(d.src, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := full.Batch(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Columns() != k.Columns() || want.Columns() != flowrec.AllColumns {
+			t.Errorf("%v: default source stores %s, want %s; NewSyntheticSource stores %s, want every column", k, got.Columns(), k.Columns(), want.Columns())
+		}
+		if got.Len() == 0 || !want.Project(k.Columns()).Equal(got) {
+			t.Errorf("%v: the projected batch (%d rows) is not the full-width one's columns (%d rows)", k, got.Len(), want.Len())
+		}
+		if cached, err := d.batch(k, nil); err != nil || !cached.Equal(got) {
+			t.Errorf("%v: the cache holds something else than its source delivers (%v)", k, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -13,18 +14,17 @@ import (
 
 // FlowSource supplies the flow-level inputs of the experiment suite: the
 // per-hour flow batches of a vantage point, the gateway-pinned variant
-// used by the VPN analyses, and the per-component batches. The Dataset
-// cache consumes exactly one FlowSource and memoizes every batch it
-// returns behind the per-key sync.Once, so a source is asked for a key
+// used by the VPN analyses, and the per-component batches — one method per
+// FlowKind. The Dataset cache consumes exactly one FlowSource and memoizes
+// every batch it returns under its FlowKey, so a source is asked for a key
 // once — and again only when the batch was evicted under a cache budget
 // with no span to bring it back from, which is why a source must return
 // the same batch for the same key every time.
 //
-// Two implementations exist: the in-process synthetic generator (the
-// default, see SyntheticSource) and the wire-replay bridge in package
-// replay, which serves the same batches off live NetFlow/IPFIX export.
-// Returned batches are published read-only through the cache; a source
-// must never retain or mutate a batch after returning it.
+// The generator-backed implementation is SyntheticSource; the wire-replay
+// bridge in package replay serves the same batches off live NetFlow/IPFIX
+// export. Returned batches are published read-only through the cache; a
+// source must never retain or mutate a batch after returning it.
 //
 // Ownership: a batch a source returns belongs to the caller, and only the
 // caller may hand it to the flowrec pool (Batch.Release). The Dataset keeps
@@ -39,10 +39,10 @@ import (
 // like any other.
 //
 // Projection is a property of the batch kind: every scan of a kind reads
-// inside the kind's column set below, so the default source generates
-// (and the cache holds and spills) those columns and no others. A source
-// may return more — the wire carries every field, so the bridge and
-// SyntheticSource return full-width batches — and the cache stores a
+// inside FlowKey.Columns, so the dataset's default source generates (and
+// the cache holds and spills) those columns and no others. A source may
+// return more — the wire carries every field, so the bridge and
+// NewSyntheticSource return full-width batches — and the cache stores a
 // batch as delivered; it must not return fewer.
 type FlowSource interface {
 	FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
@@ -50,22 +50,98 @@ type FlowSource interface {
 	ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error)
 }
 
-// The column set of each batch kind: the union of what the kernels that
-// scan the kind read, each declared by the package that owns the kernel.
-// A new reader of a kind widens the kind's set here; core's
-// TestProjectedSuiteEqualsFullWidth fails when one is forgotten.
+// FlowKind enumerates the draws a flow batch comes in, one per FlowSource
+// method. The values are the kind byte of the replay wire protocol.
+type FlowKind uint8
+
 const (
-	// flowColumns (22 B a row): the port histograms (server-port lanes
-	// and bytes), the application classifier, and the EDU connection
-	// counts by class and direction.
-	flowColumns = flowrec.PortLaneColumns | flowrec.ColBytes | appclass.Columns | appclass.EDUColumns
-	// vpnFlowColumns (21 B a row): the VPN detector, the one scan that
-	// looks at both addresses.
-	vpnFlowColumns = vpndetect.Columns
-	// componentFlowColumns (12 B a row): Figure 8's volume and
-	// unique-eyeball-address count of the gaming component.
-	componentFlowColumns = flowrec.ColBytes | flowrec.ColDstIP
+	KindFlows          FlowKind = iota // every component of the vantage point
+	KindVPNFlows                       // the same, from the gateway-pinned generator
+	KindComponentFlows                 // one named component
 )
+
+// String implements fmt.Stringer.
+func (k FlowKind) String() string {
+	switch k {
+	case KindFlows:
+		return "flows"
+	case KindVPNFlows:
+		return "vpn-flows"
+	case KindComponentFlows:
+		return "component-flows"
+	default:
+		return fmt.Sprintf("kind(%d)", uint8(k))
+	}
+}
+
+// Hour is a whole UTC hour, counted from the Unix epoch. Every time.Time
+// inside the hour — in any zone, with or without a monotonic reading —
+// maps to the same value, which is what makes FlowKey comparable.
+type Hour int64
+
+// HourOf returns the hour t falls in.
+func HourOf(t time.Time) Hour { return Hour(t.Truncate(time.Hour).Unix() / 3600) }
+
+// Time returns the start of the hour, in UTC.
+func (h Hour) Time() time.Time { return time.Unix(int64(h)*3600, 0).UTC() }
+
+// FlowKey is the one name of a flow batch: the dataset cache's map key, a
+// Pin's argument, the request of the replay wire protocol and the key
+// argument of trace spans and degraded-run stamps. Two keys of the same
+// batch are ==.
+type FlowKey struct {
+	Kind FlowKind
+	VP   synth.VantagePoint
+	Name string // component name, KindComponentFlows only
+	Hour Hour
+}
+
+// String renders the key for errors, logs and traces.
+func (k FlowKey) String() string {
+	h := k.Hour.Time().Format("2006-01-02T15")
+	if k.Kind == KindComponentFlows {
+		return fmt.Sprintf("%s/%s/%s@%s", k.Kind, k.VP, k.Name, h)
+	}
+	return fmt.Sprintf("%s/%s@%s", k.Kind, k.VP, h)
+}
+
+// Columns is the column set of the key's kind: the union of what the
+// kernels that scan the kind read, each declared by the package that owns
+// the kernel. A new reader of a kind widens the kind's set here; core's
+// TestProjectedSuiteEqualsFullWidth fails when one is forgotten.
+func (k FlowKey) Columns() flowrec.Columns {
+	switch k.Kind {
+	case KindFlows:
+		// 22 B a row: the port histograms (server-port lanes and bytes),
+		// the application classifier, and the EDU connection counts by
+		// class and direction.
+		return flowrec.PortLaneColumns | flowrec.ColBytes | appclass.Columns | appclass.EDUColumns
+	case KindVPNFlows:
+		// 21 B a row: the VPN detector, the one scan that looks at both
+		// addresses.
+		return vpndetect.Columns
+	case KindComponentFlows:
+		// 12 B a row: Figure 8's volume and unique-eyeball-address count
+		// of the gaming component.
+		return flowrec.ColBytes | flowrec.ColDstIP
+	default:
+		return flowrec.AllColumns
+	}
+}
+
+// fetch asks src for the batch k names.
+func fetch(src FlowSource, k FlowKey) (*flowrec.Batch, error) {
+	switch k.Kind {
+	case KindFlows:
+		return src.FlowBatch(k.VP, k.Hour.Time())
+	case KindVPNFlows:
+		return src.VPNFlowBatch(k.VP, k.Hour.Time())
+	case KindComponentFlows:
+		return src.ComponentFlowBatch(k.VP, k.Name, k.Hour.Time())
+	default:
+		return nil, fmt.Errorf("core: unknown batch kind %d", k.Kind)
+	}
+}
 
 // DegradationReporter is implemented by flow sources that can serve
 // explicitly-degraded results — empty batches standing in for
@@ -86,125 +162,102 @@ type VPNData struct {
 	Detector *vpndetect.Detector
 }
 
-// buildVPNData derives the VPN-analysis dataset from a vantage point's
-// base generator: the synthetic DNS corpus names the VPN gateways, the
-// generator is re-pinned to them, and the detector is built from the same
-// corpus. Dataset.VPN and SyntheticSource share this derivation so the
-// in-memory path and the wire-replay oracle can never drift apart.
-func buildVPNData(g *synth.Generator) *VPNData {
-	corpus, gateways := dnsdb.Generate(g.Registry(), dnsdb.DefaultGenerateOptions())
-	return &VPNData{
-		Gen:      g.WithVPNGateways(gateways),
-		Detector: vpndetect.NewFromCorpus(corpus),
-	}
-}
-
-// datasetSource is the default FlowSource of a Dataset: it draws batches
-// from the dataset's own memoized generators, projected to the kind's
-// column set.
-type datasetSource struct{ d *Dataset }
-
-func (s datasetSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	g, err := s.d.Generator(vp)
-	if err != nil {
-		return nil, err
-	}
-	return g.HourBatch(hour, "", flowColumns), nil
-}
-
-func (s datasetSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	vd, err := s.d.VPN(vp)
-	if err != nil {
-		return nil, err
-	}
-	return vd.Gen.HourBatch(hour, "", vpnFlowColumns), nil
-}
-
-func (s datasetSource) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	g, err := s.d.Generator(vp)
-	if err != nil {
-		return nil, err
-	}
-	return g.HourBatch(hour, name, componentFlowColumns), nil
-}
-
-// SyntheticSource is a standalone generator-backed FlowSource: it
-// memoizes the generators (and the VPN gateway derivation) per vantage
-// point but generates every requested batch on demand and full-width,
-// without caching it. It is the model oracle of the wire-replay harness —
-// both the pump (which exports the batches) and the bridge (which
-// verifies the received rows bit-for-bit) hold one, and both release each
-// batch when done with it (see FlowSource) — and can serve anywhere a
-// FlowSource is needed without the memory footprint of a full Dataset.
-type SyntheticSource struct {
-	opts Options
-
-	mu   sync.Mutex
-	gens map[synth.VantagePoint]*sourceEntry
-	vpns map[synth.VantagePoint]*sourceEntry
-}
-
-type sourceEntry struct {
+// memo is one lazily built, shared value.
+type memo[T any] struct {
 	once sync.Once
-	val  any
+	val  T
 	err  error
 }
 
-// NewSyntheticSource returns a generator-backed FlowSource for the given
-// options.
-func NewSyntheticSource(opts Options) *SyntheticSource {
-	return &SyntheticSource{
-		opts: opts,
-		gens: make(map[synth.VantagePoint]*sourceEntry),
-		vpns: make(map[synth.VantagePoint]*sourceEntry),
+// get returns the value, building it on the first call. count, when set,
+// is told whether this lookup was the one that built.
+func (m *memo[T]) get(count func(miss bool), build func() (T, error)) (T, error) {
+	miss := false
+	m.once.Do(func() {
+		miss = true
+		m.val, m.err = build()
+	})
+	if count != nil {
+		count(miss)
 	}
+	return m.val, m.err
 }
 
-// Options returns the options the source was built with.
-func (s *SyntheticSource) Options() Options { return s.opts }
+// vpModel is a vantage point's traffic model as one Options value resolves
+// it, each part built on first use and then shared: the generator (whose
+// construction asks Options.Model, exactly once) and the VPN-analysis data
+// derived from it.
+type vpModel struct {
+	gen memo[*synth.Generator]
+	vpn memo[*VPNData]
+}
 
-func (s *SyntheticSource) entry(m map[synth.VantagePoint]*sourceEntry, vp synth.VantagePoint) *sourceEntry {
+// SyntheticSource is the generator-backed FlowSource: it memoizes the
+// model of each vantage point but generates every requested batch on
+// demand, without caching it. NewSyntheticSource returns the full-width
+// one — the model oracle of the wire-replay harness: both the pump (which
+// exports the batches) and the bridge (which verifies the received rows
+// bit-for-bit) hold one, and both release each batch when done with it
+// (see FlowSource). A Dataset holds one for its generators, which is also
+// its default flow source, projected to each kind's columns.
+type SyntheticSource struct {
+	opts      Options
+	projected bool            // generate FlowKey.Columns instead of every column
+	count     func(miss bool) // the owning dataset's lookup accounting; nil standalone
+
+	mu     sync.Mutex
+	models map[synth.VantagePoint]*vpModel
+}
+
+// NewSyntheticSource returns a generator-backed FlowSource of full-width
+// batches for the given options.
+func NewSyntheticSource(opts Options) *SyntheticSource {
+	return &SyntheticSource{opts: opts, models: make(map[synth.VantagePoint]*vpModel)}
+}
+
+func (s *SyntheticSource) model(vp synth.VantagePoint) *vpModel {
 	s.mu.Lock()
-	e, ok := m[vp]
-	if !ok {
-		e = &sourceEntry{}
-		m[vp] = e
+	m := s.models[vp]
+	if m == nil {
+		m = &vpModel{}
+		s.models[vp] = m
 	}
 	s.mu.Unlock()
-	return e
+	return m
 }
 
-// Generator returns the memoized generator of a vantage point. As with
-// Dataset.Generator, the instance is shared: never call its mutating
-// methods.
+// Generator returns the shared generator of a vantage point. The instance
+// is safe for concurrent read-only use; never call its mutating methods.
 func (s *SyntheticSource) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
-	e := s.entry(s.gens, vp)
-	e.once.Do(func() {
-		e.val, e.err = synth.New(s.opts.synthConfig(vp))
+	return s.model(vp).gen.get(s.count, func() (*synth.Generator, error) {
+		return synth.New(s.opts.synthConfig(vp))
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.val.(*synth.Generator), nil
 }
 
-// VPN returns the memoized VPN-analysis dataset of a vantage point (the
-// same derivation as Dataset.VPN).
+// VPN returns the shared VPN-analysis data of a vantage point: the
+// synthetic DNS corpus names the VPN gateways, the generator is re-pinned
+// to them, and the detector is built from the same corpus.
 func (s *SyntheticSource) VPN(vp synth.VantagePoint) (*VPNData, error) {
-	e := s.entry(s.vpns, vp)
-	e.once.Do(func() {
+	return s.model(vp).vpn.get(s.count, func() (*VPNData, error) {
 		g, err := s.Generator(vp)
 		if err != nil {
-			e.err = err
-			return
+			return nil, err
 		}
-		e.val = buildVPNData(g)
+		corpus, gateways := dnsdb.Generate(g.Registry(), dnsdb.DefaultGenerateOptions())
+		return &VPNData{Gen: g.WithVPNGateways(gateways), Detector: vpndetect.NewFromCorpus(corpus)}, nil
 	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e.val.(*VPNData), nil
 }
+
+// columns is what the source generates for a kind.
+func (s *SyntheticSource) columns(kind FlowKind) flowrec.Columns {
+	if s.projected {
+		return FlowKey{Kind: kind}.Columns()
+	}
+	return flowrec.AllColumns
+}
+
+// Batch generates the batch k names (not memoized).
+func (s *SyntheticSource) Batch(k FlowKey) (*flowrec.Batch, error) { return fetch(s, k) }
 
 // FlowBatch generates the sampled flows of one hour (not memoized).
 func (s *SyntheticSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
@@ -212,7 +265,7 @@ func (s *SyntheticSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flo
 	if err != nil {
 		return nil, err
 	}
-	return g.FlowsForHourBatch(hour), nil
+	return g.HourBatch(hour, "", s.columns(KindFlows)), nil
 }
 
 // VPNFlowBatch generates one hour of the gateway-pinned generator's flows
@@ -222,7 +275,7 @@ func (s *SyntheticSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*
 	if err != nil {
 		return nil, err
 	}
-	return vd.Gen.FlowsForHourBatch(hour), nil
+	return vd.Gen.HourBatch(hour, "", s.columns(KindVPNFlows)), nil
 }
 
 // ComponentFlowBatch generates one named component's flows for one hour
@@ -232,5 +285,5 @@ func (s *SyntheticSource) ComponentFlowBatch(vp synth.VantagePoint, name string,
 	if err != nil {
 		return nil, err
 	}
-	return g.ComponentFlowsForHourBatch(name, hour), nil
+	return g.HourBatch(hour, name, s.columns(KindComponentFlows)), nil
 }

@@ -38,7 +38,6 @@ const (
 	v5HeaderLen    = 24
 	v5RecordLen    = 48
 	V5MaxRecords   = 30 // per RFC-less Cisco spec, max records per packet
-	v5TotalMax     = v5HeaderLen + V5MaxRecords*v5RecordLen
 	v5EngineType   = 0
 	v5EngineID     = 0
 	v5SamplingMode = 0

@@ -77,10 +77,6 @@ type Histogram struct {
 // pipeline uses it so panels line up.
 var DurationBuckets = []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384, 65.536}
 
-// SizeBuckets is the shared bucket layout for byte sizes: 1KiB to 1GiB in
-// powers of 16.
-var SizeBuckets = []float64{1 << 10, 1 << 14, 1 << 18, 1 << 22, 1 << 26, 1 << 30}
-
 // NewHistogram returns a standalone histogram with the given ascending
 // upper bounds (a final +Inf bucket is implicit).
 func NewHistogram(bounds []float64) *Histogram {

@@ -68,7 +68,7 @@ func BenchmarkPumpServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pump.Close()
-	key := Key{Kind: KindFlows, VP: synth.ISPCE, Hour: testHour}
+	key := core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)}
 	pump.serve(0, key) // build the generator outside the timed loop
 	rows := pump.Stats().RowsSent
 	b.ReportAllocs()

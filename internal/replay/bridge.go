@@ -24,10 +24,10 @@ const (
 	DefaultReadBuffer     = 4 << 20
 )
 
-// Route maps a replay key to the stream (pump) that serves it. The
+// Route maps a flow key to the stream (pump) that serves it. The
 // sharded cluster partitions the vantage points, so all keys of one
 // vantage point route to one stream.
-type Route func(Key) uint32
+type Route func(core.FlowKey) uint32
 
 // Config tunes a Bridge.
 type Config struct {
@@ -42,14 +42,6 @@ type Config struct {
 	// Route maps each key to the stream serving it (nil routes every
 	// key to stream 0 — the single-pump topology).
 	Route Route
-	// Unverified switches the bridge to capture mode: wire batches are
-	// still checked against the reference model where one exists, but a
-	// failed or impossible verification is accounted (Stats.Unverified)
-	// instead of failing the fetch, the pump's announced row count is
-	// authoritative, and the rows are served as they arrived — no v5
-	// repair. For exploratory runs over foreign or diverging traffic;
-	// the bit-identity guarantee does not hold in this mode.
-	Unverified bool
 	// AttemptTimeout bounds how long one request waits for its complete
 	// bucket before the bridge retries (DefaultAttemptTimeout if zero).
 	AttemptTimeout time.Duration
@@ -94,7 +86,6 @@ type Stats struct {
 	StaleFrames  int64 // control frames of an abandoned generation, an unknown stream, or a full inbox
 	BadFrames    int64 // control frames that failed to parse
 	DecodeErrors int64 // malformed flow packets reported by the collector
-	Unverified   int64 // buckets served without full verification (capture mode only)
 	// DegradedStreams counts the buckets served as explicitly-missing
 	// empty batches after the retry budget ran out (AllowPartial only);
 	// DegradedKeys() lists them.
@@ -111,7 +102,6 @@ func (s *Stats) add(o Stats) {
 	s.StaleFrames += o.StaleFrames
 	s.BadFrames += o.BadFrames
 	s.DecodeErrors += o.DecodeErrors
-	s.Unverified += o.Unverified
 	s.DegradedStreams += o.DegradedStreams
 }
 
@@ -158,7 +148,6 @@ type stream struct {
 	orphanRows  *obs.Counter
 	inboxDrops  *obs.Counter
 	staleFrames *obs.Counter
-	unverified  *obs.Counter
 	degraded    *obs.Counter
 }
 
@@ -185,8 +174,6 @@ func newStream(id uint32, reg *obs.Registry) *stream {
 			"Rows dropped at a full stream inbox (stalled consumer)."),
 		staleFrames: vec("lockdown_bridge_stale_frames_total",
 			"Control frames of an abandoned generation or a full inbox."),
-		unverified: vec("lockdown_bridge_unverified_total",
-			"Buckets served without full verification (capture mode)."),
 		degraded: vec("lockdown_bridge_degraded_total",
 			"Buckets served as explicitly-missing empty batches."),
 	}
@@ -213,7 +200,6 @@ func (st *stream) stats() Stats {
 		OrphanRows:      st.orphanRows.Value(),
 		InboxDrops:      st.inboxDrops.Value(),
 		StaleFrames:     st.staleFrames.Value(),
-		Unverified:      st.unverified.Value(),
 		DegradedStreams: st.degraded.Value(),
 	}
 }
@@ -351,7 +337,7 @@ func (b *Bridge) stream(id uint32) *stream {
 }
 
 // route maps a key to its stream id.
-func (b *Bridge) route(k Key) uint32 {
+func (b *Bridge) route(k core.FlowKey) uint32 {
 	if b.cfg.Route == nil {
 		return 0
 	}
@@ -488,17 +474,17 @@ func (b *Bridge) StreamStats() map[uint32]Stats { return b.Snapshot().Streams }
 
 // FlowBatch implements core.FlowSource.
 func (b *Bridge) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return b.fetch(Key{Kind: KindFlows, VP: vp, Hour: hour})
+	return b.fetch(core.FlowKey{Kind: core.KindFlows, VP: vp, Hour: core.HourOf(hour)})
 }
 
 // VPNFlowBatch implements core.FlowSource.
 func (b *Bridge) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return b.fetch(Key{Kind: KindVPNFlows, VP: vp, Hour: hour})
+	return b.fetch(core.FlowKey{Kind: core.KindVPNFlows, VP: vp, Hour: core.HourOf(hour)})
 }
 
 // ComponentFlowBatch implements core.FlowSource.
 func (b *Bridge) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	return b.fetch(Key{Kind: KindComponentFlows, VP: vp, Name: name, Hour: hour})
+	return b.fetch(core.FlowKey{Kind: core.KindComponentFlows, VP: vp, Name: name, Hour: core.HourOf(hour)})
 }
 
 // fatalError marks fetch failures that a retry cannot cure (model
@@ -559,7 +545,7 @@ func (b *Bridge) backoff(attempts int, deadline time.Time) {
 // from the dead assignment is discarded as stale). With AllowPartial an
 // exhausted budget degrades to an explicitly-accounted empty batch
 // instead of an error.
-func (b *Bridge) fetch(k Key) (*flowrec.Batch, error) {
+func (b *Bridge) fetch(k core.FlowKey) (*flowrec.Batch, error) {
 	sp := b.tracer.Start("fetch", "bridge")
 	got, err := b.fetchKey(k)
 	if sp.Active() {
@@ -574,34 +560,19 @@ func (b *Bridge) fetch(k Key) (*flowrec.Batch, error) {
 	return got, err
 }
 
-func (b *Bridge) fetchKey(k Key) (*flowrec.Batch, error) {
-	k.Hour = k.Hour.UTC().Truncate(time.Hour)
+func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 	// Build the reference before taking the stream's fetch lock so
 	// reference generation of one key overlaps the wire wait of another.
-	ref, err := batchForKey(b.src, k)
+	// A key the model cannot build is refused here, before any pump is
+	// asked.
+	ref, err := b.src.Batch(k)
 	if err != nil {
-		if !b.cfg.Unverified {
-			return nil, err
-		}
-		ref = nil // capture mode serves keys the model cannot build
+		return nil, err
 	}
 	// The reference is this fetch's alone and every attempt compares
 	// against it, so it goes back to the pool only when the fetch is over
 	// — by then the v5 repair has copied what it needs out of it.
 	defer ref.Release()
-	// expected < 0 means no authoritative reference row count: the
-	// pump's announced count rules the bucket. That is always the case
-	// in capture mode — even when the model produced a reference, a
-	// divergent announcement must be served, not rejected; verification
-	// stays advisory (see verify). Sizing is separate from acceptance:
-	// a capture-mode reference still preallocates the bucket.
-	expected, sizeHint := -1, 0
-	if ref != nil {
-		sizeHint = ref.Len()
-		if !b.cfg.Unverified {
-			expected = ref.Len()
-		}
-	}
 	deadline := time.Now().Add(b.fetchBudget())
 	attempts := 0
 	var lastErr error
@@ -621,7 +592,7 @@ func (b *Bridge) fetchKey(k Key) (*flowrec.Batch, error) {
 			continue
 		}
 		lastStream = st
-		got, err := b.fetchFromStream(st, k, ref, expected, sizeHint, deadline, &attempts)
+		got, err := b.fetchFromStream(st, k, ref, deadline, &attempts)
 		if err == nil {
 			return got, nil
 		}
@@ -654,7 +625,7 @@ func (b *Bridge) fetchKey(k Key) (*flowrec.Batch, error) {
 // route moved off this stream mid-retry — the caller re-routes; fetch
 // attempts and the retry accounting continue seamlessly across streams
 // through the shared counters.
-func (b *Bridge) fetchFromStream(st *stream, k Key, ref *flowrec.Batch, expected, sizeHint int, deadline time.Time, attempts *int) (*flowrec.Batch, error) {
+func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch, deadline time.Time, attempts *int) (*flowrec.Batch, error) {
 	st.fetchMu.Lock()
 	defer st.fetchMu.Unlock()
 	var lastErr error
@@ -685,7 +656,7 @@ func (b *Bridge) fetchFromStream(st *stream, k Key, ref *flowrec.Batch, expected
 			}
 			continue
 		}
-		got, err := b.collect(st, st.gen, k, expected, sizeHint, deadline)
+		got, err := b.collect(st, st.gen, k, ref.Len(), deadline)
 		if err != nil {
 			var fe fatalError
 			if errors.As(err, &fe) {
@@ -697,7 +668,7 @@ func (b *Bridge) fetchFromStream(st *stream, k Key, ref *flowrec.Batch, expected
 			}
 			continue
 		}
-		if err := b.verify(st, ref, got); err != nil {
+		if err := verifyAndRepair(b.cfg.Format, ref, got); err != nil {
 			// Usually stray rows that happened to fill the bucket; a
 			// genuine model divergence keeps failing and surfaces after
 			// the attempts run out.
@@ -713,7 +684,7 @@ func (b *Bridge) fetchFromStream(st *stream, k Key, ref *flowrec.Batch, expected
 
 // routeMoved reports whether the key no longer routes to the given
 // stream (a cluster rebalance re-targeted it mid-fetch).
-func (b *Bridge) routeMoved(k Key, id uint32) bool {
+func (b *Bridge) routeMoved(k core.FlowKey, id uint32) bool {
 	return b.cfg.Route != nil && b.route(k) != id
 }
 
@@ -727,22 +698,6 @@ func (b *Bridge) DegradedKeys() []string {
 	b.degradedMu.Unlock()
 	sort.Strings(out)
 	return out
-}
-
-// verify applies the bridge's verification policy to a completed bucket.
-// In the default mode the wire rows must match the reference bit-for-bit
-// (with the documented v5 repair). In capture mode verification is
-// advisory: it still runs where the model produced a same-sized
-// reference, but any shortfall is accounted instead of failing the
-// bucket, and the rows are served as they arrived.
-func (b *Bridge) verify(st *stream, ref, got *flowrec.Batch) error {
-	if !b.cfg.Unverified {
-		return verifyAndRepair(b.cfg.Format, ref, got)
-	}
-	if ref == nil || ref.Len() != got.Len() || verifyOnly(b.cfg.Format, ref, got) != nil {
-		st.unverified.Add(1)
-	}
-	return nil
 }
 
 // endGrace is how long after an END frame the bridge keeps draining the
@@ -762,9 +717,8 @@ const (
 // and claimed when BEGIN turns up, the bucket completes on row count
 // alone, and an END frame with rows still missing starts a short grace
 // window for channel-buffered data instead of concluding loss
-// immediately. expected < 0 accepts whatever row count BEGIN announces;
-// sizeHint preallocates the bucket independently of acceptance (capture
-// mode passes the reference length it refuses to enforce). The attempt
+// immediately. expected is the reference's row count: it sizes the bucket,
+// and a BEGIN frame announcing anything else is fatal. The attempt
 // timeout is truncated to the fetch deadline so the last attempt cannot
 // overrun the budget. An attempt that fails (loss, overrun, timeout)
 // releases its bucket to the pool, where the next reference or export
@@ -772,14 +726,14 @@ const (
 // once verified, to the dataset cache for good. That is also why the
 // bucket is allocated at its exact size and not drawn from the pool: the
 // cache would keep whatever capacity a pooled batch happened to have.
-func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, deadline time.Time) (_ *flowrec.Batch, err error) {
+func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, deadline time.Time) (_ *flowrec.Batch, err error) {
 	timeout := b.cfg.AttemptTimeout
 	if remaining := time.Until(deadline); remaining < timeout {
 		timeout = max(remaining, 10*time.Millisecond)
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	out := flowrec.NewBatch(max(expected, sizeHint, 0))
+	out := flowrec.NewBatch(expected)
 	defer func() {
 		if err != nil {
 			out.Release()
@@ -792,8 +746,7 @@ func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, 
 			flowrec.PutBatch(p)
 		}
 	}()
-	accepting := false
-	announced := -1
+	accepting := false // BEGIN seen, announcing the expected rows
 	var grace *time.Timer
 	var graceC <-chan time.Time
 	defer func() {
@@ -808,15 +761,15 @@ func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, 
 	claim := func(batch *flowrec.Batch) error {
 		out.AppendBatch(batch)
 		flowrec.PutBatch(batch)
-		if out.Len() > announced {
-			st.orphanRows.Add(int64(out.Len() - announced))
-			return fmt.Errorf("bucket overran: %d rows announced, %d received", announced, out.Len())
+		if out.Len() > expected {
+			st.orphanRows.Add(int64(out.Len() - expected))
+			return fmt.Errorf("bucket overran: %d rows announced, %d received", expected, out.Len())
 		}
 		return nil
 	}
 
 	for {
-		if accepting && out.Len() == announced {
+		if accepting && out.Len() == expected {
 			return out, nil
 		}
 		select {
@@ -824,7 +777,7 @@ func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, 
 			if !ok {
 				return nil, fatalf("collector closed")
 			}
-			if f.gen != gen || !f.key.equal(k) {
+			if f.gen != gen || f.key != k {
 				// END frames of earlier generations are expected: a
 				// bucket completes on row count, so its END is usually
 				// consumed by the next fetch. Anything else is stale.
@@ -835,11 +788,10 @@ func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, 
 			}
 			switch f.typ {
 			case frameBegin:
-				if expected >= 0 && f.rows != expected {
+				if f.rows != expected {
 					return nil, fatalf("pump announced %d rows, reference model has %d (options mismatch between pump and bridge?)", f.rows, expected)
 				}
 				accepting = true
-				announced = f.rows
 				claimed := pending
 				pending = nil
 				for _, p := range claimed {
@@ -873,20 +825,13 @@ func (b *Bridge) collect(st *stream, gen uint32, k Key, expected, sizeHint int, 
 				return nil, err
 			}
 		case <-graceC:
-			st.lostRows.Add(int64(announced - out.Len()))
-			return nil, fmt.Errorf("bucket closed with %d of %d rows", out.Len(), announced)
+			st.lostRows.Add(int64(expected - out.Len()))
+			return nil, fmt.Errorf("bucket closed with %d of %d rows", out.Len(), expected)
 		case <-timer.C:
-			if announced > out.Len() {
-				st.lostRows.Add(int64(announced - out.Len()))
+			if accepting {
+				st.lostRows.Add(int64(expected - out.Len()))
 			}
-			want := announced
-			if want < 0 {
-				want = expected
-			}
-			if want >= 0 {
-				return nil, fmt.Errorf("timed out after %v with %d of %d rows", timeout, out.Len(), want)
-			}
-			return nil, fmt.Errorf("timed out after %v with %d rows and no BEGIN frame", timeout, out.Len())
+			return nil, fmt.Errorf("timed out after %v with %d of %d rows", timeout, out.Len(), expected)
 		}
 	}
 }
@@ -936,23 +881,6 @@ func (b *Bridge) drainQuiescent(st *stream, idle time.Duration) {
 // ASN bits) and the lossy columns are then restored from the verified
 // reference, so the engine sees bit-identical inputs in every format.
 func verifyAndRepair(format collector.Format, ref, got *flowrec.Batch) error {
-	if err := verifyOnly(format, ref, got); err != nil {
-		return err
-	}
-	if format == collector.FormatNetflowV5 {
-		copy(got.Bytes, ref.Bytes)
-		copy(got.Packets, ref.Packets)
-		copy(got.SrcAS, ref.SrcAS)
-		copy(got.DstAS, ref.DstAS)
-		copy(got.Dir, ref.Dir)
-	}
-	return nil
-}
-
-// verifyOnly is the comparison half of verifyAndRepair: it checks every
-// carried bit and reports the first mismatch, without restoring the v5
-// lossy columns.
-func verifyOnly(format collector.Format, ref, got *flowrec.Batch) error {
 	if got.Len() != ref.Len() {
 		return fmt.Errorf("verification: %d rows off the wire, %d in the reference", got.Len(), ref.Len())
 	}
@@ -1005,6 +933,13 @@ func verifyOnly(format collector.Format, ref, got *flowrec.Batch) error {
 		case got.Dir[i] != ref.Dir[i]:
 			return mismatch(i, "Dir", ref.Dir[i], got.Dir[i])
 		}
+	}
+	if v5 {
+		copy(got.Bytes, ref.Bytes)
+		copy(got.Packets, ref.Packets)
+		copy(got.SrcAS, ref.SrcAS)
+		copy(got.DstAS, ref.DstAS)
+		copy(got.Dir, ref.Dir)
 	}
 	return nil
 }

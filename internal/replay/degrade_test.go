@@ -129,7 +129,7 @@ func TestBridgeAllowPartialKeepsFatalErrors(t *testing.T) {
 		AttemptTimeout: 500 * time.Millisecond,
 		MaxAttempts:    3,
 		AllowPartial:   true,
-		Route:          func(Key) uint32 { return 1 },
+		Route:          func(core.FlowKey) uint32 { return 1 },
 	})
 	if err != nil {
 		t.Fatal(err)

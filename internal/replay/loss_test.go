@@ -364,7 +364,7 @@ func TestBridgeSurvivesDroppedNack(t *testing.T) {
 		Options:        opts,
 		AttemptTimeout: time.Second,
 		MaxAttempts:    4,
-		Route:          func(Key) uint32 { return 1 },
+		Route:          func(core.FlowKey) uint32 { return 1 },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 // Package replay runs the experiment suite over live NetFlow/IPFIX
 // export, verified bit-for-bit against the synthetic model.
 //
-// The suite's flow inputs are keyed component-hours (see core.Dataset):
+// The suite's flow inputs are keyed component-hours (see core.FlowKey):
 // the plain per-hour batch of a vantage point, the gateway-pinned VPN
 // variant, and single-component batches. The replay harness splits the
 // producer and consumer of those keys across a UDP socket pair:
@@ -54,9 +54,9 @@ package replay
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"lockdown/internal/collector"
+	"lockdown/internal/core"
 	"lockdown/internal/synth"
 )
 
@@ -77,61 +77,11 @@ const (
 	frameNack  = 3 // the pump could not serve the key; carries an error
 )
 
-// Kind enumerates the flow-batch kinds of core.FlowSource.
-type Kind uint8
-
-// The three keyed batch kinds of the dataset cache.
-const (
-	KindFlows Kind = iota
-	KindVPNFlows
-	KindComponentFlows
-)
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case KindFlows:
-		return "flows"
-	case KindVPNFlows:
-		return "vpn-flows"
-	case KindComponentFlows:
-		return "component-flows"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
-}
-
-// Key identifies one replayable bucket: a batch kind, vantage point,
-// optional component name and the hour. It mirrors the key space of the
-// core.Dataset flow-batch cache.
-type Key struct {
-	Kind Kind
-	VP   synth.VantagePoint
-	Name string // component name, KindComponentFlows only
-	Hour time.Time
-}
-
-// String renders the key for errors and logs.
-func (k Key) String() string {
-	h := k.Hour.UTC().Format("2006-01-02T15")
-	if k.Kind == KindComponentFlows {
-		return fmt.Sprintf("%s/%s/%s@%s", k.Kind, k.VP, k.Name, h)
-	}
-	return fmt.Sprintf("%s/%s@%s", k.Kind, k.VP, h)
-}
-
-// equal reports whether two keys identify the same bucket.
-func (k Key) equal(o Key) bool {
-	return k.Kind == o.Kind && k.VP == o.VP && k.Name == o.Name && k.Hour.Equal(o.Hour)
-}
-
 // appendKey appends the wire encoding of k: kind, hour (unix seconds,
 // big endian), then length-prefixed vantage point and component name.
-func appendKey(dst []byte, k Key) []byte {
+func appendKey(dst []byte, k core.FlowKey) []byte {
 	dst = append(dst, byte(k.Kind))
-	var h [8]byte
-	binary.BigEndian.PutUint64(h[:], uint64(k.Hour.UTC().Unix()))
-	dst = append(dst, h[:]...)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(k.Hour.Time().Unix()))
 	dst = append(dst, byte(len(k.VP)))
 	dst = append(dst, k.VP...)
 	dst = append(dst, byte(len(k.Name)))
@@ -140,26 +90,30 @@ func appendKey(dst []byte, k Key) []byte {
 }
 
 // parseKey decodes a key and returns the remaining bytes.
-func parseKey(b []byte) (Key, []byte, error) {
+func parseKey(b []byte) (core.FlowKey, []byte, error) {
 	if len(b) < 1+8+1 {
-		return Key{}, nil, fmt.Errorf("replay: truncated key")
+		return core.FlowKey{}, nil, fmt.Errorf("replay: truncated key")
 	}
-	var k Key
-	k.Kind = Kind(b[0])
-	if k.Kind > KindComponentFlows {
-		return Key{}, nil, fmt.Errorf("replay: unknown batch kind %d", b[0])
+	var k core.FlowKey
+	k.Kind = core.FlowKind(b[0])
+	if k.Kind > core.KindComponentFlows {
+		return core.FlowKey{}, nil, fmt.Errorf("replay: unknown batch kind %d", b[0])
 	}
-	k.Hour = time.Unix(int64(binary.BigEndian.Uint64(b[1:9])), 0).UTC()
+	secs := int64(binary.BigEndian.Uint64(b[1:9]))
+	if secs%3600 != 0 {
+		return core.FlowKey{}, nil, fmt.Errorf("replay: key time %d is not a whole hour", secs)
+	}
+	k.Hour = core.Hour(secs / 3600)
 	b = b[9:]
 	vpLen := int(b[0])
 	if len(b) < 1+vpLen+1 {
-		return Key{}, nil, fmt.Errorf("replay: truncated vantage point")
+		return core.FlowKey{}, nil, fmt.Errorf("replay: truncated vantage point")
 	}
 	k.VP = synth.VantagePoint(b[1 : 1+vpLen])
 	b = b[1+vpLen:]
 	nameLen := int(b[0])
 	if len(b) < 1+nameLen {
-		return Key{}, nil, fmt.Errorf("replay: truncated component name")
+		return core.FlowKey{}, nil, fmt.Errorf("replay: truncated component name")
 	}
 	k.Name = string(b[1 : 1+nameLen])
 	return k, b[1+nameLen:], nil
@@ -169,7 +123,7 @@ func parseKey(b []byte) (Key, []byte, error) {
 // the bridge believes it is addressing; the pump NACKs a mismatch so a
 // mis-wired cluster (a request socket dialed to the wrong pump) fails
 // fast instead of stalling the stream's demux.
-func encodeRequest(stream, gen uint32, k Key) []byte {
+func encodeRequest(stream, gen uint32, k core.FlowKey) []byte {
 	dst := make([]byte, 0, 64)
 	dst = append(dst, requestMagic...)
 	dst = append(dst, protocolVersion)
@@ -182,21 +136,21 @@ func encodeRequest(stream, gen uint32, k Key) []byte {
 }
 
 // parseRequest decodes a key-request datagram.
-func parseRequest(pkt []byte) (stream, gen uint32, k Key, err error) {
+func parseRequest(pkt []byte) (stream, gen uint32, k core.FlowKey, err error) {
 	if len(pkt) < len(requestMagic)+1+8 || string(pkt[:len(requestMagic)]) != requestMagic {
-		return 0, 0, Key{}, fmt.Errorf("replay: not a request datagram")
+		return 0, 0, core.FlowKey{}, fmt.Errorf("replay: not a request datagram")
 	}
 	if v := pkt[len(requestMagic)]; v != protocolVersion {
-		return 0, 0, Key{}, fmt.Errorf("replay: request protocol version %d (want %d)", v, protocolVersion)
+		return 0, 0, core.FlowKey{}, fmt.Errorf("replay: request protocol version %d (want %d)", v, protocolVersion)
 	}
 	stream = binary.BigEndian.Uint32(pkt[len(requestMagic)+1:])
 	gen = binary.BigEndian.Uint32(pkt[len(requestMagic)+5:])
 	k, rest, err := parseKey(pkt[len(requestMagic)+9:])
 	if err != nil {
-		return 0, 0, Key{}, err
+		return 0, 0, core.FlowKey{}, err
 	}
 	if len(rest) != 0 {
-		return 0, 0, Key{}, fmt.Errorf("replay: %d trailing bytes in request", len(rest))
+		return 0, 0, core.FlowKey{}, fmt.Errorf("replay: %d trailing bytes in request", len(rest))
 	}
 	return stream, gen, k, nil
 }
@@ -207,12 +161,12 @@ type ctrlFrame struct {
 	stream uint32
 	gen    uint32
 	rows   int
-	key    Key
+	key    core.FlowKey
 	msg    string // frameNack only
 }
 
 // encodeCtrl builds a control frame datagram.
-func encodeCtrl(typ byte, stream, gen uint32, rows int, k Key, msg string) []byte {
+func encodeCtrl(typ byte, stream, gen uint32, rows int, k core.FlowKey, msg string) []byte {
 	dst := make([]byte, 0, 96)
 	dst = append(dst, collector.ControlMagic...)
 	dst = append(dst, protocolVersion, typ)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lockdown/internal/core"
 	"lockdown/internal/synth"
 )
 
@@ -16,11 +17,11 @@ import (
 // parsed from, so no two datagrams name the same frame and nothing rides
 // along unread.
 func FuzzProtocolFrames(f *testing.F) {
-	keys := []Key{
-		{Kind: KindFlows, VP: synth.ISPCE, Hour: testHour},
-		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: testHour.Add(31 * 24 * time.Hour)},
-		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: testHour},
-		{},
+	keys := []core.FlowKey{
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.Add(31 * 24 * time.Hour))},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)},
+		{Hour: core.HourOf(time.Time{})},
 	}
 	for i, k := range keys {
 		req := encodeRequest(uint32(i), 7, k)
@@ -34,7 +35,7 @@ func FuzzProtocolFrames(f *testing.F) {
 			f.Add(append(ctrl, 0))
 		}
 	}
-	f.Add(encodeCtrl(frameBegin, 0, 1, 1, Key{Kind: 9, VP: synth.EDU, Hour: testHour}, ""))
+	f.Add(encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.HourOf(testHour)}, ""))
 	f.Add([]byte("LKRQ\x01aaaaaaaaaaaaaaaa")) // protocol version 1
 	f.Add([]byte("LKRW\x02\x01"))
 	f.Add([]byte(nil))

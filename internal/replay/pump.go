@@ -11,22 +11,7 @@ import (
 
 	"lockdown/internal/collector"
 	"lockdown/internal/core"
-	"lockdown/internal/flowrec"
 )
-
-// batchForKey resolves a replay key against a model oracle.
-func batchForKey(src *core.SyntheticSource, k Key) (*flowrec.Batch, error) {
-	switch k.Kind {
-	case KindFlows:
-		return src.FlowBatch(k.VP, k.Hour)
-	case KindVPNFlows:
-		return src.VPNFlowBatch(k.VP, k.Hour)
-	case KindComponentFlows:
-		return src.ComponentFlowBatch(k.VP, k.Name, k.Hour)
-	default:
-		return nil, fmt.Errorf("replay: unknown batch kind %d", k.Kind)
-	}
-}
 
 // PumpStats counts what a pump served. All fields are cumulative.
 type PumpStats struct {
@@ -178,8 +163,8 @@ func (p *Pump) Run(ctx context.Context) {
 // bridge fails fast instead of timing out. The batch is the pump's own
 // (see core.FlowSource) and nothing holds it once the bucket is closed,
 // so every exit hands it back to the pool the next request draws from.
-func (p *Pump) serve(gen uint32, key Key) {
-	b, err := batchForKey(p.src, key)
+func (p *Pump) serve(gen uint32, key core.FlowKey) {
+	b, err := p.src.Batch(key)
 	if err != nil {
 		p.nacks.Add(1)
 		p.exp.WriteRaw(encodeCtrl(frameNack, p.stream, gen, 0, key, err.Error()))
@@ -199,7 +184,7 @@ func (p *Pump) serve(gen uint32, key Key) {
 		// Stamp the packets at the end of the bucket's hour: every flow
 		// of the bucket then started at most one hour before export,
 		// which keeps NetFlow v5's uptime-relative timestamps exact.
-		if err := p.exp.ExportBatchAt(b, key.Hour.Add(time.Hour)); err != nil {
+		if err := p.exp.ExportBatchAt(b, key.Hour.Time().Add(time.Hour)); err != nil {
 			// A send error is transient wire trouble (e.g. buffer
 			// exhaustion), not a model failure: no NACK — that would
 			// abort the bridge's fetch fatally. Close the bucket so the

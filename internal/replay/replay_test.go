@@ -16,17 +16,32 @@ import (
 var testHour = time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
 
 func TestKeyCodecRoundTrip(t *testing.T) {
-	keys := []Key{
-		{Kind: KindFlows, VP: synth.ISPCE, Hour: testHour},
-		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: testHour.Add(31 * 24 * time.Hour)},
-		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: testHour},
+	// The last three are built from instants inside the hour, in other
+	// zones: a key is its UTC hour, and that is what travels.
+	cest := time.FixedZone("CEST", 2*3600)
+	keys := []core.FlowKey{
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.Add(31 * 24 * time.Hour))},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)},
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour.In(cest).Add(59 * time.Minute))},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.In(time.Local).Add(time.Nanosecond))},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour.In(cest))},
+	}
+	// The request bytes of the first key as the parent commit encoded
+	// them: the key type moved to core, the protocol did not.
+	const golden = "LKRQ\x02\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^{\xb8@\x06ISP-CE\x00"
+	if got := encodeRequest(3, 7, keys[0]); string(got) != golden {
+		t.Fatalf("request encoding drifted:\n got %q\nwant %q", got, golden)
+	}
+	if keys[3] != keys[0] || string(encodeRequest(3, 7, keys[3])) != golden {
+		t.Fatalf("a key built 59 minutes into the hour at +02:00 is %v, want %v", keys[3], keys[0])
 	}
 	for _, k := range keys {
 		stream, gen, got, err := parseRequest(encodeRequest(3, 7, k))
 		if err != nil {
 			t.Fatalf("parseRequest(%v): %v", k, err)
 		}
-		if stream != 3 || gen != 7 || !got.equal(k) {
+		if stream != 3 || gen != 7 || got != k {
 			t.Fatalf("request round trip: got stream=%d gen=%d key=%v, want stream=3 gen=7 key=%v", stream, gen, got, k)
 		}
 		for _, typ := range []byte{frameBegin, frameEnd, frameNack} {
@@ -34,7 +49,7 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("parseCtrl(%v type %d): %v", k, typ, err)
 			}
-			if f.typ != typ || f.stream != 5 || f.gen != 9 || f.rows != 42 || !f.key.equal(k) || f.msg != "boom" {
+			if f.typ != typ || f.stream != 5 || f.gen != 9 || f.rows != 42 || f.key != k || f.msg != "boom" {
 				t.Fatalf("ctrl round trip: got %+v", f)
 			}
 		}
@@ -57,7 +72,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 		t.Error("parseRequest accepted a protocol-version-1 datagram")
 	}
 	// A control frame whose key kind is out of range must be rejected.
-	bad := encodeCtrl(frameBegin, 0, 1, 1, Key{Kind: 9, VP: synth.EDU, Hour: testHour}, "")
+	bad := encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.HourOf(testHour)}, "")
 	if _, err := parseCtrl(bad); err == nil {
 		t.Error("parseCtrl accepted an out-of-range batch kind")
 	}
@@ -217,7 +232,7 @@ func TestBridgeNackFromPump(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer req.Close()
-	if _, err := req.Write(encodeRequest(0, 1, Key{Kind: KindFlows, VP: "NO-SUCH-VP", Hour: testHour})); err != nil {
+	if _, err := req.Write(encodeRequest(0, 1, core.FlowKey{Kind: core.KindFlows, VP: "NO-SUCH-VP", Hour: core.HourOf(testHour)})); err != nil {
 		t.Fatal(err)
 	}
 	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -354,7 +369,7 @@ func TestVerifyAndRepair(t *testing.T) {
 // alias one set of columns.
 func TestServedBatchDoubleReleasePanics(t *testing.T) {
 	src := core.NewSyntheticSource(core.Options{FlowScale: 0.1})
-	b, err := batchForKey(src, Key{Kind: KindFlows, VP: synth.ISPCE, Hour: testHour})
+	b, err := src.Batch(core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func newShardedHarness(t testing.TB, format collector.Format, opts core.Options,
 func newShardedHarnessVia(t testing.TB, cfg Config, n int, via func(bridgeAddr string) string) (*Bridge, []*Pump) {
 	t.Helper()
 	vps := synth.AllVantagePoints()
-	cfg.Route = func(k Key) uint32 {
+	cfg.Route = func(k core.FlowKey) uint32 {
 		for i, vp := range vps {
 			if vp == k.VP {
 				return uint32(i % n)
@@ -221,7 +221,7 @@ func TestShardedBridgeStreamMismatchNacks(t *testing.T) {
 	br, err := NewBridge(Config{
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
-		Route:          func(Key) uint32 { return 1 },
+		Route:          func(core.FlowKey) uint32 { return 1 },
 		AttemptTimeout: 2 * time.Second,
 	})
 	if err != nil {
@@ -261,7 +261,7 @@ func TestFetchUnknownStreamFails(t *testing.T) {
 	br, err := NewBridge(Config{
 		Format:  collector.FormatIPFIX,
 		Options: core.Options{FlowScale: 0.1},
-		Route:   func(Key) uint32 { return 7 },
+		Route:   func(core.FlowKey) uint32 { return 7 },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -277,82 +277,5 @@ func TestFetchUnknownStreamFails(t *testing.T) {
 	}
 	if d := time.Since(start); d > time.Second {
 		t.Errorf("unconnected stream took %v; should fail without waiting on the wire", d)
-	}
-}
-
-// TestUnverifiedBridgeServesForeignModel runs a capture-mode bridge
-// against a pump whose model diverges (different flow scale): the fetch
-// must serve the pump's rows as announced instead of failing, and
-// account the bucket as unverified.
-func TestUnverifiedBridgeServesForeignModel(t *testing.T) {
-	pumpOpts := core.Options{FlowScale: 0.2}
-	br, err := NewBridge(Config{
-		Format:     collector.FormatIPFIX,
-		Options:    core.Options{FlowScale: 0.1}, // the bridge's model disagrees
-		Unverified: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pump, err := NewPump(PumpConfig{Format: collector.FormatIPFIX, DataAddr: br.DataAddr(), Options: pumpOpts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := br.ConnectPump(pump.CtrlAddr()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer func() { cancel(); pump.Close(); br.Close() }()
-	go pump.Run(ctx)
-	br.Start(ctx)
-
-	want, err := core.NewSyntheticSource(pumpOpts).FlowBatch(synth.ISPCE, testHour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
-	if err != nil {
-		t.Fatalf("capture-mode fetch failed: %v", err)
-	}
-	// Capture mode serves the wire's truth: the pump's model, not the
-	// bridge's.
-	batchesEqual(t, want, got)
-	if s := br.Stats(); s.Unverified != 1 || s.Keys != 1 {
-		t.Errorf("stats %+v, want Keys=1 Unverified=1", s)
-	}
-}
-
-// TestUnverifiedBridgeStillVerifiesMatchingModel checks that capture
-// mode does not blindly mark everything unverified: when the models
-// agree, verification runs and passes, and Unverified stays zero.
-func TestUnverifiedBridgeStillVerifiesMatchingModel(t *testing.T) {
-	opts := core.Options{FlowScale: 0.1}
-	br, err := NewBridge(Config{Format: collector.FormatIPFIX, Options: opts, Unverified: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pump, err := NewPump(PumpConfig{Format: collector.FormatIPFIX, DataAddr: br.DataAddr(), Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := br.ConnectPump(pump.CtrlAddr()); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer func() { cancel(); pump.Close(); br.Close() }()
-	go pump.Run(ctx)
-	br.Start(ctx)
-
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchesEqual(t, want, got)
-	if s := br.Stats(); s.Unverified != 0 {
-		t.Errorf("matching models accounted %d unverified buckets, want 0", s.Unverified)
 	}
 }

@@ -184,17 +184,6 @@ func (g *Generator) ComponentVolume(name string, t time.Time) float64 {
 	return p.evaluate(&h).volume
 }
 
-// HourlyClassVolume returns the bytes of the hour starting at t broken
-// down by traffic class.
-func (g *Generator) HourlyClassVolume(t time.Time) map[Class]float64 {
-	h := hourAt(t)
-	out := make(map[Class]float64)
-	for i := range g.plan {
-		out[g.plan[i].c.Class] += g.plan[i].evaluate(&h).volume
-	}
-	return out
-}
-
 // TotalSeries returns the hourly total-volume series for [from, to).
 func (g *Generator) TotalSeries(from, to time.Time) *timeseries.Series {
 	s := timeseries.New(string(g.cfg.VP) + " total")
@@ -214,20 +203,6 @@ func (g *Generator) ClassSeries(class Class, from, to time.Time) *timeseries.Ser
 			if g.plan[i].c.Class == class {
 				v += g.plan[i].evaluate(h).volume
 			}
-		}
-		s.Add(h.start, v)
-	})
-	return s
-}
-
-// ComponentSeries returns the hourly series of one named component.
-func (g *Generator) ComponentSeries(name string, from, to time.Time) *timeseries.Series {
-	s := timeseries.New(string(g.cfg.VP) + " " + name)
-	p := g.planOf(name)
-	eachHour(from, to, func(h *hour) {
-		var v float64
-		if p != nil {
-			v = p.evaluate(h).volume
 		}
 		s.Add(h.start, v)
 	})

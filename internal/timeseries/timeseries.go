@@ -208,11 +208,6 @@ func (s *Series) NormalizeByMin() *Series { return s.Normalize(s.Min()) }
 // Figure 2a.
 func (s *Series) NormalizeByMax() *Series { return s.Normalize(s.Max()) }
 
-// MeanBetween returns the mean value of observations with from <= t < to.
-func (s *Series) MeanBetween(from, to time.Time) float64 {
-	return s.Slice(from, to).Mean()
-}
-
 // HourOfDayProfile averages values by hour of day (0-23) over the whole
 // series, returning a 24-element profile. Hours with no observations are
 // NaN.
