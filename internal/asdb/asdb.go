@@ -117,9 +117,10 @@ func (r *Registry) LookupIP(addr netip.Addr) (AS, bool) {
 }
 
 // AddrPool mints the endpoint addresses of one AS: the hosts of its
-// synthetic /16. The traffic generator resolves one per AS it samples
-// from, so minting an address costs no registry lookup.
-type AddrPool struct{ base [4]byte }
+// synthetic /16, whose network address it holds as a big-endian word. The
+// traffic generator resolves one per AS it samples from, so minting an
+// address costs no registry lookup and, built as one word, one store.
+type AddrPool struct{ net uint32 }
 
 // AddrPool returns the address pool of an AS.
 func (r *Registry) AddrPool(asn uint32) (AddrPool, bool) {
@@ -127,16 +128,15 @@ func (r *Registry) AddrPool(asn uint32) (AddrPool, bool) {
 	if !ok {
 		return AddrPool{}, false
 	}
-	return AddrPool{base: a.prefix.Addr().As4()}, true
+	b := a.prefix.Addr().As4()
+	return AddrPool{net: uint32(b[0])<<24 | uint32(b[1])<<16}, true
 }
 
 // Addr4 returns the n-th address of the pool (wrapping within the /16 host
 // space, skipping the network address) as its four bytes.
 func (p AddrPool) Addr4(n uint32) [4]byte {
-	host := n%65534 + 1
-	p.base[2] = byte(host >> 8)
-	p.base[3] = byte(host)
-	return p.base
+	a := p.net | (n%65534 + 1)
+	return [4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)}
 }
 
 // Addr is Addr4 as a netip.Addr.

@@ -60,6 +60,9 @@ func New(cfg Config) (*Generator, error) {
 		if len(c.SrcASNs) == 0 || len(c.DstASNs) == 0 {
 			return nil, fmt.Errorf("synth: component %q lacks source or destination ASes", c.Name)
 		}
+		if len(c.Ports) == 0 || len(c.Ports) > maxPorts {
+			return nil, fmt.Errorf("synth: component %q has %d ports, want 1 to %d", c.Name, len(c.Ports), maxPorts)
+		}
 		for _, asns := range [][]uint32{c.SrcASNs, c.DstASNs} {
 			for _, asn := range asns {
 				if _, ok := cfg.Registry.Lookup(asn); !ok {

@@ -1,10 +1,13 @@
 package synth
 
+import "math/bits"
+
 // pcg is the flow sampler's generator: PCG-XSH-RR 64/32 seeded through
 // splitmix64. Every component-hour seeds a fresh one from its hour hash,
-// so construction has to be cheap — two splitmix64 steps — and the value
-// lives on the sampler's stack: it is passed by pointer to the draw
-// helpers but never boxed or stored.
+// so construction has to be cheap — two splitmix64 steps. The sampler
+// copies the two words into locals and advances them with step, by value:
+// nothing takes the generator's address, so for a chunk of rows its state
+// lives in a register.
 type pcg struct {
 	state uint64
 	inc   uint64
@@ -32,39 +35,25 @@ func newPCG(seed uint64) pcg {
 	}
 }
 
-// next32 advances the LCG state and returns the permuted 32-bit output
-// (XSH-RR: xorshift high bits, random rotate).
-func (p *pcg) next32() uint32 {
-	old := p.state
-	p.state = old*6364136223846793005 + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint(old >> 59)
-	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+// step advances the LCG state and returns it with the permuted 32-bit
+// output of the state it was given (XSH-RR: xorshift high bits, random
+// rotate). Small enough to inline at every draw.
+func step(state, inc uint64) (uint64, uint32) {
+	return state*6364136223846793005 + inc, bits.RotateLeft32(uint32((state>>18^state)>>27), -int(state>>59))
 }
 
-// next64 composes two 32-bit outputs.
-func (p *pcg) next64() uint64 {
-	return uint64(p.next32())<<32 | uint64(p.next32())
-}
-
-// Float64 returns a uniform value in [0, 1) with 53 random bits.
-func (p *pcg) Float64() float64 {
-	return float64(p.next64()>>11) / (1 << 53)
-}
-
-// Intn returns a uniform value in [0, n) using Lemire's multiply-shift
-// rejection method on the 32-bit output (every n the sampler uses fits in
-// 32 bits).
-func (p *pcg) Intn(n int) int {
-	if n <= 0 {
-		panic("synth: Intn with non-positive n")
+// redraw finishes a bounded draw. Lemire's multiply-shift rejection method
+// takes prod = v × bound for one 32-bit output v, returns prod >> 32 and
+// redoes the draw when the low half of prod is below 2^32 mod bound. That
+// remainder is itself below bound, so the sampler tests `uint32(prod) <
+// bound` inline — true for about bound in 2^32 draws — and leaves the
+// remainder's division and the redraws to this function, which takes and
+// returns the generator state by value, like step.
+func redraw(state, inc, prod uint64, bound uint32) (uint64, uint64) {
+	for reject := -bound % bound; uint32(prod) < reject; {
+		var v uint32
+		state, v = step(state, inc)
+		prod = uint64(v) * uint64(bound)
 	}
-	bound := uint32(n)
-	for {
-		v := p.next32()
-		prod := uint64(v) * uint64(bound)
-		if uint32(prod) >= bound || uint32(prod) >= -bound%bound {
-			return int(prod >> 32)
-		}
-	}
+	return state, prod
 }

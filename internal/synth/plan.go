@@ -107,14 +107,62 @@ type componentPlan struct {
 	hashPrefix uint64
 
 	// The Zipf weights and address pools of the component's source and
-	// destination ASes.
+	// destination ASes, and the weights as the sampler's pick reads them.
 	srcWeights, dstWeights []float64
+	srcBelow, dstBelow     []uint64
 	srcPools, dstPools     []asdb.AddrPool
+	// ports is c.Ports as the sampler's store pass reads it.
+	ports []portRow
 	// hypergiantShare is the Zipf-weighted fraction of the component's
 	// volume originated by hypergiant ASes.
 	hypergiantShare float64
 	pool            int
 	connDir         flowrec.Direction
+}
+
+// portRow is what a flow on one of a component's Ports stores: the server
+// port on the source side, the protocol, the flags of a completed TCP
+// connection, and a mask that zeroes the client's ephemeral port for the
+// protocols that have none (GRE, ESP).
+type portRow struct {
+	srcPort, dstMask uint16
+	proto            flowrec.Proto
+	tcpFlags         uint8
+}
+
+func portRows(ports []flowrec.PortProto) []portRow {
+	rows := make([]portRow, len(ports))
+	for i, pp := range ports {
+		rows[i] = portRow{srcPort: pp.Port, dstMask: 0xffff, proto: pp.Proto}
+		switch pp.Proto {
+		case flowrec.ProtoGRE, flowrec.ProtoESP:
+			rows[i].srcPort, rows[i].dstMask = 0, 0
+		case flowrec.ProtoTCP:
+			rows[i].tcpFlags = 0x1b
+		}
+	}
+	return rows
+}
+
+// pickBelow compiles weights for the sampler's resolve. A weighted choice
+// takes the first index i whose running sum w[0]+…+w[i] exceeds the
+// uniform draw m/2^53, or the last index; entry i is therefore the
+// smallest mantissa m that is not below that sum — ceil(sum·2^53), exact
+// because scaling by a power of two is, and 2^53 for a sum that rounding
+// carried past 1 — and the last weight needs none. The sums are formed in
+// index order, as the linear scan forms them, and never decrease (no
+// weight is negative), so counting the entries m has reached finds i.
+func pickBelow(w []float64) []uint64 {
+	if len(w) <= 1 {
+		return nil
+	}
+	below := make([]uint64, len(w)-1)
+	var acc float64
+	for i := range below {
+		acc += w[i]
+		below[i] = uint64(math.Ceil(min(acc, 1) * (1 << 53)))
+	}
+	return below
 }
 
 // compiler carries the per-generator state of one lowering pass.
@@ -264,6 +312,7 @@ func (k *compiler) component(c *Component) componentPlan {
 		hashPrefix:         fnvString(fnvUint64(fnvOffset64, uint64(k.cfg.Seed)), c.Name),
 		srcWeights:         k.weights(len(c.SrcASNs)),
 		dstWeights:         k.weights(len(c.DstASNs)),
+		ports:              portRows(c.Ports),
 		srcPools:           k.pools(c.SrcASNs),
 		dstPools:           k.pools(c.DstASNs),
 		pool:               c.EndpointPool,
@@ -272,6 +321,7 @@ func (k *compiler) component(c *Component) componentPlan {
 	if c.WeekendLevel != 0 {
 		p.weekendLevel = c.WeekendLevel
 	}
+	p.srcBelow, p.dstBelow = pickBelow(p.srcWeights), pickBelow(p.dstWeights)
 	p.workShape, p.workMean = shapeTable(&c.Workday)
 	p.weekendShape, p.weekendMean = shapeTable(&c.Weekend)
 	if c.ShiftsPattern {
@@ -311,7 +361,8 @@ func (k *compiler) component(c *Component) componentPlan {
 }
 
 // compile lowers cfg.Components into their plans. cfg has been validated:
-// names are unique and non-empty and every AS is in the registry.
+// names are unique and non-empty, every AS is in the registry and every
+// component has a port.
 func compile(cfg *Config) ([]componentPlan, error) {
 	k := compiler{cfg: cfg}
 	plans := make([]componentPlan, len(cfg.Components))

@@ -6,6 +6,7 @@ import (
 
 	"lockdown/internal/calendar"
 	"lockdown/internal/diurnal"
+	"lockdown/internal/flowrec"
 )
 
 // This file is the reference evaluator of the traffic model: the
@@ -298,4 +299,190 @@ func refFlowCount(c Component, t time.Time, flowScale float64) int {
 		n = 1
 	}
 	return n
+}
+
+// The rest of this file is the reference flow sampler: the row-at-a-time
+// loop the generator ran before it drew a chunk of rows and then stored
+// them column by column (flows.go), with the pcg methods and the linear
+// weighted pick it called. It draws and computes every field of every row
+// and masks only the stores. The same rule holds as above: the sampler may
+// reorder and skip work, never change the draw sequence or a
+// floating-point expression — TestSamplerMatchesReference holds it to this
+// loop with ==.
+
+// next32 advances the LCG state and returns the permuted 32-bit output
+// (XSH-RR: xorshift high bits, random rotate).
+func (p *pcg) next32() uint32 {
+	old := p.state
+	p.state = old*6364136223846793005 + p.inc
+	xorshifted := uint32(((old >> 18) ^ old) >> 27)
+	rot := uint(old >> 59)
+	return (xorshifted >> rot) | (xorshifted << ((-rot) & 31))
+}
+
+// next64 composes two 32-bit outputs.
+func (p *pcg) next64() uint64 {
+	return uint64(p.next32())<<32 | uint64(p.next32())
+}
+
+// Float64 returns a uniform value in [0, 1) with 53 random bits.
+func (p *pcg) Float64() float64 {
+	return float64(p.next64()>>11) / (1 << 53)
+}
+
+// Intn returns a uniform value in [0, n) using Lemire's multiply-shift
+// rejection method on the 32-bit output (n must fit in 32 bits).
+func (p *pcg) Intn(n int) int {
+	if n <= 0 {
+		panic("synth: Intn with non-positive n")
+	}
+	bound := uint32(n)
+	for {
+		v := p.next32()
+		prod := uint64(v) * uint64(bound)
+		if uint32(prod) >= bound || uint32(prod) >= -bound%bound {
+			return int(prod >> 32)
+		}
+	}
+}
+
+// pickWeighted picks an index from precomputed Zipf weights. The draw
+// contract matters for determinism: exactly one Float64 is drawn when
+// len(w) > 1 and none otherwise.
+func pickWeighted(rng *pcg, w []float64) int {
+	if len(w) <= 1 {
+		return 0
+	}
+	r := rng.Float64()
+	var acc float64
+	for i, wi := range w {
+		acc += wi
+		if r < acc {
+			return i
+		}
+	}
+	return len(w) - 1
+}
+
+// refHourBatch is HourBatch over refSampleInto.
+func refHourBatch(g *Generator, t time.Time, component string, cols flowrec.Columns) *flowrec.Batch {
+	b := flowrec.NewProjected(0, cols)
+	h := hourAt(t)
+	for i := range g.plan {
+		if p := &g.plan[i]; component == "" || p.c.Name == component {
+			s := g.sampled(p, &h)
+			refSampleInto(g, b, p, &h, &s)
+		}
+	}
+	return b
+}
+
+// refSampleInto appends the s.flows flows of component p for hour h to b.
+func refSampleInto(g *Generator, b *flowrec.Batch, p *componentPlan, h *hour, s *componentHour) {
+	if s.flows == 0 {
+		return
+	}
+	c := p.c
+	rng := newPCG(s.hash)
+	bytesPerFlow := s.volume / float64(s.flows)
+	if bytesPerFlow < 64 {
+		bytesPerFlow = 64
+	}
+	scaledPool := int(float64(p.pool) * s.connMult)
+	if scaledPool < 1 {
+		scaledPool = 1
+	}
+	// VPN-over-TLS components pin the enterprise (source) side to the
+	// known gateway addresses so domain-based detection can find them.
+	pinGateways := c.Class == ClassVPNTLS && len(g.vpnGateways) > 0
+	hourEnd := h.ns + int64(time.Hour)
+	cols := b.Columns()
+
+	for i := 0; i < s.flows; i++ {
+		src := pickWeighted(&rng, p.srcWeights)
+		dst := pickWeighted(&rng, p.dstWeights)
+		srcASN, dstASN := c.SrcASNs[src], c.DstASNs[dst]
+
+		srcIP := flowrec.Addr(p.srcPools[src].Addr4(uint32(rng.Intn(scaledPool))))
+		dstIP := flowrec.Addr(p.dstPools[dst].Addr4(uint32(rng.Intn(scaledPool))))
+		if pinGateways {
+			gw := &g.vpnGateways[rng.Intn(len(g.vpnGateways))]
+			srcIP, srcASN = gw.addr, gw.asn
+		}
+
+		pp := c.Ports[0]
+		if len(c.Ports) > 1 && rng.Float64() > 0.6 {
+			pp = c.Ports[1+rng.Intn(len(c.Ports)-1)]
+		}
+
+		start := h.ns + int64(rng.Intn(3600))*int64(time.Second)
+		end := start + int64(5+rng.Intn(290))*int64(time.Second)
+		if end > hourEnd {
+			end = hourEnd
+		}
+
+		bytes := uint64(bytesPerFlow * (0.5 + rng.Float64()))
+		if bytes == 0 {
+			bytes = 64
+		}
+		packets := bytes / 1200
+		if packets == 0 {
+			packets = 1
+		}
+
+		srcPort, dstPort := pp.Port, uint16(49152+rng.Intn(16000))
+		if pp.Proto == flowrec.ProtoGRE || pp.Proto == flowrec.ProtoESP {
+			srcPort, dstPort = 0, 0
+		}
+		var tcpFlags uint8
+		if pp.Proto == flowrec.ProtoTCP {
+			tcpFlags = 0x1b
+		}
+
+		if cols&flowrec.ColStartNs != 0 {
+			b.StartNs = append(b.StartNs, start)
+		}
+		if cols&flowrec.ColEndNs != 0 {
+			b.EndNs = append(b.EndNs, end)
+		}
+		if cols&flowrec.ColSrcIP != 0 {
+			b.SrcIP = append(b.SrcIP, srcIP)
+		}
+		if cols&flowrec.ColDstIP != 0 {
+			b.DstIP = append(b.DstIP, dstIP)
+		}
+		if cols&flowrec.ColSrcPort != 0 {
+			b.SrcPort = append(b.SrcPort, srcPort)
+		}
+		if cols&flowrec.ColDstPort != 0 {
+			b.DstPort = append(b.DstPort, dstPort)
+		}
+		if cols&flowrec.ColProto != 0 {
+			b.Proto = append(b.Proto, pp.Proto)
+		}
+		if cols&flowrec.ColBytes != 0 {
+			b.Bytes = append(b.Bytes, bytes)
+		}
+		if cols&flowrec.ColPackets != 0 {
+			b.Packets = append(b.Packets, packets)
+		}
+		if cols&flowrec.ColSrcAS != 0 {
+			b.SrcAS = append(b.SrcAS, srcASN)
+		}
+		if cols&flowrec.ColDstAS != 0 {
+			b.DstAS = append(b.DstAS, dstASN)
+		}
+		if cols&flowrec.ColInIf != 0 {
+			b.InIf = append(b.InIf, 1)
+		}
+		if cols&flowrec.ColOutIf != 0 {
+			b.OutIf = append(b.OutIf, 2)
+		}
+		if cols&flowrec.ColDir != 0 {
+			b.Dir = append(b.Dir, p.connDir)
+		}
+		if cols&flowrec.ColTCPFlags != 0 {
+			b.TCPFlags = append(b.TCPFlags, tcpFlags)
+		}
+	}
 }
