@@ -98,8 +98,8 @@ func NewProjected(n int, cols Columns) *Batch {
 func (b *Batch) Columns() Columns { return AllColumns &^ b.absent }
 
 // Require returns an error naming the columns of need that the batch does
-// not store, nil when it stores them all. The wire encoders call it
-// before reading the fields they carry.
+// not store, nil when it stores them all. The wire codecs call it before
+// touching a column: encoders read what they carry, decoders fill all.
 func (b *Batch) Require(need Columns) error {
 	if missing := need &^ b.Columns(); missing != 0 {
 		return fmt.Errorf("flowrec: batch does not store column %s (its set is %s)", missing, b.Columns())

@@ -2,6 +2,7 @@ package netflow
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"lockdown/internal/flowrec"
@@ -85,5 +86,30 @@ func TestV9DecodeBatchRollsBackOnError(t *testing.T) {
 	}
 	if dst.Len() != 0 {
 		t.Errorf("failed decode left %d rows in the batch", dst.Len())
+	}
+}
+
+// TestDecodeV5RefusesProjected: a v5 record fills every column (Dir as
+// DirUnknown), so a batch that does not store one is refused with an
+// error naming what it lacks and is left as it was.
+func TestDecodeV5RefusesProjected(t *testing.T) {
+	full := flowrec.FromRecords(sampleRecords(10))
+	pkt, err := EncodeV5Batch(nil, full, 0, full.Len(), export, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := []flowrec.Columns{flowrec.ColBytes | flowrec.ColDstPort}
+	for c := 0; c < flowrec.NumColumns; c++ {
+		sets = append(sets, flowrec.AllColumns&^(flowrec.Columns(1)<<c))
+	}
+	for _, cols := range sets {
+		dst := full.Project(cols)
+		h, err := DecodeV5Batch(dst, pkt)
+		if missing := flowrec.AllColumns &^ cols; err == nil || h.Count != 0 || !strings.Contains(err.Error(), missing.String()) {
+			t.Errorf("%s: header %+v, err %v; want an error naming %s", cols, h, err, missing)
+		}
+		if !dst.Equal(full.Project(cols)) {
+			t.Errorf("%s: the refused batch was modified", cols)
+		}
 	}
 }

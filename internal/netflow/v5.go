@@ -137,9 +137,14 @@ func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime ti
 // DecodeV5Batch parses a NetFlow v5 packet, appending its records to dst
 // and returning the header metadata. A caller that reuses dst across
 // packets (Reset between packets, or one growing batch) decodes with zero
-// allocations in the steady state. On error dst is left as it was.
+// allocations in the steady state. dst must store every column (a v5
+// record fills all of them); on error, a projected dst included, dst is
+// left as it was.
 func DecodeV5Batch(dst *flowrec.Batch, pkt []byte) (V5Header, error) {
 	be := binary.BigEndian
+	if err := dst.Require(flowrec.AllColumns); err != nil {
+		return V5Header{}, fmt.Errorf("netflow: a decoded v5 record fills every column: %w", err)
+	}
 	if len(pkt) < v5HeaderLen {
 		return V5Header{}, fmt.Errorf("netflow: packet too short (%d bytes)", len(pkt))
 	}

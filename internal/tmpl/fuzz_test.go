@@ -8,36 +8,73 @@ import (
 	"lockdown/internal/synth"
 )
 
-// FuzzDecodeBatch is the fuzz target of the template decoder, seeded with
-// both framings' corpora: encoded synthetic messages, their truncations,
-// and the hostile short-field and zero-length-field templates. The
-// input's version word picks the framing that may accept it; the other
-// one — or both, for any other version — must reject it.
-func FuzzDecodeBatch(f *testing.F) {
+// corpus is the framing's seed corpus of the decoder fuzz targets:
+// encoded synthetic messages, their truncations, and the hostile
+// short-field, zero-length-field and overlapping-field templates.
+func (fr framing) corpus(tb testing.TB) [][]byte {
 	cfg := synth.DefaultConfig(synth.ISPCE)
 	cfg.FlowScale = 0.05
 	g, err := synth.New(cfg)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	b := g.FlowsForHourBatch(time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC))
 	hour := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	for _, fr := range framings {
-		enc := fr.encoder(0)
-		for lo := 0; lo < b.Len() && lo < 300; lo += 100 {
-			msg, err := enc(nil, b, lo, min(lo+100, b.Len()), hour)
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(msg)
-			f.Add(msg[:len(msg)/2])
-			f.Add(msg[:fr.headerLen])
+	enc := fr.encoder(0)
+	var out [][]byte
+	for lo := 0; lo < b.Len() && lo < 300; lo += 100 {
+		msg, err := enc(nil, b, lo, min(lo+100, b.Len()), hour)
+		if err != nil {
+			tb.Fatal(err)
 		}
-		f.Add(shortFields(fr))
-		f.Add(zeroLengthField(fr))
+		out = append(out, msg, msg[:len(msg)/2], msg[:fr.headerLen])
+	}
+	return append(out,
+		shortFields(fr),
+		zeroLengthField(fr),
 		// The source address twice, 4 bytes then 2: the second copy lands
 		// over the first's leading bytes.
-		f.Add(fr.message(302, [][2]uint16{{8, 4}, {8, 2}}, []byte{10, 1, 2, 3, 172, 16}))
+		fr.message(302, [][2]uint16{{8, 4}, {8, 2}}, []byte{10, 1, 2, 3, 172, 16}))
+}
+
+// records counts the rows an accepted message decodes to — the sum over
+// its data sets of the whole records each holds — walking the message
+// apart from the decoder.
+func (fr framing) records(msg []byte) int {
+	recLen := map[int]int{}
+	rows := 0
+	for off := fr.headerLen; off+4 <= len(msg); {
+		id, end := u16(msg, off), off+u16(msg, off+2)
+		body := msg[off+4 : end]
+		switch {
+		case id == int(fr.templateSet):
+			for p := 0; p+4 <= len(body); {
+				tplID, count := u16(body, p), u16(body, p+2)
+				p += 4
+				recLen[tplID] = 0
+				for i := 0; i < count; i++ {
+					recLen[tplID] += u16(body, p+4*i+2)
+				}
+				p += 4 * count
+			}
+		case id >= 256:
+			rows += len(body) / recLen[id]
+		}
+		off = end
+	}
+	return rows
+}
+
+// FuzzDecodeBatch is the fuzz target of the template decoder, seeded with
+// both framings' corpora. The input's version word picks the framing that
+// may accept it; the other one — or both, for any other version — must
+// reject it. An accepted message appends exactly the whole records of its
+// data sets, which bounds the rows one message can add by its length.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, fr := range framings {
+		for _, msg := range fr.corpus(f) {
+			f.Add(msg)
+		}
 	}
 	f.Fuzz(func(t *testing.T, msg []byte) {
 		for _, fr := range framings {
@@ -53,6 +90,9 @@ func FuzzDecodeBatch(f *testing.F) {
 			}
 			if err == nil && (len(msg) < 2 || u16(msg, 0) != int(fr.version)) {
 				t.Fatalf("%s: accepted a message of another version", fr.name)
+			}
+			if err == nil && (n > len(msg) || n != fr.records(msg)) {
+				t.Fatalf("%s: appended %d rows from a %d-byte message holding %d records", fr.name, n, len(msg), fr.records(msg))
 			}
 			if n := dst.Len(); len(dst.StartNs) != n || len(dst.EndNs) != n || len(dst.SrcIP) != n || len(dst.DstIP) != n ||
 				len(dst.SrcPort) != n || len(dst.DstPort) != n || len(dst.Proto) != n || len(dst.Packets) != n ||

@@ -62,17 +62,13 @@ const (
 	fieldDirection = 61
 )
 
-const (
-	// maxLen is the largest value a 16-bit set or message length holds.
-	maxLen = 0xFFFF
-	// maxGrowRows bounds the per-data-set batch reservation; see
-	// parseData.
-	maxGrowRows = 4096
-)
+// maxLen is the largest value a 16-bit set or message length holds.
+const maxLen = 0xFFFF
 
 // Column opcodes: what a cached template field decodes into. A template
-// is interpreted once, when it is cached; the row loop then switches on
-// these dense constants instead of comparing field numbers per value.
+// is interpreted once, when it is cached; parseData then switches on
+// these dense constants once per field and data set, and the case it
+// picks fills that field's column for every record of the set.
 const (
 	colSkip uint8 = iota // unknown field, or one of zero length
 	colSrcIP
@@ -248,13 +244,18 @@ func tplKey(stream uint32, tplID uint16) uint64 {
 // DecodeBatch parses one message, appending the flow records of all data
 // sets to dst, and returns how many rows were appended. A data set whose
 // template is unknown is an error (the encoder always sends the template
-// first); on error dst is rolled back to its original length.
-// Re-announcements of an unchanged template do not allocate, so a
-// steady-state decode loop over a reused dst performs zero allocations
-// per message.
+// first); on error dst is rolled back to its original length. dst must
+// store every column — a template may carry any of them, and a column it
+// lacks decodes as zero — so a projected dst is an error and is left
+// untouched. Re-announcements of an unchanged template do not allocate,
+// so a steady-state decode loop over a reused dst performs zero
+// allocations per message.
 func (d *Decoder) DecodeBatch(dst *flowrec.Batch, msg []byte) (int, error) {
 	f := d.f
 	be := binary.BigEndian
+	if err := dst.Require(flowrec.AllColumns); err != nil {
+		return 0, fmt.Errorf("%s: a decoded record fills every column: %w", f.Name, err)
+	}
 	if len(msg) < f.HeaderLen {
 		return 0, fmt.Errorf("%s: message too short (%d bytes)", f.Name, len(msg))
 	}
@@ -334,9 +335,9 @@ func templateUnchanged(cached []field, body []byte, count int) bool {
 }
 
 // column resolves an announced field to the column it decodes into.
-// Zero-length fields carry no value; resolving them to colSkip also keeps
-// the single-byte reads of parseData (v[0]) safe against hostile
-// templates.
+// Zero-length fields carry no value; resolving them to colSkip is also
+// what lets parseData read protocol, flags and direction as a 1-byte
+// field whatever width a hostile template announces.
 func (f *Framing) column(id, length uint16) uint8 {
 	switch {
 	case length == 0:
@@ -385,82 +386,128 @@ func (d *Decoder) parseData(dst *flowrec.Batch, stream uint32, tplID uint16, bod
 	if tpl.recLen == 0 {
 		return fmt.Errorf("%s: template %d has zero length", d.f.Name, tplID)
 	}
-	// Cap the up-front reservation: a hostile template with tiny records
-	// would otherwise amplify every input byte into ~100 bytes of column
-	// reservation. Real export packets stay far below the cap, so the
-	// steady-state decode path still performs exactly one bulk grow.
-	dst.Grow(min(len(body)/tpl.recLen, maxGrowRows))
-	for off := 0; off+tpl.recLen <= len(body); off += tpl.recLen {
-		// One row in column types; a field the template lacks stays zero.
-		var (
-			startNs, endNs   int64
-			srcIP, dstIP     flowrec.Addr
-			srcPort, dstPort uint16
-			proto            flowrec.Proto
-			bytes, packets   uint64
-			srcAS, dstAS     uint32
-			inIf, outIf      uint16
-			dir              flowrec.Direction
-			tcpFlags         uint8
-		)
-		pos := off
-		for _, fl := range tpl.fields {
-			v := body[pos : pos+int(fl.length)]
-			pos += int(fl.length)
-			switch fl.col {
-			case colSrcIP:
-				copy(srcIP[:], v)
-			case colDstIP:
-				copy(dstIP[:], v)
-			case colBytes:
-				bytes = beUint(v)
-			case colPackets:
-				packets = beUint(v)
-			case colStart:
-				startNs = int64(beUint(v)) * int64(time.Second)
-			case colEnd:
-				endNs = int64(beUint(v)) * int64(time.Second)
-			case colSrcPort:
-				srcPort = uint16(beUint(v))
-			case colDstPort:
-				dstPort = uint16(beUint(v))
-			case colProto:
-				proto = flowrec.Proto(v[0])
-			case colTCPFlags:
-				tcpFlags = v[0]
-			case colDir:
-				dir = flowrec.Direction(v[0])
-			case colInIf:
-				inIf = uint16(beUint(v))
-			case colOutIf:
-				outIf = uint16(beUint(v))
-			case colSrcAS:
-				srcAS = uint32(beUint(v))
-			case colDstAS:
-				dstAS = uint32(beUint(v))
-			}
+	// The set holds n whole records; trailing bytes shorter than one
+	// (v9 padding) are not a record. Every column grows by n zeroed rows
+	// at once, so a column the template lacks decodes as zero, and then
+	// each field fills its column for all n records, reading at a stride
+	// of one record. A field the template repeats overwrites in template
+	// order.
+	n, stride := len(body)/tpl.recLen, tpl.recLen
+	if n == 0 {
+		return nil
+	}
+	lo := dst.Len()
+	dst.StartNs, dst.EndNs = extend(dst.StartNs, n), extend(dst.EndNs, n)
+	dst.SrcIP, dst.DstIP = extend(dst.SrcIP, n), extend(dst.DstIP, n)
+	dst.SrcPort, dst.DstPort = extend(dst.SrcPort, n), extend(dst.DstPort, n)
+	dst.Proto, dst.Dir, dst.TCPFlags = extend(dst.Proto, n), extend(dst.Dir, n), extend(dst.TCPFlags, n)
+	dst.Bytes, dst.Packets = extend(dst.Bytes, n), extend(dst.Packets, n)
+	dst.SrcAS, dst.DstAS = extend(dst.SrcAS, n), extend(dst.DstAS, n)
+	dst.InIf, dst.OutIf = extend(dst.InIf, n), extend(dst.OutIf, n)
+	off := 0
+	for _, fl := range tpl.fields {
+		src, w := body[off:], int(fl.length)
+		off += w
+		switch fl.col {
+		case colSrcIP:
+			loadAddr(dst.SrcIP[lo:], src, stride, w)
+		case colDstIP:
+			loadAddr(dst.DstIP[lo:], src, stride, w)
+		case colBytes:
+			loadUint(dst.Bytes[lo:], src, stride, w)
+		case colPackets:
+			loadUint(dst.Packets[lo:], src, stride, w)
+		case colStart:
+			loadSeconds(dst.StartNs[lo:], src, stride, w)
+		case colEnd:
+			loadSeconds(dst.EndNs[lo:], src, stride, w)
+		case colSrcPort:
+			loadUint(dst.SrcPort[lo:], src, stride, w)
+		case colDstPort:
+			loadUint(dst.DstPort[lo:], src, stride, w)
+		case colProto: // protocol, flags and direction are the first byte
+			loadUint(dst.Proto[lo:], src, stride, 1)
+		case colTCPFlags:
+			loadUint(dst.TCPFlags[lo:], src, stride, 1)
+		case colDir:
+			loadUint(dst.Dir[lo:], src, stride, 1)
+		case colInIf:
+			loadUint(dst.InIf[lo:], src, stride, w)
+		case colOutIf:
+			loadUint(dst.OutIf[lo:], src, stride, w)
+		case colSrcAS:
+			loadUint(dst.SrcAS[lo:], src, stride, w)
+		case colDstAS:
+			loadUint(dst.DstAS[lo:], src, stride, w)
 		}
-		dst.StartNs = append(dst.StartNs, startNs)
-		dst.EndNs = append(dst.EndNs, endNs)
-		dst.SrcIP = append(dst.SrcIP, srcIP)
-		dst.DstIP = append(dst.DstIP, dstIP)
-		dst.SrcPort = append(dst.SrcPort, srcPort)
-		dst.DstPort = append(dst.DstPort, dstPort)
-		dst.Proto = append(dst.Proto, proto)
-		dst.Bytes = append(dst.Bytes, bytes)
-		dst.Packets = append(dst.Packets, packets)
-		dst.SrcAS = append(dst.SrcAS, srcAS)
-		dst.DstAS = append(dst.DstAS, dstAS)
-		dst.InIf = append(dst.InIf, inIf)
-		dst.OutIf = append(dst.OutIf, outIf)
-		dst.Dir = append(dst.Dir, dir)
-		dst.TCPFlags = append(dst.TCPFlags, tcpFlags)
 	}
 	return nil
 }
 
-// beUint reads a big-endian unsigned integer of 1-8 bytes; template
-// lengths are untrusted, so it takes whatever width was announced.
+// extend lengthens s by n zeroed elements.
+func extend[T any](s []T, n int) []T {
+	s = slices.Grow(s, n)[:len(s)+n]
+	clear(s[len(s)-n:])
+	return s
+}
+
+// loadUint sets col[i] to the w-byte big-endian field at src[i*stride:],
+// keeping the low bits when the column is narrower. The width is switched
+// on once, outside the loops: the standard template's 1-, 2-, 4- and
+// 8-byte fields are single loads, and beUint serves any other width a
+// template may announce.
+func loadUint[T ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~int64](col []T, src []byte, stride, w int) {
+	be := binary.BigEndian
+	switch w {
+	case 1:
+		for i := range col {
+			col[i] = T(src[i*stride])
+		}
+	case 2:
+		for i := range col {
+			col[i] = T(be.Uint16(src[i*stride:]))
+		}
+	case 4:
+		for i := range col {
+			col[i] = T(be.Uint32(src[i*stride:]))
+		}
+	case 8:
+		for i := range col {
+			col[i] = T(be.Uint64(src[i*stride:]))
+		}
+	default:
+		for i := range col {
+			col[i] = T(beUint(src[i*stride:][:w]))
+		}
+	}
+}
+
+// loadSeconds is loadUint for a timestamp field, which carries epoch
+// seconds.
+func loadSeconds(col []int64, src []byte, stride, w int) {
+	loadUint(col, src, stride, w)
+	for i := range col {
+		col[i] *= int64(time.Second)
+	}
+}
+
+// loadAddr copies the leading min(w, 4) bytes of the field at
+// src[i*stride:] over the address in col[i].
+func loadAddr(col []flowrec.Addr, src []byte, stride, w int) {
+	if w >= 4 {
+		for i := range col {
+			col[i] = flowrec.Addr(src[i*stride:])
+		}
+		return
+	}
+	for i := range col {
+		copy(col[i][:], src[i*stride:][:w])
+	}
+}
+
+// beUint reads a big-endian unsigned integer of any width, keeping its
+// low 64 bits; template lengths are untrusted, so it takes whatever width
+// was announced.
 func beUint(b []byte) uint64 {
 	var v uint64
 	for _, x := range b {
