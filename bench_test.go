@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"lockdown/internal/appclass"
 	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
@@ -329,29 +328,6 @@ func BenchmarkGeneratorFlowsForHourBatch(b *testing.B) {
 		n = g.FlowsForHourBatch(t.Add(time.Duration(i%168) * time.Hour)).Len()
 	}
 	b.ReportMetric(float64(n), "flows/op")
-}
-
-// The Scan pair quantifies the aggregation speedup of the columnar
-// layout: identical classification work over a record slice vs a batch.
-
-func BenchmarkScanClassifyRecords(b *testing.B) {
-	recs := benchRecords(4096)
-	clf := appclass.NewDefault(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = clf.VolumeByClass(recs)
-	}
-	b.ReportMetric(4096, "records/op")
-}
-
-func BenchmarkScanClassifyBatch(b *testing.B) {
-	batch := flowrec.FromRecords(benchRecords(4096))
-	clf := appclass.NewDefault(nil)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = clf.VolumeByClassBatch(batch)
-	}
-	b.ReportMetric(4096, "records/op")
 }
 
 func BenchmarkGeneratorHourlyVolume(b *testing.B) {

@@ -71,7 +71,7 @@ func main() {
 	// Classify arriving batches column-wise; received batches go back to
 	// the pool so the receive loop stays allocation-free.
 	clf := appclass.NewDefault(nil)
-	volumes := make(map[appclass.Class]float64)
+	volumes := make(map[appclass.Class]uint64)
 	got := 0
 	deadline := time.After(5 * time.Second)
 loop:
@@ -96,7 +96,7 @@ loop:
 	}
 	var rows []kv
 	for c, v := range volumes {
-		rows = append(rows, kv{c, v / 1e9})
+		rows = append(rows, kv{c, float64(v) / 1e9})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].gb > rows[j].gb })
 	fmt.Println("application classes of the received records:")

@@ -32,18 +32,15 @@ func main() {
 
 	weeks := calendar.AppWeeksIXP()[:2] // base week and March week
 	for _, week := range weeks {
-		var port, domain, other float64
+		var sums [3]uint64 // indexed by vpndetect.Method
 		for _, hour := range week.Hours() {
 			if !calendar.WorkingHours(hour.Hour()) || calendar.IsWeekend(hour) {
 				continue
 			}
-			split := det.SplitBatch(g.FlowsForHourBatch(hour))
-			port += split[vpndetect.ByPort]
-			domain += split[vpndetect.ByDomain]
-			other += split[vpndetect.NotVPN]
+			det.SplitBatchSums(&sums, g.FlowsForHourBatch(hour))
 		}
 		fmt.Printf("%-8s working hours: port-identified %6.1f TB, domain-identified %6.1f TB\n",
-			week.Label, port/1e12, domain/1e12)
+			week.Label, float64(sums[vpndetect.ByPort])/1e12, float64(sums[vpndetect.ByDomain])/1e12)
 	}
 	fmt.Println("\nThe port-identified share barely moves while the domain-identified share")
 	fmt.Println("surges — identifying VPNs by well-known ports alone vastly undercounts them.")

@@ -245,23 +245,13 @@ func (c *Classifier) classifyIdxRef(srcAS, dstAS uint32, sp flowrec.PortProto) i
 	return len(c.ordFilters)
 }
 
-// classify is classifyIdx mapped back to the Class name.
-func (c *Classifier) classify(srcAS, dstAS uint32, sp flowrec.PortProto) Class {
-	if k := c.classifyIdx(srcAS, dstAS, sp); k < len(c.order) {
-		return c.order[k]
-	}
-	return Unclassified
-}
-
-// Classify returns the application class of the record, or Unclassified.
-func (c *Classifier) Classify(r flowrec.Record) Class {
-	return c.classify(r.SrcAS, r.DstAS, r.ServerPort())
-}
-
 // ClassifyAt returns the application class of batch row i, reading only
 // the AS and port columns.
 func (c *Classifier) ClassifyAt(b *flowrec.Batch, i int) Class {
-	return c.classify(b.SrcAS[i], b.DstAS[i], b.ServerPortAt(i))
+	if k := c.classifyIdx(b.SrcAS[i], b.DstAS[i], b.ServerPortAt(i)); k < len(c.order) {
+		return c.order[k]
+	}
+	return Unclassified
 }
 
 // Filters returns the filter list of one class (the rows behind Table 1).
@@ -300,63 +290,29 @@ func (c *Classifier) Inventory() []InventoryRow {
 	return rows
 }
 
-// VolumeByClass aggregates the byte volume of the records per class.
-func (c *Classifier) VolumeByClass(recs []flowrec.Record) map[Class]float64 {
-	out := make(map[Class]float64)
-	for _, r := range recs {
-		out[c.Classify(r)] += float64(r.Bytes)
-	}
-	return out
-}
-
-// VolumeByClassBatch is VolumeByClass over a columnar batch: it scans the
-// AS, port and byte columns directly, accumulating in row order so the
-// sums are bit-identical to the record path.
-func (c *Classifier) VolumeByClassBatch(b *flowrec.Batch) map[Class]float64 {
-	out := make(map[Class]float64)
-	c.VolumeByClassInto(out, b)
-	return out
-}
-
 // VolumeByClassInto accumulates the batch's per-class byte volume into
 // sums, letting multi-batch scans (a week of component-hours) share one
 // result map.
 //
-// The hot loop accumulates into a dense array indexed by class id instead
-// of writing through the map per row: the map hash leaves the loop, and
-// the per-class accumulator stays in a register. Per class the additions
-// still happen in row order starting from zero, and byte volumes are
-// integers far below 2^53, so every intermediate sum is exact and the
-// merged totals are bit-identical to the historic per-row map writes.
-// The touched mask preserves the map-key semantics exactly: a class gets
-// a key if and only if a row classified into it, even at volume zero.
-func (c *Classifier) VolumeByClassInto(sums map[Class]float64, b *flowrec.Batch) {
-	n := len(c.order)
-	var acc [simd.Lanes]float64
-	var cnt [simd.Lanes]uint64
-	c.accumulateLanes(b, nil, &acc, &cnt)
-	for k := 0; k < n; k++ {
-		if cnt[k] > 0 {
-			sums[c.order[k]] += acc[k]
-		}
+// The scan is tiled: per tile of rows, one classification pass fills the
+// lane scratch, then the scatter kernels fold bytes and row counts into
+// dense per-lane accumulators. Byte counts sum as uint64, so the totals
+// carry no rounding at any magnitude and partial sums merge
+// associatively — the property the sharded scans need to produce
+// bit-identical aggregates under every chunk grouping. Counts — not
+// sums — carry the map-key semantics: a class gets a key if and only if
+// a row classified into it, even at volume zero.
+func (c *Classifier) VolumeByClassInto(sums map[Class]uint64, b *flowrec.Batch) {
+	var acc, cnt [simd.Lanes]uint64
+	var lanes [simd.Tile]uint8
+	rows := b.Len()
+	for lo := 0; lo < rows; lo += simd.Tile {
+		hi := min(lo+simd.Tile, rows)
+		c.classLanes(b, lo, hi, lanes[:hi-lo])
+		simd.ScatterAddUint64(&acc, lanes[:hi-lo], b.Bytes[lo:hi])
+		simd.ScatterCount(&cnt, lanes[:hi-lo])
 	}
-	if cnt[n] > 0 {
-		sums[Unclassified] += acc[n]
-	}
-}
-
-// VolumeByClassIntoUint64 is VolumeByClassInto with exact integer
-// accumulation: byte counts sum as uint64, so the totals carry no rounding
-// at any magnitude and partial sums merge associatively — the property the
-// sharded scans need to produce bit-identical aggregates under every chunk
-// grouping (float accumulation loses it once a sum crosses 2^53, which a
-// week of a busy vantage point's volume does). The touched mask keeps the
-// same key semantics as the float variant.
-func (c *Classifier) VolumeByClassIntoUint64(sums map[Class]uint64, b *flowrec.Batch) {
 	n := len(c.order)
-	var acc [simd.Lanes]uint64
-	var cnt [simd.Lanes]uint64
-	c.accumulateLanes(b, &acc, nil, &cnt)
 	for k := 0; k < n; k++ {
 		if cnt[k] > 0 {
 			sums[c.order[k]] += acc[k]

@@ -51,19 +51,25 @@ func TestClassifyTable1Classes(t *testing.T) {
 		{"plain hosting web", record(24940, 64700, flowrec.ProtoTCP, 443), Unclassified},
 		{"quic google", record(15169, 64700, flowrec.ProtoUDP, 443), Unclassified},
 	}
-	for _, tc := range cases {
-		if got := c.Classify(tc.rec); got != tc.want {
-			t.Errorf("%s: Classify = %q, want %q", tc.name, got, tc.want)
+	recs := make([]flowrec.Record, len(cases))
+	for i, tc := range cases {
+		recs[i] = tc.rec
+	}
+	b := flowrec.FromRecords(recs)
+	for i, tc := range cases {
+		if got := c.ClassifyAt(b, i); got != tc.want {
+			t.Errorf("%s: ClassifyAt = %q, want %q", tc.name, got, tc.want)
 		}
 	}
+	volumesMatchRef(t, c, b)
 }
 
 func TestSpecificClassesWinOverCDN(t *testing.T) {
 	c := NewDefault(nil)
 	// Microsoft Teams traffic must not be swallowed by a broad filter
 	// even though AS8075 also appears in cloud/CDN-like roles.
-	r := record(8075, 64700, flowrec.ProtoUDP, 3480)
-	if got := c.Classify(r); got != WebConf {
+	b := flowrec.FromRecords([]flowrec.Record{record(8075, 64700, flowrec.ProtoUDP, 3480)})
+	if got := c.ClassifyAt(b, 0); got != WebConf {
 		t.Errorf("Teams STUN classified as %q, want %q", got, WebConf)
 	}
 }
@@ -71,8 +77,8 @@ func TestSpecificClassesWinOverCDN(t *testing.T) {
 func TestClassifyDirectionAgnostic(t *testing.T) {
 	c := NewDefault(nil)
 	// The provider AS may appear as destination (upstream direction).
-	r := record(64700, 2906, flowrec.ProtoTCP, 443)
-	if got := c.Classify(r); got != VoD {
+	b := flowrec.FromRecords([]flowrec.Record{record(64700, 2906, flowrec.ProtoTCP, 443)})
+	if got := c.ClassifyAt(b, 0); got != VoD {
 		t.Errorf("reverse-direction Netflix flow classified as %q, want VoD", got)
 	}
 }
@@ -111,14 +117,14 @@ func TestInventoryMatchesTable1Shape(t *testing.T) {
 
 func TestVolumeByClass(t *testing.T) {
 	c := NewDefault(nil)
-	recs := []flowrec.Record{
+	b := flowrec.FromRecords([]flowrec.Record{
 		record(2906, 64700, flowrec.ProtoTCP, 443),
 		record(2906, 64700, flowrec.ProtoTCP, 443),
 		record(32934, 64700, flowrec.ProtoTCP, 443),
-	}
-	v := c.VolumeByClass(recs)
-	if v[VoD] != 2000 || v[SocialMedia] != 1000 {
-		t.Errorf("VolumeByClass = %v", v)
+	})
+	v := volumesMatchRef(t, c, b)
+	if v[VoD] != 2000 || v[SocialMedia] != 1000 || len(v) != 2 {
+		t.Errorf("VolumeByClassInto = %v", v)
 	}
 }
 
@@ -150,17 +156,20 @@ func TestClassifyEDU(t *testing.T) {
 		{record(64600, 24940, flowrec.ProtoTCP, 4070), EDUSpotify},
 		{record(64600, 24940, flowrec.ProtoTCP, 443), EDUWeb},
 		{record(3320, 64600, flowrec.ProtoTCP, 12345), EDUOther},
+		// GRE/ESP tunnelled traffic counts as VPN.
+		{record(3320, 64600, flowrec.ProtoGRE, 0), EDUVPN},
 	}
+	recs := make([]flowrec.Record, len(cases))
 	for i, tc := range cases {
-		if got := ClassifyEDU(tc.rec); got != tc.want {
-			t.Errorf("case %d: ClassifyEDU = %q, want %q", i, got, tc.want)
+		recs[i] = tc.rec
+	}
+	b := flowrec.FromRecords(recs)
+	for i, tc := range cases {
+		if got := ClassifyEDUAt(b, i); got != tc.want {
+			t.Errorf("case %d: ClassifyEDUAt = %q, want %q", i, got, tc.want)
 		}
 	}
-	// GRE/ESP tunnelled traffic counts as VPN.
-	gre := record(3320, 64600, flowrec.ProtoGRE, 0)
-	if got := ClassifyEDU(gre); got != EDUVPN {
-		t.Errorf("GRE classified as %q, want VPN", got)
-	}
+	eduCountsMatchRef(t, b)
 	if len(AllEDUClasses()) != 8 {
 		t.Errorf("AllEDUClasses returned %d entries", len(AllEDUClasses()))
 	}
@@ -171,9 +180,9 @@ func TestCountEDUByClassDir(t *testing.T) {
 	in.Dir = flowrec.DirIngress
 	out := record(64600, 3320, flowrec.ProtoTCP, 443)
 	out.Dir = flowrec.DirEgress
-	counts := CountEDUByClassDir([]flowrec.Record{in, in, out})
-	if counts[EDUWeb][flowrec.DirIngress] != 2 || counts[EDUWeb][flowrec.DirEgress] != 1 {
-		t.Errorf("CountEDUByClassDir = %v", counts)
+	counts := eduCountsMatchRef(t, flowrec.FromRecords([]flowrec.Record{in, in, out}))
+	if counts[EDUWeb][flowrec.DirIngress] != 2 || counts[EDUWeb][flowrec.DirEgress] != 1 || len(counts) != 1 {
+		t.Errorf("CountEDUByClassDirBatch = %v", counts)
 	}
 }
 
@@ -197,18 +206,10 @@ func benchBatch(rows int) *flowrec.Batch {
 	return b
 }
 
-// volumeByClassIntoMap is the pre-array-accumulator implementation (one
-// map write per row), kept as the benchmark baseline for the scan loop.
-func volumeByClassIntoMap(c *Classifier, sums map[Class]float64, b *flowrec.Batch) {
-	for i := 0; i < b.Len(); i++ {
-		sums[c.ClassifyAt(b, i)] += float64(b.Bytes[i])
-	}
-}
-
 func BenchmarkVolumeByClassInto(bm *testing.B) {
 	c := NewDefault(nil)
 	b := benchBatch(4096)
-	sums := make(map[Class]float64)
+	sums := make(map[Class]uint64)
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
@@ -216,35 +217,22 @@ func BenchmarkVolumeByClassInto(bm *testing.B) {
 	}
 }
 
+// BenchmarkVolumeByClassIntoMapBaseline is the per-row reference the
+// kernel replaced: one ClassifyAt and one map write per row.
 func BenchmarkVolumeByClassIntoMapBaseline(bm *testing.B) {
 	c := NewDefault(nil)
 	b := benchBatch(4096)
-	sums := make(map[Class]float64)
+	sums := make(map[Class]uint64)
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		volumeByClassIntoMap(c, sums, b)
+		volumeByClassRef(c, sums, b)
 	}
 }
 
 // TestVolumeByClassIntoMatchesMapBaseline pins the array-accumulator
-// rewrite bit-identical to the historic per-row map writes, including
-// the key-presence semantics and multi-batch accumulation.
+// scan to the per-row map writes, including the key-presence semantics
+// and multi-batch accumulation.
 func TestVolumeByClassIntoMatchesMapBaseline(t *testing.T) {
-	c := NewDefault(nil)
-	b1, b2 := benchBatch(513), benchBatch(257)
-	want := make(map[Class]float64)
-	volumeByClassIntoMap(c, want, b1)
-	volumeByClassIntoMap(c, want, b2)
-	got := make(map[Class]float64)
-	c.VolumeByClassInto(got, b1)
-	c.VolumeByClassInto(got, b2)
-	if len(want) != len(got) {
-		t.Fatalf("key sets differ: want %v, got %v", want, got)
-	}
-	for k, wv := range want {
-		if gv, ok := got[k]; !ok || gv != wv {
-			t.Errorf("class %q: got %v, want %v", k, got[k], wv)
-		}
-	}
+	volumesMatchRef(t, NewDefault(nil), benchBatch(513), benchBatch(257))
 }

@@ -74,48 +74,24 @@ var eduPortClasses = map[flowrec.PortProto]EDUClass{
 	{Proto: flowrec.ProtoTCP, Port: 4070}: EDUSpotify,
 }
 
-// classifyEDU attributes one educational-network flow from the values the
-// Appendix B rules depend on: the service-side port and the AS endpoints.
-func classifyEDU(srcAS, dstAS uint32, sp flowrec.PortProto) EDUClass {
-	if cls, ok := eduPortClasses[sp]; ok {
+// EDUColumns is what the Appendix B batch scans (ClassifyEDUAt,
+// EDUCounter, CountEDUByClassDirBatch) read of a batch: the server-port
+// columns, both AS numbers and the direction.
+const EDUColumns = flowrec.PortLaneColumns | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColDir
+
+// ClassifyEDUAt attributes batch row i of the educational network to its
+// Appendix B class, reading only the AS and port columns. Port matching
+// is attempted first; the Spotify AS rule applies afterwards; everything
+// else is EDUOther (the paper reports that 39% of flows cannot be
+// labelled).
+func ClassifyEDUAt(b *flowrec.Batch, i int) EDUClass {
+	if cls, ok := eduPortClasses[b.ServerPortAt(i)]; ok {
 		return cls
 	}
-	if srcAS == spotifyASN || dstAS == spotifyASN {
+	if b.SrcAS[i] == spotifyASN || b.DstAS[i] == spotifyASN {
 		return EDUSpotify
 	}
 	return EDUOther
-}
-
-// ClassifyEDU attributes a flow record of the educational network to its
-// Appendix B class. Port matching is attempted first; the Spotify AS rule
-// applies afterwards; everything else is EDUOther (the paper reports that
-// 39% of flows cannot be labelled).
-func ClassifyEDU(r flowrec.Record) EDUClass {
-	return classifyEDU(r.SrcAS, r.DstAS, r.ServerPort())
-}
-
-// EDUColumns is what the Appendix B batch scans (ClassifyEDUAt,
-// CountEDUByClassDirBatch, EDUCounter) read of a batch: the server-port columns, both
-// AS numbers and the direction.
-const EDUColumns = flowrec.PortLaneColumns | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColDir
-
-// ClassifyEDUAt attributes batch row i, reading only the AS and port
-// columns.
-func ClassifyEDUAt(b *flowrec.Batch, i int) EDUClass {
-	return classifyEDU(b.SrcAS[i], b.DstAS[i], b.ServerPortAt(i))
-}
-
-// CountEDUByClassDir counts connections (records) per class and direction.
-func CountEDUByClassDir(recs []flowrec.Record) map[EDUClass]map[flowrec.Direction]int {
-	out := make(map[EDUClass]map[flowrec.Direction]int)
-	for _, r := range recs {
-		cls := ClassifyEDU(r)
-		if out[cls] == nil {
-			out[cls] = make(map[flowrec.Direction]int)
-		}
-		out[cls][r.Dir]++
-	}
-	return out
 }
 
 // eduLaneOrder fixes a lane index per Appendix B class for the dense

@@ -4,7 +4,6 @@ import (
 	"math/bits"
 
 	"lockdown/internal/flowrec"
-	"lockdown/internal/simd"
 )
 
 // program is the Table-1 filter inventory compiled to a branch-free
@@ -115,8 +114,8 @@ func (p *program) asnBits(as uint32) uint64 {
 	return p.asnTab[idx] & m
 }
 
-// Columns is what the Classifier's batch scans (ClassifyAt, the
-// VolumeByClass family) read of a batch: the server-port columns, both AS
+// Columns is what the Classifier's batch scans (ClassifyAt,
+// VolumeByClassInto) read of a batch: the server-port columns, both AS
 // numbers and the byte counter.
 const Columns = flowrec.PortLaneColumns | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColBytes
 
@@ -142,27 +141,5 @@ func (c *Classifier) classLanes(b *flowrec.Batch, lo, hi int, lanes []uint8) {
 	for i := range srcAS {
 		sp := b.ServerPortAt(lo + i)
 		lanes[i] = p.laneOf(srcAS[i], dstAS[i], sp)
-	}
-}
-
-// accumulateLanes runs the tiled classify+scatter pass shared by the two
-// VolumeByClassInto variants: per tile of rows, one classification pass
-// fills the lane scratch, then the scatter kernels fold bytes and row
-// counts into dense per-lane accumulators. Counts — not sums — carry the
-// map-key semantics: a lane was touched iff a row classified into it,
-// even at volume zero.
-func (c *Classifier) accumulateLanes(b *flowrec.Batch, sum *[simd.Lanes]uint64, fsum *[simd.Lanes]float64, cnt *[simd.Lanes]uint64) {
-	var lanes [simd.Tile]uint8
-	n := b.Len()
-	for lo := 0; lo < n; lo += simd.Tile {
-		hi := min(lo+simd.Tile, n)
-		c.classLanes(b, lo, hi, lanes[:hi-lo])
-		if sum != nil {
-			simd.ScatterAddUint64(sum, lanes[:hi-lo], b.Bytes[lo:hi])
-		}
-		if fsum != nil {
-			simd.ScatterAddFloat64FromUint64(fsum, lanes[:hi-lo], b.Bytes[lo:hi])
-		}
-		simd.ScatterCount(cnt, lanes[:hi-lo])
 	}
 }

@@ -85,8 +85,8 @@ func TestProgramExhaustivePorts(t *testing.T) {
 	}
 }
 
-// TestVolumeKernelsMatchRowPath: the tiled kernel output of both volume
-// variants must equal a per-row reference re-implementation (including
+// TestVolumeKernelsMatchRowPath: the tiled kernel output must equal a
+// per-row re-implementation on the nested-filter reference (including
 // key-presence semantics for zero-byte rows), across tile boundaries.
 func TestVolumeKernelsMatchRowPath(t *testing.T) {
 	c := NewDefault(nil)
@@ -97,68 +97,31 @@ func TestVolumeKernelsMatchRowPath(t *testing.T) {
 			b.Bytes[1] = 0 // zero-volume row must still create its class key
 		}
 
-		wantU := make(map[Class]uint64)
-		wantF := make(map[Class]float64)
+		want := make(map[Class]uint64)
 		for i := 0; i < n; i++ {
 			k := c.classifyIdxRef(b.SrcAS[i], b.DstAS[i], b.ServerPortAt(i))
 			cls := Unclassified
 			if k < len(c.order) {
 				cls = c.order[k]
 			}
-			wantU[cls] += b.Bytes[i]
-			wantF[cls] += float64(b.Bytes[i])
+			want[cls] += b.Bytes[i]
 		}
 
-		gotU := make(map[Class]uint64)
-		c.VolumeByClassIntoUint64(gotU, b)
-		gotF := make(map[Class]float64)
-		c.VolumeByClassInto(gotF, b)
-
-		if len(gotU) != len(wantU) || len(gotF) != len(wantF) {
-			t.Fatalf("n=%d: key sets differ: got %d/%d keys, want %d/%d", n, len(gotU), len(gotF), len(wantU), len(wantF))
-		}
-		for cls, v := range wantU {
-			if gotU[cls] != v {
-				t.Fatalf("n=%d class %q: uint64 %d, want %d", n, cls, gotU[cls], v)
-			}
-		}
-		for cls, v := range wantF {
-			if gotF[cls] != v {
-				t.Fatalf("n=%d class %q: float %v, want %v", n, cls, gotF[cls], v)
-			}
+		got := make(map[Class]uint64)
+		c.VolumeByClassInto(got, b)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: VolumeByClassInto = %v, want %v", n, got, want)
 		}
 	}
 }
 
 // TestEDUCountKernelMatchesRowPath: the paired-scatter EDU counts must
-// equal the per-row record path, including nested key presence and
+// equal the per-row reference, including nested key presence and
 // out-of-range direction bytes.
 func TestEDUCountKernelMatchesRowPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{0, 1, 7, 4096, 4097, 8200} {
-		b := randomBatch(rng, n)
-		want := make(map[EDUClass]map[flowrec.Direction]int)
-		for i := 0; i < n; i++ {
-			cls := ClassifyEDUAt(b, i)
-			if want[cls] == nil {
-				want[cls] = make(map[flowrec.Direction]int)
-			}
-			want[cls][b.Dir[i]]++
-		}
-		got := CountEDUByClassDirBatch(b)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d: %d classes, want %d", n, len(got), len(want))
-		}
-		for cls, dirs := range want {
-			if len(got[cls]) != len(dirs) {
-				t.Fatalf("n=%d class %q: %d dirs, want %d", n, cls, len(got[cls]), len(dirs))
-			}
-			for d, cnt := range dirs {
-				if got[cls][d] != cnt {
-					t.Fatalf("n=%d class %q dir %d: %d, want %d", n, cls, d, got[cls][d], cnt)
-				}
-			}
-		}
+		eduCountsMatchRef(t, randomBatch(rng, n))
 	}
 }
 
@@ -200,7 +163,7 @@ func BenchmarkClassVolumeKernel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.VolumeByClassIntoUint64(sums, batch)
+		c.VolumeByClassInto(sums, batch)
 	}
 }
 

@@ -6,12 +6,12 @@
 //
 // Execution is organised around an Engine: experiments receive an Env
 // carrying the run Options plus a shared Dataset cache that memoizes every
-// synthetic input (generators, hourly series, per-hour flow samples) per
-// generator fingerprint, so inputs consumed by several experiments are
-// generated once. Engine.RunAll executes the registry on a bounded worker
-// pool with context cancellation and assembles results in paper order;
-// because the generator is a pure function of its fingerprint, the metrics
-// are bit-identical at every parallelism level.
+// synthetic input (generators, hourly series, per-hour flow batches) under
+// the key it is generated from, so inputs consumed by several experiments
+// are generated once. Engine.RunAll executes the registry on a bounded
+// worker pool with context cancellation and assembles results in paper
+// order; because generation is a pure function of the options and that
+// key, the metrics are bit-identical at every parallelism level.
 //
 // Each experiment returns a Result holding human-readable tables plus a
 // set of named metrics; the metrics are what EXPERIMENTS.md records and

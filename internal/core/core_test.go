@@ -375,10 +375,25 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	if g.VP() != synth.ISPCE {
 		t.Errorf("unexpected vantage point %v", g.VP())
 	}
-	if !strings.Contains(g.Fingerprint(), "seed=77") {
-		t.Errorf("fingerprint %q should carry the seed override", g.Fingerprint())
-	}
 	day := time.Date(2020, 2, 20, 0, 0, 0, 0, time.UTC)
+	// The seed and flow-scale overrides reach the flows: the dataset's hour
+	// is the one a generator built with them draws, in the dataset's
+	// column set.
+	hour := day.Add(20 * time.Hour)
+	got, err := d.FlowBatch(synth.ISPCE, hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := synth.DefaultConfig(synth.ISPCE)
+	cfg.Seed, cfg.FlowScale = 77, 0.2
+	ref, err := synth.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.FlowsForHourBatch(hour).Project(FlowKey{Kind: KindFlows}.Columns())
+	if got.Len() == 0 || !got.Equal(want) {
+		t.Errorf("dataset hour (%d rows) differs from the seed-77 generator's (%d rows)", got.Len(), want.Len())
+	}
 	s, err := d.Series(synth.ISPCE, day, day.AddDate(0, 0, 1))
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func stripRuntime(m map[string]float64) map[string]float64 {
 // TestRunAllParallelDeterminism is the acceptance check of the engine: the
 // same seed must yield byte-identical experiment metrics, tables and notes
 // at every parallelism level, because all generation is a pure function of
-// the generator fingerprint.
+// the run options and what is generated.
 func TestRunAllParallelDeterminism(t *testing.T) {
 	opts := Options{FlowScale: 0.1, Seed: 7}
 	seq, err := NewEngine(opts).RunAll(context.Background(), 1)

@@ -311,7 +311,7 @@ func collectClassVolumes(env *Env, vp synth.VantagePoint, clf *appclass.Classifi
 			if err != nil {
 				return err
 			}
-			clf.VolumeByClassIntoUint64(part, b)
+			clf.VolumeByClassInto(part, b)
 			return nil
 		},
 		func(dst, src map[appclass.Class]uint64) map[appclass.Class]uint64 {

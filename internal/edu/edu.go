@@ -177,16 +177,6 @@ func (dc DailyCounts) Merge(src DailyCounts) DailyCounts {
 	return dc
 }
 
-// CountConnectionRecords is CountConnections for per-day record slices
-// (adapter kept for call sites that have not migrated to batches).
-func CountConnectionRecords(byDay map[time.Time][]flowrec.Record) DailyCounts {
-	out := make(DailyCounts, len(byDay))
-	for day, recs := range byDay {
-		out[calendar.DayStart(day)] = appclass.CountEDUByClassDir(recs)
-	}
-	return out
-}
-
 // Days returns the sorted days present in the counts.
 func (dc DailyCounts) Days() []time.Time {
 	out := make([]time.Time, 0, len(dc))

@@ -152,8 +152,9 @@ func TestConnectionGrowthMatchesSection7(t *testing.T) {
 	}
 }
 
-// TestCountConnectionsBatchRecordEquivalence pins the batch and record
-// counting paths to identical results on real generator output.
+// TestCountConnectionsBatchRecordEquivalence pins CountConnections to
+// the per-row reference on real generator output, the reference reading
+// a batch rebuilt from the day's records.
 func TestCountConnectionsBatchRecordEquivalence(t *testing.T) {
 	g := eduGenerator(t)
 	day := date(2020, 3, 5)
@@ -162,9 +163,9 @@ func TestCountConnectionsBatchRecordEquivalence(t *testing.T) {
 		t.Fatal("expected flows for the sample day")
 	}
 	fromBatch := CountConnections(map[time.Time]*flowrec.Batch{day: b})
-	fromRecs := CountConnectionRecords(map[time.Time][]flowrec.Record{day: b.Records()})
+	fromRecs := countConnectionsRef(map[time.Time]*flowrec.Batch{day: flowrec.FromRecords(b.Records())})
 	if !reflect.DeepEqual(fromBatch, fromRecs) {
-		t.Error("CountConnections (batch) and CountConnectionRecords disagree")
+		t.Error("CountConnections and the per-row reference disagree")
 	}
 }
 

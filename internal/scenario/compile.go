@@ -14,8 +14,8 @@ import (
 // lockdown on calendar.LockdownEurope, severity 1, the default ten-day
 // ramp, no further events) leaves the built-in synth.DefaultConfig
 // untouched, field for field. Only a config whose model actually differs
-// gets the scenario's name as its Variant, which keeps default cache and
-// golden fingerprints stable.
+// gets the scenario's name as its Variant, which is how Identity tells a
+// restatement of the paper's timeline from a modified model.
 //
 // Seed and FlowScale are deliberately left at their DefaultConfig values;
 // the scenario's declared seed/flow_scale are CLI-level defaults that

@@ -4,20 +4,18 @@ import "testing"
 
 const benchN = 16384
 
-func benchLanes() ([]uint8, []uint64, []uint16) {
+func benchLanes() ([]uint8, []uint64) {
 	lanes := make([]uint8, benchN)
 	vals := make([]uint64, benchN)
-	v16 := make([]uint16, benchN)
 	for i := range lanes {
 		lanes[i] = uint8(i * 7)
 		vals[i] = uint64(i)*2654435761 + 1
-		v16[i] = uint16(i * 40503)
 	}
-	return lanes, vals, v16
+	return lanes, vals
 }
 
 func BenchmarkKernelSumUint64(b *testing.B) {
-	_, vals, _ := benchLanes()
+	_, vals := benchLanes()
 	b.SetBytes(benchN * 8)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -28,20 +26,8 @@ func BenchmarkKernelSumUint64(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkKernelWidenSumUint16(b *testing.B) {
-	_, _, v16 := benchLanes()
-	b.SetBytes(benchN * 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += WidenSumUint16(v16)
-	}
-	_ = sink
-}
-
 func BenchmarkKernelScatterAddUint64(b *testing.B) {
-	lanes, vals, _ := benchLanes()
+	lanes, vals := benchLanes()
 	b.SetBytes(benchN * 9)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -53,7 +39,7 @@ func BenchmarkKernelScatterAddUint64(b *testing.B) {
 }
 
 func BenchmarkKernelScatterCount(b *testing.B) {
-	lanes, _, _ := benchLanes()
+	lanes, _ := benchLanes()
 	b.SetBytes(benchN)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -64,20 +50,8 @@ func BenchmarkKernelScatterCount(b *testing.B) {
 	_ = acc
 }
 
-func BenchmarkKernelMaskedSumUint64(b *testing.B) {
-	lanes, vals, _ := benchLanes()
-	b.SetBytes(benchN * 9)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += MaskedSumUint64(vals, lanes, 42)
-	}
-	_ = sink
-}
-
 func BenchmarkKernelScatterCountBytePairs(b *testing.B) {
-	lanes, _, _ := benchLanes()
+	lanes, _ := benchLanes()
 	lo := make([]uint8, benchN)
 	for i := range lo {
 		lo[i] = uint8(i % 3)

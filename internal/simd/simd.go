@@ -1,6 +1,6 @@
 // Package simd holds the scalar-coded, vector-shaped kernels behind the
-// hot column scans of the experiment suite: widening sums, masked sums
-// and dense scatter accumulation over uint8 lane arrays.
+// hot column scans of the experiment suite: sums and dense scatter
+// accumulation over uint8 lane arrays.
 //
 // There is no unsafe and no assembly here, on purpose. The gc compiler
 // does not auto-vectorize loops, but it rewards exactly one loop shape:
@@ -18,16 +18,11 @@
 // arrays live on the caller's stack, and none of the kernels allocate —
 // the benchgate gates pin allocs/op at 0.
 //
-// Exactness rules (the suite's bit-identity contract leans on them):
-//
-//   - Integer kernels accumulate in uint64. Integer addition is
-//     associative at any magnitude, so partial sums merge exactly under
-//     every chunk grouping — unlike float64, which starts rounding once a
-//     sum crosses 2^53 (a busy week of byte volume does).
-//   - The float kernel (ScatterAddFloat64FromUint64) exists for the one
-//     API that documents float row-order accumulation; it adds in row
-//     order per lane, so its rounding behaviour is bit-identical to the
-//     historic per-row map writes, including beyond 2^53.
+// Exactness (the suite's bit-identity contract leans on it): every sum
+// and count accumulates in uint64. Integer addition is associative at any
+// magnitude, so partial sums merge exactly under every chunk grouping —
+// unlike floating point, which starts rounding once a sum crosses 2^53 (a
+// busy week of byte volume does).
 package simd
 
 // Lanes is the size of every dense accumulator array. A lane index is a
@@ -62,24 +57,6 @@ func SumUint64(v []uint64) uint64 {
 	return s0 + s1 + s2 + s3
 }
 
-// WidenSumUint16 returns the sum of v with every element widened to
-// uint64 before adding, so the total cannot wrap (65535 × len(v) stays
-// far below 2^64 for any real column).
-func WidenSumUint16(v []uint16) uint64 {
-	var s0, s1, s2, s3 uint64
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		s0 += uint64(v[i])
-		s1 += uint64(v[i+1])
-		s2 += uint64(v[i+2])
-		s3 += uint64(v[i+3])
-	}
-	for ; i < len(v); i++ {
-		s0 += uint64(v[i])
-	}
-	return s0 + s1 + s2 + s3
-}
-
 // ScatterAddUint64 performs acc[lanes[i]] += vals[i] for every i.
 // lanes and vals must have equal length; extra vals elements are ignored.
 func ScatterAddUint64(acc *[Lanes]uint64, lanes []uint8, vals []uint64) {
@@ -99,22 +76,6 @@ func ScatterCount(acc *[Lanes]uint64, lanes []uint8) {
 	}
 }
 
-// ScatterAddFloat64FromUint64 performs acc[lanes[i]] += float64(vals[i])
-// in row order. It is the float twin of ScatterAddUint64 for APIs that
-// promise bit-identity with historic per-row float accumulation: each
-// lane's partial sum sees its values in exactly the original row order,
-// so the rounding sequence — and therefore the result — is unchanged,
-// including past the 2^53 exactness boundary.
-func ScatterAddFloat64FromUint64(acc *[Lanes]float64, lanes []uint8, vals []uint64) {
-	if len(vals) < len(lanes) {
-		lanes = lanes[:len(vals)]
-	}
-	vals = vals[:len(lanes)]
-	for i, l := range lanes {
-		acc[l] += float64(vals[i])
-	}
-}
-
 // ScatterCountBytePairs performs acc[(hi[i]&15)<<8|lo[i]]++ for every i:
 // a two-dimensional count over a small hi lane (0-15, masked so the
 // index is provably below PairLanes) and a full byte lo lane. The
@@ -130,45 +91,14 @@ func ScatterCountBytePairs(acc *[PairLanes]uint64, hi, lo []uint8) {
 	}
 }
 
-// MaskedSumUint64 returns the sum of vals[i] where lanes[i] == want,
-// using an arithmetic mask instead of a branch: the comparison becomes a
-// flag-set, the flag becomes an all-ones/all-zeros mask, and the add is
-// unconditional — nothing for the branch predictor to mispredict on
-// data-dependent lane patterns.
-func MaskedSumUint64(vals []uint64, lanes []uint8, want uint8) uint64 {
-	if len(vals) < len(lanes) {
-		lanes = lanes[:len(vals)]
-	}
-	vals = vals[:len(lanes)]
-	var sum uint64
-	for i, l := range lanes {
-		sum += vals[i] & -b2u(l == want)
-	}
-	return sum
-}
-
-// Select64 returns a when cond is true and b otherwise, compiled as a
+// Select8 returns a when cond is true and b otherwise, compiled as a
 // conditional move (no branch).
-func Select64(cond bool, a, b uint64) uint64 {
-	m := -b2u(cond)
-	return (a & m) | (b &^ m)
-}
-
-// Select8 is Select64 over lane bytes.
 func Select8(cond bool, a, b uint8) uint8 {
 	m := -b2u8(cond)
 	return (a & m) | (b &^ m)
 }
 
-// b2u converts a bool to 0/1 without a branch (the compiler emits SETcc).
-func b2u(b bool) uint64 {
-	var v uint64
-	if b {
-		v = 1
-	}
-	return v
-}
-
+// b2u8 converts a bool to 0/1 without a branch (the compiler emits SETcc).
 func b2u8(b bool) uint8 {
 	var v uint8
 	if b {

@@ -119,28 +119,6 @@ func (g *Generator) WithVPNGateways(addrs []netip.Addr) *Generator {
 	return &c
 }
 
-// Fingerprint returns a stable identifier of the generator's input space:
-// vantage point, seed, flow-sampling scale, and — when set — the Variant
-// tag of a modified model. For generators built from the built-in
-// component model (DefaultConfig), equal fingerprints imply byte-identical
-// series and flow samples, so the fingerprint is a safe memoization key
-// for derived datasets. Compiled scenarios must carry a distinct Variant;
-// hand-edited Components or a custom Registry without one are not covered
-// — do not key caches on it for such configurations.
-func (g *Generator) Fingerprint() string { return g.cfg.Fingerprint() }
-
-// Fingerprint returns the memoization key of the configuration; see
-// Generator.Fingerprint. The variant suffix appears only for non-default
-// configurations, keeping the golden default's keys (and every cache path
-// derived from them) unchanged.
-func (c Config) Fingerprint() string {
-	fp := fmt.Sprintf("%s|seed=%d|scale=%g", c.VP, c.Seed, c.FlowScale)
-	if c.Variant != "" {
-		fp += "|variant=" + c.Variant
-	}
-	return fp
-}
-
 // VP returns the vantage point this generator models.
 func (g *Generator) VP() VantagePoint { return g.cfg.VP }
 

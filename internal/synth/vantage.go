@@ -22,9 +22,9 @@ type Config struct {
 	// experiments cheaper without changing volumes.
 	FlowScale float64
 	// Variant tags configurations whose components differ from the
-	// built-in model of VP (compiled scenarios). It is folded into
-	// Fingerprint so derived-dataset caches never alias a modified model
-	// with the golden default. Empty for DefaultConfig.
+	// built-in model of VP (compiled scenarios): a non-empty Variant is
+	// what marks a non-identity model for scenario.Scenario.Identity.
+	// Empty for DefaultConfig.
 	Variant string
 }
 

@@ -2,7 +2,6 @@ package vpndetect
 
 import (
 	"encoding/binary"
-	"math"
 	"math/rand"
 	"net/netip"
 	"testing"
@@ -73,28 +72,18 @@ func TestMethodLanesMatchClassifyAt(t *testing.T) {
 	}
 }
 
-// TestSplitBatchMatchesSplit: the kernelised SplitBatch must stay
-// bit-identical to the record path, as its contract documents.
+// TestSplitBatchMatchesSplit: the lane-scan SplitBatchSums must equal
+// the per-row reference across tile boundaries.
 func TestSplitBatchMatchesSplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	candidates := map[netip.Addr]bool{addr4(rng): true, addr4(rng): true}
 	d := New(candidates)
 	for _, n := range []int{0, 1, 4095, 4097, 9001} {
-		b := randomVPNBatch(rng, n, candidates)
-		got := d.SplitBatch(b)
-		want := d.Split(b.Records())
-		if len(got) != 3 || len(want) != 3 {
-			t.Fatalf("n=%d: key counts %d/%d, want 3/3", n, len(got), len(want))
-		}
-		for m, v := range want {
-			if math.Float64bits(got[m]) != math.Float64bits(v) {
-				t.Fatalf("n=%d method %v: %v, want %v (bits differ)", n, m, got[m], v)
-			}
-		}
+		splitMatchesRef(t, d, randomVPNBatch(rng, n, candidates))
 	}
 }
 
-// TestSplitBatchSumsExact: the integer kernel equals a per-row uint64
+// TestSplitBatchSumsExact: the integer kernel equals the per-row
 // reference, and per-hour partials merge to the same totals as one big
 // batch — the associativity the sharded scans rely on.
 func TestSplitBatchSumsExact(t *testing.T) {
@@ -102,17 +91,7 @@ func TestSplitBatchSumsExact(t *testing.T) {
 	candidates := map[netip.Addr]bool{addr4(rng): true}
 	d := New(candidates)
 	b := randomVPNBatch(rng, 10000, candidates)
-
-	var want [3]uint64
-	for i := 0; i < b.Len(); i++ {
-		want[d.ClassifyAt(b, i)] += b.Bytes[i]
-	}
-
-	var got [3]uint64
-	d.SplitBatchSums(&got, b)
-	if got != want {
-		t.Fatalf("SplitBatchSums = %v, want %v", got, want)
-	}
+	want := splitMatchesRef(t, d, b)
 
 	// Split the batch at arbitrary points; partial sums must merge exactly.
 	var merged [3]uint64
@@ -129,18 +108,15 @@ func TestSplitBatchSumsExact(t *testing.T) {
 	}
 }
 
-// TestSplitBatchSumsQuick: random small batches, lane path vs ClassifyAt.
+// TestSplitBatchSumsQuick: random small batches, lane path vs the
+// per-row reference.
 func TestSplitBatchSumsQuick(t *testing.T) {
 	d := New(nil)
 	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := randomVPNBatch(rng, int(n), nil)
-		var got, want [3]uint64
+		b := randomVPNBatch(rand.New(rand.NewSource(seed)), int(n), nil)
+		var got [3]uint64
 		d.SplitBatchSums(&got, b)
-		for i := 0; i < b.Len(); i++ {
-			want[d.ClassifyAt(b, i)] += b.Bytes[i]
-		}
-		return got == want
+		return got == splitRef(d, b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -178,9 +154,6 @@ func BenchmarkVPNSplitRowBaseline(bm *testing.B) {
 	bm.ReportAllocs()
 	bm.ResetTimer()
 	for i := 0; i < bm.N; i++ {
-		var sums [3]uint64
-		for r := 0; r < b.Len(); r++ {
-			sums[d.ClassifyAt(b, r)] += b.Bytes[r]
-		}
+		splitRef(d, b)
 	}
 }

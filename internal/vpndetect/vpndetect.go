@@ -45,7 +45,7 @@ func (m Method) String() string {
 // set. Lanes 0-2 are the Method values themselves.
 const laneCandidate = 3
 
-// Detector classifies flow records as VPN traffic.
+// Detector classifies flows as VPN traffic.
 type Detector struct {
 	vpnPorts map[flowrec.PortProto]bool
 	// candidates is keyed by the column form of the address, so the
@@ -88,53 +88,31 @@ func NewFromCorpus(c *dnsdb.Corpus) *Detector {
 // detector.
 func (d *Detector) Candidates() int { return len(d.candidates) }
 
-// classify is the shared core of the record and batch paths: the two
-// methods need only the service-side port and the endpoint addresses.
-func (d *Detector) classify(sp flowrec.PortProto, src, dst flowrec.Addr) Method {
+// Columns is what the detector's batch scans (ClassifyAt,
+// SplitBatchSums) read of a batch: the server-port columns, both
+// addresses and the byte counter.
+const Columns = flowrec.PortLaneColumns | flowrec.ColSrcIP | flowrec.ColDstIP | flowrec.ColBytes
+
+// ClassifyAt returns how (if at all) batch row i is identified as VPN
+// traffic, reading only the port and address columns. Port-based
+// identification takes precedence; the domain-based method only
+// considers HTTPS (TCP/443) flows, mirroring the paper's conservative
+// approach.
+func (d *Detector) ClassifyAt(b *flowrec.Batch, i int) Method {
+	sp := b.ServerPortAt(i)
 	if d.vpnPorts[sp] {
 		return ByPort
 	}
-	if sp.Proto == flowrec.ProtoTCP && sp.Port == 443 && (d.candidates[src] || d.candidates[dst]) {
+	if sp.Proto == flowrec.ProtoTCP && sp.Port == 443 && (d.candidates[b.SrcIP[i]] || d.candidates[b.DstIP[i]]) {
 		return ByDomain
 	}
 	return NotVPN
 }
 
-// Classify returns how (if at all) the record is identified as VPN
-// traffic. Port-based identification takes precedence; the domain-based
-// method only considers HTTPS (TCP/443) flows, mirroring the paper's
-// conservative approach.
-func (d *Detector) Classify(r flowrec.Record) Method {
-	// A non-IPv4 address is looked up as an unset one: 0.0.0.0.
-	src, _ := flowrec.AddrFrom(r.SrcIP)
-	dst, _ := flowrec.AddrFrom(r.DstIP)
-	return d.classify(r.ServerPort(), src, dst)
-}
-
-// Columns is what the detector's batch scans (ClassifyAt, SplitBatch,
-// SplitBatchSums) read of a batch: the server-port columns, both
-// addresses and the byte counter.
-const Columns = flowrec.PortLaneColumns | flowrec.ColSrcIP | flowrec.ColDstIP | flowrec.ColBytes
-
-// ClassifyAt classifies batch row i, reading only the port and address
-// columns.
-func (d *Detector) ClassifyAt(b *flowrec.Batch, i int) Method {
-	return d.classify(b.ServerPortAt(i), b.SrcIP[i], b.DstIP[i])
-}
-
-// Split sums the byte volume of the records per detection method.
-func (d *Detector) Split(recs []flowrec.Record) map[Method]float64 {
-	out := map[Method]float64{NotVPN: 0, ByPort: 0, ByDomain: 0}
-	for _, r := range recs {
-		out[d.Classify(r)] += float64(r.Bytes)
-	}
-	return out
-}
-
-// methodLanes runs the shared lane scan of the batch kernels over rows
-// [lo, hi): a bulk port-lane pass, then a fixup resolving laneCandidate
-// (TCP/443) rows against the candidate address set (an empty one
-// resolves them all to NotVPN). After it, every lane is a Method value.
+// methodLanes runs the lane scan of SplitBatchSums over rows [lo, hi): a
+// bulk port-lane pass, then a fixup resolving laneCandidate (TCP/443)
+// rows against the candidate address set (an empty one resolves them all
+// to NotVPN). After it, every lane is a Method value.
 func (d *Detector) methodLanes(b *flowrec.Batch, lo, hi int, lanes []uint8) {
 	b.ServerPortLanes(d.lanes, lo, hi, lanes)
 	src := b.SrcIP[lo:hi]
@@ -149,27 +127,6 @@ func (d *Detector) methodLanes(b *flowrec.Batch, lo, hi int, lanes []uint8) {
 			}
 			lanes[i] = m
 		}
-	}
-}
-
-// SplitBatch is Split over a columnar batch, scanning the port, address
-// and byte columns without materialising records. Accumulation order is
-// row order, so the sums are bit-identical to the record path: the float
-// scatter kernel adds each lane's bytes in row order, exactly as the
-// per-row map writes did.
-func (d *Detector) SplitBatch(b *flowrec.Batch) map[Method]float64 {
-	var acc [simd.Lanes]float64
-	var lanes [simd.Tile]uint8
-	n := b.Len()
-	for lo := 0; lo < n; lo += simd.Tile {
-		hi := min(lo+simd.Tile, n)
-		d.methodLanes(b, lo, hi, lanes[:hi-lo])
-		simd.ScatterAddFloat64FromUint64(&acc, lanes[:hi-lo], b.Bytes[lo:hi])
-	}
-	return map[Method]float64{
-		NotVPN:   acc[NotVPN],
-		ByPort:   acc[ByPort],
-		ByDomain: acc[ByDomain],
 	}
 }
 

@@ -39,35 +39,41 @@ func TestPortBasedDetection(t *testing.T) {
 		{rec(flowrec.ProtoUDP, 443, "10.1.0.1", "10.2.0.1"), NotVPN},
 		{rec(flowrec.ProtoTCP, 22, "10.1.0.1", "10.2.0.1"), NotVPN},
 	}
+	recs := make([]flowrec.Record, len(cases))
 	for i, c := range cases {
-		if got := d.Classify(c.r); got != c.want {
-			t.Errorf("case %d: Classify = %v, want %v", i, got, c.want)
+		recs[i] = c.r
+	}
+	b := flowrec.FromRecords(recs)
+	for i, c := range cases {
+		if got := d.ClassifyAt(b, i); got != c.want {
+			t.Errorf("case %d: ClassifyAt = %v, want %v", i, got, c.want)
 		}
 	}
+	splitMatchesRef(t, d, b)
 }
 
 func TestDomainBasedDetection(t *testing.T) {
 	gw := netip.MustParseAddr("10.44.0.10")
 	d := New(map[netip.Addr]bool{gw: true})
 	// HTTPS to the candidate: domain-detected.
-	if got := d.Classify(rec(flowrec.ProtoTCP, 443, gw.String(), "10.2.0.1")); got != ByDomain {
+	if got := classifyRecord(d, rec(flowrec.ProtoTCP, 443, gw.String(), "10.2.0.1")); got != ByDomain {
 		t.Errorf("HTTPS to gateway = %v, want ByDomain", got)
 	}
 	// Candidate as destination works too.
-	if got := d.Classify(rec(flowrec.ProtoTCP, 443, "10.2.0.1", gw.String())); got != ByDomain {
+	if got := classifyRecord(d, rec(flowrec.ProtoTCP, 443, "10.2.0.1", gw.String())); got != ByDomain {
 		t.Errorf("HTTPS from client to gateway = %v, want ByDomain", got)
 	}
 	// Non-443 traffic to the candidate is not counted by the domain
 	// method (it would be caught by the port method if on a VPN port).
-	if got := d.Classify(rec(flowrec.ProtoTCP, 8080, gw.String(), "10.2.0.1")); got != NotVPN {
+	if got := classifyRecord(d, rec(flowrec.ProtoTCP, 8080, gw.String(), "10.2.0.1")); got != NotVPN {
 		t.Errorf("non-443 to gateway = %v, want NotVPN", got)
 	}
 	// Port detection still takes precedence.
-	if got := d.Classify(rec(flowrec.ProtoUDP, 4500, gw.String(), "10.2.0.1")); got != ByPort {
+	if got := classifyRecord(d, rec(flowrec.ProtoUDP, 4500, gw.String(), "10.2.0.1")); got != ByPort {
 		t.Errorf("IPsec to gateway = %v, want ByPort", got)
 	}
 	// QUIC (UDP/443) is not HTTPS for the domain method.
-	if got := d.Classify(rec(flowrec.ProtoUDP, 443, gw.String(), "10.2.0.1")); got != NotVPN {
+	if got := classifyRecord(d, rec(flowrec.ProtoUDP, 443, gw.String(), "10.2.0.1")); got != NotVPN {
 		t.Errorf("QUIC to gateway = %v, want NotVPN", got)
 	}
 }
@@ -81,7 +87,7 @@ func TestNewFromCorpus(t *testing.T) {
 	}
 	hits := 0
 	for _, gw := range truth {
-		if d.Classify(rec(flowrec.ProtoTCP, 443, gw.String(), "10.2.0.1")) == ByDomain {
+		if classifyRecord(d, rec(flowrec.ProtoTCP, 443, gw.String(), "10.2.0.1")) == ByDomain {
 			hits++
 		}
 	}
@@ -93,15 +99,15 @@ func TestNewFromCorpus(t *testing.T) {
 func TestSplit(t *testing.T) {
 	gw := netip.MustParseAddr("10.44.0.10")
 	d := New(map[netip.Addr]bool{gw: true})
-	recs := []flowrec.Record{
+	b := flowrec.FromRecords([]flowrec.Record{
 		rec(flowrec.ProtoUDP, 4500, "10.1.0.1", "10.2.0.1"), // port
 		rec(flowrec.ProtoTCP, 443, gw.String(), "10.2.0.1"), // domain
 		rec(flowrec.ProtoTCP, 443, "10.1.0.1", "10.2.0.1"),  // plain https
 		rec(flowrec.ProtoTCP, 8080, "10.1.0.1", "10.2.0.1"), // other
-	}
-	split := d.Split(recs)
+	})
+	split := splitMatchesRef(t, d, b)
 	if split[ByPort] != 5000 || split[ByDomain] != 5000 || split[NotVPN] != 10000 {
-		t.Errorf("Split = %v", split)
+		t.Errorf("SplitBatchSums = %v", split)
 	}
 }
 
