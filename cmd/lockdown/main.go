@@ -9,7 +9,6 @@
 //	lockdown doc [flags]          emit the generated EXPERIMENTS.md to stdout
 //	lockdown replay [flags]       run every experiment over live wire export
 //	lockdown cluster [flags]      the same, over N supervised pump shards
-//	lockdown pump [flags]         serve one cluster shard (spawned by cluster)
 //	lockdown scenario validate <file>  check a declarative scenario file
 //	lockdown scenario run <file> [flags]  run the suite on a scenario model
 //	lockdown scenario doc         emit the scenario schema reference
@@ -79,7 +78,6 @@
 //
 //	-format f     wire format: v5, v9 or ipfix (default ipfix)
 //	-addr a       bridge UDP listen address (default 127.0.0.1:0)
-//	-pps f        pump pacing, datagrams per second (0 = unlimited)
 //	-attempt-timeout d  per-attempt bucket collection timeout (default 5s)
 //	-max-attempts n  attempts per bucket (default 4)
 //	-fetch-budget d  wall-clock retry budget per bucket; when set it
@@ -92,7 +90,6 @@
 // cluster:
 //
 //	-shards n     number of pump shards (default 4; replay: always 7)
-//	-subprocess   run each pump as its own `lockdown pump` process
 //	-max-restarts n  restarts per shard before it is declared dead and its
 //	              vantage points re-partition away (default 3)
 //	-chaos spec   deterministic fault injection, e.g.
@@ -153,8 +150,7 @@ func usage() {
 	for _, m := range modes {
 		fmt.Fprintln(os.Stderr, " ", m.synopsis())
 	}
-	fmt.Fprint(os.Stderr, `  lockdown pump -data host:port [-format v5|v9|ipfix] [-ctrl host:port] [-shard i/n] [-scale f] [-seed n] [-pps f]
-  lockdown scenario validate <file.yaml>
+	fmt.Fprint(os.Stderr, `  lockdown scenario validate <file.yaml>
   lockdown scenario doc
   lockdown cache stat <dir>
 
@@ -199,10 +195,6 @@ func run(ctx context.Context, args []string) error {
 			fmt.Printf("%-18s %-22s %s\n", e.ID, e.Artifact, e.Title)
 		}
 		return nil
-	case "pump":
-		// The exporter half of a subprocess cluster; it has its own flag
-		// shape and speaks the READY handshake on stdout.
-		return cluster.PumpMain(ctx, args[1:], os.Stdin, os.Stdout)
 	case "scenario":
 		if len(args) < 2 {
 			usage()
@@ -278,7 +270,7 @@ type mode struct {
 var (
 	engineFlags = []string{"scale", "seed", "scan-chunk", "cache-budget", "cache-dir", "cpuprofile", "memprofile", "metrics-addr", "trace"}
 	suiteFlags  = slices.Concat(engineFlags, []string{"csv", "json", "parallel"})
-	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "pps", "attempt-timeout", "max-attempts", "fetch-budget", "allow-partial"})
+	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "attempt-timeout", "max-attempts", "fetch-budget", "allow-partial"})
 )
 
 var modes = []mode{
@@ -288,7 +280,7 @@ var modes = []mode{
 	{name: "scenario run", arg: "<file.yaml>", run: runScenario, flags: suiteFlags},
 	{name: "replay", run: runWire, shards: len(synth.AllVantagePoints()), flags: wireFlags},
 	{name: "cluster", run: runWire, shards: cluster.DefaultShards,
-		flags: slices.Concat(wireFlags, []string{"shards", "subprocess", "max-restarts", "chaos"})},
+		flags: slices.Concat(wireFlags, []string{"shards", "max-restarts", "chaos"})},
 }
 
 // options is a mode's parsed command line. A flag the mode does not
@@ -340,13 +332,11 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 		return err
 	})
 	all.StringVar(&o.wire.BridgeListen, "addr", "127.0.0.1:0", "bridge UDP listen `address`")
-	all.Float64Var(&o.wire.Rate, "pps", 0, "pump pacing in datagrams per second (0 = unlimited)")
 	all.DurationVar(&o.wire.AttemptTimeout, "attempt-timeout", 0, "per-attempt bucket timeout (0 = default)")
 	all.IntVar(&o.wire.MaxAttempts, "max-attempts", 0, "attempts per bucket (0 = default)")
 	all.DurationVar(&o.wire.FetchBudget, "fetch-budget", 0, "wall-clock retry budget per bucket (0 = attempt-timeout × max-attempts)")
 	all.BoolVar(&o.wire.AllowPartial, "allow-partial", false, "degrade to accounted empty batches instead of failing when a bucket's retries run out")
 	all.IntVar(&o.wire.Shards, "shards", m.shards, "pump shard count")
-	all.BoolVar(&o.wire.Subprocess, "subprocess", false, "run each pump as its own process")
 	all.IntVar(&o.wire.MaxRestarts, "max-restarts", 0, "restarts per shard before give-up and re-partition (0 = default)")
 	all.Func("chaos", "fault-injection `spec`, e.g. 'drop=0.05,kill=shard1@t+2s,seed=7'", func(s string) error {
 		faults, err := faultinject.ParseSpec(s)
@@ -396,8 +386,6 @@ func (o *options) check(m mode) error {
 	// and the run would go ahead with it.
 	case o.parallel < 0 || o.core.ScanChunk < 0:
 		return errors.New("-parallel and -scan-chunk must not be negative")
-	case math.IsNaN(o.wire.Rate) || math.IsInf(o.wire.Rate, 0) || o.wire.Rate < 0:
-		return fmt.Errorf("-pps must be a finite, non-negative number, got %g", o.wire.Rate)
 	}
 	if m.shards > 0 {
 		// Negative retry tuning, more shards than the format has stream
@@ -564,11 +552,7 @@ func runWire(ctx context.Context, o *options) error {
 	if err := c.Start(ctx); err != nil {
 		return err
 	}
-	pumps := "in-process"
-	if spec.Subprocess {
-		pumps = "subprocess"
-	}
-	fmt.Fprintf(os.Stderr, "wire: %v bridge on %s, %d %s pump shards\n", spec.Format, c.Bridge().DataAddr(), spec.Shards, pumps)
+	fmt.Fprintf(os.Stderr, "wire: %v bridge on %s, %d pump shards\n", spec.Format, c.Bridge().DataAddr(), spec.Shards)
 	if spec.Chaos != nil {
 		fmt.Fprintf(os.Stderr, "wire: chaos active: %s\n", spec.Chaos)
 	}
@@ -581,8 +565,7 @@ func runWire(ctx context.Context, o *options) error {
 // wireEvents converts a wire run's accounting into its summary events: the
 // bridge totals, one indented detail per shard naming the vantage points
 // it owns under part (the live partition), every rebalance, the chaos
-// relay totals when fault injection was active, and — when the pumps ran
-// in process, where their counters can be read — the pumps' counters
+// relay totals when fault injection was active, and the pumps' counters
 // summed over all shards.
 func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Event {
 	bs := stats.Bridge
@@ -595,7 +578,6 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 		obs.Fi("decode errors", bs.DecodeErrors),
 	}}}
 	var pumps replay.PumpStats
-	inProcess := false
 	for _, sh := range stats.Shards {
 		var owns []string
 		for _, vp := range synth.AllVantagePoints() {
@@ -619,12 +601,9 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 				obs.Fi("retries", ss.Retries),
 				obs.Fi("rows lost", ss.LostRows),
 			}})
-		if sh.InProcess {
-			inProcess = true
-			pumps.Requests += sh.Pump.Requests
-			pumps.RowsSent += sh.Pump.RowsSent
-			pumps.Nacks += sh.Pump.Nacks
-		}
+		pumps.Requests += sh.Pump.Requests
+		pumps.RowsSent += sh.Pump.RowsSent
+		pumps.Nacks += sh.Pump.Nacks
 	}
 	for _, ev := range stats.Rebalances {
 		events = append(events, obs.Event{Cat: "cluster", Sub: true, Severity: obs.Warn,
@@ -644,14 +623,11 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 				obs.Fi("stalled", cs.Total.Stalled),
 			}})
 	}
-	if inProcess {
-		events = append(events, obs.Event{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{
-			obs.Fi("requests", pumps.Requests),
-			obs.Fi("rows exported", pumps.RowsSent),
-			obs.Fi("nacks", pumps.Nacks),
-		}})
-	}
-	return events
+	return append(events, obs.Event{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{
+		obs.Fi("requests", pumps.Requests),
+		obs.Fi("rows exported", pumps.RowsSent),
+		obs.Fi("nacks", pumps.Nacks),
+	}})
 }
 
 // runSuite runs every experiment on engine and writes the run the way

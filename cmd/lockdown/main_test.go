@@ -89,8 +89,8 @@ func silence(t *testing.T, f **os.File) {
 // TestWireEvents: the wire summary carries the bridge totals, one indented
 // line per shard naming the vantage points it owns (idle shards included,
 // so one that served nothing is visible as such), rebalances and chaos
-// totals when there were any, and — only when the pumps ran in process —
-// a single pump line holding their counters summed over all shards.
+// totals when there were any, and a single pump line holding the pumps'
+// counters summed over all shards.
 func TestWireEvents(t *testing.T) {
 	render := func(stats cluster.Stats, part map[synth.VantagePoint]int) []string {
 		t.Helper()
@@ -124,7 +124,7 @@ func TestWireEvents(t *testing.T) {
 	part := map[synth.VantagePoint]int{}
 	for i, vp := range vps {
 		part[vp] = i
-		replayRun.Shards = append(replayRun.Shards, cluster.ShardStatus{Shard: i, Stream: uint32(i), Healthy: true, InProcess: true})
+		replayRun.Shards = append(replayRun.Shards, cluster.ShardStatus{Shard: i, Stream: uint32(i), Healthy: true})
 	}
 	replayRun.Shards[0].Pump = replay.PumpStats{Requests: 10, RowsSent: 200}
 	replayRun.Shards[6].Pump = replay.PumpStats{Requests: 21, RowsSent: 407}
@@ -136,15 +136,15 @@ func TestWireEvents(t *testing.T) {
 		"  shard 6 [EDU] (healthy, 0 restarts): 20 buckets, 400 rows, 1 retries, 7 rows lost",
 		"wire pump: 31 requests, 607 rows exported, 0 nacks")
 
-	// `cluster -subprocess -shards 3 -chaos …`: shard 1 died and its
-	// vantage points moved; the pumps' counters live in their processes.
+	// `cluster -shards 3 -chaos …`: shard 1 died and its vantage points
+	// moved; its counters are those of its last pump.
 	clusterRun := cluster.Stats{
 		Bridge:  replay.Stats{Keys: 9, Rows: 90, Retries: 4},
 		Streams: map[uint32]replay.Stats{0: {Keys: 5, Rows: 50}, 1: {Keys: 1, Rows: 10, Retries: 4}, 2: {Keys: 3, Rows: 30}},
 		Shards: []cluster.ShardStatus{
-			{Shard: 0, Stream: 0, Healthy: true},
+			{Shard: 0, Stream: 0, Healthy: true, Pump: replay.PumpStats{Requests: 5, RowsSent: 50}},
 			{Shard: 1, Stream: 1, Dead: true, Restarts: 4},
-			{Shard: 2, Stream: 2, Restarts: 1},
+			{Shard: 2, Stream: 2, Restarts: 1, Pump: replay.PumpStats{Requests: 4, RowsSent: 30, Nacks: 1}},
 		},
 		Rebalances: []cluster.RebalanceEvent{{From: 1, Reason: "restart budget exhausted",
 			Moved: map[synth.VantagePoint]int{synth.IXPCE: 0, synth.Mobile: 2}}},
@@ -160,7 +160,8 @@ func TestWireEvents(t *testing.T) {
 		"  shard 1 [] (DEAD, 4 restarts): 1 buckets, 10 rows, 4 retries",
 		"  shard 2 [IXP-SE MOBILE IPX] (DOWN, 1 restarts): 3 buckets",
 		"  rebalance: shard 1 (restart budget exhausted), 2 vantage points moved",
-		"  chaos relay: 100 datagrams, 5 dropped")
+		"  chaos relay: 100 datagrams, 5 dropped",
+		"wire pump: 9 requests, 80 rows exported, 1 nacks")
 }
 
 // flagModes names, for every flag, the modes that take it, its default and
@@ -180,13 +181,11 @@ var flagModes = map[string]struct{ modes, def, other string }{
 	"parallel":        {"all doc scenario-run replay cluster", "0", "2"},
 	"format":          {"replay cluster", "ipfix", "v9"},
 	"addr":            {"replay cluster", "127.0.0.1:0", "127.0.0.1:9"},
-	"pps":             {"replay cluster", "0", "100"},
 	"attempt-timeout": {"replay cluster", "0s", "1s"},
 	"max-attempts":    {"replay cluster", "0", "2"},
 	"fetch-budget":    {"replay cluster", "0s", "1s"},
 	"allow-partial":   {"replay cluster", "false", "true"},
 	"shards":          {"cluster", "4", "2"},
-	"subprocess":      {"cluster", "false", "true"},
 	"max-restarts":    {"cluster", "0", "1"},
 	"chaos":           {"cluster", "", "drop=0.1"},
 }
@@ -198,8 +197,8 @@ var flagModes = map[string]struct{ modes, def, other string }{
 func TestFlagsRejectedOutsideTheirMode(t *testing.T) {
 	silence(t, &os.Stderr) // the flag package prints the mode's usage on every refusal
 
-	if len(flagModes) != 23 {
-		t.Errorf("%d distinct flags, want 23", len(flagModes))
+	if len(flagModes) != 21 {
+		t.Errorf("%d distinct flags, want 21", len(flagModes))
 	}
 	for _, m := range modes {
 		name := strings.ReplaceAll(m.name, " ", "-")
@@ -247,8 +246,10 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 		"all -csv -json", "all -bogus", "all -cache-budget 5x", "replay -unverified",
 		"replay -format v7", "replay -attempt-timeout -1s", "replay -fetch-budget -1s", "replay -max-attempts -1",
 		"cluster -max-restarts -1", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
-		"all -parallel -3", "all -scan-chunk -5", "replay -pps -1", "replay -pps NaN", "replay -pps +Inf",
+		"all -parallel -3", "all -scan-chunk -5",
 		"cluster -shards 300 -format v5", "cluster -shards 3 -chaos kill=shard3@t+1s",
+		// Removed commands and flags stay refused.
+		"pump -data 127.0.0.1:9", "cluster -subprocess", "replay -pps 100", "cluster -pps 0",
 	} {
 		err := run(context.Background(), strings.Fields(line))
 		var ue usageError

@@ -24,20 +24,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	days := map[string]time.Time{
-		"Wed Feb 19 (pre-lockdown workday)": time.Date(2020, 2, 19, 0, 0, 0, 0, time.UTC),
-		"Sat Feb 22 (weekend)":              time.Date(2020, 2, 22, 0, 0, 0, 0, time.UTC),
-		"Wed Mar 25 (lockdown workday)":     time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC),
+	days := []struct {
+		label string
+		day   time.Time
+	}{
+		{"Wed Feb 19 (pre-lockdown workday)", time.Date(2020, 2, 19, 0, 0, 0, 0, time.UTC)},
+		{"Sat Feb 22 (weekend)", time.Date(2020, 2, 22, 0, 0, 0, 0, time.UTC)},
+		{"Wed Mar 25 (lockdown workday)", time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)},
 	}
-	for label, day := range days {
-		s := g.TotalSeries(day, day.AddDate(0, 0, 1)).NormalizeByMax()
+	for _, d := range days {
+		s := g.TotalSeries(d.day, d.day.AddDate(0, 0, 1)).NormalizeByMax()
 		var labels []string
 		var values []float64
 		for h := 0; h < 24; h += 2 {
 			labels = append(labels, fmt.Sprintf("%02d:00", h))
 			values = append(values, s.Values()[h])
 		}
-		if err := report.Chart(os.Stdout, label, labels, values, 40); err != nil {
+		if err := report.Chart(os.Stdout, d.label, labels, values, 40); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println()

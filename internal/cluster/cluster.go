@@ -12,10 +12,8 @@
 // (IPFIX observation domain, NetFlow v9 source ID, v5 engine ID), so
 // all pumps share one bridge socket and the bridge demuxes their
 // interleaved export per stream (see internal/replay). The Cluster
-// supervisor launches the pumps — in-process goroutines, or `lockdown
-// pump` subprocesses with a READY handshake; launch is the only place
-// the two differ — wires every stream to the bridge, and aggregates the
-// per-shard accounting.
+// supervisor runs each pump on a goroutine of its own, wires every stream
+// to the bridge, and aggregates the per-shard accounting.
 //
 // A crashed pump is restarted with jittered capped-exponential backoff
 // up to MaxRestarts; a pump that exhausts the budget is declared dead
@@ -40,16 +38,10 @@
 package cluster
 
 import (
-	"bufio"
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"os/exec"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -63,9 +55,8 @@ import (
 
 // Defaults for Spec.
 const (
-	DefaultShards       = 4
-	DefaultMaxRestarts  = 3
-	DefaultReadyTimeout = 10 * time.Second
+	DefaultShards      = 4
+	DefaultMaxRestarts = 3
 )
 
 // Spec configures a sharded replay cluster.
@@ -79,9 +70,6 @@ type Spec struct {
 	// Options build the model on both sides; pumps and bridge must
 	// agree or verification fails.
 	Options core.Options
-	// Rate caps each pump at this many datagrams per second (0 =
-	// unlimited); see replay.PumpConfig.Rate.
-	Rate float64
 	// Partition overrides the initial shard of individual vantage
 	// points. Unnamed vantage points keep the default partition: the
 	// paper's vantage points (synth.AllVantagePoints) round-robin over
@@ -90,21 +78,10 @@ type Spec struct {
 	// partition is dynamic: a shard that dies past its restart budget
 	// has its vantage points reassigned to surviving shards.
 	Partition map[synth.VantagePoint]int
-	// Subprocess launches each pump as its own OS process (`<Exe> pump
-	// -shard i/N …`) instead of an in-process goroutine; supervision is
-	// the same either way.
-	Subprocess bool
-	// Exe is the binary spawned in subprocess mode (the running
-	// executable if empty).
-	Exe string
 	// MaxRestarts bounds how often one shard is restarted before it is
 	// declared dead and re-partitioned away (DefaultMaxRestarts if
 	// zero).
 	MaxRestarts int
-	// ReadyTimeout bounds the subprocess READY handshake: a pump that
-	// starts but never reports its control address is killed and the
-	// failed launch consumes a restart (DefaultReadyTimeout if zero).
-	ReadyTimeout time.Duration
 	// BridgeListen is the bridge's UDP listen address ("127.0.0.1:0"
 	// if empty).
 	BridgeListen string
@@ -141,13 +118,6 @@ func (s Spec) maxRestarts() int {
 	return s.MaxRestarts
 }
 
-func (s Spec) readyTimeout() time.Duration {
-	if s.ReadyTimeout <= 0 {
-		return DefaultReadyTimeout
-	}
-	return s.ReadyTimeout
-}
-
 // Validate rejects specs the wire or the partition cannot express. New
 // calls it; a command line calls it first, to refuse the spec as a usage
 // error before anything runs.
@@ -161,7 +131,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("cluster: partition maps %s to shard %d, outside 0..%d", vp, shard, n-1)
 		}
 	}
-	if s.AttemptTimeout < 0 || s.FetchBudget < 0 || s.ReadyTimeout < 0 {
+	if s.AttemptTimeout < 0 || s.FetchBudget < 0 {
 		return fmt.Errorf("cluster: timeouts must not be negative")
 	}
 	if s.MaxAttempts < 0 || s.MaxRestarts < 0 {
@@ -215,11 +185,8 @@ type ShardStatus struct {
 	Restarts int
 	// History is the shard's supervision log (most recent last, capped).
 	History []HealthEvent
-	// Pump carries the pump's own counters for in-process shards (a
-	// subprocess pump's counters live in its process; InProcess is
-	// false and Pump zero).
-	InProcess bool
-	Pump      replay.PumpStats
+	// Pump carries the counters of the shard's current pump.
+	Pump replay.PumpStats
 }
 
 // Stats aggregates what a cluster observed: the bridge totals, the
@@ -238,23 +205,13 @@ type Stats struct {
 // crash-looping shard keeps its most recent events.
 const historyCap = 64
 
-// incarnation is one launched pump of a shard as its supervisor sees it,
-// the same whether it is a goroutine or a process.
-type incarnation struct {
-	addr string       // the pump's request socket
-	wait func()       // blocks until the pump has stopped; in-process it is the serve loop itself
-	stop func()       // ends the pump and releases what is held of it; safe to repeat, and once the pump is dead
-	pump *replay.Pump // in-process only: Stats reads its counters
-	cmd  *exec.Cmd    // subprocess only: the child
-}
-
-// shard is the supervisor's handle on one pump: its current incarnation
+// shard is the supervisor's handle on one pump: the pump it runs now
 // and its health.
 type shard struct {
 	id int
 
-	mu sync.Mutex
-	incarnation
+	mu       sync.Mutex
+	pump     *replay.Pump // nil until the shard's first launch
 	healthy  bool
 	dead     bool
 	restarts int
@@ -273,16 +230,15 @@ func (sh *shard) status() ShardStatus {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := ShardStatus{
-		Shard:     sh.id,
-		Stream:    uint32(sh.id),
-		Addr:      sh.addr,
-		Healthy:   sh.healthy,
-		Dead:      sh.dead,
-		Restarts:  sh.restarts,
-		History:   append([]HealthEvent(nil), sh.history...),
-		InProcess: sh.pump != nil,
+		Shard:    sh.id,
+		Stream:   uint32(sh.id),
+		Healthy:  sh.healthy,
+		Dead:     sh.dead,
+		Restarts: sh.restarts,
+		History:  append([]HealthEvent(nil), sh.history...),
 	}
 	if sh.pump != nil {
+		st.Addr = sh.pump.CtrlAddr()
 		st.Pump = sh.pump.Stats()
 	}
 	return st
@@ -422,10 +378,9 @@ func (c *Cluster) dataAddr() string {
 }
 
 // Start launches every pump, hands it to its supervisor, connects its
-// stream to the bridge and starts the bridge's demux. It blocks until all
-// shards answered (in subprocess mode: printed their READY line); a shard
-// that cannot start fails the whole cluster. Start also anchors the chaos
-// schedule's t+0.
+// stream to the bridge and starts the bridge's demux. A shard that cannot
+// start fails the whole cluster. Start also anchors the chaos schedule's
+// t+0.
 func (c *Cluster) Start(ctx context.Context) error {
 	c.ctx, c.cancel = context.WithCancel(ctx)
 	c.epoch = time.Now()
@@ -434,11 +389,11 @@ func (c *Cluster) Start(ctx context.Context) error {
 	}
 	c.bridge.Start(c.ctx)
 	for _, sh := range c.shards {
-		inc, err := c.bringUp(sh, "launch")
+		pump, err := c.bringUp(sh, "launch")
 		if err == nil {
 			c.wg.Add(1)
-			go c.supervise(sh, inc)
-			err = c.bridge.ConnectStream(uint32(sh.id), inc.addr)
+			go c.supervise(sh, pump)
+			err = c.bridge.ConnectStream(uint32(sh.id), pump.CtrlAddr())
 		}
 		if err != nil {
 			c.Close()
@@ -448,134 +403,34 @@ func (c *Cluster) Start(ctx context.Context) error {
 	return nil
 }
 
-// bringUp launches the shard's next incarnation, makes it the current one
+// bringUp launches the shard's next pump, exporting to the cluster's data
+// address under the shard's stream identity, makes it the current one
 // (noted in the history as kind) and arms its chaos kill. Kills are
-// permanent by design: every incarnation is armed, so a killed shard dies
-// again until its restart budget burns out and the re-partition path runs.
-func (c *Cluster) bringUp(sh *shard, kind string) (incarnation, error) {
-	inc, err := c.launch(sh.id)
+// permanent by design: every pump is armed, so a killed shard dies again
+// until its restart budget burns out and the re-partition path runs.
+func (c *Cluster) bringUp(sh *shard, kind string) (*replay.Pump, error) {
+	pump, err := replay.NewPump(replay.PumpConfig{
+		Format:   c.spec.Format,
+		DataAddr: c.dataAddr(),
+		Stream:   uint32(sh.id),
+		Options:  c.spec.Options,
+	})
 	if err != nil {
-		return inc, err
+		return nil, err
 	}
 	sh.mu.Lock()
-	sh.incarnation = inc
+	sh.pump = pump
 	sh.healthy = true
-	sh.note(kind, inc.addr)
+	sh.note(kind, pump.CtrlAddr())
 	sh.mu.Unlock()
 	if c.spec.Chaos != nil {
 		if at, ok := c.spec.Chaos.KillFor(sh.id); ok {
 			c.timerMu.Lock() // (a time already past fires at once)
-			c.killTimers = append(c.killTimers, time.AfterFunc(time.Until(c.epoch.Add(at)), inc.stop))
+			c.killTimers = append(c.killTimers, time.AfterFunc(time.Until(c.epoch.Add(at)), func() { pump.Close() }))
 			c.timerMu.Unlock()
 		}
 	}
-	return inc, nil
-}
-
-// launch starts one pump for a shard, exporting to the cluster's data
-// address under the shard's stream identity. It is the only place the
-// in-process and subprocess modes differ.
-func (c *Cluster) launch(id int) (incarnation, error) {
-	if c.spec.Subprocess {
-		return c.spawn(id)
-	}
-	pump, err := replay.NewPump(replay.PumpConfig{
-		Format:   c.spec.Format,
-		DataAddr: c.dataAddr(),
-		Stream:   uint32(id),
-		Rate:     c.spec.Rate,
-		Options:  c.spec.Options,
-	})
-	if err != nil {
-		return incarnation{}, err
-	}
-	return incarnation{
-		addr: pump.CtrlAddr(),
-		wait: func() { pump.Run(c.ctx) },
-		stop: func() { pump.Close() },
-		pump: pump,
-	}, nil
-}
-
-// spawn starts one `lockdown pump` child and waits for its READY
-// handshake under the spec's deadline. A handshake timeout kills the
-// child and fails the spawn — during supervision that consumes a restart,
-// exactly like a crash.
-func (c *Cluster) spawn(id int) (incarnation, error) {
-	exe := c.spec.Exe
-	if exe == "" {
-		var err error
-		if exe, err = os.Executable(); err != nil {
-			return incarnation{}, fmt.Errorf("resolve executable: %w", err)
-		}
-	}
-	args := []string{
-		"pump",
-		"-format", c.spec.Format.String(),
-		"-data", c.dataAddr(),
-		"-ctrl", "127.0.0.1:0",
-		"-shard", fmt.Sprintf("%d/%d", id, c.spec.shards()),
-		"-scale", strconv.FormatFloat(c.spec.Options.FlowScale, 'g', -1, 64),
-		"-seed", strconv.FormatInt(c.spec.Options.Seed, 10),
-		"-pps", strconv.FormatFloat(c.spec.Rate, 'g', -1, 64),
-	}
-	cmd := exec.Command(exe, args...)
-	// The env flag lets a test binary impersonate `lockdown pump` (its
-	// TestMain dispatches on it); the real binary dispatches on argv and
-	// ignores it.
-	cmd.Env = append(os.Environ(), "LOCKDOWN_PUMP_CHILD=1")
-	cmd.Stderr = os.Stderr
-	stdin, err := cmd.StdinPipe()
-	if err != nil {
-		return incarnation{}, err
-	}
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return incarnation{}, err
-	}
-	if err := cmd.Start(); err != nil {
-		return incarnation{}, fmt.Errorf("start %s pump: %w", exe, err)
-	}
-
-	// READY handshake: the pump prints its ephemeral control address
-	// once it listens; everything after is drained so the child never
-	// blocks on a full pipe.
-	addrCh := make(chan string, 1)
-	errCh := make(chan error, 1)
-	go func() {
-		r := bufio.NewReader(stdout)
-		line, err := r.ReadString('\n')
-		if err != nil {
-			errCh <- fmt.Errorf("pump exited before READY: %w", err)
-			return
-		}
-		addr, ok := strings.CutPrefix(strings.TrimSpace(line), "READY ")
-		if !ok {
-			errCh <- fmt.Errorf("unexpected pump handshake %q", strings.TrimSpace(line))
-			return
-		}
-		addrCh <- addr
-		io.Copy(io.Discard, r)
-	}()
-	select {
-	case addr := <-addrCh:
-		return incarnation{
-			addr: addr,
-			wait: func() { cmd.Wait() },
-			// Closing stdin tells the child to exit; the kill does not
-			// wait for it to listen.
-			stop: func() { stdin.Close(); cmd.Process.Kill() },
-			cmd:  cmd,
-		}, nil
-	case err = <-errCh:
-	case <-time.After(c.spec.readyTimeout()):
-		err = fmt.Errorf("pump did not answer READY within %v", c.spec.readyTimeout())
-	case <-c.ctx.Done():
-		err = c.ctx.Err()
-	}
-	cmd.Process.Kill()
-	cmd.Wait()
-	return incarnation{}, err
+	return pump, nil
 }
 
 // restartBackoff is the supervisor's delay before restart attempt n:
@@ -674,23 +529,23 @@ func (c *Cluster) repartition(from *shard, reason string) {
 	}
 }
 
-// supervise owns one shard's lifecycle, starting with the incarnation
-// Start launched: it waits the pump out, and when the pump dies while the
+// supervise owns one shard's lifecycle, starting with the pump Start
+// launched: it runs the pump's serve loop, and when the pump dies while the
 // cluster is live (a crash, a chaos kill, a socket failure) it launches
 // the next one after a jittered capped-exponential backoff. Each restart
 // re-dials the shard's stream (the bridge keeps the stream's generation
 // counter and accounting across the reconnect), so in-flight fetches
 // recover on their next retry attempt; beyond MaxRestarts the shard is
 // declared dead and its vantage points are re-partitioned away.
-func (c *Cluster) supervise(sh *shard, inc incarnation) {
+func (c *Cluster) supervise(sh *shard, pump *replay.Pump) {
 	defer c.wg.Done()
 	for {
-		inc.wait()
+		pump.Run(c.ctx)
 		if c.ctx.Err() != nil {
-			return // shutdown; Close stops the incarnation
+			return // shutdown; Close closes the pump
 		}
 		restarts := c.noteCrash(sh, "pump stopped")
-		inc.stop() // the pump is gone; this releases what is held of it (a child's stdin pipe)
+		pump.Close() // the serve loop is gone; this releases its sockets
 		if restarts > c.spec.maxRestarts() {
 			c.giveUp(sh)
 			return
@@ -702,28 +557,27 @@ func (c *Cluster) supervise(sh *shard, inc incarnation) {
 		}
 		next, err := c.bringUp(sh, "restart")
 		if err != nil {
-			// A failed launch — including a READY handshake timeout —
-			// counts against the restart budget: the dead incarnation's
-			// wait returns at once on the next pass and charges another.
+			// A failed launch (a socket that would not bind) counts
+			// against the restart budget: the closed pump's Run returns
+			// at once on the next pass and charges another.
 			sh.mu.Lock()
 			sh.note("restart-failed", err.Error())
 			sh.mu.Unlock()
 			continue
 		}
-		inc = next
+		pump = next
 		if c.ctx.Err() != nil {
 			// Close raced the restart: its sweep may have passed this
-			// shard already, so nothing else would stop the fresh pump —
-			// a child would leak and wg.Wait hang on its wait.
-			inc.stop()
-			inc.wait()
+			// shard already, so nothing else would close the fresh pump's
+			// sockets.
+			pump.Close()
 			return
 		}
 		c.restartsC.Add(1)
 		if c.tracer != nil {
 			c.tracer.Instant("shard-restart", "cluster", map[string]any{"shard": sh.id})
 		}
-		if err := c.bridge.ConnectStream(uint32(sh.id), inc.addr); err != nil {
+		if err := c.bridge.ConnectStream(uint32(sh.id), pump.CtrlAddr()); err != nil {
 			sh.mu.Lock()
 			sh.note("reconnect-failed", err.Error())
 			sh.mu.Unlock()
@@ -753,9 +607,8 @@ func (c *Cluster) Stats() Stats {
 // healthy run.
 func (c *Cluster) DegradedKeys() []string { return c.bridge.DegradedKeys() }
 
-// Close tears the cluster down: chaos timers stopped, pumps stopped
-// (in-process closed; subprocesses told to exit via stdin and killed),
-// then the relay and the bridge. Safe to call more than once.
+// Close tears the cluster down: chaos timers stopped, pumps closed, then
+// the relay and the bridge. Safe to call more than once.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		if c.cancel != nil {
@@ -768,8 +621,8 @@ func (c *Cluster) Close() error {
 		c.timerMu.Unlock()
 		for _, sh := range c.shards {
 			sh.mu.Lock()
-			if sh.stop != nil { // nil: Start failed before this shard's turn
-				sh.stop()
+			if sh.pump != nil { // nil: Start failed before this shard's turn
+				sh.pump.Close()
 			}
 			sh.healthy = false
 			sh.mu.Unlock()

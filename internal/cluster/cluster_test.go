@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -13,21 +12,6 @@ import (
 	"lockdown/internal/replay"
 	"lockdown/internal/synth"
 )
-
-// TestMain lets the test binary impersonate `lockdown pump`: the
-// subprocess-mode tests point Spec.Exe at the running test binary, and
-// the supervisor's LOCKDOWN_PUMP_CHILD env flag routes the child into
-// PumpMain instead of the test runner.
-func TestMain(m *testing.M) {
-	if os.Getenv("LOCKDOWN_PUMP_CHILD") == "1" && len(os.Args) > 1 && os.Args[1] == "pump" {
-		if err := PumpMain(context.Background(), os.Args[2:], os.Stdin, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "pump:", err)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
 
 var testHour = time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
 
@@ -80,19 +64,6 @@ func TestSpecPartitionAndRoute(t *testing.T) {
 	}
 }
 
-// parseShard is load-bearing for the subprocess handshake; pin its
-// edges.
-func TestParseShard(t *testing.T) {
-	if i, n, err := parseShard("2/4"); err != nil || i != 2 || n != 4 {
-		t.Errorf("parseShard(2/4) = %d, %d, %v", i, n, err)
-	}
-	for _, bad := range []string{"", "3", "4/4", "-1/4", "a/4", "1/b", "1/0"} {
-		if _, _, err := parseShard(bad); err == nil {
-			t.Errorf("parseShard(%q) accepted", bad)
-		}
-	}
-}
-
 // newTestCluster starts an in-process cluster and registers cleanup.
 func newTestCluster(t testing.TB, spec Spec) *Cluster {
 	t.Helper()
@@ -138,8 +109,8 @@ func TestInProcessClusterServesShardedKeys(t *testing.T) {
 		if s := stats.Streams[uint32(i)]; s.Keys != 1 {
 			t.Errorf("stream %d served %d keys after fetching %s, want 1", i, s.Keys, vp)
 		}
-		if st := stats.Shards[i]; !st.Healthy || !st.InProcess || st.Pump.Requests != 1 {
-			t.Errorf("shard %d status %+v, want healthy in-process with 1 request", i, st)
+		if st := stats.Shards[i]; !st.Healthy || st.Pump.Requests != 1 {
+			t.Errorf("shard %d status %+v, want healthy with 1 request", i, st)
 		}
 	}
 	if s := c.Stats(); s.Bridge.Keys != 3 || s.Bridge.LostRows != 0 {
@@ -236,84 +207,5 @@ func TestSevenShardsUnknownVantagePointNacks(t *testing.T) {
 		if sh.Pump != (replay.PumpStats{}) {
 			t.Errorf("pump %d stats %+v: no pump should have seen a request", sh.Shard, sh.Pump)
 		}
-	}
-}
-
-// TestSubprocessClusterSpawnsAndRestarts exercises the full subprocess
-// story: READY handshake, fetches over real child processes, a kill
-// that the supervisor recovers from, and fetches after the restart.
-func TestSubprocessClusterSpawnsAndRestarts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess cluster test is not short")
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.Options{FlowScale: 0.05}
-	c := newTestCluster(t, Spec{
-		Shards:         2,
-		Format:         collector.FormatIPFIX,
-		Options:        opts,
-		Subprocess:     true,
-		Exe:            exe,
-		AttemptTimeout: 2 * time.Second,
-		MaxAttempts:    8,
-	})
-	ref := core.NewSyntheticSource(opts)
-
-	fetch := func(vp synth.VantagePoint) {
-		t.Helper()
-		want, err := ref.FlowBatch(vp, testHour)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := c.Source().FlowBatch(vp, testHour)
-		if err != nil {
-			t.Fatalf("%s over the subprocess cluster: %v", vp, err)
-		}
-		if want.Len() != got.Len() {
-			t.Fatalf("%s: %d rows, want %d", vp, got.Len(), want.Len())
-		}
-		for r := 0; r < want.Len(); r++ {
-			if want.Record(r) != got.Record(r) {
-				t.Fatalf("%s row %d differs", vp, r)
-			}
-		}
-	}
-	fetch(synth.ISPCE) // shard 0
-	fetch(synth.IXPCE) // shard 1
-
-	// Kill shard 0's pump process; the supervisor must restart it and
-	// re-dial its stream.
-	c.shards[0].mu.Lock()
-	proc := c.shards[0].cmd.Process
-	c.shards[0].mu.Unlock()
-	if err := proc.Kill(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		st := c.Stats().Shards[0]
-		if st.Restarts >= 1 && st.Healthy {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("shard 0 did not recover: %+v", st)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	// A different hour so the fetch cannot be served by any engine-side
-	// cache: it must cross the restarted pump.
-	want, err := ref.FlowBatch(synth.ISPCE, testHour.Add(time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.Source().FlowBatch(synth.ISPCE, testHour.Add(time.Hour))
-	if err != nil {
-		t.Fatalf("fetch after restart: %v", err)
-	}
-	if want.Len() != got.Len() {
-		t.Fatalf("after restart: %d rows, want %d", got.Len(), want.Len())
 	}
 }

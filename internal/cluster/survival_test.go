@@ -34,9 +34,6 @@ func TestSpecValidationSurvival(t *testing.T) {
 	if err := (Spec{FetchBudget: -time.Second}).Validate(); err == nil {
 		t.Error("negative FetchBudget validated")
 	}
-	if err := (Spec{ReadyTimeout: -time.Second}).Validate(); err == nil {
-		t.Error("negative ReadyTimeout validated")
-	}
 	if err := (Spec{MaxAttempts: -1}).Validate(); err == nil {
 		t.Error("negative MaxAttempts validated")
 	}
@@ -218,98 +215,6 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 	if s := c.Stats(); s.Streams[uint32(part[synth.IXPCE])].Keys != 1 {
 		t.Errorf("surviving stream %d did not serve the rebalanced key", part[synth.IXPCE])
 	}
-}
-
-// TestSubprocessReadyTimeoutFailsStart pins the spawn deadline: a pump
-// that starts but never answers the READY handshake must fail the
-// launch within Spec.ReadyTimeout instead of hanging the cluster.
-func TestSubprocessReadyTimeoutFailsStart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test is not short")
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Setenv("LOCKDOWN_PUMP_HANG", "1")
-	c, err := New(Spec{
-		Shards:       1,
-		Format:       collector.FormatIPFIX,
-		Options:      core.Options{FlowScale: 0.05},
-		Subprocess:   true,
-		Exe:          exe,
-		ReadyTimeout: 300 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	start := time.Now()
-	err = c.Start(t.Context())
-	if err == nil {
-		t.Fatal("Start succeeded although no pump ever answered READY")
-	}
-	if !strings.Contains(err.Error(), "READY") {
-		t.Fatalf("error does not name the handshake: %v", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("Start took %v; the handshake deadline did not bind", elapsed)
-	}
-}
-
-// TestSubprocessHandshakeTimeoutConsumesRestart drives the supervision
-// loop through a restart whose replacement pump hangs in the READY
-// handshake: the timeout must count against the restart budget exactly
-// like a crash, ending in give-up and re-partition — and the moved
-// vantage point is then served by the surviving shard.
-func TestSubprocessHandshakeTimeoutConsumesRestart(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess test is not short")
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := core.Options{FlowScale: 0.05}
-	c := newTestCluster(t, Spec{
-		Shards:         2,
-		Format:         collector.FormatIPFIX,
-		Options:        opts,
-		Subprocess:     true,
-		Exe:            exe,
-		MaxRestarts:    1,
-		ReadyTimeout:   300 * time.Millisecond,
-		AttemptTimeout: time.Second,
-		FetchBudget:    30 * time.Second,
-	})
-	ref := core.NewSyntheticSource(opts)
-	fetchEqual(t, c, ref, synth.IXPCE, testHour) // shard 1, while it lives
-
-	// Every pump spawned from here on hangs in the handshake.
-	t.Setenv("LOCKDOWN_PUMP_HANG", "1")
-	c.shards[1].mu.Lock()
-	proc := c.shards[1].cmd.Process
-	c.shards[1].mu.Unlock()
-	if err := proc.Kill(); err != nil {
-		t.Fatal(err)
-	}
-
-	stats := waitForDeadShard(t, c, 1, 20*time.Second)
-	var sawHandshakeFailure bool
-	for _, ev := range stats.Shards[1].History {
-		if ev.Kind == "restart-failed" && strings.Contains(ev.Detail, "READY") {
-			sawHandshakeFailure = true
-		}
-	}
-	if !sawHandshakeFailure {
-		t.Errorf("history %+v records no READY-handshake restart failure", stats.Shards[1].History)
-	}
-
-	if part := c.Partition(); part[synth.IXPCE] != 0 {
-		t.Fatalf("IXP-CE routed to %d after shard 1 died, want 0", part[synth.IXPCE])
-	}
-	// A fresh hour so the fetch must cross the wire to the survivor.
-	fetchEqual(t, c, ref, synth.IXPCE, testHour.Add(time.Hour))
 }
 
 // TestClusterChaosReproducible pins the determinism contract of the

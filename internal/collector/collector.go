@@ -381,12 +381,11 @@ func (c *Collector) Close() error {
 // allocates nothing per record. An Exporter is not safe for concurrent
 // use (it carries sequence state).
 type Exporter struct {
-	conn    *net.UDPConn
-	stream  uint32
-	rows    int // rows per packet
-	encode  encodeFunc
-	buf     []byte
-	limiter *tokenBucket
+	conn   *net.UDPConn
+	stream uint32
+	rows   int // rows per packet
+	encode encodeFunc
+	buf    []byte
 }
 
 // NewExporter dials the given UDP collector address. The exporter's
@@ -423,20 +422,6 @@ func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, er
 // Stream returns the exporter's stream identity.
 func (e *Exporter) Stream() uint32 { return e.stream }
 
-// SetRate limits the exporter to at most pps datagrams per second using
-// a token bucket (burst of one tenth of a second's budget, minimum one
-// packet). Zero or negative pps removes the limit. Pacing exists for
-// lossy non-loopback paths: a pump that outruns the receiver's socket
-// buffer forces retries, and retries of full buckets cost more than
-// sending the first attempt slower.
-func (e *Exporter) SetRate(pps float64) {
-	if pps <= 0 {
-		e.limiter = nil
-		return
-	}
-	e.limiter = newTokenBucket(pps, max(1, pps/10))
-}
-
 // ExportBatch encodes and sends the batch, splitting it into as many
 // packets as needed. The export timestamp is now.
 func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
@@ -457,62 +442,22 @@ func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
 		if e.buf, err = e.encode(e.buf[:0], b, lo, hi, now); err != nil {
 			return err
 		}
-		if err := e.send(e.buf); err != nil {
+		if _, err := e.conn.Write(e.buf); err != nil {
 			return fmt.Errorf("exporter: send: %w", err)
 		}
 	}
 	return nil
 }
 
-// send writes one datagram, waiting on the pacing limiter first when one
-// is set.
-func (e *Exporter) send(pkt []byte) error {
-	if e.limiter != nil {
-		e.limiter.wait()
-	}
-	_, err := e.conn.Write(pkt)
-	return err
-}
-
 // WriteRaw sends one raw datagram on the exporter socket. Because it uses
 // the same socket as the flow packets, the datagram stays FIFO-ordered
 // with them on loopback paths; the wire-replay protocol uses this for its
-// BEGIN/END control frames around each exported bucket. Raw datagrams
-// count against the pacing limit like any other packet.
+// BEGIN/END control frames around each exported bucket.
 func (e *Exporter) WriteRaw(pkt []byte) error {
-	if err := e.send(pkt); err != nil {
+	if _, err := e.conn.Write(pkt); err != nil {
 		return fmt.Errorf("exporter: send raw: %w", err)
 	}
 	return nil
-}
-
-// tokenBucket is a minimal pacing limiter: rate tokens per second refill
-// up to burst, and wait blocks until one token is available. Taking the
-// token before sleeping keeps concurrent waiters fair without a queue
-// (each debits the bucket and sleeps out its own debt).
-type tokenBucket struct {
-	mu     sync.Mutex
-	rate   float64 // tokens per second
-	burst  float64
-	tokens float64
-	last   time.Time
-}
-
-func newTokenBucket(rate, burst float64) *tokenBucket {
-	return &tokenBucket{rate: rate, burst: burst, tokens: burst, last: time.Now()}
-}
-
-func (tb *tokenBucket) wait() {
-	tb.mu.Lock()
-	now := time.Now()
-	tb.tokens = min(tb.burst, tb.tokens+now.Sub(tb.last).Seconds()*tb.rate)
-	tb.last = now
-	tb.tokens--
-	debt := -tb.tokens
-	tb.mu.Unlock()
-	if debt > 0 {
-		time.Sleep(time.Duration(debt / tb.rate * float64(time.Second)))
-	}
 }
 
 // Close releases the exporter socket.

@@ -130,45 +130,3 @@ func TestStreamExporterRejectsWideV5Stream(t *testing.T) {
 	}
 	exp.Close()
 }
-
-// TestExporterPacing holds the exporter to a datagram rate and checks
-// the token bucket actually spreads the sends out — and that removing
-// the limit removes the wait.
-func TestExporterPacing(t *testing.T) {
-	sink, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sink.Close()
-	exp, err := NewExporter(FormatIPFIX, sink.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer exp.Close()
-
-	// 100 pps with a burst of 10: 30 datagrams must take at least
-	// (30-10)/100 = 200ms. The assertion keeps a wide margin below the
-	// theoretical floor so scheduler jitter cannot flake it.
-	exp.SetRate(100)
-	pkt := []byte("LKRWx")
-	start := time.Now()
-	for i := 0; i < 30; i++ {
-		if err := exp.WriteRaw(pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := time.Since(start); d < 150*time.Millisecond {
-		t.Errorf("30 datagrams at 100 pps took %v, want >= 150ms of pacing", d)
-	}
-
-	exp.SetRate(0) // unlimited again
-	start = time.Now()
-	for i := 0; i < 30; i++ {
-		if err := exp.WriteRaw(pkt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if d := time.Since(start); d > 100*time.Millisecond {
-		t.Errorf("30 unpaced datagrams took %v; SetRate(0) should remove the limit", d)
-	}
-}

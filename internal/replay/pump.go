@@ -29,18 +29,11 @@ type PumpConfig struct {
 	// DataAddr is the bridge's collector socket (flow packets and control
 	// frames are sent there).
 	DataAddr string
-	// CtrlAddr is the UDP address the pump receives key requests on
-	// ("127.0.0.1:0" for an ephemeral port when empty).
-	CtrlAddr string
 	// Stream is the pump's wire identity: the IPFIX observation domain,
 	// NetFlow v9 source ID or v5 engine ID of its flow packets, echoed in
 	// its control frames. Each pump sharing a bridge needs a distinct
 	// stream; NetFlow v5 carries only 8 bits of it.
 	Stream uint32
-	// Rate caps the pump's export at this many datagrams per second
-	// (token bucket; 0 = unlimited). For lossy non-loopback paths, where
-	// outrunning the receiver costs whole-bucket retries.
-	Rate float64
 	// Options build the pump's model oracle; they must match the
 	// bridge's options or verification fails.
 	Options core.Options
@@ -72,25 +65,16 @@ type Pump struct {
 }
 
 // NewPump dials the bridge's collector socket and opens the pump's
-// request socket.
+// request socket on an ephemeral loopback port.
 func NewPump(cfg PumpConfig) (*Pump, error) {
-	if cfg.CtrlAddr == "" {
-		cfg.CtrlAddr = "127.0.0.1:0"
-	}
 	exp, err := collector.NewStreamExporter(cfg.Format, cfg.DataAddr, cfg.Stream)
 	if err != nil {
 		return nil, err
 	}
-	exp.SetRate(cfg.Rate)
-	ua, err := net.ResolveUDPAddr("udp", cfg.CtrlAddr)
+	ctrl, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		exp.Close()
-		return nil, fmt.Errorf("replay: resolve pump control %q: %w", cfg.CtrlAddr, err)
-	}
-	ctrl, err := net.ListenUDP("udp", ua)
-	if err != nil {
-		exp.Close()
-		return nil, fmt.Errorf("replay: listen pump control %q: %w", cfg.CtrlAddr, err)
+		return nil, fmt.Errorf("replay: listen pump control: %w", err)
 	}
 	return &Pump{
 		format: cfg.Format,

@@ -204,8 +204,8 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "internal/replay (see docs/ARCHITECTURE.md, \"The wire-replay")
 	fmt.Fprintln(w, "bridge\"). `lockdown cluster -shards N` runs the same suite")
 	fmt.Fprintln(w, "distributed, the way the paper's vantage points were measured:")
-	fmt.Fprintln(w, "the vantage points are partitioned over N exporter pumps (own")
-	fmt.Fprintln(w, "processes with -subprocess), demuxed by wire stream identity —")
+	fmt.Fprintln(w, "the vantage points are partitioned over N exporter pumps, each")
+	fmt.Fprintln(w, "exporting on its own socket, demuxed by wire stream identity —")
 	fmt.Fprintln(w, "IPFIX observation domain, NetFlow v9 source ID, v5 engine ID —")
 	fmt.Fprintln(w, "and every metric below is still reproduced bit-identically (see")
 	fmt.Fprintln(w, "docs/ARCHITECTURE.md, \"The sharded cluster\").")
@@ -273,8 +273,8 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "shipped default scenario restates the paper's timeline and compiles")
 	fmt.Fprintln(w, "to the built-in model bit for bit, so its run reproduces every")
 	fmt.Fprintln(w, "metric below byte-identically; any actual deviation tags the")
-	fmt.Fprintln(w, "compiled model's fingerprints so caches never alias a variant with")
-	fmt.Fprintln(w, "the golden default.")
+	fmt.Fprintln(w, "compiled model with the scenario's name as its variant, and every")
+	fmt.Fprintln(w, "run builds its own dataset, so nothing is shared across models.")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| ID | Paper artifact | Title |")
 	fmt.Fprintln(w, "|----|----------------|-------|")

@@ -289,7 +289,7 @@ func (d *decoder) decodeTop(root *node, s *Scenario) error {
 		return d.errf(root.line, "name", "required (a non-empty scenario name)")
 	}
 	if strings.ContainsAny(name, " \t/") {
-		return d.errf(line, "name", "must not contain spaces or slashes (it tags cache fingerprints)")
+		return d.errf(line, "name", "must not contain spaces or slashes (it becomes the compiled model's variant tag)")
 	}
 	s.Name = name
 	if desc, _, ok, err := d.str(root, "", "description"); err != nil {

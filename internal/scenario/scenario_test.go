@@ -23,7 +23,7 @@ func TestMalformedScenarios(t *testing.T) {
 		{
 			"name-with-space",
 			"name: bad name\nvantage_points: [ISP-CE]\n",
-			"test.yaml:1: name: must not contain spaces",
+			"test.yaml:1: name: must not contain spaces or slashes (it becomes the compiled model's variant tag)",
 		},
 		{
 			"unknown-top-key",
