@@ -97,13 +97,8 @@ func TestInProcessClusterServesShardedKeys(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s over the cluster: %v", vp, err)
 		}
-		if want.Len() != got.Len() {
-			t.Fatalf("%s: %d rows over the cluster, want %d", vp, got.Len(), want.Len())
-		}
-		for r := 0; r < want.Len(); r++ {
-			if want.Record(r) != got.Record(r) {
-				t.Fatalf("%s row %d differs", vp, r)
-			}
+		if !got.Equal(want) {
+			t.Fatalf("%s: %d rows of %s over the cluster, want %d rows of %s", vp, got.Len(), got.Columns(), want.Len(), want.Columns())
 		}
 		stats := c.Stats()
 		if s := stats.Streams[uint32(i)]; s.Keys != 1 {
@@ -130,13 +125,8 @@ func fetchDiff(c *Cluster, ref *core.SyntheticSource, vp synth.VantagePoint, hou
 	if err != nil {
 		return err
 	}
-	if want.Len() != got.Len() {
-		return fmt.Errorf("%d rows over the cluster, want %d", got.Len(), want.Len())
-	}
-	for r := 0; r < want.Len(); r++ {
-		if want.Record(r) != got.Record(r) {
-			return fmt.Errorf("row %d differs", r)
-		}
+	if !got.Equal(want) {
+		return fmt.Errorf("%d rows of %s over the cluster, want %d rows of %s, or other values", got.Len(), got.Columns(), want.Len(), want.Columns())
 	}
 	return nil
 }

@@ -84,9 +84,11 @@ func ParseFormat(s string) (Format, error) {
 // version field (5, 9 or 10).
 const ControlMagic = "LKRW"
 
-// maxDatagram is the read buffer size; all supported formats fit well
-// within a standard UDP datagram.
-const maxDatagram = 9000
+// maxDatagram is the read buffer size: the largest message the 16-bit
+// length fields of NetFlow v9 and IPFIX can describe, which is also what
+// their encoders accept (a NetFlow v5 packet is at most 1464 bytes). A
+// shorter buffer would cut a legal message short and fail its decode.
+const maxDatagram = 0xFFFF
 
 // batchHint sizes pooled batches for the usual records-per-packet count.
 const batchHint = 128
@@ -277,18 +279,15 @@ func (c *Collector) SetReadBuffer(bytes int) error { return c.conn.SetReadBuffer
 
 // Run receives packets until ctx is cancelled or Close is called. It
 // always closes the delivery, control and error channels before
-// returning, so consumers ranging over any of them terminate.
+// returning, so consumers ranging over any of them terminate. The read
+// blocks without a deadline: cancelling ctx unblocks it (see
+// UnblockOnDone), and Close closes the socket, which ends the loop without
+// reporting an error.
 func (c *Collector) Run(ctx context.Context) {
 	defer close(c.tagged)
 	defer close(c.ctrl)
 	defer close(c.errs)
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-c.done:
-		}
-		c.conn.SetReadDeadline(time.Now()) // unblock the read loop
-	}()
+	go UnblockOnDone(ctx, c.done, c.conn)
 	buf := make([]byte, maxDatagram)
 	for {
 		select {
@@ -298,12 +297,14 @@ func (c *Collector) Run(ctx context.Context) {
 			return
 		default:
 		}
-		c.conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		n, _, err := c.conn.ReadFromUDP(buf)
 		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return
+			}
 			var ne net.Error
 			if errors.As(err, &ne) && ne.Timeout() {
-				continue
+				continue // unblocked: the select above returns
 			}
 			c.reportErr(err)
 			continue
@@ -357,6 +358,18 @@ func (c *Collector) Run(ctx context.Context) {
 			return
 		}
 	}
+}
+
+// UnblockOnDone waits until ctx is cancelled or done is closed, then puts
+// conn's read deadline in the past, so a read blocked on it returns with a
+// timeout and its loop can see why. The deadline is a fixed instant long
+// gone: no clock is read.
+func UnblockOnDone(ctx context.Context, done <-chan struct{}, conn net.Conn) {
+	select {
+	case <-ctx.Done():
+	case <-done:
+	}
+	conn.SetReadDeadline(time.Unix(1, 0))
 }
 
 func (c *Collector) reportErr(err error) {

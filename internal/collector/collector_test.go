@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lockdown/internal/flowrec"
+	"lockdown/internal/ipfix"
 )
 
 func testRecords(n int) []flowrec.Record {
@@ -62,6 +63,48 @@ func TestRoundTripIPFIX(t *testing.T) {
 		if got.Record(i) != want {
 			t.Fatalf("row %d = %+v, want %+v", i, got.Record(i), want)
 		}
+	}
+}
+
+// TestLargeMessageDecodes: the read buffer holds the largest message the
+// 16-bit length fields describe, so a 300-row IPFIX message from our own
+// encoder (16 588 bytes, over a jumbo frame's 9000) is decoded whole, not
+// cut short and rejected for its length field.
+func TestLargeMessageDecodes(t *testing.T) {
+	col, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go col.Run(ctx)
+	defer col.Close()
+	exp, err := NewExporter(FormatIPFIX, col.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+
+	b := flowrec.FromRecords(testRecords(300))
+	msg, err := new(ipfix.Encoder).EncodeBatch(nil, b, 0, b.Len(), time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msg) != 16588 {
+		t.Fatalf("the 300-row message is %d bytes, want 16588", len(msg))
+	}
+	if err := exp.WriteRaw(msg); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case tb := <-col.Tagged():
+		if tb.Batch.Len() != 300 || tb.Batch.SrcPort[299] != b.SrcPort[299] {
+			t.Errorf("decoded %d rows, want all 300", tb.Batch.Len())
+		}
+	case err := <-col.Errors():
+		t.Fatalf("the 300-row message was rejected: %v", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("nothing decoded")
 	}
 }
 

@@ -48,7 +48,8 @@ func exportHour(t *testing.T, format Format, addr string) *flowrec.Batch {
 }
 
 // TestCloseDuringRun closes the collector while traffic is in flight;
-// Run must return promptly, close every channel and leak nothing.
+// Run must return promptly, close every channel, report no error and leak
+// nothing.
 func TestCloseDuringRun(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
 	c, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
@@ -75,14 +76,53 @@ func TestCloseDuringRun(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run did not return after Close")
 	}
-	// All delivery channels must be closed now.
+	// All delivery channels must be closed now, and closing the socket
+	// under the read is a shutdown, not an error to report.
 	for range c.Tagged() {
 	}
 	for range c.Control() {
 	}
-	for range c.Errors() {
+	for err := range c.Errors() {
+		t.Errorf("Close reported an error: %v", err)
 	}
 	leak()
+}
+
+// TestCloseReportsNoError closes an idle collector whose loop is back in
+// its read: the closed socket ends the loop quietly instead of putting
+// "use of closed network connection" on Errors(), which a replay bridge
+// would count as a decode error.
+func TestCloseReportsNoError(t *testing.T) {
+	c, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c.Run(context.Background())
+	}()
+	exp, err := NewExporter(FormatIPFIX, c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	if err := exp.ExportBatch(flowrec.FromRecords(testRecords(5))); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case tb := <-c.Tagged():
+		flowrec.PutBatch(tb.Batch)
+	case <-time.After(5 * time.Second):
+		t.Fatal("no batch arrived")
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	<-done
+	for err := range c.Errors() {
+		t.Errorf("Close reported an error: %v", err)
+	}
 }
 
 // TestSlowConsumerClose fills the delivery channel until the receive loop

@@ -167,7 +167,7 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		regens:    reg.Counter("lockdown_cache_regens_total", "Faults that found a damaged span and rebuilt from the flow source."),
 	}
 	d.model = NewSyntheticSource(opts)
-	d.model.projected, d.model.count = true, d.count
+	d.model.count = d.count
 	if src == nil {
 		src = d.model
 	}

@@ -3,10 +3,37 @@ package core
 import (
 	"context"
 	"testing"
+	"time"
 
 	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
 )
+
+// fullWidthSource generates every column from a SyntheticSource's models:
+// the reference the kind column sets are held against.
+type fullWidthSource struct{ m *SyntheticSource }
+
+func (s fullWidthSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
+	return s.ComponentFlowBatch(vp, "", hour)
+}
+
+func (s fullWidthSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
+	vd, err := s.m.VPN(vp)
+	if err != nil {
+		return nil, err
+	}
+	return vd.Gen.HourBatch(hour, "", flowrec.AllColumns), nil
+}
+
+// ComponentFlowBatch generates one component's hour; the empty name is
+// every component, as in FlowBatch.
+func (s fullWidthSource) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
+	g, err := s.m.Generator(vp)
+	if err != nil {
+		return nil, err
+	}
+	return g.HourBatch(hour, name, flowrec.AllColumns), nil
+}
 
 // storedColumns returns the column set of every flow-batch entry of d,
 // keyed by batch kind.
@@ -27,8 +54,8 @@ func storedColumns(d *Dataset) map[string]map[flowrec.Columns]int {
 // TestProjectedSuiteEqualsFullWidth is the under-declaration guard of the
 // three kind column sets: the default engine, whose batches store only
 // what the kind's readers declared, must produce all 21 results equal —
-// modulo _runtime/ — to an engine fed full-width batches by
-// SyntheticSource, with everything resident and with every batch spilled
+// modulo _runtime/ — to an engine fed full-width batches by the same
+// models (fullWidthSource), with everything resident and with every batch spilled
 // and faulted. A reader that reads a column its kind's set lacks fails
 // here whether it would have panicked on the nil column or (ranging over
 // it) silently read nothing. Runs under -race -cpu 1,4 in CI.
@@ -70,7 +97,7 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 				}
 				return rs, storedColumns(e.Data()), mb
 			}
-			full, fullCols, fullMB := run(NewEngineWithSource(opts, NewSyntheticSource(opts)))
+			full, fullCols, fullMB := run(NewEngineWithSource(opts, fullWidthSource{NewSyntheticSource(opts)}))
 			got, gotCols, gotMB := run(NewEngine(opts))
 			if len(full) != 21 {
 				t.Fatalf("%d results, want the 21 experiments", len(full))
@@ -101,10 +128,10 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 }
 
 // TestDefaultSourceIsProjectedSyntheticSource: a dataset's default flow
-// source is the SyntheticSource that holds its models, asked for each
-// kind's columns; NewSyntheticSource generates every column; and the two
-// agree column for column on what both store — the unit fact
-// TestProjectedSuiteEqualsFullWidth rests on.
+// source is the SyntheticSource that holds its models; it and a standalone
+// NewSyntheticSource — the wire's model oracle — both store exactly each
+// kind's columns; and both agree column for column with the full-width
+// generation — the unit fact TestProjectedSuiteEqualsFullWidth rests on.
 func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 	opts := Options{FlowScale: 0.1}
 	d := NewDataset(opts)
@@ -112,7 +139,8 @@ func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 	if d.src != FlowSource(d.model) {
 		t.Fatalf("default source is %T, want the dataset's own model", d.src)
 	}
-	full := NewSyntheticSource(opts)
+	oracle := NewSyntheticSource(opts)
+	full := fullWidthSource{oracle}
 	for _, k := range []FlowKey{
 		{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)},
 		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: HourOf(spillHour)},
@@ -122,14 +150,18 @@ func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := full.Batch(k)
+		want, err := fetch(full, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Columns() != k.Columns() || want.Columns() != flowrec.AllColumns {
-			t.Errorf("%v: default source stores %s, want %s; NewSyntheticSource stores %s, want every column", k, got.Columns(), k.Columns(), want.Columns())
+		standalone, err := oracle.Batch(k)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.Len() == 0 || !want.Project(k.Columns()).Equal(got) {
+		if got.Columns() != k.Columns() || standalone.Columns() != k.Columns() {
+			t.Errorf("%v: default source stores %s, NewSyntheticSource %s, want %s", k, got.Columns(), standalone.Columns(), k.Columns())
+		}
+		if got.Len() == 0 || !want.Project(k.Columns()).Equal(got) || !standalone.Equal(got) {
 			t.Errorf("%v: the projected batch (%d rows) is not the full-width one's columns (%d rows)", k, got.Len(), want.Len())
 		}
 		if cached, err := d.batch(k, nil); err != nil || !cached.Equal(got) {

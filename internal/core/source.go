@@ -39,11 +39,13 @@ import (
 // like any other.
 //
 // Projection is a property of the batch kind: every scan of a kind reads
-// inside FlowKey.Columns, so the dataset's default source generates (and
-// the cache holds and spills) those columns and no others. A source may
-// return more — the wire carries every field, so the bridge and
-// NewSyntheticSource return full-width batches — and the cache stores a
-// batch as delivered; it must not return fewer.
+// inside FlowKey.Columns, so a source returns those columns and the cache
+// holds and spills them and no others. Both sources in the tree return
+// exactly that set — SyntheticSource generates it, and the wire bridge's
+// pumps export it (their templates carry the kind's fields) and verify and
+// return it — so the pump, the bridge's reference and the dataset share one
+// batch shape. The cache stores a batch as delivered: a foreign source may
+// return more columns, never fewer.
 type FlowSource interface {
 	FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
 	VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
@@ -194,23 +196,22 @@ type vpModel struct {
 
 // SyntheticSource is the generator-backed FlowSource: it memoizes the
 // model of each vantage point but generates every requested batch on
-// demand, without caching it. NewSyntheticSource returns the full-width
-// one — the model oracle of the wire-replay harness: both the pump (which
-// exports the batches) and the bridge (which verifies the received rows
+// demand, without caching it, storing the key's FlowKey.Columns. It is the
+// model oracle of the wire-replay harness: both the pump (which exports
+// the batches) and the bridge (which verifies the received rows
 // bit-for-bit) hold one, and both release each batch when done with it
 // (see FlowSource). A Dataset holds one for its generators, which is also
-// its default flow source, projected to each kind's columns.
+// its default flow source.
 type SyntheticSource struct {
-	opts      Options
-	projected bool            // generate FlowKey.Columns instead of every column
-	count     func(miss bool) // the owning dataset's lookup accounting; nil standalone
+	opts  Options
+	count func(miss bool) // the owning dataset's lookup accounting; nil standalone
 
 	mu     sync.Mutex
 	models map[synth.VantagePoint]*vpModel
 }
 
-// NewSyntheticSource returns a generator-backed FlowSource of full-width
-// batches for the given options.
+// NewSyntheticSource returns a generator-backed FlowSource for the given
+// options.
 func NewSyntheticSource(opts Options) *SyntheticSource {
 	return &SyntheticSource{opts: opts, models: make(map[synth.VantagePoint]*vpModel)}
 }
@@ -248,14 +249,6 @@ func (s *SyntheticSource) VPN(vp synth.VantagePoint) (*VPNData, error) {
 	})
 }
 
-// columns is what the source generates for a kind.
-func (s *SyntheticSource) columns(kind FlowKind) flowrec.Columns {
-	if s.projected {
-		return FlowKey{Kind: kind}.Columns()
-	}
-	return flowrec.AllColumns
-}
-
 // Batch generates the batch k names (not memoized).
 func (s *SyntheticSource) Batch(k FlowKey) (*flowrec.Batch, error) { return fetch(s, k) }
 
@@ -265,7 +258,7 @@ func (s *SyntheticSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flo
 	if err != nil {
 		return nil, err
 	}
-	return g.HourBatch(hour, "", s.columns(KindFlows)), nil
+	return g.HourBatch(hour, "", FlowKey{Kind: KindFlows}.Columns()), nil
 }
 
 // VPNFlowBatch generates one hour of the gateway-pinned generator's flows
@@ -275,7 +268,7 @@ func (s *SyntheticSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*
 	if err != nil {
 		return nil, err
 	}
-	return vd.Gen.HourBatch(hour, "", s.columns(KindVPNFlows)), nil
+	return vd.Gen.HourBatch(hour, "", FlowKey{Kind: KindVPNFlows}.Columns()), nil
 }
 
 // ComponentFlowBatch generates one named component's flows for one hour
@@ -285,5 +278,5 @@ func (s *SyntheticSource) ComponentFlowBatch(vp synth.VantagePoint, name string,
 	if err != nil {
 		return nil, err
 	}
-	return g.HourBatch(hour, name, s.columns(KindComponentFlows)), nil
+	return g.HourBatch(hour, name, FlowKey{Kind: KindComponentFlows}.Columns()), nil
 }

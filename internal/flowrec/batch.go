@@ -431,20 +431,49 @@ func GetBatch(n int) *Batch { return GetProjected(n, AllColumns) }
 // stores only the columns of cols, with capacity for at least n rows in
 // each, to be returned with Release when done. A caller that keeps the
 // batch instead simply leaves the pool one short. A pooled batch of another
-// column set is of no use to the draw and is dropped whole, so the columns
-// outside cols are nil as in any projected batch.
+// column set keeps the arrays of the columns both sets store; the columns
+// outside cols are set to nil, as in any projected batch, and the ones it
+// lacks are grown like a fresh batch's.
 func GetProjected(n int, cols Columns) *Batch {
 	if !cols.Valid() {
 		panic(fmt.Sprintf("flowrec: GetProjected with column set %s", cols))
 	}
 	b := batchPool.Get().(*Batch)
 	if absent := AllColumns &^ cols; b.absent != absent {
-		*b = Batch{absent: absent}
+		b.keepOnly(cols)
+		b.absent = absent
 	}
 	atomic.StoreUint32(&b.state, batchLive)
 	b.Reset()
 	b.Grow(n)
 	return b
+}
+
+// dropCol is the column s when the set c stores col, nil otherwise.
+func dropCol[T any](s []T, c, col Columns) []T {
+	if c&col == 0 {
+		return nil
+	}
+	return s
+}
+
+// keepOnly sets every column outside c to nil.
+func (b *Batch) keepOnly(c Columns) {
+	b.StartNs = dropCol(b.StartNs, c, ColStartNs)
+	b.EndNs = dropCol(b.EndNs, c, ColEndNs)
+	b.SrcIP = dropCol(b.SrcIP, c, ColSrcIP)
+	b.DstIP = dropCol(b.DstIP, c, ColDstIP)
+	b.SrcPort = dropCol(b.SrcPort, c, ColSrcPort)
+	b.DstPort = dropCol(b.DstPort, c, ColDstPort)
+	b.Proto = dropCol(b.Proto, c, ColProto)
+	b.Bytes = dropCol(b.Bytes, c, ColBytes)
+	b.Packets = dropCol(b.Packets, c, ColPackets)
+	b.SrcAS = dropCol(b.SrcAS, c, ColSrcAS)
+	b.DstAS = dropCol(b.DstAS, c, ColDstAS)
+	b.InIf = dropCol(b.InIf, c, ColInIf)
+	b.OutIf = dropCol(b.OutIf, c, ColOutIf)
+	b.Dir = dropCol(b.Dir, c, ColDir)
+	b.TCPFlags = dropCol(b.TCPFlags, c, ColTCPFlags)
 }
 
 // Release returns the batch to the pool. The caller must not use b

@@ -113,3 +113,39 @@ func TestDecodeV5RefusesProjected(t *testing.T) {
 		}
 	}
 }
+
+// TestV5EncodesAbsentAsZero: the v5 record layout is fixed, so a field
+// whose column the batch does not store is written as 0 — byte for byte
+// the packet of the full-width batch with those columns zeroed — for each
+// batch kind's column set and for a batch of one column.
+func TestV5EncodesAbsentAsZero(t *testing.T) {
+	full := flowrec.FromRecords(sampleRecords(10))
+	for _, cols := range []flowrec.Columns{
+		flowrec.PortLaneColumns | flowrec.ColBytes | flowrec.ColSrcAS | flowrec.ColDstAS | flowrec.ColDir,
+		flowrec.PortLaneColumns | flowrec.ColSrcIP | flowrec.ColDstIP | flowrec.ColBytes,
+		flowrec.ColBytes | flowrec.ColDstIP,
+		flowrec.ColStartNs,
+	} {
+		got, err := EncodeV5Batch(nil, full.Project(cols), 2, 9, export, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", cols, err)
+		}
+		zeroed := full.Project(flowrec.AllColumns)
+		v := reflect.ValueOf(zeroed).Elem()
+		for c := 0; c < flowrec.NumColumns; c++ {
+			if !cols.Has(flowrec.Columns(1) << c) {
+				v.Field(c).Clear()
+			}
+		}
+		want, err := EncodeV5Batch(nil, zeroed, 2, 9, export, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: the projected batch's packet differs from the zeroed full-width one's", cols)
+		}
+	}
+	if _, err := EncodeV5Batch(nil, full.Project(flowrec.ColBytes), 5, 11, export, 0); err == nil {
+		t.Error("rows past the batch's end accepted")
+	}
+}

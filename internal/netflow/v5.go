@@ -41,6 +41,11 @@ const (
 	v5EngineType   = 0
 	v5EngineID     = 0
 	v5SamplingMode = 0
+
+	// uptimeAtExport is the router uptime the encoder stamps on every
+	// packet: flows that started up to an hour before export stay
+	// representable.
+	uptimeAtExport = time.Hour
 )
 
 // V5Header is the export metadata of one NetFlow v5 packet.
@@ -55,8 +60,11 @@ type V5Header struct {
 // to dst and returns the extended slice. At most V5MaxRecords rows fit in
 // one packet. dst may be nil; a caller that reuses the returned slice
 // across packets encodes with zero allocations once the buffer has grown
-// to packet size. b must store every column a v5 record carries (all but
-// Dir). On error dst is returned unmodified.
+// to packet size. The record layout is fixed, so a field whose column b
+// does not store is written as 0 — the rule the template decoder applies
+// to a field its template lacks — and a projected batch travels like any
+// other (Dir, which v5 does not carry, is never read). On error dst is
+// returned unmodified.
 //
 // exportTime stamps the header; seq is the cumulative flow sequence
 // counter. NetFlow v5 expresses flow start/end as router-uptime offsets in
@@ -81,10 +89,9 @@ func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime ti
 	if n > V5MaxRecords {
 		return dst, fmt.Errorf("netflow: %d records exceed the v5 packet limit of %d", n, V5MaxRecords)
 	}
-	if err := b.Require(flowrec.AllColumns &^ flowrec.ColDir); err != nil {
-		return dst, fmt.Errorf("netflow: v5 carries a field the batch lacks: %w", err)
+	if lo < 0 || hi > b.Len() {
+		return dst, fmt.Errorf("netflow: rows [%d, %d) outside a batch of %d", lo, hi, b.Len())
 	}
-	const uptimeAtExport = time.Hour
 	off0 := len(dst)
 	dst = slices.Grow(dst, v5HeaderLen+n*v5RecordLen)[:off0+v5HeaderLen+n*v5RecordLen]
 	buf := dst[off0:]
@@ -102,36 +109,47 @@ func EncodeV5StreamBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime ti
 	exportNs := exportTime.UnixNano()
 	for i := lo; i < hi; i++ {
 		off := v5HeaderLen + (i-lo)*v5RecordLen
-		copy(buf[off+0:], b.SrcIP[i][:])
-		copy(buf[off+4:], b.DstIP[i][:])
+		src, dst := at(b.SrcIP, i), at(b.DstIP, i)
+		copy(buf[off+0:], src[:])
+		copy(buf[off+4:], dst[:])
 		be.PutUint32(buf[off+8:], 0) // next hop 0.0.0.0 (buffer may be reused)
-		be.PutUint16(buf[off+12:], b.InIf[i])
-		be.PutUint16(buf[off+14:], b.OutIf[i])
-		be.PutUint32(buf[off+16:], uint32(b.Packets[i]))
-		be.PutUint32(buf[off+20:], uint32(b.Bytes[i]))
-		first := uptimeAtExport - time.Duration(exportNs-b.StartNs[i])
-		last := uptimeAtExport - time.Duration(exportNs-b.EndNs[i])
-		if first < 0 {
-			first = 0
-		}
-		if last < 0 {
-			last = 0
-		}
-		be.PutUint32(buf[off+24:], uint32(first.Milliseconds()))
-		be.PutUint32(buf[off+28:], uint32(last.Milliseconds()))
-		be.PutUint16(buf[off+32:], b.SrcPort[i])
-		be.PutUint16(buf[off+34:], b.DstPort[i])
+		be.PutUint16(buf[off+12:], at(b.InIf, i))
+		be.PutUint16(buf[off+14:], at(b.OutIf, i))
+		be.PutUint32(buf[off+16:], uint32(at(b.Packets, i)))
+		be.PutUint32(buf[off+20:], uint32(at(b.Bytes, i)))
+		be.PutUint32(buf[off+24:], uptimeMs(b.StartNs, i, exportNs))
+		be.PutUint32(buf[off+28:], uptimeMs(b.EndNs, i, exportNs))
+		be.PutUint16(buf[off+32:], at(b.SrcPort, i))
+		be.PutUint16(buf[off+34:], at(b.DstPort, i))
 		buf[off+36] = 0 // pad
-		buf[off+37] = b.TCPFlags[i]
-		buf[off+38] = byte(b.Proto[i])
+		buf[off+37] = at(b.TCPFlags, i)
+		buf[off+38] = byte(at(b.Proto, i))
 		buf[off+39] = 0 // ToS
-		be.PutUint16(buf[off+40:], uint16(b.SrcAS[i]))
-		be.PutUint16(buf[off+42:], uint16(b.DstAS[i]))
+		be.PutUint16(buf[off+40:], uint16(at(b.SrcAS, i)))
+		be.PutUint16(buf[off+42:], uint16(at(b.DstAS, i)))
 		buf[off+44] = 24              // src mask (informational)
 		buf[off+45] = 24              // dst mask
 		be.PutUint16(buf[off+46:], 0) // pad
 	}
 	return dst, nil
+}
+
+// at is row i of a column, 0 when the batch does not store it (nil).
+func at[T any](col []T, i int) (v T) {
+	if col != nil {
+		v = col[i]
+	}
+	return v
+}
+
+// uptimeMs is row i's timestamp as the router-uptime milliseconds of a v5
+// record exported at exportNs with an uptime of one hour, clamped to 0 —
+// which is also what an absent timestamp column writes.
+func uptimeMs(col []int64, i int, exportNs int64) uint32 {
+	if col == nil {
+		return 0
+	}
+	return uint32(max(uptimeAtExport-time.Duration(exportNs-col[i]), 0).Milliseconds())
 }
 
 // DecodeV5Batch parses a NetFlow v5 packet, appending its records to dst

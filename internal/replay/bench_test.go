@@ -52,7 +52,7 @@ func BenchmarkBridgeDemux(b *testing.B) {
 // oracle's hour batch, IPFIX encode and the BEGIN/END frames, sent to a
 // socket nobody reads. The batch is the pump's own and goes back to the
 // pool after the END frame, so in steady state B/op holds the control
-// frames and not the ~59 B a row of the export batch.
+// frames and not the 22 B a row of the export batch (the flows/ columns).
 func BenchmarkPumpServe(b *testing.B) {
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -83,9 +83,9 @@ func BenchmarkPumpServe(b *testing.B) {
 // BenchmarkBridgeFetch measures one bucket end to end over a loopback
 // pump/bridge pair: request, export, collect, reference, bit-for-bit
 // verification. The bucket the fetch returns is the caller's (the dataset
-// cache keeps it), so its ~59 B a row stay in B/op; the pump's export
-// batch and the bridge's reference are pool-drawn and released, and do
-// not.
+// cache keeps it), so its 22 B a row (the flows/ columns) stay in B/op;
+// the pump's export batch and the bridge's reference are pool-drawn and
+// released, and do not.
 func BenchmarkBridgeFetch(b *testing.B) {
 	br, _ := newHarness(b, collector.FormatIPFIX, core.Options{FlowScale: 0.5})
 	got, err := br.FlowBatch(synth.ISPCE, testHour) // warm both generators

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net"
 	"sort"
@@ -614,7 +615,7 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 		b.degradedMu.Lock()
 		b.degradedKeys = append(b.degradedKeys, k.String())
 		b.degradedMu.Unlock()
-		return flowrec.NewBatch(0), nil
+		return flowrec.NewProjected(0, k.Columns()), nil
 	}
 	return nil, fmt.Errorf("replay: %s: giving up after %d attempts in %v: %w", k, attempts, b.fetchBudget(), lastErr)
 }
@@ -717,10 +718,11 @@ const (
 // and claimed when BEGIN turns up, the bucket completes on row count
 // alone, and an END frame with rows still missing starts a short grace
 // window for channel-buffered data instead of concluding loss
-// immediately. expected is the reference's row count: it sizes the bucket,
-// and a BEGIN frame announcing anything else is fatal. The attempt
-// timeout is truncated to the fetch deadline so the last attempt cannot
-// overrun the budget. An attempt that fails (loss, overrun, timeout)
+// immediately. The bucket stores the key's columns, the set the pump
+// exported and the reference holds; expected is the reference's row
+// count: it sizes the bucket, and a BEGIN frame announcing anything else
+// is fatal. The attempt timeout is truncated to the fetch deadline so
+// the last attempt cannot overrun the budget. An attempt that fails (loss, overrun, timeout)
 // releases its bucket to the pool, where the next reference or export
 // batch picks the columns up; a completed one passes to the caller and,
 // once verified, to the dataset cache for good. That is also why the
@@ -733,7 +735,7 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 	}
 	timer := time.NewTimer(timeout)
 	defer timer.Stop()
-	out := flowrec.NewBatch(expected)
+	out := flowrec.NewProjected(expected, k.Columns())
 	defer func() {
 		if err != nil {
 			out.Release()
@@ -755,7 +757,8 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 		}
 	}()
 
-	// claim moves one data batch into the bucket. Overruns (stale
+	// claim moves one data batch into the bucket, copying the bucket's
+	// columns out of the full-width packet batch. Overruns (stale
 	// retransmits or stray rows that slipped in front of the bucket)
 	// abandon the attempt; the excess is accounted as orphan rows.
 	claim := func(batch *flowrec.Batch) error {
@@ -874,72 +877,75 @@ func (b *Bridge) drainQuiescent(st *stream, idle time.Duration) {
 	}
 }
 
-// verifyAndRepair checks the wire batch against the reference row by row
-// and column by column. For NetFlow v9 and IPFIX every column must match
-// exactly. NetFlow v5 cannot carry direction, 64-bit counters or 32-bit
-// AS numbers: the carried bits are verified (low 32 counter bits, low 16
-// ASN bits) and the lossy columns are then restored from the verified
+// verifyAndRepair checks the wire batch against the reference column by
+// column, over the columns both store: the key's set, which the bucket
+// and the reference share. For NetFlow v9 and IPFIX every bit must match.
+// NetFlow v5 cannot carry direction, 64-bit counters or 32-bit AS numbers:
+// the carried bits are verified (low 32 counter bits, low 16 ASN bits) and
+// the lossy columns the bucket stores are then restored from the verified
 // reference, so the engine sees bit-identical inputs in every format.
 func verifyAndRepair(format collector.Format, ref, got *flowrec.Batch) error {
-	if got.Len() != ref.Len() {
-		return fmt.Errorf("verification: %d rows off the wire, %d in the reference", got.Len(), ref.Len())
+	if got.Len() != ref.Len() || got.Columns() != ref.Columns() {
+		return fmt.Errorf("verification: %d rows of %s off the wire, %d rows of %s in the reference", got.Len(), got.Columns(), ref.Len(), ref.Columns())
 	}
 	v5 := format == collector.FormatNetflowV5
-	for i := 0; i < ref.Len(); i++ {
-		switch {
-		case got.SrcIP[i] != ref.SrcIP[i]:
-			return mismatch(i, "SrcIP", ref.SrcIP[i], got.SrcIP[i])
-		case got.DstIP[i] != ref.DstIP[i]:
-			return mismatch(i, "DstIP", ref.DstIP[i], got.DstIP[i])
-		case got.SrcPort[i] != ref.SrcPort[i]:
-			return mismatch(i, "SrcPort", ref.SrcPort[i], got.SrcPort[i])
-		case got.DstPort[i] != ref.DstPort[i]:
-			return mismatch(i, "DstPort", ref.DstPort[i], got.DstPort[i])
-		case got.Proto[i] != ref.Proto[i]:
-			return mismatch(i, "Proto", ref.Proto[i], got.Proto[i])
-		case got.TCPFlags[i] != ref.TCPFlags[i]:
-			return mismatch(i, "TCPFlags", ref.TCPFlags[i], got.TCPFlags[i])
-		case got.InIf[i] != ref.InIf[i]:
-			return mismatch(i, "InIf", ref.InIf[i], got.InIf[i])
-		case got.OutIf[i] != ref.OutIf[i]:
-			return mismatch(i, "OutIf", ref.OutIf[i], got.OutIf[i])
-		case got.StartNs[i] != ref.StartNs[i]:
-			return mismatch(i, "StartNs", ref.StartNs[i], got.StartNs[i])
-		case got.EndNs[i] != ref.EndNs[i]:
-			return mismatch(i, "EndNs", ref.EndNs[i], got.EndNs[i])
-		}
-		if v5 {
-			switch {
-			case got.Bytes[i] != ref.Bytes[i]&0xFFFFFFFF:
-				return mismatch(i, "Bytes (low 32 bits)", ref.Bytes[i]&0xFFFFFFFF, got.Bytes[i])
-			case got.Packets[i] != ref.Packets[i]&0xFFFFFFFF:
-				return mismatch(i, "Packets (low 32 bits)", ref.Packets[i]&0xFFFFFFFF, got.Packets[i])
-			case got.SrcAS[i] != ref.SrcAS[i]&0xFFFF:
-				return mismatch(i, "SrcAS (low 16 bits)", ref.SrcAS[i]&0xFFFF, got.SrcAS[i])
-			case got.DstAS[i] != ref.DstAS[i]&0xFFFF:
-				return mismatch(i, "DstAS (low 16 bits)", ref.DstAS[i]&0xFFFF, got.DstAS[i])
-			}
-			continue
-		}
-		switch {
-		case got.Bytes[i] != ref.Bytes[i]:
-			return mismatch(i, "Bytes", ref.Bytes[i], got.Bytes[i])
-		case got.Packets[i] != ref.Packets[i]:
-			return mismatch(i, "Packets", ref.Packets[i], got.Packets[i])
-		case got.SrcAS[i] != ref.SrcAS[i]:
-			return mismatch(i, "SrcAS", ref.SrcAS[i], got.SrcAS[i])
-		case got.DstAS[i] != ref.DstAS[i]:
-			return mismatch(i, "DstAS", ref.DstAS[i], got.DstAS[i])
-		case got.Dir[i] != ref.Dir[i]:
-			return mismatch(i, "Dir", ref.Dir[i], got.Dir[i])
+	counters, asns := ^uint64(0), ^uint32(0)
+	if v5 {
+		counters, asns = 0xFFFFFFFF, 0xFFFF
+	}
+	for _, err := range []error{
+		sameCol("SrcIP", ref.SrcIP, got.SrcIP),
+		sameCol("DstIP", ref.DstIP, got.DstIP),
+		sameCol("SrcPort", ref.SrcPort, got.SrcPort),
+		sameCol("DstPort", ref.DstPort, got.DstPort),
+		sameCol("Proto", ref.Proto, got.Proto),
+		sameCol("TCPFlags", ref.TCPFlags, got.TCPFlags),
+		sameCol("InIf", ref.InIf, got.InIf),
+		sameCol("OutIf", ref.OutIf, got.OutIf),
+		sameCol("StartNs", ref.StartNs, got.StartNs),
+		sameCol("EndNs", ref.EndNs, got.EndNs),
+		sameLow("Bytes", ref.Bytes, got.Bytes, counters),
+		sameLow("Packets", ref.Packets, got.Packets, counters),
+		sameLow("SrcAS", ref.SrcAS, got.SrcAS, asns),
+		sameLow("DstAS", ref.DstAS, got.DstAS, asns),
+	} {
+		if err != nil {
+			return err
 		}
 	}
-	if v5 {
-		copy(got.Bytes, ref.Bytes)
-		copy(got.Packets, ref.Packets)
-		copy(got.SrcAS, ref.SrcAS)
-		copy(got.DstAS, ref.DstAS)
-		copy(got.Dir, ref.Dir)
+	if !v5 {
+		return sameCol("Dir", ref.Dir, got.Dir)
+	}
+	// An absent column is nil on both sides, and copying it is a no-op.
+	copy(got.Bytes, ref.Bytes)
+	copy(got.Packets, ref.Packets)
+	copy(got.SrcAS, ref.SrcAS)
+	copy(got.DstAS, ref.DstAS)
+	copy(got.Dir, ref.Dir)
+	return nil
+}
+
+// sameCol reports the first row whose wire value differs from the
+// reference's (none for a column neither batch stores).
+func sameCol[T comparable](col string, ref, got []T) error {
+	for i := range ref {
+		if got[i] != ref[i] {
+			return mismatch(i, col, ref[i], got[i])
+		}
+	}
+	return nil
+}
+
+// sameLow is sameCol over the bits mask keeps: all of them, or the low
+// bits NetFlow v5 carries of a wider column.
+func sameLow[T ~uint32 | ~uint64](col string, ref, got []T, mask T) error {
+	for i := range ref {
+		if got[i] != ref[i]&mask {
+			if mask != ^T(0) {
+				col = fmt.Sprintf("%s (low %d bits)", col, bits.OnesCount64(uint64(mask)))
+			}
+			return mismatch(i, col, ref[i]&mask, got[i])
+		}
 	}
 	return nil
 }

@@ -613,3 +613,38 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 		t.Errorf("stream 2 completes on row count and loses nothing: %+v", per[2])
 	}
 }
+
+// TestBridgeRetriesCorruptedData flips one byte of a stored column in
+// flight, as the chaos relay's corrupt fault does: the packet still
+// decodes and the bucket completes on row count, but verification fails,
+// so the bridge re-requests the bucket and delivers it bit-identical. The
+// template carries only the key's columns, so every data byte on the wire
+// is one the bridge compares.
+func TestBridgeRetriesCorruptedData(t *testing.T) {
+	opts := core.Options{FlowScale: 0.1}
+	flipped := false
+	br, pump, _ := newMangleHarness(t, opts, func(pkt []byte) [][]byte {
+		if flipped || isCtrl(pkt) {
+			return [][]byte{pkt}
+		}
+		flipped = true
+		bad := append([]byte(nil), pkt...)
+		bad[len(bad)-1] ^= 1 // the low byte of the last record's DstAS
+		return [][]byte{bad}
+	})
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	if err != nil {
+		t.Fatalf("fetch after a corrupted packet: %v", err)
+	}
+	batchesEqual(t, want, got)
+	if s := br.Stats(); s.Retries != 1 || s.LostRows != 0 || s.DecodeErrors != 0 {
+		t.Errorf("stats %+v, want exactly one retry and no loss or decode error", s)
+	}
+	if ps := pump.Stats(); ps.Requests != 2 {
+		t.Errorf("pump served %d requests, want 2", ps.Requests)
+	}
+}

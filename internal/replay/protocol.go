@@ -41,14 +41,21 @@
 // flight concurrently. Retries carry a per-stream generation number so
 // data from an abandoned attempt is discarded, not misfiled.
 //
+// A bucket carries the columns of its key's kind (core.FlowKey.Columns),
+// as the dataset stores them, and no others: both ends take the set from
+// the key, so no protocol field names it. The pump's model generates that
+// set, the NetFlow v9 and IPFIX templates carry exactly its fields, and
+// the bridge keeps, verifies and returns exactly its columns.
+//
 // NetFlow v5 cannot carry everything the model generates — it has no
-// direction field, 32-bit byte/packet counters and 16-bit AS numbers —
-// so for v5 the bridge verifies every bit the format does carry
-// (addresses, ports, protocol, TCP flags, interfaces, millisecond-exact
-// timestamps, the counters' low 32 bits, the ASNs' low 16 bits) and
-// restores the lossy fields from the verified reference rows. NetFlow v9
-// and IPFIX round-trip every column exactly and are verified for full
-// equality.
+// direction field, 32-bit byte/packet counters and 16-bit AS numbers,
+// and its fixed record writes 0 for a column the bucket does not store —
+// so for v5 the bridge verifies every bit the format does carry of the
+// bucket's columns (addresses, ports, protocol, TCP flags, interfaces,
+// millisecond-exact timestamps, the counters' low 32 bits, the ASNs' low
+// 16 bits) and restores the lossy ones from the verified reference.
+// NetFlow v9 and IPFIX round-trip the bucket's columns exactly and are
+// verified for full equality.
 package replay
 
 import (

@@ -100,8 +100,11 @@ func (p *Pump) Stats() PumpStats {
 	}
 }
 
-// Run serves key requests until ctx is cancelled or Close is called.
+// Run serves key requests until ctx is cancelled or Close is called. The
+// read blocks without a deadline, as the collector's does: cancelling ctx
+// unblocks it, and Close closes the socket, which ends the loop.
 func (p *Pump) Run(ctx context.Context) {
+	go collector.UnblockOnDone(ctx, p.done, p.ctrl)
 	buf := make([]byte, 2048)
 	for {
 		select {
@@ -111,14 +114,12 @@ func (p *Pump) Run(ctx context.Context) {
 			return
 		default:
 		}
-		p.ctrl.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
 		n, _, err := p.ctrl.ReadFromUDP(buf)
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
+			if errors.Is(err, net.ErrClosed) {
+				return
 			}
-			continue // socket errors are either shutdown (next select exits) or transient
+			continue // unblocked (the select above returns) or transient
 		}
 		stream, gen, key, err := parseRequest(buf[:n])
 		if err != nil {

@@ -104,16 +104,12 @@ func newHarness(t testing.TB, format collector.Format, opts core.Options) (*Brid
 	return br, pump
 }
 
-// batchesEqual compares every column of two batches.
+// batchesEqual requires two batches to store the same columns and the
+// same rows in them.
 func batchesEqual(t testing.TB, want, got *flowrec.Batch) {
 	t.Helper()
-	if want.Len() != got.Len() {
-		t.Fatalf("row count: want %d, got %d", want.Len(), got.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if want.Record(i) != got.Record(i) {
-			t.Fatalf("row %d differs:\nwant %+v\ngot  %+v", i, want.Record(i), got.Record(i))
-		}
+	if !got.Equal(want) {
+		t.Fatalf("batches differ: want %d rows of %s, got %d rows of %s", want.Len(), want.Columns(), got.Len(), got.Columns())
 	}
 }
 
@@ -169,6 +165,41 @@ func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 			}
 			if ps.Requests != 3 || ps.RowsSent != stats.Rows {
 				t.Errorf("pump stats %+v do not match bridge stats %+v", ps, stats)
+			}
+		})
+	}
+}
+
+// TestBridgeServesKindColumns: every batch kind travels at its key's
+// column set in every format — the pump exports it, the bridge verifies
+// and returns exactly k.Columns() — and equals what SyntheticSource
+// generates for the key.
+func TestBridgeServesKindColumns(t *testing.T) {
+	opts := core.Options{FlowScale: 0.1}
+	ref := core.NewSyntheticSource(opts)
+	keys := []core.FlowKey{
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour)},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)},
+	}
+	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9, collector.FormatIPFIX} {
+		t.Run(format.String(), func(t *testing.T) {
+			br, _ := newHarness(t, format, opts)
+			for _, k := range keys {
+				want, err := ref.Batch(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := br.fetch(k)
+				if err != nil {
+					t.Fatalf("%v over %v: %v", k, format, err)
+				}
+				if got.Columns() != k.Columns() || got.Len() == 0 {
+					t.Errorf("%v: the bridge returned %d rows of %s, want the kind's %s", k, got.Len(), got.Columns(), k.Columns())
+				}
+				if !got.Equal(want) {
+					t.Errorf("%v over %v differs from SyntheticSource", k, format)
+				}
 			}
 		})
 	}
@@ -360,6 +391,31 @@ func TestVerifyAndRepair(t *testing.T) {
 	lossy.SrcPort[0]++
 	if err := verifyAndRepair(collector.FormatNetflowV5, ref, lossy); err == nil {
 		t.Fatal("tampered SrcPort accepted on the v5 path")
+	}
+
+	// A bucket of the flows/ kind's columns: v5 verifies the carried bits
+	// of what it stores and restores its lossy columns (ASNs, Bytes, Dir)
+	// and nothing else; one flipped bit of a stored column fails the
+	// full-fidelity formats.
+	cols := core.FlowKey{Kind: core.KindFlows}.Columns()
+	refCols := ref.Project(cols)
+	bucket := ref.Project(cols)
+	for i := 0; i < bucket.Len(); i++ {
+		bucket.Bytes[i] &= 0xFFFFFFFF
+		bucket.SrcAS[i] &= 0xFFFF
+		bucket.DstAS[i] &= 0xFFFF
+		bucket.Dir[i] = flowrec.DirUnknown
+	}
+	if err := verifyAndRepair(collector.FormatNetflowV5, refCols, bucket); err != nil {
+		t.Fatalf("v5-lossy flows/ bucket rejected: %v", err)
+	}
+	batchesEqual(t, refCols, bucket)
+	bucket.DstAS[len(bucket.DstAS)-1] ^= 1
+	if err := verifyAndRepair(collector.FormatIPFIX, refCols, bucket); err == nil || !strings.Contains(err.Error(), "DstAS") {
+		t.Fatalf("flipped DstAS bit: err %v, want a DstAS mismatch", err)
+	}
+	if err := verifyAndRepair(collector.FormatIPFIX, ref, refCols); err == nil {
+		t.Fatal("a bucket of other columns than the reference accepted")
 	}
 }
 

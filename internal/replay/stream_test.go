@@ -74,7 +74,7 @@ func newShardedHarnessVia(t testing.TB, cfg Config, n int, via func(bridgeAddr s
 }
 
 // fetchAndCompare fetches one hour batch over the bridge and compares
-// it to the reference row by row, goroutine-safe (no testing.T calls).
+// it to the reference, goroutine-safe (no testing.T calls).
 func fetchAndCompare(ref *core.SyntheticSource, br *Bridge, vp synth.VantagePoint, hour time.Time) error {
 	want, err := ref.FlowBatch(vp, hour)
 	if err != nil {
@@ -84,13 +84,8 @@ func fetchAndCompare(ref *core.SyntheticSource, br *Bridge, vp synth.VantagePoin
 	if err != nil {
 		return err
 	}
-	if want.Len() != got.Len() {
-		return fmt.Errorf("row count: want %d, got %d", want.Len(), got.Len())
-	}
-	for i := 0; i < want.Len(); i++ {
-		if want.Record(i) != got.Record(i) {
-			return fmt.Errorf("row %d differs:\nwant %+v\ngot  %+v", i, want.Record(i), got.Record(i))
-		}
+	if !got.Equal(want) {
+		return fmt.Errorf("want %d rows of %s, got %d rows of %s, or other values", want.Len(), want.Columns(), got.Len(), got.Columns())
 	}
 	return nil
 }

@@ -4,12 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
 )
 
 // corpus is the framing's seed corpus of the decoder fuzz targets:
-// encoded synthetic messages, their truncations, and the hostile
+// encoded synthetic messages, their truncations, a message of one batch
+// kind's column set, and the hostile
 // short-field, zero-length-field and overlapping-field templates.
 func (fr framing) corpus(tb testing.TB) [][]byte {
 	cfg := synth.DefaultConfig(synth.ISPCE)
@@ -29,7 +31,12 @@ func (fr framing) corpus(tb testing.TB) [][]byte {
 		}
 		out = append(out, msg, msg[:len(msg)/2], msg[:fr.headerLen])
 	}
-	return append(out,
+	// A message of the flows/ kind's column set, under its own template ID.
+	projected, err := enc(nil, b.Project(core.FlowKey{Kind: core.KindFlows}.Columns()), 0, min(100, b.Len()), hour)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return append(out, projected,
 		shortFields(fr),
 		zeroLengthField(fr),
 		// The source address twice, 4 bytes then 2: the second copy lands

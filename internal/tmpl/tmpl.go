@@ -31,11 +31,11 @@ type Framing struct {
 	HeaderLen   int
 	StreamOff   int    // header offset of the 32-bit exporter stream identity
 	TemplateSet uint16 // ID of the sets that announce templates
-	TemplateID  uint16 // the one template the encoder exports with
+	TemplateID  uint16 // the full-width template's ID; see EncodeBatch for the others
 	StartID     uint16 // field carrying the flow start, in epoch seconds
 	EndID       uint16 // field carrying the flow end, in epoch seconds
 	IfLen       uint16 // wire width of the interface indexes: 2 or 4
-	PadSets     bool   // data sets are zero-padded to a multiple of four bytes
+	PadSets     bool   // data sets are zero-padded to a multiple of four bytes, by less than a record
 	SeqRecords  bool   // the sequence number counts records, not messages
 	HasLength   bool   // header word 1 is the message length; decode verifies it
 	// PutHeader fills the rest of hdr[:HeaderLen] for a message of size
@@ -101,55 +101,74 @@ type template struct {
 	recLen int
 }
 
-// standardTemplate is the single template the encoder emits, as
-// (field number, length) pairs; it carries every column of a
-// flowrec.Batch for IPv4 flows. EncodeBatch writes rows in this order.
-func (f *Framing) standardTemplate() [15][2]uint16 {
-	return [...][2]uint16{
-		{fieldSrcIPv4, 4},
-		{fieldDstIPv4, 4},
-		{fieldBytes, 8},
-		{fieldPackets, 8},
-		{f.StartID, 4},
-		{f.EndID, 4},
-		{fieldSrcPort, 2},
-		{fieldDstPort, 2},
-		{fieldProtocol, 1},
-		{fieldTCPFlags, 1},
-		{fieldDirection, 1},
-		{fieldInIf, f.IfLen},
-		{fieldOutIf, f.IfLen},
-		{fieldSrcAS, 4},
-		{fieldDstAS, 4},
+// stdField is one field of the standard template: its number and wire
+// length, and the batch column it carries.
+type stdField struct {
+	id, length uint16
+	col        flowrec.Columns
+}
+
+// standardTemplate is the template of the full column set: one field per
+// column of a flowrec.Batch, for IPv4 flows, in the order EncodeBatch
+// writes them. The template of any other column set is this one with the
+// fields of the columns the set lacks left out.
+func (f *Framing) standardTemplate() [flowrec.NumColumns]stdField {
+	return [...]stdField{
+		{fieldSrcIPv4, 4, flowrec.ColSrcIP},
+		{fieldDstIPv4, 4, flowrec.ColDstIP},
+		{fieldBytes, 8, flowrec.ColBytes},
+		{fieldPackets, 8, flowrec.ColPackets},
+		{f.StartID, 4, flowrec.ColStartNs},
+		{f.EndID, 4, flowrec.ColEndNs},
+		{fieldSrcPort, 2, flowrec.ColSrcPort},
+		{fieldDstPort, 2, flowrec.ColDstPort},
+		{fieldProtocol, 1, flowrec.ColProto},
+		{fieldTCPFlags, 1, flowrec.ColTCPFlags},
+		{fieldDirection, 1, flowrec.ColDir},
+		{fieldInIf, f.IfLen, flowrec.ColInIf},
+		{fieldOutIf, f.IfLen, flowrec.ColOutIf},
+		{fieldSrcAS, 4, flowrec.ColSrcAS},
+		{fieldDstAS, 4, flowrec.ColDstAS},
 	}
 }
 
 // EncodeBatch appends one message carrying the template set and rows
 // [lo, hi) of b to dst and returns the extended slice. stream and *seq are
-// the exporter's identity and sequence counter. The message is written
-// in place: a caller that reuses the returned slice across messages
-// encodes with zero allocations once the buffer has grown to message
-// size. On error — an empty range, a batch that does not store all
-// fifteen columns (the template carries every one), or more rows than the
-// 16-bit length fields can describe — dst is returned unmodified and the
-// sequence number is not consumed.
+// the exporter's identity and sequence counter. The template carries the
+// columns b stores and no others: it is the standard template filtered to
+// them, announced under its own ID, TemplateID plus the bit set of the
+// columns b lacks (flowrec.AllColumns &^ b.Columns()), so a full-width
+// batch is sent under TemplateID itself and one stream may interleave
+// column sets without evicting each other's cached templates. A decoder
+// fills a column the template lacks with zeros. The message is written in
+// place, one column at a time at a stride of one record: a caller that
+// reuses the returned slice across messages encodes with zero allocations
+// once the buffer has grown to message size. On error — an empty range,
+// or more rows than the 16-bit length fields can describe — dst is
+// returned unmodified and the sequence number is not consumed.
 func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time, stream uint32, seq *uint32) ([]byte, error) {
 	n := hi - lo
 	if n <= 0 {
 		return dst, fmt.Errorf("%s: no records to encode", f.Name)
 	}
-	if err := b.Require(flowrec.AllColumns); err != nil {
-		return dst, fmt.Errorf("%s: the template carries a field the batch lacks: %w", f.Name, err)
+	cols := b.Columns()
+	var all [flowrec.NumColumns]stdField
+	nf, recLen := 0, 0
+	for _, fl := range f.standardTemplate() {
+		if cols.Has(fl.col) {
+			all[nf] = fl
+			nf++
+			recLen += int(fl.length)
+		}
 	}
-	tpl := f.standardTemplate()
-	recLen := 0
-	for _, fl := range tpl {
-		recLen += int(fl[1])
-	}
+	tpl := all[:nf]
 	tplSetLen := 4 + 4 + 4*len(tpl)
 	dataSetLen := 4 + n*recLen
 	pad := 0
-	if f.PadSets {
+	if f.PadSets && -dataSetLen&3 < recLen {
+		// Padding as long as a record would decode as one more (the
+		// record length of a one- or two-byte column set), so such a set
+		// goes unpadded.
 		pad = -dataSetLen & 3
 		dataSetLen += pad
 	}
@@ -166,42 +185,56 @@ func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTi
 	be.PutUint32(msg[f.StreamOff:], stream)
 	f.PutHeader(msg, total, n, uint32(exportTime.Unix()), *seq)
 
+	tplID := f.TemplateID + uint16(flowrec.AllColumns&^cols)
 	set := msg[f.HeaderLen:]
 	be.PutUint16(set[0:], f.TemplateSet)
 	be.PutUint16(set[2:], uint16(tplSetLen))
-	be.PutUint16(set[4:], f.TemplateID)
+	be.PutUint16(set[4:], tplID)
 	be.PutUint16(set[6:], uint16(len(tpl)))
 	for i, fl := range tpl {
-		be.PutUint16(set[8+4*i:], fl[0])
-		be.PutUint16(set[10+4*i:], fl[1])
+		be.PutUint16(set[8+4*i:], fl.id)
+		be.PutUint16(set[10+4*i:], fl.length)
 	}
 
 	set = set[tplSetLen:]
-	be.PutUint16(set[0:], f.TemplateID)
+	be.PutUint16(set[0:], tplID)
 	be.PutUint16(set[2:], uint16(dataSetLen))
-	for i := lo; i < hi; i++ {
-		rec := set[4+(i-lo)*recLen:][:recLen]
-		copy(rec[0:], b.SrcIP[i][:])
-		copy(rec[4:], b.DstIP[i][:])
-		be.PutUint64(rec[8:], b.Bytes[i])
-		be.PutUint64(rec[16:], b.Packets[i])
-		be.PutUint32(rec[24:], uint32(b.StartNs[i]/int64(time.Second)))
-		be.PutUint32(rec[28:], uint32(b.EndNs[i]/int64(time.Second)))
-		be.PutUint16(rec[32:], b.SrcPort[i])
-		be.PutUint16(rec[34:], b.DstPort[i])
-		rec[36] = byte(b.Proto[i])
-		rec[37] = b.TCPFlags[i]
-		rec[38] = byte(b.Dir[i])
-		as := rec[39+2*f.IfLen:]
-		if f.IfLen == 2 {
-			be.PutUint16(rec[39:], b.InIf[i])
-			be.PutUint16(rec[41:], b.OutIf[i])
-		} else {
-			be.PutUint32(rec[39:], uint32(b.InIf[i]))
-			be.PutUint32(rec[43:], uint32(b.OutIf[i]))
+	off := 4
+	for _, fl := range tpl {
+		rec, w := set[off:], int(fl.length)
+		off += w
+		switch fl.col {
+		case flowrec.ColSrcIP:
+			storeAddr(rec, b.SrcIP[lo:hi], recLen)
+		case flowrec.ColDstIP:
+			storeAddr(rec, b.DstIP[lo:hi], recLen)
+		case flowrec.ColBytes:
+			storeUint(rec, b.Bytes[lo:hi], recLen, w)
+		case flowrec.ColPackets:
+			storeUint(rec, b.Packets[lo:hi], recLen, w)
+		case flowrec.ColStartNs:
+			storeSeconds(rec, b.StartNs[lo:hi], recLen)
+		case flowrec.ColEndNs:
+			storeSeconds(rec, b.EndNs[lo:hi], recLen)
+		case flowrec.ColSrcPort:
+			storeUint(rec, b.SrcPort[lo:hi], recLen, w)
+		case flowrec.ColDstPort:
+			storeUint(rec, b.DstPort[lo:hi], recLen, w)
+		case flowrec.ColProto:
+			storeUint(rec, b.Proto[lo:hi], recLen, w)
+		case flowrec.ColTCPFlags:
+			storeUint(rec, b.TCPFlags[lo:hi], recLen, w)
+		case flowrec.ColDir:
+			storeUint(rec, b.Dir[lo:hi], recLen, w)
+		case flowrec.ColInIf:
+			storeUint(rec, b.InIf[lo:hi], recLen, w)
+		case flowrec.ColOutIf:
+			storeUint(rec, b.OutIf[lo:hi], recLen, w)
+		case flowrec.ColSrcAS:
+			storeUint(rec, b.SrcAS[lo:hi], recLen, w)
+		case flowrec.ColDstAS:
+			storeUint(rec, b.DstAS[lo:hi], recLen, w)
 		}
-		be.PutUint32(as[0:], b.SrcAS[i])
-		be.PutUint32(as[4:], b.DstAS[i])
 	}
 	clear(set[dataSetLen-pad : dataSetLen]) // the buffer may be reused
 	if f.SeqRecords {
@@ -210,6 +243,44 @@ func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTi
 		*seq++
 	}
 	return dst, nil
+}
+
+// storeUint writes col[i] as a w-byte big-endian field at dst[i*stride:],
+// w being one of the standard template's widths (1, 2, 4 or 8 bytes).
+func storeUint[T ~uint8 | ~uint16 | ~uint32 | ~uint64](dst []byte, col []T, stride, w int) {
+	be := binary.BigEndian
+	switch w {
+	case 1:
+		for i, v := range col {
+			dst[i*stride] = byte(v)
+		}
+	case 2:
+		for i, v := range col {
+			be.PutUint16(dst[i*stride:], uint16(v))
+		}
+	case 4:
+		for i, v := range col {
+			be.PutUint32(dst[i*stride:], uint32(v))
+		}
+	default:
+		for i, v := range col {
+			be.PutUint64(dst[i*stride:], uint64(v))
+		}
+	}
+}
+
+// storeSeconds writes a timestamp column as 4-byte epoch seconds.
+func storeSeconds(dst []byte, col []int64, stride int) {
+	for i, ns := range col {
+		binary.BigEndian.PutUint32(dst[i*stride:], uint32(ns/int64(time.Second)))
+	}
+}
+
+// storeAddr writes an address column as 4-byte IPv4 fields.
+func storeAddr(dst []byte, col []flowrec.Addr, stride int) {
+	for i, a := range col {
+		copy(dst[i*stride:], a[:])
+	}
 }
 
 // StreamID returns the exporter stream identity of a message header

@@ -2,13 +2,16 @@ package tmpl_test
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"net/netip"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
 	"lockdown/internal/netflow"
@@ -31,6 +34,7 @@ type framing struct {
 	seqOff      int // header offset of the sequence number
 	streamOff   int // header offset of the exporter stream identity
 	templateSet uint16
+	templateID  uint16 // of the full-width template
 	startID     uint16 // field numbers of flow start / end seconds
 	endID       uint16
 	ifLen       uint16 // wire width of the interface indexes
@@ -46,7 +50,7 @@ type framing struct {
 var framings = []framing{
 	{
 		name: "netflow-v9", version: 9, headerLen: 20, seqOff: 12, streamOff: 16,
-		templateSet: 0, startID: 22, endID: 21, ifLen: 2, padded: true,
+		templateSet: 0, templateID: 256, startID: 22, endID: 21, ifLen: 2, padded: true,
 		seqStep: func(int) uint32 { return 1 },
 		maxRows: 1284, // flowset: 4 + 1284*51 = 65488 <= 65535 < 4 + 1285*51
 		encoder: func(stream uint32) encodeFunc {
@@ -57,7 +61,7 @@ var framings = []framing{
 	},
 	{
 		name: "ipfix", version: 10, headerLen: 16, seqOff: 8, streamOff: 12,
-		templateSet: 2, startID: 150, endID: 151, ifLen: 4, hasLength: true,
+		templateSet: 2, templateID: 400, startID: 150, endID: 151, ifLen: 4, hasLength: true,
 		seqStep: func(rows int) uint32 { return uint32(rows) },
 		maxRows: 1189, // message: 16 + 68 + 4 + 1189*55 = 65483 <= 65535 < 65483 + 55
 		encoder: func(stream uint32) encodeFunc {
@@ -206,6 +210,65 @@ func TestRoundTrip(t *testing.T) {
 			t.Error("a message too short for a header must report stream 0")
 		}
 	})
+}
+
+// TestRoundTripColumnSets: a batch of any column set travels under the
+// standard template filtered to its columns, in the standard order, with
+// the template ID of the full-width template plus the set of columns it
+// lacks. Decoded, its columns hold the input and the absent ones 0. The
+// full set keeps the full-width ID and all fifteen fields; its bytes are
+// pinned by the golden-packet tests.
+func TestRoundTripColumnSets(t *testing.T) {
+	forEachFraming(t, func(t *testing.T, fr framing) {
+		_, full := sample(7)
+		for _, tc := range []struct {
+			name string
+			cols flowrec.Columns
+		}{
+			{"flows", core.FlowKey{Kind: core.KindFlows}.Columns()},
+			{"vpn-flows", core.FlowKey{Kind: core.KindVPNFlows}.Columns()},
+			{"component-flows", core.FlowKey{Kind: core.KindComponentFlows}.Columns()},
+			{"one column", flowrec.ColDstPort},
+			{"full", flowrec.AllColumns},
+		} {
+			msg := mustEncode(t, fr.encoder(9), full.Project(tc.cols))
+			tpl := msg[fr.headerLen+4:]
+			if id, want := uint16(u16(tpl, 0)), fr.templateID+uint16(flowrec.AllColumns&^tc.cols); id != want {
+				t.Errorf("%s: template ID %d, want %d", tc.name, id, want)
+			}
+			prev := -1
+			for i := range u16(tpl, 2) {
+				pos := slices.Index(standardFields(fr), uint16(u16(tpl, 4+4*i)))
+				if pos <= prev {
+					t.Fatalf("%s: field %d (number %d) is not in the standard order", tc.name, i, u16(tpl, 4+4*i))
+				}
+				prev = pos
+			}
+			if n := u16(tpl, 2); n != bits.OnesCount16(uint16(tc.cols)) {
+				t.Errorf("%s: the template has %d fields for %d columns", tc.name, n, bits.OnesCount16(uint16(tc.cols)))
+			}
+			var got flowrec.Batch
+			if n, err := fr.decoder().DecodeBatch(&got, msg); err != nil || n != full.Len() {
+				t.Fatalf("%s: decoded %d rows, err %v", tc.name, n, err)
+			}
+			want := full.Project(flowrec.AllColumns)
+			v := reflect.ValueOf(want).Elem()
+			for c := range flowrec.NumColumns {
+				if !tc.cols.Has(flowrec.Columns(1) << c) {
+					v.Field(c).Clear()
+				}
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s: decoded rows are not the stored columns with the others zero", tc.name)
+			}
+		}
+	})
+}
+
+// standardFields lists the field numbers of the full-width template, in
+// the order the encoder writes them.
+func standardFields(fr framing) []uint16 {
+	return []uint16{8, 12, 1, 2, fr.startID, fr.endID, 7, 11, 4, 6, 61, 10, 14, 16, 17}
 }
 
 // Property: counters, ports, AS numbers and direction round-trip for
@@ -440,6 +503,23 @@ func TestDecodeReuse(t *testing.T) {
 		}
 		if !reflect.DeepEqual(dst.Records()[3*len(recs):], recs) {
 			t.Error("last decoded chunk differs from the input")
+		}
+
+		// Two column sets alternating on one stream: their templates are
+		// cached under their own IDs, so neither evicts the other and the
+		// steady state allocates nothing.
+		flows := mustEncode(t, enc, b.Project(core.FlowKey{Kind: core.KindFlows}.Columns()))
+		vpn := mustEncode(t, enc, b.Project(core.FlowKey{Kind: core.KindVPNFlows}.Columns()))
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, m := range [][]byte{flows, vpn} {
+				dst.Reset()
+				if _, err := dec.DecodeBatch(&dst, m); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("alternating two column sets: %.1f allocs a run, want 0", allocs)
 		}
 	})
 }
