@@ -79,10 +79,8 @@
 //	-format f     wire format: v5, v9 or ipfix (default ipfix)
 //	-addr a       bridge UDP listen address (default 127.0.0.1:0)
 //	-attempt-timeout d  per-attempt bucket collection timeout (default 5s)
-//	-max-attempts n  attempts per bucket (default 4)
-//	-fetch-budget d  wall-clock retry budget per bucket; when set it
-//	              replaces the flat attempt-timeout × max-attempts cap and
-//	              alone decides when the bridge gives up
+//	-fetch-budget d  wall-clock retry budget per bucket, the only bound on
+//	              its retries (default 4 × attempt-timeout)
 //	-allow-partial  serve explicitly-accounted empty batches for buckets
 //	              whose retry budget ran out instead of failing the run;
 //	              the degraded component-hours are stamped on stderr
@@ -131,7 +129,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"lockdown/internal/cluster"
 	"lockdown/internal/collector"
@@ -270,7 +267,7 @@ type mode struct {
 var (
 	engineFlags = []string{"scale", "seed", "scan-chunk", "cache-budget", "cache-dir", "cpuprofile", "memprofile", "metrics-addr", "trace"}
 	suiteFlags  = slices.Concat(engineFlags, []string{"csv", "json", "parallel"})
-	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "attempt-timeout", "max-attempts", "fetch-budget", "allow-partial"})
+	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "attempt-timeout", "fetch-budget", "allow-partial"})
 )
 
 var modes = []mode{
@@ -333,8 +330,7 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 	})
 	all.StringVar(&o.wire.BridgeListen, "addr", "127.0.0.1:0", "bridge UDP listen `address`")
 	all.DurationVar(&o.wire.AttemptTimeout, "attempt-timeout", 0, "per-attempt bucket timeout (0 = default)")
-	all.IntVar(&o.wire.MaxAttempts, "max-attempts", 0, "attempts per bucket (0 = default)")
-	all.DurationVar(&o.wire.FetchBudget, "fetch-budget", 0, "wall-clock retry budget per bucket (0 = attempt-timeout × max-attempts)")
+	all.DurationVar(&o.wire.FetchBudget, "fetch-budget", 0, "wall-clock retry budget per bucket (0 = 4 × attempt-timeout)")
 	all.BoolVar(&o.wire.AllowPartial, "allow-partial", false, "degrade to accounted empty batches instead of failing when a bucket's retries run out")
 	all.IntVar(&o.wire.Shards, "shards", m.shards, "pump shard count")
 	all.IntVar(&o.wire.MaxRestarts, "max-restarts", 0, "restarts per shard before give-up and re-partition (0 = default)")
@@ -538,12 +534,6 @@ func runScenario(ctx context.Context, o *options) error {
 func runWire(ctx context.Context, o *options) error {
 	spec := o.wire
 	spec.Options = o.core
-	if spec.Chaos != nil && spec.FetchBudget == 0 {
-		// A fault schedule stretches fetches across restart and
-		// re-partition windows; without an explicit budget, give the
-		// bridge one wide enough to ride out a full give-up sequence.
-		spec.FetchBudget = 60 * time.Second
-	}
 	c, err := cluster.New(spec)
 	if err != nil {
 		return err

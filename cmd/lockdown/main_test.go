@@ -182,7 +182,6 @@ var flagModes = map[string]struct{ modes, def, other string }{
 	"format":          {"replay cluster", "ipfix", "v9"},
 	"addr":            {"replay cluster", "127.0.0.1:0", "127.0.0.1:9"},
 	"attempt-timeout": {"replay cluster", "0s", "1s"},
-	"max-attempts":    {"replay cluster", "0", "2"},
 	"fetch-budget":    {"replay cluster", "0s", "1s"},
 	"allow-partial":   {"replay cluster", "false", "true"},
 	"shards":          {"cluster", "4", "2"},
@@ -197,8 +196,8 @@ var flagModes = map[string]struct{ modes, def, other string }{
 func TestFlagsRejectedOutsideTheirMode(t *testing.T) {
 	silence(t, &os.Stderr) // the flag package prints the mode's usage on every refusal
 
-	if len(flagModes) != 21 {
-		t.Errorf("%d distinct flags, want 21", len(flagModes))
+	if len(flagModes) != 20 {
+		t.Errorf("%d distinct flags, want 20", len(flagModes))
 	}
 	for _, m := range modes {
 		name := strings.ReplaceAll(m.name, " ", "-")
@@ -244,12 +243,13 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 	for _, line := range []string{
 		"", "frobnicate", "run", "scenario", "scenario frobnicate", "cache compact d",
 		"all -csv -json", "all -bogus", "all -cache-budget 5x", "replay -unverified",
-		"replay -format v7", "replay -attempt-timeout -1s", "replay -fetch-budget -1s", "replay -max-attempts -1",
+		"replay -format v7", "replay -attempt-timeout -1s", "replay -fetch-budget -1s",
 		"cluster -max-restarts -1", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
 		"all -parallel -3", "all -scan-chunk -5",
 		"cluster -shards 300 -format v5", "cluster -shards 3 -chaos kill=shard3@t+1s",
 		// Removed commands and flags stay refused.
 		"pump -data 127.0.0.1:9", "cluster -subprocess", "replay -pps 100", "cluster -pps 0",
+		"replay -max-attempts 2",
 	} {
 		err := run(context.Background(), strings.Fields(line))
 		var ue usageError

@@ -183,9 +183,6 @@ func (r *Registry) IsHypergiant(asn uint32) bool {
 	return ok && a.Hypergiant
 }
 
-// Eyeballs returns the eyeball (residential broadband) ASes.
-func (r *Registry) Eyeballs() []AS { return r.OfCategory(CatEyeball) }
-
 // Len returns the number of registered ASes.
 func (r *Registry) Len() int { return len(r.ordered) }
 

@@ -89,7 +89,7 @@ func TestAddrForAvoidsNetworkAddress(t *testing.T) {
 
 func TestOfCategoryAndEyeballs(t *testing.T) {
 	r := Default()
-	if got := len(r.Eyeballs()); got < 5 {
+	if got := len(r.OfCategory(CatEyeball)); got < 5 {
 		t.Errorf("expected several eyeball ASes, got %d", got)
 	}
 	for _, a := range r.OfCategory(CatGaming) {

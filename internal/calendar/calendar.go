@@ -277,38 +277,6 @@ func Days(from, to time.Time) []time.Time {
 	return ds
 }
 
-// StudyWeeks returns the Monday start of every ISO calendar week the
-// study window touches, keyed by ISO week number (weeks 1 through 20 of
-// 2020). Because 2020 began on a Wednesday, the Monday of week 1 is
-// December 30, 2019 — one and a half days before StudyStart. That is
-// deliberate ISO-8601 behaviour, not an off-by-one: callers aggregating
-// by calendar week need the true week anchor, and the partial week-1
-// overlap is exactly what Figure 1's weekly normalisation sees.
-func StudyWeeks() map[int]time.Time {
-	out := make(map[int]time.Time)
-	for d := WeekStart(StudyStart); d.Before(StudyEnd); d = d.AddDate(0, 0, 7) {
-		out[ISOWeek(d)] = d
-	}
-	return out
-}
-
-// PhaseOf returns the lockdown phase a given day belongs to from the
-// perspective of the Central European vantage points: base before the
-// lockdown, stage 1 until mid April, stage 2 until the first relaxations
-// took hold in May, stage 3 afterwards.
-func PhaseOf(t time.Time) Phase {
-	switch {
-	case t.Before(LockdownEurope):
-		return PhaseBase
-	case t.Before(date(2020, 4, 15)):
-		return PhaseStage1
-	case t.Before(date(2020, 5, 4)):
-		return PhaseStage2
-	default:
-		return PhaseStage3
-	}
-}
-
 // WorkingHours reports whether the hour-of-day h (0-23) falls into the
 // paper's "working hours" window (09:00-16:59).
 func WorkingHours(h int) bool { return h >= 9 && h <= 16 }

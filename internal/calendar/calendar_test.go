@@ -123,25 +123,12 @@ func TestDayStartAndDays(t *testing.T) {
 	}
 }
 
-func TestStudyWeeks(t *testing.T) {
-	sw := StudyWeeks()
-	if _, ok := sw[3]; !ok {
-		t.Fatal("study weeks missing week 3 (the Figure 1 baseline)")
-	}
-	if sw[3] != date(2020, 1, 13) {
-		t.Errorf("week 3 start = %v, want 2020-01-13", sw[3])
-	}
-	if len(sw) < 18 {
-		t.Errorf("expected at least 18 study weeks, got %d", len(sw))
-	}
-}
-
 // TestStudyWindowWeekBoundaries pins the ISO-week boundary behaviour of
-// the study window, end to end across StudyWeeks, WeekStart and ISOWeek.
-// The subtle cases: 2020 began on a Wednesday, so week 1's Monday is
-// December 30, 2019 (before StudyStart, documented on StudyWeeks), and
-// the exclusive StudyEnd (May 18) is itself the Monday of week 21, so
-// week 20 (May 11-17) is the last week in the window.
+// the study window, end to end across WeekStart and ISOWeek. The subtle
+// cases: 2020 began on a Wednesday, so week 1's Monday is December 30,
+// 2019 (before StudyStart: ISO-8601 behaviour, not an off-by-one), and the
+// exclusive StudyEnd (May 18) is itself the Monday of week 21, so week 20
+// (May 11-17) is the last week in the window.
 func TestStudyWindowWeekBoundaries(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -167,14 +154,18 @@ func TestStudyWindowWeekBoundaries(t *testing.T) {
 		})
 	}
 
-	sw := StudyWeeks()
+	// The Monday of every ISO week the window touches, keyed by week.
+	sw := make(map[int]time.Time)
+	for d := WeekStart(StudyStart); d.Before(StudyEnd); d = d.AddDate(0, 0, 7) {
+		sw[ISOWeek(d)] = d
+	}
 	if len(sw) != 20 {
-		t.Fatalf("StudyWeeks returned %d weeks, want 20 (weeks 1-20 of 2020)", len(sw))
+		t.Fatalf("the window touches %d weeks, want 20 (weeks 1-20 of 2020)", len(sw))
 	}
 	for wk := 1; wk <= 20; wk++ {
 		start, ok := sw[wk]
 		if !ok {
-			t.Fatalf("StudyWeeks missing week %d", wk)
+			t.Fatalf("the window misses week %d", wk)
 		}
 		if start.Weekday() != time.Monday {
 			t.Errorf("week %d starts on %v, want Monday", wk, start.Weekday())
@@ -187,7 +178,7 @@ func TestStudyWindowWeekBoundaries(t *testing.T) {
 		t.Errorf("week 1 starts %v, want %v (the documented pre-StudyStart Monday)", sw[1], want)
 	}
 	if _, ok := sw[21]; ok {
-		t.Errorf("StudyWeeks includes week 21; StudyEnd is exclusive")
+		t.Errorf("the window includes week 21; StudyEnd is exclusive")
 	}
 	if want := date(2020, 5, 11); sw[20] != want {
 		t.Errorf("week 20 starts %v, want %v", sw[20], want)
@@ -218,23 +209,6 @@ func TestHolidaySet(t *testing.T) {
 	days := s.Days()
 	if len(days) != 2 || days[0] != date(2020, 5, 1) || days[1] != date(2020, 5, 21) {
 		t.Errorf("Days() = %v, want the two declared dates ascending", days)
-	}
-}
-
-func TestPhaseOf(t *testing.T) {
-	cases := []struct {
-		d    time.Time
-		want Phase
-	}{
-		{date(2020, 2, 20), PhaseBase},
-		{date(2020, 3, 20), PhaseStage1},
-		{date(2020, 4, 25), PhaseStage2},
-		{date(2020, 5, 12), PhaseStage3},
-	}
-	for _, c := range cases {
-		if got := PhaseOf(c.d); got != c.want {
-			t.Errorf("PhaseOf(%v) = %v, want %v", c.d, got, c.want)
-		}
 	}
 }
 

@@ -85,14 +85,13 @@ type Spec struct {
 	// BridgeListen is the bridge's UDP listen address ("127.0.0.1:0"
 	// if empty).
 	BridgeListen string
-	// AttemptTimeout, MaxAttempts and FetchBudget tune the bridge's
-	// unified retry policy (replay defaults if zero). The budget also
+	// AttemptTimeout and FetchBudget tune the bridge's retry policy
+	// (replay defaults if zero). The budget alone ends a fetch, and it
 	// covers pump-restart and re-partition windows: a fetch hitting a
 	// dead pump keeps re-requesting — and re-routing — until the
 	// supervisor has revived or replaced the shard or the budget runs
 	// out.
 	AttemptTimeout time.Duration
-	MaxAttempts    int
 	FetchBudget    time.Duration
 	// AllowPartial serves explicitly-accounted empty batches for keys
 	// whose retry budget ran out instead of failing the run; see
@@ -134,8 +133,8 @@ func (s Spec) Validate() error {
 	if s.AttemptTimeout < 0 || s.FetchBudget < 0 {
 		return fmt.Errorf("cluster: timeouts must not be negative")
 	}
-	if s.MaxAttempts < 0 || s.MaxRestarts < 0 {
-		return fmt.Errorf("cluster: attempt and restart budgets must not be negative")
+	if s.MaxRestarts < 0 {
+		return fmt.Errorf("cluster: the restart budget must not be negative")
 	}
 	if s.Chaos != nil {
 		if m := s.Chaos.MaxShard(); m >= n {
@@ -317,7 +316,6 @@ func New(spec Spec) (*Cluster, error) {
 		Options:        spec.Options,
 		Route:          c.routeKey,
 		AttemptTimeout: spec.AttemptTimeout,
-		MaxAttempts:    spec.MaxAttempts,
 		FetchBudget:    spec.FetchBudget,
 		AllowPartial:   spec.AllowPartial,
 	})

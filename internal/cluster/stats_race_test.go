@@ -12,7 +12,7 @@ import (
 	"lockdown/internal/synth"
 )
 
-// TestStatsConsistentDuringChaos hammers Stats(), StreamStats() and the
+// TestStatsConsistentDuringChaos hammers Stats() and the
 // Prometheus exposition while a chaos run drives the crash → restart →
 // give-up → rebalance path, pinning two properties under the race
 // detector: snapshotting never races the supervisor or a rebalance, and

@@ -34,9 +34,6 @@ func TestSpecValidationSurvival(t *testing.T) {
 	if err := (Spec{FetchBudget: -time.Second}).Validate(); err == nil {
 		t.Error("negative FetchBudget validated")
 	}
-	if err := (Spec{MaxAttempts: -1}).Validate(); err == nil {
-		t.Error("negative MaxAttempts validated")
-	}
 	if err := (Spec{MaxRestarts: -1}).Validate(); err == nil {
 		t.Error("negative MaxRestarts validated")
 	}
@@ -227,7 +224,7 @@ func TestClusterChaosReproducible(t *testing.T) {
 	}
 	run := func(seed int64) (faultinject.RelayStats, int64, int64) {
 		// A drop rate high enough that the small test workload is all but
-		// guaranteed to lose datagrams, and an attempt budget wide enough
+		// guaranteed to lose datagrams, and a fetch budget wide enough
 		// that every key still gets through.
 		chaos := faultinject.Spec{Drop: 0.12, Seed: seed}
 		opts := core.Options{FlowScale: 0.05}
@@ -236,7 +233,7 @@ func TestClusterChaosReproducible(t *testing.T) {
 			Format:         collector.FormatIPFIX,
 			Options:        opts,
 			AttemptTimeout: 2 * time.Second,
-			MaxAttempts:    40,
+			FetchBudget:    80 * time.Second,
 			Chaos:          &chaos,
 		})
 		for _, vp := range []synth.VantagePoint{synth.ISPCE, synth.IXPCE} {

@@ -49,18 +49,6 @@ func (p Profile) Mean() float64 {
 	return s / 24
 }
 
-// PeakHour returns the hour with the largest weight (the earliest one on
-// ties).
-func (p Profile) PeakHour() int {
-	best, bestV := 0, math.Inf(-1)
-	for h, v := range p {
-		if v > bestV {
-			best, bestV = h, v
-		}
-	}
-	return best
-}
-
 // Blend interpolates between two profiles: w=0 yields a, w=1 yields b.
 // The result is re-normalised to a maximum of 1.
 func Blend(a, b Profile, w float64) Profile {
@@ -73,18 +61,6 @@ func Blend(a, b Profile, w float64) Profile {
 	var out Profile
 	for h := 0; h < 24; h++ {
 		out[h] = a[h]*(1-w) + b[h]*w
-	}
-	return normalise(out)
-}
-
-// Scale multiplies selected hours by factor and re-normalises. It is used
-// to express effects such as "growth concentrated in working hours".
-func (p Profile) Scale(hours func(int) bool, factor float64) Profile {
-	out := p
-	for h := 0; h < 24; h++ {
-		if hours(h) {
-			out[h] *= factor
-		}
 	}
 	return normalise(out)
 }

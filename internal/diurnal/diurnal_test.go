@@ -38,9 +38,20 @@ func TestProfilesNormalised(t *testing.T) {
 	}
 }
 
+// peakHour is the hour with the largest weight (the earliest on ties).
+func peakHour(p Profile) int {
+	best := 0
+	for h, v := range p {
+		if v > p[best] {
+			best = h
+		}
+	}
+	return best
+}
+
 func TestWorkdayEveningPeak(t *testing.T) {
 	p := ResidentialWorkday()
-	if peak := p.PeakHour(); peak < 19 || peak > 22 {
+	if peak := peakHour(p); peak < 19 || peak > 22 {
 		t.Errorf("residential workday peak at %d, want evening (19-22)", peak)
 	}
 	// Night trough well below daytime.
@@ -84,7 +95,7 @@ func TestLockdownWorkdayLooksLikeWeekend(t *testing.T) {
 
 func TestOfficeHoursShape(t *testing.T) {
 	p := OfficeHours()
-	if peak := p.PeakHour(); peak < 8 || peak > 17 {
+	if peak := peakHour(p); peak < 8 || peak > 17 {
 		t.Errorf("office peak at %d, want business hours", peak)
 	}
 	if p.At(22) > 0.3 {
@@ -121,11 +132,6 @@ func TestMeanAndPeakHour(t *testing.T) {
 	if Flat().Mean() != 1 {
 		t.Errorf("Flat mean = %v, want 1", Flat().Mean())
 	}
-	var p Profile
-	p[7] = 1
-	if p.PeakHour() != 7 {
-		t.Errorf("PeakHour = %d, want 7", p.PeakHour())
-	}
 }
 
 func TestBlendEndpointsAndClamping(t *testing.T) {
@@ -138,14 +144,6 @@ func TestBlendEndpointsAndClamping(t *testing.T) {
 	}
 	if Blend(a, b, -5) != a || Blend(a, b, 7) != b {
 		t.Error("Blend should clamp its weight")
-	}
-}
-
-func TestScale(t *testing.T) {
-	p := Flat().Scale(func(h int) bool { return h >= 9 && h <= 16 }, 2)
-	// After re-normalisation the scaled hours are 1 and the rest 0.5.
-	if p.At(10) != 1 || math.Abs(p.At(20)-0.5) > 1e-9 {
-		t.Errorf("Scale result unexpected: %v at 10, %v at 20", p.At(10), p.At(20))
 	}
 }
 

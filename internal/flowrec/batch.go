@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"time"
 	"unsafe"
-
-	"lockdown/internal/simd"
 )
 
 // Batch is a columnar (struct-of-arrays) collection of flow records: every
@@ -394,26 +392,6 @@ func (b *Batch) ServerPortAt(i int) PortProto {
 	s, d := b.SrcPort[i], b.DstPort[i]
 	port := (min(s-1, d-1) + 1) & portlessMask[p]
 	return PortProto{p, port}
-}
-
-// Filter appends the rows for which keep returns true to a new batch and
-// returns it. The receiver is unchanged. The rows travel as records, so
-// the receiver must be full-width.
-func (b *Batch) Filter(keep func(b *Batch, i int) bool) *Batch {
-	b.mustStore(AllColumns, "Filter")
-	out := NewBatch(0)
-	for i := 0; i < b.Len(); i++ {
-		if keep(b, i) {
-			out.Append(b.Record(i))
-		}
-	}
-	return out
-}
-
-// TotalBytes sums the byte column (a common aggregate; the kernel's
-// unrolled accumulators keep the one contiguous array at bandwidth).
-func (b *Batch) TotalBytes() uint64 {
-	return simd.SumUint64(b.Bytes)
 }
 
 // batchPool recycles batches (and, transitively, their column arrays): the

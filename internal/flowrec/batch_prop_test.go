@@ -129,45 +129,6 @@ func TestPropAppendBatchTruncate(t *testing.T) {
 	}
 }
 
-// TestPropFilterIndependence: Filter selects exactly the kept rows, and
-// the result shares no storage with the source (mutating one never
-// changes the other).
-func TestPropFilterIndependence(t *testing.T) {
-	prop := func(recs recordSample) bool {
-		src := flowrec.FromRecords(recs)
-		keep := func(b *flowrec.Batch, i int) bool { return b.Bytes[i]%2 == 0 }
-		out := src.Filter(keep)
-		var want []flowrec.Record
-		for _, r := range recs {
-			if r.Bytes%2 == 0 {
-				want = append(want, r)
-			}
-		}
-		if out.Len() != len(want) {
-			return false
-		}
-		for i, r := range want {
-			if out.Record(i) != r {
-				return false
-			}
-		}
-		// Mutating the source must not reach the filtered copy.
-		for i := 0; i < src.Len(); i++ {
-			src.Bytes[i] = ^src.Bytes[i]
-			src.SrcPort[i] = ^src.SrcPort[i]
-		}
-		for i, r := range want {
-			if out.Record(i) != r {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, quickCfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropPoolReuseNoAliasing: rows copied out of a pooled batch (via
 // Records or AppendBatch) stay intact when the batch is returned to the
 // pool, reacquired and refilled with different data.

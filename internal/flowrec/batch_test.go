@@ -109,35 +109,6 @@ func TestBatchAppendBatchAndGrow(t *testing.T) {
 	}
 }
 
-func TestBatchFilter(t *testing.T) {
-	recs := sampleRecords(20)
-	b := FromRecords(recs)
-	got := b.Filter(func(b *Batch, i int) bool { return b.Proto[i] == ProtoGRE })
-	var want []Record
-	for _, r := range recs {
-		if r.Proto == ProtoGRE {
-			want = append(want, r)
-		}
-	}
-	if !reflect.DeepEqual(got.Records(), want) {
-		t.Errorf("Filter kept %d rows, want %d GRE rows", got.Len(), len(want))
-	}
-	if b.Len() != len(recs) {
-		t.Error("Filter must not mutate the receiver")
-	}
-}
-
-func TestBatchTotalBytes(t *testing.T) {
-	recs := sampleRecords(9)
-	var want uint64
-	for _, r := range recs {
-		want += r.Bytes
-	}
-	if got := FromRecords(recs).TotalBytes(); got != want {
-		t.Errorf("TotalBytes = %d, want %d", got, want)
-	}
-}
-
 func TestBatchPoolReuse(t *testing.T) {
 	b := GetBatch(64)
 	if b.Len() != 0 || cap(b.Bytes) < 64 {

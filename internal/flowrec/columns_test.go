@@ -276,7 +276,6 @@ func TestProjectedMisuseIsLoud(t *testing.T) {
 	for name, misuse := range map[string]func(){
 		"Record":  func() { narrow.Record(0) },
 		"Records": func() { narrow.Records() },
-		"Filter":  func() { narrow.Filter(func(*flowrec.Batch, int) bool { return true }) },
 		"Append":  func() { narrow.Append(flowrec.Record{}) },
 		"AppendBatch": func() {
 			flowrec.NewProjected(0, flowrec.ColPackets|flowrec.ColBytes).AppendBatch(narrow)

@@ -128,52 +128,6 @@ type Record struct {
 	TCPFlags uint8
 }
 
-// Duration returns the flow's active time. It is zero when End precedes
-// Start (defensive: generators always produce End >= Start).
-func (r Record) Duration() time.Duration {
-	if r.End.Before(r.Start) {
-		return 0
-	}
-	return r.End.Sub(r.Start)
-}
-
-// Key identifies the flow's 5-tuple. Records with equal keys belong to the
-// same flow (in one direction).
-type Key struct {
-	SrcIP   netip.Addr
-	DstIP   netip.Addr
-	SrcPort uint16
-	DstPort uint16
-	Proto   Proto
-}
-
-// Key returns the record's 5-tuple key.
-func (r Record) Key() Key {
-	return Key{
-		SrcIP:   r.SrcIP,
-		DstIP:   r.DstIP,
-		SrcPort: r.SrcPort,
-		DstPort: r.DstPort,
-		Proto:   r.Proto,
-	}
-}
-
-// Reverse returns the key of the opposite flow direction.
-func (k Key) Reverse() Key {
-	return Key{
-		SrcIP:   k.DstIP,
-		DstIP:   k.SrcIP,
-		SrcPort: k.DstPort,
-		DstPort: k.SrcPort,
-		Proto:   k.Proto,
-	}
-}
-
-// String renders the key in "proto src:port -> dst:port" form.
-func (k Key) String() string {
-	return fmt.Sprintf("%s %s:%d -> %s:%d", k.Proto, k.SrcIP, k.SrcPort, k.DstIP, k.DstPort)
-}
-
 // PortProto names a transport port together with its protocol, e.g.
 // "UDP/443". It is the unit of the port-level analyses in Section 4.
 type PortProto struct {

@@ -46,37 +46,6 @@ func TestDirectionString(t *testing.T) {
 	}
 }
 
-func TestDuration(t *testing.T) {
-	r := rec()
-	if got := r.Duration(); got != 30*time.Second {
-		t.Errorf("Duration = %v, want 30s", got)
-	}
-	r.End = r.Start.Add(-time.Second)
-	if got := r.Duration(); got != 0 {
-		t.Errorf("Duration with End before Start = %v, want 0", got)
-	}
-}
-
-func TestKeyReverse(t *testing.T) {
-	r := rec()
-	k := r.Key()
-	rk := k.Reverse()
-	if rk.SrcIP != k.DstIP || rk.DstIP != k.SrcIP || rk.SrcPort != k.DstPort || rk.DstPort != k.SrcPort {
-		t.Errorf("Reverse did not swap endpoints: %+v -> %+v", k, rk)
-	}
-	if rk.Reverse() != k {
-		t.Errorf("double Reverse != identity")
-	}
-}
-
-func TestKeyString(t *testing.T) {
-	k := rec().Key()
-	want := "TCP 10.1.2.3:51234 -> 192.0.2.7:443"
-	if got := k.String(); got != want {
-		t.Errorf("Key.String() = %q, want %q", got, want)
-	}
-}
-
 func TestServerPort(t *testing.T) {
 	cases := []struct {
 		name string
@@ -131,23 +100,6 @@ func TestValidate(t *testing.T) {
 	bad.Packets = 0
 	if err := bad.Validate(); err == nil {
 		t.Error("bytes without packets accepted")
-	}
-}
-
-// Property: Reverse is an involution on arbitrary keys.
-func TestKeyReverseInvolutionQuick(t *testing.T) {
-	f := func(sa, da [4]byte, sp, dp uint16, proto uint8) bool {
-		k := Key{
-			SrcIP:   netip.AddrFrom4(sa),
-			DstIP:   netip.AddrFrom4(da),
-			SrcPort: sp,
-			DstPort: dp,
-			Proto:   Proto(proto),
-		}
-		return k.Reverse().Reverse() == k
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -109,12 +109,6 @@ func Train(hourly *timeseries.Series, baselineFrom, baselineTo time.Time, binHou
 	return &Classifier{binHours: binHours, workday: wd, weekend: we}, nil
 }
 
-// Centroids returns the trained workday-like and weekend-like shape
-// vectors (normalised to sum 1).
-func (c *Classifier) Centroids() (workday, weekend []float64) {
-	return append([]float64(nil), c.workday...), append([]float64(nil), c.weekend...)
-}
-
 func dist(a, b []float64) float64 {
 	var s float64
 	for i := range a {

@@ -46,7 +46,7 @@ func TestTrainRequiresBothDayTypes(t *testing.T) {
 func TestCentroidsDiffer(t *testing.T) {
 	s := ispSeries(t, date(2020, 2, 1), date(2020, 3, 1))
 	c := trainFebruary(t, s)
-	wd, we := c.Centroids()
+	wd, we := c.workday, c.weekend
 	if len(wd) != 4 || len(we) != 4 {
 		t.Fatalf("centroid sizes %d/%d, want 4", len(wd), len(we))
 	}

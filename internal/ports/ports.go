@@ -141,14 +141,6 @@ func Name(p flowrec.PortProto) string {
 	return p.String()
 }
 
-// CategoryOf returns the category of the port, or CatOther if unknown.
-func CategoryOf(p flowrec.PortProto) Category {
-	if s, ok := byPort[p]; ok {
-		return s.Category
-	}
-	return CatOther
-}
-
 // OfCategory returns all registered ports of the given category, sorted by
 // protocol and port number for deterministic iteration.
 func OfCategory(c Category) []flowrec.PortProto {

@@ -34,18 +34,17 @@ func TestName(t *testing.T) {
 
 func TestCategoryOf(t *testing.T) {
 	cases := map[flowrec.PortProto]Category{
-		pp(flowrec.ProtoTCP, 443):   CatWeb,
-		pp(flowrec.ProtoUDP, 4500):  CatVPN,
-		pp(flowrec.ProtoGRE, 0):     CatVPN,
-		pp(flowrec.ProtoTCP, 22):    CatSSH,
-		pp(flowrec.ProtoTCP, 3389):  CatRemoteDesk,
-		pp(flowrec.ProtoTCP, 5223):  CatPush,
-		pp(flowrec.ProtoTCP, 4070):  CatMusic,
-		pp(flowrec.ProtoTCP, 60000): CatOther,
+		pp(flowrec.ProtoTCP, 443):  CatWeb,
+		pp(flowrec.ProtoUDP, 4500): CatVPN,
+		pp(flowrec.ProtoGRE, 0):    CatVPN,
+		pp(flowrec.ProtoTCP, 22):   CatSSH,
+		pp(flowrec.ProtoTCP, 3389): CatRemoteDesk,
+		pp(flowrec.ProtoTCP, 5223): CatPush,
+		pp(flowrec.ProtoTCP, 4070): CatMusic,
 	}
 	for p, want := range cases {
-		if got := CategoryOf(p); got != want {
-			t.Errorf("CategoryOf(%v) = %v, want %v", p, got, want)
+		if s, _ := Lookup(p); s.Category != want {
+			t.Errorf("Lookup(%v).Category = %v, want %v", p, s.Category, want)
 		}
 	}
 }
@@ -62,8 +61,8 @@ func TestOfCategorySortedAndComplete(t *testing.T) {
 		}
 	}
 	for _, p := range vpn {
-		if CategoryOf(p) != CatVPN {
-			t.Errorf("%v listed as VPN but categorised as %v", p, CategoryOf(p))
+		if s, _ := Lookup(p); s.Category != CatVPN {
+			t.Errorf("%v listed as VPN but categorised as %v", p, s.Category)
 		}
 	}
 }

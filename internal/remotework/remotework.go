@@ -184,17 +184,6 @@ func pearson(xs, ys []float64) float64 {
 	return sxy / math.Sqrt(sxx*syy)
 }
 
-// OfGroup returns the scatter points belonging to one dominance group.
-func (r Result) OfGroup(g Group) []Point {
-	var out []Point
-	for _, p := range r.Points {
-		if p.Group == g {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // QuadrantCounts tallies how many ASes fall into each quadrant.
 func (r Result) QuadrantCounts() map[Quadrant]int {
 	out := make(map[Quadrant]int)

@@ -87,8 +87,14 @@ func TestAnalyzeSynthetic(t *testing.T) {
 	if counts[QuadrantBothUp] != 2 || counts[QuadrantTotalDownRes] != 2 {
 		t.Errorf("quadrant counts = %v", counts)
 	}
-	if got := len(res.OfGroup(GroupWorkdayDominant)); got < 1 {
-		t.Errorf("workday-dominant group size = %d", got)
+	workday := 0
+	for _, p := range res.Points {
+		if p.Group == GroupWorkdayDominant {
+			workday++
+		}
+	}
+	if workday < 1 {
+		t.Errorf("workday-dominant group size = %d", workday)
 	}
 }
 
@@ -144,8 +150,8 @@ func TestAnalyzeOnGeneratedISPData(t *testing.T) {
 		t.Error("expected ASes with both total and residential increases")
 	}
 	foundEnterpriseLike := false
-	for _, p := range res.OfGroup(GroupWorkdayDominant) {
-		if p.DiffResidential > 0.05 && p.DiffTotal < p.DiffResidential {
+	for _, p := range res.Points {
+		if p.Group == GroupWorkdayDominant && p.DiffResidential > 0.05 && p.DiffTotal < p.DiffResidential {
 			foundEnterpriseLike = true
 			break
 		}

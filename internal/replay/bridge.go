@@ -18,12 +18,16 @@ import (
 	"lockdown/internal/synth"
 )
 
-// Defaults for Config.
-const (
-	DefaultAttemptTimeout = 5 * time.Second
-	DefaultMaxAttempts    = 4
-	DefaultReadBuffer     = 4 << 20
-)
+// DefaultAttemptTimeout is Config.AttemptTimeout when zero.
+const DefaultAttemptTimeout = 5 * time.Second
+
+// defaultBudgetAttempts sizes the default fetch budget in attempt
+// timeouts: a zero Config.FetchBudget is this many AttemptTimeouts.
+const defaultBudgetAttempts = 4
+
+// readBuffer sizes the data socket's kernel receive buffer; bursts ride
+// out consumer scheduling hiccups there instead of being dropped.
+const readBuffer = 4 << 20
 
 // Route maps a flow key to the stream (pump) that serves it. The
 // sharded cluster partitions the vantage points, so all keys of one
@@ -46,19 +50,12 @@ type Config struct {
 	// AttemptTimeout bounds how long one request waits for its complete
 	// bucket before the bridge retries (DefaultAttemptTimeout if zero).
 	AttemptTimeout time.Duration
-	// MaxAttempts bounds how often a key is requested before the fetch
-	// fails (DefaultMaxAttempts if zero). When FetchBudget is set the
-	// deadline alone governs retries and MaxAttempts only scales the
-	// default budget.
-	MaxAttempts int
-	// FetchBudget is the per-fetch wall-clock deadline: one key's
-	// attempts — requests, retries with jittered backoff, re-routes
-	// after a cluster rebalance — share this budget instead of the flat
-	// AttemptTimeout×MaxAttempts product (which remains the default when
-	// zero). With an explicit budget a fetch retries until the deadline,
-	// so fast-failing attempts against a dead pump do not exhaust a
-	// fixed attempt count in milliseconds; the supervisor gets the whole
-	// budget to restart or re-partition.
+	// FetchBudget is the per-fetch wall-clock deadline, and the only
+	// bound on a fetch's retries: one key's attempts — requests, retries
+	// with jittered backoff, re-routes after a cluster rebalance — share
+	// it, so fast-failing attempts against a dead pump cannot end a fetch
+	// early; the supervisor gets the whole budget to restart or
+	// re-partition. Zero means 4 × AttemptTimeout.
 	FetchBudget time.Duration
 	// AllowPartial degrades instead of failing: a fetch that exhausts
 	// its retry budget on a transient error serves an explicitly-empty
@@ -69,10 +66,6 @@ type Config struct {
 	// obviously does not hold for degraded runs; the suite output is
 	// stamped with the missing component-hours.
 	AllowPartial bool
-	// ReadBuffer sizes the data socket's kernel receive buffer
-	// (DefaultReadBuffer if zero); bursts ride out consumer scheduling
-	// hiccups there instead of being dropped.
-	ReadBuffer int
 }
 
 // Stats counts what a bridge observed. All fields are cumulative; the
@@ -141,7 +134,7 @@ type stream struct {
 	// The accounting instruments come from the bridge's registry (nil is
 	// fine: the nil-safe registry hands out standalone counters), labelled
 	// by stream id so /metrics exposes the same per-stream breakdown as
-	// StreamStats.
+	// Snapshot().Streams.
 	keys        *obs.Counter
 	rows        *obs.Counter
 	retries     *obs.Counter
@@ -256,17 +249,14 @@ func NewBridge(cfg Config) (*Bridge, error) {
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultMaxAttempts
-	}
-	if cfg.ReadBuffer <= 0 {
-		cfg.ReadBuffer = DefaultReadBuffer
+	if cfg.FetchBudget <= 0 {
+		cfg.FetchBudget = defaultBudgetAttempts * cfg.AttemptTimeout
 	}
 	col, err := collector.NewCollector(cfg.Format, cfg.ListenAddr)
 	if err != nil {
 		return nil, err
 	}
-	col.SetReadBuffer(cfg.ReadBuffer) // best effort; loss is detected and retried anyway
+	col.SetReadBuffer(readBuffer) // best effort; loss is detected and retried anyway
 	reg := cfg.Options.Obs
 	col.Instrument(reg)
 	return &Bridge{
@@ -468,11 +458,6 @@ func (b *Bridge) Snapshot() Snapshot {
 // traffic attributable to none (Snapshot().Total).
 func (b *Bridge) Stats() Stats { return b.Snapshot().Total }
 
-// StreamStats returns the per-stream counters keyed by stream id
-// (Snapshot().Streams). Callers that need both views of one instant take
-// a Snapshot instead of calling Stats and StreamStats in turn.
-func (b *Bridge) StreamStats() map[uint32]Stats { return b.Snapshot().Streams }
-
 // FlowBatch implements core.FlowSource.
 func (b *Bridge) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
 	return b.fetch(core.FlowKey{Kind: core.KindFlows, VP: vp, Hour: core.HourOf(hour)})
@@ -497,26 +482,10 @@ func (e fatalError) Unwrap() error { return e.err }
 
 func fatalf(format string, a ...any) error { return fatalError{fmt.Errorf(format, a...)} }
 
-// fetchBudget resolves the per-fetch wall-clock deadline: the explicit
-// FetchBudget, or the legacy flat AttemptTimeout×MaxAttempts product.
-func (b *Bridge) fetchBudget() time.Duration {
-	if b.cfg.FetchBudget > 0 {
-		return b.cfg.FetchBudget
-	}
-	return b.cfg.AttemptTimeout * time.Duration(b.cfg.MaxAttempts)
-}
-
-// exhausted reports whether the unified retry policy is out of budget
-// after the given number of attempts. The deadline always binds; the
-// attempt count binds only without an explicit FetchBudget (the legacy
-// flat policy), so a budgeted fetch rides out fast-failing attempts —
+// exhausted reports whether a fetch's retry budget has run out: its
+// deadline alone decides, so a fetch rides out fast-failing attempts —
 // a dead pump mid-restart — until the deadline.
-func (b *Bridge) exhausted(deadline time.Time, attempts int) bool {
-	if !time.Now().Before(deadline) {
-		return true
-	}
-	return b.cfg.FetchBudget <= 0 && attempts >= b.cfg.MaxAttempts
-}
+func exhausted(deadline time.Time) bool { return !time.Now().Before(deadline) }
 
 // Retry backoff: exponential from retryBackoffBase, capped, with ±50%
 // jitter so concurrent fetches against one recovering pump spread out.
@@ -574,25 +543,18 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 	// against it, so it goes back to the pool only when the fetch is over
 	// — by then the v5 repair has copied what it needs out of it.
 	defer ref.Release()
-	deadline := time.Now().Add(b.fetchBudget())
+	deadline := time.Now().Add(b.cfg.FetchBudget)
 	attempts := 0
 	var lastErr error
-	var lastStream *stream
+	var st *stream
 	for {
 		id := b.route(k)
-		st := b.stream(id)
-		if st == nil {
-			// No pump serves this stream (yet): either a mis-wired
-			// topology, or a rebalance is about to re-target the key.
-			lastErr = fmt.Errorf("no pump connected for stream %d", id)
-			if b.exhausted(deadline, max(attempts, 1)) {
-				break
-			}
-			attempts++
-			b.backoff(attempts, deadline)
-			continue
+		if st = b.stream(id); st == nil {
+			// A mis-wired topology: the cluster connects every shard
+			// before it serves, and a rebalance moves keys only to
+			// streams it has connected.
+			return nil, fmt.Errorf("replay: %s: no pump connected for stream %d", k, id)
 		}
-		lastStream = st
 		got, err := b.fetchFromStream(st, k, ref, deadline, &attempts)
 		if err == nil {
 			return got, nil
@@ -602,22 +564,20 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 			return nil, fmt.Errorf("replay: %s: %w", k, err)
 		}
 		lastErr = err
-		if b.exhausted(deadline, attempts) {
+		if exhausted(deadline) {
 			break
 		}
 		// Not exhausted: the stream's route changed mid-fetch; loop to
 		// re-route and continue on the new stream.
 	}
 	if b.cfg.AllowPartial {
-		if lastStream != nil {
-			lastStream.degraded.Add(1)
-		}
+		st.degraded.Add(1)
 		b.degradedMu.Lock()
 		b.degradedKeys = append(b.degradedKeys, k.String())
 		b.degradedMu.Unlock()
 		return flowrec.NewProjected(0, k.Columns()), nil
 	}
-	return nil, fmt.Errorf("replay: %s: giving up after %d attempts in %v: %w", k, attempts, b.fetchBudget(), lastErr)
+	return nil, fmt.Errorf("replay: %s: giving up after %d attempts in %v: %w", k, attempts, b.cfg.FetchBudget, lastErr)
 }
 
 // fetchFromStream runs attempts of one key against one stream, holding
@@ -632,7 +592,7 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch,
 	var lastErr error
 	for {
 		if *attempts > 0 {
-			if b.exhausted(deadline, *attempts) {
+			if exhausted(deadline) {
 				if lastErr == nil {
 					lastErr = fmt.Errorf("retry budget exhausted")
 				}
@@ -672,7 +632,7 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch,
 		if err := verifyAndRepair(b.cfg.Format, ref, got); err != nil {
 			// Usually stray rows that happened to fill the bucket; a
 			// genuine model divergence keeps failing and surfaces after
-			// the attempts run out.
+			// the budget runs out.
 			got.Release()
 			lastErr = err
 			continue

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -11,35 +12,44 @@ import (
 	"lockdown/internal/synth"
 )
 
-// TestBridgeFetchBudgetGovernsRetries pins the unified retry policy:
-// with an explicit FetchBudget the wall-clock deadline alone decides
-// when a fetch gives up — the attempt count does not bind, so a huge
-// MaxAttempts cannot stretch the fetch past the budget.
+// TestBridgeFetchBudgetGovernsRetries pins the retry policy: the
+// wall-clock deadline alone decides when a fetch gives up, however many
+// attempts fit into it.
 func TestBridgeFetchBudgetGovernsRetries(t *testing.T) {
 	br, err := NewBridge(Config{
 		Format:         collector.FormatIPFIX,
 		Options:        core.Options{FlowScale: 0.05},
 		AttemptTimeout: 50 * time.Millisecond,
-		MaxAttempts:    1 << 20, // must not bind
 		FetchBudget:    400 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer br.Close()
+	// The pump's port is closed: every attempt fails, and only the
+	// budget can end the loop.
+	dead, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead.Close()
+	if err := br.ConnectPump(dead.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	br.Start(ctx)
 
-	// No pump is connected: every attempt fails fast, and only the
-	// budget can end the loop.
 	start := time.Now()
 	_, err = br.FlowBatch(synth.ISPCE, testHour)
 	elapsed := time.Since(start)
 	if err == nil {
-		t.Fatal("fetch without a pump succeeded")
+		t.Fatal("fetch from a closed port succeeded")
 	}
-	if !strings.Contains(err.Error(), "no pump connected") {
+	if !strings.Contains(err.Error(), "giving up") {
+		t.Fatalf("error does not say the budget ran out: %v", err)
+	}
+	if !strings.Contains(err.Error(), "timed out") && !strings.Contains(err.Error(), "connection refused") {
 		t.Fatalf("error lost the root cause: %v", err)
 	}
 	if elapsed < 400*time.Millisecond {
@@ -47,6 +57,9 @@ func TestBridgeFetchBudgetGovernsRetries(t *testing.T) {
 	}
 	if elapsed > 3*time.Second {
 		t.Fatalf("gave up after %v; the budget did not bind", elapsed)
+	}
+	if s := br.Stats(); s.Retries < 2 {
+		t.Errorf("stats.Retries = %d; the budget allows several 50ms attempts", s.Retries)
 	}
 }
 
@@ -62,7 +75,7 @@ func TestBridgeAllowPartialDegrades(t *testing.T) {
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
 		AttemptTimeout: 100 * time.Millisecond,
-		MaxAttempts:    2,
+		FetchBudget:    200 * time.Millisecond,
 		AllowPartial:   true,
 	})
 	if err != nil {
@@ -127,7 +140,7 @@ func TestBridgeAllowPartialKeepsFatalErrors(t *testing.T) {
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
 		AttemptTimeout: 500 * time.Millisecond,
-		MaxAttempts:    3,
+		FetchBudget:    1500 * time.Millisecond,
 		AllowPartial:   true,
 		Route:          func(core.FlowKey) uint32 { return 1 },
 	})

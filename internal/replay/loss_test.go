@@ -101,7 +101,7 @@ func newLossyHarness(t *testing.T, opts core.Options, drop func(pkt []byte) bool
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
 		AttemptTimeout: 2 * time.Second,
-		MaxAttempts:    6,
+		FetchBudget:    12 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,7 +182,7 @@ func newMangleHarness(t *testing.T, opts core.Options, mangle func(pkt []byte) [
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
 		AttemptTimeout: 2 * time.Second,
-		MaxAttempts:    6,
+		FetchBudget:    12 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -363,7 +363,7 @@ func TestBridgeSurvivesDroppedNack(t *testing.T) {
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
 		AttemptTimeout: time.Second,
-		MaxAttempts:    4,
+		FetchBudget:    4 * time.Second,
 		Route:          func(core.FlowKey) uint32 { return 1 },
 	})
 	if err != nil {
@@ -564,7 +564,7 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
 		AttemptTimeout: 2 * time.Second,
-		MaxAttempts:    6,
+		FetchBudget:    12 * time.Second,
 	}, shards, func(bridgeAddr string) string {
 		relay = newLossyRelay(t, bridgeAddr, drop)
 		return relay.ln.LocalAddr().String()
@@ -591,7 +591,7 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 		}
 	}
 
-	per := br.StreamStats()
+	per := br.Snapshot().Streams
 	for id, wantRetries := range []int64{hours, hours, 0} {
 		s := per[uint32(id)]
 		if s.Keys != hours || s.Retries != wantRetries {

@@ -289,7 +289,7 @@ func TestBridgeTimesOutWithoutPump(t *testing.T) {
 		Format:         collector.FormatIPFIX,
 		Options:        core.Options{FlowScale: 0.1},
 		AttemptTimeout: 50 * time.Millisecond,
-		MaxAttempts:    2,
+		FetchBudget:    100 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -311,7 +311,7 @@ func TestBridgeTimesOutWithoutPump(t *testing.T) {
 		t.Fatal("fetch without a pump succeeded")
 	}
 	if s := br.Stats(); s.Retries != 1 {
-		t.Errorf("stats.Retries = %d, want 1 (MaxAttempts=2)", s.Retries)
+		t.Errorf("stats.Retries = %d, want 1 (a 100ms budget over 50ms attempts)", s.Retries)
 	}
 }
 

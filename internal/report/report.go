@@ -212,8 +212,8 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "The wire path is built to survive faults without perturbing a metric:")
 	fmt.Fprintln(w, "lost, duplicated, reordered or corrupted datagrams are detected,")
-	fmt.Fprintln(w, "re-requested and accounted under a per-fetch retry budget")
-	fmt.Fprintln(w, "(`-attempt-timeout`, `-max-attempts`, or wall-clock `-fetch-budget`);")
+	fmt.Fprintln(w, "re-requested and accounted under one wall-clock deadline per fetch")
+	fmt.Fprintln(w, "(`-fetch-budget`, default 4 × `-attempt-timeout`);")
 	fmt.Fprintln(w, "crashed pumps are restarted with jittered backoff, and a shard that")
 	fmt.Fprintln(w, "exhausts `-max-restarts` has its vantage points re-partitioned over")
 	fmt.Fprintln(w, "the survivors. `-chaos 'drop=0.05,kill=shard1@t+2s,seed=7'` injects a")

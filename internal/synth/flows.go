@@ -22,9 +22,9 @@ func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
 // HourBatch samples the hour starting at t into a batch that stores only
 // cols: the flows of every component, or of the named one when component
 // is not empty (no rows for a name the model does not have). The rows are
-// those of FlowsForHourBatch and ComponentFlowsForHourBatch column for
-// column — the sampler draws the same random stream whatever is stored —
-// so a caller whose readers declare their columns pays for no others.
+// those of the full-width batch column for column — the sampler draws the
+// same random stream whatever is stored — so a caller whose readers
+// declare their columns pays for no others.
 //
 // The batch is drawn from the flowrec pool and belongs to the caller: one
 // that only exports or compares it hands the columns back with Release, one
@@ -65,12 +65,6 @@ func (g *Generator) flowsForHourInto(b *flowrec.Batch, d *draws, h *hour, scratc
 // multiplier and flow count, each computed once.
 func (g *Generator) sampled(p *componentPlan, h *hour) componentHour {
 	return p.withFlows(h, p.evaluate(h), g.cfg.FlowScale)
-}
-
-// ComponentFlowsForHourBatch samples one named component's flows for the
-// hour starting at t into a full-width batch sized from its flow count.
-func (g *Generator) ComponentFlowsForHourBatch(name string, t time.Time) *flowrec.Batch {
-	return g.HourBatch(t, name, flowrec.AllColumns)
 }
 
 // The sampler's contract: the draw sequence of a component-hour is a pure

@@ -154,17 +154,6 @@ func (g *Generator) HourlyVolume(t time.Time) float64 {
 	return g.hourlyVolume(&h)
 }
 
-// ComponentVolume returns the bytes of one named component for the hour
-// starting at t (zero for unknown names).
-func (g *Generator) ComponentVolume(name string, t time.Time) float64 {
-	p := g.planOf(name)
-	if p == nil {
-		return 0
-	}
-	h := hourAt(t)
-	return p.evaluate(&h).volume
-}
-
 // TotalSeries returns the hourly total-volume series for [from, to).
 func (g *Generator) TotalSeries(from, to time.Time) *timeseries.Series {
 	s := timeseries.New(string(g.cfg.VP) + " total")
@@ -220,7 +209,9 @@ func zipfWeights(n int) []float64 {
 	return w
 }
 
-// hypergiantSplit is HypergiantSplit for an already described hour.
+// hypergiantSplit returns the bytes of hour h delivered by hypergiant ASes
+// and by all other ASes (Section 3.2, Figure 4). As in the paper, only
+// subscriber-facing (non-transit) traffic is considered.
 func (g *Generator) hypergiantSplit(h *hour) (hypergiant, other float64) {
 	for i := range g.plan {
 		p := &g.plan[i]
@@ -232,14 +223,6 @@ func (g *Generator) hypergiantSplit(h *hour) (hypergiant, other float64) {
 		other += v * (1 - p.hypergiantShare)
 	}
 	return hypergiant, other
-}
-
-// HypergiantSplit returns the bytes of the hour starting at t delivered by
-// hypergiant ASes and by all other ASes (Section 3.2, Figure 4). As in the
-// paper, only subscriber-facing (non-transit) traffic is considered.
-func (g *Generator) HypergiantSplit(t time.Time) (hypergiant, other float64) {
-	h := hourAt(t)
-	return g.hypergiantSplit(&h)
 }
 
 // HypergiantSeries returns hourly series for hypergiant and other-AS
@@ -255,7 +238,9 @@ func (g *Generator) HypergiantSeries(from, to time.Time) (hypergiant, other *tim
 	return hypergiant, other
 }
 
-// directionSplit is DirectionSplit for an already described hour.
+// directionSplit returns the bytes entering (ingress) and leaving (egress)
+// the measured network in hour h. Components without a direction are split
+// evenly.
 func (g *Generator) directionSplit(h *hour) (ingress, egress float64) {
 	for i := range g.plan {
 		v := g.plan[i].evaluate(h).volume
@@ -270,15 +255,6 @@ func (g *Generator) directionSplit(h *hour) (ingress, egress float64) {
 		}
 	}
 	return ingress, egress
-}
-
-// DirectionSplit returns the bytes entering (ingress) and leaving (egress)
-// the measured network for the hour starting at t. Components without a
-// direction count as ingress for the EDU/ISP perspective and are split
-// evenly otherwise.
-func (g *Generator) DirectionSplit(t time.Time) (ingress, egress float64) {
-	h := hourAt(t)
-	return g.directionSplit(&h)
 }
 
 // DirectionSeries returns hourly ingress and egress series over [from,
@@ -317,17 +293,10 @@ func (g *Generator) asVolumesInto(out map[uint32]ASHourVolume, h *hour) {
 	}
 }
 
-// ASVolumes attributes the hour starting at t to source ASes, reporting
-// both total bytes and the bytes exchanged with eyeball networks
-// (residential traffic). It feeds the remote-work analysis of Section 3.4.
-func (g *Generator) ASVolumes(t time.Time) map[uint32]ASHourVolume {
-	out := make(map[uint32]ASHourVolume)
-	h := hourAt(t)
-	g.asVolumesInto(out, &h)
-	return out
-}
-
-// ASVolumeBetween sums ASVolumes over the whole-hour grid of [from, to).
+// ASVolumeBetween attributes the whole-hour grid of [from, to) to source
+// ASes, reporting both total bytes and the bytes exchanged with eyeball
+// networks (residential traffic). It feeds the remote-work analysis of
+// Section 3.4.
 func (g *Generator) ASVolumeBetween(from, to time.Time) map[uint32]ASHourVolume {
 	out := make(map[uint32]ASHourVolume)
 	hourly := make(map[uint32]ASHourVolume)

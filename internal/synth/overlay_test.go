@@ -214,7 +214,8 @@ func TestExtraHolidayTreatedAsWeekend(t *testing.T) {
 	// Office-hours traffic (web conferencing peaks at 3.4x during working
 	// hours) must collapse to its weekend behaviour on the extra holiday.
 	probe := holiday.Add(11 * time.Hour)
-	conf, confPlain := g.ComponentVolume("web-conferencing", probe), plain.ComponentVolume("web-conferencing", probe)
+	h := hourAt(probe)
+	conf, confPlain := g.planOf("web-conferencing").evaluate(&h).volume, plain.planOf("web-conferencing").evaluate(&h).volume
 	if conf >= confPlain*0.7 {
 		t.Errorf("web-conf on declared holiday = %.3g, want well below the workday %.3g", conf, confPlain)
 	}

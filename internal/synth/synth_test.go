@@ -216,13 +216,8 @@ func TestEDUWorkdayCollapseAndWeekendGrowth(t *testing.T) {
 func TestEDUInOutRatioCollapses(t *testing.T) {
 	g := MustNewDefault(EDU)
 	ratioOn := func(day time.Time) float64 {
-		in, out := 0.0, 0.0
-		for h := 0; h < 24; h++ {
-			i, o := g.DirectionSplit(day.Add(time.Duration(h) * time.Hour))
-			in += i
-			out += o
-		}
-		return in / out
+		in, out := g.DirectionSeries(day, day.AddDate(0, 0, 1))
+		return in.Total() / out.Total()
 	}
 	before := ratioOn(date(2020, 3, 3))
 	after := ratioOn(date(2020, 4, 21))
@@ -236,16 +231,12 @@ func TestEDUInOutRatioCollapses(t *testing.T) {
 
 func TestHypergiantVsOtherGrowth(t *testing.T) {
 	g := MustNewDefault(ISPCE)
-	baseH, baseO := 0.0, 0.0
-	lockH, lockO := 0.0, 0.0
-	for h := 0; h < 7*24; h++ {
-		bh, bo := g.HypergiantSplit(date(2020, 2, 19).Add(time.Duration(h) * time.Hour))
-		lh, lo := g.HypergiantSplit(date(2020, 4, 22).Add(time.Duration(h) * time.Hour))
-		baseH += bh
-		baseO += bo
-		lockH += lh
-		lockO += lo
+	week := func(from time.Time) (hypergiant, other float64) {
+		h, o := g.HypergiantSeries(from, from.AddDate(0, 0, 7))
+		return h.Total(), o.Total()
 	}
+	baseH, baseO := week(date(2020, 2, 19))
+	lockH, lockO := week(date(2020, 4, 22))
 	if baseH <= baseO {
 		t.Errorf("hypergiants should dominate baseline volume (%.0f vs %.0f)", baseH, baseO)
 	}
@@ -357,7 +348,7 @@ func TestFlowSamplingConsistency(t *testing.T) {
 		}
 	}
 	for i, f := range flows {
-		if f.Key() != again[i].Key() || f.Bytes != again[i].Bytes {
+		if f != again[i] {
 			t.Fatal("sampling not deterministic at record level")
 		}
 		if err := f.Validate(); err != nil {
@@ -397,7 +388,7 @@ func TestEDUConnectionGrowthByClass(t *testing.T) {
 	countIn := func(name string, day time.Time) int {
 		n := 0
 		for h := 0; h < 24; h++ {
-			n += len(g.ComponentFlowsForHourBatch(name, day.Add(time.Duration(h)*time.Hour)).Records())
+			n += len(g.HourBatch(day.Add(time.Duration(h)*time.Hour), name, flowrec.AllColumns).Records())
 		}
 		return n
 	}
@@ -459,7 +450,8 @@ func TestMemberUtilizationShiftsRight(t *testing.T) {
 
 func TestASVolumesAttribution(t *testing.T) {
 	g := MustNewDefault(ISPCE)
-	vols := g.ASVolumes(date(2020, 2, 19).Add(20 * time.Hour))
+	probe := date(2020, 2, 19).Add(20 * time.Hour)
+	vols := g.ASVolumeBetween(probe, probe.Add(time.Hour))
 	if len(vols) < 20 {
 		t.Fatalf("expected attribution across many ASes, got %d", len(vols))
 	}
@@ -470,7 +462,7 @@ func TestASVolumesAttribution(t *testing.T) {
 		}
 		total += v.Total
 	}
-	direct := g.HourlyVolume(date(2020, 2, 19).Add(20 * time.Hour))
+	direct := g.HourlyVolume(probe)
 	if math.Abs(total-direct)/direct > 1e-6 {
 		t.Errorf("per-AS attribution %.4g does not sum to the hourly volume %.4g", total, direct)
 	}
@@ -484,7 +476,7 @@ func TestVPNGatewayPinning(t *testing.T) {
 	}
 	g.SetVPNGateways([]netip.Addr{gw})
 	probe := date(2020, 4, 22).Add(11 * time.Hour)
-	flows := g.ComponentFlowsForHourBatch("vpn-tls", probe).Records()
+	flows := g.HourBatch(probe, "vpn-tls", flowrec.AllColumns).Records()
 	if len(flows) == 0 {
 		t.Fatal("no vpn-tls flows sampled")
 	}

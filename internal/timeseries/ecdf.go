@@ -54,16 +54,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	return e.sorted[idx]
 }
 
-// Curve evaluates the ECDF at each of the given x positions and returns the
-// corresponding F(x) values. It is the shape plotted in Figure 5.
-func (e *ECDF) Curve(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = e.At(x)
-	}
-	return out
-}
-
 // Values returns the sorted sample. The returned slice must not be
 // modified.
 func (e *ECDF) Values() []float64 { return e.sorted }

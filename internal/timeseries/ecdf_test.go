@@ -48,11 +48,10 @@ func TestECDFCurveAndValues(t *testing.T) {
 	if !sort.Float64sAreSorted(vals) {
 		t.Error("Values should be sorted")
 	}
-	curve := e.Curve([]float64{0.5, 1.5, 2.5, 3.5})
 	want := []float64{0, 1.0 / 3, 2.0 / 3, 1}
-	for i := range curve {
-		if math.Abs(curve[i]-want[i]) > 1e-12 {
-			t.Errorf("Curve[%d] = %v, want %v", i, curve[i], want[i])
+	for i, x := range []float64{0.5, 1.5, 2.5, 3.5} {
+		if got := e.At(x); math.Abs(got-want[i]) > 1e-12 {
+			t.Errorf("At(%v) = %v, want %v", x, got, want[i])
 		}
 	}
 }

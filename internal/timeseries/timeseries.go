@@ -1,7 +1,7 @@
 // Package timeseries provides the time-series container and operations the
 // lockdown analyses are built from: regular binning, resampling,
-// normalisation against a reference window, hour-of-day and day-of-week
-// profiles, differences between weeks and empirical CDFs.
+// normalisation against a reference value, daily totals and weekly means,
+// differences between series and empirical CDFs.
 //
 // A Series is a sequence of (timestamp, value) points kept sorted by time.
 // The zero value is an empty, ready-to-use series.
@@ -74,16 +74,6 @@ func (s *Series) Values() []float64 {
 	out := make([]float64, len(s.points))
 	for i, p := range s.points {
 		out[i] = p.V
-	}
-	return out
-}
-
-// Times returns just the observation timestamps in time order.
-func (s *Series) Times() []time.Time {
-	s.sort()
-	out := make([]time.Time, len(s.points))
-	for i, p := range s.points {
-		out[i] = p.T
 	}
 	return out
 }
@@ -176,15 +166,6 @@ func (s *Series) Resample(bin time.Duration) *Series {
 	return out
 }
 
-// Scale returns a copy of the series with every value multiplied by f.
-func (s *Series) Scale(f float64) *Series {
-	out := New(s.Name)
-	for _, p := range s.Points() {
-		out.Add(p.T, p.V*f)
-	}
-	return out
-}
-
 // Normalize divides every value by ref and returns the result. A zero or
 // non-finite ref yields a series of NaNs; callers normally pass the
 // baseline-week mean or the series minimum.
@@ -200,35 +181,9 @@ func (s *Series) Normalize(ref float64) *Series {
 	return out
 }
 
-// NormalizeByMin normalises by the series minimum, the convention of
-// Figures 3 and 8 ("normalized to minimum").
-func (s *Series) NormalizeByMin() *Series { return s.Normalize(s.Min()) }
-
 // NormalizeByMax normalises by the series maximum, the convention of
 // Figure 2a.
 func (s *Series) NormalizeByMax() *Series { return s.Normalize(s.Max()) }
-
-// HourOfDayProfile averages values by hour of day (0-23) over the whole
-// series, returning a 24-element profile. Hours with no observations are
-// NaN.
-func (s *Series) HourOfDayProfile() [24]float64 {
-	var sum [24]float64
-	var n [24]int
-	for _, p := range s.Points() {
-		h := p.T.UTC().Hour()
-		sum[h] += p.V
-		n[h]++
-	}
-	var out [24]float64
-	for h := 0; h < 24; h++ {
-		if n[h] == 0 {
-			out[h] = math.NaN()
-			continue
-		}
-		out[h] = sum[h] / float64(n[h])
-	}
-	return out
-}
 
 // DailyTotals sums values per UTC day and returns a new series stamped at
 // day midnights.
@@ -261,43 +216,6 @@ func (s *Series) Filter(keep func(Point) bool) *Series {
 		if keep(p) {
 			out.AddPoint(p)
 		}
-	}
-	return out
-}
-
-// Map returns a new series with f applied to every value.
-func (s *Series) Map(f func(float64) float64) *Series {
-	out := New(s.Name)
-	for _, p := range s.Points() {
-		out.Add(p.T, f(p.V))
-	}
-	return out
-}
-
-// MovingAverage returns the centred moving average over a window of the
-// given number of points (must be odd and >= 1). Edge points average over
-// the available neighbours.
-func (s *Series) MovingAverage(window int) *Series {
-	if window < 1 || window%2 == 0 {
-		panic("timeseries: window must be odd and >= 1")
-	}
-	pts := s.Points()
-	out := New(s.Name)
-	half := window / 2
-	for i := range pts {
-		lo := i - half
-		if lo < 0 {
-			lo = 0
-		}
-		hi := i + half + 1
-		if hi > len(pts) {
-			hi = len(pts)
-		}
-		var sum float64
-		for _, p := range pts[lo:hi] {
-			sum += p.V
-		}
-		out.Add(pts[i].T, sum/float64(hi-lo))
 	}
 	return out
 }
@@ -337,16 +255,6 @@ func Sub(a, b *Series) (*Series, error) {
 // AddSeries returns a + b for aligned series.
 func AddSeries(a, b *Series) (*Series, error) {
 	return binaryOp(a.Name+"+"+b.Name, a, b, func(x, y float64) float64 { return x + y })
-}
-
-// Div returns a / b for aligned series; division by zero yields NaN.
-func Div(a, b *Series) (*Series, error) {
-	return binaryOp(a.Name+"/"+b.Name, a, b, func(x, y float64) float64 {
-		if y == 0 {
-			return math.NaN()
-		}
-		return x / y
-	})
 }
 
 // Sum adds any number of series that are pairwise aligned.

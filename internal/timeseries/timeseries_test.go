@@ -34,8 +34,8 @@ func TestAddSortAndLen(t *testing.T) {
 	if vals := s.Values(); vals[0] != 1 || vals[1] != 2 || vals[2] != 3 {
 		t.Errorf("Values = %v", vals)
 	}
-	if ts := s.Times(); !ts[0].Equal(t0) {
-		t.Errorf("Times[0] = %v", ts[0])
+	if !pts[0].T.Equal(t0) {
+		t.Errorf("Points[0].T = %v", pts[0].T)
 	}
 }
 
@@ -96,15 +96,9 @@ func TestResamplePanicsOnBadBin(t *testing.T) {
 
 func TestScaleNormalize(t *testing.T) {
 	s := hourly(2, 4, 8)
-	if got := s.Scale(0.5).Values(); got[2] != 4 {
-		t.Errorf("Scale = %v", got)
-	}
 	n := s.Normalize(2)
 	if got := n.Values(); got[0] != 1 || got[2] != 4 {
 		t.Errorf("Normalize = %v", got)
-	}
-	if got := s.NormalizeByMin().Values(); got[0] != 1 || got[2] != 4 {
-		t.Errorf("NormalizeByMin = %v", got)
 	}
 	if got := s.NormalizeByMax().Values(); got[2] != 1 || got[0] != 0.25 {
 		t.Errorf("NormalizeByMax = %v", got)
@@ -113,34 +107,6 @@ func TestScaleNormalize(t *testing.T) {
 		if !math.IsNaN(v) {
 			t.Error("Normalize by zero should yield NaN")
 		}
-	}
-}
-
-func TestHourOfDayProfile(t *testing.T) {
-	s := New("x")
-	// Two days: value equals hour on day one, hour+2 on day two.
-	for d := 0; d < 2; d++ {
-		for h := 0; h < 24; h++ {
-			s.Add(t0.AddDate(0, 0, d).Add(time.Duration(h)*time.Hour), float64(h+2*d))
-		}
-	}
-	prof := s.HourOfDayProfile()
-	for h := 0; h < 24; h++ {
-		want := float64(h) + 1 // mean of h and h+2
-		if math.Abs(prof[h]-want) > 1e-9 {
-			t.Errorf("profile[%d] = %v, want %v", h, prof[h], want)
-		}
-	}
-}
-
-func TestHourOfDayProfileMissingHours(t *testing.T) {
-	s := hourly(5) // only hour 0 present
-	prof := s.HourOfDayProfile()
-	if prof[0] != 5 {
-		t.Errorf("profile[0] = %v, want 5", prof[0])
-	}
-	if !math.IsNaN(prof[13]) {
-		t.Error("missing hour should be NaN")
 	}
 }
 
@@ -177,27 +143,6 @@ func TestFilterMap(t *testing.T) {
 	if even.Len() != 2 {
 		t.Errorf("Filter kept %d, want 2", even.Len())
 	}
-	sq := s.Map(func(v float64) float64 { return v * v })
-	if sq.Values()[3] != 16 {
-		t.Errorf("Map = %v", sq.Values())
-	}
-}
-
-func TestMovingAverage(t *testing.T) {
-	s := hourly(1, 2, 3, 4, 5)
-	ma := s.MovingAverage(3)
-	want := []float64{1.5, 2, 3, 4, 4.5}
-	for i, v := range ma.Values() {
-		if math.Abs(v-want[i]) > 1e-9 {
-			t.Errorf("MovingAverage[%d] = %v, want %v", i, v, want[i])
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for even window")
-		}
-	}()
-	s.MovingAverage(2)
 }
 
 func TestBinaryOps(t *testing.T) {
@@ -216,21 +161,6 @@ func TestBinaryOps(t *testing.T) {
 	}
 	if got := add.Values(); got[0] != 11 {
 		t.Errorf("Add = %v", got)
-	}
-	div, err := Div(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := div.Values(); got[1] != 10 {
-		t.Errorf("Div = %v", got)
-	}
-	zero := hourly(0, 0, 0)
-	dz, err := Div(a, zero)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsNaN(dz.Values()[0]) {
-		t.Error("division by zero should be NaN")
 	}
 	// Misaligned series must error.
 	c := hourly(1, 2)
