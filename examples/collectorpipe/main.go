@@ -81,6 +81,9 @@ loop:
 			if !ok {
 				break loop
 			}
+			if tb.Batch == nil {
+				continue // a control datagram; plain export sends none
+			}
 			got += tb.Batch.Len()
 			clf.VolumeByClassInto(volumes, tb.Batch)
 			flowrec.PutBatch(tb.Batch)

@@ -15,9 +15,10 @@
 // flowrec.PutBatch keeps the receive loop allocation-free.
 //
 // Datagrams prefixed with ControlMagic are not flow export: they are
-// delivered verbatim on Control(), giving in-band protocols (the
-// wire-replay harness in package replay) a control plane that stays
-// ordered with the data packets of the same sender socket.
+// delivered verbatim on the same channel, as a TaggedBatch whose Control
+// holds a copy and whose Batch is nil. In-band protocols (the wire-replay
+// harness in package replay) thereby see their control frames in
+// datagram order with the data packets around them.
 package collector
 
 import (
@@ -76,12 +77,12 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // ControlMagic is the 4-byte prefix of replay control datagrams. Packets
-// starting with it are not flow export: the collector delivers them
-// verbatim on Control() instead of decoding them, which gives the
-// wire-replay protocol (package replay) an in-band control plane that
-// stays FIFO-ordered with the data packets of the same sender socket. No
-// NetFlow/IPFIX packet can collide with it: their first two bytes are the
-// version field (5, 9 or 10).
+// starting with it are not flow export: the collector delivers a copy in
+// TaggedBatch.Control instead of decoding them, in datagram order with
+// the flow packets, which gives the wire-replay protocol (package replay)
+// an in-band control plane ordered with the data of the same sender
+// socket. No NetFlow/IPFIX packet can collide with it: their first two
+// bytes are the version field (5, 9 or 10).
 const ControlMagic = "LKRW"
 
 // maxDatagram is the read buffer size: the largest message the 16-bit
@@ -168,11 +169,13 @@ func (f Format) wire() (wire, error) {
 	}
 }
 
-// TaggedBatch is one decoded datagram: the batch plus the exporter stream
-// it came from.
+// TaggedBatch is one received datagram: a decoded batch plus the
+// exporter stream it came from, or a control datagram (ControlMagic)
+// copied verbatim into Control, with Batch nil and Stream 0.
 type TaggedBatch struct {
-	Stream uint32
-	Batch  *flowrec.Batch
+	Stream  uint32
+	Batch   *flowrec.Batch
+	Control []byte
 }
 
 // Collector listens on a UDP socket, decodes arriving export packets and
@@ -183,7 +186,6 @@ type Collector struct {
 	stream func(pkt []byte) uint32
 	decode decodeFunc
 	tagged chan TaggedBatch
-	ctrl   chan []byte
 	errs   chan error
 
 	// metrics is nil until Instrument attaches a registry; the receive
@@ -216,7 +218,7 @@ func (c *Collector) Instrument(reg *obs.Registry) {
 		bytes: reg.Counter("lockdown_collector_bytes_total",
 			"Bytes received on the collector socket."),
 		ctrl: reg.Counter("lockdown_collector_control_frames_total",
-			"Replay control datagrams delivered on the control channel."),
+			"Replay control datagrams delivered verbatim."),
 		errors: reg.Counter("lockdown_collector_errors_total",
 			"Receive and decode errors reported by the collector."),
 	})
@@ -244,7 +246,6 @@ func NewCollector(format Format, addr string) (*Collector, error) {
 		// 64 datagrams of slack, so a consumer hiccup backs up into the
 		// channel before it backs up into the socket buffer.
 		tagged: make(chan TaggedBatch, 64),
-		ctrl:   make(chan []byte, 16),
 		errs:   make(chan error, 16),
 		done:   make(chan struct{}),
 	}, nil
@@ -253,19 +254,12 @@ func NewCollector(format Format, addr string) (*Collector, error) {
 // Addr returns the local address the collector listens on.
 func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
 
-// Tagged returns the channel decoded batches and their stream identity
-// are delivered on, one per datagram. The channel is closed when the
-// collector stops. Return consumed batches with flowrec.PutBatch.
+// Tagged returns the channel every datagram is delivered on, in arrival
+// order: decoded batches with their stream identity, and control
+// datagrams with a nil Batch (plain flow export never produces any). The
+// channel is closed when the collector stops. Return consumed batches
+// with flowrec.PutBatch.
 func (c *Collector) Tagged() <-chan TaggedBatch { return c.tagged }
-
-// Control returns the channel replay control datagrams (packets prefixed
-// with ControlMagic) are delivered on, each as its own copied slice.
-// Frames are dropped if the channel is full — the collector never blocks
-// on them, so an unconsumed control channel cannot stall flow delivery.
-// The channel is closed when the collector stops. Consuming it is only
-// necessary when a peer actually sends control packets (the wire-replay
-// pump does); plain flow export never produces any.
-func (c *Collector) Control() <-chan []byte { return c.ctrl }
 
 // Errors returns the channel decode errors are reported on. Errors are
 // dropped if the channel is full; the collector never blocks on them.
@@ -278,14 +272,13 @@ func (c *Collector) Errors() <-chan error { return c.errs }
 func (c *Collector) SetReadBuffer(bytes int) error { return c.conn.SetReadBuffer(bytes) }
 
 // Run receives packets until ctx is cancelled or Close is called. It
-// always closes the delivery, control and error channels before
-// returning, so consumers ranging over any of them terminate. The read
+// always closes the delivery and error channels before returning, so
+// consumers ranging over either terminate. The read
 // blocks without a deadline: cancelling ctx unblocks it (see
 // UnblockOnDone), and Close closes the socket, which ends the loop without
 // reporting an error.
 func (c *Collector) Run(ctx context.Context) {
 	defer close(c.tagged)
-	defer close(c.ctrl)
 	defer close(c.errs)
 	go UnblockOnDone(ctx, c.done, c.conn)
 	buf := make([]byte, maxDatagram)
@@ -313,48 +306,40 @@ func (c *Collector) Run(ctx context.Context) {
 			m.datagrams.Add(1)
 			m.bytes.Add(int64(n))
 		}
+		var tb TaggedBatch
 		if n >= len(ControlMagic) && string(buf[:len(ControlMagic)]) == ControlMagic {
 			// Replay control packet: deliver a copy (the read buffer is
 			// reused) without decoding. Control packets are rare, so the
-			// copy does not affect the zero-alloc steady state. Like
-			// decode errors, frames are dropped when the channel is
-			// full: a consumer that never reads Control() (every
-			// non-replay collector) must not let a stray or hostile
-			// "LKRW" sender wedge the receive loop, and the replay
-			// protocol treats a lost frame like any lost datagram — the
-			// bridge re-requests the bucket.
-			select {
-			case c.ctrl <- append([]byte(nil), buf[:n]...):
-				if m := c.metrics.Load(); m != nil {
-					m.ctrl.Add(1)
-				}
-			default:
+			// copy does not affect the zero-alloc steady state.
+			tb.Control = append([]byte(nil), buf[:n]...)
+			if m := c.metrics.Load(); m != nil {
+				m.ctrl.Add(1)
 			}
-			continue
-		}
-		// The decoders copy every value out of the datagram, so the read
-		// buffer is reused without a per-packet copy. The stream is read
-		// off the raw header before the decode; a packet the decoder
-		// rejects never reaches the channel, so a garbage tag cannot
-		// either.
-		stream := c.stream(buf[:n])
-		b := flowrec.GetBatch(batchHint)
-		if _, err := c.decode(b, buf[:n]); err != nil {
-			flowrec.PutBatch(b)
-			c.reportErr(err)
-			continue
-		}
-		if b.Len() == 0 {
-			flowrec.PutBatch(b)
-			continue
+		} else {
+			// The decoders copy every value out of the datagram, so the
+			// read buffer is reused without a per-packet copy. The stream
+			// is read off the raw header before the decode; a packet the
+			// decoder rejects never reaches the channel, so a garbage tag
+			// cannot either.
+			tb.Stream = c.stream(buf[:n])
+			tb.Batch = flowrec.GetBatch(batchHint)
+			if _, err := c.decode(tb.Batch, buf[:n]); err != nil {
+				flowrec.PutBatch(tb.Batch)
+				c.reportErr(err)
+				continue
+			}
+			if tb.Batch.Len() == 0 {
+				flowrec.PutBatch(tb.Batch)
+				continue
+			}
 		}
 		select {
-		case c.tagged <- TaggedBatch{Stream: stream, Batch: b}:
+		case c.tagged <- tb:
 		case <-ctx.Done():
-			flowrec.PutBatch(b)
+			flowrec.PutBatch(tb.Batch)
 			return
 		case <-c.done:
-			flowrec.PutBatch(b)
+			flowrec.PutBatch(tb.Batch)
 			return
 		}
 	}
@@ -477,10 +462,11 @@ func (e *Exporter) WriteRaw(pkt []byte) error {
 func (e *Exporter) Close() error { return e.conn.Close() }
 
 // CollectBatch gathers up to want rows from the collector into one batch,
-// whatever their stream, waiting at most timeout. It is a convenience for
-// tests and examples. Received batches are returned to the flowrec pool
-// after their rows are copied; rows beyond want in the final datagram are
-// dropped, so the result never exceeds want.
+// whatever their stream, waiting at most timeout; control datagrams are
+// skipped. It is a convenience for tests and examples. Received batches
+// are returned to the flowrec pool after their rows are copied; rows
+// beyond want in the final datagram are dropped, so the result never
+// exceeds want.
 func CollectBatch(c *Collector, want int, timeout time.Duration) *flowrec.Batch {
 	out := flowrec.NewBatch(want)
 	deadline := time.After(timeout)
@@ -489,6 +475,9 @@ func CollectBatch(c *Collector, want int, timeout time.Duration) *flowrec.Batch 
 		case tb, ok := <-c.Tagged():
 			if !ok {
 				return out
+			}
+			if tb.Batch == nil {
+				continue
 			}
 			out.AppendBatch(tb.Batch)
 			flowrec.PutBatch(tb.Batch)

@@ -80,8 +80,6 @@ func TestCloseDuringRun(t *testing.T) {
 	// under the read is a shutdown, not an error to report.
 	for range c.Tagged() {
 	}
-	for range c.Control() {
-	}
 	for err := range c.Errors() {
 		t.Errorf("Close reported an error: %v", err)
 	}
@@ -196,9 +194,10 @@ func TestErrorOverflowKeepsCollecting(t *testing.T) {
 	leak()
 }
 
-// TestControlChannelDelivery exercises the control plane: datagrams
-// prefixed with ControlMagic arrive on Control() verbatim and are not
-// decoded as flow packets.
+// TestControlChannelDelivery exercises the control plane: a datagram
+// prefixed with ControlMagic arrives on Tagged() verbatim, with a nil
+// Batch, in datagram order between the flow packets around it, and is
+// not decoded as a flow packet.
 func TestControlChannelDelivery(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
 	c, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
@@ -211,28 +210,51 @@ func TestControlChannelDelivery(t *testing.T) {
 		defer close(done)
 		c.Run(ctx)
 	}()
-	exp, err := NewExporter(FormatIPFIX, c.Addr())
+	exp, err := NewStreamExporter(FormatIPFIX, c.Addr(), 9)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer exp.Close()
 	payload := ControlMagic + "\x01hello"
+	if err := exp.ExportBatch(flowrec.FromRecords(testRecords(3))); err != nil {
+		t.Fatal(err)
+	}
 	if err := exp.WriteRaw([]byte(payload)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case pkt := <-c.Control():
-		if string(pkt) != payload {
-			t.Fatalf("control payload = %q, want %q", pkt, payload)
+	if err := exp.ExportBatch(flowrec.FromRecords(testRecords(4))); err != nil {
+		t.Fatal(err)
+	}
+	next := func() TaggedBatch {
+		t.Helper()
+		select {
+		case tb := <-c.Tagged():
+			return tb
+		case err := <-c.Errors():
+			t.Fatalf("decode error: %v", err)
+		case <-time.After(5 * time.Second):
+			t.Fatal("datagram not delivered")
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("control datagram not delivered")
+		return TaggedBatch{}
+	}
+	for i, want := range []int{3, -1, 4} {
+		tb := next()
+		if want < 0 {
+			if tb.Batch != nil || string(tb.Control) != payload {
+				t.Fatalf("datagram %d: batch %v, control %q; want the control datagram %q verbatim", i, tb.Batch, tb.Control, payload)
+			}
+			continue
+		}
+		if tb.Batch == nil || tb.Batch.Len() != want || tb.Stream != 9 || tb.Control != nil {
+			t.Fatalf("datagram %d: %+v, want a %d-row batch of stream 9", i, tb, want)
+		}
+		flowrec.PutBatch(tb.Batch)
 	}
 	select {
 	case err := <-c.Errors():
 		t.Fatalf("control datagram leaked into the decoder: %v", err)
 	case tb := <-c.Tagged():
-		t.Fatalf("control datagram decoded as %d flow rows", tb.Batch.Len())
+		t.Fatalf("unexpected extra datagram %+v", tb)
 	case <-time.After(100 * time.Millisecond):
 	}
 	cancel()

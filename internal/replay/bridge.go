@@ -99,19 +99,24 @@ func (s *Stats) add(o Stats) {
 	s.DegradedStreams += o.DegradedStreams
 }
 
-// Per-stream inbox sizes. The demux goroutine never blocks on a stream
-// (a stalled consumer must not stall the other streams), so a full inbox
-// drops like the wire does — the fetch detects the shortfall and
-// re-requests. dataInbox holds a whole large bucket's packets with room
-// to spare; ctrlInbox only ever sees a handful of frames per bucket.
-const (
-	ctrlInbox = 32
-	dataInbox = 512
-)
+// inboxSize is a stream inbox's capacity in datagrams: a whole large
+// bucket's packets with room to spare. The demux goroutine never blocks
+// on a stream (a stalled consumer must not stall the other streams), so a
+// full inbox drops like the wire does — the fetch detects the shortfall
+// and re-requests.
+const inboxSize = 512
+
+// inboxItem is one datagram of a stream, in arrival order: a control
+// frame or a decoded data batch. Both are pointers, so a full inbox
+// holds two words a slot.
+type inboxItem struct {
+	frame *ctrlFrame
+	batch *flowrec.Batch
+}
 
 // stream is the per-pump demux state of a bridge: the request socket,
-// the generation counter, the inbox channels the demux goroutine routes
-// attributed traffic into, and the stream's accounting.
+// the generation counter, the inbox the demux goroutine routes the
+// stream's datagrams into, and the stream's accounting.
 type stream struct {
 	id uint32
 
@@ -128,8 +133,7 @@ type stream struct {
 	connMu sync.Mutex
 	req    *net.UDPConn
 
-	ctrl chan ctrlFrame
-	data chan *flowrec.Batch
+	inbox chan inboxItem
 
 	// The accounting instruments come from the bridge's registry (nil is
 	// fine: the nil-safe registry hands out standalone counters), labelled
@@ -151,9 +155,8 @@ func newStream(id uint32, reg *obs.Registry) *stream {
 		return reg.CounterVec(name, help, "stream").With(lv)
 	}
 	return &stream{
-		id:   id,
-		ctrl: make(chan ctrlFrame, ctrlInbox),
-		data: make(chan *flowrec.Batch, dataInbox),
+		id:    id,
+		inbox: make(chan inboxItem, inboxSize),
 		keys: vec("lockdown_bridge_keys_total",
 			"Buckets fetched successfully off the wire."),
 		rows: vec("lockdown_bridge_rows_total",
@@ -210,8 +213,8 @@ func (st *stream) stats() Stats {
 //
 // Demux is by exporter stream identity: the collector tags every decoded
 // datagram with the stream carried in its header, a single demux
-// goroutine routes tagged batches and control frames into per-stream
-// inboxes, and each stream runs the order-robust bucket state machine
+// goroutine routes tagged batches and control frames into one inbox per
+// stream in datagram order, and each stream runs its bucket state machine
 // independently. One bucket is in flight per stream (the dataset cache's
 // per-key sync.Once already collapses duplicate requests); with K
 // connected streams, K buckets stream concurrently.
@@ -347,21 +350,16 @@ func (b *Bridge) Start(ctx context.Context) {
 	}()
 }
 
-// demux routes the collector's tagged batches and control frames into
-// the per-stream inboxes. It never blocks on a stream: a full inbox
-// drops like the wire does (the fetch re-requests), so one stalled
-// stream cannot stall the others. When the collector stops, every
-// stream inbox is closed so blocked fetches fail fast.
+// demux routes the collector's datagrams, tagged batches and control
+// frames alike, into the per-stream inboxes in the order they arrived.
+// It never blocks on a stream: a full inbox drops like the wire does (the
+// fetch re-requests), so one stalled stream cannot stall the others.
+// When the collector stops, every stream inbox is closed so blocked
+// fetches fail fast.
 func (b *Bridge) demux() {
-	ctrlC, dataC := b.col.Control(), b.col.Tagged()
-	for ctrlC != nil || dataC != nil {
-		select {
-		case pkt, ok := <-ctrlC:
-			if !ok {
-				ctrlC = nil
-				continue
-			}
-			f, err := parseCtrl(pkt)
+	for tb := range b.col.Tagged() {
+		if tb.Batch == nil {
+			f, err := parseCtrl(tb.Control)
 			if err != nil {
 				b.badFrames.Add(1)
 				continue
@@ -372,37 +370,32 @@ func (b *Bridge) demux() {
 				continue
 			}
 			select {
-			case st.ctrl <- f:
+			case st.inbox <- inboxItem{frame: &f}:
 			default:
 				st.staleFrames.Add(1)
 			}
-		case tb, ok := <-dataC:
-			if !ok {
-				dataC = nil
-				continue
-			}
-			st := b.stream(tb.Stream)
-			if st == nil {
-				b.orphanRows.Add(int64(tb.Batch.Len()))
-				flowrec.PutBatch(tb.Batch)
-				continue
-			}
-			select {
-			case st.data <- tb.Batch:
-			default:
-				// Not orphans (the rows may belong to an accepted
-				// bucket, whose shortfall the fetch accounts as lost)
-				// — a dedicated counter avoids double-booking them.
-				st.inboxDrops.Add(int64(tb.Batch.Len()))
-				flowrec.PutBatch(tb.Batch)
-			}
+			continue
+		}
+		st := b.stream(tb.Stream)
+		if st == nil {
+			b.orphanRows.Add(int64(tb.Batch.Len()))
+			flowrec.PutBatch(tb.Batch)
+			continue
+		}
+		select {
+		case st.inbox <- inboxItem{batch: tb.Batch}:
+		default:
+			// Not orphans (the rows may belong to an accepted bucket,
+			// whose shortfall the fetch accounts as lost) — a dedicated
+			// counter avoids double-booking them.
+			st.inboxDrops.Add(int64(tb.Batch.Len()))
+			flowrec.PutBatch(tb.Batch)
 		}
 	}
 	b.mu.Lock()
 	b.closed = true
 	for _, st := range b.streams {
-		close(st.ctrl)
-		close(st.data)
+		close(st.inbox)
 	}
 	b.mu.Unlock()
 }
@@ -494,8 +487,16 @@ const (
 	retryBackoffCap  = 500 * time.Millisecond
 )
 
-// backoff sleeps out the pre-retry delay, truncated to the fetch
-// deadline.
+// errNoAnswer marks an attempt that no frame of the pump decided: its
+// request could not be sent, or collect timed out. Only such an attempt
+// is followed by a backoff; any other failure (END short, END without
+// BEGIN, overrun, verification) came from a live pump, and the retry is
+// sent at once.
+var errNoAnswer = errors.New("no answer from pump")
+
+// backoff sleeps out the pre-retry delay after an unanswered attempt,
+// truncated to the fetch deadline: the pump may be down, and a supervisor
+// restarting it or a rebalance moving its keys needs the time.
 func (b *Bridge) backoff(attempts int, deadline time.Time) {
 	d := min(retryBackoffBase<<min(attempts-1, 6), retryBackoffCap)
 	d = d/2 + time.Duration(rand.Int63n(int64(d))) // ±50% jitter
@@ -555,7 +556,7 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 			// streams it has connected.
 			return nil, fmt.Errorf("replay: %s: no pump connected for stream %d", k, id)
 		}
-		got, err := b.fetchFromStream(st, k, ref, deadline, &attempts)
+		got, err := b.fetchFromStream(st, k, ref, deadline, &attempts, lastErr)
 		if err == nil {
 			return got, nil
 		}
@@ -585,33 +586,30 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 // a non-fatal error when the retry budget runs out or when the key's
 // route moved off this stream mid-retry — the caller re-routes; fetch
 // attempts and the retry accounting continue seamlessly across streams
-// through the shared counters.
-func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch, deadline time.Time, attempts *int) (*flowrec.Batch, error) {
+// through the shared counters. lastErr is the failed attempt before this
+// call (nil on a fetch's first); each retry carries its predecessor's
+// error onto the trace and backs off only after errNoAnswer.
+func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch, deadline time.Time, attempts *int, lastErr error) (*flowrec.Batch, error) {
 	st.fetchMu.Lock()
 	defer st.fetchMu.Unlock()
-	var lastErr error
 	for {
 		if *attempts > 0 {
 			if exhausted(deadline) {
-				if lastErr == nil {
-					lastErr = fmt.Errorf("retry budget exhausted")
-				}
 				return nil, lastErr
 			}
 			st.retries.Add(1)
 			if b.tracer != nil {
 				b.tracer.Instant("fetch-retry", "bridge",
-					map[string]any{"key": k.String(), "stream": st.id, "attempt": *attempts})
+					map[string]any{"key": k.String(), "stream": st.id, "attempt": *attempts, "error": lastErr.Error()})
 			}
-			b.backoff(*attempts, deadline)
-			// Flush leftovers of the failed attempt (late data, its END
-			// frame) so the retry starts from a quiescent stream.
-			b.drainQuiescent(st, drainIdle)
+			if errors.Is(lastErr, errNoAnswer) {
+				b.backoff(*attempts, deadline)
+			}
 		}
 		*attempts++
 		st.gen++
 		if err := st.request(encodeRequest(st.id, st.gen, k)); err != nil {
-			lastErr = err
+			lastErr = fmt.Errorf("%w: %w", errNoAnswer, err)
 			if b.routeMoved(k, st.id) {
 				return nil, lastErr
 			}
@@ -661,33 +659,27 @@ func (b *Bridge) DegradedKeys() []string {
 	return out
 }
 
-// endGrace is how long after an END frame the bridge keeps draining the
-// channels for rows that were delivered but not yet consumed, before it
-// declares the shortfall lost. drainIdle is the quiescence window used to
-// flush stream leftovers between attempts.
-const (
-	endGrace  = 150 * time.Millisecond
-	drainIdle = 50 * time.Millisecond
-)
-
-// collect gathers one announced bucket from the stream's inboxes. The
-// demux goroutine routes control frames and data batches in datagram
-// order, but into two channels, and a select over both observes them in
-// arbitrary relative order. The state machine is therefore order-robust
-// within one generation: data arriving before the BEGIN frame is parked
-// and claimed when BEGIN turns up, the bucket completes on row count
-// alone, and an END frame with rows still missing starts a short grace
-// window for channel-buffered data instead of concluding loss
-// immediately. The bucket stores the key's columns, the set the pump
-// exported and the reference holds; expected is the reference's row
+// collect gathers one announced bucket from the stream's inbox, which
+// holds the stream's datagrams in the order they arrived. The pump serves
+// one request at a time, so everything of an earlier generation comes
+// before this generation's BEGIN, and the state machine is a straight
+// line: data before BEGIN belongs to no accepted bucket and is orphaned
+// at once (leftovers of a failed attempt, or rows reordered in front of
+// BEGIN, which then cost a retry); the bucket completes on row count; and
+// this generation's END with rows still missing is loss, decided on the
+// spot. Frames of other generations are skipped, and all but END counted
+// as stale: a bucket completes on row count, so its END is usually read
+// by the next fetch. The bucket stores the key's columns, the set the
+// pump exported and the reference holds; expected is the reference's row
 // count: it sizes the bucket, and a BEGIN frame announcing anything else
-// is fatal. The attempt timeout is truncated to the fetch deadline so
-// the last attempt cannot overrun the budget. An attempt that fails (loss, overrun, timeout)
-// releases its bucket to the pool, where the next reference or export
-// batch picks the columns up; a completed one passes to the caller and,
-// once verified, to the dataset cache for good. That is also why the
-// bucket is allocated at its exact size and not drawn from the pool: the
-// cache would keep whatever capacity a pooled batch happened to have.
+// is fatal. The attempt timeout, the one wait left, is truncated to the
+// fetch deadline so the last attempt cannot overrun the budget. An
+// attempt that fails (loss, overrun, timeout) releases its bucket to the
+// pool, where the next reference or export batch picks the columns up; a
+// completed one passes to the caller and, once verified, to the dataset
+// cache for good. That is also why the bucket is allocated at its exact
+// size and not drawn from the pool: the cache would keep whatever
+// capacity a pooled batch happened to have.
 func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, deadline time.Time) (_ *flowrec.Batch, err error) {
 	timeout := b.cfg.AttemptTimeout
 	if remaining := time.Until(deadline); remaining < timeout {
@@ -701,140 +693,66 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 			out.Release()
 		}
 	}()
-	var pending []*flowrec.Batch // data seen before BEGIN
-	defer func() {
-		for _, p := range pending {
-			st.orphanRows.Add(int64(p.Len()))
-			flowrec.PutBatch(p)
-		}
-	}()
-	accepting := false // BEGIN seen, announcing the expected rows
-	var grace *time.Timer
-	var graceC <-chan time.Time
-	defer func() {
-		if grace != nil {
-			grace.Stop()
-		}
-	}()
-
-	// claim moves one data batch into the bucket, copying the bucket's
-	// columns out of the full-width packet batch. Overruns (stale
-	// retransmits or stray rows that slipped in front of the bucket)
-	// abandon the attempt; the excess is accounted as orphan rows.
-	claim := func(batch *flowrec.Batch) error {
-		out.AppendBatch(batch)
-		flowrec.PutBatch(batch)
-		if out.Len() > expected {
-			st.orphanRows.Add(int64(out.Len() - expected))
-			return fmt.Errorf("bucket overran: %d rows announced, %d received", expected, out.Len())
-		}
-		return nil
-	}
-
-	for {
-		if accepting && out.Len() == expected {
-			return out, nil
-		}
+	begun := false // BEGIN seen, announcing the expected rows
+	for !begun || out.Len() < expected {
+		var it inboxItem
+		var ok bool
 		select {
-		case f, ok := <-st.ctrl:
+		case it, ok = <-st.inbox:
 			if !ok {
 				return nil, fatalf("collector closed")
 			}
-			if f.gen != gen || f.key != k {
-				// END frames of earlier generations are expected: a
-				// bucket completes on row count, so its END is usually
-				// consumed by the next fetch. Anything else is stale.
-				if f.typ != frameEnd {
-					st.staleFrames.Add(1)
-				}
-				continue
-			}
-			switch f.typ {
-			case frameBegin:
-				if f.rows != expected {
-					return nil, fatalf("pump announced %d rows, reference model has %d (options mismatch between pump and bridge?)", f.rows, expected)
-				}
-				accepting = true
-				claimed := pending
-				pending = nil
-				for _, p := range claimed {
-					if err := claim(p); err != nil {
-						return nil, err
-					}
-				}
-			case frameNack:
-				return nil, fatalf("pump: %s", f.msg)
-			case frameEnd:
-				if !accepting {
-					// The BEGIN frame itself was lost; nothing of this
-					// bucket is attributable.
-					st.lostRows.Add(int64(f.rows))
-					return nil, fmt.Errorf("bucket END without BEGIN (%d rows announced)", f.rows)
-				}
-				if grace == nil {
-					grace = time.NewTimer(endGrace)
-					graceC = grace.C
-				}
-			}
-		case batch, ok := <-st.data:
-			if !ok {
-				return nil, fatalf("collector closed")
-			}
-			if !accepting {
-				pending = append(pending, batch)
-				continue
-			}
-			if err := claim(batch); err != nil {
-				return nil, err
-			}
-		case <-graceC:
-			st.lostRows.Add(int64(expected - out.Len()))
-			return nil, fmt.Errorf("bucket closed with %d of %d rows", out.Len(), expected)
 		case <-timer.C:
-			if accepting {
+			if begun {
 				st.lostRows.Add(int64(expected - out.Len()))
 			}
-			return nil, fmt.Errorf("timed out after %v with %d of %d rows", timeout, out.Len(), expected)
+			return nil, fmt.Errorf("%w: timed out after %v with %d of %d rows", errNoAnswer, timeout, out.Len(), expected)
 		}
-	}
-}
-
-// drainQuiescent consumes and discards stream leftovers until the
-// stream's inboxes have been idle for the given window, bounded overall
-// by the attempt timeout so steady stray traffic cannot livelock a
-// retrying fetch (which holds the stream's fetch mutex). Dropped rows
-// are accounted as orphans, dropped frames as stale.
-func (b *Bridge) drainQuiescent(st *stream, idle time.Duration) {
-	t := time.NewTimer(idle)
-	defer t.Stop()
-	deadline := time.NewTimer(b.cfg.AttemptTimeout)
-	defer deadline.Stop()
-	for {
-		select {
-		case _, ok := <-st.ctrl:
-			if !ok {
-				return
+		if batch := it.batch; batch != nil {
+			if !begun {
+				st.orphanRows.Add(int64(batch.Len()))
+				flowrec.PutBatch(batch)
+				continue
 			}
-			st.staleFrames.Add(1)
-		case batch, ok := <-st.data:
-			if !ok {
-				return
-			}
-			st.orphanRows.Add(int64(batch.Len()))
+			// Copy the bucket's columns out of the full-width packet
+			// batch. An overrun (a duplicate, or stray rows) abandons the
+			// attempt; the excess is accounted as orphan rows, and the
+			// rest of the attempt's data as orphans of the next one.
+			out.AppendBatch(batch)
 			flowrec.PutBatch(batch)
-		case <-t.C:
-			return
-		case <-deadline.C:
-			return
-		}
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
+			if out.Len() > expected {
+				st.orphanRows.Add(int64(out.Len() - expected))
+				return nil, fmt.Errorf("bucket overran: %d rows announced, %d received", expected, out.Len())
 			}
+			continue
 		}
-		t.Reset(idle)
+		f := it.frame
+		if f.gen != gen || f.key != k {
+			if f.typ != frameEnd {
+				st.staleFrames.Add(1)
+			}
+			continue
+		}
+		switch f.typ {
+		case frameBegin:
+			if f.rows != expected {
+				return nil, fatalf("pump announced %d rows, reference model has %d (options mismatch between pump and bridge?)", f.rows, expected)
+			}
+			begun = true
+		case frameNack:
+			return nil, fatalf("pump: %s", f.msg)
+		case frameEnd:
+			if !begun {
+				// The BEGIN frame itself was lost; nothing of this
+				// bucket is attributable.
+				st.lostRows.Add(int64(f.rows))
+				return nil, fmt.Errorf("bucket END without BEGIN (%d rows announced)", f.rows)
+			}
+			st.lostRows.Add(int64(expected - out.Len()))
+			return nil, fmt.Errorf("bucket END with %d of %d rows", out.Len(), expected)
+		}
 	}
+	return out, nil
 }
 
 // verifyAndRepair checks the wire batch against the reference column by

@@ -93,15 +93,15 @@ func isCtrl(pkt []byte) bool {
 		string(pkt[:len(collector.ControlMagic)]) == collector.ControlMagic
 }
 
-// newLossyHarness wires pump → relay → bridge with the given drop
-// policy.
-func newLossyHarness(t *testing.T, opts core.Options, drop func(pkt []byte) bool) (*Bridge, *Pump, *lossyRelay) {
+// newLossyHarness wires pump → relay → bridge with the given attempt
+// timeout (the fetch budget is six of them) and drop policy.
+func newLossyHarness(t *testing.T, opts core.Options, attempt time.Duration, drop func(pkt []byte) bool) (*Bridge, *Pump, *lossyRelay) {
 	t.Helper()
 	br, err := NewBridge(Config{
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
-		AttemptTimeout: 2 * time.Second,
-		FetchBudget:    12 * time.Second,
+		AttemptTimeout: attempt,
+		FetchBudget:    6 * attempt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +218,7 @@ func TestBridgeRetriesDroppedData(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	dataSeen := 0
 	firstAttemptDone := false
-	br, pump, relay := newLossyHarness(t, opts, func(pkt []byte) bool {
+	br, pump, relay := newLossyHarness(t, opts, 2*time.Second, func(pkt []byte) bool {
 		if isCtrl(pkt) {
 			// The first END closes attempt 1; stop dropping after it so
 			// the retry is guaranteed clean (deterministic success).
@@ -265,12 +265,12 @@ func TestBridgeRetriesDroppedData(t *testing.T) {
 
 // TestBridgeRetriesDroppedBegin drops the first BEGIN frame: the whole
 // bucket becomes unattributable (END-without-BEGIN), its announced rows
-// count as lost and its parked data as orphans, and the retry delivers
-// it bit-identically.
+// count as lost and its data, seen before any BEGIN, as orphans, and the
+// retry delivers it bit-identically.
 func TestBridgeRetriesDroppedBegin(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	droppedBegin := false
-	br, pump, _ := newLossyHarness(t, opts, func(pkt []byte) bool {
+	br, pump, _ := newLossyHarness(t, opts, 2*time.Second, func(pkt []byte) bool {
 		if isCtrl(pkt) && pkt[len(collector.ControlMagic)+1] == frameBegin && !droppedBegin {
 			droppedBegin = true
 			return true
@@ -306,13 +306,13 @@ func TestBridgeRetriesDroppedBegin(t *testing.T) {
 
 // TestBridgeToleratesDroppedEnd drops the first END frame: the bucket
 // must complete on row count alone — no retry, no loss, no orphans —
-// and deliver bit-identically. This is the order-robustness property
-// that makes END purely advisory once all announced rows arrived.
+// and deliver bit-identically. END decides only a bucket with rows
+// still missing.
 func TestBridgeToleratesDroppedEnd(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	var droppedEnd atomic.Bool
 	endSeen := make(chan struct{})
-	br, pump, _ := newLossyHarness(t, opts, func(pkt []byte) bool {
+	br, pump, _ := newLossyHarness(t, opts, 2*time.Second, func(pkt []byte) bool {
 		if isCtrl(pkt) && frameType(pkt) == frameEnd && droppedEnd.CompareAndSwap(false, true) {
 			close(endSeen)
 			return true
@@ -460,7 +460,8 @@ func TestBridgeRetriesDuplicatedData(t *testing.T) {
 	}
 	// Attempt 1 delivered announced+dupRows rows in total; whatever was
 	// claimed past the announcement is accounted at the overrun, the
-	// rest on the inter-attempt drain — together exactly the duplicate.
+	// rest by attempt 2 as it reads toward its BEGIN — together exactly
+	// the duplicate.
 	if s.OrphanRows != dupRows.Load() {
 		t.Errorf("stats.OrphanRows = %d, want exactly the duplicate's %d rows", s.OrphanRows, dupRows.Load())
 	}
@@ -476,12 +477,16 @@ func TestBridgeRetriesDuplicatedData(t *testing.T) {
 }
 
 // TestBridgeReordersBeginAfterData holds the BEGIN frame back until
-// after the first data datagram: the bridge must park the early data,
-// claim it when BEGIN arrives, and complete without retry or orphan
-// accounting — the parked-data half of the order-robust state machine.
+// after the first data datagram: the bridge reads its stream in datagram
+// order, so the early packet belongs to no accepted bucket and is
+// orphaned at once, the END then finds exactly its rows missing, and the
+// retry delivers the bucket bit-identically. A reorder costs one retry,
+// never a wrong answer.
 func TestBridgeReordersBeginAfterData(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
+	dec := ipfix.NewDecoder()
 	var heldBegin []byte // touched only by the relay goroutine
+	var heldRows atomic.Int64
 	var reordered atomic.Bool
 	br, pump, _ := newMangleHarness(t, opts, func(pkt []byte) [][]byte {
 		if isCtrl(pkt) && frameType(pkt) == frameBegin && heldBegin == nil && !reordered.Load() {
@@ -489,6 +494,12 @@ func TestBridgeReordersBeginAfterData(t *testing.T) {
 			return nil
 		}
 		if heldBegin != nil && !isCtrl(pkt) {
+			var b flowrec.Batch
+			rows, err := dec.DecodeBatch(&b, pkt)
+			if err != nil {
+				t.Errorf("relay could not decode the overtaking flow packet: %v", err)
+			}
+			heldRows.Store(int64(rows))
 			reordered.Store(true)
 			out := [][]byte{append([]byte(nil), pkt...), heldBegin}
 			heldBegin = nil
@@ -506,22 +517,67 @@ func TestBridgeReordersBeginAfterData(t *testing.T) {
 		t.Fatalf("fetch with BEGIN reordered after data failed: %v", err)
 	}
 	batchesEqual(t, want, got)
-	if !reordered.Load() {
+	if !reordered.Load() || heldRows.Load() == 0 {
 		t.Fatal("relay never swapped BEGIN behind data; the test exercised nothing")
 	}
 
 	s := br.Stats()
-	if s.Retries != 0 {
-		t.Errorf("stats.Retries = %d, want 0 (parked data is claimed, not retried)", s.Retries)
+	if s.Retries != 1 {
+		t.Errorf("stats.Retries = %d, want 1 (the END finds the overtaking packet missing)", s.Retries)
 	}
-	if s.OrphanRows != 0 || s.LostRows != 0 {
-		t.Errorf("stats.OrphanRows = %d, LostRows = %d, want 0/0", s.OrphanRows, s.LostRows)
+	if n := heldRows.Load(); s.OrphanRows != n || s.LostRows != n {
+		t.Errorf("stats.OrphanRows = %d, LostRows = %d, want both the overtaking packet's %d rows", s.OrphanRows, s.LostRows, n)
 	}
 	if s.Keys != 1 || s.Rows != int64(want.Len()) {
 		t.Errorf("stats %+v, want Keys=1 Rows=%d", s, want.Len())
 	}
-	if ps := pump.Stats(); ps.Requests != 1 {
-		t.Errorf("pump.Stats().Requests = %d, want 1", ps.Requests)
+	if ps := pump.Stats(); ps.Requests != 2 {
+		t.Errorf("pump.Stats().Requests = %d, want 2", ps.Requests)
+	}
+}
+
+// TestBridgeRetriesLostEndAndData drops one data packet and the first
+// END frame of attempt 1. The pump's second END copy still closes the
+// short bucket, so the retry goes out at once instead of after the 30 s
+// attempt timeout, and the bucket arrives bit-identical.
+func TestBridgeRetriesLostEndAndData(t *testing.T) {
+	opts := core.Options{FlowScale: 0.1}
+	var droppedData, droppedEnd bool // touched only by the relay goroutine
+	br, pump, relay := newLossyHarness(t, opts, 30*time.Second, func(pkt []byte) bool {
+		switch {
+		case !isCtrl(pkt) && !droppedData:
+			droppedData = true
+			return true
+		case isCtrl(pkt) && frameType(pkt) == frameEnd && !droppedEnd:
+			droppedEnd = true
+			return true
+		}
+		return false
+	})
+
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("fetch with a lost END and a lost data packet failed: %v", err)
+	}
+	batchesEqual(t, want, got)
+	droppedPkts, droppedRows := relay.stats()
+	if droppedPkts != 2 || droppedRows == 0 {
+		t.Fatalf("relay dropped %d datagrams (%d rows), want one data packet and one END", droppedPkts, droppedRows)
+	}
+	if elapsed > 10*time.Second {
+		t.Errorf("fetch took %v; the short bucket waited for the attempt timeout", elapsed)
+	}
+	if s := br.Stats(); s.Retries != 1 || s.LostRows != int64(droppedRows) {
+		t.Errorf("stats %+v, want 1 retry and the %d dropped rows lost", s, droppedRows)
+	}
+	if ps := pump.Stats(); ps.Requests != 2 {
+		t.Errorf("pump.Stats().Requests = %d, want 2", ps.Requests)
 	}
 }
 

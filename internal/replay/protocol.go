@@ -30,7 +30,7 @@
 // bridge to pump, and BEGIN / END / NACK control datagrams from pump to
 // bridge, in-band with the flow packets (prefixed with
 // collector.ControlMagic so the collector delivers instead of decoding
-// them). Several pumps may share one bridge socket: each pump owns a
+// them, in datagram order with the flow packets). Several pumps may share one bridge socket: each pump owns a
 // stream identity that its flow packets carry in their export headers
 // (IPFIX observation domain, NetFlow v9 source ID, v5 engine ID) and its
 // control frames carry explicitly, so the bridge demuxes the interleaved
@@ -38,8 +38,13 @@
 // bucket in flight per stream — so flow packets need no per-bucket
 // tagging: every packet of a stream between its BEGIN and END belongs to
 // that stream's announced bucket, while other streams' buckets are in
-// flight concurrently. Retries carry a per-stream generation number so
-// data from an abandoned attempt is discarded, not misfiled.
+// flight concurrently. Retries carry a per-stream generation number in
+// their frames, and a pump answers one request at a time, so everything
+// of an abandoned attempt arrives before the retry's BEGIN and is
+// discarded, not misfiled. The bridge decides each attempt at a frame:
+// the bucket completes on row count, and an END with rows missing (the
+// pump sends END twice) is loss, re-requested at once. Only an attempt
+// the pump never answered waits out its timeout and backs off.
 //
 // A bucket carries the columns of its key's kind (core.FlowKey.Columns),
 // as the dataset stores them, and no others: both ends take the set from

@@ -143,9 +143,14 @@ func (p *Pump) Run(ctx context.Context) {
 	}
 }
 
+// endCopies is how many times the pump sends a bucket's END frame. The
+// bridge decides a short bucket at its END, so a lost END would cost the
+// whole attempt timeout; with two copies that takes losing both.
+const endCopies = 2
+
 // serve exports one requested bucket: BEGIN frame, the batch as flow
-// packets, END frame. Oracle failures turn into a NACK frame so the
-// bridge fails fast instead of timing out. The batch is the pump's own
+// packets, END frame (endCopies times). Oracle failures turn into a NACK
+// frame so the bridge fails fast instead of timing out. The batch is the pump's own
 // (see core.FlowSource) and nothing holds it once the bucket is closed,
 // so every exit hands it back to the pool the next request draws from.
 func (p *Pump) serve(gen uint32, key core.FlowKey) {
@@ -162,7 +167,7 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 		// END-without-BEGIN path instead of waiting out its attempt
 		// timeout.
 		p.exportErrors.Add(1)
-		p.exp.WriteRaw(encodeCtrl(frameEnd, p.stream, gen, b.Len(), key, ""))
+		p.end(gen, key, b.Len())
 		return
 	}
 	if b.Len() > 0 {
@@ -179,7 +184,15 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 			p.rowsSent.Add(int64(b.Len()))
 		}
 	}
-	p.exp.WriteRaw(encodeCtrl(frameEnd, p.stream, gen, b.Len(), key, ""))
+	p.end(gen, key, b.Len())
+}
+
+// end closes a bucket: endCopies END frames, best effort.
+func (p *Pump) end(gen uint32, key core.FlowKey, rows int) {
+	pkt := encodeCtrl(frameEnd, p.stream, gen, rows, key, "")
+	for range endCopies {
+		p.exp.WriteRaw(pkt)
+	}
 }
 
 // Close stops Run and releases both sockets.

@@ -294,13 +294,15 @@ func TestBridgeTimesOutWithoutPump(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dial a socket that nobody answers on.
-	dead, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	// Dial a bound socket that never answers: every attempt times out.
+	// (A closed port would answer with ICMP "refused", and a refused send
+	// is another kind of failed attempt.)
+	silent, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dead.Close() // nothing listens here anymore
-	if err := br.ConnectPump(dead.LocalAddr().String()); err != nil {
+	defer silent.Close()
+	if err := br.ConnectPump(silent.LocalAddr().String()); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
