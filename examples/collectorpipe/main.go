@@ -1,9 +1,10 @@
 // collectorpipe demonstrates the wire-format substrate end to end on the
 // batch path: it generates one hour of synthetic IXP-CE flows as a
 // columnar batch, exports it over UDP loopback in any of the three
-// supported formats, collects the decoded batches, and classifies the
-// received rows into the paper's application classes without ever
-// materialising per-record structs.
+// supported formats, decodes each received datagram into a batch of the
+// columns the classifier reads, and classifies the received rows into the
+// paper's application classes without ever materialising per-record
+// structs.
 //
 //	go run ./examples/collectorpipe [-format v5|v9|ipfix]
 //
@@ -34,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Collector side: one flowrec.Batch per datagram, tagged with its
+	// Collector side: every datagram arrives undecoded, tagged with its
 	// exporter stream (a single exporter here, so the tag is ignored).
 	col, err := collector.NewCollector(format, "127.0.0.1:0")
 	if err != nil {
@@ -68,25 +69,34 @@ func main() {
 	}
 	fmt.Printf("exported %d flow records as %v to %s\n", flows.Len(), format, col.Addr())
 
-	// Classify arriving batches column-wise; received batches go back to
-	// the pool so the receive loop stays allocation-free.
+	// Decode each arriving datagram into one reused batch that stores only
+	// the classifier's columns (the decoder skips the other fields), and
+	// classify it column-wise; datagrams go back to the collector's pool
+	// so the receive loop stays allocation-free.
 	clf := appclass.NewDefault(nil)
 	volumes := make(map[appclass.Class]uint64)
+	decode, batch := col.NewDecoder(), flowrec.NewProjected(0, appclass.Columns)
 	got := 0
 	deadline := time.After(5 * time.Second)
 loop:
 	for got < flows.Len() {
 		select {
-		case tb, ok := <-col.Tagged():
+		case d, ok := <-col.Tagged():
 			if !ok {
 				break loop
 			}
-			if tb.Batch == nil {
+			if d.Control {
+				d.Release()
 				continue // a control datagram; plain export sends none
 			}
-			got += tb.Batch.Len()
-			clf.VolumeByClassInto(volumes, tb.Batch)
-			flowrec.PutBatch(tb.Batch)
+			batch.Reset()
+			_, err := decode(batch, d.Data)
+			d.Release()
+			if err != nil {
+				log.Fatal(err)
+			}
+			got += batch.Len()
+			clf.VolumeByClassInto(volumes, batch)
 		case <-deadline:
 			break loop
 		}

@@ -5,20 +5,24 @@
 // or in-memory record batches
 // (as the synthetic generator produces).
 //
-// A Collector has one delivery channel: every decoded datagram arrives on
-// Tagged() as one columnar flowrec.Batch together with the stream
-// identity carried in the datagram header (IPFIX observation domain,
-// NetFlow v9 source ID, NetFlow v5 engine ID — see StreamID), which is
-// what lets one collector socket demux the interleaved export of several
-// pumps; a consumer with a single exporter ignores the field. The batches
-// come from the flowrec pool, so a consumer that returns them with
-// flowrec.PutBatch keeps the receive loop allocation-free.
+// A Collector receives and does not decode. It has one delivery channel:
+// every datagram arrives on Tagged() as a Datagram, its bytes in a pooled
+// buffer together with the stream identity carried in its header (IPFIX
+// observation domain, NetFlow v9 source ID, NetFlow v5 engine ID — see
+// StreamID), which is what lets one collector socket demux the
+// interleaved export of several pumps; a consumer with a single exporter
+// ignores the field. A datagram that does not start with the format's
+// export header (too short, another version, a length field that does
+// not match) is reported on Errors() and not delivered. The consumer
+// decodes with a Decoder (NewDecoder) into a batch of the columns it
+// wants, and returns the datagram with Release, which keeps the receive
+// loop allocation-free.
 //
 // Datagrams prefixed with ControlMagic are not flow export: they are
-// delivered verbatim on the same channel, as a TaggedBatch whose Control
-// holds a copy and whose Batch is nil. In-band protocols (the wire-replay
-// harness in package replay) thereby see their control frames in
-// datagram order with the data packets around them.
+// delivered verbatim on the same channel, with Control set and Stream 0.
+// In-band protocols (the wire-replay harness in package replay) thereby
+// see their control frames in datagram order with the data packets
+// around them.
 package collector
 
 import (
@@ -77,30 +81,28 @@ func ParseFormat(s string) (Format, error) {
 }
 
 // ControlMagic is the 4-byte prefix of replay control datagrams. Packets
-// starting with it are not flow export: the collector delivers a copy in
-// TaggedBatch.Control instead of decoding them, in datagram order with
-// the flow packets, which gives the wire-replay protocol (package replay)
-// an in-band control plane ordered with the data of the same sender
-// socket. No NetFlow/IPFIX packet can collide with it: their first two
+// starting with it are not flow export: the collector delivers them
+// verbatim as Control datagrams, without checking a header, in datagram
+// order with the flow packets, which gives the wire-replay protocol
+// (package replay) an in-band control plane ordered with the data of the
+// same sender socket. No NetFlow/IPFIX packet can collide with it: their first two
 // bytes are the version field (5, 9 or 10).
 const ControlMagic = "LKRW"
 
 // maxDatagram is the read buffer size: the largest message the 16-bit
-// length fields of NetFlow v9 and IPFIX can describe, which is also what
-// their encoders accept (a NetFlow v5 packet is at most 1464 bytes). A
-// shorter buffer would cut a legal message short and fail its decode.
+// length fields of NetFlow v9 and IPFIX can describe (a NetFlow v5 packet
+// is at most 1464 bytes). Our encoders write at most the 65 507 bytes of
+// one UDP datagram; a shorter buffer would cut a legal message short and
+// fail its length check.
 const maxDatagram = 0xFFFF
-
-// batchHint sizes pooled batches for the usual records-per-packet count.
-const batchHint = 128
 
 // StreamID extracts the exporter stream identity an export packet
 // carries in its header: the IPFIX observation domain, the NetFlow v9
 // source ID, or the NetFlow v5 engine ID (8 bits only — v5 exporters
 // cannot be told apart beyond 256 streams). It reads fixed header
 // offsets without decoding, so it is safe on arbitrary input; packets
-// too short to carry the field report stream 0, and the subsequent
-// decode rejects them.
+// too short to carry the field report stream 0, and the header check
+// rejects them.
 func StreamID(format Format, pkt []byte) uint32 {
 	w, err := format.wire()
 	if err != nil {
@@ -113,18 +115,25 @@ func StreamID(format Format, pkt []byte) uint32 {
 // engine ID field is a single byte.
 const MaxV5Stream = 0xFF
 
-type (
-	decodeFunc func(dst *flowrec.Batch, pkt []byte) (int, error)
-	encodeFunc func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error)
-)
+// Decoder decodes one format's export datagrams: it appends the records
+// of pkt to dst, in the columns dst stores (a field of a column dst lacks
+// is skipped, a stored column the datagram lacks decodes as zero), and
+// returns how many. On error dst is left as it was. A Decoder holds the
+// format's template cache, per exporter stream, so it is not safe for
+// concurrent use; a consumer keeps one per reading goroutine.
+type Decoder func(dst *flowrec.Batch, pkt []byte) (int, error)
+
+type encodeFunc func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error)
 
 // wire is what differs between the formats. A Collector resolves it once,
-// at construction, to its decoder; an Exporter to its encoder. Both carry
-// the format's per-connection state (template cache, sequence counter).
+// at construction, to its header check and decoder factory; an Exporter
+// to its encoder. The decoders and encoders carry the format's
+// per-connection state (template cache, sequence counter).
 type wire struct {
-	rows       int // rows per packet
+	rows       func(cols flowrec.Columns) int // rows per datagram, for a batch storing cols
 	stream     func(pkt []byte) uint32
-	newDecoder func() decodeFunc
+	check      func(pkt []byte) error
+	newDecoder func() Decoder
 	newEncoder func(stream uint32) encodeFunc
 }
 
@@ -133,9 +142,10 @@ func (f Format) wire() (wire, error) {
 	switch f {
 	case FormatNetflowV5:
 		return wire{
-			rows:   netflow.V5MaxRecords,
+			rows:   func(flowrec.Columns) int { return netflow.V5MaxRecords },
 			stream: func(pkt []byte) uint32 { return uint32(netflow.V5EngineID(pkt)) },
-			newDecoder: func() decodeFunc {
+			check:  netflow.CheckV5Header,
+			newDecoder: func() Decoder {
 				return func(dst *flowrec.Batch, pkt []byte) (int, error) {
 					h, err := netflow.DecodeV5Batch(dst, pkt)
 					return h.Count, err
@@ -145,23 +155,27 @@ func (f Format) wire() (wire, error) {
 				var seq uint32 // v5's flow sequence counts records
 				return func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error) {
 					dst, err := netflow.EncodeV5StreamBatch(dst, b, lo, hi, exportTime, seq, uint8(stream))
-					seq += uint32(hi - lo)
+					if err == nil { // a failed encode sent nothing to count
+						seq += uint32(hi - lo)
+					}
 					return dst, err
 				}
 			},
 		}, nil
 	case FormatNetflowV9:
 		return wire{
-			rows:       100,
+			rows:       netflow.V9MaxRecords,
 			stream:     netflow.V9SourceID,
-			newDecoder: func() decodeFunc { return netflow.NewV9Decoder().DecodeBatch },
+			check:      netflow.CheckV9Header,
+			newDecoder: func() Decoder { return netflow.NewV9Decoder().DecodeBatch },
 			newEncoder: func(stream uint32) encodeFunc { return (&netflow.V9Encoder{SourceID: stream}).EncodeBatch },
 		}, nil
 	case FormatIPFIX:
 		return wire{
-			rows:       100,
+			rows:       ipfix.MaxRecords,
 			stream:     ipfix.DomainID,
-			newDecoder: func() decodeFunc { return ipfix.NewDecoder().DecodeBatch },
+			check:      ipfix.CheckHeader,
+			newDecoder: func() Decoder { return ipfix.NewDecoder().DecodeBatch },
 			newEncoder: func(stream uint32) encodeFunc { return (&ipfix.Encoder{DomainID: stream}).EncodeBatch },
 		}, nil
 	default:
@@ -169,24 +183,43 @@ func (f Format) wire() (wire, error) {
 	}
 }
 
-// TaggedBatch is one received datagram: a decoded batch plus the
-// exporter stream it came from, or a control datagram (ControlMagic)
-// copied verbatim into Control, with Batch nil and Stream 0.
-type TaggedBatch struct {
+// Datagram is one received datagram: its bytes and the exporter stream
+// its header names, or a control datagram (ControlMagic), with Control
+// set and Stream 0. Datagrams come from a pool: Release hands one back
+// once its bytes are decoded or parsed.
+type Datagram struct {
 	Stream  uint32
-	Batch   *flowrec.Batch
-	Control []byte
+	Control bool
+	Data    []byte
 }
 
-// Collector listens on a UDP socket, decodes arriving export packets and
-// delivers each as one TaggedBatch. It is safe to run one goroutine per
-// Collector; Close releases the socket and closes the delivery channel.
+// datagramPool recycles delivered datagrams and their buffers, so the
+// receive loop copies each datagram into a buffer a consumer released.
+var datagramPool = sync.Pool{New: func() any { return new(Datagram) }}
+
+// newDatagram is a pooled datagram holding a copy of pkt.
+func newDatagram(stream uint32, control bool, pkt []byte) *Datagram {
+	d := datagramPool.Get().(*Datagram)
+	d.Stream, d.Control = stream, control
+	d.Data = append(d.Data[:0], pkt...)
+	return d
+}
+
+// Release returns the datagram to the pool. The caller must not use d or
+// its Data afterwards.
+func (d *Datagram) Release() { datagramPool.Put(d) }
+
+// Collector listens on a UDP socket, checks the header of arriving
+// export packets and delivers each as one Datagram. It is safe to run one
+// goroutine per Collector; Close releases the socket and closes the
+// delivery channel.
 type Collector struct {
-	conn   *net.UDPConn
-	stream func(pkt []byte) uint32
-	decode decodeFunc
-	tagged chan TaggedBatch
-	errs   chan error
+	conn       *net.UDPConn
+	stream     func(pkt []byte) uint32
+	check      func(pkt []byte) error
+	newDecoder func() Decoder
+	tagged     chan *Datagram
+	errs       chan error
 
 	// metrics is nil until Instrument attaches a registry; the receive
 	// loop pays one pointer load and nil check per datagram either way.
@@ -220,7 +253,7 @@ func (c *Collector) Instrument(reg *obs.Registry) {
 		ctrl: reg.Counter("lockdown_collector_control_frames_total",
 			"Replay control datagrams delivered verbatim."),
 		errors: reg.Counter("lockdown_collector_errors_total",
-			"Receive and decode errors reported by the collector."),
+			"Receive errors and non-export datagrams reported by the collector."),
 	})
 }
 
@@ -240,12 +273,13 @@ func NewCollector(format Format, addr string) (*Collector, error) {
 		return nil, fmt.Errorf("collector: listen %q: %w", addr, err)
 	}
 	return &Collector{
-		conn:   conn,
-		stream: w.stream,
-		decode: w.newDecoder(),
+		conn:       conn,
+		stream:     w.stream,
+		check:      w.check,
+		newDecoder: w.newDecoder,
 		// 64 datagrams of slack, so a consumer hiccup backs up into the
 		// channel before it backs up into the socket buffer.
-		tagged: make(chan TaggedBatch, 64),
+		tagged: make(chan *Datagram, 64),
 		errs:   make(chan error, 16),
 		done:   make(chan struct{}),
 	}, nil
@@ -255,15 +289,18 @@ func NewCollector(format Format, addr string) (*Collector, error) {
 func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
 
 // Tagged returns the channel every datagram is delivered on, in arrival
-// order: decoded batches with their stream identity, and control
-// datagrams with a nil Batch (plain flow export never produces any). The
-// channel is closed when the collector stops. Return consumed batches
-// with flowrec.PutBatch.
-func (c *Collector) Tagged() <-chan TaggedBatch { return c.tagged }
+// order: export datagrams with their stream identity, and control
+// datagrams (plain flow export never produces any). The channel is closed
+// when the collector stops. Release each datagram once it is consumed.
+func (c *Collector) Tagged() <-chan *Datagram { return c.tagged }
 
-// Errors returns the channel decode errors are reported on. Errors are
-// dropped if the channel is full; the collector never blocks on them.
-// The channel is closed when the collector stops.
+// NewDecoder returns a decoder for the collector's format, with an empty
+// template cache.
+func (c *Collector) NewDecoder() Decoder { return c.newDecoder() }
+
+// Errors returns the channel receive errors and rejected headers are
+// reported on. Errors are dropped if the channel is full; the collector
+// never blocks on them. The channel is closed when the collector stops.
 func (c *Collector) Errors() <-chan error { return c.errs }
 
 // SetReadBuffer sets the kernel receive buffer of the collector socket.
@@ -306,40 +343,31 @@ func (c *Collector) Run(ctx context.Context) {
 			m.datagrams.Add(1)
 			m.bytes.Add(int64(n))
 		}
-		var tb TaggedBatch
-		if n >= len(ControlMagic) && string(buf[:len(ControlMagic)]) == ControlMagic {
-			// Replay control packet: deliver a copy (the read buffer is
-			// reused) without decoding. Control packets are rare, so the
-			// copy does not affect the zero-alloc steady state.
-			tb.Control = append([]byte(nil), buf[:n]...)
+		pkt := buf[:n]
+		var d *Datagram
+		if n >= len(ControlMagic) && string(pkt[:len(ControlMagic)]) == ControlMagic {
+			// Replay control packet: delivered verbatim.
+			d = newDatagram(0, true, pkt)
 			if m := c.metrics.Load(); m != nil {
 				m.ctrl.Add(1)
 			}
 		} else {
-			// The decoders copy every value out of the datagram, so the
-			// read buffer is reused without a per-packet copy. The stream
-			// is read off the raw header before the decode; a packet the
-			// decoder rejects never reaches the channel, so a garbage tag
-			// cannot either.
-			tb.Stream = c.stream(buf[:n])
-			tb.Batch = flowrec.GetBatch(batchHint)
-			if _, err := c.decode(tb.Batch, buf[:n]); err != nil {
-				flowrec.PutBatch(tb.Batch)
+			// Only the header is checked here; the consumer decodes. A
+			// packet whose header is rejected never reaches the channel,
+			// so a garbage tag cannot either.
+			if err := c.check(pkt); err != nil {
 				c.reportErr(err)
 				continue
 			}
-			if tb.Batch.Len() == 0 {
-				flowrec.PutBatch(tb.Batch)
-				continue
-			}
+			d = newDatagram(c.stream(pkt), false, pkt)
 		}
 		select {
-		case c.tagged <- tb:
+		case c.tagged <- d:
 		case <-ctx.Done():
-			flowrec.PutBatch(tb.Batch)
+			d.Release()
 			return
 		case <-c.done:
-			flowrec.PutBatch(tb.Batch)
+			d.Release()
 			return
 		}
 	}
@@ -381,7 +409,7 @@ func (c *Collector) Close() error {
 type Exporter struct {
 	conn   *net.UDPConn
 	stream uint32
-	rows   int // rows per packet
+	rows   func(cols flowrec.Columns) int // rows per packet
 	encode encodeFunc
 	buf    []byte
 }
@@ -420,8 +448,11 @@ func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, er
 // Stream returns the exporter's stream identity.
 func (e *Exporter) Stream() uint32 { return e.stream }
 
-// ExportBatch encodes and sends the batch, splitting it into as many
-// packets as needed. The export timestamp is now.
+// ExportBatch encodes and sends the batch, splitting it into as few
+// packets as the format allows: a NetFlow v9 or IPFIX message fills one
+// UDP datagram (as many records of the batch's column set as 65 507
+// bytes hold), a v5 packet carries 30 records. The export timestamp is
+// now.
 func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
 	return e.ExportBatchAt(b, time.Now().UTC())
 }
@@ -433,9 +464,9 @@ func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
 // offsets inside the representable one-hour uptime window, so the
 // second-resolution timestamps survive the round trip exactly.
 func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
-	now := exportTime.UTC()
-	for lo := 0; lo < b.Len(); lo += e.rows {
-		hi := min(lo+e.rows, b.Len())
+	now, rows := exportTime.UTC(), e.rows(b.Columns())
+	for lo := 0; lo < b.Len(); lo += rows {
+		hi := min(lo+rows, b.Len())
 		var err error
 		if e.buf, err = e.encode(e.buf[:0], b, lo, hi, now); err != nil {
 			return err
@@ -461,26 +492,25 @@ func (e *Exporter) WriteRaw(pkt []byte) error {
 // Close releases the exporter socket.
 func (e *Exporter) Close() error { return e.conn.Close() }
 
-// CollectBatch gathers up to want rows from the collector into one batch,
-// whatever their stream, waiting at most timeout; control datagrams are
-// skipped. It is a convenience for tests and examples. Received batches
-// are returned to the flowrec pool after their rows are copied; rows
-// beyond want in the final datagram are dropped, so the result never
-// exceeds want.
+// CollectBatch gathers up to want rows from the collector into one
+// full-width batch, whatever their stream, waiting at most timeout;
+// control datagrams and datagrams that fail to decode are skipped. It is
+// a convenience for tests and examples. Rows beyond want in the final
+// datagram are dropped, so the result never exceeds want.
 func CollectBatch(c *Collector, want int, timeout time.Duration) *flowrec.Batch {
 	out := flowrec.NewBatch(want)
+	decode := c.NewDecoder()
 	deadline := time.After(timeout)
 	for out.Len() < want {
 		select {
-		case tb, ok := <-c.Tagged():
+		case d, ok := <-c.Tagged():
 			if !ok {
 				return out
 			}
-			if tb.Batch == nil {
-				continue
+			if !d.Control {
+				decode(out, d.Data)
 			}
-			out.AppendBatch(tb.Batch)
-			flowrec.PutBatch(tb.Batch)
+			d.Release()
 		case <-deadline:
 			return out
 		}

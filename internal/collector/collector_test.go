@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
+	"lockdown/internal/netflow"
 )
 
 func testRecords(n int) []flowrec.Record {
@@ -97,10 +99,12 @@ func TestLargeMessageDecodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case tb := <-col.Tagged():
-		if tb.Batch.Len() != 300 || tb.Batch.SrcPort[299] != b.SrcPort[299] {
-			t.Errorf("decoded %d rows, want all 300", tb.Batch.Len())
+	case d := <-col.Tagged():
+		got := flowrec.NewBatch(0)
+		if n, err := col.NewDecoder()(got, d.Data); err != nil || n != 300 || got.SrcPort[299] != b.SrcPort[299] {
+			t.Errorf("decoded %d rows, err %v, want all 300", n, err)
 		}
+		d.Release()
 	case err := <-col.Errors():
 		t.Fatalf("the 300-row message was rejected: %v", err)
 	case <-time.After(5 * time.Second):
@@ -245,5 +249,111 @@ func TestExporterBadAddress(t *testing.T) {
 	}
 	if StreamID(Format(9), make([]byte, 64)) != 0 {
 		t.Error("an unknown format must report stream 0")
+	}
+}
+
+// TestExporterFillsDatagrams: a NetFlow v9 or IPFIX message carries as
+// many records of the batch's column set as one UDP datagram holds, and a
+// v5 packet 30, so a batch of N rows leaves as ceil(N / max) datagrams,
+// none over the 65 507 bytes of a UDP payload, and what they decode to,
+// concatenated into a batch of the same column set, is the batch.
+func TestExporterFillsDatagrams(t *testing.T) {
+	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
+	sets := map[string]flowrec.Columns{"full": flowrec.AllColumns}
+	for _, kind := range []core.FlowKind{core.KindFlows, core.KindVPNFlows, core.KindComponentFlows} {
+		sets[kind.String()] = core.FlowKey{Kind: kind}.Columns()
+	}
+	for _, format := range []Format{FormatNetflowV5, FormatNetflowV9, FormatIPFIX} {
+		w, err := format.wire()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, cols := range sets {
+			t.Run(format.String()+"/"+name, func(t *testing.T) {
+				max := w.rows(cols)
+				if format == FormatNetflowV5 && max != 30 {
+					t.Fatalf("v5 packs %d records, want 30", max)
+				}
+				n := 2*max + 7
+				recs := testRecords(n)
+				for i := range recs { // v5-exact: inside the hour before export, second-aligned
+					recs[i].Start, recs[i].End = export.Add(-time.Minute), export
+				}
+				b := flowrec.FromRecords(recs).Project(cols)
+
+				col, err := NewCollector(format, "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				col.SetReadBuffer(4 << 20)
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				go col.Run(ctx)
+				defer col.Close()
+				exp, err := NewExporter(format, col.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer exp.Close()
+				if err := exp.ExportBatchAt(b, export); err != nil {
+					t.Fatal(err)
+				}
+
+				got, datagrams := flowrec.NewProjected(0, cols), 0
+				decode := col.NewDecoder()
+				deadline := time.After(5 * time.Second)
+				for got.Len() < n {
+					select {
+					case d := <-col.Tagged():
+						datagrams++
+						if len(d.Data) > 65507 {
+							t.Errorf("datagram %d is %d bytes, over a UDP payload", datagrams, len(d.Data))
+						}
+						if _, err := decode(got, d.Data); err != nil {
+							t.Fatal(err)
+						}
+						d.Release()
+					case err := <-col.Errors():
+						t.Fatal(err)
+					case <-deadline:
+						t.Fatalf("%d of %d rows arrived", got.Len(), n)
+					}
+				}
+				if want := (n + max - 1) / max; datagrams != want {
+					t.Errorf("%d rows left as %d datagrams, want %d of up to %d records", n, datagrams, want, max)
+				}
+				if !got.Equal(b) {
+					t.Error("the decoded datagrams are not the exported batch")
+				}
+			})
+		}
+	}
+}
+
+// TestV5SequenceSkipsFailedEncode: NetFlow v5's flow sequence counts the
+// records exported, so an encode that fails — here a span past the end of
+// the batch — sends nothing and must not advance it: the next packet is
+// stamped 0.
+func TestV5SequenceSkipsFailedEncode(t *testing.T) {
+	w, err := FormatNetflowV5.wire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	encode := w.newEncoder(0)
+	b := flowrec.FromRecords(testRecords(3))
+	now := time.Now()
+	if _, err := encode(nil, b, 2, 10, now); err == nil {
+		t.Fatal("a span past the end of the batch was encoded")
+	}
+	pkt, err := encode(nil, b, 0, b.Len(), now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := netflow.DecodeV5Batch(flowrec.NewBatch(0), pkt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.FlowSequence != 0 {
+		t.Errorf("FlowSequence = %d after a failed encode, want 0", h.FlowSequence)
 	}
 }

@@ -109,10 +109,10 @@ func TestCloseReportsNoError(t *testing.T) {
 		t.Fatal(err)
 	}
 	select {
-	case tb := <-c.Tagged():
-		flowrec.PutBatch(tb.Batch)
+	case d := <-c.Tagged():
+		d.Release()
 	case <-time.After(5 * time.Second):
-		t.Fatal("no batch arrived")
+		t.Fatal("no datagram arrived")
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
@@ -195,9 +195,9 @@ func TestErrorOverflowKeepsCollecting(t *testing.T) {
 }
 
 // TestControlChannelDelivery exercises the control plane: a datagram
-// prefixed with ControlMagic arrives on Tagged() verbatim, with a nil
-// Batch, in datagram order between the flow packets around it, and is
-// not decoded as a flow packet.
+// prefixed with ControlMagic arrives on Tagged() verbatim, marked as
+// Control, in datagram order between the flow packets around it, and is
+// not checked as a flow packet.
 func TestControlChannelDelivery(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
 	c, err := NewCollector(FormatIPFIX, "127.0.0.1:0")
@@ -225,36 +225,39 @@ func TestControlChannelDelivery(t *testing.T) {
 	if err := exp.ExportBatch(flowrec.FromRecords(testRecords(4))); err != nil {
 		t.Fatal(err)
 	}
-	next := func() TaggedBatch {
+	next := func() *Datagram {
 		t.Helper()
 		select {
-		case tb := <-c.Tagged():
-			return tb
+		case d := <-c.Tagged():
+			return d
 		case err := <-c.Errors():
-			t.Fatalf("decode error: %v", err)
+			t.Fatalf("header error: %v", err)
 		case <-time.After(5 * time.Second):
 			t.Fatal("datagram not delivered")
 		}
-		return TaggedBatch{}
+		return nil
 	}
+	decode := c.NewDecoder()
 	for i, want := range []int{3, -1, 4} {
-		tb := next()
+		d := next()
 		if want < 0 {
-			if tb.Batch != nil || string(tb.Control) != payload {
-				t.Fatalf("datagram %d: batch %v, control %q; want the control datagram %q verbatim", i, tb.Batch, tb.Control, payload)
+			if !d.Control || d.Stream != 0 || string(d.Data) != payload {
+				t.Fatalf("datagram %d: %+v; want the control datagram %q verbatim", i, d, payload)
 			}
+			d.Release()
 			continue
 		}
-		if tb.Batch == nil || tb.Batch.Len() != want || tb.Stream != 9 || tb.Control != nil {
-			t.Fatalf("datagram %d: %+v, want a %d-row batch of stream 9", i, tb, want)
+		n, err := decode(flowrec.NewBatch(0), d.Data)
+		if d.Control || d.Stream != 9 || err != nil || n != want {
+			t.Fatalf("datagram %d: %+v decodes to %d rows, err %v; want a %d-row datagram of stream 9", i, d, n, err, want)
 		}
-		flowrec.PutBatch(tb.Batch)
+		d.Release()
 	}
 	select {
 	case err := <-c.Errors():
-		t.Fatalf("control datagram leaked into the decoder: %v", err)
-	case tb := <-c.Tagged():
-		t.Fatalf("unexpected extra datagram %+v", tb)
+		t.Fatalf("control datagram leaked into the header check: %v", err)
+	case d := <-c.Tagged():
+		t.Fatalf("unexpected extra datagram %+v", d)
 	case <-time.After(100 * time.Millisecond):
 	}
 	cancel()

@@ -10,21 +10,24 @@ import (
 	"lockdown/internal/netflow"
 )
 
-// collectTagged gathers tagged batches until want rows arrived or the
+// collectTagged decodes tagged datagrams until want rows arrived or the
 // timeout passes, returning rows per stream.
 func collectTagged(c *Collector, want int, timeout time.Duration) map[uint32]int {
 	out := make(map[uint32]int)
 	got := 0
+	decode, dst := c.NewDecoder(), flowrec.NewProjected(0, flowrec.ColBytes)
 	deadline := time.After(timeout)
 	for got < want {
 		select {
-		case tb, ok := <-c.Tagged():
+		case d, ok := <-c.Tagged():
 			if !ok {
 				return out
 			}
-			out[tb.Stream] += tb.Batch.Len()
-			got += tb.Batch.Len()
-			flowrec.PutBatch(tb.Batch)
+			dst.Reset()
+			n, _ := decode(dst, d.Data)
+			out[d.Stream] += n
+			got += n
+			d.Release()
 		case <-deadline:
 			return out
 		}

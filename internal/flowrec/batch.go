@@ -96,8 +96,11 @@ func NewProjected(n int, cols Columns) *Batch {
 func (b *Batch) Columns() Columns { return AllColumns &^ b.absent }
 
 // Require returns an error naming the columns of need that the batch does
-// not store, nil when it stores them all. The wire codecs call it before
-// touching a column: encoders read what they carry, decoders fill all.
+// not store, nil when it stores them all. The dataset cache calls it on
+// every batch a source delivers, and the Record conversions through
+// mustStore. The wire codecs do not: encoders write 0 for (v5) or leave
+// out of the template (v9, IPFIX) a column the batch lacks, and decoders
+// fill exactly the columns the batch stores.
 func (b *Batch) Require(need Columns) error {
 	if missing := need &^ b.Columns(); missing != 0 {
 		return fmt.Errorf("flowrec: batch does not store column %s (its set is %s)", missing, b.Columns())

@@ -56,6 +56,15 @@ func (e *Encoder) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTi
 	return framing.EncodeBatch(dst, b, lo, hi, exportTime, e.DomainID, &e.seq)
 }
 
+// MaxRecords is how many records of the column set cols one IPFIX
+// message carries when it fills a UDP datagram; see
+// tmpl.Framing.MaxRecords.
+func MaxRecords(cols flowrec.Columns) int { return framing.MaxRecords(cols) }
+
+// CheckHeader reports whether msg starts with an IPFIX message header
+// whose length field matches its size; see tmpl.Framing.CheckHeader.
+func CheckHeader(msg []byte) error { return framing.CheckHeader(msg) }
+
 // DomainID returns the observation domain ID of an IPFIX message header
 // without decoding the sets (0 for messages too short to carry one).
 func DomainID(msg []byte) uint32 { return framing.StreamID(msg) }

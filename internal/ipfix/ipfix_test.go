@@ -89,6 +89,17 @@ func TestMessageLengthField(t *testing.T) {
 	if l != len(msg) {
 		t.Errorf("length field %d != message size %d", l, len(msg))
 	}
+	if err := CheckHeader(msg); err != nil {
+		t.Errorf("the header check rejects our message: %v", err)
+	}
+	if CheckHeader(msg[:len(msg)-1]) == nil {
+		t.Error("the header check accepts a message shorter than its length field")
+	}
+	// The largest full-width message fits one UDP datagram:
+	// 16 + 68 + 4 + 1189*55 = 65483 <= 65507 < 65483 + 55.
+	if n := MaxRecords(flowrec.AllColumns); n != 1189 {
+		t.Errorf("MaxRecords(AllColumns) = %d, want 1189", n)
+	}
 }
 
 func TestSequenceAdvancesByRecordCount(t *testing.T) {

@@ -2,7 +2,6 @@ package netflow
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"lockdown/internal/flowrec"
@@ -89,13 +88,19 @@ func TestV9DecodeBatchRollsBackOnError(t *testing.T) {
 	}
 }
 
-// TestDecodeV5RefusesProjected: a v5 record fills every column (Dir as
-// DirUnknown), so a batch that does not store one is refused with an
-// error naming what it lacks and is left as it was.
+// TestDecodeV5RefusesProjected (a name kept from when a projected batch
+// was refused): a v5 packet decodes into the columns the batch stores and
+// no others — exactly the full-width decode projected to its set, every
+// absent column still nil — and a packet that fails to decode leaves the
+// batch as it was.
 func TestDecodeV5RefusesProjected(t *testing.T) {
 	full := flowrec.FromRecords(sampleRecords(10))
 	pkt, err := EncodeV5Batch(nil, full, 0, full.Len(), export, 0)
 	if err != nil {
+		t.Fatal(err)
+	}
+	decoded := flowrec.NewBatch(0)
+	if _, err := DecodeV5Batch(decoded, pkt); err != nil {
 		t.Fatal(err)
 	}
 	sets := []flowrec.Columns{flowrec.ColBytes | flowrec.ColDstPort}
@@ -103,13 +108,26 @@ func TestDecodeV5RefusesProjected(t *testing.T) {
 		sets = append(sets, flowrec.AllColumns&^(flowrec.Columns(1)<<c))
 	}
 	for _, cols := range sets {
-		dst := full.Project(cols)
+		dst := flowrec.NewProjected(0, cols)
 		h, err := DecodeV5Batch(dst, pkt)
-		if missing := flowrec.AllColumns &^ cols; err == nil || h.Count != 0 || !strings.Contains(err.Error(), missing.String()) {
-			t.Errorf("%s: header %+v, err %v; want an error naming %s", cols, h, err, missing)
+		if err != nil || h.Count != full.Len() {
+			t.Fatalf("%s: header %+v, err %v; want %d records", cols, h, err, full.Len())
 		}
-		if !dst.Equal(full.Project(cols)) {
-			t.Errorf("%s: the refused batch was modified", cols)
+		want := decoded.Project(cols)
+		if !dst.Equal(want) {
+			t.Errorf("%s: the decoded batch is not the full-width decode projected to its columns", cols)
+		}
+		v := reflect.ValueOf(dst).Elem()
+		for c := 0; c < flowrec.NumColumns; c++ {
+			if !cols.Has(flowrec.Columns(1)<<c) && !v.Field(c).IsNil() {
+				t.Errorf("%s: absent column %s was filled", cols, flowrec.Columns(1)<<c)
+			}
+		}
+		if _, err := DecodeV5Batch(dst, pkt[:len(pkt)-1]); err == nil {
+			t.Errorf("%s: a truncated packet decoded", cols)
+		}
+		if !dst.Equal(want) {
+			t.Errorf("%s: the failed decode modified the batch", cols)
 		}
 	}
 }

@@ -152,30 +152,42 @@ func uptimeMs(col []int64, i int, exportNs int64) uint32 {
 	return uint32(max(uptimeAtExport-time.Duration(exportNs-col[i]), 0).Milliseconds())
 }
 
-// DecodeV5Batch parses a NetFlow v5 packet, appending its records to dst
-// and returning the header metadata. A caller that reuses dst across
-// packets (Reset between packets, or one growing batch) decodes with zero
-// allocations in the steady state. dst must store every column (a v5
-// record fills all of them); on error, a projected dst included, dst is
-// left as it was.
-func DecodeV5Batch(dst *flowrec.Batch, pkt []byte) (V5Header, error) {
+// CheckV5Header reports whether pkt is a whole NetFlow v5 packet by its
+// header: long enough to hold one, version 5, a record count of 1 to
+// V5MaxRecords, and at least that many records after it. DecodeV5Batch
+// checks it first; a collector checks it on arrival, to report a datagram
+// that is not v5 export without decoding it.
+func CheckV5Header(pkt []byte) error {
 	be := binary.BigEndian
-	if err := dst.Require(flowrec.AllColumns); err != nil {
-		return V5Header{}, fmt.Errorf("netflow: a decoded v5 record fills every column: %w", err)
-	}
 	if len(pkt) < v5HeaderLen {
-		return V5Header{}, fmt.Errorf("netflow: packet too short (%d bytes)", len(pkt))
+		return fmt.Errorf("netflow: packet too short (%d bytes)", len(pkt))
 	}
 	if v := be.Uint16(pkt[0:]); v != v5Version {
-		return V5Header{}, fmt.Errorf("netflow: unexpected version %d", v)
+		return fmt.Errorf("netflow: unexpected version %d", v)
 	}
 	count := int(be.Uint16(pkt[2:]))
 	if count == 0 || count > V5MaxRecords {
-		return V5Header{}, fmt.Errorf("netflow: implausible record count %d", count)
+		return fmt.Errorf("netflow: implausible record count %d", count)
 	}
 	if len(pkt) < v5HeaderLen+count*v5RecordLen {
-		return V5Header{}, fmt.Errorf("netflow: truncated packet: %d bytes for %d records", len(pkt), count)
+		return fmt.Errorf("netflow: truncated packet: %d bytes for %d records", len(pkt), count)
 	}
+	return nil
+}
+
+// DecodeV5Batch parses a NetFlow v5 packet, appending its records to dst
+// and returning the header metadata. It fills the columns dst stores and
+// no others, so a projected dst comes back with exactly its own columns;
+// Dir, which v5 does not carry, decodes as DirUnknown. A caller that
+// reuses dst across packets (Reset between packets, or one growing batch)
+// decodes with zero allocations in the steady state. On error dst is left
+// as it was.
+func DecodeV5Batch(dst *flowrec.Batch, pkt []byte) (V5Header, error) {
+	if err := CheckV5Header(pkt); err != nil {
+		return V5Header{}, err
+	}
+	be := binary.BigEndian
+	count := int(be.Uint16(pkt[2:]))
 	uptime := time.Duration(be.Uint32(pkt[4:])) * time.Millisecond
 	export := time.Unix(int64(be.Uint32(pkt[8:])), int64(be.Uint32(pkt[12:]))).UTC()
 	h := V5Header{
@@ -185,24 +197,56 @@ func DecodeV5Batch(dst *flowrec.Batch, pkt []byte) (V5Header, error) {
 		Count:        count,
 	}
 	bootNs := export.UnixNano() - int64(uptime)
+	ms := int64(time.Millisecond)
+	c := dst.Columns()
 	dst.Grow(count)
 	for i := 0; i < count; i++ {
 		rec := pkt[v5HeaderLen+i*v5RecordLen:][:v5RecordLen]
-		dst.StartNs = append(dst.StartNs, bootNs+int64(be.Uint32(rec[24:]))*int64(time.Millisecond))
-		dst.EndNs = append(dst.EndNs, bootNs+int64(be.Uint32(rec[28:]))*int64(time.Millisecond))
-		dst.SrcIP = append(dst.SrcIP, flowrec.Addr(rec[0:4]))
-		dst.DstIP = append(dst.DstIP, flowrec.Addr(rec[4:8]))
-		dst.SrcPort = append(dst.SrcPort, be.Uint16(rec[32:]))
-		dst.DstPort = append(dst.DstPort, be.Uint16(rec[34:]))
-		dst.Proto = append(dst.Proto, flowrec.Proto(rec[38]))
-		dst.Bytes = append(dst.Bytes, uint64(be.Uint32(rec[20:])))
-		dst.Packets = append(dst.Packets, uint64(be.Uint32(rec[16:])))
-		dst.SrcAS = append(dst.SrcAS, uint32(be.Uint16(rec[40:])))
-		dst.DstAS = append(dst.DstAS, uint32(be.Uint16(rec[42:])))
-		dst.InIf = append(dst.InIf, be.Uint16(rec[12:]))
-		dst.OutIf = append(dst.OutIf, be.Uint16(rec[14:]))
-		dst.Dir = append(dst.Dir, flowrec.DirUnknown)
-		dst.TCPFlags = append(dst.TCPFlags, rec[37])
+		if c&flowrec.ColStartNs != 0 {
+			dst.StartNs = append(dst.StartNs, bootNs+int64(be.Uint32(rec[24:]))*ms)
+		}
+		if c&flowrec.ColEndNs != 0 {
+			dst.EndNs = append(dst.EndNs, bootNs+int64(be.Uint32(rec[28:]))*ms)
+		}
+		if c&flowrec.ColSrcIP != 0 {
+			dst.SrcIP = append(dst.SrcIP, flowrec.Addr(rec[0:4]))
+		}
+		if c&flowrec.ColDstIP != 0 {
+			dst.DstIP = append(dst.DstIP, flowrec.Addr(rec[4:8]))
+		}
+		if c&flowrec.ColSrcPort != 0 {
+			dst.SrcPort = append(dst.SrcPort, be.Uint16(rec[32:]))
+		}
+		if c&flowrec.ColDstPort != 0 {
+			dst.DstPort = append(dst.DstPort, be.Uint16(rec[34:]))
+		}
+		if c&flowrec.ColProto != 0 {
+			dst.Proto = append(dst.Proto, flowrec.Proto(rec[38]))
+		}
+		if c&flowrec.ColBytes != 0 {
+			dst.Bytes = append(dst.Bytes, uint64(be.Uint32(rec[20:])))
+		}
+		if c&flowrec.ColPackets != 0 {
+			dst.Packets = append(dst.Packets, uint64(be.Uint32(rec[16:])))
+		}
+		if c&flowrec.ColSrcAS != 0 {
+			dst.SrcAS = append(dst.SrcAS, uint32(be.Uint16(rec[40:])))
+		}
+		if c&flowrec.ColDstAS != 0 {
+			dst.DstAS = append(dst.DstAS, uint32(be.Uint16(rec[42:])))
+		}
+		if c&flowrec.ColInIf != 0 {
+			dst.InIf = append(dst.InIf, be.Uint16(rec[12:]))
+		}
+		if c&flowrec.ColOutIf != 0 {
+			dst.OutIf = append(dst.OutIf, be.Uint16(rec[14:]))
+		}
+		if c&flowrec.ColDir != 0 {
+			dst.Dir = append(dst.Dir, flowrec.DirUnknown)
+		}
+		if c&flowrec.ColTCPFlags != 0 {
+			dst.TCPFlags = append(dst.TCPFlags, rec[37])
+		}
 	}
 	return h, nil
 }

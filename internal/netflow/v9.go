@@ -48,6 +48,14 @@ func (e *V9Encoder) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, export
 	return v9.EncodeBatch(dst, b, lo, hi, exportTime, e.SourceID, &e.seq)
 }
 
+// V9MaxRecords is how many records of the column set cols one v9 packet
+// carries when it fills a UDP datagram; see tmpl.Framing.MaxRecords.
+func V9MaxRecords(cols flowrec.Columns) int { return v9.MaxRecords(cols) }
+
+// CheckV9Header reports whether pkt starts with a NetFlow v9 packet
+// header; see tmpl.Framing.CheckHeader.
+func CheckV9Header(pkt []byte) error { return v9.CheckHeader(pkt) }
+
 // V9SourceID returns the source ID field of a NetFlow v9 packet header
 // without decoding the flowsets (0 for packets too short to carry one).
 func V9SourceID(pkt []byte) uint32 { return v9.StreamID(pkt) }

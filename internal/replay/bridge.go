@@ -79,7 +79,7 @@ type Stats struct {
 	InboxDrops   int64 // rows dropped at a full stream inbox (stalled consumer; the bucket's shortfall shows up in LostRows)
 	StaleFrames  int64 // control frames of an abandoned generation, an unknown stream, or a full inbox
 	BadFrames    int64 // control frames that failed to parse
-	DecodeErrors int64 // malformed flow packets reported by the collector
+	DecodeErrors int64 // malformed flow datagrams: headers the collector rejected, records a decoder rejected
 	// DegradedStreams counts the buckets served as explicitly-missing
 	// empty batches after the retry budget ran out (AllowPartial only);
 	// DegradedKeys() lists them.
@@ -99,19 +99,45 @@ func (s *Stats) add(o Stats) {
 	s.DegradedStreams += o.DegradedStreams
 }
 
-// inboxSize is a stream inbox's capacity in datagrams: a whole large
-// bucket's packets with room to spare. The demux goroutine never blocks
-// on a stream (a stalled consumer must not stall the other streams), so a
-// full inbox drops like the wire does — the fetch detects the shortfall
-// and re-requests.
+// inboxSize is a stream inbox's capacity in datagrams. A bucket is its
+// BEGIN frame, one flow datagram (a message fills a UDP datagram, so only
+// buckets of thousands of rows take several) and two END frames, so the
+// inbox holds over a hundred buckets' traffic: the slack is for a fetch
+// that is busy building its reference while a stale attempt's datagrams
+// arrive. The demux goroutine never blocks on a stream (a stalled
+// consumer must not stall the other streams), so a full inbox drops like
+// the wire does — the fetch detects the shortfall and re-requests.
 const inboxSize = 512
 
-// inboxItem is one datagram of a stream, in arrival order: a control
-// frame or a decoded data batch. Both are pointers, so a full inbox
-// holds two words a slot.
+// inboxItem is one datagram of a stream, in arrival order: a parsed
+// control frame or an undecoded flow datagram. Both are pointers, so a
+// full inbox holds two words a slot.
 type inboxItem struct {
 	frame *ctrlFrame
-	batch *flowrec.Batch
+	pkt   *collector.Datagram
+}
+
+// rowCounter decodes the flow datagrams nobody keeps — orphans, inbox
+// drops — only to count their rows, into a scratch batch of the one
+// cheapest column. It is not safe for concurrent use.
+type rowCounter struct {
+	decode  collector.Decoder
+	scratch *flowrec.Batch
+}
+
+func newRowCounter(col *collector.Collector) rowCounter {
+	return rowCounter{decode: col.NewDecoder(), scratch: flowrec.NewProjected(0, flowrec.ColProto)}
+}
+
+// rows is how many rows pkt carries; a datagram that fails to decode
+// counts in errs and as none.
+func (c rowCounter) rows(pkt []byte, errs *obs.Counter) int64 {
+	c.scratch.Reset()
+	n, err := c.decode(c.scratch, pkt)
+	if err != nil {
+		errs.Add(1)
+	}
+	return int64(n)
 }
 
 // stream is the per-pump demux state of a bridge: the request socket,
@@ -135,6 +161,12 @@ type stream struct {
 
 	inbox chan inboxItem
 
+	// decode fills the stream's buckets straight from its datagrams, and
+	// orphans counts the rows of those that belong to none; both are the
+	// fetch's, under fetchMu.
+	decode  collector.Decoder
+	orphans rowCounter
+
 	// The accounting instruments come from the bridge's registry (nil is
 	// fine: the nil-safe registry hands out standalone counters), labelled
 	// by stream id so /metrics exposes the same per-stream breakdown as
@@ -149,14 +181,16 @@ type stream struct {
 	degraded    *obs.Counter
 }
 
-func newStream(id uint32, reg *obs.Registry) *stream {
+func newStream(id uint32, col *collector.Collector, reg *obs.Registry) *stream {
 	lv := fmt.Sprintf("%d", id)
 	vec := func(name, help string) *obs.Counter {
 		return reg.CounterVec(name, help, "stream").With(lv)
 	}
 	return &stream{
-		id:    id,
-		inbox: make(chan inboxItem, inboxSize),
+		id:      id,
+		inbox:   make(chan inboxItem, inboxSize),
+		decode:  col.NewDecoder(),
+		orphans: newRowCounter(col),
 		keys: vec("lockdown_bridge_keys_total",
 			"Buckets fetched successfully off the wire."),
 		rows: vec("lockdown_bridge_rows_total",
@@ -205,19 +239,20 @@ func (st *stream) stats() Stats {
 // core.FlowSource that serves the dataset cache's flow batches off live
 // NetFlow/IPFIX export. On each cache miss it routes the key to the
 // stream serving it, requests it from that stream's pump, demuxes the
-// announced bucket out of the decoded packet stream, verifies the rows
-// bit-for-bit against its own reference model (see the package comment
-// for the NetFlow v5 fidelity rules) and returns the wire batch. Buckets
-// hit by datagram loss are re-requested; everything observed on the way
-// is accounted per stream in Stats.
+// announced bucket out of its stream's datagrams, decoding each straight
+// into the bucket's columns, verifies the rows bit-for-bit against its
+// own reference model (see the package comment for the NetFlow v5
+// fidelity rules) and returns the wire batch. Buckets hit by datagram
+// loss are re-requested; everything observed on the way is accounted per
+// stream in Stats.
 //
-// Demux is by exporter stream identity: the collector tags every decoded
+// Demux is by exporter stream identity: the collector tags every
 // datagram with the stream carried in its header, a single demux
-// goroutine routes tagged batches and control frames into one inbox per
-// stream in datagram order, and each stream runs its bucket state machine
-// independently. One bucket is in flight per stream (the dataset cache's
-// per-key sync.Once already collapses duplicate requests); with K
-// connected streams, K buckets stream concurrently.
+// goroutine routes flow datagrams and control frames into one inbox per
+// stream in datagram order, undecoded, and each stream runs its bucket
+// state machine independently. One bucket is in flight per stream (the
+// dataset cache's per-key sync.Once already collapses duplicate
+// requests); with K connected streams, K buckets stream concurrently.
 type Bridge struct {
 	cfg    Config
 	src    *core.SyntheticSource
@@ -274,7 +309,7 @@ func NewBridge(cfg Config) (*Bridge, error) {
 		orphanRows: reg.CounterVec("lockdown_bridge_orphan_rows_total",
 			"Rows received outside any accepted bucket.", "stream").With("none"),
 		decodeErrors: reg.Counter("lockdown_bridge_decode_errors_total",
-			"Malformed flow packets reported by the collector."),
+			"Malformed flow datagrams: headers the collector rejected, records a decoder rejected."),
 		streams: make(map[uint32]*stream),
 	}, nil
 }
@@ -310,7 +345,7 @@ func (b *Bridge) ConnectStream(id uint32, addr string) error {
 	}
 	st, ok := b.streams[id]
 	if !ok {
-		st = newStream(id, b.cfg.Options.Obs)
+		st = newStream(id, b.col, b.cfg.Options.Obs)
 		b.streams[id] = st
 	}
 	b.mu.Unlock()
@@ -350,16 +385,20 @@ func (b *Bridge) Start(ctx context.Context) {
 	}()
 }
 
-// demux routes the collector's datagrams, tagged batches and control
-// frames alike, into the per-stream inboxes in the order they arrived.
-// It never blocks on a stream: a full inbox drops like the wire does (the
-// fetch re-requests), so one stalled stream cannot stall the others.
-// When the collector stops, every stream inbox is closed so blocked
-// fetches fail fast.
+// demux routes the collector's datagrams, flow datagrams and control
+// frames alike, into the per-stream inboxes in the order they arrived. It
+// decodes only what it cannot hand on — a datagram of an unknown stream,
+// or one a full inbox drops — and only to count its rows. It never blocks
+// on a stream: a full inbox drops like the wire does (the fetch
+// re-requests), so one stalled stream cannot stall the others. When the
+// collector stops, every stream inbox is closed so blocked fetches fail
+// fast.
 func (b *Bridge) demux() {
-	for tb := range b.col.Tagged() {
-		if tb.Batch == nil {
-			f, err := parseCtrl(tb.Control)
+	counter := newRowCounter(b.col)
+	for d := range b.col.Tagged() {
+		if d.Control {
+			f, err := parseCtrl(d.Data)
+			d.Release()
 			if err != nil {
 				b.badFrames.Add(1)
 				continue
@@ -376,20 +415,20 @@ func (b *Bridge) demux() {
 			}
 			continue
 		}
-		st := b.stream(tb.Stream)
+		st := b.stream(d.Stream)
 		if st == nil {
-			b.orphanRows.Add(int64(tb.Batch.Len()))
-			flowrec.PutBatch(tb.Batch)
+			b.orphanRows.Add(counter.rows(d.Data, b.decodeErrors))
+			d.Release()
 			continue
 		}
 		select {
-		case st.inbox <- inboxItem{batch: tb.Batch}:
+		case st.inbox <- inboxItem{pkt: d}:
 		default:
 			// Not orphans (the rows may belong to an accepted bucket,
 			// whose shortfall the fetch accounts as lost) — a dedicated
 			// counter avoids double-booking them.
-			st.inboxDrops.Add(int64(tb.Batch.Len()))
-			flowrec.PutBatch(tb.Batch)
+			st.inboxDrops.Add(counter.rows(d.Data, b.decodeErrors))
+			d.Release()
 		}
 	}
 	b.mu.Lock()
@@ -672,14 +711,17 @@ func (b *Bridge) DegradedKeys() []string {
 // by the next fetch. The bucket stores the key's columns, the set the
 // pump exported and the reference holds; expected is the reference's row
 // count: it sizes the bucket, and a BEGIN frame announcing anything else
-// is fatal. The attempt timeout, the one wait left, is truncated to the
-// fetch deadline so the last attempt cannot overrun the budget. An
-// attempt that fails (loss, overrun, timeout) releases its bucket to the
-// pool, where the next reference or export batch picks the columns up; a
-// completed one passes to the caller and, once verified, to the dataset
-// cache for good. That is also why the bucket is allocated at its exact
-// size and not drawn from the pool: the cache would keep whatever
-// capacity a pooled batch happened to have.
+// is fatal. Each flow datagram is decoded once, straight into the
+// bucket's columns; a datagram that fails to decode adds no row and is
+// counted in DecodeErrors, so its bucket comes up short at END. The
+// attempt timeout, the one wait left, is truncated to the fetch deadline
+// so the last attempt cannot overrun the budget. An attempt that fails
+// (loss, overrun, timeout) releases its bucket to the pool, where the
+// next reference or export batch picks the columns up; a completed one
+// passes to the caller and, once verified, to the dataset cache for good.
+// That is also why the bucket is allocated at its exact size and not
+// drawn from the pool: the cache would keep whatever capacity a pooled
+// batch happened to have.
 func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, deadline time.Time) (_ *flowrec.Batch, err error) {
 	timeout := b.cfg.AttemptTimeout
 	if remaining := time.Until(deadline); remaining < timeout {
@@ -708,18 +750,21 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 			}
 			return nil, fmt.Errorf("%w: timed out after %v with %d of %d rows", errNoAnswer, timeout, out.Len(), expected)
 		}
-		if batch := it.batch; batch != nil {
+		if pkt := it.pkt; pkt != nil {
 			if !begun {
-				st.orphanRows.Add(int64(batch.Len()))
-				flowrec.PutBatch(batch)
+				st.orphanRows.Add(st.orphans.rows(pkt.Data, b.decodeErrors))
+				pkt.Release()
 				continue
 			}
-			// Copy the bucket's columns out of the full-width packet
-			// batch. An overrun (a duplicate, or stray rows) abandons the
+			// An overrun (a duplicate, or stray rows) abandons the
 			// attempt; the excess is accounted as orphan rows, and the
 			// rest of the attempt's data as orphans of the next one.
-			out.AppendBatch(batch)
-			flowrec.PutBatch(batch)
+			_, derr := st.decode(out, pkt.Data)
+			pkt.Release()
+			if derr != nil {
+				b.decodeErrors.Add(1)
+				continue
+			}
 			if out.Len() > expected {
 				st.orphanRows.Add(int64(out.Len() - expected))
 				return nil, fmt.Errorf("bucket overran: %d rows announced, %d received", expected, out.Len())

@@ -38,6 +38,10 @@ func newLossyRelay(t *testing.T, dstAddr string, drop func(pkt []byte) bool) *lo
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The bridge's and the chaos relay's receive buffer: a pump sends a
+	// bucket of up to 65 507-byte messages in one burst, which a default
+	// buffer of ~200 KB does not hold for three pumps.
+	ln.SetReadBuffer(readBuffer)
 	ua, err := net.ResolveUDPAddr("udp", dstAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -145,6 +149,10 @@ func newMangleRelay(t *testing.T, dstAddr string, mangle func(pkt []byte) [][]by
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The bridge's and the chaos relay's receive buffer: a pump sends a
+	// bucket of up to 65 507-byte messages in one burst, which a default
+	// buffer of ~200 KB does not hold for three pumps.
+	ln.SetReadBuffer(readBuffer)
 	ua, err := net.ResolveUDPAddr("udp", dstAddr)
 	if err != nil {
 		t.Fatal(err)
@@ -210,12 +218,20 @@ func newMangleHarness(t *testing.T, opts core.Options, mangle func(pkt []byte) [
 // frameType reports a control datagram's frame type byte.
 func frameType(pkt []byte) byte { return pkt[len(collector.ControlMagic)+1] }
 
+// multiMessageScale is the flow scale at which every flows/ bucket the
+// loss tests fetch spans two IPFIX messages: an ISP-CE, IXP-CE or IXP-SE
+// hour of testHour and the two after it holds 3 103–3 969 rows, and one
+// message, filling a UDP datagram, carries 2 975 rows of the flows/
+// column set. A test that loses, duplicates or counts the second data
+// datagram of a bucket needs one.
+const multiMessageScale = 2
+
 // TestBridgeRetriesDroppedData drops every 2nd data packet of the first
 // attempt: the bridge must detect the shortfall, account exactly the
 // dropped rows as lost, re-request the bucket and deliver it
 // bit-identically.
 func TestBridgeRetriesDroppedData(t *testing.T) {
-	opts := core.Options{FlowScale: 0.1}
+	opts := core.Options{FlowScale: multiMessageScale}
 	dataSeen := 0
 	firstAttemptDone := false
 	br, pump, relay := newLossyHarness(t, opts, 2*time.Second, func(pkt []byte) bool {
@@ -423,7 +439,7 @@ func TestBridgeSurvivesDroppedNack(t *testing.T) {
 // orphans (conservation: overrun excess plus drained leftovers), and
 // the retry delivers bit-identically.
 func TestBridgeRetriesDuplicatedData(t *testing.T) {
-	opts := core.Options{FlowScale: 0.1}
+	opts := core.Options{FlowScale: multiMessageScale}
 	dec := ipfix.NewDecoder()
 	var dupRows atomic.Int64
 	var duplicated atomic.Bool
@@ -592,7 +608,7 @@ func TestBridgeRetriesLostEndAndData(t *testing.T) {
 // batches all cycle through the flowrec pool while the other streams draw
 // from it.
 func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
-	opts := core.Options{FlowScale: 0.1}
+	opts := core.Options{FlowScale: multiMessageScale}
 	const shards, hours = 3, 3
 	var (
 		relay   *lossyRelay

@@ -11,17 +11,19 @@
 //     the key's batch as real NetFlow v5/v9 or IPFIX packets
 //     (collector.Exporter), framed by BEGIN/END control datagrams on the
 //     same socket so the receiver can demux the packet stream back into
-//     buckets. Each pump carries a stream identity on the wire — the
+//     buckets. A v9 or IPFIX message fills one UDP datagram, so a bucket
+//     is one flow datagram unless it has thousands of rows (2 975 of the
+//     flows/ set over IPFIX); a v5 packet carries 30 rows. Each pump carries a stream identity on the wire — the
 //     IPFIX observation domain, NetFlow v9 source ID or v5 engine ID of
 //     its flow packets, and an explicit field of its control frames — so
 //     several pumps (one per vantage-point shard, see internal/cluster;
 //     `lockdown replay` runs one per vantage point) share one bridge.
 //   - The Bridge is a core.FlowSource backed by a collector.Collector. On
 //     a dataset-cache miss it routes the key to the stream that serves
-//     it, requests it from that stream's pump, gathers
-//     the decoded batches the demux attributes to the stream, verifies
-//     every row bit-for-bit against its own reference model, and hands
-//     the wire batch to the engine. Buckets of different streams are in
+//     it, requests it from that stream's pump, decodes the datagrams the
+//     demux attributes to the stream straight into the bucket's columns
+//     (each datagram once), verifies every row bit-for-bit against its
+//     own reference model, and hands the wire batch to the engine. Buckets of different streams are in
 //     flight concurrently; lost or timed-out buckets are re-requested and
 //     accounted per stream; rows arriving outside a bucket are counted as
 //     orphans.
@@ -29,8 +31,8 @@
 // The protocol is deliberately minimal: one request datagram per key from
 // bridge to pump, and BEGIN / END / NACK control datagrams from pump to
 // bridge, in-band with the flow packets (prefixed with
-// collector.ControlMagic so the collector delivers instead of decoding
-// them, in datagram order with the flow packets). Several pumps may share one bridge socket: each pump owns a
+// collector.ControlMagic so the collector delivers them verbatim, in
+// datagram order with the flow packets). Several pumps may share one bridge socket: each pump owns a
 // stream identity that its flow packets carry in their export headers
 // (IPFIX observation domain, NetFlow v9 source ID, v5 engine ID) and its
 // control frames carry explicitly, so the bridge demuxes the interleaved
@@ -50,7 +52,7 @@
 // as the dataset stores them, and no others: both ends take the set from
 // the key, so no protocol field names it. The pump's model generates that
 // set, the NetFlow v9 and IPFIX templates carry exactly its fields, and
-// the bridge keeps, verifies and returns exactly its columns.
+// the bridge decodes into, verifies and returns exactly its columns.
 //
 // NetFlow v5 cannot carry everything the model generates — it has no
 // direction field, 32-bit byte/packet counters and 16-bit AS numbers,

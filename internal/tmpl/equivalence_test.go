@@ -5,6 +5,9 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"lockdown/internal/core"
+	"lockdown/internal/flowrec"
 )
 
 // The column-major decoder against the row loop it replaced
@@ -96,12 +99,16 @@ func (fr framing) refMessage(c refCase, rng *rand.Rand) []byte {
 
 // matchReference decodes msg with DecodeBatch and with the reference, on
 // fresh decoders and into batches that already hold held rows, and fails
-// on any difference. The batches are truncated from longer ones, as a
-// reused collector batch is reset, so stale rows lie past their length.
-func matchReference(t *testing.T, fr framing, msg []byte, held int) {
+// on any difference. DecodeBatch decodes into a batch of the column set
+// cols, the reference into a full-width one that is then projected to
+// cols: a decode into fewer columns is the full decode with the others
+// left out. The batches are truncated from longer ones, as a reused
+// collector batch is reset, so stale rows lie past their length.
+func matchReference(t *testing.T, fr framing, msg []byte, held int, cols flowrec.Columns) {
 	t.Helper()
 	_, got := sample(held + 64)
 	_, want := sample(held + 64)
+	got = got.Project(cols)
 	got.Truncate(held)
 	want.Truncate(held)
 	n, err := fr.decoder().DecodeBatch(got, msg)
@@ -109,15 +116,17 @@ func matchReference(t *testing.T, fr framing, msg []byte, held int) {
 	if n != wn || fmt.Sprint(err) != fmt.Sprint(werr) {
 		t.Fatalf("%s: DecodeBatch = %d rows, err %v; the reference %d rows, err %v", fr.name, n, err, wn, werr)
 	}
-	if got.Equal(want) {
+	if want = want.Project(cols); got.Equal(want) {
 		return
 	}
-	for i := range min(got.Len(), want.Len()) {
-		if got.Record(i) != want.Record(i) {
-			t.Fatalf("%s: row %d = %+v, the reference %+v", fr.name, i, got.Record(i), want.Record(i))
+	if cols == flowrec.AllColumns {
+		for i := range min(got.Len(), want.Len()) {
+			if got.Record(i) != want.Record(i) {
+				t.Fatalf("%s: row %d = %+v, the reference %+v", fr.name, i, got.Record(i), want.Record(i))
+			}
 		}
 	}
-	t.Fatalf("%s: %d rows, the reference %d", fr.name, got.Len(), want.Len())
+	t.Fatalf("%s: %d rows of %s, the reference %d", fr.name, got.Len(), cols, want.Len())
 }
 
 func TestDecodeMatchesReference(t *testing.T) {
@@ -127,7 +136,7 @@ func TestDecodeMatchesReference(t *testing.T) {
 			msg := fr.refMessage(c, rng)
 			for _, held := range []int{0, 3} {
 				t.Run(fmt.Sprintf("%s/held-%d", c.name, held), func(t *testing.T) {
-					matchReference(t, fr, msg, held)
+					matchReference(t, fr, msg, held, flowrec.AllColumns)
 				})
 			}
 		}
@@ -136,25 +145,35 @@ func TestDecodeMatchesReference(t *testing.T) {
 
 // FuzzDecodeMatchesReference: the fuzzer writes the body of a template
 // set — template IDs, field counts and (field, length) pairs, hostile ones
-// included — and the bytes after it, data sets or not; the message they
-// make decodes the same under DecodeBatch and the reference, in both
-// framings. Seeded with the equivalence table and FuzzDecodeBatch's
-// corpus, each split after its template set.
+// included — and the bytes after it, data sets or not, and picks the
+// column set decoded into (its low fifteen bits; none means all); the
+// message they make decodes the same under DecodeBatch and the reference,
+// in both framings. Seeded with the equivalence table and
+// FuzzDecodeBatch's corpus, each split after its template set, under the
+// full set and under each batch kind's.
 func FuzzDecodeMatchesReference(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
+	sets := []flowrec.Columns{flowrec.AllColumns}
+	for _, kind := range []core.FlowKind{core.KindFlows, core.KindVPNFlows, core.KindComponentFlows} {
+		sets = append(sets, core.FlowKey{Kind: kind}.Columns())
+	}
 	for _, fr := range framings {
 		seeds := fr.corpus(f)
 		for _, c := range refCases() {
 			seeds = append(seeds, fr.refMessage(c, rng))
 		}
-		for _, msg := range seeds {
+		for i, msg := range seeds {
 			tpl, rest := fr.splitTemplate(msg)
-			f.Add(tpl, rest)
+			f.Add(tpl, rest, uint16(sets[i%len(sets)]))
 		}
 	}
-	f.Fuzz(func(t *testing.T, tpl, rest []byte) {
+	f.Fuzz(func(t *testing.T, tpl, rest []byte, set uint16) {
+		cols := flowrec.Columns(set) & flowrec.AllColumns
+		if cols == 0 {
+			cols = flowrec.AllColumns
+		}
 		for _, fr := range framings {
-			matchReference(t, fr, fr.joinTemplate(tpl, rest), 1)
+			matchReference(t, fr, fr.joinTemplate(tpl, rest), 1, cols)
 		}
 	})
 }

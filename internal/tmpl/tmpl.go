@@ -62,8 +62,11 @@ const (
 	fieldDirection = 61
 )
 
-// maxLen is the largest value a 16-bit set or message length holds.
-const maxLen = 0xFFFF
+// maxMessage is the largest message EncodeBatch writes: the largest UDP
+// payload over IPv4 (65 535 − 20 − 8 bytes), which is under what the
+// 16-bit set and message length fields describe, so a message always
+// fits the one datagram it is sent in.
+const maxMessage = 65507
 
 // Column opcodes: what a cached template field decodes into. A template
 // is interpreted once, when it is cached; parseData then switches on
@@ -87,6 +90,17 @@ const (
 	colSrcAS
 	colDstAS
 )
+
+// opColumn is the batch column each opcode fills (none for colSkip).
+var opColumn = [...]flowrec.Columns{
+	colSrcIP: flowrec.ColSrcIP, colDstIP: flowrec.ColDstIP,
+	colBytes: flowrec.ColBytes, colPackets: flowrec.ColPackets,
+	colStart: flowrec.ColStartNs, colEnd: flowrec.ColEndNs,
+	colSrcPort: flowrec.ColSrcPort, colDstPort: flowrec.ColDstPort,
+	colProto: flowrec.ColProto, colTCPFlags: flowrec.ColTCPFlags, colDir: flowrec.ColDir,
+	colInIf: flowrec.ColInIf, colOutIf: flowrec.ColOutIf,
+	colSrcAS: flowrec.ColSrcAS, colDstAS: flowrec.ColDstAS,
+}
 
 // field is one field of a cached template: its number and length as
 // announced on the wire, and the column it resolves to.
@@ -132,6 +146,46 @@ func (f *Framing) standardTemplate() [flowrec.NumColumns]stdField {
 	}
 }
 
+// layout is the template of the column set cols: the standard template
+// filtered to cols, and its record length.
+func (f *Framing) layout(cols flowrec.Columns) (fields [flowrec.NumColumns]stdField, nf, recLen int) {
+	for _, fl := range f.standardTemplate() {
+		if cols.Has(fl.col) {
+			fields[nf] = fl
+			nf++
+			recLen += int(fl.length)
+		}
+	}
+	return fields, nf, recLen
+}
+
+// dataSetLen is the length of a data set of n records of recLen bytes,
+// and the padding it includes. Padding as long as a record would decode
+// as one more (the record length of a one- or two-byte column set), so
+// such a set goes unpadded.
+func (f *Framing) dataSetLen(n, recLen int) (length, pad int) {
+	length = 4 + n*recLen
+	if f.PadSets && -length&3 < recLen {
+		pad = -length & 3
+	}
+	return length + pad, pad
+}
+
+// MaxRecords is how many records of the column set cols one message
+// carries when it fills a UDP datagram: what is left of the 65 507 bytes
+// after the header, the template set and the data set's header, in whole
+// records (and less the padding, where the framing pads). EncodeBatch
+// accepts this many rows of a batch storing cols and refuses one more.
+func (f *Framing) MaxRecords(cols flowrec.Columns) int {
+	_, nf, recLen := f.layout(cols)
+	room := maxMessage - f.HeaderLen - (8 + 4*nf)
+	n := (room - 4) / recLen
+	if l, _ := f.dataSetLen(n, recLen); l > room {
+		n-- // the padding is shorter than a record, so one fewer fits
+	}
+	return n
+}
+
 // EncodeBatch appends one message carrying the template set and rows
 // [lo, hi) of b to dst and returns the extended slice. stream and *seq are
 // the exporter's identity and sequence counter. The template carries the
@@ -144,37 +198,21 @@ func (f *Framing) standardTemplate() [flowrec.NumColumns]stdField {
 // place, one column at a time at a stride of one record: a caller that
 // reuses the returned slice across messages encodes with zero allocations
 // once the buffer has grown to message size. On error — an empty range,
-// or more rows than the 16-bit length fields can describe — dst is
-// returned unmodified and the sequence number is not consumed.
+// or more rows than one UDP datagram holds (MaxRecords) — dst is returned
+// unmodified and the sequence number is not consumed.
 func (f *Framing) EncodeBatch(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time, stream uint32, seq *uint32) ([]byte, error) {
 	n := hi - lo
 	if n <= 0 {
 		return dst, fmt.Errorf("%s: no records to encode", f.Name)
 	}
 	cols := b.Columns()
-	var all [flowrec.NumColumns]stdField
-	nf, recLen := 0, 0
-	for _, fl := range f.standardTemplate() {
-		if cols.Has(fl.col) {
-			all[nf] = fl
-			nf++
-			recLen += int(fl.length)
-		}
-	}
+	all, nf, recLen := f.layout(cols)
 	tpl := all[:nf]
 	tplSetLen := 4 + 4 + 4*len(tpl)
-	dataSetLen := 4 + n*recLen
-	pad := 0
-	if f.PadSets && -dataSetLen&3 < recLen {
-		// Padding as long as a record would decode as one more (the
-		// record length of a one- or two-byte column set), so such a set
-		// goes unpadded.
-		pad = -dataSetLen & 3
-		dataSetLen += pad
-	}
+	dataSetLen, pad := f.dataSetLen(n, recLen)
 	total := f.HeaderLen + tplSetLen + dataSetLen
-	if dataSetLen > maxLen || f.HasLength && total > maxLen {
-		return dst, fmt.Errorf("%s: %d records do not fit one message (%d bytes, length fields hold %d)", f.Name, n, total, maxLen)
+	if total > maxMessage {
+		return dst, fmt.Errorf("%s: %d records do not fit one datagram (%d bytes, at most %d)", f.Name, n, total, maxMessage)
 	}
 
 	be := binary.BigEndian
@@ -312,29 +350,40 @@ func tplKey(stream uint32, tplID uint16) uint64 {
 	return uint64(stream)<<16 | uint64(tplID)
 }
 
+// CheckHeader reports whether msg starts with a header of this framing:
+// long enough to hold one, the framing's version, and, where the header
+// carries the message length, the length msg has. DecodeBatch checks it
+// first; a collector checks it on arrival, to report a datagram that is
+// not this framing's export without decoding it.
+func (f *Framing) CheckHeader(msg []byte) error {
+	be := binary.BigEndian
+	if len(msg) < f.HeaderLen {
+		return fmt.Errorf("%s: message too short (%d bytes)", f.Name, len(msg))
+	}
+	if v := be.Uint16(msg[0:]); v != f.Version {
+		return fmt.Errorf("%s: unexpected version %d", f.Name, v)
+	}
+	if l := int(be.Uint16(msg[2:])); f.HasLength && l != len(msg) {
+		return fmt.Errorf("%s: length field %d does not match message size %d", f.Name, l, len(msg))
+	}
+	return nil
+}
+
 // DecodeBatch parses one message, appending the flow records of all data
-// sets to dst, and returns how many rows were appended. A data set whose
-// template is unknown is an error (the encoder always sends the template
-// first); on error dst is rolled back to its original length. dst must
-// store every column — a template may carry any of them, and a column it
-// lacks decodes as zero — so a projected dst is an error and is left
-// untouched. Re-announcements of an unchanged template do not allocate,
-// so a steady-state decode loop over a reused dst performs zero
-// allocations per message.
+// sets to dst, and returns how many rows were appended. It fills the
+// columns dst stores: a field whose column dst lacks is skipped, as an
+// unknown field is, and a stored column the template lacks decodes as
+// zero, so a projected dst comes back with exactly its own columns. A
+// data set whose template is unknown is an error (the encoder always
+// sends the template first); on error dst is rolled back to its original
+// length. Re-announcements of an unchanged template do not allocate, so
+// a steady-state decode loop over a reused dst performs zero allocations
+// per message.
 func (d *Decoder) DecodeBatch(dst *flowrec.Batch, msg []byte) (int, error) {
 	f := d.f
 	be := binary.BigEndian
-	if err := dst.Require(flowrec.AllColumns); err != nil {
-		return 0, fmt.Errorf("%s: a decoded record fills every column: %w", f.Name, err)
-	}
-	if len(msg) < f.HeaderLen {
-		return 0, fmt.Errorf("%s: message too short (%d bytes)", f.Name, len(msg))
-	}
-	if v := be.Uint16(msg[0:]); v != f.Version {
-		return 0, fmt.Errorf("%s: unexpected version %d", f.Name, v)
-	}
-	if l := int(be.Uint16(msg[2:])); f.HasLength && l != len(msg) {
-		return 0, fmt.Errorf("%s: length field %d does not match message size %d", f.Name, l, len(msg))
+	if err := f.CheckHeader(msg); err != nil {
+		return 0, err
 	}
 	stream := be.Uint32(msg[f.StreamOff:])
 	before := dst.Len()
@@ -458,27 +507,38 @@ func (d *Decoder) parseData(dst *flowrec.Batch, stream uint32, tplID uint16, bod
 		return fmt.Errorf("%s: template %d has zero length", d.f.Name, tplID)
 	}
 	// The set holds n whole records; trailing bytes shorter than one
-	// (v9 padding) are not a record. Every column grows by n zeroed rows
-	// at once, so a column the template lacks decodes as zero, and then
-	// each field fills its column for all n records, reading at a stride
-	// of one record. A field the template repeats overwrites in template
-	// order.
+	// (v9 padding) are not a record. Every column dst stores grows by n
+	// zeroed rows at once, so a stored column the template lacks decodes
+	// as zero, and then each field of a stored column fills it for all n
+	// records, reading at a stride of one record; the other fields are
+	// skipped. A field the template repeats overwrites in template order.
 	n, stride := len(body)/tpl.recLen, tpl.recLen
 	if n == 0 {
 		return nil
 	}
-	lo := dst.Len()
-	dst.StartNs, dst.EndNs = extend(dst.StartNs, n), extend(dst.EndNs, n)
-	dst.SrcIP, dst.DstIP = extend(dst.SrcIP, n), extend(dst.DstIP, n)
-	dst.SrcPort, dst.DstPort = extend(dst.SrcPort, n), extend(dst.DstPort, n)
-	dst.Proto, dst.Dir, dst.TCPFlags = extend(dst.Proto, n), extend(dst.Dir, n), extend(dst.TCPFlags, n)
-	dst.Bytes, dst.Packets = extend(dst.Bytes, n), extend(dst.Packets, n)
-	dst.SrcAS, dst.DstAS = extend(dst.SrcAS, n), extend(dst.DstAS, n)
-	dst.InIf, dst.OutIf = extend(dst.InIf, n), extend(dst.OutIf, n)
+	cols, lo := dst.Columns(), dst.Len()
+	dst.StartNs = extend(dst.StartNs, cols, flowrec.ColStartNs, n)
+	dst.EndNs = extend(dst.EndNs, cols, flowrec.ColEndNs, n)
+	dst.SrcIP = extend(dst.SrcIP, cols, flowrec.ColSrcIP, n)
+	dst.DstIP = extend(dst.DstIP, cols, flowrec.ColDstIP, n)
+	dst.SrcPort = extend(dst.SrcPort, cols, flowrec.ColSrcPort, n)
+	dst.DstPort = extend(dst.DstPort, cols, flowrec.ColDstPort, n)
+	dst.Proto = extend(dst.Proto, cols, flowrec.ColProto, n)
+	dst.Bytes = extend(dst.Bytes, cols, flowrec.ColBytes, n)
+	dst.Packets = extend(dst.Packets, cols, flowrec.ColPackets, n)
+	dst.SrcAS = extend(dst.SrcAS, cols, flowrec.ColSrcAS, n)
+	dst.DstAS = extend(dst.DstAS, cols, flowrec.ColDstAS, n)
+	dst.InIf = extend(dst.InIf, cols, flowrec.ColInIf, n)
+	dst.OutIf = extend(dst.OutIf, cols, flowrec.ColOutIf, n)
+	dst.Dir = extend(dst.Dir, cols, flowrec.ColDir, n)
+	dst.TCPFlags = extend(dst.TCPFlags, cols, flowrec.ColTCPFlags, n)
 	off := 0
 	for _, fl := range tpl.fields {
 		src, w := body[off:], int(fl.length)
 		off += w
+		if cols&opColumn[fl.col] == 0 {
+			continue // colSkip, or a column dst does not store
+		}
 		switch fl.col {
 		case colSrcIP:
 			loadAddr(dst.SrcIP[lo:], src, stride, w)
@@ -515,8 +575,12 @@ func (d *Decoder) parseData(dst *flowrec.Batch, stream uint32, tplID uint16, bod
 	return nil
 }
 
-// extend lengthens s by n zeroed elements.
-func extend[T any](s []T, n int) []T {
+// extend lengthens a column the set c stores by n zeroed elements; an
+// absent one stays nil.
+func extend[T any](s []T, c, col flowrec.Columns, n int) []T {
+	if c&col == 0 {
+		return s
+	}
 	s = slices.Grow(s, n)[:len(s)+n]
 	clear(s[len(s)-n:])
 	return s

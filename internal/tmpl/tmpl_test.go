@@ -6,7 +6,6 @@ import (
 	"net/netip"
 	"reflect"
 	"slices"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -41,10 +40,11 @@ type framing struct {
 	hasLength   bool   // header word 1 is the message length
 	padded      bool   // data sets are padded to four bytes
 	seqStep     func(rows int) uint32
-	maxRows     int // most rows the 16-bit length fields can describe
+	maxRows     int // most full-width rows one UDP datagram (65 507 bytes) holds
 	encoder     func(stream uint32) encodeFunc
 	decoder     func() *tmpl.Decoder
 	streamID    func(msg []byte) uint32
+	maxRecords  func(cols flowrec.Columns) int
 }
 
 var framings = []framing{
@@ -52,23 +52,25 @@ var framings = []framing{
 		name: "netflow-v9", version: 9, headerLen: 20, seqOff: 12, streamOff: 16,
 		templateSet: 0, templateID: 256, startID: 22, endID: 21, ifLen: 2, padded: true,
 		seqStep: func(int) uint32 { return 1 },
-		maxRows: 1284, // flowset: 4 + 1284*51 = 65488 <= 65535 < 4 + 1285*51
+		maxRows: 1282, // packet: 20 + 68 + 4 + 1282*51 + 2 of padding = 65476 <= 65507 < 20 + 68 + 4 + 1283*51 + 3
 		encoder: func(stream uint32) encodeFunc {
 			return (&netflow.V9Encoder{SourceID: stream}).EncodeBatch
 		},
-		decoder:  netflow.NewV9Decoder,
-		streamID: netflow.V9SourceID,
+		decoder:    netflow.NewV9Decoder,
+		streamID:   netflow.V9SourceID,
+		maxRecords: netflow.V9MaxRecords,
 	},
 	{
 		name: "ipfix", version: 10, headerLen: 16, seqOff: 8, streamOff: 12,
 		templateSet: 2, templateID: 400, startID: 150, endID: 151, ifLen: 4, hasLength: true,
 		seqStep: func(rows int) uint32 { return uint32(rows) },
-		maxRows: 1189, // message: 16 + 68 + 4 + 1189*55 = 65483 <= 65535 < 65483 + 55
+		maxRows: 1189, // message: 16 + 68 + 4 + 1189*55 = 65483 <= 65507 < 65483 + 55
 		encoder: func(stream uint32) encodeFunc {
 			return (&ipfix.Encoder{DomainID: stream}).EncodeBatch
 		},
-		decoder:  ipfix.NewDecoder,
-		streamID: ipfix.DomainID,
+		decoder:    ipfix.NewDecoder,
+		streamID:   ipfix.DomainID,
+		maxRecords: ipfix.MaxRecords,
 	},
 }
 
@@ -456,10 +458,11 @@ func bigBatch(n int) *flowrec.Batch {
 	return b
 }
 
-// TestLengthLimit is the boundary of the 16-bit length fields: the largest
-// range they can describe encodes and round-trips, one row more is
-// refused instead of wrapping the length (which the decoder would then
-// reject or, worse, misparse).
+// TestLengthLimit is the boundary of one UDP datagram: the largest
+// full-width range 65 507 bytes hold encodes and round-trips, one row
+// more is refused instead of leaving as a message no datagram carries (or
+// one that wraps a 16-bit length, which the decoder would then reject or,
+// worse, misparse).
 func TestLengthLimit(t *testing.T) {
 	forEachFraming(t, func(t *testing.T, fr framing) {
 		b := bigBatch(fr.maxRows + 1)
@@ -477,6 +480,48 @@ func TestLengthLimit(t *testing.T) {
 		}
 		if over, err := enc(msg, b, 0, fr.maxRows+1, export); err == nil || len(over) != len(msg) {
 			t.Errorf("%d rows: err %v, dst %d -> %d bytes; want an error and dst unchanged", fr.maxRows+1, err, len(msg), len(over))
+		}
+	})
+}
+
+// TestMaxRecordsFillsDatagram is the same boundary for every column set:
+// the count MaxRecords computes encodes into one datagram and decodes
+// whole, and one record more is refused by EncodeBatch's length check.
+// The message length depends on a set only through its field count and
+// record length, so one set of each such shape stands for all of them.
+func TestMaxRecordsFillsDatagram(t *testing.T) {
+	forEachFraming(t, func(t *testing.T, fr framing) {
+		// Wire widths in column bit order (StartNs ... TCPFlags).
+		widths := [flowrec.NumColumns]int{4, 4, 4, 4, 2, 2, 1, 8, 8, 4, 4, int(fr.ifLen), int(fr.ifLen), 1, 1}
+		seen := map[[2]int]bool{}
+		for cols := flowrec.Columns(1); cols <= flowrec.AllColumns; cols++ {
+			recLen := 0
+			for c, w := range widths {
+				if cols.Has(flowrec.Columns(1) << c) {
+					recLen += w
+				}
+			}
+			shape := [2]int{bits.OnesCount16(uint16(cols)), recLen}
+			if seen[shape] {
+				continue
+			}
+			seen[shape] = true
+			n := fr.maxRecords(cols)
+			b := bigBatch(n + 1).Project(cols)
+			enc := fr.encoder(1)
+			msg, err := enc(nil, b, 0, n, export)
+			if err != nil || len(msg) > 65507 {
+				t.Fatalf("%s: %d records: %d bytes, err %v; want one datagram", cols, n, len(msg), err)
+			}
+			if got, err := fr.decoder().DecodeBatch(flowrec.NewProjected(0, cols), msg); err != nil || got != n {
+				t.Fatalf("%s: %d records decoded as %d, err %v", cols, n, got, err)
+			}
+			if over, err := enc(msg, b, 0, n+1, export); err == nil || len(over) != len(msg) {
+				t.Errorf("%s: %d records: err %v, dst %d -> %d bytes; want an error and dst unchanged", cols, n+1, err, len(msg), len(over))
+			}
+		}
+		if len(seen) < 100 {
+			t.Fatalf("only %d shapes of column set", len(seen))
 		}
 	})
 }
@@ -633,10 +678,11 @@ func zeroLengthField(fr framing) []byte {
 	return fr.message(301, [][2]uint16{{4, 0}, {7, 2}}, []byte{0x01, 0xbb})
 }
 
-// TestDecodeRefusesProjected: a decoded record fills every column, so a
-// batch that does not store one is refused with an error naming what it
-// lacks and is left as it was, instead of coming back ragged — columns
-// filled that its Columns() says it does not store.
+// TestDecodeRefusesProjected (a name kept from when a projected batch
+// was refused): a message decodes into the columns the batch stores and
+// no others — exactly the input projected to its set, every absent column
+// still nil, the fields of the others skipped — and a message that fails
+// to decode leaves the batch as it was.
 func TestDecodeRefusesProjected(t *testing.T) {
 	forEachFraming(t, func(t *testing.T, fr framing) {
 		_, full := sample(10)
@@ -646,13 +692,27 @@ func TestDecodeRefusesProjected(t *testing.T) {
 			sets = append(sets, flowrec.AllColumns&^(flowrec.Columns(1)<<c))
 		}
 		for _, cols := range sets {
-			dst := full.Project(cols)
-			n, err := fr.decoder().DecodeBatch(dst, msg)
-			if missing := flowrec.AllColumns &^ cols; err == nil || n != 0 || !strings.Contains(err.Error(), missing.String()) {
-				t.Errorf("%s: %d rows, err %v; want an error naming %s", cols, n, err, missing)
+			dst := flowrec.NewProjected(0, cols)
+			dec := fr.decoder()
+			if n, err := dec.DecodeBatch(dst, msg); err != nil || n != full.Len() {
+				t.Fatalf("%s: %d rows, err %v; want %d", cols, n, err, full.Len())
 			}
-			if !dst.Equal(full.Project(cols)) {
-				t.Errorf("%s: the refused batch was modified", cols)
+			want := full.Project(cols)
+			if !dst.Equal(want) {
+				t.Errorf("%s: the decoded batch is not the input projected to its columns", cols)
+			}
+			v := reflect.ValueOf(dst).Elem()
+			for c := range flowrec.NumColumns {
+				if !cols.Has(flowrec.Columns(1)<<c) && !v.Field(c).IsNil() {
+					t.Errorf("%s: absent column %s was filled", cols, flowrec.Columns(1)<<c)
+				}
+			}
+			bad := fr.setLength(append(slices.Clone(msg), msg[fr.headerLen+68:fr.headerLen+72]...))
+			if _, err := dec.DecodeBatch(dst, bad); err == nil {
+				t.Errorf("%s: a data set running past the message decoded", cols)
+			}
+			if !dst.Equal(want) {
+				t.Errorf("%s: the failed decode modified the batch", cols)
 			}
 		}
 	})
