@@ -600,9 +600,8 @@ func (c *Cluster) Stats() Stats {
 	return s
 }
 
-// DegradedKeys lists the component-hours the bridge served as
-// explicitly-missing empty batches (AllowPartial mode); empty for a
-// healthy run.
+// DegradedKeys lists the keys the bridge served as explicitly-missing
+// empty batches (AllowPartial mode); empty for a healthy run.
 func (c *Cluster) DegradedKeys() []string { return c.bridge.DegradedKeys() }
 
 // Close tears the cluster down: chaos timers stopped, pumps closed, then

@@ -52,6 +52,9 @@ func TestSpecPartitionAndRoute(t *testing.T) {
 	for vp, shard := range part {
 		for _, kind := range []core.FlowKind{core.KindFlows, core.KindVPNFlows, core.KindComponentFlows} {
 			k := core.FlowKey{Kind: kind, VP: vp, Name: "x", Hour: core.HourOf(testHour)}
+			if kind == core.KindComponentFlows {
+				k.Hour = core.DayOf(testHour)
+			}
 			if got := c.routeKey(k); got != uint32(shard) {
 				t.Errorf("route(%s %s) = %d, want %d: all kinds of one vantage point must share a shard", kind, vp, got, shard)
 			}

@@ -560,10 +560,10 @@ func (d *Dataset) Stats() CacheStats {
 	return s
 }
 
-// DegradedKeys lists the component-hours the dataset's flow source
-// served as explicitly-degraded empty batches (see DegradationReporter);
-// nil when the source reports none or cannot degrade at all. The default
-// synthetic source never degrades.
+// DegradedKeys lists the keys the dataset's flow source served as
+// explicitly-degraded empty batches (see DegradationReporter); nil when
+// the source reports none or cannot degrade at all. The default synthetic
+// source never degrades.
 func (d *Dataset) DegradedKeys() []string {
 	if r, ok := d.src.(DegradationReporter); ok {
 		return r.DegradedKeys()
@@ -728,8 +728,8 @@ func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.
 	return d.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: HourOf(hour)}, nil)
 }
 
-// ComponentFlowBatch returns the sampled flows of one named component for
-// one hour as a columnar batch, memoized per hour.
-func (d *Dataset) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	return d.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: HourOf(hour)}, nil)
+// ComponentFlowBatch returns the sampled flows of one named component over
+// the UTC day t falls in as a columnar batch, memoized per day.
+func (d *Dataset) ComponentFlowBatch(vp synth.VantagePoint, name string, t time.Time) (*flowrec.Batch, error) {
+	return d.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: DayOf(t)}, nil)
 }

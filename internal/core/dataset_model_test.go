@@ -68,9 +68,10 @@ func TestDatasetResolvesModelOncePerVantagePoint(t *testing.T) {
 	}
 }
 
-// TestFlowKeyIsCanonical: a flow key is its UTC hour. Keys built from the
-// same instant in other zones, with a monotonic reading, or from any
-// instant inside the hour are ==, so they name one cache entry.
+// TestFlowKeyIsCanonical: a flow key is its UTC hour, a component key its
+// UTC day. Keys built from the same instant in other zones, with a
+// monotonic reading, or from any instant inside the hour (the day) are ==,
+// so they name one cache entry.
 func TestFlowKeyIsCanonical(t *testing.T) {
 	utc := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
 	mono := time.Now() // carries a monotonic reading; Round(0) strips it
@@ -112,6 +113,42 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 	after := d.Stats()
 	if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+5 {
 		t.Errorf("five lookups of a cached hour: %+v, then %+v; want five hits and no new entry", before, after)
+	}
+
+	// A component key is its UTC day: every instant of the day, in UTC
+	// and at +02:00 (where the day's last two hours are already the next
+	// local day), names one key, and through it one cache entry.
+	day := DayOf(utc)
+	if got := day.Time(); !got.Equal(time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)) || got.Location() != time.UTC {
+		t.Errorf("DayOf(%v).Time() = %v", utc, got)
+	}
+	gaming := FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}
+	if s := gaming.String(); s != "component-flows/IXP-SE/gaming@2020-03-25" {
+		t.Errorf("String() = %q", s)
+	}
+	if end := gaming.End(); !end.Equal(day.Time().Add(24 * time.Hour)) {
+		t.Errorf("%v ends at %v, want the end of its day", gaming, end)
+	}
+	cest := time.FixedZone("CEST", 2*3600)
+	start, end := day.Time(), day.Time().Add(24*time.Hour)
+	for at := start; at.Before(end); at = at.Add(time.Second) {
+		if DayOf(at) != day || DayOf(at.In(cest)) != day {
+			t.Fatalf("%v: day %v (UTC), %v (+02:00), want %v", at, DayOf(at).Time(), DayOf(at.In(cest)).Time(), day.Time())
+		}
+	}
+	if last := end.Add(-time.Nanosecond); DayOf(last) != day || DayOf(end) != day+24 || DayOf(start.Add(-time.Nanosecond)) != day-24 {
+		t.Errorf("the day's edges: %v, %v, %v", DayOf(last).Time(), DayOf(end).Time(), DayOf(start.Add(-time.Nanosecond)).Time())
+	}
+	whole, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for at := start; at.Before(end); at = at.Add(time.Hour) {
+		for _, in := range []time.Time{at, at.Add(59 * time.Minute).In(cest)} {
+			if b, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", in); err != nil || b != whole {
+				t.Errorf("%v: a second batch for the same day (%v)", in, err)
+			}
+		}
 	}
 }
 

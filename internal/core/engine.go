@@ -96,8 +96,9 @@ func (env *Env) vpnFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Ba
 	return env.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: HourOf(hour)})
 }
 
-func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	return env.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: HourOf(hour)})
+// componentFlowBatch draws one named component over the UTC day t falls in.
+func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, t time.Time) (*flowrec.Batch, error) {
+	return env.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: DayOf(t)})
 }
 
 // CacheStats summarises the dataset cache's effectiveness and, when a

@@ -176,13 +176,13 @@ func TestBatchMBIsAttributable(t *testing.T) {
 			t.Errorf("%s: batch-mb = %v, reads flows: %v", id, want[id], flows)
 		}
 	}
-	// fig8 draws exactly the gaming component's hours of weeks 7-17, which
+	// fig8 draws exactly the gaming component's days of weeks 7-17, which
 	// store a byte counter and one address: 12 bytes a row, not 59.
 	d := NewDataset(base)
 	defer d.Close()
 	var rows int
-	for h := time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC); h.Before(time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC)); h = h.Add(time.Hour) {
-		b, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", h)
+	for day := time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC); day.Before(time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC)); day = day.AddDate(0, 0, 1) {
+		b, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", day)
 		if err != nil {
 			t.Fatal(err)
 		}

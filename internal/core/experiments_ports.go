@@ -189,30 +189,33 @@ func runFig8(env *Env) (*Result, error) {
 		volume  uint64
 		uniques map[flowrec.Addr]bool
 	}
-	var hours []time.Time
-	for t := start; t.Before(end); t = t.Add(time.Hour) {
-		hours = append(hours, t)
+	var days []time.Time
+	for t := start; t.Before(end); t = t.AddDate(0, 0, 1) {
+		days = append(days, t)
 	}
-	// Sharded scan over the 11-week hour grid; the per-week partials
-	// merge exactly (uint64 volume sums, unique-IP set unions).
-	byWeek, err := ScanHours(env, hours,
-		func() map[int]*weekAgg { return make(map[int]*weekAgg) },
-		func(env *Env, part map[int]*weekAgg, t time.Time) error {
-			b, err := env.componentFlowBatch(synth.IXPSE, "gaming", t)
-			if err != nil {
-				return err
+	// Sharded scan over the 77 days of weeks 7-17, one day a chunk; an ISO
+	// week holds whole days, and the per-week partials merge exactly
+	// (uint64 volume sums, unique-IP set unions).
+	byWeek, err := ShardedScan(env, len(days), 1,
+		func(env *Env, lo, hi int) (map[int]*weekAgg, error) {
+			part := make(map[int]*weekAgg)
+			for _, t := range days[lo:hi] {
+				b, err := env.componentFlowBatch(synth.IXPSE, "gaming", t)
+				if err != nil {
+					return nil, err
+				}
+				w := calendar.ISOWeek(t)
+				agg, ok := part[w]
+				if !ok {
+					agg = &weekAgg{uniques: make(map[flowrec.Addr]bool)}
+					part[w] = agg
+				}
+				for i := 0; i < b.Len(); i++ {
+					agg.volume += b.Bytes[i]
+					agg.uniques[b.DstIP[i]] = true // eyeball side
+				}
 			}
-			w := calendar.ISOWeek(t)
-			agg, ok := part[w]
-			if !ok {
-				agg = &weekAgg{uniques: make(map[flowrec.Addr]bool)}
-				part[w] = agg
-			}
-			for i := 0; i < b.Len(); i++ {
-				agg.volume += b.Bytes[i]
-				agg.uniques[b.DstIP[i]] = true // eyeball side
-			}
-			return nil
+			return part, nil
 		},
 		func(dst, src map[int]*weekAgg) map[int]*weekAgg {
 			for w, s := range src {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,11 @@ import (
 type fullWidthSource struct{ m *SyntheticSource }
 
 func (s fullWidthSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return s.ComponentFlowBatch(vp, "", hour)
+	g, err := s.m.Generator(vp)
+	if err != nil {
+		return nil, err
+	}
+	return g.HourBatch(hour, "", flowrec.AllColumns), nil
 }
 
 func (s fullWidthSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
@@ -25,14 +30,13 @@ func (s fullWidthSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*f
 	return vd.Gen.HourBatch(hour, "", flowrec.AllColumns), nil
 }
 
-// ComponentFlowBatch generates one component's hour; the empty name is
-// every component, as in FlowBatch.
-func (s fullWidthSource) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
+// ComponentFlowBatch generates one component's UTC day, as its key names.
+func (s fullWidthSource) ComponentFlowBatch(vp synth.VantagePoint, name string, day time.Time) (*flowrec.Batch, error) {
 	g, err := s.m.Generator(vp)
 	if err != nil {
 		return nil, err
 	}
-	return g.HourBatch(hour, name, flowrec.AllColumns), nil
+	return g.ComponentBatch(name, day, day.Add(24*time.Hour), flowrec.AllColumns), nil
 }
 
 // storedColumns returns the column set of every flow-batch entry of d,
@@ -144,7 +148,7 @@ func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 	for _, k := range []FlowKey{
 		{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)},
 		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: HourOf(spillHour)},
-		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: HourOf(spillHour)},
+		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(spillHour)},
 	} {
 		got, err := fetch(d.src, k)
 		if err != nil {
@@ -167,5 +171,10 @@ func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 		if cached, err := d.batch(k, nil); err != nil || !cached.Equal(got) {
 			t.Errorf("%v: the cache holds something else than its source delivers (%v)", k, err)
 		}
+	}
+	// A component key names a UTC day; one at 14:00 names no batch.
+	hourly := FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: HourOf(spillHour)}
+	if b, err := oracle.Batch(hourly); err == nil || !strings.Contains(err.Error(), "not at 00:00 UTC") {
+		t.Errorf("SyntheticSource served %v: %v, %v", hourly, b, err)
 	}
 }

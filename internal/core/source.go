@@ -14,12 +14,12 @@ import (
 
 // FlowSource supplies the flow-level inputs of the experiment suite: the
 // per-hour flow batches of a vantage point, the gateway-pinned variant
-// used by the VPN analyses, and the per-component batches — one method per
-// FlowKind. The Dataset cache consumes exactly one FlowSource and memoizes
-// every batch it returns under its FlowKey, so a source is asked for a key
-// once — and again only when the batch was evicted under a cache budget
-// with no span to bring it back from, which is why a source must return
-// the same batch for the same key every time.
+// used by the VPN analyses, and the per-day batches of one component —
+// one method per FlowKind. The Dataset cache consumes exactly one
+// FlowSource and memoizes every batch it returns under its FlowKey, so a
+// source is asked for a key once — and again only when the batch was
+// evicted under a cache budget with no span to bring it back from, which
+// is why a source must return the same batch for the same key every time.
 //
 // The generator-backed implementation is SyntheticSource; the wire-replay
 // bridge in package replay serves the same batches off live NetFlow/IPFIX
@@ -49,7 +49,7 @@ import (
 type FlowSource interface {
 	FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
 	VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
-	ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error)
+	ComponentFlowBatch(vp synth.VantagePoint, name string, day time.Time) (*flowrec.Batch, error)
 }
 
 // FlowKind enumerates the draws a flow batch comes in, one per FlowSource
@@ -57,9 +57,9 @@ type FlowSource interface {
 type FlowKind uint8
 
 const (
-	KindFlows          FlowKind = iota // every component of the vantage point
+	KindFlows          FlowKind = iota // every component of the vantage point, one hour
 	KindVPNFlows                       // the same, from the gateway-pinned generator
-	KindComponentFlows                 // one named component
+	KindComponentFlows                 // one named component, one UTC day
 )
 
 // String implements fmt.Stringer.
@@ -84,27 +84,43 @@ type Hour int64
 // HourOf returns the hour t falls in.
 func HourOf(t time.Time) Hour { return Hour(t.Truncate(time.Hour).Unix() / 3600) }
 
+// DayOf returns the first hour of the UTC day t falls in: the Hour of a
+// component key.
+func DayOf(t time.Time) Hour { return Hour(t.Truncate(24*time.Hour).Unix() / 3600) }
+
 // Time returns the start of the hour, in UTC.
 func (h Hour) Time() time.Time { return time.Unix(int64(h)*3600, 0).UTC() }
 
 // FlowKey is the one name of a flow batch: the dataset cache's map key, a
 // Pin's argument, the request of the replay wire protocol and the key
 // argument of trace spans and degraded-run stamps. Two keys of the same
-// batch are ==.
+// batch are ==. A flows/ or vpn-flows/ key names one hour; a
+// component-flows/ key names one UTC day, so its Hour is the day's first
+// (DayOf): Figure 8, the kind's one reader, sums whole ISO weeks, and a
+// gaming hour is too few rows to be worth a batch of its own.
 type FlowKey struct {
 	Kind FlowKind
 	VP   synth.VantagePoint
 	Name string // component name, KindComponentFlows only
-	Hour Hour
+	Hour Hour   // the hour, or the first hour of a component key's day
 }
 
-// String renders the key for errors, logs and traces.
+// String renders the key for errors, logs and traces: the hour, or a
+// component key's day.
 func (k FlowKey) String() string {
-	h := k.Hour.Time().Format("2006-01-02T15")
 	if k.Kind == KindComponentFlows {
-		return fmt.Sprintf("%s/%s/%s@%s", k.Kind, k.VP, k.Name, h)
+		return fmt.Sprintf("%s/%s/%s@%s", k.Kind, k.VP, k.Name, k.Hour.Time().Format("2006-01-02"))
 	}
-	return fmt.Sprintf("%s/%s@%s", k.Kind, k.VP, h)
+	return fmt.Sprintf("%s/%s@%s", k.Kind, k.VP, k.Hour.Time().Format("2006-01-02T15"))
+}
+
+// End is the instant the key's span ends: the end of its hour, or of a
+// component key's day.
+func (k FlowKey) End() time.Time {
+	if k.Kind == KindComponentFlows {
+		return k.Hour.Time().Add(24 * time.Hour)
+	}
+	return k.Hour.Time().Add(time.Hour)
 }
 
 // Columns is the column set of the key's kind: the union of what the
@@ -146,12 +162,12 @@ func fetch(src FlowSource, k FlowKey) (*flowrec.Batch, error) {
 }
 
 // DegradationReporter is implemented by flow sources that can serve
-// explicitly-degraded results — empty batches standing in for
-// component-hours the source could not deliver (the wire bridge's
-// allow-partial mode). DegradedKeys lists those component-hours; an
-// empty list means every batch the source served was complete. The
-// Dataset forwards the report (Dataset.DegradedKeys) so a suite run can
-// stamp exactly which inputs its output is missing.
+// explicitly-degraded results — empty batches standing in for keys the
+// source could not deliver (the wire bridge's allow-partial mode).
+// DegradedKeys lists those keys (FlowKey.String); an empty list means
+// every batch the source served was complete. The Dataset forwards the
+// report (Dataset.DegradedKeys) so a suite run can stamp exactly which
+// inputs its output is missing.
 type DegradationReporter interface {
 	DegradedKeys() []string
 }
@@ -271,12 +287,16 @@ func (s *SyntheticSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*
 	return vd.Gen.HourBatch(hour, "", FlowKey{Kind: KindVPNFlows}.Columns()), nil
 }
 
-// ComponentFlowBatch generates one named component's flows for one hour
-// (not memoized).
-func (s *SyntheticSource) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
+// ComponentFlowBatch generates one named component's flows for the UTC
+// day that starts at day (not memoized). A time that is not 00:00 UTC
+// names no component key and is refused.
+func (s *SyntheticSource) ComponentFlowBatch(vp synth.VantagePoint, name string, day time.Time) (*flowrec.Batch, error) {
+	if !day.Equal(DayOf(day).Time()) {
+		return nil, fmt.Errorf("core: component key %s/%s at %s is not at 00:00 UTC", vp, name, day.UTC().Format(time.RFC3339))
+	}
 	g, err := s.Generator(vp)
 	if err != nil {
 		return nil, err
 	}
-	return g.HourBatch(hour, name, FlowKey{Kind: KindComponentFlows}.Columns()), nil
+	return g.ComponentBatch(name, day, day.Add(24*time.Hour), FlowKey{Kind: KindComponentFlows}.Columns()), nil
 }

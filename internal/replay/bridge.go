@@ -64,7 +64,7 @@ type Config struct {
 	// verification failure) still fail the fetch — partial mode covers
 	// unreachable pumps, not wrong data. The byte-identity guarantee
 	// obviously does not hold for degraded runs; the suite output is
-	// stamped with the missing component-hours.
+	// stamped with the missing keys.
 	AllowPartial bool
 }
 
@@ -500,9 +500,10 @@ func (b *Bridge) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.B
 	return b.fetch(core.FlowKey{Kind: core.KindVPNFlows, VP: vp, Hour: core.HourOf(hour)})
 }
 
-// ComponentFlowBatch implements core.FlowSource.
-func (b *Bridge) ComponentFlowBatch(vp synth.VantagePoint, name string, hour time.Time) (*flowrec.Batch, error) {
-	return b.fetch(core.FlowKey{Kind: core.KindComponentFlows, VP: vp, Name: name, Hour: core.HourOf(hour)})
+// ComponentFlowBatch implements core.FlowSource: the component's UTC day
+// t falls in.
+func (b *Bridge) ComponentFlowBatch(vp synth.VantagePoint, name string, t time.Time) (*flowrec.Batch, error) {
+	return b.fetch(core.FlowKey{Kind: core.KindComponentFlows, VP: vp, Name: name, Hour: core.DayOf(t)})
 }
 
 // fatalError marks fetch failures that a retry cannot cure (model
@@ -689,7 +690,7 @@ func (b *Bridge) routeMoved(k core.FlowKey, id uint32) bool {
 // DegradedKeys lists the keys served as empty batches under
 // AllowPartial, sorted; empty for a healthy run. It implements
 // core.DegradationReporter so the suite output can stamp exactly which
-// component-hours a degraded run is missing.
+// keys a degraded run is missing.
 func (b *Bridge) DegradedKeys() []string {
 	b.degradedMu.Lock()
 	out := append([]string(nil), b.degradedKeys...)

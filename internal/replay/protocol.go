@@ -1,10 +1,10 @@
 // Package replay runs the experiment suite over live NetFlow/IPFIX
 // export, verified bit-for-bit against the synthetic model.
 //
-// The suite's flow inputs are keyed component-hours (see core.FlowKey):
-// the plain per-hour batch of a vantage point, the gateway-pinned VPN
-// variant, and single-component batches. The replay harness splits the
-// producer and consumer of those keys across a UDP socket pair:
+// The suite's flow inputs are keyed batches (see core.FlowKey): the plain
+// per-hour batch of a vantage point, the gateway-pinned VPN variant, and
+// one component's UTC day. The replay harness splits the producer and
+// consumer of those keys across a UDP socket pair:
 //
 //   - The Pump owns the synthetic model on the exporter side. It listens
 //     for key requests on a control socket and answers each by exporting
@@ -80,9 +80,11 @@ import (
 const requestMagic = "LKRQ"
 
 // protocolVersion is bumped on any incompatible change to the datagram
-// layouts below; both sides reject other versions. Version 2 added the
-// stream identity to requests and control frames (multi-pump demux).
-const protocolVersion = 2
+// layouts below or to what a key means; both sides reject other versions.
+// Version 2 added the stream identity to requests and control frames
+// (multi-pump demux); version 3 made a component key name a UTC day
+// instead of an hour.
+const protocolVersion = 3
 
 // Control frame types.
 const (
@@ -103,7 +105,8 @@ func appendKey(dst []byte, k core.FlowKey) []byte {
 	return dst
 }
 
-// parseKey decodes a key and returns the remaining bytes.
+// parseKey decodes a key and returns the remaining bytes. The time must
+// be a whole hour, and for a component key the start of a UTC day.
 func parseKey(b []byte) (core.FlowKey, []byte, error) {
 	if len(b) < 1+8+1 {
 		return core.FlowKey{}, nil, fmt.Errorf("replay: truncated key")
@@ -118,6 +121,9 @@ func parseKey(b []byte) (core.FlowKey, []byte, error) {
 		return core.FlowKey{}, nil, fmt.Errorf("replay: key time %d is not a whole hour", secs)
 	}
 	k.Hour = core.Hour(secs / 3600)
+	if k.Kind == core.KindComponentFlows && secs%(24*3600) != 0 {
+		return core.FlowKey{}, nil, fmt.Errorf("replay: component key time %d is not a UTC day", secs)
+	}
 	b = b[9:]
 	vpLen := int(b[0])
 	if len(b) < 1+vpLen+1 {

@@ -20,7 +20,7 @@ func FuzzProtocolFrames(f *testing.F) {
 	keys := []core.FlowKey{
 		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
 		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.Add(31 * 24 * time.Hour))},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour)},
 		{Hour: core.HourOf(time.Time{})},
 	}
 	for i, k := range keys {
@@ -36,6 +36,8 @@ func FuzzProtocolFrames(f *testing.F) {
 		}
 	}
 	f.Add(encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.HourOf(testHour)}, ""))
+	// A component key that is not a UTC day.
+	f.Add(encodeRequest(0, 1, core.FlowKey{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)}))
 	f.Add([]byte("LKRQ\x01aaaaaaaaaaaaaaaa")) // protocol version 1
 	f.Add([]byte("LKRW\x02\x01"))
 	f.Add([]byte(nil))

@@ -7,7 +7,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"lockdown/internal/collector"
 	"lockdown/internal/core"
@@ -171,10 +170,13 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 		return
 	}
 	if b.Len() > 0 {
-		// Stamp the packets at the end of the bucket's hour: every flow
-		// of the bucket then started at most one hour before export,
-		// which keeps NetFlow v5's uptime-relative timestamps exact.
-		if err := p.exp.ExportBatchAt(b, key.Hour.Time().Add(time.Hour)); err != nil {
+		// Stamp the packets at the end of the key's span. An hourly
+		// bucket's flows then all started at most one hour before export,
+		// which keeps NetFlow v5's uptime-relative timestamps (one hour of
+		// uptime) exact. A component key spans a day, but its column set
+		// (bytes and destination address) stores no timestamps, so the
+		// window has nothing to lose there.
+		if err := p.exp.ExportBatchAt(b, key.End()); err != nil {
 			// A send error is transient wire trouble (e.g. buffer
 			// exhaustion), not a model failure: no NACK — that would
 			// abort the bridge's fetch fatally. Close the bucket so the

@@ -17,19 +17,21 @@ var testHour = time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
 
 func TestKeyCodecRoundTrip(t *testing.T) {
 	// The last three are built from instants inside the hour, in other
-	// zones: a key is its UTC hour, and that is what travels.
+	// zones: a key is its UTC hour (a component key its UTC day), and that
+	// is what travels.
 	cest := time.FixedZone("CEST", 2*3600)
 	keys := []core.FlowKey{
 		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
 		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.Add(31 * 24 * time.Hour))},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour)},
 		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour.In(cest).Add(59 * time.Minute))},
 		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.In(time.Local).Add(time.Nanosecond))},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour.In(cest))},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour.In(cest))},
 	}
-	// The request bytes of the first key as the parent commit encoded
-	// them: the key type moved to core, the protocol did not.
-	const golden = "LKRQ\x02\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^{\xb8@\x06ISP-CE\x00"
+	// The request bytes of the first key. Only the version byte moved when
+	// version 3 made a component key a day: a flows/ key's layout and
+	// meaning are version 2's.
+	const golden = "LKRQ\x03\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^{\xb8@\x06ISP-CE\x00"
 	if got := encodeRequest(3, 7, keys[0]); string(got) != golden {
 		t.Fatalf("request encoding drifted:\n got %q\nwant %q", got, golden)
 	}
@@ -75,6 +77,19 @@ func TestParseRejectsGarbage(t *testing.T) {
 	bad := encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.HourOf(testHour)}, "")
 	if _, err := parseCtrl(bad); err == nil {
 		t.Error("parseCtrl accepted an out-of-range batch kind")
+	}
+	// A component key names a UTC day: one at 14:00 names no batch, in a
+	// request or in a frame. The same hour is a flows/ key.
+	at14 := core.HourOf(time.Date(2020, 3, 25, 14, 0, 0, 0, time.UTC))
+	hourly := core.FlowKey{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: at14}
+	if _, _, _, err := parseRequest(encodeRequest(0, 1, hourly)); err == nil || !strings.Contains(err.Error(), "not a UTC day") {
+		t.Errorf("parseRequest(%v) = %v, want a refusal", hourly, err)
+	}
+	if _, err := parseCtrl(encodeCtrl(frameBegin, 0, 1, 1, hourly, "")); err == nil {
+		t.Errorf("parseCtrl accepted %v", hourly)
+	}
+	if _, _, k, err := parseRequest(encodeRequest(0, 1, core.FlowKey{Kind: core.KindFlows, VP: synth.IXPSE, Hour: at14})); err != nil || k.Hour != at14 {
+		t.Errorf("a flows/ key at 14:00 parses as %v, %v", k, err)
 	}
 }
 
@@ -140,7 +155,8 @@ func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 			}
 			batchesEqual(t, want, got)
 
-			want, err = ref.ComponentFlowBatch(synth.IXPSE, "gaming", testHour)
+			// The bridge serves the component's UTC day the hour falls in.
+			want, err = ref.ComponentFlowBatch(synth.IXPSE, "gaming", core.DayOf(testHour).Time())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -180,7 +196,7 @@ func TestBridgeServesKindColumns(t *testing.T) {
 	keys := []core.FlowKey{
 		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
 		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour)},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour)},
 	}
 	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9, collector.FormatIPFIX} {
 		t.Run(format.String(), func(t *testing.T) {

@@ -31,15 +31,45 @@ func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
 // that keeps it (the dataset cache) never releases, and its draws then find
 // the pool empty and allocate.
 func (g *Generator) HourBatch(t time.Time, component string, cols flowrec.Columns) *flowrec.Batch {
+	if component != "" {
+		start := t.UTC().Truncate(time.Hour)
+		return g.ComponentBatch(component, start, start.Add(time.Hour), cols)
+	}
 	b := flowrec.GetProjected(0, cols)
 	h := hourAt(t)
 	var d draws
-	if component == "" {
-		g.flowsForHourInto(b, &d, &h, make([]componentHour, len(g.plan)))
-	} else if p := g.planOf(component); p != nil {
-		s := g.sampled(p, &h)
-		b.Grow(s.flows)
-		g.sampleInto(b, &d, p, &h, &s)
+	g.flowsForHourInto(b, &d, &h, make([]componentHour, len(g.plan)))
+	return b
+}
+
+// ComponentBatch samples the named component over every whole hour of
+// [from, to) into one batch that stores only cols: each hour's rows, drawn
+// from that hour's own stream, concatenated in hour order, so a span
+// equals its hours sampled one by one (HourBatch with a component name is
+// the one-hour span). Every hour is evaluated before any row is drawn, so
+// the batch is grown once, to the span's exact flow count. An unknown name
+// yields an empty batch of cols. The batch belongs to the caller, as
+// HourBatch's does.
+func (g *Generator) ComponentBatch(component string, from, to time.Time, cols flowrec.Columns) *flowrec.Batch {
+	b := flowrec.GetProjected(0, cols)
+	p := g.planOf(component)
+	if p == nil {
+		return b
+	}
+	type spanHour struct {
+		h hour
+		s componentHour
+	}
+	span := make([]spanHour, 0, 24) // a day, the span of a component key
+	total := 0
+	eachHour(from, to, func(h *hour) {
+		span = append(span, spanHour{*h, g.sampled(p, h)})
+		total += span[len(span)-1].s.flows
+	})
+	b.Grow(total)
+	var d draws
+	for i := range span {
+		g.sampleInto(b, &d, p, &span[i].h, &span[i].s)
 	}
 	return b
 }

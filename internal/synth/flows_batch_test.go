@@ -53,6 +53,45 @@ func TestFlowsBetweenBatchConcatenatesHours(t *testing.T) {
 	}
 }
 
+// TestComponentBatchConcatenatesHours: a component's day, sampled in one
+// batch, equals its 24 HourBatch hours appended in order, column for
+// column — for every component of the IXP-SE (gaming is the one the
+// suite reads by the day), the probe days of the sampler tests, every
+// column set of samplerColumnSets, seeds 0 and 7, and flow scales 0.5 and
+// boundaryScale. A name the model lacks is an empty batch of the set.
+func TestComponentBatchConcatenatesHours(t *testing.T) {
+	sets := samplerColumnSets()
+	for _, scale := range []float64{0.5, boundaryScale} {
+		for _, seed := range []int64{0, 7} {
+			g := samplerCase{vp: IXPSE}.generator(t, seed, scale)
+			for _, probe := range samplerHours {
+				day := probe.Truncate(24 * time.Hour)
+				for i := range g.plan {
+					name := g.plan[i].c.Name
+					for _, cols := range sets {
+						want := flowrec.NewProjected(0, cols)
+						for h := day; h.Before(day.Add(24 * time.Hour)); h = h.Add(time.Hour) {
+							hb := g.HourBatch(h, name, cols)
+							want.AppendBatch(hb)
+							hb.Release()
+						}
+						got := g.ComponentBatch(name, day, day.Add(24*time.Hour), cols)
+						if got.Len() == 0 || !got.Equal(want) {
+							t.Errorf("scale %g seed %d %s %s, columns %s: the day batch (%d rows) differs from its %d hourly rows",
+								scale, seed, name, day.Format("2006-01-02"), cols, got.Len(), want.Len())
+						}
+						got.Release()
+					}
+				}
+			}
+		}
+	}
+	day := samplerHours[1].Truncate(24 * time.Hour)
+	if b := MustNewDefault(IXPSE).ComponentBatch("no-such-component", day, day.Add(24*time.Hour), flowrec.ColBytes); b.Len() != 0 || b.Columns() != flowrec.ColBytes {
+		t.Errorf("an unknown component must yield an empty batch of the asked set, got %s × %d", b.Columns(), b.Len())
+	}
+}
+
 // TestHourBatchMasksStoresOnly: whatever columns HourBatch is asked to
 // store, the sampler draws the same rows — each stored column equals the
 // full-width hour's, every other column is nil — for the three sets the

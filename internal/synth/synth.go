@@ -186,8 +186,6 @@ type Component struct {
 	// Residential marks traffic exchanged with eyeball/subscriber ASes;
 	// it feeds the remote-work analysis of Section 3.4.
 	Residential bool
-	// AvgFlowBytes is the mean flow size used by the flow sampler.
-	AvgFlowBytes float64
 	// EndpointPool is the approximate number of distinct consumer-side
 	// addresses active per hour at baseline; it grows with the response
 	// multiplier (Figure 8 counts unique IPs).

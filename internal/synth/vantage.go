@@ -140,7 +140,7 @@ func ispCEComponents() []Component {
 			Workday: entertainment, Weekend: resWE, LockdownShape: allday, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.30, PeakWeekend: 1.2, Retained: 0.25, PreRamp: 0.3, Dip: 0.90},
 			Residential:  true,
-			AvgFlowBytes: 25e6, EndpointPool: 4000,
+			EndpointPool: 4000,
 		},
 		{
 			Name: "hypergiant-web", Class: ClassWeb,
@@ -149,7 +149,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.15, PeakWorkHours: 1.18, Retained: 0.3, PreRamp: 0.25},
 			Residential:  true,
-			AvgFlowBytes: 600e3, EndpointPool: 6000,
+			EndpointPool: 6000,
 		},
 		{
 			Name: "hypergiant-quic", Class: ClassQUIC,
@@ -158,7 +158,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.45, PeakWorkHours: 1.55, PeakWeekend: 1.35, Retained: 0.4, PreRamp: 0.25},
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 5000,
+			EndpointPool: 5000,
 		},
 		{
 			Name: "hypergiant-social", Class: ClassSocial,
@@ -167,7 +167,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.7, PeakWeekend: 1.5, Retained: 0.15, PreRamp: 0.3},
 			Residential:  true,
-			AvgFlowBytes: 400e3, EndpointPool: 5000,
+			EndpointPool: 5000,
 		},
 		{
 			Name: "other-social", Class: ClassSocial,
@@ -176,7 +176,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.6, Retained: 0.2, PreRamp: 0.3},
 			Residential:  true,
-			AvgFlowBytes: 300e3, EndpointPool: 3000,
+			EndpointPool: 3000,
 		},
 		{
 			Name: "cdn-other", Class: ClassCDN,
@@ -185,7 +185,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.45, PeakWorkHours: 1.6, Retained: 0.5, PreRamp: 0.25},
 			Residential:  true,
-			AvgFlowBytes: 800e3, EndpointPool: 4000,
+			EndpointPool: 4000,
 		},
 		{
 			Name: "gaming", Class: ClassGaming,
@@ -195,7 +195,7 @@ func ispCEComponents() []Component {
 			Workday: entertainment, Weekend: resWE, LockdownShape: allday, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.12, PeakWeekend: 1.10, Retained: 0.5, PreRamp: 0.2},
 			Residential:  true,
-			AvgFlowBytes: 300e3, EndpointPool: 2500,
+			EndpointPool: 2500,
 		},
 		{
 			Name: "web-conferencing", Class: ClassWebConf,
@@ -205,7 +205,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         earlyResponse(Response{Peak: 2.4, PeakWorkHours: 3.4, PeakWeekend: 2.2, Retained: 0.6, PreRamp: 0.15}),
 			Residential:  true,
-			AvgFlowBytes: 3e6, EndpointPool: 1500,
+			EndpointPool: 1500,
 		},
 		{
 			Name: "collaborative-working", Class: ClassCollab,
@@ -214,7 +214,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         earlyResponse(Response{Peak: 1.8, PeakWorkHours: 2.3, PeakWeekend: 1.4, Retained: 0.5, PreRamp: 0.2}),
 			Residential:  true,
-			AvgFlowBytes: 1e6, EndpointPool: 1200,
+			EndpointPool: 1200,
 		},
 		{
 			Name: "messaging", Class: ClassMessaging,
@@ -223,7 +223,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE, ShiftsPattern: true,
 			Resp:         earlyResponse(Response{Peak: 2.6, PeakWorkHours: 3.1, PeakWeekend: 2.4, Retained: 0.5, PreRamp: 0.3}),
 			Residential:  true,
-			AvgFlowBytes: 60e3, EndpointPool: 6000,
+			EndpointPool: 6000,
 		},
 		{
 			Name: "email", Class: ClassEmail,
@@ -233,7 +233,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         earlyResponse(Response{Peak: 1.3, PeakWorkHours: 1.6, PeakWeekend: 1.05, Retained: 0.4, PreRamp: 0.15}),
 			Residential:  true,
-			AvgFlowBytes: 150e3, EndpointPool: 3000,
+			EndpointPool: 3000,
 		},
 		{
 			Name: "educational", Class: ClassEducational,
@@ -242,7 +242,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         earlyResponse(Response{Peak: 2.5, PeakWorkHours: 3.0, PeakWeekend: 1.3, Retained: 0.4, PreRamp: 0.1}),
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 1500,
+			EndpointPool: 1500,
 		},
 		{
 			Name: "vpn-wellknown", Class: ClassVPNPort,
@@ -252,7 +252,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         earlyResponse(Response{Peak: 1.9, PeakWorkHours: 2.6, PeakWeekend: 1.1, Retained: 0.5, PreRamp: 0.2}),
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 1200,
+			EndpointPool: 1200,
 		},
 		{
 			Name: "vpn-tls", Class: ClassVPNTLS,
@@ -261,7 +261,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         earlyResponse(Response{Peak: 2.2, PeakWorkHours: 3.2, PeakWeekend: 1.3, Retained: 0.5, PreRamp: 0.2}),
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 1200,
+			EndpointPool: 1200,
 		},
 		{
 			Name: "gre-esp-tunnels", Class: ClassTunnel,
@@ -270,7 +270,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         Response{Peak: 1.08, PeakWeekend: 0.95, Retained: 0.5, PreRamp: 0.1},
 			Residential:  false,
-			AvgFlowBytes: 5e6, EndpointPool: 300,
+			EndpointPool: 300,
 		},
 		{
 			Name: "tv-streaming-8200", Class: ClassTVStream,
@@ -279,7 +279,7 @@ func ispCEComponents() []Component {
 			Workday: entertainment, Weekend: resWE, LockdownShape: allday, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.35, PeakWeekend: 1.4, Retained: 0.4, PreRamp: 0.2},
 			Residential:  true,
-			AvgFlowBytes: 8e6, EndpointPool: 800,
+			EndpointPool: 800,
 		},
 		{
 			Name: "cloudflare-lb-2408", Class: ClassCloudLB,
@@ -288,7 +288,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE,
 			Resp:         Response{Peak: 1.02, Retained: 0.5},
 			Residential:  true,
-			AvgFlowBytes: 500e3, EndpointPool: 1500,
+			EndpointPool: 1500,
 		},
 		{
 			Name: "alt-http-8080", Class: ClassAltHTTP,
@@ -297,7 +297,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE,
 			Resp:         Response{Peak: 1.03, Retained: 0.5},
 			Residential:  true,
-			AvgFlowBytes: 400e3, EndpointPool: 2000,
+			EndpointPool: 2000,
 		},
 		{
 			Name: "unknown-25461", Class: ClassUnknownPort,
@@ -306,7 +306,7 @@ func ispCEComponents() []Component {
 			Workday: entertainment, Weekend: resWE,
 			Resp:         Response{Peak: 1.22, Retained: 0.4, PreRamp: 0.2},
 			Residential:  true,
-			AvgFlowBytes: 3e6, EndpointPool: 900,
+			EndpointPool: 900,
 		},
 		{
 			Name: "push-notifications", Class: ClassPush,
@@ -315,7 +315,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE,
 			Resp:         Response{Peak: 0.95, Retained: 0.5},
 			Residential:  true,
-			AvgFlowBytes: 20e3, EndpointPool: 8000,
+			EndpointPool: 8000,
 		},
 		{
 			Name: "music-streaming", Class: ClassMusic,
@@ -324,7 +324,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE,
 			Resp:         Response{Peak: 1.15, Retained: 0.4},
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 2500,
+			EndpointPool: 2500,
 		},
 		{
 			Name: "other-web", Class: ClassWeb,
@@ -333,7 +333,7 @@ func ispCEComponents() []Component {
 			Workday: res, Weekend: resWE, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.33, PeakWorkHours: 1.48, Retained: 0.45, PreRamp: 0.25},
 			Residential:  true,
-			AvgFlowBytes: 400e3, EndpointPool: 7000,
+			EndpointPool: 7000,
 		},
 		// Transit components (included only in the remote-work analysis,
 		// which uses the ISP's full view including transit).
@@ -348,7 +348,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         Response{Peak: 0.45, PeakWeekend: 0.7, Retained: 0.3, PreRamp: 0.2},
 			Residential:  false,
-			AvgFlowBytes: 1e6, EndpointPool: 500,
+			EndpointPool: 500,
 		},
 		{
 			Name: "enterprise-office-transit", Class: ClassEnterprise,
@@ -357,7 +357,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         Response{Peak: 0.55, PeakWeekend: 0.8, Retained: 0.3, PreRamp: 0.2},
 			Residential:  false,
-			AvgFlowBytes: 1e6, EndpointPool: 600,
+			EndpointPool: 600,
 		},
 		{
 			Name: "enterprise-remote-work", Class: ClassEnterprise,
@@ -366,7 +366,7 @@ func ispCEComponents() []Component {
 			Workday: office, Weekend: resWE,
 			Resp:         earlyResponse(Response{Peak: 2.0, PeakWorkHours: 2.7, PeakWeekend: 1.2, Retained: 0.5, PreRamp: 0.2}),
 			Residential:  true,
-			AvgFlowBytes: 1e6, EndpointPool: 1000,
+			EndpointPool: 1000,
 		},
 	}
 }
@@ -445,7 +445,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: entertainment, Weekend: we, LockdownShape: allday, ShiftsPattern: true,
 			Resp:         earlyDemand(Response{Peak: r.vodPeak, Retained: r.retained, PreRamp: 0.3, Dip: r.vodDip, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 25e6, EndpointPool: 6000,
+			EndpointPool: 6000,
 		},
 		{
 			Name: "hypergiant-web", Class: ClassWeb,
@@ -454,7 +454,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.22, PeakWorkHours: 1.35, Retained: r.retained, PreRamp: 0.25, Delay: r.delay},
 			Residential:  true,
-			AvgFlowBytes: 600e3, EndpointPool: 9000,
+			EndpointPool: 9000,
 		},
 		{
 			Name: "quic", Class: ClassQUIC,
@@ -463,7 +463,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we, ShiftsPattern: true,
 			Resp:         Response{Peak: 1.5, PeakWorkHours: 1.6, Retained: r.retained, PreRamp: 0.25, Delay: r.delay},
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 8000,
+			EndpointPool: 8000,
 		},
 		{
 			Name: "cdn", Class: ClassCDN,
@@ -473,7 +473,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we, ShiftsPattern: true,
 			Resp:         Response{Peak: r.cdnPeak, Retained: r.retained, PreRamp: 0.25, Delay: r.delay},
 			Residential:  true,
-			AvgFlowBytes: 800e3, EndpointPool: 7000,
+			EndpointPool: 7000,
 		},
 		{
 			Name: "social-media", Class: ClassSocial,
@@ -482,7 +482,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we, ShiftsPattern: true,
 			Resp:         earlyResponse(Response{Peak: r.socialPeak, Retained: 0.15, PreRamp: 0.3, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 400e3, EndpointPool: 8000,
+			EndpointPool: 8000,
 		},
 		{
 			Name: "gaming", Class: ClassGaming,
@@ -493,7 +493,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Resp: earlyDemand(Response{Peak: r.gamingPeak, PeakWeekend: r.gamingPeak * 0.95, Retained: 0.6, PreRamp: 0.2,
 				Delay: r.delay, Outage: r.gamingOutage}),
 			Residential:  true,
-			AvgFlowBytes: 300e3, EndpointPool: 5000,
+			EndpointPool: 5000,
 		},
 		{
 			Name: "web-conferencing", Class: ClassWebConf,
@@ -504,7 +504,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Resp: earlyResponse(Response{Peak: r.confPeak * 0.75, PeakWorkHours: r.confPeak, PeakWeekend: r.confPeak * 0.7,
 				Retained: 0.6, PreRamp: 0.15, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 3e6, EndpointPool: 2500,
+			EndpointPool: 2500,
 		},
 		{
 			Name: "collaborative-working", Class: ClassCollab,
@@ -514,7 +514,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Resp: earlyResponse(Response{Peak: r.collabPeak, PeakWorkHours: r.collabPeak * 1.25, Retained: 0.5, PreRamp: 0.2,
 				Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 1e6, EndpointPool: 2000,
+			EndpointPool: 2000,
 		},
 		{
 			Name: "messaging", Class: ClassMessaging,
@@ -523,7 +523,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we, ShiftsPattern: true,
 			Resp:         earlyResponse(Response{Peak: r.messagingPk, Retained: 0.5, PreRamp: 0.3, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 60e3, EndpointPool: 9000,
+			EndpointPool: 9000,
 		},
 		{
 			Name: "email", Class: ClassEmail,
@@ -534,7 +534,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Resp: earlyResponse(Response{Peak: r.emailPeak, PeakWorkHours: r.emailPeak * 1.15, PeakWeekend: 1.0,
 				Retained: 0.4, PreRamp: 0.15, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 150e3, EndpointPool: 4000,
+			EndpointPool: 4000,
 		},
 		{
 			Name: "educational", Class: ClassEducational,
@@ -543,7 +543,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: office, Weekend: we,
 			Resp:         earlyResponse(Response{Peak: r.eduPeak, Retained: 0.5, PreRamp: 0.1, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 2500,
+			EndpointPool: 2500,
 		},
 		{
 			Name: "vpn-wellknown", Class: ClassVPNPort,
@@ -556,7 +556,7 @@ func ixpComponents(r ixpRegion) []Component {
 			// port-identified VPN volume roughly flat (Section 6).
 			Resp:         earlyResponse(Response{Peak: 1.15, PeakWorkHours: 1.5, PeakWeekend: 0.95, Retained: 0.5, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 2000,
+			EndpointPool: 2000,
 		},
 		{
 			Name: "vpn-tls", Class: ClassVPNTLS,
@@ -566,7 +566,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Resp: earlyResponse(Response{Peak: 2.2, PeakWorkHours: 3.3, PeakWeekend: 1.4, Retained: 0.55, PreRamp: 0.2,
 				Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 2e6, EndpointPool: 2000,
+			EndpointPool: 2000,
 		},
 		{
 			Name: "gre-esp-tunnels", Class: ClassTunnel,
@@ -576,7 +576,7 @@ func ixpComponents(r ixpRegion) []Component {
 			// Inter-company tunnels decrease at the IXP after the lockdown.
 			Resp:         Response{Peak: 0.8, PeakWeekend: 0.9, Retained: 0.4, Delay: r.delay},
 			Residential:  false,
-			AvgFlowBytes: 5e6, EndpointPool: 500,
+			EndpointPool: 500,
 		},
 		{
 			Name: "tv-streaming-8200", Class: ClassTVStream,
@@ -585,7 +585,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: entertainment, Weekend: we, LockdownShape: allday, ShiftsPattern: true,
 			Resp:         earlyDemand(Response{Peak: 1.5, PeakWeekend: 1.6, Retained: 0.5, PreRamp: 0.2, Delay: r.delay}),
 			Residential:  true,
-			AvgFlowBytes: 8e6, EndpointPool: 1500,
+			EndpointPool: 1500,
 		},
 		{
 			Name: "cloudflare-lb-2408", Class: ClassCloudLB,
@@ -594,7 +594,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we,
 			Resp:         Response{Peak: 1.02, Retained: 0.5, Delay: r.delay},
 			Residential:  true,
-			AvgFlowBytes: 500e3, EndpointPool: 3000,
+			EndpointPool: 3000,
 		},
 		{
 			Name: "alt-http-8080", Class: ClassAltHTTP,
@@ -603,7 +603,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we,
 			Resp:         Response{Peak: 1.03, Retained: 0.5, Delay: r.delay},
 			Residential:  true,
-			AvgFlowBytes: 400e3, EndpointPool: 4000,
+			EndpointPool: 4000,
 		},
 		{
 			Name: "unknown-25461", Class: ClassUnknownPort,
@@ -612,7 +612,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: entertainment, Weekend: we,
 			Resp:         Response{Peak: 1.2, Retained: 0.4, PreRamp: 0.2, Delay: r.delay},
 			Residential:  true,
-			AvgFlowBytes: 3e6, EndpointPool: 1500,
+			EndpointPool: 1500,
 		},
 		{
 			Name: "other-peering", Class: ClassOther,
@@ -621,7 +621,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Workday: wd, Weekend: we,
 			Resp:         Response{Peak: 1.18, Retained: r.retained, PreRamp: 0.25, Delay: r.delay},
 			Residential:  false,
-			AvgFlowBytes: 700e3, EndpointPool: 6000,
+			EndpointPool: 6000,
 		},
 	}
 	return comps
@@ -649,7 +649,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE,
 			Resp:        Response{Peak: 0.32, Retained: 0.9, PreRamp: 0.05},
 			WeekendResp: weekendGrow,
-			Residential: false, AvgFlowBytes: 1e6, EndpointPool: 4000,
+			Residential: false, EndpointPool: 4000,
 		},
 		{
 			Name: "campus-uploads", Class: ClassWeb,
@@ -658,7 +658,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE,
 			Resp:        Response{Peak: 0.5, Retained: 0.9, PreRamp: 0.05},
 			WeekendResp: weekendMild,
-			Residential: false, AvgFlowBytes: 500e3, EndpointPool: 2000,
+			Residential: false, EndpointPool: 2000,
 		},
 		{
 			Name: "incoming-web-remote", Class: ClassWeb,
@@ -667,7 +667,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
 			Resp:        Response{Peak: 1.7, PeakWorkHours: 1.9, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: weekendGrow,
-			Residential: true, AvgFlowBytes: 120e3, EndpointPool: 5000,
+			Residential: true, EndpointPool: 5000,
 		},
 		{
 			Name: "outgoing-web-serving", Class: ClassWeb,
@@ -682,7 +682,7 @@ func eduComponents() []Component {
 			Resp:        Response{Peak: 2.6, PeakWorkHours: 3.0, Retained: 0.85, PreRamp: 0.1},
 			ConnResp:    &Response{Peak: 1.75, PeakWorkHours: 1.9, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: weekendGrow,
-			Residential: true, AvgFlowBytes: 900e3, EndpointPool: 5000,
+			Residential: true, EndpointPool: 5000,
 		},
 		{
 			Name: "incoming-email", Class: ClassEmail,
@@ -692,7 +692,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
 			Resp:        Response{Peak: 1.8, PeakWorkHours: 2.0, Retained: 0.8, PreRamp: 0.1},
 			WeekendResp: weekendMild,
-			Residential: true, AvgFlowBytes: 100e3, EndpointPool: 3000,
+			Residential: true, EndpointPool: 3000,
 		},
 		{
 			Name: "incoming-vpn", Class: ClassVPNPort,
@@ -702,7 +702,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
 			Resp:        Response{Peak: 4.8, PeakWorkHours: 5.4, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: &Response{Peak: 2.0, Retained: 0.8, PreRamp: 0.1},
-			Residential: true, AvgFlowBytes: 1.5e6, EndpointPool: 2500,
+			Residential: true, EndpointPool: 2500,
 		},
 		{
 			Name: "incoming-remote-desktop", Class: ClassRemoteDesk,
@@ -712,7 +712,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
 			Resp:        Response{Peak: 5.9, PeakWorkHours: 6.5, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: &Response{Peak: 2.5, Retained: 0.8, PreRamp: 0.1},
-			Residential: true, AvgFlowBytes: 700e3, EndpointPool: 1500,
+			Residential: true, EndpointPool: 1500,
 		},
 		{
 			Name: "incoming-ssh", Class: ClassSSH,
@@ -721,7 +721,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
 			Resp:        Response{Peak: 9.1, PeakWorkHours: 9.6, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: &Response{Peak: 4.0, Retained: 0.8, PreRamp: 0.1},
-			Residential: true, AvgFlowBytes: 200e3, EndpointPool: 1200,
+			Residential: true, EndpointPool: 1200,
 		},
 		{
 			Name: "outgoing-push-mobile", Class: ClassPush,
@@ -731,7 +731,7 @@ func eduComponents() []Component {
 			// Mobile devices left the campus: push traffic collapses.
 			Resp:        Response{Peak: 0.35, Retained: 0.9, PreRamp: 0.05},
 			WeekendResp: &Response{Peak: 0.5, Retained: 0.9},
-			Residential: false, AvgFlowBytes: 15e3, EndpointPool: 3000,
+			Residential: false, EndpointPool: 3000,
 		},
 		{
 			Name: "outgoing-spotify", Class: ClassMusic,
@@ -740,7 +740,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE,
 			Resp:        Response{Peak: 0.17, Retained: 0.9, PreRamp: 0.05},
 			WeekendResp: &Response{Peak: 0.4, Retained: 0.9},
-			Residential: false, AvgFlowBytes: 2e6, EndpointPool: 2000,
+			Residential: false, EndpointPool: 2000,
 		},
 		{
 			Name: "outgoing-quic-hypergiants", Class: ClassQUIC,
@@ -749,7 +749,7 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE,
 			Resp:        Response{Peak: 0.3, Retained: 0.9, PreRamp: 0.05},
 			WeekendResp: &Response{Peak: 0.5, Retained: 0.9},
-			Residential: false, AvgFlowBytes: 800e3, EndpointPool: 3500,
+			Residential: false, EndpointPool: 3500,
 		},
 	}
 }
@@ -766,7 +766,7 @@ func mobileComponents() []Component {
 			BaseGbps: 900, WeekendLevel: 1.05,
 			Workday: res, Weekend: resWE,
 			Resp:        Response{Peak: 0.93, PeakWeekend: 0.95, Retained: 0.4, PreRamp: 0.3},
-			Residential: true, AvgFlowBytes: 300e3, EndpointPool: 9000,
+			Residential: true, EndpointPool: 9000,
 		},
 	}
 }
@@ -783,7 +783,7 @@ func ipxComponents() []Component {
 			BaseGbps: 60, WeekendLevel: 1.1,
 			Workday: res, Weekend: resWE,
 			Resp:        Response{Peak: 0.45, PeakWeekend: 0.4, Retained: 0.8, PreRamp: 0.4},
-			Residential: true, AvgFlowBytes: 200e3, EndpointPool: 4000,
+			Residential: true, EndpointPool: 4000,
 		},
 	}
 }
