@@ -57,7 +57,7 @@
 //	-trace f      write a Chrome trace_event JSON trace of the run to f
 //	              (open in Perfetto or chrome://tracing): spans for every
 //	              experiment and scan chunk, cache spill/fault/regen,
-//	              bridge fetches and retries, pump restarts, rebalances
+//	              bridge fetches and retries, shard deaths, rebalances
 //	              and injected faults. The per-experiment span durations
 //	              are the same clock as the _runtime/wall-ms metrics
 //
@@ -80,21 +80,18 @@
 //	-addr a       bridge UDP listen address (default 127.0.0.1:0)
 //	-attempt-timeout d  per-attempt bucket collection timeout (default 5s)
 //	-fetch-budget d  wall-clock retry budget per bucket, the only bound on
-//	              its retries (default 4 × attempt-timeout)
-//	-allow-partial  serve explicitly-accounted empty batches for buckets
-//	              whose retry budget ran out instead of failing the run;
-//	              the degraded component-hours are stamped on stderr
+//	              its retries (default 4 × attempt-timeout). A bucket
+//	              that exhausts it fails the run
 //
 // cluster:
 //
 //	-shards n     number of pump shards (default 4; replay: always 7)
-//	-max-restarts n  restarts per shard before it is declared dead and its
-//	              vantage points re-partition away (default 3)
 //	-chaos spec   deterministic fault injection, e.g.
 //	              'drop=0.05,kill=shard1@t+2s,seed=7' (drop/dup/reorder/
 //	              corrupt probabilities, delay, kill/stall schedules; see
 //	              internal/faultinject). Same seed, same faults; output
-//	              stays byte-identical to `all` while faults are recoverable
+//	              stays byte-identical to `all`. A killed pump stays dead,
+//	              and its vantage points re-partition over the other shards
 //
 // `replay` and `cluster` run the same suite as `all`, but every flow batch
 // travels a real UDP wire first, the way the paper's measurement did: the
@@ -103,8 +100,9 @@
 // identity, and one bridge decodes, demuxes per stream and verifies them
 // bit-for-bit before the engine consumes them (see internal/cluster and
 // internal/replay). They are one code path: `replay` is the cluster at one
-// shard per vantage point, `cluster` adds the shard count and the
-// operational flags. The results are byte-identical to `all`; the wire
+// shard per vantage point, `cluster` adds the shard count and fault
+// injection. The results are byte-identical to `all`, or the run fails:
+// a bucket no pump serves within its fetch budget ends it. The wire
 // and loss accounting — bridge totals, one line per shard naming its
 // vantage points, rebalances, chaos and pump totals — goes to stderr.
 //
@@ -267,7 +265,7 @@ type mode struct {
 var (
 	engineFlags = []string{"scale", "seed", "scan-chunk", "cache-budget", "cache-dir", "cpuprofile", "memprofile", "metrics-addr", "trace"}
 	suiteFlags  = slices.Concat(engineFlags, []string{"csv", "json", "parallel"})
-	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "attempt-timeout", "fetch-budget", "allow-partial"})
+	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "attempt-timeout", "fetch-budget"})
 )
 
 var modes = []mode{
@@ -277,7 +275,7 @@ var modes = []mode{
 	{name: "scenario run", arg: "<file.yaml>", run: runScenario, flags: suiteFlags},
 	{name: "replay", run: runWire, shards: len(synth.AllVantagePoints()), flags: wireFlags},
 	{name: "cluster", run: runWire, shards: cluster.DefaultShards,
-		flags: slices.Concat(wireFlags, []string{"shards", "max-restarts", "chaos"})},
+		flags: slices.Concat(wireFlags, []string{"shards", "chaos"})},
 }
 
 // options is a mode's parsed command line. A flag the mode does not
@@ -331,9 +329,7 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 	all.StringVar(&o.wire.BridgeListen, "addr", "127.0.0.1:0", "bridge UDP listen `address`")
 	all.DurationVar(&o.wire.AttemptTimeout, "attempt-timeout", 0, "per-attempt bucket timeout (0 = default)")
 	all.DurationVar(&o.wire.FetchBudget, "fetch-budget", 0, "wall-clock retry budget per bucket (0 = 4 × attempt-timeout)")
-	all.BoolVar(&o.wire.AllowPartial, "allow-partial", false, "degrade to accounted empty batches instead of failing when a bucket's retries run out")
 	all.IntVar(&o.wire.Shards, "shards", m.shards, "pump shard count")
-	all.IntVar(&o.wire.MaxRestarts, "max-restarts", 0, "restarts per shard before give-up and re-partition (0 = default)")
 	all.Func("chaos", "fault-injection `spec`, e.g. 'drop=0.05,kill=shard1@t+2s,seed=7'", func(s string) error {
 		faults, err := faultinject.ParseSpec(s)
 		if err == nil {
@@ -549,6 +545,10 @@ func runWire(ctx context.Context, o *options) error {
 	if err := runSuite(ctx, core.NewEngineWithSource(o.core, c.Source()), o); err != nil {
 		return err
 	}
+	// A pump counts a bucket's rows after its send returns, and the bridge
+	// may complete the bucket before that: read the stats once every pump
+	// has stopped.
+	c.Close()
 	return emitEvents(o.core.Tracer, wireEvents(c.Stats(), c.Partition()))
 }
 
@@ -575,16 +575,13 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 				owns = append(owns, string(vp))
 			}
 		}
-		health, sev := "healthy", obs.Info
-		switch {
-		case sh.Dead:
-			health, sev = "DEAD", obs.Warn
-		case !sh.Healthy:
-			health, sev = "DOWN", obs.Warn
+		state := "live"
+		if sh.Dead {
+			state = "DEAD"
 		}
 		ss := stats.Streams[sh.Stream]
-		events = append(events, obs.Event{Cat: "cluster", Sub: true, Severity: sev,
-			Msg: fmt.Sprintf("shard %d [%s] (%s, %d restarts)", sh.Shard, strings.Join(owns, " "), health, sh.Restarts),
+		events = append(events, obs.Event{Cat: "cluster", Sub: true,
+			Msg: fmt.Sprintf("shard %d [%s] (%s)", sh.Shard, strings.Join(owns, " "), state),
 			Fields: []obs.Field{
 				obs.Fi("buckets", ss.Keys),
 				obs.Fi("rows", ss.Rows),
@@ -596,14 +593,14 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 		pumps.Nacks += sh.Pump.Nacks
 	}
 	for _, ev := range stats.Rebalances {
-		events = append(events, obs.Event{Cat: "cluster", Sub: true, Severity: obs.Warn,
+		events = append(events, obs.Event{Cat: "cluster", Sub: true,
 			Msg: "rebalance", Fields: []obs.Field{
 				obs.F("", fmt.Sprintf("shard %d (%s)", ev.From, ev.Reason)),
 				obs.Fi("vantage points moved", int64(len(ev.Moved))),
 			}})
 	}
 	if cs := stats.Chaos; cs != nil {
-		events = append(events, obs.Event{Cat: "chaos", Sub: true, Severity: obs.Warn,
+		events = append(events, obs.Event{Cat: "chaos", Sub: true,
 			Msg: "chaos relay", Fields: []obs.Field{
 				obs.Fi("datagrams", cs.Total.Seen),
 				obs.Fi("dropped", cs.Total.Dropped),
@@ -652,8 +649,8 @@ func runSuite(ctx context.Context, engine *core.Engine, o *options) error {
 	return emitEvents(o.core.Tracer, suiteEvents(engine.Data()))
 }
 
-// suiteEvents converts the dataset's cache accounting and degradation
-// state into the run summary events every suite command shares.
+// suiteEvents converts the dataset's cache accounting into the run
+// summary events every suite command shares.
 func suiteEvents(data *core.Dataset) []obs.Event {
 	stats := data.Stats()
 	events := []obs.Event{{Cat: "cache", Msg: "dataset cache", Fields: []obs.Field{
@@ -672,18 +669,6 @@ func suiteEvents(data *core.Dataset) []obs.Event {
 			obs.Ff("MB spilled", float64(stats.SpilledBytes)/(1<<20)),
 			obs.Fi("evictions", stats.Evictions),
 		}})
-	}
-	// A degraded (allow-partial) run is stamped explicitly so its output
-	// is never mistaken for a complete one: every component-hour served
-	// as an empty stand-in batch is named.
-	if degraded := data.DegradedKeys(); len(degraded) > 0 {
-		events = append(events, obs.Event{Cat: "degraded", Severity: obs.Degraded,
-			Msg: "DEGRADED RUN", Fields: []obs.Field{
-				obs.Fi("component-hours missing (served as empty batches):", int64(len(degraded))),
-			}})
-		for _, k := range degraded {
-			events = append(events, obs.Event{Cat: "degraded", Severity: obs.Degraded, Sub: true, Msg: k})
-		}
 	}
 	return events
 }

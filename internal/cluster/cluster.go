@@ -15,19 +15,18 @@
 // supervisor runs each pump on a goroutine of its own, wires every stream
 // to the bridge, and aggregates the per-shard accounting.
 //
-// A crashed pump is restarted with jittered capped-exponential backoff
-// up to MaxRestarts; a pump that exhausts the budget is declared dead
-// and its vantage points are re-partitioned over the surviving shards —
-// the bridge re-routes affected fetches mid-retry, each with a fresh
-// request generation so anything still in flight from the dead
-// assignment is discarded as stale. Restart, crash and rebalance history
-// is surfaced in Stats (per-shard HealthEvents, cluster RebalanceEvents).
+// A pump that stops while the cluster is live never comes back: its
+// shard is dead, and its vantage points are re-partitioned over the
+// surviving shards at once. The bridge re-routes affected fetches
+// mid-retry, each with a fresh request generation, so anything still in
+// flight from the dead assignment is discarded as stale. Deaths and
+// rebalances are surfaced in Stats (ShardStatus.Dead, RebalanceEvents).
 //
 // Spec.Chaos splices the deterministic fault harness of
 // internal/faultinject into the topology: a seeded relay on the
 // pump → bridge data path (drop/duplicate/reorder/delay/corrupt,
-// scheduled stalls) plus scheduled permanent pump kills that drive the
-// give-up → re-partition path reproducibly.
+// scheduled stalls) plus scheduled pump kills that drive the
+// death → re-partition path reproducibly.
 //
 // The bridge verifies every bucket bit-for-bit against its reference
 // model regardless of which pump served it, so an engine drawing from a
@@ -40,7 +39,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"time"
@@ -53,11 +51,8 @@ import (
 	"lockdown/internal/synth"
 )
 
-// Defaults for Spec.
-const (
-	DefaultShards      = 4
-	DefaultMaxRestarts = 3
-)
+// DefaultShards is Spec.Shards when zero.
+const DefaultShards = 4
 
 // Spec configures a sharded replay cluster.
 type Spec struct {
@@ -75,28 +70,19 @@ type Spec struct {
 	// paper's vantage points (synth.AllVantagePoints) round-robin over
 	// the shards in order, so every shard owns whole vantage points and
 	// all keys of one vantage point route to one pump. The live
-	// partition is dynamic: a shard that dies past its restart budget
-	// has its vantage points reassigned to surviving shards.
+	// partition is dynamic: a shard whose pump stops has its vantage
+	// points reassigned to surviving shards.
 	Partition map[synth.VantagePoint]int
-	// MaxRestarts bounds how often one shard is restarted before it is
-	// declared dead and re-partitioned away (DefaultMaxRestarts if
-	// zero).
-	MaxRestarts int
 	// BridgeListen is the bridge's UDP listen address ("127.0.0.1:0"
 	// if empty).
 	BridgeListen string
 	// AttemptTimeout and FetchBudget tune the bridge's retry policy
 	// (replay defaults if zero). The budget alone ends a fetch, and it
-	// covers pump-restart and re-partition windows: a fetch hitting a
-	// dead pump keeps re-requesting — and re-routing — until the
-	// supervisor has revived or replaced the shard or the budget runs
-	// out.
+	// covers the re-partition window: a fetch hitting a dead pump keeps
+	// re-requesting — and re-routing — until the shard's vantage points
+	// have moved or the budget runs out, which fails the run.
 	AttemptTimeout time.Duration
 	FetchBudget    time.Duration
-	// AllowPartial serves explicitly-accounted empty batches for keys
-	// whose retry budget ran out instead of failing the run; see
-	// replay.Config.AllowPartial.
-	AllowPartial bool
 	// Chaos injects the deterministic fault schedule: a seeded relay on
 	// the pump → bridge data path plus scheduled pump kills and stalls
 	// (see internal/faultinject). Nil runs clean.
@@ -108,13 +94,6 @@ func (s Spec) shards() int {
 		return DefaultShards
 	}
 	return s.Shards
-}
-
-func (s Spec) maxRestarts() int {
-	if s.MaxRestarts <= 0 {
-		return DefaultMaxRestarts
-	}
-	return s.MaxRestarts
 }
 
 // Validate rejects specs the wire or the partition cannot express. New
@@ -132,9 +111,6 @@ func (s Spec) Validate() error {
 	}
 	if s.AttemptTimeout < 0 || s.FetchBudget < 0 {
 		return fmt.Errorf("cluster: timeouts must not be negative")
-	}
-	if s.MaxRestarts < 0 {
-		return fmt.Errorf("cluster: the restart budget must not be negative")
 	}
 	if s.Chaos != nil {
 		if m := s.Chaos.MaxShard(); m >= n {
@@ -158,13 +134,6 @@ func (s Spec) partition() map[synth.VantagePoint]int {
 	return part
 }
 
-// HealthEvent is one entry of a shard's supervision history.
-type HealthEvent struct {
-	Time   time.Time
-	Kind   string // "launch", "crash", "restart", "restart-failed", "reconnect-failed", "gave-up"
-	Detail string
-}
-
 // RebalanceEvent records one dynamic re-partition: the dead shard and
 // where each of its vantage points moved.
 type RebalanceEvent struct {
@@ -174,24 +143,19 @@ type RebalanceEvent struct {
 	Reason string
 }
 
-// ShardStatus is one shard's health snapshot.
+// ShardStatus is one shard's snapshot.
 type ShardStatus struct {
-	Shard    int
-	Stream   uint32
-	Addr     string // pump control address ("" until the shard is up)
-	Healthy  bool
-	Dead     bool // restart budget exhausted; vantage points re-partitioned away
-	Restarts int
-	// History is the shard's supervision log (most recent last, capped).
-	History []HealthEvent
-	// Pump carries the counters of the shard's current pump.
+	Shard  int
+	Stream uint32
+	Addr   string // pump control address ("" until the shard is up)
+	Dead   bool   // the pump stopped; vantage points re-partitioned away
+	// Pump carries the counters of the shard's pump.
 	Pump replay.PumpStats
 }
 
 // Stats aggregates what a cluster observed: the bridge totals, the
-// per-stream demux accounting, each shard's health and history, the
-// rebalance log, and the chaos relay's fault counters when a fault
-// schedule is active.
+// per-stream demux accounting, each shard's status, the rebalance log,
+// and the chaos relay's fault counters when a fault schedule is active.
 type Stats struct {
 	Bridge     replay.Stats
 	Streams    map[uint32]replay.Stats
@@ -200,42 +164,19 @@ type Stats struct {
 	Chaos      *faultinject.RelayStats
 }
 
-// historyCap bounds each shard's retained health history; a
-// crash-looping shard keeps its most recent events.
-const historyCap = 64
-
-// shard is the supervisor's handle on one pump: the pump it runs now
-// and its health.
+// shard is the supervisor's handle on one pump.
 type shard struct {
 	id int
 
-	mu       sync.Mutex
-	pump     *replay.Pump // nil until the shard's first launch
-	healthy  bool
-	dead     bool
-	restarts int
-	history  []HealthEvent
-}
-
-// note appends a supervision event; callers hold sh.mu.
-func (sh *shard) note(kind, detail string) {
-	if len(sh.history) >= historyCap {
-		sh.history = sh.history[1:]
-	}
-	sh.history = append(sh.history, HealthEvent{Time: time.Now(), Kind: kind, Detail: detail})
+	mu   sync.Mutex
+	pump *replay.Pump // nil until the shard's launch
+	dead bool
 }
 
 func (sh *shard) status() ShardStatus {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st := ShardStatus{
-		Shard:    sh.id,
-		Stream:   uint32(sh.id),
-		Healthy:  sh.healthy,
-		Dead:     sh.dead,
-		Restarts: sh.restarts,
-		History:  append([]HealthEvent(nil), sh.history...),
-	}
+	st := ShardStatus{Shard: sh.id, Stream: uint32(sh.id), Dead: sh.dead}
 	if sh.pump != nil {
 		st.Addr = sh.pump.CtrlAddr()
 		st.Pump = sh.pump.Stats()
@@ -244,9 +185,9 @@ func (sh *shard) status() ShardStatus {
 }
 
 // Cluster is a running sharded replay topology: one bridge, N pumps,
-// and the supervisor goroutines keeping the pumps alive (and, past the
-// restart budget, re-partitioning their work away). Create it with New,
-// launch with Start, and hand Source() to core.NewEngineWithSource.
+// and the supervisor goroutines that run the pumps and re-partition a
+// stopped pump's work away. Create it with New, launch with Start, and
+// hand Source() to core.NewEngineWithSource.
 type Cluster struct {
 	spec   Spec
 	bridge *replay.Bridge
@@ -255,10 +196,9 @@ type Cluster struct {
 	epoch  time.Time // Start time; anchors the chaos schedule
 
 	// Supervisor instruments (standalone when Spec.Options.Obs is nil)
-	// and the run tracer; restarts, give-ups and rebalances show up both
-	// here and as per-shard HealthEvents / RebalanceEvents in Stats.
+	// and the run tracer; deaths and rebalances show up both here and as
+	// ShardStatus.Dead / RebalanceEvents in Stats.
 	tracer      *obs.Tracer
-	restartsC   *obs.Counter
 	deadShardsC *obs.Counter
 	rebalancesC *obs.Counter
 
@@ -290,26 +230,11 @@ func New(spec Spec) (*Cluster, error) {
 		spec:   spec,
 		part:   spec.partition(),
 		tracer: spec.Options.Tracer,
-		restartsC: reg.Counter("lockdown_cluster_restarts_total",
-			"Shard pumps restarted by the supervisor."),
 		deadShardsC: reg.Counter("lockdown_cluster_dead_shards_total",
-			"Shards declared dead after exhausting their restart budget."),
+			"Shards declared dead because their pump stopped."),
 		rebalancesC: reg.Counter("lockdown_cluster_rebalances_total",
 			"Dynamic re-partitions away from dead shards."),
 	}
-	reg.GaugeFunc("lockdown_cluster_healthy_shards",
-		"Shards currently marked healthy by the supervisor.",
-		func() float64 {
-			n := 0
-			for _, sh := range c.shards {
-				sh.mu.Lock()
-				if sh.healthy {
-					n++
-				}
-				sh.mu.Unlock()
-			}
-			return float64(n)
-		})
 	bridge, err := replay.NewBridge(replay.Config{
 		Format:         spec.Format,
 		ListenAddr:     spec.BridgeListen,
@@ -317,7 +242,6 @@ func New(spec Spec) (*Cluster, error) {
 		Route:          c.routeKey,
 		AttemptTimeout: spec.AttemptTimeout,
 		FetchBudget:    spec.FetchBudget,
-		AllowPartial:   spec.AllowPartial,
 	})
 	if err != nil {
 		return nil, err
@@ -387,7 +311,7 @@ func (c *Cluster) Start(ctx context.Context) error {
 	}
 	c.bridge.Start(c.ctx)
 	for _, sh := range c.shards {
-		pump, err := c.bringUp(sh, "launch")
+		pump, err := c.bringUp(sh)
 		if err == nil {
 			c.wg.Add(1)
 			go c.supervise(sh, pump)
@@ -401,12 +325,9 @@ func (c *Cluster) Start(ctx context.Context) error {
 	return nil
 }
 
-// bringUp launches the shard's next pump, exporting to the cluster's data
-// address under the shard's stream identity, makes it the current one
-// (noted in the history as kind) and arms its chaos kill. Kills are
-// permanent by design: every pump is armed, so a killed shard dies again
-// until its restart budget burns out and the re-partition path runs.
-func (c *Cluster) bringUp(sh *shard, kind string) (*replay.Pump, error) {
+// bringUp launches the shard's pump, exporting to the cluster's data
+// address under the shard's stream identity, and arms its chaos kill.
+func (c *Cluster) bringUp(sh *shard) (*replay.Pump, error) {
 	pump, err := replay.NewPump(replay.PumpConfig{
 		Format:   c.spec.Format,
 		DataAddr: c.dataAddr(),
@@ -418,8 +339,6 @@ func (c *Cluster) bringUp(sh *shard, kind string) (*replay.Pump, error) {
 	}
 	sh.mu.Lock()
 	sh.pump = pump
-	sh.healthy = true
-	sh.note(kind, pump.CtrlAddr())
 	sh.mu.Unlock()
 	if c.spec.Chaos != nil {
 		if at, ok := c.spec.Chaos.KillFor(sh.id); ok {
@@ -431,72 +350,30 @@ func (c *Cluster) bringUp(sh *shard, kind string) (*replay.Pump, error) {
 	return pump, nil
 }
 
-// restartBackoff is the supervisor's delay before restart attempt n:
-// capped exponential — a crash-looping pump must not busy-spin the
-// supervisor, but a one-off crash should recover well inside the
-// bridge's retry budget — with ±20% jitter so N pumps felled by one
-// event do not re-dial in lockstep. The shift is capped before the min
-// so a large restart budget cannot overflow the duration into a
-// negative (= zero) backoff.
-func restartBackoff(restarts int) time.Duration {
-	base := min(100*time.Millisecond<<min(restarts, 5), 2*time.Second)
-	return base - base/5 + time.Duration(rand.Int63n(int64(2*base/5)))
-}
-
-// noteCrash moves a shard into the crashed state and charges its
-// restart budget; it returns the restart count.
-func (c *Cluster) noteCrash(sh *shard, detail string) int {
-	sh.mu.Lock()
-	sh.healthy = false
-	sh.restarts++
-	sh.note("crash", detail)
-	restarts := sh.restarts
-	sh.mu.Unlock()
-	if c.tracer != nil {
-		c.tracer.Instant("shard-crash", "cluster",
-			map[string]any{"shard": sh.id, "detail": detail, "restarts": restarts})
-	}
-	return restarts
-}
-
-// giveUp declares a shard dead after its restart budget is exhausted
-// and re-partitions its vantage points over the surviving shards.
-func (c *Cluster) giveUp(sh *shard) {
-	sh.mu.Lock()
-	sh.dead = true
-	sh.healthy = false
-	sh.note("gave-up", fmt.Sprintf("restart budget (%d) exhausted", c.spec.maxRestarts()))
-	sh.mu.Unlock()
-	c.deadShardsC.Add(1)
-	if c.tracer != nil {
-		c.tracer.Instant("shard-gave-up", "cluster",
-			map[string]any{"shard": sh.id, "budget": c.spec.maxRestarts()})
-	}
-	c.repartition(sh, "restart budget exhausted")
-}
-
-// repartition reassigns a dead shard's vantage points round-robin over
-// the surviving shards (in sorted vantage-point order, so the outcome
-// is deterministic) and records the rebalance. In-flight fetches pick
-// the new route up on their next retry attempt with a fresh request
-// generation; late data from the dead assignment is discarded as stale
-// by the bridge's generation check, and verification keeps the output
-// byte-identical no matter which pump ends up serving a key.
+// repartition declares a shard dead, reassigns its vantage points
+// round-robin over the surviving shards (in sorted vantage-point order,
+// so the outcome is deterministic) and records the rebalance, all under
+// the partition lock, so no Stats snapshot sees a dead shard that still
+// owns a vantage point. In-flight fetches pick the new route up on their
+// next retry attempt with a fresh request generation; late data from the
+// dead assignment is discarded as stale by the bridge's generation
+// check, and verification keeps the output byte-identical no matter
+// which pump ends up serving a key.
 func (c *Cluster) repartition(from *shard, reason string) {
-	var targets []int
-	for _, sh := range c.shards {
-		if sh == from {
-			continue
-		}
-		sh.mu.Lock()
-		dead := sh.dead
-		sh.mu.Unlock()
-		if !dead {
-			targets = append(targets, sh.id)
-		}
-	}
 	c.partMu.Lock()
 	defer c.partMu.Unlock()
+	from.mu.Lock()
+	from.dead = true
+	from.mu.Unlock()
+	c.deadShardsC.Add(1)
+	var targets []int
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		if !sh.dead {
+			targets = append(targets, sh.id)
+		}
+		sh.mu.Unlock()
+	}
 	var moved []synth.VantagePoint
 	for vp, owner := range c.part {
 		if owner == from.id {
@@ -527,70 +404,32 @@ func (c *Cluster) repartition(from *shard, reason string) {
 	}
 }
 
-// supervise owns one shard's lifecycle, starting with the pump Start
-// launched: it runs the pump's serve loop, and when the pump dies while the
-// cluster is live (a crash, a chaos kill, a socket failure) it launches
-// the next one after a jittered capped-exponential backoff. Each restart
-// re-dials the shard's stream (the bridge keeps the stream's generation
-// counter and accounting across the reconnect), so in-flight fetches
-// recover on their next retry attempt; beyond MaxRestarts the shard is
-// declared dead and its vantage points are re-partitioned away.
+// supervise runs one shard's pump. A pump's serve loop returns only when
+// the cluster shuts down or the pump is closed (a chaos kill), so a pump
+// that stops while the cluster is live is gone for good: the shard is
+// declared dead and its vantage points are re-partitioned away at once.
 func (c *Cluster) supervise(sh *shard, pump *replay.Pump) {
 	defer c.wg.Done()
-	for {
-		pump.Run(c.ctx)
-		if c.ctx.Err() != nil {
-			return // shutdown; Close closes the pump
-		}
-		restarts := c.noteCrash(sh, "pump stopped")
-		pump.Close() // the serve loop is gone; this releases its sockets
-		if restarts > c.spec.maxRestarts() {
-			c.giveUp(sh)
-			return
-		}
-		select {
-		case <-time.After(restartBackoff(restarts)):
-		case <-c.ctx.Done():
-			return
-		}
-		next, err := c.bringUp(sh, "restart")
-		if err != nil {
-			// A failed launch (a socket that would not bind) counts
-			// against the restart budget: the closed pump's Run returns
-			// at once on the next pass and charges another.
-			sh.mu.Lock()
-			sh.note("restart-failed", err.Error())
-			sh.mu.Unlock()
-			continue
-		}
-		pump = next
-		if c.ctx.Err() != nil {
-			// Close raced the restart: its sweep may have passed this
-			// shard already, so nothing else would close the fresh pump's
-			// sockets.
-			pump.Close()
-			return
-		}
-		c.restartsC.Add(1)
-		if c.tracer != nil {
-			c.tracer.Instant("shard-restart", "cluster", map[string]any{"shard": sh.id})
-		}
-		if err := c.bridge.ConnectStream(uint32(sh.id), pump.CtrlAddr()); err != nil {
-			sh.mu.Lock()
-			sh.note("reconnect-failed", err.Error())
-			sh.mu.Unlock()
-		}
+	pump.Run(c.ctx)
+	if c.ctx.Err() != nil {
+		return // shutdown; Close closes the pump
 	}
+	pump.Close() // the serve loop is gone; this releases its sockets
+	if c.tracer != nil {
+		c.tracer.Instant("shard-dead", "cluster", map[string]any{"shard": sh.id})
+	}
+	c.repartition(sh, "pump stopped")
 }
 
-// Stats returns the cluster's aggregated accounting.
+// Stats returns the cluster's aggregated accounting. The shard statuses
+// and the rebalance log are read under the partition lock, so they agree.
 func (c *Cluster) Stats() Stats {
 	snap := c.bridge.Snapshot()
 	s := Stats{Bridge: snap.Total, Streams: snap.Streams}
+	c.partMu.Lock()
 	for _, sh := range c.shards {
 		s.Shards = append(s.Shards, sh.status())
 	}
-	c.partMu.Lock()
 	s.Rebalances = append([]RebalanceEvent(nil), c.rebalances...)
 	c.partMu.Unlock()
 	if c.relay != nil {
@@ -599,10 +438,6 @@ func (c *Cluster) Stats() Stats {
 	}
 	return s
 }
-
-// DegradedKeys lists the keys the bridge served as explicitly-missing
-// empty batches (AllowPartial mode); empty for a healthy run.
-func (c *Cluster) DegradedKeys() []string { return c.bridge.DegradedKeys() }
 
 // Close tears the cluster down: chaos timers stopped, pumps closed, then
 // the relay and the bridge. Safe to call more than once.
@@ -621,7 +456,6 @@ func (c *Cluster) Close() error {
 			if sh.pump != nil { // nil: Start failed before this shard's turn
 				sh.pump.Close()
 			}
-			sh.healthy = false
 			sh.mu.Unlock()
 		}
 		c.wg.Wait()

@@ -107,8 +107,8 @@ func TestInProcessClusterServesShardedKeys(t *testing.T) {
 		if s := stats.Streams[uint32(i)]; s.Keys != 1 {
 			t.Errorf("stream %d served %d keys after fetching %s, want 1", i, s.Keys, vp)
 		}
-		if st := stats.Shards[i]; !st.Healthy || st.Pump.Requests != 1 {
-			t.Errorf("shard %d status %+v, want healthy with 1 request", i, st)
+		if st := stats.Shards[i]; st.Dead || st.Pump.Requests != 1 {
+			t.Errorf("shard %d status %+v, want live with 1 request", i, st)
 		}
 	}
 	if s := c.Stats(); s.Bridge.Keys != 3 || s.Bridge.LostRows != 0 {

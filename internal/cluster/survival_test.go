@@ -34,52 +34,21 @@ func TestSpecValidationSurvival(t *testing.T) {
 	if err := (Spec{FetchBudget: -time.Second}).Validate(); err == nil {
 		t.Error("negative FetchBudget validated")
 	}
-	if err := (Spec{MaxRestarts: -1}).Validate(); err == nil {
-		t.Error("negative MaxRestarts validated")
-	}
 }
 
-// TestRestartBackoffJitter pins the supervisor backoff: capped
-// exponential with ±20% jitter — never outside the band, and actually
-// jittered (so a fleet felled by one event does not re-dial in
-// lockstep).
-func TestRestartBackoffJitter(t *testing.T) {
-	for _, tc := range []struct {
-		restarts int
-		base     time.Duration
-	}{
-		{1, 200 * time.Millisecond},
-		{2, 400 * time.Millisecond},
-		{5, 2 * time.Second},  // hits the cap
-		{50, 2 * time.Second}, // shift capped before the min: no overflow
-	} {
-		seen := make(map[time.Duration]bool)
-		for i := 0; i < 200; i++ {
-			d := restartBackoff(tc.restarts)
-			if d < tc.base-tc.base/5 || d >= tc.base+tc.base/5 {
-				t.Fatalf("restartBackoff(%d) = %v, outside %v ±20%%", tc.restarts, d, tc.base)
-			}
-			seen[d] = true
-		}
-		if len(seen) < 2 {
-			t.Errorf("restartBackoff(%d) returned a constant; no jitter", tc.restarts)
-		}
-	}
-}
-
-// waitForDeadShard polls until the shard is declared dead and a
-// rebalance is recorded.
+// waitForDeadShard polls until the shard is declared dead. Its death and
+// its rebalance are one step under the partition lock, so the returned
+// Stats carry the rebalance too.
 func waitForDeadShard(t *testing.T, c *Cluster, shard int, deadline time.Duration) Stats {
 	t.Helper()
 	limit := time.Now().Add(deadline)
 	for {
 		stats := c.Stats()
-		if stats.Shards[shard].Dead && len(stats.Rebalances) > 0 {
+		if stats.Shards[shard].Dead {
 			return stats
 		}
 		if time.Now().After(limit) {
-			t.Fatalf("shard %d not dead+rebalanced within %v: %+v rebalances=%d",
-				shard, deadline, stats.Shards[shard], len(stats.Rebalances))
+			t.Fatalf("shard %d not dead within %v: %+v", shard, deadline, stats.Shards[shard])
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
@@ -147,13 +116,50 @@ func fetchEqual(t *testing.T, c *Cluster, ref *core.SyntheticSource, vp synth.Va
 	}
 }
 
+// livePartition is the vantage-point→shard map one Stats snapshot implies:
+// the spec's initial partition with the snapshot's rebalances replayed
+// over it, in order.
+func livePartition(spec Spec, stats Stats) map[synth.VantagePoint]int {
+	part := spec.partition()
+	for _, ev := range stats.Rebalances {
+		for vp, to := range ev.Moved {
+			part[vp] = to
+		}
+	}
+	return part
+}
+
+// checkOneDeath asserts the exact outcome of killing shard 1 of three:
+// one dead shard, one rebalance, and shard 1's vantage points — IXP-CE
+// and MOBILE under the round-robin partition — moved in sorted order
+// round-robin over shards 0 and 2.
+func checkOneDeath(t *testing.T, spec Spec, stats Stats) {
+	t.Helper()
+	for _, sh := range stats.Shards {
+		if sh.Dead != (sh.Shard == 1) {
+			t.Errorf("shard %d dead = %v, want only shard 1 dead", sh.Shard, sh.Dead)
+		}
+	}
+	if len(stats.Rebalances) != 1 {
+		t.Fatalf("%d rebalances, want exactly 1: %+v", len(stats.Rebalances), stats.Rebalances)
+	}
+	ev := stats.Rebalances[0]
+	want := map[synth.VantagePoint]int{synth.IXPCE: 0, synth.Mobile: 2}
+	if ev.From != 1 || ev.Reason != "pump stopped" || !reflect.DeepEqual(ev.Moved, want) {
+		t.Errorf("rebalance %+v, want shard 1's vantage points moved to %v for \"pump stopped\"", ev, want)
+	}
+	for vp, owner := range livePartition(spec, stats) {
+		if owner == 1 {
+			t.Errorf("dead shard 1 still owns %s", vp)
+		}
+	}
+}
+
 // TestInProcessKillRestartRepartition drives the whole survival path on
-// an in-process cluster with a scheduled chaos kill: the pump dies, the
-// supervisor restarts it, the chaos harness kills every new incarnation
-// (permanent-kill semantics), the restart budget burns out, the shard is
-// declared dead, its vantage points re-partition to the survivors — and
-// a key that used to live on the dead shard is then served, bit-identical,
-// by a surviving pump.
+// an in-process cluster with a scheduled chaos kill: the pump dies once,
+// the shard is declared dead at once — nothing restarts it — its vantage
+// points re-partition to the survivors, and a key that used to live on
+// the dead shard is then served, bit-identical, by a surviving pump.
 func TestInProcessKillRestartRepartition(t *testing.T) {
 	chaos, err := faultinject.ParseSpec("kill=shard1@t+100ms,seed=7")
 	if err != nil {
@@ -161,43 +167,26 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 	}
 	opts := core.Options{FlowScale: 0.05}
 	stderr := captureStderr(t)
-	c := newTestCluster(t, Spec{
+	spec := Spec{
 		Shards:         3,
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
-		MaxRestarts:    1,
 		AttemptTimeout: time.Second,
 		FetchBudget:    30 * time.Second,
 		Chaos:          &chaos,
-	})
+	}
+	c := newTestCluster(t, spec)
 	ref := core.NewSyntheticSource(opts)
 
 	stats := waitForDeadShard(t, c, 1, 15*time.Second)
-	// The supervisor reports through shard history, rebalance events and
+	// The supervisor reports through shard status, rebalance events and
 	// the trace — which the CLI renders — and never prints on its own.
 	if out := stderr(); strings.Contains(out, "cluster:") {
 		t.Errorf("supervisor printed to stderr instead of recording events:\n%s", out)
 	}
-	sh := stats.Shards[1]
-	if sh.Restarts <= 1 {
-		t.Errorf("shard 1 restarts = %d; the re-armed kill should have burned the budget past 1", sh.Restarts)
-	}
-	kinds := make(map[string]int)
-	for _, ev := range sh.History {
-		kinds[ev.Kind]++
-	}
-	if kinds["crash"] == 0 || kinds["restart"] == 0 || kinds["gave-up"] != 1 {
-		t.Errorf("shard 1 history %v, want crashes, restarts and exactly one gave-up", kinds)
-	}
-	ev := stats.Rebalances[0]
-	if ev.From != 1 || len(ev.Moved) == 0 {
-		t.Fatalf("rebalance event %+v, want shard 1's vantage points moved", ev)
-	}
-	part := c.Partition()
-	for vp, to := range ev.Moved {
-		if to == 1 || part[vp] != to {
-			t.Errorf("vantage point %s moved to %d, live partition says %d", vp, to, part[vp])
-		}
+	checkOneDeath(t, spec, stats)
+	if !reflect.DeepEqual(c.Partition(), livePartition(spec, stats)) {
+		t.Errorf("live partition %v, rebalance log implies %v", c.Partition(), livePartition(spec, stats))
 	}
 	if stats.Chaos == nil {
 		t.Fatal("Stats.Chaos is nil with an active chaos spec")
@@ -205,12 +194,9 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 
 	// IXP-CE lived on shard 1 (round-robin over 3 shards); after the
 	// rebalance a surviving pump must serve it bit-identically.
-	if part[synth.IXPCE] == 1 {
-		t.Fatalf("IXP-CE still routed to the dead shard: %v", part)
-	}
 	fetchEqual(t, c, ref, synth.IXPCE, testHour)
-	if s := c.Stats(); s.Streams[uint32(part[synth.IXPCE])].Keys != 1 {
-		t.Errorf("surviving stream %d did not serve the rebalanced key", part[synth.IXPCE])
+	if s := c.Stats(); s.Streams[0].Keys != 1 {
+		t.Errorf("surviving stream 0 did not serve the rebalanced key")
 	}
 }
 

@@ -560,17 +560,6 @@ func (d *Dataset) Stats() CacheStats {
 	return s
 }
 
-// DegradedKeys lists the keys the dataset's flow source served as
-// explicitly-degraded empty batches (see DegradationReporter); nil when
-// the source reports none or cannot degrade at all. The default synthetic
-// source never degrades.
-func (d *Dataset) DegradedKeys() []string {
-	if r, ok := d.src.(DegradationReporter); ok {
-		return r.DegradedKeys()
-	}
-	return nil
-}
-
 // Pin keeps the flow-batch entries an experiment touches resident until
 // Release. The engine creates one per experiment run; every batch drawn
 // through the Env's accessors is pinned for the experiment's whole

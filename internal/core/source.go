@@ -93,7 +93,7 @@ func (h Hour) Time() time.Time { return time.Unix(int64(h)*3600, 0).UTC() }
 
 // FlowKey is the one name of a flow batch: the dataset cache's map key, a
 // Pin's argument, the request of the replay wire protocol and the key
-// argument of trace spans and degraded-run stamps. Two keys of the same
+// argument of trace spans. Two keys of the same
 // batch are ==. A flows/ or vpn-flows/ key names one hour; a
 // component-flows/ key names one UTC day, so its Hour is the day's first
 // (DayOf): Figure 8, the kind's one reader, sums whole ISO weeks, and a
@@ -159,17 +159,6 @@ func fetch(src FlowSource, k FlowKey) (*flowrec.Batch, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown batch kind %d", k.Kind)
 	}
-}
-
-// DegradationReporter is implemented by flow sources that can serve
-// explicitly-degraded results — empty batches standing in for keys the
-// source could not deliver (the wire bridge's allow-partial mode).
-// DegradedKeys lists those keys (FlowKey.String); an empty list means
-// every batch the source served was complete. The Dataset forwards the
-// report (Dataset.DegradedKeys) so a suite run can stamp exactly which
-// inputs its output is missing.
-type DegradationReporter interface {
-	DegradedKeys() []string
 }
 
 // VPNData bundles the inputs of the domain-based VPN analyses: a

@@ -1,5 +1,5 @@
 // Package faultinject is the cluster's deterministic chaos harness: a
-// seeded fault model for the replay wire and the pump supervisor, so a
+// seeded fault model for the replay wire and the cluster's pumps, so a
 // failure run is as replayable as a clean one.
 //
 // A Spec is parsed from a compact comma-separated string
@@ -15,11 +15,11 @@
 //     regardless of wall-clock timing or interleaving with other
 //     streams. Stall windows blackhole one shard's datagrams for a
 //     scheduled interval.
-//   - The cluster supervisor consumes the kill schedule (KillFor):
-//     `kill=shardN@t+X` kills shard N's pump X after cluster start and
-//     re-kills every restarted incarnation, so the shard burns its
-//     restart budget and the survival path — give-up, re-partition —
-//     is exercised deterministically.
+//   - The cluster consumes the kill schedule (KillFor):
+//     `kill=shardN@t+X` closes shard N's pump once, X after cluster
+//     start. The shard is dead from then on, and the survival path —
+//     its vantage points re-partitioned over the other shards — is
+//     exercised deterministically.
 //
 // Every fault the relay injects is recoverable by the bridge's
 // retry/verify machinery (a corrupted packet fails decode or
@@ -35,9 +35,8 @@ import (
 	"time"
 )
 
-// KillEvent schedules a permanent kill of one shard's pump: the pump is
-// killed At after cluster start, and every restarted incarnation is
-// killed again immediately, so the shard exhausts its restart budget.
+// KillEvent schedules the kill of one shard's pump: the pump is closed
+// once, At after cluster start, and the shard is dead from then on.
 type KillEvent struct {
 	Shard int
 	At    time.Duration

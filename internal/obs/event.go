@@ -8,38 +8,21 @@ import (
 // Event is one structured run event: what the CLI's reporter renders to
 // stderr and what the tracer records as an instant, so the human summary
 // and the trace file are two views of the same value. The engine's cache
-// summary, the bridge wire accounting, cluster health/rebalance lines,
-// chaos relay counts and the DEGRADED RUN stamp are all Events — one
-// renderer (report.WriteEvents) replaces the per-command fmt.Fprintf
-// blocks that used to drift apart.
+// summary, the bridge wire accounting, cluster shard/rebalance lines and
+// chaos relay counts are all Events — one renderer (report.WriteEvents)
+// replaces the per-command fmt.Fprintf blocks that used to drift apart.
 type Event struct {
-	// Cat groups events ("cache", "bridge", "cluster", "chaos",
-	// "degraded"); the tracer uses it as the instant's category.
+	// Cat groups events ("cache", "bridge", "cluster", "chaos"); the
+	// tracer uses it as the instant's category.
 	Cat string
 	// Msg is the short human headline ("flow-batch tiers", "rebalance").
 	Msg string
 	// Fields are ordered key=value details; order is presentation order.
 	Fields []Field
-	// Severity marks events a reader must not miss; the reporter renders
-	// them with an upper-case banner (the DEGRADED RUN stamp).
-	Severity Severity
 	// Sub marks a detail line the reporter indents under the preceding
-	// headline event (per-shard accounting under the bridge totals, the
-	// per-key list under the DEGRADED RUN stamp).
+	// headline event (per-shard accounting under the bridge totals).
 	Sub bool
 }
-
-// Severity classifies an event for the reporter.
-type Severity int
-
-const (
-	// Info events are routine accounting.
-	Info Severity = iota
-	// Warn events flag losses or restarts that recovery absorbed.
-	Warn
-	// Degraded events mean the run's output is incomplete.
-	Degraded
-)
 
 // Field is one ordered key/value pair of an Event.
 type Field struct {

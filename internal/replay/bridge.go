@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
@@ -54,18 +53,9 @@ type Config struct {
 	// bound on a fetch's retries: one key's attempts — requests, retries
 	// with jittered backoff, re-routes after a cluster rebalance — share
 	// it, so fast-failing attempts against a dead pump cannot end a fetch
-	// early; the supervisor gets the whole budget to restart or
-	// re-partition. Zero means 4 × AttemptTimeout.
+	// early; the cluster gets the whole budget to re-partition. A fetch
+	// that exhausts it fails. Zero means 4 × AttemptTimeout.
 	FetchBudget time.Duration
-	// AllowPartial degrades instead of failing: a fetch that exhausts
-	// its retry budget on a transient error serves an explicitly-empty
-	// batch and is accounted in Stats.DegradedStreams and DegradedKeys()
-	// rather than aborting the run. Fatal errors (NACK, model mismatch,
-	// verification failure) still fail the fetch — partial mode covers
-	// unreachable pumps, not wrong data. The byte-identity guarantee
-	// obviously does not hold for degraded runs; the suite output is
-	// stamped with the missing keys.
-	AllowPartial bool
 }
 
 // Stats counts what a bridge observed. All fields are cumulative; the
@@ -80,10 +70,6 @@ type Stats struct {
 	StaleFrames  int64 // control frames of an abandoned generation, an unknown stream, or a full inbox
 	BadFrames    int64 // control frames that failed to parse
 	DecodeErrors int64 // malformed flow datagrams: headers the collector rejected, records a decoder rejected
-	// DegradedStreams counts the buckets served as explicitly-missing
-	// empty batches after the retry budget ran out (AllowPartial only);
-	// DegradedKeys() lists them.
-	DegradedStreams int64
 }
 
 func (s *Stats) add(o Stats) {
@@ -96,7 +82,6 @@ func (s *Stats) add(o Stats) {
 	s.StaleFrames += o.StaleFrames
 	s.BadFrames += o.BadFrames
 	s.DecodeErrors += o.DecodeErrors
-	s.DegradedStreams += o.DegradedStreams
 }
 
 // inboxSize is a stream inbox's capacity in datagrams. A bucket is its
@@ -153,11 +138,7 @@ type stream struct {
 	fetchMu sync.Mutex
 	gen     uint32
 
-	// connMu guards req separately from fetchMu so a supervisor can
-	// re-dial a restarted pump while a fetch is mid-retry; the next
-	// attempt picks the new socket up.
-	connMu sync.Mutex
-	req    *net.UDPConn
+	req *net.UDPConn // set at ConnectStream, never replaced
 
 	inbox chan inboxItem
 
@@ -178,16 +159,16 @@ type stream struct {
 	orphanRows  *obs.Counter
 	inboxDrops  *obs.Counter
 	staleFrames *obs.Counter
-	degraded    *obs.Counter
 }
 
-func newStream(id uint32, col *collector.Collector, reg *obs.Registry) *stream {
+func newStream(id uint32, req *net.UDPConn, col *collector.Collector, reg *obs.Registry) *stream {
 	lv := fmt.Sprintf("%d", id)
 	vec := func(name, help string) *obs.Counter {
 		return reg.CounterVec(name, help, "stream").With(lv)
 	}
 	return &stream{
 		id:      id,
+		req:     req,
 		inbox:   make(chan inboxItem, inboxSize),
 		decode:  col.NewDecoder(),
 		orphans: newRowCounter(col),
@@ -205,33 +186,18 @@ func newStream(id uint32, col *collector.Collector, reg *obs.Registry) *stream {
 			"Rows dropped at a full stream inbox (stalled consumer)."),
 		staleFrames: vec("lockdown_bridge_stale_frames_total",
 			"Control frames of an abandoned generation or a full inbox."),
-		degraded: vec("lockdown_bridge_degraded_total",
-			"Buckets served as explicitly-missing empty batches."),
 	}
-}
-
-// request sends one request datagram on the stream's pump socket.
-func (st *stream) request(pkt []byte) error {
-	st.connMu.Lock()
-	conn := st.req
-	st.connMu.Unlock()
-	if conn == nil {
-		return fmt.Errorf("replay: stream %d has no pump (call ConnectStream)", st.id)
-	}
-	_, err := conn.Write(pkt)
-	return err
 }
 
 func (st *stream) stats() Stats {
 	return Stats{
-		Keys:            st.keys.Value(),
-		Rows:            st.rows.Value(),
-		Retries:         st.retries.Value(),
-		LostRows:        st.lostRows.Value(),
-		OrphanRows:      st.orphanRows.Value(),
-		InboxDrops:      st.inboxDrops.Value(),
-		StaleFrames:     st.staleFrames.Value(),
-		DegradedStreams: st.degraded.Value(),
+		Keys:        st.keys.Value(),
+		Rows:        st.rows.Value(),
+		Retries:     st.retries.Value(),
+		LostRows:    st.lostRows.Value(),
+		OrphanRows:  st.orphanRows.Value(),
+		InboxDrops:  st.inboxDrops.Value(),
+		StaleFrames: st.staleFrames.Value(),
 	}
 }
 
@@ -269,10 +235,6 @@ type Bridge struct {
 	staleFrames  *obs.Counter
 	orphanRows   *obs.Counter
 	decodeErrors *obs.Counter
-
-	// Keys served as explicitly-missing empty batches (AllowPartial).
-	degradedMu   sync.Mutex
-	degradedKeys []string
 
 	closeOnce sync.Once
 }
@@ -325,9 +287,9 @@ func (b *Bridge) DataAddr() string { return b.col.Addr() }
 func (b *Bridge) ConnectPump(addr string) error { return b.ConnectStream(0, addr) }
 
 // ConnectStream dials the request socket of the pump serving the given
-// stream, registering the stream for demux. Re-connecting an existing
-// stream replaces its socket — the supervisor does this when it restarts
-// a pump — and keeps the stream's generation counter and accounting.
+// stream and registers the stream for demux. A stream is served by one
+// pump for the bridge's life: an id that is already registered is
+// refused.
 func (b *Bridge) ConnectStream(id uint32, addr string) error {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -338,23 +300,16 @@ func (b *Bridge) ConnectStream(id uint32, addr string) error {
 		return fmt.Errorf("replay: dial pump %q: %w", addr, err)
 	}
 	b.mu.Lock()
-	if b.closed {
-		b.mu.Unlock()
+	defer b.mu.Unlock()
+	switch {
+	case b.closed:
 		conn.Close()
 		return fmt.Errorf("replay: bridge is closed")
+	case b.streams[id] != nil:
+		conn.Close()
+		return fmt.Errorf("replay: stream %d is already connected", id)
 	}
-	st, ok := b.streams[id]
-	if !ok {
-		st = newStream(id, b.col, b.cfg.Options.Obs)
-		b.streams[id] = st
-	}
-	b.mu.Unlock()
-	st.connMu.Lock()
-	if st.req != nil {
-		st.req.Close()
-	}
-	st.req = conn
-	st.connMu.Unlock()
+	b.streams[id] = newStream(id, conn, b.col, b.cfg.Options.Obs)
 	return nil
 }
 
@@ -446,11 +401,7 @@ func (b *Bridge) Close() error {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		for _, st := range b.streams {
-			st.connMu.Lock()
-			if st.req != nil {
-				st.req.Close()
-			}
-			st.connMu.Unlock()
+			st.req.Close()
 		}
 	})
 	return err
@@ -517,7 +468,7 @@ func fatalf(format string, a ...any) error { return fatalError{fmt.Errorf(format
 
 // exhausted reports whether a fetch's retry budget has run out: its
 // deadline alone decides, so a fetch rides out fast-failing attempts —
-// a dead pump mid-restart — until the deadline.
+// a dead pump whose keys have not moved yet — until the deadline.
 func exhausted(deadline time.Time) bool { return !time.Now().Before(deadline) }
 
 // Retry backoff: exponential from retryBackoffBase, capped, with ±50%
@@ -535,8 +486,8 @@ const (
 var errNoAnswer = errors.New("no answer from pump")
 
 // backoff sleeps out the pre-retry delay after an unanswered attempt,
-// truncated to the fetch deadline: the pump may be down, and a supervisor
-// restarting it or a rebalance moving its keys needs the time.
+// truncated to the fetch deadline: the pump may be down, and a rebalance
+// moving its keys needs the time.
 func (b *Bridge) backoff(attempts int, deadline time.Time) {
 	d := min(retryBackoffBase<<min(attempts-1, 6), retryBackoffCap)
 	d = d/2 + time.Duration(rand.Int63n(int64(d))) // ±50% jitter
@@ -553,9 +504,8 @@ func (b *Bridge) backoff(attempts int, deadline time.Time) {
 // is re-routed between attempts: after a cluster rebalance moved its
 // vantage point to a surviving shard, the next attempt requests it from
 // the new stream (with a fresh generation, so anything still in flight
-// from the dead assignment is discarded as stale). With AllowPartial an
-// exhausted budget degrades to an explicitly-accounted empty batch
-// instead of an error.
+// from the dead assignment is discarded as stale). An exhausted budget
+// fails the fetch.
 func (b *Bridge) fetch(k core.FlowKey) (*flowrec.Batch, error) {
 	sp := b.tracer.Start("fetch", "bridge")
 	got, err := b.fetchKey(k)
@@ -587,10 +537,10 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 	deadline := time.Now().Add(b.cfg.FetchBudget)
 	attempts := 0
 	var lastErr error
-	var st *stream
 	for {
 		id := b.route(k)
-		if st = b.stream(id); st == nil {
+		st := b.stream(id)
+		if st == nil {
 			// A mis-wired topology: the cluster connects every shard
 			// before it serves, and a rebalance moves keys only to
 			// streams it has connected.
@@ -606,19 +556,11 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 		}
 		lastErr = err
 		if exhausted(deadline) {
-			break
+			return nil, fmt.Errorf("replay: %s: giving up after %d attempts in %v: %w", k, attempts, b.cfg.FetchBudget, lastErr)
 		}
 		// Not exhausted: the stream's route changed mid-fetch; loop to
 		// re-route and continue on the new stream.
 	}
-	if b.cfg.AllowPartial {
-		st.degraded.Add(1)
-		b.degradedMu.Lock()
-		b.degradedKeys = append(b.degradedKeys, k.String())
-		b.degradedMu.Unlock()
-		return flowrec.NewProjected(0, k.Columns()), nil
-	}
-	return nil, fmt.Errorf("replay: %s: giving up after %d attempts in %v: %w", k, attempts, b.cfg.FetchBudget, lastErr)
 }
 
 // fetchFromStream runs attempts of one key against one stream, holding
@@ -648,7 +590,7 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch,
 		}
 		*attempts++
 		st.gen++
-		if err := st.request(encodeRequest(st.id, st.gen, k)); err != nil {
+		if _, err := st.req.Write(encodeRequest(st.id, st.gen, k)); err != nil {
 			lastErr = fmt.Errorf("%w: %w", errNoAnswer, err)
 			if b.routeMoved(k, st.id) {
 				return nil, lastErr
@@ -685,18 +627,6 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch,
 // stream (a cluster rebalance re-targeted it mid-fetch).
 func (b *Bridge) routeMoved(k core.FlowKey, id uint32) bool {
 	return b.cfg.Route != nil && b.route(k) != id
-}
-
-// DegradedKeys lists the keys served as empty batches under
-// AllowPartial, sorted; empty for a healthy run. It implements
-// core.DegradationReporter so the suite output can stamp exactly which
-// keys a degraded run is missing.
-func (b *Bridge) DegradedKeys() []string {
-	b.degradedMu.Lock()
-	out := append([]string(nil), b.degradedKeys...)
-	b.degradedMu.Unlock()
-	sort.Strings(out)
-	return out
 }
 
 // collect gathers one announced bucket from the stream's inbox, which

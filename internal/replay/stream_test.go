@@ -274,3 +274,24 @@ func TestFetchUnknownStreamFails(t *testing.T) {
 		t.Errorf("unconnected stream took %v; should fail without waiting on the wire", d)
 	}
 }
+
+// TestConnectStreamRefusesRegisteredID: a stream is served by one pump for
+// the bridge's life, so connecting an id a second time is refused and
+// leaves the first socket in place.
+func TestConnectStreamRefusesRegisteredID(t *testing.T) {
+	br, err := NewBridge(Config{Format: collector.FormatIPFIX, Options: core.Options{FlowScale: 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	if err := br.ConnectStream(3, "127.0.0.1:9"); err != nil {
+		t.Fatal(err)
+	}
+	first := br.stream(3).req
+	if err := br.ConnectStream(3, "127.0.0.1:10"); err == nil || !strings.Contains(err.Error(), "already connected") {
+		t.Fatalf("second ConnectStream(3) = %v, want an already-connected error", err)
+	}
+	if br.stream(3).req != first {
+		t.Error("the refused ConnectStream replaced the stream's socket")
+	}
+}

@@ -10,22 +10,18 @@ import (
 // WriteEvents renders structured run events as the human stderr summary.
 // Every accounting line the CLI prints after a run — the dataset-cache
 // totals, the flow-batch tier activity, wire bridge/pump stats, cluster
-// shard health, rebalances, chaos relay counts and the DEGRADED RUN
-// stamp — flows through here from one []obs.Event that is also Emit'd
-// to the tracer, so the terminal and the trace file can never disagree.
+// shard status, rebalances and chaos relay counts — flows through here
+// from one []obs.Event that is also Emit'd to the tracer, so the
+// terminal and the trace file can never disagree.
 //
 // Rendering: "<msg>: <val> <key>, <val> <key>, ..." per event; a field
 // with an empty key prints its value alone, a field with an empty value
 // prints its key alone. Sub events indent two spaces under the previous
-// headline. A Degraded event opens with a blank line and its message is
-// expected to carry its own upper-case banner.
+// headline.
 func WriteEvents(w io.Writer, events []obs.Event) error {
 	var b strings.Builder
 	for _, e := range events {
 		b.Reset()
-		if e.Severity == obs.Degraded && !e.Sub {
-			b.WriteByte('\n')
-		}
 		if e.Sub {
 			b.WriteString("  ")
 		}

@@ -213,15 +213,13 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "The wire path is built to survive faults without perturbing a metric:")
 	fmt.Fprintln(w, "lost, duplicated, reordered or corrupted datagrams are detected,")
 	fmt.Fprintln(w, "re-requested and accounted under one wall-clock deadline per fetch")
-	fmt.Fprintln(w, "(`-fetch-budget`, default 4 × `-attempt-timeout`);")
-	fmt.Fprintln(w, "crashed pumps are restarted with jittered backoff, and a shard that")
-	fmt.Fprintln(w, "exhausts `-max-restarts` has its vantage points re-partitioned over")
-	fmt.Fprintln(w, "the survivors. `-chaos 'drop=0.05,kill=shard1@t+2s,seed=7'` injects a")
-	fmt.Fprintln(w, "deterministic fault schedule to drill exactly that; `-allow-partial`")
-	fmt.Fprintln(w, "trades completeness for liveness, serving exhausted keys as empty")
-	fmt.Fprintln(w, "batches and stamping the run DEGRADED with the missing")
-	fmt.Fprintln(w, "component-hours (see docs/ARCHITECTURE.md, \"Failure modes and")
-	fmt.Fprintln(w, "recovery\").")
+	fmt.Fprintln(w, "(`-fetch-budget`, default 4 × `-attempt-timeout`), and a shard whose")
+	fmt.Fprintln(w, "pump stops is dead at once: its vantage points are re-partitioned")
+	fmt.Fprintln(w, "over the survivors. `-chaos 'drop=0.05,kill=shard1@t+2s,seed=7'`")
+	fmt.Fprintln(w, "injects a deterministic fault schedule to drill exactly that. A wire")
+	fmt.Fprintln(w, "run either reproduces every metric below bit-identically or fails: a")
+	fmt.Fprintln(w, "bucket no pump serves within its budget ends the run (see")
+	fmt.Fprintln(w, "docs/ARCHITECTURE.md, \"Failure modes and recovery\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Memory is bounded by default: the dataset cache keeps a working set")
 	fmt.Fprintln(w, "of flow batches, not the dataset. `run`, `all`, `doc` and `scenario")
@@ -260,7 +258,7 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "per-stream bridge accounting, cluster health, chaos faults) plus live")
 	fmt.Fprintln(w, "pprof, and `-trace out.json` records a Chrome trace_event timeline —")
 	fmt.Fprintln(w, "experiment and scan-chunk spans, cache spills/faults, bridge fetches")
-	fmt.Fprintln(w, "and retries, shard restarts and rebalances — whose per-experiment")
+	fmt.Fprintln(w, "and retries, shard deaths and rebalances — whose per-experiment")
 	fmt.Fprintln(w, "span durations share the clock of the `_runtime/wall-ms` stamps.")
 	fmt.Fprintln(w, "Neither flag changes a metric, and both cost zero when off (see")
 	fmt.Fprintln(w, "docs/ARCHITECTURE.md, \"Observability\").")
