@@ -196,11 +196,10 @@ type Cluster struct {
 	epoch  time.Time // Start time; anchors the chaos schedule
 
 	// Supervisor instruments (standalone when Spec.Options.Obs is nil)
-	// and the run tracer; deaths and rebalances show up both here and as
-	// ShardStatus.Dead / RebalanceEvents in Stats.
+	// and the run tracer; a death and its rebalance show up both here and
+	// as ShardStatus.Dead / RebalanceEvents in Stats.
 	tracer      *obs.Tracer
 	deadShardsC *obs.Counter
-	rebalancesC *obs.Counter
 
 	// The live partition; fetches route through it per attempt, so a
 	// rebalance re-targets even fetches already mid-retry.
@@ -231,9 +230,7 @@ func New(spec Spec) (*Cluster, error) {
 		part:   spec.partition(),
 		tracer: spec.Options.Tracer,
 		deadShardsC: reg.Counter("lockdown_cluster_dead_shards_total",
-			"Shards declared dead because their pump stopped."),
-		rebalancesC: reg.Counter("lockdown_cluster_rebalances_total",
-			"Dynamic re-partitions away from dead shards."),
+			"Shards declared dead because their pump stopped; each death is one rebalance."),
 	}
 	bridge, err := replay.NewBridge(replay.Config{
 		Format:         spec.Format,
@@ -359,7 +356,7 @@ func (c *Cluster) bringUp(sh *shard) (*replay.Pump, error) {
 // dead assignment is discarded as stale by the bridge's generation
 // check, and verification keeps the output byte-identical no matter
 // which pump ends up serving a key.
-func (c *Cluster) repartition(from *shard, reason string) {
+func (c *Cluster) repartition(from *shard) {
 	c.partMu.Lock()
 	defer c.partMu.Unlock()
 	from.mu.Lock()
@@ -384,7 +381,7 @@ func (c *Cluster) repartition(from *shard, reason string) {
 	ev := RebalanceEvent{
 		Time:   time.Now(),
 		From:   from.id,
-		Reason: reason,
+		Reason: "pump stopped",
 		Moved:  make(map[synth.VantagePoint]int, len(moved)),
 	}
 	if len(targets) == 0 {
@@ -397,10 +394,9 @@ func (c *Cluster) repartition(from *shard, reason string) {
 		}
 	}
 	c.rebalances = append(c.rebalances, ev)
-	c.rebalancesC.Add(1)
 	if c.tracer != nil {
 		c.tracer.Instant("rebalance", "cluster",
-			map[string]any{"from": from.id, "moved": len(moved), "reason": reason})
+			map[string]any{"from": from.id, "moved": len(moved), "reason": ev.Reason})
 	}
 }
 
@@ -415,10 +411,7 @@ func (c *Cluster) supervise(sh *shard, pump *replay.Pump) {
 		return // shutdown; Close closes the pump
 	}
 	pump.Close() // the serve loop is gone; this releases its sockets
-	if c.tracer != nil {
-		c.tracer.Instant("shard-dead", "cluster", map[string]any{"shard": sh.id})
-	}
-	c.repartition(sh, "pump stopped")
+	c.repartition(sh)
 }
 
 // Stats returns the cluster's aggregated accounting. The shard statuses

@@ -113,9 +113,6 @@ func TestStatsConsistentDuringChaos(t *testing.T) {
 	if v := reg.Counter("lockdown_cluster_dead_shards_total", "").Value(); v != 1 {
 		t.Errorf("lockdown_cluster_dead_shards_total = %d, want 1", v)
 	}
-	if v := reg.Counter("lockdown_cluster_rebalances_total", "").Value(); v != 1 {
-		t.Errorf("lockdown_cluster_rebalances_total = %d, want 1", v)
-	}
 }
 
 type discardWriter struct{}
