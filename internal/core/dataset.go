@@ -668,16 +668,20 @@ func (d *Dataset) rangeSeries(k seriesKey, gen func(*synth.Generator) *timeserie
 			return nil, err
 		}
 		s := gen(g)
-		s.Points() // force the sort before the series is shared
+		// Sort before the series is shared. The generator's builders add in
+		// time order, so this is a no-op for them; it stays as the guard
+		// for any builder that does not.
+		s.Points()
 		return s, nil
 	})
 }
 
 // Series returns the hourly total-volume series of [from, to). Ranges
 // inside the study window are sliced from one memoized series of the whole
-// window; anything else is generated (and memoized) directly. Values are
-// identical either way because the generator is a pure function of its
-// configuration.
+// window, in O(log n), as views that share its points (an Add to a view
+// reallocates it, so callers may append to what they get); anything else
+// is generated (and memoized) directly. Values are identical either way
+// because the generator is a pure function of its configuration.
 func (d *Dataset) Series(vp synth.VantagePoint, from, to time.Time) (*timeseries.Series, error) {
 	from, to = from.UTC().Truncate(time.Hour), to.UTC().Truncate(time.Hour)
 	genFrom, genTo := from, to

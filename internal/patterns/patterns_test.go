@@ -130,3 +130,22 @@ func TestKindString(t *testing.T) {
 		t.Error("Kind strings unexpected")
 	}
 }
+
+// BenchmarkClassifyRange classifies February to May (90 days) of the ISP-CE
+// study-window series at the default bin size, as Figure 2's experiment
+// does: one day slice, one bin vector and the result growth per day.
+func BenchmarkClassifyRange(b *testing.B) {
+	g, err := synth.NewDefault(synth.ISPCE)
+	if err != nil {
+		b.Fatal(err)
+	}
+	s := g.TotalSeries(calendar.StudyStart, calendar.StudyEnd)
+	c, err := Train(s, date(2020, 2, 1), date(2020, 3, 1), DefaultBinHours)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		c.ClassifyRange(s, date(2020, 2, 1), date(2020, 5, 1))
+	}
+}

@@ -154,9 +154,19 @@ func (g *Generator) HourlyVolume(t time.Time) float64 {
 	return g.hourlyVolume(&h)
 }
 
+// hourlySeries returns an empty series with room for every hour eachHour
+// visits in [from, to), so the builders below never reallocate.
+func hourlySeries(name string, from, to time.Time) *timeseries.Series {
+	s := timeseries.New(name)
+	if d := to.Sub(from.UTC().Truncate(time.Hour)); d > 0 {
+		s.Grow(int((d-1)/time.Hour + 1))
+	}
+	return s
+}
+
 // TotalSeries returns the hourly total-volume series for [from, to).
 func (g *Generator) TotalSeries(from, to time.Time) *timeseries.Series {
-	s := timeseries.New(string(g.cfg.VP) + " total")
+	s := hourlySeries(string(g.cfg.VP)+" total", from, to)
 	eachHour(from, to, func(h *hour) {
 		s.Add(h.start, g.hourlyVolume(h))
 	})
@@ -166,7 +176,7 @@ func (g *Generator) TotalSeries(from, to time.Time) *timeseries.Series {
 // ClassSeries returns the hourly series of one traffic class for [from,
 // to).
 func (g *Generator) ClassSeries(class Class, from, to time.Time) *timeseries.Series {
-	s := timeseries.New(string(g.cfg.VP) + " " + string(class))
+	s := hourlySeries(string(g.cfg.VP)+" "+string(class), from, to)
 	eachHour(from, to, func(h *hour) {
 		var v float64
 		for i := range g.plan {
@@ -228,8 +238,8 @@ func (g *Generator) hypergiantSplit(h *hour) (hypergiant, other float64) {
 // HypergiantSeries returns hourly series for hypergiant and other-AS
 // traffic over [from, to).
 func (g *Generator) HypergiantSeries(from, to time.Time) (hypergiant, other *timeseries.Series) {
-	hypergiant = timeseries.New(string(g.cfg.VP) + " hypergiants")
-	other = timeseries.New(string(g.cfg.VP) + " other ASes")
+	hypergiant = hourlySeries(string(g.cfg.VP)+" hypergiants", from, to)
+	other = hourlySeries(string(g.cfg.VP)+" other ASes", from, to)
 	eachHour(from, to, func(h *hour) {
 		hg, o := g.hypergiantSplit(h)
 		hypergiant.Add(h.start, hg)
@@ -260,8 +270,8 @@ func (g *Generator) directionSplit(h *hour) (ingress, egress float64) {
 // DirectionSeries returns hourly ingress and egress series over [from,
 // to).
 func (g *Generator) DirectionSeries(from, to time.Time) (ingress, egress *timeseries.Series) {
-	ingress = timeseries.New(string(g.cfg.VP) + " ingress")
-	egress = timeseries.New(string(g.cfg.VP) + " egress")
+	ingress = hourlySeries(string(g.cfg.VP)+" ingress", from, to)
+	egress = hourlySeries(string(g.cfg.VP)+" egress", from, to)
 	eachHour(from, to, func(h *hour) {
 		in, out := g.directionSplit(h)
 		ingress.Add(h.start, in)

@@ -22,8 +22,10 @@ import (
 // Evaluation is bit-identical to the straight-line reading of the
 // Component documentation (kept as the reference evaluator in
 // reference_test.go): the same floating-point expressions in the same
-// order, only hoisted out of the hour loop or shared between the volume,
-// the connection multiplier and the flow count of one component-hour.
+// order, only hoisted out of the hour loop, shared between the volume,
+// the connection multiplier and the flow count of one component-hour, or
+// fused without copies — blendShape runs diurnal.Blend, normalise and
+// Mean in one function on pointers, where the reference calls Blend.
 
 // progress returns how far t has advanced through [from, to], clamped to
 // [0, 1]. All three are Unix nanoseconds, so the ratio is the one
@@ -301,6 +303,43 @@ func shapeTable(prof *diurnal.Profile) (table [24]float64, mean float64) {
 		table[h] = prof[h] / mean
 	}
 	return table, mean
+}
+
+// blendShape returns prof[ofDay]/prof.Mean() of prof = diurnal.Blend(a, b,
+// w), and false where that mean is zero. It runs Blend's, normalise's and
+// Mean's operations in their order — clamp w, blend every hour, divide by
+// the maximum unless it is zero, sum in hour order and divide by 24 — on
+// one array on its stack, where Blend copies two profiles in and one out
+// of every call.
+func blendShape(a, b *diurnal.Profile, w float64, ofDay int) (float64, bool) {
+	if w < 0 {
+		w = 0
+	}
+	if w > 1 {
+		w = 1
+	}
+	var prof diurnal.Profile
+	peak := 0.0
+	for h := range prof {
+		prof[h] = a[h]*(1-w) + b[h]*w
+		if prof[h] > peak {
+			peak = prof[h]
+		}
+	}
+	if peak != 0 {
+		for h := range prof {
+			prof[h] /= peak
+		}
+	}
+	var sum float64
+	for _, v := range prof {
+		sum += v
+	}
+	mean := sum / 24
+	if mean == 0 {
+		return 0, false
+	}
+	return prof[ofDay] / mean, true
 }
 
 func (k *compiler) component(c *Component) componentPlan {
@@ -591,12 +630,10 @@ func (p *componentPlan) evaluate(h *hour) componentHour {
 		}
 		shape, level = p.weekendShape[h.ofDay], p.weekendLevel
 	case p.shifts:
-		prof := diurnal.Blend(p.c.Workday, p.target, p.shift.at(h.ns))
-		mean := prof.Mean()
-		if mean == 0 {
+		var ok bool
+		if shape, ok = blendShape(&p.c.Workday, &p.target, p.shift.at(h.ns), h.ofDay); !ok {
 			return e
 		}
-		shape = prof[h.ofDay] / mean
 	default:
 		if p.workMean == 0 {
 			return e

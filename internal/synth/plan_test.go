@@ -9,20 +9,31 @@ import (
 // checkPlanAgainstReference holds the compiled plan of cfg to the
 // reference evaluator with ==: the volume of every component × every hour
 // of the study window and, wherever the sampler would run, the connection
-// multiplier and the flow count.
+// multiplier and the flow count. The reference blends a shifting
+// component's workday profile with diurnal.Blend and the plan with
+// blendShape, so it also counts the workday hours of shifting components
+// it compared — every one of them goes through blendShape — and fails
+// when cfg has such a component and none was compared.
 func checkPlanAgainstReference(t *testing.T, cfg Config) {
 	t.Helper()
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, silent := 0, 0
+	live, silent, blended := 0, 0, 0
+	shifting := false
+	for i := range g.plan {
+		shifting = shifting || g.plan[i].shifts
+	}
 	eachHour(calendar.StudyStart, calendar.StudyEnd, func(h *hour) {
 		for i := range g.plan {
 			c := cfg.Components[i]
 			s := g.sampled(&g.plan[i], h)
 			if want := refVolumeAt(c, h.start, cfg.Seed); s.volume != want {
 				t.Fatalf("%s/%s at %v: volume %v, reference %v", cfg.VP, c.Name, h.start, s.volume, want)
+			}
+			if g.plan[i].shifts && !s.weekend {
+				blended++
 			}
 			if want := refHourHash(cfg.Seed, c.Name, h.start); s.hash != want {
 				t.Fatalf("%s/%s at %v: hour hash %#x, reference %#x", cfg.VP, c.Name, h.start, s.hash, want)
@@ -43,7 +54,10 @@ func checkPlanAgainstReference(t *testing.T, cfg Config) {
 	if live == 0 {
 		t.Fatalf("%s: no live component-hour compared", cfg.VP)
 	}
-	t.Logf("%s%s: %d live and %d silent component-hours identical", cfg.VP, cfg.Variant, live, silent)
+	if shifting && blended == 0 {
+		t.Fatalf("%s%s: no blended workday hour of a shifting component compared", cfg.VP, cfg.Variant)
+	}
+	t.Logf("%s%s: %d live and %d silent component-hours identical, %d of them blended workday hours", cfg.VP, cfg.Variant, live, silent, blended)
 }
 
 // TestPlanMatchesReference covers the built-in model of all seven vantage

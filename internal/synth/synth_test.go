@@ -486,3 +486,16 @@ func TestVPNGatewayPinning(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkTotalSeries builds one vantage point's hourly total-volume
+// series over the study window, as core.Dataset.Series does once per
+// vantage point: the series header, its name and one pre-sized point
+// array are the allocations, so a series that grew by appending would
+// show up as more.
+func BenchmarkTotalSeries(b *testing.B) {
+	g := MustNewDefault(ISPCE)
+	b.ReportAllocs()
+	for b.Loop() {
+		g.TotalSeries(calendar.StudyStart, calendar.StudyEnd)
+	}
+}

@@ -3,13 +3,18 @@
 // normalisation against a reference value, daily totals and weekly means,
 // differences between series and empirical CDFs.
 //
-// A Series is a sequence of (timestamp, value) points kept sorted by time.
-// The zero value is an empty, ready-to-use series.
+// A Series is a sequence of (timestamp, value) points read in time order.
+// A series whose points are added in non-decreasing time — every builder
+// in this module — is in order by construction and is never sorted; one
+// built out of order is stable-sorted once, on its first read. Slice cuts
+// a sub-range by binary search in O(log n) and returns a view that shares
+// the parent's points. The zero value is an empty, ready-to-use series.
 package timeseries
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 )
@@ -26,7 +31,10 @@ type Point struct {
 type Series struct {
 	Name   string
 	points []Point
-	sorted bool
+	// unsorted is set by the first Add that goes back in time and cleared
+	// by sort, so the zero value (and every series built in order) reads
+	// as sorted.
+	unsorted bool
 }
 
 // New returns an empty series with the given name.
@@ -36,26 +44,41 @@ func New(name string) *Series {
 
 // FromPoints builds a series from pre-existing points. The slice is copied.
 func FromPoints(name string, pts []Point) *Series {
-	s := &Series{Name: name, points: append([]Point(nil), pts...)}
+	s := New(name)
+	s.Grow(len(pts))
+	for _, p := range pts {
+		s.AddPoint(p)
+	}
 	s.sort()
 	return s
 }
 
-// Add appends an observation.
+// Grow reserves room for n more points, so the next n Adds do not
+// reallocate.
+func (s *Series) Grow(n int) { s.points = slices.Grow(s.points, n) }
+
+// Add appends an observation. It costs one comparison with the last point
+// to keep track of whether the series is still in time order.
 func (s *Series) Add(t time.Time, v float64) {
+	if n := len(s.points); n > 0 && t.Before(s.points[n-1].T) {
+		s.unsorted = true
+	}
 	s.points = append(s.points, Point{T: t, V: v})
-	s.sorted = false
 }
 
 // AddPoint appends an observation given as a Point.
 func (s *Series) AddPoint(p Point) { s.Add(p.T, p.V) }
 
+// sort puts the points in time order, keeping the insertion order of
+// equal timestamps. It sorts a copy: a view returned by an earlier Slice
+// may share the old array, and its points must not move.
 func (s *Series) sort() {
-	if s.sorted {
+	if !s.unsorted {
 		return
 	}
+	s.points = slices.Clone(s.points)
 	sort.SliceStable(s.points, func(i, j int) bool { return s.points[i].T.Before(s.points[j].T) })
-	s.sorted = true
+	s.unsorted = false
 }
 
 // Len returns the number of observations.
@@ -128,16 +151,17 @@ func (s *Series) Max() float64 {
 	return m
 }
 
-// Slice returns the sub-series with from <= t < to.
+// Slice returns the sub-series with from <= t < to. It finds the range by
+// binary search, O(log n), and returns a view that shares the receiver's
+// points. The view's capacity ends at its last point, so an Add to it
+// reallocates and never reaches the receiver, and no method writes a
+// point in place, so the receiver and its views cannot change each other.
 func (s *Series) Slice(from, to time.Time) *Series {
-	s.sort()
-	out := New(s.Name)
-	for _, p := range s.points {
-		if !p.T.Before(from) && p.T.Before(to) {
-			out.AddPoint(p)
-		}
-	}
-	return out
+	pts := s.Points()
+	lo := sort.Search(len(pts), func(i int) bool { return !pts[i].T.Before(from) })
+	hi := sort.Search(len(pts), func(i int) bool { return !pts[i].T.Before(to) })
+	hi = max(hi, lo)
+	return &Series{Name: s.Name, points: pts[lo:hi:hi]}
 }
 
 // Resample aggregates observations into regular bins of the given width.

@@ -251,3 +251,21 @@ func TestNormalizeBoundsQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// BenchmarkSeriesSlice cuts one day out of 137 days of hours (3 288
+// points), as the day-grid analyses do once per day. The range is found by
+// binary search and the result is a view, so the one allocation is its
+// header; a Slice that scanned or copied the points would show up as more.
+func BenchmarkSeriesSlice(b *testing.B) {
+	s := New("study window")
+	for i := 0; i < 137*24; i++ {
+		s.Add(t0.Add(time.Duration(i)*time.Hour), float64(i))
+	}
+	day := t0.AddDate(0, 0, 60)
+	b.ReportAllocs()
+	for b.Loop() {
+		if s.Slice(day, day.AddDate(0, 0, 1)).Len() != 24 {
+			b.Fatal("day slice is not 24 hours")
+		}
+	}
+}
