@@ -277,14 +277,17 @@ func Days(from, to time.Time) []time.Time {
 	return ds
 }
 
+// WorkStart and WorkEnd bound the paper's "working hours" window as hours
+// of the day: [WorkStart, WorkEnd), 09:00-16:59.
+const (
+	WorkStart = 9
+	WorkEnd   = 17
+)
+
 // WorkingHours reports whether the hour-of-day h (0-23) falls into the
 // paper's "working hours" window (09:00-16:59).
-func WorkingHours(h int) bool { return h >= 9 && h <= 16 }
+func WorkingHours(h int) bool { return h >= WorkStart && h < WorkEnd }
 
 // EveningHours reports whether the hour-of-day h falls into the paper's
 // evening window (17:00-24:00).
 func EveningHours(h int) bool { return h >= 17 && h <= 23 }
-
-// EarlyMorning reports whether the hour-of-day h is in the 02:00-06:59
-// window the application-class analysis removes (Section 5).
-func EarlyMorning(h int) bool { return h >= 2 && h <= 6 }

@@ -219,9 +219,6 @@ func TestHourWindows(t *testing.T) {
 	if !EveningHours(17) || !EveningHours(23) || EveningHours(16) {
 		t.Error("EveningHours window wrong")
 	}
-	if !EarlyMorning(2) || !EarlyMorning(6) || EarlyMorning(7) || EarlyMorning(1) {
-		t.Error("EarlyMorning window wrong")
-	}
 }
 
 func TestLockdownOrdering(t *testing.T) {

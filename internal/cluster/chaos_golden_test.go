@@ -66,5 +66,5 @@ func TestGoldenClusterChaos(t *testing.T) {
 	// After the rebalance a vantage point that lived on the dead shard
 	// must still be served bit-identically, over the wire, by a survivor.
 	fetchEqual(t, c, core.NewSyntheticSource(goldenOpts), synth.IXPCE,
-		time.Date(2020, time.May, 6, 9, 0, 0, 0, time.UTC))
+		time.Date(2020, time.May, 6, 0, 0, 0, 0, time.UTC))
 }

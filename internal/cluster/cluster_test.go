@@ -13,7 +13,7 @@ import (
 	"lockdown/internal/synth"
 )
 
-var testHour = time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
+var testDay = time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
 
 func TestSpecValidation(t *testing.T) {
 	if err := (Spec{Shards: 300, Format: collector.FormatNetflowV5}).Validate(); err == nil {
@@ -51,9 +51,9 @@ func TestSpecPartitionAndRoute(t *testing.T) {
 	// The live route the bridge asks before every attempt.
 	for vp, shard := range part {
 		for _, kind := range []core.FlowKind{core.KindFlows, core.KindVPNFlows, core.KindComponentFlows} {
-			k := core.FlowKey{Kind: kind, VP: vp, Name: "x", Hour: core.HourOf(testHour)}
+			k := core.FlowKey{Kind: kind, VP: vp, Name: "x", Hour: core.DayOf(testDay)}
 			if kind == core.KindComponentFlows {
-				k.Hour = core.DayOf(testHour)
+				k.Hour = core.DayOf(testDay)
 			}
 			if got := c.routeKey(k); got != uint32(shard) {
 				t.Errorf("route(%s %s) = %d, want %d: all kinds of one vantage point must share a shard", kind, vp, got, shard)
@@ -61,7 +61,7 @@ func TestSpecPartitionAndRoute(t *testing.T) {
 		}
 	}
 	// A foreign vantage point still routes deterministically in range.
-	k := core.FlowKey{Kind: core.KindFlows, VP: "NOT-IN-THE-PAPER", Hour: core.HourOf(testHour)}
+	k := core.FlowKey{Kind: core.KindFlows, VP: "NOT-IN-THE-PAPER", Hour: core.DayOf(testDay)}
 	if a, b := c.routeKey(k), c.routeKey(k); a != b || a >= 3 {
 		t.Errorf("foreign vantage point routed unstably or out of range: %d, %d", a, b)
 	}
@@ -92,11 +92,11 @@ func TestInProcessClusterServesShardedKeys(t *testing.T) {
 	// ISP-CE, IXP-CE, IXP-SE land on shards 0, 1, 2 under the default
 	// round-robin partition.
 	for i, vp := range []synth.VantagePoint{synth.ISPCE, synth.IXPCE, synth.IXPSE} {
-		want, err := ref.FlowBatch(vp, testHour)
+		want, err := ref.FlowBatch(vp, testDay)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := c.Source().FlowBatch(vp, testHour)
+		got, err := c.Source().FlowBatch(vp, testDay)
 		if err != nil {
 			t.Fatalf("%s over the cluster: %v", vp, err)
 		}
@@ -158,7 +158,7 @@ func TestSevenShardsStreamPerVantagePoint(t *testing.T) {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					errs[i] = fetchDiff(c, ref, vp, testHour)
+					errs[i] = fetchDiff(c, ref, vp, testDay)
 				}()
 			}
 			wg.Wait()
@@ -193,7 +193,7 @@ func TestSevenShardsStreamPerVantagePoint(t *testing.T) {
 // one is replay.TestBridgeNackFromPump.)
 func TestSevenShardsUnknownVantagePointNacks(t *testing.T) {
 	c := newTestCluster(t, Spec{Shards: 7, Format: collector.FormatIPFIX, Options: core.Options{FlowScale: 0.1}})
-	if _, err := c.Source().FlowBatch("NOWHERE", testHour); err == nil {
+	if _, err := c.Source().FlowBatch("NOWHERE", testDay); err == nil {
 		t.Fatal("a fetch for an unknown vantage point succeeded")
 	}
 	for _, sh := range c.Stats().Shards {

@@ -105,7 +105,7 @@ func TestStatsConsistentDuringChaos(t *testing.T) {
 	stats := waitForDeadShard(t, c, 1, 15*time.Second)
 	// Exercise a post-rebalance fetch under the readers too: IXP-CE lived
 	// on shard 1.
-	fetchEqual(t, c, core.NewSyntheticSource(core.Options{FlowScale: 0.05}), synth.IXPCE, testHour)
+	fetchEqual(t, c, core.NewSyntheticSource(core.Options{FlowScale: 0.05}), synth.IXPCE, testDay)
 	close(stop)
 	wg.Wait()
 

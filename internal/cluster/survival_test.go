@@ -194,7 +194,7 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 
 	// IXP-CE lived on shard 1 (round-robin over 3 shards); after the
 	// rebalance a surviving pump must serve it bit-identically.
-	fetchEqual(t, c, ref, synth.IXPCE, testHour)
+	fetchEqual(t, c, ref, synth.IXPCE, testDay)
 	if s := c.Stats(); s.Streams[0].Keys != 1 {
 		t.Errorf("surviving stream 0 did not serve the rebalanced key")
 	}
@@ -224,7 +224,7 @@ func TestClusterChaosReproducible(t *testing.T) {
 		})
 		for _, vp := range []synth.VantagePoint{synth.ISPCE, synth.IXPCE} {
 			for h := 0; h < 2; h++ {
-				if _, err := c.Source().FlowBatch(vp, testHour.Add(time.Duration(h)*time.Hour)); err != nil {
+				if _, err := c.Source().FlowBatch(vp, testDay.Add(time.Duration(h)*time.Hour)); err != nil {
 					t.Fatalf("%s: %v", vp, err)
 				}
 			}

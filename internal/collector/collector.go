@@ -183,6 +183,17 @@ func (f Format) wire() (wire, error) {
 	}
 }
 
+// RowsPerDatagram is how many rows of a batch storing cols one datagram
+// of the format carries (0 for an unknown format): what an Exporter puts
+// in each packet.
+func (f Format) RowsPerDatagram(cols flowrec.Columns) int {
+	w, err := f.wire()
+	if err != nil {
+		return 0
+	}
+	return w.rows(cols)
+}
+
 // Datagram is one received datagram: its bytes and the exporter stream
 // its header names, or a control datagram (ControlMagic), with Control
 // set and Stream 0. Datagrams come from a pool: Release hands one back
@@ -327,7 +338,7 @@ func (c *Collector) Run(ctx context.Context) {
 			return
 		default:
 		}
-		n, _, err := c.conn.ReadFromUDP(buf)
+		n, err := c.conn.Read(buf) // the sender's address is not needed, and Read allocates none
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return

@@ -53,8 +53,8 @@ type Options struct {
 	CacheDir string
 	// ScanChunk overrides the chunk size of every intra-experiment
 	// sharded scan (see ShardedScan): the number of grid items merged as
-	// one partial aggregate. 0 keeps each scan's own default (24 for
-	// hour grids, 1 for vantage-point and day grids). The chunk size
+	// one partial aggregate. 0 keeps each scan's own default (1: a day,
+	// a vantage point or a sampled day). The chunk size
 	// never changes any result — the determinism tests sweep it — it
 	// only trades merge granularity against scheduling overhead.
 	ScanChunk int

@@ -376,10 +376,11 @@ func TestDatasetRespectsOptions(t *testing.T) {
 		t.Errorf("unexpected vantage point %v", g.VP())
 	}
 	day := time.Date(2020, 2, 20, 0, 0, 0, 0, time.UTC)
-	// The seed and flow-scale overrides reach the flows: the dataset's hour
+	// The seed and flow-scale overrides reach the flows: the dataset's day
 	// is the one a generator built with them draws, in the dataset's
-	// column set.
+	// column set, and its hour 20 is that generator's hour.
 	hour := day.Add(20 * time.Hour)
+	k := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(hour)}
 	got, err := d.FlowBatch(synth.ISPCE, hour)
 	if err != nil {
 		t.Fatal(err)
@@ -390,9 +391,16 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ref.FlowsForHourBatch(hour).Project(FlowKey{Kind: KindFlows}.Columns())
+	want := ref.FlowsBetweenBatch(day, day.AddDate(0, 0, 1)).Project(k.Columns())
 	if got.Len() == 0 || !got.Equal(want) {
-		t.Errorf("dataset hour (%d rows) differs from the seed-77 generator's (%d rows)", got.Len(), want.Len())
+		t.Errorf("dataset day (%d rows) differs from the seed-77 generator's (%d rows)", got.Len(), want.Len())
+	}
+	lo, hi, err := d.hourRows(k, got, 20, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ref.FlowsForHourBatch(hour).Project(k.Columns()); hi == lo || !got.Slice(lo, hi).Project(k.Columns()).Equal(want) {
+		t.Errorf("dataset hour (%d rows) differs from the seed-77 generator's (%d rows)", hi-lo, want.Len())
 	}
 	s, err := d.Series(synth.ISPCE, day, day.AddDate(0, 0, 1))
 	if err != nil {

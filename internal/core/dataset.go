@@ -19,7 +19,7 @@ import (
 
 // Dataset is the memoized input layer of an engine. Every input an
 // experiment can consume — generators, VPN-detection datasets, hourly
-// volume series and per-hour flow samples — is produced at most once per
+// volume series and per-day flow samples — is produced at most once per
 // key and shared across experiments. One Dataset serves exactly one
 // Options value, so a key names the input alone: the vantage point for a
 // model, a FlowKey for a flow batch, a range for a series.
@@ -64,9 +64,10 @@ type Dataset struct {
 	src    FlowSource       // model unless NewDatasetWithSource named another
 	tracer *obs.Tracer
 
-	mu     sync.Mutex
-	flows  map[FlowKey]*flowEntry
-	series map[seriesKey]*memo[*timeseries.Series]
+	mu      sync.Mutex
+	flows   map[FlowKey]*flowEntry
+	series  map[seriesKey]*memo[*timeseries.Series]
+	offsets map[FlowKey]*memo[[]int] // hourRows' row offsets, per key asked
 
 	// Cache instruments: one count per memoized lookup — a model part, a
 	// series range, a flow batch — a miss when the lookup installed the
@@ -157,6 +158,7 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		tracer:    opts.Tracer,
 		flows:     make(map[FlowKey]*flowEntry),
 		series:    make(map[seriesKey]*memo[*timeseries.Series]),
+		offsets:   make(map[FlowKey]*memo[[]int]),
 		budget:    opts.CacheBudget,
 		lru:       list.New(),
 		hits:      reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
@@ -563,7 +565,7 @@ func (d *Dataset) Stats() CacheStats {
 // Pin keeps the flow-batch entries an experiment touches resident until
 // Release. The engine creates one per experiment run; every batch drawn
 // through the Env's accessors is pinned for the experiment's whole
-// lifetime, so a scan can revisit its hours without fault-in churn and
+// lifetime, so a scan can revisit its days without fault-in churn and
 // eviction never races a reader. A Pin is used by one goroutine (the
 // experiment's); it is not safe for concurrent use.
 type Pin struct {
@@ -644,6 +646,46 @@ func (p *Pin) Release() {
 	d.enforceBudget()
 }
 
+// hourRows returns the rows [lo, hi) that hold the hours-of-day [from, to)
+// in b, the batch k names. A key's batch is its hours sampled in hour
+// order, so an hour's rows are contiguous, and where they lie follows from
+// the model's row count of each hour, computed on the first ask per key.
+// Every source delivers the model's rows (the replay bridge verifies each
+// one), so the offsets hold for any source's batch; a batch whose length
+// disagrees with them, or hours outside the key's window (FlowKey.Hours),
+// are an error.
+func (d *Dataset) hourRows(k FlowKey, b *flowrec.Batch, from, to int) (lo, hi int, err error) {
+	w0, w1 := k.Hours()
+	if from < w0 || to > w1 || from > to {
+		return 0, 0, fmt.Errorf("core: hours [%d, %d) of %s are outside its window [%d, %d)", from, to, k, w0, w1)
+	}
+	d.mu.Lock()
+	m := d.offsets[k]
+	if m == nil {
+		m = new(memo[[]int])
+		d.offsets[k] = m
+	}
+	d.mu.Unlock()
+	offs, err := m.get(nil, func() ([]int, error) {
+		counts, err := d.model.hourFlows(k)
+		if err != nil {
+			return nil, err
+		}
+		offs := make([]int, len(counts)+1)
+		for i, n := range counts {
+			offs[i+1] = offs[i] + n
+		}
+		return offs, nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	if total := offs[len(offs)-1]; total != b.Len() {
+		return 0, 0, fmt.Errorf("core: %s has %d rows, its model's hours %d", k, b.Len(), total)
+	}
+	return offs[from-w0], offs[to-w0], nil
+}
+
 // Generator returns the shared generator of a vantage point. The instance
 // is safe for concurrent read-only use; never call its mutating methods.
 func (d *Dataset) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
@@ -706,19 +748,19 @@ func (d *Dataset) ClassSeries(vp synth.VantagePoint, class synth.Class, from, to
 	})
 }
 
-// FlowBatch returns the sampled flows of one hour as a columnar batch,
-// memoized per hour so experiments iterating overlapping hour grids (e.g.
-// the port analysis and the application-class heatmap over the same weeks)
-// share one sample. The batch comes from the dataset's FlowSource; the
-// returned batch is shared and callers must not modify it.
-func (d *Dataset) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return d.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: HourOf(hour)}, nil)
+// FlowBatch returns the sampled flows of the UTC day t falls in as a
+// columnar batch, memoized per day so experiments iterating overlapping
+// day grids (e.g. the port analysis and the application-class heatmap over
+// the same weeks) share one sample. The batch comes from the dataset's
+// FlowSource; the returned batch is shared and callers must not modify it.
+func (d *Dataset) FlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
+	return d.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(t)}, nil)
 }
 
 // VPNFlowBatch is FlowBatch for the gateway-pinned generator of the VPN
 // analyses.
-func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return d.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: HourOf(hour)}, nil)
+func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
+	return d.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(t)}, nil)
 }
 
 // ComponentFlowBatch returns the sampled flows of one named component over

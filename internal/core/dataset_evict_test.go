@@ -77,8 +77,11 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 
 // TestBudgetedFaultsMatchSerial: under a 1-byte budget a batch comes back
 // exactly when a later chunk or experiment reads it again, so the serial
-// run's fault count is a property of the suite (392 re-reads of its
-// suiteKeys batches) and the scheduler may not add to it: no goroutine
+// run's fault count is a property of the suite (35 re-reads of its
+// suiteKeys batches: fig9 reads again the 28 workdays of ISP-CE (13, Easter
+// falls in its third week) and IXP-CE (15) that fig7a and fig7b drew, and
+// ablation-vpn the 7 days of fig10's March week) and the scheduler may not
+// add to it: no goroutine
 // touches a batch ahead of the scan that reads it, and a fresh batch is
 // pinned by its first reader before eviction can see it. How many re-reads a
 // parallel run of the whole suite saves is a property of the schedule —
@@ -104,8 +107,8 @@ func TestBudgetedFaultsMatchSerial(t *testing.T) {
 			return e.Data().Stats().Faults
 		}
 		serial := faults(nil, 1)
-		if serial != 392 {
-			t.Errorf("seed %d: the serial suite re-reads %d batches, want 392", seed, serial)
+		if serial != 35 {
+			t.Errorf("seed %d: the serial suite re-reads %d batches, want 35", seed, serial)
 		}
 		for _, parallel := range []int{2, 4} {
 			if got := faults(nil, parallel); got > serial {
@@ -124,7 +127,7 @@ func TestBudgetedFaultsMatchSerial(t *testing.T) {
 // obtained through the pin-less Dataset.FlowBatch and evicted the moment
 // it was returned — is never written to again. Eviction drops the cache's
 // reference and nothing else, so while four goroutines churn the
-// neighbouring hours through evict-and-rebuild both batches still equal a
+// neighbouring days through evict-and-rebuild both batches still equal a
 // fresh generation. CI runs this under -race -cpu 1,4.
 func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 	opts := Options{FlowScale: 0.02, CacheBudget: 1}
@@ -133,11 +136,12 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 
 	pin := d.NewPin()
 	defer pin.Release()
-	pinned, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)})
+	day := DayOf(spillHour).Time()
+	pinned, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(day)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := d.FlowBatch(synth.ISPCE, spillHour.Add(time.Hour))
+	loose, err := d.FlowBatch(synth.ISPCE, day.AddDate(0, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +154,7 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 			defer wg.Done()
 			for p := 0; p < passes; p++ {
 				for i := 2; i < 2+neighbours; i++ {
-					if _, err := d.FlowBatch(synth.ISPCE, spillHour.Add(time.Duration(i)*time.Hour)); err != nil {
+					if _, err := d.FlowBatch(synth.ISPCE, day.AddDate(0, 0, i)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -165,22 +169,22 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 		t.Errorf("the neighbours were not evicted and rebuilt: %+v", s)
 	}
 	if s.Pinned != 1 || s.ResidentBytes != pinned.HeapBytes() {
-		t.Errorf("only the pinned hour may be resident: %+v, pinned batch holds %d bytes", s, pinned.HeapBytes())
+		t.Errorf("only the pinned day may be resident: %+v, pinned batch holds %d bytes", s, pinned.HeapBytes())
 	}
-	if again, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)}); err != nil || again != pinned {
+	if again, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(day)}); err != nil || again != pinned {
 		t.Errorf("the pinned entry was evicted under its reader (%v)", err)
 	}
 
 	fresh := NewSyntheticSource(opts)
 	for _, tc := range []struct {
 		label string
-		hour  time.Time
+		day   time.Time
 		got   *flowrec.Batch
 	}{
-		{"pinned", spillHour, pinned},
-		{"pin-less", spillHour.Add(time.Hour), loose},
+		{"pinned", day, pinned},
+		{"pin-less", day.AddDate(0, 0, 1), loose},
 	} {
-		want, err := fresh.FlowBatch(synth.ISPCE, tc.hour)
+		want, err := fresh.FlowBatch(synth.ISPCE, tc.day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,11 +230,14 @@ func pinnedBytes(d *Dataset) int64 {
 }
 
 // suiteKeys is the number of distinct flow batches one suite run draws,
-// counted by kind over the keys a run leaves in the cache: 1 992 flows/
-// hours (EDU 744, ISP-CE 504, IXP-CE 504, IXP-SE 120, IXP-US 120), 504
-// vpn-flows/ hours of the IXP-CE and 77 component-flows/ days of the
-// IXP-SE gaming component (Figure 8's weeks 7-17).
-const suiteKeys = 1992 + 504 + 77
+// counted by kind over the keys a run leaves in the cache, one UTC day
+// each: 103 flows/ days (EDU 31, Figure 12's sampled days; ISP-CE 21 and
+// IXP-CE 21, the three weeks of Figures 7a/7b and 9; IXP-SE 15 and IXP-US
+// 15, Figure 9's workdays, the only days it reads), 21 vpn-flows/ days of
+// the IXP-CE (Figure 10's three weeks) and 77 component-flows/ days of the
+// IXP-SE gaming component (Figure 8's weeks 7-17). TestKeyCensus derives
+// the same counts reader by reader.
+const suiteKeys = 103 + 21 + 77
 
 // TestCacheBudgetBoundsResidentBytes: the CLI's default budget is a bound,
 // not a hint. At -parallel 1 every build is a quiescent point — each
@@ -281,7 +288,7 @@ func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 
 // TestFig12CountsWhereItReads pins Figure 12 to the computation it
 // replaced: one concatenated flow batch per sampled day, counted whole.
-// Counting each cached hour into its day and merging the partial counts
+// Counting each cached day on its own and merging the partial counts
 // must give the same median growth bit for bit, at seeds 0 and 7 and
 // whether a chunk is one day or seven.
 func TestFig12CountsWhereItReads(t *testing.T) {
@@ -317,15 +324,15 @@ func TestFig12CountsWhereItReads(t *testing.T) {
 }
 
 // BenchmarkRetouch is the evidence the disk tier is judged on: four weeks
-// of dense ISP-CE hours — about three times the 16 MB budget, walked in
-// order so every re-read finds its hour evicted — read k times, with evicted
+// of dense ISP-CE days — about three times the 16 MB budget, walked in
+// order so every re-read finds its day evicted — read k times, with evicted
 // batches forgotten and rebuilt (no cache dir) or written to a span once
 // and mapped back (cache dir under TMPDIR; point that at a tmpfs to take
 // the disk out of the number). Forgetting
-// costs k generations an hour, the tier one generation, one write and one
-// fault; the suite itself re-reads 392 of its 2573 batches, k = 1.15.
+// costs k generations a day, the tier one generation, one write and one
+// fault; the suite itself re-reads 35 of its 201 batches, k = 1.17.
 func BenchmarkRetouch(b *testing.B) {
-	const hours = 4 * 7 * 24
+	const days = 4 * 7
 	start := time.Date(2020, 3, 2, 0, 0, 0, 0, time.UTC)
 	for _, k := range []int{1, 2, 4, 8} {
 		for _, tier := range []string{"forget", "spill"} {
@@ -338,8 +345,8 @@ func BenchmarkRetouch(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					d := NewDataset(opts)
 					for pass := 0; pass < k; pass++ {
-						for h := 0; h < hours; h++ {
-							if _, err := d.FlowBatch(synth.ISPCE, start.Add(time.Duration(h)*time.Hour)); err != nil {
+						for day := 0; day < days; day++ {
+							if _, err := d.FlowBatch(synth.ISPCE, start.AddDate(0, 0, day)); err != nil {
 								b.Fatal(err)
 							}
 						}
@@ -348,9 +355,9 @@ func BenchmarkRetouch(b *testing.B) {
 					d.Close()
 				}
 				// A mapped view costs the heap ledger almost nothing, so the
-				// tier faults each spilled hour once and then keeps serving
+				// tier faults each spilled day once and then keeps serving
 				// it; only forgetting pays for every re-read.
-				if want := int64((k - 1) * hours); tier == "forget" && stats.Faults != want {
+				if want := int64((k - 1) * days); tier == "forget" && stats.Faults != want {
 					b.Fatalf("%d faults, want every re-read to miss: %d", stats.Faults, want)
 				}
 				b.ReportMetric(float64(stats.Faults), "faults/op")

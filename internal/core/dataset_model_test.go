@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
 )
 
@@ -68,66 +69,25 @@ func TestDatasetResolvesModelOncePerVantagePoint(t *testing.T) {
 	}
 }
 
-// TestFlowKeyIsCanonical: a flow key is its UTC hour, a component key its
-// UTC day. Keys built from the same instant in other zones, with a
-// monotonic reading, or from any instant inside the hour (the day) are ==,
-// so they name one cache entry.
+// TestFlowKeyIsCanonical: a flow key of every kind is its UTC day (and a
+// series bound its UTC hour). Keys built from the same instant in other
+// zones, with a monotonic reading, or from any instant inside the day are
+// ==, so they name one cache entry.
 func TestFlowKeyIsCanonical(t *testing.T) {
 	utc := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
 	mono := time.Now() // carries a monotonic reading; Round(0) strips it
-	if HourOf(mono) != HourOf(mono.Round(0)) {
-		t.Errorf("HourOf differs with a monotonic reading: %d vs %d", HourOf(mono), HourOf(mono.Round(0)))
+	if HourOf(mono) != HourOf(mono.Round(0)) || DayOf(mono) != DayOf(mono.Round(0)) {
+		t.Errorf("HourOf or DayOf differs with a monotonic reading: %d vs %d, %d vs %d", HourOf(mono), HourOf(mono.Round(0)), DayOf(mono), DayOf(mono.Round(0)))
 	}
 	if got := HourOf(utc).Time(); !got.Equal(utc) || got.Location() != time.UTC {
 		t.Errorf("HourOf(%v).Time() = %v", utc, got)
 	}
-	want := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(utc)}
-	if s := want.String(); s != "flows/ISP-CE@2020-03-25T20" {
-		t.Errorf("String() = %q", s)
-	}
 
-	d := NewDataset(Options{FlowScale: 0.1})
-	defer d.Close()
-	first, err := d.FlowBatch(synth.ISPCE, utc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := d.Stats()
-	if before.Entries != 2 || before.Hits != 0 {
-		t.Errorf("the first lookup memoizes the batch and its generator: %+v", before)
-	}
-	for name, at := range map[string]time.Time{
-		"time.Local":          utc.In(time.Local),
-		"+02:00":              utc.In(time.FixedZone("CEST", 2*3600)),
-		"59 minutes in":       utc.Add(59*time.Minute + 59*time.Second),
-		"+05:30, mid-hour":    utc.Add(30 * time.Minute).In(time.FixedZone("IST", 5*3600+1800)),
-		"monotonic and local": mono.Add(utc.Sub(mono.Truncate(time.Hour))),
-	} {
-		if k := (FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(at)}); k != want {
-			t.Errorf("%s: key %v, want %v", name, k, want)
-		}
-		if b, err := d.FlowBatch(synth.ISPCE, at); err != nil || b != first {
-			t.Errorf("%s: a second batch for the same hour (%v)", name, err)
-		}
-	}
-	after := d.Stats()
-	if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+5 {
-		t.Errorf("five lookups of a cached hour: %+v, then %+v; want five hits and no new entry", before, after)
-	}
-
-	// A component key is its UTC day: every instant of the day, in UTC
-	// and at +02:00 (where the day's last two hours are already the next
-	// local day), names one key, and through it one cache entry.
+	// Every instant of the day, in UTC and at +02:00 (where the day's last
+	// two hours are already the next local day), names one day.
 	day := DayOf(utc)
 	if got := day.Time(); !got.Equal(time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)) || got.Location() != time.UTC {
 		t.Errorf("DayOf(%v).Time() = %v", utc, got)
-	}
-	gaming := FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}
-	if s := gaming.String(); s != "component-flows/IXP-SE/gaming@2020-03-25" {
-		t.Errorf("String() = %q", s)
-	}
-	if end := gaming.End(); !end.Equal(day.Time().Add(24 * time.Hour)) {
-		t.Errorf("%v ends at %v, want the end of its day", gaming, end)
 	}
 	cest := time.FixedZone("CEST", 2*3600)
 	start, end := day.Time(), day.Time().Add(24*time.Hour)
@@ -139,15 +99,55 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 	if last := end.Add(-time.Nanosecond); DayOf(last) != day || DayOf(end) != day+24 || DayOf(start.Add(-time.Nanosecond)) != day-24 {
 		t.Errorf("the day's edges: %v, %v, %v", DayOf(last).Time(), DayOf(end).Time(), DayOf(start.Add(-time.Nanosecond)).Time())
 	}
-	whole, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", start)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for at := start; at.Before(end); at = at.Add(time.Hour) {
-		for _, in := range []time.Time{at, at.Add(59 * time.Minute).In(cest)} {
-			if b, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", in); err != nil || b != whole {
-				t.Errorf("%v: a second batch for the same day (%v)", in, err)
+
+	d := NewDataset(Options{FlowScale: 0.1})
+	defer d.Close()
+	for i, tc := range []struct {
+		key  FlowKey
+		name string
+		get  func(time.Time) (*flowrec.Batch, error)
+	}{
+		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25",
+			func(at time.Time) (*flowrec.Batch, error) { return d.FlowBatch(synth.ISPCE, at) }},
+		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25",
+			func(at time.Time) (*flowrec.Batch, error) { return d.VPNFlowBatch(synth.IXPCE, at) }},
+		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25",
+			func(at time.Time) (*flowrec.Batch, error) { return d.ComponentFlowBatch(synth.IXPSE, "gaming", at) }},
+	} {
+		if s := tc.key.String(); s != tc.name {
+			t.Errorf("String() = %q, want %q", s, tc.name)
+		}
+		if got := tc.key.End(); !got.Equal(end) {
+			t.Errorf("%v ends at %v, want the end of its day", tc.key, got)
+		}
+		first, err := tc.get(utc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := d.Stats()
+		if i == 0 && (before.Entries != 2 || before.Hits != 0) {
+			t.Errorf("the first lookup memoizes the batch and its generator: %+v", before)
+		}
+		at := map[string]time.Time{
+			"time.Local":          utc.In(time.Local),
+			"+02:00":              utc.In(cest),
+			"59 minutes in":       utc.Add(59*time.Minute + 59*time.Second),
+			"+05:30, mid-hour":    utc.Add(30 * time.Minute).In(time.FixedZone("IST", 5*3600+1800)),
+			"monotonic and local": mono.Add(utc.Sub(mono.Truncate(time.Hour))),
+			"00:00":               start,
+			"23:59:59, +02:00":    end.Add(-time.Second).In(cest),
+		}
+		for name, at := range at {
+			if k := (FlowKey{Kind: tc.key.Kind, VP: tc.key.VP, Name: tc.key.Name, Hour: DayOf(at)}); k != tc.key {
+				t.Errorf("%s: key %v, want %v", name, k, tc.key)
 			}
+			if b, err := tc.get(at); err != nil || b != first {
+				t.Errorf("%s: a second batch for the same day of %v (%v)", name, tc.key, err)
+			}
+		}
+		after := d.Stats()
+		if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+int64(len(at)) {
+			t.Errorf("%d lookups of a cached %v: %+v, then %+v; want as many hits and no new entry", len(at), tc.key, before, after)
 		}
 	}
 }

@@ -29,66 +29,66 @@ func spillFiles(t *testing.T, dir string) map[string][]string {
 	return byExt
 }
 
-// spillHours is a run of distinct study-window hours.
-func spillHours(n int) []time.Time {
-	hours := make([]time.Time, n)
-	for i := range hours {
-		hours[i] = spillHour.Add(time.Duration(i) * time.Hour)
+// spillDays is a run of distinct study-window days, one flow key each.
+func spillDays(n int) []time.Time {
+	days := make([]time.Time, n)
+	for i := range days {
+		days[i] = DayOf(spillHour).Time().AddDate(0, 0, i)
 	}
-	return hours
+	return days
 }
 
-// sameAsGenerated asserts every hour of d equals a fresh uncached
+// sameAsGenerated asserts every day of d equals a fresh uncached
 // dataset's.
-func sameAsGenerated(t *testing.T, d *Dataset, scale float64, hours []time.Time) {
+func sameAsGenerated(t *testing.T, d *Dataset, scale float64, days []time.Time) {
 	t.Helper()
-	sameKindAsGenerated(t, d, scale, hours, (*Dataset).FlowBatch)
+	sameKindAsGenerated(t, d, scale, days, (*Dataset).FlowBatch)
 }
 
 // sameKindAsGenerated is sameAsGenerated for any batch kind of the ISP-CE.
-func sameKindAsGenerated(t *testing.T, d *Dataset, scale float64, hours []time.Time,
+func sameKindAsGenerated(t *testing.T, d *Dataset, scale float64, days []time.Time,
 	get func(*Dataset, synth.VantagePoint, time.Time) (*flowrec.Batch, error)) {
 	t.Helper()
 	fresh := NewDataset(Options{FlowScale: scale})
 	defer fresh.Close()
-	for _, h := range hours {
-		got, err := get(d, synth.ISPCE, h)
+	for _, day := range days {
+		got, err := get(d, synth.ISPCE, day)
 		if err != nil {
-			t.Fatalf("hour %v: %v", h, err)
+			t.Fatalf("day %v: %v", day, err)
 		}
-		ref, err := get(fresh, synth.ISPCE, h)
+		ref, err := get(fresh, synth.ISPCE, day)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ref.Equal(got) {
-			t.Fatalf("hour %v: faulted batch differs from generated", h)
+			t.Fatalf("day %v: faulted batch differs from generated", day)
 		}
 	}
 }
 
 // TestOnlineCompaction keeps its name to document the removal: there is
-// no compaction. A run of spilled hours lands, each written once, in one
-// append-only span file — never a per-hour .lfs file — and every hour
+// no compaction. A run of spilled days lands, each written once, in one
+// append-only span file — never a file per batch — and every day
 // faults back bit-identical through the span reference its entry kept.
 func TestOnlineCompaction(t *testing.T) {
 	opts := tinyOpts(t)
 	d := NewDataset(opts)
 	defer d.Close()
 
-	hours := spillHours(24)
-	for _, h := range hours {
-		if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
+	days := spillDays(24)
+	for _, day := range days {
+		if _, err := d.FlowBatch(synth.ISPCE, day); err != nil {
 			t.Fatal(err)
 		}
 	}
 	files := spillFiles(t, opts.CacheDir)
 	if len(files) != 1 || len(files[flowstore.SpannedExt]) != 1 {
-		t.Fatalf("%d spilled hours must share one span file, found %v", len(hours), files)
+		t.Fatalf("%d spilled days must share one span file, found %v", len(days), files)
 	}
-	sameAsGenerated(t, d, opts.FlowScale, hours)
+	sameAsGenerated(t, d, opts.FlowScale, days)
 	s := d.Stats()
-	if s.Spills != int64(len(hours)) || s.Faults != int64(len(hours)) || s.Regens != 0 {
-		t.Errorf("each hour is written once and faulted once, never regenerated: %+v", s)
+	if s.Spills != int64(len(days)) || s.Faults != int64(len(days)) || s.Regens != 0 {
+		t.Errorf("each day is written once and faulted once, never regenerated: %+v", s)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestOnlineCompaction(t *testing.T) {
 // columns than the entry's batch had, which only the entry's own column
 // set catches — and asserts the damage stays span-granular: that entry
 // regenerates, its neighbours in the same file keep serving without a
-// regen. The hours are VPN flow batches, the kind that stores addresses.
+// regen. The days are VPN flow batches, the kind that stores addresses.
 func TestCompactionDamagedSpan(t *testing.T) {
 	// rewrite edits the victim's span in its file.
 	rewrite := func(t *testing.T, victim *flowEntry, edit func(span []byte)) {
@@ -111,14 +111,14 @@ func TestCompactionDamagedSpan(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	cases := map[string]func(t *testing.T, d *Dataset, victim *flowEntry, hour time.Time){
+	cases := map[string]func(t *testing.T, d *Dataset, victim *flowEntry, day time.Time){
 		"bitflip": func(t *testing.T, _ *Dataset, victim *flowEntry, _ time.Time) {
 			rewrite(t, victim, func(span []byte) { span[len(span)/2] ^= 0xff })
 		},
-		"narrower-set": func(t *testing.T, d *Dataset, victim *flowEntry, hour time.Time) {
-			// An intact span of the same hour without its addresses: it
+		"narrower-set": func(t *testing.T, d *Dataset, victim *flowEntry, day time.Time) {
+			// An intact span of the same day without its addresses: it
 			// maps, verifies and views, and must still not be served.
-			b, err := d.src.VPNFlowBatch(synth.ISPCE, hour)
+			b, err := d.src.VPNFlowBatch(synth.ISPCE, day)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,29 +135,29 @@ func TestCompactionDamagedSpan(t *testing.T) {
 			d := NewDataset(opts)
 			defer d.Close()
 
-			hours := spillHours(8)
-			for _, h := range hours {
-				if _, err := d.VPNFlowBatch(synth.ISPCE, h); err != nil {
+			days := spillDays(8)
+			for _, day := range days {
+				if _, err := d.VPNFlowBatch(synth.ISPCE, day); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if files := spillFiles(t, opts.CacheDir)[flowstore.SpannedExt]; len(files) != 1 {
 				t.Fatalf("want one span file, found %v", files)
 			}
-			victim := d.flows[FlowKey{Kind: KindVPNFlows, VP: synth.ISPCE, Hour: HourOf(hours[3])}]
+			victim := d.flows[FlowKey{Kind: KindVPNFlows, VP: synth.ISPCE, Hour: DayOf(days[3])}]
 			if want := victim.key.Columns(); victim.cols != want || victim.ref.Cols != want {
 				t.Fatalf("entry stores %s, its span %s, want the kind's %s", victim.cols, victim.ref.Cols, want)
 			}
-			damage(t, d, victim, hours[3])
+			damage(t, d, victim, days[3])
 
-			sameKindAsGenerated(t, d, opts.FlowScale, hours, (*Dataset).VPNFlowBatch)
-			if s := d.Stats(); s.Regens != 1 || s.Faults != int64(len(hours)) {
-				t.Errorf("want exactly the damaged hour regenerated: %+v", s)
+			sameKindAsGenerated(t, d, opts.FlowScale, days, (*Dataset).VPNFlowBatch)
+			if s := d.Stats(); s.Regens != 1 || s.Faults != int64(len(days)) {
+				t.Errorf("want exactly the damaged day regenerated: %+v", s)
 			}
-			// The regenerated hour spills again, as a new span of the same file.
-			sameKindAsGenerated(t, d, opts.FlowScale, hours, (*Dataset).VPNFlowBatch)
-			if s := d.Stats(); s.Regens != 1 || s.Spills != int64(len(hours))+1 {
-				t.Errorf("regenerated hour must respill once and then fault cleanly: %+v", s)
+			// The regenerated day spills again, as a new span of the same file.
+			sameKindAsGenerated(t, d, opts.FlowScale, days, (*Dataset).VPNFlowBatch)
+			if s := d.Stats(); s.Regens != 1 || s.Spills != int64(len(days))+1 {
+				t.Errorf("regenerated day must respill once and then fault cleanly: %+v", s)
 			}
 		})
 	}
@@ -165,7 +165,7 @@ func TestCompactionDamagedSpan(t *testing.T) {
 
 // TestCompactionConcurrentAccess hammers one span file from many
 // goroutines under a tiny budget: concurrent appends (first evictions of
-// fresh hours), faults of spans other goroutines appended and repeated
+// fresh days), faults of spans other goroutines appended and repeated
 // evictions must be free of races (run with -race in CI) and every
 // batch must stay correct.
 func TestCompactionConcurrentAccess(t *testing.T) {
@@ -173,12 +173,12 @@ func TestCompactionConcurrentAccess(t *testing.T) {
 	d := NewDataset(opts)
 	defer d.Close()
 
-	hours := spillHours(24)
+	days := spillDays(24)
 	fresh := NewDataset(Options{FlowScale: opts.FlowScale})
 	defer fresh.Close()
-	wantLens := make([]int, len(hours))
-	for i, h := range hours {
-		b, err := fresh.FlowBatch(synth.ISPCE, h)
+	wantLens := make([]int, len(days))
+	for i, day := range days {
+		b, err := fresh.FlowBatch(synth.ISPCE, day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,15 +191,15 @@ func TestCompactionConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for rep := 0; rep < 4; rep++ {
-				for k := range hours {
-					i := (k + w*3) % len(hours) // workers start apart, so first accesses overlap
-					b, err := d.FlowBatch(synth.ISPCE, hours[i])
+				for k := range days {
+					i := (k + w*3) % len(days) // workers start apart, so first accesses overlap
+					b, err := d.FlowBatch(synth.ISPCE, days[i])
 					if err != nil {
-						t.Errorf("worker %d: hour %v: %v", w, hours[i], err)
+						t.Errorf("worker %d: day %v: %v", w, days[i], err)
 						return
 					}
 					if b.Len() != wantLens[i] {
-						t.Errorf("worker %d: hour %v: %d rows, want %d", w, hours[i], b.Len(), wantLens[i])
+						t.Errorf("worker %d: day %v: %d rows, want %d", w, days[i], b.Len(), wantLens[i])
 						return
 					}
 				}
@@ -207,9 +207,9 @@ func TestCompactionConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	sameAsGenerated(t, d, opts.FlowScale, hours)
-	if s := d.Stats(); s.Regens != 0 || s.Spills != int64(len(hours)) {
-		t.Errorf("every hour spills exactly once and none regenerates: %+v", s)
+	sameAsGenerated(t, d, opts.FlowScale, days)
+	if s := d.Stats(); s.Regens != 0 || s.Spills != int64(len(days)) {
+		t.Errorf("every day spills exactly once and none regenerates: %+v", s)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestSpillFailureKeepsBatchResident(t *testing.T) {
 	check := func(t *testing.T, d *Dataset, wantSpills int64) {
 		t.Helper()
 		for round := 0; round < 2; round++ {
-			b, err := d.FlowBatch(synth.ISPCE, spillHour.Add(time.Hour))
+			b, err := d.FlowBatch(synth.ISPCE, spillHour.AddDate(0, 0, 1)) // another day: a batch not yet spilled
 			if err != nil {
 				t.Fatalf("a failed spill must not reach the caller: %v", err)
 			}
@@ -269,8 +269,8 @@ func TestWriteBytesCountsEverySpilledByte(t *testing.T) {
 	defer d.Close()
 	defer flowstore.Instrument(nil)
 
-	for _, h := range spillHours(12) {
-		if _, err := d.FlowBatch(synth.ISPCE, h); err != nil {
+	for _, day := range spillDays(12) {
+		if _, err := d.FlowBatch(synth.ISPCE, day); err != nil {
 			t.Fatal(err)
 		}
 	}

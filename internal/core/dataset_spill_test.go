@@ -93,7 +93,7 @@ func TestPinKeepsEntriesResident(t *testing.T) {
 	defer d.Close()
 
 	pin := d.NewPin()
-	b1, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)})
+	b1, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestPinKeepsEntriesResident(t *testing.T) {
 		t.Fatalf("pinned entry must stay resident over budget: %+v", s)
 	}
 	faultsBefore := s.Faults
-	b2, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)})
+	b2, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,7 @@ type Env struct {
 	Data *Dataset
 	// pin keeps every flow batch the experiment draws through the Env
 	// accessors resident until the experiment returns, so a scan can
-	// revisit its hour grid without fault-in churn and cache eviction
+	// revisit its day grid without fault-in churn and cache eviction
 	// never races a reader. The engine creates and releases it around
 	// each run; a hand-built Env (tests) may leave it nil, in which case
 	// the accessors read the cache unpinned.
@@ -88,12 +88,29 @@ func (env *Env) series(vp synth.VantagePoint, from, to time.Time) (*timeseries.S
 // Env: the access is then unpinned).
 func (env *Env) batch(k FlowKey) (*flowrec.Batch, error) { return env.Data.batch(k, env.pin) }
 
-func (env *Env) flowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return env.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: HourOf(hour)})
+// flowBatch draws the flows of every component over the UTC day t falls
+// in.
+func (env *Env) flowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
+	return env.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(t)})
 }
 
-func (env *Env) vpnFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return env.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: HourOf(hour)})
+// vpnFlowBatch is flowBatch from the gateway-pinned generator.
+func (env *Env) vpnFlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
+	return env.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(t)})
+}
+
+// hours draws the batch k names and returns the rows of its hours-of-day
+// [from, to) as a read-only view (Dataset.hourRows).
+func (env *Env) hours(k FlowKey, from, to int) (*flowrec.Batch, error) {
+	b, err := env.batch(k)
+	if err != nil {
+		return nil, err
+	}
+	lo, hi, err := env.Data.hourRows(k, b, from, to)
+	if err != nil {
+		return nil, err
+	}
+	return b.Slice(lo, hi), nil
 }
 
 // componentFlowBatch draws one named component over the UTC day t falls in.

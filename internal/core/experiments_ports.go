@@ -45,18 +45,19 @@ type portWeekPart struct {
 }
 
 func collectPortVolumes(env *Env, vp synth.VantagePoint, week calendar.Week, topPorts []flowrec.PortProto, tab *flowrec.PortLanes) (portWeekVolumes, error) {
-	agg, err := ScanHours(env, week.Hours(),
+	agg, err := ScanDays(env, calendar.Days(week.Start, week.End),
 		func() *portWeekPart { return &portWeekPart{} },
-		func(env *Env, p *portWeekPart, hour time.Time) error {
-			weekend := calendar.IsWeekend(hour) || calendar.IsHoliday(hour)
+		func(env *Env, p *portWeekPart, day time.Time) error {
+			k := FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}
+			from, to := k.Hours()
 			sums, cnt := &p.sums, &p.cnt
-			if weekend {
-				p.weekendHours++
-				sums, cnt = &p.weekendSums, &p.weekendCnt
+			if calendar.IsWorkday(day) {
+				p.workdayHours += to - from
 			} else {
-				p.workdayHours++
+				p.weekendHours += to - from
+				sums, cnt = &p.weekendSums, &p.weekendCnt
 			}
-			b, err := env.flowBatch(vp, hour)
+			b, err := env.batch(k)
 			if err != nil {
 				return err
 			}
@@ -302,15 +303,13 @@ func collectClassVolumes(env *Env, vp synth.VantagePoint, clf *appclass.Classifi
 	// uint64 accumulation keeps the partial sums exact (a week of volume
 	// crosses 2^53), so merging them in any chunk grouping is lossless;
 	// the single uint64→float64 conversion happens after the full merge.
-	sums, err := ScanHours(env, week.Hours(),
+	sums, err := ScanDays(env, calendar.Days(week.Start, week.End),
 		func() map[appclass.Class]uint64 { return make(map[appclass.Class]uint64) },
-		func(env *Env, part map[appclass.Class]uint64, hour time.Time) error {
-			h := hour.UTC().Hour()
-			if calendar.EarlyMorning(h) || !calendar.WorkingHours(h) ||
-				calendar.IsWeekend(hour) || calendar.IsHoliday(hour) {
+		func(env *Env, part map[appclass.Class]uint64, day time.Time) error {
+			if !calendar.IsWorkday(day) {
 				return nil
 			}
-			b, err := env.flowBatch(vp, hour)
+			b, err := env.hours(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}, calendar.WorkStart, calendar.WorkEnd)
 			if err != nil {
 				return err
 			}

@@ -33,26 +33,34 @@ type vpnWeekSplit struct {
 }
 
 func collectVPNSplit(env *Env, vp synth.VantagePoint, det *vpndetect.Detector, week calendar.Week) (vpnWeekSplit, error) {
-	out, err := ScanHours(env, week.Hours(),
+	out, err := ScanDays(env, calendar.Days(week.Start, week.End),
 		func() *vpnWeekSplit { return &vpnWeekSplit{} },
-		func(env *Env, p *vpnWeekSplit, hour time.Time) error {
-			working := calendar.WorkingHours(hour.UTC().Hour()) && !calendar.IsWeekend(hour) && !calendar.IsHoliday(hour)
-			b, err := env.vpnFlowBatch(vp, hour)
-			if err != nil {
-				return err
+		func(env *Env, p *vpnWeekSplit, day time.Time) error {
+			// The kernel folds each range of hours into exact per-method
+			// sums; uint64 addition commutes, so splitting the day onto
+			// the working/other buckets this way is lossless. A workday's
+			// working hours are one range, the rest of the day two.
+			k := FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(day)}
+			var work, other [3]uint64
+			type hours struct {
+				from, to int
+				sums     *[3]uint64
 			}
-			// The kernel folds the hour into exact per-method sums;
-			// uint64 addition commutes, so splitting them onto the
-			// working/other buckets afterwards is lossless.
-			var s [3]uint64
-			det.SplitBatchSums(&s, b)
-			if working {
-				p.portWork += s[vpndetect.ByPort]
-				p.domainWork += s[vpndetect.ByDomain]
-			} else {
-				p.portOther += s[vpndetect.ByPort]
-				p.domainOther += s[vpndetect.ByDomain]
+			split := []hours{{0, 24, &other}}
+			if calendar.IsWorkday(day) {
+				split = []hours{{0, calendar.WorkStart, &other}, {calendar.WorkStart, calendar.WorkEnd, &work}, {calendar.WorkEnd, 24, &other}}
 			}
+			for _, h := range split {
+				b, err := env.hours(k, h.from, h.to)
+				if err != nil {
+					return err
+				}
+				det.SplitBatchSums(h.sums, b)
+			}
+			p.portWork += work[vpndetect.ByPort]
+			p.domainWork += work[vpndetect.ByDomain]
+			p.portOther += other[vpndetect.ByPort]
+			p.domainOther += other[vpndetect.ByDomain]
 			return nil
 		},
 		func(dst, src *vpnWeekSplit) *vpnWeekSplit {
@@ -191,25 +199,21 @@ func runFig12(env *Env) (*Result, error) {
 		days = append(days, d)
 	}
 	// The month walk shards over the sampled days and counts where it
-	// reads: each cached hour is classified in place into its day's
-	// counter, so nothing but the cache holds a flow batch and the cache
-	// budget bounds the walk. Counts are integers, which makes the merge
-	// exact at any chunking.
-	counts, err := ShardedScan(env, len(days), 1,
-		func(env *Env, lo, hi int) (edu.DailyCounts, error) {
-			part := make(edu.DailyCounts, hi-lo)
-			for _, d := range days[lo:hi] {
-				var day appclass.EDUCounter
-				for h := d; h.Before(d.AddDate(0, 0, 1)); h = h.Add(time.Hour) {
-					b, err := env.flowBatch(synth.EDU, h)
-					if err != nil {
-						return nil, err
-					}
-					day.AddBatch(b)
-				}
-				part[calendar.DayStart(d)] = day.Counts()
+	// reads: each cached day is classified in place into its counter, so
+	// nothing but the cache holds a flow batch and the cache budget bounds
+	// the walk. Counts are integers, which makes the merge exact at any
+	// chunking.
+	counts, err := ScanDays(env, days,
+		func() edu.DailyCounts { return make(edu.DailyCounts) },
+		func(env *Env, part edu.DailyCounts, d time.Time) error {
+			b, err := env.flowBatch(synth.EDU, d)
+			if err != nil {
+				return err
 			}
-			return part, nil
+			var day appclass.EDUCounter
+			day.AddBatch(b)
+			part[calendar.DayStart(d)] = day.Counts()
+			return nil
 		},
 		edu.DailyCounts.Merge)
 	if err != nil {
@@ -265,10 +269,10 @@ func runAblationVPN(env *Env) (*Result, error) {
 
 	week := calendar.AppWeeksIXP()[1]
 	type volSplit struct{ port, domain uint64 } // exact merge at any chunking
-	split, err := ScanHours(env, week.Hours(),
+	split, err := ScanDays(env, calendar.Days(week.Start, week.End),
 		func() *volSplit { return &volSplit{} },
-		func(env *Env, p *volSplit, hour time.Time) error {
-			b, err := env.vpnFlowBatch(synth.IXPCE, hour)
+		func(env *Env, p *volSplit, day time.Time) error {
+			b, err := env.vpnFlowBatch(synth.IXPCE, day)
 			if err != nil {
 				return err
 			}

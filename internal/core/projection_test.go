@@ -14,29 +14,26 @@ import (
 // the reference the kind column sets are held against.
 type fullWidthSource struct{ m *SyntheticSource }
 
-func (s fullWidthSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	g, err := s.m.Generator(vp)
-	if err != nil {
-		return nil, err
-	}
-	return g.HourBatch(hour, "", flowrec.AllColumns), nil
+func (s fullWidthSource) FlowBatch(vp synth.VantagePoint, day time.Time) (*flowrec.Batch, error) {
+	return s.draw(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)})
 }
 
-func (s fullWidthSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	vd, err := s.m.VPN(vp)
-	if err != nil {
-		return nil, err
-	}
-	return vd.Gen.HourBatch(hour, "", flowrec.AllColumns), nil
+func (s fullWidthSource) VPNFlowBatch(vp synth.VantagePoint, day time.Time) (*flowrec.Batch, error) {
+	return s.draw(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(day)})
 }
 
-// ComponentFlowBatch generates one component's UTC day, as its key names.
 func (s fullWidthSource) ComponentFlowBatch(vp synth.VantagePoint, name string, day time.Time) (*flowrec.Batch, error) {
-	g, err := s.m.Generator(vp)
+	return s.draw(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: DayOf(day)})
+}
+
+// draw generates the hours of k's day its key holds, as the key names them.
+func (s fullWidthSource) draw(k FlowKey) (*flowrec.Batch, error) {
+	g, err := s.m.generator(k)
 	if err != nil {
 		return nil, err
 	}
-	return g.ComponentBatch(name, day, day.Add(24*time.Hour), flowrec.AllColumns), nil
+	from, to := k.span()
+	return g.ComponentBatch(k.Name, from, to, flowrec.AllColumns), nil
 }
 
 // storedColumns returns the column set of every flow-batch entry of d,
@@ -146,8 +143,9 @@ func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 	oracle := NewSyntheticSource(opts)
 	full := fullWidthSource{oracle}
 	for _, k := range []FlowKey{
-		{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)},
-		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: HourOf(spillHour)},
+		{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)},
+		{Kind: KindFlows, VP: synth.IXPSE, Hour: DayOf(spillHour)},
+		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: DayOf(spillHour)},
 		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(spillHour)},
 	} {
 		got, err := fetch(d.src, k)
@@ -172,9 +170,14 @@ func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 			t.Errorf("%v: the cache holds something else than its source delivers (%v)", k, err)
 		}
 	}
-	// A component key names a UTC day; one at 14:00 names no batch.
-	hourly := FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: HourOf(spillHour)}
-	if b, err := oracle.Batch(hourly); err == nil || !strings.Contains(err.Error(), "not at 00:00 UTC") {
-		t.Errorf("SyntheticSource served %v: %v, %v", hourly, b, err)
+	// A key of every kind names a UTC day; one at 14:00 names no batch.
+	for _, hourly := range []FlowKey{
+		{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)},
+		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: HourOf(spillHour)},
+		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: HourOf(spillHour)},
+	} {
+		if b, err := oracle.Batch(hourly); err == nil || !strings.Contains(err.Error(), "not at 00:00 UTC") {
+			t.Errorf("SyntheticSource served %v: %v, %v", hourly, b, err)
+		}
 	}
 }

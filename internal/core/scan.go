@@ -10,7 +10,7 @@ import (
 
 // This file is the intra-experiment parallel scan layer. The engine
 // parallelizes across experiments (RunAll's worker pool); ShardedScan
-// parallelizes *within* one experiment by partitioning its hour grid (or
+// parallelizes *within* one experiment by partitioning its day grid (or
 // vantage-point set, or sampled-day list) into contiguous chunks, scanning
 // the chunks on workers borrowed from the same global budget that bounds
 // RunAll, and merging the per-chunk partial aggregates in chunk order.
@@ -96,9 +96,9 @@ func chunkSize(env *Env, chunk, n int) int {
 // ShardedScan partitions the index range [0, n) into contiguous chunks of
 // chunk items, runs scan on every chunk, and folds the per-chunk partial
 // aggregates with merge in ascending chunk order, returning the final
-// aggregate. chunk is the merge granularity: hour-grid walkers use 24 (one
-// day per chunk); scans whose items are already expensive (vantage points,
-// sampled days) use 1; values < 1 select the whole grid as one chunk.
+// aggregate. chunk is the merge granularity: scans whose items are
+// expensive (days, vantage points, sampled days) use 1; values < 1 select
+// the whole grid as one chunk.
 //
 // Each scan invocation receives a chunk-scoped Env: same options and
 // dataset, but a private Pin that keeps every batch the chunk draws
@@ -212,18 +212,19 @@ func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) 
 	return acc, nil
 }
 
-// ScanHours is the hour-grid convenience wrapper over ShardedScan: it
-// partitions hours into day-sized chunks (24 hours, unless overridden by
-// Options.ScanChunk), scans each chunk into a fresh partial aggregate with
-// per-hour visits, and merges the partials in grid order.
-func ScanHours[T any](env *Env, hours []time.Time, newPart func() T,
-	visit func(env *Env, part T, hour time.Time) error,
+// ScanDays is the day-grid convenience wrapper over ShardedScan: it
+// partitions days into chunks of one day — a flow key's span, so a chunk's
+// pin holds exactly the keys of its day — unless Options.ScanChunk groups
+// more, scans each chunk into a fresh partial aggregate with per-day
+// visits, and merges the partials in grid order.
+func ScanDays[T any](env *Env, days []time.Time, newPart func() T,
+	visit func(env *Env, part T, day time.Time) error,
 	merge func(dst, src T) T) (T, error) {
-	return ShardedScan(env, len(hours), 24,
+	return ShardedScan(env, len(days), 1,
 		func(env *Env, lo, hi int) (T, error) {
 			part := newPart()
-			for _, h := range hours[lo:hi] {
-				if err := visit(env, part, h); err != nil {
+			for _, d := range days[lo:hi] {
+				if err := visit(env, part, d); err != nil {
 					var zero T
 					return zero, err
 				}

@@ -6,16 +6,19 @@ import (
 	"time"
 
 	"lockdown/internal/appclass"
+	"lockdown/internal/calendar"
 	"lockdown/internal/dnsdb"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
 	"lockdown/internal/vpndetect"
 )
 
-// FlowSource supplies the flow-level inputs of the experiment suite: the
-// per-hour flow batches of a vantage point, the gateway-pinned variant
-// used by the VPN analyses, and the per-day batches of one component —
-// one method per FlowKind. The Dataset cache consumes exactly one
+// FlowSource supplies the flow-level inputs of the experiment suite, one
+// UTC day a batch: the flows of every component of a vantage point, the
+// gateway-pinned variant used by the VPN analyses, and the flows of one
+// component — one method per FlowKind. Each method takes the 00:00 UTC of
+// its day and returns the hours of that day the key holds
+// (FlowKey.Hours), in hour order. The Dataset cache consumes exactly one
 // FlowSource and memoizes every batch it returns under its FlowKey, so a
 // source is asked for a key once — and again only when the batch was
 // evicted under a cache budget with no span to bring it back from, which
@@ -30,8 +33,9 @@ import (
 // caller may hand it to the flowrec pool (Batch.Release). The Dataset keeps
 // what it caches and never releases it — an evicted batch is dropped, not
 // released, because a pin-less reader may still hold it — so on the
-// default path the pool the generator draws from (synth.HourBatch) is
-// always empty and every batch is a fresh allocation. The wire-replay
+// default path the pool the generator draws from
+// (synth.Generator.ComponentBatch) is always empty and every batch is a
+// fresh allocation. The wire-replay
 // harness is the caller that releases: a pump releases the batch it
 // exported once the bucket's END frame is out, and the bridge releases its
 // reference when the fetch returns — after the NetFlow v5 repair has
@@ -53,13 +57,14 @@ type FlowSource interface {
 }
 
 // FlowKind enumerates the draws a flow batch comes in, one per FlowSource
-// method. The values are the kind byte of the replay wire protocol.
+// method; a batch of every kind spans one UTC day. The values are the kind
+// byte of the replay wire protocol.
 type FlowKind uint8
 
 const (
-	KindFlows          FlowKind = iota // every component of the vantage point, one hour
+	KindFlows          FlowKind = iota // every component of the vantage point
 	KindVPNFlows                       // the same, from the gateway-pinned generator
-	KindComponentFlows                 // one named component, one UTC day
+	KindComponentFlows                 // one named component
 )
 
 // String implements fmt.Stringer.
@@ -85,7 +90,7 @@ type Hour int64
 func HourOf(t time.Time) Hour { return Hour(t.Truncate(time.Hour).Unix() / 3600) }
 
 // DayOf returns the first hour of the UTC day t falls in: the Hour of a
-// component key.
+// flow key.
 func DayOf(t time.Time) Hour { return Hour(t.Truncate(24*time.Hour).Unix() / 3600) }
 
 // Time returns the start of the hour, in UTC.
@@ -93,34 +98,56 @@ func (h Hour) Time() time.Time { return time.Unix(int64(h)*3600, 0).UTC() }
 
 // FlowKey is the one name of a flow batch: the dataset cache's map key, a
 // Pin's argument, the request of the replay wire protocol and the key
-// argument of trace spans. Two keys of the same
-// batch are ==. A flows/ or vpn-flows/ key names one hour; a
-// component-flows/ key names one UTC day, so its Hour is the day's first
-// (DayOf): Figure 8, the kind's one reader, sums whole ISO weeks, and a
-// gaming hour is too few rows to be worth a batch of its own.
+// argument of trace spans. Two keys of the same batch are ==. Every key
+// names one UTC day, so its Hour is the day's first (DayOf): the suite's
+// readers sum whole days and weeks, and only Figures 9 and 10 split a day
+// into working hours and the rest, which they read as row ranges of the
+// day's batch (Dataset.hourRows). An hour is too few rows to be worth a
+// batch, a cache entry and a wire bucket of its own.
 type FlowKey struct {
 	Kind FlowKind
 	VP   synth.VantagePoint
 	Name string // component name, KindComponentFlows only
-	Hour Hour   // the hour, or the first hour of a component key's day
+	Hour Hour   // the first hour of the key's UTC day
 }
 
-// String renders the key for errors, logs and traces: the hour, or a
-// component key's day.
+// String renders the key for errors, logs and traces, with its day.
 func (k FlowKey) String() string {
+	day := k.Hour.Time().Format("2006-01-02")
 	if k.Kind == KindComponentFlows {
-		return fmt.Sprintf("%s/%s/%s@%s", k.Kind, k.VP, k.Name, k.Hour.Time().Format("2006-01-02"))
+		return fmt.Sprintf("%s/%s/%s@%s", k.Kind, k.VP, k.Name, day)
 	}
-	return fmt.Sprintf("%s/%s@%s", k.Kind, k.VP, k.Hour.Time().Format("2006-01-02T15"))
+	return fmt.Sprintf("%s/%s@%s", k.Kind, k.VP, day)
 }
 
-// End is the instant the key's span ends: the end of its hour, or of a
-// component key's day.
-func (k FlowKey) End() time.Time {
-	if k.Kind == KindComponentFlows {
-		return k.Hour.Time().Add(24 * time.Hour)
+// End is the instant the key's day ends.
+func (k FlowKey) End() time.Time { return k.Hour.Time().Add(24 * time.Hour) }
+
+// Hours is the window of hours-of-day [from, to) of the key's day that
+// its batch holds: the union of what the kind's readers read at the key's
+// vantage point, each named below. A new reader widens the window here;
+// TestKeyCensus fails when one is forgotten, and a read outside the window
+// is refused (Dataset.hourRows).
+func (k FlowKey) Hours() (from, to int) {
+	if k.Kind == KindFlows && (k.VP == synth.IXPSE || k.VP == synth.IXPUS) {
+		// Figure 9's working hours of workdays: the flows/ of the two
+		// IXPs have no other reader, and a whole day would draw 13.6 %
+		// more rows than the suite reads.
+		return calendar.WorkStart, calendar.WorkEnd
 	}
-	return k.Hour.Time().Add(time.Hour)
+	// Every other key, the whole day: Figures 7a/7b (ISP-CE, IXP-CE) and
+	// 12 (EDU) and the ablation-vpn scan (vpn-flows/ IXP-CE) sum whole
+	// days, Figure 10 (vpn-flows/ IXP-CE) splits them into working hours
+	// and the rest, Figure 9 reads the working hours at ISP-CE and IXP-CE,
+	// and Figure 8 (component-flows/) sums whole ISO weeks.
+	return 0, 24
+}
+
+// span is the interval of the key's batch: the Hours of its day.
+func (k FlowKey) span() (from, to time.Time) {
+	lo, hi := k.Hours()
+	day := k.Hour.Time()
+	return day.Add(time.Duration(lo) * time.Hour), day.Add(time.Duration(hi) * time.Hour)
 }
 
 // Columns is the column set of the key's kind: the union of what the
@@ -257,35 +284,60 @@ func (s *SyntheticSource) VPN(vp synth.VantagePoint) (*VPNData, error) {
 // Batch generates the batch k names (not memoized).
 func (s *SyntheticSource) Batch(k FlowKey) (*flowrec.Batch, error) { return fetch(s, k) }
 
-// FlowBatch generates the sampled flows of one hour (not memoized).
-func (s *SyntheticSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	g, err := s.Generator(vp)
-	if err != nil {
-		return nil, err
-	}
-	return g.HourBatch(hour, "", FlowKey{Kind: KindFlows}.Columns()), nil
+// FlowBatch generates the sampled flows of the UTC day that starts at day
+// (not memoized).
+func (s *SyntheticSource) FlowBatch(vp synth.VantagePoint, day time.Time) (*flowrec.Batch, error) {
+	return s.draw(FlowKey{Kind: KindFlows, VP: vp}, day)
 }
 
-// VPNFlowBatch generates one hour of the gateway-pinned generator's flows
-// (not memoized).
-func (s *SyntheticSource) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	vd, err := s.VPN(vp)
-	if err != nil {
-		return nil, err
-	}
-	return vd.Gen.HourBatch(hour, "", FlowKey{Kind: KindVPNFlows}.Columns()), nil
+// VPNFlowBatch generates one UTC day of the gateway-pinned generator's
+// flows (not memoized).
+func (s *SyntheticSource) VPNFlowBatch(vp synth.VantagePoint, day time.Time) (*flowrec.Batch, error) {
+	return s.draw(FlowKey{Kind: KindVPNFlows, VP: vp}, day)
 }
 
 // ComponentFlowBatch generates one named component's flows for the UTC
-// day that starts at day (not memoized). A time that is not 00:00 UTC
-// names no component key and is refused.
+// day that starts at day (not memoized).
 func (s *SyntheticSource) ComponentFlowBatch(vp synth.VantagePoint, name string, day time.Time) (*flowrec.Batch, error) {
-	if !day.Equal(DayOf(day).Time()) {
-		return nil, fmt.Errorf("core: component key %s/%s at %s is not at 00:00 UTC", vp, name, day.UTC().Format(time.RFC3339))
+	return s.draw(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name}, day)
+}
+
+// draw generates the batch of k at the UTC day that starts at day: the
+// key's Hours of it, storing the key's Columns. A time that is not 00:00
+// UTC names no key and is refused.
+func (s *SyntheticSource) draw(k FlowKey, day time.Time) (*flowrec.Batch, error) {
+	k.Hour = DayOf(day)
+	if !day.Equal(k.Hour.Time()) {
+		return nil, fmt.Errorf("core: key %s at %s is not at 00:00 UTC", k, day.UTC().Format(time.RFC3339))
 	}
-	g, err := s.Generator(vp)
+	g, err := s.generator(k)
 	if err != nil {
 		return nil, err
 	}
-	return g.ComponentBatch(name, day, day.Add(24*time.Hour), FlowKey{Kind: KindComponentFlows}.Columns()), nil
+	from, to := k.span()
+	return g.ComponentBatch(k.Name, from, to, k.Columns()), nil
+}
+
+// hourFlows returns the row count of every hour of k's batch (see
+// synth.Generator.HourFlows).
+func (s *SyntheticSource) hourFlows(k FlowKey) ([]int, error) {
+	g, err := s.generator(k)
+	if err != nil {
+		return nil, err
+	}
+	from, to := k.span()
+	return g.HourFlows(k.Name, from, to), nil
+}
+
+// generator returns the model k's kind draws from: the gateway-pinned one
+// for vpn-flows/, the vantage point's own for the others.
+func (s *SyntheticSource) generator(k FlowKey) (*synth.Generator, error) {
+	if k.Kind == KindVPNFlows {
+		vd, err := s.VPN(k.VP)
+		if err != nil {
+			return nil, err
+		}
+		return vd.Gen, nil
+	}
+	return s.Generator(k.VP)
 }

@@ -66,8 +66,9 @@ const (
 	batchLive uint32 = iota
 	// batchPooled: sitting in the pool; using or re-Releasing it is a bug.
 	batchPooled
-	// batchView: a read-only view over externally managed memory (an
-	// mmap-backed flowstore segment); it must never enter the pool.
+	// batchView: a read-only view over memory another owner manages (an
+	// mmap-backed flowstore segment, or the batch a Slice cuts); it must
+	// never enter the pool.
 	batchView
 )
 
@@ -294,6 +295,35 @@ func (b *Batch) AppendBatch(o *Batch) {
 	b.TCPFlags = appendCol(b.TCPFlags, o.TCPFlags, c, ColTCPFlags)
 }
 
+// Slice returns rows [lo, hi) of b as a read-only view that shares b's
+// columns and stores the same set. The view is marked as one (Release
+// panics on it), and its columns' capacity ends at hi, so an append to one
+// reallocates instead of writing into b.
+func (b *Batch) Slice(lo, hi int) *Batch {
+	v := &Batch{
+		StartNs: sliceCol(b.StartNs, lo, hi), EndNs: sliceCol(b.EndNs, lo, hi),
+		SrcIP: sliceCol(b.SrcIP, lo, hi), DstIP: sliceCol(b.DstIP, lo, hi),
+		SrcPort: sliceCol(b.SrcPort, lo, hi), DstPort: sliceCol(b.DstPort, lo, hi),
+		Proto: sliceCol(b.Proto, lo, hi),
+		Bytes: sliceCol(b.Bytes, lo, hi), Packets: sliceCol(b.Packets, lo, hi),
+		SrcAS: sliceCol(b.SrcAS, lo, hi), DstAS: sliceCol(b.DstAS, lo, hi),
+		InIf: sliceCol(b.InIf, lo, hi), OutIf: sliceCol(b.OutIf, lo, hi),
+		Dir: sliceCol(b.Dir, lo, hi), TCPFlags: sliceCol(b.TCPFlags, lo, hi),
+		absent: b.absent,
+	}
+	v.MarkView()
+	return v
+}
+
+// sliceCol is rows [lo, hi) of a column, capped at hi; an absent (nil)
+// column stays nil.
+func sliceCol[T any](s []T, lo, hi int) []T {
+	if s == nil {
+		return nil
+	}
+	return s[lo:hi:hi]
+}
+
 // Project returns a heap-owned copy of the batch that stores only cols,
 // all of which b must store.
 func (b *Batch) Project(cols Columns) *Batch {
@@ -462,7 +492,8 @@ func (b *Batch) keepOnly(c Columns) {
 // would let two future GetBatch callers alias the same column arrays and
 // silently corrupt each other's rows), as does releasing a view batch
 // (its columns alias an mmap-backed segment owned by the dataset cache,
-// so pooling it would hand segment memory to the decode loops).
+// or another batch, so pooling it would hand that memory to the decode
+// loops).
 func (b *Batch) Release() {
 	if b == nil {
 		return
@@ -471,7 +502,7 @@ func (b *Batch) Release() {
 	case atomic.CompareAndSwapUint32(&b.state, batchLive, batchPooled):
 		batchPool.Put(b)
 	case atomic.LoadUint32(&b.state) == batchView:
-		panic("flowrec: Release of a segment-view batch; views are owned by the cache and must never be pooled")
+		panic("flowrec: Release of a view batch; a view's columns belong to another owner and must never be pooled")
 	default:
 		panic("flowrec: double Release of a pooled batch; the previous Release already returned it")
 	}
@@ -484,14 +515,15 @@ func PutBatch(b *Batch) {
 }
 
 // MarkView marks b as a read-only view over externally managed memory
-// (package flowstore's mmap-backed segments). A view batch panics on
-// Release instead of entering the pool, and its columns must not be
-// mutated or retained past the owning segment's lifetime.
+// (package flowstore's mmap-backed segments, or another batch's columns:
+// Slice). A view batch panics on Release instead of entering the pool, and
+// its columns must not be mutated or retained past their owner's
+// lifetime.
 func (b *Batch) MarkView() {
 	atomic.StoreUint32(&b.state, batchView)
 }
 
-// IsView reports whether b was marked as a segment view.
+// IsView reports whether b was marked as a view.
 func (b *Batch) IsView() bool {
 	return atomic.LoadUint32(&b.state) == batchView
 }

@@ -182,6 +182,38 @@ func TestMarkViewBlocksPooling(t *testing.T) {
 	b.Release()
 }
 
+// TestSliceIsAReadOnlyView: Slice's rows are the batch's, in a projected
+// batch too, an append to the view leaves the batch alone, and the view
+// refuses the pool.
+func TestSliceIsAReadOnlyView(t *testing.T) {
+	full := NewBatch(0)
+	for i := 0; i < 10; i++ {
+		full.Append(Record{Proto: ProtoTCP, SrcPort: uint16(i), Bytes: uint64(100 + i), Packets: 1})
+	}
+	for _, b := range []*Batch{full, full.Project(ColBytes | ColSrcPort)} {
+		v := b.Slice(3, 7)
+		if v.Columns() != b.Columns() || v.Len() != 4 || v.Bytes[0] != 103 || v.SrcPort[3] != 6 {
+			t.Fatalf("Slice(3, 7) of %s: %d rows of %s, bytes %v", b.Columns(), v.Len(), v.Columns(), v.Bytes)
+		}
+		if want := b.Project(b.Columns()); !b.Slice(0, b.Len()).Equal(want) || b.Slice(5, 5).Len() != 0 {
+			t.Errorf("Slice of all rows (or none) of %s is not the batch (empty)", b.Columns())
+		}
+		v.Bytes = append(v.Bytes, 1)
+		if b.Bytes[7] != 107 {
+			t.Errorf("an append to the view wrote into the batch: row 7 holds %d", b.Bytes[7])
+		}
+		if !v.IsView() {
+			t.Error("a slice is not marked as a view")
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Release of a slice must panic")
+		}
+	}()
+	full.Slice(0, 1).Release()
+}
+
 func TestHeapBytesGrowsWithRows(t *testing.T) {
 	small, big := NewBatch(10), NewBatch(10000)
 	if small.HeapBytes() <= 0 {

@@ -12,8 +12,8 @@ import (
 
 // BenchmarkBridgeDemux measures the bridge's demux throughput: three
 // pumps stream one bucket each per iteration, concurrently, through one
-// bridge socket. The per-op work is fixed (the same three component-hour
-// buckets every iteration, references regenerated per fetch since the
+// bridge socket. The per-op work is fixed (the same three day buckets
+// every iteration, references regenerated per fetch since the
 // bridge does not cache), so allocs/op is a stable gate for the demux
 // path — cmd/benchgate holds it against the baseline in CI.
 func BenchmarkBridgeDemux(b *testing.B) {
@@ -24,7 +24,7 @@ func BenchmarkBridgeDemux(b *testing.B) {
 	// path, not one-time model construction.
 	rowsPerOp := 0
 	for _, vp := range vps {
-		got, err := br.FlowBatch(vp, testHour)
+		got, err := br.FlowBatch(vp, testDay)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -37,7 +37,7 @@ func BenchmarkBridgeDemux(b *testing.B) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := br.FlowBatch(vp, testHour); err != nil {
+				if _, err := br.FlowBatch(vp, testDay); err != nil {
 					b.Error(err)
 				}
 			}()
@@ -49,7 +49,7 @@ func BenchmarkBridgeDemux(b *testing.B) {
 }
 
 // BenchmarkPumpServe measures one served bucket on the exporter side: the
-// oracle's hour batch, IPFIX encode and the BEGIN/END frames, sent to a
+// oracle's day batch, IPFIX encode and the BEGIN/END frames, sent to a
 // socket nobody reads. The batch is the pump's own and goes back to the
 // pool after the END frame, so in steady state B/op holds the control
 // frames and not the 22 B a row of the export batch (the flows/ columns).
@@ -68,7 +68,7 @@ func BenchmarkPumpServe(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pump.Close()
-	key := core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)}
+	key := core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(testDay)}
 	pump.serve(0, key) // build the generator outside the timed loop
 	rows := pump.Stats().RowsSent
 	b.ReportAllocs()
@@ -88,7 +88,7 @@ func BenchmarkPumpServe(b *testing.B) {
 // released, and do not.
 func BenchmarkBridgeFetch(b *testing.B) {
 	br, _ := newHarness(b, collector.FormatIPFIX, core.Options{FlowScale: 0.5})
-	got, err := br.FlowBatch(synth.ISPCE, testHour) // warm both generators
+	got, err := br.FlowBatch(synth.ISPCE, testDay) // warm both generators
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func BenchmarkBridgeFetch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := br.FlowBatch(synth.ISPCE, testHour); err != nil {
+		if _, err := br.FlowBatch(synth.ISPCE, testDay); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,6 +28,11 @@ const defaultBudgetAttempts = 4
 // out consumer scheduling hiccups there instead of being dropped.
 const readBuffer = 4 << 20
 
+// bulkDatagrams is the largest bucket, in flow datagrams, that is fetched
+// alongside others: a few hundred 1.5 kB NetFlow v5 packets, well inside
+// readBuffer.
+const bulkDatagrams = 256
+
 // Route maps a flow key to the stream (pump) that serves it. The
 // sharded cluster partitions the vantage points, so all keys of one
 // vantage point route to one stream.
@@ -85,14 +90,17 @@ func (s *Stats) add(o Stats) {
 }
 
 // inboxSize is a stream inbox's capacity in datagrams. A bucket is its
-// BEGIN frame, one flow datagram (a message fills a UDP datagram, so only
-// buckets of thousands of rows take several) and two END frames, so the
-// inbox holds over a hundred buckets' traffic: the slack is for a fetch
-// that is busy building its reference while a stale attempt's datagrams
-// arrive. The demux goroutine never blocks on a stream (a stalled
+// BEGIN frame, a day's flow datagrams and three END frames: a few flow
+// datagrams over v9 or IPFIX, whose message fills a UDP datagram, but up
+// to ~2 600 over NetFlow v5 at -scale 2, whose packet carries 30 rows.
+// The inbox holds a whole bucket with room to spare: the slack is for a
+// consumer that falls behind a burst, or a stale attempt's datagrams
+// still arriving. The demux goroutine never blocks on a stream (a stalled
 // consumer must not stall the other streams), so a full inbox drops like
-// the wire does — the fetch detects the shortfall and re-requests.
-const inboxSize = 512
+// the wire does — the fetch detects the shortfall and re-requests. A slot
+// is two pointers; what the queued datagrams hold is bounded by the one
+// bucket in flight per stream.
+const inboxSize = 8192
 
 // inboxItem is one datagram of a stream, in arrival order: a parsed
 // control frame or an undecoded flow datagram. Both are pointers, so a
@@ -228,6 +236,10 @@ type Bridge struct {
 	mu      sync.Mutex
 	streams map[uint32]*stream
 	closed  bool // demux exited; stream inboxes are closed
+
+	// bulk is held by the fetch of a bucket of more than bulkDatagrams
+	// flow datagrams (see fetchKey).
+	bulk sync.Mutex
 
 	// Traffic attributable to no registered stream, plus collector-level
 	// accounting.
@@ -441,14 +453,14 @@ func (b *Bridge) Snapshot() Snapshot {
 // traffic attributable to none (Snapshot().Total).
 func (b *Bridge) Stats() Stats { return b.Snapshot().Total }
 
-// FlowBatch implements core.FlowSource.
-func (b *Bridge) FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return b.fetch(core.FlowKey{Kind: core.KindFlows, VP: vp, Hour: core.HourOf(hour)})
+// FlowBatch implements core.FlowSource: the UTC day t falls in.
+func (b *Bridge) FlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
+	return b.fetch(core.FlowKey{Kind: core.KindFlows, VP: vp, Hour: core.DayOf(t)})
 }
 
-// VPNFlowBatch implements core.FlowSource.
-func (b *Bridge) VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error) {
-	return b.fetch(core.FlowKey{Kind: core.KindVPNFlows, VP: vp, Hour: core.HourOf(hour)})
+// VPNFlowBatch implements core.FlowSource: the UTC day t falls in.
+func (b *Bridge) VPNFlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
+	return b.fetch(core.FlowKey{Kind: core.KindVPNFlows, VP: vp, Hour: core.DayOf(t)})
 }
 
 // ComponentFlowBatch implements core.FlowSource: the component's UTC day
@@ -534,6 +546,16 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 	// against it, so it goes back to the pool only when the fetch is over
 	// — by then the v5 repair has copied what it needs out of it.
 	defer ref.Release()
+	// Buckets of more than bulkDatagrams datagrams go one at a time, so
+	// no two such bursts share the data socket's receive buffer. They are
+	// NetFlow v5 days, 30 rows a packet: at -scale 2 two of them overflow
+	// it, and an attempt that loses its tail with every END copy waits out
+	// the attempt timeout. A v9 or IPFIX day is a few datagrams and never
+	// waits here.
+	if per := b.cfg.Format.RowsPerDatagram(k.Columns()); per > 0 && ref.Len() > bulkDatagrams*per {
+		b.bulk.Lock()
+		defer b.bulk.Unlock()
+	}
 	deadline := time.Now().Add(b.cfg.FetchBudget)
 	attempts := 0
 	var lastErr error

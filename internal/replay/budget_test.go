@@ -41,7 +41,7 @@ func TestBridgeFetchBudgetGovernsRetries(t *testing.T) {
 	br.Start(ctx)
 
 	start := time.Now()
-	_, err = br.FlowBatch(synth.ISPCE, testHour)
+	_, err = br.FlowBatch(synth.ISPCE, testDay)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("fetch from a closed port succeeded")

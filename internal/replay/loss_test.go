@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -220,7 +221,7 @@ func frameType(pkt []byte) byte { return pkt[len(collector.ControlMagic)+1] }
 
 // multiMessageScale is the flow scale at which every flows/ bucket the
 // loss tests fetch spans two IPFIX messages: an ISP-CE, IXP-CE or IXP-SE
-// hour of testHour and the two after it holds 3 103–3 969 rows, and one
+// hour of testDay and the two after it holds 3 103–3 969 rows, and one
 // message, filling a UDP datagram, carries 2 975 rows of the flows/
 // column set. A test that loses, duplicates or counts the second data
 // datagram of a bucket needs one.
@@ -250,11 +251,11 @@ func TestBridgeRetriesDroppedData(t *testing.T) {
 		return dataSeen%2 == 0 // drop every 2nd data datagram
 	})
 
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	got, err := br.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatalf("fetch over the lossy transport failed: %v", err)
 	}
@@ -294,11 +295,11 @@ func TestBridgeRetriesDroppedBegin(t *testing.T) {
 		return false
 	})
 
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	got, err := br.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatalf("fetch with a dropped BEGIN failed: %v", err)
 	}
@@ -336,11 +337,11 @@ func TestBridgeToleratesDroppedEnd(t *testing.T) {
 		return false
 	})
 
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	got, err := br.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatalf("fetch with a dropped END failed: %v", err)
 	}
@@ -411,7 +412,7 @@ func TestBridgeSurvivesDroppedNack(t *testing.T) {
 	go pump.Run(ctx)
 	br.Start(ctx)
 
-	_, err = br.FlowBatch(synth.ISPCE, testHour)
+	_, err = br.FlowBatch(synth.ISPCE, testDay)
 	if err == nil {
 		t.Fatal("mis-wired stream fetch succeeded")
 	}
@@ -457,11 +458,11 @@ func TestBridgeRetriesDuplicatedData(t *testing.T) {
 		return [][]byte{pkt}
 	})
 
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	got, err := br.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatalf("fetch with a duplicated datagram failed: %v", err)
 	}
@@ -524,11 +525,11 @@ func TestBridgeReordersBeginAfterData(t *testing.T) {
 		return [][]byte{pkt}
 	})
 
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	got, err := br.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatalf("fetch with BEGIN reordered after data failed: %v", err)
 	}
@@ -553,47 +554,51 @@ func TestBridgeReordersBeginAfterData(t *testing.T) {
 }
 
 // TestBridgeRetriesLostEndAndData drops one data packet and the first
-// END frame of attempt 1. The pump's second END copy still closes the
-// short bucket, so the retry goes out at once instead of after the 30 s
-// attempt timeout, and the bucket arrives bit-identical.
+// END frame of attempt 1, or its first two. A later END copy still closes
+// the short bucket, so the retry goes out at once instead of after the
+// 30 s attempt timeout, and the bucket arrives bit-identical.
 func TestBridgeRetriesLostEndAndData(t *testing.T) {
-	opts := core.Options{FlowScale: 0.1}
-	var droppedData, droppedEnd bool // touched only by the relay goroutine
-	br, pump, relay := newLossyHarness(t, opts, 30*time.Second, func(pkt []byte) bool {
-		switch {
-		case !isCtrl(pkt) && !droppedData:
-			droppedData = true
-			return true
-		case isCtrl(pkt) && frameType(pkt) == frameEnd && !droppedEnd:
-			droppedEnd = true
-			return true
-		}
-		return false
-	})
+	for _, lostEnds := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-ends", lostEnds), func(t *testing.T) {
+			opts := core.Options{FlowScale: 0.1}
+			droppedData, droppedEnds := false, 0 // touched only by the relay goroutine
+			br, pump, relay := newLossyHarness(t, opts, 30*time.Second, func(pkt []byte) bool {
+				switch {
+				case !isCtrl(pkt) && !droppedData:
+					droppedData = true
+					return true
+				case isCtrl(pkt) && frameType(pkt) == frameEnd && droppedEnds < lostEnds:
+					droppedEnds++
+					return true
+				}
+				return false
+			})
 
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
-	elapsed := time.Since(start)
-	if err != nil {
-		t.Fatalf("fetch with a lost END and a lost data packet failed: %v", err)
-	}
-	batchesEqual(t, want, got)
-	droppedPkts, droppedRows := relay.stats()
-	if droppedPkts != 2 || droppedRows == 0 {
-		t.Fatalf("relay dropped %d datagrams (%d rows), want one data packet and one END", droppedPkts, droppedRows)
-	}
-	if elapsed > 10*time.Second {
-		t.Errorf("fetch took %v; the short bucket waited for the attempt timeout", elapsed)
-	}
-	if s := br.Stats(); s.Retries != 1 || s.LostRows != int64(droppedRows) {
-		t.Errorf("stats %+v, want 1 retry and the %d dropped rows lost", s, droppedRows)
-	}
-	if ps := pump.Stats(); ps.Requests != 2 {
-		t.Errorf("pump.Stats().Requests = %d, want 2", ps.Requests)
+			want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testDay)
+			if err != nil {
+				t.Fatal(err)
+			}
+			start := time.Now()
+			got, err := br.FlowBatch(synth.ISPCE, testDay)
+			elapsed := time.Since(start)
+			if err != nil {
+				t.Fatalf("fetch with %d lost ENDs and a lost data packet failed: %v", lostEnds, err)
+			}
+			batchesEqual(t, want, got)
+			droppedPkts, droppedRows := relay.stats()
+			if droppedPkts != 1+lostEnds || droppedRows == 0 {
+				t.Fatalf("relay dropped %d datagrams (%d rows), want one data packet and %d ENDs", droppedPkts, droppedRows, lostEnds)
+			}
+			if elapsed > 10*time.Second {
+				t.Errorf("fetch took %v; the short bucket waited for the attempt timeout", elapsed)
+			}
+			if s := br.Stats(); s.Retries != 1 || s.LostRows != int64(droppedRows) {
+				t.Errorf("stats %+v, want 1 retry and the %d dropped rows lost", s, droppedRows)
+			}
+			if ps := pump.Stats(); ps.Requests != 2 {
+				t.Errorf("pump.Stats().Requests = %d, want 2", ps.Requests)
+			}
+		})
 	}
 }
 
@@ -609,7 +614,7 @@ func TestBridgeRetriesLostEndAndData(t *testing.T) {
 // from it.
 func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 	opts := core.Options{FlowScale: multiMessageScale}
-	const shards, hours = 3, 3
+	const shards, days = 3, 3
 	var (
 		relay   *lossyRelay
 		gen     [shards]uint32 // generation of the bucket each stream is sending
@@ -642,7 +647,7 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 		return relay.ln.LocalAddr().String()
 	})
 
-	// One vantage point per stream (index mod shards), a few hours each.
+	// One vantage point per stream (index mod shards), a few days each.
 	vps := []synth.VantagePoint{synth.ISPCE, synth.IXPCE, synth.IXPSE}
 	ref := core.NewSyntheticSource(opts)
 	var wg sync.WaitGroup
@@ -651,8 +656,8 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for h := 0; h < hours && errs[i] == nil; h++ {
-				errs[i] = fetchAndCompare(ref, br, vp, testHour.Add(time.Duration(h)*time.Hour))
+			for d := 0; d < days && errs[i] == nil; d++ {
+				errs[i] = fetchAndCompare(ref, br, vp, testDay.AddDate(0, 0, d))
 			}
 		}()
 	}
@@ -664,13 +669,13 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 	}
 
 	per := br.Snapshot().Streams
-	for id, wantRetries := range []int64{hours, hours, 0} {
+	for id, wantRetries := range []int64{days, days, 0} {
 		s := per[uint32(id)]
-		if s.Keys != hours || s.Retries != wantRetries {
-			t.Errorf("stream %d: %d keys, %d retries, want %d and %d: %+v", id, s.Keys, s.Retries, hours, wantRetries, s)
+		if s.Keys != days || s.Retries != wantRetries {
+			t.Errorf("stream %d: %d keys, %d retries, want %d and %d: %+v", id, s.Keys, s.Retries, days, wantRetries, s)
 		}
-		if ps := pumps[id].Stats(); ps.Requests != hours+wantRetries {
-			t.Errorf("pump %d served %d requests, want %d", id, ps.Requests, hours+wantRetries)
+		if ps := pumps[id].Stats(); ps.Requests != days+wantRetries {
+			t.Errorf("pump %d served %d requests, want %d", id, ps.Requests, days+wantRetries)
 		}
 	}
 	// Only stream 0 lost data packets; stream 1's unattributable first
@@ -704,11 +709,11 @@ func TestBridgeRetriesCorruptedData(t *testing.T) {
 		bad[len(bad)-1] ^= 1 // the low byte of the last record's DstAS
 		return [][]byte{bad}
 	})
-	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testHour)
+	want, err := core.NewSyntheticSource(opts).FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	got, err := br.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatalf("fetch after a corrupted packet: %v", err)
 	}

@@ -1,9 +1,9 @@
 // Package replay runs the experiment suite over live NetFlow/IPFIX
 // export, verified bit-for-bit against the synthetic model.
 //
-// The suite's flow inputs are keyed batches (see core.FlowKey): the plain
-// per-hour batch of a vantage point, the gateway-pinned VPN variant, and
-// one component's UTC day. The replay harness splits the producer and
+// The suite's flow inputs are keyed batches (see core.FlowKey), one UTC
+// day each: the plain batch of a vantage point, the gateway-pinned VPN
+// variant, and one component's. The replay harness splits the producer and
 // consumer of those keys across a UDP socket pair:
 //
 //   - The Pump owns the synthetic model on the exporter side. It listens
@@ -83,8 +83,8 @@ const requestMagic = "LKRQ"
 // layouts below or to what a key means; both sides reject other versions.
 // Version 2 added the stream identity to requests and control frames
 // (multi-pump demux); version 3 made a component key name a UTC day
-// instead of an hour.
-const protocolVersion = 3
+// instead of an hour, and version 4 every key.
+const protocolVersion = 4
 
 // Control frame types.
 const (
@@ -106,7 +106,7 @@ func appendKey(dst []byte, k core.FlowKey) []byte {
 }
 
 // parseKey decodes a key and returns the remaining bytes. The time must
-// be a whole hour, and for a component key the start of a UTC day.
+// be the start of a UTC day.
 func parseKey(b []byte) (core.FlowKey, []byte, error) {
 	if len(b) < 1+8+1 {
 		return core.FlowKey{}, nil, fmt.Errorf("replay: truncated key")
@@ -117,13 +117,10 @@ func parseKey(b []byte) (core.FlowKey, []byte, error) {
 		return core.FlowKey{}, nil, fmt.Errorf("replay: unknown batch kind %d", b[0])
 	}
 	secs := int64(binary.BigEndian.Uint64(b[1:9]))
-	if secs%3600 != 0 {
-		return core.FlowKey{}, nil, fmt.Errorf("replay: key time %d is not a whole hour", secs)
+	if secs%(24*3600) != 0 {
+		return core.FlowKey{}, nil, fmt.Errorf("replay: %s key time %d is not a UTC day", k.Kind, secs)
 	}
 	k.Hour = core.Hour(secs / 3600)
-	if k.Kind == core.KindComponentFlows && secs%(24*3600) != 0 {
-		return core.FlowKey{}, nil, fmt.Errorf("replay: component key time %d is not a UTC day", secs)
-	}
 	b = b[9:]
 	vpLen := int(b[0])
 	if len(b) < 1+vpLen+1 {

@@ -18,10 +18,10 @@ import (
 // along unread.
 func FuzzProtocolFrames(f *testing.F) {
 	keys := []core.FlowKey{
-		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
-		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.Add(31 * 24 * time.Hour))},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour)},
-		{Hour: core.HourOf(time.Time{})},
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(testDay)},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.DayOf(testDay.Add(31 * 24 * time.Hour))},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testDay)},
+		{Hour: core.DayOf(time.Time{})},
 	}
 	for i, k := range keys {
 		req := encodeRequest(uint32(i), 7, k)
@@ -35,9 +35,11 @@ func FuzzProtocolFrames(f *testing.F) {
 			f.Add(append(ctrl, 0))
 		}
 	}
-	f.Add(encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.HourOf(testHour)}, ""))
-	// A component key that is not a UTC day.
-	f.Add(encodeRequest(0, 1, core.FlowKey{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.HourOf(testHour)}))
+	f.Add(encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, ""))
+	// A component key and a flows/ key that are not a UTC day.
+	at20 := core.HourOf(testDay.Add(20 * time.Hour))
+	f.Add(encodeRequest(0, 1, core.FlowKey{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: at20}))
+	f.Add(encodeRequest(0, 1, core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: at20}))
 	f.Add([]byte("LKRQ\x01aaaaaaaaaaaaaaaa")) // protocol version 1
 	f.Add([]byte("LKRW\x02\x01"))
 	f.Add([]byte(nil))

@@ -13,30 +13,29 @@ import (
 	"lockdown/internal/synth"
 )
 
-var testHour = time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
+var testDay = time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
 
 func TestKeyCodecRoundTrip(t *testing.T) {
-	// The last three are built from instants inside the hour, in other
-	// zones: a key is its UTC hour (a component key its UTC day), and that
-	// is what travels.
+	// The last three are built from instants inside the day, in other
+	// zones: a key of every kind is its UTC day, and that is what travels.
 	cest := time.FixedZone("CEST", 2*3600)
 	keys := []core.FlowKey{
-		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
-		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.Add(31 * 24 * time.Hour))},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour)},
-		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour.In(cest).Add(59 * time.Minute))},
-		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour.In(time.Local).Add(time.Nanosecond))},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour.In(cest))},
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(testDay)},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.DayOf(testDay.Add(31 * 24 * time.Hour))},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testDay)},
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(testDay.In(cest).Add(21*time.Hour + 59*time.Minute))},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.DayOf(testDay.In(time.Local).Add(time.Nanosecond))},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testDay.In(cest))},
 	}
-	// The request bytes of the first key. Only the version byte moved when
-	// version 3 made a component key a day: a flows/ key's layout and
-	// meaning are version 2's.
-	const golden = "LKRQ\x03\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^{\xb8@\x06ISP-CE\x00"
+	// The request bytes of the first key. The layout is version 2's: version
+	// 3 made a component key a day and version 4 every key, which moved the
+	// version byte and this key's time (its day, no longer its 20:00).
+	const golden = "LKRQ\x04\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^z\x9f\x00\x06ISP-CE\x00"
 	if got := encodeRequest(3, 7, keys[0]); string(got) != golden {
 		t.Fatalf("request encoding drifted:\n got %q\nwant %q", got, golden)
 	}
 	if keys[3] != keys[0] || string(encodeRequest(3, 7, keys[3])) != golden {
-		t.Fatalf("a key built 59 minutes into the hour at +02:00 is %v, want %v", keys[3], keys[0])
+		t.Fatalf("a key built at 23:59 at +02:00 is %v, want %v", keys[3], keys[0])
 	}
 	for _, k := range keys {
 		stream, gen, got, err := parseRequest(encodeRequest(3, 7, k))
@@ -74,22 +73,24 @@ func TestParseRejectsGarbage(t *testing.T) {
 		t.Error("parseRequest accepted a protocol-version-1 datagram")
 	}
 	// A control frame whose key kind is out of range must be rejected.
-	bad := encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.HourOf(testHour)}, "")
+	bad := encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, "")
 	if _, err := parseCtrl(bad); err == nil {
 		t.Error("parseCtrl accepted an out-of-range batch kind")
 	}
-	// A component key names a UTC day: one at 14:00 names no batch, in a
-	// request or in a frame. The same hour is a flows/ key.
+	// A key of every kind names a UTC day: one at 14:00 names no batch, in
+	// a request or in a frame.
 	at14 := core.HourOf(time.Date(2020, 3, 25, 14, 0, 0, 0, time.UTC))
-	hourly := core.FlowKey{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: at14}
-	if _, _, _, err := parseRequest(encodeRequest(0, 1, hourly)); err == nil || !strings.Contains(err.Error(), "not a UTC day") {
-		t.Errorf("parseRequest(%v) = %v, want a refusal", hourly, err)
-	}
-	if _, err := parseCtrl(encodeCtrl(frameBegin, 0, 1, 1, hourly, "")); err == nil {
-		t.Errorf("parseCtrl accepted %v", hourly)
-	}
-	if _, _, k, err := parseRequest(encodeRequest(0, 1, core.FlowKey{Kind: core.KindFlows, VP: synth.IXPSE, Hour: at14})); err != nil || k.Hour != at14 {
-		t.Errorf("a flows/ key at 14:00 parses as %v, %v", k, err)
+	for _, hourly := range []core.FlowKey{
+		{Kind: core.KindFlows, VP: synth.IXPSE, Hour: at14},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: at14},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: at14},
+	} {
+		if _, _, _, err := parseRequest(encodeRequest(0, 1, hourly)); err == nil || !strings.Contains(err.Error(), "not a UTC day") {
+			t.Errorf("parseRequest(%v) = %v, want a refusal", hourly, err)
+		}
+		if _, err := parseCtrl(encodeCtrl(frameBegin, 0, 1, 1, hourly, "")); err == nil {
+			t.Errorf("parseCtrl accepted %v", hourly)
+		}
 	}
 }
 
@@ -135,32 +136,32 @@ func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 		t.Run(format.String(), func(t *testing.T) {
 			br, pump := newHarness(t, format, opts)
 
-			want, err := ref.FlowBatch(synth.ISPCE, testHour)
+			want, err := ref.FlowBatch(synth.ISPCE, testDay)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := br.FlowBatch(synth.ISPCE, testHour)
+			got, err := br.FlowBatch(synth.ISPCE, testDay)
 			if err != nil {
 				t.Fatalf("FlowBatch over %v: %v", format, err)
 			}
 			batchesEqual(t, want, got)
 
-			want, err = ref.VPNFlowBatch(synth.IXPCE, testHour)
+			want, err = ref.VPNFlowBatch(synth.IXPCE, testDay)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = br.VPNFlowBatch(synth.IXPCE, testHour)
+			got, err = br.VPNFlowBatch(synth.IXPCE, testDay)
 			if err != nil {
 				t.Fatalf("VPNFlowBatch over %v: %v", format, err)
 			}
 			batchesEqual(t, want, got)
 
 			// The bridge serves the component's UTC day the hour falls in.
-			want, err = ref.ComponentFlowBatch(synth.IXPSE, "gaming", core.DayOf(testHour).Time())
+			want, err = ref.ComponentFlowBatch(synth.IXPSE, "gaming", core.DayOf(testDay).Time())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err = br.ComponentFlowBatch(synth.IXPSE, "gaming", testHour)
+			got, err = br.ComponentFlowBatch(synth.IXPSE, "gaming", testDay)
 			if err != nil {
 				t.Fatalf("ComponentFlowBatch over %v: %v", format, err)
 			}
@@ -194,9 +195,9 @@ func TestBridgeServesKindColumns(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	ref := core.NewSyntheticSource(opts)
 	keys := []core.FlowKey{
-		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)},
-		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.HourOf(testHour)},
-		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testHour)},
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(testDay)},
+		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.DayOf(testDay)},
+		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testDay)},
 	}
 	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9, collector.FormatIPFIX} {
 		t.Run(format.String(), func(t *testing.T) {
@@ -246,7 +247,7 @@ func TestBridgeOptionsMismatchIsFatal(t *testing.T) {
 	br.Start(ctx)
 
 	start := time.Now()
-	if _, err := br.FlowBatch(synth.ISPCE, testHour); err == nil {
+	if _, err := br.FlowBatch(synth.ISPCE, testDay); err == nil {
 		t.Fatal("fetch with mismatched options succeeded")
 	} else if !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("unexpected error: %v", err)
@@ -279,7 +280,7 @@ func TestBridgeNackFromPump(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer req.Close()
-	if _, err := req.Write(encodeRequest(0, 1, core.FlowKey{Kind: core.KindFlows, VP: "NO-SUCH-VP", Hour: core.HourOf(testHour)})); err != nil {
+	if _, err := req.Write(encodeRequest(0, 1, core.FlowKey{Kind: core.KindFlows, VP: "NO-SUCH-VP", Hour: core.DayOf(testDay)})); err != nil {
 		t.Fatal(err)
 	}
 	sink.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -325,7 +326,7 @@ func TestBridgeTimesOutWithoutPump(t *testing.T) {
 	defer func() { cancel(); br.Close() }()
 	br.Start(ctx)
 
-	if _, err := br.FlowBatch(synth.ISPCE, testHour); err == nil {
+	if _, err := br.FlowBatch(synth.ISPCE, testDay); err == nil {
 		t.Fatal("fetch without a pump succeeded")
 	}
 	if s := br.Stats(); s.Retries != 1 {
@@ -345,7 +346,7 @@ func TestBridgeDiscardsOrphanRows(t *testing.T) {
 	}
 	defer stray.Close()
 	g := synth.MustNewDefault(synth.EDU)
-	strayRows := g.FlowsForHourBatch(testHour)
+	strayRows := g.FlowsForHourBatch(testDay)
 	if strayRows.Len() == 0 {
 		t.Fatal("stray batch is empty")
 	}
@@ -355,11 +356,11 @@ func TestBridgeDiscardsOrphanRows(t *testing.T) {
 
 	// A real fetch must still succeed; the stray rows are orphans.
 	ref := core.NewSyntheticSource(opts)
-	want, err := ref.FlowBatch(synth.ISPCE, testHour)
+	want, err := ref.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := br.FlowBatch(synth.ISPCE, testHour)
+	got, err := br.FlowBatch(synth.ISPCE, testDay)
 	if err != nil {
 		t.Fatalf("fetch alongside stray traffic: %v", err)
 	}
@@ -371,7 +372,7 @@ func TestBridgeDiscardsOrphanRows(t *testing.T) {
 
 func TestVerifyAndRepair(t *testing.T) {
 	g := synth.MustNewDefault(synth.ISPCE)
-	ref := g.FlowsForHourBatch(testHour)
+	ref := g.FlowsForHourBatch(testDay)
 	if ref.Len() == 0 {
 		t.Fatal("empty reference batch")
 	}
@@ -443,7 +444,7 @@ func TestVerifyAndRepair(t *testing.T) {
 // alias one set of columns.
 func TestServedBatchDoubleReleasePanics(t *testing.T) {
 	src := core.NewSyntheticSource(core.Options{FlowScale: 0.1})
-	b, err := src.Batch(core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.HourOf(testHour)})
+	b, err := src.Batch(core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(testDay)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,10 +95,21 @@ func fetchAndCompare(ref *core.SyntheticSource, br *Bridge, vp synth.VantagePoin
 // every batch bit-identical to the reference, every stream served its
 // own keys, nothing lost or retried on a clean loopback wire.
 func TestShardedBridgeConcurrentStreams(t *testing.T) {
-	opts := core.Options{FlowScale: 0.1}
 	const shards = 3
-	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9, collector.FormatIPFIX} {
-		t.Run(format.String(), func(t *testing.T) {
+	for _, tc := range []struct {
+		format collector.Format
+		scale  float64
+		name   string
+	}{
+		{collector.FormatNetflowV5, 0.1, "netflow-v5"},
+		{collector.FormatNetflowV9, 0.1, "netflow-v9"},
+		{collector.FormatIPFIX, 0.1, "ipfix"},
+		// Days of thousands of v5 packets: more than bulkDatagrams each,
+		// so the three fetches take turns on the wire.
+		{collector.FormatNetflowV5, 2, "netflow-v5-scale-2"},
+	} {
+		format, opts := tc.format, core.Options{FlowScale: tc.scale}
+		t.Run(tc.name, func(t *testing.T) {
 			br, pumps := newShardedHarness(t, format, opts, shards)
 			ref := core.NewSyntheticSource(opts)
 
@@ -113,7 +124,7 @@ func TestShardedBridgeConcurrentStreams(t *testing.T) {
 					defer wg.Done()
 					// Report mismatches through errs: t.Fatalf must not
 					// run off the test goroutine.
-					errs[i] = fetchAndCompare(ref, br, vp, testHour)
+					errs[i] = fetchAndCompare(ref, br, vp, testDay)
 				}()
 			}
 			wg.Wait()
@@ -192,7 +203,7 @@ func TestBridgeSnapshotConsistentUnderFetches(t *testing.T) {
 		go func() {
 			defer fetchers.Done()
 			for h := 0; h < 6; h++ {
-				if _, err := br.FlowBatch(vp, testHour.Add(time.Duration(h)*time.Hour)); err != nil {
+				if _, err := br.FlowBatch(vp, testDay.Add(time.Duration(h)*time.Hour)); err != nil {
 					t.Errorf("%s hour %d: %v", vp, h, err)
 					return
 				}
@@ -235,7 +246,7 @@ func TestShardedBridgeStreamMismatchNacks(t *testing.T) {
 	br.Start(ctx)
 
 	start := time.Now()
-	_, err = br.FlowBatch(synth.ISPCE, testHour)
+	_, err = br.FlowBatch(synth.ISPCE, testDay)
 	if err == nil {
 		t.Fatal("fetch over a mis-wired stream succeeded")
 	}
@@ -265,7 +276,7 @@ func TestFetchUnknownStreamFails(t *testing.T) {
 	defer func() { cancel(); br.Close() }()
 	br.Start(ctx)
 	start := time.Now()
-	if _, err := br.FlowBatch(synth.ISPCE, testHour); err == nil {
+	if _, err := br.FlowBatch(synth.ISPCE, testDay); err == nil {
 		t.Fatal("fetch for an unconnected stream succeeded")
 	} else if !strings.Contains(err.Error(), "stream 7") || strings.Contains(err.Error(), "giving up") {
 		t.Fatalf("unexpected error: %v", err)

@@ -21,74 +21,89 @@ func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
 
 // HourBatch samples the hour starting at t into a batch that stores only
 // cols: the flows of every component, or of the named one when component
-// is not empty (no rows for a name the model does not have). The rows are
-// those of the full-width batch column for column — the sampler draws the
-// same random stream whatever is stored — so a caller whose readers
-// declare their columns pays for no others.
+// is not empty (no rows for a name the model does not have). It is the
+// one-hour span of ComponentBatch. The rows are those of the full-width
+// batch column for column — the sampler draws the same random stream
+// whatever is stored — so a caller whose readers declare their columns
+// pays for no others.
 //
 // The batch is drawn from the flowrec pool and belongs to the caller: one
 // that only exports or compares it hands the columns back with Release, one
 // that keeps it (the dataset cache) never releases, and its draws then find
 // the pool empty and allocate.
 func (g *Generator) HourBatch(t time.Time, component string, cols flowrec.Columns) *flowrec.Batch {
-	if component != "" {
-		start := t.UTC().Truncate(time.Hour)
-		return g.ComponentBatch(component, start, start.Add(time.Hour), cols)
-	}
-	b := flowrec.GetProjected(0, cols)
-	h := hourAt(t)
-	var d draws
-	g.flowsForHourInto(b, &d, &h, make([]componentHour, len(g.plan)))
-	return b
+	start := t.UTC().Truncate(time.Hour)
+	return g.ComponentBatch(component, start, start.Add(time.Hour), cols)
 }
 
-// ComponentBatch samples the named component over every whole hour of
-// [from, to) into one batch that stores only cols: each hour's rows, drawn
-// from that hour's own stream, concatenated in hour order, so a span
-// equals its hours sampled one by one (HourBatch with a component name is
-// the one-hour span). Every hour is evaluated before any row is drawn, so
-// the batch is grown once, to the span's exact flow count. An unknown name
-// yields an empty batch of cols. The batch belongs to the caller, as
-// HourBatch's does.
+// ComponentBatch samples every whole hour of [from, to) into one batch
+// that stores only cols: the flows of the named component, or of every
+// component when the name is empty. Each hour's rows, drawn from that
+// hour's own streams, follow the previous hour's, and within an hour the
+// components follow their model order, so a span equals its hours sampled
+// one by one (HourBatch is the one-hour span). Every component-hour is
+// evaluated before any row is drawn, so the batch is grown once, to the
+// span's exact flow count. An unknown name yields an empty batch of cols.
+// The batch belongs to the caller, as HourBatch's does.
 func (g *Generator) ComponentBatch(component string, from, to time.Time, cols flowrec.Columns) *flowrec.Batch {
 	b := flowrec.GetProjected(0, cols)
-	p := g.planOf(component)
-	if p == nil {
-		return b
-	}
-	type spanHour struct {
-		h hour
-		s componentHour
-	}
-	span := make([]spanHour, 0, 24) // a day, the span of a component key
-	total := 0
-	eachHour(from, to, func(h *hour) {
-		span = append(span, spanHour{*h, g.sampled(p, h)})
-		total += span[len(span)-1].s.flows
-	})
+	plans := g.plansOf(component)
+	span, total := g.evaluateSpan(plans, from, to)
 	b.Grow(total)
 	var d draws
-	for i := range span {
-		g.sampleInto(b, &d, p, &span[i].h, &span[i].s)
+	start, n := hoursOf(from, to)
+	for i := range n {
+		h := hourAt(start.Add(time.Duration(i) * time.Hour))
+		for j := range plans {
+			g.sampleInto(b, &d, &plans[j], &h, &span[i*len(plans)+j])
+		}
 	}
 	return b
 }
 
-// flowsForHourInto appends one hour's flows of every component to b. Every
-// component-hour is evaluated once into the scratch slice (len == number
-// of components) and the batch is grown by the hour's exact flow count
-// before any row is appended — one bulk (re)allocation per column per
-// hour, none when the caller pre-sized or reuses b.
-func (g *Generator) flowsForHourInto(b *flowrec.Batch, d *draws, h *hour, scratch []componentHour) {
+// HourFlows returns the row count of every whole hour of [from, to) in
+// ComponentBatch's batch of the same span — where each hour's rows start
+// and end in it — without drawing a row.
+func (g *Generator) HourFlows(component string, from, to time.Time) []int {
+	plans := g.plansOf(component)
+	span, _ := g.evaluateSpan(plans, from, to)
+	_, n := hoursOf(from, to)
+	out := make([]int, n)
+	for i := range span {
+		out[i/len(plans)] += span[i].flows
+	}
+	return out
+}
+
+// plansOf returns the plans of the named component — one, or none for a
+// name the model does not have — or every plan when the name is empty.
+func (g *Generator) plansOf(component string) []componentPlan {
+	if component == "" {
+		return g.plan
+	}
+	for i := range g.plan {
+		if g.plan[i].c.Name == component {
+			return g.plan[i : i+1]
+		}
+	}
+	return nil
+}
+
+// evaluateSpan evaluates every component-hour of plans over the whole
+// hours of [from, to), hour after hour and within an hour in plan order,
+// and returns them with their total flow count.
+func (g *Generator) evaluateSpan(plans []componentPlan, from, to time.Time) ([]componentHour, int) {
+	start, n := hoursOf(from, to)
+	span := make([]componentHour, 0, n*len(plans))
 	total := 0
-	for i := range g.plan {
-		scratch[i] = g.sampled(&g.plan[i], h)
-		total += scratch[i].flows
+	for i := range n {
+		h := hourAt(start.Add(time.Duration(i) * time.Hour))
+		for j := range plans {
+			span = append(span, g.sampled(&plans[j], &h))
+			total += span[len(span)-1].flows
+		}
 	}
-	b.Grow(total)
-	for i := range g.plan {
-		g.sampleInto(b, d, &g.plan[i], h, &scratch[i])
-	}
+	return span, total
 }
 
 // sampled evaluates one component-hour for the sampler: volume, connection
@@ -351,15 +366,8 @@ func flowBytes(bytesPerFlow float64, m uint64) uint64 {
 	return bytes
 }
 
-// FlowsBetweenBatch samples flows for every hour in [from, to) into one
-// batch. Each hour is generated with an exact pre-grow; across hours the
-// columns grow amortised.
+// FlowsBetweenBatch samples flows of every component for every hour in
+// [from, to) into one full-width batch: ComponentBatch's span.
 func (g *Generator) FlowsBetweenBatch(from, to time.Time) *flowrec.Batch {
-	b := flowrec.NewBatch(0)
-	scratch := make([]componentHour, len(g.plan))
-	var d draws
-	eachHour(from, to, func(h *hour) {
-		g.flowsForHourInto(b, &d, h, scratch)
-	})
-	return b
+	return g.ComponentBatch("", from, to, flowrec.AllColumns)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"lockdown/internal/calendar"
 	"lockdown/internal/flowrec"
 )
 
@@ -53,12 +54,14 @@ func TestFlowsBetweenBatchConcatenatesHours(t *testing.T) {
 	}
 }
 
-// TestComponentBatchConcatenatesHours: a component's day, sampled in one
-// batch, equals its 24 HourBatch hours appended in order, column for
-// column — for every component of the IXP-SE (gaming is the one the
-// suite reads by the day), the probe days of the sampler tests, every
-// column set of samplerColumnSets, seeds 0 and 7, and flow scales 0.5 and
-// boundaryScale. A name the model lacks is an empty batch of the set.
+// TestComponentBatchConcatenatesHours: a day, sampled in one batch,
+// equals its 24 HourBatch hours appended in order, column for column — for
+// every component of the IXP-SE (gaming is the one the suite reads by the
+// day) and for every component at once (the flows/ and vpn-flows/ keys) at
+// every vantage point, plain and gateway-pinned; the probe days of the
+// sampler tests, every column set of samplerColumnSets, seeds 0 and 7, and
+// flow scales 0.5 and boundaryScale. A name the model lacks is an empty
+// batch of the set.
 func TestComponentBatchConcatenatesHours(t *testing.T) {
 	sets := samplerColumnSets()
 	for _, scale := range []float64{0.5, boundaryScale} {
@@ -86,9 +89,58 @@ func TestComponentBatchConcatenatesHours(t *testing.T) {
 			}
 		}
 	}
+	for _, tc := range samplerCases() {
+		if tc.component != "" {
+			continue
+		}
+		for _, scale := range []float64{0.5, boundaryScale} {
+			for _, seed := range []int64{0, 7} {
+				g := tc.generator(t, seed, scale)
+				for _, probe := range samplerHours {
+					day := probe.Truncate(24 * time.Hour)
+					full := flowrec.NewBatch(0)
+					for h := day; h.Before(day.Add(24 * time.Hour)); h = h.Add(time.Hour) {
+						hb := g.HourBatch(h, "", flowrec.AllColumns)
+						full.AppendBatch(hb)
+						hb.Release()
+					}
+					for _, cols := range sets {
+						got := g.ComponentBatch("", day, day.Add(24*time.Hour), cols)
+						if got.Len() == 0 || !got.Equal(full.Project(cols)) {
+							t.Errorf("%+v scale %g seed %d %s, columns %s: the day batch (%d rows) differs from its %d hourly rows",
+								tc, scale, seed, day.Format("2006-01-02"), cols, got.Len(), full.Len())
+						}
+						got.Release()
+					}
+				}
+			}
+		}
+	}
 	day := samplerHours[1].Truncate(24 * time.Hour)
 	if b := MustNewDefault(IXPSE).ComponentBatch("no-such-component", day, day.Add(24*time.Hour), flowrec.ColBytes); b.Len() != 0 || b.Columns() != flowrec.ColBytes {
 		t.Errorf("an unknown component must yield an empty batch of the asked set, got %s × %d", b.Columns(), b.Len())
+	}
+}
+
+// TestHourFlowsCountsHourBatch: the model's row count of an hour, which
+// places an hour's rows in a day batch, is the length of that hour's
+// batch, for every hour of the study window, every vantage point, the
+// gateway-pinned generator and one component.
+func TestHourFlowsCountsHourBatch(t *testing.T) {
+	for _, tc := range samplerCases() {
+		g := tc.generator(t, 0, 0.5)
+		counts := g.HourFlows(tc.component, calendar.StudyStart, calendar.StudyEnd)
+		if want := int(calendar.StudyEnd.Sub(calendar.StudyStart) / time.Hour); len(counts) != want {
+			t.Fatalf("%+v: %d hour counts, want %d", tc, len(counts), want)
+		}
+		for i, n := range counts {
+			h := calendar.StudyStart.Add(time.Duration(i) * time.Hour)
+			b := g.HourBatch(h, tc.component, flowrec.ColBytes)
+			if b.Len() != n {
+				t.Errorf("%+v %v: the model counts %d rows, the hour's batch has %d", tc, h, n, b.Len())
+			}
+			b.Release()
+		}
 	}
 }
 

@@ -129,16 +129,6 @@ func (g *Generator) Registry() *asdb.Registry { return g.reg }
 // modify.
 func (g *Generator) Components() []Component { return g.cfg.Components }
 
-// planOf returns the plan of a named component (nil for unknown names).
-func (g *Generator) planOf(name string) *componentPlan {
-	for i := range g.plan {
-		if g.plan[i].c.Name == name {
-			return &g.plan[i]
-		}
-	}
-	return nil
-}
-
 // hourlyVolume sums every component's volume for hour h.
 func (g *Generator) hourlyVolume(h *hour) float64 {
 	var v float64
@@ -158,8 +148,8 @@ func (g *Generator) HourlyVolume(t time.Time) float64 {
 // visits in [from, to), so the builders below never reallocate.
 func hourlySeries(name string, from, to time.Time) *timeseries.Series {
 	s := timeseries.New(name)
-	if d := to.Sub(from.UTC().Truncate(time.Hour)); d > 0 {
-		s.Grow(int((d-1)/time.Hour + 1))
+	if _, n := hoursOf(from, to); n > 0 {
+		s.Grow(n)
 	}
 	return s
 }

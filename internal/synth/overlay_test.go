@@ -215,7 +215,7 @@ func TestExtraHolidayTreatedAsWeekend(t *testing.T) {
 	// hours) must collapse to its weekend behaviour on the extra holiday.
 	probe := holiday.Add(11 * time.Hour)
 	h := hourAt(probe)
-	conf, confPlain := g.planOf("web-conferencing").evaluate(&h).volume, plain.planOf("web-conferencing").evaluate(&h).volume
+	conf, confPlain := g.plansOf("web-conferencing")[0].evaluate(&h).volume, plain.plansOf("web-conferencing")[0].evaluate(&h).volume
 	if conf >= confPlain*0.7 {
 		t.Errorf("web-conf on declared holiday = %.3g, want well below the workday %.3g", conf, confPlain)
 	}

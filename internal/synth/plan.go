@@ -458,6 +458,16 @@ func hourAt(t time.Time) hour {
 	}
 }
 
+// hoursOf returns the first whole hour of [from, to) and how many there
+// are: the hours eachHour visits.
+func hoursOf(from, to time.Time) (time.Time, int) {
+	start := from.UTC().Truncate(time.Hour)
+	if d := to.Sub(start); d > 0 {
+		return start, int((d-1)/time.Hour + 1)
+	}
+	return start, 0
+}
+
 // eachHour calls fn for every whole hour of [from, to).
 func eachHour(from, to time.Time, fn func(h *hour)) {
 	var h hour

@@ -18,10 +18,12 @@
 //     multi-month figures, and
 //   - flow-record sampling, which turns hourly component volumes into
 //     synthetic flowrec.Batch rows for the flow-level analyses (top ports,
-//     VPN detection, EDU connection counts, unique IPs). One sampler loop
-//     serves every caller: HourBatch stores the columns it is asked for
-//     (what the dataset cache's readers declared), FlowsForHourBatch all
-//     fifteen (what the wire exports); the rows drawn are the same.
+//     VPN detection, EDU connection counts, unique IPs). One span sampler
+//     serves every caller: ComponentBatch samples a span of hours (a flow
+//     key's day) in the columns it is asked for (what the dataset cache's
+//     readers declared), HourBatch is its one-hour span and
+//     FlowsForHourBatch that hour at full width; the rows drawn are the
+//     same, and HourFlows counts them hour by hour without drawing.
 //
 // Everything is deterministic for a fixed Config.Seed.
 package synth
