@@ -33,13 +33,10 @@
 //	-scale f      flow sampling density for flow-level experiments (default
 //	              0.5; 0 selects it; not finite or negative: usage error)
 //	-seed n       generator seed override
-//	-scan-chunk n grid items per intra-experiment scan chunk (0 = per-scan
-//	              default: 24 for hour grids, 1 for vantage-point/day grids).
-//	              Output is byte-identical at any chunk size
 //	-cache-budget n  resident flow-batch cache cap (bytes, K/M/G suffixes;
 //	              0 = unlimited, every batch stays resident). Default 16M
 //	              where the flow source is the in-process generator: colder
-//	              hours are dropped and generated again if touched again.
+//	              days are dropped and generated again if touched again.
 //	              Default 0 for replay/cluster, where a re-touch is a wire
 //	              round trip. Output is byte-identical at any budget
 //	-cache-dir d  keep evicted flow batches as mmap-backed columnar spans
@@ -77,11 +74,6 @@
 // replay, cluster:
 //
 //	-format f     wire format: v5, v9 or ipfix (default ipfix)
-//	-addr a       bridge UDP listen address (default 127.0.0.1:0)
-//	-attempt-timeout d  per-attempt bucket collection timeout (default 5s)
-//	-fetch-budget d  wall-clock retry budget per bucket, the only bound on
-//	              its retries (default 4 × attempt-timeout). A bucket
-//	              that exhausts it fails the run
 //
 // cluster:
 //
@@ -96,7 +88,7 @@
 // `replay` and `cluster` run the same suite as `all`, but every flow batch
 // travels a real UDP wire first, the way the paper's measurement did: the
 // vantage points are partitioned over supervised pumps, each exporting its
-// component-hours as NetFlow v5/v9 or IPFIX packets under its own stream
+// flow batches as NetFlow v5/v9 or IPFIX packets under its own stream
 // identity, and one bridge decodes, demuxes per stream and verifies them
 // bit-for-bit before the engine consumes them (see internal/cluster and
 // internal/replay). They are one code path: `replay` is the cluster at one
@@ -263,9 +255,9 @@ type mode struct {
 }
 
 var (
-	engineFlags = []string{"scale", "seed", "scan-chunk", "cache-budget", "cache-dir", "cpuprofile", "memprofile", "metrics-addr", "trace"}
+	engineFlags = []string{"scale", "seed", "cache-budget", "cache-dir", "cpuprofile", "memprofile", "metrics-addr", "trace"}
 	suiteFlags  = slices.Concat(engineFlags, []string{"csv", "json", "parallel"})
-	wireFlags   = slices.Concat(suiteFlags, []string{"format", "addr", "attempt-timeout", "fetch-budget"})
+	wireFlags   = slices.Concat(suiteFlags, []string{"format"})
 )
 
 var modes = []mode{
@@ -308,7 +300,7 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 	all.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this `address` (':0' picks a free port; empty = off)")
 	all.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON trace of the run to this `file` (empty = off)")
 	// The modes that generate in process bound their memory by default: a
-	// re-touched hour costs one more generation. Over the wire it costs a
+	// re-touched day costs one more generation. Over the wire it costs a
 	// round trip, so those modes keep everything.
 	budget := "16M"
 	if m.shards > 0 {
@@ -320,15 +312,11 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 		return err
 	})
 	all.StringVar(&o.core.CacheDir, "cache-dir", "", "spill evicted flow batches to span files under this `directory` instead of dropping them (empty = no disk tier)")
-	all.IntVar(&o.core.ScanChunk, "scan-chunk", 0, "grid items per intra-experiment scan chunk (0 = per-scan default; never changes results)")
 	o.wire.Format = collector.FormatIPFIX
 	all.Func("format", "wire format `name`: v5, v9 or ipfix (default ipfix)", func(s string) (err error) {
 		o.wire.Format, err = collector.ParseFormat(s)
 		return err
 	})
-	all.StringVar(&o.wire.BridgeListen, "addr", "127.0.0.1:0", "bridge UDP listen `address`")
-	all.DurationVar(&o.wire.AttemptTimeout, "attempt-timeout", 0, "per-attempt bucket timeout (0 = default)")
-	all.DurationVar(&o.wire.FetchBudget, "fetch-budget", 0, "wall-clock retry budget per bucket (0 = 4 × attempt-timeout)")
 	all.IntVar(&o.wire.Shards, "shards", m.shards, "pump shard count")
 	all.Func("chaos", "fault-injection `spec`, e.g. 'drop=0.05,kill=shard1@t+2s,seed=7'", func(s string) error {
 		faults, err := faultinject.ParseSpec(s)
@@ -374,15 +362,15 @@ func (o *options) check(m mode) error {
 		return fmt.Errorf("-scale must be a finite, non-negative number, got %g", scale)
 	case m.shards > 0 && o.wire.Shards < 1:
 		return fmt.Errorf("-shards must be at least 1, got %d", o.wire.Shards)
-	// A value below 1 reads as "use the default" where these are consumed,
+	// A value below 1 reads as "use the default" where it is consumed,
 	// and the run would go ahead with it.
-	case o.parallel < 0 || o.core.ScanChunk < 0:
-		return errors.New("-parallel and -scan-chunk must not be negative")
+	case o.parallel < 0:
+		return errors.New("-parallel must not be negative")
 	}
 	if m.shards > 0 {
-		// Negative retry tuning, more shards than the format has stream
-		// IDs, a chaos event for a shard that does not exist. The spec's
-		// messages name no flag, so say which command was refused.
+		// More shards than the format has stream IDs, a chaos event for a
+		// shard that does not exist. The spec's messages name no flag, so
+		// say which command was refused.
 		if err := o.wire.Validate(); err != nil {
 			return fmt.Errorf("%s: %w", m.name, err)
 		}
@@ -712,7 +700,9 @@ func parseSize(s string) (int64, error) {
 		mult, u = 1<<30, u[:len(u)-1]
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	if err != nil || n < 0 {
+	// A product past int64 would wrap, and a wrapped budget of 0 or below
+	// reads as "unlimited".
+	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}
 	return n * mult, nil

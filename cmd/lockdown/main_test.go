@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"slices"
 	"strconv"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"lockdown/internal/cluster"
+	"lockdown/internal/core"
 	"lockdown/internal/faultinject"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/flowstore"
@@ -214,27 +216,213 @@ func TestReplayPumpMatchesBridge(t *testing.T) {
 	}
 }
 
-// flagModes names, for every flag, the modes that take it, its default and
-// another value. It is kept by hand, apart from the mode table it checks.
-var flagModes = map[string]struct{ modes, def, other string }{
-	"scale":           {"run all doc scenario-run replay cluster", "0.5", "0.25"},
-	"seed":            {"run all doc scenario-run replay cluster", "0", "7"},
-	"scan-chunk":      {"run all doc scenario-run replay cluster", "0", "7"},
-	"cache-budget":    {"run all doc scenario-run replay cluster", "16M", "1M"},
-	"cache-dir":       {"run all doc scenario-run replay cluster", "", "d"},
-	"cpuprofile":      {"run all doc scenario-run replay cluster", "", "f"},
-	"memprofile":      {"run all doc scenario-run replay cluster", "", "f"},
-	"metrics-addr":    {"run all doc scenario-run replay cluster", "", ":0"},
-	"trace":           {"run all doc scenario-run replay cluster", "", "f"},
-	"csv":             {"run all scenario-run replay cluster", "false", "true"},
-	"json":            {"run all scenario-run replay cluster", "false", "true"},
-	"parallel":        {"all doc scenario-run replay cluster", "0", "2"},
-	"format":          {"replay cluster", "ipfix", "v9"},
-	"addr":            {"replay cluster", "127.0.0.1:0", "127.0.0.1:9"},
-	"attempt-timeout": {"replay cluster", "0s", "1s"},
-	"fetch-budget":    {"replay cluster", "0s", "1s"},
-	"shards":          {"cluster", "4", "2"},
-	"chaos":           {"cluster", "", "drop=0.1"},
+// flagModes names, for every flag, the modes that take it, its default,
+// another value, and who sets it outside the tests: a repo path whose text
+// passes the flag, or "why: " and the one-line reason it stays anyway. It
+// is kept by hand, apart from the mode table it checks.
+var flagModes = map[string]struct{ modes, def, other, setBy string }{
+	"scale":        {"run all doc scenario-run replay cluster", "0.5", "0.25", "bench/defs.go"},
+	"seed":         {"run all doc scenario-run replay cluster", "0", "7", "bench/defs.go"},
+	"cache-budget": {"run all doc scenario-run replay cluster", "16M", "1M", "bench/defs.go"},
+	"cache-dir":    {"run all doc scenario-run replay cluster", "", "d", "bench/defs.go"},
+	"cpuprofile":   {"run all doc scenario-run replay cluster", "", "f", "why: the profiler stays until live metrics answer the questions it does"},
+	"memprofile":   {"run all doc scenario-run replay cluster", "", "f", "why: the profiler stays until live metrics answer the questions it does"},
+	"metrics-addr": {"run all doc scenario-run replay cluster", "", ":0", ".github/workflows/ci.yml"},
+	"trace":        {"run all doc scenario-run replay cluster", "", "f", ".github/workflows/ci.yml"},
+	"csv":          {"run all scenario-run replay cluster", "false", "true", "why: an output format of the suite, not tuning"},
+	"json":         {"run all scenario-run replay cluster", "false", "true", "why: an output format of the suite, not tuning"},
+	"parallel":     {"all doc scenario-run replay cluster", "0", "2", "bench/defs.go"},
+	"format":       {"replay cluster", "ipfix", "v9", "bench/defs.go"},
+	"shards":       {"cluster", "4", "2", ".github/workflows/ci.yml"},
+	"chaos":        {"cluster", "", "drop=0.1", ".github/workflows/ci.yml"},
+}
+
+// fieldSetters is the same census for the structs a run is configured
+// through: every field names a non-test file that sets it, or why it stays.
+var fieldSetters = map[string]string{
+	"core.Options.FlowScale":   "cmd/lockdown/main.go",
+	"core.Options.Seed":        "cmd/lockdown/main.go",
+	"core.Options.CacheBudget": "cmd/lockdown/main.go",
+	"core.Options.CacheDir":    "cmd/lockdown/main.go",
+	"core.Options.Model":       "cmd/lockdown/main.go",
+	"core.Options.Obs":         "cmd/lockdown/main.go",
+	"core.Options.Tracer":      "cmd/lockdown/main.go",
+
+	"cluster.Spec.Shards":         "cmd/lockdown/main.go",
+	"cluster.Spec.Format":         "cmd/lockdown/main.go",
+	"cluster.Spec.Options":        "cmd/lockdown/main.go",
+	"cluster.Spec.AttemptTimeout": "why: tests shorten or lengthen the bridge's timers through it",
+	"cluster.Spec.FetchBudget":    "why: tests shorten or lengthen the bridge's timers through it",
+	"cluster.Spec.Chaos":          "cmd/lockdown/main.go",
+
+	"replay.Config.Format":         "internal/cluster/cluster.go",
+	"replay.Config.Options":        "internal/cluster/cluster.go",
+	"replay.Config.Route":          "internal/cluster/cluster.go",
+	"replay.Config.AttemptTimeout": "internal/cluster/cluster.go",
+	"replay.Config.FetchBudget":    "internal/cluster/cluster.go",
+
+	"replay.PumpConfig.Format":   "internal/cluster/cluster.go",
+	"replay.PumpConfig.DataAddr": "internal/cluster/cluster.go",
+	"replay.PumpConfig.Stream":   "internal/cluster/cluster.go",
+	"replay.PumpConfig.Options":  "internal/cluster/cluster.go",
+}
+
+// checkSetter fails unless setBy is a reason or a repo file whose text
+// matches set.
+func checkSetter(t *testing.T, what, setBy string, set *regexp.Regexp) {
+	t.Helper()
+	if reason, ok := strings.CutPrefix(setBy, "why: "); ok {
+		if strings.TrimSpace(reason) == "" {
+			t.Errorf("%s: empty reason", what)
+		}
+		return
+	}
+	if setBy == "" || strings.HasSuffix(setBy, "_test.go") {
+		t.Errorf("%s: setter %q is no non-test file; name one or give a reason (\"why: …\")", what, setBy)
+		return
+	}
+	text, err := os.ReadFile(filepath.Join("..", "..", filepath.FromSlash(setBy)))
+	if err != nil {
+		t.Errorf("%s: %v", what, err)
+		return
+	}
+	if !set.Match(text) {
+		t.Errorf("%s: %s no longer sets it (no match for %s)", what, setBy, set)
+	}
+}
+
+// TestFlagCensus: every flag any mode registers has a row in flagModes,
+// and its named setter still passes it — `-addr` must not count as
+// `-metrics-addr`. A new flag fails here until it names one or a reason.
+func TestFlagCensus(t *testing.T) {
+	registered := map[string]bool{}
+	for _, m := range modes {
+		m.flagSet(new(options)).VisitAll(func(f *flag.Flag) { registered[f.Name] = true })
+	}
+	for name := range registered {
+		if _, ok := flagModes[name]; !ok {
+			t.Errorf("-%s has no census row", name)
+		}
+	}
+	for name, fm := range flagModes {
+		if !registered[name] {
+			t.Errorf("census row -%s names a flag no mode registers", name)
+		}
+		set := regexp.MustCompile(`(?m)(^|[\s"'])-` + regexp.QuoteMeta(name) + `([\s="']|$)`)
+		checkSetter(t, "-"+name, fm.setBy, set)
+	}
+}
+
+// TestFieldCensus: every field of core.Options, cluster.Spec,
+// replay.Config and replay.PumpConfig has a row in fieldSetters, and the
+// named file still sets it — as a keyed literal, an assignment or a flag
+// binding. A new field fails here until it names a setter or a reason.
+func TestFieldCensus(t *testing.T) {
+	fields := map[string]bool{}
+	for _, v := range []any{core.Options{}, cluster.Spec{}, replay.Config{}, replay.PumpConfig{}} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumField(); i++ {
+			fields[typ.String()+"."+typ.Field(i).Name] = true
+		}
+	}
+	for f := range fields {
+		if _, ok := fieldSetters[f]; !ok {
+			t.Errorf("%s has no census row", f)
+		}
+	}
+	for f, setBy := range fieldSetters {
+		if !fields[f] {
+			t.Errorf("census row %s names a field that does not exist", f)
+			continue
+		}
+		name := regexp.QuoteMeta(f[strings.LastIndex(f, ".")+1:])
+		set := regexp.MustCompile(`\b` + name + `:|\.` + name + `(, \w+)? =[^=]|&[\w.]+\.` + name + `\b`)
+		checkSetter(t, f, setBy, set)
+	}
+}
+
+// docModes maps the group headings of main.go's package comment and the
+// "Applies to" cells of README's flag table to the modes they mean.
+var docModes = map[string]string{
+	"run, all, doc, replay, cluster, scenario run": "run all doc scenario-run replay cluster",
+	"all commands": "run all doc scenario-run replay cluster",
+	"All of those but doc, which always emits markdown": "run all scenario-run replay cluster",
+	"all but doc":          "run all scenario-run replay cluster",
+	"All of those but run": "all doc scenario-run replay cluster",
+	"all but run":          "all doc scenario-run replay cluster",
+	"replay, cluster":      "replay cluster",
+	"cluster":              "cluster",
+}
+
+// TestFlagDocs: the flags each mode registers are exactly the -flag
+// entries main.go's package comment and README's flag table list for it,
+// so neither can keep a deleted flag or miss a new one.
+func TestFlagDocs(t *testing.T) {
+	registered := map[string][]string{}
+	for _, m := range modes {
+		name := strings.ReplaceAll(m.name, " ", "-")
+		m.flagSet(new(options)).VisitAll(func(f *flag.Flag) {
+			registered[name] = append(registered[name], f.Name)
+		})
+	}
+	compare := func(doc string, documented map[string][]string) {
+		t.Helper()
+		for mode, flags := range registered {
+			got := slices.Sorted(slices.Values(documented[mode]))
+			if want := slices.Sorted(slices.Values(flags)); !slices.Equal(got, want) {
+				t.Errorf("%s lists for %s %v; it registers %v", doc, mode, got, want)
+			}
+		}
+	}
+	read := func(path string) []string {
+		t.Helper()
+		text, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(string(text), "\n")
+	}
+	add := func(doc string, documented map[string][]string, group, flag string) {
+		t.Helper()
+		modes, ok := docModes[group]
+		if !ok {
+			t.Errorf("%s: -%s is under %q, which names no known modes", doc, flag, group)
+		}
+		for _, mode := range strings.Fields(modes) {
+			documented[mode] = append(documented[mode], flag)
+		}
+	}
+
+	// The package comment: "// <modes>:" headings over "//\t-flag" lines.
+	pkg := map[string][]string{}
+	heading := regexp.MustCompile(`^// (\S.*):$`)
+	entry := regexp.MustCompile(`^//\t-([a-z-]+)`)
+	group := ""
+	for _, line := range read("main.go") {
+		if line == "package main" {
+			break
+		}
+		if m := heading.FindStringSubmatch(line); m != nil {
+			group = m[1]
+		} else if m := entry.FindStringSubmatch(line); m != nil {
+			add("main.go", pkg, group, m[1])
+		}
+	}
+	compare("main.go's package comment", pkg)
+
+	// README's table: "| `-flag value` | <modes or same> | … |".
+	readme := map[string][]string{}
+	row := regexp.MustCompile("^\\| `-([a-z-]+)[^`]*` \\| ([^|]+) \\|")
+	group = ""
+	for _, line := range read(filepath.Join("..", "..", "README.md")) {
+		if m := row.FindStringSubmatch(line); m != nil {
+			if m[2] != "same" {
+				group = m[2]
+			}
+			add("README.md", readme, group, m[1])
+		}
+	}
+	compare("README's flag table", readme)
 }
 
 // TestFlagsRejectedOutsideTheirMode: a mode registers exactly the flags it
@@ -244,8 +432,8 @@ var flagModes = map[string]struct{ modes, def, other string }{
 func TestFlagsRejectedOutsideTheirMode(t *testing.T) {
 	silence(t, &os.Stderr) // the flag package prints the mode's usage on every refusal
 
-	if len(flagModes) != 18 {
-		t.Errorf("%d distinct flags, want 18", len(flagModes))
+	if len(flagModes) != 14 {
+		t.Errorf("%d distinct flags, want 14", len(flagModes))
 	}
 	for _, m := range modes {
 		name := strings.ReplaceAll(m.name, " ", "-")
@@ -291,13 +479,15 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 	for _, line := range []string{
 		"", "frobnicate", "run", "scenario", "scenario frobnicate", "cache compact d",
 		"all -csv -json", "all -bogus", "all -cache-budget 5x", "replay -unverified",
-		"replay -format v7", "replay -attempt-timeout -1s", "replay -fetch-budget -1s",
-		"cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
-		"all -parallel -3", "all -scan-chunk -5",
+		"all -cache-budget 17179869184G", "all -cache-budget 9999999999G",
+		"replay -format v7", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
+		"all -parallel -3",
 		"cluster -shards 300 -format v5", "cluster -shards 3 -chaos kill=shard3@t+1s",
 		// Removed commands and flags stay refused.
 		"pump -data 127.0.0.1:9", "cluster -subprocess", "replay -pps 100", "cluster -pps 0",
 		"replay -max-attempts 2", "cluster -max-restarts 1", "replay -allow-partial",
+		"all -scan-chunk -5", "replay -attempt-timeout -1s", "replay -fetch-budget -1s",
+		"replay -addr 127.0.0.1:9", "cluster -fetch-budget 1s",
 	} {
 		err := run(context.Background(), strings.Fields(line))
 		var ue usageError

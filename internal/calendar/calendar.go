@@ -251,17 +251,6 @@ func ISOWeek(t time.Time) int {
 	return w
 }
 
-// WeekStart returns the Monday 00:00 UTC of the ISO week containing t.
-func WeekStart(t time.Time) time.Time {
-	t = t.UTC()
-	day := time.Date(t.Year(), t.Month(), t.Day(), 0, 0, 0, 0, time.UTC)
-	wd := int(day.Weekday())
-	if wd == 0 { // Sunday
-		wd = 7
-	}
-	return day.AddDate(0, 0, -(wd - 1))
-}
-
 // DayStart truncates t to midnight UTC.
 func DayStart(t time.Time) time.Time {
 	t = t.UTC()

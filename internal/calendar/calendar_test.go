@@ -94,21 +94,6 @@ func TestISOWeek(t *testing.T) {
 	}
 }
 
-func TestWeekStart(t *testing.T) {
-	// Mar 25, 2020 is a Wednesday; its ISO week starts Monday Mar 23.
-	if got := WeekStart(date(2020, 3, 25)); got != date(2020, 3, 23) {
-		t.Errorf("WeekStart = %v, want 2020-03-23", got)
-	}
-	// Sunday belongs to the week starting the previous Monday.
-	if got := WeekStart(date(2020, 3, 22)); got != date(2020, 3, 16) {
-		t.Errorf("WeekStart of Sunday = %v, want 2020-03-16", got)
-	}
-	// A Monday is its own week start.
-	if got := WeekStart(date(2020, 3, 23).Add(5 * time.Hour)); got != date(2020, 3, 23) {
-		t.Errorf("WeekStart of Monday = %v, want 2020-03-23", got)
-	}
-}
-
 func TestDayStartAndDays(t *testing.T) {
 	ts := time.Date(2020, 3, 25, 17, 45, 12, 0, time.UTC)
 	if DayStart(ts) != date(2020, 3, 25) {
@@ -124,7 +109,8 @@ func TestDayStartAndDays(t *testing.T) {
 }
 
 // TestStudyWindowWeekBoundaries pins the ISO-week boundary behaviour of
-// the study window, end to end across WeekStart and ISOWeek. The subtle
+// the study window through ISOWeek: each case's Monday opens its ISO
+// week and the day before it closes the previous one. The subtle
 // cases: 2020 began on a Wednesday, so week 1's Monday is December 30,
 // 2019 (before StudyStart: ISO-8601 behaviour, not an off-by-one), and the
 // exclusive StudyEnd (May 18) is itself the Monday of week 21, so week 20
@@ -148,15 +134,21 @@ func TestStudyWindowWeekBoundaries(t *testing.T) {
 			if got := ISOWeek(c.day); got != c.isoWeek {
 				t.Errorf("ISOWeek(%v) = %d, want %d", c.day, got, c.isoWeek)
 			}
-			if got := WeekStart(c.day); got != c.weekStart {
-				t.Errorf("WeekStart(%v) = %v, want %v", c.day, got, c.weekStart)
+			if c.weekStart.Weekday() != time.Monday || c.day.Before(c.weekStart) || !c.day.Before(c.weekStart.AddDate(0, 0, 7)) {
+				t.Fatalf("case %v: %v is not the Monday of its week", c.day, c.weekStart)
+			}
+			if got := ISOWeek(c.weekStart); got != c.isoWeek {
+				t.Errorf("ISOWeek(%v) = %d, want %d", c.weekStart, got, c.isoWeek)
+			}
+			if got := ISOWeek(c.weekStart.AddDate(0, 0, -1)); got == c.isoWeek {
+				t.Errorf("the Sunday before %v is still in week %d", c.weekStart, got)
 			}
 		})
 	}
 
 	// The Monday of every ISO week the window touches, keyed by week.
 	sw := make(map[int]time.Time)
-	for d := WeekStart(StudyStart); d.Before(StudyEnd); d = d.AddDate(0, 0, 7) {
+	for d := time.Date(2019, 12, 30, 0, 0, 0, 0, time.UTC); d.Before(StudyEnd); d = d.AddDate(0, 0, 7) {
 		sw[ISOWeek(d)] = d
 	}
 	if len(sw) != 20 {

@@ -65,17 +65,6 @@ type Spec struct {
 	// Options build the model on both sides; pumps and bridge must
 	// agree or verification fails.
 	Options core.Options
-	// Partition overrides the initial shard of individual vantage
-	// points. Unnamed vantage points keep the default partition: the
-	// paper's vantage points (synth.AllVantagePoints) round-robin over
-	// the shards in order, so every shard owns whole vantage points and
-	// all keys of one vantage point route to one pump. The live
-	// partition is dynamic: a shard whose pump stops has its vantage
-	// points reassigned to surviving shards.
-	Partition map[synth.VantagePoint]int
-	// BridgeListen is the bridge's UDP listen address ("127.0.0.1:0"
-	// if empty).
-	BridgeListen string
 	// AttemptTimeout and FetchBudget tune the bridge's retry policy
 	// (replay defaults if zero). The budget alone ends a fetch, and it
 	// covers the re-partition window: a fetch hitting a dead pump keeps
@@ -104,11 +93,6 @@ func (s Spec) Validate() error {
 	if s.Format == collector.FormatNetflowV5 && n > collector.MaxV5Stream+1 {
 		return fmt.Errorf("cluster: %d shards do not fit NetFlow v5's 8-bit engine ID (max %d)", n, collector.MaxV5Stream+1)
 	}
-	for vp, shard := range s.Partition {
-		if shard < 0 || shard >= n {
-			return fmt.Errorf("cluster: partition maps %s to shard %d, outside 0..%d", vp, shard, n-1)
-		}
-	}
 	if s.AttemptTimeout < 0 || s.FetchBudget < 0 {
 		return fmt.Errorf("cluster: timeouts must not be negative")
 	}
@@ -120,16 +104,17 @@ func (s Spec) Validate() error {
 	return nil
 }
 
-// partition returns the initial vantage-point→shard map: the round-robin
-// default overlaid with the spec's explicit entries.
+// partition returns the initial vantage-point→shard map: the paper's
+// vantage points (synth.AllVantagePoints) round-robin over the shards in
+// order, so every shard owns whole vantage points and all keys of one
+// vantage point route to one pump. The live partition is dynamic: a
+// shard whose pump stops has its vantage points reassigned to surviving
+// shards.
 func (s Spec) partition() map[synth.VantagePoint]int {
 	n := s.shards()
 	part := make(map[synth.VantagePoint]int)
 	for i, vp := range synth.AllVantagePoints() {
 		part[vp] = i % n
-	}
-	for vp, shard := range s.Partition {
-		part[vp] = shard
 	}
 	return part
 }
@@ -234,7 +219,6 @@ func New(spec Spec) (*Cluster, error) {
 	}
 	bridge, err := replay.NewBridge(replay.Config{
 		Format:         spec.Format,
-		ListenAddr:     spec.BridgeListen,
 		Options:        spec.Options,
 		Route:          c.routeKey,
 		AttemptTimeout: spec.AttemptTimeout,

@@ -25,14 +25,10 @@ func TestSpecValidation(t *testing.T) {
 	if err := (Spec{Shards: 300, Format: collector.FormatIPFIX}).Validate(); err != nil {
 		t.Errorf("ipfix spec with 300 shards rejected: %v", err)
 	}
-	bad := Spec{Shards: 2, Partition: map[synth.VantagePoint]int{synth.EDU: 5}}
-	if err := bad.Validate(); err == nil {
-		t.Error("partition outside the shard range validated")
-	}
 }
 
 func TestSpecPartitionAndRoute(t *testing.T) {
-	c, err := New(Spec{Shards: 3, Format: collector.FormatIPFIX, Partition: map[synth.VantagePoint]int{synth.EDU: 0}})
+	c, err := New(Spec{Shards: 3, Format: collector.FormatIPFIX})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +36,7 @@ func TestSpecPartitionAndRoute(t *testing.T) {
 	part := c.Partition()
 	vps := synth.AllVantagePoints()
 	for i, vp := range vps {
-		want := i % 3
-		if vp == synth.EDU {
-			want = 0 // the explicit override
-		}
-		if part[vp] != want {
+		if want := i % 3; part[vp] != want {
 			t.Errorf("partition[%s] = %d, want %d", vp, part[vp], want)
 		}
 	}

@@ -51,13 +51,6 @@ type Options struct {
 	// Dataset.Close) instead of being forgotten. Empty means no disk
 	// tier, and no file is ever created.
 	CacheDir string
-	// ScanChunk overrides the chunk size of every intra-experiment
-	// sharded scan (see ShardedScan): the number of grid items merged as
-	// one partial aggregate. 0 keeps each scan's own default (1: a day,
-	// a vantage point or a sampled day). The chunk size
-	// never changes any result — the determinism tests sweep it — it
-	// only trades merge granularity against scheduling overhead.
-	ScanChunk int
 	// Model, if non-nil, supplies the base traffic model per vantage
 	// point instead of synth.DefaultConfig — this is how a compiled
 	// scenario (internal/scenario) is injected into the pipeline. The

@@ -289,8 +289,7 @@ func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 // TestFig12CountsWhereItReads pins Figure 12 to the computation it
 // replaced: one concatenated flow batch per sampled day, counted whole.
 // Counting each cached day on its own and merging the partial counts
-// must give the same median growth bit for bit, at seeds 0 and 7 and
-// whether a chunk is one day or seven.
+// must give the same median growth bit for bit, at seeds 0 and 7.
 func TestFig12CountsWhereItReads(t *testing.T) {
 	for _, seed := range []int64{0, 7} {
 		opts := quick()
@@ -310,14 +309,11 @@ func TestFig12CountsWhereItReads(t *testing.T) {
 		cats := append(edu.DefaultCategories(), edu.ExtraCategories()...)
 		growth := edu.ConnectionGrowth(edu.CountConnections(byDay), start, cats)
 
-		for _, chunk := range []int{1, 7} {
-			opts.ScanChunk = chunk
-			res := run(t, "fig12", opts)
-			for _, c := range cats {
-				want := growth.MedianGrowthAfter(c.Name, calendar.EDUClosure)
-				if got := res.Metric(c.Name); want == 0 || math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("seed %d, chunk %d: %s = %v, whole-day counting gives %v", seed, chunk, c.Name, got, want)
-				}
+		res := run(t, "fig12", opts)
+		for _, c := range cats {
+			want := growth.MedianGrowthAfter(c.Name, calendar.EDUClosure)
+			if got := res.Metric(c.Name); want == 0 || math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("seed %d: %s = %v, whole-day counting gives %v", seed, c.Name, got, want)
 			}
 		}
 	}

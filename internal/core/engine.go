@@ -24,10 +24,11 @@ const (
 	// in MiB: over the distinct flow batches it drew from the dataset,
 	// rows × the width of the columns each stores (Columns.RowBytes; 59
 	// for a full-width batch). It is a property of the experiment and the
-	// options, the same at any -parallel, chunk size and cache budget.
+	// options, the same at any -parallel and cache budget.
 	MetricBatchMB = "_runtime/batch-mb"
-	// MetricScanChunks counts the grid chunks the experiment's sharded
-	// scans processed (0 = the experiment has no sharded scan).
+	// MetricScanChunks counts the grid items — one chunk each — the
+	// experiment's sharded scans processed (0 = the experiment has no
+	// sharded scan).
 	MetricScanChunks = "_runtime/scan-chunks"
 	// MetricScanWorkers counts the extra workers its sharded scans
 	// borrowed from the engine's worker budget beyond the experiment's

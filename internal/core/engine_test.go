@@ -151,7 +151,7 @@ func TestEngineStampsRuntimeMetrics(t *testing.T) {
 // TestBatchMBIsAttributable: _runtime/batch-mb is a property of the
 // experiment — the distinct flow batches its scans drew, at the width of
 // the columns they store — not of the process, so it reads the same however the
-// run was parallelised, chunked or budgeted (the column it replaces,
+// run was parallelised or budgeted (the column it replaces,
 // a process-global allocation delta, tripled from -parallel 1 to 4).
 func TestBatchMBIsAttributable(t *testing.T) {
 	ids := []string{"fig7a", "fig8", "fig12", "tab2"}
@@ -196,13 +196,10 @@ func TestBatchMBIsAttributable(t *testing.T) {
 		t.Errorf("fig8: batch-mb = %v, its %d rows at %d bytes are %v", want["fig8"], rows, width, mb)
 	}
 
-	chunked := base
-	chunked.ScanChunk = 7
 	tiny := base
 	tiny.CacheBudget, tiny.CacheDir = 1, t.TempDir()
 	for label, got := range map[string]map[string]float64{
 		"parallel-4":         run(base, 4),
-		"scan-chunk-7":       run(chunked, 4),
 		"cache-budget-1":     run(tiny, 1),
 		"cache-budget-1, p4": run(tiny, 4),
 	} {

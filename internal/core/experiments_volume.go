@@ -26,37 +26,32 @@ func runFig1(env *Env) (*Result, error) {
 	const baselineWeek = 3
 	vps := synth.AllVantagePoints()
 
-	// The vantage points are independent, so the scan shards over them
-	// (chunk 1 = one VP per partial). Each partial's perVP keys are
-	// disjoint from every other chunk's and weekSet merges by union, so
-	// the merge is exact regardless of worker count.
+	// The vantage points are independent, so the scan shards over them,
+	// one VP per partial. Each partial's perVP key is disjoint from every
+	// other chunk's and weekSet merges by union, so the merge is exact
+	// regardless of worker count.
 	type fig1Part struct {
 		perVP   map[synth.VantagePoint]map[int]float64
 		weekSet map[int]bool
 	}
-	agg, err := ShardedScan(env, len(vps), 1, func(env *Env, lo, hi int) (fig1Part, error) {
-		part := fig1Part{
-			perVP:   make(map[synth.VantagePoint]map[int]float64, hi-lo),
-			weekSet: make(map[int]bool),
+	agg, err := ShardedScan(env, len(vps), func(env *Env, i int) (fig1Part, error) {
+		vp := vps[i]
+		s, err := env.series(vp, calendar.StudyStart, calendar.StudyEnd)
+		if err != nil {
+			return fig1Part{}, err
 		}
-		for _, vp := range vps[lo:hi] {
-			s, err := env.series(vp, calendar.StudyStart, calendar.StudyEnd)
-			if err != nil {
-				return fig1Part{}, err
-			}
-			weekly := s.WeeklyMeans()
-			base, ok := weekly[baselineWeek]
-			if !ok || base == 0 {
-				return fig1Part{}, fmt.Errorf("fig1: %s has no baseline week", vp)
-			}
-			norm := make(map[int]float64, len(weekly))
-			for w, v := range weekly {
-				norm[w] = v / base
-				part.weekSet[w] = true
-			}
-			part.perVP[vp] = norm
+		weekly := s.WeeklyMeans()
+		base, ok := weekly[baselineWeek]
+		if !ok || base == 0 {
+			return fig1Part{}, fmt.Errorf("fig1: %s has no baseline week", vp)
 		}
-		return part, nil
+		norm := make(map[int]float64, len(weekly))
+		weekSet := make(map[int]bool, len(weekly))
+		for w, v := range weekly {
+			norm[w] = v / base
+			weekSet[w] = true
+		}
+		return fig1Part{perVP: map[synth.VantagePoint]map[int]float64{vp: norm}, weekSet: weekSet}, nil
 	}, func(dst, src fig1Part) fig1Part {
 		if dst.perVP == nil {
 			return src
@@ -273,16 +268,12 @@ func runFig3b(env *Env) (*Result, error) {
 		vp    synth.VantagePoint
 		stats []weekStats
 	}
-	all, err := ShardedScan(env, len(vps), 1, func(env *Env, lo, hi int) ([]vpStats, error) {
-		out := make([]vpStats, 0, hi-lo)
-		for _, vp := range vps[lo:hi] {
-			stats, err := statsForWeeks(env, vp, calendar.IXPWeeks())
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, vpStats{vp: vp, stats: stats})
+	all, err := ShardedScan(env, len(vps), func(env *Env, i int) ([]vpStats, error) {
+		stats, err := statsForWeeks(env, vps[i], calendar.IXPWeeks())
+		if err != nil {
+			return nil, err
 		}
-		return out, nil
+		return []vpStats{{vp: vps[i], stats: stats}}, nil
 	}, func(dst, src []vpStats) []vpStats {
 		return append(dst, src...)
 	})

@@ -10,16 +10,17 @@ import (
 
 // This file is the intra-experiment parallel scan layer. The engine
 // parallelizes across experiments (RunAll's worker pool); ShardedScan
-// parallelizes *within* one experiment by partitioning its day grid (or
-// vantage-point set, or sampled-day list) into contiguous chunks, scanning
-// the chunks on workers borrowed from the same global budget that bounds
-// RunAll, and merging the per-chunk partial aggregates in chunk order.
+// parallelizes *within* one experiment over its grid (days, vantage
+// points or sampled days), scanning the items on workers borrowed from the
+// same global budget that bounds RunAll, and merging the per-item partial
+// aggregates in grid order.
 //
 // The bit-identity contract of the suite survives sharding because of two
 // structural rules, not because of any particular schedule:
 //
-//  1. The chunk partition is a pure function of the grid length and the
-//     chunk size — never of the worker count, the cache budget, or timing.
+//  1. The partition is one item per chunk — never a function of the
+//     worker count, the cache budget, or timing. A day is a flow key's
+//     span, so a day chunk's pin holds exactly the keys of its day.
 //  2. Partial aggregates merge in ascending chunk index, and every
 //     aggregate the experiments merge is exact: byte volumes sum as
 //     uint64 (integer addition is associative at any magnitude — float64
@@ -80,25 +81,9 @@ type scanStats struct {
 	extraWorkers atomic.Int64 // budget tokens borrowed beyond the caller
 }
 
-// chunkSize resolves the effective chunk size for a grid of n items: the
-// scan's own chunk, overridden by Options.ScanChunk for every scan of a
-// run (the determinism tests sweep it), clamped to [1, n].
-func chunkSize(env *Env, chunk, n int) int {
-	if env.ScanChunk > 0 {
-		chunk = env.ScanChunk
-	}
-	if chunk < 1 || chunk > n {
-		chunk = n
-	}
-	return max(chunk, 1)
-}
-
-// ShardedScan partitions the index range [0, n) into contiguous chunks of
-// chunk items, runs scan on every chunk, and folds the per-chunk partial
-// aggregates with merge in ascending chunk order, returning the final
-// aggregate. chunk is the merge granularity: scans whose items are
-// expensive (days, vantage points, sampled days) use 1; values < 1 select
-// the whole grid as one chunk.
+// ShardedScan runs scan on every item of the grid [0, n), one item per
+// chunk, and folds the per-item partial aggregates with merge in ascending
+// item order, returning the final aggregate.
 //
 // Each scan invocation receives a chunk-scoped Env: same options and
 // dataset, but a private Pin that keeps every batch the chunk draws
@@ -109,11 +94,11 @@ func chunkSize(env *Env, chunk, n int) int {
 //
 // Extra workers are borrowed from the engine's worker budget with a
 // non-blocking tryAcquire (the calling goroutine always scans too, so a
-// scan needs no spare tokens to finish). scan must treat its [lo, hi)
-// range as its only input: determinism rests on the chunk partition and
-// merge order alone, so merge must be exact (uint64 sums, set unions,
-// disjoint maps, order-preserving appends).
-func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) (T, error), merge func(dst, src T) T) (T, error) {
+// scan needs no spare tokens to finish). scan must treat its item i as
+// its only input: determinism rests on the partition and merge order
+// alone, so merge must be exact (uint64 sums, set unions, disjoint maps,
+// order-preserving appends).
+func ShardedScan[T any](env *Env, n int, scan func(env *Env, i int) (T, error), merge func(dst, src T) T) (T, error) {
 	var zero T
 	if n <= 0 {
 		return zero, nil
@@ -122,15 +107,13 @@ func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) 
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
-	c := chunkSize(env, chunk, n)
-	chunks := (n + c - 1) / c
 	if env.scan != nil {
-		env.scan.chunks.Add(int64(chunks))
+		env.scan.chunks.Add(int64(n))
 	}
 
-	parts := make([]T, chunks)
+	parts := make([]T, n)
 	var (
-		next     atomic.Int64 // next chunk index to claim
+		next     atomic.Int64 // next item to claim
 		errOnce  sync.Once
 		firstErr error
 		failed   atomic.Bool
@@ -143,7 +126,7 @@ func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) 
 	worker := func() {
 		for {
 			i := int(next.Add(1) - 1)
-			if i >= chunks {
+			if i >= n {
 				return
 			}
 			if failed.Load() {
@@ -153,19 +136,14 @@ func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) 
 				fail(err)
 				return
 			}
-			lo := i * c
-			hi := lo + c
-			if hi > n {
-				hi = n
-			}
 			// Chunks run concurrently, so each gets a root span (its own
 			// lane) rather than a child of the experiment span.
 			sp := env.Tracer.Start("scan-chunk", "scan")
 			cenv := env.chunkEnv()
-			part, err := scan(cenv, lo, hi)
+			part, err := scan(cenv, i)
 			cenv.pin.Release()
 			if sp.Active() {
-				sp.EndArgs(map[string]any{"lo": lo, "hi": hi})
+				sp.EndArgs(map[string]any{"item": i})
 			}
 			if err != nil {
 				fail(err)
@@ -179,7 +157,7 @@ func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) 
 	// too, so zero borrowed tokens degrades to the sequential walk.
 	extra := 0
 	if env.budget != nil {
-		for extra < chunks-1 && env.budget.tryAcquire() {
+		for extra < n-1 && env.budget.tryAcquire() {
 			extra++
 		}
 	}
@@ -206,28 +184,24 @@ func ShardedScan[T any](env *Env, n, chunk int, scan func(env *Env, lo, hi int) 
 		return zero, err
 	}
 	acc := parts[0]
-	for i := 1; i < chunks; i++ {
+	for i := 1; i < n; i++ {
 		acc = merge(acc, parts[i])
 	}
 	return acc, nil
 }
 
-// ScanDays is the day-grid convenience wrapper over ShardedScan: it
-// partitions days into chunks of one day — a flow key's span, so a chunk's
-// pin holds exactly the keys of its day — unless Options.ScanChunk groups
-// more, scans each chunk into a fresh partial aggregate with per-day
-// visits, and merges the partials in grid order.
+// ScanDays is the day-grid convenience wrapper over ShardedScan: each day
+// is a chunk, scanned into a fresh partial aggregate by visit, and the
+// partials merge in grid order.
 func ScanDays[T any](env *Env, days []time.Time, newPart func() T,
 	visit func(env *Env, part T, day time.Time) error,
 	merge func(dst, src T) T) (T, error) {
-	return ShardedScan(env, len(days), 1,
-		func(env *Env, lo, hi int) (T, error) {
+	return ShardedScan(env, len(days),
+		func(env *Env, i int) (T, error) {
 			part := newPart()
-			for _, d := range days[lo:hi] {
-				if err := visit(env, part, d); err != nil {
-					var zero T
-					return zero, err
-				}
+			if err := visit(env, part, days[i]); err != nil {
+				var zero T
+				return zero, err
 			}
 			return part, nil
 		}, merge)

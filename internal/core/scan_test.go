@@ -17,7 +17,7 @@ import (
 	"lockdown/internal/synth"
 )
 
-// flowHeavy are the experiments that walk hour grids over sampled flows —
+// flowHeavy are the experiments that walk day grids over sampled flows —
 // the ones the sharded-scan layer actually parallelizes, and therefore the
 // ones the determinism tests exercise hardest.
 var flowHeavy = []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig12", "ablation-vpn"}
@@ -67,46 +67,42 @@ func requireSameResults(t *testing.T, label string, want, got []*Result) {
 }
 
 // TestShardedScanOrderAndCoverage is the pure property at the bottom of
-// the determinism stack: for any grid length, chunk size and worker
-// budget, ShardedScan visits every index exactly once and merges the
-// partials in ascending grid order. The scan emits its indices and the
-// merge appends, so the output must be exactly 0..n-1 in order.
+// the determinism stack: for any grid length and worker budget,
+// ShardedScan visits every item exactly once and merges the partials in
+// ascending grid order. The scan emits its item and the merge appends, so
+// the output must be exactly 0..n-1 in order.
 func TestShardedScanOrderAndCoverage(t *testing.T) {
 	data := NewDataset(Options{FlowScale: 0.01})
 	defer data.Close()
-	prop := func(n8, chunk8, budget8 uint8) bool {
+	prop := func(n8, budget8 uint8) bool {
 		n := int(n8) % 200
-		chunk := int(chunk8) % 50 // 0 selects the scan's own default
 		budget := int(budget8)%8 + 1
 		env := &Env{
-			Options: Options{ScanChunk: chunk},
-			Data:    data,
-			budget:  newWorkerBudget(budget),
-			scan:    &scanStats{},
+			Data:   data,
+			budget: newWorkerBudget(budget),
+			scan:   &scanStats{},
 		}
 		env.budget.acquire() // the caller holds a token, like the engine
-		got, err := ShardedScan(env, n, 24,
-			func(env *Env, lo, hi int) ([]int, error) {
-				out := make([]int, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					out = append(out, i)
-				}
-				return out, nil
-			},
+		got, err := ShardedScan(env, n,
+			func(env *Env, i int) ([]int, error) { return []int{i}, nil },
 			func(dst, src []int) []int { return append(dst, src...) })
 		if err != nil {
-			t.Logf("n=%d chunk=%d budget=%d: %v", n, chunk, budget, err)
+			t.Logf("n=%d budget=%d: %v", n, budget, err)
 			return false
 		}
 		if len(got) != n {
-			t.Logf("n=%d chunk=%d budget=%d: %d indices visited", n, chunk, budget, len(got))
+			t.Logf("n=%d budget=%d: %d items visited", n, budget, len(got))
 			return false
 		}
 		for i, v := range got {
 			if v != i {
-				t.Logf("n=%d chunk=%d budget=%d: index %d holds %d (out of order or duplicated)", n, chunk, budget, i, v)
+				t.Logf("n=%d budget=%d: item %d holds %d (out of order or duplicated)", n, budget, i, v)
 				return false
 			}
+		}
+		if c := env.scan.chunks.Load(); c != int64(n) {
+			t.Logf("n=%d budget=%d: %d chunks counted, want one per item", n, budget, c)
+			return false
 		}
 		return true
 	}
@@ -123,39 +119,16 @@ func TestShardedScanErrorPropagation(t *testing.T) {
 	env := &Env{Data: data, budget: newWorkerBudget(4), scan: &scanStats{}}
 	env.budget.acquire()
 	boom := errors.New("boom")
-	_, err := ShardedScan(env, 100, 10,
-		func(env *Env, lo, hi int) (int, error) {
-			if lo >= 50 {
-				return 0, fmt.Errorf("chunk [%d,%d): %w", lo, hi, boom)
+	_, err := ShardedScan(env, 100,
+		func(env *Env, i int) (int, error) {
+			if i >= 50 {
+				return 0, fmt.Errorf("item %d: %w", i, boom)
 			}
-			return hi - lo, nil
+			return 1, nil
 		},
 		func(dst, src int) int { return dst + src })
 	if !errors.Is(err, boom) {
 		t.Fatalf("ShardedScan error = %v, want wrapped boom", err)
-	}
-}
-
-// TestScanChunkSizeResolution pins the chunk-partition function: it must
-// depend only on the grid length and the configured chunk size.
-func TestScanChunkSizeResolution(t *testing.T) {
-	cases := []struct {
-		scanChunk, optChunk, n, want int
-	}{
-		{0, 24, 100, 24}, // scan default applies
-		{7, 24, 100, 7},  // Options.ScanChunk overrides
-		{0, 0, 100, 100}, // no preference: whole grid
-		{0, 24, 10, 10},  // chunk larger than grid clamps to grid
-		{500, 24, 100, 100},
-		{1, 24, 100, 1},
-	}
-	for _, c := range cases {
-		env := &Env{Options: Options{ScanChunk: c.scanChunk}}
-		got := chunkSize(env, c.optChunk, c.n)
-		if got != c.want {
-			t.Errorf("chunkSize(ScanChunk=%d, Chunk=%d, n=%d) = %d, want %d",
-				c.scanChunk, c.optChunk, c.n, got, c.want)
-		}
 	}
 }
 
@@ -179,10 +152,9 @@ func TestWorkerBudget(t *testing.T) {
 }
 
 // TestRunAllShardingInvariance is the suite-level determinism property:
-// RunAll output is invariant under the (worker count x chunk size) grid.
-// Combos are paired to bound cost; each one reshards every experiment's
-// scans differently, and any divergence fails with the first differing
-// metric key.
+// RunAll output is invariant under the worker count. Each count schedules
+// every experiment's scan chunks differently, and any divergence fails
+// with the first differing metric key.
 func TestRunAllShardingInvariance(t *testing.T) {
 	opts := Options{FlowScale: 0.05, Seed: 3}
 	base, err := NewEngine(opts).RunAll(context.Background(), 1)
@@ -190,24 +162,21 @@ func TestRunAllShardingInvariance(t *testing.T) {
 		t.Fatalf("baseline RunAll: %v", err)
 	}
 	ncpu := runtime.NumCPU()
-	combos := []struct {
-		parallel, chunk int
+	for _, c := range []struct {
+		name     string
+		parallel int
 	}{
-		{1, 1},
-		{2, 7},
-		{ncpu, 24},
-		{2 * ncpu, 1 << 20}, // whole grid as one chunk
-	}
-	for _, c := range combos {
-		c := c
-		t.Run(fmt.Sprintf("parallel=%d,chunk=%d", c.parallel, c.chunk), func(t *testing.T) {
-			o := opts
-			o.ScanChunk = c.chunk
-			got, err := NewEngine(o).RunAll(context.Background(), c.parallel)
+		{"parallel=1", 1},
+		{"parallel=2", 2},
+		{"parallel=ncpu", ncpu},
+		{"parallel=2ncpu", 2 * ncpu},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := NewEngine(opts).RunAll(context.Background(), c.parallel)
 			if err != nil {
 				t.Fatalf("RunAll: %v", err)
 			}
-			requireSameResults(t, fmt.Sprintf("parallel=%d,chunk=%d", c.parallel, c.chunk), base, got)
+			requireSameResults(t, fmt.Sprintf("parallel=%d", c.parallel), base, got)
 		})
 	}
 }
@@ -225,7 +194,6 @@ func TestShardedScanTinyBudgetIdentity(t *testing.T) {
 	}
 	o := opts
 	o.CacheBudget = 1
-	o.ScanChunk = 7
 	o.CacheDir = t.TempDir()
 	eng := NewEngine(o)
 	defer eng.Data().Close()

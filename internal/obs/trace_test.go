@@ -44,7 +44,7 @@ func TestTraceRoundTrip(t *testing.T) {
 			defer wg.Done()
 			sp := tr.Start("scan-chunk", "scan")
 			time.Sleep(time.Millisecond)
-			sp.EndArgs(map[string]any{"lo": 0, "hi": 24})
+			sp.EndArgs(map[string]any{"item": 0})
 		}()
 	}
 	wg.Wait()

@@ -42,9 +42,6 @@ type Route func(core.FlowKey) uint32
 type Config struct {
 	// Format is the wire format the bridge decodes.
 	Format collector.Format
-	// ListenAddr is the UDP address of the data socket ("127.0.0.1:0"
-	// for an ephemeral port when empty).
-	ListenAddr string
 	// Options build the bridge's reference model; they must match the
 	// pumps' options or verification fails.
 	Options core.Options
@@ -251,20 +248,18 @@ type Bridge struct {
 	closeOnce sync.Once
 }
 
-// NewBridge opens the bridge's data socket. Connect at least one pump
+// NewBridge opens the bridge's data socket on an ephemeral loopback port
+// (the pumps learn it from DataAddr). Connect at least one pump
 // (ConnectPump or ConnectStream) and call Start before using it as a
 // FlowSource.
 func NewBridge(cfg Config) (*Bridge, error) {
-	if cfg.ListenAddr == "" {
-		cfg.ListenAddr = "127.0.0.1:0"
-	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = DefaultAttemptTimeout
 	}
 	if cfg.FetchBudget <= 0 {
 		cfg.FetchBudget = defaultBudgetAttempts * cfg.AttemptTimeout
 	}
-	col, err := collector.NewCollector(cfg.Format, cfg.ListenAddr)
+	col, err := collector.NewCollector(cfg.Format, "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}

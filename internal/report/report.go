@@ -213,7 +213,7 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "The wire path is built to survive faults without perturbing a metric:")
 	fmt.Fprintln(w, "lost, duplicated, reordered or corrupted datagrams are detected,")
 	fmt.Fprintln(w, "re-requested and accounted under one wall-clock deadline per fetch")
-	fmt.Fprintln(w, "(`-fetch-budget`, default 4 × `-attempt-timeout`), and a shard whose")
+	fmt.Fprintln(w, "(20 s: four 5 s attempt timeouts), and a shard whose")
 	fmt.Fprintln(w, "pump stops is dead at once: its vantage points are re-partitioned")
 	fmt.Fprintln(w, "over the survivors. `-chaos 'drop=0.05,kill=shard1@t+2s,seed=7'`")
 	fmt.Fprintln(w, "injects a deterministic fault schedule to drill exactly that. A wire")
@@ -223,7 +223,7 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Memory is bounded by default: the dataset cache keeps a working set")
 	fmt.Fprintln(w, "of flow batches, not the dataset. `run`, `all`, `doc` and `scenario")
-	fmt.Fprintln(w, "run` cap the resident batches at `-cache-budget 16M`; colder hours")
+	fmt.Fprintln(w, "run` cap the resident batches at `-cache-budget 16M`; colder days")
 	fmt.Fprintln(w, "are dropped and generated again if an experiment touches them again")
 	fmt.Fprintln(w, "(about one batch in eleven is). `replay` and `cluster`, where a")
 	fmt.Fprintln(w, "re-touch is a wire round trip, keep every batch (`-cache-budget 0`)")
@@ -245,12 +245,11 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "(see docs/ARCHITECTURE.md, \"Scan kernels\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Parallelism is two-level under one budget: `-parallel n` bounds the")
-	fmt.Fprintln(w, "total worker count, experiments run concurrently on it, and the hour-")
-	fmt.Fprintln(w, "and day-grid scans inside each experiment borrow whatever is spare")
-	fmt.Fprintln(w, "(`-scan-chunk` tunes the merge granularity). Neither the worker count")
-	fmt.Fprintln(w, "nor the chunk size changes a metric: partial aggregates merge exactly")
-	fmt.Fprintln(w, "and in grid order (see docs/ARCHITECTURE.md, \"Intra-experiment")
-	fmt.Fprintln(w, "sharding\").")
+	fmt.Fprintln(w, "total worker count, experiments run concurrently on it, and the day,")
+	fmt.Fprintln(w, "vantage-point and sampled-day scans inside each experiment borrow")
+	fmt.Fprintln(w, "whatever is spare, one grid item per chunk. The worker count never")
+	fmt.Fprintln(w, "changes a metric: partial aggregates merge exactly and in grid order")
+	fmt.Fprintln(w, "(see docs/ARCHITECTURE.md, \"Intra-experiment sharding\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Every command is observable while it runs: `-metrics-addr :0` serves")
 	fmt.Fprintln(w, "a Prometheus `/metrics` exposition of all `lockdown_*` instrument")

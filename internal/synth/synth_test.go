@@ -141,7 +141,8 @@ func TestNewRejectsBadConfigs(t *testing.T) {
 // probe, normalised by the week-3 baseline.
 func weeklyGrowth(g *Generator, probe time.Time) float64 {
 	base := g.TotalSeries(date(2020, 1, 13), date(2020, 1, 20)).Mean()
-	wk := calendar.WeekStart(probe)
+	wk := calendar.DayStart(probe)
+	wk = wk.AddDate(0, 0, -(int(wk.Weekday())+6)%7) // back to Monday
 	cur := g.TotalSeries(wk, wk.AddDate(0, 0, 7)).Mean()
 	return cur / base
 }
