@@ -253,26 +253,6 @@ func benchRecords(n int) []flowrec.Record {
 // -benchmem; the CI bench gate fails the build if allocs/op regresses by
 // more than 10% against the BENCH_gates.json baseline (~0 allocs/op).
 
-func BenchmarkCodecNetflowV5Batch(b *testing.B) {
-	src := flowrec.FromRecords(benchRecords(netflow.V5MaxRecords))
-	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	var buf []byte
-	dec := flowrec.NewBatch(netflow.V5MaxRecords)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		buf, err = netflow.EncodeV5Batch(buf[:0], src, 0, src.Len(), export, uint32(i))
-		if err != nil {
-			b.Fatal(err)
-		}
-		dec.Reset()
-		if _, err := netflow.DecodeV5Batch(dec, buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(netflow.V5MaxRecords), "records/op")
-}
-
 func BenchmarkCodecNetflowV9Batch(b *testing.B) {
 	src := flowrec.FromRecords(benchRecords(100))
 	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)

@@ -73,14 +73,14 @@
 //
 // replay, cluster:
 //
-//	-format f     wire format: v5, v9 or ipfix (default ipfix)
+//	-format f     wire format: v9 or ipfix (default ipfix)
 //
 // cluster:
 //
 //	-shards n     number of pump shards (default 4; replay: always 7)
 //	-chaos spec   deterministic fault injection, e.g.
 //	              'drop=0.05,kill=shard1@t+2s,seed=7' (drop/dup/reorder/
-//	              corrupt probabilities, delay, kill/stall schedules; see
+//	              corrupt probabilities, kill/stall schedules; see
 //	              internal/faultinject). Same seed, same faults; output
 //	              stays byte-identical to `all`. A killed pump stays dead,
 //	              and its vantage points re-partition over the other shards
@@ -88,7 +88,7 @@
 // `replay` and `cluster` run the same suite as `all`, but every flow batch
 // travels a real UDP wire first, the way the paper's measurement did: the
 // vantage points are partitioned over supervised pumps, each exporting its
-// flow batches as NetFlow v5/v9 or IPFIX packets under its own stream
+// flow batches as NetFlow v9 or IPFIX packets under its own stream
 // identity, and one bridge decodes, demuxes per stream and verifies them
 // bit-for-bit before the engine consumes them (see internal/cluster and
 // internal/replay). They are one code path: `replay` is the cluster at one
@@ -313,7 +313,7 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 	})
 	all.StringVar(&o.core.CacheDir, "cache-dir", "", "spill evicted flow batches to span files under this `directory` instead of dropping them (empty = no disk tier)")
 	o.wire.Format = collector.FormatIPFIX
-	all.Func("format", "wire format `name`: v5, v9 or ipfix (default ipfix)", func(s string) (err error) {
+	all.Func("format", "wire format `name`: v9 or ipfix (default ipfix)", func(s string) (err error) {
 		o.wire.Format, err = collector.ParseFormat(s)
 		return err
 	})
@@ -368,9 +368,8 @@ func (o *options) check(m mode) error {
 		return errors.New("-parallel must not be negative")
 	}
 	if m.shards > 0 {
-		// More shards than the format has stream IDs, a chaos event for a
-		// shard that does not exist. The spec's messages name no flag, so
-		// say which command was refused.
+		// A chaos event for a shard that does not exist. The spec's
+		// messages name no flag, so say which command was refused.
 		if err := o.wire.Validate(); err != nil {
 			return fmt.Errorf("%s: %w", m.name, err)
 		}

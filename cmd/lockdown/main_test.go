@@ -482,8 +482,9 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 		"all -cache-budget 17179869184G", "all -cache-budget 9999999999G",
 		"replay -format v7", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
 		"all -parallel -3",
-		"cluster -shards 300 -format v5", "cluster -shards 3 -chaos kill=shard3@t+1s",
-		// Removed commands and flags stay refused.
+		"cluster -shards 3 -chaos kill=shard3@t+1s",
+		// Removed commands, flags, formats and faults stay refused.
+		"replay -format v5", "cluster -format nf5", "cluster -chaos delay=5ms",
 		"pump -data 127.0.0.1:9", "cluster -subprocess", "replay -pps 100", "cluster -pps 0",
 		"replay -max-attempts 2", "cluster -max-restarts 1", "replay -allow-partial",
 		"all -scan-chunk -5", "replay -attempt-timeout -1s", "replay -fetch-budget -1s",

@@ -1,12 +1,12 @@
 // collectorpipe demonstrates the wire-format substrate end to end on the
 // batch path: it generates one hour of synthetic IXP-CE flows as a
-// columnar batch, exports it over UDP loopback in any of the three
-// supported formats, decodes each received datagram into a batch of the
+// columnar batch, exports it over UDP loopback in either supported
+// format (NetFlow v9 or IPFIX), decodes each received datagram into a batch of the
 // columns the classifier reads, and classifies the received rows into the
 // paper's application classes without ever materialising per-record
 // structs.
 //
-//	go run ./examples/collectorpipe [-format v5|v9|ipfix]
+//	go run ./examples/collectorpipe [-format v9|ipfix]
 //
 // For the full experiment suite over the same wire (demuxed, verified
 // bit-for-bit and fed into the engine), see `lockdown replay` and
@@ -28,7 +28,7 @@ import (
 )
 
 func main() {
-	formatName := flag.String("format", "ipfix", "wire format: v5, v9 or ipfix")
+	formatName := flag.String("format", "ipfix", "wire format: v9 or ipfix")
 	flag.Parse()
 	format, err := collector.ParseFormat(*formatName)
 	if err != nil {
@@ -61,9 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer exp.Close()
-	// Stamp the export at the end of the flows' hour so NetFlow v5's
-	// uptime-relative timestamps stay representable (v9/IPFIX carry
-	// absolute timestamps and ignore the distinction).
+	// Stamp the export at the end of the flows' hour, when a router
+	// would have exported them.
 	if err := exp.ExportBatchAt(flows, hour.Add(time.Hour)); err != nil {
 		log.Fatal(err)
 	}

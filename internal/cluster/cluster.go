@@ -9,7 +9,7 @@
 //
 // A Spec partitions the vantage points over N shards. Each shard is one
 // replay.Pump carrying the shard index as its wire stream identity
-// (IPFIX observation domain, NetFlow v9 source ID, v5 engine ID), so
+// (IPFIX observation domain or NetFlow v9 source ID), so
 // all pumps share one bridge socket and the bridge demuxes their
 // interleaved export per stream (see internal/replay). The Cluster
 // supervisor runs each pump on a goroutine of its own, wires every stream
@@ -24,7 +24,7 @@
 //
 // Spec.Chaos splices the deterministic fault harness of
 // internal/faultinject into the topology: a seeded relay on the
-// pump → bridge data path (drop/duplicate/reorder/delay/corrupt,
+// pump → bridge data path (drop/duplicate/reorder/corrupt,
 // scheduled stalls) plus scheduled pump kills that drive the
 // death → re-partition path reproducibly.
 //
@@ -56,9 +56,9 @@ const DefaultShards = 4
 
 // Spec configures a sharded replay cluster.
 type Spec struct {
-	// Shards is the number of pumps (DefaultShards if zero). NetFlow v5
-	// carries only 8 bits of stream identity, so v5 clusters are capped
-	// at collector.MaxV5Stream+1 shards.
+	// Shards is the number of pumps (DefaultShards if zero). Shard i
+	// exports as stream i, which both formats carry in 32 bits, so no
+	// shard count is out of the wire's reach.
 	Shards int
 	// Format is the wire format every pump exports.
 	Format collector.Format
@@ -90,9 +90,6 @@ func (s Spec) shards() int {
 // error before anything runs.
 func (s Spec) Validate() error {
 	n := s.shards()
-	if s.Format == collector.FormatNetflowV5 && n > collector.MaxV5Stream+1 {
-		return fmt.Errorf("cluster: %d shards do not fit NetFlow v5's 8-bit engine ID (max %d)", n, collector.MaxV5Stream+1)
-	}
 	if s.AttemptTimeout < 0 || s.FetchBudget < 0 {
 		return fmt.Errorf("cluster: timeouts must not be negative")
 	}

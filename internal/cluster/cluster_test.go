@@ -16,14 +16,10 @@ import (
 var testDay = time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
 
 func TestSpecValidation(t *testing.T) {
-	if err := (Spec{Shards: 300, Format: collector.FormatNetflowV5}).Validate(); err == nil {
-		t.Error("v5 spec with 300 shards validated; the engine ID carries 8 bits")
-	}
-	if err := (Spec{Shards: 256, Format: collector.FormatNetflowV5}).Validate(); err != nil {
-		t.Errorf("v5 spec with 256 shards rejected: %v", err)
-	}
-	if err := (Spec{Shards: 300, Format: collector.FormatIPFIX}).Validate(); err != nil {
-		t.Errorf("ipfix spec with 300 shards rejected: %v", err)
+	for _, format := range []collector.Format{collector.FormatNetflowV9, collector.FormatIPFIX} {
+		if err := (Spec{Shards: 300, Format: format}).Validate(); err != nil {
+			t.Errorf("%v spec with 300 shards rejected: %v", format, err)
+		}
 	}
 }
 
@@ -127,14 +123,14 @@ func fetchDiff(c *Cluster, ref *core.SyntheticSource, vp synth.VantagePoint, hou
 }
 
 // TestSevenShardsStreamPerVantagePoint fetches one hour of every vantage
-// point concurrently over the `lockdown replay` topology — seven shards,
-// inside NetFlow v5's 8-bit engine ID: shard i must own and serve exactly
+// point concurrently over the `lockdown replay` topology — seven shards:
+// shard i must own and serve exactly
 // vantage point i's bucket, bit-identical to the model, and the pumps'
 // counters must account for every stream's request.
 func TestSevenShardsStreamPerVantagePoint(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	vps := synth.AllVantagePoints()
-	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatIPFIX} {
+	for _, format := range []collector.Format{collector.FormatNetflowV9, collector.FormatIPFIX} {
 		t.Run(format.String(), func(t *testing.T) {
 			c := newTestCluster(t, Spec{Shards: len(vps), Format: format, Options: opts})
 			part := c.Partition()

@@ -67,7 +67,7 @@ func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, 
 
 // TestGoldenClusterEquivalence is the golden test of the sharded
 // cluster: the full 21-experiment suite over IPFIX shards, and the
-// flow-consuming experiments over NetFlow v5 and v9 shards, must produce
+// flow-consuming experiments over NetFlow v9 shards, must produce
 // bit-identical metrics to the in-memory engine at the same options —
 // at three shards, and at seven, one per vantage point, which is the
 // topology `lockdown replay` ships. It runs under -race in CI. Together
@@ -98,13 +98,11 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 			goldentest.CompareResults(t, "ipfix "+label, wantAll, got)
 			t.Logf("ipfix %s full suite: %+v", label, stats.Bridge)
 		})
-		for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9} {
-			t.Run(format.String()+"-flow-experiments-"+label, func(t *testing.T) {
-				got, stats := runSharded(t, format, goldentest.FlowExperiments, n)
-				goldentest.CompareResults(t, format.String()+" "+label, flowWant, got)
-				t.Logf("%v %s flow experiments: %+v", format, label, stats.Bridge)
-			})
-		}
+		t.Run("netflow-v9-flow-experiments-"+label, func(t *testing.T) {
+			got, stats := runSharded(t, collector.FormatNetflowV9, goldentest.FlowExperiments, n)
+			goldentest.CompareResults(t, "netflow-v9 "+label, flowWant, got)
+			t.Logf("netflow-v9 %s flow experiments: %+v", label, stats.Bridge)
+		})
 	}
 
 	// Tiered-cache variant: with a 1-byte cache budget every batch the

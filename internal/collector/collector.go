@@ -1,4 +1,4 @@
-// Package collector turns wire-format flow export (NetFlow v5/v9, IPFIX)
+// Package collector turns wire-format flow export (NetFlow v9, IPFIX)
 // into streams of flow records, and provides the matching exporters. It
 // is the glue that lets the analysis pipeline consume either live UDP
 // export (as the vantage points of "The Lockdown Effect" (IMC 2020) do)
@@ -8,15 +8,14 @@
 // A Collector receives and does not decode. It has one delivery channel:
 // every datagram arrives on Tagged() as a Datagram, its bytes in a pooled
 // buffer together with the stream identity carried in its header (IPFIX
-// observation domain, NetFlow v9 source ID, NetFlow v5 engine ID — see
-// StreamID), which is what lets one collector socket demux the
-// interleaved export of several pumps; a consumer with a single exporter
-// ignores the field. A datagram that does not start with the format's
-// export header (too short, another version, a length field that does
-// not match) is reported on Errors() and not delivered. The consumer
-// decodes with a Decoder (NewDecoder) into a batch of the columns it
-// wants, and returns the datagram with Release, which keeps the receive
-// loop allocation-free.
+// observation domain or NetFlow v9 source ID — see StreamID), which is
+// what lets one collector socket demux the interleaved export of several
+// pumps; a consumer with a single exporter ignores the field. A datagram
+// that does not start with the format's export header (too short,
+// another version, a length field that does not match) is reported on
+// Errors() and not delivered. The consumer decodes with a Decoder
+// (NewDecoder) into a batch of the columns it wants, and returns the
+// datagram with Release, which keeps the receive loop allocation-free.
 //
 // Datagrams prefixed with ControlMagic are not flow export: they are
 // delivered verbatim on the same channel, with Control set and Stream 0.
@@ -46,16 +45,13 @@ type Format int
 
 // Supported wire formats.
 const (
-	FormatNetflowV5 Format = iota
-	FormatNetflowV9
+	FormatNetflowV9 Format = iota
 	FormatIPFIX
 )
 
 // String implements fmt.Stringer.
 func (f Format) String() string {
 	switch f {
-	case FormatNetflowV5:
-		return "netflow-v5"
 	case FormatNetflowV9:
 		return "netflow-v9"
 	case FormatIPFIX:
@@ -65,18 +61,16 @@ func (f Format) String() string {
 	}
 }
 
-// ParseFormat maps the common spellings of the wire formats ("v5",
-// "netflow-v5", "nf5"; "v9", "netflow-v9"; "ipfix") to a Format.
+// ParseFormat maps the common spellings of the wire formats ("v9",
+// "netflow-v9", "nf9"; "ipfix", "v10") to a Format.
 func ParseFormat(s string) (Format, error) {
 	switch strings.ToLower(s) {
-	case "v5", "nf5", "netflow-v5", "netflow5":
-		return FormatNetflowV5, nil
 	case "v9", "nf9", "netflow-v9", "netflow9":
 		return FormatNetflowV9, nil
 	case "ipfix", "v10", "netflow-v10":
 		return FormatIPFIX, nil
 	default:
-		return 0, fmt.Errorf("collector: unknown format %q (want v5, v9 or ipfix)", s)
+		return 0, fmt.Errorf("collector: unknown format %q (want v9 or ipfix)", s)
 	}
 }
 
@@ -86,23 +80,20 @@ func ParseFormat(s string) (Format, error) {
 // order with the flow packets, which gives the wire-replay protocol
 // (package replay) an in-band control plane ordered with the data of the
 // same sender socket. No NetFlow/IPFIX packet can collide with it: their first two
-// bytes are the version field (5, 9 or 10).
+// bytes are the version field (9 or 10).
 const ControlMagic = "LKRW"
 
 // maxDatagram is the read buffer size: the largest message the 16-bit
-// length fields of NetFlow v9 and IPFIX can describe (a NetFlow v5 packet
-// is at most 1464 bytes). Our encoders write at most the 65 507 bytes of
-// one UDP datagram; a shorter buffer would cut a legal message short and
-// fail its length check.
+// length fields of NetFlow v9 and IPFIX can describe. Our encoders write
+// at most the 65 507 bytes of one UDP datagram; a shorter buffer would cut
+// a legal message short and fail its length check.
 const maxDatagram = 0xFFFF
 
 // StreamID extracts the exporter stream identity an export packet
-// carries in its header: the IPFIX observation domain, the NetFlow v9
-// source ID, or the NetFlow v5 engine ID (8 bits only — v5 exporters
-// cannot be told apart beyond 256 streams). It reads fixed header
-// offsets without decoding, so it is safe on arbitrary input; packets
-// too short to carry the field report stream 0, and the header check
-// rejects them.
+// carries in its header: the IPFIX observation domain or the NetFlow v9
+// source ID, 32 bits each. It reads fixed header offsets without
+// decoding, so it is safe on arbitrary input; packets too short to carry
+// the field report stream 0, and the header check rejects them.
 func StreamID(format Format, pkt []byte) uint32 {
 	w, err := format.wire()
 	if err != nil {
@@ -110,10 +101,6 @@ func StreamID(format Format, pkt []byte) uint32 {
 	}
 	return w.stream(pkt)
 }
-
-// MaxV5Stream is the largest stream identity NetFlow v5 can carry: its
-// engine ID field is a single byte.
-const MaxV5Stream = 0xFF
 
 // Decoder decodes one format's export datagrams: it appends the records
 // of pkt to dst, in the columns dst stores (a field of a column dst lacks
@@ -140,28 +127,6 @@ type wire struct {
 // wire is the one place that knows the formats apart.
 func (f Format) wire() (wire, error) {
 	switch f {
-	case FormatNetflowV5:
-		return wire{
-			rows:   func(flowrec.Columns) int { return netflow.V5MaxRecords },
-			stream: func(pkt []byte) uint32 { return uint32(netflow.V5EngineID(pkt)) },
-			check:  netflow.CheckV5Header,
-			newDecoder: func() Decoder {
-				return func(dst *flowrec.Batch, pkt []byte) (int, error) {
-					h, err := netflow.DecodeV5Batch(dst, pkt)
-					return h.Count, err
-				}
-			},
-			newEncoder: func(stream uint32) encodeFunc {
-				var seq uint32 // v5's flow sequence counts records
-				return func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error) {
-					dst, err := netflow.EncodeV5StreamBatch(dst, b, lo, hi, exportTime, seq, uint8(stream))
-					if err == nil { // a failed encode sent nothing to count
-						seq += uint32(hi - lo)
-					}
-					return dst, err
-				}
-			},
-		}, nil
 	case FormatNetflowV9:
 		return wire{
 			rows:       netflow.V9MaxRecords,
@@ -181,17 +146,6 @@ func (f Format) wire() (wire, error) {
 	default:
 		return wire{}, fmt.Errorf("collector: unsupported format %v", f)
 	}
-}
-
-// RowsPerDatagram is how many rows of a batch storing cols one datagram
-// of the format carries (0 for an unknown format): what an Exporter puts
-// in each packet.
-func (f Format) RowsPerDatagram(cols flowrec.Columns) int {
-	w, err := f.wire()
-	if err != nil {
-		return 0
-	}
-	return w.rows(cols)
 }
 
 // Datagram is one received datagram: its bytes and the exporter stream
@@ -432,15 +386,11 @@ func NewExporter(format Format, addr string) (*Exporter, error) {
 }
 
 // NewStreamExporter is NewExporter with an explicit stream identity,
-// stamped into every packet header as the IPFIX observation domain,
-// NetFlow v9 source ID, or NetFlow v5 engine ID. NetFlow v5 carries only
-// 8 bits of identity, so v5 streams above MaxV5Stream are rejected. The
-// collector recovers the identity per datagram (StreamID), which is what
-// lets several exporters share one collector socket.
+// stamped into every packet header as the IPFIX observation domain or
+// NetFlow v9 source ID. The collector recovers the identity per datagram
+// (StreamID), which is what lets several exporters share one collector
+// socket.
 func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, error) {
-	if format == FormatNetflowV5 && stream > MaxV5Stream {
-		return nil, fmt.Errorf("exporter: stream %d does not fit NetFlow v5's 8-bit engine ID (max %d)", stream, MaxV5Stream)
-	}
 	w, err := format.wire()
 	if err != nil {
 		return nil, err
@@ -462,18 +412,18 @@ func (e *Exporter) Stream() uint32 { return e.stream }
 // ExportBatch encodes and sends the batch, splitting it into as few
 // packets as the format allows: a NetFlow v9 or IPFIX message fills one
 // UDP datagram (as many records of the batch's column set as 65 507
-// bytes hold), a v5 packet carries 30 records. The export timestamp is
-// now.
+// bytes hold). The export timestamp is now.
 func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
 	return e.ExportBatchAt(b, time.Now().UTC())
 }
 
 // ExportBatchAt is ExportBatch with an explicit export timestamp. Replay
-// of historic flows needs it for NetFlow v5, whose records express flow
-// start/end as router-uptime offsets relative to the export time: stamping
-// the packet near the flows (e.g. at the end of their hour) keeps the
-// offsets inside the representable one-hour uptime window, so the
-// second-resolution timestamps survive the round trip exactly.
+// of historic flows stamps each packet at the end of the flows' period
+// (the pump: the end of the key's day), so the header describes when the
+// flows were exported, not when they are replayed; and a format whose
+// records express flow times relative to the export time, as RFC 3954's
+// sysUptime-relative FIRST_SWITCHED / LAST_SWITCHED do, needs the stamp
+// near the flows to represent them.
 func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
 	now, rows := exportTime.UTC(), e.rows(b.Columns())
 	for lo := 0; lo < b.Len(); lo += rows {

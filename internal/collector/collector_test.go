@@ -9,7 +9,6 @@ import (
 	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
 )
 
 func testRecords(n int) []flowrec.Record {
@@ -31,16 +30,6 @@ func testRecords(n int) []flowrec.Record {
 		}
 	}
 	return recs
-}
-
-func TestRoundTripV5(t *testing.T) {
-	got := batchRoundTrip(t, FormatNetflowV5, 45) // spans two v5 packets
-	if got.Len() != 45 {
-		t.Fatalf("collected %d rows, want 45", got.Len())
-	}
-	if got.DstPort[0] != 443 || got.Proto[0] != flowrec.ProtoTCP {
-		t.Errorf("row content mangled: %+v", got.Record(0))
-	}
 }
 
 func TestRoundTripV9(t *testing.T) {
@@ -141,7 +130,6 @@ func TestBatchRoundTripAllFormats(t *testing.T) {
 		format Format
 		n      int
 	}{
-		{FormatNetflowV5, 45}, // spans two v5 packets
 		{FormatNetflowV9, 10},
 		{FormatIPFIX, 250}, // spans multiple messages
 	} {
@@ -165,7 +153,7 @@ func TestCollectorErrorsOnGarbage(t *testing.T) {
 	go col.Run(ctx)
 	defer col.Close()
 
-	exp, err := NewExporter(FormatNetflowV5, col.Addr()) // wrong format on purpose
+	exp, err := NewExporter(FormatNetflowV9, col.Addr()) // wrong format on purpose
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +216,7 @@ func TestCollectorContextCancel(t *testing.T) {
 }
 
 func TestFormatString(t *testing.T) {
-	if FormatNetflowV5.String() != "netflow-v5" || FormatNetflowV9.String() != "netflow-v9" ||
+	if FormatNetflowV9.String() != "netflow-v9" ||
 		FormatIPFIX.String() != "ipfix" || Format(9).String() != "format(9)" {
 		t.Error("Format.String values unexpected")
 	}
@@ -253,8 +241,8 @@ func TestExporterBadAddress(t *testing.T) {
 }
 
 // TestExporterFillsDatagrams: a NetFlow v9 or IPFIX message carries as
-// many records of the batch's column set as one UDP datagram holds, and a
-// v5 packet 30, so a batch of N rows leaves as ceil(N / max) datagrams,
+// many records of the batch's column set as one UDP datagram holds, so a
+// batch of N rows leaves as ceil(N / max) datagrams,
 // none over the 65 507 bytes of a UDP payload, and what they decode to,
 // concatenated into a batch of the same column set, is the batch.
 func TestExporterFillsDatagrams(t *testing.T) {
@@ -263,7 +251,7 @@ func TestExporterFillsDatagrams(t *testing.T) {
 	for _, kind := range []core.FlowKind{core.KindFlows, core.KindVPNFlows, core.KindComponentFlows} {
 		sets[kind.String()] = core.FlowKey{Kind: kind}.Columns()
 	}
-	for _, format := range []Format{FormatNetflowV5, FormatNetflowV9, FormatIPFIX} {
+	for _, format := range []Format{FormatNetflowV9, FormatIPFIX} {
 		w, err := format.wire()
 		if err != nil {
 			t.Fatal(err)
@@ -271,12 +259,9 @@ func TestExporterFillsDatagrams(t *testing.T) {
 		for name, cols := range sets {
 			t.Run(format.String()+"/"+name, func(t *testing.T) {
 				max := w.rows(cols)
-				if format == FormatNetflowV5 && max != 30 {
-					t.Fatalf("v5 packs %d records, want 30", max)
-				}
 				n := 2*max + 7
 				recs := testRecords(n)
-				for i := range recs { // v5-exact: inside the hour before export, second-aligned
+				for i := range recs { // second-aligned, as the templates carry them
 					recs[i].Start, recs[i].End = export.Add(-time.Minute), export
 				}
 				b := flowrec.FromRecords(recs).Project(cols)
@@ -327,33 +312,5 @@ func TestExporterFillsDatagrams(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestV5SequenceSkipsFailedEncode: NetFlow v5's flow sequence counts the
-// records exported, so an encode that fails — here a span past the end of
-// the batch — sends nothing and must not advance it: the next packet is
-// stamped 0.
-func TestV5SequenceSkipsFailedEncode(t *testing.T) {
-	w, err := FormatNetflowV5.wire()
-	if err != nil {
-		t.Fatal(err)
-	}
-	encode := w.newEncoder(0)
-	b := flowrec.FromRecords(testRecords(3))
-	now := time.Now()
-	if _, err := encode(nil, b, 2, 10, now); err == nil {
-		t.Fatal("a span past the end of the batch was encoded")
-	}
-	pkt, err := encode(nil, b, 0, b.Len(), now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := netflow.DecodeV5Batch(flowrec.NewBatch(0), pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.FlowSequence != 0 {
-		t.Errorf("FlowSequence = %d after a failed encode, want 0", h.FlowSequence)
 	}
 }

@@ -128,7 +128,7 @@ func TestCloseReportsNoError(t *testing.T) {
 // of leaking a goroutine stuck on the channel send.
 func TestSlowConsumerClose(t *testing.T) {
 	leak := checkNoGoroutineLeak(t)
-	c, err := NewCollector(FormatNetflowV5, "127.0.0.1:0")
+	c, err := NewCollector(FormatNetflowV9, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,12 +138,17 @@ func TestSlowConsumerClose(t *testing.T) {
 		c.Run(context.Background())
 	}()
 	// No consumer: the channel (cap 64) fills and the loop blocks on send.
-	sent := exportHour(t, FormatNetflowV5, c.Addr())
-	if sent.Len() < 65*30 {
-		// Make sure there is enough traffic to exceed the channel
-		// capacity in packets (v5 packs 30 rows per packet).
-		for i := 0; sent.Len()*(i+1) < 65*30; i++ {
-			exportHour(t, FormatNetflowV5, c.Addr())
+	// A one-row batch leaves as one datagram, so 100 of them exceed the
+	// channel's capacity.
+	exp, err := NewExporter(FormatNetflowV9, c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer exp.Close()
+	one := flowrec.FromRecords(testRecords(1))
+	for range 100 {
+		if err := exp.ExportBatch(one); err != nil {
+			t.Fatal(err)
 		}
 	}
 	time.Sleep(200 * time.Millisecond) // let the loop wedge on a full channel

@@ -39,7 +39,7 @@ func collectTagged(c *Collector, want int, timeout time.Duration) map[uint32]int
 // exporters with distinct stream identities into one collector
 // and checks per-datagram attribution in every format.
 func TestTaggedCollectorDemuxesStreams(t *testing.T) {
-	for _, format := range []Format{FormatNetflowV5, FormatNetflowV9, FormatIPFIX} {
+	for _, format := range []Format{FormatNetflowV9, FormatIPFIX} {
 		t.Run(format.String(), func(t *testing.T) {
 			col, err := NewCollector(format, "127.0.0.1:0")
 			if err != nil {
@@ -78,14 +78,6 @@ func TestStreamIDReadsHeaders(t *testing.T) {
 	b := flowrec.FromRecords(testRecords(3))
 	now := time.Now().UTC()
 
-	v5, err := netflow.EncodeV5StreamBatch(nil, b, 0, b.Len(), now, 0, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := StreamID(FormatNetflowV5, v5); got != 42 {
-		t.Errorf("StreamID(v5) = %d, want 42", got)
-	}
-
 	enc9 := netflow.V9Encoder{SourceID: 70000}
 	v9, err := enc9.EncodeBatch(nil, b, 0, b.Len(), now)
 	if err != nil {
@@ -104,7 +96,7 @@ func TestStreamIDReadsHeaders(t *testing.T) {
 		t.Errorf("StreamID(ipfix) = %d, want %d", got, 1<<24)
 	}
 
-	for _, format := range []Format{FormatNetflowV5, FormatNetflowV9, FormatIPFIX} {
+	for _, format := range []Format{FormatNetflowV9, FormatIPFIX} {
 		if got := StreamID(format, nil); got != 0 {
 			t.Errorf("StreamID(%v, nil) = %d, want 0", format, got)
 		}
@@ -112,24 +104,4 @@ func TestStreamIDReadsHeaders(t *testing.T) {
 			t.Errorf("StreamID(%v, short) = %d, want 0", format, got)
 		}
 	}
-}
-
-// TestStreamExporterRejectsWideV5Stream pins the NetFlow v5 limit: the
-// engine ID is one byte, so stream identities beyond it must be refused
-// rather than silently truncated into a colliding stream.
-func TestStreamExporterRejectsWideV5Stream(t *testing.T) {
-	if _, err := NewStreamExporter(FormatNetflowV5, "127.0.0.1:9", MaxV5Stream+1); err == nil {
-		t.Fatal("v5 exporter accepted a stream beyond the 8-bit engine ID")
-	}
-	exp, err := NewStreamExporter(FormatNetflowV5, "127.0.0.1:9", MaxV5Stream)
-	if err != nil {
-		t.Fatalf("v5 exporter rejected the maximum 8-bit stream: %v", err)
-	}
-	exp.Close()
-	// The wide formats carry the full 32 bits.
-	exp, err = NewStreamExporter(FormatIPFIX, "127.0.0.1:9", 1<<20)
-	if err != nil {
-		t.Fatalf("ipfix exporter rejected a wide stream: %v", err)
-	}
-	exp.Close()
 }

@@ -38,9 +38,8 @@ import (
 // fresh allocation. The wire-replay
 // harness is the caller that releases: a pump releases the batch it
 // exported once the bucket's END frame is out, and the bridge releases its
-// reference when the fetch returns — after the NetFlow v5 repair has
-// copied out of it — while the wire batch it returns passes to the cache
-// like any other.
+// reference when the fetch returns, while the wire batch it returns
+// passes to the cache like any other.
 //
 // Projection is a property of the batch kind: every scan of a kind reads
 // inside FlowKey.Columns, so a source returns those columns and the cache

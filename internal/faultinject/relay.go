@@ -33,10 +33,6 @@ type RelayStats struct {
 // anyway (the last datagram of a burst has no successor to swap with).
 const holdFlush = 100 * time.Millisecond
 
-// delayQueue bounds the backlog of the fixed-delay sender; a full queue
-// falls back to an immediate write rather than blocking the relay.
-const delayQueue = 4096
-
 // streamState is the relay's per-stream fault machinery: the PRF
 // datagram counter and the reorder hold slot.
 type streamState struct {
@@ -62,16 +58,9 @@ type Relay struct {
 	streams map[uint32]*streamState
 	tracer  *obs.Tracer // fault instants (nil = no tracing); see SetTracer
 
-	delayCh chan delayedPkt
-	done    chan struct{}
-	wg      sync.WaitGroup
+	wg sync.WaitGroup
 
 	closeOnce sync.Once
-}
-
-type delayedPkt struct {
-	due time.Time
-	pkt []byte
 }
 
 // NewRelay opens the relay socket and starts forwarding to the bridge
@@ -102,12 +91,6 @@ func NewRelay(spec Spec, format collector.Format, dstAddr string) (*Relay, error
 		ln:      ln,
 		dst:     dst,
 		streams: make(map[uint32]*streamState),
-		done:    make(chan struct{}),
-	}
-	if spec.Delay > 0 {
-		r.delayCh = make(chan delayedPkt, delayQueue)
-		r.wg.Add(1)
-		go r.delaySender()
 	}
 	r.wg.Add(1)
 	go r.run()
@@ -148,7 +131,6 @@ func (r *Relay) Stats() RelayStats {
 func (r *Relay) Close() error {
 	var err error
 	r.closeOnce.Do(func() {
-		close(r.done)
 		err = r.ln.Close()
 		r.wg.Wait()
 		r.dst.Close()
@@ -164,7 +146,7 @@ func (r *Relay) run() {
 		if err != nil {
 			return // socket closed
 		}
-		// Copy: held and delayed datagrams outlive the read buffer.
+		// Copy: a held datagram outlives the read buffer.
 		pkt := append([]byte(nil), buf[:n]...)
 		r.process(pkt)
 	}
@@ -183,11 +165,11 @@ func (r *Relay) streamOf(pkt []byte) (uint32, bool) {
 }
 
 // process rolls one datagram against the fault model and forwards,
-// drops, duplicates, holds, delays or corrupts it accordingly.
+// drops, duplicates, holds or corrupts it accordingly.
 func (r *Relay) process(pkt []byte) {
 	stream, ok := r.streamOf(pkt)
 	if !ok {
-		r.send(pkt)
+		r.dst.Write(pkt)
 		return
 	}
 	r.mu.Lock()
@@ -208,7 +190,7 @@ func (r *Relay) process(pkt []byte) {
 			tr.Instant("fault-stall", "chaos", map[string]any{"stream": stream})
 		}
 		if held != nil {
-			r.send(held)
+			r.dst.Write(held)
 		}
 		return
 	}
@@ -261,10 +243,10 @@ func (r *Relay) process(pkt []byte) {
 		tr.Instant(fault, "chaos", map[string]any{"stream": stream})
 	}
 	for _, p := range out {
-		r.send(p)
+		r.dst.Write(p)
 	}
 	if held != nil {
-		r.send(held)
+		r.dst.Write(held)
 	}
 }
 
@@ -280,7 +262,7 @@ func (r *Relay) flushHeld(stream uint32, pkt []byte) {
 	}
 	r.mu.Unlock()
 	if flush {
-		r.send(pkt)
+		r.dst.Write(pkt)
 	}
 }
 
@@ -292,40 +274,4 @@ func (r *Relay) corrupt(stream uint32, n uint64, pkt []byte) []byte {
 	idx := int(h % uint64(len(out)))
 	out[idx] ^= byte(1 + (h>>32)%255) // never a zero flip
 	return out
-}
-
-// send puts one datagram on the wire to the bridge, through the fixed
-// delay queue when the spec asks for latency.
-func (r *Relay) send(pkt []byte) {
-	if r.delayCh == nil {
-		r.dst.Write(pkt)
-		return
-	}
-	select {
-	case r.delayCh <- delayedPkt{due: time.Now().Add(r.spec.Delay), pkt: pkt}:
-	case <-r.done:
-	default:
-		r.dst.Write(pkt) // full queue: deliver now rather than block the relay
-	}
-}
-
-// delaySender drains the delay queue in order, sleeping each datagram
-// out to its due time. A uniform delay preserves ordering.
-func (r *Relay) delaySender() {
-	defer r.wg.Done()
-	for {
-		select {
-		case d := <-r.delayCh:
-			if wait := time.Until(d.due); wait > 0 {
-				select {
-				case <-time.After(wait):
-				case <-r.done:
-					return
-				}
-			}
-			r.dst.Write(d.pkt)
-		case <-r.done:
-			return
-		}
-	}
 }

@@ -238,20 +238,6 @@ func TestRelayStallWithoutEpochInactive(t *testing.T) {
 	h.collect(t, 1, 2*time.Second)
 }
 
-func TestRelayDelay(t *testing.T) {
-	h := newRelayHarness(t, Spec{Delay: 80 * time.Millisecond, Seed: 1})
-	start := time.Now()
-	h.send.Write(ipfixPkt(0, 0x21))
-	h.send.Write(ipfixPkt(0, 0x22))
-	got := h.collect(t, 2, 2*time.Second)
-	if waited := time.Since(start); waited < 60*time.Millisecond {
-		t.Fatalf("delayed datagrams arrived after %v", waited)
-	}
-	if got[0][16] != 0x21 || got[1][16] != 0x22 {
-		t.Fatal("uniform delay reordered datagrams")
-	}
-}
-
 func TestRelayPassesUnattributableDatagrams(t *testing.T) {
 	// Shorter than any export header and not a control frame: the relay
 	// cannot attribute it to a stream and must leave it alone even at

@@ -7,7 +7,7 @@
 // injection points:
 //
 //   - The Relay sits on the pump → bridge data path and applies
-//     per-datagram faults — drop, duplicate, reorder, delay, corrupt —
+//     per-datagram faults — drop, duplicate, reorder, corrupt —
 //     decided by a splitmix64-based PRF keyed on (seed, stream,
 //     per-stream datagram index). The decision for datagram n of stream
 //     s depends on nothing else, so the same seed over the same
@@ -60,11 +60,6 @@ type Spec struct {
 	Reorder float64 // P(datagram held and delivered after its successor)
 	Corrupt float64 // P(one byte of the datagram flipped)
 
-	// Delay adds a fixed latency to every forwarded datagram (0 = no
-	// added latency). Order is preserved: a uniform delay only shifts the
-	// stream in time.
-	Delay time.Duration
-
 	// Seed keys the PRF; the same seed reproduces the same per-stream
 	// fault pattern.
 	Seed int64
@@ -76,8 +71,7 @@ type Spec struct {
 // ParseSpec parses the -chaos flag syntax: comma-separated k=v pairs.
 //
 //	drop=0.05            dup=0.01         reorder=0.02     corrupt=0.001
-//	delay=5ms            seed=7
-//	kill=shard1@t+2s     stall=shard0@t+1s:500ms
+//	seed=7               kill=shard1@t+2s stall=shard0@t+1s:500ms
 //
 // kill= and stall= may repeat. Shard indices are validated against the
 // cluster size by cluster.Spec, not here.
@@ -102,11 +96,6 @@ func ParseSpec(s string) (Spec, error) {
 			spec.Reorder, err = parseProb(key, val)
 		case "corrupt":
 			spec.Corrupt, err = parseProb(key, val)
-		case "delay":
-			spec.Delay, err = time.ParseDuration(val)
-			if err == nil && spec.Delay < 0 {
-				err = fmt.Errorf("faultinject: delay must not be negative")
-			}
 		case "seed":
 			spec.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "kill":
@@ -190,9 +179,6 @@ func (s Spec) String() string {
 	add("dup", s.Dup)
 	add("reorder", s.Reorder)
 	add("corrupt", s.Corrupt)
-	if s.Delay > 0 {
-		parts = append(parts, fmt.Sprintf("delay=%s", s.Delay))
-	}
 	kills := append([]KillEvent(nil), s.Kills...)
 	sort.Slice(kills, func(i, j int) bool {
 		return kills[i].At < kills[j].At || (kills[i].At == kills[j].At && kills[i].Shard < kills[j].Shard)
@@ -216,7 +202,7 @@ func (s Spec) String() string {
 // Active reports whether the spec injects anything at all.
 func (s Spec) Active() bool {
 	return s.Drop > 0 || s.Dup > 0 || s.Reorder > 0 || s.Corrupt > 0 ||
-		s.Delay > 0 || len(s.Kills) > 0 || len(s.Stalls) > 0
+		len(s.Kills) > 0 || len(s.Stalls) > 0
 }
 
 // MaxShard returns the largest shard index any scheduled event names

@@ -99,9 +99,9 @@ func (b *Batch) Columns() Columns { return AllColumns &^ b.absent }
 // Require returns an error naming the columns of need that the batch does
 // not store, nil when it stores them all. The dataset cache calls it on
 // every batch a source delivers, and the Record conversions through
-// mustStore. The wire codecs do not: encoders write 0 for (v5) or leave
-// out of the template (v9, IPFIX) a column the batch lacks, and decoders
-// fill exactly the columns the batch stores.
+// mustStore. The wire codecs do not: encoders leave a column the batch
+// lacks out of the template, and decoders fill exactly the columns the
+// batch stores.
 func (b *Batch) Require(need Columns) error {
 	if missing := need &^ b.Columns(); missing != 0 {
 		return fmt.Errorf("flowrec: batch does not store column %s (its set is %s)", missing, b.Columns())

@@ -13,10 +13,7 @@ import (
 // TestPropZeroTimeGuardAcrossCodecs: the unset-timestamp guard (zero
 // time ↔ 0 in the StartNs/EndNs columns) survives full encode/decode
 // round trips through the NetFlow v9 and IPFIX codecs, alongside every
-// other column. NetFlow v5 is excluded by design: its uptime-relative
-// timestamps cannot express "unset" (and clamp anything older than the
-// export uptime window), which is exactly why the replay bridge verifies
-// v5 time columns against a reference instead of trusting them blindly.
+// other column.
 func TestPropZeroTimeGuardAcrossCodecs(t *testing.T) {
 	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
 	prop := func(recs recordSample) bool {

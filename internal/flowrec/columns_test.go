@@ -215,17 +215,6 @@ func TestProjectedMisuseIsLoud(t *testing.T) {
 		name  string
 		fresh func() roundTrip
 	}{
-		{"netflow-v5", func() roundTrip {
-			return func(b *flowrec.Batch) (*flowrec.Batch, error) {
-				msg, err := netflow.EncodeV5Batch(nil, b, 0, b.Len(), export, 7)
-				if err != nil {
-					return nil, err
-				}
-				out := flowrec.NewBatch(b.Len())
-				_, err = netflow.DecodeV5Batch(out, msg)
-				return out, err
-			}
-		}},
 		{"netflow-v9", func() roundTrip {
 			e, d := &netflow.V9Encoder{SourceID: 7}, netflow.NewV9Decoder()
 			return func(b *flowrec.Batch) (*flowrec.Batch, error) {

@@ -4,7 +4,7 @@
 // A Record is the in-memory representation of one unidirectional flow
 // summary, equivalent to the information the vantage points of "The
 // Lockdown Effect" (IMC 2020) export
-// via NetFlow v5/v9 or IPFIX: the 5-tuple, byte and packet counters, the
+// via NetFlow v9 or IPFIX: the 5-tuple, byte and packet counters, the
 // source and destination autonomous system numbers, router interfaces and a
 // direction label. Records never carry payload.
 //

@@ -34,7 +34,7 @@ func testBatch(rows int, seed int64) *flowrec.Batch {
 			src = netip.AddrFrom4([4]byte{255, 255, 255, 255})
 			dst = netip.AddrFrom4([4]byte{172, 16, 0, byte(i)})
 		case 3:
-			// zero Addr (e.g. a repaired v5 row with no address data)
+			// zero Addr (0.0.0.0 at both ends)
 		}
 		start := base.Add(time.Duration(i) * time.Second)
 		b.Append(flowrec.Record{

@@ -35,33 +35,6 @@ func checkColumns(t *testing.T, b *flowrec.Batch) {
 	}
 }
 
-func FuzzDecodeV5Batch(f *testing.F) {
-	b := fuzzSeedBatch(f)
-	hour := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	for lo := 0; lo < b.Len() && lo < 3*V5MaxRecords; lo += V5MaxRecords {
-		hi := lo + V5MaxRecords
-		if hi > b.Len() {
-			hi = b.Len()
-		}
-		pkt, err := EncodeV5Batch(nil, b, lo, hi, hour, uint32(lo))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(pkt)
-		f.Add(pkt[:len(pkt)/2]) // truncated packet
-		f.Add(pkt[:v5HeaderLen])
-	}
-	f.Fuzz(func(t *testing.T, pkt []byte) {
-		dst := flowrec.NewBatch(1)
-		dst.Append(flowrec.Record{Bytes: 1, Packets: 1})
-		before := dst.Len()
-		if _, err := DecodeV5Batch(dst, pkt); err != nil && dst.Len() != before {
-			t.Fatalf("error left %d rows appended", dst.Len()-before)
-		}
-		checkColumns(t, dst)
-	})
-}
-
 // FuzzDecodeV9Batch replays the v9 seed corpus through this package's
 // decoder name. The decoder itself is fuzzed once, for both of its
 // framings, by tmpl's FuzzDecodeBatch — that is the target CI spends its

@@ -64,36 +64,3 @@ func TestGoldenV9Packets(t *testing.T) {
 		t.Error("decoded rows differ from the exported rows")
 	}
 }
-
-func TestGoldenV5Packets(t *testing.T) {
-	src := goldenBatch(t)
-	var wire []byte
-	var got flowrec.Batch
-	for lo := 0; lo < goldenRows; lo += V5MaxRecords {
-		hi := min(lo+V5MaxRecords, goldenRows)
-		start := len(wire)
-		var err error
-		if wire, err = EncodeV5StreamBatch(wire, src, lo, hi, goldenExport, uint32(lo), goldenStream); err != nil {
-			t.Fatal(err)
-		}
-		h, err := DecodeV5Batch(&got, wire[start:])
-		if err != nil || h.Count != hi-lo || h.FlowSequence != uint32(lo) || !h.ExportTime.Equal(goldenExport) {
-			t.Fatalf("packet at row %d decoded header %+v, err %v", lo, h, err)
-		}
-		if id := V5EngineID(wire[start:]); id != goldenStream {
-			t.Fatalf("packet at row %d carries engine ID %d, want %d", lo, id, goldenStream)
-		}
-	}
-	checkGolden(t, wire, 50568, "6434ac2eb403f272f4e5ee4d01b1ad561028176414a82858386ac344eafda10e")
-	// v5 carries no direction and only the low 32 counter and 16 AS bits.
-	want := src.Records()[:goldenRows]
-	for i := range want {
-		w := &want[i]
-		w.Bytes, w.Packets = w.Bytes&0xFFFFFFFF, w.Packets&0xFFFFFFFF
-		w.SrcAS, w.DstAS = w.SrcAS&0xFFFF, w.DstAS&0xFFFF
-		w.Dir = 0
-	}
-	if !reflect.DeepEqual(got.Records(), want) {
-		t.Error("decoded rows differ from the exported rows")
-	}
-}

@@ -36,18 +36,7 @@ func sampleRecords(n int) []flowrec.Record {
 	return recs
 }
 
-// encodeV5 and decodeV5 run record-slice fixtures through the batch codec.
-func encodeV5(recs []flowrec.Record, seq uint32) ([]byte, error) {
-	return EncodeV5Batch(nil, flowrec.FromRecords(recs), 0, len(recs), export, seq)
-}
-
-func decodeV5(pkt []byte) (V5Header, []flowrec.Record, error) {
-	var b flowrec.Batch
-	h, err := DecodeV5Batch(&b, pkt)
-	return h, b.Records(), err
-}
-
-// encodeV9 and decodeV9 do the same for the v9 codec.
+// encodeV9 and decodeV9 run record-slice fixtures through the batch codec.
 func encodeV9(enc *V9Encoder, recs []flowrec.Record) ([]byte, error) {
 	return enc.EncodeBatch(nil, flowrec.FromRecords(recs), 0, len(recs), export)
 }
@@ -56,81 +45,6 @@ func decodeV9(dec *tmpl.Decoder, pkt []byte) ([]flowrec.Record, error) {
 	var b flowrec.Batch
 	_, err := dec.DecodeBatch(&b, pkt)
 	return b.Records(), err
-}
-
-func TestV5RoundTrip(t *testing.T) {
-	recs := sampleRecords(5)
-	pkt, err := encodeV5(recs, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, got, err := decodeV5(pkt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.FlowSequence != 100 {
-		t.Errorf("FlowSequence = %d, want 100", h.FlowSequence)
-	}
-	if !h.ExportTime.Equal(export) {
-		t.Errorf("ExportTime = %v, want %v", h.ExportTime, export)
-	}
-	if h.SysUptime != time.Hour || h.Count != len(recs) {
-		t.Errorf("header %+v, want an uptime of one hour and %d records", h, len(recs))
-	}
-	if len(got) != len(recs) {
-		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
-	}
-	for i, got := range got {
-		want := recs[i]
-		if got.SrcIP != want.SrcIP || got.DstIP != want.DstIP {
-			t.Errorf("record %d addresses differ: %v->%v vs %v->%v", i, got.SrcIP, got.DstIP, want.SrcIP, want.DstIP)
-		}
-		if got.Bytes != want.Bytes || got.Packets != want.Packets {
-			t.Errorf("record %d counters differ", i)
-		}
-		if got.SrcPort != want.SrcPort || got.DstPort != want.DstPort || got.Proto != want.Proto {
-			t.Errorf("record %d transport differs", i)
-		}
-		if got.SrcAS != want.SrcAS || got.DstAS != want.DstAS {
-			t.Errorf("record %d AS numbers differ", i)
-		}
-		// v5 carries times as millisecond uptime offsets.
-		if d := got.Start.Sub(want.Start); d > time.Millisecond || d < -time.Millisecond {
-			t.Errorf("record %d start differs by %v", i, d)
-		}
-		if d := got.End.Sub(want.End); d > time.Millisecond || d < -time.Millisecond {
-			t.Errorf("record %d end differs by %v", i, d)
-		}
-	}
-}
-
-func TestV5Limits(t *testing.T) {
-	if _, err := encodeV5(nil, 0); err == nil {
-		t.Error("empty encode accepted")
-	}
-	if _, err := encodeV5(sampleRecords(31), 0); err == nil {
-		t.Error("oversized encode accepted")
-	}
-}
-
-func TestDecodeV5Malformed(t *testing.T) {
-	if _, _, err := decodeV5([]byte{1, 2, 3}); err == nil {
-		t.Error("short packet accepted")
-	}
-	pkt, _ := encodeV5(sampleRecords(2), 0)
-	pkt[0], pkt[1] = 0, 9 // wrong version
-	if _, _, err := decodeV5(pkt); err == nil {
-		t.Error("wrong version accepted")
-	}
-	pkt, _ = encodeV5(sampleRecords(2), 0)
-	if _, _, err := decodeV5(pkt[:len(pkt)-10]); err == nil {
-		t.Error("truncated packet accepted")
-	}
-	pkt, _ = encodeV5(sampleRecords(2), 0)
-	pkt[2], pkt[3] = 0, 0 // zero count
-	if _, _, err := decodeV5(pkt); err == nil {
-		t.Error("zero record count accepted")
-	}
 }
 
 func TestV9RoundTrip(t *testing.T) {
@@ -273,25 +187,34 @@ func TestV9RoundTripQuick(t *testing.T) {
 	}
 }
 
-// Property: v5 round-trips byte counters up to 32 bits.
-func TestV5RoundTripQuick(t *testing.T) {
-	f := func(bytes uint32, pkts uint16, sp, dp uint16) bool {
-		r := sampleRecords(1)[0]
-		r.Bytes = uint64(bytes)
-		r.Packets = uint64(pkts)
-		r.SrcPort, r.DstPort = sp, dp
-		pkt, err := encodeV5([]flowrec.Record{r}, 1)
+// TestV9PacketFillsDatagram: a packet of V9MaxRecords rows fills at most
+// one UDP datagram and passes CheckV9Header, one row more is refused, and
+// the header check refuses what is not a v9 header.
+func TestV9PacketFillsDatagram(t *testing.T) {
+	for _, cols := range []flowrec.Columns{flowrec.AllColumns, flowrec.ColBytes | flowrec.ColDstPort} {
+		max := V9MaxRecords(cols)
+		b := flowrec.FromRecords(sampleRecords(max + 1)).Project(cols)
+		var enc V9Encoder
+		pkt, err := enc.EncodeBatch(nil, b, 0, max, export)
 		if err != nil {
-			return false
+			t.Fatalf("%s: %d rows: %v", cols, max, err)
 		}
-		_, got, err := decodeV5(pkt)
-		if err != nil || len(got) != 1 {
-			return false
+		if len(pkt) > 65507 {
+			t.Errorf("%s: a packet of %d rows is %d bytes, over a UDP payload", cols, max, len(pkt))
 		}
-		g := got[0]
-		return g.Bytes == uint64(bytes) && g.Packets == uint64(pkts) && g.SrcPort == sp && g.DstPort == dp
+		if err := CheckV9Header(pkt); err != nil {
+			t.Errorf("%s: %v", cols, err)
+		}
+		if _, err := enc.EncodeBatch(nil, b, 0, max+1, export); err == nil {
+			t.Errorf("%s: %d rows, one more than a datagram holds, encoded", cols, max+1)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
+	if err := CheckV9Header([]byte{0, 9}); err == nil {
+		t.Error("a short header passed")
+	}
+	pkt, _ := encodeV9(&V9Encoder{}, sampleRecords(1))
+	pkt[1] = 10
+	if err := CheckV9Header(pkt); err == nil {
+		t.Error("an IPFIX version word passed the v9 header check")
 	}
 }

@@ -1,3 +1,25 @@
+// Package netflow implements the Cisco NetFlow version 9 export format
+// (RFC 3954) used by the ISP, EDU and mobile vantage points of "The
+// Lockdown Effect" (IMC 2020). Only the features the analyses need are
+// implemented — IPv4 flow records with byte/packet counters, ports,
+// protocol, AS numbers, interfaces and direction.
+//
+// Version 9 is template-based and shares everything but its framing with
+// IPFIX, so its codec is package tmpl; this package holds the v9 framing
+// and the V9Encoder / NewV9Decoder names over it. Both are append-style:
+// the encoder appends one packet to a caller-supplied byte slice and the
+// decoder appends rows to a caller-supplied flowrec.Batch, so a
+// steady-state export or collect loop that reuses its buffer and batch
+// performs zero allocations per record.
+//
+// The framing follows RFC 3954 and interoperates with standard tooling,
+// with one known deviation: the RFC defines FIRST_SWITCHED /
+// LAST_SWITCHED (fields 22 / 21) as sysUptime-relative milliseconds, and
+// this codec writes epoch seconds into them with the header's sysUptime
+// pinned at one hour. A standard v9 collector therefore reads wrong flow
+// timestamps; our own decoder round-trips them exactly. The wire bytes
+// are pinned by the golden-packet test, so changing this is its own
+// change.
 package netflow
 
 import (

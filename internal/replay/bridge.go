@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"net"
 	"sync"
@@ -27,11 +26,6 @@ const defaultBudgetAttempts = 4
 // readBuffer sizes the data socket's kernel receive buffer; bursts ride
 // out consumer scheduling hiccups there instead of being dropped.
 const readBuffer = 4 << 20
-
-// bulkDatagrams is the largest bucket, in flow datagrams, that is fetched
-// alongside others: a few hundred 1.5 kB NetFlow v5 packets, well inside
-// readBuffer.
-const bulkDatagrams = 256
 
 // Route maps a flow key to the stream (pump) that serves it. The
 // sharded cluster partitions the vantage points, so all keys of one
@@ -87,16 +81,16 @@ func (s *Stats) add(o Stats) {
 }
 
 // inboxSize is a stream inbox's capacity in datagrams. A bucket is its
-// BEGIN frame, a day's flow datagrams and three END frames: a few flow
-// datagrams over v9 or IPFIX, whose message fills a UDP datagram, but up
-// to ~2 600 over NetFlow v5 at -scale 2, whose packet carries 30 rows.
-// The inbox holds a whole bucket with room to spare: the slack is for a
-// consumer that falls behind a burst, or a stale attempt's datagrams
-// still arriving. The demux goroutine never blocks on a stream (a stalled
-// consumer must not stall the other streams), so a full inbox drops like
-// the wire does — the fetch detects the shortfall and re-requests. A slot
-// is two pointers; what the queued datagrams hold is bounded by the one
-// bucket in flight per stream.
+// BEGIN frame, a day's flow datagrams and three END frames; a NetFlow v9
+// or IPFIX message fills a UDP datagram, so the largest bucket the suite
+// draws is 104 flow datagrams at -scale 8, 108 datagrams in all. The
+// inbox holds many such buckets: the slack is for a consumer that falls
+// behind a burst, or a stale attempt's datagrams still arriving. The
+// demux goroutine never blocks on a stream (a stalled consumer must not
+// stall the other streams), so a full inbox drops like the wire does —
+// the fetch detects the shortfall and re-requests. A slot is two
+// pointers; what the queued datagrams hold is bounded by the one bucket
+// in flight per stream.
 const inboxSize = 8192
 
 // inboxItem is one datagram of a stream, in arrival order: a parsed
@@ -212,8 +206,7 @@ func (st *stream) stats() Stats {
 // stream serving it, requests it from that stream's pump, demuxes the
 // announced bucket out of its stream's datagrams, decoding each straight
 // into the bucket's columns, verifies the rows bit-for-bit against its
-// own reference model (see the package comment for the NetFlow v5
-// fidelity rules) and returns the wire batch. Buckets hit by datagram
+// own reference model and returns the wire batch. Buckets hit by datagram
 // loss are re-requested; everything observed on the way is accounted per
 // stream in Stats.
 //
@@ -233,10 +226,6 @@ type Bridge struct {
 	mu      sync.Mutex
 	streams map[uint32]*stream
 	closed  bool // demux exited; stream inboxes are closed
-
-	// bulk is held by the fetch of a bucket of more than bulkDatagrams
-	// flow datagrams (see fetchKey).
-	bulk sync.Mutex
 
 	// Traffic attributable to no registered stream, plus collector-level
 	// accounting.
@@ -538,19 +527,8 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 		return nil, err
 	}
 	// The reference is this fetch's alone and every attempt compares
-	// against it, so it goes back to the pool only when the fetch is over
-	// — by then the v5 repair has copied what it needs out of it.
+	// against it, so it goes back to the pool only when the fetch is over.
 	defer ref.Release()
-	// Buckets of more than bulkDatagrams datagrams go one at a time, so
-	// no two such bursts share the data socket's receive buffer. They are
-	// NetFlow v5 days, 30 rows a packet: at -scale 2 two of them overflow
-	// it, and an attempt that loses its tail with every END copy waits out
-	// the attempt timeout. A v9 or IPFIX day is a few datagrams and never
-	// waits here.
-	if per := b.cfg.Format.RowsPerDatagram(k.Columns()); per > 0 && ref.Len() > bulkDatagrams*per {
-		b.bulk.Lock()
-		defer b.bulk.Unlock()
-	}
 	deadline := time.Now().Add(b.cfg.FetchBudget)
 	attempts := 0
 	var lastErr error
@@ -626,7 +604,7 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch,
 			}
 			continue
 		}
-		if err := verifyAndRepair(b.cfg.Format, ref, got); err != nil {
+		if err := verify(ref, got); err != nil {
 			// Usually stray rows that happened to fill the bucket; a
 			// genuine model divergence keeps failing and surfaces after
 			// the budget runs out.
@@ -748,51 +726,35 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 	return out, nil
 }
 
-// verifyAndRepair checks the wire batch against the reference column by
-// column, over the columns both store: the key's set, which the bucket
-// and the reference share. For NetFlow v9 and IPFIX every bit must match.
-// NetFlow v5 cannot carry direction, 64-bit counters or 32-bit AS numbers:
-// the carried bits are verified (low 32 counter bits, low 16 ASN bits) and
-// the lossy columns the bucket stores are then restored from the verified
-// reference, so the engine sees bit-identical inputs in every format.
-func verifyAndRepair(format collector.Format, ref, got *flowrec.Batch) error {
+// verify checks the wire batch against the reference column by column,
+// over the columns both store: the key's set, which the bucket and the
+// reference share. NetFlow v9 and IPFIX carry every column exactly, so
+// every bit must match.
+func verify(ref, got *flowrec.Batch) error {
 	if got.Len() != ref.Len() || got.Columns() != ref.Columns() {
 		return fmt.Errorf("verification: %d rows of %s off the wire, %d rows of %s in the reference", got.Len(), got.Columns(), ref.Len(), ref.Columns())
 	}
-	v5 := format == collector.FormatNetflowV5
-	counters, asns := ^uint64(0), ^uint32(0)
-	if v5 {
-		counters, asns = 0xFFFFFFFF, 0xFFFF
-	}
 	for _, err := range []error{
+		sameCol("StartNs", ref.StartNs, got.StartNs),
+		sameCol("EndNs", ref.EndNs, got.EndNs),
 		sameCol("SrcIP", ref.SrcIP, got.SrcIP),
 		sameCol("DstIP", ref.DstIP, got.DstIP),
 		sameCol("SrcPort", ref.SrcPort, got.SrcPort),
 		sameCol("DstPort", ref.DstPort, got.DstPort),
 		sameCol("Proto", ref.Proto, got.Proto),
-		sameCol("TCPFlags", ref.TCPFlags, got.TCPFlags),
+		sameCol("Bytes", ref.Bytes, got.Bytes),
+		sameCol("Packets", ref.Packets, got.Packets),
+		sameCol("SrcAS", ref.SrcAS, got.SrcAS),
+		sameCol("DstAS", ref.DstAS, got.DstAS),
 		sameCol("InIf", ref.InIf, got.InIf),
 		sameCol("OutIf", ref.OutIf, got.OutIf),
-		sameCol("StartNs", ref.StartNs, got.StartNs),
-		sameCol("EndNs", ref.EndNs, got.EndNs),
-		sameLow("Bytes", ref.Bytes, got.Bytes, counters),
-		sameLow("Packets", ref.Packets, got.Packets, counters),
-		sameLow("SrcAS", ref.SrcAS, got.SrcAS, asns),
-		sameLow("DstAS", ref.DstAS, got.DstAS, asns),
+		sameCol("Dir", ref.Dir, got.Dir),
+		sameCol("TCPFlags", ref.TCPFlags, got.TCPFlags),
 	} {
 		if err != nil {
 			return err
 		}
 	}
-	if !v5 {
-		return sameCol("Dir", ref.Dir, got.Dir)
-	}
-	// An absent column is nil on both sides, and copying it is a no-op.
-	copy(got.Bytes, ref.Bytes)
-	copy(got.Packets, ref.Packets)
-	copy(got.SrcAS, ref.SrcAS)
-	copy(got.DstAS, ref.DstAS)
-	copy(got.Dir, ref.Dir)
 	return nil
 }
 
@@ -802,20 +764,6 @@ func sameCol[T comparable](col string, ref, got []T) error {
 	for i := range ref {
 		if got[i] != ref[i] {
 			return mismatch(i, col, ref[i], got[i])
-		}
-	}
-	return nil
-}
-
-// sameLow is sameCol over the bits mask keeps: all of them, or the low
-// bits NetFlow v5 carries of a wider column.
-func sameLow[T ~uint32 | ~uint64](col string, ref, got []T, mask T) error {
-	for i := range ref {
-		if got[i] != ref[i]&mask {
-			if mask != ^T(0) {
-				col = fmt.Sprintf("%s (low %d bits)", col, bits.OnesCount64(uint64(mask)))
-			}
-			return mismatch(i, col, ref[i]&mask, got[i])
 		}
 	}
 	return nil

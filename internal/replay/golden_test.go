@@ -33,7 +33,7 @@ func runWireOpts(t *testing.T, format collector.Format, ids []string, opts core.
 
 // TestGoldenWireEquivalence is the golden test of the wire-replay
 // bridge: the full 21-experiment suite over IPFIX, and the flow-consuming
-// experiments over NetFlow v5 and v9, must produce bit-identical metrics
+// experiments over NetFlow v9, must produce bit-identical metrics
 // to the in-memory engine at the same options, over a single pump. (The
 // multi-pump topologies the commands ship — `lockdown replay`'s stream per
 // vantage point included — have theirs in internal/cluster.) It runs
@@ -65,13 +65,11 @@ func TestGoldenWireEquivalence(t *testing.T) {
 		t.Logf("ipfix full suite: %+v", stats)
 	})
 
-	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9} {
-		t.Run(format.String()+"-flow-experiments", func(t *testing.T) {
-			got, stats := runWire(t, format, goldentest.FlowExperiments)
-			goldentest.CompareResults(t, format.String(), flowWant, got)
-			t.Logf("%v flow experiments: %+v", format, stats)
-		})
-	}
+	t.Run("netflow-v9-flow-experiments", func(t *testing.T) {
+		got, stats := runWire(t, collector.FormatNetflowV9, goldentest.FlowExperiments)
+		goldentest.CompareResults(t, "netflow-v9", flowWant, got)
+		t.Logf("netflow-v9 flow experiments: %+v", stats)
+	})
 
 	// Tiered-cache variant: a 1-byte cache budget forces every bridge-fed
 	// batch to spill to a flowstore segment and fault back in, and the

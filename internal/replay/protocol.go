@@ -8,14 +8,14 @@
 //
 //   - The Pump owns the synthetic model on the exporter side. It listens
 //     for key requests on a control socket and answers each by exporting
-//     the key's batch as real NetFlow v5/v9 or IPFIX packets
+//     the key's batch as real NetFlow v9 or IPFIX packets
 //     (collector.Exporter), framed by BEGIN/END control datagrams on the
 //     same socket so the receiver can demux the packet stream back into
 //     buckets. A v9 or IPFIX message fills one UDP datagram, so a bucket
 //     is one flow datagram unless it has thousands of rows (2 975 of the
-//     flows/ set over IPFIX); a v5 packet carries 30 rows. Each pump carries a stream identity on the wire — the
-//     IPFIX observation domain, NetFlow v9 source ID or v5 engine ID of
-//     its flow packets, and an explicit field of its control frames — so
+//     flows/ set over IPFIX). Each pump carries a stream identity on the
+//     wire — the IPFIX observation domain or NetFlow v9 source ID of its
+//     flow packets, and an explicit field of its control frames — so
 //     several pumps (one per vantage-point shard, see internal/cluster;
 //     `lockdown replay` runs one per vantage point) share one bridge.
 //   - The Bridge is a core.FlowSource backed by a collector.Collector. On
@@ -34,7 +34,7 @@
 // collector.ControlMagic so the collector delivers them verbatim, in
 // datagram order with the flow packets). Several pumps may share one bridge socket: each pump owns a
 // stream identity that its flow packets carry in their export headers
-// (IPFIX observation domain, NetFlow v9 source ID, v5 engine ID) and its
+// (IPFIX observation domain, NetFlow v9 source ID) and its
 // control frames carry explicitly, so the bridge demuxes the interleaved
 // traffic per stream. Within one stream the bridge serialises keys — one
 // bucket in flight per stream — so flow packets need no per-bucket
@@ -52,17 +52,11 @@
 // as the dataset stores them, and no others: both ends take the set from
 // the key, so no protocol field names it. The pump's model generates that
 // set, the NetFlow v9 and IPFIX templates carry exactly its fields, and
-// the bridge decodes into, verifies and returns exactly its columns.
-//
-// NetFlow v5 cannot carry everything the model generates — it has no
-// direction field, 32-bit byte/packet counters and 16-bit AS numbers,
-// and its fixed record writes 0 for a column the bucket does not store —
-// so for v5 the bridge verifies every bit the format does carry of the
-// bucket's columns (addresses, ports, protocol, TCP flags, interfaces,
-// millisecond-exact timestamps, the counters' low 32 bits, the ASNs' low
-// 16 bits) and restores the lossy ones from the verified reference.
-// NetFlow v9 and IPFIX round-trip the bucket's columns exactly and are
-// verified for full equality.
+// the bridge decodes into, verifies and returns exactly its columns. Both
+// formats carry every column the model generates at full width — 64-bit
+// counters, 32-bit AS numbers, the direction — so every bucket the engine
+// receives has been checked column for column off the wire, and no value
+// of it comes from the bridge's own model.
 package replay
 
 import (

@@ -28,10 +28,9 @@ type PumpConfig struct {
 	// DataAddr is the bridge's collector socket (flow packets and control
 	// frames are sent there).
 	DataAddr string
-	// Stream is the pump's wire identity: the IPFIX observation domain,
-	// NetFlow v9 source ID or v5 engine ID of its flow packets, echoed in
-	// its control frames. Each pump sharing a bridge needs a distinct
-	// stream; NetFlow v5 carries only 8 bits of it.
+	// Stream is the pump's wire identity: the IPFIX observation domain
+	// or NetFlow v9 source ID of its flow packets, echoed in its control
+	// frames. Each pump sharing a bridge needs a distinct stream.
 	Stream uint32
 	// Options build the pump's model oracle; they must match the
 	// bridge's options or verification fails.
@@ -174,10 +173,8 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 		return
 	}
 	if b.Len() > 0 {
-		// Stamp the packets at the end of the key's day. NetFlow v5's
-		// uptime-relative timestamps hold one hour of uptime, less than a
-		// day, but no kind's column set (FlowKey.Columns) stores a
-		// timestamp, so the window has nothing to lose.
+		// Stamp the packets at the end of the key's day: the export
+		// time of a day's flows, whatever the hour of the replay.
 		if err := p.exp.ExportBatchAt(b, key.End()); err != nil {
 			// A send error is transient wire trouble (e.g. buffer
 			// exhaustion), not a model failure: no NACK — that would

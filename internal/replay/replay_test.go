@@ -3,6 +3,7 @@ package replay
 import (
 	"context"
 	"net"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -132,7 +133,7 @@ func batchesEqual(t testing.TB, want, got *flowrec.Batch) {
 func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	ref := core.NewSyntheticSource(opts)
-	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9, collector.FormatIPFIX} {
+	for _, format := range []collector.Format{collector.FormatNetflowV9, collector.FormatIPFIX} {
 		t.Run(format.String(), func(t *testing.T) {
 			br, pump := newHarness(t, format, opts)
 
@@ -199,7 +200,7 @@ func TestBridgeServesKindColumns(t *testing.T) {
 		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.DayOf(testDay)},
 		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testDay)},
 	}
-	for _, format := range []collector.Format{collector.FormatNetflowV5, collector.FormatNetflowV9, collector.FormatIPFIX} {
+	for _, format := range []collector.Format{collector.FormatNetflowV9, collector.FormatIPFIX} {
 		t.Run(format.String(), func(t *testing.T) {
 			br, _ := newHarness(t, format, opts)
 			for _, k := range keys {
@@ -370,70 +371,46 @@ func TestBridgeDiscardsOrphanRows(t *testing.T) {
 	}
 }
 
-func TestVerifyAndRepair(t *testing.T) {
+// TestVerify: a bucket passes only if every column it stores equals the
+// reference's, bit for bit — one flipped bit of any stored column fails
+// naming that column — and a bucket of other columns than the reference
+// fails.
+func TestVerify(t *testing.T) {
 	g := synth.MustNewDefault(synth.ISPCE)
 	ref := g.FlowsForHourBatch(testDay)
 	if ref.Len() == 0 {
 		t.Fatal("empty reference batch")
 	}
-
-	// Full-fidelity formats: an identical copy passes, a tampered byte
-	// count fails.
-	cp := flowrec.NewBatch(ref.Len())
-	cp.AppendBatch(ref)
-	if err := verifyAndRepair(collector.FormatIPFIX, ref, cp); err != nil {
-		t.Fatalf("identical batch rejected: %v", err)
+	names := reflect.TypeOf(*ref)
+	for _, cols := range []flowrec.Columns{flowrec.AllColumns, core.FlowKey{Kind: core.KindFlows}.Columns()} {
+		want := ref.Project(cols)
+		cp := ref.Project(cols)
+		if err := verify(want, cp); err != nil {
+			t.Fatalf("%s: identical batch rejected: %v", cols, err)
+		}
+		for c := 0; c < flowrec.NumColumns; c++ {
+			if !cols.Has(flowrec.Columns(1) << c) {
+				continue
+			}
+			name := names.Field(c).Name
+			last := reflect.ValueOf(cp).Elem().Field(c).Index(cp.Len() - 1)
+			flip := func() { last.SetUint(last.Uint() ^ 1) }
+			if last.CanInt() {
+				flip = func() { last.SetInt(last.Int() ^ 1) }
+			} else if last.Kind() == reflect.Array {
+				flip = func() { last.Index(3).SetUint(last.Index(3).Uint() ^ 1) }
+			}
+			flip()
+			if err := verify(want, cp); err == nil || !strings.Contains(err.Error(), "column "+name+":") {
+				t.Errorf("%s: flipped %s bit: err %v, want a %s mismatch", cols, name, err, name)
+			}
+			flip()
+		}
+		if err := verify(want, cp); err != nil {
+			t.Fatalf("%s: restored batch rejected: %v", cols, err)
+		}
 	}
-	cp.Bytes[0]++
-	if err := verifyAndRepair(collector.FormatIPFIX, ref, cp); err == nil {
-		t.Fatal("tampered Bytes column accepted")
-	}
-
-	// v5: a batch with the format's documented losses applied (truncated
-	// counters and ASNs, no direction) verifies and is repaired to full
-	// fidelity.
-	lossy := flowrec.NewBatch(ref.Len())
-	lossy.AppendBatch(ref)
-	for i := 0; i < lossy.Len(); i++ {
-		lossy.Bytes[i] &= 0xFFFFFFFF
-		lossy.Packets[i] &= 0xFFFFFFFF
-		lossy.SrcAS[i] &= 0xFFFF
-		lossy.DstAS[i] &= 0xFFFF
-		lossy.Dir[i] = flowrec.DirUnknown
-	}
-	if err := verifyAndRepair(collector.FormatNetflowV5, ref, lossy); err != nil {
-		t.Fatalf("v5-lossy batch rejected: %v", err)
-	}
-	batchesEqual(t, ref, lossy)
-
-	// v5 with a carried field tampered must still fail.
-	lossy.SrcPort[0]++
-	if err := verifyAndRepair(collector.FormatNetflowV5, ref, lossy); err == nil {
-		t.Fatal("tampered SrcPort accepted on the v5 path")
-	}
-
-	// A bucket of the flows/ kind's columns: v5 verifies the carried bits
-	// of what it stores and restores its lossy columns (ASNs, Bytes, Dir)
-	// and nothing else; one flipped bit of a stored column fails the
-	// full-fidelity formats.
-	cols := core.FlowKey{Kind: core.KindFlows}.Columns()
-	refCols := ref.Project(cols)
-	bucket := ref.Project(cols)
-	for i := 0; i < bucket.Len(); i++ {
-		bucket.Bytes[i] &= 0xFFFFFFFF
-		bucket.SrcAS[i] &= 0xFFFF
-		bucket.DstAS[i] &= 0xFFFF
-		bucket.Dir[i] = flowrec.DirUnknown
-	}
-	if err := verifyAndRepair(collector.FormatNetflowV5, refCols, bucket); err != nil {
-		t.Fatalf("v5-lossy flows/ bucket rejected: %v", err)
-	}
-	batchesEqual(t, refCols, bucket)
-	bucket.DstAS[len(bucket.DstAS)-1] ^= 1
-	if err := verifyAndRepair(collector.FormatIPFIX, refCols, bucket); err == nil || !strings.Contains(err.Error(), "DstAS") {
-		t.Fatalf("flipped DstAS bit: err %v, want a DstAS mismatch", err)
-	}
-	if err := verifyAndRepair(collector.FormatIPFIX, ref, refCols); err == nil {
+	if err := verify(ref, ref.Project(core.FlowKey{Kind: core.KindFlows}.Columns())); err == nil {
 		t.Fatal("a bucket of other columns than the reference accepted")
 	}
 }

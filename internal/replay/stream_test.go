@@ -101,12 +101,11 @@ func TestShardedBridgeConcurrentStreams(t *testing.T) {
 		scale  float64
 		name   string
 	}{
-		{collector.FormatNetflowV5, 0.1, "netflow-v5"},
 		{collector.FormatNetflowV9, 0.1, "netflow-v9"},
 		{collector.FormatIPFIX, 0.1, "ipfix"},
-		// Days of thousands of v5 packets: more than bulkDatagrams each,
-		// so the three fetches take turns on the wire.
-		{collector.FormatNetflowV5, 2, "netflow-v5-scale-2"},
+		// Days of several datagrams each, in flight on three streams at
+		// once.
+		{collector.FormatIPFIX, 2, "ipfix-scale-2"},
 	} {
 		format, opts := tc.format, core.Options{FlowScale: tc.scale}
 		t.Run(tc.name, func(t *testing.T) {

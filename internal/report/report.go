@@ -190,15 +190,14 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "reproduced by one registered experiment. The metrics below come from a")
 	fmt.Fprintln(w, "real run of the engine at the default options. The flow-level")
 	fmt.Fprintln(w, "experiments scan columnar `flowrec.Batch` inputs; the same batches")
-	fmt.Fprintln(w, "round-trip the wire codecs via `EncodeV5Batch`/`DecodeV5Batch`")
-	fmt.Fprintln(w, "(NetFlow v5) and `EncodeBatch`/`DecodeBatch` (NetFlow v9, IPFIX),")
+	fmt.Fprintln(w, "round-trip the NetFlow v9 and IPFIX codecs (`EncodeBatch`/`DecodeBatch`),")
 	fmt.Fprintln(w, "so regenerating this document exercises the exact record layout the")
 	fmt.Fprintln(w, "collector path consumes (see docs/ARCHITECTURE.md, \"Columnar flow")
 	fmt.Fprintln(w, "batches\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "The suite also runs over a live wire: `lockdown replay` streams every")
-	fmt.Fprintln(w, "flow batch through real NetFlow v5/v9 or IPFIX export over UDP")
-	fmt.Fprintln(w, "(`-format v5|v9|ipfix`), demuxes and verifies the received rows")
+	fmt.Fprintln(w, "flow batch through real NetFlow v9 or IPFIX export over UDP")
+	fmt.Fprintln(w, "(`-format v9|ipfix`), demuxes and verifies the received rows")
 	fmt.Fprintln(w, "bit-for-bit against the model, and reproduces every metric below")
 	fmt.Fprintln(w, "bit-identically — asserted by the race-enabled golden test in")
 	fmt.Fprintln(w, "internal/replay (see docs/ARCHITECTURE.md, \"The wire-replay")
@@ -206,7 +205,7 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "distributed, the way the paper's vantage points were measured:")
 	fmt.Fprintln(w, "the vantage points are partitioned over N exporter pumps, each")
 	fmt.Fprintln(w, "exporting on its own socket, demuxed by wire stream identity —")
-	fmt.Fprintln(w, "IPFIX observation domain, NetFlow v9 source ID, v5 engine ID —")
+	fmt.Fprintln(w, "IPFIX observation domain or NetFlow v9 source ID —")
 	fmt.Fprintln(w, "and every metric below is still reproduced bit-identically (see")
 	fmt.Fprintln(w, "docs/ARCHITECTURE.md, \"The sharded cluster\").")
 	fmt.Fprintln(w)
