@@ -12,7 +12,6 @@
 //	lockdown scenario validate <file>  check a declarative scenario file
 //	lockdown scenario run <file> [flags]  run the suite on a scenario model
 //	lockdown scenario doc         emit the scenario schema reference
-//	lockdown cache stat <dir>     verify the span files a killed run left
 //
 // A scenario is a YAML file (see docs/SCENARIOS.md and the gallery under
 // examples/scenarios/) declaring vantage points, membership and class
@@ -124,7 +123,6 @@ import (
 	"lockdown/internal/collector"
 	"lockdown/internal/core"
 	"lockdown/internal/faultinject"
-	"lockdown/internal/flowstore"
 	"lockdown/internal/obs"
 	"lockdown/internal/replay"
 	"lockdown/internal/report"
@@ -139,7 +137,6 @@ func usage() {
 	}
 	fmt.Fprint(os.Stderr, `  lockdown scenario validate <file.yaml>
   lockdown scenario doc
-  lockdown cache stat <dir>
 
 experiments:
 `)
@@ -211,25 +208,6 @@ func run(ctx context.Context, args []string) error {
 		default:
 			return usageError(fmt.Sprintf("unknown scenario subcommand %q (want validate, run or doc)", args[1]))
 		}
-	case "cache":
-		// Operator tooling for a spill directory a killed run left behind
-		// under -cache-dir: verify every sealed span file span by span.
-		if len(args) != 3 || args[1] != "stat" {
-			return usageError("usage: lockdown cache stat <dir>")
-		}
-		st, err := flowstore.StatDir(args[2])
-		if err != nil {
-			return err
-		}
-		fmt.Printf("span files: %d sealed (%.1f MB, %d spans, %d damaged spans), %d unsealed or damaged\n",
-			st.Files, float64(st.Bytes)/(1<<20), st.Spans, st.SpansBad, st.FilesBad)
-		for _, f := range st.BadFiles {
-			fmt.Printf("bad: %s\n", f)
-		}
-		if len(st.BadFiles) > 0 {
-			return fmt.Errorf("%d bad files or spans", len(st.BadFiles))
-		}
-		return nil
 	case "run", "all", "doc", "replay", "cluster":
 		return runMode(ctx, args[0], args[1:])
 	case "help", "-h", "--help":

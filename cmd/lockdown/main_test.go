@@ -4,6 +4,9 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,66 +19,10 @@ import (
 	"lockdown/internal/cluster"
 	"lockdown/internal/core"
 	"lockdown/internal/faultinject"
-	"lockdown/internal/flowrec"
-	"lockdown/internal/flowstore"
 	"lockdown/internal/replay"
 	"lockdown/internal/report"
 	"lockdown/internal/synth"
 )
-
-// TestCacheStatKilledRun: a spill directory left by a killed run holds
-// sealed files and one the writer never sealed. `cache stat` verifies
-// the sealed ones span by span, lists the unsealed one as bad and fails
-// with the count — it does not panic on the headerless file.
-func TestCacheStatKilledRun(t *testing.T) {
-	dir := t.TempDir()
-	b := flowrec.NewBatch(1)
-	b.Append(flowrec.Record{SrcPort: 443, Bytes: 1500, Packets: 1})
-	for i, name := range []string{"spill-000001", "spill-000002"} {
-		sf, err := flowstore.Create(filepath.Join(dir, name+flowstore.SpannedExt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sf.Close()
-		if _, err := sf.Append(b); err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			if err := sf.Seal(); err != nil {
-				t.Fatal(err)
-			}
-			if err := run(context.Background(), []string{"cache", "stat", dir}); err != nil {
-				t.Fatalf("a directory of sealed files must stat clean: %v", err)
-			}
-		}
-	}
-	err := run(context.Background(), []string{"cache", "stat", dir})
-	if err == nil || !strings.Contains(err.Error(), "1 bad") {
-		t.Fatalf("cache stat with an unsealed file = %v, want a 1-bad-file error", err)
-	}
-	if err := run(context.Background(), []string{"cache", "compact", dir}); err == nil {
-		t.Fatal("cache compact is gone and must be refused")
-	}
-
-	// A sealed file of the previous format version (17-byte address
-	// slots) is counted bad, not misread.
-	sealed := filepath.Join(dir, "spill-000001"+flowstore.SpannedExt)
-	raw, err := os.ReadFile(sealed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if raw[4] != 5 {
-		t.Fatalf("header version byte = %d, want 5", raw[4])
-	}
-	raw[4] = 4
-	if err := os.WriteFile(sealed, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run(context.Background(), []string{"cache", "stat", dir})
-	if err == nil || !strings.Contains(err.Error(), "2 bad") {
-		t.Fatalf("cache stat with an unsealed and a version-4 file = %v, want a 2-bad-files error", err)
-	}
-}
 
 // silence points *f — os.Stdout or os.Stderr — at the null device for the
 // rest of the test. Not for parallel tests: both are process-global.
@@ -341,6 +288,141 @@ func TestFieldCensus(t *testing.T) {
 	}
 }
 
+// exportWhy names the exported functions and methods of internal/ that no
+// non-test file calls, each with the reason it stays. A name the census
+// counts as used through a collision (stats.Quantile, Min and Max;
+// flowrec.Batch.Equal and Record.Validate) carries its reason in its doc
+// comment instead.
+var exportWhy = map[string]string{
+	// Scalar oracles: the row kernels are compared against them.
+	"appclass.Classifier.ClassifyAt": "why: the per-row oracle of VolumeByClassInto (appclass.TestVolumeKernelsMatchRowPath)",
+	"appclass.ClassifyEDUAt":         "why: the per-row oracle of EDUCounter (appclass.TestEDUCountKernelMatchesRowPath)",
+	"vpndetect.Detector.ClassifyAt":  "why: the per-row oracle of the lane scan (vpndetect.TestMethodLanesMatchClassifyAt)",
+	"flowrec.Record.ServerPort":      "why: the per-record oracle of Batch.ServerPortAt (flowrec.TestServerPortLanesQuick)",
+
+	// Test tools.
+	"collector.CollectBatch":         "why: the collector tests read an export back through it (collector.TestRoundTripV9)",
+	"collector.Exporter.ExportBatch": "why: the collector tests export a batch stamped now (collector.TestRoundTripV9)",
+	"flowrec.FromRecords":            "why: tests build batches from record literals",
+	"flowrec.Batch.Project":          "why: tests compare a projected batch with a full-width one cut down (flowrec.TestProjectedBatchOperations)",
+	"flowrec.Batch.Records":          "why: the codec golden tests compare decoded rows as records (ipfix.TestGoldenPackets)",
+	"synth.MustNewDefault":           "why: tests and the root benchmarks build a default generator without error plumbing",
+
+	// The harness of the replay and cluster golden tests.
+	"goldentest.RunSuite":       "why: the golden tests' shared harness (replay.TestGolden*, cluster.TestGolden*)",
+	"goldentest.CompareResults": "why: the golden tests' shared comparison contract",
+
+	// The span tier's read side, which goes with -cache-dir and the tier.
+	"flowstore.OpenSpanned":   "why: the span-file tests and FuzzOpenSpanned open sealed files with it",
+	"flowstore.SpanFile.Path": "why: the span-file tests locate a file to damage with it",
+	"flowstore.SpanFile.Refs": "why: the span-file tests walk a sealed file's spans with it",
+}
+
+// declKey names a top-level function or method as pkg.Name or
+// pkg.Type.Name.
+func declKey(pkg string, d *ast.FuncDecl) string {
+	if d.Recv == nil || len(d.Recv.List) == 0 {
+		return pkg + "." + d.Name.Name
+	}
+	typ := d.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if generic, ok := typ.(*ast.IndexExpr); ok {
+		typ = generic.X
+	}
+	return pkg + "." + typ.(*ast.Ident).Name + "." + d.Name.Name
+}
+
+// TestExportCensus: every exported function and method declared in a
+// non-test file of internal/ is referenced by a non-test file of
+// internal/, cmd/, bench/ or examples/ outside its own declaration, is
+// String, Error or Unwrap, or has an exportWhy reason. The scan is
+// syntactic: a `.Name` selector anywhere counts for every method or
+// function of that name, and a bare Name counts within its own package,
+// so a name collision can hide a dead export but never flags live code.
+// A why: entry whose name is gone or now has a non-test use fails too.
+func TestExportCensus(t *testing.T) {
+	type decl struct{ dir, name string }
+	decls := map[string]decl{}                // key → where and what
+	selectors := map[string]map[string]bool{} // Name → the declarations holding a .Name
+	bare := map[decl]map[string]bool{}        // (dir, Name) → the declarations holding a bare Name
+	note := func(m map[string]bool, encl string) map[string]bool {
+		if m == nil {
+			m = map[string]bool{}
+		}
+		m[encl] = true
+		return m
+	}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "bench", "examples"} {
+		err := filepath.WalkDir(filepath.Join("..", "..", root), func(path string, e os.DirEntry, err error) error {
+			if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			dir := filepath.Dir(path)
+			for _, d := range f.Decls {
+				encl, self := "", (*ast.Ident)(nil) // the name that declares encl is no use of it
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					encl, self = declKey(f.Name.Name, fd), fd.Name
+					if root == "internal" && fd.Name.IsExported() {
+						decls[encl] = decl{dir, fd.Name.Name}
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.SelectorExpr:
+						selectors[n.Sel.Name] = note(selectors[n.Sel.Name], encl)
+					case *ast.Ident:
+						if n != self {
+							k := decl{dir, n.Name}
+							bare[k] = note(bare[k], encl)
+						}
+					}
+					return true
+				})
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	used := func(key string, d decl) bool {
+		for _, users := range []map[string]bool{selectors[d.name], bare[d]} {
+			for encl := range users {
+				if encl != key {
+					return true
+				}
+			}
+		}
+		return false
+	}
+	for key, d := range decls {
+		_, why := exportWhy[key]
+		switch {
+		case d.name == "String" || d.name == "Error" || d.name == "Unwrap" || why:
+		case !used(key, d):
+			t.Errorf("%s (%s) is exported and nothing outside tests uses it; delete it or give exportWhy a reason", key, d.dir)
+		}
+	}
+	for key, reason := range exportWhy {
+		d, ok := decls[key]
+		switch {
+		case !ok:
+			t.Errorf("exportWhy names %s, which no longer exists", key)
+		case used(key, d):
+			t.Errorf("exportWhy names %s, which now has a non-test use; drop its entry", key)
+		case !strings.HasPrefix(reason, "why: ") || strings.TrimSpace(reason[len("why: "):]) == "":
+			t.Errorf("exportWhy %s: want \"why: \" and a reason, got %q", key, reason)
+		}
+	}
+}
+
 // docModes maps the group headings of main.go's package comment and the
 // "Applies to" cells of README's flag table to the modes they mean.
 var docModes = map[string]string{
@@ -425,6 +507,83 @@ func TestFlagDocs(t *testing.T) {
 	compare("README's flag table", readme)
 }
 
+// commandOf returns the command a "lockdown …" synopsis names: its words
+// up to the first placeholder, option or flag.
+func commandOf(synopsis string) string {
+	var words []string
+	for _, w := range strings.Fields(strings.TrimPrefix(synopsis, "lockdown ")) {
+		if strings.ContainsAny(w[:1], "<[-") {
+			break
+		}
+		words = append(words, w)
+	}
+	return strings.Join(words, " ")
+}
+
+// TestModeDocs: main.go's package comment, the help text run prints and
+// README's command table name the same commands, and run accepts each of
+// them rather than refusing it as an unknown command.
+func TestModeDocs(t *testing.T) {
+	lists := map[string][]string{}
+	text, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, _, _ := strings.Cut(string(text), "\npackage main")
+	for _, m := range regexp.MustCompile(`(?m)^//\t(lockdown .*?)  `).FindAllStringSubmatch(pkg, -1) {
+		lists["main.go's package comment"] = append(lists["main.go's package comment"], commandOf(m[1]))
+	}
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(lockdown [^`]*)` \\|").FindAllStringSubmatch(string(readme), -1) {
+		lists["README's command table"] = append(lists["README's command table"], commandOf(m[1]))
+	}
+
+	f, err := os.Create(filepath.Join(t.TempDir(), "help"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	err = run(context.Background(), []string{"help"})
+	os.Stderr = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	help, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, _, _ := strings.Cut(string(help), "experiments:")
+	for _, m := range regexp.MustCompile(`(?m)^  (lockdown .*)$`).FindAllStringSubmatch(before, -1) {
+		lists["the help text"] = append(lists["the help text"], commandOf(m[1]))
+	}
+
+	want := slices.Sorted(slices.Values(lists["the help text"]))
+	if len(want) == 0 {
+		t.Fatal("the help text lists no command")
+	}
+	for _, doc := range []string{"main.go's package comment", "README's command table"} {
+		if got := slices.Sorted(slices.Values(lists[doc])); !slices.Equal(got, want) {
+			t.Errorf("%s lists %q; the help text lists %q", doc, got, want)
+		}
+	}
+
+	silence(t, &os.Stdout)
+	silence(t, &os.Stderr)
+	for _, command := range want {
+		// A flag no command takes: a command run accepts refuses it, or
+		// takes it for its argument, and starts nothing long.
+		err := run(context.Background(), append(strings.Fields(command), "-no-such-flag"))
+		if err != nil && strings.HasPrefix(err.Error(), "unknown ") {
+			t.Errorf("lockdown %s: %v", command, err)
+		}
+	}
+}
+
 // TestFlagsRejectedOutsideTheirMode: a mode registers exactly the flags it
 // takes, so any other is refused as an unknown flag — a usage error, before
 // the scenario file is opened or anything runs — whether it is set to its
@@ -477,13 +636,14 @@ func TestFlagsRejectedOutsideTheirMode(t *testing.T) {
 func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 	silence(t, &os.Stderr)
 	for _, line := range []string{
-		"", "frobnicate", "run", "scenario", "scenario frobnicate", "cache compact d",
+		"", "frobnicate", "run", "scenario", "scenario frobnicate",
 		"all -csv -json", "all -bogus", "all -cache-budget 5x", "replay -unverified",
 		"all -cache-budget 17179869184G", "all -cache-budget 9999999999G",
 		"replay -format v7", "cluster -shards 0", "cluster -shards -3", "cluster -chaos drop=NaN",
 		"all -parallel -3",
 		"cluster -shards 3 -chaos kill=shard3@t+1s",
 		// Removed commands, flags, formats and faults stay refused.
+		"cache stat /tmp", "cache compact d",
 		"replay -format v5", "cluster -format nf5", "cluster -chaos delay=5ms",
 		"pump -data 127.0.0.1:9", "cluster -subprocess", "replay -pps 100", "cluster -pps 0",
 		"replay -max-attempts 2", "cluster -max-restarts 1", "replay -allow-partial",

@@ -11,8 +11,6 @@
 package appclass
 
 import (
-	"sort"
-
 	"lockdown/internal/asdb"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/simd"
@@ -254,9 +252,6 @@ func (c *Classifier) ClassifyAt(b *flowrec.Batch, i int) Class {
 	return Unclassified
 }
 
-// Filters returns the filter list of one class (the rows behind Table 1).
-func (c *Classifier) Filters(cls Class) []Filter { return c.filters[cls] }
-
 // InventoryRow summarises one class's filters as reported in Table 1.
 type InventoryRow struct {
 	Class         Class
@@ -321,11 +316,4 @@ func (c *Classifier) VolumeByClassInto(sums map[Class]uint64, b *flowrec.Batch) 
 	if cnt[n] > 0 {
 		sums[Unclassified] += acc[n]
 	}
-}
-
-// Classes returns the classes in evaluation order.
-func (c *Classifier) Classes() []Class {
-	out := append([]Class(nil), c.order...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

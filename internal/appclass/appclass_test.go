@@ -133,11 +133,11 @@ func TestAllClassesAndClasses(t *testing.T) {
 		t.Errorf("AllClasses returned %d entries", len(AllClasses()))
 	}
 	c := NewDefault(nil)
-	if len(c.Classes()) != 9 {
-		t.Errorf("Classes returned %d entries", len(c.Classes()))
+	if len(c.order) != 9 {
+		t.Errorf("the classifier evaluates %d classes", len(c.order))
 	}
-	if len(c.Filters(Gaming)) == 0 {
-		t.Error("Filters(Gaming) empty")
+	if len(c.filters[Gaming]) == 0 {
+		t.Error("no gaming filters")
 	}
 }
 

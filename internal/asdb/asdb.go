@@ -62,9 +62,6 @@ type AS struct {
 	prefix netip.Prefix
 }
 
-// Prefix returns the synthetic IPv4 prefix assigned to the AS.
-func (a AS) Prefix() netip.Prefix { return a.prefix }
-
 // String renders "Org (AS15169)".
 func (a AS) String() string { return fmt.Sprintf("%s (AS%d)", a.Org, a.ASN) }
 
@@ -182,9 +179,6 @@ func (r *Registry) IsHypergiant(asn uint32) bool {
 	a, ok := r.byASN[asn]
 	return ok && a.Hypergiant
 }
-
-// Len returns the number of registered ASes.
-func (r *Registry) Len() int { return len(r.ordered) }
 
 // hypergiantList is the paper's Appendix A (Table 2).
 var hypergiantList = []AS{

@@ -41,7 +41,7 @@ func TestPrefixAssignmentDisjoint(t *testing.T) {
 	r := Default()
 	seen := map[netip.Prefix]uint32{}
 	for _, a := range r.All() {
-		p := a.Prefix()
+		p := a.prefix
 		if !p.IsValid() {
 			t.Fatalf("AS%d has no prefix", a.ASN)
 		}
@@ -112,8 +112,8 @@ func TestAllSortedByASN(t *testing.T) {
 			t.Fatal("All() not strictly sorted by ASN")
 		}
 	}
-	if len(all) != Default().Len() {
-		t.Error("Len mismatch")
+	if len(all) != len(Default().ordered) {
+		t.Error("All() misses registered ASes")
 	}
 }
 
@@ -144,7 +144,7 @@ func TestASString(t *testing.T) {
 // Property: every address minted by AddrFor maps back to the same AS.
 func TestAddrForRoundTripQuick(t *testing.T) {
 	r := Default()
-	asns := make([]uint32, 0, r.Len())
+	asns := make([]uint32, 0, len(r.ordered))
 	for _, a := range r.All() {
 		asns = append(asns, a.ASN)
 	}

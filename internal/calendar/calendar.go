@@ -10,7 +10,6 @@ package calendar
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -56,8 +55,6 @@ var (
 	// LockdownEurope is the start of the strict lockdowns in Central and
 	// Southern Europe (mid March 2020, calendar week 11/12).
 	LockdownEurope = time.Date(2020, 3, 14, 0, 0, 0, 0, time.UTC)
-	// LockdownUS is the later lockdown on the US East Coast.
-	LockdownUS = time.Date(2020, 3, 22, 0, 0, 0, 0, time.UTC)
 	// EDUClosure is the closure of the educational system in the EDU
 	// network's region (announced Mar 9, effective Mar 11).
 	EDUClosure = time.Date(2020, 3, 11, 0, 0, 0, 0, time.UTC)
@@ -82,16 +79,6 @@ type Week struct {
 	Phase Phase
 	Start time.Time // inclusive, midnight UTC
 	End   time.Time // exclusive, midnight UTC
-}
-
-// Contains reports whether t falls within the week.
-func (w Week) Contains(t time.Time) bool {
-	return !t.Before(w.Start) && t.Before(w.End)
-}
-
-// Days returns the number of whole days covered by the week.
-func (w Week) Days() int {
-	return int(w.End.Sub(w.Start).Hours() / 24)
 }
 
 // Hours enumerates the start of every hour in the week, in order.
@@ -216,20 +203,6 @@ func (s *HolidaySet) Contains(t time.Time) bool {
 	}
 	_, ok := s.days[DayStart(t).Unix()]
 	return ok
-}
-
-// Days returns the dates in the set in ascending order (nil for the
-// empty set).
-func (s *HolidaySet) Days() []time.Time {
-	if s == nil {
-		return nil
-	}
-	out := make([]time.Time, 0, len(s.days))
-	for u := range s.days {
-		out = append(out, time.Unix(u, 0).UTC())
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
-	return out
 }
 
 // IsWeekend reports whether day is a Saturday or Sunday.

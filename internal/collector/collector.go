@@ -406,9 +406,6 @@ func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, er
 	return &Exporter{conn: conn, stream: stream, rows: w.rows, encode: w.newEncoder(stream)}, nil
 }
 
-// Stream returns the exporter's stream identity.
-func (e *Exporter) Stream() uint32 { return e.stream }
-
 // ExportBatch encodes and sends the batch, splitting it into as few
 // packets as the format allows: a NetFlow v9 or IPFIX message fills one
 // UDP datagram (as many records of the batch's column set as 65 507

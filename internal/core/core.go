@@ -205,13 +205,6 @@ func Run(id string, opts Options) (*Result, error) {
 	return NewEngine(opts).Run(context.Background(), id)
 }
 
-// RunAll executes every experiment sequentially on one shared dataset
-// cache and returns the results in paper order. Use Engine.RunAll directly
-// for parallel execution and cancellation.
-func RunAll(opts Options) ([]*Result, error) {
-	return NewEngine(opts).RunAll(context.Background(), 1)
-}
-
 // f2 formats a float with two decimals for table cells.
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }
 

@@ -368,12 +368,8 @@ func TestResultsRenderableAndNoted(t *testing.T) {
 
 func TestDatasetRespectsOptions(t *testing.T) {
 	d := NewDataset(Options{FlowScale: 0.2, Seed: 77})
-	g, err := d.Generator(synth.ISPCE)
-	if err != nil {
+	if _, err := d.Generator(synth.ISPCE); err != nil {
 		t.Fatal(err)
-	}
-	if g.VP() != synth.ISPCE {
-		t.Errorf("unexpected vantage point %v", g.VP())
 	}
 	day := time.Date(2020, 2, 20, 0, 0, 0, 0, time.UTC)
 	// The seed and flow-scale overrides reach the flows: the dataset's day
@@ -381,7 +377,7 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	// column set, and its hour 20 is that generator's hour.
 	hour := day.Add(20 * time.Hour)
 	k := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(hour)}
-	got, err := d.FlowBatch(synth.ISPCE, hour)
+	got, err := unpinned(d).flowBatch(synth.ISPCE, hour)
 	if err != nil {
 		t.Fatal(err)
 	}

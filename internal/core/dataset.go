@@ -626,9 +626,6 @@ func (p *Pin) add(fe *flowEntry) {
 	}
 }
 
-// Batch returns the flow batch k names, pinned.
-func (p *Pin) Batch(k FlowKey) (*flowrec.Batch, error) { return p.d.batch(k, p) }
-
 // Release unpins every entry and lets the cache evict what no longer
 // fits. Safe to call on a nil pin and more than once.
 func (p *Pin) Release() {
@@ -746,25 +743,4 @@ func (d *Dataset) ClassSeries(vp synth.VantagePoint, class synth.Class, from, to
 	return d.rangeSeries(seriesKey{vp: vp, class: class, from: HourOf(from), to: HourOf(to)}, func(g *synth.Generator) *timeseries.Series {
 		return g.ClassSeries(class, from, to)
 	})
-}
-
-// FlowBatch returns the sampled flows of the UTC day t falls in as a
-// columnar batch, memoized per day so experiments iterating overlapping
-// day grids (e.g. the port analysis and the application-class heatmap over
-// the same weeks) share one sample. The batch comes from the dataset's
-// FlowSource; the returned batch is shared and callers must not modify it.
-func (d *Dataset) FlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
-	return d.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(t)}, nil)
-}
-
-// VPNFlowBatch is FlowBatch for the gateway-pinned generator of the VPN
-// analyses.
-func (d *Dataset) VPNFlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
-	return d.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(t)}, nil)
-}
-
-// ComponentFlowBatch returns the sampled flows of one named component over
-// the UTC day t falls in as a columnar batch, memoized per day.
-func (d *Dataset) ComponentFlowBatch(vp synth.VantagePoint, name string, t time.Time) (*flowrec.Batch, error) {
-	return d.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: DayOf(t)}, nil)
 }

@@ -124,7 +124,7 @@ func TestBudgetedFaultsMatchSerial(t *testing.T) {
 }
 
 // TestReadersSurviveNeighbourRebuilds: a batch a reader holds — pinned, or
-// obtained through the pin-less Dataset.FlowBatch and evicted the moment
+// obtained through a pin-less Env and evicted the moment
 // it was returned — is never written to again. Eviction drops the cache's
 // reference and nothing else, so while four goroutines churn the
 // neighbouring days through evict-and-rebuild both batches still equal a
@@ -137,11 +137,11 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 	pin := d.NewPin()
 	defer pin.Release()
 	day := DayOf(spillHour).Time()
-	pinned, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(day)})
+	pinned, err := d.batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(day)}, pin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loose, err := d.FlowBatch(synth.ISPCE, day.AddDate(0, 0, 1))
+	loose, err := unpinned(d).flowBatch(synth.ISPCE, day.AddDate(0, 0, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 			defer wg.Done()
 			for p := 0; p < passes; p++ {
 				for i := 2; i < 2+neighbours; i++ {
-					if _, err := d.FlowBatch(synth.ISPCE, day.AddDate(0, 0, i)); err != nil {
+					if _, err := unpinned(d).flowBatch(synth.ISPCE, day.AddDate(0, 0, i)); err != nil {
 						t.Error(err)
 						return
 					}
@@ -171,7 +171,7 @@ func TestReadersSurviveNeighbourRebuilds(t *testing.T) {
 	if s.Pinned != 1 || s.ResidentBytes != pinned.HeapBytes() {
 		t.Errorf("only the pinned day may be resident: %+v, pinned batch holds %d bytes", s, pinned.HeapBytes())
 	}
-	if again, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(day)}); err != nil || again != pinned {
+	if again, err := d.batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(day)}, pin); err != nil || again != pinned {
 		t.Errorf("the pinned entry was evicted under its reader (%v)", err)
 	}
 
@@ -342,7 +342,7 @@ func BenchmarkRetouch(b *testing.B) {
 					d := NewDataset(opts)
 					for pass := 0; pass < k; pass++ {
 						for day := 0; day < days; day++ {
-							if _, err := d.FlowBatch(synth.ISPCE, start.AddDate(0, 0, day)); err != nil {
+							if _, err := unpinned(d).flowBatch(synth.ISPCE, start.AddDate(0, 0, day)); err != nil {
 								b.Fatal(err)
 							}
 						}

@@ -40,10 +40,10 @@ func TestDatasetResolvesModelOncePerVantagePoint(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				vp := vps[(w+i)%len(vps)]
 				hour := day.Add(time.Duration(i%4) * time.Hour)
-				if _, err := d.FlowBatch(vp, hour); err != nil {
+				if _, err := unpinned(d).flowBatch(vp, hour); err != nil {
 					failed.Store(true)
 				}
-				if _, err := d.VPNFlowBatch(vp, hour); err != nil {
+				if _, err := unpinned(d).vpnFlowBatch(vp, hour); err != nil {
 					failed.Store(true)
 				}
 				if _, err := d.Series(vp, day, day.AddDate(0, 0, 1)); err != nil {
@@ -108,11 +108,13 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 		get  func(time.Time) (*flowrec.Batch, error)
 	}{
 		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25",
-			func(at time.Time) (*flowrec.Batch, error) { return d.FlowBatch(synth.ISPCE, at) }},
+			func(at time.Time) (*flowrec.Batch, error) { return unpinned(d).flowBatch(synth.ISPCE, at) }},
 		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25",
-			func(at time.Time) (*flowrec.Batch, error) { return d.VPNFlowBatch(synth.IXPCE, at) }},
+			func(at time.Time) (*flowrec.Batch, error) { return unpinned(d).vpnFlowBatch(synth.IXPCE, at) }},
 		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25",
-			func(at time.Time) (*flowrec.Batch, error) { return d.ComponentFlowBatch(synth.IXPSE, "gaming", at) }},
+			func(at time.Time) (*flowrec.Batch, error) {
+				return unpinned(d).componentFlowBatch(synth.IXPSE, "gaming", at)
+			}},
 	} {
 		if s := tc.key.String(); s != tc.name {
 			t.Errorf("String() = %q, want %q", s, tc.name)
@@ -160,13 +162,13 @@ func BenchmarkDatasetFlowBatchHit(b *testing.B) {
 	d := NewDataset(Options{FlowScale: 0.1})
 	defer d.Close()
 	hour := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
-	if _, err := d.FlowBatch(synth.ISPCE, hour); err != nil {
+	if _, err := unpinned(d).flowBatch(synth.ISPCE, hour); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.FlowBatch(synth.ISPCE, hour); err != nil {
+		if _, err := unpinned(d).flowBatch(synth.ISPCE, hour); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -30,14 +30,14 @@ func TestBatchMemoryIsNoscan(t *testing.T) {
 	defer d.Close()
 	hour := time.Date(2020, 3, 23, 0, 0, 0, 0, time.UTC)
 	// Build the model and the generator before the baseline is taken.
-	if _, err := d.FlowBatch(synth.ISPCE, hour.Add(-time.Hour)); err != nil {
+	if _, err := unpinned(d).flowBatch(synth.ISPCE, hour.Add(-time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	before := scannableHeap()
 	kept := make([]*flowrec.Batch, 200)
 	var batchBytes int64
 	for i := range kept {
-		b, err := d.FlowBatch(synth.ISPCE, hour.Add(time.Duration(i)*time.Hour))
+		b, err := unpinned(d).flowBatch(synth.ISPCE, hour.Add(time.Duration(i)*time.Hour))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -42,21 +42,21 @@ func spillDays(n int) []time.Time {
 // dataset's.
 func sameAsGenerated(t *testing.T, d *Dataset, scale float64, days []time.Time) {
 	t.Helper()
-	sameKindAsGenerated(t, d, scale, days, (*Dataset).FlowBatch)
+	sameKindAsGenerated(t, d, scale, days, KindFlows)
 }
 
 // sameKindAsGenerated is sameAsGenerated for any batch kind of the ISP-CE.
-func sameKindAsGenerated(t *testing.T, d *Dataset, scale float64, days []time.Time,
-	get func(*Dataset, synth.VantagePoint, time.Time) (*flowrec.Batch, error)) {
+func sameKindAsGenerated(t *testing.T, d *Dataset, scale float64, days []time.Time, kind FlowKind) {
 	t.Helper()
 	fresh := NewDataset(Options{FlowScale: scale})
 	defer fresh.Close()
 	for _, day := range days {
-		got, err := get(d, synth.ISPCE, day)
+		k := FlowKey{Kind: kind, VP: synth.ISPCE, Hour: DayOf(day)}
+		got, err := d.batch(k, nil)
 		if err != nil {
 			t.Fatalf("day %v: %v", day, err)
 		}
-		ref, err := get(fresh, synth.ISPCE, day)
+		ref, err := fresh.batch(k, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +77,7 @@ func TestOnlineCompaction(t *testing.T) {
 
 	days := spillDays(24)
 	for _, day := range days {
-		if _, err := d.FlowBatch(synth.ISPCE, day); err != nil {
+		if _, err := unpinned(d).flowBatch(synth.ISPCE, day); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func TestCompactionDamagedSpan(t *testing.T) {
 
 			days := spillDays(8)
 			for _, day := range days {
-				if _, err := d.VPNFlowBatch(synth.ISPCE, day); err != nil {
+				if _, err := unpinned(d).vpnFlowBatch(synth.ISPCE, day); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -150,12 +150,12 @@ func TestCompactionDamagedSpan(t *testing.T) {
 			}
 			damage(t, d, victim, days[3])
 
-			sameKindAsGenerated(t, d, opts.FlowScale, days, (*Dataset).VPNFlowBatch)
+			sameKindAsGenerated(t, d, opts.FlowScale, days, KindVPNFlows)
 			if s := d.Stats(); s.Regens != 1 || s.Faults != int64(len(days)) {
 				t.Errorf("want exactly the damaged day regenerated: %+v", s)
 			}
 			// The regenerated day spills again, as a new span of the same file.
-			sameKindAsGenerated(t, d, opts.FlowScale, days, (*Dataset).VPNFlowBatch)
+			sameKindAsGenerated(t, d, opts.FlowScale, days, KindVPNFlows)
 			if s := d.Stats(); s.Regens != 1 || s.Spills != int64(len(days))+1 {
 				t.Errorf("regenerated day must respill once and then fault cleanly: %+v", s)
 			}
@@ -178,7 +178,7 @@ func TestCompactionConcurrentAccess(t *testing.T) {
 	defer fresh.Close()
 	wantLens := make([]int, len(days))
 	for i, day := range days {
-		b, err := fresh.FlowBatch(synth.ISPCE, day)
+		b, err := unpinned(fresh).flowBatch(synth.ISPCE, day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestCompactionConcurrentAccess(t *testing.T) {
 			for rep := 0; rep < 4; rep++ {
 				for k := range days {
 					i := (k + w*3) % len(days) // workers start apart, so first accesses overlap
-					b, err := d.FlowBatch(synth.ISPCE, days[i])
+					b, err := unpinned(d).flowBatch(synth.ISPCE, days[i])
 					if err != nil {
 						t.Errorf("worker %d: day %v: %v", w, days[i], err)
 						return
@@ -220,7 +220,7 @@ func TestSpillFailureKeepsBatchResident(t *testing.T) {
 	check := func(t *testing.T, d *Dataset, wantSpills int64) {
 		t.Helper()
 		for round := 0; round < 2; round++ {
-			b, err := d.FlowBatch(synth.ISPCE, spillHour.AddDate(0, 0, 1)) // another day: a batch not yet spilled
+			b, err := unpinned(d).flowBatch(synth.ISPCE, spillHour.AddDate(0, 0, 1)) // another day: a batch not yet spilled
 			if err != nil {
 				t.Fatalf("a failed spill must not reach the caller: %v", err)
 			}
@@ -247,7 +247,7 @@ func TestSpillFailureKeepsBatchResident(t *testing.T) {
 	t.Run("append-fails", func(t *testing.T) {
 		d := NewDataset(tinyOpts(t))
 		defer d.Close()
-		if _, err := d.FlowBatch(synth.ISPCE, spillHour); err != nil {
+		if _, err := unpinned(d).flowBatch(synth.ISPCE, spillHour); err != nil {
 			t.Fatal(err)
 		}
 		if len(d.files) != 1 {
@@ -270,7 +270,7 @@ func TestWriteBytesCountsEverySpilledByte(t *testing.T) {
 	defer flowstore.Instrument(nil)
 
 	for _, day := range spillDays(12) {
-		if _, err := d.FlowBatch(synth.ISPCE, day); err != nil {
+		if _, err := unpinned(d).flowBatch(synth.ISPCE, day); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -317,7 +317,7 @@ func TestStatsSnapshotConsistent(t *testing.T) {
 					return
 				default:
 				}
-				if _, err := d.FlowBatch(synth.ISPCE, spillHour.Add(time.Duration(w*1000+i)*time.Hour)); err != nil {
+				if _, err := unpinned(d).flowBatch(synth.ISPCE, spillHour.Add(time.Duration(w*1000+i)*time.Hour)); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}

@@ -17,6 +17,10 @@ import (
 // tests below.
 var spillHour = time.Date(2020, 3, 25, 14, 0, 0, 0, time.UTC)
 
+// unpinned is a hand-built Env over d: its accessors read the cache
+// unpinned, the way the dataset tests below draw their batches.
+func unpinned(d *Dataset) *Env { return &Env{Data: d} }
+
 // tinyOpts forces every flow batch to spill: no batch fits one byte.
 func tinyOpts(t *testing.T) Options {
 	t.Helper()
@@ -30,7 +34,7 @@ func TestSpillFaultAccounting(t *testing.T) {
 	d := NewDataset(tinyOpts(t))
 	defer d.Close()
 
-	b1, err := d.FlowBatch(synth.ISPCE, spillHour)
+	b1, err := unpinned(d).flowBatch(synth.ISPCE, spillHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +58,7 @@ func TestSpillFaultAccounting(t *testing.T) {
 		t.Fatal("batch handed out before eviction changed under the caller")
 	}
 
-	b2, err := d.FlowBatch(synth.ISPCE, spillHour)
+	b2, err := unpinned(d).flowBatch(synth.ISPCE, spillHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,10 +77,10 @@ func TestSpillFaultAccounting(t *testing.T) {
 	}
 
 	// The spill applies to the VPN and component batch kinds too.
-	if _, err := d.VPNFlowBatch(synth.IXPCE, spillHour); err != nil {
+	if _, err := unpinned(d).vpnFlowBatch(synth.IXPCE, spillHour); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", spillHour); err != nil {
+	if _, err := unpinned(d).componentFlowBatch(synth.IXPSE, "gaming", spillHour); err != nil {
 		t.Fatal(err)
 	}
 	s = d.Stats()
@@ -93,7 +97,7 @@ func TestPinKeepsEntriesResident(t *testing.T) {
 	defer d.Close()
 
 	pin := d.NewPin()
-	b1, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)})
+	b1, err := d.batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)}, pin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +106,7 @@ func TestPinKeepsEntriesResident(t *testing.T) {
 		t.Fatalf("pinned entry must stay resident over budget: %+v", s)
 	}
 	faultsBefore := s.Faults
-	b2, err := pin.Batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)})
+	b2, err := d.batch(FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)}, pin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +187,7 @@ func TestCrashSafetyCorruptSegment(t *testing.T) {
 			d := NewDataset(opts)
 			defer d.Close()
 
-			b, err := d.FlowBatch(synth.ISPCE, spillHour)
+			b, err := unpinned(d).flowBatch(synth.ISPCE, spillHour)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -191,7 +195,7 @@ func TestCrashSafetyCorruptSegment(t *testing.T) {
 			if n := corruptSegments(t, opts.CacheDir, tc.mutate); n == 0 {
 				t.Fatal("no span files found to damage")
 			}
-			got, err := d.FlowBatch(synth.ISPCE, spillHour)
+			got, err := unpinned(d).flowBatch(synth.ISPCE, spillHour)
 			if err != nil {
 				t.Fatalf("access after %s must not fail, got error: %v", tc.name, err)
 			}
@@ -204,7 +208,7 @@ func TestCrashSafetyCorruptSegment(t *testing.T) {
 			}
 			// A later eviction appends a fresh span and the entry keeps
 			// working.
-			got, err = d.FlowBatch(synth.ISPCE, spillHour)
+			got, err = unpinned(d).flowBatch(synth.ISPCE, spillHour)
 			if err != nil {
 				t.Fatalf("entry unusable after %s: %v", tc.name, err)
 			}
@@ -220,7 +224,7 @@ func TestCrashSafetyCorruptSegment(t *testing.T) {
 func TestDatasetCloseReleasesSpill(t *testing.T) {
 	opts := tinyOpts(t)
 	d := NewDataset(opts)
-	b, err := d.FlowBatch(synth.ISPCE, spillHour)
+	b, err := unpinned(d).flowBatch(synth.ISPCE, spillHour)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +238,7 @@ func TestDatasetCloseReleasesSpill(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	got, err := d.FlowBatch(synth.ISPCE, spillHour)
+	got, err := unpinned(d).flowBatch(synth.ISPCE, spillHour)
 	if err != nil {
 		t.Fatalf("access after Close: %v", err)
 	}

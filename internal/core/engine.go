@@ -204,9 +204,6 @@ func NewEngineWithSource(opts Options, src FlowSource) *Engine {
 	return &Engine{opts: opts, data: NewDatasetWithSource(opts, src), m: newEngineMetrics(opts.Obs)}
 }
 
-// Options returns the options the engine was built with.
-func (e *Engine) Options() Options { return e.opts }
-
 // Data returns the engine's dataset cache (for stats and tests).
 func (e *Engine) Data() *Dataset { return e.data }
 

@@ -182,7 +182,7 @@ func TestBatchMBIsAttributable(t *testing.T) {
 	defer d.Close()
 	var rows int
 	for day := time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC); day.Before(time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC)); day = day.AddDate(0, 0, 1) {
-		b, err := d.ComponentFlowBatch(synth.IXPSE, "gaming", day)
+		b, err := unpinned(d).componentFlowBatch(synth.IXPSE, "gaming", day)
 		if err != nil {
 			t.Fatal(err)
 		}

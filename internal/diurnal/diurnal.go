@@ -34,12 +34,6 @@ func normalise(p Profile) Profile {
 	return p
 }
 
-// At returns the weight for hour h (values outside 0-23 wrap around).
-func (p Profile) At(h int) float64 {
-	h = ((h % 24) + 24) % 24
-	return p[h]
-}
-
 // Mean returns the average weight across the day.
 func (p Profile) Mean() float64 {
 	var s float64

@@ -24,7 +24,7 @@ func TestProfilesNormalised(t *testing.T) {
 	for name, p := range allProfiles() {
 		max := 0.0
 		for h := 0; h < 24; h++ {
-			v := p.At(h)
+			v := p[h]
 			if v < 0 {
 				t.Errorf("%s: negative weight at hour %d", name, h)
 			}
@@ -55,8 +55,8 @@ func TestWorkdayEveningPeak(t *testing.T) {
 		t.Errorf("residential workday peak at %d, want evening (19-22)", peak)
 	}
 	// Night trough well below daytime.
-	if p.At(3) > 0.5*p.At(15) {
-		t.Errorf("night load %v not clearly below afternoon load %v", p.At(3), p.At(15))
+	if p[3] > 0.5*p[15] {
+		t.Errorf("night load %v not clearly below afternoon load %v", p[3], p[15])
 	}
 }
 
@@ -64,8 +64,8 @@ func TestWeekendMorningMomentum(t *testing.T) {
 	wd, we := ResidentialWorkday(), ResidentialWeekend()
 	// The paper's distinguishing feature: weekend activity at 10:00-12:00
 	// is a much larger fraction of its evening peak than on a workday.
-	wdRatio := wd.At(11) / wd.At(21)
-	weRatio := we.At(11) / we.At(21)
+	wdRatio := wd[11] / wd[21]
+	weRatio := we[11] / we[21]
 	if weRatio <= wdRatio {
 		t.Errorf("weekend morning/evening ratio %v should exceed workday ratio %v", weRatio, wdRatio)
 	}
@@ -78,7 +78,7 @@ func TestLockdownWorkdayLooksLikeWeekend(t *testing.T) {
 	dist := func(a, b Profile) float64 {
 		var s float64
 		for h := 8; h <= 16; h++ {
-			d := a.At(h)/a.At(21) - b.At(h)/b.At(21)
+			d := a[h]/a[21] - b[h]/b[21]
 			s += d * d
 		}
 		return s
@@ -88,7 +88,7 @@ func TestLockdownWorkdayLooksLikeWeekend(t *testing.T) {
 			dist(ld, we), dist(wd, we))
 	}
 	// Lunch dip: hour 13 below both neighbours.
-	if !(ld.At(13) < ld.At(11) && ld.At(13) < ld.At(15)) {
+	if !(ld[13] < ld[11] && ld[13] < ld[15]) {
 		t.Error("lockdown workday should show a lunchtime dip")
 	}
 }
@@ -98,33 +98,26 @@ func TestOfficeHoursShape(t *testing.T) {
 	if peak := peakHour(p); peak < 8 || peak > 17 {
 		t.Errorf("office peak at %d, want business hours", peak)
 	}
-	if p.At(22) > 0.3 {
-		t.Errorf("office evening load %v too high", p.At(22))
+	if p[22] > 0.3 {
+		t.Errorf("office evening load %v too high", p[22])
 	}
 }
 
 func TestEntertainmentShift(t *testing.T) {
 	pre, post := EveningEntertainment(), AllDayEntertainment()
 	// During lockdown the daytime share of entertainment grows.
-	if post.At(13) <= pre.At(13) {
-		t.Errorf("lockdown entertainment daytime weight %v should exceed pre-lockdown %v", post.At(13), pre.At(13))
+	if post[13] <= pre[13] {
+		t.Errorf("lockdown entertainment daytime weight %v should exceed pre-lockdown %v", post[13], pre[13])
 	}
 }
 
 func TestCampusVsRemote(t *testing.T) {
 	campus, remote := CampusDay(), RemoteCampusAccess()
-	if campus.At(3) > 0.15 {
-		t.Errorf("campus night load %v should be tiny", campus.At(3))
+	if campus[3] > 0.15 {
+		t.Errorf("campus night load %v should be tiny", campus[3])
 	}
-	if remote.At(3) <= campus.At(3) {
+	if remote[3] <= campus[3] {
 		t.Error("remote access should show more night activity than on-campus use (overseas students)")
-	}
-}
-
-func TestAtWrapsAround(t *testing.T) {
-	p := Flat()
-	if p.At(-1) != p.At(23) || p.At(24) != p.At(0) {
-		t.Error("At should wrap hours outside 0-23")
 	}
 }
 
@@ -156,7 +149,7 @@ func TestBlendBoundsQuick(t *testing.T) {
 		}
 		p := Blend(a, b, w)
 		for h := 0; h < 24; h++ {
-			if p.At(h) < 0 || p.At(h) > 1+1e-9 {
+			if p[h] < 0 || p[h] > 1+1e-9 {
 				return false
 			}
 		}

@@ -333,7 +333,9 @@ func (b *Batch) Project(cols Columns) *Batch {
 }
 
 // Equal reports whether the two batches store the same columns and the
-// same rows in them.
+// same rows in them. Why it stays with no caller outside tests: the
+// dataset and wire tests compare batches with it
+// (core.TestDefaultSourceIsProjectedSyntheticSource).
 func (b *Batch) Equal(o *Batch) bool {
 	return b.Columns() == o.Columns() &&
 		slices.Equal(b.StartNs, o.StartNs) && slices.Equal(b.EndNs, o.EndNs) &&
@@ -434,10 +436,6 @@ func (b *Batch) ServerPortAt(i int) PortProto {
 // for who releases what).
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
-// GetBatch returns an empty full-width pooled batch with capacity for at
-// least n rows. Return it with Release (or PutBatch) when done.
-func GetBatch(n int) *Batch { return GetProjected(n, AllColumns) }
-
 // GetProjected is NewProjected drawing from the pool: an empty batch that
 // stores only the columns of cols, with capacity for at least n rows in
 // each, to be returned with Release when done. A caller that keeps the
@@ -489,7 +487,7 @@ func (b *Batch) keepOnly(c Columns) {
 
 // Release returns the batch to the pool. The caller must not use b
 // afterwards. Releasing the same batch twice panics (the second release
-// would let two future GetBatch callers alias the same column arrays and
+// would let two future GetProjected callers alias the same column arrays and
 // silently corrupt each other's rows), as does releasing a view batch
 // (its columns alias an mmap-backed segment owned by the dataset cache,
 // or another batch, so pooling it would hand that memory to the decode
@@ -506,12 +504,6 @@ func (b *Batch) Release() {
 	default:
 		panic("flowrec: double Release of a pooled batch; the previous Release already returned it")
 	}
-}
-
-// PutBatch returns a batch obtained from GetBatch to the pool; it is
-// Release with the historical name. The caller must not use b afterwards.
-func PutBatch(b *Batch) {
-	b.Release()
 }
 
 // MarkView marks b as a read-only view over externally managed memory

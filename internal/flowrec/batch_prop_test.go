@@ -134,18 +134,18 @@ func TestPropAppendBatchTruncate(t *testing.T) {
 // pool, reacquired and refilled with different data.
 func TestPropPoolReuseNoAliasing(t *testing.T) {
 	prop := func(a, b recordSample) bool {
-		pooled := flowrec.GetBatch(len(a))
+		pooled := flowrec.GetProjected(len(a), flowrec.AllColumns)
 		for _, r := range a {
 			pooled.Append(r)
 		}
 		snapshot := pooled.Records()
 		copied := flowrec.NewBatch(pooled.Len())
 		copied.AppendBatch(pooled)
-		flowrec.PutBatch(pooled)
+		pooled.Release()
 
 		// Refill a pooled batch (likely the same backing arrays) with
 		// different rows.
-		reused := flowrec.GetBatch(len(b))
+		reused := flowrec.GetProjected(len(b), flowrec.AllColumns)
 		for _, r := range b {
 			reused.Append(r)
 		}
@@ -154,7 +154,7 @@ func TestPropPoolReuseNoAliasing(t *testing.T) {
 				return false
 			}
 		}
-		flowrec.PutBatch(reused)
+		reused.Release()
 		return true
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {

@@ -110,18 +110,18 @@ func TestBatchAppendBatchAndGrow(t *testing.T) {
 }
 
 func TestBatchPoolReuse(t *testing.T) {
-	b := GetBatch(64)
+	b := GetProjected(64, AllColumns)
 	if b.Len() != 0 || cap(b.Bytes) < 64 {
-		t.Fatalf("GetBatch: len=%d cap=%d, want empty with capacity >= 64", b.Len(), cap(b.Bytes))
+		t.Fatalf("GetProjected: len=%d cap=%d, want empty with capacity >= 64", b.Len(), cap(b.Bytes))
 	}
 	b.Append(sampleRecords(1)[0])
-	PutBatch(b)
-	c := GetBatch(8)
+	b.Release()
+	c := GetProjected(8, AllColumns)
 	if c.Len() != 0 {
 		t.Error("pooled batch must come back reset")
 	}
-	PutBatch(c)
-	PutBatch(nil) // must not panic
+	c.Release()
+	(*Batch)(nil).Release() // must not panic
 }
 
 func TestBatchResetKeepsCapacity(t *testing.T) {
@@ -137,7 +137,7 @@ func TestBatchResetKeepsCapacity(t *testing.T) {
 }
 
 func TestReleaseDoublePanics(t *testing.T) {
-	b := GetBatch(8)
+	b := GetProjected(8, AllColumns)
 	b.Release()
 	defer func() {
 		if recover() == nil {
@@ -147,23 +147,12 @@ func TestReleaseDoublePanics(t *testing.T) {
 	b.Release()
 }
 
-func TestPutBatchDoublePanics(t *testing.T) {
-	b := GetBatch(8)
-	PutBatch(b)
-	defer func() {
-		if recover() == nil {
-			t.Error("double PutBatch must panic")
-		}
-	}()
-	PutBatch(b)
-}
-
 func TestReleaseAfterReuseIsFine(t *testing.T) {
 	// The pooled lifecycle must stay panic-free: get, release, re-get
 	// (possibly the same object), release again.
-	b := GetBatch(4)
+	b := GetProjected(4, AllColumns)
 	b.Release()
-	c := GetBatch(4)
+	c := GetProjected(4, AllColumns)
 	c.Release()
 }
 

@@ -122,8 +122,8 @@ func TestProjectedBatchOperations(t *testing.T) {
 	}
 	pooled := full.Project(flowrec.ColBytes)
 	pooled.Release()
-	if got := flowrec.GetBatch(4); got.Columns() != flowrec.AllColumns {
-		t.Errorf("GetBatch returned a batch storing %s; pooled batches are full-width", got.Columns())
+	if got := flowrec.GetProjected(4, flowrec.AllColumns); got.Columns() != flowrec.AllColumns {
+		t.Errorf("GetProjected(4, AllColumns) returned a batch storing %s; pooled batches are full-width", got.Columns())
 	}
 }
 
@@ -172,15 +172,15 @@ func TestGetProjectedKeepsSharedColumns(t *testing.T) {
 	const n = 256
 	for _, cols := range projectedSets[1:] {
 		t.Run(cols.String(), func(t *testing.T) {
-			flowrec.GetBatch(n).Release()
+			flowrec.GetProjected(n, flowrec.AllColumns).Release()
 			allocs := testing.AllocsPerRun(50, func() {
-				flowrec.GetBatch(n).Release()
+				flowrec.GetProjected(n, flowrec.AllColumns).Release()
 				flowrec.GetProjected(n, cols).Release()
 			})
 			if want := bits.OnesCount16(uint16(flowrec.AllColumns &^ cols)); allocs != float64(want) && !raceEnabled {
 				t.Errorf("%.1f allocs a run, want %d: one per column outside the set, none for the %d shared ones", allocs, want, bits.OnesCount16(uint16(cols)))
 			}
-			flowrec.GetBatch(n).Release()
+			flowrec.GetProjected(n, flowrec.AllColumns).Release()
 			b := flowrec.GetProjected(n, cols)
 			defer b.Release()
 			if nilColumns(b) != flowrec.AllColumns&^cols || cap(b.Bytes) < n && cols.Has(flowrec.ColBytes) {

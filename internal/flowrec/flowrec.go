@@ -167,7 +167,9 @@ func (r Record) ServerPort() PortProto {
 
 // Validate reports whether the record is internally consistent: addresses
 // are valid and storable in a batch (IPv4), the time interval is
-// ordered and counters are plausible (packets implies bytes).
+// ordered and counters are plausible (packets implies bytes). Why it
+// stays with no caller outside tests: the generator's tests check every
+// sampled record with it (synth.TestFlowSamplingConsistency).
 func (r Record) Validate() error {
 	if !r.SrcIP.IsValid() || !r.DstIP.IsValid() {
 		return fmt.Errorf("flowrec: invalid address src=%v dst=%v", r.SrcIP, r.DstIP)

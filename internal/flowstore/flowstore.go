@@ -165,9 +165,6 @@ type Segment struct {
 	offs   [numCols]int
 }
 
-// Rows returns the number of rows in the span.
-func (s *Segment) Rows() int { return s.rows }
-
 // Mapped reports whether the span is served from an mmap (as opposed
 // to the heap fallback).
 func (s *Segment) Mapped() bool { return s.mapped }

@@ -99,8 +99,8 @@ func TestRoundTrip(t *testing.T) {
 		b := testBatch(rows, int64(rows)+1)
 		sf, refs := liveFile(t, b)
 		seg, view, heap := faultBatch(t, sf, refs[0])
-		if seg.Rows() != rows {
-			t.Fatalf("rows=%d: segment reports %d rows", rows, seg.Rows())
+		if seg.rows != rows {
+			t.Fatalf("rows=%d: segment reports %d rows", rows, seg.rows)
 		}
 		if heap <= 0 {
 			t.Errorf("rows=%d: heapBytes = %d, want > 0 (the struct)", rows, heap)

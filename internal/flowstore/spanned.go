@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/crc64"
 	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 
 	"lockdown/internal/flowrec"
@@ -393,52 +391,4 @@ func readSpan(f *os.File, off int64, size int) ([]byte, bool, error) {
 // a mapping outlives its descriptor.
 func (sf *SpanFile) Close() error {
 	return sf.f.Close()
-}
-
-// DirStats summarises a spill directory for `lockdown cache stat`.
-type DirStats struct {
-	Files    int   // sealed span files with an intact header and index
-	Bytes    int64 // their total size
-	Spans    int   // spans across them that verify
-	SpansBad int   // spans failing their checksum or bounds check
-	FilesBad int   // span files rejected whole: unsealed, truncated, damaged
-	BadFiles []string
-}
-
-// StatDir validates every span file in dir and returns the tallies.
-// Validation here is complete (every span is checksummed) — this is the
-// operator's integrity check, not the lazy fault path — and none of it
-// touches the cache-fault metrics.
-func StatDir(dir string) (*DirStats, error) {
-	names, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("flowstore: %w", err)
-	}
-	st := &DirStats{}
-	for _, de := range names {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), SpannedExt) {
-			continue
-		}
-		path := filepath.Join(dir, de.Name())
-		sf, err := openSpanned(path)
-		if err != nil {
-			st.FilesBad++
-			st.BadFiles = append(st.BadFiles, path)
-			continue
-		}
-		st.Files++
-		st.Bytes += sf.end + int64(len(sf.index))*indexEntrySize
-		for i, ref := range sf.index {
-			seg, err := sf.span(ref)
-			if err != nil {
-				st.SpansBad++
-				st.BadFiles = append(st.BadFiles, fmt.Sprintf("%s[span %d]", path, i))
-				continue
-			}
-			seg.Close()
-			st.Spans++
-		}
-		sf.Close()
-	}
-	return st, nil
 }

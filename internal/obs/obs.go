@@ -36,30 +36,12 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // Add adds n (n must not be negative for Prometheus semantics; the
 // counter does not enforce it, snapshot readers do the interpretation).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an integer-valued metric that can go up and down. The zero
-// value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge's value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the gauge by n (negative to decrease).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram counts observations into a fixed bucket layout. Buckets are
 // cumulative at exposition (Prometheus `le` semantics); internally each
@@ -152,7 +134,6 @@ func (k metricKind) String() string {
 type series struct {
 	labelVal string // "" = unlabelled
 	counter  *Counter
-	gauge    *Gauge
 	hist     *Histogram
 	fn       func() float64 // func-backed value (read at scrape)
 }
@@ -224,15 +205,6 @@ func (r *Registry) Counter(name, help string) *Counter {
 	}
 	f := r.familyFor(name, help, kindCounter, "")
 	return f.single(func() *series { return &series{counter: new(Counter)} }).counter
-}
-
-// Gauge is Counter for an up/down instrument.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	if r == nil {
-		return new(Gauge)
-	}
-	f := r.familyFor(name, help, kindGauge, "")
-	return f.single(func() *series { return &series{gauge: new(Gauge)} }).gauge
 }
 
 // Histogram returns the registered histogram of the given name with the

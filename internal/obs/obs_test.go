@@ -12,16 +12,10 @@ import (
 func TestNilRegistryHandsOutWorkingInstruments(t *testing.T) {
 	var r *Registry
 	c := r.Counter("x_total", "")
-	c.Inc()
+	c.Add(1)
 	c.Add(2)
 	if c.Value() != 3 {
 		t.Errorf("standalone counter = %d, want 3", c.Value())
-	}
-	g := r.Gauge("x", "")
-	g.Set(7)
-	g.Add(-2)
-	if g.Value() != 5 {
-		t.Errorf("standalone gauge = %d, want 5", g.Value())
 	}
 	h := r.Histogram("x_seconds", "", DurationBuckets)
 	h.Observe(0.01)
@@ -30,7 +24,7 @@ func TestNilRegistryHandsOutWorkingInstruments(t *testing.T) {
 		t.Errorf("standalone histogram count=%d sum=%v", h.Count(), h.Sum())
 	}
 	vc := r.CounterVec("x_by_stream_total", "", "stream").With("3")
-	vc.Inc()
+	vc.Add(1)
 	if vc.Value() != 1 {
 		t.Errorf("standalone vec counter = %d, want 1", vc.Value())
 	}
@@ -54,7 +48,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if a != b {
 		t.Error("same name returned distinct counters")
 	}
-	a.Inc()
+	a.Add(1)
 	if b.Value() != 1 {
 		t.Error("shared counter not shared")
 	}
@@ -64,7 +58,7 @@ func TestRegistryGetOrCreate(t *testing.T) {
 		t.Error("same vec label value returned distinct counters")
 	}
 
-	mustPanic(t, "kind reuse", func() { r.Gauge("shared_total", "") })
+	mustPanic(t, "kind reuse", func() { r.GaugeFunc("shared_total", "", func() float64 { return 0 }) })
 	mustPanic(t, "label-shape reuse", func() { r.Counter("vec_total", "") })
 	mustPanic(t, "empty vec label", func() { r.CounterVec("v2_total", "", "") })
 	mustPanic(t, "non-ascending bounds", func() { NewHistogram([]float64{1, 1}) })
@@ -104,7 +98,6 @@ func TestHistogramBuckets(t *testing.T) {
 func TestDisabledPathAllocationFree(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c_total", "")
-	g := reg.Gauge("g", "")
 	h := reg.Histogram("h_seconds", "", DurationBuckets)
 	var tr *Tracer
 
@@ -113,7 +106,6 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		f    func()
 	}{
 		{"Counter.Add", func() { c.Add(3) }},
-		{"Gauge.Set", func() { g.Set(4) }},
 		{"Histogram.Observe", func() { h.Observe(0.02) }},
 		{"nil-tracer span", func() {
 			sp := tr.Start("x", "y")

@@ -50,8 +50,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				writeSample(bw, f.name, f.label, s.labelVal, "", formatFloat(s.fn()))
 			case s.counter != nil:
 				writeSample(bw, f.name, f.label, s.labelVal, "", strconv.FormatInt(s.counter.Value(), 10))
-			case s.gauge != nil:
-				writeSample(bw, f.name, f.label, s.labelVal, "", strconv.FormatInt(s.gauge.Value(), 10))
 			}
 		}
 	}

@@ -24,12 +24,10 @@ import (
 // trace event, which is what keeps the timing table, the JSON output and
 // the trace file on one clock.
 //
-// Lane (tid) allocation: every root span takes the smallest free virtual
+// Lane (tid) allocation: every span takes the smallest free virtual
 // thread id and returns it when it ends, so concurrent spans occupy a
 // compact set of lanes (like a worker pool view) and sequential spans
-// reuse lane 1. Child spans share their parent's lane — valid because a
-// child runs strictly inside its parent on the same goroutine; concurrent
-// sub-work (scan chunks) starts root spans of its own instead.
+// reuse lane 1.
 type Tracer struct {
 	mu     sync.Mutex
 	w      *bufio.Writer
@@ -180,24 +178,16 @@ type Span struct {
 	name  string
 	cat   string
 	tid   int
-	root  bool
 	start time.Time
 }
 
-// Start opens a root span on its own lane. Valid on a nil tracer.
+// Start opens a span on its own lane. Valid on a nil tracer.
 func (t *Tracer) Start(name, cat string) Span {
-	s := Span{tr: t, name: name, cat: cat, root: true, start: time.Now()}
+	s := Span{tr: t, name: name, cat: cat, start: time.Now()}
 	if t != nil {
 		s.tid = t.acquireLane()
 	}
 	return s
-}
-
-// Child opens a sub-span on the parent's lane. The child must be strictly
-// sequential inside the parent (same goroutine); concurrent sub-work
-// starts root spans instead, or the lanes would show overlapping slices.
-func (s Span) Child(name, cat string) Span {
-	return Span{tr: s.tr, name: name, cat: cat, tid: s.tid, start: time.Now()}
 }
 
 // Active reports whether ending this span will emit an event — the guard
@@ -224,9 +214,7 @@ func (s Span) EndArgs(args map[string]any) time.Duration {
 		TS: t.micros(s.start), Dur: &dur, TID: s.tid, Args: args,
 	})
 	t.mu.Unlock()
-	if s.root {
-		t.releaseLane(s.tid)
-	}
+	t.releaseLane(s.tid)
 	return d
 }
 

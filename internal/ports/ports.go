@@ -28,7 +28,6 @@ const (
 	CatPush       Category = "push-notifications"
 	CatMusic      Category = "music-streaming"
 	CatCDN        Category = "cdn"
-	CatOther      Category = "other"
 )
 
 // Service describes one well-known port.
@@ -107,7 +106,7 @@ var registry = []Service{
 	{pp(flowrec.ProtoUDP, 5060), "Game-voice", CatGaming},
 	{pp(flowrec.ProtoUDP, 27015), "Steam", CatGaming},
 	{pp(flowrec.ProtoTCP, 27015), "Steam-TCP", CatGaming},
-	{pp(flowrec.ProtoUDP, 3478), "PSN-STUN", CatGaming}, // shared with STUN; first entry wins in Lookup
+	{pp(flowrec.ProtoUDP, 3478), "PSN-STUN", CatGaming}, // shared with STUN; the first entry wins
 	{pp(flowrec.ProtoUDP, 5222), "Riot-chat", CatGaming},
 	{pp(flowrec.ProtoTCP, 5222), "XMPP-client", CatGaming},
 	{pp(flowrec.ProtoUDP, 8393), "PUBG", CatGaming},
@@ -124,12 +123,6 @@ func init() {
 		}
 		byPort[s.Port] = s
 	}
-}
-
-// Lookup returns the service registered for the given port/protocol pair.
-func Lookup(p flowrec.PortProto) (Service, bool) {
-	s, ok := byPort[p]
-	return s, ok
 }
 
 // Name returns the registered service name or the "TCP/443"-style rendering
@@ -156,17 +149,6 @@ func OfCategory(c Category) []flowrec.PortProto {
 		}
 		return out[i].Port < out[j].Port
 	})
-	return out
-}
-
-// All returns every registered service sorted by name. The returned slice
-// is a copy.
-func All() []Service {
-	out := make([]Service, 0, len(byPort))
-	for _, s := range byPort {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

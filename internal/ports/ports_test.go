@@ -7,15 +7,15 @@ import (
 )
 
 func TestLookupKnown(t *testing.T) {
-	s, ok := Lookup(pp(flowrec.ProtoUDP, 443))
+	s, ok := byPort[pp(flowrec.ProtoUDP, 443)]
 	if !ok || s.Name != "QUIC" || s.Category != CatQUIC {
 		t.Errorf("UDP/443 lookup = %+v, %v", s, ok)
 	}
-	s, ok = Lookup(pp(flowrec.ProtoTCP, 993))
+	s, ok = byPort[pp(flowrec.ProtoTCP, 993)]
 	if !ok || s.Category != CatEmail {
 		t.Errorf("TCP/993 should be email, got %+v", s)
 	}
-	if _, ok := Lookup(pp(flowrec.ProtoTCP, 54321)); ok {
+	if _, ok := byPort[pp(flowrec.ProtoTCP, 54321)]; ok {
 		t.Error("unknown port should not resolve")
 	}
 }
@@ -43,8 +43,8 @@ func TestCategoryOf(t *testing.T) {
 		pp(flowrec.ProtoTCP, 4070): CatMusic,
 	}
 	for p, want := range cases {
-		if s, _ := Lookup(p); s.Category != want {
-			t.Errorf("Lookup(%v).Category = %v, want %v", p, s.Category, want)
+		if s := byPort[p]; s.Category != want {
+			t.Errorf("%v is categorised as %v, want %v", p, s.Category, want)
 		}
 	}
 }
@@ -61,7 +61,7 @@ func TestOfCategorySortedAndComplete(t *testing.T) {
 		}
 	}
 	for _, p := range vpn {
-		if s, _ := Lookup(p); s.Category != CatVPN {
+		if s := byPort[p]; s.Category != CatVPN {
 			t.Errorf("%v listed as VPN but categorised as %v", p, s.Category)
 		}
 	}
@@ -112,22 +112,5 @@ func TestTopPortsListsExcludePlainWeb(t *testing.T) {
 	}
 	if !inIXP || inISP {
 		t.Errorf("UDP/3480 should be in the IXP list only (ixp=%v isp=%v)", inIXP, inISP)
-	}
-}
-
-func TestAllSortedNoDuplicates(t *testing.T) {
-	all := All()
-	if len(all) < 30 {
-		t.Fatalf("registry unexpectedly small: %d", len(all))
-	}
-	seen := map[flowrec.PortProto]bool{}
-	for i, s := range all {
-		if i > 0 && all[i-1].Name > s.Name {
-			t.Fatal("All() not sorted by name")
-		}
-		if seen[s.Port] {
-			t.Errorf("duplicate port in All(): %v", s.Port)
-		}
-		seen[s.Port] = true
 	}
 }

@@ -23,8 +23,14 @@ const DefaultAttemptTimeout = 5 * time.Second
 // timeouts: a zero Config.FetchBudget is this many AttemptTimeouts.
 const defaultBudgetAttempts = 4
 
-// readBuffer sizes the data socket's kernel receive buffer; bursts ride
-// out consumer scheduling hiccups there instead of being dropped.
+// readBuffer is the receive buffer the data socket asks for. Linux caps
+// the request at net.core.rmem_max (4 MiB on the 2-core Linux box where
+// the loss below was measured) and doubles it for its own accounting. That
+// holds the day buckets of -scale 2 but not two of -scale 8 in flight
+// at once (a flows/ day there is up to 104 datagrams, ~6.8 MB): the
+// kernel then drops datagrams (Udp RcvbufErrors in /proc/net/snmp) and
+// the bridge retries the day. Loss is detected and retried, so the size
+// sets how often that happens, not whether output is correct.
 const readBuffer = 4 << 20
 
 // Route maps a flow key to the stream (pump) that serves it. The

@@ -229,16 +229,15 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "unless told otherwise. Naming a `-cache-dir` adds a disk tier:")
 	fmt.Fprintln(w, "evicted batches are appended, each written once, as checksummed")
 	fmt.Fprintln(w, "columnar spans to append-only span files under it, and a later")
-	fmt.Fprintln(w, "access maps exactly that span back in; `lockdown cache stat <dir>`")
-	fmt.Fprintln(w, "verifies what a killed run left behind. The budget never changes a")
+	fmt.Fprintln(w, "access maps exactly that span back in. The budget never changes a")
 	fmt.Fprintln(w, "metric — rebuilt and mapped batches are bit for bit the generated")
 	fmt.Fprintln(w, "ones (see docs/ARCHITECTURE.md, \"The spillable dataset store\").")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "The per-row column scans those experiments run — per-class byte")
 	fmt.Fprintln(w, "volumes, VPN method splits, EDU class/direction counts, port")
 	fmt.Fprintln(w, "histograms — share the `internal/simd` kernel package: unsafe-free,")
-	fmt.Fprintln(w, "allocation-free widening sums and scatter accumulations written so")
-	fmt.Fprintln(w, "the compiler can drop bounds checks and branches. The kernels")
+	fmt.Fprintln(w, "allocation-free scatter accumulations written so the compiler can")
+	fmt.Fprintln(w, "drop bounds checks and branches. The kernels")
 	fmt.Fprintln(w, "accumulate in exact integer arithmetic and are quick-checked against")
 	fmt.Fprintln(w, "their scalar references, so they change wall clock, never a metric")
 	fmt.Fprintln(w, "(see docs/ARCHITECTURE.md, \"Scan kernels\").")

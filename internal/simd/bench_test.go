@@ -14,18 +14,6 @@ func benchLanes() ([]uint8, []uint64) {
 	return lanes, vals
 }
 
-func BenchmarkKernelSumUint64(b *testing.B) {
-	_, vals := benchLanes()
-	b.SetBytes(benchN * 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		sink += SumUint64(vals)
-	}
-	_ = sink
-}
-
 func BenchmarkKernelScatterAddUint64(b *testing.B) {
 	lanes, vals := benchLanes()
 	b.SetBytes(benchN * 9)

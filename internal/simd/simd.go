@@ -1,17 +1,15 @@
 // Package simd holds the scalar-coded, vector-shaped kernels behind the
-// hot column scans of the experiment suite: sums and dense scatter
-// accumulation over uint8 lane arrays.
+// hot column scans of the experiment suite: dense scatter accumulation
+// over uint8 lane arrays.
 //
 // There is no unsafe and no assembly here, on purpose. The gc compiler
 // does not auto-vectorize loops, but it rewards exactly one loop shape:
 // straight-line bodies with no branches, no calls, and no bounds checks,
 // over contiguous slices. Every kernel in this package is written in that
-// shape — four-way unrolled independent accumulators where the dependency
-// chain would otherwise serialise the adds, table loads instead of
-// compares, and arithmetic masks instead of data-dependent branches — so
-// the instruction selection improves transparently with GOAMD64 (v1
-// baseline vs v3's SSE4.2/AVX/BMI era) and the loops stay at the memory
-// bandwidth the container allows.
+// shape — table loads instead of compares, and arithmetic masks instead
+// of data-dependent branches — so the instruction selection improves
+// transparently with GOAMD64 (v1 baseline vs v3's SSE4.2/AVX/BMI era) and
+// the loops stay at the memory bandwidth the container allows.
 //
 // Accumulator arrays are fixed-size (Lanes entries) and passed by array
 // pointer: indexing them with a uint8 lane needs no bounds check, the
@@ -39,23 +37,6 @@ const PairLanes = 16 * 256
 // stay resident in L1 between the classification pass and the
 // accumulation pass.
 const Tile = 4096
-
-// SumUint64 returns the sum of v. Four independent accumulators break
-// the loop-carried dependency chain so the adds pipeline.
-func SumUint64(v []uint64) uint64 {
-	var s0, s1, s2, s3 uint64
-	i := 0
-	for ; i+4 <= len(v); i += 4 {
-		s0 += v[i]
-		s1 += v[i+1]
-		s2 += v[i+2]
-		s3 += v[i+3]
-	}
-	for ; i < len(v); i++ {
-		s0 += v[i]
-	}
-	return s0 + s1 + s2 + s3
-}
 
 // ScatterAddUint64 performs acc[lanes[i]] += vals[i] for every i.
 // lanes and vals must have equal length; extra vals elements are ignored.

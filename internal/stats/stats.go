@@ -1,34 +1,14 @@
-// Package stats provides the small set of scalar statistics the lockdown
-// analyses rely on: means, medians, quantiles, correlation and growth
-// ratios. It intentionally stays tiny and dependency-free; anything more
-// elaborate lives in package timeseries.
+// Package stats provides the scalar summaries of a sample of claim values
+// over seeds and scales: its quantiles and its extremes. Nothing outside
+// its tests calls it yet; it is kept as the summariser of the fidelity
+// sweep that is to pin each claim's band. It stays tiny and
+// dependency-free; anything more elaborate lives in package timeseries.
 package stats
 
 import (
-	"errors"
 	"math"
 	"sort"
 )
-
-// ErrEmpty is returned by statistics that are undefined on empty input.
-var ErrEmpty = errors.New("stats: empty input")
-
-// Sum returns the sum of xs. An empty slice sums to zero.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Mean returns the arithmetic mean of xs, or NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return Sum(xs) / float64(len(xs))
-}
 
 // Min returns the smallest element of xs, or NaN for empty input.
 func Min(xs []float64) float64 {
@@ -58,12 +38,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Median returns the median of xs (the mean of the two central elements for
-// even-length input), or NaN for empty input.
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-quantile of xs using linear interpolation between
 // order statistics (type-7 estimator, the R and NumPy default). q is clamped
 // to [0, 1]. The input is not modified. Empty input yields NaN.
@@ -90,84 +64,4 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// Variance returns the population variance of xs, or NaN for empty input.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
-
-// Pearson returns the Pearson correlation coefficient between xs and ys.
-// It returns an error if the slices differ in length, are shorter than two
-// elements, or either input has zero variance.
-func Pearson(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, errors.New("stats: length mismatch")
-	}
-	if len(xs) < 2 {
-		return 0, ErrEmpty
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, errors.New("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Growth returns the relative growth of now over base as a fraction:
-// Growth(120, 100) == 0.20. A zero base yields +Inf (or NaN if now is also
-// zero), mirroring how the paper reports growth against a baseline week.
-func Growth(now, base float64) float64 {
-	if base == 0 {
-		if now == 0 {
-			return math.NaN()
-		}
-		return math.Inf(1)
-	}
-	return now/base - 1
-}
-
-// GrowthPercent returns Growth expressed in percent.
-func GrowthPercent(now, base float64) float64 {
-	return Growth(now, base) * 100
-}
-
-// Clamp limits v to the interval [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Ratio returns a/b and guards against division by zero by returning NaN.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.NaN()
-	}
-	return a / b
 }

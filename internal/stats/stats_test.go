@@ -6,24 +6,6 @@ import (
 	"testing/quick"
 )
 
-func approx(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
-
-func TestSumMean(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	if got := Sum(xs); got != 10 {
-		t.Errorf("Sum = %v, want 10", got)
-	}
-	if got := Mean(xs); got != 2.5 {
-		t.Errorf("Mean = %v, want 2.5", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Error("Mean(nil) should be NaN")
-	}
-	if got := Sum(nil); got != 0 {
-		t.Errorf("Sum(nil) = %v, want 0", got)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 2}
 	if Min(xs) != -1 || Max(xs) != 7 {
@@ -35,11 +17,11 @@ func TestMinMax(t *testing.T) {
 }
 
 func TestMedianQuantile(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Errorf("Median odd = %v, want 3", got)
+	if got := Quantile([]float64{5, 1, 3}, 0.5); got != 3 {
+		t.Errorf("odd median = %v, want 3", got)
 	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("Median even = %v, want 2.5", got)
+	if got := Quantile([]float64{4, 1, 3, 2}, 0.5); got != 2.5 {
+		t.Errorf("even median = %v, want 2.5", got)
 	}
 	xs := []float64{1, 2, 3, 4, 5}
 	if got := Quantile(xs, 0); got != 1 {
@@ -74,69 +56,6 @@ func TestQuantileDoesNotModifyInput(t *testing.T) {
 	}
 }
 
-func TestVarianceStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !approx(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
-	if got := StdDev(xs); !approx(got, 2, 1e-12) {
-		t.Errorf("StdDev = %v, want 2", got)
-	}
-	if !math.IsNaN(Variance(nil)) {
-		t.Error("Variance(nil) should be NaN")
-	}
-}
-
-func TestPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{2, 4, 6, 8, 10}
-	r, err := Pearson(xs, ys)
-	if err != nil || !approx(r, 1, 1e-12) {
-		t.Errorf("Pearson perfect = %v, %v; want 1, nil", r, err)
-	}
-	neg := []float64{10, 8, 6, 4, 2}
-	r, err = Pearson(xs, neg)
-	if err != nil || !approx(r, -1, 1e-12) {
-		t.Errorf("Pearson anti = %v, %v; want -1, nil", r, err)
-	}
-	if _, err := Pearson(xs, []float64{1, 2}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-	if _, err := Pearson([]float64{1}, []float64{2}); err == nil {
-		t.Error("too-short input accepted")
-	}
-	if _, err := Pearson(xs, []float64{3, 3, 3, 3, 3}); err == nil {
-		t.Error("zero variance accepted")
-	}
-}
-
-func TestGrowth(t *testing.T) {
-	if got := Growth(120, 100); !approx(got, 0.2, 1e-12) {
-		t.Errorf("Growth = %v, want 0.2", got)
-	}
-	if got := GrowthPercent(300, 100); !approx(got, 200, 1e-9) {
-		t.Errorf("GrowthPercent = %v, want 200", got)
-	}
-	if !math.IsInf(Growth(5, 0), 1) {
-		t.Error("Growth over zero base should be +Inf")
-	}
-	if !math.IsNaN(Growth(0, 0)) {
-		t.Error("Growth 0/0 should be NaN")
-	}
-}
-
-func TestClampRatio(t *testing.T) {
-	if Clamp(5, 0, 2) != 2 || Clamp(-1, 0, 2) != 0 || Clamp(1, 0, 2) != 1 {
-		t.Error("Clamp misbehaves")
-	}
-	if Ratio(6, 3) != 2 {
-		t.Error("Ratio(6,3) != 2")
-	}
-	if !math.IsNaN(Ratio(1, 0)) {
-		t.Error("Ratio by zero should be NaN")
-	}
-}
-
 // Property: quantile output is always within [Min, Max] of the input.
 func TestQuantileBoundsQuick(t *testing.T) {
 	f := func(raw []float64, q float64) bool {
@@ -152,51 +71,6 @@ func TestQuantileBoundsQuick(t *testing.T) {
 		qq := math.Mod(math.Abs(q), 1)
 		v := Quantile(xs, qq)
 		return v >= Min(xs)-1e-9 && v <= Max(xs)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: mean lies between min and max.
-func TestMeanBoundsQuick(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) && math.Abs(v) < 1e12 {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		m := Mean(xs)
-		return m >= Min(xs)-1e-6 && m <= Max(xs)+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: Pearson correlation, when defined, is within [-1, 1].
-func TestPearsonRangeQuick(t *testing.T) {
-	f := func(pairs [][2]float64) bool {
-		var xs, ys []float64
-		for _, p := range pairs {
-			if math.IsNaN(p[0]) || math.IsNaN(p[1]) || math.IsInf(p[0], 0) || math.IsInf(p[1], 0) {
-				continue
-			}
-			if math.Abs(p[0]) > 1e9 || math.Abs(p[1]) > 1e9 {
-				continue
-			}
-			xs = append(xs, p[0])
-			ys = append(ys, p[1])
-		}
-		r, err := Pearson(xs, ys)
-		if err != nil {
-			return true
-		}
-		return r >= -1-1e-9 && r <= 1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

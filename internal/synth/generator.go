@@ -119,15 +119,8 @@ func (g *Generator) WithVPNGateways(addrs []netip.Addr) *Generator {
 	return &c
 }
 
-// VP returns the vantage point this generator models.
-func (g *Generator) VP() VantagePoint { return g.cfg.VP }
-
 // Registry returns the AS registry backing the generator.
 func (g *Generator) Registry() *asdb.Registry { return g.reg }
-
-// Components returns the modelled components. The slice is shared; do not
-// modify.
-func (g *Generator) Components() []Component { return g.cfg.Components }
 
 // hourlyVolume sums every component's volume for hour h.
 func (g *Generator) hourlyVolume(h *hour) float64 {
@@ -177,19 +170,6 @@ func (g *Generator) ClassSeries(class Class, from, to time.Time) *timeseries.Ser
 		s.Add(h.start, v)
 	})
 	return s
-}
-
-// Classes returns the distinct traffic classes present in the model.
-func (g *Generator) Classes() []Class {
-	seen := make(map[Class]bool)
-	var out []Class
-	for i := range g.cfg.Components {
-		if class := g.cfg.Components[i].Class; !seen[class] {
-			seen[class] = true
-			out = append(out, class)
-		}
-	}
-	return out
 }
 
 // zipfWeights returns normalised 1/(i+1) weights for n items.

@@ -233,7 +233,7 @@ func refVolumeAt(c Component, t time.Time, seed int64) float64 {
 	if mean == 0 {
 		return 0
 	}
-	shape := prof.At(hour) / mean
+	shape := prof[hour] / mean
 
 	// Lockdown response.
 	resp := c.Resp
@@ -283,7 +283,7 @@ func refRawFlowCount(c Component, t time.Time, flowScale float64) (raw float64, 
 	if mean == 0 {
 		return 0, false
 	}
-	shape := prof.At(t.UTC().Hour()) / mean
+	shape := prof[t.UTC().Hour()] / mean
 	return flowBasePerHour * shape * refConnMultiplier(c, t) * flowScale, true
 }
 

@@ -164,7 +164,7 @@ func FuzzSamplerMatchesReference(f *testing.F) {
 		got, want := g.HourBatch(at, "", set), refHourBatch(g, at, "", set)
 		if !got.Equal(want) {
 			t.Errorf("%s scale %v seed %d pinned %v %s, columns %s: the sampler differs from the reference",
-				g.VP(), scale, seed, pinned, at.Format("2006-01-02T15"), set)
+				g.cfg.VP, scale, seed, pinned, at.Format("2006-01-02T15"), set)
 		}
 	})
 }

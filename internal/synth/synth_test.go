@@ -107,8 +107,8 @@ func TestDefaultConfigsValid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", vp, err)
 		}
-		if g.VP() != vp {
-			t.Errorf("VP() = %v, want %v", g.VP(), vp)
+		if g.cfg.VP != vp {
+			t.Errorf("the generator models %v, want %v", g.cfg.VP, vp)
 		}
 		if v := g.HourlyVolume(date(2020, 2, 19).Add(20 * time.Hour)); v <= 0 {
 			t.Errorf("%s: zero baseline volume", vp)
@@ -280,7 +280,10 @@ func TestPatternBecomesWeekendLike(t *testing.T) {
 
 func TestClassSeriesAndClasses(t *testing.T) {
 	g := MustNewDefault(IXPCE)
-	classes := g.Classes()
+	classes := map[Class]bool{}
+	for _, c := range g.cfg.Components {
+		classes[c.Class] = true
+	}
 	if len(classes) < 10 {
 		t.Fatalf("expected a rich class mix, got %d", len(classes))
 	}
@@ -343,7 +346,7 @@ func TestFlowSamplingConsistency(t *testing.T) {
 	}
 	var sum float64
 	validPorts := make(map[flowrec.PortProto]bool)
-	for _, c := range g.Components() {
+	for _, c := range g.cfg.Components {
 		for _, p := range c.Ports {
 			validPorts[p] = true
 		}

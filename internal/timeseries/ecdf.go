@@ -18,9 +18,6 @@ func NewECDF(sample []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // At returns F(x): the fraction of sample values <= x. An empty ECDF
 // returns NaN.
 func (e *ECDF) At(x float64) float64 {
@@ -53,10 +50,6 @@ func (e *ECDF) Quantile(q float64) float64 {
 	}
 	return e.sorted[idx]
 }
-
-// Values returns the sorted sample. The returned slice must not be
-// modified.
-func (e *ECDF) Values() []float64 { return e.sorted }
 
 // ShiftedRightOf reports whether e is stochastically larger than other at
 // every one of the probe points: F_e(x) <= F_other(x) for all probes (with

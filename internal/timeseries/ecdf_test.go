@@ -9,8 +9,8 @@ import (
 
 func TestECDFBasics(t *testing.T) {
 	e := NewECDF([]float64{1, 2, 2, 4})
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d", e.Len())
+	if len(e.sorted) != 4 {
+		t.Fatalf("sample size = %d", len(e.sorted))
 	}
 	cases := []struct{ x, want float64 }{
 		{0, 0}, {1, 0.25}, {1.5, 0.25}, {2, 0.75}, {3, 0.75}, {4, 1}, {99, 1},
@@ -44,9 +44,8 @@ func TestECDFQuantile(t *testing.T) {
 
 func TestECDFCurveAndValues(t *testing.T) {
 	e := NewECDF([]float64{3, 1, 2})
-	vals := e.Values()
-	if !sort.Float64sAreSorted(vals) {
-		t.Error("Values should be sorted")
+	if !sort.Float64sAreSorted(e.sorted) {
+		t.Error("the sample should be sorted")
 	}
 	want := []float64{0, 1.0 / 3, 2.0 / 3, 1}
 	for i, x := range []float64{0.5, 1.5, 2.5, 3.5} {

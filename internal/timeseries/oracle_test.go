@@ -121,7 +121,6 @@ func TestSeriesMatchesLinearOracle(t *testing.T) {
 			}
 			want := refSorted(raw)
 			samePoints(t, kind+" Points", s.Points(), want)
-			samePoints(t, kind+" FromPoints", FromPoints(kind, raw).Points(), want)
 			for _, r := range oracleRanges(rng, want) {
 				sub := s.Slice(r[0], r[1])
 				samePoints(t, kind+" Slice", sub.Points(), refSlice(want, r[0], r[1]))

@@ -1,7 +1,7 @@
 // Package timeseries provides the time-series container and operations the
 // lockdown analyses are built from: regular binning, resampling,
 // normalisation against a reference value, daily totals and weekly means,
-// differences between series and empirical CDFs.
+// and empirical CDFs.
 //
 // A Series is a sequence of (timestamp, value) points read in time order.
 // A series whose points are added in non-decreasing time — every builder
@@ -12,7 +12,6 @@
 package timeseries
 
 import (
-	"fmt"
 	"math"
 	"slices"
 	"sort"
@@ -40,17 +39,6 @@ type Series struct {
 // New returns an empty series with the given name.
 func New(name string) *Series {
 	return &Series{Name: name}
-}
-
-// FromPoints builds a series from pre-existing points. The slice is copied.
-func FromPoints(name string, pts []Point) *Series {
-	s := New(name)
-	s.Grow(len(pts))
-	for _, p := range pts {
-		s.AddPoint(p)
-	}
-	s.sort()
-	return s
 }
 
 // Grow reserves room for n more points, so the next n Adds do not
@@ -99,11 +87,6 @@ func (s *Series) Values() []float64 {
 		out[i] = p.V
 	}
 	return out
-}
-
-// Clone returns a deep copy of the series.
-func (s *Series) Clone() *Series {
-	return FromPoints(s.Name, s.Points())
 }
 
 // Total returns the sum of all values.
@@ -242,59 +225,4 @@ func (s *Series) Filter(keep func(Point) bool) *Series {
 		}
 	}
 	return out
-}
-
-// AlignError is returned by binary series operations when the two series do
-// not cover the same timestamps.
-type AlignError struct {
-	A, B string
-	At   time.Time
-}
-
-func (e *AlignError) Error() string {
-	return fmt.Sprintf("timeseries: %q and %q not aligned at %v", e.A, e.B, e.At)
-}
-
-// binaryOp applies op pointwise to two series that must share timestamps.
-func binaryOp(name string, a, b *Series, op func(x, y float64) float64) (*Series, error) {
-	pa, pb := a.Points(), b.Points()
-	if len(pa) != len(pb) {
-		return nil, &AlignError{A: a.Name, B: b.Name}
-	}
-	out := New(name)
-	for i := range pa {
-		if !pa[i].T.Equal(pb[i].T) {
-			return nil, &AlignError{A: a.Name, B: b.Name, At: pa[i].T}
-		}
-		out.Add(pa[i].T, op(pa[i].V, pb[i].V))
-	}
-	return out, nil
-}
-
-// Sub returns a - b for aligned series.
-func Sub(a, b *Series) (*Series, error) {
-	return binaryOp(a.Name+"-"+b.Name, a, b, func(x, y float64) float64 { return x - y })
-}
-
-// AddSeries returns a + b for aligned series.
-func AddSeries(a, b *Series) (*Series, error) {
-	return binaryOp(a.Name+"+"+b.Name, a, b, func(x, y float64) float64 { return x + y })
-}
-
-// Sum adds any number of series that are pairwise aligned.
-func Sum(name string, series ...*Series) (*Series, error) {
-	if len(series) == 0 {
-		return New(name), nil
-	}
-	acc := series[0].Clone()
-	acc.Name = name
-	for _, s := range series[1:] {
-		next, err := AddSeries(acc, s)
-		if err != nil {
-			return nil, err
-		}
-		next.Name = name
-		acc = next
-	}
-	return acc, nil
 }

@@ -145,68 +145,6 @@ func TestFilterMap(t *testing.T) {
 	}
 }
 
-func TestBinaryOps(t *testing.T) {
-	a := hourly(10, 20, 30)
-	b := hourly(1, 2, 3)
-	sub, err := Sub(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sub.Values(); got[2] != 27 {
-		t.Errorf("Sub = %v", got)
-	}
-	add, err := AddSeries(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := add.Values(); got[0] != 11 {
-		t.Errorf("Add = %v", got)
-	}
-	// Misaligned series must error.
-	c := hourly(1, 2)
-	if _, err := Sub(a, c); err == nil {
-		t.Error("misaligned Sub accepted")
-	}
-	shifted := New("s")
-	for i, v := range []float64{1, 2, 3} {
-		shifted.Add(t0.Add(time.Duration(i)*time.Hour+time.Minute), v)
-	}
-	if _, err := Sub(a, shifted); err == nil {
-		t.Error("time-shifted Sub accepted")
-	}
-}
-
-func TestSumSeries(t *testing.T) {
-	a := hourly(1, 1, 1)
-	b := hourly(2, 2, 2)
-	c := hourly(3, 3, 3)
-	total, err := Sum("total", a, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range total.Values() {
-		if v != 6 {
-			t.Errorf("Sum value = %v, want 6", v)
-		}
-	}
-	if total.Name != "total" {
-		t.Errorf("Sum name = %q", total.Name)
-	}
-	empty, err := Sum("none")
-	if err != nil || empty.Len() != 0 {
-		t.Error("Sum of nothing should be empty and nil error")
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	a := hourly(1, 2, 3)
-	b := a.Clone()
-	b.Add(t0.Add(10*time.Hour), 99)
-	if a.Len() != 3 || b.Len() != 4 {
-		t.Error("Clone is not independent of the original")
-	}
-}
-
 // Property: resampling preserves the total for arbitrary positive inputs.
 func TestResampleTotalQuick(t *testing.T) {
 	f := func(raw []uint16) bool {
