@@ -17,8 +17,8 @@ import (
 	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
 	"lockdown/internal/synth"
+	"lockdown/internal/tmpl"
 )
 
 // benchOptions keeps the flow-level experiments affordable inside the
@@ -256,14 +256,14 @@ func benchRecords(n int) []flowrec.Record {
 func BenchmarkCodecNetflowV9Batch(b *testing.B) {
 	src := flowrec.FromRecords(benchRecords(100))
 	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
-	enc := &netflow.V9Encoder{SourceID: 1}
-	decoder := netflow.NewV9Decoder()
+	decoder := tmpl.NewDecoder(&tmpl.V9)
 	var buf []byte
+	var seq uint32
 	dec := flowrec.NewBatch(100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		buf, err = enc.EncodeBatch(buf[:0], src, 0, src.Len(), export)
+		buf, err = tmpl.V9.EncodeBatch(buf[:0], src, 0, src.Len(), export, 1, &seq)
 		if err != nil {
 			b.Fatal(err)
 		}

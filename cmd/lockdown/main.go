@@ -175,6 +175,9 @@ func run(ctx context.Context, args []string) error {
 	}
 	switch args[0] {
 	case "list":
+		if len(args) > 1 {
+			return usageError(fmt.Sprintf("list takes no arguments, got %q", args[1]))
+		}
 		for _, e := range core.All() {
 			fmt.Printf("%-18s %-22s %s\n", e.ID, e.Artifact, e.Title)
 		}
@@ -186,6 +189,9 @@ func run(ctx context.Context, args []string) error {
 		}
 		switch args[1] {
 		case "doc":
+			if len(args) > 2 {
+				return usageError(fmt.Sprintf("scenario doc takes no arguments, got %q", args[2]))
+			}
 			fmt.Print(scenario.SchemaDoc())
 			return nil
 		case "validate":
@@ -367,6 +373,14 @@ func runMode(ctx context.Context, name string, args []string) error {
 			usage()
 			return usageError(fmt.Sprintf("%s needs %s", m.name, m.arg))
 		}
+		if strings.HasPrefix(args[0], "-") {
+			// A flag where the argument belongs: -h still prints the
+			// mode's flags, anything else is refused.
+			if errors.Is(fs.Parse(args), flag.ErrHelp) {
+				return nil
+			}
+			return usageError(fmt.Sprintf("%s needs %s before its flags", m.name, m.arg))
+		}
 		o.arg, args = args[0], args[1:]
 	}
 	if err := fs.Parse(args); err != nil {
@@ -374,6 +388,11 @@ func runMode(ctx context.Context, name string, args []string) error {
 			return nil
 		}
 		return usageError(err.Error())
+	}
+	// The flag package stops at the first word that is not a flag; that
+	// word and every flag after it would otherwise be ignored.
+	if fs.NArg() > 0 {
+		return usageError(fmt.Sprintf("%s: unexpected argument %q", m.name, fs.Arg(0)))
 	}
 	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	if err := o.check(m); err != nil {

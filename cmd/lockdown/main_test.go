@@ -290,7 +290,7 @@ func TestFieldCensus(t *testing.T) {
 
 // exportWhy names the exported functions and methods of internal/ that no
 // non-test file calls, each with the reason it stays. A name the census
-// counts as used through a collision (stats.Quantile, Min and Max;
+// counts as used through a collision (stats.Min and Max;
 // flowrec.Batch.Equal and Record.Validate) carries its reason in its doc
 // comment instead.
 var exportWhy = map[string]string{
@@ -649,6 +649,10 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 		"replay -max-attempts 2", "cluster -max-restarts 1", "replay -allow-partial",
 		"all -scan-chunk -5", "replay -attempt-timeout -1s", "replay -fetch-budget -1s",
 		"replay -addr 127.0.0.1:9", "cluster -fetch-budget 1s",
+		// Leftover words, and flags where a mode's argument belongs.
+		"all -scale 0.1 bogus", "run fig1 extra -json", "run -scale 0.2 fig1", "doc extra",
+		"replay -format v9 extra", "scenario run -seed 3 s.yaml", "scenario run s.yaml extra",
+		"list extra", "scenario doc extra",
 	} {
 		err := run(context.Background(), strings.Fields(line))
 		var ue usageError

@@ -35,9 +35,8 @@ import (
 	"time"
 
 	"lockdown/internal/flowrec"
-	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
 	"lockdown/internal/obs"
+	"lockdown/internal/tmpl"
 )
 
 // Format selects the wire format of an exporter or collector.
@@ -95,11 +94,11 @@ const maxDatagram = 0xFFFF
 // decoding, so it is safe on arbitrary input; packets too short to carry
 // the field report stream 0, and the header check rejects them.
 func StreamID(format Format, pkt []byte) uint32 {
-	w, err := format.wire()
+	f, err := format.framing()
 	if err != nil {
 		return 0
 	}
-	return w.stream(pkt)
+	return f.StreamID(pkt)
 }
 
 // Decoder decodes one format's export datagrams: it appends the records
@@ -110,41 +109,18 @@ func StreamID(format Format, pkt []byte) uint32 {
 // concurrent use; a consumer keeps one per reading goroutine.
 type Decoder func(dst *flowrec.Batch, pkt []byte) (int, error)
 
-type encodeFunc func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error)
-
-// wire is what differs between the formats. A Collector resolves it once,
-// at construction, to its header check and decoder factory; an Exporter
-// to its encoder. The decoders and encoders carry the format's
-// per-connection state (template cache, sequence counter).
-type wire struct {
-	rows       func(cols flowrec.Columns) int // rows per datagram, for a batch storing cols
-	stream     func(pkt []byte) uint32
-	check      func(pkt []byte) error
-	newDecoder func() Decoder
-	newEncoder func(stream uint32) encodeFunc
-}
-
-// wire is the one place that knows the formats apart.
-func (f Format) wire() (wire, error) {
+// framing is the one place that knows the formats apart: a format is its
+// tmpl.Framing. A Collector and an Exporter resolve it once, at
+// construction; the per-connection state (template cache, sequence
+// counter) is theirs.
+func (f Format) framing() (*tmpl.Framing, error) {
 	switch f {
 	case FormatNetflowV9:
-		return wire{
-			rows:       netflow.V9MaxRecords,
-			stream:     netflow.V9SourceID,
-			check:      netflow.CheckV9Header,
-			newDecoder: func() Decoder { return netflow.NewV9Decoder().DecodeBatch },
-			newEncoder: func(stream uint32) encodeFunc { return (&netflow.V9Encoder{SourceID: stream}).EncodeBatch },
-		}, nil
+		return &tmpl.V9, nil
 	case FormatIPFIX:
-		return wire{
-			rows:       ipfix.MaxRecords,
-			stream:     ipfix.DomainID,
-			check:      ipfix.CheckHeader,
-			newDecoder: func() Decoder { return ipfix.NewDecoder().DecodeBatch },
-			newEncoder: func(stream uint32) encodeFunc { return (&ipfix.Encoder{DomainID: stream}).EncodeBatch },
-		}, nil
+		return &tmpl.IPFIX, nil
 	default:
-		return wire{}, fmt.Errorf("collector: unsupported format %v", f)
+		return nil, fmt.Errorf("collector: unsupported format %v", f)
 	}
 }
 
@@ -179,12 +155,10 @@ func (d *Datagram) Release() { datagramPool.Put(d) }
 // goroutine per Collector; Close releases the socket and closes the
 // delivery channel.
 type Collector struct {
-	conn       *net.UDPConn
-	stream     func(pkt []byte) uint32
-	check      func(pkt []byte) error
-	newDecoder func() Decoder
-	tagged     chan *Datagram
-	errs       chan error
+	conn    *net.UDPConn
+	framing *tmpl.Framing
+	tagged  chan *Datagram
+	errs    chan error
 
 	// metrics is nil until Instrument attaches a registry; the receive
 	// loop pays one pointer load and nil check per datagram either way.
@@ -225,7 +199,7 @@ func (c *Collector) Instrument(reg *obs.Registry) {
 // NewCollector opens a UDP listener on addr ("127.0.0.1:0" for an
 // ephemeral port) for the given format. Call Run to start receiving.
 func NewCollector(format Format, addr string) (*Collector, error) {
-	w, err := format.wire()
+	f, err := format.framing()
 	if err != nil {
 		return nil, err
 	}
@@ -238,10 +212,8 @@ func NewCollector(format Format, addr string) (*Collector, error) {
 		return nil, fmt.Errorf("collector: listen %q: %w", addr, err)
 	}
 	return &Collector{
-		conn:       conn,
-		stream:     w.stream,
-		check:      w.check,
-		newDecoder: w.newDecoder,
+		conn:    conn,
+		framing: f,
 		// 64 datagrams of slack, so a consumer hiccup backs up into the
 		// channel before it backs up into the socket buffer.
 		tagged: make(chan *Datagram, 64),
@@ -261,7 +233,7 @@ func (c *Collector) Tagged() <-chan *Datagram { return c.tagged }
 
 // NewDecoder returns a decoder for the collector's format, with an empty
 // template cache.
-func (c *Collector) NewDecoder() Decoder { return c.newDecoder() }
+func (c *Collector) NewDecoder() Decoder { return tmpl.NewDecoder(c.framing).DecodeBatch }
 
 // Errors returns the channel receive errors and rejected headers are
 // reported on. Errors are dropped if the channel is full; the collector
@@ -320,11 +292,11 @@ func (c *Collector) Run(ctx context.Context) {
 			// Only the header is checked here; the consumer decodes. A
 			// packet whose header is rejected never reaches the channel,
 			// so a garbage tag cannot either.
-			if err := c.check(pkt); err != nil {
+			if err := c.framing.CheckHeader(pkt); err != nil {
 				c.reportErr(err)
 				continue
 			}
-			d = newDatagram(c.stream(pkt), false, pkt)
+			d = newDatagram(c.framing.StreamID(pkt), false, pkt)
 		}
 		select {
 		case c.tagged <- d:
@@ -372,11 +344,11 @@ func (c *Collector) Close() error {
 // allocates nothing per record. An Exporter is not safe for concurrent
 // use (it carries sequence state).
 type Exporter struct {
-	conn   *net.UDPConn
-	stream uint32
-	rows   func(cols flowrec.Columns) int // rows per packet
-	encode encodeFunc
-	buf    []byte
+	conn    *net.UDPConn
+	framing *tmpl.Framing
+	stream  uint32
+	seq     uint32
+	buf     []byte
 }
 
 // NewExporter dials the given UDP collector address. The exporter's
@@ -391,7 +363,7 @@ func NewExporter(format Format, addr string) (*Exporter, error) {
 // (StreamID), which is what lets several exporters share one collector
 // socket.
 func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, error) {
-	w, err := format.wire()
+	f, err := format.framing()
 	if err != nil {
 		return nil, err
 	}
@@ -403,7 +375,7 @@ func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, er
 	if err != nil {
 		return nil, fmt.Errorf("exporter: dial %q: %w", addr, err)
 	}
-	return &Exporter{conn: conn, stream: stream, rows: w.rows, encode: w.newEncoder(stream)}, nil
+	return &Exporter{conn: conn, framing: f, stream: stream}, nil
 }
 
 // ExportBatch encodes and sends the batch, splitting it into as few
@@ -422,11 +394,11 @@ func (e *Exporter) ExportBatch(b *flowrec.Batch) error {
 // sysUptime-relative FIRST_SWITCHED / LAST_SWITCHED do, needs the stamp
 // near the flows to represent them.
 func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
-	now, rows := exportTime.UTC(), e.rows(b.Columns())
+	now, rows := exportTime.UTC(), e.framing.MaxRecords(b.Columns())
 	for lo := 0; lo < b.Len(); lo += rows {
 		hi := min(lo+rows, b.Len())
 		var err error
-		if e.buf, err = e.encode(e.buf[:0], b, lo, hi, now); err != nil {
+		if e.buf, err = e.framing.EncodeBatch(e.buf[:0], b, lo, hi, now, e.stream, &e.seq); err != nil {
 			return err
 		}
 		if _, err := e.conn.Write(e.buf); err != nil {

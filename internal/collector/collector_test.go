@@ -252,13 +252,13 @@ func TestExporterFillsDatagrams(t *testing.T) {
 		sets[kind.String()] = core.FlowKey{Kind: kind}.Columns()
 	}
 	for _, format := range []Format{FormatNetflowV9, FormatIPFIX} {
-		w, err := format.wire()
+		f, err := format.framing()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for name, cols := range sets {
 			t.Run(format.String()+"/"+name, func(t *testing.T) {
-				max := w.rows(cols)
+				max := f.MaxRecords(cols)
 				n := 2*max + 7
 				recs := testRecords(n)
 				for i := range recs { // second-aligned, as the templates carry them

@@ -7,7 +7,7 @@ import (
 
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
+	"lockdown/internal/tmpl"
 )
 
 // collectTagged decodes tagged datagrams until want rows arrived or the
@@ -78,8 +78,8 @@ func TestStreamIDReadsHeaders(t *testing.T) {
 	b := flowrec.FromRecords(testRecords(3))
 	now := time.Now().UTC()
 
-	enc9 := netflow.V9Encoder{SourceID: 70000}
-	v9, err := enc9.EncodeBatch(nil, b, 0, b.Len(), now)
+	var seq uint32
+	v9, err := tmpl.V9.EncodeBatch(nil, b, 0, b.Len(), now, 70000, &seq)
 	if err != nil {
 		t.Fatal(err)
 	}

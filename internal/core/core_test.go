@@ -52,6 +52,24 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestPaperOrderListsEveryExperiment: All walks paperOrder alone, so an
+// experiment registered but not listed there would vanish from every
+// command, and one listed twice would run twice.
+func TestPaperOrderListsEveryExperiment(t *testing.T) {
+	listed := map[string]int{}
+	for _, id := range paperOrder {
+		listed[id]++
+		if _, ok := registry[id]; !ok {
+			t.Errorf("paperOrder lists %q, which is not registered", id)
+		}
+	}
+	for id := range registry {
+		if listed[id] != 1 {
+			t.Errorf("paperOrder lists %q %d times, want once", id, listed[id])
+		}
+	}
+}
+
 func TestFig1WeeklyGrowthShapes(t *testing.T) {
 	res := run(t, "fig1", quick())
 	isp13 := res.Metric("ISP-CE/week13")

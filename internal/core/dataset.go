@@ -562,18 +562,17 @@ func (d *Dataset) Stats() CacheStats {
 	return s
 }
 
-// Pin keeps the flow-batch entries an experiment touches resident until
-// Release. The engine creates one per experiment run; every batch drawn
-// through the Env's accessors is pinned for the experiment's whole
-// lifetime, so a scan can revisit its days without fault-in churn and
-// eviction never races a reader. A Pin is used by one goroutine (the
-// experiment's); it is not safe for concurrent use.
+// Pin keeps the flow-batch entries a scan chunk touches resident until
+// Release. ShardedScan gives each chunk one (Env.chunkEnv) and releases it
+// when the chunk returns, so eviction never races a reader; every flow
+// batch the suite reads is read inside a chunk. A Pin is used by one
+// goroutine (the chunk's); it is not safe for concurrent use.
 type Pin struct {
 	d       *Dataset
 	entries []*flowEntry
 	seen    map[*flowEntry]struct{}
-	// drawn, when set, is the accounting every pin of one experiment
-	// reports its entries to (see Env.chunkEnv).
+	// drawn, when set, is the accounting every chunk pin of one
+	// experiment reports its entries to (see Env.chunkEnv).
 	drawn *drawnSet
 }
 
@@ -581,7 +580,7 @@ type Pin struct {
 func (d *Dataset) NewPin() *Pin { return &Pin{d: d} }
 
 // drawnSet is the distinct flow-batch entries one experiment drew —
-// through its own pin or the chunk pins derived from it — with their
+// through the pins of its scan chunks — with their
 // summed size, rows × the width of the columns each entry stores: what
 // MetricBatchMB reports. Being a set it reads the same however the scans
 // were chunked, parallelised or re-faulted.

@@ -54,13 +54,15 @@ func IsRuntimeMetric(key string) bool {
 type Env struct {
 	Options
 	Data *Dataset
-	// pin keeps every flow batch the experiment draws through the Env
-	// accessors resident until the experiment returns, so a scan can
-	// revisit its day grid without fault-in churn and cache eviction
-	// never races a reader. The engine creates and releases it around
-	// each run; a hand-built Env (tests) may leave it nil, in which case
-	// the accessors read the cache unpinned.
+	// pin keeps every flow batch a scan chunk draws through the Env
+	// accessors resident until the chunk returns, so cache eviction never
+	// races a reader. Only a chunk's Env (chunkEnv) has one; elsewhere it
+	// is nil and the accessors read the cache unpinned.
 	pin *Pin
+	// drawn is the experiment's batch accounting (MetricBatchMB), which
+	// every chunk pin reports to. The engine sets it per run; nil
+	// (hand-built Envs) disables the accounting.
+	drawn *drawnSet
 	// ctx is the run's context: sharded scans observe it between chunks
 	// so a cancelled RunAll stops mid-grid instead of finishing the
 	// experiment. nil (hand-built Envs) means Background.
@@ -228,9 +230,8 @@ func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
 
 // runTimed executes an experiment and records its wall time, the batch
 // memory it read and its scan activity into the result's runtime metrics.
-// The experiment's Env carries a Pin: every flow batch it draws stays
-// resident until the run returns, then the pin releases and the cache may
-// evict what no longer fits the budget. budget is the shared worker pool
+// The batches are read, and pinned, by the experiment's scan chunks, which
+// report them to the Env's drawn set. budget is the shared worker pool
 // the experiment's sharded scans may borrow spare tokens from; the caller
 // must already hold one of its tokens.
 func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBudget) (*Result, error) {
@@ -239,8 +240,7 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBud
 	// -json output, /metrics and the trace file all report one number.
 	sp := e.opts.Tracer.Start("exp:"+exp.ID, "experiment")
 	drawn := &drawnSet{seen: make(map[*flowEntry]struct{})}
-	env := &Env{Options: e.opts, Data: e.data, pin: &Pin{d: e.data, drawn: drawn}, ctx: ctx, budget: budget, scan: &scanStats{}}
-	defer env.pin.Release()
+	env := &Env{Options: e.opts, Data: e.data, drawn: drawn, ctx: ctx, budget: budget, scan: &scanStats{}}
 	res, err := exp.Run(env)
 	if err != nil {
 		e.m.failures.Add(1)

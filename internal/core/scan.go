@@ -214,13 +214,12 @@ func ScanDays[T any](env *Env, days []time.Time, newPart func() T,
 // sequentially).
 func (env *Env) chunkEnv() *Env {
 	pin := env.Data.NewPin()
-	if env.pin != nil {
-		pin.drawn = env.pin.drawn
-	}
+	pin.drawn = env.drawn
 	return &Env{
 		Options: env.Options,
 		Data:    env.Data,
 		pin:     pin,
+		drawn:   env.drawn,
 		ctx:     env.ctx,
 		scan:    env.scan,
 	}

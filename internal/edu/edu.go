@@ -14,6 +14,7 @@ import (
 	"lockdown/internal/appclass"
 	"lockdown/internal/calendar"
 	"lockdown/internal/flowrec"
+	"lockdown/internal/stats"
 	"lockdown/internal/timeseries"
 )
 
@@ -238,10 +239,5 @@ func (g Growth) MedianGrowthAfter(name string, from time.Time) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	sort.Float64s(vals)
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[mid]
-	}
-	return (vals[mid-1] + vals[mid]) / 2
+	return stats.Quantile(vals, 0.5)
 }

@@ -201,6 +201,29 @@ func TestConnectionGrowthSkipsEmptyBaseline(t *testing.T) {
 	}
 }
 
+// TestMedianGrowthAfter: the median of the days at or after from, the
+// mean of the middle two for an even count, and 0 when no day is.
+func TestMedianGrowthAfter(t *testing.T) {
+	s := timeseries.New("c")
+	for i, v := range []float64{100, 4, 1, 3, 2} { // 1 to 5 March
+		s.Add(date(2020, 3, 1+i), v)
+	}
+	g := Growth{Series: map[string]*timeseries.Series{"c": s}}
+	for _, tc := range []struct {
+		from time.Time
+		want float64
+	}{
+		{date(2020, 3, 1), 3},   // 1 2 3 4 100
+		{date(2020, 3, 2), 2.5}, // 1 2 3 4
+		{date(2020, 3, 5), 2},
+		{date(2020, 3, 6), 0},
+	} {
+		if got := g.MedianGrowthAfter("c", tc.from); got != tc.want {
+			t.Errorf("median after %s = %g, want %g", tc.from.Format(time.DateOnly), got, tc.want)
+		}
+	}
+}
+
 func TestDefaultCategoriesDistinct(t *testing.T) {
 	seen := map[string]bool{}
 	for _, c := range append(DefaultCategories(), ExtraCategories()...) {

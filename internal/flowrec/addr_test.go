@@ -14,8 +14,7 @@ import (
 
 	"lockdown/internal/flowrec"
 	"lockdown/internal/flowstore"
-	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
+	"lockdown/internal/tmpl"
 )
 
 // TestBatchColumnsArePointerFree pins the mechanism the pointer-free
@@ -191,21 +190,18 @@ func TestEveryAddrRoundTrips(t *testing.T) {
 		b.SrcIP[0], b.DstIP[0] = flowrec.Addr{}, flowrec.Addr{255, 255, 255, 255}
 		b.SrcIP[1], b.DstIP[1] = flowrec.Addr{255, 255, 255, 255}, flowrec.Addr{}
 
-		v9out, ipout := flowrec.NewBatch(b.Len()), flowrec.NewBatch(b.Len())
-		var v9e netflow.V9Encoder
-		pkt, err := v9e.EncodeBatch(nil, b, 0, b.Len(), export)
-		if err == nil {
-			_, err = netflow.NewV9Decoder().DecodeBatch(v9out, pkt)
-		}
-		if err != nil {
-			t.Errorf("v9: %v", err)
-		}
-		var ipe ipfix.Encoder
-		if pkt, err = ipe.EncodeBatch(nil, b, 0, b.Len(), export); err == nil {
-			_, err = ipfix.NewDecoder().DecodeBatch(ipout, pkt)
-		}
-		if err != nil {
-			t.Errorf("ipfix: %v", err)
+		outs := map[string]*flowrec.Batch{}
+		for _, f := range []*tmpl.Framing{&tmpl.V9, &tmpl.IPFIX} {
+			var seq uint32
+			out := flowrec.NewBatch(b.Len())
+			pkt, err := f.EncodeBatch(nil, b, 0, b.Len(), export, 0, &seq)
+			if err == nil {
+				_, err = tmpl.NewDecoder(f).DecodeBatch(out, pkt)
+			}
+			if err != nil {
+				t.Errorf("%s: %v", f.Name, err)
+			}
+			outs[f.Name] = out
 		}
 		ref, err := sf.Append(b)
 		if err != nil {
@@ -216,9 +212,9 @@ func TestEveryAddrRoundTrips(t *testing.T) {
 			t.Fatalf("span fault: %v", err)
 		}
 		defer seg.Close()
-		view, _ := seg.Batch()
+		outs["span"], _ = seg.Batch()
 
-		for name, out := range map[string]*flowrec.Batch{"v9": v9out, "ipfix": ipout, "span": view} {
+		for name, out := range outs {
 			if !slices.Equal(out.SrcIP, b.SrcIP) || !slices.Equal(out.DstIP, b.DstIP) {
 				t.Errorf("%s: the address columns changed in transit", name)
 			}

@@ -6,8 +6,7 @@ import (
 	"time"
 
 	"lockdown/internal/flowrec"
-	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
+	"lockdown/internal/tmpl"
 )
 
 // TestPropZeroTimeGuardAcrossCodecs: the unset-timestamp guard (zero
@@ -22,27 +21,21 @@ func TestPropZeroTimeGuardAcrossCodecs(t *testing.T) {
 		}
 		b := flowrec.FromRecords(recs)
 
-		var v9e netflow.V9Encoder
-		pkt, err := v9e.EncodeBatch(nil, b, 0, b.Len(), export)
-		if err != nil {
-			return false
-		}
-		v9out := flowrec.NewBatch(b.Len())
-		if _, err := netflow.NewV9Decoder().DecodeBatch(v9out, pkt); err != nil {
-			return false
-		}
-
-		var ipe ipfix.Encoder
-		msg, err := ipe.EncodeBatch(nil, b, 0, b.Len(), export)
-		if err != nil {
-			return false
-		}
-		ipout := flowrec.NewBatch(b.Len())
-		if _, err := ipfix.NewDecoder().DecodeBatch(ipout, msg); err != nil {
-			return false
+		var outs []*flowrec.Batch
+		for _, f := range []*tmpl.Framing{&tmpl.V9, &tmpl.IPFIX} {
+			var seq uint32
+			msg, err := f.EncodeBatch(nil, b, 0, b.Len(), export, 0, &seq)
+			if err != nil {
+				return false
+			}
+			out := flowrec.NewBatch(b.Len())
+			if _, err := tmpl.NewDecoder(f).DecodeBatch(out, msg); err != nil {
+				return false
+			}
+			outs = append(outs, out)
 		}
 
-		for _, out := range []*flowrec.Batch{v9out, ipout} {
+		for _, out := range outs {
 			if out.Len() != b.Len() {
 				return false
 			}

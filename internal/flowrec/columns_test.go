@@ -10,8 +10,7 @@ import (
 	"time"
 
 	"lockdown/internal/flowrec"
-	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
+	"lockdown/internal/tmpl"
 )
 
 // TestColumnsMatchBatchFields: Columns has exactly one bit per Batch
@@ -210,47 +209,33 @@ func TestProjectedMisuseIsLoud(t *testing.T) {
 	full := flowrec.FromRecords(genRecords(20))
 	export := time.Date(2020, 3, 25, 21, 0, 0, 0, time.UTC)
 
-	type roundTrip func(b *flowrec.Batch) (*flowrec.Batch, error)
-	codecs := []struct {
-		name  string
-		fresh func() roundTrip
-	}{
-		{"netflow-v9", func() roundTrip {
-			e, d := &netflow.V9Encoder{SourceID: 7}, netflow.NewV9Decoder()
-			return func(b *flowrec.Batch) (*flowrec.Batch, error) {
-				msg, err := e.EncodeBatch(nil, b, 0, b.Len(), export)
-				if err != nil {
-					return nil, err
-				}
-				out := flowrec.NewBatch(b.Len())
-				_, err = d.DecodeBatch(out, msg)
-				return out, err
-			}
-		}},
-		{"ipfix", func() roundTrip {
-			e, d := &ipfix.Encoder{DomainID: 7}, ipfix.NewDecoder()
-			return func(b *flowrec.Batch) (*flowrec.Batch, error) {
-				msg, err := e.EncodeBatch(nil, b, 0, b.Len(), export)
-				if err != nil {
-					return nil, err
-				}
-				out := flowrec.NewBatch(b.Len())
-				_, err = d.DecodeBatch(out, msg)
-				return out, err
-			}
-		}},
+	// roundTrip encodes b as one message of f and decodes it with a fresh
+	// decoder into a full-width batch.
+	roundTrip := func(f *tmpl.Framing, b *flowrec.Batch) (*flowrec.Batch, error) {
+		var seq uint32
+		msg, err := f.EncodeBatch(nil, b, 0, b.Len(), export, 7, &seq)
+		if err != nil {
+			return nil, err
+		}
+		out := flowrec.NewBatch(b.Len())
+		_, err = tmpl.NewDecoder(f).DecodeBatch(out, msg)
+		return out, err
 	}
+	codecs := []struct {
+		name string
+		f    *tmpl.Framing
+	}{{"netflow-v9", &tmpl.V9}, {"ipfix", &tmpl.IPFIX}}
 	for _, codec := range codecs {
 		for c := 0; c < flowrec.NumColumns; c++ {
 			col := flowrec.Columns(1) << c
 			t.Run(fmt.Sprintf("%s/without-%s", codec.name, col), func(t *testing.T) {
-				got, err := codec.fresh()(full.Project(flowrec.AllColumns &^ col))
+				got, err := roundTrip(codec.f, full.Project(flowrec.AllColumns&^col))
 				if err != nil {
 					t.Fatalf("a batch without %s does not encode: %v", col, err)
 				}
 				cleared := full.Project(flowrec.AllColumns)
 				reflect.ValueOf(cleared).Elem().Field(c).Clear()
-				want, err := codec.fresh()(cleared)
+				want, err := roundTrip(codec.f, cleared)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -15,7 +15,9 @@ import (
 // synthetic hour, exported by one fresh encoder as observation domain 7
 // in 28 messages of 37 rows at a fixed time, must concatenate to the
 // committed length and SHA-256 and decode back row for row. (Same input
-// and shape as netflow.TestGoldenV9Packets.)
+// and shape as tmpl.TestGoldenV9Packets.) It is the round trip through
+// the two names this package exports, as the benchmark's codec probe
+// calls them; the codec itself is tested in package tmpl.
 func TestGoldenPackets(t *testing.T) {
 	const rows = 1036
 	hour := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)

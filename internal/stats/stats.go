@@ -1,8 +1,9 @@
 // Package stats provides the scalar summaries of a sample of claim values
-// over seeds and scales: its quantiles and its extremes. Nothing outside
-// its tests calls it yet; it is kept as the summariser of the fidelity
-// sweep that is to pin each claim's band. It stays tiny and
-// dependency-free; anything more elaborate lives in package timeseries.
+// over seeds and scales: its quantiles and its extremes. Package edu takes
+// its medians from Quantile; Min and Max have no caller outside the tests
+// yet, and all three are kept as the summariser of the fidelity sweep that
+// is to pin each claim's band. It stays tiny and dependency-free; anything
+// more elaborate lives in package timeseries.
 package stats
 
 import (

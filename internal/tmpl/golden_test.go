@@ -1,4 +1,4 @@
-package netflow
+package tmpl_test
 
 import (
 	"crypto/sha256"
@@ -9,9 +9,10 @@ import (
 
 	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
+	"lockdown/internal/tmpl"
 )
 
-// The golden-packet tests pin the wire bytes: a fixed synthetic hour is
+// The golden-packet test pins the wire bytes: a fixed synthetic hour is
 // exported as a fixed stream at a fixed time, and the concatenated
 // packets must hash to the committed value. 37 rows per v9 packet is
 // deliberate — 4+37*51 is not a multiple of four, so the 1-byte flowset
@@ -45,14 +46,14 @@ func checkGolden(t *testing.T, wire []byte, wantLen int, wantSHA string) {
 
 func TestGoldenV9Packets(t *testing.T) {
 	src := goldenBatch(t)
-	enc := V9Encoder{SourceID: goldenStream}
-	dec := NewV9Decoder()
+	dec := tmpl.NewDecoder(&tmpl.V9)
 	var wire []byte
+	var seq uint32
 	var got flowrec.Batch
 	for lo := 0; lo < goldenRows; lo += 37 {
 		start := len(wire)
 		var err error
-		if wire, err = enc.EncodeBatch(wire, src, lo, lo+37, goldenExport); err != nil {
+		if wire, err = tmpl.V9.EncodeBatch(wire, src, lo, lo+37, goldenExport, goldenStream, &seq); err != nil {
 			t.Fatal(err)
 		}
 		if n, err := dec.DecodeBatch(&got, wire[start:]); err != nil || n != 37 {

@@ -3,9 +3,8 @@
 // the set structure and the template records are the same, and IANA's
 // IPFIX elements 1–127 are the NetFlow v9 field types, so one encoder and
 // one decoder serve both. What does differ — the message header, the set
-// and field numbers around it, and two conventions — is a Framing value;
-// packages netflow and ipfix hold one each and export their codec names
-// over it.
+// and field numbers around it, and two conventions — is a Framing value,
+// and V9 and IPFIX are the two: a format is its Framing.
 //
 // The API is append-style and columnar: EncodeBatch appends one message
 // to a caller-supplied byte slice, DecodeBatch appends rows to a
@@ -42,6 +41,67 @@ type Framing struct {
 	// bytes carrying rows data records; the version word and the stream
 	// identity are written by the codec, where it reads them back.
 	PutHeader func(hdr []byte, size, rows int, export, seq uint32)
+}
+
+// V9 is the NetFlow version 9 framing (RFC 3954), the export format of the
+// paper's ISP, EDU and mobile vantage points: a 20-byte header that counts
+// records and carries a sysUptime, template flowset 0, 2-byte SNMP
+// interface indexes, flowsets padded to four bytes, and a sequence number
+// that counts packets. Templates are cached per source ID.
+//
+// It interoperates with standard tooling with one known deviation: the RFC
+// defines FIRST_SWITCHED / LAST_SWITCHED (fields 22 / 21) as
+// sysUptime-relative milliseconds, and this codec writes epoch seconds
+// into them with the header's sysUptime pinned at one hour. A standard v9
+// collector therefore reads wrong flow timestamps; our own decoder
+// round-trips them exactly. The wire bytes are pinned by the golden-packet
+// test, so changing this is its own change.
+var V9 = Framing{
+	Name:        "netflow",
+	Version:     9,
+	HeaderLen:   20,
+	StreamOff:   16,
+	TemplateSet: 0,
+	TemplateID:  256,
+	// FIRST_SWITCHED and LAST_SWITCHED, carrying epoch seconds: the known
+	// deviation described above.
+	StartID: 22,
+	EndID:   21,
+	IfLen:   2,
+	PadSets: true,
+	PutHeader: func(hdr []byte, _, rows int, export, seq uint32) {
+		be := binary.BigEndian
+		be.PutUint16(hdr[2:], uint16(1+rows))                   // template record + data records
+		be.PutUint32(hdr[4:], uint32(time.Hour.Milliseconds())) // sysUptime, pinned
+		be.PutUint32(hdr[8:], export)
+		be.PutUint32(hdr[12:], seq)
+	},
+}
+
+// IPFIX is the IPFIX framing (RFC 7011), the export format of the paper's
+// IXP vantage points: a 16-byte header that carries the message length,
+// template set 2, 4-byte interface indexes, unpadded sets, and a sequence
+// number that counts data records. Flow start and end travel as
+// flowStartSeconds / flowEndSeconds (IEs 150 / 151), as the RFC defines
+// them. Templates are cached per observation domain.
+var IPFIX = Framing{
+	Name:        "ipfix",
+	Version:     10,
+	HeaderLen:   16,
+	StreamOff:   12,
+	TemplateSet: 2,
+	TemplateID:  400,
+	StartID:     150, // flowStartSeconds
+	EndID:       151, // flowEndSeconds
+	IfLen:       4,
+	SeqRecords:  true,
+	HasLength:   true,
+	PutHeader: func(hdr []byte, size, _ int, export, seq uint32) {
+		be := binary.BigEndian
+		be.PutUint16(hdr[2:], uint16(size))
+		be.PutUint32(hdr[4:], export)
+		be.PutUint32(hdr[8:], seq)
+	},
 }
 
 // Field numbers the two registries share (RFC 3954 §8, RFC 7012 §4). Flow

@@ -12,17 +12,15 @@ import (
 
 	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
-	"lockdown/internal/ipfix"
-	"lockdown/internal/netflow"
 	"lockdown/internal/synth"
 	"lockdown/internal/tmpl"
 )
 
 // The codec is tested once, as a table over both of its framings. A
-// framing enters the table the way a user sees it — through the encoder
-// and decoder names of its package — next to the header geometry the
-// tests assert, which is written out here from the RFCs rather than read
-// from the Framing value under test.
+// framing enters the table as the Framing value users encode and decode
+// with (tmpl.V9, tmpl.IPFIX), next to the header geometry the tests
+// assert, which is written out here from the RFCs rather than read from
+// the Framing value under test.
 
 type encodeFunc func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error)
 
@@ -41,10 +39,7 @@ type framing struct {
 	padded      bool   // data sets are padded to four bytes
 	seqStep     func(rows int) uint32
 	maxRows     int // most full-width rows one UDP datagram (65 507 bytes) holds
-	encoder     func(stream uint32) encodeFunc
-	decoder     func() *tmpl.Decoder
-	streamID    func(msg []byte) uint32
-	maxRecords  func(cols flowrec.Columns) int
+	f           *tmpl.Framing
 }
 
 var framings = []framing{
@@ -53,26 +48,28 @@ var framings = []framing{
 		templateSet: 0, templateID: 256, startID: 22, endID: 21, ifLen: 2, padded: true,
 		seqStep: func(int) uint32 { return 1 },
 		maxRows: 1282, // packet: 20 + 68 + 4 + 1282*51 + 2 of padding = 65476 <= 65507 < 20 + 68 + 4 + 1283*51 + 3
-		encoder: func(stream uint32) encodeFunc {
-			return (&netflow.V9Encoder{SourceID: stream}).EncodeBatch
-		},
-		decoder:    netflow.NewV9Decoder,
-		streamID:   netflow.V9SourceID,
-		maxRecords: netflow.V9MaxRecords,
+		f:       &tmpl.V9,
 	},
 	{
 		name: "ipfix", version: 10, headerLen: 16, seqOff: 8, streamOff: 12,
 		templateSet: 2, templateID: 400, startID: 150, endID: 151, ifLen: 4, hasLength: true,
 		seqStep: func(rows int) uint32 { return uint32(rows) },
 		maxRows: 1189, // message: 16 + 68 + 4 + 1189*55 = 65483 <= 65507 < 65483 + 55
-		encoder: func(stream uint32) encodeFunc {
-			return (&ipfix.Encoder{DomainID: stream}).EncodeBatch
-		},
-		decoder:    ipfix.NewDecoder,
-		streamID:   ipfix.DomainID,
-		maxRecords: ipfix.MaxRecords,
+		f:       &tmpl.IPFIX,
 	},
 }
+
+// encoder is an exporter of the framing: stream's encoder, with a
+// sequence counter of its own.
+func (fr framing) encoder(stream uint32) encodeFunc {
+	var seq uint32
+	return func(dst []byte, b *flowrec.Batch, lo, hi int, exportTime time.Time) ([]byte, error) {
+		return fr.f.EncodeBatch(dst, b, lo, hi, exportTime, stream, &seq)
+	}
+}
+
+// decoder is a decoder of the framing with an empty template cache.
+func (fr framing) decoder() *tmpl.Decoder { return tmpl.NewDecoder(fr.f) }
 
 func forEachFraming(t *testing.T, f func(t *testing.T, fr framing)) {
 	for _, fr := range framings {
@@ -191,11 +188,14 @@ func TestRoundTrip(t *testing.T) {
 		if got := u16(msg, 0); got != int(fr.version) {
 			t.Errorf("version word = %d, want %d", got, fr.version)
 		}
-		if got := fr.streamID(msg); got != 42 || u32(msg, fr.streamOff) != 42 {
+		if got := fr.f.StreamID(msg); got != 42 || u32(msg, fr.streamOff) != 42 {
 			t.Errorf("stream identity = %d, want 42", got)
 		}
 		if fr.hasLength && u16(msg, 2) != len(msg) {
 			t.Errorf("length field %d != message size %d", u16(msg, 2), len(msg))
+		}
+		if err := fr.f.CheckHeader(msg); err != nil {
+			t.Errorf("the header check rejects an encoded message: %v", err)
 		}
 		if fr.padded && len(msg)%4 != 0 {
 			t.Errorf("message of %d bytes is not padded to four", len(msg))
@@ -208,7 +208,7 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Records(), recs) {
 			t.Errorf("decoded rows differ:\n got %+v\nwant %+v", got.Records(), recs)
 		}
-		if fr.streamID(msg[:fr.headerLen-1]) != 0 || fr.streamID(nil) != 0 {
+		if fr.f.StreamID(msg[:fr.headerLen-1]) != 0 || fr.f.StreamID(nil) != 0 {
 			t.Error("a message too short for a header must report stream 0")
 		}
 	})
@@ -364,36 +364,44 @@ func TestMalformed(t *testing.T) {
 		corrupt := func(edit func(m []byte) []byte) []byte {
 			return edit(append([]byte{}, msg...))
 		}
-		for name, bad := range map[string][]byte{
-			"short":      msg[:fr.headerLen-1],
-			"v5 version": corrupt(func(m []byte) []byte { m[1] = 5; return m }),
-			"other family member": corrupt(func(m []byte) []byte {
+		type shape struct {
+			name   string
+			bad    []byte
+			header bool // the header check alone refuses it, as a collector checks on arrival
+		}
+		shapes := []shape{
+			{"short", msg[:fr.headerLen-1], true},
+			{"v5 version", corrupt(func(m []byte) []byte { m[1] = 5; return m }), true},
+			{"other family member", corrupt(func(m []byte) []byte {
 				m[1] = byte(9 + 10 - fr.version)
 				return m
-			}),
-			"absurd set length": corrupt(func(m []byte) []byte {
+			}), true},
+			// IPFIX's length field no longer matches; v9's data set runs
+			// past the message.
+			{"cut short by a byte", msg[:len(msg)-1], fr.hasLength},
+			{"absurd set length", corrupt(func(m []byte) []byte {
 				m[fr.headerLen+2], m[fr.headerLen+3] = 0xff, 0xff
 				return m
-			}),
-			"set length below its own header": corrupt(func(m []byte) []byte {
+			}), false},
+			{"set length below its own header", corrupt(func(m []byte) []byte {
 				m[fr.headerLen+2], m[fr.headerLen+3] = 0, 3
 				return m
-			}),
-			"truncated template": corrupt(func(m []byte) []byte {
+			}), false},
+			{"truncated template", corrupt(func(m []byte) []byte {
 				m[fr.headerLen+7] = 200 // field count beyond the set
 				return m
-			}),
-		} {
-			var dst flowrec.Batch
-			if _, err := dec.DecodeBatch(&dst, bad); err == nil {
-				t.Errorf("%s: accepted", name)
-			}
+			}), false},
 		}
 		if fr.hasLength {
+			shapes = append(shapes, shape{"wrong length field", corrupt(func(m []byte) []byte { m[2], m[3] = 0, 7; return m }), true})
+		}
+		for _, c := range shapes {
+			if c.header && fr.f.CheckHeader(c.bad) == nil {
+				t.Errorf("%s: passed the header check", c.name)
+			}
 			var dst flowrec.Batch
-			bad := corrupt(func(m []byte) []byte { m[2], m[3] = 0, 7; return m })
-			if _, err := dec.DecodeBatch(&dst, bad); err == nil {
-				t.Error("wrong length field accepted")
+			if _, err := dec.DecodeBatch(&dst, c.bad); err == nil {
+				t.Errorf("%s: accepted", c.name)
 			}
 		}
 		if _, err := enc(nil, b, 0, 0, export); err == nil {
@@ -465,6 +473,9 @@ func bigBatch(n int) *flowrec.Batch {
 // worse, misparse).
 func TestLengthLimit(t *testing.T) {
 	forEachFraming(t, func(t *testing.T, fr framing) {
+		if n := fr.f.MaxRecords(flowrec.AllColumns); n != fr.maxRows {
+			t.Errorf("MaxRecords(AllColumns) = %d, want %d", n, fr.maxRows)
+		}
 		b := bigBatch(fr.maxRows + 1)
 		enc := fr.encoder(1)
 		msg, err := enc(nil, b, 0, fr.maxRows, export)
@@ -506,7 +517,7 @@ func TestMaxRecordsFillsDatagram(t *testing.T) {
 				continue
 			}
 			seen[shape] = true
-			n := fr.maxRecords(cols)
+			n := fr.f.MaxRecords(cols)
 			b := bigBatch(n + 1).Project(cols)
 			enc := fr.encoder(1)
 			msg, err := enc(nil, b, 0, n, export)
@@ -619,9 +630,14 @@ func TestHostileTemplates(t *testing.T) {
 			t.Errorf("zero-length field decoded as port %#x proto %d, want 0x1bb and 0", b.SrcPort[0], b.Proto[0])
 		}
 
-		// Every announced width from one to eight bytes reads big-endian.
+		// Every announced width from one to eight bytes reads big-endian,
+		// unsigned, with its top byte in bits 56-63 at eight.
+		counters := [][]byte{{0xff}, {1, 0, 0, 0, 0, 0, 0, 0}}
 		for w := 1; w <= 8; w++ {
-			data := []byte{1, 2, 3, 4, 5, 6, 7, 8}[:w]
+			counters = append(counters, []byte{1, 2, 3, 4, 5, 6, 7, 8}[:w])
+		}
+		for _, data := range counters {
+			w := len(data)
 			b, err := decode(fr.message(300, [][2]uint16{{1, uint16(w)}}, data))
 			var want uint64
 			for _, x := range data {
