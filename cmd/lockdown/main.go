@@ -630,13 +630,12 @@ func runSuite(ctx context.Context, engine *core.Engine, o *options) error {
 		return err
 	}
 	fmt.Fprintln(os.Stderr)
-	return emitEvents(o.core.Tracer, suiteEvents(engine.Data()))
+	return emitEvents(o.core.Tracer, suiteEvents(engine.Data().Stats()))
 }
 
 // suiteEvents converts the dataset's cache accounting into the run
 // summary events every suite command shares.
-func suiteEvents(data *core.Dataset) []obs.Event {
-	stats := data.Stats()
+func suiteEvents(stats core.CacheStats) []obs.Event {
 	events := []obs.Event{{Cat: "cache", Msg: "dataset cache", Fields: []obs.Field{
 		obs.Fi("entries", int64(stats.Entries)),
 		obs.Fi("hits", stats.Hits),

@@ -37,6 +37,50 @@ func silence(t *testing.T, f **os.File) {
 	t.Cleanup(func() { *f = old; null.Close() })
 }
 
+// TestSuiteEvents: the stderr summary of a suite run matches the regular
+// expressions CI greps it with. A budgeted run prints its flow-batch tier
+// line, whether it forgets evicted batches or spills them; an unbudgeted
+// run keeps every batch resident and prints none.
+func TestSuiteEvents(t *testing.T) {
+	render := func(stats core.CacheStats) string {
+		t.Helper()
+		var out strings.Builder
+		if err := report.WriteEvents(&out, suiteEvents(stats)); err != nil {
+			t.Fatal(err)
+		}
+		return out.String()
+	}
+	tierLine := func(out string) string {
+		t.Helper()
+		for _, line := range strings.Split(out, "\n") {
+			if strings.Contains(line, "flow-batch tiers:") {
+				return line
+			}
+		}
+		t.Fatalf("no flow-batch tier line in:\n%s", out)
+		return ""
+	}
+	forget := tierLine(render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
+		Faults: 13, ResidentBytes: 16 << 20, Evictions: 152}))
+	spill := tierLine(render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
+		Spills: 140, Faults: 13, ResidentBytes: 1 << 20, SpilledBytes: 40 << 20, Evictions: 152}))
+	for _, tc := range []struct{ line, re string }{
+		// The default-budget and the forced-eviction steps, which run
+		// without a cache dir.
+		{forget, `^flow-batch tiers: 0 spills, [0-9]+ faults, 0 regens, .* [0-9]+ evictions$`},
+		{forget, `^flow-batch tiers: 0 spills, [1-9][0-9]* faults, 0 regens, .* [1-9][0-9]* evictions$`},
+		// The forced-spill step.
+		{spill, `[1-9][0-9]* spills, [1-9][0-9]* faults, 0 regens`},
+	} {
+		if !regexp.MustCompile(tc.re).MatchString(tc.line) {
+			t.Errorf("%q does not match CI's %q", tc.line, tc.re)
+		}
+	}
+	if out := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218}); strings.Contains(out, "flow-batch tiers:") {
+		t.Errorf("an unbudgeted run printed a tier line:\n%s", out)
+	}
+}
+
 // TestWireEvents: the wire summary carries the bridge totals, one indented
 // line per shard naming the vantage points it owns (idle shards included,
 // so one that served nothing is visible as such), rebalances and chaos

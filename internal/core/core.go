@@ -14,13 +14,16 @@
 // key, the metrics are bit-identical at every parallelism level.
 //
 // Each experiment returns a Result holding human-readable tables plus a
-// set of named metrics; the metrics are what EXPERIMENTS.md records and
-// what the tests assert the paper's qualitative claims against.
+// set of named metrics, which EXPERIMENTS.md records. An experiment
+// states the paper's findings once, as claims on those metrics declared
+// where it registers; the engine appends every claim's verdict to the
+// result's notes, and the tests require each verdict to hold.
 package core
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 
 	"lockdown/internal/obs"
@@ -112,7 +115,9 @@ type Result struct {
 	// Metrics are named numeric findings (growth factors, ratios,
 	// correlation coefficients) used by tests and EXPERIMENTS.md.
 	Metrics map[string]float64
-	// Notes record qualitative observations and known deviations.
+	// Notes are the experiment's own summary lines, which restate
+	// measured numbers, followed by one verdict line per claim of the
+	// experiment ("claim (§7) …: holds, 5.738 in [3.000, 12.000]").
 	Notes []string
 }
 
@@ -138,6 +143,43 @@ type Experiment struct {
 	// Run executes the experiment against the environment's options and
 	// shared dataset cache.
 	Run func(*Env) (*Result, error)
+	// claims are the paper's findings this experiment reproduces.
+	claims []claim
+}
+
+// claim pins one finding of the paper to an experiment's metrics: the
+// value of metric, or metric − minus when minus is set, lies in the
+// inclusive band [lo, hi]; an infinite bound makes the band one-sided.
+// section and text cite the paper, and text gives the paper's number
+// where it has one, so a band looser than that number shows as such.
+type claim struct {
+	section, text string
+	metric, minus string
+	lo, hi        float64
+}
+
+var inf = math.Inf(1)
+
+// verdict evaluates the claim on a result's metrics and renders it as a
+// note. A missing metric fails the claim by name instead of reading 0, so
+// a renamed metric cannot pass a band that happens to contain 0.
+func (c claim) verdict(metrics map[string]float64) string {
+	head := fmt.Sprintf("claim (%s) %s: ", c.section, c.text)
+	v, ok := metrics[c.metric]
+	if !ok {
+		return head + fmt.Sprintf("does not hold: no metric %q", c.metric)
+	}
+	if c.minus != "" {
+		m, ok := metrics[c.minus]
+		if !ok {
+			return head + fmt.Sprintf("does not hold: no metric %q", c.minus)
+		}
+		v -= m
+	}
+	if v >= c.lo && v <= c.hi {
+		return head + fmt.Sprintf("holds, %.3f in [%.3f, %.3f]", v, c.lo, c.hi)
+	}
+	return head + fmt.Sprintf("does not hold, %.3f not in [%.3f, %.3f]", v, c.lo, c.hi)
 }
 
 // registry holds all experiments keyed by ID.

@@ -228,8 +228,9 @@ func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
 	return e.runTimed(ctx, exp, budget)
 }
 
-// runTimed executes an experiment and records its wall time, the batch
-// memory it read and its scan activity into the result's runtime metrics.
+// runTimed executes an experiment, records its wall time, the batch
+// memory it read and its scan activity into the result's runtime metrics,
+// and appends the verdict of each of its claims to the notes.
 // The batches are read, and pinned, by the experiment's scan chunks, which
 // report them to the Env's drawn set. budget is the shared worker pool
 // the experiment's sharded scans may borrow spare tokens from; the caller
@@ -263,6 +264,9 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBud
 	res.Metrics[MetricBatchMB] = drawn.batchMB()
 	res.Metrics[MetricScanChunks] = float64(chunks)
 	res.Metrics[MetricScanWorkers] = float64(extra)
+	for _, c := range exp.claims {
+		res.Notes = append(res.Notes, c.verdict(res.Metrics))
+	}
 	e.m.experiments.Add(1)
 	e.m.duration.Observe(wall.Seconds())
 	e.m.scanChunks.Add(chunks)

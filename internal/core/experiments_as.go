@@ -14,10 +14,29 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig4", Artifact: "Figure 4", Title: "ISP-CE hypergiant vs other-AS growth by daypart", Run: runFig4})
-	register(Experiment{ID: "fig5", Artifact: "Figure 5", Title: "IXP-CE member link utilisation ECDFs (base vs stage 2)", Run: runFig5})
-	register(Experiment{ID: "fig6", Artifact: "Figure 6", Title: "ISP-CE total vs residential traffic shift per AS", Run: runFig6})
-	register(Experiment{ID: "tab2", Artifact: "Table 2 / Appendix A", Title: "Hypergiant AS list", Run: runTab2})
+	register(Experiment{ID: "fig4", Artifact: "Figure 4", Title: "ISP-CE hypergiant vs other-AS growth by daypart", Run: runFig4, claims: []claim{
+		{"§3.2", "other ASes outgrow hypergiants by week 13, workday 09:00-16:59", "other-week13/Workday 09:00-16:59", "hg-week13/Workday 09:00-16:59", 0.05, inf},
+		{"§3.2", "other ASes outgrow hypergiants by week 13, workday 17:00-24:00", "other-week13/Workday 17:00-24:00", "hg-week13/Workday 17:00-24:00", 0.002, inf},
+		{"§3.2", "other ASes outgrow hypergiants by week 13, weekend 09:00-16:59", "other-week13/Weekend 09:00-16:59", "hg-week13/Weekend 09:00-16:59", 0.002, inf},
+		{"§3.2", "other ASes outgrow hypergiants by week 13, weekend 17:00-24:00", "other-week13/Weekend 17:00-24:00", "hg-week13/Weekend 17:00-24:00", 0.002, inf},
+		{"§3.2", "other ASes outgrow hypergiants in week 15, workday 09:00-16:59", "gap-week15/Workday 09:00-16:59", "", 0.002, inf},
+		{"§3.2", "other ASes outgrow hypergiants in week 15, workday 17:00-24:00", "gap-week15/Workday 17:00-24:00", "", 0.002, inf},
+		{"§3.2", "other ASes outgrow hypergiants in week 15, weekend 09:00-16:59", "gap-week15/Weekend 09:00-16:59", "", 0.002, inf},
+		{"§3.2", "other ASes outgrow hypergiants in week 15, weekend 17:00-24:00", "gap-week15/Weekend 17:00-24:00", "", 0.002, inf},
+		{"§3.2", "hypergiant working-hours traffic grows substantially by week 13", "hg-week13/Workday 09:00-16:59", "", 1.052, inf},
+	}})
+	register(Experiment{ID: "fig5", Artifact: "Figure 5", Title: "IXP-CE member link utilisation ECDFs (base vs stage 2)", Run: runFig5, claims: []claim{
+		{"§3", "the stage-2 utilisation curves lie right of the base week's", "shifted-right", "", 1, 1},
+		{"§3", "median member utilisation rises", "median-shift", "", 0.002, inf},
+	}})
+	register(Experiment{ID: "fig6", Artifact: "Figure 6", Title: "ISP-CE total vs residential traffic shift per AS", Run: runFig6, claims: []claim{
+		{"§3", "total and residential traffic shifts correlate", "correlation", "", 0.3, inf},
+		{"§3", "some ASes gain both total and residential traffic", "quadrant/total increase, residential increase", "", 1, inf},
+		{"§3", "some enterprise ASes lose total traffic while their residential traffic grows", "quadrant/total decrease, residential increase", "", 1, inf},
+	}})
+	register(Experiment{ID: "tab2", Artifact: "Table 2 / Appendix A", Title: "Hypergiant AS list", Run: runTab2, claims: []claim{
+		{"App. A", "15 hypergiant ASes", "hypergiants", "", 15, 15},
+	}})
 }
 
 // runFig4 reproduces Figure 4: normalised weekly growth of hypergiant and
@@ -56,7 +75,6 @@ func runFig4(env *Env) (*Result, error) {
 		res.Metrics["hg-week13/"+dp.String()] = analysis.Hypergiants[i].Values[13]
 		res.Metrics["other-week13/"+dp.String()] = analysis.Others[i].Values[13]
 	}
-	res.note("After the lockdown the other-AS group grows more than the hypergiants in every daypart; before the outbreak both groups track each other.")
 	return res, nil
 }
 
@@ -104,7 +122,7 @@ func runFig5(env *Env) (*Result, error) {
 	if cmp.ShiftedRight(probes, 0.02) {
 		res.Metrics["shifted-right"] = 1
 	}
-	res.note("All three stage-2 curves are shifted to the right of the base-week curves (median average utilisation +%.1f points).", cmp.MedianShift()*100)
+	res.note("Median average utilisation moves by %+.1f points from the base week to stage 2.", cmp.MedianShift()*100)
 	return res, nil
 }
 
@@ -163,7 +181,7 @@ func runFig6(env *Env) (*Result, error) {
 	res.addTable(quads)
 	res.Metrics["correlation"] = analysis.Correlation
 	res.Metrics["ases"] = float64(len(analysis.Points))
-	res.note("Total and residential shifts correlate (r = %.2f); some workday-dominant enterprise ASes lose total traffic while their residential traffic grows.", analysis.Correlation)
+	res.note("Correlation of the total and residential shifts: r = %.2f.", analysis.Correlation)
 	return res, nil
 }
 

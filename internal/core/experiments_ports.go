@@ -13,11 +13,44 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig7a", Artifact: "Figure 7a", Title: "ISP-CE top application ports across three weeks", Run: runFig7a})
-	register(Experiment{ID: "fig7b", Artifact: "Figure 7b", Title: "IXP-CE top application ports across three weeks", Run: runFig7b})
-	register(Experiment{ID: "tab1", Artifact: "Table 1", Title: "Application-class filter inventory", Run: runTab1})
-	register(Experiment{ID: "fig8", Artifact: "Figure 8", Title: "IXP-SE gaming class: unique IPs and volume", Run: runFig8})
-	register(Experiment{ID: "fig9", Artifact: "Figure 9", Title: "Application-class growth heatmaps for all vantage points", Run: runFig9})
+	register(Experiment{ID: "fig7a", Artifact: "Figure 7a", Title: "ISP-CE top application ports across three weeks", Run: runFig7a, claims: []claim{
+		{"§4", "ISP-CE QUIC (UDP/443) workday traffic +30-80%", "UDP/443/stage1-workday", "", 1.2, 2.2},
+		{"§4", "ISP-CE NAT traversal (UDP/4500) grows on workdays", "UDP/4500/stage1-workday", "", 1.3, inf},
+		{"§4", "ISP-CE NAT traversal grows less on weekends than on workdays", "UDP/4500/stage1-workday", "UDP/4500/stage1-weekend", 0.002, inf},
+		{"§4", "ISP-CE TCP/8080 barely changes", "TCP/8080/stage1-workday", "", 0.85, 1.25},
+		{"§4", "ISP-CE Zoom (UDP/8801) at least doubles by April (paper: an order of magnitude)", "UDP/8801/stage2-workday", "", 2, inf},
+	}})
+	register(Experiment{ID: "fig7b", Artifact: "Figure 7b", Title: "IXP-CE top application ports across three weeks", Run: runFig7b, claims: []claim{
+		{"§4", "IXP-CE Teams/Skype (UDP/3480) surges during working hours", "UDP/3480/stage1-workday", "", 1.8, inf},
+		{"§4", "IXP-CE Zoom (UDP/8801) surges during working hours", "UDP/8801/stage1-workday", "", 1.8, inf},
+		{"§4", "IXP-CE NAT traversal (UDP/4500) grows on workdays", "UDP/4500/stage1-workday", "", 1.15, inf},
+		{"§4", "IXP-CE GRE decreases after the lockdown", "GRE/stage2-workday", "", -inf, 0.998},
+		{"§4", "IXP-CE ESP decreases after the lockdown", "ESP/stage2-workday", "", -inf, 0.998},
+	}})
+	register(Experiment{ID: "tab1", Artifact: "Table 1", Title: "Application-class filter inventory", Run: runTab1, claims: []claim{
+		{"§5", "nine application classes", "classes", "", 9, 9},
+		{"§5", "the gaming class has several filters", "gaming/filters", "", 5, inf},
+	}})
+	register(Experiment{ID: "fig8", Artifact: "Figure 8", Title: "IXP-SE gaming class: unique IPs and volume", Run: runFig8, claims: []claim{
+		{"§5", "gaming unique IPs roughly double by week 13", "week13/ips", "", 1.7, 2.6},
+		{"§5", "gaming volume roughly doubles by week 13", "week13/volume", "", 1.7, 2.6},
+		{"§5", "gaming unique IPs rise from week 8 to week 14", "week14/ips", "week8/ips", 0.002, inf},
+		{"§5", "a major gaming provider's outage shows in week 12", "outage-ratio", "", -inf, 0.6},
+	}})
+	register(Experiment{ID: "fig9", Artifact: "Figure 9", Title: "Application-class growth heatmaps for all vantage points", Run: runFig9, claims: []claim{
+		{"§5", "IXP-CE web conferencing ≥ +150% (paper: > +200%)", "IXP-CE/Web conf/stage1", "", 150, inf},
+		{"§5", "IXP-SE web conferencing ≥ +150% (paper: > +200%)", "IXP-SE/Web conf/stage1", "", 150, inf},
+		{"§5", "IXP-US web conferencing ≥ +150% (paper: > +200%)", "IXP-US/Web conf/stage1", "", 150, inf},
+		{"§5", "ISP-CE web conferencing ≥ +150% (paper: > +200%)", "ISP-CE/Web conf/stage1", "", 150, inf},
+		{"§5", "messaging surges at the IXP-CE", "IXP-CE/messaging/stage1", "", 100, inf},
+		{"§5", "messaging grows less in the US than in Europe", "IXP-CE/messaging/stage1", "IXP-US/messaging/stage1", 0.002, inf},
+		{"§5", "email grows more in the US than in Europe", "IXP-US/email/stage1", "IXP-CE/email/stage1", 0.002, inf},
+		{"§5", "VoD grows strongly at the IXP-CE", "IXP-CE/VoD/stage1", "", 40, inf},
+		{"§5", "VoD grows less at the ISP-CE than at the IXP-CE", "IXP-CE/VoD/stage1", "ISP-CE/VoD/stage1", 0.002, inf},
+		{"§5", "gaming grows less at the ISP-CE than at the IXP-CE", "IXP-CE/gaming/stage1", "ISP-CE/gaming/stage1", 0.002, inf},
+		{"§5", "US educational traffic decreases", "IXP-US/educational/stage1", "", -inf, -0.002},
+		{"§5", "the IXP-CE social-media surge flattens by stage 2", "IXP-CE/social media/stage1", "IXP-CE/social media/stage2", 0.002, inf},
+	}})
 }
 
 // portWeekVolumes aggregates sampled flows of one week into mean hourly
@@ -144,23 +177,13 @@ func runPortExperiment(env *Env, id, title string, vp synth.VantagePoint, weeks 
 }
 
 func runFig7a(env *Env) (*Result, error) {
-	res, err := runPortExperiment(env, "fig7a", "ISP-CE top ports (TCP/80 and TCP/443 omitted)", synth.ISPCE,
+	return runPortExperiment(env, "fig7a", "ISP-CE top ports (TCP/80 and TCP/443 omitted)", synth.ISPCE,
 		calendar.AppWeeksISP(), ports.TopPortsISP())
-	if err != nil {
-		return nil, err
-	}
-	res.note("QUIC and the VPN/NAT-traversal ports grow on workdays; the Zoom connector port grows by an order of magnitude; TCP/8080 barely changes.")
-	return res, nil
 }
 
 func runFig7b(env *Env) (*Result, error) {
-	res, err := runPortExperiment(env, "fig7b", "IXP-CE top ports (TCP/80 and TCP/443 omitted)", synth.IXPCE,
+	return runPortExperiment(env, "fig7b", "IXP-CE top ports (TCP/80 and TCP/443 omitted)", synth.IXPCE,
 		calendar.AppWeeksIXP(), ports.TopPortsIXP())
-	if err != nil {
-		return nil, err
-	}
-	res.note("UDP/3480 (Teams/Skype) and UDP/8801 (Zoom) surge during working hours; GRE/ESP tunnel traffic decreases after the lockdown.")
-	return res, nil
 }
 
 // runTab1 reproduces Table 1: the filter inventory of the application
@@ -263,7 +286,7 @@ func runFig8(env *Env) (*Result, error) {
 		return nil, err
 	}
 	res.Metrics["outage-ratio"] = outageSeries.Mean() / afterSeries.Mean()
-	res.note("Unique IPs and volume rise steeply from week 10/11; the outage of a major gaming provider is visible in week 12 (volume at %.0f%% of the surrounding days).", res.Metrics["outage-ratio"]*100)
+	res.note("Week-12 outage: gaming volume at %.0f%% of the surrounding days.", res.Metrics["outage-ratio"]*100)
 	return res, nil
 }
 
@@ -361,6 +384,5 @@ func runFig9(env *Env) (*Result, error) {
 		}
 		res.addTable(table)
 	}
-	res.note("Web conferencing exceeds +200%% during business hours at every vantage point; messaging surges in Europe while email grows in the US; VoD and gaming grow strongly at the European IXPs but only moderately at the ISP.")
 	return res, nil
 }

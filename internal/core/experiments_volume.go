@@ -12,11 +12,34 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig1", Artifact: "Figure 1", Title: "Weekly normalised traffic volume per vantage point", Run: runFig1})
-	register(Experiment{ID: "fig2a", Artifact: "Figure 2a", Title: "ISP-CE hourly patterns for Feb 19, Feb 22 and Mar 25", Run: runFig2a})
-	register(Experiment{ID: "fig2bc", Artifact: "Figures 2b/2c", Title: "Workday-like vs weekend-like day classification (ISP-CE, IXP-CE)", Run: runFig2bc})
-	register(Experiment{ID: "fig3a", Artifact: "Figure 3a", Title: "ISP-CE hourly volume for the four selected weeks", Run: runFig3a})
-	register(Experiment{ID: "fig3b", Artifact: "Figure 3b", Title: "IXP hourly volume (workday/weekend) for the four selected weeks", Run: runFig3b})
+	register(Experiment{ID: "fig1", Artifact: "Figure 1", Title: "Weekly normalised traffic volume per vantage point", Run: runFig1, claims: []claim{
+		{"§3.1", "ISP-CE lockdown-week volume +15-20%", "ISP-CE/week13", "", 1.10, 1.35},
+		{"§3.1", "IXP-CE grows at least as much as the ISP-CE in week 13", "IXP-CE/week13", "ISP-CE/week13", 0, inf},
+		{"§3.1", "IXP-US lags IXP-CE in week 13", "IXP-CE/week13", "IXP-US/week13", 0.002, inf},
+		{"§3.1", "mobile volume dips slightly in week 13", "MOBILE/week13", "", 0.8, 1.05},
+		{"§3.1", "roaming (IPX) volume collapses by week 17", "IPX/week17", "", -inf, 0.8},
+	}})
+	register(Experiment{ID: "fig2a", Artifact: "Figure 2a", Title: "ISP-CE hourly patterns for Feb 19, Feb 22 and Mar 25", Run: runFig2a, claims: []claim{
+		{"§3.1", "a weekend morning carries more of the daily peak than a workday morning", "feb22/morning-share", "feb19/morning-share", 0.002, inf},
+		{"§3.1", "the lockdown workday morning resembles a weekend", "mar25/morning-share", "feb19/morning-share", 0.052, inf},
+	}})
+	register(Experiment{ID: "fig2bc", Artifact: "Figures 2b/2c", Title: "Workday-like vs weekend-like day classification (ISP-CE, IXP-CE)", Run: runFig2bc, claims: []claim{
+		{"§3.1", "ISP-CE: few February workdays classify weekend-like", "ISP-CE/pre-lockdown-workdays-weekendlike", "", -inf, 0.25},
+		{"§3.1", "ISP-CE: almost all April/May workdays classify weekend-like", "ISP-CE/lockdown-workdays-weekendlike", "", 0.75, inf},
+		{"§3.1", "IXP-CE: few February workdays classify weekend-like", "IXP-CE/pre-lockdown-workdays-weekendlike", "", -inf, 0.25},
+		{"§3.1", "IXP-CE: almost all April/May workdays classify weekend-like", "IXP-CE/lockdown-workdays-weekendlike", "", 0.75, inf},
+	}})
+	register(Experiment{ID: "fig3a", Artifact: "Figure 3a", Title: "ISP-CE hourly volume for the four selected weeks", Run: runFig3a, claims: []claim{
+		{"§3.1", "ISP-CE stage-1 week mean +15-20% over the base week", "stage1/mean", "", 1.12, 1.25},
+		{"§3.1", "ISP-CE growth recedes by stage 3", "stage1/mean", "stage3/mean", 0.002, inf},
+		{"§3.1", "ISP-CE stage-3 mean stays above the base week", "stage3/mean", "", 1, inf},
+		{"§3.1", "the peak grows less than the mean (the valleys fill up)", "stage1/peak", "stage1/mean", -inf, 0.05},
+	}})
+	register(Experiment{ID: "fig3b", Artifact: "Figure 3b", Title: "IXP hourly volume (workday/weekend) for the four selected weeks", Run: runFig3b, claims: []claim{
+		{"§3.1", "IXP-CE minimum level rises by stage 2", "IXP-CE/stage2/min", "", 1.002, inf},
+		{"§3.1", "IXP-SE minimum level rises by stage 2", "IXP-SE/stage2/min", "", 1.002, inf},
+		{"§3.1", "the IXP-US increase lags the European IXPs in stage 1", "IXP-CE/stage1/mean", "IXP-US/stage1/mean", 0.002, inf},
+	}})
 }
 
 // runFig1 reproduces Figure 1: daily traffic averaged per calendar week,
@@ -133,7 +156,7 @@ func runFig2a(env *Env) (*Result, error) {
 	res.Metrics["feb19/morning-share"] = curves[days[0].label][10]
 	res.Metrics["feb22/morning-share"] = curves[days[1].label][10]
 	res.Metrics["mar25/morning-share"] = curves[days[2].label][10]
-	res.note("Morning (10:00) share of the daily peak: Feb 19 %.2f, Feb 22 %.2f, Mar 25 %.2f — the lockdown workday resembles a weekend.",
+	res.note("Morning (10:00) share of the daily peak: Feb 19 %.2f, Feb 22 %.2f, Mar 25 %.2f.",
 		res.Metrics["feb19/morning-share"], res.Metrics["feb22/morning-share"], res.Metrics["mar25/morning-share"])
 	return res, nil
 }
@@ -182,7 +205,6 @@ func runFig2bc(env *Env) (*Result, error) {
 			res.Metrics[string(vp)+"/lockdown-workdays-weekendlike"] = float64(postWeekendLike) / float64(postWorkdays)
 		}
 	}
-	res.note("From mid March onwards almost all workdays classify as weekend-like at both vantage points.")
 	return res, nil
 }
 
@@ -252,7 +274,7 @@ func runFig3a(env *Env) (*Result, error) {
 		res.Metrics[s.label+"/min"] = s.minGrowth
 	}
 	res.addTable(table)
-	res.note("Mean volume grows by %.0f%% just after the lockdown and recedes to +%.0f%% in May; the peak grows less than the mean (the valleys fill up).",
+	res.note("Mean volume against the base week: %+.0f%% just after the lockdown, %+.0f%% in May.",
 		(res.Metrics["stage1/mean"]-1)*100, (res.Metrics["stage3/mean"]-1)*100)
 	return res, nil
 }
@@ -290,6 +312,5 @@ func runFig3b(env *Env) (*Result, error) {
 		}
 		res.addTable(table)
 	}
-	res.note("Both peak and minimum levels rise at the IXPs; the IXP-US increase lags the European IXPs.")
 	return res, nil
 }

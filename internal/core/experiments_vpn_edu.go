@@ -14,13 +14,40 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig10", Artifact: "Figure 10", Title: "VPN traffic at the IXP-CE: port- vs domain-identified", Run: runFig10})
-	register(Experiment{ID: "fig11a", Artifact: "Figure 11a", Title: "EDU normalised traffic volume across three weeks", Run: runFig11a})
-	register(Experiment{ID: "fig11b", Artifact: "Figure 11b", Title: "EDU ingress/egress traffic ratio across three weeks", Run: runFig11b})
-	register(Experiment{ID: "fig12", Artifact: "Figure 12", Title: "EDU daily connection growth per traffic class", Run: runFig12})
-	register(Experiment{ID: "appB", Artifact: "Appendix B", Title: "EDU traffic class port map", Run: runAppB})
-	register(Experiment{ID: "ablation-vpn", Artifact: "Ablation (Section 6)", Title: "VPN volume missed by a port-only classifier", Run: runAblationVPN})
-	register(Experiment{ID: "ablation-binsize", Artifact: "Ablation (Section 1)", Title: "Pattern-classifier agreement vs aggregation bin size", Run: runAblationBinSize})
+	register(Experiment{ID: "fig10", Artifact: "Figure 10", Title: "VPN traffic at the IXP-CE: port- vs domain-identified", Run: runFig10, claims: []claim{
+		{"§6", "domain-identified VPN traffic ≥ 2.2x in March working hours (paper: > +200%)", "stage1/domain", "", 2.2, 4.5},
+		{"§6", "port-identified VPN traffic barely changes", "stage1/port", "", 0.85, 1.35},
+		{"§6", "domain-identified VPN traffic recedes partially in April", "stage1/domain", "stage2/domain", 0.002, inf},
+		{"§6", "domain growth exceeds port growth in March", "stage1/domain", "stage1/port", 1, inf},
+		{"§6", "domain growth exceeds port growth in April", "stage2/domain", "stage2/port", 1, inf},
+	}})
+	register(Experiment{ID: "fig11a", Artifact: "Figure 11a", Title: "EDU normalised traffic volume across three weeks", Run: runFig11a, claims: []claim{
+		{"§7", "EDU workday volume drops by up to 55%", "workday-drop", "", -0.75, -0.35},
+	}})
+	register(Experiment{ID: "fig11b", Artifact: "Figure 11b", Title: "EDU ingress/egress traffic ratio across three weeks", Run: runFig11b, claims: []claim{
+		{"§7", "EDU base-week workdays are strongly ingress-dominated", "base-workday-ratio", "", 5, inf},
+	}})
+	register(Experiment{ID: "fig12", Artifact: "Figure 12", Title: "EDU daily connection growth per traffic class", Run: runFig12, claims: []claim{
+		{"§7", "incoming VPN connections 4.8x", "Eyeball ISPs (VPN, In)", "", 2.5, 6.5},
+		{"§7", "incoming remote-desktop connections 5.9x", "Remote desktop (In)", "", 2.5, 7.5},
+		{"§7", "incoming SSH connections 9.1x", "SSH (In)", "", 3, 12},
+		{"§7", "remote desktop grows at least as much as VPN", "Remote desktop (In)", "Eyeball ISPs (VPN, In)", 0, inf},
+		{"§7", "SSH grows at least as much as remote desktop", "SSH (In)", "Remote desktop (In)", 0, inf},
+		{"§7", "incoming web connections grow", "Eyeball ISPs (Web, In)", "", 1.3, inf},
+		{"§7", "outgoing web connections to hypergiants collapse", "Hypergiants (Web, Out)", "", 0.2, 0.7},
+		{"§7", "outgoing push-notification connections collapse", "Push notifications (Out)", "", 0.1, 0.7},
+		{"§7", "outgoing music-streaming connections collapse", "Spotify (Out)", "", 0.1, 0.7},
+	}})
+	register(Experiment{ID: "appB", Artifact: "Appendix B", Title: "EDU traffic class port map", Run: runAppB, claims: []claim{
+		{"App. B", "eight EDU traffic classes", "classes", "", 8, 8},
+	}})
+	register(Experiment{ID: "ablation-vpn", Artifact: "Ablation (Section 6)", Title: "VPN volume missed by a port-only classifier", Run: runAblationVPN, claims: []claim{
+		{"§6", "a port-only classifier misses about half the VPN volume", "missed-share", "", 0.40, 0.65},
+	}})
+	register(Experiment{ID: "ablation-binsize", Artifact: "Ablation (Section 1)", Title: "Pattern-classifier agreement vs aggregation bin size", Run: runAblationBinSize, claims: []claim{
+		{"§1", "6-hour bins classify the February baseline", "bin6", "", 0.85, inf},
+		{"§1", "12-hour bins lose accuracy against 6-hour bins", "bin6", "bin12", 0.002, inf},
+	}})
 }
 
 // vpnWeekSplit sums VPN volume identified per method for one week, split
@@ -106,7 +133,6 @@ func runFig10(env *Env) (*Result, error) {
 	}
 	res.addTable(table)
 	res.Metrics["candidates"] = float64(vpn.Detector.Candidates())
-	res.note("Port-identified VPN traffic barely changes while domain-identified VPN traffic grows by more than 200%% during March working hours and recedes partially in April.")
 	return res, nil
 }
 
@@ -133,7 +159,7 @@ func runFig11a(env *Env) (*Result, error) {
 	}
 	res.addTable(table)
 	res.Metrics["workday-drop"] = edu.WorkdayDrop(profiles[0], profiles[2])
-	res.note("Workday volume drops by %.0f%% between the base week and the online-lecturing week; weekends change little.", -res.Metrics["workday-drop"]*100)
+	res.note("Workday volume from the base week to the online-lecturing week: %+.0f%%.", res.Metrics["workday-drop"]*100)
 	return res, nil
 }
 
@@ -173,7 +199,7 @@ func runFig11b(env *Env) (*Result, error) {
 	res.addTable(table)
 	res.Metrics["base-workday-ratio"] = baseSum / float64(baseN)
 	res.Metrics["online-workday-ratio"] = onlineSum / float64(onlineN)
-	res.note("The workday ingress/egress ratio collapses from %.1f to %.1f once lecturing moves online.",
+	res.note("Workday ingress/egress ratio: %.1f in the base week, %.1f once lecturing moves online.",
 		res.Metrics["base-workday-ratio"], res.Metrics["online-workday-ratio"])
 	return res, nil
 }
@@ -230,7 +256,6 @@ func runFig12(env *Env) (*Result, error) {
 		res.Metrics[c.Name] = m
 	}
 	res.addTable(table)
-	res.note("Incoming VPN, remote-desktop and SSH connections multiply; outgoing connections to hypergiants, push services and music streaming collapse.")
 	return res, nil
 }
 
@@ -323,7 +348,6 @@ func runAblationBinSize(env *Env) (*Result, error) {
 		res.Metrics[fmt.Sprintf("bin%d", bin)] = agreement
 	}
 	res.addTable(table)
-	res.note("The 6-hour aggregation of the paper classifies the February baseline essentially perfectly; very coarse bins lose accuracy.")
 	return res, nil
 }
 
