@@ -7,6 +7,8 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,6 +21,7 @@ import (
 	"lockdown/internal/cluster"
 	"lockdown/internal/core"
 	"lockdown/internal/faultinject"
+	"lockdown/internal/obs"
 	"lockdown/internal/replay"
 	"lockdown/internal/report"
 	"lockdown/internal/synth"
@@ -35,6 +38,87 @@ func silence(t *testing.T, f **os.File) {
 	old := *f
 	*f = null
 	t.Cleanup(func() { *f = old; null.Close() })
+}
+
+// stderrOf runs the command line args in process, stdout silenced, and
+// returns what it wrote to stderr.
+func stderrOf(t *testing.T, args ...string) []byte {
+	t.Helper()
+	silence(t, &os.Stdout)
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stderr
+	os.Stderr = f
+	err = run(context.Background(), args)
+	os.Stderr = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// ciGreps returns the first submatch of every match of re in CI's
+// workflow, failing unless there are want of them.
+func ciGreps(t *testing.T, re string, want int) []string {
+	t.Helper()
+	ci, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(re).FindAllSubmatch(ci, -1) {
+		got = append(got, string(m[1]))
+	}
+	if len(got) != want {
+		t.Fatalf("CI greps %q for %d patterns, want %d: %q", re, len(got), want, got)
+	}
+	return got
+}
+
+// TestTraceSummaryLine: a traced run ends its stderr with the line CI's
+// observability step greps for.
+func TestTraceSummaryLine(t *testing.T) {
+	pattern := ciGreps(t, `grep -Eq '(trace: [^']*)' /tmp/obs_err.txt`, 1)[0]
+	out := stderrOf(t, "run", "tab1", "-scale", "0.05", "-trace", filepath.Join(t.TempDir(), "t.json"))
+	if !regexp.MustCompile(pattern).Match(out) {
+		t.Errorf("stderr does not match CI's %q:\n%s", pattern, out)
+	}
+}
+
+// TestMetricsFamilies: a /metrics scrape of an engine's registry serves
+// every family CI's observability step greps for, before any experiment
+// has run.
+func TestMetricsFamilies(t *testing.T) {
+	families := ciGreps(t, `grep -q '\^(lockdown_[a-z_]+)' /tmp/scrape.txt`, 5)
+	reg := obs.NewRegistry()
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	engine := core.NewEngine(core.Options{Obs: reg})
+	defer engine.Data().Close()
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range families {
+		if !regexp.MustCompile(`(?m)^` + f).Match(body) {
+			t.Errorf("scrape has no line starting %s:\n%s", f, body)
+		}
+	}
 }
 
 // TestSuiteEvents: the stderr summary of a suite run matches the regular
@@ -166,23 +250,7 @@ func TestWireEvents(t *testing.T) {
 // sent, so this holds only because the stats are read after the pumps
 // stop. CI runs it with -count=20.
 func TestReplayPumpMatchesBridge(t *testing.T) {
-	silence(t, &os.Stdout)
-	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	old := os.Stderr
-	os.Stderr = f
-	t.Cleanup(func() { os.Stderr = old })
-	if err := run(context.Background(), []string{"replay", "-scale", "0.05", "-parallel", "2"}); err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = old
-	out, err := os.ReadFile(f.Name())
-	if err != nil {
-		t.Fatal(err)
-	}
+	out := stderrOf(t, "replay", "-scale", "0.05", "-parallel", "2")
 	count := func(pattern string) []int64 {
 		t.Helper()
 		m := regexp.MustCompile(pattern).FindSubmatch(out)

@@ -119,6 +119,7 @@ func runFig5(env *Env) (*Result, error) {
 
 	res.Metrics["members"] = float64(base.Members())
 	res.Metrics["median-shift"] = cmp.MedianShift()
+	res.Metrics["shifted-right"] = 0
 	if cmp.ShiftedRight(probes, 0.02) {
 		res.Metrics["shifted-right"] = 1
 	}

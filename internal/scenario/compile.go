@@ -146,30 +146,38 @@ func (s *Scenario) Identity() bool {
 // File returns the path the scenario was loaded from ("" for Parse).
 func (s *Scenario) File() string { return s.file }
 
-// applyPrimaryWave re-parametrises a component's built-in responses for a
-// primary wave that deviates from the paper's: shifted start, different
-// ramp length, scaled severity. A wave matching the paper exactly
-// (delta 0, ten-day ramp, severity 1) returns the component untouched.
-func applyPrimaryWave(c synth.Component, delta time.Duration, rampDays int, severity float64) (synth.Component, bool) {
+// eachResponse applies f to every response of c: Resp, and WeekendResp,
+// ConnResp and Shift where set. The built-in model shares those pointers
+// between components, so a changed one is re-pointed to a private copy,
+// never written through. It reports whether f changed any.
+func eachResponse(c *synth.Component, f func(synth.Response) (synth.Response, bool)) bool {
 	mutated := false
-	if r, ch := retime(c.Resp, delta, rampDays, severity); ch {
+	if r, ch := f(c.Resp); ch {
 		c.Resp = r
 		mutated = true
 	}
-	// WeekendResp and ConnResp pointers are shared between components of
-	// the built-in model; re-point to a private copy before changing.
-	if c.WeekendResp != nil {
-		if r, ch := retime(*c.WeekendResp, delta, rampDays, severity); ch {
-			c.WeekendResp = &r
+	for _, p := range []**synth.Response{&c.WeekendResp, &c.ConnResp, &c.Shift} {
+		if *p == nil {
+			continue
+		}
+		if r, ch := f(**p); ch {
+			*p = &r
 			mutated = true
 		}
 	}
-	if c.ConnResp != nil {
-		if r, ch := retime(*c.ConnResp, delta, rampDays, severity); ch {
-			c.ConnResp = &r
-			mutated = true
-		}
-	}
+	return mutated
+}
+
+// applyPrimaryWave re-parametrises a component's built-in responses for a
+// primary wave that deviates from the paper's: shifted start, different
+// ramp length, scaled severity. The diurnal shift is one of them, so the
+// wave's start, ramp and severity reach the workday shape too. A wave
+// matching the paper exactly (delta 0, ten-day ramp, severity 1) returns
+// the component untouched.
+func applyPrimaryWave(c synth.Component, delta time.Duration, rampDays int, severity float64) (synth.Component, bool) {
+	mutated := eachResponse(&c, func(r synth.Response) (synth.Response, bool) {
+		return retime(r, delta, rampDays, severity)
+	})
 	return c, mutated
 }
 
@@ -213,13 +221,13 @@ func scalePeak(p, severity float64) float64 {
 	return 1 + (p-1)*severity
 }
 
-// applyReturnToOffice ends the behaviour-driven changes early: components
+// applyReturnToOffice ends the behaviour-driven changes early: responses
 // with an explicit RampStart (the remote-work and stay-home-demand
 // markers, see synth.earlyResponse/earlyDemand) start decaying at the
-// event date, optionally towards a new retained fraction.
+// event date, optionally towards a new retained fraction. The diurnal
+// shift has no RampStart and is left alone.
 func applyReturnToOffice(c synth.Component, ev Event) (synth.Component, bool) {
-	mutated := false
-	resp := func(r synth.Response) (synth.Response, bool) {
+	mutated := eachResponse(&c, func(r synth.Response) (synth.Response, bool) {
 		if r.RampStart.IsZero() {
 			return r, false
 		}
@@ -233,23 +241,7 @@ func applyReturnToOffice(c synth.Component, ev Event) (synth.Component, bool) {
 			ch = true
 		}
 		return r, ch
-	}
-	if r, ch := resp(c.Resp); ch {
-		c.Resp = r
-		mutated = true
-	}
-	if c.WeekendResp != nil {
-		if r, ch := resp(*c.WeekendResp); ch {
-			c.WeekendResp = &r
-			mutated = true
-		}
-	}
-	if c.ConnResp != nil {
-		if r, ch := resp(*c.ConnResp); ch {
-			c.ConnResp = &r
-			mutated = true
-		}
-	}
+	})
 	return c, mutated
 }
 

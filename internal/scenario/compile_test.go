@@ -72,6 +72,7 @@ func TestPrimaryWaveShiftSeverityAndRamp(t *testing.T) {
 	}
 	def := synth.DefaultConfig(synth.ISPCE)
 	delta := 7 * 24 * time.Hour
+	shifting := 0
 	for i, c := range cfg.Components {
 		d := def.Components[i]
 		if c.Resp.Delay != d.Resp.Delay+delta {
@@ -95,11 +96,28 @@ func TestPrimaryWaveShiftSeverityAndRamp(t *testing.T) {
 		if !d.Resp.RampStart.IsZero() && !c.Resp.RampStart.Equal(d.Resp.RampStart.Add(delta)) {
 			t.Errorf("%s: RampStart = %v, want shifted %v", c.Name, c.Resp.RampStart, d.Resp.RampStart.Add(delta))
 		}
+		// The diurnal shift moves, ramps and scales with the wave.
+		if d.Shift == nil {
+			continue
+		}
+		shifting++
+		if c.Shift.Delay != d.Shift.Delay+delta {
+			t.Errorf("%s: Shift.Delay = %v, want %v", c.Name, c.Shift.Delay, d.Shift.Delay+delta)
+		}
+		if want := calendar.LockdownEurope.Add(delta).AddDate(0, 0, 14); !c.Shift.RampFull.Equal(want) {
+			t.Errorf("%s: Shift.RampFull = %v, want %v", c.Name, c.Shift.RampFull, want)
+		}
+		if c.Shift.Peak != 1.5 {
+			t.Errorf("%s: Shift.Peak = %g, want 1.5 (from %g)", c.Name, c.Shift.Peak, d.Shift.Peak)
+		}
+	}
+	if shifting == 0 {
+		t.Error("no ISP-CE component shifts its diurnal pattern")
 	}
 }
 
 // TestSharedResponsePointersCopied guards the copy-on-write of the
-// WeekendResp/ConnResp pointers the built-in model shares between
+// WeekendResp and Shift pointers the built-in model shares between
 // components: scaling must re-point, never mutate through the shared
 // pointer (which would corrupt sibling components).
 func TestSharedResponsePointersCopied(t *testing.T) {
@@ -139,6 +157,35 @@ func TestSharedResponsePointersCopied(t *testing.T) {
 			t.Errorf("%s: WeekendResp.Peak = %g, want %g (scaled exactly once from %g)",
 				c.Name, c.WeekendResp.Peak, want, d.WeekendResp.Peak)
 		}
+	}
+
+	// Every ISP-CE shifting component shares one Shift; each gets its own
+	// copy, scaled once from Peak 2.
+	def = synth.DefaultConfig(synth.ISPCE)
+	cfg = mustParse(t, "name: half\nvantage_points: [ISP-CE]\nevents:\n"+
+		"  - type: lockdown_wave\n    start: 2020-03-14\n    severity: 0.5\n    ramp_days: 10\n").Config(synth.ISPCE)
+	copies := map[*synth.Response]string{}
+	for i, c := range cfg.Components {
+		d := def.Components[i]
+		if d.Shift == nil {
+			continue
+		}
+		if d.Shift != def.Components[0].Shift {
+			t.Fatalf("%s: the built-in ISP-CE components no longer share one Shift; test needs a new fixture", c.Name)
+		}
+		if c.Shift == d.Shift {
+			t.Errorf("%s: Shift pointer not copied", c.Name)
+		}
+		if other, ok := copies[c.Shift]; ok {
+			t.Errorf("%s: Shift copy shared with %s", c.Name, other)
+		}
+		copies[c.Shift] = c.Name
+		if c.Shift.Peak != 1.5 {
+			t.Errorf("%s: Shift.Peak = %g, want 1.5 (scaled exactly once from %g)", c.Name, c.Shift.Peak, d.Shift.Peak)
+		}
+	}
+	if len(copies) < 2 {
+		t.Errorf("%d ISP-CE shifting components, want several sharing one Shift", len(copies))
 	}
 }
 

@@ -58,14 +58,6 @@ type timeline struct {
 	outResidual      float64
 }
 
-// shiftPlan is the compiled pattern-shift ramp of a component: how far
-// (0..1) residential usage has moved from the workday profile towards the
-// lockdown profile. It ramps up with the lockdown and partially recedes
-// after the relaxations, as observed in Figures 2 and 3.
-type shiftPlan struct {
-	outbreak, lock, full, relax, end int64
-}
-
 // wavePlan is a compiled Wave. A wave without a decay window has decay =
 // MaxInt64 (full effect persists); one whose End does not follow its decay
 // start has end = decay (it drops to retained at once).
@@ -92,10 +84,10 @@ type componentPlan struct {
 	// component's own profiles; a mean of zero silences the day type.
 	workShape, weekendShape [24]float64
 	workMean, weekendMean   float64
-	// shifts marks components whose workday profile morphs into target
-	// along the shift ramp; their workday shape is blended per hour.
-	shifts bool
-	shift  shiftPlan
+	// shift, if set, is the compiled Component.Shift: the workday profile
+	// of the component morphs into target by its excursion, and the
+	// workday shape is blended per hour.
+	shift  *timeline
 	target diurnal.Profile
 
 	resp        timeline
@@ -249,17 +241,6 @@ func (k *compiler) response(r *Response) timeline {
 	return tl
 }
 
-func (k *compiler) shift(delay time.Duration) shiftPlan {
-	lock := calendar.LockdownEurope.Add(delay)
-	return shiftPlan{
-		outbreak: k.ns(calendar.OutbreakEurope.Add(delay)),
-		lock:     k.ns(lock),
-		full:     k.ns(lock.AddDate(0, 0, 7)),
-		relax:    k.ns(calendar.RelaxationEurope.Add(delay)),
-		end:      k.ns(calendar.StudyEnd),
-	}
-}
-
 func (k *compiler) wave(w *Wave) wavePlan {
 	p := wavePlan{
 		start:    k.ns(w.Start),
@@ -363,9 +344,9 @@ func (k *compiler) component(c *Component) componentPlan {
 	p.srcBelow, p.dstBelow = pickBelow(p.srcWeights), pickBelow(p.dstWeights)
 	p.workShape, p.workMean = shapeTable(&c.Workday)
 	p.weekendShape, p.weekendMean = shapeTable(&c.Weekend)
-	if c.ShiftsPattern {
-		p.shifts = true
-		p.shift = k.shift(c.Resp.Delay)
+	if c.Shift != nil {
+		tl := k.response(c.Shift)
+		p.shift = &tl
 		p.target = c.LockdownShape
 		if p.target == (diurnal.Profile{}) {
 			p.target = diurnal.LockdownWorkday()
@@ -521,17 +502,11 @@ func (tl *timeline) at(t int64, peak float64) float64 {
 	return m
 }
 
-func (s *shiftPlan) at(t int64) float64 {
-	switch {
-	case t < s.lock:
-		return 0.15 * progress(s.outbreak, s.lock, t)
-	case t < s.full:
-		return 0.15 + 0.85*progress(s.lock, s.full, t)
-	case t < s.relax:
-		return 1
-	default:
-		return 1 - 0.4*progress(s.relax, s.end, t)
-	}
+// weight returns the shift response's excursion at t: how far the workday
+// profile has moved towards the lockdown shape, 1 being all the way
+// (blendShape clamps it to [0, 1]).
+func (tl *timeline) weight(t int64) float64 {
+	return (tl.peak - 1) * tl.ramp(t)
 }
 
 // frac returns the wave's effect fraction (0..1 ramp, then decay to
@@ -639,9 +614,9 @@ func (p *componentPlan) evaluate(h *hour) componentHour {
 			return e
 		}
 		shape, level = p.weekendShape[h.ofDay], p.weekendLevel
-	case p.shifts:
+	case p.shift != nil:
 		var ok bool
-		if shape, ok = blendShape(&p.c.Workday, &p.target, p.shift.at(h.ns), h.ofDay); !ok {
+		if shape, ok = blendShape(&p.c.Workday, &p.target, p.shift.weight(h.ns), h.ofDay); !ok {
 			return e
 		}
 	default:

@@ -23,7 +23,7 @@ func checkPlanAgainstReference(t *testing.T, cfg Config) {
 	live, silent, blended := 0, 0, 0
 	shifting := false
 	for i := range g.plan {
-		shifting = shifting || g.plan[i].shifts
+		shifting = shifting || g.plan[i].shift != nil
 	}
 	eachHour(calendar.StudyStart, calendar.StudyEnd, func(h *hour) {
 		for i := range g.plan {
@@ -32,7 +32,7 @@ func checkPlanAgainstReference(t *testing.T, cfg Config) {
 			if want := refVolumeAt(c, h.start, cfg.Seed); s.volume != want {
 				t.Fatalf("%s/%s at %v: volume %v, reference %v", cfg.VP, c.Name, h.start, s.volume, want)
 			}
-			if g.plan[i].shifts && !s.weekend {
+			if g.plan[i].shift != nil && !s.weekend {
 				blended++
 			}
 			if want := refHourHash(cfg.Seed, c.Name, h.start); s.hash != want {
@@ -58,6 +58,31 @@ func checkPlanAgainstReference(t *testing.T, cfg Config) {
 		t.Fatalf("%s%s: no blended workday hour of a shifting component compared", cfg.VP, cfg.Variant)
 	}
 	t.Logf("%s%s: %d live and %d silent component-hours identical, %d of them blended workday hours", cfg.VP, cfg.Variant, live, silent, blended)
+}
+
+// maxShiftWeights compiles cfg and returns, per component with a shift,
+// the largest blend weight its plan takes over the hours of the study
+// window.
+func maxShiftWeights(t *testing.T, cfg Config) map[string]float64 {
+	t.Helper()
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	peak := map[string]float64{}
+	eachHour(calendar.StudyStart, calendar.StudyEnd, func(h *hour) {
+		for i := range g.plan {
+			p := &g.plan[i]
+			if p.shift == nil {
+				continue
+			}
+			w := p.shift.weight(h.ns)
+			if prev, ok := peak[p.c.Name]; !ok || w > prev {
+				peak[p.c.Name] = w
+			}
+		}
+	})
+	return peak
 }
 
 // TestPlanMatchesReference covers the built-in model of all seven vantage

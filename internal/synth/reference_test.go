@@ -96,23 +96,6 @@ func refResponseAt(r Response, t time.Time, weekend bool) float64 {
 	return m
 }
 
-func refPatternShift(t time.Time, delay time.Duration) float64 {
-	lock := calendar.LockdownEurope.Add(delay)
-	full := lock.AddDate(0, 0, 7)
-	relax := calendar.RelaxationEurope.Add(delay)
-	end := calendar.StudyEnd
-	switch {
-	case t.Before(lock):
-		return 0.15 * refProgress(calendar.OutbreakEurope.Add(delay), lock, t)
-	case t.Before(full):
-		return 0.15 + 0.85*refProgress(lock, full, t)
-	case t.Before(relax):
-		return 1
-	default:
-		return 1 - 0.4*refProgress(relax, end, t)
-	}
-}
-
 func refWaveFrac(w Wave, t time.Time) float64 {
 	decay := w.DecayStart
 	if decay.IsZero() {
@@ -221,12 +204,12 @@ func refVolumeAt(c Component, t time.Time, seed int64) float64 {
 		}
 	} else {
 		prof = c.Workday
-		if c.ShiftsPattern {
+		if c.Shift != nil {
 			target := c.LockdownShape
 			if target == (diurnal.Profile{}) {
 				target = diurnal.LockdownWorkday()
 			}
-			prof = diurnal.Blend(c.Workday, target, refPatternShift(t, c.Resp.Delay))
+			prof = diurnal.Blend(c.Workday, target, (c.Shift.Peak-1)*refRampFraction(*c.Shift, t))
 		}
 	}
 	mean := prof.Mean()

@@ -170,10 +170,14 @@ type Component struct {
 	// Workday and Weekend are the component's diurnal shapes.
 	Workday diurnal.Profile
 	Weekend diurnal.Profile
-	// LockdownShape, if set together with ShiftsPattern, is the shape
-	// the workday profile morphs into during the lockdown.
+	// LockdownShape, if set together with Shift, is the shape the
+	// workday profile morphs into during the lockdown.
 	LockdownShape diurnal.Profile
-	ShiftsPattern bool
+	// Shift, if non-nil, morphs the workday profile towards LockdownShape
+	// (diurnal.LockdownWorkday if unset). The blend weight is the
+	// excursion (Peak-1)·ramp(t) of its timeline, so Peak 2 reaches the
+	// lockdown shape; its peak overrides, Dip and Outage are not read.
+	Shift *Response
 	// Resp describes the component's volume change over time.
 	Resp Response
 	// WeekendResp, if non-nil, replaces Resp on weekend days (the EDU

@@ -23,11 +23,11 @@ func (r Response) at(t time.Time) float64 {
 	return tl.at(h.ns, tl.peakFor(&h, h.weekend))
 }
 
-// patternShift evaluates the compiled pattern-shift ramp at t.
-func patternShift(t time.Time, delay time.Duration) float64 {
+// patternShift evaluates the built-in shift's compiled blend weight at t.
+func patternShift(t time.Time) float64 {
 	var k compiler
-	s := k.shift(delay)
-	return s.at(t.UnixNano())
+	tl := k.response(lockdownShift(0))
+	return tl.weight(t.UnixNano())
 }
 
 func TestResponseRampAndRetention(t *testing.T) {
@@ -89,13 +89,13 @@ func TestResponseDelayShiftsTimeline(t *testing.T) {
 }
 
 func TestPatternShiftTimeline(t *testing.T) {
-	if s := patternShift(date(2020, 1, 10), 0); s != 0 {
+	if s := patternShift(date(2020, 1, 10)); s != 0 {
 		t.Errorf("shift before outbreak = %v, want 0", s)
 	}
-	if s := patternShift(date(2020, 4, 1), 0); s != 1 {
+	if s := patternShift(date(2020, 4, 1)); s != 1 {
 		t.Errorf("shift at lockdown height = %v, want 1", s)
 	}
-	late := patternShift(calendar.StudyEnd.Add(-24*time.Hour), 0)
+	late := patternShift(calendar.StudyEnd.Add(-24 * time.Hour))
 	if late >= 1 || late < 0.5 {
 		t.Errorf("shift after relaxation = %v, want partial (0.5..1)", late)
 	}

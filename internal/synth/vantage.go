@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"lockdown/internal/asdb"
+	"lockdown/internal/calendar"
 	"lockdown/internal/diurnal"
 	"lockdown/internal/flowrec"
 )
@@ -90,6 +91,16 @@ func earlyDemand(r Response) Response {
 	return r
 }
 
+// lockdownShift is the residential workday's move towards the lockdown
+// shape (Figures 2 and 3): 15 % of the way by the lockdown, all of it a
+// week later, and 60 % of it still there at the end of the study window.
+func lockdownShift(delay time.Duration) *Response {
+	return &Response{
+		Peak: 2, PreRamp: 0.15, Retained: 0.6, Delay: delay,
+		RampFull: calendar.LockdownEurope.Add(delay).AddDate(0, 0, 7),
+	}
+}
+
 // DefaultConfig returns the built-in model of the given vantage point,
 // calibrated so that the analyses reproduce the qualitative results of the
 // paper (see DESIGN.md for the per-figure expectations).
@@ -131,13 +142,14 @@ func ispCEComponents() []Component {
 	office := diurnal.OfficeHours()
 	entertainment := diurnal.EveningEntertainment()
 	allday := diurnal.AllDayEntertainment()
+	shift := lockdownShift(0)
 
 	return []Component{
 		{
 			Name: "hypergiant-vod", Class: ClassVoD,
 			SrcASNs: asVoD, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirIngress, BaseGbps: 330, WeekendLevel: 1.15,
-			Workday: entertainment, Weekend: resWE, LockdownShape: allday, ShiftsPattern: true,
+			Workday: entertainment, Weekend: resWE, LockdownShape: allday, Shift: shift,
 			Resp:         Response{Peak: 1.30, PeakWeekend: 1.2, Retained: 0.25, PreRamp: 0.3, Dip: 0.90},
 			Residential:  true,
 			EndpointPool: 4000,
@@ -146,7 +158,7 @@ func ispCEComponents() []Component {
 			Name: "hypergiant-web", Class: ClassWeb,
 			SrcASNs: asHGWeb, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443), tcp(80)},
 			Dir: flowrec.DirIngress, BaseGbps: 300, WeekendLevel: 1.05,
-			Workday: res, Weekend: resWE, ShiftsPattern: true,
+			Workday: res, Weekend: resWE, Shift: shift,
 			Resp:         Response{Peak: 1.15, PeakWorkHours: 1.18, Retained: 0.3, PreRamp: 0.25},
 			Residential:  true,
 			EndpointPool: 6000,
@@ -155,7 +167,7 @@ func ispCEComponents() []Component {
 			Name: "hypergiant-quic", Class: ClassQUIC,
 			SrcASNs: asHGQUIC, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{udp(443)},
 			Dir: flowrec.DirIngress, BaseGbps: 130, WeekendLevel: 1.1,
-			Workday: res, Weekend: resWE, ShiftsPattern: true,
+			Workday: res, Weekend: resWE, Shift: shift,
 			Resp:         Response{Peak: 1.45, PeakWorkHours: 1.55, PeakWeekend: 1.35, Retained: 0.4, PreRamp: 0.25},
 			Residential:  true,
 			EndpointPool: 5000,
@@ -164,7 +176,7 @@ func ispCEComponents() []Component {
 			Name: "hypergiant-social", Class: ClassSocial,
 			SrcASNs: asSocial[:2], DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirIngress, BaseGbps: 70, WeekendLevel: 1.1,
-			Workday: res, Weekend: resWE, ShiftsPattern: true,
+			Workday: res, Weekend: resWE, Shift: shift,
 			Resp:         Response{Peak: 1.7, PeakWeekend: 1.5, Retained: 0.15, PreRamp: 0.3},
 			Residential:  true,
 			EndpointPool: 5000,
@@ -173,7 +185,7 @@ func ispCEComponents() []Component {
 			Name: "other-social", Class: ClassSocial,
 			SrcASNs: asSocial[2:], DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirIngress, BaseGbps: 25, WeekendLevel: 1.1,
-			Workday: res, Weekend: resWE, ShiftsPattern: true,
+			Workday: res, Weekend: resWE, Shift: shift,
 			Resp:         Response{Peak: 1.6, Retained: 0.2, PreRamp: 0.3},
 			Residential:  true,
 			EndpointPool: 3000,
@@ -182,7 +194,7 @@ func ispCEComponents() []Component {
 			Name: "cdn-other", Class: ClassCDN,
 			SrcASNs: asCDNOther, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirIngress, BaseGbps: 60, WeekendLevel: 1.05,
-			Workday: res, Weekend: resWE, ShiftsPattern: true,
+			Workday: res, Weekend: resWE, Shift: shift,
 			Resp:         Response{Peak: 1.45, PeakWorkHours: 1.6, Retained: 0.5, PreRamp: 0.25},
 			Residential:  true,
 			EndpointPool: 4000,
@@ -192,7 +204,7 @@ func ispCEComponents() []Component {
 			SrcASNs: asGaming, DstASNs: asEyeballEU,
 			Ports: []flowrec.PortProto{udp(3074), udp(27015), udp(3659), tcp(27015), udp(30000)},
 			Dir:   flowrec.DirIngress, BaseGbps: 40, WeekendLevel: 1.3,
-			Workday: entertainment, Weekend: resWE, LockdownShape: allday, ShiftsPattern: true,
+			Workday: entertainment, Weekend: resWE, LockdownShape: allday, Shift: shift,
 			Resp:         Response{Peak: 1.12, PeakWeekend: 1.10, Retained: 0.5, PreRamp: 0.2},
 			Residential:  true,
 			EndpointPool: 2500,
@@ -220,7 +232,7 @@ func ispCEComponents() []Component {
 			Name: "messaging", Class: ClassMessaging,
 			SrcASNs: asMessaging, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443), tcp(5222)},
 			Dir: flowrec.DirIngress, BaseGbps: 8, WeekendLevel: 1.1,
-			Workday: res, Weekend: resWE, ShiftsPattern: true,
+			Workday: res, Weekend: resWE, Shift: shift,
 			Resp:         earlyResponse(Response{Peak: 2.6, PeakWorkHours: 3.1, PeakWeekend: 2.4, Retained: 0.5, PreRamp: 0.3}),
 			Residential:  true,
 			EndpointPool: 6000,
@@ -276,7 +288,7 @@ func ispCEComponents() []Component {
 			Name: "tv-streaming-8200", Class: ClassTVStream,
 			SrcASNs: []uint32{203561}, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(8200)},
 			Dir: flowrec.DirIngress, BaseGbps: 6, WeekendLevel: 1.2,
-			Workday: entertainment, Weekend: resWE, LockdownShape: allday, ShiftsPattern: true,
+			Workday: entertainment, Weekend: resWE, LockdownShape: allday, Shift: shift,
 			Resp:         Response{Peak: 1.35, PeakWeekend: 1.4, Retained: 0.4, PreRamp: 0.2},
 			Residential:  true,
 			EndpointPool: 800,
@@ -330,7 +342,7 @@ func ispCEComponents() []Component {
 			Name: "other-web", Class: ClassWeb,
 			SrcASNs: asHosting, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443), tcp(80)},
 			Dir: flowrec.DirIngress, BaseGbps: 120, WeekendLevel: 1.0,
-			Workday: res, Weekend: resWE, ShiftsPattern: true,
+			Workday: res, Weekend: resWE, Shift: shift,
 			Resp:         Response{Peak: 1.33, PeakWorkHours: 1.48, Retained: 0.45, PreRamp: 0.25},
 			Residential:  true,
 			EndpointPool: 7000,
@@ -428,6 +440,7 @@ func ixpComponents(r ixpRegion) []Component {
 	entertainment := diurnal.EveningEntertainment()
 	allday := diurnal.AllDayEntertainment()
 	flat := diurnal.Flat()
+	shift := lockdownShift(r.delay)
 
 	wd, we := res, resWE
 	if r.timezoneMix {
@@ -442,7 +455,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Name: "vod-streaming", Class: ClassVoD,
 			SrcASNs: asVoD, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(1400), WeekendLevel: 1.15,
-			Workday: entertainment, Weekend: we, LockdownShape: allday, ShiftsPattern: true,
+			Workday: entertainment, Weekend: we, LockdownShape: allday, Shift: shift,
 			Resp:         earlyDemand(Response{Peak: r.vodPeak, Retained: r.retained, PreRamp: 0.3, Dip: r.vodDip, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 6000,
@@ -451,7 +464,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Name: "hypergiant-web", Class: ClassWeb,
 			SrcASNs: asHGWeb, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443), tcp(80)},
 			BaseGbps: s(1500), WeekendLevel: 1.05,
-			Workday: wd, Weekend: we, ShiftsPattern: true,
+			Workday: wd, Weekend: we, Shift: shift,
 			Resp:         Response{Peak: 1.22, PeakWorkHours: 1.35, Retained: r.retained, PreRamp: 0.25, Delay: r.delay},
 			Residential:  true,
 			EndpointPool: 9000,
@@ -460,7 +473,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Name: "quic", Class: ClassQUIC,
 			SrcASNs: asHGQUIC, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{udp(443)},
 			BaseGbps: s(700), WeekendLevel: 1.1,
-			Workday: wd, Weekend: we, ShiftsPattern: true,
+			Workday: wd, Weekend: we, Shift: shift,
 			Resp:         Response{Peak: 1.5, PeakWorkHours: 1.6, Retained: r.retained, PreRamp: 0.25, Delay: r.delay},
 			Residential:  true,
 			EndpointPool: 8000,
@@ -470,7 +483,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: append(append([]uint32{}, asCDNOther...), 20940, 13335), DstASNs: r.eyeballs,
 			Ports:    []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(900), WeekendLevel: 1.05,
-			Workday: wd, Weekend: we, ShiftsPattern: true,
+			Workday: wd, Weekend: we, Shift: shift,
 			Resp:         Response{Peak: r.cdnPeak, Retained: r.retained, PreRamp: 0.25, Delay: r.delay},
 			Residential:  true,
 			EndpointPool: 7000,
@@ -479,7 +492,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Name: "social-media", Class: ClassSocial,
 			SrcASNs: asSocial, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(450), WeekendLevel: 1.1,
-			Workday: wd, Weekend: we, ShiftsPattern: true,
+			Workday: wd, Weekend: we, Shift: shift,
 			Resp:         earlyResponse(Response{Peak: r.socialPeak, Retained: 0.15, PreRamp: 0.3, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 8000,
@@ -489,7 +502,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: asGaming, DstASNs: r.eyeballs,
 			Ports:    []flowrec.PortProto{udp(3074), udp(27015), udp(3659), tcp(27015), udp(30000), udp(8393)},
 			BaseGbps: s(260), WeekendLevel: 1.3,
-			Workday: entertainment, Weekend: we, LockdownShape: allday, ShiftsPattern: true,
+			Workday: entertainment, Weekend: we, LockdownShape: allday, Shift: shift,
 			Resp: earlyDemand(Response{Peak: r.gamingPeak, PeakWeekend: r.gamingPeak * 0.95, Retained: 0.6, PreRamp: 0.2,
 				Delay: r.delay, Outage: r.gamingOutage}),
 			Residential:  true,
@@ -520,7 +533,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Name: "messaging", Class: ClassMessaging,
 			SrcASNs: asMessaging, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443), tcp(5222)},
 			BaseGbps: s(80), WeekendLevel: 1.1,
-			Workday: wd, Weekend: we, ShiftsPattern: true,
+			Workday: wd, Weekend: we, Shift: shift,
 			Resp:         earlyResponse(Response{Peak: r.messagingPk, Retained: 0.5, PreRamp: 0.3, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 9000,
@@ -582,7 +595,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Name: "tv-streaming-8200", Class: ClassTVStream,
 			SrcASNs: []uint32{203561}, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(8200)},
 			BaseGbps: s(90), WeekendLevel: 1.2,
-			Workday: entertainment, Weekend: we, LockdownShape: allday, ShiftsPattern: true,
+			Workday: entertainment, Weekend: we, LockdownShape: allday, Shift: shift,
 			Resp:         earlyDemand(Response{Peak: 1.5, PeakWeekend: 1.6, Retained: 0.5, PreRamp: 0.2, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 1500,
@@ -634,6 +647,7 @@ func eduComponents() []Component {
 	campus := diurnal.CampusDay()
 	remote := diurnal.RemoteCampusAccess()
 	resWE := diurnal.ResidentialWeekend()
+	shift := lockdownShift(0)
 
 	weekendGrow := &Response{Peak: 1.12, Retained: 0.6, PreRamp: 0.2}
 	weekendMild := &Response{Peak: 1.04, Retained: 0.6, PreRamp: 0.2}
@@ -664,7 +678,7 @@ func eduComponents() []Component {
 			Name: "incoming-web-remote", Class: ClassWeb,
 			SrcASNs: asEyeballEU, DstASNs: asCampus, Ports: []flowrec.PortProto{tcp(443), tcp(80)},
 			Dir: flowrec.DirIngress, BaseGbps: 0.30, WeekendLevel: 0.5,
-			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
+			Workday: campus, Weekend: resWE, LockdownShape: remote, Shift: shift,
 			Resp:        Response{Peak: 1.7, PeakWorkHours: 1.9, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: weekendGrow,
 			Residential: true, EndpointPool: 5000,
@@ -675,7 +689,7 @@ func eduComponents() []Component {
 			// Responses served to remote users: bytes leave the campus but
 			// the connections were opened from the outside (incoming).
 			Dir: flowrec.DirEgress, ConnDir: flowrec.DirIngress, BaseGbps: 0.35, WeekendLevel: 0.5,
-			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
+			Workday: campus, Weekend: resWE, LockdownShape: remote, Shift: shift,
 			// Served volume grows faster than the number of incoming web
 			// connections (+77% in the paper), so the connection response
 			// is tracked separately from the byte response.
@@ -689,7 +703,7 @@ func eduComponents() []Component {
 			SrcASNs: asEyeballEU, DstASNs: asCampus,
 			Ports: []flowrec.PortProto{tcp(993), tcp(587), tcp(25), tcp(465)},
 			Dir:   flowrec.DirIngress, BaseGbps: 0.06, WeekendLevel: 0.4,
-			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
+			Workday: campus, Weekend: resWE, LockdownShape: remote, Shift: shift,
 			Resp:        Response{Peak: 1.8, PeakWorkHours: 2.0, Retained: 0.8, PreRamp: 0.1},
 			WeekendResp: weekendMild,
 			Residential: true, EndpointPool: 3000,
@@ -699,7 +713,7 @@ func eduComponents() []Component {
 			SrcASNs: asEyeballEU, DstASNs: asCampus,
 			Ports: []flowrec.PortProto{udp(4500), udp(1194), udp(500), tcp(1194)},
 			Dir:   flowrec.DirIngress, BaseGbps: 0.05, WeekendLevel: 0.4,
-			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
+			Workday: campus, Weekend: resWE, LockdownShape: remote, Shift: shift,
 			Resp:        Response{Peak: 4.8, PeakWorkHours: 5.4, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: &Response{Peak: 2.0, Retained: 0.8, PreRamp: 0.1},
 			Residential: true, EndpointPool: 2500,
@@ -709,7 +723,7 @@ func eduComponents() []Component {
 			SrcASNs: asEyeballEU, DstASNs: asCampus,
 			Ports: []flowrec.PortProto{tcp(3389), tcp(1494), tcp(5938)},
 			Dir:   flowrec.DirIngress, BaseGbps: 0.02, WeekendLevel: 0.4,
-			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
+			Workday: campus, Weekend: resWE, LockdownShape: remote, Shift: shift,
 			Resp:        Response{Peak: 5.9, PeakWorkHours: 6.5, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: &Response{Peak: 2.5, Retained: 0.8, PreRamp: 0.1},
 			Residential: true, EndpointPool: 1500,
@@ -718,7 +732,7 @@ func eduComponents() []Component {
 			Name: "incoming-ssh", Class: ClassSSH,
 			SrcASNs: asEyeballEU, DstASNs: asCampus, Ports: []flowrec.PortProto{tcp(22)},
 			Dir: flowrec.DirIngress, BaseGbps: 0.015, WeekendLevel: 0.5,
-			Workday: campus, Weekend: resWE, LockdownShape: remote, ShiftsPattern: true,
+			Workday: campus, Weekend: resWE, LockdownShape: remote, Shift: shift,
 			Resp:        Response{Peak: 9.1, PeakWorkHours: 9.6, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: &Response{Peak: 4.0, Retained: 0.8, PreRamp: 0.1},
 			Residential: true, EndpointPool: 1200,
