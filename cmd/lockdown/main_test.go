@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -19,6 +20,7 @@ import (
 	"testing"
 
 	"lockdown/internal/cluster"
+	"lockdown/internal/collector"
 	"lockdown/internal/core"
 	"lockdown/internal/faultinject"
 	"lockdown/internal/obs"
@@ -40,41 +42,43 @@ func silence(t *testing.T, f **os.File) {
 	t.Cleanup(func() { *f = old; null.Close() })
 }
 
-// stderrOf runs the command line args in process, stdout silenced, and
-// returns what it wrote to stderr.
-func stderrOf(t *testing.T, args ...string) []byte {
+// output runs the command line args in process and returns what it wrote
+// to *f, os.Stdout or os.Stderr; the other is silenced.
+func output(t *testing.T, f **os.File, args ...string) []byte {
 	t.Helper()
-	silence(t, &os.Stdout)
-	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if f == &os.Stdout {
+		silence(t, &os.Stderr)
+	} else {
+		silence(t, &os.Stdout)
+	}
+	tmp, err := os.Create(filepath.Join(t.TempDir(), "out"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	old := os.Stderr
-	os.Stderr = f
+	defer tmp.Close()
+	old := *f
+	*f = tmp
 	err = run(context.Background(), args)
-	os.Stderr = old
+	*f = old
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := os.ReadFile(f.Name())
+	out, err := os.ReadFile(tmp.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
 	return out
 }
 
-// ciGreps returns the first submatch of every match of re in CI's
-// workflow, failing unless there are want of them.
-func ciGreps(t *testing.T, re string, want int) []string {
+// ciGreps returns the submatches of every match of the selector re in CI's
+// workflow, failing unless there are want of them. A selector is a string
+// literal that begins with "grep ", so TestCIGrepCensus can find it and
+// tell which of CI's greps are read.
+func ciGreps(t *testing.T, re string, want int) [][]string {
 	t.Helper()
-	ci, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []string
-	for _, m := range regexp.MustCompile(re).FindAllSubmatch(ci, -1) {
-		got = append(got, string(m[1]))
+	var got [][]string
+	for _, m := range regexp.MustCompile(re).FindAllStringSubmatch(string(readRepo(t, ".github/workflows/ci.yml")), -1) {
+		got = append(got, m[1:])
 	}
 	if len(got) != want {
 		t.Fatalf("CI greps %q for %d patterns, want %d: %q", re, len(got), want, got)
@@ -82,21 +86,138 @@ func ciGreps(t *testing.T, re string, want int) []string {
 	return got
 }
 
+// readRepo returns the file at path, relative to the repository root.
+func readRepo(t *testing.T, path string) []byte {
+	t.Helper()
+	text, err := os.ReadFile(filepath.Join("..", "..", filepath.FromSlash(path)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return text
+}
+
+// grepCount counts the lines of out that pattern, one of CI's extended
+// regular expressions, matches, as grep -c does.
+func grepCount(pattern, out string) int {
+	re := regexp.MustCompile(pattern)
+	n := 0
+	for _, line := range strings.Split(out, "\n") {
+		if re.MatchString(line) {
+			n++
+		}
+	}
+	return n
+}
+
+// ciUnread names the greps of CI's workflow that read no output of this
+// program, by selector, each with the reason.
+var ciUnread = map[string]string{
+	`grep -o '[^']*' \| grep -o '[^']*'`: "why: the coverage floors parse the output of go test -cover",
+}
+
+// TestCIGrepCensus: every grep in CI's workflow is read by exactly one
+// selector, a string literal beginning with "grep " in this package's tests
+// (which hand it to ciGreps) or a ciUnread key, and every match of a
+// selector covers a grep. A new grep fails here until a test reads it.
+func TestCIGrepCensus(t *testing.T) {
+	selectors := map[string]string{} // selector → the declaration holding it
+	files, err := filepath.Glob("*_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			holder := "a declaration of " + file
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				holder = fd.Name.Name
+			}
+			ast.Inspect(d, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+					if v, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(v, "grep ") && v != "grep " {
+						selectors[v] = holder
+					}
+				}
+				return true
+			})
+		}
+	}
+	for sel, why := range ciUnread {
+		selectors[sel] = "ciUnread"
+		if !strings.HasPrefix(why, "why: ") || strings.TrimSpace(why[len("why: "):]) == "" {
+			t.Errorf("ciUnread %q: want \"why: \" and a reason, got %q", sel, why)
+		}
+	}
+
+	ci := string(readRepo(t, ".github/workflows/ci.yml"))
+	var greps []int // the offset of every grep outside a comment
+	for _, loc := range regexp.MustCompile(`\bgrep\b`).FindAllStringIndex(ci, -1) {
+		line := ci[strings.LastIndex(ci[:loc[0]], "\n")+1 : loc[0]]
+		if !strings.HasPrefix(strings.TrimSpace(line), "#") {
+			greps = append(greps, loc[0])
+		}
+	}
+	readers := map[int][]string{}
+	for sel, holder := range selectors {
+		for _, loc := range regexp.MustCompile(sel).FindAllStringIndex(ci, -1) {
+			covered := 0
+			for _, g := range greps {
+				if loc[0] <= g && g < loc[1] {
+					readers[g] = append(readers[g], holder)
+					covered++
+				}
+			}
+			if covered == 0 {
+				t.Errorf("%s's selector %q matches CI text that is no grep: %q", holder, sel, ci[loc[0]:loc[1]])
+			}
+		}
+	}
+	for _, g := range greps {
+		line, _, _ := strings.Cut(ci[g:], "\n")
+		switch r := readers[g]; len(r) {
+		case 0:
+			t.Errorf("no test reads CI's %q; read it through ciGreps, or give ciUnread a reason", line)
+		case 1:
+		default:
+			t.Errorf("CI's %q is read by %d selectors (%v); want one", line, len(r), r)
+		}
+	}
+}
+
 // TestTraceSummaryLine: a traced run ends its stderr with the line CI's
 // observability step greps for.
 func TestTraceSummaryLine(t *testing.T) {
-	pattern := ciGreps(t, `grep -Eq '(trace: [^']*)' /tmp/obs_err.txt`, 1)[0]
-	out := stderrOf(t, "run", "tab1", "-scale", "0.05", "-trace", filepath.Join(t.TempDir(), "t.json"))
-	if !regexp.MustCompile(pattern).Match(out) {
+	pattern := ciGreps(t, `grep -Eq '(trace: [^']*)' /tmp/obs_err\.txt`, 1)[0][0]
+	out := output(t, &os.Stderr, "run", "tab1", "-scale", "0.05", "-trace", filepath.Join(t.TempDir(), "t.json"))
+	if grepCount(pattern, string(out)) != 1 {
 		t.Errorf("stderr does not match CI's %q:\n%s", pattern, out)
 	}
+}
+
+// scrape returns what srv serves at /metrics.
+func scrape(t *testing.T, srv *obs.Server) string {
+	t.Helper()
+	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(body)
 }
 
 // TestMetricsFamilies: a /metrics scrape of an engine's registry serves
 // every family CI's observability step greps for, before any experiment
 // has run.
 func TestMetricsFamilies(t *testing.T) {
-	families := ciGreps(t, `grep -q '\^(lockdown_[a-z_]+)' /tmp/scrape.txt`, 5)
+	families := ciGreps(t, `grep -q '\^(lockdown_[a-z_]+)' /tmp/scrape\.txt`, 5)
 	reg := obs.NewRegistry()
 	srv, err := obs.Serve("127.0.0.1:0", reg)
 	if err != nil {
@@ -105,18 +226,83 @@ func TestMetricsFamilies(t *testing.T) {
 	defer srv.Close()
 	engine := core.NewEngine(core.Options{Obs: reg})
 	defer engine.Data().Close()
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
+	body := scrape(t, srv)
 	for _, f := range families {
-		if !regexp.MustCompile(`(?m)^` + f).Match(body) {
-			t.Errorf("scrape has no line starting %s:\n%s", f, body)
+		if !regexp.MustCompile(`(?m)^` + f[0]).MatchString(body) {
+			t.Errorf("scrape has no line starting %s:\n%s", f[0], body)
+		}
+	}
+}
+
+// TestMetricCatalog: the families a scrape serves once every instrumented
+// subsystem is up on one registry — the engine with its dataset cache and
+// span store, a cluster with a chaos relay and a stream, whose bridge and
+// collector register theirs, and the metrics server's own — are exactly
+// the rows of ARCHITECTURE.md's metric catalog: name, type, label and the
+// help text as what it counts.
+func TestMetricCatalog(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := obs.Serve("127.0.0.1:0", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	engine := core.NewEngine(core.Options{Obs: reg})
+	defer engine.Data().Close()
+	faults, err := faultinject.ParseSpec("drop=0.05,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cluster.New(cluster.Spec{Shards: 1, Format: collector.FormatIPFIX, Options: core.Options{Obs: reg}, Chaos: &faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	type family struct{ kind, label, help string }
+	served := map[string]*family{}
+	get := func(name string) *family {
+		if served[name] == nil {
+			served[name] = &family{label: "—"}
+		}
+		return served[name]
+	}
+	for _, line := range strings.Split(scrape(t, srv), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# HELP "); ok {
+			name, help, _ := strings.Cut(rest, " ")
+			get(name).help = help
+		} else if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, kind, _ := strings.Cut(rest, " ")
+			get(name).kind = kind
+		} else if name, label, ok := strings.Cut(line, "{"); ok && served[name] != nil {
+			label, _, _ = strings.Cut(label, "=")
+			served[name].label = "`" + label + "`"
+		}
+	}
+	row := func(name string, f *family) string {
+		return fmt.Sprintf("| `%s` | %s | %s | %s |", name, f.kind, f.label, f.help)
+	}
+	documented := map[string]string{}
+	for _, line := range strings.Split(string(readRepo(t, "docs/ARCHITECTURE.md")), "\n") {
+		if m := regexp.MustCompile("^\\| `(lockdown_[a-z_]+)` \\|").FindStringSubmatch(line); m != nil {
+			documented[m[1]] = line
+		}
+	}
+	for name, f := range served {
+		switch want, got := row(name, f), documented[name]; got {
+		case want:
+		case "":
+			t.Errorf("ARCHITECTURE.md's metric catalog has no row for the served family\n%s", want)
+		default:
+			t.Errorf("ARCHITECTURE.md's metric catalog row\n%s\nis not the served family's\n%s", got, want)
+		}
+	}
+	for name, line := range documented {
+		if served[name] == nil {
+			t.Errorf("ARCHITECTURE.md's metric catalog lists a family nothing registers:\n%s", line)
 		}
 	}
 }
@@ -134,30 +320,26 @@ func TestSuiteEvents(t *testing.T) {
 		}
 		return out.String()
 	}
-	tierLine := func(out string) string {
-		t.Helper()
-		for _, line := range strings.Split(out, "\n") {
-			if strings.Contains(line, "flow-batch tiers:") {
-				return line
-			}
-		}
-		t.Fatalf("no flow-batch tier line in:\n%s", out)
-		return ""
-	}
-	forget := tierLine(render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
-		Faults: 13, ResidentBytes: 16 << 20, Evictions: 152}))
-	spill := tierLine(render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
-		Spills: 140, Faults: 13, ResidentBytes: 1 << 20, SpilledBytes: 40 << 20, Evictions: 152}))
-	for _, tc := range []struct{ line, re string }{
+	forget := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
+		Faults: 13, ResidentBytes: 16 << 20, Evictions: 152})
+	spill := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
+		Spills: 140, Faults: 13, ResidentBytes: 1 << 20, SpilledBytes: 40 << 20, Evictions: 152})
+	for _, tc := range []struct {
+		selector string
+		greps    int
+		out      string
+	}{
 		// The default-budget and the forced-eviction steps, which run
 		// without a cache dir.
-		{forget, `^flow-batch tiers: 0 spills, [0-9]+ faults, 0 regens, .* [0-9]+ evictions$`},
-		{forget, `^flow-batch tiers: 0 spills, [1-9][0-9]* faults, 0 regens, .* [1-9][0-9]* evictions$`},
-		// The forced-spill step.
-		{spill, `[1-9][0-9]* spills, [1-9][0-9]* faults, 0 regens`},
+		{`grep -E '(\^flow-batch tiers: [^']*)' /tmp/all_(?:default|forget)_err\.txt`, 2, forget},
+		// The forced-spill step picks the tier line, then reads it.
+		{`grep '([^']*)' /tmp/all_tiny_err\.txt`, 1, spill},
+		{`grep -Eq '([^']*spills[^']*)'`, 1, spill},
 	} {
-		if !regexp.MustCompile(tc.re).MatchString(tc.line) {
-			t.Errorf("%q does not match CI's %q", tc.line, tc.re)
+		for _, m := range ciGreps(t, tc.selector, tc.greps) {
+			if grepCount(m[0], tc.out) != 1 {
+				t.Errorf("CI's %q matches no line of:\n%s", m[0], tc.out)
+			}
 		}
 	}
 	if out := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218}); strings.Contains(out, "flow-batch tiers:") {
@@ -169,7 +351,8 @@ func TestSuiteEvents(t *testing.T) {
 // line per shard naming the vantage points it owns (idle shards included,
 // so one that served nothing is visible as such), rebalances and chaos
 // totals when there were any, and a single pump line holding the pumps'
-// counters summed over all shards.
+// counters summed over all shards. The loss-free runs match every grep CI
+// reads a `replay` or `cluster -shards 3` run's stderr with.
 func TestWireEvents(t *testing.T) {
 	render := func(stats cluster.Stats, part map[synth.VantagePoint]int) []string {
 		t.Helper()
@@ -190,36 +373,55 @@ func TestWireEvents(t *testing.T) {
 			}
 		}
 	}
+	// fleet is a loss-free run of the suite's 201 keys over n live shards,
+	// vantage point i on shard i mod n; only shards 0 and n-1 served.
+	fleet := func(n int) (cluster.Stats, map[synth.VantagePoint]int) {
+		stats := cluster.Stats{
+			Bridge:  replay.Stats{Keys: 201, Rows: 600},
+			Streams: map[uint32]replay.Stats{0: {Keys: 61, Rows: 200}, uint32(n - 1): {Keys: 140, Rows: 400}},
+		}
+		for i := 0; i < n; i++ {
+			stats.Shards = append(stats.Shards, cluster.ShardStatus{Shard: i, Stream: uint32(i)})
+		}
+		stats.Shards[0].Pump = replay.PumpStats{Requests: 61, RowsSent: 200}
+		stats.Shards[n-1].Pump = replay.PumpStats{Requests: 140, RowsSent: 400}
+		part := map[synth.VantagePoint]int{}
+		for i, vp := range synth.AllVantagePoints() {
+			part[vp] = i % n
+		}
+		return stats, part
+	}
 
-	// `replay`: seven live in-process shards, one vantage point each.
-	vps := synth.AllVantagePoints()
-	replayRun := cluster.Stats{
-		Bridge: replay.Stats{Keys: 30, Rows: 600, Retries: 1, LostRows: 7},
-		Streams: map[uint32]replay.Stats{
-			0: {Keys: 10, Rows: 200},
-			6: {Keys: 20, Rows: 400, Retries: 1, LostRows: 7},
-		},
-	}
-	part := map[synth.VantagePoint]int{}
-	for i, vp := range vps {
-		part[vp] = i
-		replayRun.Shards = append(replayRun.Shards, cluster.ShardStatus{Shard: i, Stream: uint32(i)})
-	}
-	replayRun.Shards[0].Pump = replay.PumpStats{Requests: 10, RowsSent: 200}
-	replayRun.Shards[6].Pump = replay.PumpStats{Requests: 21, RowsSent: 407}
-	expect(render(replayRun, part),
-		"wire bridge: 30 buckets, 600 rows verified, 1 retries, 7 rows lost, 0 orphan rows, 0 decode errors",
-		"  shard 0 [ISP-CE] (live): 10 buckets, 200 rows, 0 retries, 0 rows lost",
+	// `replay`: seven live shards, one vantage point each.
+	replayLines := render(fleet(7))
+	expect(replayLines,
+		"wire bridge: 201 buckets, 600 rows verified, 0 retries, 0 rows lost, 0 orphan rows, 0 decode errors",
+		"  shard 0 [ISP-CE] (live): 61 buckets, 200 rows, 0 retries, 0 rows lost",
 		"  shard 1 [IXP-CE] (live): 0 buckets, 0 rows",
 		"  shard 2 [IXP-SE] (live)", "  shard 3 [IXP-US] (live)", "  shard 4 [MOBILE] (live)", "  shard 5 [IPX] (live)",
-		"  shard 6 [EDU] (live): 20 buckets, 400 rows, 1 retries, 7 rows lost",
-		"wire pump: 31 requests, 607 rows exported, 0 nacks")
+		"  shard 6 [EDU] (live): 140 buckets, 400 rows, 0 retries, 0 rows lost",
+		"wire pump: 201 requests, 600 rows exported, 0 nacks")
+	// `cluster -shards 3`, where CI wants every shard to have served.
+	three, part := fleet(3)
+	three.Streams[1] = replay.Stats{Keys: 1, Rows: 1}
+	runs := map[string]string{"replay": strings.Join(replayLines, "\n"), "cluster": strings.Join(render(three, part), "\n")}
+	// Each grep wants one line, or as many as the count CI compares its
+	// -c to.
+	for _, m := range ciGreps(t, `grep -c?q?E '(\^[^']*)' /tmp/(replay|cluster)_[^)\s]*(?:\)" = (\d+))?`, 6) {
+		want := m[2]
+		if want == "" {
+			want = "1"
+		}
+		if got := strconv.Itoa(grepCount(m[0], runs[m[1]])); got != want {
+			t.Errorf("CI's %q matches %s lines of the %s run, want %s:\n%s", m[0], got, m[1], want, runs[m[1]])
+		}
+	}
 
 	// `cluster -shards 3 -chaos …`: shard 1 died and its vantage points
 	// moved; its counters are those of its pump before the kill.
 	clusterRun := cluster.Stats{
-		Bridge:  replay.Stats{Keys: 9, Rows: 90, Retries: 4},
-		Streams: map[uint32]replay.Stats{0: {Keys: 5, Rows: 50}, 1: {Keys: 1, Rows: 10, Retries: 4}, 2: {Keys: 3, Rows: 30}},
+		Bridge:  replay.Stats{Keys: 9, Rows: 90, Retries: 4, LostRows: 7},
+		Streams: map[uint32]replay.Stats{0: {Keys: 5, Rows: 50}, 1: {Keys: 1, Rows: 10, Retries: 4, LostRows: 7}, 2: {Keys: 3, Rows: 30}},
 		Shards: []cluster.ShardStatus{
 			{Shard: 0, Stream: 0, Pump: replay.PumpStats{Requests: 5, RowsSent: 50}},
 			{Shard: 1, Stream: 1, Dead: true},
@@ -229,18 +431,52 @@ func TestWireEvents(t *testing.T) {
 			Moved: map[synth.VantagePoint]int{synth.IXPCE: 0, synth.Mobile: 2}}},
 		Chaos: &faultinject.RelayStats{Total: faultinject.Counts{Seen: 100, Dropped: 5}},
 	}
-	for i, vp := range vps {
-		part[vp] = i % 3
-	}
 	part[synth.IXPCE], part[synth.Mobile] = 0, 2
 	expect(render(clusterRun, part),
-		"wire bridge: 9 buckets, 90 rows verified, 4 retries",
+		"wire bridge: 9 buckets, 90 rows verified, 4 retries, 7 rows lost",
 		"  shard 0 [ISP-CE IXP-CE IXP-US EDU] (live): 5 buckets, 50 rows",
-		"  shard 1 [] (DEAD): 1 buckets, 10 rows, 4 retries",
+		"  shard 1 [] (DEAD): 1 buckets, 10 rows, 4 retries, 7 rows lost",
 		"  shard 2 [IXP-SE MOBILE IPX] (live): 3 buckets",
 		"  rebalance: shard 1 (pump stopped), 2 vantage points moved",
 		"  chaos relay: 100 datagrams, 5 dropped",
 		"wire pump: 9 requests, 80 rows exported, 1 nacks")
+}
+
+// TestSpillFileNames: a run that spills leaves span files under its cache
+// dir that CI's grep of that dir's listing finds.
+func TestSpillFileNames(t *testing.T) {
+	pattern := ciGreps(t, `grep -q '([^']*)' /tmp/spill_files\.txt`, 1)[0][0]
+	dir := t.TempDir()
+	engine := core.NewEngine(core.Options{FlowScale: 0.05, CacheBudget: 1, CacheDir: dir})
+	defer engine.Data().Close()
+	if _, err := engine.Run(context.Background(), "fig10"); err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+		if err == nil && !e.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(files, regexp.MustCompile(pattern).MatchString) {
+		t.Errorf("no file under the cache dir matches CI's %q: %q", pattern, files)
+	}
+}
+
+// TestValidateIdentityLine: `scenario validate` prints the word CI's
+// gallery step greps for on default.yaml, and not on a variant.
+func TestValidateIdentityLine(t *testing.T) {
+	word := ciGreps(t, `grep -q (\w+)`, 1)[0][0]
+	for file, want := range map[string]bool{"default.yaml": true, "wave2.yaml": false} {
+		out := output(t, &os.Stdout, "scenario", "validate", filepath.Join("..", "..", "examples", "scenarios", file))
+		if got := grepCount(word, string(out)) > 0; got != want {
+			t.Errorf("scenario validate %s printed %q; CI's %q matches: %v, want %v", file, out, word, got, want)
+		}
+	}
 }
 
 // TestReplayPumpMatchesBridge: in a loss-free replay every bucket is
@@ -250,7 +486,7 @@ func TestWireEvents(t *testing.T) {
 // sent, so this holds only because the stats are read after the pumps
 // stop. CI runs it with -count=20.
 func TestReplayPumpMatchesBridge(t *testing.T) {
-	out := stderrOf(t, "replay", "-scale", "0.05", "-parallel", "2")
+	out := output(t, &os.Stderr, "replay", "-scale", "0.05", "-parallel", "2")
 	count := func(pattern string) []int64 {
 		t.Helper()
 		m := regexp.MustCompile(pattern).FindSubmatch(out)
@@ -645,10 +881,7 @@ func TestModeDocs(t *testing.T) {
 	for _, m := range regexp.MustCompile(`(?m)^//\t(lockdown .*?)  `).FindAllStringSubmatch(pkg, -1) {
 		lists["main.go's package comment"] = append(lists["main.go's package comment"], commandOf(m[1]))
 	}
-	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
-	if err != nil {
-		t.Fatal(err)
-	}
+	readme := readRepo(t, "README.md")
 	for _, m := range regexp.MustCompile("(?m)^\\| `(lockdown [^`]*)` \\|").FindAllStringSubmatch(string(readme), -1) {
 		lists["README's command table"] = append(lists["README's command table"], commandOf(m[1]))
 	}

@@ -138,8 +138,8 @@ func TestClaimVerdict(t *testing.T) {
 }
 
 // TestSeverityZeroBreaksClaims: default.yaml at severity 0 has no
-// lockdown, so the diurnal-shape, hypergiant, VPN and EDU experiments must
-// each report a claim that does not hold.
+// lockdown, so the diurnal-shape, hypergiant, link-utilisation, VPN and EDU
+// experiments must each report a claim that does not hold.
 func TestSeverityZeroBreaksClaims(t *testing.T) {
 	data, err := os.ReadFile("../../examples/scenarios/default.yaml")
 	if err != nil {
@@ -157,7 +157,7 @@ func TestSeverityZeroBreaksClaims(t *testing.T) {
 	opts.Model = s.Config
 	engine := NewEngine(opts)
 	defer engine.Data().Close()
-	results, err := engine.RunMany(context.Background(), []string{"fig2a", "fig2bc", "fig4", "fig10", "fig12"}, 0)
+	results, err := engine.RunMany(context.Background(), []string{"fig2a", "fig2bc", "fig4", "fig5", "fig10", "fig12"}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,7 @@
 //
 // Execution is organised around an Engine: experiments receive an Env
 // carrying the run Options plus a shared Dataset cache that memoizes every
-// synthetic input (generators, hourly series, per-hour flow batches) under
+// synthetic input (generators, hourly series, per-day flow batches) under
 // the key it is generated from, so inputs consumed by several experiments
 // are generated once. Engine.RunAll executes the registry on a bounded
 // worker pool with context cancellation and assembles results in paper

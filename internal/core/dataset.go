@@ -24,11 +24,12 @@ import (
 // Options value, so a key names the input alone: the vantage point for a
 // model, a FlowKey for a flow batch, a range for a series.
 //
-// Flow batches (FlowBatch, VPNFlowBatch, ComponentFlowBatch) are drawn
-// from the dataset's FlowSource: by default its own model, projected to
-// each kind's columns, or — via NewDatasetWithSource — any other
-// implementation, e.g. the wire-replay bridge that serves the same batches
-// off live NetFlow/IPFIX export. Volume series always come from the local
+// Flow batches, one per FlowKey (read through Env's flowBatch,
+// vpnFlowBatch, componentFlowBatch and hours), are drawn from the
+// dataset's FlowSource: by default its own model, projected to each kind's
+// columns, or — via NewDatasetWithSource — any other implementation, e.g.
+// the wire-replay bridge that serves the same batches off live
+// NetFlow/IPFIX export. Volume series always come from the local
 // generator model; only the flow-record path is sourced.
 //
 // Flow-batch entries are a working set, not the dataset. With

@@ -93,74 +93,77 @@ func resign(d []byte) {
 
 // damageShape is one way to damage the image of a sealed three-span
 // file. badSpan is the span that then fails at Span while the file still
-// opens and its other spans serve; -1 means OpenSpanned rejects the file.
+// opens and its other spans serve; -1 means OpenSpanned rejects the file,
+// with an error containing refusal when that is set.
 type damageShape struct {
 	mutate  func(d []byte) []byte
 	badSpan int
+	refusal string
 }
 
 // damageShapes is shared by the corruption test, the failure-metrics
 // audit and the fuzzer's seed corpus.
 var damageShapes = map[string]damageShape{
-	"empty":          {func(d []byte) []byte { return nil }, -1},
-	"truncated-head": {func(d []byte) []byte { return d[:64] }, -1},
-	"bad-magic":      {func(d []byte) []byte { d[0] ^= 0xff; return d }, -1},
+	"empty":          {func(d []byte) []byte { return nil }, -1, ""},
+	"truncated-head": {func(d []byte) []byte { return d[:64] }, -1, ""},
+	"bad-magic":      {func(d []byte) []byte { d[0] ^= 0xff; return d }, -1, ""},
 	"bad-version": {func(d []byte) []byte {
 		binary.LittleEndian.PutUint32(d[4:8], 99)
 		resign(d)
 		return d
-	}, -1},
-	// A sealed file of the previous format version, checksums and all.
+	}, -1, ""},
+	// A sealed file of the previous format version (17-byte address
+	// slots), checksums and all, refused by the version check.
 	"old-version": {func(d []byte) []byte {
 		binary.LittleEndian.PutUint32(d[4:8], spanVersion-1)
 		resign(d)
 		return d
-	}, -1},
-	"header-bitflip": {func(d []byte) []byte { d[9] ^= 0x01; return d }, -1},
+	}, -1, "unsupported version 4 (want 5)"},
+	"header-bitflip": {func(d []byte) []byte { d[9] ^= 0x01; return d }, -1, ""},
 	"zero-spans": {func(d []byte) []byte {
 		binary.LittleEndian.PutUint64(d[8:16], 0)
 		resign(d)
 		return d
-	}, -1},
+	}, -1, ""},
 	"implausible-spans": {func(d []byte) []byte {
 		binary.LittleEndian.PutUint64(d[8:16], maxSpans+1)
 		resign(d)
 		return d
-	}, -1},
+	}, -1, ""},
 	"index-geometry": {func(d []byte) []byte {
 		binary.LittleEndian.PutUint64(d[24:32], 7)
 		resign(d)
 		return d
-	}, -1},
+	}, -1, ""},
 	"index-bitflip": {func(d []byte) []byte {
 		d[binary.LittleEndian.Uint64(d[16:24])+3] ^= 0x40
 		return d
-	}, -1},
+	}, -1, ""},
 	"row-count-bumps": {func(d []byte) []byte {
 		// Entry 0 claims one row more than its size lays out.
 		d[binary.LittleEndian.Uint64(d[16:24])+16]++
 		resign(d)
 		return d
-	}, -1},
+	}, -1, ""},
 	// The column set of an index entry, re-signed so the entry check is
 	// what rejects it: a bit no column has (inside and beyond the 16 a
 	// Columns holds), a set the span's size is not the layout of, and no
 	// column at all for a span with rows.
-	"cols-bit-15":   {setCols(0, func(c uint64) uint64 { return c | 1<<15 }), -1},
-	"cols-bit-40":   {setCols(0, func(c uint64) uint64 { return c | 1<<40 }), -1},
-	"cols-narrower": {setCols(1, func(c uint64) uint64 { return c &^ uint64(flowrec.ColPackets) }), -1},
-	"cols-empty":    {setCols(2, func(uint64) uint64 { return 0 }), -1},
+	"cols-bit-15":   {setCols(0, func(c uint64) uint64 { return c | 1<<15 }), -1, ""},
+	"cols-bit-40":   {setCols(0, func(c uint64) uint64 { return c | 1<<40 }), -1, ""},
+	"cols-narrower": {setCols(1, func(c uint64) uint64 { return c &^ uint64(flowrec.ColPackets) }), -1, ""},
+	"cols-empty":    {setCols(2, func(uint64) uint64 { return 0 }), -1, ""},
 	// Header intact, file cut inside the spans or inside the index: the
 	// index must be the file's tail, so both are rejected at open.
-	"truncated-spans": {func(d []byte) []byte { return d[:headerSize+100] }, -1},
-	"truncated-data":  {func(d []byte) []byte { return d[:len(d)-8] }, -1},
+	"truncated-spans": {func(d []byte) []byte { return d[:headerSize+100] }, -1, ""},
+	"truncated-data":  {func(d []byte) []byte { return d[:len(d)-8] }, -1, ""},
 	// Span-level damage: header and index are intact, so the file opens
 	// and only the damaged span fails, at fault time.
-	"span-bitflip": {func(d []byte) []byte { d[headerSize+5] ^= 0x10; return d }, 0},
+	"span-bitflip": {func(d []byte) []byte { d[headerSize+5] ^= 0x10; return d }, 0, ""},
 	"data-bitflip": {func(d []byte) []byte {
 		d[binary.LittleEndian.Uint64(d[16:24])-spanAlign+32] ^= 0x80
 		return d
-	}, 2},
+	}, 2, ""},
 }
 
 // setCols edits the column-set field of index entry k and re-signs.
@@ -199,6 +202,9 @@ func TestSpannedCorruption(t *testing.T) {
 				if err == nil {
 					sf.Close()
 					t.Fatalf("OpenSpanned accepted a %s file", name)
+				}
+				if !strings.Contains(err.Error(), shape.refusal) {
+					t.Errorf("OpenSpanned = %v, want an error containing %q", err, shape.refusal)
 				}
 				return
 			}
@@ -294,29 +300,6 @@ func TestSpannedMetricsSuccessPath(t *testing.T) {
 	}
 	if m.spanFaults.Value() != 2 || m.openFails.Value() != 0 {
 		t.Fatalf("span_faults = %d, open_failures = %d, want 2 and 0", m.spanFaults.Value(), m.openFails.Value())
-	}
-}
-
-// TestFormat4IsRefused: a file of the previous format — 17-byte address
-// slots under the same magic — is refused by the version check like any
-// foreign file.
-func TestFormat4IsRefused(t *testing.T) {
-	h := make([]byte, headerSize+spanAlign+indexEntrySize)
-	copy(h, spanMagic)
-	binary.LittleEndian.PutUint32(h[4:8], 4)
-	binary.LittleEndian.PutUint64(h[8:16], 1)
-	binary.LittleEndian.PutUint64(h[16:24], headerSize+spanAlign)
-	binary.LittleEndian.PutUint64(h[24:32], indexEntrySize)
-	resign(h)
-	path := filepath.Join(t.TempDir(), "spill-000001"+SpannedExt)
-	if err := os.WriteFile(path, h, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if sf, err := OpenSpanned(path); err == nil || !strings.Contains(err.Error(), "unsupported version 4 (want 5)") {
-		if err == nil {
-			sf.Close()
-		}
-		t.Fatalf("OpenSpanned of a format-4 file = %v, want the version error", err)
 	}
 }
 

@@ -91,14 +91,23 @@ func DefaultProbes() []float64 {
 }
 
 // ShiftedRight reports whether every stage-week curve lies at or to the
-// right of its base-week counterpart (the paper's finding that "all curves
-// are shifted to the right"), within tolerance eps.
+// right of its base-week counterpart within tolerance eps, and at least one
+// lies right of it by more than eps at some probe (the paper's finding that
+// "all curves are shifted to the right"): identical curves are not shifted.
 func (c Comparison) ShiftedRight(probes []float64, eps float64) bool {
 	bMin, bAvg, bMax := c.Base.ECDFs()
 	sMin, sAvg, sMax := c.Stage.ECDFs()
-	return sMin.ShiftedRightOf(bMin, probes, eps) &&
-		sAvg.ShiftedRightOf(bAvg, probes, eps) &&
-		sMax.ShiftedRightOf(bMax, probes, eps)
+	moved := false
+	for _, p := range [][2]*timeseries.ECDF{{sMin, bMin}, {sAvg, bAvg}, {sMax, bMax}} {
+		stage, base := p[0], p[1]
+		if !stage.ShiftedRightOf(base, probes, eps) {
+			return false
+		}
+		for _, x := range probes {
+			moved = moved || stage.At(x) < base.At(x)-eps
+		}
+	}
+	return moved
 }
 
 // MedianShift returns how much the median of the average utilisation moved

@@ -54,6 +54,15 @@ func TestStageShiftedRight(t *testing.T) {
 	if c.MedianShift() <= 0 {
 		t.Errorf("median average utilisation should increase, got shift %v", c.MedianShift())
 	}
+	// A week compared with itself lies "at or right" of itself everywhere
+	// but has not moved.
+	same := Comparison{Base: c.Base, Stage: c.Base}
+	if same.ShiftedRight(DefaultProbes(), 0.02) {
+		t.Error("identical curves count as shifted right")
+	}
+	if back := (Comparison{Base: c.Stage, Stage: c.Base}); back.ShiftedRight(DefaultProbes(), 0.02) {
+		t.Error("the base week counts as shifted right of stage 2")
+	}
 }
 
 func TestCurvesShapes(t *testing.T) {

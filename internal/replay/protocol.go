@@ -45,7 +45,7 @@
 // of an abandoned attempt arrives before the retry's BEGIN and is
 // discarded, not misfiled. The bridge decides each attempt at a frame:
 // the bucket completes on row count, and an END with rows missing (the
-// pump sends END twice) is loss, re-requested at once. Only an attempt
+// pump sends END three times) is loss, re-requested at once. Only an attempt
 // the pump never answered waits out its timeout and backs off.
 //
 // A bucket carries the columns of its key's kind (core.FlowKey.Columns),

@@ -177,9 +177,10 @@ func WriteTimings(w io.Writer, rs []*core.Result) error {
 
 // WriteExperimentsDoc renders the generated EXPERIMENTS.md: an index table
 // mapping experiment IDs to paper artifacts, followed by one section per
-// experiment with its headline metrics and narrative notes. The document
-// is produced from the registry and a real run, so it cannot drift from
-// the code; runtime metrics are omitted.
+// experiment with its headline metrics and notes. The document is produced
+// from the registry and a real run, so it cannot drift from the code;
+// runtime metrics are omitted. It describes no mechanism: that is
+// docs/ARCHITECTURE.md's, to which it points.
 func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "# Experiments")
 	fmt.Fprintln(w)
@@ -187,89 +188,10 @@ func WriteExperimentsDoc(w io.Writer, rs []*core.Result) error {
 	fmt.Fprintln(w, "     Regenerate with: go run ./cmd/lockdown doc > EXPERIMENTS.md -->")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "Every table and figure of \"The Lockdown Effect\" (IMC 2020) is")
-	fmt.Fprintln(w, "reproduced by one registered experiment. The metrics below come from a")
-	fmt.Fprintln(w, "real run of the engine at the default options. The flow-level")
-	fmt.Fprintln(w, "experiments scan columnar `flowrec.Batch` inputs; the same batches")
-	fmt.Fprintln(w, "round-trip the NetFlow v9 and IPFIX codecs (`EncodeBatch`/`DecodeBatch`),")
-	fmt.Fprintln(w, "so regenerating this document exercises the exact record layout the")
-	fmt.Fprintln(w, "collector path consumes (see docs/ARCHITECTURE.md, \"Columnar flow")
-	fmt.Fprintln(w, "batches\").")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "The suite also runs over a live wire: `lockdown replay` streams every")
-	fmt.Fprintln(w, "flow batch through real NetFlow v9 or IPFIX export over UDP")
-	fmt.Fprintln(w, "(`-format v9|ipfix`), demuxes and verifies the received rows")
-	fmt.Fprintln(w, "bit-for-bit against the model, and reproduces every metric below")
-	fmt.Fprintln(w, "bit-identically — asserted by the race-enabled golden test in")
-	fmt.Fprintln(w, "internal/replay (see docs/ARCHITECTURE.md, \"The wire-replay")
-	fmt.Fprintln(w, "bridge\"). `lockdown cluster -shards N` runs the same suite")
-	fmt.Fprintln(w, "distributed, the way the paper's vantage points were measured:")
-	fmt.Fprintln(w, "the vantage points are partitioned over N exporter pumps, each")
-	fmt.Fprintln(w, "exporting on its own socket, demuxed by wire stream identity —")
-	fmt.Fprintln(w, "IPFIX observation domain or NetFlow v9 source ID —")
-	fmt.Fprintln(w, "and every metric below is still reproduced bit-identically (see")
-	fmt.Fprintln(w, "docs/ARCHITECTURE.md, \"The sharded cluster\").")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "The wire path is built to survive faults without perturbing a metric:")
-	fmt.Fprintln(w, "lost, duplicated, reordered or corrupted datagrams are detected,")
-	fmt.Fprintln(w, "re-requested and accounted under one wall-clock deadline per fetch")
-	fmt.Fprintln(w, "(20 s: four 5 s attempt timeouts), and a shard whose")
-	fmt.Fprintln(w, "pump stops is dead at once: its vantage points are re-partitioned")
-	fmt.Fprintln(w, "over the survivors. `-chaos 'drop=0.05,kill=shard1@t+2s,seed=7'`")
-	fmt.Fprintln(w, "injects a deterministic fault schedule to drill exactly that. A wire")
-	fmt.Fprintln(w, "run either reproduces every metric below bit-identically or fails: a")
-	fmt.Fprintln(w, "bucket no pump serves within its budget ends the run (see")
-	fmt.Fprintln(w, "docs/ARCHITECTURE.md, \"Failure modes and recovery\").")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Memory is bounded by default: the dataset cache keeps a working set")
-	fmt.Fprintln(w, "of flow batches, not the dataset. `run`, `all`, `doc` and `scenario")
-	fmt.Fprintln(w, "run` cap the resident batches at `-cache-budget 16M`; colder days")
-	fmt.Fprintln(w, "are dropped and generated again if an experiment touches them again")
-	fmt.Fprintln(w, "(about one batch in eleven is). `replay` and `cluster`, where a")
-	fmt.Fprintln(w, "re-touch is a wire round trip, keep every batch (`-cache-budget 0`)")
-	fmt.Fprintln(w, "unless told otherwise. Naming a `-cache-dir` adds a disk tier:")
-	fmt.Fprintln(w, "evicted batches are appended, each written once, as checksummed")
-	fmt.Fprintln(w, "columnar spans to append-only span files under it, and a later")
-	fmt.Fprintln(w, "access maps exactly that span back in. The budget never changes a")
-	fmt.Fprintln(w, "metric — rebuilt and mapped batches are bit for bit the generated")
-	fmt.Fprintln(w, "ones (see docs/ARCHITECTURE.md, \"The spillable dataset store\").")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "The per-row column scans those experiments run — per-class byte")
-	fmt.Fprintln(w, "volumes, VPN method splits, EDU class/direction counts, port")
-	fmt.Fprintln(w, "histograms — share the `internal/simd` kernel package: unsafe-free,")
-	fmt.Fprintln(w, "allocation-free scatter accumulations written so the compiler can")
-	fmt.Fprintln(w, "drop bounds checks and branches. The kernels")
-	fmt.Fprintln(w, "accumulate in exact integer arithmetic and are quick-checked against")
-	fmt.Fprintln(w, "their scalar references, so they change wall clock, never a metric")
-	fmt.Fprintln(w, "(see docs/ARCHITECTURE.md, \"Scan kernels\").")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Parallelism is two-level under one budget: `-parallel n` bounds the")
-	fmt.Fprintln(w, "total worker count, experiments run concurrently on it, and the day,")
-	fmt.Fprintln(w, "vantage-point and sampled-day scans inside each experiment borrow")
-	fmt.Fprintln(w, "whatever is spare, one grid item per chunk. The worker count never")
-	fmt.Fprintln(w, "changes a metric: partial aggregates merge exactly and in grid order")
-	fmt.Fprintln(w, "(see docs/ARCHITECTURE.md, \"Intra-experiment sharding\").")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "Every command is observable while it runs: `-metrics-addr :0` serves")
-	fmt.Fprintln(w, "a Prometheus `/metrics` exposition of all `lockdown_*` instrument")
-	fmt.Fprintln(w, "families (experiments, scan chunks, cache tiers, flowstore I/O,")
-	fmt.Fprintln(w, "per-stream bridge accounting, cluster health, chaos faults) plus live")
-	fmt.Fprintln(w, "pprof, and `-trace out.json` records a Chrome trace_event timeline —")
-	fmt.Fprintln(w, "experiment and scan-chunk spans, cache spills/faults, bridge fetches")
-	fmt.Fprintln(w, "and retries, shard deaths and rebalances — whose per-experiment")
-	fmt.Fprintln(w, "span durations share the clock of the `_runtime/wall-ms` stamps.")
-	fmt.Fprintln(w, "Neither flag changes a metric, and both cost zero when off (see")
-	fmt.Fprintln(w, "docs/ARCHITECTURE.md, \"Observability\").")
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, "The traffic model itself is declarative: `lockdown scenario run")
-	fmt.Fprintln(w, "<file.yaml>` executes this same suite on a YAML-declared what-if")
-	fmt.Fprintln(w, "timeline — shifted or repeated lockdown waves, extra holidays, flash")
-	fmt.Fprintln(w, "events, link outages, an early return to office (see")
-	fmt.Fprintln(w, "docs/SCENARIOS.md and the gallery under examples/scenarios/). The")
-	fmt.Fprintln(w, "shipped default scenario restates the paper's timeline and compiles")
-	fmt.Fprintln(w, "to the built-in model bit for bit, so its run reproduces every")
-	fmt.Fprintln(w, "metric below byte-identically; any actual deviation tags the")
-	fmt.Fprintln(w, "compiled model with the scenario's name as its variant, and every")
-	fmt.Fprintln(w, "run builds its own dataset, so nothing is shared across models.")
+	fmt.Fprintln(w, "reproduced by one registered experiment, and the metrics below come")
+	fmt.Fprintln(w, "from a real run of the engine at the default options. How the engine,")
+	fmt.Fprintln(w, "its dataset cache, the wire path and the scenario compiler work is")
+	fmt.Fprintln(w, "described in docs/ARCHITECTURE.md.")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "| ID | Paper artifact | Title |")
 	fmt.Fprintln(w, "|----|----------------|-------|")

@@ -207,6 +207,7 @@ func retime(r synth.Response, delta time.Duration, rampDays int, severity float6
 		r.Peak = scalePeak(r.Peak, severity)
 		r.PeakWorkHours = scalePeak(r.PeakWorkHours, severity)
 		r.PeakWeekend = scalePeak(r.PeakWeekend, severity)
+		r.Dip = scalePeak(r.Dip, severity)
 		changed = true
 	}
 	return r, changed

@@ -85,6 +85,9 @@ func TestPrimaryWaveShiftSeverityAndRamp(t *testing.T) {
 		if !approx(c.Resp.Peak, wantPeak) {
 			t.Errorf("%s: Peak = %g, want %g (from %g)", c.Name, c.Resp.Peak, wantPeak, d.Resp.Peak)
 		}
+		if d.Resp.Dip != 0 && !approx(c.Resp.Dip, 1+(d.Resp.Dip-1)*0.5) {
+			t.Errorf("%s: Dip = %g, want %g (from %g)", c.Name, c.Resp.Dip, 1+(d.Resp.Dip-1)*0.5, d.Resp.Dip)
+		}
 		// The ramp is 14 days from the (shifted) ramp start.
 		lock := c.Resp.RampStart
 		if lock.IsZero() {
@@ -113,6 +116,39 @@ func TestPrimaryWaveShiftSeverityAndRamp(t *testing.T) {
 	}
 	if shifting == 0 {
 		t.Error("no ISP-CE component shifts its diurnal pattern")
+	}
+}
+
+// TestSeverityZeroFlattensDip: at severity 0 the hypergiants'
+// streaming-quality dip is part of the lockdown that did not happen, so
+// every compiled dip is exactly 1 (0 where none is set); the gaming
+// provider's outage is no lockdown response and keeps its depth.
+func TestSeverityZeroFlattensDip(t *testing.T) {
+	s := mustParse(t, "name: none\n"+allVPs+"events:\n"+
+		"  - type: lockdown_wave\n    start: 2020-03-14\n    severity: 0\n    ramp_days: 10\n")
+	dips, outages := 0, 0
+	for _, vp := range synth.AllVantagePoints() {
+		def := synth.DefaultConfig(vp)
+		for i, c := range s.Config(vp).Components {
+			for _, r := range []*synth.Response{&c.Resp, c.WeekendResp, c.ConnResp, c.Shift} {
+				if r == nil || r.Dip == 0 {
+					continue
+				}
+				dips++
+				if r.Dip != 1 {
+					t.Errorf("%s/%s: Dip = %g at severity 0, want 1", vp, c.Name, r.Dip)
+				}
+			}
+			if o := def.Components[i].Resp.Outage; o != nil {
+				outages++
+				if !reflect.DeepEqual(c.Resp.Outage, o) {
+					t.Errorf("%s/%s: Outage = %+v at severity 0, want the built-in %+v", vp, c.Name, c.Resp.Outage, o)
+				}
+			}
+		}
+	}
+	if dips == 0 || outages == 0 {
+		t.Errorf("%d dips and %d outages in the built-in model; the test checks nothing", dips, outages)
 	}
 }
 
