@@ -78,11 +78,11 @@
 //
 //	-shards n     number of pump shards (default 4; replay: always 7)
 //	-chaos spec   deterministic fault injection, e.g.
-//	              'drop=0.05,kill=shard1@t+2s,seed=7' (drop/dup/reorder/
-//	              corrupt probabilities, kill/stall schedules; see
-//	              internal/faultinject). Same seed, same faults; output
-//	              stays byte-identical to `all`. A killed pump stays dead,
-//	              and its vantage points re-partition over the other shards
+//	              'drop=0.05,kill=shard1@t+2s,seed=7' (drop/dup
+//	              probabilities, a kill schedule; see internal/faultinject).
+//	              Same seed, same faults; output stays byte-identical to
+//	              `all`. A killed pump stays dead, and its vantage points
+//	              re-partition over the other shards
 //
 // `replay` and `cluster` run the same suite as `all`, but every flow batch
 // travels a real UDP wire first, the way the paper's measurement did: the
@@ -589,9 +589,6 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 				obs.Fi("datagrams", cs.Total.Seen),
 				obs.Fi("dropped", cs.Total.Dropped),
 				obs.Fi("duplicated", cs.Total.Duplicated),
-				obs.Fi("reordered", cs.Total.Reordered),
-				obs.Fi("corrupted", cs.Total.Corrupted),
-				obs.Fi("stalled", cs.Total.Stalled),
 			}})
 	}
 	return append(events, obs.Event{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{

@@ -310,7 +310,9 @@ func TestMetricCatalog(t *testing.T) {
 // TestSuiteEvents: the stderr summary of a suite run matches the regular
 // expressions CI greps it with. A budgeted run prints its flow-batch tier
 // line, whether it forgets evicted batches or spills them; an unbudgeted
-// run keeps every batch resident and prints none.
+// run keeps every batch resident and prints none. A budgeted run that
+// evicted nothing, as the default budget at -scale 0.1 does, passes no
+// eviction grep.
 func TestSuiteEvents(t *testing.T) {
 	render := func(stats core.CacheStats) string {
 		t.Helper()
@@ -324,6 +326,11 @@ func TestSuiteEvents(t *testing.T) {
 		Faults: 13, ResidentBytes: 16 << 20, Evictions: 152})
 	spill := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
 		Spills: 140, Faults: 13, ResidentBytes: 1 << 20, SpilledBytes: 40 << 20, Evictions: 152})
+	resident := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 16 << 20,
+		ResidentBytes: 5 << 20})
+	if !strings.Contains(resident, "flow-batch tiers: 0 spills, 0 faults,") {
+		t.Fatalf("a budgeted run that evicted nothing printed no tier line:\n%s", resident)
+	}
 	for _, tc := range []struct {
 		selector string
 		greps    int
@@ -339,6 +346,9 @@ func TestSuiteEvents(t *testing.T) {
 		for _, m := range ciGreps(t, tc.selector, tc.greps) {
 			if grepCount(m[0], tc.out) != 1 {
 				t.Errorf("CI's %q matches no line of:\n%s", m[0], tc.out)
+			}
+			if tc.out == forget && grepCount(m[0], resident) != 0 {
+				t.Errorf("CI's %q passes a run that evicted nothing:\n%s", m[0], resident)
 			}
 		}
 	}
@@ -990,6 +1000,7 @@ func TestRefusedCommandLinesAreUsageErrors(t *testing.T) {
 		// Removed commands, flags, formats and faults stay refused.
 		"cache stat /tmp", "cache compact d",
 		"replay -format v5", "cluster -format nf5", "cluster -chaos delay=5ms",
+		"cluster -chaos reorder=0.01", "cluster -chaos corrupt=0.01", "cluster -chaos stall=shard0@t+1s:1s",
 		"pump -data 127.0.0.1:9", "cluster -subprocess", "replay -pps 100", "cluster -pps 0",
 		"replay -max-attempts 2", "cluster -max-restarts 1", "replay -allow-partial",
 		"all -scan-chunk -5", "replay -attempt-timeout -1s", "replay -fetch-budget -1s",

@@ -24,9 +24,8 @@
 //
 // Spec.Chaos splices the deterministic fault harness of
 // internal/faultinject into the topology: a seeded relay on the
-// pump → bridge data path (drop/duplicate/reorder/corrupt,
-// scheduled stalls) plus scheduled pump kills that drive the
-// death → re-partition path reproducibly.
+// pump → bridge data path (drop/duplicate) plus scheduled pump kills
+// that drive the death → re-partition path reproducibly.
 //
 // The bridge verifies every bucket bit-for-bit against its reference
 // model regardless of which pump served it, so an engine drawing from a
@@ -73,8 +72,8 @@ type Spec struct {
 	AttemptTimeout time.Duration
 	FetchBudget    time.Duration
 	// Chaos injects the deterministic fault schedule: a seeded relay on
-	// the pump → bridge data path plus scheduled pump kills and stalls
-	// (see internal/faultinject). Nil runs clean.
+	// the pump → bridge data path plus scheduled pump kills (see
+	// internal/faultinject). Nil runs clean.
 	Chaos *faultinject.Spec
 }
 
@@ -175,7 +174,7 @@ type Cluster struct {
 	bridge *replay.Bridge
 	relay  *faultinject.Relay // chaos wire injection (nil without Chaos)
 	shards []*shard
-	epoch  time.Time // Start time; anchors the chaos schedule
+	epoch  time.Time // Start time; anchors the kill schedule
 
 	// Supervisor instruments (standalone when Spec.Options.Obs is nil)
 	// and the run tracer; a death and its rebalance show up both here and
@@ -279,14 +278,11 @@ func (c *Cluster) dataAddr() string {
 
 // Start launches every pump, hands it to its supervisor, connects its
 // stream to the bridge and starts the bridge's demux. A shard that cannot
-// start fails the whole cluster. Start also anchors the chaos schedule's
+// start fails the whole cluster. Start also anchors the kill schedule's
 // t+0.
 func (c *Cluster) Start(ctx context.Context) error {
 	c.ctx, c.cancel = context.WithCancel(ctx)
 	c.epoch = time.Now()
-	if c.relay != nil {
-		c.relay.SetEpoch(c.epoch)
-	}
 	c.bridge.Start(c.ctx)
 	for _, sh := range c.shards {
 		pump, err := c.bringUp(sh)

@@ -25,7 +25,7 @@ func TestSpecValidationSurvival(t *testing.T) {
 	if err := (Spec{Shards: 3, Chaos: chaos("kill=shard3@t+1s")}).Validate(); err == nil {
 		t.Error("chaos kill of shard 3 in a 3-shard cluster validated")
 	}
-	if err := (Spec{Shards: 3, Chaos: chaos("kill=shard2@t+1s,stall=shard0@t+1s:1s")}).Validate(); err != nil {
+	if err := (Spec{Shards: 3, Chaos: chaos("kill=shard2@t+1s,kill=shard0@t+1s")}).Validate(); err != nil {
 		t.Errorf("in-range chaos spec rejected: %v", err)
 	}
 	if err := (Spec{AttemptTimeout: -time.Second}).Validate(); err == nil {
@@ -203,7 +203,8 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 // TestClusterChaosReproducible pins the determinism contract of the
 // chaos harness end to end: two clusters with the same seed, fed the
 // same sequential key workload, inject the identical fault schedule and
-// land on identical fault and loss counters.
+// land on identical fault and loss counters, and the relay's counts close
+// (Forwarded + Dropped == Seen + Duplicated).
 func TestClusterChaosReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos reproducibility test is not short")
@@ -248,6 +249,11 @@ func TestClusterChaosReproducible(t *testing.T) {
 	}
 	if relayA.Total.Dropped == 0 {
 		t.Error("the schedule dropped nothing; the test pinned a trivial run")
+	}
+	for _, rs := range []faultinject.RelayStats{relayA, relayB} {
+		if c := rs.Total; c.Forwarded+c.Dropped != c.Seen+c.Duplicated {
+			t.Errorf("relay accounting does not close: %+v", c)
+		}
 	}
 	relayC, _, _ := run(8)
 	if reflect.DeepEqual(relayA.Streams, relayC.Streams) {

@@ -25,19 +25,10 @@ func (r *Relay) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("lockdown_chaos_duplicated_total",
 		"Datagrams duplicated by the fault schedule.",
 		total(func(c Counts) int64 { return c.Duplicated }))
-	reg.CounterFunc("lockdown_chaos_reordered_total",
-		"Datagrams held for reordering by the fault schedule.",
-		total(func(c Counts) int64 { return c.Reordered }))
-	reg.CounterFunc("lockdown_chaos_corrupted_total",
-		"Datagrams corrupted by the fault schedule.",
-		total(func(c Counts) int64 { return c.Corrupted }))
-	reg.CounterFunc("lockdown_chaos_stalled_total",
-		"Datagrams blackholed by a scheduled stall window.",
-		total(func(c Counts) int64 { return c.Stalled }))
 }
 
 // SetTracer attaches a tracer; every injected fault is then recorded as
-// an instant event (drop, dup, reorder, corrupt, stall) with its stream.
+// an instant event (fault-drop or fault-dup) with its stream.
 func (r *Relay) SetTracer(t *obs.Tracer) {
 	r.mu.Lock()
 	r.tracer = t

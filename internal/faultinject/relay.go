@@ -4,41 +4,26 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"lockdown/internal/collector"
 	"lockdown/internal/obs"
 	"lockdown/internal/replay"
 )
 
-// Counts is the per-stream fault accounting of a Relay.
+// Counts is the per-stream fault accounting of a Relay. The relay holds
+// nothing back, so every snapshot satisfies
+// Forwarded + Dropped == Seen + Duplicated.
 type Counts struct {
 	Seen       int64 // datagrams that entered the relay
 	Forwarded  int64 // datagrams written to the bridge (duplicates counted)
 	Dropped    int64
 	Duplicated int64
-	Reordered  int64
-	Corrupted  int64
-	Stalled    int64 // datagrams blackholed by a stall window
 }
 
 // RelayStats is a snapshot of a Relay's accounting.
 type RelayStats struct {
 	Total   Counts
 	Streams map[uint32]Counts
-}
-
-// holdFlush bounds how long a reorder hold waits for a successor
-// datagram of the same stream before the held datagram is forwarded
-// anyway (the last datagram of a burst has no successor to swap with).
-const holdFlush = 100 * time.Millisecond
-
-// streamState is the relay's per-stream fault machinery: the PRF
-// datagram counter and the reorder hold slot.
-type streamState struct {
-	n      uint64 // datagrams seen; PRF index of the next one
-	held   []byte // datagram held for reordering (nil = none)
-	counts Counts
 }
 
 // Relay is the wire injection point: a UDP proxy the cluster splices
@@ -54,9 +39,8 @@ type Relay struct {
 	dst    *net.UDPConn
 
 	mu      sync.Mutex
-	epoch   time.Time
-	streams map[uint32]*streamState
-	tracer  *obs.Tracer // fault instants (nil = no tracing); see SetTracer
+	streams map[uint32]*Counts // per stream; Seen is the PRF index of its next datagram
+	tracer  *obs.Tracer        // fault instants (nil = no tracing); see SetTracer
 
 	wg sync.WaitGroup
 
@@ -64,8 +48,7 @@ type Relay struct {
 }
 
 // NewRelay opens the relay socket and starts forwarding to the bridge
-// data address. SetEpoch arms the stall schedule; without it no stall
-// window is ever active.
+// data address.
 func NewRelay(spec Spec, format collector.Format, dstAddr string) (*Relay, error) {
 	ln, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {
@@ -90,7 +73,7 @@ func NewRelay(spec Spec, format collector.Format, dstAddr string) (*Relay, error
 		format:  format,
 		ln:      ln,
 		dst:     dst,
-		streams: make(map[uint32]*streamState),
+		streams: make(map[uint32]*Counts),
 	}
 	r.wg.Add(1)
 	go r.run()
@@ -101,28 +84,17 @@ func NewRelay(spec Spec, format collector.Format, dstAddr string) (*Relay, error
 // to the bridge directly.
 func (r *Relay) Addr() string { return r.ln.LocalAddr().String() }
 
-// SetEpoch anchors the stall schedule's t+0 (the cluster calls it at
-// Start).
-func (r *Relay) SetEpoch(t time.Time) {
-	r.mu.Lock()
-	r.epoch = t
-	r.mu.Unlock()
-}
-
 // Stats returns a snapshot of the relay's fault accounting.
 func (r *Relay) Stats() RelayStats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := RelayStats{Streams: make(map[uint32]Counts, len(r.streams))}
-	for id, st := range r.streams {
-		s.Streams[id] = st.counts
-		s.Total.Seen += st.counts.Seen
-		s.Total.Forwarded += st.counts.Forwarded
-		s.Total.Dropped += st.counts.Dropped
-		s.Total.Duplicated += st.counts.Duplicated
-		s.Total.Reordered += st.counts.Reordered
-		s.Total.Corrupted += st.counts.Corrupted
-		s.Total.Stalled += st.counts.Stalled
+	for id, c := range r.streams {
+		s.Streams[id] = *c
+		s.Total.Seen += c.Seen
+		s.Total.Forwarded += c.Forwarded
+		s.Total.Dropped += c.Dropped
+		s.Total.Duplicated += c.Duplicated
 	}
 	return s
 }
@@ -146,9 +118,7 @@ func (r *Relay) run() {
 		if err != nil {
 			return // socket closed
 		}
-		// Copy: a held datagram outlives the read buffer.
-		pkt := append([]byte(nil), buf[:n]...)
-		r.process(pkt)
+		r.process(buf[:n])
 	}
 }
 
@@ -165,7 +135,7 @@ func (r *Relay) streamOf(pkt []byte) (uint32, bool) {
 }
 
 // process rolls one datagram against the fault model and forwards,
-// drops, duplicates, holds or corrupts it accordingly.
+// drops or duplicates it accordingly.
 func (r *Relay) process(pkt []byte) {
 	stream, ok := r.streamOf(pkt)
 	if !ok {
@@ -173,105 +143,31 @@ func (r *Relay) process(pkt []byte) {
 		return
 	}
 	r.mu.Lock()
-	st := r.streams[stream]
-	if st == nil {
-		st = &streamState{}
-		r.streams[stream] = st
+	c := r.streams[stream]
+	if c == nil {
+		c = &Counts{}
+		r.streams[stream] = c
 	}
-	st.counts.Seen++
-	tr := r.tracer
-	if !r.epoch.IsZero() && r.spec.stalled(int(stream), time.Since(r.epoch)) {
-		st.counts.Stalled++
-		st.n++
-		held := st.held
-		st.held = nil
-		r.mu.Unlock()
-		if tr != nil {
-			tr.Instant("fault-stall", "chaos", map[string]any{"stream": stream})
-		}
-		if held != nil {
-			r.dst.Write(held)
-		}
-		return
-	}
-	u := uniform(r.spec.roll(stream, st.n))
-	st.n++
-
+	u := uniform(r.spec.roll(stream, uint64(c.Seen)))
+	c.Seen++
 	// One fault per datagram: the draw lands in at most one interval.
-	var out [][]byte // datagrams to put on the wire now, in order
-	hold := false
-	fault := ""
+	copies, fault := 1, ""
 	switch {
 	case u < r.spec.Drop:
-		st.counts.Dropped++
-		fault = "fault-drop"
+		copies, fault = 0, "fault-drop"
+		c.Dropped++
 	case u < r.spec.Drop+r.spec.Dup:
-		st.counts.Duplicated++
-		fault = "fault-dup"
-		out = append(out, pkt, pkt)
-	case u < r.spec.Drop+r.spec.Dup+r.spec.Reorder:
-		if st.held == nil {
-			// Hold this datagram; it is released after the stream's next
-			// datagram (or by the flush timer if none follows).
-			st.counts.Reordered++
-			fault = "fault-reorder"
-			st.held = pkt
-			hold = true
-			time.AfterFunc(holdFlush, func() { r.flushHeld(stream, pkt) })
-		} else {
-			out = append(out, pkt) // one hold slot per stream
-		}
-	case u < r.spec.Drop+r.spec.Dup+r.spec.Reorder+r.spec.Corrupt:
-		st.counts.Corrupted++
-		fault = "fault-corrupt"
-		out = append(out, r.corrupt(stream, st.n, pkt))
-	default:
-		out = append(out, pkt)
+		copies, fault = 2, "fault-dup"
+		c.Duplicated++
 	}
-	var held []byte
-	if !hold && st.held != nil {
-		held = st.held
-		st.held = nil
-	}
-	st.counts.Forwarded += int64(len(out))
-	if held != nil {
-		st.counts.Forwarded++
-	}
+	c.Forwarded += int64(copies)
+	tr := r.tracer
 	r.mu.Unlock()
 
 	if tr != nil && fault != "" {
 		tr.Instant(fault, "chaos", map[string]any{"stream": stream})
 	}
-	for _, p := range out {
-		r.dst.Write(p)
-	}
-	if held != nil {
-		r.dst.Write(held)
-	}
-}
-
-// flushHeld releases a reorder hold that never saw a successor. The
-// identity check (slice pointer) makes a stale timer a no-op.
-func (r *Relay) flushHeld(stream uint32, pkt []byte) {
-	r.mu.Lock()
-	st := r.streams[stream]
-	flush := st != nil && len(st.held) > 0 && &st.held[0] == &pkt[0]
-	if flush {
-		st.held = nil
-		st.counts.Forwarded++
-	}
-	r.mu.Unlock()
-	if flush {
+	for range copies {
 		r.dst.Write(pkt)
 	}
-}
-
-// corrupt flips one byte, chosen by a PRF draw distinct from the fault
-// decision so the flip position is also reproducible.
-func (r *Relay) corrupt(stream uint32, n uint64, pkt []byte) []byte {
-	h := r.spec.roll(stream, n+1<<62) // disjoint index space from fault draws
-	out := append([]byte(nil), pkt...)
-	idx := int(h % uint64(len(out)))
-	out[idx] ^= byte(1 + (h>>32)%255) // never a zero flip
-	return out
 }

@@ -6,15 +6,13 @@
 // (`drop=0.05,dup=0.01,kill=shard1@t+2s,seed=7`) and drives two
 // injection points:
 //
-//   - The Relay sits on the pump → bridge data path and applies
-//     per-datagram faults — drop, duplicate, reorder, corrupt —
-//     decided by a splitmix64-based PRF keyed on (seed, stream,
-//     per-stream datagram index). The decision for datagram n of stream
-//     s depends on nothing else, so the same seed over the same
-//     per-stream datagram sequence reproduces the same fault schedule
-//     regardless of wall-clock timing or interleaving with other
-//     streams. Stall windows blackhole one shard's datagrams for a
-//     scheduled interval.
+//   - The Relay sits on the pump → bridge data path and drops or
+//     duplicates datagrams, decided by a splitmix64-based PRF keyed on
+//     (seed, stream, per-stream datagram index). The decision for
+//     datagram n of stream s depends on nothing else, so the same seed
+//     over the same per-stream datagram sequence reproduces the same
+//     fault schedule regardless of wall-clock timing or interleaving
+//     with other streams. The relay holds nothing and runs no timer.
 //   - The cluster consumes the kill schedule (KillFor):
 //     `kill=shardN@t+X` closes shard N's pump once, X after cluster
 //     start. The shard is dead from then on, and the survival path —
@@ -22,9 +20,12 @@
 //     exercised deterministically.
 //
 // Every fault the relay injects is recoverable by the bridge's
-// retry/verify machinery (a corrupted packet fails decode or
-// verification and is re-requested), so chaos runs remain byte-identical
-// to clean runs; the chaos golden test in internal/cluster pins that.
+// retry/verify machinery (a dropped or duplicated datagram leaves its
+// bucket's row count wrong, and the bucket is re-requested), so chaos
+// runs remain byte-identical to clean runs; the chaos golden test in
+// internal/cluster pins that. Reordered and corrupted datagrams are
+// pinned at the bridge by internal/replay's lossy harness instead,
+// datagram by datagram.
 package faultinject
 
 import (
@@ -42,38 +43,25 @@ type KillEvent struct {
 	At    time.Duration
 }
 
-// StallEvent blackholes one shard's datagrams at the relay for a window
-// [At, At+For) after cluster start. The pump stays alive; the bridge
-// sees pure loss and retries through it.
-type StallEvent struct {
-	Shard int
-	At    time.Duration
-	For   time.Duration
-}
-
 // Spec is a reproducible fault schedule. The probability fields are
 // per-datagram and mutually exclusive (one PRF draw per datagram picks
 // at most one fault), so their sum must not exceed 1.
 type Spec struct {
-	Drop    float64 // P(datagram dropped)
-	Dup     float64 // P(datagram sent twice)
-	Reorder float64 // P(datagram held and delivered after its successor)
-	Corrupt float64 // P(one byte of the datagram flipped)
+	Drop float64 // P(datagram dropped)
+	Dup  float64 // P(datagram sent twice)
 
 	// Seed keys the PRF; the same seed reproduces the same per-stream
 	// fault pattern.
 	Seed int64
 
-	Kills  []KillEvent
-	Stalls []StallEvent
+	Kills []KillEvent
 }
 
 // ParseSpec parses the -chaos flag syntax: comma-separated k=v pairs.
 //
-//	drop=0.05            dup=0.01         reorder=0.02     corrupt=0.001
-//	seed=7               kill=shard1@t+2s stall=shard0@t+1s:500ms
+//	drop=0.05  dup=0.01  seed=7  kill=shard1@t+2s
 //
-// kill= and stall= may repeat. Shard indices are validated against the
+// kill= may repeat. Shard indices are validated against the
 // cluster size by cluster.Spec, not here.
 func ParseSpec(s string) (Spec, error) {
 	var spec Spec
@@ -92,20 +80,12 @@ func ParseSpec(s string) (Spec, error) {
 			spec.Drop, err = parseProb(key, val)
 		case "dup":
 			spec.Dup, err = parseProb(key, val)
-		case "reorder":
-			spec.Reorder, err = parseProb(key, val)
-		case "corrupt":
-			spec.Corrupt, err = parseProb(key, val)
 		case "seed":
 			spec.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "kill":
 			var ev KillEvent
-			ev.Shard, ev.At, _, err = parseEvent(val, false)
+			ev.Shard, ev.At, err = parseKill(val)
 			spec.Kills = append(spec.Kills, ev)
-		case "stall":
-			var ev StallEvent
-			ev.Shard, ev.At, ev.For, err = parseEvent(val, true)
-			spec.Stalls = append(spec.Stalls, ev)
 		default:
 			return Spec{}, fmt.Errorf("faultinject: unknown fault %q", key)
 		}
@@ -113,7 +93,7 @@ func ParseSpec(s string) (Spec, error) {
 			return Spec{}, fmt.Errorf("faultinject: %s=%s: %w", key, val, err)
 		}
 	}
-	if sum := spec.Drop + spec.Dup + spec.Reorder + spec.Corrupt; sum > 1 {
+	if sum := spec.Drop + spec.Dup; sum > 1 {
 		return Spec{}, fmt.Errorf("faultinject: fault probabilities sum to %g, must not exceed 1", sum)
 	}
 	return spec, nil
@@ -130,40 +110,29 @@ func parseProb(key, val string) (float64, error) {
 	return p, nil
 }
 
-// parseEvent parses `shardN@t+DUR` (kill) or `shardN@t+DUR:DUR` (stall).
-func parseEvent(val string, withWindow bool) (shard int, at, window time.Duration, err error) {
+// parseKill parses `shardN@t+DUR`.
+func parseKill(val string) (shard int, at time.Duration, err error) {
 	target, when, ok := strings.Cut(val, "@")
 	if !ok {
-		return 0, 0, 0, fmt.Errorf("want shardN@t+duration")
+		return 0, 0, fmt.Errorf("want shardN@t+duration")
 	}
 	num, ok := strings.CutPrefix(target, "shard")
 	if !ok {
-		return 0, 0, 0, fmt.Errorf("target %q does not name a shard", target)
+		return 0, 0, fmt.Errorf("target %q does not name a shard", target)
 	}
 	shard, err = strconv.Atoi(num)
 	if err != nil || shard < 0 {
-		return 0, 0, 0, fmt.Errorf("bad shard index %q", num)
+		return 0, 0, fmt.Errorf("bad shard index %q", num)
 	}
 	offset, ok := strings.CutPrefix(when, "t+")
 	if !ok {
-		return 0, 0, 0, fmt.Errorf("time %q must be t+duration", when)
-	}
-	if withWindow {
-		var winStr string
-		offset, winStr, ok = strings.Cut(offset, ":")
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("stall needs a window: shardN@t+start:duration")
-		}
-		window, err = time.ParseDuration(winStr)
-		if err != nil || window <= 0 {
-			return 0, 0, 0, fmt.Errorf("bad stall window %q", winStr)
-		}
+		return 0, 0, fmt.Errorf("time %q must be t+duration", when)
 	}
 	at, err = time.ParseDuration(offset)
 	if err != nil || at < 0 {
-		return 0, 0, 0, fmt.Errorf("bad time offset %q", offset)
+		return 0, 0, fmt.Errorf("bad time offset %q", offset)
 	}
-	return shard, at, window, nil
+	return shard, at, nil
 }
 
 // String renders the spec in ParseSpec's syntax (canonical field order;
@@ -177,21 +146,12 @@ func (s Spec) String() string {
 	}
 	add("drop", s.Drop)
 	add("dup", s.Dup)
-	add("reorder", s.Reorder)
-	add("corrupt", s.Corrupt)
 	kills := append([]KillEvent(nil), s.Kills...)
 	sort.Slice(kills, func(i, j int) bool {
 		return kills[i].At < kills[j].At || (kills[i].At == kills[j].At && kills[i].Shard < kills[j].Shard)
 	})
 	for _, k := range kills {
 		parts = append(parts, fmt.Sprintf("kill=shard%d@t+%s", k.Shard, k.At))
-	}
-	stalls := append([]StallEvent(nil), s.Stalls...)
-	sort.Slice(stalls, func(i, j int) bool {
-		return stalls[i].At < stalls[j].At || (stalls[i].At == stalls[j].At && stalls[i].Shard < stalls[j].Shard)
-	})
-	for _, st := range stalls {
-		parts = append(parts, fmt.Sprintf("stall=shard%d@t+%s:%s", st.Shard, st.At, st.For))
 	}
 	if s.Seed != 0 {
 		parts = append(parts, fmt.Sprintf("seed=%d", s.Seed))
@@ -201,19 +161,15 @@ func (s Spec) String() string {
 
 // Active reports whether the spec injects anything at all.
 func (s Spec) Active() bool {
-	return s.Drop > 0 || s.Dup > 0 || s.Reorder > 0 || s.Corrupt > 0 ||
-		len(s.Kills) > 0 || len(s.Stalls) > 0
+	return s.Drop > 0 || s.Dup > 0 || len(s.Kills) > 0
 }
 
-// MaxShard returns the largest shard index any scheduled event names
-// (-1 if none); cluster.Spec validates it against the shard count.
+// MaxShard returns the largest shard index a kill names (-1 if none);
+// cluster.Spec validates it against the shard count.
 func (s Spec) MaxShard() int {
 	maxShard := -1
 	for _, k := range s.Kills {
 		maxShard = max(maxShard, k.Shard)
-	}
-	for _, st := range s.Stalls {
-		maxShard = max(maxShard, st.Shard)
 	}
 	return maxShard
 }
@@ -227,17 +183,6 @@ func (s Spec) KillFor(shard int) (time.Duration, bool) {
 		}
 	}
 	return at, found
-}
-
-// stalled reports whether a shard's datagrams are inside a blackhole
-// window at the given offset from cluster start.
-func (s Spec) stalled(shard int, elapsed time.Duration) bool {
-	for _, st := range s.Stalls {
-		if st.Shard == shard && elapsed >= st.At && elapsed < st.At+st.For {
-			return true
-		}
-	}
-	return false
 }
 
 // splitmix64 is the PRF core: a bijective 64-bit mix with good

@@ -1,6 +1,7 @@
 package synth
 
 import (
+	"fmt"
 	"net/netip"
 	"reflect"
 	"testing"
@@ -62,57 +63,58 @@ func TestFlowsBetweenBatchConcatenatesHours(t *testing.T) {
 // sampler tests, every column set of samplerColumnSets, seeds 0 and 7, and
 // flow scales 0.5 and boundaryScale. A name the model lacks is an empty
 // batch of the set.
+//
+// A day's hours are drawn once, at full width, and projected to each set:
+// TestHourBatchMasksStoresOnly and TestSamplerMatchesReference pin an hour
+// drawn for a set as the full-width hour projected to it. Generators are
+// safe for concurrent use (TestSamplerMatchesReference), so each one runs
+// as a parallel subtest.
 func TestComponentBatchConcatenatesHours(t *testing.T) {
 	sets := samplerColumnSets()
-	for _, scale := range []float64{0.5, boundaryScale} {
-		for _, seed := range []int64{0, 7} {
-			g := samplerCase{vp: IXPSE}.generator(t, seed, scale)
-			for _, probe := range samplerHours {
-				day := probe.Truncate(24 * time.Hour)
-				for i := range g.plan {
-					name := g.plan[i].c.Name
-					for _, cols := range sets {
-						want := flowrec.NewProjected(0, cols)
-						for h := day; h.Before(day.Add(24 * time.Hour)); h = h.Add(time.Hour) {
-							hb := g.HourBatch(h, name, cols)
-							want.AppendBatch(hb)
-							hb.Release()
-						}
-						got := g.ComponentBatch(name, day, day.Add(24*time.Hour), cols)
-						if got.Len() == 0 || !got.Equal(want) {
-							t.Errorf("scale %g seed %d %s %s, columns %s: the day batch (%d rows) differs from its %d hourly rows",
-								scale, seed, name, day.Format("2006-01-02"), cols, got.Len(), want.Len())
-						}
-						got.Release()
-					}
+	// check compares the day batch of component (every component when
+	// empty) in every set with the day's hours, drawn at full width.
+	check := func(t *testing.T, g *Generator, component string) {
+		for _, probe := range samplerHours {
+			day := probe.Truncate(24 * time.Hour)
+			full := flowrec.NewBatch(0)
+			for h := day; h.Before(day.Add(24 * time.Hour)); h = h.Add(time.Hour) {
+				hb := g.HourBatch(h, component, flowrec.AllColumns)
+				full.AppendBatch(hb)
+				hb.Release()
+			}
+			for _, cols := range sets {
+				got := g.ComponentBatch(component, day, day.Add(24*time.Hour), cols)
+				if got.Len() == 0 || !got.Equal(full.Project(cols)) {
+					t.Errorf("%s %s, columns %s: the day batch (%d rows) differs from its %d hourly rows",
+						component, day.Format("2006-01-02"), cols, got.Len(), full.Len())
 				}
+				got.Release()
 			}
 		}
 	}
-	for _, tc := range samplerCases() {
-		if tc.component != "" {
-			continue
-		}
-		for _, scale := range []float64{0.5, boundaryScale} {
-			for _, seed := range []int64{0, 7} {
-				g := tc.generator(t, seed, scale)
-				for _, probe := range samplerHours {
-					day := probe.Truncate(24 * time.Hour)
-					full := flowrec.NewBatch(0)
-					for h := day; h.Before(day.Add(24 * time.Hour)); h = h.Add(time.Hour) {
-						hb := g.HourBatch(h, "", flowrec.AllColumns)
-						full.AppendBatch(hb)
-						hb.Release()
-					}
-					for _, cols := range sets {
-						got := g.ComponentBatch("", day, day.Add(24*time.Hour), cols)
-						if got.Len() == 0 || !got.Equal(full.Project(cols)) {
-							t.Errorf("%+v scale %g seed %d %s, columns %s: the day batch (%d rows) differs from its %d hourly rows",
-								tc, scale, seed, day.Format("2006-01-02"), cols, got.Len(), full.Len())
-						}
-						got.Release()
-					}
+	for _, scale := range []float64{0.5, boundaryScale} {
+		for _, seed := range []int64{0, 7} {
+			g := samplerCase{vp: IXPSE}.generator(t, seed, scale)
+			for i := range g.plan {
+				name := g.plan[i].c.Name
+				t.Run(fmt.Sprintf("scale=%g/seed=%d/%s/%s", scale, seed, IXPSE, name), func(t *testing.T) {
+					t.Parallel()
+					check(t, g, name)
+				})
+			}
+			for _, tc := range samplerCases() {
+				if tc.component != "" {
+					continue
 				}
+				g := tc.generator(t, seed, scale)
+				name := string(tc.vp)
+				if tc.pinned {
+					name += "-pinned"
+				}
+				t.Run(fmt.Sprintf("scale=%g/seed=%d/%s", scale, seed, name), func(t *testing.T) {
+					t.Parallel()
+					check(t, g, "")
+				})
 			}
 		}
 	}
