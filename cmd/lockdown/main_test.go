@@ -312,7 +312,8 @@ func TestMetricCatalog(t *testing.T) {
 // line, whether it forgets evicted batches or spills them; an unbudgeted
 // run keeps every batch resident and prints none. A budgeted run that
 // evicted nothing, as the default budget at -scale 0.1 does, passes no
-// eviction grep.
+// eviction grep, and one that brought a batch back passes no grep at all:
+// the suite reads every batch once.
 func TestSuiteEvents(t *testing.T) {
 	render := func(stats core.CacheStats) string {
 		t.Helper()
@@ -322,12 +323,18 @@ func TestSuiteEvents(t *testing.T) {
 		}
 		return out.String()
 	}
-	forget := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
-		Faults: 13, ResidentBytes: 16 << 20, Evictions: 152})
-	spill := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 1,
-		Spills: 140, Faults: 13, ResidentBytes: 1 << 20, SpilledBytes: 40 << 20, Evictions: 152})
-	resident := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218, Budget: 16 << 20,
+	forget := render(core.CacheStats{Entries: 218, Hits: 346, Misses: 218, Budget: 1,
+		ResidentBytes: 16 << 20, Evictions: 97})
+	spill := render(core.CacheStats{Entries: 218, Hits: 346, Misses: 218, Budget: 1,
+		Spills: 201, SpilledBytes: 27 << 20, Evictions: 201})
+	resident := render(core.CacheStats{Entries: 218, Hits: 346, Misses: 218, Budget: 16 << 20,
 		ResidentBytes: 5 << 20})
+	faulted := map[string]string{
+		forget: render(core.CacheStats{Entries: 218, Hits: 381, Misses: 218, Budget: 1,
+			Faults: 35, ResidentBytes: 16 << 20, Evictions: 221}),
+		spill: render(core.CacheStats{Entries: 218, Hits: 381, Misses: 218, Budget: 1,
+			Spills: 201, Faults: 35, SpilledBytes: 27 << 20, Evictions: 236}),
+	}
 	if !strings.Contains(resident, "flow-batch tiers: 0 spills, 0 faults,") {
 		t.Fatalf("a budgeted run that evicted nothing printed no tier line:\n%s", resident)
 	}
@@ -349,6 +356,9 @@ func TestSuiteEvents(t *testing.T) {
 			}
 			if tc.out == forget && grepCount(m[0], resident) != 0 {
 				t.Errorf("CI's %q passes a run that evicted nothing:\n%s", m[0], resident)
+			}
+			if strings.Contains(m[0], "faults") && grepCount(m[0], faulted[tc.out]) != 0 {
+				t.Errorf("CI's %q passes a run that brought a batch back:\n%s", m[0], faulted[tc.out])
 			}
 		}
 	}
@@ -649,8 +659,7 @@ func TestFieldCensus(t *testing.T) {
 // exportWhy names the exported functions and methods of internal/ that no
 // non-test file calls, each with the reason it stays. A name the census
 // counts as used through a collision (stats.Min and Max;
-// flowrec.Batch.Equal and Record.Validate) carries its reason in its doc
-// comment instead.
+// flowrec.Record.Validate) carries its reason in its doc comment instead.
 var exportWhy = map[string]string{
 	// Scalar oracles: the row kernels are compared against them.
 	"appclass.Classifier.ClassifyAt": "why: the per-row oracle of VolumeByClassInto (appclass.TestVolumeKernelsMatchRowPath)",
@@ -662,7 +671,6 @@ var exportWhy = map[string]string{
 	"collector.CollectBatch":         "why: the collector tests read an export back through it (collector.TestRoundTripV9)",
 	"collector.Exporter.ExportBatch": "why: the collector tests export a batch stamped now (collector.TestRoundTripV9)",
 	"flowrec.FromRecords":            "why: tests build batches from record literals",
-	"flowrec.Batch.Project":          "why: tests compare a projected batch with a full-width one cut down (flowrec.TestProjectedBatchOperations)",
 	"flowrec.Batch.Records":          "why: the codec golden tests compare decoded rows as records (ipfix.TestGoldenPackets)",
 	"synth.MustNewDefault":           "why: tests and the root benchmarks build a default generator without error plumbing",
 

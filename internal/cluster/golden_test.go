@@ -19,14 +19,15 @@ var goldenOpts = core.Options{FlowScale: 0.05}
 // runSharded executes the given experiments (nil = full suite) over a
 // fresh in-process cluster of n shards.
 func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*core.Result, Stats) {
-	results, stats, _ := runShardedOpts(t, format, ids, n, goldenOpts)
+	results, stats, _, _ := runShardedOpts(t, format, ids, n, goldenOpts)
 	return results, stats
 }
 
 // runShardedOpts is runSharded under explicit engine options (the
 // tiered-cache golden variant tightens the cache budget so the sharded
-// bridge's batches spill and fault). The run-and-close harness lives in
-// goldentest.RunSuite, shared with the single-pump golden test. It also
+// bridge's batches spill). The run, read-back and close harness lives in
+// goldentest.RunSuite, shared with the single-pump golden test; it returns
+// the cache stats after the run and after the read-back. It also
 // checks what must hold of the accounting whatever the results are: the
 // per-stream bucket counts sum to the bridge total, every shard owning one
 // of the five vantage points whose flows the suite reads (the ISP, the
@@ -34,10 +35,10 @@ func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*
 // — and the pumps saw a request per bucket and refused none. Retries are
 // not asserted to be zero: a loaded box may drop a loopback datagram, and
 // a retried bucket is still a verified one.
-func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, opts core.Options) ([]*core.Result, Stats, core.CacheStats) {
+func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, opts core.Options) ([]*core.Result, Stats, core.CacheStats, core.CacheStats) {
 	t.Helper()
 	c := newTestCluster(t, Spec{Shards: n, Format: format, Options: opts})
-	results, cache := goldentest.RunSuite(t, c.Source(), ids, 4, opts)
+	results, cache, back := goldentest.RunSuite(t, c.Source(), ids, 4, opts)
 	stats := c.Stats()
 	var keys int64
 	for _, s := range stats.Streams {
@@ -62,7 +63,7 @@ func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, 
 	if requests < keys || nacks != 0 {
 		t.Errorf("%v: pumps took %d requests with %d NACKs, want >= %d and none", format, requests, nacks, keys)
 	}
-	return results, stats, cache
+	return results, stats, cache, back
 }
 
 // TestGoldenClusterEquivalence is the golden test of the sharded
@@ -106,17 +107,22 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 	}
 
 	// Tiered-cache variant: with a 1-byte cache budget every batch the
-	// sharded bridge serves spills to a flowstore segment and faults back
-	// in — N-shard runs no longer hold N shards of history resident —
-	// and the metrics must still equal the unbudgeted in-memory engine's.
+	// sharded bridge serves spills to a flowstore segment — N-shard runs
+	// no longer hold N shards of history resident — the metrics must
+	// still equal the unbudgeted in-memory engine's, and the suite brings
+	// no batch back; read back after the run, every spilled batch faults
+	// in from its span and equals a fresh generation.
 	t.Run("ipfix-flow-experiments-3-shards-tiny-budget", func(t *testing.T) {
 		opts := goldenOpts
 		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
-		got, stats, cache := runShardedOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, 3, opts)
+		got, stats, cache, back := runShardedOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, 3, opts)
 		goldentest.CompareResults(t, "ipfix 3-shard tiny-budget", flowWant, got)
-		if cache.Spills == 0 || cache.Faults == 0 {
-			t.Errorf("tiny budget should spill and fault sharded-bridge batches: %+v", cache)
+		if cache.Spills == 0 || cache.Faults != 0 {
+			t.Errorf("tiny budget should spill every sharded-bridge batch and the suite bring none back: %+v", cache)
 		}
-		t.Logf("ipfix 3-shard tiny-budget: %+v cache %+v", stats.Bridge, cache)
+		if back.Faults != cache.Spills || back.Regens != 0 {
+			t.Errorf("reading back should map every spilled sharded-bridge batch once: %+v", back)
+		}
+		t.Logf("ipfix 3-shard tiny-budget: %+v cache %+v", stats.Bridge, back)
 	})
 }

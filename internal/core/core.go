@@ -145,6 +145,9 @@ type Experiment struct {
 	Run func(*Env) (*Result, error)
 	// claims are the paper's findings this experiment reproduces.
 	claims []claim
+	// reads are the flow batches the experiment reads, and the reductions
+	// it takes of them (reads.go).
+	reads []dayRead
 }
 
 // claim pins one finding of the paper to an experiment's metrics: the

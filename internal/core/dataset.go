@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +26,7 @@ import (
 // model, a FlowKey for a flow batch, a range for a series.
 //
 // Flow batches, one per FlowKey (read through Env's flowBatch,
-// vpnFlowBatch, componentFlowBatch and hours), are drawn from the
+// componentFlowBatch and partial), are drawn from the
 // dataset's FlowSource: by default its own model, projected to each kind's
 // columns, or — via NewDatasetWithSource — any other implementation, e.g.
 // the wire-replay bridge that serves the same batches off live
@@ -48,6 +49,13 @@ import (
 // identical bit for bit whether they were generated, faulted in, or
 // rebuilt, so every metric of the suite is byte-identical at any budget.
 //
+// A batch is drawn once per run even under a budget: the readers of a day
+// two experiments share meet at its first draw, which runs every
+// reduction declared on the key and keeps the small partials on the entry
+// (reads.go). The second reader takes its partial and never asks for the
+// batch, so the suite evicts but never faults; only a batch read again
+// outside the suite's readers (Reread, a direct draw) comes back.
+//
 // Concurrency model: a per-key entry is installed under a short mutex, and
 // the expensive generation runs inside the entry's sync.Once, so
 // concurrent consumers of the same key block only on that key while other
@@ -69,6 +77,9 @@ type Dataset struct {
 	flows   map[FlowKey]*flowEntry
 	series  map[seriesKey]*memo[*timeseries.Series]
 	offsets map[FlowKey]*memo[[]int] // hourRows' row offsets, per key asked
+
+	readers  map[FlowKey][]*reduction         // the reductions declared on each key (declare)
+	reducers map[*reduction]*memo[reduceFunc] // each reduction's function, built once
 
 	// Cache instruments: one count per memoized lookup — a model part, a
 	// series range, a flow batch — a miss when the lookup installed the
@@ -125,6 +136,10 @@ type flowEntry struct {
 	once sync.Once
 	err  error // the first build failed; the entry never holds a batch
 
+	// partials are the reductions of the batch its first draw ran, by
+	// reduction; set inside once and read-only after it.
+	partials map[*reduction]any
+
 	// rows and cols of the batch as the source delivered it, in whichever
 	// tier it is.
 	rows int
@@ -160,6 +175,8 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		flows:     make(map[FlowKey]*flowEntry),
 		series:    make(map[seriesKey]*memo[*timeseries.Series]),
 		offsets:   make(map[FlowKey]*memo[[]int]),
+		readers:   make(map[FlowKey][]*reduction),
+		reducers:  make(map[*reduction]*memo[reduceFunc]),
 		budget:    opts.CacheBudget,
 		lru:       list.New(),
 		hits:      reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
@@ -208,6 +225,22 @@ func (d *Dataset) count(miss bool) {
 // resident until the pin is released. A source may deliver more than
 // k.Columns(), never less.
 func (d *Dataset) batch(k FlowKey, pin *Pin) (*flowrec.Batch, error) {
+	fe, err := d.entry(k, pin, nil)
+	if err != nil {
+		return nil, err
+	}
+	b, err := d.acquire(fe, pin)
+	if err != nil {
+		return nil, err
+	}
+	d.enforceBudget()
+	return b, nil
+}
+
+// entry returns the cache entry of k, counting the lookup, and draws the
+// batch on the first ask (fill). asked is the reduction the caller wants
+// of it, nil for the batch itself.
+func (d *Dataset) entry(k FlowKey, pin *Pin, asked *reduction) (*flowEntry, error) {
 	d.mu.Lock()
 	fe, ok := d.flows[k]
 	if !ok {
@@ -216,33 +249,53 @@ func (d *Dataset) batch(k FlowKey, pin *Pin) (*flowrec.Batch, error) {
 	}
 	d.mu.Unlock()
 	d.count(!ok)
-	fe.once.Do(func() {
-		b, err := fetch(d.src, k)
-		if err == nil {
-			err = b.Require(k.Columns())
+	fe.once.Do(func() { fe.err = d.fill(fe, pin, asked) })
+	return fe, fe.err
+}
+
+// fill is the first draw of an entry, run inside its once: it asks the
+// flow source for the batch, runs every reduction declared on the key
+// (declare) on it and keeps the partials, then pins the entry for the
+// caller and links it resident. A reduction the caller did not ask for
+// runs in a "reduce" trace span naming its owner and the key, so the time
+// one experiment spends folding a day for another shows as such.
+func (d *Dataset) fill(fe *flowEntry, pin *Pin, asked *reduction) error {
+	b, err := fetch(d.src, fe.key)
+	if err == nil {
+		err = b.Require(fe.key.Columns())
+	}
+	if err != nil {
+		return err
+	}
+	d.mu.Lock()
+	rs := slices.Clone(d.readers[fe.key])
+	d.mu.Unlock()
+	if len(rs) > 0 {
+		fe.partials = make(map[*reduction]any, len(rs))
+	}
+	for _, r := range rs {
+		var sp obs.Span
+		if r != asked {
+			sp = d.tracer.Start("reduce", "scan")
+		}
+		p, err := d.reduce(r, fe.key, b)
+		if sp.Active() {
+			sp.EndArgs(map[string]any{"owner": r.owner, "key": fe.key.String()})
 		}
 		if err != nil {
-			fe.err = err
-			return
+			return err
 		}
-		fe.rows, fe.cols, fe.batch, fe.heapBytes = b.Len(), b.Columns(), b, b.HeapBytes()
-		// Pin before linking: once the entry is in the LRU another
-		// goroutine's enforceBudget could evict it unpinned, and this
-		// reader would generate the batch a second time.
-		if pin != nil {
-			pin.add(fe)
-		}
-		d.link(fe, fe.heapBytes, false)
-	})
-	if fe.err != nil {
-		return nil, fe.err
+		fe.partials[r] = p
 	}
-	b, err := d.acquire(fe, pin)
-	if err != nil {
-		return nil, err
+	fe.rows, fe.cols, fe.batch, fe.heapBytes = b.Len(), b.Columns(), b, b.HeapBytes()
+	// Pin before linking: once the entry is in the LRU another
+	// goroutine's enforceBudget could evict it unpinned, and this
+	// reader would generate the batch a second time.
+	if pin != nil {
+		pin.add(fe)
 	}
-	d.enforceBudget()
-	return b, nil
+	d.link(fe, fe.heapBytes, false)
+	return nil
 }
 
 // acquire returns the entry's batch, faulting it back in if it is

@@ -18,10 +18,11 @@ import (
 // TestEvictionForgetsWithoutCacheDir: under a 1-byte budget every flow
 // batch is evicted as soon as its pin releases. Without a cache directory
 // it is forgotten and rebuilt on its next access; with one it round-trips
-// a span. Either way all 21 results equal the unbudgeted run's, the same
-// entries come back the same number of times, and only the run that named
-// a directory touches the disk: the other one spills nothing and leaves an
-// empty TMPDIR empty.
+// a span. Either way all 21 results equal the unbudgeted run's, the suite
+// brings no batch back (a shared day's second reader takes the partial its
+// first draw kept), every batch read back after the run equals a fresh
+// generation, and only the run that named a directory touches the disk:
+// the other one spills nothing and leaves an empty TMPDIR empty.
 func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite six times")
@@ -29,7 +30,7 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 	cacheDir, tmp := t.TempDir(), t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	for _, seed := range []int64{0, 7} {
-		run := func(opts Options) ([]*Result, CacheStats) {
+		run := func(opts Options) ([]*Result, CacheStats, CacheStats) {
 			t.Helper()
 			e := NewEngine(opts)
 			defer e.Data().Close()
@@ -37,10 +38,11 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunAll(%+v): %v", opts, err)
 			}
-			return rs, e.Data().Stats()
+			suite := e.Data().Stats()
+			return rs, suite, reread(t, e.Data(), opts)
 		}
 		base := Options{FlowScale: 0.05, Seed: seed}
-		want, unbounded := run(base)
+		want, unbounded, _ := run(base)
 		if len(want) != 21 {
 			t.Fatalf("%d results, want the 21 experiments", len(want))
 		}
@@ -50,13 +52,16 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 
 		forget := base
 		forget.CacheBudget = 1
-		got, forgot := run(forget)
+		got, forgot, forgotBack := run(forget)
 		sameResults(t, fmt.Sprintf("seed %d, budget 1, no cache dir", seed), want, got)
 		if forgot.Spills != 0 || forgot.SpilledBytes != 0 || forgot.Regens != 0 {
 			t.Errorf("seed %d: without a cache dir nothing may spill, and a rebuild is not a damaged span: %+v", seed, forgot)
 		}
-		if forgot.Evictions == 0 || forgot.Faults == 0 || forgot.ResidentBytes != 0 {
-			t.Errorf("seed %d: a 1-byte budget must evict every batch and rebuild the re-touched ones: %+v", seed, forgot)
+		if forgot.Evictions != int64(suiteKeys()) || forgot.Faults != 0 || forgot.ResidentBytes != 0 {
+			t.Errorf("seed %d: a 1-byte budget must evict each of the %d batches once and bring none back: %+v", seed, suiteKeys(), forgot)
+		}
+		if forgotBack.Faults != int64(suiteKeys()) || forgotBack.Spills != 0 || forgotBack.Regens != 0 {
+			t.Errorf("seed %d: reading every batch back must rebuild each once: %+v", seed, forgotBack)
 		}
 		if files, err := os.ReadDir(tmp); err != nil || len(files) != 0 {
 			t.Errorf("seed %d: a run without a cache dir left %d files under TMPDIR (%v)", seed, len(files), err)
@@ -64,63 +69,67 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 
 		spill := forget
 		spill.CacheDir = cacheDir
-		got, spilled := run(spill)
+		got, spilled, spilledBack := run(spill)
 		sameResults(t, fmt.Sprintf("seed %d, budget 1, cache dir", seed), want, got)
-		if spilled.Spills == 0 || spilled.Regens != 0 {
-			t.Errorf("seed %d: with a cache dir every evicted batch is written once: %+v", seed, spilled)
+		if spilled.Spills != int64(suiteKeys()) || spilled.Faults != 0 || spilled.Regens != 0 {
+			t.Errorf("seed %d: with a cache dir every evicted batch is written once and the suite maps none back: %+v", seed, spilled)
 		}
-		if spilled.Faults != forgot.Faults || spilled.Evictions != forgot.Evictions {
-			t.Errorf("seed %d: the tiers disagree on what was evicted and brought back: forget %+v, spill %+v", seed, forgot, spilled)
+		if spilledBack.Faults != forgotBack.Faults || spilledBack.Spills != spilled.Spills || spilledBack.Regens != 0 {
+			t.Errorf("seed %d: reading back must map every span once and write none: forget %+v, spill %+v", seed, forgotBack, spilledBack)
+		}
+		if spilled.Evictions != forgot.Evictions || spilledBack.Evictions != forgotBack.Evictions {
+			t.Errorf("seed %d: the tiers disagree on what was evicted: forget %+v, spill %+v", seed, forgot, spilled)
 		}
 	}
 }
 
-// TestBudgetedFaultsMatchSerial: under a 1-byte budget a batch comes back
-// exactly when a later chunk or experiment reads it again, so the serial
-// run's fault count is a property of the suite (35 re-reads of its
-// suiteKeys batches: fig9 reads again the 28 workdays of ISP-CE (13, Easter
-// falls in its third week) and IXP-CE (15) that fig7a and fig7b drew, and
-// ablation-vpn the 7 days of fig10's March week) and the scheduler may not
-// add to it: no goroutine
-// touches a batch ahead of the scan that reads it, and a fresh batch is
-// pinned by its first reader before eviction can see it. How many re-reads a
-// parallel run of the whole suite saves is a property of the schedule —
-// experiments that share weeks (fig7a/fig7b with fig9, fig10 with
-// ablation-vpn) may overlap and read one resident batch together — so
-// there the count can only be lower. The scheduler's own contribution is
-// read where no batch is shared at all: five experiments over disjoint
-// batches fault nothing serially, so any fault at -parallel 2, 4 or 8 is a
-// rebuild the scheduler added.
+// TestBudgetedFaultsMatchSerial: under a 1-byte budget every batch is
+// evicted when its chunk releases it, and still the suite brings none
+// back, serially or at -parallel 2, 4 and 8. The days two experiments
+// share (Figures 7a/7b and 9 on 28 workdays of ISP-CE and IXP-CE, Figure
+// 10 and ablation-vpn on the 7 days of the March week) are reduced for
+// both readers at their first draw, whichever experiment draws first;
+// nothing else reads a batch twice, and no goroutine touches a batch
+// ahead of the scan that reads it. The fault path itself is read after
+// the run: every batch, read back once, is rebuilt and equals a fresh
+// generation.
 func TestBudgetedFaultsMatchSerial(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full suite six times")
+		t.Skip("runs the full suite eight times")
 	}
-	disjoint := []string{"fig7a", "fig7b", "fig8", "fig10", "fig12"}
 	for _, seed := range []int64{0, 7} {
-		faults := func(ids []string, parallel int) int64 {
-			t.Helper()
-			e := NewEngine(Options{FlowScale: 0.05, Seed: seed, CacheBudget: 1})
-			defer e.Data().Close()
-			if _, err := e.RunMany(context.Background(), ids, parallel); err != nil {
+		for _, parallel := range []int{1, 2, 4, 8} {
+			opts := Options{FlowScale: 0.05, Seed: seed, CacheBudget: 1}
+			e := NewEngine(opts)
+			if _, err := e.RunMany(context.Background(), nil, parallel); err != nil {
 				t.Fatalf("seed %d, parallel %d: %v", seed, parallel, err)
 			}
-			return e.Data().Stats().Faults
-		}
-		serial := faults(nil, 1)
-		if serial != 35 {
-			t.Errorf("seed %d: the serial suite re-reads %d batches, want 35", seed, serial)
-		}
-		for _, parallel := range []int{2, 4} {
-			if got := faults(nil, parallel); got > serial {
-				t.Errorf("seed %d: %d faults at -parallel %d, more than the serial %d", seed, got, parallel, serial)
+			if got := e.Data().Stats().Faults; got != 0 {
+				t.Errorf("seed %d: the suite brought %d batches back at -parallel %d, want 0", seed, got, parallel)
 			}
-		}
-		for _, parallel := range []int{1, 2, 4, 8} {
-			if got := faults(disjoint, parallel); got != 0 {
-				t.Errorf("seed %d: %v share no batch and faulted %d at -parallel %d, want 0", seed, disjoint, got, parallel)
+			if back := reread(t, e.Data(), opts); back.Faults != int64(suiteKeys()) {
+				t.Errorf("seed %d, parallel %d: reading every batch back faulted %d, want %d", seed, parallel, back.Faults, suiteKeys())
 			}
+			e.Data().Close()
 		}
 	}
+}
+
+// reread reads every batch d holds back once through the cache
+// (Dataset.Reread), checks each against a fresh generation at opts, and
+// returns the cache stats after it. A suite run reads no batch twice, so
+// this is where a budgeted run's evicted batches come back: rebuilt from
+// the source, or mapped from their span.
+func reread(t *testing.T, d *Dataset, opts Options) CacheStats {
+	t.Helper()
+	n, err := d.Reread(NewSyntheticSource(opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n == 0 {
+		t.Fatal("no batch to read back")
+	}
+	return d.Stats()
 }
 
 // TestReadersSurviveNeighbourRebuilds: a batch a reader holds — pinned, or
@@ -229,15 +238,21 @@ func pinnedBytes(d *Dataset) int64 {
 	return n
 }
 
-// suiteKeys is the number of distinct flow batches one suite run draws,
-// counted by kind over the keys a run leaves in the cache, one UTC day
-// each: 103 flows/ days (EDU 31, Figure 12's sampled days; ISP-CE 21 and
-// IXP-CE 21, the three weeks of Figures 7a/7b and 9; IXP-SE 15 and IXP-US
-// 15, Figure 9's workdays, the only days it reads), 21 vpn-flows/ days of
-// the IXP-CE (Figure 10's three weeks) and 77 component-flows/ days of the
-// IXP-SE gaming component (Figure 8's weeks 7-17). TestKeyCensus derives
-// the same counts reader by reader.
-const suiteKeys = 103 + 21 + 77
+// suiteKeys is the number of distinct flow batches one suite run draws:
+// the union of the keys the experiments declare (Experiment.reads), one
+// UTC day each. TestKeyCensus holds the declaration to what each
+// experiment draws, and pins the count.
+func suiteKeys() int {
+	keys := make(map[FlowKey]bool)
+	for _, e := range All() {
+		for _, r := range e.reads {
+			for _, k := range r.keys() {
+				keys[k] = true
+			}
+		}
+	}
+	return len(keys)
+}
 
 // TestCacheBudgetBoundsResidentBytes: the CLI's default budget is a bound,
 // not a hint. At -parallel 1 every build is a quiescent point — each
@@ -245,7 +260,9 @@ const suiteKeys = 103 + 21 + 77
 // must read at most the budget plus what running chunks have pinned; the
 // walk must actually be evicting for that to mean anything, and once the
 // suite is done and every pin is released the cache fits the budget at
-// any parallelism.
+// any parallelism. The suite brings no evicted batch back; reading every
+// batch back after the serial run does, within the bound, and each equals
+// a fresh generation.
 func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice at a scale that exceeds the budget")
@@ -276,11 +293,18 @@ func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 		if s.Budget != budget || s.ResidentBytes > budget || s.Pinned != 0 {
 			t.Errorf("parallel %d: after the run %d bytes resident under a %d-byte budget, %d pinned", parallel, s.ResidentBytes, s.Budget, s.Pinned)
 		}
-		if s.Evictions == 0 || s.Faults == 0 || s.Spills != 0 {
-			t.Errorf("parallel %d: scale 1 must not fit 16 MB, and nothing may spill: %+v", parallel, s)
+		if s.Evictions == 0 || s.Faults != 0 || s.Spills != 0 {
+			t.Errorf("parallel %d: scale 1 must not fit 16 MB, the suite may bring nothing back, and nothing may spill: %+v", parallel, s)
 		}
-		if parallel == 1 && (samples < suiteKeys || peak < budget/2) {
+		if parallel == 1 && (samples != suiteKeys() || peak < budget/2) {
 			t.Errorf("%d samples with a peak of %d resident bytes: the bound was not exercised", samples, peak)
+		}
+		// Read back once, at -parallel 1, where every rebuild is sampled
+		// against the bound too.
+		if parallel == 1 {
+			if back := reread(t, d, opts); back.Faults == 0 || back.ResidentBytes > budget || back.Spills != 0 {
+				t.Errorf("reading every batch back must rebuild the evicted ones within the budget: %+v", back)
+			}
 		}
 		d.Close()
 	}
@@ -326,7 +350,8 @@ func TestFig12CountsWhereItReads(t *testing.T) {
 // and mapped back (cache dir under TMPDIR; point that at a tmpfs to take
 // the disk out of the number). Forgetting
 // costs k generations a day, the tier one generation, one write and one
-// fault; the suite itself re-reads 35 of its 201 batches, k = 1.17.
+// fault; the suite itself reads each of its 201 batches once, k = 1 (a
+// day two experiments share is reduced for both at its first draw).
 func BenchmarkRetouch(b *testing.B) {
 	const days = 4 * 7
 	start := time.Date(2020, 3, 2, 0, 0, 0, 0, time.UTC)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"lockdown/internal/flowrec"
 	"lockdown/internal/flowstore"
 	"lockdown/internal/synth"
 )
@@ -20,6 +21,12 @@ var spillHour = time.Date(2020, 3, 25, 14, 0, 0, 0, time.UTC)
 // unpinned is a hand-built Env over d: its accessors read the cache
 // unpinned, the way the dataset tests below draw their batches.
 func unpinned(d *Dataset) *Env { return &Env{Data: d} }
+
+// vpnFlowBatch is flowBatch from the gateway-pinned generator; the
+// experiments read these days through Figure 10's reduction.
+func (env *Env) vpnFlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
+	return env.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(t)})
+}
 
 // tinyOpts forces every flow batch to spill: no batch fits one byte.
 func tinyOpts(t *testing.T) Options {
@@ -281,13 +288,15 @@ func sameResults(t *testing.T, label string, want, got []*Result) {
 // suite on a parallel engine must produce bit-identical experiment
 // metrics with spilling disabled, with a generous budget and with a
 // 1-byte budget that spills every entry — and the tiny-budget run must
-// actually have spilled and faulted. Runs under -race in CI.
+// actually have spilled, brought nothing back during the suite, and
+// mapped every span back when each batch is read again after it. Runs
+// under -race in CI.
 func TestRunAllSpillDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spill determinism runs the full suite three times")
 	}
 	base := Options{FlowScale: 0.05, Seed: 3}
-	run := func(opts Options) ([]*Result, CacheStats) {
+	run := func(opts Options) ([]*Result, CacheStats, CacheStats) {
 		t.Helper()
 		e := NewEngine(opts)
 		defer e.Data().Close()
@@ -295,9 +304,10 @@ func TestRunAllSpillDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("RunAll(%+v): %v", opts, err)
 		}
-		return rs, e.Data().Stats()
+		suite := e.Data().Stats()
+		return rs, suite, reread(t, e.Data(), opts)
 	}
-	want, _ := run(base)
+	want, _, _ := run(base)
 
 	generous := base
 	generous.CacheBudget, generous.CacheDir = 1<<30, t.TempDir()
@@ -312,9 +322,12 @@ func TestRunAllSpillDeterminism(t *testing.T) {
 		{"generous-budget", generous, false},
 		{"tiny-budget", tiny, true},
 	} {
-		got, stats := run(tc.opts)
-		if tc.wantSpills && (stats.Spills == 0 || stats.Faults == 0) {
-			t.Errorf("%s: expected spill/fault activity, got %+v", tc.label, stats)
+		got, stats, back := run(tc.opts)
+		if stats.Faults != 0 {
+			t.Errorf("%s: the suite brought %d batches back, want 0", tc.label, stats.Faults)
+		}
+		if tc.wantSpills && (stats.Spills == 0 || back.Faults == 0 || back.Regens != 0) {
+			t.Errorf("%s: expected every batch spilled and mapped back, got %+v, then %+v", tc.label, stats, back)
 		}
 		sameResults(t, tc.label, want, got)
 	}

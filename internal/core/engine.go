@@ -97,24 +97,9 @@ func (env *Env) flowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, e
 	return env.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(t)})
 }
 
-// vpnFlowBatch is flowBatch from the gateway-pinned generator.
-func (env *Env) vpnFlowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
-	return env.batch(FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(t)})
-}
-
-// hours draws the batch k names and returns the rows of its hours-of-day
-// [from, to) as a read-only view (Dataset.hourRows).
-func (env *Env) hours(k FlowKey, from, to int) (*flowrec.Batch, error) {
-	b, err := env.batch(k)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi, err := env.Data.hourRows(k, b, from, to)
-	if err != nil {
-		return nil, err
-	}
-	return b.Slice(lo, hi), nil
-}
+// partial returns reduction r of the day batch k names (Dataset.partial),
+// drawing the batch through the run's pin when it has to.
+func (env *Env) partial(k FlowKey, r *reduction) (any, error) { return env.Data.partial(k, r, env.pin) }
 
 // componentFlowBatch draws one named component over the UTC day t falls in.
 func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, t time.Time) (*flowrec.Batch, error) {
@@ -225,6 +210,7 @@ func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
 	budget := newWorkerBudget(defaultScanWorkers())
 	budget.acquire()
 	defer budget.release()
+	e.data.declare([]Experiment{exp})
 	return e.runTimed(ctx, exp, budget)
 }
 
@@ -301,6 +287,7 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
+	e.data.declare(exps)
 	// The worker budget carries the full -parallel allowance even when
 	// fewer experiments exist: engine workers hold a token each while
 	// running an experiment, and the intra-experiment sharded scans

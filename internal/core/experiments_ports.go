@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"lockdown/internal/appclass"
@@ -13,14 +14,18 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig7a", Artifact: "Figure 7a", Title: "ISP-CE top application ports across three weeks", Run: runFig7a, claims: []claim{
+	register(Experiment{ID: "fig7a", Artifact: "Figure 7a", Title: "ISP-CE top application ports across three weeks", Run: runFig7a, reads: []dayRead{
+		{kind: KindFlows, vp: synth.ISPCE, days: weekDays(calendar.AppWeeksISP(), false), by: ispPortLanes},
+	}, claims: []claim{
 		{"§4", "ISP-CE QUIC (UDP/443) workday traffic +30-80%", "UDP/443/stage1-workday", "", 1.2, 2.2},
 		{"§4", "ISP-CE NAT traversal (UDP/4500) grows on workdays", "UDP/4500/stage1-workday", "", 1.3, inf},
 		{"§4", "ISP-CE NAT traversal grows less on weekends than on workdays", "UDP/4500/stage1-workday", "UDP/4500/stage1-weekend", 0.002, inf},
 		{"§4", "ISP-CE TCP/8080 barely changes", "TCP/8080/stage1-workday", "", 0.85, 1.25},
 		{"§4", "ISP-CE Zoom (UDP/8801) at least doubles by April (paper: an order of magnitude)", "UDP/8801/stage2-workday", "", 2, inf},
 	}})
-	register(Experiment{ID: "fig7b", Artifact: "Figure 7b", Title: "IXP-CE top application ports across three weeks", Run: runFig7b, claims: []claim{
+	register(Experiment{ID: "fig7b", Artifact: "Figure 7b", Title: "IXP-CE top application ports across three weeks", Run: runFig7b, reads: []dayRead{
+		{kind: KindFlows, vp: synth.IXPCE, days: weekDays(calendar.AppWeeksIXP(), false), by: ixpPortLanes},
+	}, claims: []claim{
 		{"§4", "IXP-CE Teams/Skype (UDP/3480) surges during working hours", "UDP/3480/stage1-workday", "", 1.8, inf},
 		{"§4", "IXP-CE Zoom (UDP/8801) surges during working hours", "UDP/8801/stage1-workday", "", 1.8, inf},
 		{"§4", "IXP-CE NAT traversal (UDP/4500) grows on workdays", "UDP/4500/stage1-workday", "", 1.15, inf},
@@ -31,13 +36,20 @@ func init() {
 		{"§5", "nine application classes", "classes", "", 9, 9},
 		{"§5", "the gaming class has several filters", "gaming/filters", "", 5, inf},
 	}})
-	register(Experiment{ID: "fig8", Artifact: "Figure 8", Title: "IXP-SE gaming class: unique IPs and volume", Run: runFig8, claims: []claim{
+	register(Experiment{ID: "fig8", Artifact: "Figure 8", Title: "IXP-SE gaming class: unique IPs and volume", Run: runFig8, reads: []dayRead{
+		{kind: KindComponentFlows, vp: synth.IXPSE, name: "gaming", days: fig8Days()},
+	}, claims: []claim{
 		{"§5", "gaming unique IPs roughly double by week 13", "week13/ips", "", 1.7, 2.6},
 		{"§5", "gaming volume roughly doubles by week 13", "week13/volume", "", 1.7, 2.6},
 		{"§5", "gaming unique IPs rise from week 8 to week 14", "week14/ips", "week8/ips", 0.002, inf},
 		{"§5", "a major gaming provider's outage shows in week 12", "outage-ratio", "", -inf, 0.6},
 	}})
-	register(Experiment{ID: "fig9", Artifact: "Figure 9", Title: "Application-class growth heatmaps for all vantage points", Run: runFig9, claims: []claim{
+	register(Experiment{ID: "fig9", Artifact: "Figure 9", Title: "Application-class growth heatmaps for all vantage points", Run: runFig9, reads: []dayRead{
+		{kind: KindFlows, vp: synth.IXPCE, days: weekDays(calendar.AppWeeksIXP(), true), by: classVolumes},
+		{kind: KindFlows, vp: synth.IXPSE, days: weekDays(calendar.AppWeeksIXP(), true), by: classVolumes},
+		{kind: KindFlows, vp: synth.IXPUS, days: weekDays(calendar.AppWeeksIXP(), true), by: classVolumes},
+		{kind: KindFlows, vp: synth.ISPCE, days: weekDays(calendar.AppWeeksISP(), true), by: classVolumes},
+	}, claims: []claim{
 		{"§5", "IXP-CE web conferencing ≥ +150% (paper: > +200%)", "IXP-CE/Web conf/stage1", "", 150, inf},
 		{"§5", "IXP-SE web conferencing ≥ +150% (paper: > +200%)", "IXP-SE/Web conf/stage1", "", 150, inf},
 		{"§5", "IXP-US web conferencing ≥ +150% (paper: > +200%)", "IXP-US/Web conf/stage1", "", 150, inf},
@@ -62,55 +74,86 @@ type portWeekVolumes struct {
 	weekend map[flowrec.PortProto]float64
 }
 
-// portWeekPart is one scan chunk's partial aggregate: dense per-lane
-// byte sums and row counts (lane k = topPorts[k]; the miss lane absorbs
-// every other port and is dropped at materialisation), plus the hour
-// counts needed for the mean. The byte sums accumulate as uint64 — a
-// busy week's volume crosses 2^53, where float64 addition starts
-// rounding and stops being associative, so integer accumulation is what
-// makes the merge exact under every chunk grouping. The row counts carry
-// the old map-key semantics: a port appears in the week's result iff a
-// row on it was scanned, even at volume zero.
-type portWeekPart struct {
-	sums, weekendSums          [simd.Lanes]uint64
-	cnt, weekendCnt            [simd.Lanes]uint64
-	workdayHours, weekendHours int
+// portDay is the port reduction of one day (portLanes): dense per-lane
+// byte sums and row counts, lane k = topPorts[k], and the miss lane that
+// absorbs every other port and is dropped at materialisation. The byte
+// sums accumulate as uint64 — a busy week's volume crosses 2^53, where
+// float64 addition starts rounding and stops being associative, so
+// integer accumulation is what makes every merge of days exact. The row
+// counts carry the old map-key semantics: a port appears in the week's
+// result iff a row on it was scanned, even at volume zero.
+type portDay struct {
+	sums, cnt [simd.Lanes]uint64
 }
 
-func collectPortVolumes(env *Env, vp synth.VantagePoint, week calendar.Week, topPorts []flowrec.PortProto, tab *flowrec.PortLanes) (portWeekVolumes, error) {
-	agg, err := ScanDays(env, calendar.Days(week.Start, week.End),
-		func() *portWeekPart { return &portWeekPart{} },
-		func(env *Env, p *portWeekPart, day time.Time) error {
-			k := FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}
-			from, to := k.Hours()
-			sums, cnt := &p.sums, &p.cnt
-			if calendar.IsWorkday(day) {
-				p.workdayHours += to - from
-			} else {
-				p.weekendHours += to - from
-				sums, cnt = &p.weekendSums, &p.weekendCnt
-			}
-			b, err := env.batch(k)
-			if err != nil {
-				return err
-			}
+func (p *portDay) add(o *portDay) {
+	for k := range p.sums {
+		p.sums[k] += o.sums[k]
+		p.cnt[k] += o.cnt[k]
+	}
+}
+
+// The port reductions of Figures 7a and 7b; Figure 9 shares their days.
+var (
+	ispPortLanes = portLanes("fig7a", ports.TopPortsISP())
+	ixpPortLanes = portLanes("fig7b", ports.TopPortsIXP())
+)
+
+// portLanes is the reduction of a day into a portDay of the given ports:
+// one lane per tracked port, in topPorts order, and every other port on
+// the miss lane past them.
+func portLanes(owner string, topPorts []flowrec.PortProto) *reduction {
+	return &reduction{owner: owner, build: func(*Dataset) (reduceFunc, error) {
+		tab := flowrec.NewPortLanes(uint8(len(topPorts)))
+		for k, p := range topPorts {
+			tab.Set(p, uint8(k))
+		}
+		return func(_ FlowKey, b *flowrec.Batch) (any, error) {
+			day := new(portDay)
 			var lanes [simd.Tile]uint8
 			n := b.Len()
 			for lo := 0; lo < n; lo += simd.Tile {
 				hi := min(lo+simd.Tile, n)
 				b.ServerPortLanes(tab, lo, hi, lanes[:hi-lo])
-				simd.ScatterAddUint64(sums, lanes[:hi-lo], b.Bytes[lo:hi])
-				simd.ScatterCount(cnt, lanes[:hi-lo])
+				simd.ScatterAddUint64(&day.sums, lanes[:hi-lo], b.Bytes[lo:hi])
+				simd.ScatterCount(&day.cnt, lanes[:hi-lo])
 			}
+			return day, nil
+		}, nil
+	}}
+}
+
+// portWeekPart is one scan chunk's partial aggregate: the port reductions
+// of its workdays and of its weekend days, plus the hour counts needed
+// for the mean.
+type portWeekPart struct {
+	workday, weekend           portDay
+	workdayHours, weekendHours int
+}
+
+func collectPortVolumes(env *Env, vp synth.VantagePoint, week calendar.Week, topPorts []flowrec.PortProto, lanes *reduction) (portWeekVolumes, error) {
+	agg, err := ScanDays(env, calendar.Days(week.Start, week.End),
+		func() *portWeekPart { return &portWeekPart{} },
+		func(env *Env, p *portWeekPart, day time.Time) error {
+			k := FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}
+			from, to := k.Hours()
+			dst := &p.workday
+			if calendar.IsWorkday(day) {
+				p.workdayHours += to - from
+			} else {
+				p.weekendHours += to - from
+				dst = &p.weekend
+			}
+			v, err := env.partial(k, lanes)
+			if err != nil {
+				return err
+			}
+			dst.add(v.(*portDay))
 			return nil
 		},
 		func(dst, src *portWeekPart) *portWeekPart {
-			for k := range dst.sums {
-				dst.sums[k] += src.sums[k]
-				dst.weekendSums[k] += src.weekendSums[k]
-				dst.cnt[k] += src.cnt[k]
-				dst.weekendCnt[k] += src.weekendCnt[k]
-			}
+			dst.workday.add(&src.workday)
+			dst.weekend.add(&src.weekend)
 			dst.workdayHours += src.workdayHours
 			dst.weekendHours += src.weekendHours
 			return dst
@@ -125,28 +168,22 @@ func collectPortVolumes(env *Env, vp synth.VantagePoint, week calendar.Week, top
 		weekend: make(map[flowrec.PortProto]float64, len(topPorts)),
 	}
 	for k, pp := range topPorts {
-		if agg.cnt[k] > 0 {
-			out.workday[pp] = float64(agg.sums[k]) / float64(agg.workdayHours)
+		if agg.workday.cnt[k] > 0 {
+			out.workday[pp] = float64(agg.workday.sums[k]) / float64(agg.workdayHours)
 		}
-		if agg.weekendCnt[k] > 0 {
-			out.weekend[pp] = float64(agg.weekendSums[k]) / float64(agg.weekendHours)
+		if agg.weekend.cnt[k] > 0 {
+			out.weekend[pp] = float64(agg.weekend.sums[k]) / float64(agg.weekendHours)
 		}
 	}
 	return out, nil
 }
 
-func runPortExperiment(env *Env, id, title string, vp synth.VantagePoint, weeks []calendar.Week, topPorts []flowrec.PortProto) (*Result, error) {
+func runPortExperiment(env *Env, id, title string, vp synth.VantagePoint, weeks []calendar.Week, topPorts []flowrec.PortProto, lanes *reduction) (*Result, error) {
 	res := newResult(id, title)
-	// One lane per tracked port, in topPorts order; every other port maps
-	// to the miss lane past them.
-	tab := flowrec.NewPortLanes(uint8(len(topPorts)))
-	for k, p := range topPorts {
-		tab.Set(p, uint8(k))
-	}
 	perWeek := make([]portWeekVolumes, len(weeks))
 	for i, w := range weeks {
 		var err error
-		perWeek[i], err = collectPortVolumes(env, vp, w, topPorts, tab)
+		perWeek[i], err = collectPortVolumes(env, vp, w, topPorts, lanes)
 		if err != nil {
 			return nil, err
 		}
@@ -178,19 +215,19 @@ func runPortExperiment(env *Env, id, title string, vp synth.VantagePoint, weeks 
 
 func runFig7a(env *Env) (*Result, error) {
 	return runPortExperiment(env, "fig7a", "ISP-CE top ports (TCP/80 and TCP/443 omitted)", synth.ISPCE,
-		calendar.AppWeeksISP(), ports.TopPortsISP())
+		calendar.AppWeeksISP(), ports.TopPortsISP(), ispPortLanes)
 }
 
 func runFig7b(env *Env) (*Result, error) {
 	return runPortExperiment(env, "fig7b", "IXP-CE top ports (TCP/80 and TCP/443 omitted)", synth.IXPCE,
-		calendar.AppWeeksIXP(), ports.TopPortsIXP())
+		calendar.AppWeeksIXP(), ports.TopPortsIXP(), ixpPortLanes)
 }
 
 // runTab1 reproduces Table 1: the filter inventory of the application
 // classification.
 func runTab1(*Env) (*Result, error) {
 	res := newResult("tab1", "Application-class filters")
-	c := appclass.NewDefault(nil)
+	c := defaultClassifier()
 	table := Table{Title: "Filters per application class", Columns: []string{"application class", "# of filters", "# of distinct ASNs", "# of distinct transport ports"}}
 	for _, row := range c.Inventory() {
 		table.Rows = append(table.Rows, []string{string(row.Class), fmt.Sprintf("%d", row.Filters), fmt.Sprintf("%d", row.DistinctASNs), fmt.Sprintf("%d", row.DistinctPorts)})
@@ -201,14 +238,17 @@ func runTab1(*Env) (*Result, error) {
 	return res, nil
 }
 
+// fig8Days are the days of calendar weeks 7-17, Monday February 10 to
+// Sunday April 26.
+func fig8Days() []time.Time {
+	return calendar.Days(time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC), time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC))
+}
+
 // runFig8 reproduces Figure 8: unique IP addresses and traffic volume of
 // the gaming class at the IXP-SE, per calendar week 7-17, normalised to
 // the observed minimum.
 func runFig8(env *Env) (*Result, error) {
 	res := newResult("fig8", "IXP-SE gaming: unique IPs and volume, weeks 7-17")
-	start := time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC) // Monday of week 7
-	end := time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC)   // end of week 17
-
 	type weekAgg struct {
 		volume  uint64
 		uniques map[flowrec.Addr]bool
@@ -216,7 +256,7 @@ func runFig8(env *Env) (*Result, error) {
 	// Day scan over the 77 days of weeks 7-17; an ISO week holds whole
 	// days, and the per-week partials merge exactly (uint64 volume sums,
 	// unique-IP set unions).
-	byWeek, err := ScanDays(env, calendar.Days(start, end),
+	byWeek, err := ScanDays(env, fig8Days(),
 		func() map[int]*weekAgg { return make(map[int]*weekAgg) },
 		func(env *Env, part map[int]*weekAgg, day time.Time) error {
 			b, err := env.componentFlowBatch(synth.IXPSE, "gaming", day)
@@ -308,25 +348,46 @@ func classGrowth(base, stage map[appclass.Class]float64, cls appclass.Class) flo
 	return g
 }
 
+// defaultClassifier is Table 1's classifier, built once per process:
+// Table 1 lists its filters and Figure 9's reduction classifies with it.
+// It is read-only, and its compiled tables are megabytes; two of them
+// alive at once raised the peak RSS of a serial suite run by a sixth.
+var defaultClassifier = sync.OnceValue(func() *appclass.Classifier { return appclass.NewDefault(nil) })
+
+// classVolumes is Figure 9's reduction: a day's volume per application
+// class over the working hours, as exact uint64 sums (a week of volume
+// crosses 2^53), which every merge of days keeps exact.
+var classVolumes = &reduction{owner: "fig9", build: func(d *Dataset) (reduceFunc, error) {
+	clf := defaultClassifier()
+	return func(k FlowKey, b *flowrec.Batch) (any, error) {
+		lo, hi, err := d.hourRows(k, b, calendar.WorkStart, calendar.WorkEnd)
+		if err != nil {
+			return nil, err
+		}
+		sums := make(map[appclass.Class]uint64)
+		clf.VolumeByClassInto(sums, b.Slice(lo, hi))
+		return sums, nil
+	}, nil
+}}
+
 // collectClassVolumes aggregates one week's sampled flows into per-class
 // volumes, restricted to working hours of workdays (the paper removes the
 // early-morning hours and the condensed comparison focuses on business
 // hours, where the Figure 9 effects are strongest).
-func collectClassVolumes(env *Env, vp synth.VantagePoint, clf *appclass.Classifier, week calendar.Week) (map[appclass.Class]float64, error) {
-	// uint64 accumulation keeps the partial sums exact (a week of volume
-	// crosses 2^53), so merging them in any chunk grouping is lossless;
-	// the single uint64→float64 conversion happens after the full merge.
+func collectClassVolumes(env *Env, vp synth.VantagePoint, week calendar.Week) (map[appclass.Class]float64, error) {
 	sums, err := ScanDays(env, calendar.Days(week.Start, week.End),
 		func() map[appclass.Class]uint64 { return make(map[appclass.Class]uint64) },
 		func(env *Env, part map[appclass.Class]uint64, day time.Time) error {
 			if !calendar.IsWorkday(day) {
 				return nil
 			}
-			b, err := env.hours(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}, calendar.WorkStart, calendar.WorkEnd)
+			v, err := env.partial(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}, classVolumes)
 			if err != nil {
 				return err
 			}
-			clf.VolumeByClassInto(part, b)
+			for cls, n := range v.(map[appclass.Class]uint64) {
+				part[cls] += n
+			}
 			return nil
 		},
 		func(dst, src map[appclass.Class]uint64) map[appclass.Class]uint64 {
@@ -338,6 +399,7 @@ func collectClassVolumes(env *Env, vp synth.VantagePoint, clf *appclass.Classifi
 	if err != nil {
 		return nil, err
 	}
+	// The single uint64→float64 conversion happens after the full merge.
 	out := make(map[appclass.Class]float64, len(sums))
 	for cls, v := range sums {
 		out[cls] = float64(v)
@@ -350,7 +412,6 @@ func collectClassVolumes(env *Env, vp synth.VantagePoint, clf *appclass.Classifi
 // the base week, clipped to [-100%, +200%] like the heatmap colour scale.
 func runFig9(env *Env) (*Result, error) {
 	res := newResult("fig9", "Application-class growth (working hours, % vs base week)")
-	clf := appclass.NewDefault(nil)
 	vps := []struct {
 		vp    synth.VantagePoint
 		weeks []calendar.Week
@@ -361,15 +422,15 @@ func runFig9(env *Env) (*Result, error) {
 		{synth.ISPCE, calendar.AppWeeksISP()},
 	}
 	for _, entry := range vps {
-		base, err := collectClassVolumes(env, entry.vp, clf, entry.weeks[0])
+		base, err := collectClassVolumes(env, entry.vp, entry.weeks[0])
 		if err != nil {
 			return nil, err
 		}
-		stage1, err := collectClassVolumes(env, entry.vp, clf, entry.weeks[1])
+		stage1, err := collectClassVolumes(env, entry.vp, entry.weeks[1])
 		if err != nil {
 			return nil, err
 		}
-		stage2, err := collectClassVolumes(env, entry.vp, clf, entry.weeks[2])
+		stage2, err := collectClassVolumes(env, entry.vp, entry.weeks[2])
 		if err != nil {
 			return nil, err
 		}

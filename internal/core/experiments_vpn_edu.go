@@ -7,6 +7,7 @@ import (
 	"lockdown/internal/appclass"
 	"lockdown/internal/calendar"
 	"lockdown/internal/edu"
+	"lockdown/internal/flowrec"
 	"lockdown/internal/patterns"
 	"lockdown/internal/synth"
 	"lockdown/internal/timeseries"
@@ -14,7 +15,9 @@ import (
 )
 
 func init() {
-	register(Experiment{ID: "fig10", Artifact: "Figure 10", Title: "VPN traffic at the IXP-CE: port- vs domain-identified", Run: runFig10, claims: []claim{
+	register(Experiment{ID: "fig10", Artifact: "Figure 10", Title: "VPN traffic at the IXP-CE: port- vs domain-identified", Run: runFig10, reads: []dayRead{
+		{kind: KindVPNFlows, vp: synth.IXPCE, days: weekDays(calendar.AppWeeksIXP(), false), by: vpnSplit},
+	}, claims: []claim{
 		{"§6", "domain-identified VPN traffic ≥ 2.2x in March working hours (paper: > +200%)", "stage1/domain", "", 2.2, 4.5},
 		{"§6", "port-identified VPN traffic barely changes", "stage1/port", "", 0.85, 1.35},
 		{"§6", "domain-identified VPN traffic recedes partially in April", "stage1/domain", "stage2/domain", 0.002, inf},
@@ -27,7 +30,9 @@ func init() {
 	register(Experiment{ID: "fig11b", Artifact: "Figure 11b", Title: "EDU ingress/egress traffic ratio across three weeks", Run: runFig11b, claims: []claim{
 		{"§7", "EDU base-week workdays are strongly ingress-dominated", "base-workday-ratio", "", 5, inf},
 	}})
-	register(Experiment{ID: "fig12", Artifact: "Figure 12", Title: "EDU daily connection growth per traffic class", Run: runFig12, claims: []claim{
+	register(Experiment{ID: "fig12", Artifact: "Figure 12", Title: "EDU daily connection growth per traffic class", Run: runFig12, reads: []dayRead{
+		{kind: KindFlows, vp: synth.EDU, days: fig12Days()},
+	}, claims: []claim{
 		{"§7", "incoming VPN connections 4.8x", "Eyeball ISPs (VPN, In)", "", 2.5, 6.5},
 		{"§7", "incoming remote-desktop connections 5.9x", "Remote desktop (In)", "", 2.5, 7.5},
 		{"§7", "incoming SSH connections 9.1x", "SSH (In)", "", 3, 12},
@@ -41,7 +46,9 @@ func init() {
 	register(Experiment{ID: "appB", Artifact: "Appendix B", Title: "EDU traffic class port map", Run: runAppB, claims: []claim{
 		{"App. B", "eight EDU traffic classes", "classes", "", 8, 8},
 	}})
-	register(Experiment{ID: "ablation-vpn", Artifact: "Ablation (Section 6)", Title: "VPN volume missed by a port-only classifier", Run: runAblationVPN, claims: []claim{
+	register(Experiment{ID: "ablation-vpn", Artifact: "Ablation (Section 6)", Title: "VPN volume missed by a port-only classifier", Run: runAblationVPN, reads: []dayRead{
+		{kind: KindVPNFlows, vp: synth.IXPCE, days: weekDays(calendar.AppWeeksIXP()[1:2], false), by: vpnSplit},
+	}, claims: []claim{
 		{"§6", "a port-only classifier misses about half the VPN volume", "missed-share", "", 0.40, 0.65},
 	}})
 	register(Experiment{ID: "ablation-binsize", Artifact: "Ablation (Section 1)", Title: "Pattern-classifier agreement vs aggregation bin size", Run: runAblationBinSize, claims: []claim{
@@ -50,44 +57,67 @@ func init() {
 	}})
 }
 
-// vpnWeekSplit sums VPN volume identified per method for one week, split
-// into working hours and the rest. The sums are uint64 so partial
-// aggregates merge exactly at any chunk grouping (a week's volume crosses
-// 2^53, where float64 addition starts rounding).
+// vpnDay is Figure 10's reduction of a day (vpnSplit): its VPN volume
+// per identification method, in vpndetect's index order, within the
+// working hours and in the rest of the day. A weekend day has no working
+// hours. The sums are uint64, so every merge of days is exact (a week's
+// volume crosses 2^53, where float64 addition starts rounding).
+type vpnDay struct {
+	work, other [3]uint64
+}
+
+// vpnSplit folds an IXP-CE vpn-flows/ day into a vpnDay with the
+// vantage point's VPN detector. The kernel folds each range of hours into
+// exact per-method sums; a workday's working hours are one range, the rest
+// of the day two. The ranges tile the day, so work + other is the day's
+// volume: the VPN ablation reads it so.
+var vpnSplit = &reduction{owner: "fig10", build: func(d *Dataset) (reduceFunc, error) {
+	vpn, err := d.VPN(synth.IXPCE)
+	if err != nil {
+		return nil, err
+	}
+	det := vpn.Detector
+	return func(k FlowKey, b *flowrec.Batch) (any, error) {
+		day := new(vpnDay)
+		type hours struct {
+			from, to int
+			sums     *[3]uint64
+		}
+		split := []hours{{0, 24, &day.other}}
+		if calendar.IsWorkday(k.Hour.Time()) {
+			split = []hours{{0, calendar.WorkStart, &day.other}, {calendar.WorkStart, calendar.WorkEnd, &day.work}, {calendar.WorkEnd, 24, &day.other}}
+		}
+		for _, h := range split {
+			lo, hi, err := d.hourRows(k, b, h.from, h.to)
+			if err != nil {
+				return nil, err
+			}
+			det.SplitBatchSums(h.sums, b.Slice(lo, hi))
+		}
+		return day, nil
+	}, nil
+}}
+
+// vpnWeekSplit sums the IXP-CE's VPN volume identified per method for one
+// week, split into working hours and the rest.
 type vpnWeekSplit struct {
 	portWork, portOther     uint64
 	domainWork, domainOther uint64
 }
 
-func collectVPNSplit(env *Env, vp synth.VantagePoint, det *vpndetect.Detector, week calendar.Week) (vpnWeekSplit, error) {
+func collectVPNSplit(env *Env, week calendar.Week) (vpnWeekSplit, error) {
 	out, err := ScanDays(env, calendar.Days(week.Start, week.End),
 		func() *vpnWeekSplit { return &vpnWeekSplit{} },
 		func(env *Env, p *vpnWeekSplit, day time.Time) error {
-			// The kernel folds each range of hours into exact per-method
-			// sums; uint64 addition commutes, so splitting the day onto
-			// the working/other buckets this way is lossless. A workday's
-			// working hours are one range, the rest of the day two.
-			k := FlowKey{Kind: KindVPNFlows, VP: vp, Hour: DayOf(day)}
-			var work, other [3]uint64
-			type hours struct {
-				from, to int
-				sums     *[3]uint64
+			v, err := env.partial(FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: DayOf(day)}, vpnSplit)
+			if err != nil {
+				return err
 			}
-			split := []hours{{0, 24, &other}}
-			if calendar.IsWorkday(day) {
-				split = []hours{{0, calendar.WorkStart, &other}, {calendar.WorkStart, calendar.WorkEnd, &work}, {calendar.WorkEnd, 24, &other}}
-			}
-			for _, h := range split {
-				b, err := env.hours(k, h.from, h.to)
-				if err != nil {
-					return err
-				}
-				det.SplitBatchSums(h.sums, b)
-			}
-			p.portWork += work[vpndetect.ByPort]
-			p.domainWork += work[vpndetect.ByDomain]
-			p.portOther += other[vpndetect.ByPort]
-			p.domainOther += other[vpndetect.ByDomain]
+			s := v.(*vpnDay)
+			p.portWork += s.work[vpndetect.ByPort]
+			p.domainWork += s.work[vpndetect.ByDomain]
+			p.portOther += s.other[vpndetect.ByPort]
+			p.domainOther += s.other[vpndetect.ByDomain]
 			return nil
 		},
 		func(dst, src *vpnWeekSplit) *vpnWeekSplit {
@@ -116,7 +146,7 @@ func runFig10(env *Env) (*Result, error) {
 	weeks := calendar.AppWeeksIXP()
 	splits := make([]vpnWeekSplit, len(weeks))
 	for i, w := range weeks {
-		splits[i], err = collectVPNSplit(env, synth.IXPCE, vpn.Detector, w)
+		splits[i], err = collectVPNSplit(env, w)
 		if err != nil {
 			return nil, err
 		}
@@ -204,32 +234,38 @@ func runFig11b(env *Env) (*Result, error) {
 	return res, nil
 }
 
+// fig12Baseline is Figure 12's baseline day, February 27.
+var fig12Baseline = time.Date(2020, 2, 27, 0, 0, 0, 0, time.UTC)
+
+// fig12Days are the days Figure 12 samples from the baseline up to May 8:
+// the baseline day, then Tuesdays, Thursdays and Saturdays.
+func fig12Days() []time.Time {
+	var days []time.Time
+	for d := fig12Baseline; d.Before(time.Date(2020, 5, 8, 0, 0, 0, 0, time.UTC)); d = d.AddDate(0, 0, 1) {
+		switch d.Weekday() {
+		case time.Tuesday, time.Thursday, time.Saturday:
+		default:
+			if !d.Equal(fig12Baseline) {
+				continue
+			}
+		}
+		days = append(days, d)
+	}
+	return days
+}
+
 // runFig12 reproduces Figure 12: daily connection counts relative to the
 // February 27 baseline for the selected traffic categories. To keep the
 // experiment affordable it samples three days per week across the 72-day
 // window instead of every day.
 func runFig12(env *Env) (*Result, error) {
 	res := newResult("fig12", "EDU daily connection growth per traffic class")
-	start := time.Date(2020, 2, 27, 0, 0, 0, 0, time.UTC)
-	end := time.Date(2020, 5, 8, 0, 0, 0, 0, time.UTC)
-	var days []time.Time
-	for d := start; d.Before(end); d = d.AddDate(0, 0, 1) {
-		// Sample Tuesdays, Thursdays and Saturdays plus the baseline day.
-		switch d.Weekday() {
-		case time.Tuesday, time.Thursday, time.Saturday:
-		default:
-			if !d.Equal(start) {
-				continue
-			}
-		}
-		days = append(days, d)
-	}
 	// The month walk shards over the sampled days and counts where it
 	// reads: each cached day is classified in place into its counter, so
 	// nothing but the cache holds a flow batch and the cache budget bounds
 	// the walk. Counts are integers, which makes the merge exact at any
 	// chunking.
-	counts, err := ScanDays(env, days,
+	counts, err := ScanDays(env, fig12Days(),
 		func() edu.DailyCounts { return make(edu.DailyCounts) },
 		func(env *Env, part edu.DailyCounts, d time.Time) error {
 			b, err := env.flowBatch(synth.EDU, d)
@@ -246,7 +282,7 @@ func runFig12(env *Env) (*Result, error) {
 		return nil, err
 	}
 	cats := append(edu.DefaultCategories(), edu.ExtraCategories()...)
-	growth := edu.ConnectionGrowth(counts, start, cats)
+	growth := edu.ConnectionGrowth(counts, fig12Baseline, cats)
 
 	table := Table{Title: "Median daily connection growth after the state of emergency (relative to Feb 27)", Columns: []string{"category", "median growth"}}
 	after := calendar.EDUClosure
@@ -287,24 +323,19 @@ func runAppB(*Env) (*Result, error) {
 // March week.
 func runAblationVPN(env *Env) (*Result, error) {
 	res := newResult("ablation-vpn", "VPN volume missed by a port-only classifier (IXP-CE, March week)")
-	vpn, err := env.Data.VPN(synth.IXPCE)
-	if err != nil {
-		return nil, err
-	}
-
 	week := calendar.AppWeeksIXP()[1]
 	type volSplit struct{ port, domain uint64 } // exact merge at any chunking
 	split, err := ScanDays(env, calendar.Days(week.Start, week.End),
 		func() *volSplit { return &volSplit{} },
 		func(env *Env, p *volSplit, day time.Time) error {
-			b, err := env.vpnFlowBatch(synth.IXPCE, day)
+			// Figure 10's split of the day: its two parts tile the day.
+			v, err := env.partial(FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: DayOf(day)}, vpnSplit)
 			if err != nil {
 				return err
 			}
-			var s [3]uint64
-			vpn.Detector.SplitBatchSums(&s, b)
-			p.port += s[vpndetect.ByPort]
-			p.domain += s[vpndetect.ByDomain]
+			s := v.(*vpnDay)
+			p.port += s.work[vpndetect.ByPort] + s.other[vpndetect.ByPort]
+			p.domain += s.work[vpndetect.ByDomain] + s.other[vpndetect.ByDomain]
 			return nil
 		},
 		func(dst, src *volSplit) *volSplit {

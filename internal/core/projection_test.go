@@ -56,8 +56,8 @@ func storedColumns(d *Dataset) map[string]map[flowrec.Columns]int {
 // three kind column sets: the default engine, whose batches store only
 // what the kind's readers declared, must produce all 21 results equal —
 // modulo _runtime/ — to an engine fed full-width batches by the same
-// models (fullWidthSource), with everything resident and with every batch spilled
-// and faulted. A reader that reads a column its kind's set lacks fails
+// models (fullWidthSource), with everything resident and with every batch
+// spilled — and, read back after the run, mapped from its span. A reader that reads a column its kind's set lacks fails
 // here whether it would have panicked on the nil column or (ranging over
 // it) silently read nothing. Runs under -race -cpu 1,4 in CI.
 func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
@@ -89,8 +89,11 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 				if err != nil {
 					t.Fatalf("RunAll(%+v): %v", opts, err)
 				}
-				if s := e.Data().Stats(); budget > 0 && (s.Spills == 0 || s.Faults == 0 || s.Regens != 0) {
-					t.Errorf("seed %d: a 1-byte budget must spill and fault without regenerating: %+v", seed, s)
+				if s := e.Data().Stats(); budget > 0 && (s.Spills == 0 || s.Faults != 0 || s.Regens != 0) {
+					t.Errorf("seed %d: a 1-byte budget must spill, and the suite bring nothing back: %+v", seed, s)
+				}
+				if s := reread(t, e.Data(), opts); budget > 0 && (s.Faults == 0 || s.Regens != 0) {
+					t.Errorf("seed %d: reading back must map the spans without regenerating: %+v", seed, s)
 				}
 				var mb float64
 				for _, r := range rs {

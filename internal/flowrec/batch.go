@@ -333,9 +333,7 @@ func (b *Batch) Project(cols Columns) *Batch {
 }
 
 // Equal reports whether the two batches store the same columns and the
-// same rows in them. Why it stays with no caller outside tests: the
-// dataset and wire tests compare batches with it
-// (core.TestDefaultSourceIsProjectedSyntheticSource).
+// same rows in them.
 func (b *Batch) Equal(o *Batch) bool {
 	return b.Columns() == o.Columns() &&
 		slices.Equal(b.StartNs, o.StartNs) && slices.Equal(b.EndNs, o.EndNs) &&

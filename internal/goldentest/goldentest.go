@@ -27,11 +27,15 @@ var FlowExperiments = []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig12
 // RunSuite is the "run the suite under options O, then compare" harness
 // shared by the golden tests: it builds a fresh engine drawing flows from
 // src (nil selects the in-process generator), executes the given
-// experiments (nil = the full suite) with the given parallelism, closes
-// the engine's dataset, and returns the results plus the cache stats
-// observed just before the close. Callers pair it with CompareResults to
-// assert bit-identity against a reference run.
-func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opts core.Options) ([]*core.Result, core.CacheStats) {
+// experiments (nil = the full suite) with the given parallelism, reads
+// every flow batch back once through the cache against a fresh generation
+// of the model (core.Dataset.Reread), closes the engine's dataset, and
+// returns the results plus the cache stats at the end of the run and
+// after the read-back. A suite run reads no batch twice, so under a cache
+// budget the read-back is what brings evicted batches back: rebuilt
+// through src, or mapped from their span. Callers pair it with
+// CompareResults to assert bit-identity against a reference run.
+func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opts core.Options) (results []*core.Result, suite, back core.CacheStats) {
 	t.Helper()
 	engine := core.NewEngineWithSource(opts, src)
 	defer engine.Data().Close()
@@ -39,7 +43,11 @@ func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opt
 	if err != nil {
 		t.Fatalf("suite (parallel %d, opts %+v) failed: %v", parallel, opts, err)
 	}
-	return results, engine.Data().Stats()
+	suite = engine.Data().Stats()
+	if _, err := engine.Data().Reread(core.NewSyntheticSource(opts)); err != nil {
+		t.Errorf("reading the suite's batches back (opts %+v): %v", opts, err)
+	}
+	return results, suite, engine.Data().Stats()
 }
 
 // DiffModuloRuntime compares two rendered suite outputs (the text

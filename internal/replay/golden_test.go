@@ -17,18 +17,19 @@ var goldenOpts = core.Options{FlowScale: 0.05}
 // runWire executes the given experiments (nil = the full suite) over a
 // fresh pump/bridge pair and returns the results plus the bridge stats.
 func runWire(t *testing.T, format collector.Format, ids []string) ([]*core.Result, Stats) {
-	results, stats, _ := runWireOpts(t, format, ids, goldenOpts)
+	results, stats, _, _ := runWireOpts(t, format, ids, goldenOpts)
 	return results, stats
 }
 
 // runWireOpts is runWire under explicit engine options (the tiered-cache
-// golden variants tighten the cache budget). The run-and-close harness
-// lives in goldentest.RunSuite, shared with the cluster golden test.
-func runWireOpts(t *testing.T, format collector.Format, ids []string, opts core.Options) ([]*core.Result, Stats, core.CacheStats) {
+// golden variants tighten the cache budget). The run, read-back and close
+// harness lives in goldentest.RunSuite, shared with the cluster golden
+// test; it returns the cache stats after the run and after the read-back.
+func runWireOpts(t *testing.T, format collector.Format, ids []string, opts core.Options) ([]*core.Result, Stats, core.CacheStats, core.CacheStats) {
 	t.Helper()
 	br, _ := newHarness(t, format, opts)
-	results, cache := goldentest.RunSuite(t, br, ids, 4, opts)
-	return results, br.Stats(), cache
+	results, cache, back := goldentest.RunSuite(t, br, ids, 4, opts)
+	return results, br.Stats(), cache, back
 }
 
 // TestGoldenWireEquivalence is the golden test of the wire-replay
@@ -72,16 +73,21 @@ func TestGoldenWireEquivalence(t *testing.T) {
 	})
 
 	// Tiered-cache variant: a 1-byte cache budget forces every bridge-fed
-	// batch to spill to a flowstore segment and fault back in, and the
-	// metrics must still equal the in-memory, unbudgeted engine's.
+	// batch to spill to a flowstore segment, the metrics must still equal
+	// the in-memory, unbudgeted engine's, and the suite brings no batch
+	// back; read back after the run, every spilled batch faults in from
+	// its span and equals a fresh generation.
 	t.Run("ipfix-flow-experiments-tiny-budget", func(t *testing.T) {
 		opts := goldenOpts
 		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
-		got, stats, cache := runWireOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, opts)
+		got, stats, cache, back := runWireOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, opts)
 		goldentest.CompareResults(t, "ipfix tiny-budget", flowWant, got)
-		if cache.Spills == 0 || cache.Faults == 0 {
-			t.Errorf("tiny budget should spill and fault bridge-fed batches: %+v", cache)
+		if cache.Spills == 0 || cache.Faults != 0 {
+			t.Errorf("tiny budget should spill every bridge-fed batch and the suite bring none back: %+v", cache)
 		}
-		t.Logf("ipfix tiny-budget flow experiments: %+v cache %+v", stats, cache)
+		if back.Faults != cache.Spills || back.Regens != 0 {
+			t.Errorf("reading back should map every spilled bridge-fed batch once: %+v", back)
+		}
+		t.Logf("ipfix tiny-budget flow experiments: %+v cache %+v", stats, back)
 	})
 }

@@ -136,8 +136,10 @@ func WriteJSONAll(w io.Writer, rs []*core.Result) error {
 
 // WriteTimings renders the engine's per-experiment wall time and batch
 // memory read (the runtime metrics stamped by core.Engine) as a
-// bench-style summary table, slowest first, followed by the total. The
-// scan columns expose the intra-experiment sharding activity: how many
+// bench-style summary table, slowest first, followed by the column sums.
+// The sum of wall times is not the run's wall clock nor its cpu time:
+// experiments overlap under -parallel, and one may spend time folding a
+// shared day for another. The scan columns expose the intra-experiment sharding activity: how many
 // grid chunks the experiment's sharded scans processed, how many extra
 // workers they borrowed from the -parallel budget.
 func WriteTimings(w io.Writer, rs []*core.Result) error {
@@ -170,7 +172,7 @@ func WriteTimings(w io.Writer, rs []*core.Result) error {
 		t.Rows = append(t.Rows, []string{rw.id, fmt.Sprintf("%.1f", rw.wallMS), fmt.Sprintf("%.1f", rw.batchMB),
 			fmt.Sprintf("%.0f", rw.chunks), fmt.Sprintf("%.0f", rw.extra)})
 	}
-	t.Rows = append(t.Rows, []string{"TOTAL (cpu)", fmt.Sprintf("%.1f", totalMS), fmt.Sprintf("%.1f", totalMB),
+	t.Rows = append(t.Rows, []string{"SUM", fmt.Sprintf("%.1f", totalMS), fmt.Sprintf("%.1f", totalMB),
 		fmt.Sprintf("%.0f", totalChunks), fmt.Sprintf("%.0f", totalExtra)})
 	return writeTable(w, t)
 }

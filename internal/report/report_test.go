@@ -54,6 +54,29 @@ func TestWriteCSV(t *testing.T) {
 	}
 }
 
+// TestTimingsSumRow: the last row of the timing table adds the columns up
+// and says so; a sum of per-experiment wall times is neither the run's
+// wall clock nor its cpu time, and the row does not claim to be either.
+func TestTimingsSumRow(t *testing.T) {
+	rs := []*core.Result{
+		{ID: "a", Metrics: map[string]float64{core.MetricWallMS: 1.5, core.MetricBatchMB: 2, core.MetricScanChunks: 3}},
+		{ID: "b", Metrics: map[string]float64{core.MetricWallMS: 2.5, core.MetricBatchMB: 1, core.MetricScanChunks: 4, core.MetricScanWorkers: 1}},
+	}
+	var b strings.Builder
+	if err := WriteTimings(&b, rs); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if got := strings.Fields(lines[len(lines)-1]); strings.Join(got, " ") != "SUM 4.0 3.0 7 1" {
+		t.Errorf("last row = %q, want the column sums labelled SUM:\n%s", got, b.String())
+	}
+	for _, word := range []string{"cpu", "TOTAL"} {
+		if strings.Contains(b.String(), word) {
+			t.Errorf("the timing table says %q:\n%s", word, b.String())
+		}
+	}
+}
+
 func TestBar(t *testing.T) {
 	if got := Bar(5, 10, 10); got != "#####" {
 		t.Errorf("Bar = %q", got)
