@@ -14,10 +14,10 @@
 //	lockdown scenario doc         emit the scenario schema reference
 //
 // A scenario is a YAML file (see docs/SCENARIOS.md and the gallery under
-// examples/scenarios/) declaring vantage points, membership and class
-// mixes, and an event timeline — lockdown waves, holidays, flash events,
-// link outages, a return to office — that compiles down to the built-in
-// synthetic traffic model. The shipped default scenario restates the
+// examples/scenarios/) declaring membership and class mixes of the fixed
+// vantage points, and an event timeline — lockdown waves, holidays, flash
+// events, link outages, a return to office — that compiles down to the
+// built-in synthetic traffic model. The shipped default scenario restates the
 // paper's timeline and `scenario run` on it is byte-identical to `all`;
 // a scenario's declared seed/flow_scale are defaults that explicit
 // -seed/-scale flags override.
@@ -206,8 +206,7 @@ func run(ctx context.Context, args []string) error {
 			if s.Identity() {
 				shape = "identity (compiles to the built-in model)"
 			}
-			fmt.Printf("scenario %q: %d vantage points, %d events, %s\n",
-				s.Name, len(s.VPs), len(s.Events), shape)
+			fmt.Printf("scenario %q: %d events, %s\n", s.Name, len(s.Events), shape)
 			return nil
 		case "run":
 			return runMode(ctx, "scenario run", args[2:])
@@ -492,18 +491,7 @@ func runScenario(ctx context.Context, o *options) error {
 	if s.Seed != 0 && !o.set["seed"] {
 		o.core.Seed = s.Seed
 	}
-	declared := map[synth.VantagePoint]bool{}
-	for _, vp := range s.VPs {
-		declared[vp] = true
-	}
-	o.core.Model = func(vp synth.VantagePoint) synth.Config {
-		if declared[vp] {
-			return s.Config(vp)
-		}
-		// Vantage points the scenario does not declare keep the
-		// untouched built-in model.
-		return synth.DefaultConfig(vp)
-	}
+	o.core.Model = s.Config
 	fmt.Fprintf(os.Stderr, "scenario: %q from %s\n", s.Name, s.File())
 	return runAll(ctx, o)
 }

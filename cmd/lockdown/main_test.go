@@ -488,10 +488,10 @@ func TestSpillFileNames(t *testing.T) {
 }
 
 // TestValidateIdentityLine: `scenario validate` prints the word CI's
-// gallery step greps for on default.yaml, and not on a variant.
+// gallery step greps for on default.yaml, and on no other gallery file.
 func TestValidateIdentityLine(t *testing.T) {
 	word := ciGreps(t, `grep -q (\w+)`, 1)[0][0]
-	for file, want := range map[string]bool{"default.yaml": true, "wave2.yaml": false} {
+	for file, want := range map[string]bool{"default.yaml": true, "wave2.yaml": false, "outage.yaml": false, "flash-event.yaml": false} {
 		out := output(t, &os.Stdout, "scenario", "validate", filepath.Join("..", "..", "examples", "scenarios", file))
 		if got := grepCount(word, string(out)) > 0; got != want {
 			t.Errorf("scenario validate %s printed %q; CI's %q matches: %v, want %v", file, out, word, got, want)
@@ -658,8 +658,8 @@ func TestFieldCensus(t *testing.T) {
 
 // exportWhy names the exported functions and methods of internal/ that no
 // non-test file calls, each with the reason it stays. A name the census
-// counts as used through a collision (stats.Min and Max;
-// flowrec.Record.Validate) carries its reason in its doc comment instead.
+// counts as used through a collision (flowrec.Record.Validate) carries its
+// reason in its doc comment instead.
 var exportWhy = map[string]string{
 	// Scalar oracles: the row kernels are compared against them.
 	"appclass.Classifier.ClassifyAt": "why: the per-row oracle of VolumeByClassInto (appclass.TestVolumeKernelsMatchRowPath)",

@@ -102,18 +102,26 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 
 	d := NewDataset(Options{FlowScale: 0.1})
 	defer d.Close()
-	for i, tc := range []struct {
-		key  FlowKey
-		name string
-		get  func(time.Time) (*flowrec.Batch, error)
+	// misses is what a key's first lookup memoizes: the batch, and the
+	// models it draws from that no earlier row built. The fill's own model
+	// lookup books no hit, so a first lookup books none.
+	for _, tc := range []struct {
+		key    FlowKey
+		name   string
+		misses int64
+		get    func(time.Time) (*flowrec.Batch, error)
 	}{
-		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25",
+		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25", 2, // and the generator
 			func(at time.Time) (*flowrec.Batch, error) { return unpinned(d).flowBatch(synth.ISPCE, at) }},
-		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25",
+		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25", 3, // the VPN data and its generator
 			func(at time.Time) (*flowrec.Batch, error) { return unpinned(d).vpnFlowBatch(synth.IXPCE, at) }},
-		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25",
+		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25", 2,
 			func(at time.Time) (*flowrec.Batch, error) {
 				return unpinned(d).componentFlowBatch(synth.IXPSE, "gaming", at)
+			}},
+		{FlowKey{Kind: KindComponentFlows, VP: synth.ISPCE, Name: "gaming", Hour: day}, "component-flows/ISP-CE/gaming@2020-03-25", 1, // ISP-CE's generator is built
+			func(at time.Time) (*flowrec.Batch, error) {
+				return unpinned(d).componentFlowBatch(synth.ISPCE, "gaming", at)
 			}},
 	} {
 		if s := tc.key.String(); s != tc.name {
@@ -122,13 +130,14 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 		if got := tc.key.End(); !got.Equal(end) {
 			t.Errorf("%v ends at %v, want the end of its day", tc.key, got)
 		}
+		prev := d.Stats()
 		first, err := tc.get(utc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		before := d.Stats()
-		if i == 0 && (before.Entries != 2 || before.Hits != 0) {
-			t.Errorf("the first lookup memoizes the batch and its generator: %+v", before)
+		if before.Misses != prev.Misses+tc.misses || before.Hits != prev.Hits {
+			t.Errorf("the first lookup of %v: %+v, then %+v; want %d misses and no hit", tc.key, prev, before, tc.misses)
 		}
 		at := map[string]time.Time{
 			"time.Local":          utc.In(time.Local),

@@ -261,7 +261,11 @@ func (s *SyntheticSource) model(vp synth.VantagePoint) *vpModel {
 // Generator returns the shared generator of a vantage point. The instance
 // is safe for concurrent read-only use; never call its mutating methods.
 func (s *SyntheticSource) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
-	return s.model(vp).gen.get(s.count, func() (*synth.Generator, error) {
+	return s.generatorOf(vp, s.count)
+}
+
+func (s *SyntheticSource) generatorOf(vp synth.VantagePoint, count func(miss bool)) (*synth.Generator, error) {
+	return s.model(vp).gen.get(count, func() (*synth.Generator, error) {
 		return synth.New(s.opts.synthConfig(vp))
 	})
 }
@@ -270,8 +274,12 @@ func (s *SyntheticSource) Generator(vp synth.VantagePoint) (*synth.Generator, er
 // synthetic DNS corpus names the VPN gateways, the generator is re-pinned
 // to them, and the detector is built from the same corpus.
 func (s *SyntheticSource) VPN(vp synth.VantagePoint) (*VPNData, error) {
-	return s.model(vp).vpn.get(s.count, func() (*VPNData, error) {
-		g, err := s.Generator(vp)
+	return s.vpnOf(vp, s.count)
+}
+
+func (s *SyntheticSource) vpnOf(vp synth.VantagePoint, count func(miss bool)) (*VPNData, error) {
+	return s.model(vp).vpn.get(count, func() (*VPNData, error) {
+		g, err := s.generatorOf(vp, count)
 		if err != nil {
 			return nil, err
 		}
@@ -332,11 +340,20 @@ func (s *SyntheticSource) hourFlows(k FlowKey) ([]int, error) {
 // for vpn-flows/, the vantage point's own for the others.
 func (s *SyntheticSource) generator(k FlowKey) (*synth.Generator, error) {
 	if k.Kind == KindVPNFlows {
-		vd, err := s.VPN(k.VP)
+		vd, err := s.vpnOf(k.VP, s.fillCount)
 		if err != nil {
 			return nil, err
 		}
 		return vd.Gen, nil
 	}
-	return s.Generator(k.VP)
+	return s.generatorOf(k.VP, s.fillCount)
+}
+
+// fillCount books a fill's own model lookup: the miss that builds a model,
+// since Stats counts entries by misses, but no hit, since no experiment
+// asked.
+func (s *SyntheticSource) fillCount(miss bool) {
+	if miss && s.count != nil {
+		s.count(true)
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"lockdown/internal/appclass"
 	"lockdown/internal/calendar"
 	"lockdown/internal/flowrec"
-	"lockdown/internal/stats"
 	"lockdown/internal/timeseries"
 )
 
@@ -239,5 +238,17 @@ func (g Growth) MedianGrowthAfter(name string, from time.Time) float64 {
 	if len(vals) == 0 {
 		return 0
 	}
-	return stats.Quantile(vals, 0.5)
+	return median(vals)
+}
+
+// median returns the median of a non-empty sample, the mean of the two
+// middle values for an even count (the type-7 quantile at 0.5, the R and
+// NumPy default). vals is sorted in place.
+func median(vals []float64) float64 {
+	sort.Float64s(vals)
+	n := len(vals)
+	if n%2 == 1 {
+		return vals[n/2]
+	}
+	return vals[n/2-1]*0.5 + vals[n/2]*0.5
 }

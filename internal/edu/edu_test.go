@@ -1,8 +1,10 @@
 package edu
 
 import (
+	"math"
 	"reflect"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"lockdown/internal/appclass"
@@ -221,6 +223,55 @@ func TestMedianGrowthAfter(t *testing.T) {
 		if got := g.MedianGrowthAfter("c", tc.from); got != tc.want {
 			t.Errorf("median after %s = %g, want %g", tc.from.Format(time.DateOnly), got, tc.want)
 		}
+	}
+}
+
+// TestMedian: the middle value of an odd count, and for an even count the
+// two middle values halved and summed, the type-7 quantile's arithmetic at
+// 0.5, so that fig12's printed medians stay bit for bit.
+func TestMedian(t *testing.T) {
+	for _, tc := range []struct {
+		vals []float64
+		want float64
+	}{
+		{[]float64{7}, 7},
+		{[]float64{5, 1, 3}, 3},
+		{[]float64{4, 1, 3, 2}, 2.5},
+		{[]float64{math.MaxFloat64, math.MaxFloat64}, math.MaxFloat64}, // their sum overflows
+	} {
+		if got := median(append([]float64(nil), tc.vals...)); got != tc.want {
+			t.Errorf("median(%v) = %v, want %v", tc.vals, got, tc.want)
+		}
+	}
+}
+
+// TestMedianBoundsQuick: at least half of a sample lies at or below its
+// median and at least half at or above it.
+func TestMedianBoundsQuick(t *testing.T) {
+	f := func(raw []float64) bool {
+		var vals []float64
+		for _, v := range raw {
+			if !math.IsNaN(v) && !math.IsInf(v, 0) {
+				vals = append(vals, v)
+			}
+		}
+		if len(vals) == 0 {
+			return true
+		}
+		m := median(append([]float64(nil), vals...))
+		below, above := 0, 0
+		for _, v := range vals {
+			if v <= m {
+				below++
+			}
+			if v >= m {
+				above++
+			}
+		}
+		return 2*below >= len(vals) && 2*above >= len(vals)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -132,10 +132,10 @@ func (s *Scenario) Config(vp synth.VantagePoint) synth.Config {
 }
 
 // Identity reports whether the scenario compiles to the unmodified
-// built-in model at every declared vantage point (i.e. it merely restates
-// the paper's timeline).
+// built-in model at every vantage point (i.e. it merely restates the
+// paper's timeline).
 func (s *Scenario) Identity() bool {
-	for _, vp := range s.VPs {
+	for _, vp := range synth.AllVantagePoints() {
 		if s.Config(vp).Variant != "" {
 			return false
 		}

@@ -21,8 +21,6 @@ func mustParse(t *testing.T, src string) *Scenario {
 
 const paperWave = "  - type: lockdown_wave\n    start: 2020-03-14\n    severity: 1.0\n    ramp_days: 10\n"
 
-const allVPs = "vantage_points: [ISP-CE, IXP-CE, IXP-SE, IXP-US, MOBILE, IPX, EDU]\n"
-
 // TestDefaultScenarioIsIdentity is the tentpole guarantee: the shipped
 // default scenario compiles to synth.DefaultConfig field for field at
 // every vantage point, with no variant tag.
@@ -30,9 +28,6 @@ func TestDefaultScenarioIsIdentity(t *testing.T) {
 	s, err := Load("../../examples/scenarios/default.yaml")
 	if err != nil {
 		t.Fatalf("Load: %v", err)
-	}
-	if len(s.VPs) != len(synth.AllVantagePoints()) {
-		t.Fatalf("default scenario declares %d vantage points, want all %d", len(s.VPs), len(synth.AllVantagePoints()))
 	}
 	for _, vp := range synth.AllVantagePoints() {
 		got := s.Config(vp)
@@ -49,10 +44,40 @@ func TestDefaultScenarioIsIdentity(t *testing.T) {
 	}
 }
 
+// TestEventsReachEveryVantagePoint: a scenario does not choose its
+// vantage points. An event with no vantage-point list (a lockdown wave
+// takes none) reshapes all of them, and a link outage naming one changes
+// that one's model and leaves the others built-in.
+func TestEventsReachEveryVantagePoint(t *testing.T) {
+	wave := mustParse(t, "name: half\nevents:\n"+
+		"  - type: lockdown_wave\n    start: 2020-03-14\n    severity: 0.5\n")
+	reshaped := 0
+	for _, vp := range synth.AllVantagePoints() {
+		if got := wave.Config(vp); got.Variant == "half" && !reflect.DeepEqual(got.Components, synth.DefaultConfig(vp).Components) {
+			reshaped++
+		}
+	}
+	if reshaped != 7 {
+		t.Errorf("a half-severity wave reshapes %d vantage points, want all 7", reshaped)
+	}
+
+	outage := mustParse(t, "name: dark\nevents:\n"+paperWave+
+		"  - type: link_outage\n    start: 2020-04-02\n    end: 2020-04-04\n    vantage_points: [IXP-SE]\n")
+	for _, vp := range synth.AllVantagePoints() {
+		got, def := outage.Config(vp), synth.DefaultConfig(vp)
+		if changed := got.Variant != "" || !reflect.DeepEqual(got, def); changed != (vp == synth.IXPSE) {
+			t.Errorf("%s: model changed = %v (variant %q), want a change at IXP-SE only", vp, changed, got.Variant)
+		}
+	}
+	if outage.Identity() {
+		t.Error("Identity() = true for an outage at IXP-SE")
+	}
+}
+
 // TestScenarioSeedScaleNotAppliedByConfig pins the layering contract:
 // declared seed/flow_scale are CLI defaults, not model transforms.
 func TestScenarioSeedScaleNotAppliedByConfig(t *testing.T) {
-	s := mustParse(t, "name: x\nseed: 42\nflow_scale: 0.5\nvantage_points: [EDU]\nevents:\n"+paperWave)
+	s := mustParse(t, "name: x\nseed: 42\nflow_scale: 0.5\nevents:\n"+paperWave)
 	cfg := s.Config(synth.EDU)
 	def := synth.DefaultConfig(synth.EDU)
 	if cfg.Seed != def.Seed || cfg.FlowScale != def.FlowScale {
@@ -64,7 +89,7 @@ func TestScenarioSeedScaleNotAppliedByConfig(t *testing.T) {
 }
 
 func TestPrimaryWaveShiftSeverityAndRamp(t *testing.T) {
-	s := mustParse(t, "name: late\nvantage_points: [ISP-CE]\nevents:\n"+
+	s := mustParse(t, "name: late\nevents:\n"+
 		"  - type: lockdown_wave\n    start: 2020-03-21\n    severity: 0.5\n    ramp_days: 14\n")
 	cfg := s.Config(synth.ISPCE)
 	if cfg.Variant != "late" {
@@ -124,7 +149,7 @@ func TestPrimaryWaveShiftSeverityAndRamp(t *testing.T) {
 // every compiled dip is exactly 1 (0 where none is set); the gaming
 // provider's outage is no lockdown response and keeps its depth.
 func TestSeverityZeroFlattensDip(t *testing.T) {
-	s := mustParse(t, "name: none\n"+allVPs+"events:\n"+
+	s := mustParse(t, "name: none\nevents:\n"+
 		"  - type: lockdown_wave\n    start: 2020-03-14\n    severity: 0\n    ramp_days: 10\n")
 	dips, outages := 0, 0
 	for _, vp := range synth.AllVantagePoints() {
@@ -174,7 +199,7 @@ func TestSharedResponsePointersCopied(t *testing.T) {
 		t.Skip("built-in EDU model no longer shares WeekendResp pointers; test needs a new fixture")
 	}
 
-	s := mustParse(t, "name: half\nvantage_points: [EDU]\nevents:\n"+
+	s := mustParse(t, "name: half\nevents:\n"+
 		"  - type: lockdown_wave\n    start: 2020-03-14\n    severity: 0.5\n    ramp_days: 10\n")
 	cfg := s.Config(synth.EDU)
 	for i, c := range cfg.Components {
@@ -198,7 +223,7 @@ func TestSharedResponsePointersCopied(t *testing.T) {
 	// Every ISP-CE shifting component shares one Shift; each gets its own
 	// copy, scaled once from Peak 2.
 	def = synth.DefaultConfig(synth.ISPCE)
-	cfg = mustParse(t, "name: half\nvantage_points: [ISP-CE]\nevents:\n"+
+	cfg = mustParse(t, "name: half\nevents:\n"+
 		"  - type: lockdown_wave\n    start: 2020-03-14\n    severity: 0.5\n    ramp_days: 10\n").Config(synth.ISPCE)
 	copies := map[*synth.Response]string{}
 	for i, c := range cfg.Components {
@@ -226,7 +251,7 @@ func TestSharedResponsePointersCopied(t *testing.T) {
 }
 
 func TestOverlayWaveAttachesToAllComponents(t *testing.T) {
-	s := mustParse(t, "name: w2\nvantage_points: [ISP-CE]\nevents:\n"+paperWave+
+	s := mustParse(t, "name: w2\nevents:\n"+paperWave+
 		"  - type: lockdown_wave\n    start: 2020-04-25\n    severity: 0.6\n    ramp_days: 7\n    decay_start: 2020-05-08\n    end: 2020-05-15\n    retained: 0.25\n")
 	cfg := s.Config(synth.ISPCE)
 	if cfg.Variant != "w2" {
@@ -328,7 +353,7 @@ func TestFlashEventScenarioCompile(t *testing.T) {
 }
 
 func TestReturnToOfficeCompile(t *testing.T) {
-	s := mustParse(t, "name: rto\nvantage_points: [ISP-CE]\nevents:\n"+paperWave+
+	s := mustParse(t, "name: rto\nevents:\n"+paperWave+
 		"  - type: return_to_office\n    start: 2020-03-30\n    retained: 0.1\n")
 	cfg := s.Config(synth.ISPCE)
 	def := synth.DefaultConfig(synth.ISPCE)

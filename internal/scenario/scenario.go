@@ -1,12 +1,12 @@
 // Package scenario is the declarative what-if layer over the synthetic
-// traffic model: a small YAML schema declaring vantage points, membership
-// and class mixes, and an event timeline (lockdown waves, holidays, flash
-// events, link outages, a return to office) that compiles down to the
-// synth.Component/Response models the experiments already consume. The
-// paper's own COVID-19 timeline is just the shipped default scenario
-// (examples/scenarios/default.yaml), which compiles to the built-in model
-// bit for bit; everything else is a variant, tagged as such so derived
-// caches and goldens never alias it with the default.
+// traffic model: a small YAML schema declaring membership and class mixes
+// of the fixed vantage points, and an event timeline (lockdown waves,
+// holidays, flash events, link outages, a return to office) that compiles
+// down to the synth.Component/Response models the experiments already
+// consume. The paper's own COVID-19 timeline is just the shipped default
+// scenario (examples/scenarios/default.yaml), which compiles to the
+// built-in model bit for bit; everything else is a variant, tagged as such
+// so derived caches and goldens never alias it with the default.
 //
 // docs/SCENARIOS.md holds the generated schema reference; regenerate it
 // with "lockdown scenario doc" after changing the schema.
@@ -75,8 +75,6 @@ type Scenario struct {
 	// defaults; explicit CLI flags still win.
 	Seed      int64
 	FlowScale float64
-	// VPs are the vantage points the scenario generates.
-	VPs []synth.VantagePoint
 	// Members overrides the IXP membership counts.
 	Members map[synth.VantagePoint]int
 	// ClassMix scales the baseline rate of every component of a class.
@@ -224,26 +222,26 @@ func (d *decoder) date(m *node, path, key string) (time.Time, int, bool, error) 
 		d.errf(line, joinPath(path, key), "invalid date %q (want YYYY-MM-DD or YYYY-MM-DD HH:MM, UTC)", s)
 }
 
-func (d *decoder) strings(m *node, path, key string) ([]string, []int, int, bool, error) {
+func (d *decoder) strings(m *node, path, key string) ([]string, []int, bool, error) {
 	c := m.child(key)
 	if c == nil {
-		return nil, nil, 0, false, nil
+		return nil, nil, false, nil
 	}
 	p := joinPath(path, key)
 	if c.kind != seqNode {
-		return nil, nil, c.line, true, d.errf(c.line, p, "expected a list")
+		return nil, nil, true, d.errf(c.line, p, "expected a list")
 	}
 	var out []string
 	var lines []int
 	for i, item := range c.items {
 		s, line, err := d.scalar(item, fmt.Sprintf("%s[%d]", p, i))
 		if err != nil {
-			return nil, nil, c.line, true, err
+			return nil, nil, true, err
 		}
 		out = append(out, s)
 		lines = append(lines, line)
 	}
-	return out, lines, m.keyLine[key], true, nil
+	return out, lines, true, nil
 }
 
 // Load reads and validates a scenario file.
@@ -265,7 +263,7 @@ func Parse(file string, data []byte) (*Scenario, error) {
 	s := &Scenario{file: file}
 	if err := d.strictKeys(root, "",
 		"name", "description", "seed", "flow_scale",
-		"vantage_points", "members", "class_mix", "events"); err != nil {
+		"members", "class_mix", "events"); err != nil {
 		return nil, err
 	}
 	if err := d.decodeTop(root, s); err != nil {
@@ -312,35 +310,11 @@ func (d *decoder) decodeTop(root *node, s *Scenario) error {
 		s.FlowScale = v
 	}
 
-	vps := knownVPs()
-	names, lines, keyLine, ok, err := d.strings(root, "", "vantage_points")
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return d.errf(root.line, "vantage_points", "required (which vantage points to generate)")
-	}
-	if len(names) == 0 {
-		return d.errf(keyLine, "vantage_points", "must not be empty")
-	}
-	seen := map[synth.VantagePoint]bool{}
-	for i, n := range names {
-		vp, known := vps[n]
-		if !known {
-			return d.errf(lines[i], fmt.Sprintf("vantage_points[%d]", i),
-				"unknown vantage point %q (have %s)", n, vpNames())
-		}
-		if seen[vp] {
-			return d.errf(lines[i], fmt.Sprintf("vantage_points[%d]", i), "duplicate vantage point %q", n)
-		}
-		seen[vp] = true
-		s.VPs = append(s.VPs, vp)
-	}
-
 	if m := root.child("members"); m != nil {
 		if m.kind != mapNode {
 			return d.errf(m.line, "members", "expected a mapping of vantage point to member count")
 		}
+		vps := knownVPs()
 		s.Members = map[synth.VantagePoint]int{}
 		for _, k := range m.keys {
 			path := joinPath("members", k)
@@ -539,7 +513,7 @@ func (d *decoder) decodeFlash(m *node, path string, ev *Event) error {
 		return d.errf(line, joinPath(path, "factor"), "must not be negative, got %g", f)
 	}
 	ev.Factor = f
-	names, lines, _, ok, err := d.strings(m, path, "classes")
+	names, lines, ok, err := d.strings(m, path, "classes")
 	if err != nil {
 		return err
 	}
@@ -585,7 +559,7 @@ func (d *decoder) decodeOutage(m *node, path string, ev *Event) error {
 		ev.Residual = v
 	}
 	vps := knownVPs()
-	names, lines, _, ok, err := d.strings(m, path, "vantage_points")
+	names, lines, ok, err := d.strings(m, path, "vantage_points")
 	if err != nil {
 		return err
 	}
@@ -625,10 +599,6 @@ func (d *decoder) decodeReturn(m *node, path string, ev *Event) error {
 // and overlap, overlay-only keys on the primary wave, per-vantage-point
 // outage overlap, and end/start consistency.
 func (d *decoder) crossValidate(s *Scenario) error {
-	inScenario := map[synth.VantagePoint]bool{}
-	for _, vp := range s.VPs {
-		inScenario[vp] = true
-	}
 	var waves []Event
 	outages := map[synth.VantagePoint][]Event{}
 	for i, ev := range s.Events {
@@ -686,13 +656,9 @@ func (d *decoder) crossValidate(s *Scenario) error {
 			}
 			vps := ev.VPs
 			if len(vps) == 0 {
-				vps = s.VPs
+				vps = synth.AllVantagePoints()
 			}
 			for _, vp := range vps {
-				if !inScenario[vp] {
-					return d.errf(ev.Line, joinPath(path, "vantage_points"),
-						"vantage point %q is not part of this scenario", vp)
-				}
 				for _, prev := range outages[vp] {
 					if ev.Start.Before(prev.End) && prev.Start.Before(ev.End) {
 						return d.errf(ev.Line, joinPath(path, "start"),

@@ -24,7 +24,7 @@ func TestPlanMatchesReferenceOnScenarios(t *testing.T) {
 			t.Fatal(err)
 		}
 		modified := 0
-		for _, vp := range s.VPs {
+		for _, vp := range synth.AllVantagePoints() {
 			cfg := s.Config(vp)
 			if cfg.Variant == "" {
 				continue // compiles to the built-in model, covered there
@@ -57,7 +57,7 @@ func TestSeverityZeroStopsShift(t *testing.T) {
 		t.Fatal(err)
 	}
 	shifting := 0
-	for _, vp := range s.VPs {
+	for _, vp := range synth.AllVantagePoints() {
 		for name, w := range synth.MaxShiftWeights(t, s.Config(vp)) {
 			shifting++
 			if w != 0 {

@@ -215,7 +215,7 @@ func ispCEComponents() []Component {
 			Ports: []flowrec.PortProto{udp(8801), udp(3480), udp(3478), tcp(443)},
 			Dir:   flowrec.DirIngress, BaseGbps: 4, WeekendLevel: 0.6,
 			Workday: office, Weekend: resWE,
-			Resp:         earlyResponse(Response{Peak: 2.4, PeakWorkHours: 3.4, PeakWeekend: 2.2, Retained: 0.6, PreRamp: 0.15}),
+			Resp:         earlyResponse(Response{Peak: 2.4, PeakWorkHours: 3.4, PeakWeekend: 2.2, Retained: 0.6}),
 			Residential:  true,
 			EndpointPool: 1500,
 		},
@@ -224,7 +224,7 @@ func ispCEComponents() []Component {
 			SrcASNs: asCollab, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirIngress, BaseGbps: 8, WeekendLevel: 0.7,
 			Workday: office, Weekend: resWE,
-			Resp:         earlyResponse(Response{Peak: 1.8, PeakWorkHours: 2.3, PeakWeekend: 1.4, Retained: 0.5, PreRamp: 0.2}),
+			Resp:         earlyResponse(Response{Peak: 1.8, PeakWorkHours: 2.3, PeakWeekend: 1.4, Retained: 0.5}),
 			Residential:  true,
 			EndpointPool: 1200,
 		},
@@ -233,7 +233,7 @@ func ispCEComponents() []Component {
 			SrcASNs: asMessaging, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443), tcp(5222)},
 			Dir: flowrec.DirIngress, BaseGbps: 8, WeekendLevel: 1.1,
 			Workday: res, Weekend: resWE, Shift: shift,
-			Resp:         earlyResponse(Response{Peak: 2.6, PeakWorkHours: 3.1, PeakWeekend: 2.4, Retained: 0.5, PreRamp: 0.3}),
+			Resp:         earlyResponse(Response{Peak: 2.6, PeakWorkHours: 3.1, PeakWeekend: 2.4, Retained: 0.5}),
 			Residential:  true,
 			EndpointPool: 6000,
 		},
@@ -243,7 +243,7 @@ func ispCEComponents() []Component {
 			Ports: []flowrec.PortProto{tcp(993), tcp(587), tcp(995), tcp(465), tcp(25)},
 			Dir:   flowrec.DirIngress, BaseGbps: 4, WeekendLevel: 0.6,
 			Workday: office, Weekend: resWE,
-			Resp:         earlyResponse(Response{Peak: 1.3, PeakWorkHours: 1.6, PeakWeekend: 1.05, Retained: 0.4, PreRamp: 0.15}),
+			Resp:         earlyResponse(Response{Peak: 1.3, PeakWorkHours: 1.6, PeakWeekend: 1.05, Retained: 0.4}),
 			Residential:  true,
 			EndpointPool: 3000,
 		},
@@ -252,7 +252,7 @@ func ispCEComponents() []Component {
 			SrcASNs: asEducational, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirIngress, BaseGbps: 5, WeekendLevel: 0.5,
 			Workday: office, Weekend: resWE,
-			Resp:         earlyResponse(Response{Peak: 2.5, PeakWorkHours: 3.0, PeakWeekend: 1.3, Retained: 0.4, PreRamp: 0.1}),
+			Resp:         earlyResponse(Response{Peak: 2.5, PeakWorkHours: 3.0, PeakWeekend: 1.3, Retained: 0.4}),
 			Residential:  true,
 			EndpointPool: 1500,
 		},
@@ -262,7 +262,7 @@ func ispCEComponents() []Component {
 			Ports: []flowrec.PortProto{udp(4500), udp(1194), udp(500), tcp(1194)},
 			Dir:   flowrec.DirEgress, BaseGbps: 5, WeekendLevel: 0.5,
 			Workday: office, Weekend: resWE,
-			Resp:         earlyResponse(Response{Peak: 1.9, PeakWorkHours: 2.6, PeakWeekend: 1.1, Retained: 0.5, PreRamp: 0.2}),
+			Resp:         earlyResponse(Response{Peak: 1.9, PeakWorkHours: 2.6, PeakWeekend: 1.1, Retained: 0.5}),
 			Residential:  true,
 			EndpointPool: 1200,
 		},
@@ -271,7 +271,7 @@ func ispCEComponents() []Component {
 			SrcASNs: asEnterprise, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirEgress, BaseGbps: 6, WeekendLevel: 0.5,
 			Workday: office, Weekend: resWE,
-			Resp:         earlyResponse(Response{Peak: 2.2, PeakWorkHours: 3.2, PeakWeekend: 1.3, Retained: 0.5, PreRamp: 0.2}),
+			Resp:         earlyResponse(Response{Peak: 2.2, PeakWorkHours: 3.2, PeakWeekend: 1.3, Retained: 0.5}),
 			Residential:  true,
 			EndpointPool: 1200,
 		},
@@ -376,7 +376,7 @@ func ispCEComponents() []Component {
 			SrcASNs: asEnterprise, DstASNs: asEyeballEU, Ports: []flowrec.PortProto{tcp(443)},
 			Dir: flowrec.DirEgress, BaseGbps: 12, WeekendLevel: 0.5,
 			Workday: office, Weekend: resWE,
-			Resp:         earlyResponse(Response{Peak: 2.0, PeakWorkHours: 2.7, PeakWeekend: 1.2, Retained: 0.5, PreRamp: 0.2}),
+			Resp:         earlyResponse(Response{Peak: 2.0, PeakWorkHours: 2.7, PeakWeekend: 1.2, Retained: 0.5}),
 			Residential:  true,
 			EndpointPool: 1000,
 		},
@@ -456,7 +456,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: asVoD, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(1400), WeekendLevel: 1.15,
 			Workday: entertainment, Weekend: we, LockdownShape: allday, Shift: shift,
-			Resp:         earlyDemand(Response{Peak: r.vodPeak, Retained: r.retained, PreRamp: 0.3, Dip: r.vodDip, Delay: r.delay}),
+			Resp:         earlyDemand(Response{Peak: r.vodPeak, Retained: r.retained, Dip: r.vodDip, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 6000,
 		},
@@ -493,7 +493,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: asSocial, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(450), WeekendLevel: 1.1,
 			Workday: wd, Weekend: we, Shift: shift,
-			Resp:         earlyResponse(Response{Peak: r.socialPeak, Retained: 0.15, PreRamp: 0.3, Delay: r.delay}),
+			Resp:         earlyResponse(Response{Peak: r.socialPeak, Retained: 0.15, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 8000,
 		},
@@ -503,7 +503,7 @@ func ixpComponents(r ixpRegion) []Component {
 			Ports:    []flowrec.PortProto{udp(3074), udp(27015), udp(3659), tcp(27015), udp(30000), udp(8393)},
 			BaseGbps: s(260), WeekendLevel: 1.3,
 			Workday: entertainment, Weekend: we, LockdownShape: allday, Shift: shift,
-			Resp: earlyDemand(Response{Peak: r.gamingPeak, PeakWeekend: r.gamingPeak * 0.95, Retained: 0.6, PreRamp: 0.2,
+			Resp: earlyDemand(Response{Peak: r.gamingPeak, PeakWeekend: r.gamingPeak * 0.95, Retained: 0.6,
 				Delay: r.delay, Outage: r.gamingOutage}),
 			Residential:  true,
 			EndpointPool: 5000,
@@ -515,7 +515,7 @@ func ixpComponents(r ixpRegion) []Component {
 			BaseGbps: s(60), WeekendLevel: 0.6,
 			Workday: office, Weekend: we,
 			Resp: earlyResponse(Response{Peak: r.confPeak * 0.75, PeakWorkHours: r.confPeak, PeakWeekend: r.confPeak * 0.7,
-				Retained: 0.6, PreRamp: 0.15, Delay: r.delay}),
+				Retained: 0.6, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 2500,
 		},
@@ -524,7 +524,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: asCollab, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(90), WeekendLevel: 0.7,
 			Workday: office, Weekend: we,
-			Resp: earlyResponse(Response{Peak: r.collabPeak, PeakWorkHours: r.collabPeak * 1.25, Retained: 0.5, PreRamp: 0.2,
+			Resp: earlyResponse(Response{Peak: r.collabPeak, PeakWorkHours: r.collabPeak * 1.25, Retained: 0.5,
 				Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 2000,
@@ -534,7 +534,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: asMessaging, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443), tcp(5222)},
 			BaseGbps: s(80), WeekendLevel: 1.1,
 			Workday: wd, Weekend: we, Shift: shift,
-			Resp:         earlyResponse(Response{Peak: r.messagingPk, Retained: 0.5, PreRamp: 0.3, Delay: r.delay}),
+			Resp:         earlyResponse(Response{Peak: r.messagingPk, Retained: 0.5, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 9000,
 		},
@@ -545,7 +545,7 @@ func ixpComponents(r ixpRegion) []Component {
 			BaseGbps: s(40), WeekendLevel: 0.6,
 			Workday: office, Weekend: we,
 			Resp: earlyResponse(Response{Peak: r.emailPeak, PeakWorkHours: r.emailPeak * 1.15, PeakWeekend: 1.0,
-				Retained: 0.4, PreRamp: 0.15, Delay: r.delay}),
+				Retained: 0.4, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 4000,
 		},
@@ -554,7 +554,9 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: asEducational, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(50), WeekendLevel: 0.5,
 			Workday: office, Weekend: we,
-			Resp:         earlyResponse(Response{Peak: r.eduPeak, Retained: 0.5, PreRamp: 0.1, Delay: r.delay}),
+			// Retained moves nothing at IXP-SE, whose eduPeak of 1 has no
+			// excursion to retain; IXP-CE and IXP-US share it.
+			Resp:         earlyResponse(Response{Peak: r.eduPeak, Retained: 0.5, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 2500,
 		},
@@ -576,7 +578,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: asEnterprise, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(443)},
 			BaseGbps: s(55), WeekendLevel: 0.5,
 			Workday: office, Weekend: we,
-			Resp: earlyResponse(Response{Peak: 2.2, PeakWorkHours: 3.3, PeakWeekend: 1.4, Retained: 0.55, PreRamp: 0.2,
+			Resp: earlyResponse(Response{Peak: 2.2, PeakWorkHours: 3.3, PeakWeekend: 1.4, Retained: 0.55,
 				Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 2000,
@@ -596,7 +598,7 @@ func ixpComponents(r ixpRegion) []Component {
 			SrcASNs: []uint32{203561}, DstASNs: r.eyeballs, Ports: []flowrec.PortProto{tcp(8200)},
 			BaseGbps: s(90), WeekendLevel: 1.2,
 			Workday: entertainment, Weekend: we, LockdownShape: allday, Shift: shift,
-			Resp:         earlyDemand(Response{Peak: 1.5, PeakWeekend: 1.6, Retained: 0.5, PreRamp: 0.2, Delay: r.delay}),
+			Resp:         earlyDemand(Response{Peak: 1.5, PeakWeekend: 1.6, Retained: 0.5, Delay: r.delay}),
 			Residential:  true,
 			EndpointPool: 1500,
 		},
@@ -692,7 +694,8 @@ func eduComponents() []Component {
 			Workday: campus, Weekend: resWE, LockdownShape: remote, Shift: shift,
 			// Served volume grows faster than the number of incoming web
 			// connections (+77% in the paper), so the connection response
-			// is tracked separately from the byte response.
+			// is tracked separately from the byte response. Its PreRamp
+			// lifts Figure 12's Feb 27 baseline (1.739, not 1.690, without it).
 			Resp:        Response{Peak: 2.6, PeakWorkHours: 3.0, Retained: 0.85, PreRamp: 0.1},
 			ConnResp:    &Response{Peak: 1.75, PeakWorkHours: 1.9, Retained: 0.85, PreRamp: 0.1},
 			WeekendResp: weekendGrow,
