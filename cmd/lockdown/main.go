@@ -33,15 +33,18 @@
 //	              0.5; 0 selects it; not finite or negative: usage error)
 //	-seed n       generator seed override
 //	-cache-budget n  resident flow-batch cache cap (bytes, K/M/G suffixes;
-//	              0 = unlimited, every batch stays resident). Default 16M
-//	              where the flow source is the in-process generator: colder
-//	              days are dropped and generated again if touched again.
-//	              Default 0 for replay/cluster, where a re-touch is a wire
-//	              round trip. Output is byte-identical at any budget
+//	              0 = unlimited). A suite run holds no flow batch: every
+//	              experiment reads each day as a reduction, taken at the
+//	              day's one draw, after which the batch is dropped, so the
+//	              run evicts, spills and faults nothing at any budget and
+//	              its tier line reads 0. The budget bounds only batches
+//	              drawn directly (the tests' read-back). Default 16M for
+//	              run/all/doc/scenario run, 0 for replay/cluster (no tier
+//	              line). Output is byte-identical at any budget
 //	-cache-dir d  keep evicted flow batches as mmap-backed columnar spans
 //	              in files under d and fault them back in, instead of
-//	              dropping them (see internal/flowstore). Default: none,
-//	              no file is written
+//	              dropping them (see internal/flowstore). A suite run
+//	              evicts nothing, so it writes no file. Default: none
 //	-cpuprofile f write a pprof CPU profile of the command to f
 //	-memprofile f write a pprof heap profile (after the run) to f
 //	-metrics-addr a  serve live observability over HTTP at a for the life
@@ -282,15 +285,15 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 	all.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to this `file`")
 	all.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this `address` (':0' picks a free port; empty = off)")
 	all.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON trace of the run to this `file` (empty = off)")
-	// The modes that generate in process bound their memory by default: a
-	// re-touched day costs one more generation. Over the wire it costs a
-	// round trip, so those modes keep everything.
+	// No suite run links a flow batch (each is dropped at its one draw), so
+	// the budget bounds only direct draws; the defaults keep the tier line
+	// on the in-process modes and off the wire modes.
 	budget := "16M"
 	if m.shards > 0 {
 		budget = "0"
 	}
 	o.core.CacheBudget, _ = parseSize(budget)
-	all.Func("cache-budget", "resident flow-batch cache budget in `bytes` (K/M/G suffixes; 0 = unlimited; default "+budget+"); evicted batches are dropped and generated again on their next access", func(s string) (err error) {
+	all.Func("cache-budget", "resident flow-batch cache budget in `bytes` (K/M/G suffixes; 0 = unlimited; default "+budget+"); bounds batches drawn directly: a suite run drops each batch at its one draw and holds none", func(s string) (err error) {
 		o.core.CacheBudget, err = parseSize(s)
 		return err
 	})

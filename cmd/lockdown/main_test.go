@@ -309,11 +309,11 @@ func TestMetricCatalog(t *testing.T) {
 
 // TestSuiteEvents: the stderr summary of a suite run matches the regular
 // expressions CI greps it with. A budgeted run prints its flow-batch tier
-// line, whether it forgets evicted batches or spills them; an unbudgeted
-// run keeps every batch resident and prints none. A budgeted run that
-// evicted nothing, as the default budget at -scale 0.1 does, passes no
-// eviction grep, and one that brought a batch back passes no grep at all:
-// the suite reads every batch once.
+// line; an unbudgeted run prints none. A suite run holds no batch, so each
+// of CI's three tier greps — the default budget, a 1-byte budget, and a
+// 1-byte budget with a cache dir — passes only the line that reads 0
+// everywhere, and no line of a run that held, evicted, spilled or brought
+// back a batch.
 func TestSuiteEvents(t *testing.T) {
 	render := func(stats core.CacheStats) string {
 		t.Helper()
@@ -323,46 +323,28 @@ func TestSuiteEvents(t *testing.T) {
 		}
 		return out.String()
 	}
-	forget := render(core.CacheStats{Entries: 218, Hits: 346, Misses: 218, Budget: 1,
-		ResidentBytes: 16 << 20, Evictions: 97})
-	spill := render(core.CacheStats{Entries: 218, Hits: 346, Misses: 218, Budget: 1,
-		Spills: 201, SpilledBytes: 27 << 20, Evictions: 201})
-	resident := render(core.CacheStats{Entries: 218, Hits: 346, Misses: 218, Budget: 16 << 20,
-		ResidentBytes: 5 << 20})
-	faulted := map[string]string{
-		forget: render(core.CacheStats{Entries: 218, Hits: 381, Misses: 218, Budget: 1,
-			Faults: 35, ResidentBytes: 16 << 20, Evictions: 221}),
-		spill: render(core.CacheStats{Entries: 218, Hits: 381, Misses: 218, Budget: 1,
-			Spills: 201, Faults: 35, SpilledBytes: 27 << 20, Evictions: 236}),
+	held := render(core.CacheStats{Entries: 218, Hits: 66, Misses: 218, Budget: 1})
+	greps := ciGreps(t, `grep -E '(\^flow-batch tiers: [^']*)' /tmp/all_(?:default|forget|tiny)_err\.txt`, 3)
+	for _, m := range greps {
+		if grepCount(m[0], held) != 1 {
+			t.Errorf("CI's %q matches no line of:\n%s", m[0], held)
+		}
 	}
-	if !strings.Contains(resident, "flow-batch tiers: 0 spills, 0 faults,") {
-		t.Fatalf("a budgeted run that evicted nothing printed no tier line:\n%s", resident)
-	}
-	for _, tc := range []struct {
-		selector string
-		greps    int
-		out      string
-	}{
-		// The default-budget and the forced-eviction steps, which run
-		// without a cache dir.
-		{`grep -E '(\^flow-batch tiers: [^']*)' /tmp/all_(?:default|forget)_err\.txt`, 2, forget},
-		// The forced-spill step picks the tier line, then reads it.
-		{`grep '([^']*)' /tmp/all_tiny_err\.txt`, 1, spill},
-		{`grep -Eq '([^']*spills[^']*)'`, 1, spill},
+	for _, bad := range []core.CacheStats{
+		{Entries: 218, Hits: 66, Misses: 218, Budget: 16 << 20, ResidentBytes: 5 << 20},
+		{Entries: 218, Hits: 66, Misses: 218, Budget: 1, Evictions: 201},
+		{Entries: 218, Hits: 66, Misses: 218, Budget: 1, Spills: 201, SpilledBytes: 27 << 20, Evictions: 201},
+		{Entries: 218, Hits: 101, Misses: 218, Budget: 1, Faults: 35, Evictions: 35},
+		{Entries: 218, Hits: 66, Misses: 218, Budget: 1, Regens: 1},
 	} {
-		for _, m := range ciGreps(t, tc.selector, tc.greps) {
-			if grepCount(m[0], tc.out) != 1 {
-				t.Errorf("CI's %q matches no line of:\n%s", m[0], tc.out)
-			}
-			if tc.out == forget && grepCount(m[0], resident) != 0 {
-				t.Errorf("CI's %q passes a run that evicted nothing:\n%s", m[0], resident)
-			}
-			if strings.Contains(m[0], "faults") && grepCount(m[0], faulted[tc.out]) != 0 {
-				t.Errorf("CI's %q passes a run that brought a batch back:\n%s", m[0], faulted[tc.out])
+		out := render(bad)
+		for _, m := range greps {
+			if grepCount(m[0], out) != 0 {
+				t.Errorf("CI's %q passes a run that held, evicted, spilled or faulted a batch:\n%s", m[0], out)
 			}
 		}
 	}
-	if out := render(core.CacheStats{Entries: 218, Hits: 389, Misses: 218}); strings.Contains(out, "flow-batch tiers:") {
+	if out := render(core.CacheStats{Entries: 218, Hits: 66, Misses: 218}); strings.Contains(out, "flow-batch tiers:") {
 		t.Errorf("an unbudgeted run printed a tier line:\n%s", out)
 	}
 }
@@ -462,28 +444,40 @@ func TestWireEvents(t *testing.T) {
 		"wire pump: 9 requests, 80 rows exported, 1 nacks")
 }
 
-// TestSpillFileNames: a run that spills leaves span files under its cache
-// dir that CI's grep of that dir's listing finds.
+// TestSpillFileNames: a suite run under a 1-byte budget and a cache dir
+// leaves no file there that CI's grep of that dir's listing finds, and the
+// grep is not vacuous: reading the run's batches back, which evicts each
+// one into the dir, leaves span files it finds.
 func TestSpillFileNames(t *testing.T) {
-	pattern := ciGreps(t, `grep -q '([^']*)' /tmp/spill_files\.txt`, 1)[0][0]
+	pattern := regexp.MustCompile(ciGreps(t, `grep -q '([^']*)' /tmp/spill_files\.txt`, 1)[0][0])
 	dir := t.TempDir()
-	engine := core.NewEngine(core.Options{FlowScale: 0.05, CacheBudget: 1, CacheDir: dir})
+	opts := core.Options{FlowScale: 0.05, CacheBudget: 1, CacheDir: dir}
+	engine := core.NewEngine(opts)
 	defer engine.Data().Close()
+	files := func() []string {
+		var files []string
+		err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
+			if err == nil && !e.IsDir() {
+				files = append(files, path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return files
+	}
 	if _, err := engine.Run(context.Background(), "fig10"); err != nil {
 		t.Fatal(err)
 	}
-	var files []string
-	err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
-		if err == nil && !e.IsDir() {
-			files = append(files, path)
-		}
-		return err
-	})
-	if err != nil {
+	if got := files(); slices.ContainsFunc(got, pattern.MatchString) {
+		t.Errorf("a suite run wrote files CI's %q matches: %q", pattern, got)
+	}
+	if _, err := engine.Data().Reread(core.NewSyntheticSource(opts)); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.ContainsFunc(files, regexp.MustCompile(pattern).MatchString) {
-		t.Errorf("no file under the cache dir matches CI's %q: %q", pattern, files)
+	if got := files(); !slices.ContainsFunc(got, pattern.MatchString) {
+		t.Errorf("no file under the cache dir matches CI's %q after the read-back: %q", pattern, got)
 	}
 }
 
@@ -677,6 +671,7 @@ var exportWhy = map[string]string{
 	// The harness of the replay and cluster golden tests.
 	"goldentest.RunSuite":       "why: the golden tests' shared harness (replay.TestGolden*, cluster.TestGolden*)",
 	"goldentest.CompareResults": "why: the golden tests' shared comparison contract",
+	"goldentest.HoldsNoBatch":   "why: the golden tests' shared cache-stats contract (replay.TestGolden*, cluster.TestGolden*)",
 
 	// The span tier's read side, which goes with -cache-dir and the tier.
 	"flowstore.OpenSpanned":   "why: the span-file tests and FuzzOpenSpanned open sealed files with it",

@@ -106,23 +106,17 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 		})
 	}
 
-	// Tiered-cache variant: with a 1-byte cache budget every batch the
-	// sharded bridge serves spills to a flowstore segment — N-shard runs
-	// no longer hold N shards of history resident — the metrics must
-	// still equal the unbudgeted in-memory engine's, and the suite brings
-	// no batch back; read back after the run, every spilled batch faults
-	// in from its span and equals a fresh generation.
+	// Tiered-cache variant: under a 1-byte cache budget and a cache dir the
+	// metrics must still equal the unbudgeted in-memory engine's, and the
+	// suite holds, evicts and spills no batch the sharded bridge serves;
+	// read back after the run, every batch is fetched over the wire again,
+	// equals a fresh generation and is spilled once.
 	t.Run("ipfix-flow-experiments-3-shards-tiny-budget", func(t *testing.T) {
 		opts := goldenOpts
 		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
 		got, stats, cache, back := runShardedOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, 3, opts)
 		goldentest.CompareResults(t, "ipfix 3-shard tiny-budget", flowWant, got)
-		if cache.Spills == 0 || cache.Faults != 0 {
-			t.Errorf("tiny budget should spill every sharded-bridge batch and the suite bring none back: %+v", cache)
-		}
-		if back.Faults != cache.Spills || back.Regens != 0 {
-			t.Errorf("reading back should map every spilled sharded-bridge batch once: %+v", back)
-		}
+		goldentest.HoldsNoBatch(t, "ipfix 3-shard tiny-budget", opts, cache, back)
 		t.Logf("ipfix 3-shard tiny-budget: %+v cache %+v", stats.Bridge, back)
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,20 +24,27 @@ import (
 // Options value, so a key names the input alone: the vantage point for a
 // model, a FlowKey for a flow batch, a range for a series.
 //
-// Flow batches, one per FlowKey (read through Env's flowBatch,
-// componentFlowBatch and partial), are drawn from the
-// dataset's FlowSource: by default its own model, projected to each kind's
-// columns, or — via NewDatasetWithSource — any other implementation, e.g.
-// the wire-replay bridge that serves the same batches off live
-// NetFlow/IPFIX export. Volume series always come from the local
+// Flow batches, one per FlowKey, are drawn from the dataset's FlowSource:
+// by default its own model, projected to each kind's columns, or — via
+// NewDatasetWithSource — any other implementation, e.g. the wire-replay
+// bridge that serves the same batches off live NetFlow/IPFIX export. Volume series always come from the local
 // generator model; only the flow-record path is sourced.
 //
-// Flow-batch entries are a working set, not the dataset. With
-// Options.CacheBudget unset every batch stays resident. With a budget,
-// the least-recently-used unpinned batches are evicted once the resident
-// estimate exceeds it, and an evicted batch is simply forgotten: its next
-// access rebuilds it from the flow source, which is a pure function of
-// the key. Naming Options.CacheDir adds a disk tier in between: an evicted
+// An experiment never holds a batch: it reads each of its days as a
+// reduction (Env.partial, reads.go), a per-day fold of the batch into a
+// small partial. The first draw of a key runs every reduction the run's
+// experiments declared on it, keeps the partials on the entry and drops
+// the batch, which thus never becomes resident; each partial is dropped in
+// turn once every reader that declared it has taken it. A suite run thus
+// draws each key once, holds no batch past that draw and, at any budget,
+// evicts, spills and faults nothing.
+//
+// A batch drawn directly (Dataset.batch: Reread, the tests) is linked
+// into a working set. With Options.CacheBudget unset every such batch
+// stays resident. With a budget, the least-recently-used unpinned
+// batches are evicted once the resident estimate exceeds it, and an
+// evicted batch is simply forgotten: its next access rebuilds it from the
+// flow source, which is a pure function of the key. Naming Options.CacheDir adds a disk tier in between: an evicted
 // batch is first appended as a span to an append-only span file (package
 // flowstore) and faulted back in — via a read-only mmap view of exactly
 // that span, no decode and no copy — on its next access. Entries touched
@@ -48,13 +54,6 @@ import (
 // one; spilling is an optimisation, never a new failure mode. Batches are
 // identical bit for bit whether they were generated, faulted in, or
 // rebuilt, so every metric of the suite is byte-identical at any budget.
-//
-// A batch is drawn once per run even under a budget: the readers of a day
-// two experiments share meet at its first draw, which runs every
-// reduction declared on the key and keeps the small partials on the entry
-// (reads.go). The second reader takes its partial and never asks for the
-// batch, so the suite evicts but never faults; only a batch read again
-// outside the suite's readers (Reread, a direct draw) comes back.
 //
 // Concurrency model: a per-key entry is installed under a short mutex, and
 // the expensive generation runs inside the entry's sync.Once, so
@@ -78,8 +77,9 @@ type Dataset struct {
 	series  map[seriesKey]*memo[*timeseries.Series]
 	offsets map[FlowKey]*memo[[]int] // hourRows' row offsets, per key asked
 
-	readers  map[FlowKey][]*reduction         // the reductions declared on each key (declare)
+	readers  map[FlowKey][]reader             // the reductions declared on each key, with their takes left (declare, take)
 	reducers map[*reduction]*memo[reduceFunc] // each reduction's function, built once
+	taken    func(FlowKey, *reduction, any)   // when set, sees every partial a reader takes (tests)
 
 	// Cache instruments: one count per memoized lookup — a model part, a
 	// series range, a flow batch — a miss when the lookup installed the
@@ -121,9 +121,12 @@ type seriesKey struct {
 }
 
 // flowEntry is the evictable cache slot of one flow batch. The first
-// access generates the batch inside once; the rest of the machinery tracks
-// which tier the batch currently occupies:
+// access generates the batch inside once. A first draw for a reduction
+// keeps the partials and drops the batch, which leaves the entry as if
+// forgotten; the rest of the machinery tracks which tier a batch drawn
+// directly currently occupies:
 //
+//	dropped  ──fault (build again)──────────▶ resident    (first draw was a reduction)
 //	resident ──evict────────────────────────▶ forgotten   (no CacheDir)
 //	resident ◀──────fault (build again)────── forgotten
 //	resident ──evict (append on first time)──▶ spilled     (CacheDir set)
@@ -137,7 +140,8 @@ type flowEntry struct {
 	err  error // the first build failed; the entry never holds a batch
 
 	// partials are the reductions of the batch its first draw ran, by
-	// reduction; set inside once and read-only after it.
+	// reduction: set inside once, then each deleted, under Dataset.mu, by
+	// the last take its declared readers make (Dataset.take).
 	partials map[*reduction]any
 
 	// rows and cols of the batch as the source delivered it, in whichever
@@ -175,7 +179,7 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 		flows:     make(map[FlowKey]*flowEntry),
 		series:    make(map[seriesKey]*memo[*timeseries.Series]),
 		offsets:   make(map[FlowKey]*memo[[]int]),
-		readers:   make(map[FlowKey][]*reduction),
+		readers:   make(map[FlowKey][]reader),
 		reducers:  make(map[*reduction]*memo[reduceFunc]),
 		budget:    opts.CacheBudget,
 		lru:       list.New(),
@@ -255,10 +259,13 @@ func (d *Dataset) entry(k FlowKey, pin *Pin, asked *reduction) (*flowEntry, erro
 
 // fill is the first draw of an entry, run inside its once: it asks the
 // flow source for the batch, runs every reduction declared on the key
-// (declare) on it and keeps the partials, then pins the entry for the
-// caller and links it resident. A reduction the caller did not ask for
-// runs in a "reduce" trace span naming its owner and the key, so the time
-// one experiment spends folding a day for another shows as such.
+// (declare) on it and keeps the partials. When the caller asked for a
+// reduction the batch is then dropped: it is never linked, so it is never
+// resident, evicted or spilled, and only its rows and columns stay, for
+// the batch accounting. A caller that asked for the batch has the entry
+// pinned and linked resident. A reduction the caller did not ask for runs in a
+// "reduce" trace span naming its owner and the key, so the time one
+// experiment spends folding a day for another shows as such.
 func (d *Dataset) fill(fe *flowEntry, pin *Pin, asked *reduction) error {
 	b, err := fetch(d.src, fe.key)
 	if err == nil {
@@ -268,7 +275,10 @@ func (d *Dataset) fill(fe *flowEntry, pin *Pin, asked *reduction) error {
 		return err
 	}
 	d.mu.Lock()
-	rs := slices.Clone(d.readers[fe.key])
+	rs := make([]*reduction, 0, len(d.readers[fe.key]))
+	for _, x := range d.readers[fe.key] {
+		rs = append(rs, x.r)
+	}
 	d.mu.Unlock()
 	if len(rs) > 0 {
 		fe.partials = make(map[*reduction]any, len(rs))
@@ -287,7 +297,11 @@ func (d *Dataset) fill(fe *flowEntry, pin *Pin, asked *reduction) error {
 		}
 		fe.partials[r] = p
 	}
-	fe.rows, fe.cols, fe.batch, fe.heapBytes = b.Len(), b.Columns(), b, b.HeapBytes()
+	fe.rows, fe.cols = b.Len(), b.Columns()
+	if asked != nil {
+		return nil
+	}
+	fe.batch, fe.heapBytes = b, b.HeapBytes()
 	// Pin before linking: once the entry is in the LRU another
 	// goroutine's enforceBudget could evict it unpinned, and this
 	// reader would generate the batch a second time.
@@ -299,8 +313,8 @@ func (d *Dataset) fill(fe *flowEntry, pin *Pin, asked *reduction) error {
 }
 
 // acquire returns the entry's batch, faulting it back in if it is
-// evicted, and registers the pin. The returned batch stays valid even if
-// the entry is evicted afterwards.
+// evicted or its first draw dropped it, and registers the pin. The
+// returned batch stays valid even if the entry is evicted afterwards.
 func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 	fe.mu.Lock()
 	if fe.batch == nil {
@@ -326,8 +340,8 @@ func (d *Dataset) acquire(fe *flowEntry, pin *Pin) (*flowrec.Batch, error) {
 	return b, nil
 }
 
-// faultIn brings an evicted entry's batch back, called with fe.mu held.
-// An entry with a span maps (once) and views it; an entry without one —
+// faultIn brings an evicted or dropped entry's batch back, called with
+// fe.mu held. An entry with a span maps (once) and views it; an entry without one —
 // there is no cache directory, or its span was damaged — is rebuilt from
 // the flow source. A span that fails its checksum, reaches beyond its
 // file, cannot be read or holds fewer columns than the entry's batch had
@@ -618,8 +632,9 @@ func (d *Dataset) Stats() CacheStats {
 
 // Pin keeps the flow-batch entries a scan chunk touches resident until
 // Release. ShardedScan gives each chunk one (Env.chunkEnv) and releases it
-// when the chunk returns, so eviction never races a reader; every flow
-// batch the suite reads is read inside a chunk. A Pin is used by one
+// when the chunk returns, so eviction never races a reader; every partial
+// the suite takes is taken inside a chunk, and the chunk's pin reports its
+// entry to the experiment's batch accounting. A Pin is used by one
 // goroutine (the chunk's); it is not safe for concurrent use.
 type Pin struct {
 	d       *Dataset

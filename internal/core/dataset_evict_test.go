@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -15,14 +16,16 @@ import (
 	"lockdown/internal/synth"
 )
 
-// TestEvictionForgetsWithoutCacheDir: under a 1-byte budget every flow
-// batch is evicted as soon as its pin releases. Without a cache directory
-// it is forgotten and rebuilt on its next access; with one it round-trips
-// a span. Either way all 21 results equal the unbudgeted run's, the suite
-// brings no batch back (a shared day's second reader takes the partial its
-// first draw kept), every batch read back after the run equals a fresh
-// generation, and only the run that named a directory touches the disk:
-// the other one spills nothing and leaves an empty TMPDIR empty.
+// TestEvictionForgetsWithoutCacheDir: a suite run holds no batch past its
+// first draw, so unbudgeted, under a 1-byte budget and under a 1-byte
+// budget with a cache directory it holds, evicts, spills and faults
+// nothing, and all 21 results equal the unbudgeted run's. Reading every
+// batch back after the run is where the tiers work: each batch is rebuilt
+// once and equals a fresh generation, and under the budget it is evicted
+// when read; without a cache directory it is forgotten, with one it is
+// written to a span once and none is regenerated. Only that read-back
+// touches the disk: the run without a directory spills nothing and leaves
+// an empty TMPDIR empty.
 func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite six times")
@@ -30,7 +33,7 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 	cacheDir, tmp := t.TempDir(), t.TempDir()
 	t.Setenv("TMPDIR", tmp)
 	for _, seed := range []int64{0, 7} {
-		run := func(opts Options) ([]*Result, CacheStats, CacheStats) {
+		run := func(opts Options) ([]*Result, CacheStats) {
 			t.Helper()
 			e := NewEngine(opts)
 			defer e.Data().Close()
@@ -38,30 +41,21 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 			if err != nil {
 				t.Fatalf("RunAll(%+v): %v", opts, err)
 			}
-			suite := e.Data().Stats()
-			return rs, suite, reread(t, e.Data(), opts)
+			holdsNothing(t, fmt.Sprintf("seed %d, budget %d, cache dir %q", seed, opts.CacheBudget, opts.CacheDir), e.Data())
+			return rs, reread(t, e.Data(), opts)
 		}
 		base := Options{FlowScale: 0.05, Seed: seed}
-		want, unbounded, _ := run(base)
+		want, _ := run(base)
 		if len(want) != 21 {
 			t.Fatalf("%d results, want the 21 experiments", len(want))
-		}
-		if unbounded.Evictions != 0 || unbounded.Faults != 0 {
-			t.Errorf("seed %d: an unbudgeted run must not evict: %+v", seed, unbounded)
 		}
 
 		forget := base
 		forget.CacheBudget = 1
-		got, forgot, forgotBack := run(forget)
+		got, forgotBack := run(forget)
 		sameResults(t, fmt.Sprintf("seed %d, budget 1, no cache dir", seed), want, got)
-		if forgot.Spills != 0 || forgot.SpilledBytes != 0 || forgot.Regens != 0 {
-			t.Errorf("seed %d: without a cache dir nothing may spill, and a rebuild is not a damaged span: %+v", seed, forgot)
-		}
-		if forgot.Evictions != int64(suiteKeys()) || forgot.Faults != 0 || forgot.ResidentBytes != 0 {
-			t.Errorf("seed %d: a 1-byte budget must evict each of the %d batches once and bring none back: %+v", seed, suiteKeys(), forgot)
-		}
-		if forgotBack.Faults != int64(suiteKeys()) || forgotBack.Spills != 0 || forgotBack.Regens != 0 {
-			t.Errorf("seed %d: reading every batch back must rebuild each once: %+v", seed, forgotBack)
+		if forgotBack.Faults != int64(suiteKeys()) || forgotBack.Evictions != forgotBack.Faults || forgotBack.Spills != 0 || forgotBack.Regens != 0 {
+			t.Errorf("seed %d: reading every batch back must rebuild and forget each once, and spill none: %+v", seed, forgotBack)
 		}
 		if files, err := os.ReadDir(tmp); err != nil || len(files) != 0 {
 			t.Errorf("seed %d: a run without a cache dir left %d files under TMPDIR (%v)", seed, len(files), err)
@@ -69,30 +63,47 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 
 		spill := forget
 		spill.CacheDir = cacheDir
-		got, spilled, spilledBack := run(spill)
+		got, spilledBack := run(spill)
 		sameResults(t, fmt.Sprintf("seed %d, budget 1, cache dir", seed), want, got)
-		if spilled.Spills != int64(suiteKeys()) || spilled.Faults != 0 || spilled.Regens != 0 {
-			t.Errorf("seed %d: with a cache dir every evicted batch is written once and the suite maps none back: %+v", seed, spilled)
+		if spilledBack.Faults != forgotBack.Faults || spilledBack.Spills != int64(suiteKeys()) || spilledBack.Regens != 0 {
+			t.Errorf("seed %d: reading back must rebuild every batch once, spill each once and regenerate none: forget %+v, spill %+v", seed, forgotBack, spilledBack)
 		}
-		if spilledBack.Faults != forgotBack.Faults || spilledBack.Spills != spilled.Spills || spilledBack.Regens != 0 {
-			t.Errorf("seed %d: reading back must map every span once and write none: forget %+v, spill %+v", seed, forgotBack, spilledBack)
-		}
-		if spilled.Evictions != forgot.Evictions || spilledBack.Evictions != forgotBack.Evictions {
-			t.Errorf("seed %d: the tiers disagree on what was evicted: forget %+v, spill %+v", seed, forgot, spilled)
+		if spilledBack.Evictions != forgotBack.Evictions {
+			t.Errorf("seed %d: the tiers disagree on what was evicted: forget %+v, spill %+v", seed, forgotBack, spilledBack)
 		}
 	}
 }
 
-// TestBudgetedFaultsMatchSerial: under a 1-byte budget every batch is
-// evicted when its chunk releases it, and still the suite brings none
-// back, serially or at -parallel 2, 4 and 8. The days two experiments
-// share (Figures 7a/7b and 9 on 28 workdays of ISP-CE and IXP-CE, Figure
-// 10 and ablation-vpn on the 7 days of the March week) are reduced for
-// both readers at their first draw, whichever experiment draws first;
-// nothing else reads a batch twice, and no goroutine touches a batch
-// ahead of the scan that reads it. The fault path itself is read after
-// the run: every batch, read back once, is rebuilt and equals a fresh
-// generation.
+// holdsNothing fails unless d, after a suite run, holds no batch and no
+// partial and evicted, spilled, faulted and pinned nothing: every batch
+// was dropped at its first draw, and every partial by its last reader.
+func holdsNothing(t *testing.T, label string, d *Dataset) {
+	t.Helper()
+	if s := d.Stats(); s.ResidentBytes != 0 || s.Evictions != 0 || s.Spills != 0 || s.SpilledBytes != 0 || s.Faults != 0 || s.Regens != 0 || s.Pinned != 0 {
+		t.Errorf("%s: the suite must hold, evict, spill and fault no batch: %+v", label, s)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for k, fe := range d.flows {
+		fe.mu.Lock()
+		if fe.batch != nil || fe.elem != nil || len(fe.partials) != 0 {
+			t.Errorf("%s: %v still holds a batch (%v) or %d partials", label, k, fe.batch != nil, len(fe.partials))
+		}
+		fe.mu.Unlock()
+	}
+	if len(d.readers) != 0 {
+		t.Errorf("%s: %d keys still have declared takes left", label, len(d.readers))
+	}
+}
+
+// TestBudgetedFaultsMatchSerial: under a 1-byte budget the suite brings
+// no batch back, serially or at -parallel 2, 4 and 8. The days two
+// experiments share (Figures 7a/7b and 9 on 28 workdays of ISP-CE and
+// IXP-CE, Figure 10 and ablation-vpn on the 7 days of the March week) are
+// reduced for both readers at their first draw, whichever experiment
+// draws first; nothing else reads a day twice. The fault path itself is
+// read after the run: every batch, read back once, is rebuilt and equals a
+// fresh generation.
 func TestBudgetedFaultsMatchSerial(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite eight times")
@@ -255,21 +266,20 @@ func suiteKeys() int {
 }
 
 // TestCacheBudgetBoundsResidentBytes: the CLI's default budget is a bound,
-// not a hint. At -parallel 1 every build is a quiescent point — each
+// not a hint. A suite run holds no batch, so every build during it reads
+// 0 resident bytes; the bound is read where batches are linked, on reading
+// every batch back. At -parallel 1 every build is a quiescent point — each
 // earlier access has finished enforcing the budget — so there the ledger
-// must read at most the budget plus what running chunks have pinned; the
-// walk must actually be evicting for that to mean anything, and once the
-// suite is done and every pin is released the cache fits the budget at
-// any parallelism. The suite brings no evicted batch back; reading every
-// batch back after the serial run does, within the bound, and each equals
-// a fresh generation.
+// must read at most the budget plus what is pinned; the read-back must
+// actually be evicting for that to mean anything, and once it is done the
+// cache fits the budget. Each batch read back equals a fresh generation.
 func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite twice at a scale that exceeds the budget")
 	}
 	const budget = 16 << 20
 	// Scale 1, not the CLI's 0.5: with 59 B rows the smaller suite fits 16 MB
-	// so nearly that a -parallel 4 run may never read an evicted batch back.
+	// so nearly that reading it back might evict too little to tell.
 	opts := Options{FlowScale: 1, CacheBudget: budget}
 	for _, parallel := range []int{1, 4} {
 		e := NewEngine(opts)
@@ -289,30 +299,55 @@ func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 		if _, err := e.RunAll(context.Background(), parallel); err != nil {
 			t.Fatal(err)
 		}
-		s := d.Stats()
-		if s.Budget != budget || s.ResidentBytes > budget || s.Pinned != 0 {
-			t.Errorf("parallel %d: after the run %d bytes resident under a %d-byte budget, %d pinned", parallel, s.ResidentBytes, s.Budget, s.Pinned)
-		}
-		if s.Evictions == 0 || s.Faults != 0 || s.Spills != 0 {
-			t.Errorf("parallel %d: scale 1 must not fit 16 MB, the suite may bring nothing back, and nothing may spill: %+v", parallel, s)
-		}
-		if parallel == 1 && (samples != suiteKeys() || peak < budget/2) {
-			t.Errorf("%d samples with a peak of %d resident bytes: the bound was not exercised", samples, peak)
+		holdsNothing(t, fmt.Sprintf("parallel %d, budget 16M", parallel), d)
+		if parallel == 1 && (samples != suiteKeys() || peak != 0) {
+			t.Errorf("the suite drew %d batches with a peak of %d resident bytes, want %d and 0", samples, peak, suiteKeys())
 		}
 		// Read back once, at -parallel 1, where every rebuild is sampled
-		// against the bound too.
+		// against the bound.
 		if parallel == 1 {
-			if back := reread(t, d, opts); back.Faults == 0 || back.ResidentBytes > budget || back.Spills != 0 {
-				t.Errorf("reading every batch back must rebuild the evicted ones within the budget: %+v", back)
+			back := reread(t, d, opts)
+			if back.Faults != int64(suiteKeys()) || back.Evictions == 0 || back.ResidentBytes > budget || back.Spills != 0 {
+				t.Errorf("reading every batch back must rebuild each and evict within the budget: %+v", back)
+			}
+			if samples != 2*suiteKeys() || peak < budget/2 {
+				t.Errorf("%d samples with a peak of %d resident bytes: the bound was not exercised", samples, peak)
 			}
 		}
 		d.Close()
 	}
 }
 
+// TestSuiteHoldsNoBatch: at -cache-budget 0, the wire modes' default,
+// where a linked batch would stay resident to the end, a suite run reads
+// 0 resident bytes whenever it draws a batch, at -parallel 1 and 4, and
+// ends holding no batch and no partial, having evicted, spilled and
+// faulted nothing.
+func TestSuiteHoldsNoBatch(t *testing.T) {
+	for _, parallel := range []int{1, 4} {
+		e := NewEngine(Options{FlowScale: 0.05})
+		d := e.Data()
+		var samples atomic.Int64
+		d.src = samplingSource{d.src, func() {
+			samples.Add(1)
+			if s := d.Stats(); s.ResidentBytes != 0 {
+				t.Errorf("parallel %d: %d bytes resident at a draw", parallel, s.ResidentBytes)
+			}
+		}}
+		if _, err := e.RunAll(context.Background(), parallel); err != nil {
+			t.Fatal(err)
+		}
+		if n := samples.Load(); n != int64(suiteKeys()) {
+			t.Errorf("parallel %d: %d draws, want one for each of the %d keys", parallel, n, suiteKeys())
+		}
+		holdsNothing(t, fmt.Sprintf("parallel %d, budget 0", parallel), d)
+		d.Close()
+	}
+}
+
 // TestFig12CountsWhereItReads pins Figure 12 to the computation it
 // replaced: one concatenated flow batch per sampled day, counted whole.
-// Counting each cached day on its own and merging the partial counts
+// Counting each day as its reduction (eduCounts) and merging the counts
 // must give the same median growth bit for bit, at seeds 0 and 7.
 func TestFig12CountsWhereItReads(t *testing.T) {
 	for _, seed := range []int64{0, 7} {
@@ -350,8 +385,8 @@ func TestFig12CountsWhereItReads(t *testing.T) {
 // and mapped back (cache dir under TMPDIR; point that at a tmpfs to take
 // the disk out of the number). Forgetting
 // costs k generations a day, the tier one generation, one write and one
-// fault; the suite itself reads each of its 201 batches once, k = 1 (a
-// day two experiments share is reduced for both at its first draw).
+// fault; the suite itself holds none of its 201 batches past their first
+// draw (a day two experiments share is reduced for both there).
 func BenchmarkRetouch(b *testing.B) {
 	const days = 4 * 7
 	start := time.Date(2020, 3, 2, 0, 0, 0, 0, time.UTC)

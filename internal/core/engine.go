@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"lockdown/internal/flowrec"
 	"lockdown/internal/obs"
 	"lockdown/internal/synth"
 	"lockdown/internal/timeseries"
@@ -87,24 +86,9 @@ func (env *Env) series(vp synth.VantagePoint, from, to time.Time) (*timeseries.S
 	return env.Data.Series(vp, from, to)
 }
 
-// batch draws a flow batch through the run's pin (none on a hand-built
-// Env: the access is then unpinned).
-func (env *Env) batch(k FlowKey) (*flowrec.Batch, error) { return env.Data.batch(k, env.pin) }
-
-// flowBatch draws the flows of every component over the UTC day t falls
-// in.
-func (env *Env) flowBatch(vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
-	return env.batch(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(t)})
-}
-
 // partial returns reduction r of the day batch k names (Dataset.partial),
 // drawing the batch through the run's pin when it has to.
 func (env *Env) partial(k FlowKey, r *reduction) (any, error) { return env.Data.partial(k, r, env.pin) }
-
-// componentFlowBatch draws one named component over the UTC day t falls in.
-func (env *Env) componentFlowBatch(vp synth.VantagePoint, name string, t time.Time) (*flowrec.Batch, error) {
-	return env.batch(FlowKey{Kind: KindComponentFlows, VP: vp, Name: name, Hour: DayOf(t)})
-}
 
 // CacheStats summarises the dataset cache's effectiveness and, when a
 // cache budget is set, its eviction activity.

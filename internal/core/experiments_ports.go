@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,7 +40,7 @@ func init() {
 		{"§5", "the gaming class has several filters", "gaming/filters", "", 5, inf},
 	}})
 	register(Experiment{ID: "fig8", Artifact: "Figure 8", Title: "IXP-SE gaming class: unique IPs and volume", Run: runFig8, reads: []dayRead{
-		{kind: KindComponentFlows, vp: synth.IXPSE, name: "gaming", days: fig8Days()},
+		{kind: KindComponentFlows, vp: synth.IXPSE, name: "gaming", days: fig8Days(), by: gamingIPs},
 	}, claims: []claim{
 		{"§5", "gaming unique IPs roughly double by week 13", "week13/ips", "", 1.7, 2.6},
 		{"§5", "gaming volume roughly doubles by week 13", "week13/volume", "", 1.7, 2.6},
@@ -244,44 +247,90 @@ func fig8Days() []time.Time {
 	return calendar.Days(time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC), time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC))
 }
 
+// gamingDay is Figure 8's reduction of a day (gamingIPs): the gaming
+// component's volume, as an exact uint64 sum, and its unique eyeball
+// addresses, sorted and without duplicates — four bytes an address, so a
+// day's set costs what its addresses do and two sets merge in one pass.
+type gamingDay struct {
+	volume uint64
+	ips    []flowrec.Addr
+}
+
+// gamingIPs folds an IXP-SE component-flows/gaming day into a gamingDay.
+var gamingIPs = &reduction{owner: "fig8", build: func(*Dataset) (reduceFunc, error) {
+	return func(_ FlowKey, b *flowrec.Batch) (any, error) {
+		day := &gamingDay{ips: uniqueAddrs(b.DstIP)} // eyeball side
+		for _, v := range b.Bytes {
+			day.volume += v
+		}
+		return day, nil
+	}, nil
+}}
+
+// uniqueAddrs returns the distinct addresses of col in ascending order.
+func uniqueAddrs(col []flowrec.Addr) []flowrec.Addr {
+	keys := make([]uint32, len(col))
+	for i, a := range col {
+		keys[i] = binary.BigEndian.Uint32(a[:])
+	}
+	slices.Sort(keys)
+	keys = slices.Compact(keys)
+	out := make([]flowrec.Addr, len(keys))
+	for i, k := range keys {
+		binary.BigEndian.PutUint32(out[i][:], k)
+	}
+	return out
+}
+
+// unionAddrs returns the sorted union of the sorted sets a and b in a new
+// slice; neither argument is written.
+func unionAddrs(a, b []flowrec.Addr) []flowrec.Addr {
+	out := make([]flowrec.Addr, 0, max(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch c := bytes.Compare(a[i][:], b[j][:]); {
+		case c < 0:
+			out = append(out, a[i])
+			i++
+		case c > 0:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
+}
+
 // runFig8 reproduces Figure 8: unique IP addresses and traffic volume of
 // the gaming class at the IXP-SE, per calendar week 7-17, normalised to
 // the observed minimum.
 func runFig8(env *Env) (*Result, error) {
 	res := newResult("fig8", "IXP-SE gaming: unique IPs and volume, weeks 7-17")
-	type weekAgg struct {
-		volume  uint64
-		uniques map[flowrec.Addr]bool
-	}
 	// Day scan over the 77 days of weeks 7-17; an ISO week holds whole
 	// days, and the per-week partials merge exactly (uint64 volume sums,
-	// unique-IP set unions).
+	// unique-IP set unions, which build a new set and never write a day's
+	// shared one).
 	byWeek, err := ScanDays(env, fig8Days(),
-		func() map[int]*weekAgg { return make(map[int]*weekAgg) },
-		func(env *Env, part map[int]*weekAgg, day time.Time) error {
-			b, err := env.componentFlowBatch(synth.IXPSE, "gaming", day)
+		func() map[int]gamingDay { return make(map[int]gamingDay) },
+		func(env *Env, part map[int]gamingDay, day time.Time) error {
+			v, err := env.partial(FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(day)}, gamingIPs)
 			if err != nil {
 				return err
 			}
-			agg := &weekAgg{uniques: make(map[flowrec.Addr]bool)}
-			part[calendar.ISOWeek(day)] = agg
-			for i := 0; i < b.Len(); i++ {
-				agg.volume += b.Bytes[i]
-				agg.uniques[b.DstIP[i]] = true // eyeball side
-			}
+			part[calendar.ISOWeek(day)] = *v.(*gamingDay)
 			return nil
 		},
-		func(dst, src map[int]*weekAgg) map[int]*weekAgg {
+		func(dst, src map[int]gamingDay) map[int]gamingDay {
 			for w, s := range src {
-				agg, ok := dst[w]
-				if !ok {
-					dst[w] = s
-					continue
+				if agg, ok := dst[w]; ok {
+					s.volume += agg.volume
+					s.ips = unionAddrs(agg.ips, s.ips)
 				}
-				agg.volume += s.volume
-				for ip := range s.uniques {
-					agg.uniques[ip] = true
-				}
+				dst[w] = s
 			}
 			return dst
 		})
@@ -296,8 +345,8 @@ func runFig8(env *Env) (*Result, error) {
 		if first || agg.volume < minVol {
 			minVol = agg.volume
 		}
-		if first || len(agg.uniques) < minIPs {
-			minIPs = len(agg.uniques)
+		if first || len(agg.ips) < minIPs {
+			minIPs = len(agg.ips)
 		}
 		first = false
 	}
@@ -307,7 +356,7 @@ func runFig8(env *Env) (*Result, error) {
 		if !ok {
 			continue
 		}
-		ips := float64(len(agg.uniques)) / float64(minIPs)
+		ips := float64(len(agg.ips)) / float64(minIPs)
 		vol := float64(agg.volume) / float64(minVol)
 		table.Rows = append(table.Rows, []string{fmt.Sprintf("%d", w), f2(ips), f2(vol)})
 		res.Metrics[fmt.Sprintf("week%d/ips", w)] = ips

@@ -31,7 +31,7 @@ func init() {
 		{"§7", "EDU base-week workdays are strongly ingress-dominated", "base-workday-ratio", "", 5, inf},
 	}})
 	register(Experiment{ID: "fig12", Artifact: "Figure 12", Title: "EDU daily connection growth per traffic class", Run: runFig12, reads: []dayRead{
-		{kind: KindFlows, vp: synth.EDU, days: fig12Days()},
+		{kind: KindFlows, vp: synth.EDU, days: fig12Days(), by: eduCounts},
 	}, claims: []claim{
 		{"§7", "incoming VPN connections 4.8x", "Eyeball ISPs (VPN, In)", "", 2.5, 6.5},
 		{"§7", "incoming remote-desktop connections 5.9x", "Remote desktop (In)", "", 2.5, 7.5},
@@ -254,27 +254,34 @@ func fig12Days() []time.Time {
 	return days
 }
 
+// eduCounts is Figure 12's reduction: a day's EDU connection counts per
+// class and direction.
+var eduCounts = &reduction{owner: "fig12", build: func(*Dataset) (reduceFunc, error) {
+	return func(_ FlowKey, b *flowrec.Batch) (any, error) {
+		var day appclass.EDUCounter
+		day.AddBatch(b)
+		return day.Counts(), nil
+	}, nil
+}}
+
 // runFig12 reproduces Figure 12: daily connection counts relative to the
 // February 27 baseline for the selected traffic categories. To keep the
 // experiment affordable it samples three days per week across the 72-day
 // window instead of every day.
 func runFig12(env *Env) (*Result, error) {
 	res := newResult("fig12", "EDU daily connection growth per traffic class")
-	// The month walk shards over the sampled days and counts where it
-	// reads: each cached day is classified in place into its counter, so
-	// nothing but the cache holds a flow batch and the cache budget bounds
-	// the walk. Counts are integers, which makes the merge exact at any
-	// chunking.
+	// The month walk shards over the sampled days and takes each day's
+	// counts (eduCounts). Counts are integers, which makes the merge exact
+	// at any chunking; each day is its own key of the merged map, so no
+	// merge adds into a day's shared counts.
 	counts, err := ScanDays(env, fig12Days(),
 		func() edu.DailyCounts { return make(edu.DailyCounts) },
 		func(env *Env, part edu.DailyCounts, d time.Time) error {
-			b, err := env.flowBatch(synth.EDU, d)
+			v, err := env.partial(FlowKey{Kind: KindFlows, VP: synth.EDU, Hour: DayOf(d)}, eduCounts)
 			if err != nil {
 				return err
 			}
-			var day appclass.EDUCounter
-			day.AddBatch(b)
-			part[calendar.DayStart(d)] = day.Counts()
+			part[calendar.DayStart(d)] = v.(map[appclass.EDUClass]map[flowrec.Direction]int)
 			return nil
 		},
 		edu.DailyCounts.Merge)

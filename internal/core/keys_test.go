@@ -91,7 +91,8 @@ func declaredKeys(e Experiment) map[FlowKey]bool {
 
 // TestKeyCensus draws the suite experiment by experiment through a
 // recording source and holds each experiment's declared reads to the keys
-// it draws, both ways, and the declaration to the reader table below. It
+// it draws, both ways, and the declaration to the reader table below;
+// every read names the reduction the experiment takes of each day. It
 // is what FlowKey.Hours rests on: Figure 9 is the only reader of the
 // flows/ keys of the IXP-SE and IXP-US, so those keys may hold its working
 // hours alone, and every other key is read by the day. A new reader of a
@@ -117,6 +118,11 @@ func TestKeyCensus(t *testing.T) {
 			t.Errorf("%s draws %v, want %v", id, got, want[id])
 		}
 		e, _ := ByID(id)
+		for _, r := range e.reads {
+			if r.by == nil {
+				t.Errorf("%s reads %s/%s without a reduction", id, r.kind, r.vp)
+			}
+		}
 		decl := declaredKeys(e)
 		for _, k := range perExp[id] {
 			if !decl[k] {
@@ -140,13 +146,13 @@ func TestKeyCensus(t *testing.T) {
 	}
 }
 
-// TestSharedDaysDrawnOnce: the five experiments that reduce days, two
-// pairs of which share days, run together at -parallel 4 under a 1-byte
-// budget, so every batch is evicted when its chunk releases it and which
+// TestSharedDaysDrawnOnce: the five experiments whose reads share days, in
+// two groups, run together at -parallel 4 under a 1-byte budget, so which
 // reader draws a shared day first is up to the scheduler. The source is
-// asked for each declared key exactly once, nothing comes back, the
-// results equal the serial unbudgeted run's, and the run ends: no reader
-// waits on a fold another holds. CI runs it under -race -cpu 1,4.
+// asked for each declared key exactly once, the run holds, evicts and
+// spills no batch, the results equal the serial unbudgeted run's, and the
+// run ends: no reader waits on a fold another holds. CI runs it under
+// -race -cpu 1,4.
 func TestSharedDaysDrawnOnce(t *testing.T) {
 	ids := []string{"fig7a", "fig7b", "fig9", "fig10", "ablation-vpn"}
 	want, err := NewEngine(Options{FlowScale: 0.02}).RunMany(context.Background(), ids, 1)
@@ -190,52 +196,68 @@ func TestSharedDaysDrawnOnce(t *testing.T) {
 	if len(src.keys) != len(decl) {
 		t.Errorf("the source saw %d keys, the readers declare %d", len(src.keys), len(decl))
 	}
-	if s := e.Data().Stats(); s.Faults != 0 || s.Evictions != int64(len(decl)) {
-		t.Errorf("every batch must be evicted once and none brought back: %+v", s)
-	}
+	holdsNothing(t, "parallel 4, budget 1", e.Data())
 }
 
-// TestPartialsEqualDirectReductions: every partial a suite run keeps on a
-// cache entry is its reduction of a freshly generated batch of the key, at
-// seeds 0 and 7, whichever reader drew the day and whatever the schedule;
-// an entry keeps exactly the reductions declared on its key. And each
-// experiment's batch-mb in the full run equals its value when it runs
-// alone: a reader that takes a partial accounts for the batch it stands
-// for, as if it had read it.
+// TestPartialsEqualDirectReductions: every partial a suite run's readers
+// take is its reduction of a freshly generated batch of the key, at seeds
+// 0 and 7, whichever reader drew the day and whatever the schedule; each
+// declared reader takes its partial once, so the partials are captured as
+// they are taken. And each experiment's batch-mb in the full run equals
+// its value when it runs alone: a reader that takes a partial accounts for
+// the batch it stands for, as if it had read it.
 func TestPartialsEqualDirectReductions(t *testing.T) {
+	type take struct {
+		k FlowKey
+		r *reduction
+	}
+	declared := make(map[take]int)
+	for _, e := range All() {
+		for _, r := range e.reads {
+			for _, k := range r.keys() {
+				declared[take{k, r.by}]++
+			}
+		}
+	}
 	for _, seed := range []int64{0, 7} {
 		opts := Options{FlowScale: 0.05, Seed: seed}
 		e := NewEngine(opts)
+		d := e.Data()
+		var mu sync.Mutex
+		taken := make(map[take][]any)
+		d.taken = func(k FlowKey, r *reduction, p any) {
+			mu.Lock()
+			taken[take{k, r}] = append(taken[take{k, r}], p)
+			mu.Unlock()
+		}
 		rs, err := e.RunAll(context.Background(), 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d := e.Data()
+		holdsNothing(t, fmt.Sprintf("seed %d", seed), d)
 		fresh := NewSyntheticSource(opts)
-		partials := 0
-		for k, fe := range d.flows {
-			if len(fe.partials) != len(d.readers[k]) {
-				t.Errorf("seed %d: %v keeps %d partials, %d reductions are declared on it", seed, k, len(fe.partials), len(d.readers[k]))
+		for tk, ps := range taken {
+			b, err := fresh.Batch(tk.k)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for r, p := range fe.partials {
-				b, err := fresh.Batch(k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				direct, err := d.reduce(r, k, b)
-				if err != nil {
-					t.Fatal(err)
-				}
+			direct, err := d.reduce(tk.r, tk.k, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range ps {
 				if !reflect.DeepEqual(p, direct) {
-					t.Errorf("seed %d: %s's partial of %v differs from its reduction of a fresh batch", seed, r.owner, k)
+					t.Errorf("seed %d: %s's partial of %v differs from its reduction of a fresh batch", seed, tk.r.owner, tk.k)
 				}
-				partials++
+			}
+			if len(ps) != declared[tk] {
+				t.Errorf("seed %d: %s's partial of %v was taken %d times, by %d declared readers", seed, tk.r.owner, tk.k, len(ps), declared[tk])
 			}
 		}
 		// fig7a 21 and fig7b 21 days, fig9 58 workdays, fig10 21 days,
-		// which ablation-vpn shares.
-		if partials != 21+21+58+21 {
-			t.Errorf("seed %d: %d partials kept, want 121", seed, partials)
+		// which ablation-vpn shares; fig8 77 days and fig12 31.
+		if len(taken) != len(declared) || len(taken) != 121+77+31 {
+			t.Errorf("seed %d: %d partials taken, want 229", seed, len(taken))
 		}
 		d.Close()
 
@@ -248,6 +270,50 @@ func TestPartialsEqualDirectReductions(t *testing.T) {
 				t.Errorf("seed %d: %s reads %v batch MB in the suite and %v alone", seed, r.ID, got, want)
 			}
 		}
+	}
+}
+
+// TestPartialTakenAgain: a reduction taken again after its last declared
+// reader dropped it, or taken without a declaration, is reduced from the
+// batch drawn again, and the result equals the first take. The first take
+// of the declared one left nothing resident; the second brings the batch
+// back as a fault, and the undeclared takes reduce it where it stays.
+func TestPartialTakenAgain(t *testing.T) {
+	d := NewDataset(Options{FlowScale: 0.05})
+	defer d.Close()
+	fig8, _ := ByID("fig8")
+	d.declare([]Experiment{fig8})
+	k := FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(fig8Days()[0])}
+	first, err := d.partial(k, gamingIPs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := d.Stats(); s.ResidentBytes != 0 || s.Faults != 0 || len(d.flows[k].partials) != 0 {
+		t.Fatalf("the only declared take must leave neither the batch nor the partial: %+v", s)
+	}
+	again, err := d.partial(k, gamingIPs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == first || !reflect.DeepEqual(again, first) {
+		t.Errorf("taken again, %v's partial must be reduced anew and equal the first take", k)
+	}
+	// An undeclared reduction of the same key, taken twice.
+	undeclared := &reduction{owner: "test", build: gamingIPs.build}
+	for i := 0; i < 2; i++ {
+		p, err := d.partial(k, undeclared, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(p, first) {
+			t.Errorf("take %d of an undeclared reduction differs from the declared one", i)
+		}
+	}
+	if s := d.Stats(); s.Faults != 1 {
+		t.Errorf("the batch must come back once, for the second take, and then serve: %+v", s)
+	}
+	if rs := d.readers[k]; len(rs) != 0 {
+		t.Errorf("%v still has declared takes left: %v", k, rs)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -56,8 +57,10 @@ func storedColumns(d *Dataset) map[string]map[flowrec.Columns]int {
 // three kind column sets: the default engine, whose batches store only
 // what the kind's readers declared, must produce all 21 results equal —
 // modulo _runtime/ — to an engine fed full-width batches by the same
-// models (fullWidthSource), with everything resident and with every batch
-// spilled — and, read back after the run, mapped from its span. A reader that reads a column its kind's set lacks fails
+// models (fullWidthSource), unbudgeted and under a 1-byte budget with a
+// cache dir. Neither run holds a batch; read back after the run, every
+// batch is rebuilt (and, under the budget, spilled), and read back a
+// second time it is mapped from its span. A reader that reads a column its kind's set lacks fails
 // here whether it would have panicked on the nil column or (ranging over
 // it) silently read nothing. Runs under -race -cpu 1,4 in CI.
 func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
@@ -89,11 +92,12 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 				if err != nil {
 					t.Fatalf("RunAll(%+v): %v", opts, err)
 				}
-				if s := e.Data().Stats(); budget > 0 && (s.Spills == 0 || s.Faults != 0 || s.Regens != 0) {
-					t.Errorf("seed %d: a 1-byte budget must spill, and the suite bring nothing back: %+v", seed, s)
+				holdsNothing(t, fmt.Sprintf("seed %d, budget %d", seed, budget), e.Data())
+				if s := reread(t, e.Data(), opts); budget > 0 && (s.Faults != int64(suiteKeys()) || s.Spills != s.Faults || s.Regens != 0) {
+					t.Errorf("seed %d: reading back must rebuild and spill every batch once: %+v", seed, s)
 				}
-				if s := reread(t, e.Data(), opts); budget > 0 && (s.Faults == 0 || s.Regens != 0) {
-					t.Errorf("seed %d: reading back must map the spans without regenerating: %+v", seed, s)
+				if s := reread(t, e.Data(), opts); budget > 0 && (s.Faults != 2*int64(suiteKeys()) || s.Spills != int64(suiteKeys()) || s.Regens != 0) {
+					t.Errorf("seed %d: reading back again must map every span once, writing and regenerating none: %+v", seed, s)
 				}
 				var mb float64
 				for _, r := range rs {

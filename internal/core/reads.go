@@ -12,20 +12,20 @@ import (
 
 // This file is the reader table of the flow batches. Every experiment
 // that reads flow batches declares, where it registers, the keys it reads:
-// the kind, the vantage point and the days. Some days have two readers —
-// Figures 7a and 9 share 13 ISP-CE workdays, Figures 7b and 9 share 15
-// IXP-CE workdays, Figure 10 and the VPN ablation share the 7 days of the
-// March week — and a reader of such a day declares a reduction, a per-day
-// fold of the batch into a small partial, instead of reading the batch.
-// The first draw of a key runs every reduction declared on it and keeps
-// the partials on the cache entry (Dataset.fill), so the second reader
-// never needs the batch back.
+// the kind, the vantage point, the days, and the reduction it takes of
+// each day — a per-day fold of the batch into a small partial. No
+// experiment reads a batch itself. Some days have two readers — Figures 7a
+// and 9 share 13 ISP-CE workdays, Figures 7b and 9 share 15 IXP-CE
+// workdays, Figure 10 and the VPN ablation share the 7 days of the March
+// week — and the first draw of a key runs every reduction declared on it,
+// keeps the partials on the cache entry and drops the batch
+// (Dataset.fill). Each partial is dropped in turn when the last reader
+// that declared it has taken it (Dataset.take), so a suite run ends
+// holding neither batches nor partials.
 
 // dayRead declares the flow batches of one kind an experiment reads at
 // one vantage point (and, for KindComponentFlows, one component): one key
-// for every day of days. by, when set, is the reduction the experiment
-// takes of each day in place of the batch (Env.partial); a read without
-// one draws the batch.
+// for every day of days, each read once, as reduction by (Env.partial).
 type dayRead struct {
 	kind FlowKind
 	vp   synth.VantagePoint
@@ -61,26 +61,63 @@ type reduction struct {
 // shared by every reader of k and must not be modified.
 type reduceFunc func(k FlowKey, b *flowrec.Batch) (any, error)
 
-// declare enables the reductions the experiments declare on the keys they
-// read. The engine calls it before it runs them, so a key's first draw
-// folds it for every reader in the run. Declarations only accumulate: an
-// engine that runs experiments one at a time holds their union, and a key
-// drawn before its reduction was declared is folded where it is read.
+// reader is a reduction declared on a key, with the number of its
+// declared takes not yet made.
+type reader struct {
+	r    *reduction
+	left int
+}
+
+// declare counts the reductions the experiments declare on the keys they
+// read, one take per experiment that declares it. The engine calls it
+// before it runs them, so a key's first draw folds it for every reader in
+// the run. An engine that runs experiments one at a time declares each in
+// turn; a key drawn before its reduction was declared is drawn again where
+// it is read.
 func (d *Dataset) declare(exps []Experiment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, e := range exps {
 		for _, r := range e.reads {
-			if r.by == nil {
-				continue
-			}
 			for _, k := range r.keys() {
-				if !slices.Contains(d.readers[k], r.by) {
-					d.readers[k] = append(d.readers[k], r.by)
-				}
+				d.addReader(k, r.by)
 			}
 		}
 	}
+}
+
+// addReader counts one more declared take of reduction r of k. Called with
+// d.mu held.
+func (d *Dataset) addReader(k FlowKey, r *reduction) {
+	rs := d.readers[k]
+	if i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r }); i >= 0 {
+		rs[i].left++
+		return
+	}
+	d.readers[k] = append(rs, reader{r: r, left: 1})
+}
+
+// take returns the partial of reduction r that the first draw of fe kept,
+// if it kept one, and counts the take against r's declared readers of the
+// key: the last of them drops the partial.
+func (d *Dataset) take(fe *flowEntry, r *reduction) (any, bool) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	p, ok := fe.partials[r]
+	rs := d.readers[fe.key]
+	i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r })
+	if i < 0 {
+		return p, ok
+	}
+	if rs[i].left--; rs[i].left == 0 {
+		delete(fe.partials, r)
+		if rs = slices.Delete(rs, i, i+1); len(rs) == 0 {
+			delete(d.readers, fe.key)
+		} else {
+			d.readers[fe.key] = rs
+		}
+	}
+	return p, ok
 }
 
 // reduce runs r on the batch k names, building r's function on its first
@@ -102,35 +139,44 @@ func (d *Dataset) reduce(r *reduction, k FlowKey, b *flowrec.Batch) (any, error)
 
 // partial returns reduction r of the batch k names. When r was declared
 // on k before k's first draw, that draw kept the partial, and it is
-// returned without touching the batch — which may long have been evicted
-// — though the lookup still counts, and the entry still reports to the
-// pin's drawn set, as a read of the batch does. Otherwise the batch is
-// drawn through pin and reduced here.
+// returned without the batch — which the draw dropped — though the lookup
+// still counts, and the entry still reports to the pin's drawn set, as a
+// read of the batch does. Otherwise (the partial was declared late, or
+// taken by every reader that declared it) the batch is drawn again through
+// pin and reduced here.
 func (d *Dataset) partial(k FlowKey, r *reduction, pin *Pin) (any, error) {
 	fe, err := d.entry(k, pin, r)
 	if err != nil {
 		return nil, err
 	}
-	defer d.enforceBudget()
-	if p, ok := fe.partials[r]; ok {
+	p, ok := d.take(fe, r)
+	if ok {
 		if pin != nil && pin.drawn != nil {
 			pin.drawn.add(fe)
 		}
-		return p, nil
+	} else {
+		b, err := d.acquire(fe, pin)
+		if err != nil {
+			return nil, err
+		}
+		defer d.enforceBudget()
+		if p, err = d.reduce(r, k, b); err != nil {
+			return nil, err
+		}
 	}
-	b, err := d.acquire(fe, pin)
-	if err != nil {
-		return nil, err
+	if d.taken != nil {
+		d.taken(k, r, p)
 	}
-	return d.reduce(r, k, b)
+	return p, nil
 }
 
-// Reread draws every flow batch the dataset holds once more, unpinned —
-// an evicted one comes back from its span or its source, as on any fault
-// — and compares it, in its key's columns, with the batch want delivers
-// for the key. It returns the number of batches compared. A suite run
-// reads no batch twice, so the golden tests read the fault path of a
-// budgeted run with this; it must be called before Close.
+// Reread draws every flow batch the dataset has drawn once more, unpinned
+// — one its first draw dropped, or one evicted, comes back from its span
+// or its source, as on any fault — and compares it, in its key's columns,
+// with the batch want delivers for the key. It returns the number of
+// batches compared. A suite run holds no batch past its first draw, so
+// the golden tests read the fault path with this; it must be called
+// before Close.
 func (d *Dataset) Reread(want FlowSource) (int, error) {
 	d.mu.Lock()
 	keys := make([]FlowKey, 0, len(d.flows))

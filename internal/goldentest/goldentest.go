@@ -31,9 +31,9 @@ var FlowExperiments = []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig12
 // every flow batch back once through the cache against a fresh generation
 // of the model (core.Dataset.Reread), closes the engine's dataset, and
 // returns the results plus the cache stats at the end of the run and
-// after the read-back. A suite run reads no batch twice, so under a cache
-// budget the read-back is what brings evicted batches back: rebuilt
-// through src, or mapped from their span. Callers pair it with
+// after the read-back. A suite run holds no batch past its first draw, so
+// the read-back is what brings the batches back: rebuilt through src, and
+// under a cache budget evicted again (HoldsNoBatch). Callers pair it with
 // CompareResults to assert bit-identity against a reference run.
 func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opts core.Options) (results []*core.Result, suite, back core.CacheStats) {
 	t.Helper()
@@ -48,6 +48,25 @@ func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opt
 		t.Errorf("reading the suite's batches back (opts %+v): %v", opts, err)
 	}
 	return results, suite, engine.Data().Stats()
+}
+
+// HoldsNoBatch asserts the cache stats RunSuite returns for a run under a
+// 1-byte cache budget: the suite held, evicted, spilled and faulted no
+// batch, since every batch is dropped at its first draw, and the read-back
+// rebuilt every batch once and evicted it — spilling each once, and
+// regenerating none, when opts names a cache dir.
+func HoldsNoBatch(t testing.TB, label string, opts core.Options, suite, back core.CacheStats) {
+	t.Helper()
+	if suite.ResidentBytes != 0 || suite.Evictions != 0 || suite.Spills != 0 || suite.Faults != 0 || suite.Regens != 0 {
+		t.Errorf("%s: the suite must hold, evict, spill and fault no batch: %+v", label, suite)
+	}
+	spills := int64(0)
+	if opts.CacheDir != "" {
+		spills = back.Faults
+	}
+	if back.Faults == 0 || back.Evictions != back.Faults || back.Spills != spills || back.Regens != 0 {
+		t.Errorf("%s: reading back must rebuild and evict every batch once, spill each once under a cache dir, and regenerate none: %+v", label, back)
+	}
 }
 
 // DiffModuloRuntime compares two rendered suite outputs (the text

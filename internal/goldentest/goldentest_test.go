@@ -38,8 +38,8 @@ func TestDiffModuloRuntime(t *testing.T) {
 // generator-backed source: RunSuite with a nil source must reproduce a
 // plain engine run bit-identically (it is the same code path the replay
 // and cluster golden tests feed their wire sources through). Under a
-// 1-byte budget the run brings no batch back and the read-back rebuilds
-// every one.
+// 1-byte budget the run holds, evicts and spills no batch, and the
+// read-back rebuilds every one.
 func TestRunSuiteMatchesEngine(t *testing.T) {
 	opts := core.Options{FlowScale: 0.02}
 	want, _, _ := RunSuite(t, nil, []string{"fig8", "tab2"}, 1, opts)
@@ -49,7 +49,5 @@ func TestRunSuiteMatchesEngine(t *testing.T) {
 	opts.CacheBudget = 1
 	got, suite, back := RunSuite(t, core.NewSyntheticSource(opts), []string{"fig8", "tab2"}, 2, opts)
 	CompareResults(t, "synthetic source, budget 1", want, got)
-	if suite.Evictions == 0 || suite.Faults != 0 || back.Faults != suite.Evictions {
-		t.Errorf("a 1-byte budget evicts every batch, the run brings none back and the read-back all: %+v, then %+v", suite, back)
-	}
+	HoldsNoBatch(t, "synthetic source, budget 1", opts, suite, back)
 }

@@ -72,22 +72,17 @@ func TestGoldenWireEquivalence(t *testing.T) {
 		t.Logf("netflow-v9 flow experiments: %+v", stats)
 	})
 
-	// Tiered-cache variant: a 1-byte cache budget forces every bridge-fed
-	// batch to spill to a flowstore segment, the metrics must still equal
-	// the in-memory, unbudgeted engine's, and the suite brings no batch
-	// back; read back after the run, every spilled batch faults in from
-	// its span and equals a fresh generation.
+	// Tiered-cache variant: under a 1-byte cache budget and a cache dir the
+	// metrics must still equal the in-memory, unbudgeted engine's, and the
+	// suite holds, evicts and spills no bridge-fed batch; read back after
+	// the run, every batch is fetched over the wire again, equals a fresh
+	// generation and is spilled once.
 	t.Run("ipfix-flow-experiments-tiny-budget", func(t *testing.T) {
 		opts := goldenOpts
 		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
 		got, stats, cache, back := runWireOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, opts)
 		goldentest.CompareResults(t, "ipfix tiny-budget", flowWant, got)
-		if cache.Spills == 0 || cache.Faults != 0 {
-			t.Errorf("tiny budget should spill every bridge-fed batch and the suite bring none back: %+v", cache)
-		}
-		if back.Faults != cache.Spills || back.Regens != 0 {
-			t.Errorf("reading back should map every spilled bridge-fed batch once: %+v", back)
-		}
+		goldentest.HoldsNoBatch(t, "ipfix tiny-budget", opts, cache, back)
 		t.Logf("ipfix tiny-budget flow experiments: %+v cache %+v", stats, back)
 	})
 }

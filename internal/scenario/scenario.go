@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -569,6 +570,10 @@ func (d *decoder) decodeOutage(m *node, path string, ev *Event) error {
 			if !known {
 				return d.errf(lines[i], fmt.Sprintf("%s.vantage_points[%d]", path, i),
 					"unknown vantage point %q (have %s)", n, vpNames())
+			}
+			if j := slices.Index(ev.VPs, vp); j >= 0 {
+				return d.errf(lines[i], fmt.Sprintf("%s.vantage_points[%d]", path, i),
+					"duplicate vantage point %q (also item %d)", n, j)
 			}
 			ev.VPs = append(ev.VPs, vp)
 		}

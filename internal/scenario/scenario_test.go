@@ -185,6 +185,13 @@ func TestMalformedScenarios(t *testing.T) {
 			"events[0].vantage_points[0]: unknown vantage point \"NOPE\"",
 		},
 		{
+			// Listed twice, the vantage point used to be refused as an
+			// overlap with the event itself.
+			"outage-duplicate-vp",
+			"name: x\nevents:\n  - type: link_outage\n    start: 2020-04-02\n    end: 2020-04-04\n    vantage_points:\n      - EDU\n      - EDU\n",
+			"test.yaml:8: events[0].vantage_points[1]: duplicate vantage point \"EDU\" (also item 0)",
+		},
+		{
 			"overlapping-outages",
 			"name: x\nevents:\n  - type: link_outage\n    start: 2020-04-02\n    end: 2020-04-04\n  - type: link_outage\n    start: 2020-04-03\n    end: 2020-04-05\n",
 			"events[1].start: outage overlaps the one on line 3 at \"ISP-CE\"",
