@@ -27,7 +27,7 @@ func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*
 // tiered-cache golden variant tightens the cache budget so the sharded
 // bridge's batches spill). The run, read-back and close harness lives in
 // goldentest.RunSuite, shared with the single-pump golden test; it returns
-// the cache stats after the run and after the read-back. It also
+// the cache stats after the run and after each read-back. It also
 // checks what must hold of the accounting whatever the results are: the
 // per-stream bucket counts sum to the bridge total, every shard owning one
 // of the five vantage points whose flows the suite reads (the ISP, the
@@ -35,7 +35,7 @@ func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*
 // — and the pumps saw a request per bucket and refused none. Retries are
 // not asserted to be zero: a loaded box may drop a loopback datagram, and
 // a retried bucket is still a verified one.
-func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, opts core.Options) ([]*core.Result, Stats, core.CacheStats, core.CacheStats) {
+func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, opts core.Options) ([]*core.Result, Stats, core.CacheStats, [2]core.CacheStats) {
 	t.Helper()
 	c := newTestCluster(t, Spec{Shards: n, Format: format, Options: opts})
 	results, cache, back := goldentest.RunSuite(t, c.Source(), ids, 4, opts)
@@ -110,7 +110,9 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 	// metrics must still equal the unbudgeted in-memory engine's, and the
 	// suite holds, evicts and spills no batch the sharded bridge serves;
 	// read back after the run, every batch is fetched over the wire again,
-	// equals a fresh generation and is spilled once.
+	// equals a fresh generation and is spilled once, and read back a second
+	// time, every span is mapped back, equals a fresh generation and is not
+	// rewritten.
 	t.Run("ipfix-flow-experiments-3-shards-tiny-budget", func(t *testing.T) {
 		opts := goldenOpts
 		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()

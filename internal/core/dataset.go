@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,9 +36,11 @@ import (
 // small partial. The first draw of a key runs every reduction the run's
 // experiments declared on it, keeps the partials on the entry and drops
 // the batch, which thus never becomes resident; each partial is dropped in
-// turn once every reader that declared it has taken it. A suite run thus
-// draws each key once, holds no batch past that draw and, at any budget,
-// evicts, spills and faults nothing.
+// turn once every reader that declared it has taken it, and the entry,
+// holding nothing, is drawn afresh by the next ask for a reduction. A
+// suite run thus draws each key once, holds no batch past that draw and,
+// at any budget, evicts, spills and faults nothing — and so does a second
+// run on the same dataset, which draws each key once again.
 //
 // A batch drawn directly (Dataset.batch: Reread, the tests) is linked
 // into a working set. With Options.CacheBudget unset every such batch
@@ -123,8 +126,9 @@ type seriesKey struct {
 // flowEntry is the evictable cache slot of one flow batch. The first
 // access generates the batch inside once. A first draw for a reduction
 // keeps the partials and drops the batch, which leaves the entry as if
-// forgotten; the rest of the machinery tracks which tier a batch drawn
-// directly currently occupies:
+// forgotten; once its last partial is taken the entry is spent, and the
+// next ask for a reduction replaces it with a fresh one. The rest of the
+// machinery tracks which tier a batch drawn directly currently occupies:
 //
 //	dropped  ──fault (build again)──────────▶ resident    (first draw was a reduction)
 //	resident ──evict────────────────────────▶ forgotten   (no CacheDir)
@@ -141,8 +145,19 @@ type flowEntry struct {
 
 	// partials are the reductions of the batch its first draw ran, by
 	// reduction: set inside once, then each deleted, under Dataset.mu, by
-	// the last take its declared readers make (Dataset.take).
+	// the last take its declared readers make, or by the take of an
+	// undeclared one (Dataset.take).
 	partials map[*reduction]any
+
+	// direct and spent are guarded by Dataset.mu. direct: a caller drew
+	// the batch itself (Dataset.batch), so the entry may hold it in a
+	// tier, and it is never spent. spent: the entry holds no batch and no
+	// partial, so the next ask for a reduction installs a fresh entry in
+	// its place (Dataset.entry), whose first draw runs the reductions
+	// declared by then. No one links a spent entry: a direct draw of it
+	// makes it direct first, and a take that finds no partial draws the
+	// batch without the entry (Dataset.partial).
+	direct, spent bool
 
 	// rows and cols of the batch as the source delivered it, in whichever
 	// tier it is.
@@ -243,13 +258,18 @@ func (d *Dataset) batch(k FlowKey, pin *Pin) (*flowrec.Batch, error) {
 
 // entry returns the cache entry of k, counting the lookup, and draws the
 // batch on the first ask (fill). asked is the reduction the caller wants
-// of it, nil for the batch itself.
+// of it, nil for the batch itself. An ask for a reduction of a spent
+// entry replaces it with a fresh one, drawn again; the lookup still
+// counts as a hit, since the key stays memoized.
 func (d *Dataset) entry(k FlowKey, pin *Pin, asked *reduction) (*flowEntry, error) {
 	d.mu.Lock()
 	fe, ok := d.flows[k]
-	if !ok {
+	if !ok || (fe.spent && asked != nil) {
 		fe = &flowEntry{key: k}
 		d.flows[k] = fe
+	}
+	if asked == nil {
+		fe.direct, fe.spent = true, false
 	}
 	d.mu.Unlock()
 	d.count(!ok)
@@ -259,27 +279,28 @@ func (d *Dataset) entry(k FlowKey, pin *Pin, asked *reduction) (*flowEntry, erro
 
 // fill is the first draw of an entry, run inside its once: it asks the
 // flow source for the batch, runs every reduction declared on the key
-// (declare) on it and keeps the partials. When the caller asked for a
-// reduction the batch is then dropped: it is never linked, so it is never
-// resident, evicted or spilled, and only its rows and columns stay, for
-// the batch accounting. A caller that asked for the batch has the entry
-// pinned and linked resident. A reduction the caller did not ask for runs in a
-// "reduce" trace span naming its owner and the key, so the time one
-// experiment spends folding a day for another shows as such.
+// (declare), and the one asked for if it was not declared, on it and
+// keeps the partials. When the caller asked for a reduction the batch is
+// then dropped: it is never linked, so it is never resident, evicted or
+// spilled, and only its rows and columns stay, for the batch accounting.
+// A caller that asked for the batch has the entry pinned and linked
+// resident. A reduction the caller did not ask for runs in a "reduce"
+// trace span naming its owner and the key, so the time one experiment
+// spends folding a day for another shows as such.
 func (d *Dataset) fill(fe *flowEntry, pin *Pin, asked *reduction) error {
-	b, err := fetch(d.src, fe.key)
-	if err == nil {
-		err = b.Require(fe.key.Columns())
-	}
+	b, err := d.draw(fe.key)
 	if err != nil {
 		return err
 	}
 	d.mu.Lock()
-	rs := make([]*reduction, 0, len(d.readers[fe.key]))
+	rs := make([]*reduction, 0, len(d.readers[fe.key])+1)
 	for _, x := range d.readers[fe.key] {
 		rs = append(rs, x.r)
 	}
 	d.mu.Unlock()
+	if asked != nil && !slices.Contains(rs, asked) {
+		rs = append(rs, asked)
+	}
 	if len(rs) > 0 {
 		fe.partials = make(map[*reduction]any, len(rs))
 	}
@@ -310,6 +331,19 @@ func (d *Dataset) fill(fe *flowEntry, pin *Pin, asked *reduction) error {
 	}
 	d.link(fe, fe.heapBytes, false)
 	return nil
+}
+
+// draw asks the flow source for the batch k names, which must hold at
+// least k's columns.
+func (d *Dataset) draw(k FlowKey) (*flowrec.Batch, error) {
+	b, err := fetch(d.src, k)
+	if err == nil {
+		err = b.Require(k.Columns())
+	}
+	if err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
 // acquire returns the entry's batch, faulting it back in if it is

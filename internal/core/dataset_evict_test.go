@@ -76,7 +76,8 @@ func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 
 // holdsNothing fails unless d, after a suite run, holds no batch and no
 // partial and evicted, spilled, faulted and pinned nothing: every batch
-// was dropped at its first draw, and every partial by its last reader.
+// was dropped at its first draw, and every partial by its last reader,
+// which left each entry spent, to be drawn afresh by the next run.
 func holdsNothing(t *testing.T, label string, d *Dataset) {
 	t.Helper()
 	if s := d.Stats(); s.ResidentBytes != 0 || s.Evictions != 0 || s.Spills != 0 || s.SpilledBytes != 0 || s.Faults != 0 || s.Regens != 0 || s.Pinned != 0 {
@@ -86,8 +87,8 @@ func holdsNothing(t *testing.T, label string, d *Dataset) {
 	defer d.mu.Unlock()
 	for k, fe := range d.flows {
 		fe.mu.Lock()
-		if fe.batch != nil || fe.elem != nil || len(fe.partials) != 0 {
-			t.Errorf("%s: %v still holds a batch (%v) or %d partials", label, k, fe.batch != nil, len(fe.partials))
+		if fe.batch != nil || fe.elem != nil || len(fe.partials) != 0 || !fe.spent {
+			t.Errorf("%s: %v still holds a batch (%v) or %d partials, or is not spent (%v)", label, k, fe.batch != nil, len(fe.partials), fe.spent)
 		}
 		fe.mu.Unlock()
 	}
@@ -322,7 +323,8 @@ func TestCacheBudgetBoundsResidentBytes(t *testing.T) {
 // where a linked batch would stay resident to the end, a suite run reads
 // 0 resident bytes whenever it draws a batch, at -parallel 1 and 4, and
 // ends holding no batch and no partial, having evicted, spilled and
-// faulted nothing.
+// faulted nothing. A second run on the same engine does the same: it
+// draws each key once more, and its results equal the first run's.
 func TestSuiteHoldsNoBatch(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		e := NewEngine(Options{FlowScale: 0.05})
@@ -334,13 +336,22 @@ func TestSuiteHoldsNoBatch(t *testing.T) {
 				t.Errorf("parallel %d: %d bytes resident at a draw", parallel, s.ResidentBytes)
 			}
 		}}
-		if _, err := e.RunAll(context.Background(), parallel); err != nil {
-			t.Fatal(err)
+		var first []*Result
+		for run := 1; run <= 2; run++ {
+			rs, err := e.RunAll(context.Background(), parallel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := samples.Load(); n != int64(run*suiteKeys()) {
+				t.Errorf("parallel %d, run %d: %d draws in all, want one a run for each of the %d keys", parallel, run, n, suiteKeys())
+			}
+			holdsNothing(t, fmt.Sprintf("parallel %d, budget 0, run %d", parallel, run), d)
+			if run == 1 {
+				first = rs
+			} else {
+				sameResults(t, fmt.Sprintf("parallel %d, second run", parallel), first, rs)
+			}
 		}
-		if n := samples.Load(); n != int64(suiteKeys()) {
-			t.Errorf("parallel %d: %d draws, want one for each of the %d keys", parallel, n, suiteKeys())
-		}
-		holdsNothing(t, fmt.Sprintf("parallel %d, budget 0", parallel), d)
 		d.Close()
 	}
 }

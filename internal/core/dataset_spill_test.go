@@ -307,7 +307,9 @@ func sameResults(t *testing.T, label string, want, got []*Result) {
 // 1-byte budget under a cache dir — and, holding no batch past its first
 // draw, no run may evict, spill or bring back a batch during the suite.
 // Read back after the tiny-budget run, every batch is rebuilt and spilled
-// once, and none regenerated. Runs under -race in CI.
+// once, and none regenerated; read back a second time, every batch is
+// mapped from its span, which equals a fresh generation, and nothing is
+// written or regenerated. Runs under -race in CI.
 func TestRunAllSpillDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spill determinism runs the full suite three times")
@@ -322,7 +324,11 @@ func TestRunAllSpillDeterminism(t *testing.T) {
 			t.Fatalf("RunAll(%+v): %v", opts, err)
 		}
 		holdsNothing(t, fmt.Sprintf("budget %d", opts.CacheBudget), e.Data())
-		return rs, reread(t, e.Data(), opts)
+		back := reread(t, e.Data(), opts)
+		if again := reread(t, e.Data(), opts); opts.CacheBudget == 1 && (again.Faults != back.Faults+back.Spills || again.Spills != back.Spills || again.Regens != 0) {
+			t.Errorf("budget 1: reading back again must map every span once, writing and regenerating none: first %+v, again %+v", back, again)
+		}
+		return rs, back
 	}
 	want, _ := run(base)
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -249,11 +248,13 @@ func fig8Days() []time.Time {
 
 // gamingDay is Figure 8's reduction of a day (gamingIPs): the gaming
 // component's volume, as an exact uint64 sum, and its unique eyeball
-// addresses, sorted and without duplicates — four bytes an address, so a
-// day's set costs what its addresses do and two sets merge in one pass.
+// addresses as big-endian integers, sorted and without duplicates — four
+// bytes an address, so a day's set costs what its addresses do and two
+// sets merge in one pass. Figure 8 needs only the sets' sizes and unions,
+// so the integers are never turned back into addresses.
 type gamingDay struct {
 	volume uint64
-	ips    []flowrec.Addr
+	ips    []uint32
 }
 
 // gamingIPs folds an IXP-SE component-flows/gaming day into a gamingDay.
@@ -267,32 +268,28 @@ var gamingIPs = &reduction{owner: "fig8", build: func(*Dataset) (reduceFunc, err
 	}, nil
 }}
 
-// uniqueAddrs returns the distinct addresses of col in ascending order.
-func uniqueAddrs(col []flowrec.Addr) []flowrec.Addr {
+// uniqueAddrs returns the distinct addresses of col as big-endian
+// integers, in ascending order.
+func uniqueAddrs(col []flowrec.Addr) []uint32 {
 	keys := make([]uint32, len(col))
 	for i, a := range col {
 		keys[i] = binary.BigEndian.Uint32(a[:])
 	}
 	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	out := make([]flowrec.Addr, len(keys))
-	for i, k := range keys {
-		binary.BigEndian.PutUint32(out[i][:], k)
-	}
-	return out
+	return slices.Clone(slices.Compact(keys)) // the set alone outlives the fold
 }
 
 // unionAddrs returns the sorted union of the sorted sets a and b in a new
 // slice; neither argument is written.
-func unionAddrs(a, b []flowrec.Addr) []flowrec.Addr {
-	out := make([]flowrec.Addr, 0, max(len(a), len(b)))
+func unionAddrs(a, b []uint32) []uint32 {
+	out := make([]uint32, 0, max(len(a), len(b)))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
-		switch c := bytes.Compare(a[i][:], b[j][:]); {
-		case c < 0:
+		switch {
+		case a[i] < b[j]:
 			out = append(out, a[i])
 			i++
-		case c > 0:
+		case a[i] > b[j]:
 			out = append(out, b[j])
 			j++
 		default:

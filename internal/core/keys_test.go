@@ -275,12 +275,14 @@ func TestPartialsEqualDirectReductions(t *testing.T) {
 
 // TestPartialTakenAgain: a reduction taken again after its last declared
 // reader dropped it, or taken without a declaration, is reduced from the
-// batch drawn again, and the result equals the first take. The first take
-// of the declared one left nothing resident; the second brings the batch
-// back as a fault, and the undeclared takes reduce it where it stays.
+// batch drawn again, and the result equals the first take. Every take
+// draws the batch once and drops it: none is resident, evicted or faulted
+// afterwards, and the entry is left spent, holding no partial.
 func TestPartialTakenAgain(t *testing.T) {
 	d := NewDataset(Options{FlowScale: 0.05})
 	defer d.Close()
+	var draws int
+	d.src = samplingSource{d.src, func() { draws++ }}
 	fig8, _ := ByID("fig8")
 	d.declare([]Experiment{fig8})
 	k := FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(fig8Days()[0])}
@@ -288,7 +290,7 @@ func TestPartialTakenAgain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := d.Stats(); s.ResidentBytes != 0 || s.Faults != 0 || len(d.flows[k].partials) != 0 {
+	if s := d.Stats(); s.ResidentBytes != 0 || s.Faults != 0 || len(d.flows[k].partials) != 0 || !d.flows[k].spent {
 		t.Fatalf("the only declared take must leave neither the batch nor the partial: %+v", s)
 	}
 	again, err := d.partial(k, gamingIPs, nil)
@@ -309,8 +311,11 @@ func TestPartialTakenAgain(t *testing.T) {
 			t.Errorf("take %d of an undeclared reduction differs from the declared one", i)
 		}
 	}
-	if s := d.Stats(); s.Faults != 1 {
-		t.Errorf("the batch must come back once, for the second take, and then serve: %+v", s)
+	if s := d.Stats(); draws != 4 || s.ResidentBytes != 0 || s.Evictions != 0 || s.Faults != 0 {
+		t.Errorf("each of the 4 takes must draw the batch once and hold nothing: %d draws, %+v", draws, s)
+	}
+	if fe := d.flows[k]; len(fe.partials) != 0 || !fe.spent {
+		t.Errorf("%v keeps %d partials after its last take (spent %v)", k, len(fe.partials), fe.spent)
 	}
 	if rs := d.readers[k]; len(rs) != 0 {
 		t.Errorf("%v still has declared takes left: %v", k, rs)

@@ -21,7 +21,8 @@ import (
 // keeps the partials on the cache entry and drops the batch
 // (Dataset.fill). Each partial is dropped in turn when the last reader
 // that declared it has taken it (Dataset.take), so a suite run ends
-// holding neither batches nor partials.
+// holding neither batches nor partials, and the next run on the dataset
+// draws each key afresh, as the first did.
 
 // dayRead declares the flow batches of one kind an experiment reads at
 // one vantage point (and, for KindComponentFlows, one component): one key
@@ -99,23 +100,29 @@ func (d *Dataset) addReader(k FlowKey, r *reduction) {
 
 // take returns the partial of reduction r that the first draw of fe kept,
 // if it kept one, and counts the take against r's declared readers of the
-// key: the last of them drops the partial.
+// key: the last of them drops the partial, as does a take of a reduction
+// not declared on the key, which the draw ran for its asker alone. The
+// take that leaves an entry with no partial and no batch spends it.
 func (d *Dataset) take(fe *flowEntry, r *reduction) (any, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p, ok := fe.partials[r]
 	rs := d.readers[fe.key]
-	i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r })
-	if i < 0 {
-		return p, ok
-	}
-	if rs[i].left--; rs[i].left == 0 {
+	switch i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r }); {
+	case i < 0:
+		delete(fe.partials, r)
+	case rs[i].left > 1:
+		rs[i].left--
+	default:
 		delete(fe.partials, r)
 		if rs = slices.Delete(rs, i, i+1); len(rs) == 0 {
 			delete(d.readers, fe.key)
 		} else {
 			d.readers[fe.key] = rs
 		}
+	}
+	if len(fe.partials) == 0 && !fe.direct {
+		fe.spent = true
 	}
 	return p, ok
 }
@@ -137,32 +144,31 @@ func (d *Dataset) reduce(r *reduction, k FlowKey, b *flowrec.Batch) (any, error)
 	return f(k, b)
 }
 
-// partial returns reduction r of the batch k names. When r was declared
-// on k before k's first draw, that draw kept the partial, and it is
-// returned without the batch — which the draw dropped — though the lookup
-// still counts, and the entry still reports to the pin's drawn set, as a
-// read of the batch does. Otherwise (the partial was declared late, or
-// taken by every reader that declared it) the batch is drawn again through
-// pin and reduced here.
+// partial returns reduction r of the batch k names. The first draw of k,
+// or of its fresh entry once the last one was spent, kept the partial, and
+// it is returned without the batch — which the draw dropped — though the
+// lookup still counts, and the entry still reports to the pin's drawn set,
+// as a read of the batch does. Otherwise (r was declared after the draw,
+// or another take of it got the partial first) the batch is drawn again
+// and reduced here, and dropped like the first: it never enters the
+// cache, so an entry that no one drew directly is never linked.
 func (d *Dataset) partial(k FlowKey, r *reduction, pin *Pin) (any, error) {
 	fe, err := d.entry(k, pin, r)
 	if err != nil {
 		return nil, err
 	}
 	p, ok := d.take(fe, r)
-	if ok {
-		if pin != nil && pin.drawn != nil {
-			pin.drawn.add(fe)
-		}
-	} else {
-		b, err := d.acquire(fe, pin)
+	if !ok {
+		b, err := d.draw(k)
 		if err != nil {
 			return nil, err
 		}
-		defer d.enforceBudget()
 		if p, err = d.reduce(r, k, b); err != nil {
 			return nil, err
 		}
+	}
+	if pin != nil && pin.drawn != nil {
+		pin.drawn.add(fe)
 	}
 	if d.taken != nil {
 		d.taken(k, r, p)

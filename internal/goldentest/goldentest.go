@@ -28,14 +28,16 @@ var FlowExperiments = []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig12
 // shared by the golden tests: it builds a fresh engine drawing flows from
 // src (nil selects the in-process generator), executes the given
 // experiments (nil = the full suite) with the given parallelism, reads
-// every flow batch back once through the cache against a fresh generation
-// of the model (core.Dataset.Reread), closes the engine's dataset, and
-// returns the results plus the cache stats at the end of the run and
-// after the read-back. A suite run holds no batch past its first draw, so
-// the read-back is what brings the batches back: rebuilt through src, and
-// under a cache budget evicted again (HoldsNoBatch). Callers pair it with
-// CompareResults to assert bit-identity against a reference run.
-func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opts core.Options) (results []*core.Result, suite, back core.CacheStats) {
+// every flow batch back twice through the cache against a fresh
+// generation of the model (core.Dataset.Reread), closes the engine's
+// dataset, and returns the results plus the cache stats at the end of the
+// run and after each read-back. A suite run holds no batch past its first
+// draw, so the read-backs are what bring the batches back: the first
+// rebuilds each through src and, under a cache budget, evicts it again —
+// into a span under a cache dir — and the second maps each span back
+// (HoldsNoBatch). Callers pair it with CompareResults to assert
+// bit-identity against a reference run.
+func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opts core.Options) (results []*core.Result, suite core.CacheStats, back [2]core.CacheStats) {
 	t.Helper()
 	engine := core.NewEngineWithSource(opts, src)
 	defer engine.Data().Close()
@@ -44,28 +46,38 @@ func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opt
 		t.Fatalf("suite (parallel %d, opts %+v) failed: %v", parallel, opts, err)
 	}
 	suite = engine.Data().Stats()
-	if _, err := engine.Data().Reread(core.NewSyntheticSource(opts)); err != nil {
-		t.Errorf("reading the suite's batches back (opts %+v): %v", opts, err)
+	for i := range back {
+		if _, err := engine.Data().Reread(core.NewSyntheticSource(opts)); err != nil {
+			t.Errorf("reading the suite's batches back (opts %+v): %v", opts, err)
+		}
+		back[i] = engine.Data().Stats()
 	}
-	return results, suite, engine.Data().Stats()
+	return results, suite, back
 }
 
 // HoldsNoBatch asserts the cache stats RunSuite returns for a run under a
 // 1-byte cache budget: the suite held, evicted, spilled and faulted no
-// batch, since every batch is dropped at its first draw, and the read-back
-// rebuilt every batch once and evicted it — spilling each once, and
-// regenerating none, when opts names a cache dir.
-func HoldsNoBatch(t testing.TB, label string, opts core.Options, suite, back core.CacheStats) {
+// batch, since every batch is dropped at its first draw; the first
+// read-back rebuilt every batch once and evicted it — spilling each once,
+// and regenerating none, when opts names a cache dir — and the second
+// brought every batch back once more and evicted it again: under a cache
+// dir by mapping its span, which Reread compared with a fresh generation,
+// writing no span and regenerating none.
+func HoldsNoBatch(t testing.TB, label string, opts core.Options, suite core.CacheStats, back [2]core.CacheStats) {
 	t.Helper()
 	if suite.ResidentBytes != 0 || suite.Evictions != 0 || suite.Spills != 0 || suite.Faults != 0 || suite.Regens != 0 {
 		t.Errorf("%s: the suite must hold, evict, spill and fault no batch: %+v", label, suite)
 	}
+	first, again := back[0], back[1]
 	spills := int64(0)
 	if opts.CacheDir != "" {
-		spills = back.Faults
+		spills = first.Faults
 	}
-	if back.Faults == 0 || back.Evictions != back.Faults || back.Spills != spills || back.Regens != 0 {
-		t.Errorf("%s: reading back must rebuild and evict every batch once, spill each once under a cache dir, and regenerate none: %+v", label, back)
+	if first.Faults == 0 || first.Evictions != first.Faults || first.Spills != spills || first.Regens != 0 {
+		t.Errorf("%s: reading back must rebuild and evict every batch once, spill each once under a cache dir, and regenerate none: %+v", label, first)
+	}
+	if again.Faults != 2*first.Faults || again.Evictions != again.Faults || again.Spills != first.Spills || again.Regens != 0 {
+		t.Errorf("%s: reading back again must bring every batch back once, from its span under a cache dir, writing and regenerating none: first %+v, again %+v", label, first, again)
 	}
 }
 

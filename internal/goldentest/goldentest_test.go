@@ -39,7 +39,8 @@ func TestDiffModuloRuntime(t *testing.T) {
 // plain engine run bit-identically (it is the same code path the replay
 // and cluster golden tests feed their wire sources through). Under a
 // 1-byte budget the run holds, evicts and spills no batch, and the
-// read-back rebuilds every one.
+// read-backs rebuild every one, then rebuild it again. Under a cache dir
+// as well, the second read-back maps every batch from its span.
 func TestRunSuiteMatchesEngine(t *testing.T) {
 	opts := core.Options{FlowScale: 0.02}
 	want, _, _ := RunSuite(t, nil, []string{"fig8", "tab2"}, 1, opts)
@@ -50,4 +51,9 @@ func TestRunSuiteMatchesEngine(t *testing.T) {
 	got, suite, back := RunSuite(t, core.NewSyntheticSource(opts), []string{"fig8", "tab2"}, 2, opts)
 	CompareResults(t, "synthetic source, budget 1", want, got)
 	HoldsNoBatch(t, "synthetic source, budget 1", opts, suite, back)
+
+	opts.CacheDir = t.TempDir()
+	got, suite, back = RunSuite(t, core.NewSyntheticSource(opts), []string{"fig8", "tab2"}, 2, opts)
+	CompareResults(t, "synthetic source, budget 1, cache dir", want, got)
+	HoldsNoBatch(t, "synthetic source, budget 1, cache dir", opts, suite, back)
 }

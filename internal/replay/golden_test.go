@@ -24,8 +24,8 @@ func runWire(t *testing.T, format collector.Format, ids []string) ([]*core.Resul
 // runWireOpts is runWire under explicit engine options (the tiered-cache
 // golden variants tighten the cache budget). The run, read-back and close
 // harness lives in goldentest.RunSuite, shared with the cluster golden
-// test; it returns the cache stats after the run and after the read-back.
-func runWireOpts(t *testing.T, format collector.Format, ids []string, opts core.Options) ([]*core.Result, Stats, core.CacheStats, core.CacheStats) {
+// test; it returns the cache stats after the run and after each read-back.
+func runWireOpts(t *testing.T, format collector.Format, ids []string, opts core.Options) ([]*core.Result, Stats, core.CacheStats, [2]core.CacheStats) {
 	t.Helper()
 	br, _ := newHarness(t, format, opts)
 	results, cache, back := goldentest.RunSuite(t, br, ids, 4, opts)
@@ -76,7 +76,8 @@ func TestGoldenWireEquivalence(t *testing.T) {
 	// metrics must still equal the in-memory, unbudgeted engine's, and the
 	// suite holds, evicts and spills no bridge-fed batch; read back after
 	// the run, every batch is fetched over the wire again, equals a fresh
-	// generation and is spilled once.
+	// generation and is spilled once, and read back a second time, every
+	// span is mapped back, equals a fresh generation and is not rewritten.
 	t.Run("ipfix-flow-experiments-tiny-budget", func(t *testing.T) {
 		opts := goldenOpts
 		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
