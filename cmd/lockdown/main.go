@@ -32,30 +32,24 @@
 //	-scale f      flow sampling density for flow-level experiments (default
 //	              0.5; 0 selects it; not finite or negative: usage error)
 //	-seed n       generator seed override
-//	-cache-budget n  resident flow-batch cache cap (bytes, K/M/G suffixes;
-//	              0 = unlimited). A suite run holds no flow batch: every
-//	              experiment reads each day as a reduction, taken at the
-//	              day's one draw, after which the batch is dropped, so the
-//	              run evicts, spills and faults nothing at any budget and
-//	              its tier line reads 0. The budget bounds only batches
-//	              drawn directly (the tests' read-back). Default 16M for
-//	              run/all/doc/scenario run, 0 for replay/cluster (no tier
-//	              line). Output is byte-identical at any budget
-//	-cache-dir d  keep evicted flow batches as mmap-backed columnar spans
-//	              in files under d and fault them back in, instead of
-//	              dropping them (see internal/flowstore). A suite run
-//	              evicts nothing, so it writes no file. Default: none
+//	-cache-budget n  no effect; a size (bytes, K/M/G suffixes), checked and
+//	              ignored: a suite run holds no flow batch, since every
+//	              experiment reads each day as a reduction taken at the
+//	              day's one draw. Accepted because bench/'s spill-p1 passes
+//	              it, removed with ROADMAP item 4(a)
+//	-cache-dir d  no effect; accepted because bench/'s spill-p1 passes it,
+//	              removed with ROADMAP item 4(a). No file is written
 //	-cpuprofile f write a pprof CPU profile of the command to f
 //	-memprofile f write a pprof heap profile (after the run) to f
 //	-metrics-addr a  serve live observability over HTTP at a for the life
 //	              of the command: /metrics is the Prometheus text
 //	              exposition of every lockdown_* instrument (engine, scan,
-//	              cache, flowstore, bridge, collector, cluster, chaos),
+//	              cache, bridge, collector, cluster, chaos),
 //	              /debug/pprof/ the standard live profiler. ':0' picks a
 //	              free port and prints it to stderr
 //	-trace f      write a Chrome trace_event JSON trace of the run to f
 //	              (open in Perfetto or chrome://tracing): spans for every
-//	              experiment and scan chunk, cache spill/fault/regen,
+//	              experiment, scan chunk and reduction,
 //	              bridge fetches and retries, shard deaths, rebalances
 //	              and injected faults. The per-experiment span durations
 //	              are the same clock as the _runtime/wall-ms metrics
@@ -285,19 +279,13 @@ func (m mode) flagSet(o *options) *flag.FlagSet {
 	all.StringVar(&o.memProfile, "memprofile", "", "write a pprof heap profile to this `file`")
 	all.StringVar(&o.metricsAddr, "metrics-addr", "", "serve Prometheus /metrics and /debug/pprof on this `address` (':0' picks a free port; empty = off)")
 	all.StringVar(&o.tracePath, "trace", "", "write a Chrome trace_event JSON trace of the run to this `file` (empty = off)")
-	// No suite run links a flow batch (each is dropped at its one draw), so
-	// the budget bounds only direct draws; the defaults keep the tier line
-	// on the in-process modes and off the wire modes.
-	budget := "16M"
-	if m.shards > 0 {
-		budget = "0"
-	}
-	o.core.CacheBudget, _ = parseSize(budget)
-	all.Func("cache-budget", "resident flow-batch cache budget in `bytes` (K/M/G suffixes; 0 = unlimited; default "+budget+"); bounds batches drawn directly: a suite run drops each batch at its one draw and holds none", func(s string) (err error) {
+	// Read by bench/ until ROADMAP item 4(a).
+	all.Func("cache-budget", "no effect: a size in `bytes` (K/M/G suffixes), checked and ignored; accepted because bench/'s spill-p1 passes it, removed with ROADMAP item 4(a)", func(s string) (err error) {
 		o.core.CacheBudget, err = parseSize(s)
 		return err
 	})
-	all.StringVar(&o.core.CacheDir, "cache-dir", "", "spill evicted flow batches to span files under this `directory` instead of dropping them (empty = no disk tier)")
+	// Read by bench/ until ROADMAP item 4(a).
+	all.StringVar(&o.core.CacheDir, "cache-dir", "", "no effect: a `directory`, ignored; accepted because bench/'s spill-p1 passes it, removed with ROADMAP item 4(a)")
 	o.wire.Format = collector.FormatIPFIX
 	all.Func("format", "wire format `name`: v9 or ipfix (default ipfix)", func(s string) (err error) {
 		o.wire.Format, err = collector.ParseFormat(s)
@@ -457,9 +445,7 @@ func runMode(ctx context.Context, name string, args []string) error {
 }
 
 func runOne(ctx context.Context, o *options) error {
-	engine := core.NewEngine(o.core)
-	defer engine.Data().Close()
-	res, err := engine.Run(ctx, o.arg)
+	res, err := core.NewEngine(o.core).Run(ctx, o.arg)
 	if err != nil {
 		return err
 	}
@@ -471,9 +457,7 @@ func runAll(ctx context.Context, o *options) error {
 }
 
 func runDoc(ctx context.Context, o *options) error {
-	engine := core.NewEngine(o.core)
-	defer engine.Data().Close()
-	results, err := engine.RunAll(ctx, o.parallel)
+	results, err := core.NewEngine(o.core).RunAll(ctx, o.parallel)
 	if err != nil {
 		return err
 	}
@@ -598,7 +582,6 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 // terminal summary, the trace file and the /metrics exposition are three
 // views of the same counters.
 func runSuite(ctx context.Context, engine *core.Engine, o *options) error {
-	defer engine.Data().Close()
 	results, err := engine.RunAll(ctx, o.parallel)
 	if err != nil {
 		return err
@@ -624,24 +607,11 @@ func runSuite(ctx context.Context, engine *core.Engine, o *options) error {
 // suiteEvents converts the dataset's cache accounting into the run
 // summary events every suite command shares.
 func suiteEvents(stats core.CacheStats) []obs.Event {
-	events := []obs.Event{{Cat: "cache", Msg: "dataset cache", Fields: []obs.Field{
+	return []obs.Event{{Cat: "cache", Msg: "dataset cache", Fields: []obs.Field{
 		obs.Fi("entries", int64(stats.Entries)),
 		obs.Fi("hits", stats.Hits),
 		obs.Fi("misses", stats.Misses),
 	}}}
-	// Only budgeted runs carry the tier event; an unbudgeted run keeps
-	// every batch resident and has nothing to say here.
-	if stats.Budget > 0 {
-		events = append(events, obs.Event{Cat: "cache", Msg: "flow-batch tiers", Fields: []obs.Field{
-			obs.Fi("spills", stats.Spills),
-			obs.Fi("faults", stats.Faults),
-			obs.Fi("regens", stats.Regens),
-			obs.Ff("MB resident", float64(stats.ResidentBytes)/(1<<20)),
-			obs.Ff("MB spilled", float64(stats.SpilledBytes)/(1<<20)),
-			obs.Fi("evictions", stats.Evictions),
-		}})
-	}
-	return events
 }
 
 // emitEvents renders run events to stderr and records each one as an
@@ -665,7 +635,8 @@ func emit(res *core.Result, asCSV, asJSON bool) error {
 }
 
 // parseSize parses a byte size with an optional K/M/G suffix (plus an
-// ignored B/iB tail), e.g. "64M", "2GiB", "4096". -cache-budget uses it.
+// ignored B/iB tail), e.g. "64M", "2GiB", "4096". -cache-budget checks
+// its value with it.
 func parseSize(s string) (int64, error) {
 	u := strings.ToUpper(strings.TrimSpace(s))
 	if u == "" {
@@ -683,8 +654,7 @@ func parseSize(s string) (int64, error) {
 		mult, u = 1<<30, u[:len(u)-1]
 	}
 	n, err := strconv.ParseInt(strings.TrimSpace(u), 10, 64)
-	// A product past int64 would wrap, and a wrapped budget of 0 or below
-	// reads as "unlimited".
+	// A product past int64 would wrap.
 	if err != nil || n < 0 || n > math.MaxInt64/mult {
 		return 0, fmt.Errorf("invalid size %q", s)
 	}

@@ -307,45 +307,16 @@ func TestMetricCatalog(t *testing.T) {
 	}
 }
 
-// TestSuiteEvents: the stderr summary of a suite run matches the regular
-// expressions CI greps it with. A budgeted run prints its flow-batch tier
-// line; an unbudgeted run prints none. A suite run holds no batch, so each
-// of CI's three tier greps — the default budget, a 1-byte budget, and a
-// 1-byte budget with a cache dir — passes only the line that reads 0
-// everywhere, and no line of a run that held, evicted, spilled or brought
-// back a batch.
+// TestSuiteEvents: the stderr summary of a suite run is one line, the
+// dataset cache's entries, hits and misses; a suite run holds no flow
+// batch, so there is no tier to report.
 func TestSuiteEvents(t *testing.T) {
-	render := func(stats core.CacheStats) string {
-		t.Helper()
-		var out strings.Builder
-		if err := report.WriteEvents(&out, suiteEvents(stats)); err != nil {
-			t.Fatal(err)
-		}
-		return out.String()
+	var out strings.Builder
+	if err := report.WriteEvents(&out, suiteEvents(core.CacheStats{Entries: 218, Hits: 66, Misses: 218})); err != nil {
+		t.Fatal(err)
 	}
-	held := render(core.CacheStats{Entries: 218, Hits: 66, Misses: 218, Budget: 1})
-	greps := ciGreps(t, `grep -E '(\^flow-batch tiers: [^']*)' /tmp/all_(?:default|forget|tiny)_err\.txt`, 3)
-	for _, m := range greps {
-		if grepCount(m[0], held) != 1 {
-			t.Errorf("CI's %q matches no line of:\n%s", m[0], held)
-		}
-	}
-	for _, bad := range []core.CacheStats{
-		{Entries: 218, Hits: 66, Misses: 218, Budget: 16 << 20, ResidentBytes: 5 << 20},
-		{Entries: 218, Hits: 66, Misses: 218, Budget: 1, Evictions: 201},
-		{Entries: 218, Hits: 66, Misses: 218, Budget: 1, Spills: 201, SpilledBytes: 27 << 20, Evictions: 201},
-		{Entries: 218, Hits: 101, Misses: 218, Budget: 1, Faults: 35, Evictions: 35},
-		{Entries: 218, Hits: 66, Misses: 218, Budget: 1, Regens: 1},
-	} {
-		out := render(bad)
-		for _, m := range greps {
-			if grepCount(m[0], out) != 0 {
-				t.Errorf("CI's %q passes a run that held, evicted, spilled or faulted a batch:\n%s", m[0], out)
-			}
-		}
-	}
-	if out := render(core.CacheStats{Entries: 218, Hits: 66, Misses: 218}); strings.Contains(out, "flow-batch tiers:") {
-		t.Errorf("an unbudgeted run printed a tier line:\n%s", out)
+	if got, want := out.String(), "dataset cache: 218 entries, 66 hits, 218 misses\n"; got != want {
+		t.Errorf("suite summary %q, want %q", got, want)
 	}
 }
 
@@ -444,43 +415,6 @@ func TestWireEvents(t *testing.T) {
 		"wire pump: 9 requests, 80 rows exported, 1 nacks")
 }
 
-// TestSpillFileNames: a suite run under a 1-byte budget and a cache dir
-// leaves no file there that CI's grep of that dir's listing finds, and the
-// grep is not vacuous: reading the run's batches back, which evicts each
-// one into the dir, leaves span files it finds.
-func TestSpillFileNames(t *testing.T) {
-	pattern := regexp.MustCompile(ciGreps(t, `grep -q '([^']*)' /tmp/spill_files\.txt`, 1)[0][0])
-	dir := t.TempDir()
-	opts := core.Options{FlowScale: 0.05, CacheBudget: 1, CacheDir: dir}
-	engine := core.NewEngine(opts)
-	defer engine.Data().Close()
-	files := func() []string {
-		var files []string
-		err := filepath.WalkDir(dir, func(path string, e os.DirEntry, err error) error {
-			if err == nil && !e.IsDir() {
-				files = append(files, path)
-			}
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return files
-	}
-	if _, err := engine.Run(context.Background(), "fig10"); err != nil {
-		t.Fatal(err)
-	}
-	if got := files(); slices.ContainsFunc(got, pattern.MatchString) {
-		t.Errorf("a suite run wrote files CI's %q matches: %q", pattern, got)
-	}
-	if _, err := engine.Data().Reread(core.NewSyntheticSource(opts)); err != nil {
-		t.Fatal(err)
-	}
-	if got := files(); !slices.ContainsFunc(got, pattern.MatchString) {
-		t.Errorf("no file under the cache dir matches CI's %q after the read-back: %q", pattern, got)
-	}
-}
-
 // TestValidateIdentityLine: `scenario validate` prints the word CI's
 // gallery step greps for on default.yaml, and on no other gallery file.
 func TestValidateIdentityLine(t *testing.T) {
@@ -532,7 +466,7 @@ func TestReplayPumpMatchesBridge(t *testing.T) {
 var flagModes = map[string]struct{ modes, def, other, setBy string }{
 	"scale":        {"run all doc scenario-run replay cluster", "0.5", "0.25", "bench/defs.go"},
 	"seed":         {"run all doc scenario-run replay cluster", "0", "7", "bench/defs.go"},
-	"cache-budget": {"run all doc scenario-run replay cluster", "16M", "1M", "bench/defs.go"},
+	"cache-budget": {"run all doc scenario-run replay cluster", "", "1", "bench/defs.go"},
 	"cache-dir":    {"run all doc scenario-run replay cluster", "", "d", "bench/defs.go"},
 	"cpuprofile":   {"run all doc scenario-run replay cluster", "", "f", "why: the profiler stays until live metrics answer the questions it does"},
 	"memprofile":   {"run all doc scenario-run replay cluster", "", "f", "why: the profiler stays until live metrics answer the questions it does"},
@@ -666,17 +600,12 @@ var exportWhy = map[string]string{
 	"collector.Exporter.ExportBatch": "why: the collector tests export a batch stamped now (collector.TestRoundTripV9)",
 	"flowrec.FromRecords":            "why: tests build batches from record literals",
 	"flowrec.Batch.Records":          "why: the codec golden tests compare decoded rows as records (ipfix.TestGoldenPackets)",
+	"flowrec.Batch.Project":          "why: tests compare a batch with a full-width one in its columns (core.TestProjectedSuiteEqualsFullWidth)",
 	"synth.MustNewDefault":           "why: tests and the root benchmarks build a default generator without error plumbing",
 
 	// The harness of the replay and cluster golden tests.
-	"goldentest.RunSuite":       "why: the golden tests' shared harness (replay.TestGolden*, cluster.TestGolden*)",
-	"goldentest.CompareResults": "why: the golden tests' shared comparison contract",
-	"goldentest.HoldsNoBatch":   "why: the golden tests' shared cache-stats contract (replay.TestGolden*, cluster.TestGolden*)",
-
-	// The span tier's read side, which goes with -cache-dir and the tier.
-	"flowstore.OpenSpanned":   "why: the span-file tests and FuzzOpenSpanned open sealed files with it",
-	"flowstore.SpanFile.Path": "why: the span-file tests locate a file to damage with it",
-	"flowstore.SpanFile.Refs": "why: the span-file tests walk a sealed file's spans with it",
+	"goldentest.RunSuite":     "why: the golden tests' shared harness (replay.TestGolden*, cluster.TestGolden*)",
+	"goldentest.HoldsNoBatch": "why: the golden tests' shared draw-count contract (replay.TestGolden*, cluster.TestGolden*)",
 }
 
 // declKey names a top-level function or method as pkg.Name or

@@ -50,7 +50,7 @@ func TestGoldenClusterChaos(t *testing.T) {
 		want[i] = byID[id]
 	}
 
-	got, _, _ := goldentest.RunSuite(t, c.Source(), goldentest.FlowExperiments, 4, goldenOpts)
+	got, _ := goldentest.RunSuite(t, c.Source(), goldentest.FlowExperiments, 4, goldenOpts)
 	goldentest.CompareResults(t, "ipfix 3-shard chaos", want, got)
 
 	// The kill can land after the last fetch returns; poll briefly for

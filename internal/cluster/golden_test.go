@@ -17,17 +17,9 @@ import (
 var goldenOpts = core.Options{FlowScale: 0.05}
 
 // runSharded executes the given experiments (nil = full suite) over a
-// fresh in-process cluster of n shards.
-func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*core.Result, Stats) {
-	results, stats, _, _ := runShardedOpts(t, format, ids, n, goldenOpts)
-	return results, stats
-}
-
-// runShardedOpts is runSharded under explicit engine options (the
-// tiered-cache golden variant tightens the cache budget so the sharded
-// bridge's batches spill). The run, read-back and close harness lives in
-// goldentest.RunSuite, shared with the single-pump golden test; it returns
-// the cache stats after the run and after each read-back. It also
+// fresh in-process cluster of n shards. The two-run harness lives in
+// goldentest.RunSuite, shared with the single-pump golden test; every run
+// draws each key once over the wire (goldentest.HoldsNoBatch). It also
 // checks what must hold of the accounting whatever the results are: the
 // per-stream bucket counts sum to the bridge total, every shard owning one
 // of the five vantage points whose flows the suite reads (the ISP, the
@@ -35,10 +27,11 @@ func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*
 // — and the pumps saw a request per bucket and refused none. Retries are
 // not asserted to be zero: a loaded box may drop a loopback datagram, and
 // a retried bucket is still a verified one.
-func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, opts core.Options) ([]*core.Result, Stats, core.CacheStats, [2]core.CacheStats) {
+func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*core.Result, Stats) {
 	t.Helper()
-	c := newTestCluster(t, Spec{Shards: n, Format: format, Options: opts})
-	results, cache, back := goldentest.RunSuite(t, c.Source(), ids, 4, opts)
+	c := newTestCluster(t, Spec{Shards: n, Format: format, Options: goldenOpts})
+	results, draws := goldentest.RunSuite(t, c.Source(), ids, 4, goldenOpts)
+	goldentest.HoldsNoBatch(t, fmt.Sprintf("%v, %d shards", format, n), draws)
 	stats := c.Stats()
 	var keys int64
 	for _, s := range stats.Streams {
@@ -63,7 +56,7 @@ func runShardedOpts(t *testing.T, format collector.Format, ids []string, n int, 
 	if requests < keys || nacks != 0 {
 		t.Errorf("%v: pumps took %d requests with %d NACKs, want >= %d and none", format, requests, nacks, keys)
 	}
-	return results, stats, cache, back
+	return results, stats
 }
 
 // TestGoldenClusterEquivalence is the golden test of the sharded
@@ -105,20 +98,4 @@ func TestGoldenClusterEquivalence(t *testing.T) {
 			t.Logf("netflow-v9 %s flow experiments: %+v", label, stats.Bridge)
 		})
 	}
-
-	// Tiered-cache variant: under a 1-byte cache budget and a cache dir the
-	// metrics must still equal the unbudgeted in-memory engine's, and the
-	// suite holds, evicts and spills no batch the sharded bridge serves;
-	// read back after the run, every batch is fetched over the wire again,
-	// equals a fresh generation and is spilled once, and read back a second
-	// time, every span is mapped back, equals a fresh generation and is not
-	// rewritten.
-	t.Run("ipfix-flow-experiments-3-shards-tiny-budget", func(t *testing.T) {
-		opts := goldenOpts
-		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
-		got, stats, cache, back := runShardedOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, 3, opts)
-		goldentest.CompareResults(t, "ipfix 3-shard tiny-budget", flowWant, got)
-		goldentest.HoldsNoBatch(t, "ipfix 3-shard tiny-budget", opts, cache, back)
-		t.Logf("ipfix 3-shard tiny-budget: %+v cache %+v", stats.Bridge, back)
-	})
 }

@@ -51,7 +51,6 @@ func TestPaperFidelity(t *testing.T) {
 	} {
 		t.Run(set.name, func(t *testing.T) {
 			engine := NewEngine(set.opts)
-			defer engine.Data().Close()
 			results, err := engine.RunAll(context.Background(), 0)
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +155,6 @@ func TestSeverityZeroBreaksClaims(t *testing.T) {
 	opts := quick()
 	opts.Model = s.Config
 	engine := NewEngine(opts)
-	defer engine.Data().Close()
 	results, err := engine.RunMany(context.Background(), []string{"fig2a", "fig2bc", "fig4", "fig5", "fig10", "fig12"}, 0)
 	if err != nil {
 		t.Fatal(err)

@@ -40,20 +40,10 @@ type Options struct {
 	FlowScale float64
 	// Seed overrides the generator seed (0 keeps the default).
 	Seed int64
-	// CacheBudget caps the estimated heap bytes of flow batches the
-	// dataset cache keeps resident: least-recently-used unpinned batches
-	// beyond it are evicted, and an evicted batch is rebuilt from the flow
-	// source on its next access (or, with CacheDir, mapped back from its
-	// span). 0 is unlimited — every batch stays resident; the CLI sets a
-	// default for the modes that generate in process. The budget does not
-	// affect results: a rebuilt or mapped batch is bit-identical.
+	// CacheBudget and CacheDir have no effect: the dataset holds no
+	// batch to bound or spill. Read by bench/ until ROADMAP item 4(a).
 	CacheBudget int64
-	// CacheDir, if non-empty, adds a disk tier under the budget: evicted
-	// batches are appended to span files under it (see internal/flowstore;
-	// a private temp dir is created inside it per dataset and removed by
-	// Dataset.Close) instead of being forgotten. Empty means no disk
-	// tier, and no file is ever created.
-	CacheDir string
+	CacheDir    string
 	// Model, if non-nil, supplies the base traffic model per vantage
 	// point instead of synth.DefaultConfig — this is how a compiled
 	// scenario (internal/scenario) is injected into the pipeline. The
@@ -67,8 +57,8 @@ type Options struct {
 	// way — they are just not exported anywhere. Neither the registry
 	// nor the tracer ever changes a result: they only observe.
 	Obs *obs.Registry
-	// Tracer, if non-nil, records spans (experiments, scan chunks, cache
-	// spill/fault, bridge fetches) and events as Chrome trace_event JSON
+	// Tracer, if non-nil, records spans (experiments, scan chunks,
+	// reductions, bridge fetches) and events as Chrome trace_event JSON
 	// (the -trace flag). nil disables tracing at the cost of a nil check.
 	Tracer *obs.Tracer
 }

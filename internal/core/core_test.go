@@ -98,7 +98,7 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	// column set, and its hour 20 is that generator's hour.
 	hour := day.Add(20 * time.Hour)
 	k := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(hour)}
-	got, err := unpinned(d).flowBatch(synth.ISPCE, hour)
+	got, err := flowBatch(d, synth.ISPCE, hour)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ func TestDatasetResolvesModelOncePerVantagePoint(t *testing.T) {
 			return synth.DefaultConfig(vp)
 		},
 	})
-	defer d.Close()
 
 	vps := []synth.VantagePoint{synth.ISPCE, synth.IXPCE, synth.EDU}
 	day := time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
@@ -40,10 +39,10 @@ func TestDatasetResolvesModelOncePerVantagePoint(t *testing.T) {
 			for i := 0; i < 12; i++ {
 				vp := vps[(w+i)%len(vps)]
 				hour := day.Add(time.Duration(i%4) * time.Hour)
-				if _, err := unpinned(d).flowBatch(vp, hour); err != nil {
+				if _, err := flowBatch(d, vp, hour); err != nil {
 					failed.Store(true)
 				}
-				if _, err := unpinned(d).vpnFlowBatch(vp, hour); err != nil {
+				if _, err := vpnFlowBatch(d, vp, hour); err != nil {
 					failed.Store(true)
 				}
 				if _, err := d.Series(vp, day, day.AddDate(0, 0, 1)); err != nil {
@@ -101,29 +100,26 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 	}
 
 	d := NewDataset(Options{FlowScale: 0.1})
-	defer d.Close()
-	// misses is what a key's first lookup memoizes: the batch, and the
+	// rows is an undeclared reduction, so every take draws the key afresh.
+	rows := &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
+		return func(_ FlowKey, b *flowrec.Batch) (any, error) { return b.Len(), nil }, nil
+	}}
+	// misses is what a key's first lookup memoizes: the key, and the
 	// models it draws from that no earlier row built. The fill's own model
 	// lookup books no hit, so a first lookup books none.
-	for _, tc := range []struct {
+	for i, tc := range []struct {
 		key    FlowKey
 		name   string
 		misses int64
-		get    func(time.Time) (*flowrec.Batch, error)
 	}{
-		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25", 2, // and the generator
-			func(at time.Time) (*flowrec.Batch, error) { return unpinned(d).flowBatch(synth.ISPCE, at) }},
-		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25", 3, // the VPN data and its generator
-			func(at time.Time) (*flowrec.Batch, error) { return unpinned(d).vpnFlowBatch(synth.IXPCE, at) }},
-		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25", 2,
-			func(at time.Time) (*flowrec.Batch, error) {
-				return unpinned(d).componentFlowBatch(synth.IXPSE, "gaming", at)
-			}},
-		{FlowKey{Kind: KindComponentFlows, VP: synth.ISPCE, Name: "gaming", Hour: day}, "component-flows/ISP-CE/gaming@2020-03-25", 1, // ISP-CE's generator is built
-			func(at time.Time) (*flowrec.Batch, error) {
-				return unpinned(d).componentFlowBatch(synth.ISPCE, "gaming", at)
-			}},
+		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25", 2},                                           // and the generator
+		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25", 3},                                    // the VPN data and its generator
+		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25", 2}, // and the generator
+		{FlowKey{Kind: KindComponentFlows, VP: synth.ISPCE, Name: "gaming", Hour: day}, "component-flows/ISP-CE/gaming@2020-03-25", 1}, // ISP-CE's generator is built
 	} {
+		get := func(at time.Time) (any, error) {
+			return d.partial(FlowKey{Kind: tc.key.Kind, VP: tc.key.VP, Name: tc.key.Name, Hour: DayOf(at)}, rows, nil)
+		}
 		if s := tc.key.String(); s != tc.name {
 			t.Errorf("String() = %q, want %q", s, tc.name)
 		}
@@ -131,7 +127,7 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 			t.Errorf("%v ends at %v, want the end of its day", tc.key, got)
 		}
 		prev := d.Stats()
-		first, err := tc.get(utc)
+		first, err := get(utc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,33 +148,16 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 			if k := (FlowKey{Kind: tc.key.Kind, VP: tc.key.VP, Name: tc.key.Name, Hour: DayOf(at)}); k != tc.key {
 				t.Errorf("%s: key %v, want %v", name, k, tc.key)
 			}
-			if b, err := tc.get(at); err != nil || b != first {
-				t.Errorf("%s: a second batch for the same day of %v (%v)", name, tc.key, err)
+			if n, err := get(at); err != nil || n != first {
+				t.Errorf("%s: %v rows for the same day of %v, want %v (%v)", name, n, tc.key, first, err)
 			}
 		}
 		after := d.Stats()
 		if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+int64(len(at)) {
 			t.Errorf("%d lookups of a cached %v: %+v, then %+v; want as many hits and no new entry", len(at), tc.key, before, after)
 		}
-	}
-}
-
-// BenchmarkDatasetFlowBatchHit is the warm lookup of one cached hour: the
-// path every scan takes once per hour it visits. Its allocation count is
-// gated (cmd/benchgate) so per-lookup model or fingerprint construction
-// cannot come back.
-func BenchmarkDatasetFlowBatchHit(b *testing.B) {
-	d := NewDataset(Options{FlowScale: 0.1})
-	defer d.Close()
-	hour := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
-	if _, err := unpinned(d).flowBatch(synth.ISPCE, hour); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := unpinned(d).flowBatch(synth.ISPCE, hour); err != nil {
-			b.Fatal(err)
+		if _, ok := d.flows[tc.key]; !ok || len(d.flows) != i+1 {
+			t.Errorf("%d flow entries after %d keys, %v among them: %v", len(d.flows), i+1, tc.key, ok)
 		}
 	}
 }

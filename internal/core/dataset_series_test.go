@@ -35,7 +35,6 @@ func TestSharedSeriesViews(t *testing.T) {
 	}
 
 	d := NewDataset(Options{FlowScale: 0.1})
-	defer d.Close()
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

@@ -23,7 +23,7 @@ const (
 	// in MiB: over the distinct flow batches it drew from the dataset,
 	// rows × the width of the columns each stores (Columns.RowBytes; 59
 	// for a full-width batch). It is a property of the experiment and the
-	// options, the same at any -parallel and cache budget.
+	// options, the same at any -parallel.
 	MetricBatchMB = "_runtime/batch-mb"
 	// MetricScanChunks counts the grid items — one chunk each — the
 	// experiment's sharded scans processed (0 = the experiment has no
@@ -53,14 +53,10 @@ func IsRuntimeMetric(key string) bool {
 type Env struct {
 	Options
 	Data *Dataset
-	// pin keeps every flow batch a scan chunk draws through the Env
-	// accessors resident until the chunk returns, so cache eviction never
-	// races a reader. Only a chunk's Env (chunkEnv) has one; elsewhere it
-	// is nil and the accessors read the cache unpinned.
-	pin *Pin
 	// drawn is the experiment's batch accounting (MetricBatchMB), which
-	// every chunk pin reports to. The engine sets it per run; nil
-	// (hand-built Envs) disables the accounting.
+	// every partial taken through the Env reports its entry to. The engine
+	// sets it per run and chunkEnv passes it on; nil (hand-built Envs)
+	// disables the accounting.
 	drawn *drawnSet
 	// ctx is the run's context: sharded scans observe it between chunks
 	// so a cancelled RunAll stops mid-grid instead of finishing the
@@ -87,42 +83,22 @@ func (env *Env) series(vp synth.VantagePoint, from, to time.Time) (*timeseries.S
 }
 
 // partial returns reduction r of the day batch k names (Dataset.partial),
-// drawing the batch through the run's pin when it has to.
-func (env *Env) partial(k FlowKey, r *reduction) (any, error) { return env.Data.partial(k, r, env.pin) }
+// reporting its entry to the experiment's batch accounting.
+func (env *Env) partial(k FlowKey, r *reduction) (any, error) {
+	return env.Data.partial(k, r, env.drawn)
+}
 
-// CacheStats summarises the dataset cache's effectiveness and, when a
-// cache budget is set, its eviction activity.
+// CacheStats summarises the dataset cache's effectiveness.
 type CacheStats struct {
 	// Entries counts all memoized values (generators, series, flow
-	// batches). Each was installed by one miss and none is ever removed.
+	// keys). Each was installed by one miss and none is ever removed.
 	Entries int
 	// Hits and Misses count memoized lookups.
 	Hits   int64
 	Misses int64
-	// Budget is the Options.CacheBudget in force (0 = unlimited).
-	Budget int64
-	// Evictions counts resident flow batches dropped to fit the budget,
-	// forgotten or left in their span.
-	Evictions int64
-	// Spills counts flow-batch entries appended to a span file (each
-	// entry is written once; later evictions reuse the span). Always 0
-	// without Options.CacheDir.
-	Spills int64
-	// Faults counts evicted entries brought back for an access, whether
-	// mapped from their span or rebuilt from the flow source.
-	Faults int64
-	// Regens counts faults that found a damaged span and rebuilt the
-	// batch from the flow source instead.
-	Regens int64
-	// ResidentBytes estimates the heap held by resident flow batches.
-	ResidentBytes int64
-	// SpilledBytes is the total size of live spans on disk.
-	SpilledBytes int64
-	// Pinned counts flow-batch entries currently pinned by a running
-	// experiment or scan chunk. Outside a run it must be 0: a non-zero
-	// balance after RunAll returns means a pin leaked (the cancellation
-	// tests assert this).
-	Pinned int
+	// Spills, Faults, Regens and SpilledBytes are always 0: read by
+	// bench/ until ROADMAP item 4(a).
+	Spills, Faults, Regens, SpilledBytes int64
 }
 
 // Engine executes experiments against one shared dataset cache. A zero
@@ -201,8 +177,8 @@ func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
 // runTimed executes an experiment, records its wall time, the batch
 // memory it read and its scan activity into the result's runtime metrics,
 // and appends the verdict of each of its claims to the notes.
-// The batches are read, and pinned, by the experiment's scan chunks, which
-// report them to the Env's drawn set. budget is the shared worker pool
+// The batches are read by the experiment's scan chunks, which report them
+// to the Env's drawn set. budget is the shared worker pool
 // the experiment's sharded scans may borrow spare tokens from; the caller
 // must already hold one of its tokens.
 func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBudget) (*Result, error) {

@@ -151,15 +151,13 @@ func TestEngineStampsRuntimeMetrics(t *testing.T) {
 // TestBatchMBIsAttributable: _runtime/batch-mb is a property of the
 // experiment — the distinct flow batches its scans drew, at the width of
 // the columns they store — not of the process, so it reads the same however the
-// run was parallelised or budgeted (the column it replaces,
-// a process-global allocation delta, tripled from -parallel 1 to 4).
+// run was parallelised (the column it replaces, a process-global
+// allocation delta, tripled from -parallel 1 to 4).
 func TestBatchMBIsAttributable(t *testing.T) {
 	ids := []string{"fig7a", "fig8", "fig12", "tab2"}
 	run := func(opts Options, parallel int) map[string]float64 {
 		t.Helper()
-		e := NewEngine(opts)
-		defer e.Data().Close()
-		rs, err := e.RunMany(context.Background(), ids, parallel)
+		rs, err := NewEngine(opts).RunMany(context.Background(), ids, parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,10 +177,9 @@ func TestBatchMBIsAttributable(t *testing.T) {
 	// fig8 draws exactly the gaming component's days of weeks 7-17, which
 	// store a byte counter and one address: 12 bytes a row, not 59.
 	d := NewDataset(base)
-	defer d.Close()
 	var rows int
 	for day := time.Date(2020, 2, 10, 0, 0, 0, 0, time.UTC); day.Before(time.Date(2020, 4, 27, 0, 0, 0, 0, time.UTC)); day = day.AddDate(0, 0, 1) {
-		b, err := unpinned(d).componentFlowBatch(synth.IXPSE, "gaming", day)
+		b, err := componentFlowBatch(d, synth.IXPSE, "gaming", day)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,15 +193,7 @@ func TestBatchMBIsAttributable(t *testing.T) {
 		t.Errorf("fig8: batch-mb = %v, its %d rows at %d bytes are %v", want["fig8"], rows, width, mb)
 	}
 
-	tiny := base
-	tiny.CacheBudget, tiny.CacheDir = 1, t.TempDir()
-	for label, got := range map[string]map[string]float64{
-		"parallel-4":         run(base, 4),
-		"cache-budget-1":     run(tiny, 1),
-		"cache-budget-1, p4": run(tiny, 4),
-	} {
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: batch-mb = %v, want %v as at -parallel 1", label, got, want)
-		}
+	if got := run(base, 4); !reflect.DeepEqual(want, got) {
+		t.Errorf("-parallel 4: batch-mb = %v, want %v as at -parallel 1", got, want)
 	}
 }

@@ -59,7 +59,6 @@ func keyCensus(t *testing.T, opts Options) (map[string][]FlowKey, map[FlowKey]bo
 		if _, err := e.RunMany(context.Background(), []string{id}, 1); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		e.Data().Close()
 		for k := range src.keys {
 			perExp[id] = append(perExp[id], k)
 			all[k] = true
@@ -147,22 +146,20 @@ func TestKeyCensus(t *testing.T) {
 }
 
 // TestSharedDaysDrawnOnce: the five experiments whose reads share days, in
-// two groups, run together at -parallel 4 under a 1-byte budget, so which
-// reader draws a shared day first is up to the scheduler. The source is
-// asked for each declared key exactly once, the run holds, evicts and
-// spills no batch, the results equal the serial unbudgeted run's, and the
-// run ends: no reader waits on a fold another holds. CI runs it under
-// -race -cpu 1,4.
+// two groups, run together at -parallel 4, so which reader draws a shared
+// day first is up to the scheduler. The source is asked for each declared
+// key exactly once, the run holds nothing afterwards, the results equal
+// the serial run's, and the run ends: no reader waits on a fold another
+// holds. CI runs it under -race -cpu 1,4.
 func TestSharedDaysDrawnOnce(t *testing.T) {
 	ids := []string{"fig7a", "fig7b", "fig9", "fig10", "ablation-vpn"}
 	want, err := NewEngine(Options{FlowScale: 0.02}).RunMany(context.Background(), ids, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{FlowScale: 0.02, CacheBudget: 1}
+	opts := Options{FlowScale: 0.02}
 	src := newRecordingSource(opts)
 	e := NewEngineWithSource(opts, src)
-	defer e.Data().Close()
 	type outcome struct {
 		rs  []*Result
 		err error
@@ -181,7 +178,7 @@ func TestSharedDaysDrawnOnce(t *testing.T) {
 	if got.err != nil {
 		t.Fatal(got.err)
 	}
-	sameResults(t, "parallel 4, budget 1", want, got.rs)
+	requireSameResults(t, "parallel 4", want, got.rs)
 
 	decl := make(map[FlowKey]bool)
 	for _, id := range ids {
@@ -196,7 +193,7 @@ func TestSharedDaysDrawnOnce(t *testing.T) {
 	if len(src.keys) != len(decl) {
 		t.Errorf("the source saw %d keys, the readers declare %d", len(src.keys), len(decl))
 	}
-	holdsNothing(t, "parallel 4, budget 1", e.Data())
+	holdsNothing(t, "parallel 4", e.Data())
 }
 
 // TestPartialsEqualDirectReductions: every partial a suite run's readers
@@ -259,7 +256,6 @@ func TestPartialsEqualDirectReductions(t *testing.T) {
 		if len(taken) != len(declared) || len(taken) != 121+77+31 {
 			t.Errorf("seed %d: %d partials taken, want 229", seed, len(taken))
 		}
-		d.Close()
 
 		for _, r := range rs {
 			alone, err := NewEngine(opts).Run(context.Background(), r.ID)
@@ -276,13 +272,12 @@ func TestPartialsEqualDirectReductions(t *testing.T) {
 // TestPartialTakenAgain: a reduction taken again after its last declared
 // reader dropped it, or taken without a declaration, is reduced from the
 // batch drawn again, and the result equals the first take. Every take
-// draws the batch once and drops it: none is resident, evicted or faulted
-// afterwards, and the entry is left spent, holding no partial.
+// draws the batch once and drops it, and the entry is left spent, holding
+// no partial.
 func TestPartialTakenAgain(t *testing.T) {
-	d := NewDataset(Options{FlowScale: 0.05})
-	defer d.Close()
-	var draws int
-	d.src = samplingSource{d.src, func() { draws++ }}
+	opts := Options{FlowScale: 0.05}
+	src := newRecordingSource(opts)
+	d := NewDatasetWithSource(opts, src)
 	fig8, _ := ByID("fig8")
 	d.declare([]Experiment{fig8})
 	k := FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(fig8Days()[0])}
@@ -290,8 +285,8 @@ func TestPartialTakenAgain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s := d.Stats(); s.ResidentBytes != 0 || s.Faults != 0 || len(d.flows[k].partials) != 0 || !d.flows[k].spent {
-		t.Fatalf("the only declared take must leave neither the batch nor the partial: %+v", s)
+	if fe := d.flows[k]; src.keys[k] != 1 || len(fe.partials) != 0 || !fe.spent {
+		t.Fatalf("the only declared take must draw once and leave no partial: %d draws, %d partials, spent %v", src.keys[k], len(fe.partials), fe.spent)
 	}
 	again, err := d.partial(k, gamingIPs, nil)
 	if err != nil {
@@ -311,8 +306,8 @@ func TestPartialTakenAgain(t *testing.T) {
 			t.Errorf("take %d of an undeclared reduction differs from the declared one", i)
 		}
 	}
-	if s := d.Stats(); draws != 4 || s.ResidentBytes != 0 || s.Evictions != 0 || s.Faults != 0 {
-		t.Errorf("each of the 4 takes must draw the batch once and hold nothing: %d draws, %+v", draws, s)
+	if src.keys[k] != 4 || len(src.keys) != 1 {
+		t.Errorf("each of the 4 takes must draw the batch once: %v", src.keys)
 	}
 	if fe := d.flows[k]; len(fe.partials) != 0 || !fe.spent {
 		t.Errorf("%v keeps %d partials after its last take (spent %v)", k, len(fe.partials), fe.spent)
@@ -329,10 +324,9 @@ func TestHourRowsAreHours(t *testing.T) {
 	opts := Options{FlowScale: 0.1}
 	_, all := keyCensus(t, opts)
 	d := NewDataset(opts)
-	defer d.Close()
 	hours := 0
 	for k := range all {
-		b, err := d.batch(k, nil)
+		b, err := d.draw(k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,10 +357,9 @@ func TestHourRowsAreHours(t *testing.T) {
 // is a batch whose length disagrees with the model's row counts.
 func TestHourRowsGuards(t *testing.T) {
 	d := NewDataset(Options{FlowScale: 0.1})
-	defer d.Close()
 	day := DayOf(time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC))
 	se := FlowKey{Kind: KindFlows, VP: synth.IXPSE, Hour: day}
-	b, err := d.batch(se, nil)
+	b, err := d.draw(se)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +372,7 @@ func TestHourRowsGuards(t *testing.T) {
 		}
 	}
 	ce := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}
-	whole, err := d.batch(ce, nil)
+	whole, err := d.draw(ce)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,15 +57,13 @@ func storedColumns(d *Dataset) map[string]map[flowrec.Columns]int {
 // three kind column sets: the default engine, whose batches store only
 // what the kind's readers declared, must produce all 21 results equal —
 // modulo _runtime/ — to an engine fed full-width batches by the same
-// models (fullWidthSource), unbudgeted and under a 1-byte budget with a
-// cache dir. Neither run holds a batch; read back after the run, every
-// batch is rebuilt (and, under the budget, spilled), and read back a
-// second time it is mapped from its span. A reader that reads a column its kind's set lacks fails
+// models (fullWidthSource), at seeds 0 and 7; neither run holds anything
+// afterwards. A reader that reads a column its kind's set lacks fails
 // here whether it would have panicked on the nil column or (ranging over
 // it) silently read nothing. Runs under -race -cpu 1,4 in CI.
 func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the full suite eight times")
+		t.Skip("runs the full suite four times")
 	}
 	for kind, want := range map[string]struct {
 		cols  flowrec.Columns
@@ -80,57 +78,41 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 		}
 	}
 	for _, seed := range []int64{0, 7} {
-		for _, budget := range []int64{0, 1} {
-			opts := Options{FlowScale: 0.05, Seed: seed, CacheBudget: budget}
-			if budget > 0 {
-				opts.CacheDir = t.TempDir()
+		opts := Options{FlowScale: 0.05, Seed: seed}
+		run := func(e *Engine) ([]*Result, map[string]map[flowrec.Columns]int, float64) {
+			t.Helper()
+			rs, err := e.RunAll(context.Background(), 4)
+			if err != nil {
+				t.Fatalf("RunAll(%+v): %v", opts, err)
 			}
-			run := func(e *Engine) ([]*Result, map[string]map[flowrec.Columns]int, float64) {
-				t.Helper()
-				defer e.Data().Close()
-				rs, err := e.RunAll(context.Background(), 4)
-				if err != nil {
-					t.Fatalf("RunAll(%+v): %v", opts, err)
-				}
-				holdsNothing(t, fmt.Sprintf("seed %d, budget %d", seed, budget), e.Data())
-				if s := reread(t, e.Data(), opts); budget > 0 && (s.Faults != int64(suiteKeys()) || s.Spills != s.Faults || s.Regens != 0) {
-					t.Errorf("seed %d: reading back must rebuild and spill every batch once: %+v", seed, s)
-				}
-				if s := reread(t, e.Data(), opts); budget > 0 && (s.Faults != 2*int64(suiteKeys()) || s.Spills != int64(suiteKeys()) || s.Regens != 0) {
-					t.Errorf("seed %d: reading back again must map every span once, writing and regenerating none: %+v", seed, s)
-				}
-				var mb float64
-				for _, r := range rs {
-					mb += r.Metrics[MetricBatchMB]
-				}
-				return rs, storedColumns(e.Data()), mb
+			holdsNothing(t, fmt.Sprintf("seed %d", seed), e.Data())
+			var mb float64
+			for _, r := range rs {
+				mb += r.Metrics[MetricBatchMB]
 			}
-			full, fullCols, fullMB := run(NewEngineWithSource(opts, fullWidthSource{NewSyntheticSource(opts)}))
-			got, gotCols, gotMB := run(NewEngine(opts))
-			if len(full) != 21 {
-				t.Fatalf("%d results, want the 21 experiments", len(full))
-			}
-			label := "projected vs full-width"
-			if budget > 0 {
-				label += ", every batch spilled"
-			}
-			sameResults(t, label, full, got)
+			return rs, storedColumns(e.Data()), mb
+		}
+		full, fullCols, fullMB := run(NewEngineWithSource(opts, fullWidthSource{NewSyntheticSource(opts)}))
+		got, gotCols, gotMB := run(NewEngine(opts))
+		if len(full) != 21 {
+			t.Fatalf("%d results, want the 21 experiments", len(full))
+		}
+		requireSameResults(t, "projected vs full-width", full, got)
 
-			// Neither side of the comparison is vacuous: the default engine
-			// stored exactly the kind sets, the reference all fifteen.
-			for kind, cols := range map[string]flowrec.Columns{
-				"flows": FlowKey{Kind: KindFlows}.Columns(), "vpn-flows": FlowKey{Kind: KindVPNFlows}.Columns(), "component-flows": FlowKey{Kind: KindComponentFlows}.Columns(),
-			} {
-				if n := gotCols[kind][cols]; n == 0 || len(gotCols[kind]) != 1 {
-					t.Errorf("seed %d: default engine's %s entries store %v, want only %s", seed, kind, gotCols[kind], cols)
-				}
-				if n := fullCols[kind][flowrec.AllColumns]; n == 0 || len(fullCols[kind]) != 1 {
-					t.Errorf("seed %d: a wider batch must be stored as delivered; %s entries store %v", seed, kind, fullCols[kind])
-				}
+		// Neither side of the comparison is vacuous: the default engine
+		// stored exactly the kind sets, the reference all fifteen.
+		for kind, cols := range map[string]flowrec.Columns{
+			"flows": FlowKey{Kind: KindFlows}.Columns(), "vpn-flows": FlowKey{Kind: KindVPNFlows}.Columns(), "component-flows": FlowKey{Kind: KindComponentFlows}.Columns(),
+		} {
+			if n := gotCols[kind][cols]; n == 0 || len(gotCols[kind]) != 1 {
+				t.Errorf("seed %d: default engine's %s entries store %v, want only %s", seed, kind, gotCols[kind], cols)
 			}
-			if gotMB <= 0 || gotMB > 0.4*fullMB {
-				t.Errorf("seed %d: batch MB %.1f projected vs %.1f full-width, want about a third", seed, gotMB, fullMB)
+			if n := fullCols[kind][flowrec.AllColumns]; n == 0 || len(fullCols[kind]) != 1 {
+				t.Errorf("seed %d: a wider batch must be stored as delivered; %s entries store %v", seed, kind, fullCols[kind])
 			}
+		}
+		if gotMB <= 0 || gotMB > 0.4*fullMB {
+			t.Errorf("seed %d: batch MB %.1f projected vs %.1f full-width, want about a third", seed, gotMB, fullMB)
 		}
 	}
 }
@@ -143,17 +125,16 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 	opts := Options{FlowScale: 0.1}
 	d := NewDataset(opts)
-	defer d.Close()
 	if d.src != FlowSource(d.model) {
 		t.Fatalf("default source is %T, want the dataset's own model", d.src)
 	}
 	oracle := NewSyntheticSource(opts)
 	full := fullWidthSource{oracle}
 	for _, k := range []FlowKey{
-		{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(spillHour)},
-		{Kind: KindFlows, VP: synth.IXPSE, Hour: DayOf(spillHour)},
-		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: DayOf(spillHour)},
-		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(spillHour)},
+		{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(testHour)},
+		{Kind: KindFlows, VP: synth.IXPSE, Hour: DayOf(testHour)},
+		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: DayOf(testHour)},
+		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(testHour)},
 	} {
 		got, err := fetch(d.src, k)
 		if err != nil {
@@ -173,15 +154,15 @@ func TestDefaultSourceIsProjectedSyntheticSource(t *testing.T) {
 		if got.Len() == 0 || !want.Project(k.Columns()).Equal(got) || !standalone.Equal(got) {
 			t.Errorf("%v: the projected batch (%d rows) is not the full-width one's columns (%d rows)", k, got.Len(), want.Len())
 		}
-		if cached, err := d.batch(k, nil); err != nil || !cached.Equal(got) {
-			t.Errorf("%v: the cache holds something else than its source delivers (%v)", k, err)
+		if drawn, err := d.draw(k); err != nil || !drawn.Equal(got) {
+			t.Errorf("%v: the dataset draws something else than its source delivers (%v)", k, err)
 		}
 	}
 	// A key of every kind names a UTC day; one at 14:00 names no batch.
 	for _, hourly := range []FlowKey{
-		{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(spillHour)},
-		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: HourOf(spillHour)},
-		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: HourOf(spillHour)},
+		{Kind: KindFlows, VP: synth.ISPCE, Hour: HourOf(testHour)},
+		{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: HourOf(testHour)},
+		{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: HourOf(testHour)},
 	} {
 		if b, err := oracle.Batch(hourly); err == nil || !strings.Contains(err.Error(), "not at 00:00 UTC") {
 			t.Errorf("SyntheticSource served %v: %v, %v", hourly, b, err)

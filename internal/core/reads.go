@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"slices"
 	"time"
 
@@ -102,7 +101,7 @@ func (d *Dataset) addReader(k FlowKey, r *reduction) {
 // if it kept one, and counts the take against r's declared readers of the
 // key: the last of them drops the partial, as does a take of a reduction
 // not declared on the key, which the draw ran for its asker alone. The
-// take that leaves an entry with no partial and no batch spends it.
+// take that leaves an entry with no partial spends it.
 func (d *Dataset) take(fe *flowEntry, r *reduction) (any, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -121,7 +120,7 @@ func (d *Dataset) take(fe *flowEntry, r *reduction) (any, bool) {
 			d.readers[fe.key] = rs
 		}
 	}
-	if len(fe.partials) == 0 && !fe.direct {
+	if len(fe.partials) == 0 {
 		fe.spent = true
 	}
 	return p, ok
@@ -147,13 +146,13 @@ func (d *Dataset) reduce(r *reduction, k FlowKey, b *flowrec.Batch) (any, error)
 // partial returns reduction r of the batch k names. The first draw of k,
 // or of its fresh entry once the last one was spent, kept the partial, and
 // it is returned without the batch — which the draw dropped — though the
-// lookup still counts, and the entry still reports to the pin's drawn set,
-// as a read of the batch does. Otherwise (r was declared after the draw,
-// or another take of it got the partial first) the batch is drawn again
-// and reduced here, and dropped like the first: it never enters the
-// cache, so an entry that no one drew directly is never linked.
-func (d *Dataset) partial(k FlowKey, r *reduction, pin *Pin) (any, error) {
-	fe, err := d.entry(k, pin, r)
+// lookup still counts, and the entry still reports to drawn (the
+// experiment's batch accounting, nil for none), as a read of the batch
+// does. Otherwise (r was declared after the draw, or another take of it
+// got the partial first) the batch is drawn again, reduced here and
+// dropped like the first.
+func (d *Dataset) partial(k FlowKey, r *reduction, drawn *drawnSet) (any, error) {
+	fe, err := d.entry(k, r)
 	if err != nil {
 		return nil, err
 	}
@@ -167,43 +166,13 @@ func (d *Dataset) partial(k FlowKey, r *reduction, pin *Pin) (any, error) {
 			return nil, err
 		}
 	}
-	if pin != nil && pin.drawn != nil {
-		pin.drawn.add(fe)
+	if drawn != nil {
+		drawn.add(fe)
 	}
 	if d.taken != nil {
 		d.taken(k, r, p)
 	}
 	return p, nil
-}
-
-// Reread draws every flow batch the dataset has drawn once more, unpinned
-// — one its first draw dropped, or one evicted, comes back from its span
-// or its source, as on any fault — and compares it, in its key's columns,
-// with the batch want delivers for the key. It returns the number of
-// batches compared. A suite run holds no batch past its first draw, so
-// the golden tests read the fault path with this; it must be called
-// before Close.
-func (d *Dataset) Reread(want FlowSource) (int, error) {
-	d.mu.Lock()
-	keys := make([]FlowKey, 0, len(d.flows))
-	for k := range d.flows {
-		keys = append(keys, k)
-	}
-	d.mu.Unlock()
-	for _, k := range keys {
-		got, err := d.batch(k, nil)
-		if err != nil {
-			return 0, err
-		}
-		ref, err := fetch(want, k)
-		if err != nil {
-			return 0, err
-		}
-		if cols := k.Columns(); !got.Project(cols).Equal(ref.Project(cols)) {
-			return 0, fmt.Errorf("core: %s read back differs from a fresh draw", k)
-		}
-	}
-	return len(keys), nil
 }
 
 // weekDays returns the days of the weeks in order, only the workdays when

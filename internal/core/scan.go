@@ -19,8 +19,8 @@ import (
 // structural rules, not because of any particular schedule:
 //
 //  1. The partition is one item per chunk — never a function of the
-//     worker count, the cache budget, or timing. A day is a flow key's
-//     span, so a day chunk's pin holds exactly the keys of its day.
+//     worker count or timing. A day is a flow key's span, so a day chunk
+//     reads exactly the keys of its day.
 //  2. Partial aggregates merge in ascending chunk index, and every
 //     aggregate the experiments merge is exact: byte volumes sum as
 //     uint64 (integer addition is associative at any magnitude — float64
@@ -85,12 +85,9 @@ type scanStats struct {
 // chunk, and folds the per-item partial aggregates with merge in ascending
 // item order, returning the final aggregate.
 //
-// Each scan invocation receives a chunk-scoped Env: same options and
-// dataset, but a private Pin that keeps every batch the chunk draws
-// resident until the chunk completes — the cache never evicts a
-// batch mid-chunk, and released chunks let it converge back to its budget.
-// Chunk envs carry no budget, so a nested ShardedScan inside scan runs
-// sequentially instead of recursively forking.
+// Each scan invocation receives a chunk-scoped Env: same options, dataset
+// and batch accounting, but no budget, so a nested ShardedScan inside scan
+// runs sequentially instead of recursively forking.
 //
 // Extra workers are borrowed from the engine's worker budget with a
 // non-blocking tryAcquire (the calling goroutine always scans too, so a
@@ -141,7 +138,6 @@ func ShardedScan[T any](env *Env, n int, scan func(env *Env, i int) (T, error), 
 			sp := env.Tracer.Start("scan-chunk", "scan")
 			cenv := env.chunkEnv()
 			part, err := scan(cenv, i)
-			cenv.pin.Release()
 			if sp.Active() {
 				sp.EndArgs(map[string]any{"item": i})
 			}
@@ -208,17 +204,12 @@ func ScanDays[T any](env *Env, days []time.Time, newPart func() T,
 }
 
 // chunkEnv derives the execution environment of one chunk: same options,
-// dataset, context and stats, but a private pin (released by the scan
-// when the chunk completes, yet still reporting the entries it draws to
-// the experiment's batch accounting) and no budget (nested scans run
-// sequentially).
+// dataset, batch accounting, context and stats, but no budget (nested
+// scans run sequentially).
 func (env *Env) chunkEnv() *Env {
-	pin := env.Data.NewPin()
-	pin.drawn = env.drawn
 	return &Env{
 		Options: env.Options,
 		Data:    env.Data,
-		pin:     pin,
 		drawn:   env.drawn,
 		ctx:     env.ctx,
 		scan:    env.scan,

@@ -73,7 +73,6 @@ func requireSameResults(t *testing.T, label string, want, got []*Result) {
 // the output must be exactly 0..n-1 in order.
 func TestShardedScanOrderAndCoverage(t *testing.T) {
 	data := NewDataset(Options{FlowScale: 0.01})
-	defer data.Close()
 	prop := func(n8, budget8 uint8) bool {
 		n := int(n8) % 200
 		budget := int(budget8)%8 + 1
@@ -115,7 +114,6 @@ func TestShardedScanOrderAndCoverage(t *testing.T) {
 // surfaces the scan's error, not a partial aggregate.
 func TestShardedScanErrorPropagation(t *testing.T) {
 	data := NewDataset(Options{FlowScale: 0.01})
-	defer data.Close()
 	env := &Env{Data: data, budget: newWorkerBudget(4), scan: &scanStats{}}
 	env.budget.acquire()
 	boom := errors.New("boom")
@@ -181,32 +179,6 @@ func TestRunAllShardingInvariance(t *testing.T) {
 	}
 }
 
-// TestShardedScanTinyBudgetIdentity is the torture variant: a one-byte
-// cache budget forces every unpinned batch to spill, so the sharded scans
-// continuously fault, pin and re-spill mid-flight — and the flow-heavy
-// experiments must still be bit-identical to the unbudgeted sequential
-// walk. The CI race job runs this with -cpu 1,4.
-func TestShardedScanTinyBudgetIdentity(t *testing.T) {
-	opts := Options{FlowScale: 0.05}
-	base, err := NewEngine(opts).RunMany(context.Background(), flowHeavy, 1)
-	if err != nil {
-		t.Fatalf("baseline RunMany: %v", err)
-	}
-	o := opts
-	o.CacheBudget = 1
-	o.CacheDir = t.TempDir()
-	eng := NewEngine(o)
-	defer eng.Data().Close()
-	got, err := eng.RunMany(context.Background(), flowHeavy, 4)
-	if err != nil {
-		t.Fatalf("tiny-budget RunMany: %v", err)
-	}
-	requireSameResults(t, "cache-budget=1", base, got)
-	if s := eng.Data().Stats(); s.Pinned != 0 {
-		t.Errorf("pinned balance after RunMany = %d, want 0", s.Pinned)
-	}
-}
-
 // cancelAfterSource wraps a FlowSource and cancels the run's context after
 // a fixed number of flow-batch fetches, so cancellation lands mid-scan
 // inside whichever experiment is walking its grid at that moment.
@@ -225,9 +197,8 @@ func (s *cancelAfterSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*f
 }
 
 // TestShardedScanCancellation cancels the context mid-sharded-scan and
-// asserts the three leak-freedom properties: RunMany fails cleanly with
-// the context error, every scan goroutine exits, and no pinned batch is
-// left behind (the cache can converge back to its budget).
+// asserts the two leak-freedom properties: RunMany fails cleanly with the
+// context error, and every scan goroutine exits.
 func TestShardedScanCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -235,7 +206,6 @@ func TestShardedScanCancellation(t *testing.T) {
 	opts := Options{FlowScale: 0.05}
 	src := &cancelAfterSource{FlowSource: NewSyntheticSource(opts), after: 40, cancel: cancel}
 	eng := NewEngineWithSource(opts, src)
-	defer eng.Data().Close()
 	_, err := eng.RunMany(ctx, flowHeavy, 4)
 	if err == nil {
 		t.Fatal("RunMany cancelled mid-scan should fail")
@@ -257,9 +227,6 @@ func TestShardedScanCancellation(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before, %d after cancellation", before, runtime.NumGoroutine())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if s := eng.Data().Stats(); s.Pinned != 0 {
-		t.Errorf("pinned balance after cancelled RunMany = %d, want 0", s.Pinned)
 	}
 }
 
@@ -298,7 +265,6 @@ func TestSingleRunBorrowsSpareWorker(t *testing.T) {
 		opts := Options{FlowScale: 0.02}
 		serial := NewEngine(opts)
 		want, err := serial.RunMany(context.Background(), []string{id}, 1)
-		serial.Data().Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +273,6 @@ func TestSingleRunBorrowsSpareWorker(t *testing.T) {
 		}
 		eng := NewEngine(opts)
 		res, err := eng.Run(context.Background(), id)
-		eng.Data().Close()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,10 +19,8 @@ import (
 // component — one method per FlowKind. Each method takes the 00:00 UTC of
 // its day and returns the hours of that day the key holds
 // (FlowKey.Hours), in hour order. The Dataset cache consumes exactly one
-// FlowSource and memoizes every batch it returns under its FlowKey, so a
-// source is asked for a key once — and again only when the batch was
-// evicted under a cache budget with no span to bring it back from, which
-// is why a source must return the same batch for the same key every time.
+// FlowSource and asks it for a key once per run (the next run asks again),
+// so a source must return the same batch for the same key every time.
 //
 // The generator-backed implementation is SyntheticSource; the wire-replay
 // bridge in package replay serves the same batches off live NetFlow/IPFIX
@@ -30,25 +28,22 @@ import (
 // source must never retain or mutate a batch after returning it.
 //
 // Ownership: a batch a source returns belongs to the caller, and only the
-// caller may hand it to the flowrec pool (Batch.Release). The Dataset keeps
-// what it caches and never releases it — an evicted batch is dropped, not
-// released, because a pin-less reader may still hold it — so on the
-// default path the pool the generator draws from
-// (synth.Generator.ComponentBatch) is always empty and every batch is a
-// fresh allocation. The wire-replay
+// caller may hand it to the flowrec pool (Batch.Release). The Dataset
+// reduces a batch and drops it, never releases it, so on the default path
+// the pool the generator draws from (synth.Generator.ComponentBatch) is
+// always empty and every batch is a fresh allocation. The wire-replay
 // harness is the caller that releases: a pump releases the batch it
 // exported once the bucket's END frame is out, and the bridge releases its
 // reference when the fetch returns, while the wire batch it returns
-// passes to the cache like any other.
+// passes to the dataset like any other.
 //
 // Projection is a property of the batch kind: every scan of a kind reads
-// inside FlowKey.Columns, so a source returns those columns and the cache
-// holds and spills them and no others. Both sources in the tree return
+// inside FlowKey.Columns, so a source returns those columns and the
+// reductions read them and no others. Both sources in the tree return
 // exactly that set — SyntheticSource generates it, and the wire bridge's
 // pumps export it (their templates carry the kind's fields) and verify and
 // return it — so the pump, the bridge's reference and the dataset share one
-// batch shape. The cache stores a batch as delivered: a foreign source may
-// return more columns, never fewer.
+// batch shape. A foreign source may return more columns, never fewer.
 type FlowSource interface {
 	FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
 	VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
@@ -95,8 +90,8 @@ func DayOf(t time.Time) Hour { return Hour(t.Truncate(24*time.Hour).Unix() / 360
 // Time returns the start of the hour, in UTC.
 func (h Hour) Time() time.Time { return time.Unix(int64(h)*3600, 0).UTC() }
 
-// FlowKey is the one name of a flow batch: the dataset cache's map key, a
-// Pin's argument, the request of the replay wire protocol and the key
+// FlowKey is the one name of a flow batch: the dataset cache's map key, the
+// request of the replay wire protocol and the key
 // argument of trace spans. Two keys of the same batch are ==. Every key
 // names one UTC day, so its Hour is the day's first (DayOf): the suite's
 // readers sum whole days and weeks, and only Figures 9 and 10 split a day

@@ -5,10 +5,9 @@ import (
 	"net/netip"
 )
 
-// Addr is an IPv4 address as the batch columns, the span files and the
-// three wire formats hold it: its four bytes in network order. It holds
-// no pointer, so an address column is memory the garbage collector never
-// scans and a span file can be viewed in place; every four-byte pattern
+// Addr is an IPv4 address as the batch columns and the wire formats hold
+// it: its four bytes in network order. It holds no pointer, so an address
+// column is memory the garbage collector never scans; every four-byte pattern
 // is an address, so a column needs no validity check; and it is
 // comparable. Convert a [4]byte (or a four-byte slice) with Addr(x).
 //

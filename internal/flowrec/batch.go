@@ -20,9 +20,8 @@ import (
 // Timestamps are stored as Unix nanoseconds so the column is a flat int64
 // array; the conversion is lossless for every time the generator or the
 // codecs produce. Addresses are stored as Addr, so no column holds a
-// pointer: batch memory is noscan, the garbage collector never walks it,
-// and a span file's bytes can stand in for any column. Appending never
-// fails: rows are plain value copies.
+// pointer: batch memory is noscan and the garbage collector never walks
+// it. Appending never fails: rows are plain value copies.
 //
 // A batch stores a set of its columns (Columns). The zero value and
 // NewBatch store all fifteen, which is what the wire codecs and the
@@ -66,9 +65,8 @@ const (
 	batchLive uint32 = iota
 	// batchPooled: sitting in the pool; using or re-Releasing it is a bug.
 	batchPooled
-	// batchView: a read-only view over memory another owner manages (an
-	// mmap-backed flowstore segment, or the batch a Slice cuts); it must
-	// never enter the pool.
+	// batchView: a read-only view over the columns of the batch a Slice
+	// cuts; it must never enter the pool.
 	batchView
 )
 
@@ -311,7 +309,7 @@ func (b *Batch) Slice(lo, hi int) *Batch {
 		Dir: sliceCol(b.Dir, lo, hi), TCPFlags: sliceCol(b.TCPFlags, lo, hi),
 		absent: b.absent,
 	}
-	v.MarkView()
+	v.markView()
 	return v
 }
 
@@ -487,9 +485,8 @@ func (b *Batch) keepOnly(c Columns) {
 // afterwards. Releasing the same batch twice panics (the second release
 // would let two future GetProjected callers alias the same column arrays and
 // silently corrupt each other's rows), as does releasing a view batch
-// (its columns alias an mmap-backed segment owned by the dataset cache,
-// or another batch, so pooling it would hand that memory to the decode
-// loops).
+// (its columns alias another batch, so pooling it would hand that memory
+// to the decode loops).
 func (b *Batch) Release() {
 	if b == nil {
 		return
@@ -504,42 +501,18 @@ func (b *Batch) Release() {
 	}
 }
 
-// MarkView marks b as a read-only view over externally managed memory
-// (package flowstore's mmap-backed segments, or another batch's columns:
-// Slice). A view batch panics on Release instead of entering the pool, and
-// its columns must not be mutated or retained past their owner's
+// markView marks b as a read-only view over another batch's columns
+// (Slice). A view batch panics on Release instead of entering the pool,
+// and its columns must not be mutated or retained past their owner's
 // lifetime.
-func (b *Batch) MarkView() {
+func (b *Batch) markView() {
 	atomic.StoreUint32(&b.state, batchView)
 }
 
-// IsView reports whether b was marked as a view.
-func (b *Batch) IsView() bool {
-	return atomic.LoadUint32(&b.state) == batchView
-}
-
-// addrSize is the size of an Addr, in memory and in a span file.
+// addrSize is the size of an Addr.
 const addrSize = int(unsafe.Sizeof(Addr{}))
 
 // RowBytes is what one row occupies across all fifteen columns (59): the
 // sum of the column element sizes. A projected batch's rows occupy
 // Columns.RowBytes.
 const RowBytes = 2*8 + 2*addrSize + 2*2 + 1 + 2*8 + 2*4 + 2*2 + 1 + 1
-
-// HeapBytes estimates the batch's heap footprint: the backing arrays of
-// its columns at their current capacity (an absent column has none). The
-// dataset cache budgets its
-// resident set with this figure. For a view batch it over-counts the
-// columns that alias segment memory, so the cache computes those
-// separately (see flowstore.Segment.Batch).
-func (b *Batch) HeapBytes() int64 {
-	n := int64(cap(b.StartNs))*8 + int64(cap(b.EndNs))*8 +
-		(int64(cap(b.SrcIP))+int64(cap(b.DstIP)))*int64(addrSize) +
-		int64(cap(b.SrcPort))*2 + int64(cap(b.DstPort))*2 +
-		int64(cap(b.Proto)) +
-		int64(cap(b.Bytes))*8 + int64(cap(b.Packets))*8 +
-		int64(cap(b.SrcAS))*4 + int64(cap(b.DstAS))*4 +
-		int64(cap(b.InIf))*2 + int64(cap(b.OutIf))*2 +
-		int64(cap(b.Dir)) + int64(cap(b.TCPFlags))
-	return n + int64(unsafe.Sizeof(Batch{}))
-}

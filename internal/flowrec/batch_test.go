@@ -159,10 +159,7 @@ func TestReleaseAfterReuseIsFine(t *testing.T) {
 func TestMarkViewBlocksPooling(t *testing.T) {
 	b := NewBatch(4)
 	b.Append(Record{Proto: ProtoTCP, Bytes: 1, Packets: 1})
-	b.MarkView()
-	if !b.IsView() {
-		t.Fatal("MarkView did not stick")
-	}
+	b.markView()
 	defer func() {
 		if recover() == nil {
 			t.Error("Release of a view batch must panic")
@@ -191,9 +188,6 @@ func TestSliceIsAReadOnlyView(t *testing.T) {
 		if b.Bytes[7] != 107 {
 			t.Errorf("an append to the view wrote into the batch: row 7 holds %d", b.Bytes[7])
 		}
-		if !v.IsView() {
-			t.Error("a slice is not marked as a view")
-		}
 	}
 	defer func() {
 		if recover() == nil {
@@ -201,16 +195,6 @@ func TestSliceIsAReadOnlyView(t *testing.T) {
 		}
 	}()
 	full.Slice(0, 1).Release()
-}
-
-func TestHeapBytesGrowsWithRows(t *testing.T) {
-	small, big := NewBatch(10), NewBatch(10000)
-	if small.HeapBytes() <= 0 {
-		t.Fatalf("HeapBytes = %d, want > 0", small.HeapBytes())
-	}
-	if big.HeapBytes() <= small.HeapBytes() {
-		t.Errorf("HeapBytes must scale with capacity: %d vs %d", big.HeapBytes(), small.HeapBytes())
-	}
 }
 
 // TestServerPortAtMatchesRecord pins the branchless column scan to the

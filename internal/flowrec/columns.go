@@ -9,11 +9,11 @@ import (
 // Columns is a set of Batch columns, one bit per column in field order.
 // A batch stores the columns of its set and leaves the others nil (see
 // NewProjected): a reader declares what it reads as a Columns constant,
-// and whoever builds batches for that reader allocates, fills and spills
+// and whoever builds batches for that reader allocates, fills and sends
 // nothing else.
 type Columns uint16
 
-// One bit per Batch column, in field (and span-file blob) order.
+// One bit per Batch column, in field order.
 const (
 	ColStartNs Columns = 1 << iota
 	ColEndNs

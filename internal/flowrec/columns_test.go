@@ -78,7 +78,7 @@ func nilColumns(b *flowrec.Batch) flowrec.Columns {
 }
 
 // TestProjectedBatchOperations: Len, Grow, Reset, Truncate, AppendBatch,
-// HeapBytes, Project and Equal are correct for any non-empty set, and a
+// Project and Equal are correct for any non-empty set, and a
 // projected batch never grows a column outside its set.
 func TestProjectedBatchOperations(t *testing.T) {
 	full := flowrec.FromRecords(genRecords(40))
@@ -94,11 +94,6 @@ func TestProjectedBatchOperations(t *testing.T) {
 			b.Grow(100)
 			if got := nilColumns(b); got != flowrec.AllColumns&^cols {
 				t.Fatalf("after Grow the nil columns are %s, want exactly the absent %s", got, flowrec.AllColumns&^cols)
-			}
-			// The allocator rounds each column up to a size class.
-			want := int64(100*cols.RowBytes()) + flowrec.NewProjected(0, cols).HeapBytes()
-			if got := b.HeapBytes(); got < want || got > want+want/8 {
-				t.Errorf("HeapBytes = %d for 100 rows of %d bytes, want %d plus size-class slack", got, cols.RowBytes(), want)
 			}
 			b.AppendBatch(full)
 			b.AppendBatch(full.Project(cols))

@@ -1,6 +1,6 @@
 // Package goldentest holds the comparison contract shared by the golden
 // tests: internal/replay (single pump), internal/cluster (sharded) and
-// the CI forced-spill step (via cmd/goldendiff) all pin their suite runs
+// the CI goldendiff steps (via cmd/goldendiff) all pin their suite runs
 // bit-identical to the in-memory engine with exactly these rules, so the
 // acceptance criterion lives in one place and the tests cannot drift
 // apart.
@@ -11,9 +11,13 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"lockdown/internal/core"
+	"lockdown/internal/flowrec"
+	"lockdown/internal/synth"
 )
 
 // FlowExperiments are the experiments that actually consume the
@@ -26,59 +30,82 @@ var FlowExperiments = []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig12
 
 // RunSuite is the "run the suite under options O, then compare" harness
 // shared by the golden tests: it builds a fresh engine drawing flows from
-// src (nil selects the in-process generator), executes the given
-// experiments (nil = the full suite) with the given parallelism, reads
-// every flow batch back twice through the cache against a fresh
-// generation of the model (core.Dataset.Reread), closes the engine's
-// dataset, and returns the results plus the cache stats at the end of the
-// run and after each read-back. A suite run holds no batch past its first
-// draw, so the read-backs are what bring the batches back: the first
-// rebuilds each through src and, under a cache budget, evicts it again —
-// into a span under a cache dir — and the second maps each span back
-// (HoldsNoBatch). Callers pair it with CompareResults to assert
-// bit-identity against a reference run.
-func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opts core.Options) (results []*core.Result, suite core.CacheStats, back [2]core.CacheStats) {
+// src, executes the given experiments (nil = the full suite) with the
+// given parallelism twice, and returns the first run's results plus the
+// draws src served, per key, in each run. The second run's results must
+// equal the first's. Callers pair it with CompareResults to assert
+// bit-identity against a reference run, and with HoldsNoBatch.
+func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opts core.Options) (results []*core.Result, draws [2]map[core.FlowKey]int) {
 	t.Helper()
-	engine := core.NewEngineWithSource(opts, src)
-	defer engine.Data().Close()
-	results, err := engine.RunMany(context.Background(), ids, parallel)
-	if err != nil {
-		t.Fatalf("suite (parallel %d, opts %+v) failed: %v", parallel, opts, err)
-	}
-	suite = engine.Data().Stats()
-	for i := range back {
-		if _, err := engine.Data().Reread(core.NewSyntheticSource(opts)); err != nil {
-			t.Errorf("reading the suite's batches back (opts %+v): %v", opts, err)
+	counted := &countingSource{FlowSource: src}
+	engine := core.NewEngineWithSource(opts, counted)
+	for i := range draws {
+		counted.draws = make(map[core.FlowKey]int)
+		rs, err := engine.RunMany(context.Background(), ids, parallel)
+		if err != nil {
+			t.Fatalf("suite run %d (parallel %d, opts %+v) failed: %v", i+1, parallel, opts, err)
 		}
-		back[i] = engine.Data().Stats()
+		if i == 0 {
+			results = rs
+		} else {
+			CompareResults(t, "second run on one engine", results, rs)
+		}
+		draws[i] = counted.draws
 	}
-	return results, suite, back
+	return results, draws
 }
 
-// HoldsNoBatch asserts the cache stats RunSuite returns for a run under a
-// 1-byte cache budget: the suite held, evicted, spilled and faulted no
-// batch, since every batch is dropped at its first draw; the first
-// read-back rebuilt every batch once and evicted it — spilling each once,
-// and regenerating none, when opts names a cache dir — and the second
-// brought every batch back once more and evicted it again: under a cache
-// dir by mapping its span, which Reread compared with a fresh generation,
-// writing no span and regenerating none.
-func HoldsNoBatch(t testing.TB, label string, opts core.Options, suite core.CacheStats, back [2]core.CacheStats) {
+// HoldsNoBatch asserts the draws RunSuite returns: each run drew every key
+// it read exactly once, a day two experiments read included, and the
+// second run drew the same keys as the first. An entry the first run left
+// unspent would make each reader of a shared day draw it in the second.
+func HoldsNoBatch(t testing.TB, label string, draws [2]map[core.FlowKey]int) {
 	t.Helper()
-	if suite.ResidentBytes != 0 || suite.Evictions != 0 || suite.Spills != 0 || suite.Faults != 0 || suite.Regens != 0 {
-		t.Errorf("%s: the suite must hold, evict, spill and fault no batch: %+v", label, suite)
+	if len(draws[0]) == 0 {
+		t.Errorf("%s: the suite drew no flow batch", label)
 	}
-	first, again := back[0], back[1]
-	spills := int64(0)
-	if opts.CacheDir != "" {
-		spills = first.Faults
+	for i, run := range draws {
+		for k, n := range run {
+			if n != 1 {
+				t.Errorf("%s: run %d drew %v %d times, want once", label, i+1, k, n)
+			}
+			if i == 1 && draws[0][k] == 0 {
+				t.Errorf("%s: run 2 drew %v, which run 1 did not", label, k)
+			}
+		}
 	}
-	if first.Faults == 0 || first.Evictions != first.Faults || first.Spills != spills || first.Regens != 0 {
-		t.Errorf("%s: reading back must rebuild and evict every batch once, spill each once under a cache dir, and regenerate none: %+v", label, first)
+	if len(draws[1]) != len(draws[0]) {
+		t.Errorf("%s: run 2 drew %d keys, run 1 %d: an entry outlived its run", label, len(draws[1]), len(draws[0]))
 	}
-	if again.Faults != 2*first.Faults || again.Evictions != again.Faults || again.Spills != first.Spills || again.Regens != 0 {
-		t.Errorf("%s: reading back again must bring every batch back once, from its span under a cache dir, writing and regenerating none: first %+v, again %+v", label, first, again)
-	}
+}
+
+// countingSource counts the batches it serves per key, for the run in
+// progress. The engine's scan chunks draw concurrently.
+type countingSource struct {
+	core.FlowSource
+	mu    sync.Mutex
+	draws map[core.FlowKey]int
+}
+
+func (s *countingSource) count(k core.FlowKey) {
+	s.mu.Lock()
+	s.draws[k]++
+	s.mu.Unlock()
+}
+
+func (s *countingSource) FlowBatch(vp synth.VantagePoint, day time.Time) (*flowrec.Batch, error) {
+	s.count(core.FlowKey{Kind: core.KindFlows, VP: vp, Hour: core.DayOf(day)})
+	return s.FlowSource.FlowBatch(vp, day)
+}
+
+func (s *countingSource) VPNFlowBatch(vp synth.VantagePoint, day time.Time) (*flowrec.Batch, error) {
+	s.count(core.FlowKey{Kind: core.KindVPNFlows, VP: vp, Hour: core.DayOf(day)})
+	return s.FlowSource.VPNFlowBatch(vp, day)
+}
+
+func (s *countingSource) ComponentFlowBatch(vp synth.VantagePoint, name string, day time.Time) (*flowrec.Batch, error) {
+	s.count(core.FlowKey{Kind: core.KindComponentFlows, VP: vp, Name: name, Hour: core.DayOf(day)})
+	return s.FlowSource.ComponentFlowBatch(vp, name, day)
 }
 
 // DiffModuloRuntime compares two rendered suite outputs (the text
@@ -86,7 +113,7 @@ func HoldsNoBatch(t testing.TB, label string, opts core.Options, suite core.Cach
 // _runtime/ execution metric — the same exclusion CompareResults applies
 // to result metrics. It returns "" when the outputs are identical modulo
 // runtime lines, otherwise a description of the first divergence. The CI
-// forced-spill step uses it through cmd/goldendiff.
+// goldendiff steps use it through cmd/goldendiff.
 func DiffModuloRuntime(want, got string) string {
 	w := dropRuntimeLines(want)
 	g := dropRuntimeLines(got)

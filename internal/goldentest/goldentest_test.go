@@ -1,6 +1,7 @@
 package goldentest
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -35,25 +36,22 @@ func TestDiffModuloRuntime(t *testing.T) {
 }
 
 // TestRunSuiteMatchesEngine exercises the shared harness against the
-// generator-backed source: RunSuite with a nil source must reproduce a
-// plain engine run bit-identically (it is the same code path the replay
-// and cluster golden tests feed their wire sources through). Under a
-// 1-byte budget the run holds, evicts and spills no batch, and the
-// read-backs rebuild every one, then rebuild it again. Under a cache dir
-// as well, the second read-back maps every batch from its span.
+// generator-backed source: RunSuite must reproduce a plain engine run
+// bit-identically (it is the same code path the replay and cluster golden
+// tests feed their wire sources through), and each of its two runs draws
+// every key once (HoldsNoBatch), the March week that Figure 10 and
+// ablation-vpn share included.
 func TestRunSuiteMatchesEngine(t *testing.T) {
 	opts := core.Options{FlowScale: 0.02}
-	want, _, _ := RunSuite(t, nil, []string{"fig8", "tab2"}, 1, opts)
-	got, _, _ := RunSuite(t, core.NewSyntheticSource(opts), []string{"fig8", "tab2"}, 2, opts)
+	ids := []string{"fig10", "ablation-vpn", "tab2"}
+	want, err := core.NewEngine(opts).RunMany(context.Background(), ids, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, draws := RunSuite(t, core.NewSyntheticSource(opts), ids, 2, opts)
 	CompareResults(t, "synthetic source", want, got)
-
-	opts.CacheBudget = 1
-	got, suite, back := RunSuite(t, core.NewSyntheticSource(opts), []string{"fig8", "tab2"}, 2, opts)
-	CompareResults(t, "synthetic source, budget 1", want, got)
-	HoldsNoBatch(t, "synthetic source, budget 1", opts, suite, back)
-
-	opts.CacheDir = t.TempDir()
-	got, suite, back = RunSuite(t, core.NewSyntheticSource(opts), []string{"fig8", "tab2"}, 2, opts)
-	CompareResults(t, "synthetic source, budget 1, cache dir", want, got)
-	HoldsNoBatch(t, "synthetic source, budget 1, cache dir", opts, suite, back)
+	HoldsNoBatch(t, "synthetic source", draws)
+	if n := len(draws[0]); n != 21 {
+		t.Errorf("fig10 drew %d keys, want its 21 vpn-flows days", n)
+	}
 }

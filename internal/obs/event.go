@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Event is one structured run event: what the CLI's reporter renders to
 // stderr and what the tracer records as an instant, so the human summary
@@ -15,7 +12,7 @@ type Event struct {
 	// Cat groups events ("cache", "bridge", "cluster", "chaos"); the
 	// tracer uses it as the instant's category.
 	Cat string
-	// Msg is the short human headline ("flow-batch tiers", "rebalance").
+	// Msg is the short human headline ("dataset cache", "rebalance").
 	Msg string
 	// Fields are ordered key=value details; order is presentation order.
 	Fields []Field
@@ -35,9 +32,6 @@ func F(key, val string) Field { return Field{Key: key, Val: val} }
 
 // Fi builds an integer field.
 func Fi(key string, v int64) Field { return Field{Key: key, Val: strconv.FormatInt(v, 10)} }
-
-// Ff builds a float field with one decimal (sizes in MB, seconds).
-func Ff(key string, v float64) Field { return Field{Key: key, Val: fmt.Sprintf("%.1f", v)} }
 
 // Emit records the event as an instant in the trace (no-op on a nil
 // tracer). The reporter renders the same Event to the terminal, so the

@@ -29,7 +29,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 	root := tr.Start("exp:fig1", "experiment")
 	time.Sleep(time.Millisecond)
-	tr.Instant("cache-regen", "cache", map[string]any{"key": "flows/EDU"})
+	tr.Instant("dataset cache", "cache", map[string]any{"entries": "218"})
 	tr.Emit(Event{Cat: "cluster", Msg: "rebalance", Fields: []Field{Fi("moved", 4)}})
 	root.End()
 
@@ -89,7 +89,7 @@ func TestTraceRoundTrip(t *testing.T) {
 			t.Errorf("unexpected phase %q on %q", ev.Ph, ev.Name)
 		}
 	}
-	for _, want := range []string{"process_name", "thread_name", "exp:fig1", "scan-chunk", "cache-regen", "rebalance", "exp:fig2"} {
+	for _, want := range []string{"process_name", "thread_name", "exp:fig1", "scan-chunk", "dataset cache", "rebalance", "exp:fig2"} {
 		if names[want] == 0 {
 			t.Errorf("event %q missing from trace", want)
 		}

@@ -16,20 +16,15 @@ var goldenOpts = core.Options{FlowScale: 0.05}
 
 // runWire executes the given experiments (nil = the full suite) over a
 // fresh pump/bridge pair and returns the results plus the bridge stats.
+// The two-run harness lives in goldentest.RunSuite, shared with the
+// cluster golden test; every run draws each key once over the wire
+// (goldentest.HoldsNoBatch).
 func runWire(t *testing.T, format collector.Format, ids []string) ([]*core.Result, Stats) {
-	results, stats, _, _ := runWireOpts(t, format, ids, goldenOpts)
-	return results, stats
-}
-
-// runWireOpts is runWire under explicit engine options (the tiered-cache
-// golden variants tighten the cache budget). The run, read-back and close
-// harness lives in goldentest.RunSuite, shared with the cluster golden
-// test; it returns the cache stats after the run and after each read-back.
-func runWireOpts(t *testing.T, format collector.Format, ids []string, opts core.Options) ([]*core.Result, Stats, core.CacheStats, [2]core.CacheStats) {
 	t.Helper()
-	br, _ := newHarness(t, format, opts)
-	results, cache, back := goldentest.RunSuite(t, br, ids, 4, opts)
-	return results, br.Stats(), cache, back
+	br, _ := newHarness(t, format, goldenOpts)
+	results, draws := goldentest.RunSuite(t, br, ids, 4, goldenOpts)
+	goldentest.HoldsNoBatch(t, format.String(), draws)
+	return results, br.Stats()
 }
 
 // TestGoldenWireEquivalence is the golden test of the wire-replay
@@ -70,20 +65,5 @@ func TestGoldenWireEquivalence(t *testing.T) {
 		got, stats := runWire(t, collector.FormatNetflowV9, goldentest.FlowExperiments)
 		goldentest.CompareResults(t, "netflow-v9", flowWant, got)
 		t.Logf("netflow-v9 flow experiments: %+v", stats)
-	})
-
-	// Tiered-cache variant: under a 1-byte cache budget and a cache dir the
-	// metrics must still equal the in-memory, unbudgeted engine's, and the
-	// suite holds, evicts and spills no bridge-fed batch; read back after
-	// the run, every batch is fetched over the wire again, equals a fresh
-	// generation and is spilled once, and read back a second time, every
-	// span is mapped back, equals a fresh generation and is not rewritten.
-	t.Run("ipfix-flow-experiments-tiny-budget", func(t *testing.T) {
-		opts := goldenOpts
-		opts.CacheBudget, opts.CacheDir = 1, t.TempDir()
-		got, stats, cache, back := runWireOpts(t, collector.FormatIPFIX, goldentest.FlowExperiments, opts)
-		goldentest.CompareResults(t, "ipfix tiny-budget", flowWant, got)
-		goldentest.HoldsNoBatch(t, "ipfix tiny-budget", opts, cache, back)
-		t.Logf("ipfix tiny-budget flow experiments: %+v cache %+v", stats, back)
 	})
 }
