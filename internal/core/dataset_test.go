@@ -37,11 +37,44 @@ func componentFlowBatch(d *Dataset, vp synth.VantagePoint, name string, t time.T
 }
 
 // TestRunAllSpillDeterminism: the flags of the benchmark's spill workload
-// — a 1-byte cache budget and a cache dir — have no effect. Under them
-// the suite equals the default run result for result, at seeds 0 and 7
-// and at -parallel 1 and 8, ends holding nothing, and writes no file: the
-// cache dir and an empty TMPDIR stay empty.
+// have no effect on a parallel engine. With a generous budget and with a
+// 1-byte budget, each under a cache dir, the suite at -parallel 8 equals
+// the default run result for result, and ends holding nothing.
 func TestRunAllSpillDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full suite three times")
+	}
+	base := Options{FlowScale: 0.05, Seed: 3}
+	want, err := NewEngine(base).RunAll(context.Background(), 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	generous := base
+	generous.CacheBudget, generous.CacheDir = 1<<30, t.TempDir()
+	tiny := base
+	tiny.CacheBudget, tiny.CacheDir = 1, t.TempDir()
+	for _, tc := range []struct {
+		label string
+		opts  Options
+	}{
+		{"generous-budget", generous},
+		{"tiny-budget", tiny},
+	} {
+		e := NewEngine(tc.opts)
+		got, err := e.RunAll(context.Background(), 8)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		requireSameResults(t, tc.label, want, got)
+		holdsNothing(t, tc.label, e.Data())
+	}
+}
+
+// TestEvictionForgetsWithoutCacheDir: under a 1-byte budget, without and
+// with a cache dir, the suite equals the default run result for result at
+// seeds 0 and 7, ends holding nothing, and writes no file: the cache dir
+// and an empty TMPDIR stay empty.
+func TestEvictionForgetsWithoutCacheDir(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite six times")
 	}
@@ -56,12 +89,14 @@ func TestRunAllSpillDeterminism(t *testing.T) {
 		if len(want) != 21 {
 			t.Fatalf("%d results, want the 21 experiments", len(want))
 		}
-		spill := base
-		spill.CacheBudget, spill.CacheDir = 1, cacheDir
-		for _, parallel := range []int{1, 8} {
-			label := fmt.Sprintf("seed %d, -parallel %d, budget 1, cache dir", seed, parallel)
-			e := NewEngine(spill)
-			got, err := e.RunAll(context.Background(), parallel)
+		forget := base
+		forget.CacheBudget = 1
+		spill := forget
+		spill.CacheDir = cacheDir
+		for _, opts := range []Options{forget, spill} {
+			label := fmt.Sprintf("seed %d, budget 1, cache dir %q", seed, opts.CacheDir)
+			e := NewEngine(opts)
+			got, err := e.RunAll(context.Background(), 1)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -109,40 +144,78 @@ func suiteKeys() int {
 	return len(keys)
 }
 
-// TestSuiteHoldsNoBatch: at -parallel 1, 2, 4 and 8 a suite run asks the
-// source for each of its keys exactly once — the days two experiments
-// share (Figures 7a/7b and 9 on 28 workdays of ISP-CE and IXP-CE, Figure
-// 10 and ablation-vpn on the 7 days of the March week) are reduced for
-// both readers at their first draw, whichever experiment draws first — and
-// ends holding no partial, every entry spent. A second run on the same
-// engine does the same: it draws each key once more, and its results equal
-// the first run's. CI also runs it beside another test binary, whose load
-// once changed how often a shared day was drawn.
+// drawsEachKeyOnce fails unless src was asked for each of the suite's
+// keys exactly n times.
+func drawsEachKeyOnce(t *testing.T, label string, src *recordingSource, n int) {
+	t.Helper()
+	if len(src.keys) != suiteKeys() {
+		t.Errorf("%s: %d keys drawn, want the %d the suite declares", label, len(src.keys), suiteKeys())
+	}
+	for k, got := range src.keys {
+		if got != n {
+			t.Errorf("%s: %v drawn %d times in all, want %d", label, k, got, n)
+		}
+	}
+}
+
+// TestSuiteHoldsNoBatch: at -cache-budget 0, the wire modes' default, a
+// suite run at -parallel 1 and 4 asks the source for each of its keys
+// exactly once and ends holding no partial, every entry spent. A second
+// run on the same engine does the same: it draws each key once more, and
+// its results equal the first run's. CI also runs it beside another test
+// binary, whose load once changed how often a shared day was drawn.
 func TestSuiteHoldsNoBatch(t *testing.T) {
-	for _, parallel := range []int{1, 2, 4, 8} {
+	for _, parallel := range []int{1, 4} {
 		opts := Options{FlowScale: 0.05}
 		src := newRecordingSource(opts)
 		e := NewEngineWithSource(opts, src)
-		draws := src.keys
 		var first []*Result
 		for run := 1; run <= 2; run++ {
+			label := fmt.Sprintf("parallel %d, budget 0, run %d", parallel, run)
 			rs, err := e.RunAll(context.Background(), parallel)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(draws) != suiteKeys() {
-				t.Errorf("parallel %d, run %d: %d keys drawn, want the %d the suite declares", parallel, run, len(draws), suiteKeys())
-			}
-			for k, n := range draws {
-				if n != run {
-					t.Errorf("parallel %d, run %d: %v drawn %d times in all, want once a run", parallel, run, k, n)
-				}
-			}
-			holdsNothing(t, fmt.Sprintf("parallel %d, run %d", parallel, run), e.Data())
+			drawsEachKeyOnce(t, label, src, run)
+			holdsNothing(t, label, e.Data())
 			if run == 1 {
 				first = rs
 			} else {
 				requireSameResults(t, fmt.Sprintf("parallel %d, second run", parallel), first, rs)
+			}
+		}
+	}
+}
+
+// TestBudgetedFaultsMatchSerial: under a 1-byte budget, at seeds 0 and 7,
+// the suite serially and at -parallel 2, 4 and 8 asks the source for each
+// of its keys exactly once, ends holding nothing, and equals the serial
+// run result for result. The days two experiments share (Figures 7a/7b
+// and 9 on 28 workdays of ISP-CE and IXP-CE, Figure 10 and ablation-vpn
+// on the 7 days of the March week) are reduced for both readers at their
+// first draw, whichever experiment draws first; nothing else reads a day
+// twice.
+func TestBudgetedFaultsMatchSerial(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the full suite eight times")
+	}
+	for _, seed := range []int64{0, 7} {
+		var serial []*Result
+		for _, parallel := range []int{1, 2, 4, 8} {
+			label := fmt.Sprintf("seed %d, -parallel %d, budget 1", seed, parallel)
+			opts := Options{FlowScale: 0.05, Seed: seed, CacheBudget: 1}
+			src := newRecordingSource(opts)
+			e := NewEngineWithSource(opts, src)
+			rs, err := e.RunAll(context.Background(), parallel)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			drawsEachKeyOnce(t, label, src, 1)
+			holdsNothing(t, label, e.Data())
+			if parallel == 1 {
+				serial = rs
+			} else {
+				requireSameResults(t, label, serial, rs)
 			}
 		}
 	}
