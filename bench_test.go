@@ -152,15 +152,15 @@ func BenchmarkFig12EDUConnections(b *testing.B) {
 	})
 }
 
-// --- intra-experiment sharding benchmarks --------------------------------
+// --- declared-read pass benchmarks ----------------------------------------
 //
-// fig12's month-walk over sampled EDU days is the suite's worst-case
-// single experiment, so it is the headline case for core.ShardedScan.
-// Sequential holds the worker budget at one token (the sharded scan
-// degrades to the old in-order loop); Sharded4 gives the engine four
-// tokens, so the day-grid scan borrows the three spares as extra chunk
-// workers. Output is bit-identical either way
-// (TestRunAllShardingInvariance pins this).
+// fig12's 31 sampled EDU days are the suite's worst-case single
+// experiment, so it is the headline case for the declared-read pass
+// (internal/core/scan.go). Sequential holds the worker budget at one token
+// (the pass takes the keys in declared order on the experiment's own
+// goroutine); Sharded4 gives the engine four tokens, so the pass borrows
+// the three spares as extra chunk workers. Output is bit-identical either
+// way (TestRunAllShardingInvariance pins this).
 func benchFig12Workers(b *testing.B, parallel int) {
 	for i := 0; i < b.N; i++ {
 		eng := core.NewEngine(benchOptions)

@@ -63,9 +63,10 @@
 //
 //	-parallel n   global worker budget (default GOMAXPROCS). One budget
 //	              governs both scheduling levels: experiments run
-//	              concurrently on it, and the sharded scans inside each
-//	              experiment borrow whatever is spare, so total concurrency
-//	              never exceeds n (see internal/core.ShardedScan)
+//	              concurrently on it, and the pass that takes each
+//	              experiment's declared reads borrows whatever is spare,
+//	              so total concurrency never exceeds n (see
+//	              internal/core/scan.go)
 //
 // replay, cluster:
 //

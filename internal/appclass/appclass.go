@@ -293,8 +293,8 @@ func (c *Classifier) Inventory() []InventoryRow {
 // lane scratch, then the scatter kernels fold bytes and row counts into
 // dense per-lane accumulators. Byte counts sum as uint64, so the totals
 // carry no rounding at any magnitude and partial sums merge
-// associatively — the property the sharded scans need to produce
-// bit-identical aggregates under every chunk grouping. Counts — not
+// associatively — the property the per-day folds need to produce
+// bit-identical aggregates under every grouping of days. Counts — not
 // sums — carry the map-key semantics: a class gets a key if and only if
 // a row classified into it, even at volume zero.
 func (c *Classifier) VolumeByClassInto(sums map[Class]uint64, b *flowrec.Batch) {

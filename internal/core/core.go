@@ -5,10 +5,11 @@
 // regenerate any of them.
 //
 // Execution is organised around an Engine: experiments receive an Env
-// carrying the run Options plus a shared Dataset cache that memoizes every
+// carrying the run Options, a shared Dataset cache that memoizes every
 // synthetic input (generators, hourly series, per-day flow batches) under
 // the key it is generated from, so inputs consumed by several experiments
-// are generated once. Engine.RunAll executes the registry on a bounded
+// are generated once, and the per-day partials of the flow reads the
+// experiment declares, which the engine takes before it runs. Engine.RunAll executes the registry on a bounded
 // worker pool with context cancellation and assembles results in paper
 // order; because generation is a pure function of the options and that
 // key, the metrics are bit-identical at every parallelism level.
@@ -136,7 +137,8 @@ type Experiment struct {
 	// claims are the paper's findings this experiment reproduces.
 	claims []claim
 	// reads are the flow batches the experiment reads, and the reductions
-	// it takes of them (reads.go).
+	// it takes of them (reads.go): the engine takes them before Run and
+	// hands Run their partials, reads[i]'s as Env.parts[i].
 	reads []dayRead
 }
 

@@ -82,14 +82,16 @@ type flowEntry struct {
 	err  error // the draw failed
 
 	// partials are the reductions of the batch its first draw ran, by
-	// reduction: set inside once, then each deleted, under Dataset.mu, by
-	// the last take its declared readers make, or by the take of an
-	// undeclared one (Dataset.take).
+	// reduction, guarded by Dataset.mu: set at the end of the draw (nil
+	// before), then each deleted by the last take its declared readers
+	// make, by the take of an undeclared one (Dataset.take), or by the
+	// withdrawal of its last declared take (Dataset.withdraw).
 	partials map[*reduction]any
 
-	// spent, guarded by Dataset.mu: the entry holds no partial, so the
-	// next ask installs a fresh entry in its place (Dataset.entry), whose
-	// first draw runs the reductions declared by then.
+	// spent, guarded by Dataset.mu: the entry holds no partial, or its
+	// draw failed, so the next ask installs a fresh entry in its place
+	// (Dataset.entry), whose first draw runs the reductions declared by
+	// then.
 	spent bool
 
 	// rows and cols of the batch as the source delivered it, for the
@@ -145,9 +147,10 @@ func (d *Dataset) count(miss bool) {
 }
 
 // entry returns the cache entry of k, counting the lookup, and draws the
-// batch on the first ask (fill) for the reduction asked. An ask of a spent
-// entry replaces it with a fresh one, drawn again; the lookup still counts
-// as a hit, since the key stays memoized.
+// batch on the first ask (fill) for the reduction asked. A failed draw
+// spends the entry. An ask of a spent entry replaces it with a fresh one,
+// drawn again; the lookup still counts as a hit, since the key stays
+// memoized.
 func (d *Dataset) entry(k FlowKey, asked *reduction) (*flowEntry, error) {
 	d.mu.Lock()
 	fe, ok := d.flows[k]
@@ -157,7 +160,13 @@ func (d *Dataset) entry(k FlowKey, asked *reduction) (*flowEntry, error) {
 	}
 	d.mu.Unlock()
 	d.count(!ok)
-	fe.once.Do(func() { fe.err = d.fill(fe, asked) })
+	fe.once.Do(func() {
+		if fe.err = d.fill(fe, asked); fe.err != nil {
+			d.mu.Lock()
+			fe.spent = true // the next ask draws the key again
+			d.mu.Unlock()
+		}
+	})
 	return fe, fe.err
 }
 
@@ -182,7 +191,7 @@ func (d *Dataset) fill(fe *flowEntry, asked *reduction) error {
 	if !slices.Contains(rs, asked) {
 		rs = append(rs, asked)
 	}
-	fe.partials = make(map[*reduction]any, len(rs))
+	partials := make(map[*reduction]any, len(rs))
 	for _, r := range rs {
 		var sp obs.Span
 		if r != asked {
@@ -195,9 +204,18 @@ func (d *Dataset) fill(fe *flowEntry, asked *reduction) error {
 		if err != nil {
 			return err
 		}
-		fe.partials[r] = p
+		partials[r] = p
 	}
 	fe.rows, fe.cols = b.Len(), b.Columns()
+	// Keep no partial whose declared takes were all withdrawn meanwhile.
+	d.mu.Lock()
+	for r := range partials {
+		if r != asked && !slices.ContainsFunc(d.readers[fe.key], func(x reader) bool { return x.r == r }) {
+			delete(partials, r)
+		}
+	}
+	fe.partials = partials
+	d.mu.Unlock()
 	return nil
 }
 
@@ -228,10 +246,10 @@ func (d *Dataset) Stats() CacheStats {
 	return s
 }
 
-// drawnSet is the distinct flow-batch entries one experiment drew — from
-// the Envs of its scan chunks — with their summed size, rows × the width
-// of the columns each entry stores: what MetricBatchMB reports. Being a
-// set it reads the same however the scans were chunked or parallelised.
+// drawnSet is the distinct flow-batch entries one experiment's
+// declared-read pass took, with their summed size, rows × the width of the
+// columns each entry stores: what MetricBatchMB reports. Being a set it
+// reads the same however the pass was scheduled.
 type drawnSet struct {
 	mu    sync.Mutex
 	seen  map[*flowEntry]struct{}

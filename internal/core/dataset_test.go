@@ -20,8 +20,8 @@ var testHour = time.Date(2020, 3, 25, 14, 0, 0, 0, time.UTC)
 
 // flowBatch draws the flows of every component over the UTC day t falls
 // in, straight from d's source. The experiments read every day as a
-// reduction (Env.partial); the dataset tests draw batches with this and
-// the helpers after it.
+// reduction (Dataset.takeReads); the dataset tests draw batches with this
+// and the helpers after it.
 func flowBatch(d *Dataset, vp synth.VantagePoint, t time.Time) (*flowrec.Batch, error) {
 	return d.draw(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(t)})
 }

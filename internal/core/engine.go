@@ -19,19 +19,19 @@ import (
 const (
 	// MetricWallMS is the experiment's wall-clock time in milliseconds.
 	MetricWallMS = "_runtime/wall-ms"
-	// MetricBatchMB is the flow-batch memory the experiment's scans read,
-	// in MiB: over the distinct flow batches it drew from the dataset,
+	// MetricBatchMB is the flow-batch memory the experiment's reads stand
+	// for, in MiB: over the distinct flow batches its pass took,
 	// rows × the width of the columns each stores (Columns.RowBytes; 59
 	// for a full-width batch). It is a property of the experiment and the
 	// options, the same at any -parallel.
 	MetricBatchMB = "_runtime/batch-mb"
-	// MetricScanChunks counts the grid items — one chunk each — the
-	// experiment's sharded scans processed (0 = the experiment has no
-	// sharded scan).
+	// MetricScanChunks counts the keys its reads took — one chunk each —
+	// in the experiment's declared-read pass (0 = the experiment declares
+	// no read).
 	MetricScanChunks = "_runtime/scan-chunks"
-	// MetricScanWorkers counts the extra workers its sharded scans
-	// borrowed from the engine's worker budget beyond the experiment's
-	// own goroutine (0 = every scan ran sequentially).
+	// MetricScanWorkers counts the extra workers its declared-read pass
+	// borrowed from the engine's worker budget beyond the experiment's own
+	// goroutine (0 = the pass ran sequentially).
 	MetricScanWorkers = "_runtime/scan-extra-workers"
 	// MetricScanPrefetch is retired: the read-ahead prefetcher it counted
 	// is gone and the engine never stamps it. The name stays because
@@ -46,30 +46,17 @@ func IsRuntimeMetric(key string) bool {
 }
 
 // Env is the execution environment handed to each experiment: the run
-// options plus the dataset cache shared by every experiment of the same
-// engine. Experiments draw all synthetic inputs (generators, hourly
-// series, sampled flows) from the cache so that inputs consumed by several
-// experiments are generated exactly once.
+// options, the dataset cache shared by every experiment of the same
+// engine, and the partials of the experiment's declared reads. Experiments
+// draw all synthetic inputs (generators, hourly series) from the cache so
+// that inputs consumed by several experiments are generated exactly once;
+// their flow reads the engine has already taken (Dataset.takeReads).
 type Env struct {
 	Options
 	Data *Dataset
-	// drawn is the experiment's batch accounting (MetricBatchMB), which
-	// every partial taken through the Env reports its entry to. The engine
-	// sets it per run and chunkEnv passes it on; nil (hand-built Envs)
-	// disables the accounting.
-	drawn *drawnSet
-	// ctx is the run's context: sharded scans observe it between chunks
-	// so a cancelled RunAll stops mid-grid instead of finishing the
-	// experiment. nil (hand-built Envs) means Background.
-	ctx context.Context
-	// budget is the global worker pool shared with the engine: sharded
-	// scans borrow spare tokens from it so -parallel bounds the sum of
-	// experiment- and chunk-level concurrency. nil disables borrowing
-	// (scans run on the calling goroutine only).
-	budget *workerBudget
-	// scan accumulates the run's sharding activity for the _runtime/scan-*
-	// metrics. nil (hand-built Envs) disables the accounting.
-	scan *scanStats
+	// parts are the partials of the experiment's reads: parts[i] holds
+	// those of Experiment.reads[i], one per day, in declared day order.
+	parts [][]dayPart
 }
 
 // Convenience accessors so experiment code stays terse.
@@ -80,12 +67,6 @@ func (env *Env) gen(vp synth.VantagePoint) (*synth.Generator, error) {
 
 func (env *Env) series(vp synth.VantagePoint, from, to time.Time) (*timeseries.Series, error) {
 	return env.Data.Series(vp, from, to)
-}
-
-// partial returns reduction r of the day batch k names (Dataset.partial),
-// reporting its entry to the experiment's batch accounting.
-func (env *Env) partial(k FlowKey, r *reduction) (any, error) {
-	return env.Data.partial(k, r, env.drawn)
 }
 
 // CacheStats summarises the dataset cache's effectiveness.
@@ -131,9 +112,9 @@ func newEngineMetrics(reg *obs.Registry) engineMetrics {
 		duration: reg.Histogram("lockdown_experiment_seconds",
 			"Wall-clock duration of one experiment.", obs.DurationBuckets),
 		scanChunks: reg.Counter("lockdown_scan_chunks_total",
-			"Grid chunks processed by intra-experiment sharded scans."),
+			"Keys taken by the declared-read passes, one chunk each."),
 		scanWorkers: reg.Counter("lockdown_scan_extra_workers_total",
-			"Extra workers sharded scans borrowed from the engine's budget."),
+			"Extra workers the declared-read passes borrowed from the engine's budget."),
 	}
 }
 
@@ -155,40 +136,33 @@ func NewEngineWithSource(opts Options, src FlowSource) *Engine {
 func (e *Engine) Data() *Dataset { return e.data }
 
 // Run executes one experiment by ID, stamping runtime metrics onto the
-// result.
+// result: RunMany of the one ID at the default budget, GOMAXPROCS, whose
+// spare tokens all go to the experiment's declared-read pass.
 func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
-	exp, ok := ByID(id)
-	if !ok {
-		return nil, fmt.Errorf("core: unknown experiment %q (known: %v)", id, IDs())
-	}
-	if err := ctx.Err(); err != nil {
+	rs, err := e.RunMany(ctx, []string{id}, 0)
+	if err != nil {
 		return nil, err
 	}
-	// A standalone Run has no RunMany pool to share with: give its
-	// sharded scans a budget of GOMAXPROCS, of which the calling
-	// goroutine is one.
-	budget := newWorkerBudget(defaultScanWorkers())
-	budget.acquire()
-	defer budget.release()
-	e.data.declare([]Experiment{exp})
-	return e.runTimed(ctx, exp, budget)
+	return rs[0], nil
 }
 
-// runTimed executes an experiment, records its wall time, the batch
-// memory it read and its scan activity into the result's runtime metrics,
-// and appends the verdict of each of its claims to the notes.
-// The batches are read by the experiment's scan chunks, which report them
-// to the Env's drawn set. budget is the shared worker pool
-// the experiment's sharded scans may borrow spare tokens from; the caller
-// must already hold one of its tokens.
+// runTimed takes the experiment's declared reads in one pass
+// (Dataset.takeReads), runs it on their partials, records its wall time,
+// the batch memory its reads stand for and its pass activity into the
+// result's runtime metrics, and appends the verdict of each of its claims
+// to the notes. budget is the shared worker pool the pass may borrow
+// spare tokens from; the caller must already hold one of its tokens.
 func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBudget) (*Result, error) {
 	// The span is the wall-clock measurement: its End duration stamps
 	// MetricWallMS and feeds the duration histogram, so the timing table,
 	// -json output, /metrics and the trace file all report one number.
 	sp := e.opts.Tracer.Start("exp:"+exp.ID, "experiment")
 	drawn := &drawnSet{seen: make(map[*flowEntry]struct{})}
-	env := &Env{Options: e.opts, Data: e.data, drawn: drawn, ctx: ctx, budget: budget, scan: &scanStats{}}
-	res, err := exp.Run(env)
+	parts, extra, err := e.data.takeReads(ctx, exp.reads, budget, drawn)
+	var res *Result
+	if err == nil {
+		res, err = exp.Run(&Env{Options: e.opts, Data: e.data, parts: parts})
+	}
 	if err != nil {
 		e.m.failures.Add(1)
 		if sp.Active() {
@@ -198,8 +172,10 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBud
 		}
 		return nil, fmt.Errorf("core: experiment %s: %w", exp.ID, err)
 	}
-	chunks := env.scan.chunks.Load()
-	extra := env.scan.extraWorkers.Load()
+	chunks := 0
+	for _, p := range parts {
+		chunks += len(p)
+	}
 	var wall time.Duration
 	if sp.Active() {
 		wall = sp.EndArgs(map[string]any{"id": exp.ID, "scan_chunks": chunks})
@@ -215,8 +191,8 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBud
 	}
 	e.m.experiments.Add(1)
 	e.m.duration.Observe(wall.Seconds())
-	e.m.scanChunks.Add(chunks)
-	e.m.scanWorkers.Add(extra)
+	e.m.scanChunks.Add(int64(chunks))
+	e.m.scanWorkers.Add(int64(extra))
 	return res, nil
 }
 
@@ -247,20 +223,17 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 	if parallel <= 0 {
 		parallel = runtime.GOMAXPROCS(0)
 	}
-	e.data.declare(exps)
-	// The worker budget carries the full -parallel allowance even when
-	// fewer experiments exist: engine workers hold a token each while
-	// running an experiment, and the intra-experiment sharded scans
-	// borrow whatever is spare, so the two levels together never exceed
-	// parallel goroutines doing experiment work.
-	budget := newWorkerBudget(parallel)
-	workers := parallel
-	if workers > len(exps) {
-		workers = len(exps)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	e.data.declare(exps)
+	// The worker budget carries the full -parallel allowance even when
+	// fewer experiments exist: engine workers hold a token each while
+	// running an experiment, and the declared-read passes borrow whatever
+	// is spare, so the two levels together never exceed parallel
+	// goroutines doing experiment work.
+	budget := newWorkerBudget(parallel)
+	workers := min(parallel, len(exps))
 
 	suite := e.opts.Tracer.Start("suite", "engine")
 	defer func() {
@@ -273,6 +246,7 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 	defer cancel()
 
 	results := make([]*Result, len(exps))
+	started := make([]bool, len(exps)) // runTimed was called; read after wg.Wait
 	jobs := make(chan int)
 	var (
 		wg       sync.WaitGroup
@@ -291,6 +265,7 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 				if ctx.Err() != nil {
 					return
 				}
+				started[i] = true
 				budget.acquire()
 				res, err := e.runTimed(ctx, exps[i], budget)
 				budget.release()
@@ -313,10 +288,23 @@ feed:
 	close(jobs)
 	wg.Wait()
 
-	if firstErr != nil {
-		return nil, firstErr
+	err := firstErr
+	if err == nil {
+		err = ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
+		// A started experiment's pass made or withdrew each of its takes;
+		// withdraw those of the experiments that never started.
+		for i, exp := range exps {
+			if started[i] {
+				continue
+			}
+			for _, r := range exp.reads {
+				for _, k := range r.keys() {
+					e.data.withdraw(k, r.by)
+				}
+			}
+		}
 		return nil, err
 	}
 	return results, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -79,15 +80,47 @@ func TestRunAllPaperOrder(t *testing.T) {
 	}
 }
 
+// TestRunAllCancellation: a cancelled run and a run whose source fails
+// on one key fail, and each leaves nothing declared or held behind; so
+// does the full run that follows either one on the same engine, whose
+// results equal a fresh engine's.
 func TestRunAllCancellation(t *testing.T) {
+	opts := Options{FlowScale: 0.05}
+	want, err := NewEngine(opts).RunAll(context.Background(), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &failingSource{FlowSource: NewSyntheticSource(opts)}
+	e := NewEngineWithSource(opts, src)
+	full := func(label string) {
+		t.Helper()
+		got, err := e.RunAll(context.Background(), 4)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireSameResults(t, label, want, got)
+		holdsNothing(t, label, e.Data())
+	}
+
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := NewEngine(Options{FlowScale: 0.1}).RunAll(ctx, 4); err == nil {
+	if _, err := e.RunAll(ctx, 4); err == nil {
 		t.Error("RunAll with a cancelled context should fail")
 	}
-	if _, err := NewEngine(Options{FlowScale: 0.1}).Run(ctx, "tab2"); err == nil {
+	if _, err := e.Run(ctx, "tab2"); err == nil {
 		t.Error("Run with a cancelled context should fail")
 	}
+	holdsNothing(t, "cancelled", e.Data())
+	full("the full run after a cancelled one")
+
+	boom := errors.New("boom")
+	src.fail = map[FlowKey]error{{Kind: KindFlows, VP: synth.EDU, Hour: DayOf(fig12Baseline)}: boom}
+	if _, err := e.RunAll(context.Background(), 4); !errors.Is(err, boom) {
+		t.Errorf("RunAll whose source fails on one key = %v, want its error", err)
+	}
+	holdsNothing(t, "failed", e.Data())
+	src.fail = nil
+	full("the full run after a failed one")
 }
 
 func TestRunAllUnknownID(t *testing.T) {

@@ -46,12 +46,7 @@ func init() {
 		{"§5", "gaming unique IPs rise from week 8 to week 14", "week14/ips", "week8/ips", 0.002, inf},
 		{"§5", "a major gaming provider's outage shows in week 12", "outage-ratio", "", -inf, 0.6},
 	}})
-	register(Experiment{ID: "fig9", Artifact: "Figure 9", Title: "Application-class growth heatmaps for all vantage points", Run: runFig9, reads: []dayRead{
-		{kind: KindFlows, vp: synth.IXPCE, days: weekDays(calendar.AppWeeksIXP(), true), by: classVolumes},
-		{kind: KindFlows, vp: synth.IXPSE, days: weekDays(calendar.AppWeeksIXP(), true), by: classVolumes},
-		{kind: KindFlows, vp: synth.IXPUS, days: weekDays(calendar.AppWeeksIXP(), true), by: classVolumes},
-		{kind: KindFlows, vp: synth.ISPCE, days: weekDays(calendar.AppWeeksISP(), true), by: classVolumes},
-	}, claims: []claim{
+	register(Experiment{ID: "fig9", Artifact: "Figure 9", Title: "Application-class growth heatmaps for all vantage points", Run: runFig9, reads: fig9Reads(), claims: []claim{
 		{"§5", "IXP-CE web conferencing ≥ +150% (paper: > +200%)", "IXP-CE/Web conf/stage1", "", 150, inf},
 		{"§5", "IXP-SE web conferencing ≥ +150% (paper: > +200%)", "IXP-SE/Web conf/stage1", "", 150, inf},
 		{"§5", "IXP-US web conferencing ≥ +150% (paper: > +200%)", "IXP-US/Web conf/stage1", "", 150, inf},
@@ -125,69 +120,46 @@ func portLanes(owner string, topPorts []flowrec.PortProto) *reduction {
 	}}
 }
 
-// portWeekPart is one scan chunk's partial aggregate: the port reductions
-// of its workdays and of its weekend days, plus the hour counts needed
-// for the mean.
+// portWeekPart is one week's fold of the port reductions: those of its
+// workdays and of its weekend days, plus the hour counts needed for the
+// mean.
 type portWeekPart struct {
 	workday, weekend           portDay
 	workdayHours, weekendHours int
 }
 
-func collectPortVolumes(env *Env, vp synth.VantagePoint, week calendar.Week, topPorts []flowrec.PortProto, lanes *reduction) (portWeekVolumes, error) {
-	agg, err := ScanDays(env, calendar.Days(week.Start, week.End),
-		func() *portWeekPart { return &portWeekPart{} },
-		func(env *Env, p *portWeekPart, day time.Time) error {
-			k := FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}
-			from, to := k.Hours()
-			dst := &p.workday
-			if calendar.IsWorkday(day) {
-				p.workdayHours += to - from
-			} else {
-				p.weekendHours += to - from
-				dst = &p.weekend
-			}
-			v, err := env.partial(k, lanes)
-			if err != nil {
-				return err
-			}
-			dst.add(v.(*portDay))
-			return nil
-		},
-		func(dst, src *portWeekPart) *portWeekPart {
-			dst.workday.add(&src.workday)
-			dst.weekend.add(&src.weekend)
-			dst.workdayHours += src.workdayHours
-			dst.weekendHours += src.weekendHours
-			return dst
-		})
-	if err != nil {
-		return portWeekVolumes{}, err
-	}
-	// Convert to float and normalise only after the full merge: the merged
-	// sums are exact, so each float value is rounded exactly once.
-	out := portWeekVolumes{
-		workday: make(map[flowrec.PortProto]float64, len(topPorts)),
-		weekend: make(map[flowrec.PortProto]float64, len(topPorts)),
-	}
-	for k, pp := range topPorts {
-		if agg.workday.cnt[k] > 0 {
-			out.workday[pp] = float64(agg.workday.sums[k]) / float64(agg.workdayHours)
-		}
-		if agg.weekend.cnt[k] > 0 {
-			out.weekend[pp] = float64(agg.weekend.sums[k]) / float64(agg.weekendHours)
-		}
-	}
-	return out, nil
-}
-
-func runPortExperiment(env *Env, id, title string, vp synth.VantagePoint, weeks []calendar.Week, topPorts []flowrec.PortProto, lanes *reduction) (*Result, error) {
+// runPortExperiment folds the port reductions of the experiment's one
+// read, the days of weeks, per week and into workdays and weekend days.
+func runPortExperiment(env *Env, id, title string, weeks []calendar.Week, topPorts []flowrec.PortProto) (*Result, error) {
 	res := newResult(id, title)
+	agg := make([]portWeekPart, len(weeks))
+	for _, p := range env.parts[0] {
+		w := &agg[weekOf(weeks, p.day())]
+		from, to := p.key.Hours()
+		dst := &w.workday
+		if calendar.IsWorkday(p.day()) {
+			w.workdayHours += to - from
+		} else {
+			w.weekendHours += to - from
+			dst = &w.weekend
+		}
+		dst.add(p.v.(*portDay))
+	}
+	// Convert to float and normalise only after the full fold: the sums
+	// are exact, so each float value is rounded exactly once.
 	perWeek := make([]portWeekVolumes, len(weeks))
-	for i, w := range weeks {
-		var err error
-		perWeek[i], err = collectPortVolumes(env, vp, w, topPorts, lanes)
-		if err != nil {
-			return nil, err
+	for i, a := range agg {
+		perWeek[i] = portWeekVolumes{
+			workday: make(map[flowrec.PortProto]float64, len(topPorts)),
+			weekend: make(map[flowrec.PortProto]float64, len(topPorts)),
+		}
+		for k, pp := range topPorts {
+			if a.workday.cnt[k] > 0 {
+				perWeek[i].workday[pp] = float64(a.workday.sums[k]) / float64(a.workdayHours)
+			}
+			if a.weekend.cnt[k] > 0 {
+				perWeek[i].weekend[pp] = float64(a.weekend.sums[k]) / float64(a.weekendHours)
+			}
 		}
 	}
 
@@ -216,13 +188,13 @@ func runPortExperiment(env *Env, id, title string, vp synth.VantagePoint, weeks 
 }
 
 func runFig7a(env *Env) (*Result, error) {
-	return runPortExperiment(env, "fig7a", "ISP-CE top ports (TCP/80 and TCP/443 omitted)", synth.ISPCE,
-		calendar.AppWeeksISP(), ports.TopPortsISP(), ispPortLanes)
+	return runPortExperiment(env, "fig7a", "ISP-CE top ports (TCP/80 and TCP/443 omitted)",
+		calendar.AppWeeksISP(), ports.TopPortsISP())
 }
 
 func runFig7b(env *Env) (*Result, error) {
-	return runPortExperiment(env, "fig7b", "IXP-CE top ports (TCP/80 and TCP/443 omitted)", synth.IXPCE,
-		calendar.AppWeeksIXP(), ports.TopPortsIXP(), ixpPortLanes)
+	return runPortExperiment(env, "fig7b", "IXP-CE top ports (TCP/80 and TCP/443 omitted)",
+		calendar.AppWeeksIXP(), ports.TopPortsIXP())
 }
 
 // runTab1 reproduces Table 1: the filter inventory of the application
@@ -307,32 +279,17 @@ func unionAddrs(a, b []uint32) []uint32 {
 // the observed minimum.
 func runFig8(env *Env) (*Result, error) {
 	res := newResult("fig8", "IXP-SE gaming: unique IPs and volume, weeks 7-17")
-	// Day scan over the 77 days of weeks 7-17; an ISO week holds whole
-	// days, and the per-week partials merge exactly (uint64 volume sums,
-	// unique-IP set unions, which build a new set and never write a day's
-	// shared one).
-	byWeek, err := ScanDays(env, fig8Days(),
-		func() map[int]gamingDay { return make(map[int]gamingDay) },
-		func(env *Env, part map[int]gamingDay, day time.Time) error {
-			v, err := env.partial(FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: DayOf(day)}, gamingIPs)
-			if err != nil {
-				return err
-			}
-			part[calendar.ISOWeek(day)] = *v.(*gamingDay)
-			return nil
-		},
-		func(dst, src map[int]gamingDay) map[int]gamingDay {
-			for w, s := range src {
-				if agg, ok := dst[w]; ok {
-					s.volume += agg.volume
-					s.ips = unionAddrs(agg.ips, s.ips)
-				}
-				dst[w] = s
-			}
-			return dst
-		})
-	if err != nil {
-		return nil, err
+	// The 77 days of weeks 7-17 fold into their ISO weeks: uint64 volume
+	// sums and unique-IP set unions, which build a new set and never write
+	// a day's shared one.
+	byWeek := make(map[int]gamingDay)
+	for _, p := range env.parts[0] {
+		w, day := calendar.ISOWeek(p.day()), *p.v.(*gamingDay)
+		if agg, ok := byWeek[w]; ok {
+			day.volume += agg.volume
+			day.ips = unionAddrs(agg.ips, day.ips)
+		}
+		byWeek[w] = day
 	}
 
 	var minVol uint64
@@ -416,41 +373,51 @@ var classVolumes = &reduction{owner: "fig9", build: func(d *Dataset) (reduceFunc
 	}, nil
 }}
 
-// collectClassVolumes aggregates one week's sampled flows into per-class
-// volumes, restricted to working hours of workdays (the paper removes the
-// early-morning hours and the condensed comparison focuses on business
-// hours, where the Figure 9 effects are strongest).
-func collectClassVolumes(env *Env, vp synth.VantagePoint, week calendar.Week) (map[appclass.Class]float64, error) {
-	sums, err := ScanDays(env, calendar.Days(week.Start, week.End),
-		func() map[appclass.Class]uint64 { return make(map[appclass.Class]uint64) },
-		func(env *Env, part map[appclass.Class]uint64, day time.Time) error {
-			if !calendar.IsWorkday(day) {
-				return nil
-			}
-			v, err := env.partial(FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}, classVolumes)
-			if err != nil {
-				return err
-			}
-			for cls, n := range v.(map[appclass.Class]uint64) {
-				part[cls] += n
-			}
-			return nil
-		},
-		func(dst, src map[appclass.Class]uint64) map[appclass.Class]uint64 {
-			for cls, v := range src {
-				dst[cls] += v
-			}
-			return dst
-		})
-	if err != nil {
-		return nil, err
+// fig9VPs are Figure 9's vantage points in table order, with the weeks
+// each compares; its reads, the workdays of those weeks, follow the order.
+var fig9VPs = []struct {
+	vp    synth.VantagePoint
+	weeks []calendar.Week
+}{
+	{synth.IXPCE, calendar.AppWeeksIXP()},
+	{synth.IXPSE, calendar.AppWeeksIXP()},
+	{synth.IXPUS, calendar.AppWeeksIXP()},
+	{synth.ISPCE, calendar.AppWeeksISP()},
+}
+
+func fig9Reads() []dayRead {
+	reads := make([]dayRead, len(fig9VPs))
+	for i, e := range fig9VPs {
+		reads[i] = dayRead{kind: KindFlows, vp: e.vp, days: weekDays(e.weeks, true), by: classVolumes}
 	}
-	// The single uint64→float64 conversion happens after the full merge.
-	out := make(map[appclass.Class]float64, len(sums))
-	for cls, v := range sums {
-		out[cls] = float64(v)
+	return reads
+}
+
+// classWeekVolumes folds the class reductions of one vantage point's
+// workdays into per-class volumes for each of weeks, restricted to working
+// hours of workdays (the paper removes the early-morning hours and the
+// condensed comparison focuses on business hours, where the Figure 9
+// effects are strongest).
+func classWeekVolumes(parts []dayPart, weeks []calendar.Week) []map[appclass.Class]float64 {
+	sums := make([]map[appclass.Class]uint64, len(weeks))
+	for i := range sums {
+		sums[i] = make(map[appclass.Class]uint64)
 	}
-	return out, nil
+	for _, p := range parts {
+		dst := sums[weekOf(weeks, p.day())]
+		for cls, n := range p.v.(map[appclass.Class]uint64) {
+			dst[cls] += n
+		}
+	}
+	// The single uint64→float64 conversion happens after the full fold.
+	out := make([]map[appclass.Class]float64, len(weeks))
+	for i, s := range sums {
+		out[i] = make(map[appclass.Class]float64, len(s))
+		for cls, v := range s {
+			out[i][cls] = float64(v)
+		}
+	}
+	return out
 }
 
 // runFig9 reproduces Figure 9 in condensed form: per vantage point and
@@ -458,28 +425,9 @@ func collectClassVolumes(env *Env, vp synth.VantagePoint, week calendar.Week) (m
 // the base week, clipped to [-100%, +200%] like the heatmap colour scale.
 func runFig9(env *Env) (*Result, error) {
 	res := newResult("fig9", "Application-class growth (working hours, % vs base week)")
-	vps := []struct {
-		vp    synth.VantagePoint
-		weeks []calendar.Week
-	}{
-		{synth.IXPCE, calendar.AppWeeksIXP()},
-		{synth.IXPSE, calendar.AppWeeksIXP()},
-		{synth.IXPUS, calendar.AppWeeksIXP()},
-		{synth.ISPCE, calendar.AppWeeksISP()},
-	}
-	for _, entry := range vps {
-		base, err := collectClassVolumes(env, entry.vp, entry.weeks[0])
-		if err != nil {
-			return nil, err
-		}
-		stage1, err := collectClassVolumes(env, entry.vp, entry.weeks[1])
-		if err != nil {
-			return nil, err
-		}
-		stage2, err := collectClassVolumes(env, entry.vp, entry.weeks[2])
-		if err != nil {
-			return nil, err
-		}
+	for i, entry := range fig9VPs {
+		vols := classWeekVolumes(env.parts[i], entry.weeks)
+		base, stage1, stage2 := vols[0], vols[1], vols[2]
 
 		table := Table{Title: fmt.Sprintf("%s: class growth in %% (clipped to [-100, 200])", entry.vp), Columns: []string{"class", "stage1 - base", "stage2 - base"}}
 		for _, cls := range appclass.AllClasses() {

@@ -98,41 +98,6 @@ var vpnSplit = &reduction{owner: "fig10", build: func(d *Dataset) (reduceFunc, e
 	}, nil
 }}
 
-// vpnWeekSplit sums the IXP-CE's VPN volume identified per method for one
-// week, split into working hours and the rest.
-type vpnWeekSplit struct {
-	portWork, portOther     uint64
-	domainWork, domainOther uint64
-}
-
-func collectVPNSplit(env *Env, week calendar.Week) (vpnWeekSplit, error) {
-	out, err := ScanDays(env, calendar.Days(week.Start, week.End),
-		func() *vpnWeekSplit { return &vpnWeekSplit{} },
-		func(env *Env, p *vpnWeekSplit, day time.Time) error {
-			v, err := env.partial(FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: DayOf(day)}, vpnSplit)
-			if err != nil {
-				return err
-			}
-			s := v.(*vpnDay)
-			p.portWork += s.work[vpndetect.ByPort]
-			p.domainWork += s.work[vpndetect.ByDomain]
-			p.portOther += s.other[vpndetect.ByPort]
-			p.domainOther += s.other[vpndetect.ByDomain]
-			return nil
-		},
-		func(dst, src *vpnWeekSplit) *vpnWeekSplit {
-			dst.portWork += src.portWork
-			dst.portOther += src.portOther
-			dst.domainWork += src.domainWork
-			dst.domainOther += src.domainOther
-			return dst
-		})
-	if err != nil {
-		return vpnWeekSplit{}, err
-	}
-	return *out, nil
-}
-
 // runFig10 reproduces Figure 10: VPN traffic at the IXP-CE identified by
 // well-known ports vs by *vpn* domains, for the base, March and April
 // weeks.
@@ -143,20 +108,20 @@ func runFig10(env *Env) (*Result, error) {
 		return nil, err
 	}
 
+	// Each week's working-hours VPN volume per method, as exact sums.
 	weeks := calendar.AppWeeksIXP()
-	splits := make([]vpnWeekSplit, len(weeks))
-	for i, w := range weeks {
-		splits[i], err = collectVPNSplit(env, w)
-		if err != nil {
-			return nil, err
-		}
+	work := make([]struct{ port, domain uint64 }, len(weeks))
+	for _, p := range env.parts[0] {
+		w, day := &work[weekOf(weeks, p.day())], p.v.(*vpnDay)
+		w.port += day.work[vpndetect.ByPort]
+		w.domain += day.work[vpndetect.ByDomain]
 	}
 
 	table := Table{Title: "VPN volume per identification method (normalised to the base week, working hours of workdays)",
 		Columns: []string{"week", "port-identified", "domain-identified"}}
 	for i, w := range weeks {
-		p := float64(splits[i].portWork) / float64(splits[0].portWork)
-		d := float64(splits[i].domainWork) / float64(splits[0].domainWork)
+		p := float64(work[i].port) / float64(work[0].port)
+		d := float64(work[i].domain) / float64(work[0].domain)
 		table.Rows = append(table.Rows, []string{w.Label, f2(p), f2(d)})
 		res.Metrics[w.Label+"/port"] = p
 		res.Metrics[w.Label+"/domain"] = d
@@ -270,23 +235,11 @@ var eduCounts = &reduction{owner: "fig12", build: func(*Dataset) (reduceFunc, er
 // window instead of every day.
 func runFig12(env *Env) (*Result, error) {
 	res := newResult("fig12", "EDU daily connection growth per traffic class")
-	// The month walk shards over the sampled days and takes each day's
-	// counts (eduCounts). Counts are integers, which makes the merge exact
-	// at any chunking; each day is its own key of the merged map, so no
-	// merge adds into a day's shared counts.
-	counts, err := ScanDays(env, fig12Days(),
-		func() edu.DailyCounts { return make(edu.DailyCounts) },
-		func(env *Env, part edu.DailyCounts, d time.Time) error {
-			v, err := env.partial(FlowKey{Kind: KindFlows, VP: synth.EDU, Hour: DayOf(d)}, eduCounts)
-			if err != nil {
-				return err
-			}
-			part[calendar.DayStart(d)] = v.(map[appclass.EDUClass]map[flowrec.Direction]int)
-			return nil
-		},
-		edu.DailyCounts.Merge)
-	if err != nil {
-		return nil, err
+	// Each sampled day's counts (eduCounts) under its own day, so nothing
+	// adds into a day's shared counts.
+	counts := make(edu.DailyCounts, len(env.parts[0]))
+	for _, p := range env.parts[0] {
+		counts[calendar.DayStart(p.day())] = p.v.(map[appclass.EDUClass]map[flowrec.Direction]int)
 	}
 	cats := append(edu.DefaultCategories(), edu.ExtraCategories()...)
 	growth := edu.ConnectionGrowth(counts, fig12Baseline, cats)
@@ -330,28 +283,13 @@ func runAppB(*Env) (*Result, error) {
 // March week.
 func runAblationVPN(env *Env) (*Result, error) {
 	res := newResult("ablation-vpn", "VPN volume missed by a port-only classifier (IXP-CE, March week)")
-	week := calendar.AppWeeksIXP()[1]
-	type volSplit struct{ port, domain uint64 } // exact merge at any chunking
-	split, err := ScanDays(env, calendar.Days(week.Start, week.End),
-		func() *volSplit { return &volSplit{} },
-		func(env *Env, p *volSplit, day time.Time) error {
-			// Figure 10's split of the day: its two parts tile the day.
-			v, err := env.partial(FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: DayOf(day)}, vpnSplit)
-			if err != nil {
-				return err
-			}
-			s := v.(*vpnDay)
-			p.port += s.work[vpndetect.ByPort] + s.other[vpndetect.ByPort]
-			p.domain += s.work[vpndetect.ByDomain] + s.other[vpndetect.ByDomain]
-			return nil
-		},
-		func(dst, src *volSplit) *volSplit {
-			dst.port += src.port
-			dst.domain += src.domain
-			return dst
-		})
-	if err != nil {
-		return nil, err
+	// Figure 10's split of each day of the March week: its two parts tile
+	// the day.
+	var split struct{ port, domain uint64 }
+	for _, p := range env.parts[0] {
+		day := p.v.(*vpnDay)
+		split.port += day.work[vpndetect.ByPort] + day.other[vpndetect.ByPort]
+		split.domain += day.work[vpndetect.ByDomain] + day.other[vpndetect.ByDomain]
 	}
 	portVol, domainVol := float64(split.port), float64(split.domain)
 	total := portVol + domainVol

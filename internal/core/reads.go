@@ -13,7 +13,9 @@ import (
 // that reads flow batches declares, where it registers, the keys it reads:
 // the kind, the vantage point, the days, and the reduction it takes of
 // each day — a per-day fold of the batch into a small partial. No
-// experiment reads a batch itself. Some days have two readers — Figures 7a
+// experiment reads a batch, nor names a key, itself: the engine takes the
+// declared keys before the experiment runs (Dataset.takeReads, scan.go)
+// and hands it the partials. Some days have two readers — Figures 7a
 // and 9 share 13 ISP-CE workdays, Figures 7b and 9 share 15 IXP-CE
 // workdays, Figure 10 and the VPN ablation share the 7 days of the March
 // week — and the first draw of a key runs every reduction declared on it,
@@ -21,11 +23,14 @@ import (
 // (Dataset.fill). Each partial is dropped in turn when the last reader
 // that declared it has taken it (Dataset.take), so a suite run ends
 // holding neither batches nor partials, and the next run on the dataset
-// draws each key afresh, as the first did.
+// draws each key afresh, as the first did. A run that fails or is
+// cancelled withdraws the takes it did not make (Dataset.withdraw), so it
+// ends holding nothing either.
 
 // dayRead declares the flow batches of one kind an experiment reads at
 // one vantage point (and, for KindComponentFlows, one component): one key
-// for every day of days, each read once, as reduction by (Env.partial).
+// for every day of days, each taken once, as reduction by, by the
+// experiment's declared-read pass.
 type dayRead struct {
 	kind FlowKind
 	vp   synth.VantagePoint
@@ -62,7 +67,7 @@ type reduction struct {
 type reduceFunc func(k FlowKey, b *flowrec.Batch) (any, error)
 
 // reader is a reduction declared on a key, with the number of its
-// declared takes not yet made.
+// declared takes not yet made nor withdrawn.
 type reader struct {
 	r    *reduction
 	left int
@@ -71,9 +76,8 @@ type reader struct {
 // declare counts the reductions the experiments declare on the keys they
 // read, one take per experiment that declares it. The engine calls it
 // before it runs them, so a key's first draw folds it for every reader in
-// the run. An engine that runs experiments one at a time declares each in
-// turn; a key drawn before its reduction was declared is drawn again where
-// it is read.
+// the run. A key drawn before its reduction was declared is drawn again
+// where it is taken.
 func (d *Dataset) declare(exps []Experiment) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -99,31 +103,60 @@ func (d *Dataset) addReader(k FlowKey, r *reduction) {
 
 // take returns the partial of reduction r that the first draw of fe kept,
 // if it kept one, and counts the take against r's declared readers of the
-// key: the last of them drops the partial, as does a take of a reduction
-// not declared on the key, which the draw ran for its asker alone. The
-// take that leaves an entry with no partial spends it.
+// key (spend): the last of them drops the partial, as does a take of a
+// reduction not declared on the key, which the draw ran for its asker
+// alone. The take that leaves an entry with no partial spends it.
 func (d *Dataset) take(fe *flowEntry, r *reduction) (any, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	p, ok := fe.partials[r]
-	rs := d.readers[fe.key]
-	switch i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r }); {
-	case i < 0:
+	if d.spend(fe.key, r) {
 		delete(fe.partials, r)
-	case rs[i].left > 1:
-		rs[i].left--
-	default:
-		delete(fe.partials, r)
-		if rs = slices.Delete(rs, i, i+1); len(rs) == 0 {
-			delete(d.readers, fe.key)
-		} else {
-			d.readers[fe.key] = rs
-		}
 	}
 	if len(fe.partials) == 0 {
 		fe.spent = true
 	}
 	return p, ok
+}
+
+// withdraw takes back one declared take of reduction r of k that no
+// reader will make: a failed or cancelled run withdraws what it did not
+// take. The last declared take drops the partial a draw kept for it, and
+// spends the entry if that was its last; a draw still running keeps no
+// partial of a reduction whose takes are all withdrawn (fill).
+func (d *Dataset) withdraw(k FlowKey, r *reduction) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !slices.ContainsFunc(d.readers[k], func(x reader) bool { return x.r == r }) || !d.spend(k, r) {
+		return
+	}
+	if fe := d.flows[k]; fe != nil && fe.partials != nil {
+		delete(fe.partials, r)
+		if len(fe.partials) == 0 {
+			fe.spent = true
+		}
+	}
+}
+
+// spend counts one take of reduction r of k against its declared readers
+// and reports whether the partial goes with it: the take was the last
+// declared one, or r was not declared on k. Called with d.mu held.
+func (d *Dataset) spend(k FlowKey, r *reduction) bool {
+	rs := d.readers[k]
+	switch i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r }); {
+	case i < 0:
+		return true
+	case rs[i].left > 1:
+		rs[i].left--
+		return false
+	default:
+		if rs = slices.Delete(rs, i, i+1); len(rs) == 0 {
+			delete(d.readers, k)
+		} else {
+			d.readers[k] = rs
+		}
+		return true
+	}
 }
 
 // reduce runs r on the batch k names, building r's function on its first
@@ -143,7 +176,7 @@ func (d *Dataset) reduce(r *reduction, k FlowKey, b *flowrec.Batch) (any, error)
 	return f(k, b)
 }
 
-// partial returns reduction r of the batch k names. The first draw of k,
+// partial takes reduction r of the batch k names. The first draw of k,
 // or of its fresh entry once the last one was spent, kept the partial, and
 // it is returned without the batch — which the draw dropped — though the
 // lookup still counts, and the entry still reports to drawn (the
@@ -187,4 +220,9 @@ func weekDays(weeks []calendar.Week, workdays bool) []time.Time {
 		}
 	}
 	return out
+}
+
+// weekOf returns the index of the week of weeks that holds day, or -1.
+func weekOf(weeks []calendar.Week, day time.Time) int {
+	return slices.IndexFunc(weeks, func(w calendar.Week) bool { return !day.Before(w.Start) && day.Before(w.End) })
 }

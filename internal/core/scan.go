@@ -2,45 +2,43 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the intra-experiment parallel scan layer. The engine
-// parallelizes across experiments (RunAll's worker pool); ShardedScan
-// parallelizes *within* one experiment over its grid (days, vantage
-// points or sampled days), scanning the items on workers borrowed from the
-// same global budget that bounds RunAll, and merging the per-item partial
-// aggregates in grid order.
+// This file is the declared-read pass. An experiment declares, where it
+// registers, every flow batch it reads and the reduction it takes of each
+// day (Experiment.reads, reads.go). Before the experiment runs, the engine
+// takes every key of those reads in one pass (Dataset.takeReads) and hands
+// the experiment the partials in declared order, each with its key; the
+// experiment folds them in a plain loop.
 //
-// The bit-identity contract of the suite survives sharding because of two
-// structural rules, not because of any particular schedule:
+// The bit-identity contract of the suite survives any schedule of the pass
+// because of two structural rules:
 //
-//  1. The partition is one item per chunk — never a function of the
-//     worker count or timing. A day is a flow key's span, so a day chunk
-//     reads exactly the keys of its day.
-//  2. Partial aggregates merge in ascending chunk index, and every
-//     aggregate the experiments merge is exact: byte volumes sum as
-//     uint64 (integer addition is associative at any magnitude — float64
-//     addition is not once a busy week's volume crosses 2^53), plus set
-//     unions, integer counters, and maps with chunk-disjoint keys.
+//  1. Every declared key is taken exactly once, into its own slot, so what
+//     the experiment receives is the same whichever worker took a key and
+//     whenever it did.
+//  2. Every partial is exact — uint64 byte sums, integer counts, sets and
+//     per-day maps — and the experiment folds them after the pass, in
+//     declared order: integer addition is associative at any magnitude
+//     (float64 addition is not once a busy week's volume crosses 2^53).
 //     Conversions to float64 and normalisations (divisions, minima)
-//     happen once, after the full merge, on exact operands.
+//     happen once, after the fold, on exact operands.
 //
 // Worker-budget sharing: RunMany sizes one workerBudget from -parallel and
 // every engine worker holds a token while it runs an experiment, so spare
 // tokens exist exactly when engine workers idle (the tail of a suite run,
-// or `lockdown run` with one experiment). A sharded scan borrows spare
-// tokens with a non-blocking tryAcquire — it never waits, so the calling
+// or `lockdown run` with one experiment). The pass borrows spare tokens
+// with a non-blocking tryAcquire — it never waits, so the calling
 // goroutine always makes progress and the two levels cannot deadlock or
-// oversubscribe: total scan+experiment concurrency stays <= -parallel.
+// oversubscribe: total pass+experiment concurrency stays <= -parallel.
 
 // workerBudget is the global concurrency budget shared by the engine's
-// experiment workers and the intra-experiment sharded scans. It is a
-// counting semaphore: Acquire blocks (engine workers, which must run their
-// experiment eventually), TryAcquire does not (scan workers, which are an
+// experiment workers and the declared-read passes. It is a counting
+// semaphore: acquire blocks (engine workers, which must run their
+// experiment eventually), tryAcquire does not (pass workers, which are an
 // opportunistic acceleration).
 type workerBudget struct {
 	tokens chan struct{}
@@ -74,41 +72,45 @@ func (b *workerBudget) tryAcquire() bool {
 // release returns a token.
 func (b *workerBudget) release() { b.tokens <- struct{}{} }
 
-// scanStats accumulates one experiment run's sharding activity; the
-// engine stamps it onto the result as _runtime/scan-* metrics.
-type scanStats struct {
-	chunks       atomic.Int64 // chunks scanned across all sharded scans
-	extraWorkers atomic.Int64 // budget tokens borrowed beyond the caller
+// dayPart is one day of a declared read as the pass took it: the key and
+// the partial of the read's reduction of the key's batch. The partial is
+// shared with every other reader of the key and must not be modified.
+type dayPart struct {
+	key FlowKey
+	v   any
 }
 
-// ShardedScan runs scan on every item of the grid [0, n), one item per
-// chunk, and folds the per-item partial aggregates with merge in ascending
-// item order, returning the final aggregate.
+// day is the UTC day the part covers.
+func (p dayPart) day() time.Time { return p.key.Hour.Time() }
+
+// takeReads takes every key of reads, one key per chunk, and returns the
+// partials as parts[i][j], the j-th day of reads[i], and extra, the
+// workers borrowed from budget beyond the caller, who must hold one of its
+// tokens (nil budget: the caller takes every key alone). Each take reports
+// its entry to drawn, the experiment's batch accounting, and runs in a
+// "scan-chunk" trace span of its own lane.
 //
-// Each scan invocation receives a chunk-scoped Env: same options, dataset
-// and batch accounting, but no budget, so a nested ShardedScan inside scan
-// runs sequentially instead of recursively forking.
-//
-// Extra workers are borrowed from the engine's worker budget with a
-// non-blocking tryAcquire (the calling goroutine always scans too, so a
-// scan needs no spare tokens to finish). scan must treat its item i as
-// its only input: determinism rests on the partition and merge order
-// alone, so merge must be exact (uint64 sums, set unions, disjoint maps,
-// order-preserving appends).
-func ShardedScan[T any](env *Env, n int, scan func(env *Env, i int) (T, error), merge func(dst, src T) T) (T, error) {
-	var zero T
-	if n <= 0 {
-		return zero, nil
+// The pass observes ctx between keys, and the first error wins. A pass
+// that fails or is cancelled withdraws the declared takes it did not make
+// (Dataset.withdraw), so the run leaves nothing declared behind.
+func (d *Dataset) takeReads(ctx context.Context, reads []dayRead, budget *workerBudget, drawn *drawnSet) (parts [][]dayPart, extra int, err error) {
+	type item struct{ read, day int }
+	var items []item
+	parts = make([][]dayPart, len(reads))
+	for i, r := range reads {
+		keys := r.keys()
+		parts[i] = make([]dayPart, len(keys))
+		for j, k := range keys {
+			parts[i][j].key = k
+			items = append(items, item{i, j})
+		}
 	}
-	ctx := env.context()
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	if env.scan != nil {
-		env.scan.chunks.Add(int64(n))
+	n := len(items)
+	if n == 0 {
+		return parts, 0, nil
 	}
 
-	parts := make([]T, n)
+	taken := make([]bool, n)
 	var (
 		next     atomic.Int64 // next item to claim
 		errOnce  sync.Once
@@ -119,111 +121,60 @@ func ShardedScan[T any](env *Env, n int, scan func(env *Env, i int) (T, error), 
 		errOnce.Do(func() { firstErr = err })
 		failed.Store(true)
 	}
-
 	worker := func() {
 		for {
 			i := int(next.Add(1) - 1)
-			if i >= n {
-				return
-			}
-			if failed.Load() {
+			if i >= n || failed.Load() {
 				return
 			}
 			if err := ctx.Err(); err != nil {
 				fail(err)
 				return
 			}
-			// Chunks run concurrently, so each gets a root span (its own
-			// lane) rather than a child of the experiment span.
-			sp := env.Tracer.Start("scan-chunk", "scan")
-			cenv := env.chunkEnv()
-			part, err := scan(cenv, i)
+			it := items[i]
+			p := &parts[it.read][it.day]
+			sp := d.tracer.Start("scan-chunk", "scan")
+			v, err := d.partial(p.key, reads[it.read].by, drawn)
 			if sp.Active() {
-				sp.EndArgs(map[string]any{"item": i})
+				sp.EndArgs(map[string]any{"key": p.key.String()})
 			}
 			if err != nil {
 				fail(err)
 				return
 			}
-			parts[i] = part
+			p.v, taken[i] = v, true
 		}
 	}
 
-	// Borrow spare tokens for extra scan workers; the caller is a worker
-	// too, so zero borrowed tokens degrades to the sequential walk.
-	extra := 0
-	if env.budget != nil {
-		for extra < n-1 && env.budget.tryAcquire() {
+	// Borrow spare tokens for extra workers; the caller is a worker too,
+	// so zero borrowed tokens degrades to the sequential walk.
+	if budget != nil {
+		for extra < n-1 && budget.tryAcquire() {
 			extra++
 		}
 	}
-	if env.scan != nil && extra > 0 {
-		env.scan.extraWorkers.Add(int64(extra))
-	}
-
 	var wg sync.WaitGroup
 	for w := 0; w < extra; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer env.budget.release()
+			defer budget.release()
 			worker()
 		}()
 	}
 	worker()
 	wg.Wait()
 
+	if firstErr == nil {
+		firstErr = ctx.Err()
+	}
 	if firstErr != nil {
-		return zero, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return zero, err
-	}
-	acc := parts[0]
-	for i := 1; i < n; i++ {
-		acc = merge(acc, parts[i])
-	}
-	return acc, nil
-}
-
-// ScanDays is the day-grid convenience wrapper over ShardedScan: each day
-// is a chunk, scanned into a fresh partial aggregate by visit, and the
-// partials merge in grid order.
-func ScanDays[T any](env *Env, days []time.Time, newPart func() T,
-	visit func(env *Env, part T, day time.Time) error,
-	merge func(dst, src T) T) (T, error) {
-	return ShardedScan(env, len(days),
-		func(env *Env, i int) (T, error) {
-			part := newPart()
-			if err := visit(env, part, days[i]); err != nil {
-				var zero T
-				return zero, err
+		for i, it := range items {
+			if !taken[i] {
+				d.withdraw(parts[it.read][it.day].key, reads[it.read].by)
 			}
-			return part, nil
-		}, merge)
-}
-
-// chunkEnv derives the execution environment of one chunk: same options,
-// dataset, batch accounting, context and stats, but no budget (nested
-// scans run sequentially).
-func (env *Env) chunkEnv() *Env {
-	return &Env{
-		Options: env.Options,
-		Data:    env.Data,
-		drawn:   env.drawn,
-		ctx:     env.ctx,
-		scan:    env.scan,
+		}
+		return nil, extra, firstErr
 	}
+	return parts, extra, nil
 }
-
-// context returns the run's context (Background for hand-built Envs).
-func (env *Env) context() context.Context {
-	if env.ctx == nil {
-		return context.Background()
-	}
-	return env.ctx
-}
-
-// defaultScanWorkers sizes the worker budget of a single-experiment Run,
-// where no RunMany pool exists to share with.
-func defaultScanWorkers() int { return runtime.GOMAXPROCS(0) }

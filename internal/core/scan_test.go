@@ -7,7 +7,10 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	qcheck "testing/quick"
@@ -17,9 +20,9 @@ import (
 	"lockdown/internal/synth"
 )
 
-// flowHeavy are the experiments that walk day grids over sampled flows —
-// the ones the sharded-scan layer actually parallelizes, and therefore the
-// ones the determinism tests exercise hardest.
+// flowHeavy are the experiments that declare flow reads — the ones whose
+// declared-read passes the budget parallelizes, and therefore the ones the
+// determinism tests exercise hardest.
 var flowHeavy = []string{"fig7a", "fig7b", "fig8", "fig9", "fig10", "fig12", "ablation-vpn"}
 
 // requireSameResults asserts two result slices are bit-identical modulo
@@ -66,67 +69,145 @@ func requireSameResults(t *testing.T, label string, want, got []*Result) {
 	}
 }
 
-// TestShardedScanOrderAndCoverage is the pure property at the bottom of
-// the determinism stack: for any grid length and worker budget,
-// ShardedScan visits every item exactly once and merges the partials in
-// ascending grid order. The scan emits its item and the merge appends, so
-// the output must be exactly 0..n-1 in order.
-func TestShardedScanOrderAndCoverage(t *testing.T) {
-	data := NewDataset(Options{FlowScale: 0.01})
-	prop := func(n8, budget8 uint8) bool {
-		n := int(n8) % 200
-		budget := int(budget8)%8 + 1
-		env := &Env{
-			Data:   data,
-			budget: newWorkerBudget(budget),
-			scan:   &scanStats{},
+// TestReadPassTakesEachKeyOnce is the property at the bottom of the
+// determinism stack: for any reads and at every worker budget from 1 to
+// 8, the declared-read pass takes every declared key exactly once and
+// hands back each partial in its declared slot; with no token to borrow
+// it takes them in declared order. It gives back every token it borrowed
+// and leaves nothing declared.
+func TestReadPassTakesEachKeyOnce(t *testing.T) {
+	d := NewDataset(Options{FlowScale: 0.01})
+	rows := &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
+		return func(_ FlowKey, b *flowrec.Batch) (any, error) { return b.Len(), nil }, nil
+	}}
+	var (
+		mu    sync.Mutex
+		order []FlowKey
+	)
+	d.taken = func(k FlowKey, _ *reduction, _ any) {
+		mu.Lock()
+		order = append(order, k)
+		mu.Unlock()
+	}
+	edu, gaming := fig12Days(), fig8Days()
+	pass := func(n1, n2 uint8, budget int) bool {
+		reads := []dayRead{
+			{kind: KindFlows, vp: synth.EDU, days: edu[:int(n1)%(len(edu)+1)], by: rows},
+			{kind: KindComponentFlows, vp: synth.IXPSE, name: "gaming", days: gaming[:int(n2)%25], by: rows},
 		}
-		env.budget.acquire() // the caller holds a token, like the engine
-		got, err := ShardedScan(env, n,
-			func(env *Env, i int) ([]int, error) { return []int{i}, nil },
-			func(dst, src []int) []int { return append(dst, src...) })
+		label := fmt.Sprintf("%d+%d keys, budget %d", len(reads[0].days), len(reads[1].days), budget)
+		var declared []FlowKey
+		for _, r := range reads {
+			declared = append(declared, r.keys()...)
+		}
+		order = nil
+		d.declare([]Experiment{{reads: reads}})
+		b := newWorkerBudget(budget)
+		b.acquire() // the caller holds a token, like the engine
+		parts, extra, err := d.takeReads(context.Background(), reads, b, nil)
 		if err != nil {
-			t.Logf("n=%d budget=%d: %v", n, budget, err)
+			t.Logf("%s: %v", label, err)
 			return false
 		}
-		if len(got) != n {
-			t.Logf("n=%d budget=%d: %d items visited", n, budget, len(got))
+		for i, r := range reads {
+			for j, k := range r.keys() {
+				if p := parts[i][j]; p.key != k || p.v == nil {
+					t.Logf("%s: slot %d/%d holds %v (%v), want %v", label, i, j, p.key, p.v, k)
+					return false
+				}
+			}
+		}
+		if extra > budget-1 || extra > max(len(declared)-1, 0) || len(b.tokens) != budget-1 {
+			t.Logf("%s: %d workers borrowed, %d tokens free after the pass", label, extra, len(b.tokens))
 			return false
 		}
-		for i, v := range got {
-			if v != i {
-				t.Logf("n=%d budget=%d: item %d holds %d (out of order or duplicated)", n, budget, i, v)
+		seen := make(map[FlowKey]int)
+		for _, k := range order {
+			seen[k]++
+		}
+		if len(order) != len(declared) || len(seen) != len(declared) {
+			t.Logf("%s: %d takes of %d distinct keys, want each of %d once", label, len(order), len(seen), len(declared))
+			return false
+		}
+		if extra == 0 && !slices.Equal(order, declared) {
+			t.Logf("%s: taken alone out of declared order: %v", label, order)
+			return false
+		}
+		holdsNothing(t, label, d)
+		return true
+	}
+	prop := func(n1, n2 uint8) bool {
+		for budget := 1; budget <= 8; budget++ {
+			if !pass(n1, n2, budget) {
 				return false
 			}
 		}
-		if c := env.scan.chunks.Load(); c != int64(n) {
-			t.Logf("n=%d budget=%d: %d chunks counted, want one per item", n, budget, c)
-			return false
-		}
 		return true
 	}
-	if err := qcheck.Check(prop, &qcheck.Config{MaxCount: 120}); err != nil {
+	if err := qcheck.Check(prop, &qcheck.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
 }
 
-// TestShardedScanErrorPropagation: a chunk error fails the whole scan and
-// surfaces the scan's error, not a partial aggregate.
-func TestShardedScanErrorPropagation(t *testing.T) {
-	data := NewDataset(Options{FlowScale: 0.01})
-	env := &Env{Data: data, budget: newWorkerBudget(4), scan: &scanStats{}}
-	env.budget.acquire()
+// failingSource fails the flows/ draws of the keys in fail.
+type failingSource struct {
+	FlowSource
+	mu    sync.Mutex
+	fail  map[FlowKey]error
+	calls int
+}
+
+func (s *failingSource) FlowBatch(vp synth.VantagePoint, day time.Time) (*flowrec.Batch, error) {
+	s.mu.Lock()
+	s.calls++
+	err := s.fail[FlowKey{Kind: KindFlows, VP: vp, Hour: DayOf(day)}]
+	s.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
+	return s.FlowSource.FlowBatch(vp, day)
+}
+
+// TestReadPassFirstErrorWins: a key whose draw fails fails the pass with
+// its error and no partials, at every budget. Taken alone, the first
+// failing key in declared order wins and no key after it is drawn. The
+// failed pass leaves nothing declared, and its failed entry is spent, so a
+// later pass draws the key again and succeeds.
+func TestReadPassFirstErrorWins(t *testing.T) {
+	opts := Options{FlowScale: 0.01}
 	boom := errors.New("boom")
-	_, err := ShardedScan(env, 100,
-		func(env *Env, i int) (int, error) {
-			if i >= 50 {
-				return 0, fmt.Errorf("item %d: %w", i, boom)
-			}
-			return 1, nil
-		},
-		func(dst, src int) int { return dst + src })
-	if !errors.Is(err, boom) {
-		t.Fatalf("ShardedScan error = %v, want wrapped boom", err)
+	read := dayRead{kind: KindFlows, vp: synth.EDU, days: fig12Days(), by: eduCounts}
+	keys := read.keys()
+	for budget := 1; budget <= 8; budget++ {
+		src := &failingSource{FlowSource: NewSyntheticSource(opts), fail: map[FlowKey]error{
+			keys[5]:  fmt.Errorf("key 5: %w", boom),
+			keys[12]: fmt.Errorf("key 12: %w", boom),
+		}}
+		d := NewDatasetWithSource(opts, src)
+		label := fmt.Sprintf("budget %d", budget)
+		pass := func() ([][]dayPart, error) {
+			d.declare([]Experiment{{reads: []dayRead{read}}})
+			b := newWorkerBudget(budget)
+			b.acquire()
+			parts, _, err := d.takeReads(context.Background(), []dayRead{read}, b, nil)
+			return parts, err
+		}
+		parts, err := pass()
+		if !errors.Is(err, boom) || parts != nil {
+			t.Fatalf("%s: pass = %d reads, %v; want the failing key's error", label, len(parts), err)
+		}
+		if budget == 1 && (!strings.HasPrefix(err.Error(), "key 5:") || src.calls != 6) {
+			t.Errorf("%s: %v after %d draws; want key 5's error after its 6 draws", label, err, src.calls)
+		}
+		holdsNothing(t, label, d)
+
+		src.mu.Lock()
+		src.fail = nil
+		src.mu.Unlock()
+		if parts, err = pass(); err != nil || len(parts[0]) != len(keys) {
+			t.Fatalf("%s: the pass after the failure: %v", label, err)
+		}
+		holdsNothing(t, label+", again", d)
 	}
 }
 
@@ -151,7 +232,7 @@ func TestWorkerBudget(t *testing.T) {
 
 // TestRunAllShardingInvariance is the suite-level determinism property:
 // RunAll output is invariant under the worker count. Each count schedules
-// every experiment's scan chunks differently, and any divergence fails
+// every experiment's pass differently, and any divergence fails
 // with the first differing metric key.
 func TestRunAllShardingInvariance(t *testing.T) {
 	opts := Options{FlowScale: 0.05, Seed: 3}
@@ -180,8 +261,8 @@ func TestRunAllShardingInvariance(t *testing.T) {
 }
 
 // cancelAfterSource wraps a FlowSource and cancels the run's context after
-// a fixed number of flow-batch fetches, so cancellation lands mid-scan
-// inside whichever experiment is walking its grid at that moment.
+// a fixed number of flow-batch fetches, so cancellation lands mid-pass
+// inside whichever experiment is taking its reads at that moment.
 type cancelAfterSource struct {
 	FlowSource
 	after  int64
@@ -196,10 +277,12 @@ func (s *cancelAfterSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*f
 	return s.FlowSource.FlowBatch(vp, hour)
 }
 
-// TestShardedScanCancellation cancels the context mid-sharded-scan and
-// asserts the two leak-freedom properties: RunMany fails cleanly with the
-// context error, and every scan goroutine exits.
-func TestShardedScanCancellation(t *testing.T) {
+// TestReadPassCancellation cancels the context while the flow-heavy
+// experiments' passes run: RunMany fails cleanly with the context error,
+// the passes stop mid-way (the source sees far fewer draws than the keys
+// the experiments declare), every pass goroutine exits, and the run leaves
+// nothing declared.
+func TestReadPassCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -208,16 +291,17 @@ func TestShardedScanCancellation(t *testing.T) {
 	eng := NewEngineWithSource(opts, src)
 	_, err := eng.RunMany(ctx, flowHeavy, 4)
 	if err == nil {
-		t.Fatal("RunMany cancelled mid-scan should fail")
+		t.Fatal("RunMany cancelled mid-pass should fail")
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunMany error = %v, want context.Canceled", err)
 	}
-	if src.calls.Load() < src.after {
-		t.Fatalf("source saw %d fetches, cancellation never fired", src.calls.Load())
+	if n := src.calls.Load(); n < src.after || n > src.after+8 {
+		t.Fatalf("source saw %d draws; want the pass to stop within a draw per worker of the cancel at %d", n, src.after)
 	}
-	// Scan workers are joined before ShardedScan returns, so the
-	// goroutine count must settle back to the baseline.
+	holdsNothing(t, "cancelled", eng.Data())
+	// Pass workers are joined before takeReads returns, so the goroutine
+	// count must settle back to the baseline.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {
@@ -231,7 +315,10 @@ func TestShardedScanCancellation(t *testing.T) {
 }
 
 // TestScanMetricsStamped: a flow-heavy experiment run through the engine
-// reports its sharding activity in the _runtime/scan-* metrics.
+// reports its pass activity in the _runtime/scan-* metrics: fig9 takes
+// its 58 declared keys, the workdays of its three weeks at four vantage
+// points (13 at the ISP-CE, whose April week holds the Easter break, and
+// 15 at each IXP), one chunk each.
 func TestScanMetricsStamped(t *testing.T) {
 	res, err := NewEngine(Options{FlowScale: 0.02}).Run(context.Background(), "fig9")
 	if err != nil {
@@ -245,23 +332,22 @@ func TestScanMetricsStamped(t *testing.T) {
 			t.Errorf("%s should classify as a runtime metric", k)
 		}
 	}
-	if res.Metrics[MetricScanChunks] < 1 {
-		t.Errorf("fig9 should scan at least one chunk, got %v", res.Metrics[MetricScanChunks])
+	if got := res.Metrics[MetricScanChunks]; got != 58 {
+		t.Errorf("fig9 took %v chunks, want one per declared key, 58", got)
 	}
 	if v, ok := res.Metrics[MetricScanPrefetch]; ok {
 		t.Errorf("the retired %s is stamped (%v)", MetricScanPrefetch, v)
 	}
 }
 
-// TestSingleRunBorrowsSpareWorker: Engine.Run has no RunMany pool to share
-// with, so its scans are the only takers of the GOMAXPROCS budget. On two
-// processors the caller holds one token and every multi-chunk scan must
-// borrow the other — fig12 has one such scan, fig9 twelve (3 weeks at each
-// of 4 vantage points), and the scans of one experiment run one after the
-// other, so the count is exact. The result equals the serial one.
+// TestSingleRunBorrowsSpareWorker: Engine.Run is RunMany of one ID at the
+// default budget, GOMAXPROCS, so its pass is the only taker of the spare
+// tokens. On two processors the caller holds one token and the pass must
+// borrow the other: fig12 and fig9 each take their keys in one pass, so
+// each borrows exactly one worker. The result equals the serial one.
 func TestSingleRunBorrowsSpareWorker(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	for id, scans := range map[string]float64{"fig12": 1, "fig9": 12} {
+	for _, id := range []string{"fig12", "fig9"} {
 		opts := Options{FlowScale: 0.02}
 		serial := NewEngine(opts)
 		want, err := serial.RunMany(context.Background(), []string{id}, 1)
@@ -276,8 +362,8 @@ func TestSingleRunBorrowsSpareWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := res.Metrics[MetricScanWorkers]; got != scans {
-			t.Errorf("%s: %s = %v, want one spare worker for each of its %v scans", id, MetricScanWorkers, got, scans)
+		if got := res.Metrics[MetricScanWorkers]; got != 1 {
+			t.Errorf("%s: %s = %v, want the one spare worker", id, MetricScanWorkers, got)
 		}
 		requireSameResults(t, id+" Run vs RunMany(1)", want, []*Result{res})
 	}

@@ -153,30 +153,6 @@ func CountConnections(byDay map[time.Time]*flowrec.Batch) DailyCounts {
 	return out
 }
 
-// Merge adds every count of src into dc and returns dc: per-day counts of
-// parts of the flows sum to the counts of the whole, in any order and at
-// any grouping, because they are integers. It takes over src's inner
-// maps, so src must not be used afterwards.
-func (dc DailyCounts) Merge(src DailyCounts) DailyCounts {
-	for day, byClass := range src {
-		dst := dc[day]
-		if dst == nil {
-			dc[day] = byClass
-			continue
-		}
-		for cls, byDir := range byClass {
-			if dst[cls] == nil {
-				dst[cls] = byDir
-				continue
-			}
-			for dir, n := range byDir {
-				dst[cls][dir] += n
-			}
-		}
-	}
-	return dc
-}
-
 // Days returns the sorted days present in the counts.
 func (dc DailyCounts) Days() []time.Time {
 	out := make([]time.Time, 0, len(dc))

@@ -171,25 +171,6 @@ func TestCountConnectionsBatchRecordEquivalence(t *testing.T) {
 	}
 }
 
-// TestDailyCountsMerge: merged partial counts are the counts of the
-// whole — per day, class and direction, with days and classes only one
-// side has carried over.
-func TestDailyCountsMerge(t *testing.T) {
-	g := eduGenerator(t)
-	a, b := date(2020, 3, 5), date(2020, 4, 16)
-	half := func(day time.Time, from, to int) map[time.Time]*flowrec.Batch {
-		return map[time.Time]*flowrec.Batch{day: g.FlowsBetweenBatch(day.Add(time.Duration(from)*time.Hour), day.Add(time.Duration(to)*time.Hour))}
-	}
-	got := CountConnections(half(a, 0, 12)).
-		Merge(CountConnections(half(a, 12, 24))).
-		Merge(CountConnections(half(b, 0, 24))).
-		Merge(DailyCounts{})
-	want := CountConnections(collectEDUDays(g, []time.Time{a, b}))
-	if len(want[a]) == 0 || !reflect.DeepEqual(got, want) {
-		t.Errorf("merged halves: %v\nwhole days:   %v", got, want)
-	}
-}
-
 func TestConnectionGrowthSkipsEmptyBaseline(t *testing.T) {
 	counts := DailyCounts{
 		calendar.DayStart(date(2020, 2, 27)): {},

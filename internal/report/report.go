@@ -139,9 +139,9 @@ func WriteJSONAll(w io.Writer, rs []*core.Result) error {
 // bench-style summary table, slowest first, followed by the column sums.
 // The sum of wall times is not the run's wall clock nor its cpu time:
 // experiments overlap under -parallel, and one may spend time folding a
-// shared day for another. The scan columns expose the intra-experiment sharding activity: how many
-// grid chunks the experiment's sharded scans processed, how many extra
-// workers they borrowed from the -parallel budget.
+// shared day for another. The scan columns expose each experiment's
+// declared-read pass: how many keys its reads took, one chunk each, and
+// how many extra workers the pass borrowed from the -parallel budget.
 func WriteTimings(w io.Writer, rs []*core.Result) error {
 	type row struct {
 		id      string

@@ -85,7 +85,7 @@ func TestSplitBatchMatchesSplit(t *testing.T) {
 
 // TestSplitBatchSumsExact: the integer kernel equals the per-row
 // reference, and per-hour partials merge to the same totals as one big
-// batch — the associativity the sharded scans rely on.
+// batch — the associativity the per-day folds rely on.
 func TestSplitBatchSumsExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	candidates := map[netip.Addr]bool{addr4(rng): true}
