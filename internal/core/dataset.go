@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -14,11 +13,11 @@ import (
 )
 
 // Dataset is the memoized input layer of an engine. Every input an
-// experiment can consume — generators, VPN-detection datasets, hourly
-// volume series and per-day flow samples — is produced at most once per
-// key and shared across experiments. One Dataset serves exactly one
-// Options value, so a key names the input alone: the vantage point for a
-// model, a FlowKey for a flow batch, a range for a series.
+// experiment can consume — generators, VPN-detection datasets and hourly
+// volume series — is produced at most once per key and shared across
+// experiments and runs. One Dataset serves exactly one Options value, so a
+// key names the input alone: the vantage point for a model, a range for a
+// series.
 //
 // Flow batches, one per FlowKey, are drawn from the dataset's FlowSource:
 // by default its own model, projected to each kind's columns, or — via
@@ -27,41 +26,38 @@ import (
 // Volume series always come from the local generator model; only the
 // flow-record path is sourced.
 //
-// An experiment never holds a batch: it reads each of its days as a
-// reduction (reads.go). A key's entry is a once, its partials and a spent
-// mark: the first draw runs, inside the once, every reduction the run
-// declared on the key, keeps the partials and drops the batch; the last
-// take of each partial drops it, and the take that leaves no partial
-// spends the entry, so the next ask draws the key afresh. A suite run thus
-// draws each key once and holds no batch past that draw.
+// The dataset holds no flow batch and no partial: a run plans its reads
+// (readPlan, reads.go), draws each key once inside the plan and drops the
+// batch there, and the plan dies with the run. What the dataset keeps of
+// the flow path is what any run may reuse: each reduction's function, the
+// row offsets of the hours Figure 9 cuts (hourRows) and the set of keys
+// ever drawn, which the cache counters book.
 //
-// Concurrency: a per-key entry is installed under a short mutex and the
-// draw runs inside the entry's sync.Once, so concurrent readers of a key
-// block only on that key while other keys generate in parallel. Cached
-// values are immutable by convention: callers must not modify returned
-// slices or call mutating methods (e.g. synth.Generator.SetVPNGateways)
-// on shared instances.
+// Concurrency: a memo is installed under a short mutex and built inside
+// its sync.Once, so concurrent readers of a key block only on that key
+// while other keys build in parallel. Cached values are immutable by
+// convention: callers must not modify returned slices or call mutating
+// methods (e.g. synth.Generator.SetVPNGateways) on shared instances.
 type Dataset struct {
 	model  *SyntheticSource // generator and VPN data per vantage point
 	src    FlowSource       // model unless NewDatasetWithSource named another
 	tracer *obs.Tracer
 
-	mu      sync.Mutex
-	flows   map[FlowKey]*flowEntry
-	series  map[seriesKey]*memo[*timeseries.Series]
-	offsets map[FlowKey]*memo[[]int] // hourRows' row offsets, per key asked
-
-	readers  map[FlowKey][]reader             // the reductions declared on each key, with their takes left (declare, take)
+	mu       sync.Mutex
+	series   map[seriesKey]*memo[*timeseries.Series]
+	offsets  map[FlowKey]*memo[[]int]         // hourRows' row offsets, per key asked
 	reducers map[*reduction]*memo[reduceFunc] // each reduction's function, built once
+	drawn    map[FlowKey]struct{}             // the flow keys ever drawn, for their misses (countTake)
 	taken    func(FlowKey, *reduction, any)   // when set, sees every partial a reader takes (tests)
 
 	// Cache instruments: one count per memoized lookup — a model part, a
-	// series range, a flow key — a miss when the lookup installed the
-	// value. These are the single source of truth for both
-	// CacheStats and the lockdown_cache_* metric families: Stats() reads
-	// the same counters a /metrics scrape does, so the stderr summary
-	// and the exposition can never disagree. With Options.Obs unset the
-	// counters are standalone atomics — same cost, nothing exported.
+	// series range, a flow key's take — a miss when the lookup installed
+	// the value or drew the key for the first time. These are the single
+	// source of truth for both CacheStats and the lockdown_cache_* metric
+	// families: Stats() reads the same counters a /metrics scrape does, so
+	// the stderr summary and the exposition can never disagree. With
+	// Options.Obs unset the counters are standalone atomics — same cost,
+	// nothing exported.
 	hits   *obs.Counter
 	misses *obs.Counter
 }
@@ -72,32 +68,6 @@ type seriesKey struct {
 	vp       synth.VantagePoint
 	class    synth.Class
 	from, to Hour
-}
-
-// flowEntry is the cache slot of one flow key: the first ask draws the
-// batch inside once (fill), which keeps the partials and drops the batch.
-type flowEntry struct {
-	key  FlowKey
-	once sync.Once
-	err  error // the draw failed
-
-	// partials are the reductions of the batch its first draw ran, by
-	// reduction, guarded by Dataset.mu: set at the end of the draw (nil
-	// before), then each deleted by the last take its declared readers
-	// make, by the take of an undeclared one (Dataset.take), or by the
-	// withdrawal of its last declared take (Dataset.withdraw).
-	partials map[*reduction]any
-
-	// spent, guarded by Dataset.mu: the entry holds no partial, or its
-	// draw failed, so the next ask installs a fresh entry in its place
-	// (Dataset.entry), whose first draw runs the reductions declared by
-	// then.
-	spent bool
-
-	// rows and cols of the batch as the source delivered it, for the
-	// batch accounting (drawnSet).
-	rows int
-	cols flowrec.Columns
 }
 
 // NewDataset returns an empty dataset cache for the given options, backed
@@ -115,11 +85,10 @@ func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 	reg := opts.Obs
 	d := &Dataset{
 		tracer:   opts.Tracer,
-		flows:    make(map[FlowKey]*flowEntry),
 		series:   make(map[seriesKey]*memo[*timeseries.Series]),
 		offsets:  make(map[FlowKey]*memo[[]int]),
-		readers:  make(map[FlowKey][]reader),
 		reducers: make(map[*reduction]*memo[reduceFunc]),
+		drawn:    make(map[FlowKey]struct{}),
 		hits:     reg.Counter("lockdown_cache_hits_total", "Dataset cache key lookups that found an entry."),
 		misses:   reg.Counter("lockdown_cache_misses_total", "Dataset cache key lookups that installed a new entry."),
 	}
@@ -146,82 +115,24 @@ func (d *Dataset) count(miss bool) {
 	}
 }
 
-// entry returns the cache entry of k, counting the lookup, and draws the
-// batch on the first ask (fill) for the reduction asked. A failed draw
-// spends the entry. An ask of a spent entry replaces it with a fresh one,
-// drawn again; the lookup still counts as a hit, since the key stays
-// memoized.
-func (d *Dataset) entry(k FlowKey, asked *reduction) (*flowEntry, error) {
-	d.mu.Lock()
-	fe, ok := d.flows[k]
-	if !ok || fe.spent {
-		fe = &flowEntry{key: k}
-		d.flows[k] = fe
-	}
-	d.mu.Unlock()
-	d.count(!ok)
-	fe.once.Do(func() {
-		if fe.err = d.fill(fe, asked); fe.err != nil {
-			d.mu.Lock()
-			fe.spent = true // the next ask draws the key again
-			d.mu.Unlock()
+// countTake books one take of k: a miss for the key's first draw in the
+// dataset's life (drew: the take drew the key), a hit for every other,
+// including a later run's draw of the key.
+func (d *Dataset) countTake(k FlowKey, drew bool) {
+	first := false
+	if drew {
+		d.mu.Lock()
+		if _, ok := d.drawn[k]; !ok {
+			d.drawn[k], first = struct{}{}, true
 		}
-	})
-	return fe, fe.err
-}
-
-// fill is the first draw of an entry, run inside its once: it asks the
-// flow source for the batch, runs every reduction declared on the key
-// (declare), and the one asked for if it was not declared, on it, keeps
-// the partials and drops the batch; only its rows and columns stay, for
-// the batch accounting. A reduction the caller did not ask for runs in a
-// "reduce" trace span naming its owner and the key, so the time one
-// experiment spends folding a day for another shows as such.
-func (d *Dataset) fill(fe *flowEntry, asked *reduction) error {
-	b, err := d.draw(fe.key)
-	if err != nil {
-		return err
+		d.mu.Unlock()
 	}
-	d.mu.Lock()
-	rs := make([]*reduction, 0, len(d.readers[fe.key])+1)
-	for _, x := range d.readers[fe.key] {
-		rs = append(rs, x.r)
-	}
-	d.mu.Unlock()
-	if !slices.Contains(rs, asked) {
-		rs = append(rs, asked)
-	}
-	partials := make(map[*reduction]any, len(rs))
-	for _, r := range rs {
-		var sp obs.Span
-		if r != asked {
-			sp = d.tracer.Start("reduce", "scan")
-		}
-		p, err := d.reduce(r, fe.key, b)
-		if sp.Active() {
-			sp.EndArgs(map[string]any{"owner": r.owner, "key": fe.key.String()})
-		}
-		if err != nil {
-			return err
-		}
-		partials[r] = p
-	}
-	fe.rows, fe.cols = b.Len(), b.Columns()
-	// Keep no partial whose declared takes were all withdrawn meanwhile.
-	d.mu.Lock()
-	for r := range partials {
-		if r != asked && !slices.ContainsFunc(d.readers[fe.key], func(x reader) bool { return x.r == r }) {
-			delete(partials, r)
-		}
-	}
-	fe.partials = partials
-	d.mu.Unlock()
-	return nil
+	d.count(first)
 }
 
 // draw asks the flow source for the batch k names, which must hold at
-// least k's columns. Nothing keeps it: fill reduces and drops it, and the
-// tests that need a batch call draw directly.
+// least k's columns. Nothing keeps it: a run's plan reduces and drops it
+// (readPlan.fill), and the tests that need a batch call draw directly.
 func (d *Dataset) draw(k FlowKey) (*flowrec.Batch, error) {
 	b, err := fetch(d.src, k)
 	if err == nil {
@@ -238,29 +149,29 @@ func (d *Dataset) draw(k FlowKey) (*flowrec.Batch, error) {
 func (d *Dataset) Close() error { return nil }
 
 // Stats returns the cache's entry and hit/miss counters. Every miss
-// memoizes one value and none is ever removed, so Entries is the miss
-// count.
+// memoizes one value or books one key's first draw, and none is ever
+// removed, so Entries is the miss count.
 func (d *Dataset) Stats() CacheStats {
 	s := CacheStats{Hits: d.hits.Value(), Misses: d.misses.Value()}
 	s.Entries = int(s.Misses)
 	return s
 }
 
-// drawnSet is the distinct flow-batch entries one experiment's
-// declared-read pass took, with their summed size, rows × the width of the
-// columns each entry stores: what MetricBatchMB reports. Being a set it
-// reads the same however the pass was scheduled.
+// drawnSet is the distinct keys one experiment's declared-read pass took,
+// with their summed batch size, rows × the width of the columns each
+// batch stores: what MetricBatchMB reports. Being a set it reads the same
+// however the pass was scheduled.
 type drawnSet struct {
 	mu    sync.Mutex
-	seen  map[*flowEntry]struct{}
+	seen  map[*planSlot]struct{}
 	bytes int64
 }
 
-func (s *drawnSet) add(fe *flowEntry) {
+func (s *drawnSet) add(ps *planSlot) {
 	s.mu.Lock()
-	if _, ok := s.seen[fe]; !ok {
-		s.seen[fe] = struct{}{}
-		s.bytes += int64(fe.rows) * int64(fe.cols.RowBytes())
+	if _, ok := s.seen[ps]; !ok {
+		s.seen[ps] = struct{}{}
+		s.bytes += int64(ps.rows) * int64(ps.cols.RowBytes())
 	}
 	s.mu.Unlock()
 }

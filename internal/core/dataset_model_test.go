@@ -100,7 +100,8 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 	}
 
 	d := NewDataset(Options{FlowScale: 0.1})
-	// rows is an undeclared reduction, so every take draws the key afresh.
+	// rows is a reduction of the test's own, and each lookup takes it on a
+	// plan of its own, so every lookup draws the key afresh.
 	rows := &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
 		return func(_ FlowKey, b *flowrec.Batch) (any, error) { return b.Len(), nil }, nil
 	}}
@@ -118,7 +119,8 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 		{FlowKey{Kind: KindComponentFlows, VP: synth.ISPCE, Name: "gaming", Hour: day}, "component-flows/ISP-CE/gaming@2020-03-25", 1}, // ISP-CE's generator is built
 	} {
 		get := func(at time.Time) (any, error) {
-			return d.partial(FlowKey{Kind: tc.key.Kind, VP: tc.key.VP, Name: tc.key.Name, Hour: DayOf(at)}, rows, nil)
+			read := dayRead{kind: tc.key.Kind, vp: tc.key.VP, name: tc.key.Name, days: []time.Time{at}, by: rows}
+			return newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).take(read.keys()[0], rows, nil)
 		}
 		if s := tc.key.String(); s != tc.name {
 			t.Errorf("String() = %q, want %q", s, tc.name)
@@ -156,8 +158,8 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 		if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+int64(len(at)) {
 			t.Errorf("%d lookups of a cached %v: %+v, then %+v; want as many hits and no new entry", len(at), tc.key, before, after)
 		}
-		if _, ok := d.flows[tc.key]; !ok || len(d.flows) != i+1 {
-			t.Errorf("%d flow entries after %d keys, %v among them: %v", len(d.flows), i+1, tc.key, ok)
+		if _, ok := d.drawn[tc.key]; !ok || len(d.drawn) != i+1 {
+			t.Errorf("%d keys drawn after %d keys, %v among them: %v", len(d.drawn), i+1, tc.key, ok)
 		}
 	}
 }

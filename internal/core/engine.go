@@ -50,7 +50,7 @@ func IsRuntimeMetric(key string) bool {
 // engine, and the partials of the experiment's declared reads. Experiments
 // draw all synthetic inputs (generators, hourly series) from the cache so
 // that inputs consumed by several experiments are generated exactly once;
-// their flow reads the engine has already taken (Dataset.takeReads).
+// their flow reads the engine has already taken (readPlan.takeReads).
 type Env struct {
 	Options
 	Data *Dataset
@@ -71,8 +71,9 @@ func (env *Env) series(vp synth.VantagePoint, from, to time.Time) (*timeseries.S
 
 // CacheStats summarises the dataset cache's effectiveness.
 type CacheStats struct {
-	// Entries counts all memoized values (generators, series, flow
-	// keys). Each was installed by one miss and none is ever removed.
+	// Entries counts the memoized values (generators, series) and the
+	// flow keys ever drawn. Each was booked by one miss, the key's first
+	// draw in the dataset's life, and none is ever removed.
 	Entries int
 	// Hits and Misses count memoized lookups.
 	Hits   int64
@@ -84,7 +85,8 @@ type CacheStats struct {
 
 // Engine executes experiments against one shared dataset cache. A zero
 // Engine is not usable; construct it with NewEngine. The engine is safe
-// for concurrent use.
+// for concurrent use, but concurrent runs do not share draws: each run
+// plans its own reads and draws each of its keys itself.
 type Engine struct {
 	opts Options
 	data *Dataset
@@ -146,19 +148,19 @@ func (e *Engine) Run(ctx context.Context, id string) (*Result, error) {
 	return rs[0], nil
 }
 
-// runTimed takes the experiment's declared reads in one pass
-// (Dataset.takeReads), runs it on their partials, records its wall time,
-// the batch memory its reads stand for and its pass activity into the
-// result's runtime metrics, and appends the verdict of each of its claims
-// to the notes. budget is the shared worker pool the pass may borrow
+// runTimed takes the experiment's declared reads from the run's plan in
+// one pass (readPlan.takeReads), runs it on their partials, records its
+// wall time, the batch memory its reads stand for and its pass activity
+// into the result's runtime metrics, and appends the verdict of each of
+// its claims to the notes. budget is the shared worker pool the pass may borrow
 // spare tokens from; the caller must already hold one of its tokens.
-func (e *Engine) runTimed(ctx context.Context, exp Experiment, budget *workerBudget) (*Result, error) {
+func (e *Engine) runTimed(ctx context.Context, exp Experiment, plan *readPlan, budget *workerBudget) (*Result, error) {
 	// The span is the wall-clock measurement: its End duration stamps
 	// MetricWallMS and feeds the duration histogram, so the timing table,
 	// -json output, /metrics and the trace file all report one number.
 	sp := e.opts.Tracer.Start("exp:"+exp.ID, "experiment")
-	drawn := &drawnSet{seen: make(map[*flowEntry]struct{})}
-	parts, extra, err := e.data.takeReads(ctx, exp.reads, budget, drawn)
+	drawn := &drawnSet{seen: make(map[*planSlot]struct{})}
+	parts, extra, err := plan.takeReads(ctx, exp.reads, budget, drawn)
 	var res *Result
 	if err == nil {
 		res, err = exp.Run(&Env{Options: e.opts, Data: e.data, parts: parts})
@@ -226,7 +228,8 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	e.data.declare(exps)
+	// The run's flow state: it dies with the run, however the run ends.
+	plan := newReadPlan(e.data, exps)
 	// The worker budget carries the full -parallel allowance even when
 	// fewer experiments exist: engine workers hold a token each while
 	// running an experiment, and the declared-read passes borrow whatever
@@ -246,7 +249,6 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 	defer cancel()
 
 	results := make([]*Result, len(exps))
-	started := make([]bool, len(exps)) // runTimed was called; read after wg.Wait
 	jobs := make(chan int)
 	var (
 		wg       sync.WaitGroup
@@ -265,9 +267,8 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 				if ctx.Err() != nil {
 					return
 				}
-				started[i] = true
 				budget.acquire()
-				res, err := e.runTimed(ctx, exps[i], budget)
+				res, err := e.runTimed(ctx, exps[i], plan, budget)
 				budget.release()
 				if err != nil {
 					fail(err)
@@ -293,18 +294,6 @@ feed:
 		err = ctx.Err()
 	}
 	if err != nil {
-		// A started experiment's pass made or withdrew each of its takes;
-		// withdraw those of the experiments that never started.
-		for i, exp := range exps {
-			if started[i] {
-				continue
-			}
-			for _, r := range exp.reads {
-				for _, k := range r.keys() {
-					e.data.withdraw(k, r.by)
-				}
-			}
-		}
 		return nil, err
 	}
 	return results, nil

@@ -3,8 +3,10 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -81,26 +83,18 @@ func TestRunAllPaperOrder(t *testing.T) {
 }
 
 // TestRunAllCancellation: a cancelled run and a run whose source fails
-// on one key fail, and each leaves nothing declared or held behind; so
-// does the full run that follows either one on the same engine, whose
-// results equal a fresh engine's.
+// on one key fail, and each leaves nothing behind: the full run that
+// follows either one on the same engine asks the source for each key
+// exactly once, and its results equal a fresh engine's.
 func TestRunAllCancellation(t *testing.T) {
 	opts := Options{FlowScale: 0.05}
 	want, err := NewEngine(opts).RunAll(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &failingSource{FlowSource: NewSyntheticSource(opts)}
+	rec := newRecordingSource(opts)
+	src := &failingSource{FlowSource: rec}
 	e := NewEngineWithSource(opts, src)
-	full := func(label string) {
-		t.Helper()
-		got, err := e.RunAll(context.Background(), 4)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		requireSameResults(t, label, want, got)
-		holdsNothing(t, label, e.Data())
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -110,17 +104,47 @@ func TestRunAllCancellation(t *testing.T) {
 	if _, err := e.Run(ctx, "tab2"); err == nil {
 		t.Error("Run with a cancelled context should fail")
 	}
-	holdsNothing(t, "cancelled", e.Data())
-	full("the full run after a cancelled one")
+	nextRunDrawsOnce(t, "cancelled", e, rec, want, 4)
 
 	boom := errors.New("boom")
 	src.fail = map[FlowKey]error{{Kind: KindFlows, VP: synth.EDU, Hour: DayOf(fig12Baseline)}: boom}
 	if _, err := e.RunAll(context.Background(), 4); !errors.Is(err, boom) {
 		t.Errorf("RunAll whose source fails on one key = %v, want its error", err)
 	}
-	holdsNothing(t, "failed", e.Data())
 	src.fail = nil
-	full("the full run after a failed one")
+	nextRunDrawsOnce(t, "failed", e, rec, want, 4)
+}
+
+// TestConcurrentRunsDrawApart: three RunAll at -parallel 2 on one engine
+// at once each equal a fresh engine's serial run, and each run draws its
+// own keys: the source is asked for each of the suite's keys exactly three
+// times. Concurrent runs share the dataset's models and series, not draws.
+func TestConcurrentRunsDrawApart(t *testing.T) {
+	opts := Options{FlowScale: 0.05}
+	want, err := NewEngine(opts).RunAll(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := newRecordingSource(opts)
+	e := NewEngineWithSource(opts, src)
+	got := make([][]*Result, 3)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = e.RunAll(context.Background(), 2)
+		}()
+	}
+	wg.Wait()
+	for i, rs := range got {
+		if errs[i] != nil {
+			t.Fatalf("run %d: %v", i+1, errs[i])
+		}
+		requireSameResults(t, fmt.Sprintf("concurrent run %d", i+1), want, rs)
+	}
+	drawsEachKeyOnce(t, "three concurrent runs", src, 3)
 }
 
 func TestRunAllUnknownID(t *testing.T) {

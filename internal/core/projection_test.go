@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -37,28 +36,11 @@ func (s fullWidthSource) draw(k FlowKey) (*flowrec.Batch, error) {
 	return g.ComponentBatch(k.Name, from, to, flowrec.AllColumns), nil
 }
 
-// storedColumns returns the column set of every flow-batch entry of d,
-// keyed by batch kind.
-func storedColumns(d *Dataset) map[string]map[flowrec.Columns]int {
-	out := make(map[string]map[flowrec.Columns]int)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for key, fe := range d.flows {
-		kind := key.Kind.String()
-		if out[kind] == nil {
-			out[kind] = make(map[flowrec.Columns]int)
-		}
-		out[kind][fe.cols]++
-	}
-	return out
-}
-
 // TestProjectedSuiteEqualsFullWidth is the under-declaration guard of the
 // three kind column sets: the default engine, whose batches store only
 // what the kind's readers declared, must produce all 21 results equal —
 // modulo _runtime/ — to an engine fed full-width batches by the same
-// models (fullWidthSource), at seeds 0 and 7; neither run holds anything
-// afterwards. A reader that reads a column its kind's set lacks fails
+// models (fullWidthSource), at seeds 0 and 7. A reader that reads a column its kind's set lacks fails
 // here whether it would have panicked on the nil column or (ranging over
 // it) silently read nothing. Runs under -race -cpu 1,4 in CI.
 func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
@@ -79,36 +61,38 @@ func TestProjectedSuiteEqualsFullWidth(t *testing.T) {
 	}
 	for _, seed := range []int64{0, 7} {
 		opts := Options{FlowScale: 0.05, Seed: seed}
-		run := func(e *Engine) ([]*Result, map[string]map[flowrec.Columns]int, float64) {
+		// run returns the suite's results on src, the column sets of the
+		// batches it drew, by kind, and its summed batch MB.
+		run := func(src FlowSource) ([]*Result, map[string]map[flowrec.Columns]int, float64) {
 			t.Helper()
-			rs, err := e.RunAll(context.Background(), 4)
+			rec := recording(src)
+			rs, err := NewEngineWithSource(opts, rec).RunAll(context.Background(), 4)
 			if err != nil {
 				t.Fatalf("RunAll(%+v): %v", opts, err)
 			}
-			holdsNothing(t, fmt.Sprintf("seed %d", seed), e.Data())
 			var mb float64
 			for _, r := range rs {
 				mb += r.Metrics[MetricBatchMB]
 			}
-			return rs, storedColumns(e.Data()), mb
+			return rs, rec.cols, mb
 		}
-		full, fullCols, fullMB := run(NewEngineWithSource(opts, fullWidthSource{NewSyntheticSource(opts)}))
-		got, gotCols, gotMB := run(NewEngine(opts))
+		full, fullCols, fullMB := run(fullWidthSource{NewSyntheticSource(opts)})
+		got, gotCols, gotMB := run(NewSyntheticSource(opts))
 		if len(full) != 21 {
 			t.Fatalf("%d results, want the 21 experiments", len(full))
 		}
 		requireSameResults(t, "projected vs full-width", full, got)
 
 		// Neither side of the comparison is vacuous: the default engine
-		// stored exactly the kind sets, the reference all fifteen.
+		// drew exactly the kind sets, the reference all fifteen.
 		for kind, cols := range map[string]flowrec.Columns{
 			"flows": FlowKey{Kind: KindFlows}.Columns(), "vpn-flows": FlowKey{Kind: KindVPNFlows}.Columns(), "component-flows": FlowKey{Kind: KindComponentFlows}.Columns(),
 		} {
 			if n := gotCols[kind][cols]; n == 0 || len(gotCols[kind]) != 1 {
-				t.Errorf("seed %d: default engine's %s entries store %v, want only %s", seed, kind, gotCols[kind], cols)
+				t.Errorf("seed %d: default engine's %s batches store %v, want only %s", seed, kind, gotCols[kind], cols)
 			}
 			if n := fullCols[kind][flowrec.AllColumns]; n == 0 || len(fullCols[kind]) != 1 {
-				t.Errorf("seed %d: a wider batch must be stored as delivered; %s entries store %v", seed, kind, fullCols[kind])
+				t.Errorf("seed %d: the reference's %s batches store %v, want all columns", seed, kind, fullCols[kind])
 			}
 		}
 		if gotMB <= 0 || gotMB > 0.4*fullMB {

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"lockdown/internal/calendar"
 	"lockdown/internal/flowrec"
+	"lockdown/internal/obs"
 	"lockdown/internal/synth"
 )
 
@@ -14,18 +17,17 @@ import (
 // the kind, the vantage point, the days, and the reduction it takes of
 // each day — a per-day fold of the batch into a small partial. No
 // experiment reads a batch, nor names a key, itself: the engine takes the
-// declared keys before the experiment runs (Dataset.takeReads, scan.go)
+// declared keys before the experiment runs (readPlan.takeReads, scan.go)
 // and hands it the partials. Some days have two readers — Figures 7a
 // and 9 share 13 ISP-CE workdays, Figures 7b and 9 share 15 IXP-CE
 // workdays, Figure 10 and the VPN ablation share the 7 days of the March
-// week — and the first draw of a key runs every reduction declared on it,
-// keeps the partials on the cache entry and drops the batch
-// (Dataset.fill). Each partial is dropped in turn when the last reader
-// that declared it has taken it (Dataset.take), so a suite run ends
-// holding neither batches nor partials, and the next run on the dataset
-// draws each key afresh, as the first did. A run that fails or is
-// cancelled withdraws the takes it did not make (Dataset.withdraw), so it
-// ends holding nothing either.
+// week — so a run plans its reads before it starts (newReadPlan): one slot
+// per declared key, with the run's reductions of the key and the takes
+// each has left. The slot's first take draws the batch, runs every
+// reduction on it, keeps the partials and drops the batch (readPlan.fill);
+// each partial is dropped at its last take. The plan dies with the run, so
+// a run that ends, fails or is cancelled leaves nothing behind, and the
+// next run draws every key afresh. Concurrent runs plan, and draw, apart.
 
 // dayRead declares the flow batches of one kind an experiment reads at
 // one vantage point (and, for KindComponentFlows, one component): one key
@@ -58,7 +60,7 @@ type reduction struct {
 	owner string // the experiment that declares it, named in its trace spans
 	// build makes the reduction's function for one dataset, once: the
 	// tables and models it folds with. The function never draws a flow
-	// batch, so it can run inside another entry's once.
+	// batch, so it can run inside another key's draw.
 	build func(d *Dataset) (reduceFunc, error)
 }
 
@@ -66,97 +68,137 @@ type reduction struct {
 // shared by every reader of k and must not be modified.
 type reduceFunc func(k FlowKey, b *flowrec.Batch) (any, error)
 
-// reader is a reduction declared on a key, with the number of its
-// declared takes not yet made nor withdrawn.
-type reader struct {
-	r    *reduction
-	left int
+// readPlan is the flow state of one run: a slot for every key its
+// experiments declare. Its map is complete before the run starts and never
+// written after, so takes find their slot without a lock.
+type readPlan struct {
+	d     *Dataset
+	slots map[FlowKey]*planSlot
+	mu    sync.Mutex // guards every slot's reads once the slot is drawn
 }
 
-// declare counts the reductions the experiments declare on the keys they
-// read, one take per experiment that declares it. The engine calls it
-// before it runs them, so a key's first draw folds it for every reader in
-// the run. A key drawn before its reduction was declared is drawn again
-// where it is taken.
-func (d *Dataset) declare(exps []Experiment) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// planSlot is one key of a run: its first take draws the batch inside once
+// (readPlan.fill), which keeps the partials and drops the batch.
+type planSlot struct {
+	once  sync.Once
+	err   error // the draw failed
+	reads []planRead
+	// rows and cols of the batch as the source delivered it, for the
+	// batch accounting (drawnSet).
+	rows int
+	cols flowrec.Columns
+}
+
+// planRead is a reduction the run declares on a key: the takes of it not
+// yet made and, from the key's draw to the last of them, its partial.
+type planRead struct {
+	r    *reduction
+	left int
+	p    any
+}
+
+// newReadPlan plans the reads of exps on d: one take of a reduction of a
+// key for every experiment that declares it.
+func newReadPlan(d *Dataset, exps []Experiment) *readPlan {
+	p := &readPlan{d: d, slots: make(map[FlowKey]*planSlot)}
 	for _, e := range exps {
 		for _, r := range e.reads {
 			for _, k := range r.keys() {
-				d.addReader(k, r.by)
+				s := p.slots[k]
+				if s == nil {
+					s = new(planSlot)
+					p.slots[k] = s
+				}
+				if i := s.read(r.by); i >= 0 {
+					s.reads[i].left++
+				} else {
+					s.reads = append(s.reads, planRead{r: r.by, left: 1})
+				}
 			}
 		}
 	}
+	return p
 }
 
-// addReader counts one more declared take of reduction r of k. Called with
-// d.mu held.
-func (d *Dataset) addReader(k FlowKey, r *reduction) {
-	rs := d.readers[k]
-	if i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r }); i >= 0 {
-		rs[i].left++
-		return
-	}
-	d.readers[k] = append(rs, reader{r: r, left: 1})
-}
-
-// take returns the partial of reduction r that the first draw of fe kept,
-// if it kept one, and counts the take against r's declared readers of the
-// key (spend): the last of them drops the partial, as does a take of a
-// reduction not declared on the key, which the draw ran for its asker
-// alone. The take that leaves an entry with no partial spends it.
-func (d *Dataset) take(fe *flowEntry, r *reduction) (any, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	p, ok := fe.partials[r]
-	if d.spend(fe.key, r) {
-		delete(fe.partials, r)
-	}
-	if len(fe.partials) == 0 {
-		fe.spent = true
-	}
-	return p, ok
-}
-
-// withdraw takes back one declared take of reduction r of k that no
-// reader will make: a failed or cancelled run withdraws what it did not
-// take. The last declared take drops the partial a draw kept for it, and
-// spends the entry if that was its last; a draw still running keeps no
-// partial of a reduction whose takes are all withdrawn (fill).
-func (d *Dataset) withdraw(k FlowKey, r *reduction) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if !slices.ContainsFunc(d.readers[k], func(x reader) bool { return x.r == r }) || !d.spend(k, r) {
-		return
-	}
-	if fe := d.flows[k]; fe != nil && fe.partials != nil {
-		delete(fe.partials, r)
-		if len(fe.partials) == 0 {
-			fe.spent = true
+// read returns the index of reduction r among the slot's reads, or -1. It
+// reads no field but r, which no take writes.
+func (s *planSlot) read(r *reduction) int {
+	for i := range s.reads {
+		if s.reads[i].r == r {
+			return i
 		}
 	}
+	return -1
 }
 
-// spend counts one take of reduction r of k against its declared readers
-// and reports whether the partial goes with it: the take was the last
-// declared one, or r was not declared on k. Called with d.mu held.
-func (d *Dataset) spend(k FlowKey, r *reduction) bool {
-	rs := d.readers[k]
-	switch i := slices.IndexFunc(rs, func(x reader) bool { return x.r == r }); {
-	case i < 0:
-		return true
-	case rs[i].left > 1:
-		rs[i].left--
-		return false
-	default:
-		if rs = slices.Delete(rs, i, i+1); len(rs) == 0 {
-			delete(d.readers, k)
-		} else {
-			d.readers[k] = rs
-		}
-		return true
+// take returns reduction r of the batch k names. The slot's first take
+// draws the batch (fill); every take books a cache lookup (countTake),
+// reports the slot to drawn (the experiment's batch accounting, nil for
+// none), and counts against r's takes, the last of which drops the
+// partial. A take the plan does not hold is an error.
+func (p *readPlan) take(k FlowKey, r *reduction, drawn *drawnSet) (any, error) {
+	s, i := p.slots[k], -1
+	if s != nil {
+		i = s.read(r)
 	}
+	if i < 0 {
+		return nil, fmt.Errorf("core: %s's reduction of %s is not planned", r.owner, k)
+	}
+	drew := false
+	s.once.Do(func() { drew, s.err = true, p.fill(k, s, r) })
+	p.d.countTake(k, drew)
+	if s.err != nil {
+		return nil, s.err
+	}
+	p.mu.Lock()
+	x := &s.reads[i]
+	x.left--
+	v, left := x.p, x.left
+	if left == 0 {
+		x.p = nil
+	}
+	p.mu.Unlock()
+	if left < 0 {
+		return nil, fmt.Errorf("core: %s's reduction of %s taken more often than planned", r.owner, k)
+	}
+	if drawn != nil {
+		drawn.add(s)
+	}
+	if p.d.taken != nil {
+		p.d.taken(k, r, v)
+	}
+	return v, nil
+}
+
+// fill is the draw of slot s of k, run inside its once by the first take,
+// of reduction asked: it asks the flow source for the batch, runs every
+// reduction the plan holds on the key, keeps the partials and drops the
+// batch; only its rows and columns stay, for the batch accounting. A
+// reduction other than the one asked runs in a "reduce" trace span naming
+// its owner and the key, so the time one experiment spends folding a day
+// for another shows as such.
+func (p *readPlan) fill(k FlowKey, s *planSlot, asked *reduction) error {
+	b, err := p.d.draw(k)
+	if err != nil {
+		return err
+	}
+	for i := range s.reads {
+		r := s.reads[i].r
+		var sp obs.Span
+		if r != asked {
+			sp = p.d.tracer.Start("reduce", "scan")
+		}
+		v, err := p.d.reduce(r, k, b)
+		if sp.Active() {
+			sp.EndArgs(map[string]any{"owner": r.owner, "key": k.String()})
+		}
+		if err != nil {
+			return err
+		}
+		s.reads[i].p = v
+	}
+	s.rows, s.cols = b.Len(), b.Columns()
+	return nil
 }
 
 // reduce runs r on the batch k names, building r's function on its first
@@ -174,38 +216,6 @@ func (d *Dataset) reduce(r *reduction, k FlowKey, b *flowrec.Batch) (any, error)
 		return nil, err
 	}
 	return f(k, b)
-}
-
-// partial takes reduction r of the batch k names. The first draw of k,
-// or of its fresh entry once the last one was spent, kept the partial, and
-// it is returned without the batch — which the draw dropped — though the
-// lookup still counts, and the entry still reports to drawn (the
-// experiment's batch accounting, nil for none), as a read of the batch
-// does. Otherwise (r was declared after the draw, or another take of it
-// got the partial first) the batch is drawn again, reduced here and
-// dropped like the first.
-func (d *Dataset) partial(k FlowKey, r *reduction, drawn *drawnSet) (any, error) {
-	fe, err := d.entry(k, r)
-	if err != nil {
-		return nil, err
-	}
-	p, ok := d.take(fe, r)
-	if !ok {
-		b, err := d.draw(k)
-		if err != nil {
-			return nil, err
-		}
-		if p, err = d.reduce(r, k, b); err != nil {
-			return nil, err
-		}
-	}
-	if drawn != nil {
-		drawn.add(fe)
-	}
-	if d.taken != nil {
-		d.taken(k, r, p)
-	}
-	return p, nil
 }
 
 // weekDays returns the days of the weeks in order, only the workdays when

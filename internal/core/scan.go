@@ -10,7 +10,7 @@ import (
 // This file is the declared-read pass. An experiment declares, where it
 // registers, every flow batch it reads and the reduction it takes of each
 // day (Experiment.reads, reads.go). Before the experiment runs, the engine
-// takes every key of those reads in one pass (Dataset.takeReads) and hands
+// takes every key of those reads in one pass (readPlan.takeReads) and hands
 // the experiment the partials in declared order, each with its key; the
 // experiment folds them in a plain loop.
 //
@@ -83,17 +83,17 @@ type dayPart struct {
 // day is the UTC day the part covers.
 func (p dayPart) day() time.Time { return p.key.Hour.Time() }
 
-// takeReads takes every key of reads, one key per chunk, and returns the
-// partials as parts[i][j], the j-th day of reads[i], and extra, the
-// workers borrowed from budget beyond the caller, who must hold one of its
-// tokens (nil budget: the caller takes every key alone). Each take reports
-// its entry to drawn, the experiment's batch accounting, and runs in a
-// "scan-chunk" trace span of its own lane.
+// takeReads takes every key of reads from the run's plan, one key per
+// chunk, and returns the partials as parts[i][j], the j-th day of
+// reads[i], and extra, the workers borrowed from budget beyond the caller,
+// who must hold one of its tokens (nil budget: the caller takes every key
+// alone). Each take reports its slot to drawn, the experiment's batch
+// accounting, and runs in a "scan-chunk" trace span of its own lane.
 //
 // The pass observes ctx between keys, and the first error wins. A pass
-// that fails or is cancelled withdraws the declared takes it did not make
-// (Dataset.withdraw), so the run leaves nothing declared behind.
-func (d *Dataset) takeReads(ctx context.Context, reads []dayRead, budget *workerBudget, drawn *drawnSet) (parts [][]dayPart, extra int, err error) {
+// that fails or is cancelled leaves its untaken partials in the plan,
+// which dies with the run.
+func (p *readPlan) takeReads(ctx context.Context, reads []dayRead, budget *workerBudget, drawn *drawnSet) (parts [][]dayPart, extra int, err error) {
 	type item struct{ read, day int }
 	var items []item
 	parts = make([][]dayPart, len(reads))
@@ -110,7 +110,6 @@ func (d *Dataset) takeReads(ctx context.Context, reads []dayRead, budget *worker
 		return parts, 0, nil
 	}
 
-	taken := make([]bool, n)
 	var (
 		next     atomic.Int64 // next item to claim
 		errOnce  sync.Once
@@ -132,17 +131,17 @@ func (d *Dataset) takeReads(ctx context.Context, reads []dayRead, budget *worker
 				return
 			}
 			it := items[i]
-			p := &parts[it.read][it.day]
-			sp := d.tracer.Start("scan-chunk", "scan")
-			v, err := d.partial(p.key, reads[it.read].by, drawn)
+			part := &parts[it.read][it.day]
+			sp := p.d.tracer.Start("scan-chunk", "scan")
+			v, err := p.take(part.key, reads[it.read].by, drawn)
 			if sp.Active() {
-				sp.EndArgs(map[string]any{"key": p.key.String()})
+				sp.EndArgs(map[string]any{"key": part.key.String()})
 			}
 			if err != nil {
 				fail(err)
 				return
 			}
-			p.v, taken[i] = v, true
+			part.v = v
 		}
 	}
 
@@ -169,11 +168,6 @@ func (d *Dataset) takeReads(ctx context.Context, reads []dayRead, budget *worker
 		firstErr = ctx.Err()
 	}
 	if firstErr != nil {
-		for i, it := range items {
-			if !taken[i] {
-				d.withdraw(parts[it.read][it.day].key, reads[it.read].by)
-			}
-		}
 		return nil, extra, firstErr
 	}
 	return parts, extra, nil

@@ -74,7 +74,7 @@ func requireSameResults(t *testing.T, label string, want, got []*Result) {
 // 8, the declared-read pass takes every declared key exactly once and
 // hands back each partial in its declared slot; with no token to borrow
 // it takes them in declared order. It gives back every token it borrowed
-// and leaves nothing declared.
+// and leaves its plan holding nothing.
 func TestReadPassTakesEachKeyOnce(t *testing.T) {
 	d := NewDataset(Options{FlowScale: 0.01})
 	rows := &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
@@ -101,10 +101,10 @@ func TestReadPassTakesEachKeyOnce(t *testing.T) {
 			declared = append(declared, r.keys()...)
 		}
 		order = nil
-		d.declare([]Experiment{{reads: reads}})
+		plan := newReadPlan(d, []Experiment{{reads: reads}})
 		b := newWorkerBudget(budget)
 		b.acquire() // the caller holds a token, like the engine
-		parts, extra, err := d.takeReads(context.Background(), reads, b, nil)
+		parts, extra, err := plan.takeReads(context.Background(), reads, b, nil)
 		if err != nil {
 			t.Logf("%s: %v", label, err)
 			return false
@@ -133,7 +133,7 @@ func TestReadPassTakesEachKeyOnce(t *testing.T) {
 			t.Logf("%s: taken alone out of declared order: %v", label, order)
 			return false
 		}
-		holdsNothing(t, label, d)
+		planHoldsNothing(t, label, plan)
 		return true
 	}
 	prop := func(n1, n2 uint8) bool {
@@ -146,6 +146,62 @@ func TestReadPassTakesEachKeyOnce(t *testing.T) {
 	}
 	if err := qcheck.Check(prop, &qcheck.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
+	}
+}
+
+// planHoldsNothing fails unless every read of every slot of p has no take
+// left and holds no partial.
+func planHoldsNothing(t *testing.T, label string, p *readPlan) {
+	t.Helper()
+	for k, s := range p.slots {
+		for _, x := range s.reads {
+			if x.left != 0 || x.p != nil {
+				t.Errorf("%s: %s's read of %v has %d takes left, holds a partial: %v", label, x.r.owner, k, x.left, x.p != nil)
+			}
+		}
+	}
+}
+
+// TestPlanDropsPartialAtLastTake: the plan of the whole suite, taken
+// (key, reduction) by (key, reduction) in declared order, draws each key
+// once, and a slot holds a partial from its key's draw to the key's last
+// take, and none after it. A take the plan no longer holds fails.
+func TestPlanDropsPartialAtLastTake(t *testing.T) {
+	opts := Options{FlowScale: 0.02}
+	src := newRecordingSource(opts)
+	plan := newReadPlan(NewDatasetWithSource(opts, src), All())
+	type take struct {
+		k FlowKey
+		r *reduction
+	}
+	var takes []take
+	last := make(map[FlowKey]int) // the index of each key's last take
+	for _, e := range All() {
+		for _, r := range e.reads {
+			for _, k := range r.keys() {
+				last[k] = len(takes)
+				takes = append(takes, take{k, r.by})
+			}
+		}
+	}
+	for i, tk := range takes {
+		if v, err := plan.take(tk.k, tk.r, nil); err != nil || v == nil {
+			t.Fatalf("%s's take of %v: %v, %v", tk.r.owner, tk.k, v, err)
+		}
+		held := 0
+		for _, x := range plan.slots[tk.k].reads {
+			if x.p != nil {
+				held++
+			}
+		}
+		if (i == last[tk.k]) != (held == 0) {
+			t.Errorf("%v holds %d partials after take %d, its last being %d", tk.k, held, i, last[tk.k])
+		}
+	}
+	drawsEachKeyOnce(t, "declared order", src, 1)
+	planHoldsNothing(t, "declared order", plan)
+	if _, err := plan.take(takes[0].k, takes[0].r, nil); err == nil {
+		t.Errorf("a take past the plan's of %v did not fail", takes[0].k)
 	}
 }
 
@@ -170,9 +226,8 @@ func (s *failingSource) FlowBatch(vp synth.VantagePoint, day time.Time) (*flowre
 
 // TestReadPassFirstErrorWins: a key whose draw fails fails the pass with
 // its error and no partials, at every budget. Taken alone, the first
-// failing key in declared order wins and no key after it is drawn. The
-// failed pass leaves nothing declared, and its failed entry is spent, so a
-// later pass draws the key again and succeeds.
+// failing key in declared order wins and no key after it is drawn. A
+// later pass, on a plan of its own, draws the key again and succeeds.
 func TestReadPassFirstErrorWins(t *testing.T) {
 	opts := Options{FlowScale: 0.01}
 	boom := errors.New("boom")
@@ -186,10 +241,9 @@ func TestReadPassFirstErrorWins(t *testing.T) {
 		d := NewDatasetWithSource(opts, src)
 		label := fmt.Sprintf("budget %d", budget)
 		pass := func() ([][]dayPart, error) {
-			d.declare([]Experiment{{reads: []dayRead{read}}})
 			b := newWorkerBudget(budget)
 			b.acquire()
-			parts, _, err := d.takeReads(context.Background(), []dayRead{read}, b, nil)
+			parts, _, err := newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).takeReads(context.Background(), []dayRead{read}, b, nil)
 			return parts, err
 		}
 		parts, err := pass()
@@ -199,7 +253,6 @@ func TestReadPassFirstErrorWins(t *testing.T) {
 		if budget == 1 && (!strings.HasPrefix(err.Error(), "key 5:") || src.calls != 6) {
 			t.Errorf("%s: %v after %d draws; want key 5's error after its 6 draws", label, err, src.calls)
 		}
-		holdsNothing(t, label, d)
 
 		src.mu.Lock()
 		src.fail = nil
@@ -207,7 +260,6 @@ func TestReadPassFirstErrorWins(t *testing.T) {
 		if parts, err = pass(); err != nil || len(parts[0]) != len(keys) {
 			t.Fatalf("%s: the pass after the failure: %v", label, err)
 		}
-		holdsNothing(t, label+", again", d)
 	}
 }
 
@@ -280,8 +332,7 @@ func (s *cancelAfterSource) FlowBatch(vp synth.VantagePoint, hour time.Time) (*f
 // TestReadPassCancellation cancels the context while the flow-heavy
 // experiments' passes run: RunMany fails cleanly with the context error,
 // the passes stop mid-way (the source sees far fewer draws than the keys
-// the experiments declare), every pass goroutine exits, and the run leaves
-// nothing declared.
+// the experiments declare), and every pass goroutine exits.
 func TestReadPassCancellation(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -299,7 +350,6 @@ func TestReadPassCancellation(t *testing.T) {
 	if n := src.calls.Load(); n < src.after || n > src.after+8 {
 		t.Fatalf("source saw %d draws; want the pass to stop within a draw per worker of the cancel at %d", n, src.after)
 	}
-	holdsNothing(t, "cancelled", eng.Data())
 	// Pass workers are joined before takeReads returns, so the goroutine
 	// count must settle back to the baseline.
 	deadline := time.Now().Add(5 * time.Second)

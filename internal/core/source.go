@@ -90,14 +90,14 @@ func DayOf(t time.Time) Hour { return Hour(t.Truncate(24*time.Hour).Unix() / 360
 // Time returns the start of the hour, in UTC.
 func (h Hour) Time() time.Time { return time.Unix(int64(h)*3600, 0).UTC() }
 
-// FlowKey is the one name of a flow batch: the dataset cache's map key, the
-// request of the replay wire protocol and the key
-// argument of trace spans. Two keys of the same batch are ==. Every key
+// FlowKey is the one name of a flow batch: the map key of a run's read
+// plan, the request of the replay wire protocol and the key argument of
+// trace spans. Two keys of the same batch are ==. Every key
 // names one UTC day, so its Hour is the day's first (DayOf): the suite's
 // readers sum whole days and weeks, and only Figures 9 and 10 split a day
 // into working hours and the rest, which they read as row ranges of the
 // day's batch (Dataset.hourRows). An hour is too few rows to be worth a
-// batch, a cache entry and a wire bucket of its own.
+// batch, a plan slot and a wire bucket of its own.
 type FlowKey struct {
 	Kind FlowKind
 	VP   synth.VantagePoint

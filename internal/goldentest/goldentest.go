@@ -57,8 +57,9 @@ func RunSuite(t testing.TB, src core.FlowSource, ids []string, parallel int, opt
 
 // HoldsNoBatch asserts the draws RunSuite returns: each run drew every key
 // it read exactly once, a day two experiments read included, and the
-// second run drew the same keys as the first. An entry the first run left
-// unspent would make each reader of a shared day draw it in the second.
+// second run drew the same keys as the first. Flow state that outlived the
+// first run's read plan would show here as a key the second run drew other
+// than once.
 func HoldsNoBatch(t testing.TB, label string, draws [2]map[core.FlowKey]int) {
 	t.Helper()
 	if len(draws[0]) == 0 {
