@@ -609,7 +609,6 @@ func runSuite(ctx context.Context, engine *core.Engine, o *options) error {
 // summary events every suite command shares.
 func suiteEvents(stats core.CacheStats) []obs.Event {
 	return []obs.Event{{Cat: "cache", Msg: "dataset cache", Fields: []obs.Field{
-		obs.Fi("entries", int64(stats.Entries)),
 		obs.Fi("hits", stats.Hits),
 		obs.Fi("misses", stats.Misses),
 	}}}

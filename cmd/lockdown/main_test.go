@@ -308,14 +308,14 @@ func TestMetricCatalog(t *testing.T) {
 }
 
 // TestSuiteEvents: the stderr summary of a suite run is one line, the
-// dataset cache's entries, hits and misses; a suite run holds no flow
-// batch, so there is no tier to report.
+// dataset cache's hits and misses; a suite run holds no flow batch, so
+// there is no tier to report.
 func TestSuiteEvents(t *testing.T) {
 	var out strings.Builder
-	if err := report.WriteEvents(&out, suiteEvents(core.CacheStats{Entries: 218, Hits: 66, Misses: 218})); err != nil {
+	if err := report.WriteEvents(&out, suiteEvents(core.CacheStats{Hits: 311, Misses: 17})); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := out.String(), "dataset cache: 218 entries, 66 hits, 218 misses\n"; got != want {
+	if got, want := out.String(), "dataset cache: 311 hits, 17 misses\n"; got != want {
 		t.Errorf("suite summary %q, want %q", got, want)
 	}
 }

@@ -5,14 +5,16 @@
 // regenerate any of them.
 //
 // Execution is organised around an Engine: experiments receive an Env
-// carrying the run Options, a shared Dataset cache that memoizes every
-// synthetic input (generators, hourly series, per-day flow batches) under
-// the key it is generated from, so inputs consumed by several experiments
-// are generated once, and the per-day partials of the flow reads the
-// experiment declares, which the engine takes before it runs. Engine.RunAll executes the registry on a bounded
-// worker pool with context cancellation and assembles results in paper
-// order; because generation is a pure function of the options and that
-// key, the metrics are bit-identical at every parallelism level.
+// carrying the run Options, a shared Dataset cache that memoizes the
+// models (generators, VPN data) and hourly series under the key each is
+// generated from, so inputs consumed by several experiments are generated
+// once, and the per-day partials of the flow reads the experiment
+// declares, which the engine takes before it runs from the run's read
+// plan: each flow batch is drawn once per run, reduced and dropped.
+// Engine.RunAll executes the registry on a bounded worker pool with
+// context cancellation and assembles results in paper order; because
+// generation is a pure function of the options and that key, the metrics
+// are bit-identical at every parallelism level.
 //
 // Each experiment returns a Result holding human-readable tables plus a
 // set of named metrics, which EXPERIMENTS.md records. An experiment

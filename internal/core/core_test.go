@@ -112,10 +112,11 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	if got.Len() == 0 || !got.Equal(want) {
 		t.Errorf("dataset day (%d rows) differs from the seed-77 generator's (%d rows)", got.Len(), want.Len())
 	}
-	lo, hi, err := d.hourRows(k, got, 20, 21)
+	rows, err := d.hourRows(k, got, [2]int{20, 21})
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, hi := rows[0][0], rows[0][1]
 	if want := ref.FlowsForHourBatch(hour).Project(k.Columns()); hi == lo || !got.Slice(lo, hi).Project(k.Columns()).Equal(want) {
 		t.Errorf("dataset hour (%d rows) differs from the seed-77 generator's (%d rows)", hi-lo, want.Len())
 	}

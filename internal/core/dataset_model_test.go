@@ -71,7 +71,7 @@ func TestDatasetResolvesModelOncePerVantagePoint(t *testing.T) {
 // TestFlowKeyIsCanonical: a flow key of every kind is its UTC day (and a
 // series bound its UTC hour). Keys built from the same instant in other
 // zones, with a monotonic reading, or from any instant inside the day are
-// ==, so they name one cache entry.
+// ==, so they name one plan slot.
 func TestFlowKeyIsCanonical(t *testing.T) {
 	utc := time.Date(2020, 3, 25, 20, 0, 0, 0, time.UTC)
 	mono := time.Now() // carries a monotonic reading; Round(0) strips it
@@ -100,27 +100,23 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 	}
 
 	d := NewDataset(Options{FlowScale: 0.1})
-	// rows is a reduction of the test's own, and each lookup takes it on a
-	// plan of its own, so every lookup draws the key afresh.
-	rows := &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
-		return func(_ FlowKey, b *flowrec.Batch) (any, error) { return b.Len(), nil }, nil
-	}}
-	// misses is what a key's first lookup memoizes: the key, and the
-	// models it draws from that no earlier row built. The fill's own model
-	// lookup books no hit, so a first lookup books none.
-	for i, tc := range []struct {
-		key    FlowKey
-		name   string
-		misses int64
+	// Nothing caches a key: each take draws it, and the draw's one lookup
+	// of the model it draws from counts like any other. misses and hits
+	// are what a key's first take books: a miss for each model it builds,
+	// which no earlier row built, and a hit when it builds none. Every
+	// later take books exactly one hit.
+	for _, tc := range []struct {
+		key          FlowKey
+		name         string
+		misses, hits int64
 	}{
-		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25", 2},                                           // and the generator
-		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25", 3},                                    // the VPN data and its generator
-		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25", 2}, // and the generator
-		{FlowKey{Kind: KindComponentFlows, VP: synth.ISPCE, Name: "gaming", Hour: day}, "component-flows/ISP-CE/gaming@2020-03-25", 1}, // ISP-CE's generator is built
+		{FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}, "flows/ISP-CE@2020-03-25", 1, 0},                                           // the generator
+		{FlowKey{Kind: KindVPNFlows, VP: synth.IXPCE, Hour: day}, "vpn-flows/IXP-CE@2020-03-25", 2, 0},                                    // the VPN data and its generator
+		{FlowKey{Kind: KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: day}, "component-flows/IXP-SE/gaming@2020-03-25", 1, 0}, // the generator
+		{FlowKey{Kind: KindComponentFlows, VP: synth.ISPCE, Name: "gaming", Hour: day}, "component-flows/ISP-CE/gaming@2020-03-25", 0, 1}, // ISP-CE's generator is built
 	} {
 		get := func(at time.Time) (any, error) {
-			read := dayRead{kind: tc.key.Kind, vp: tc.key.VP, name: tc.key.Name, days: []time.Time{at}, by: rows}
-			return newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).take(read.keys()[0], rows, nil)
+			return takeAlone(d, FlowKey{Kind: tc.key.Kind, VP: tc.key.VP, Name: tc.key.Name, Hour: DayOf(at)})
 		}
 		if s := tc.key.String(); s != tc.name {
 			t.Errorf("String() = %q, want %q", s, tc.name)
@@ -134,8 +130,8 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := d.Stats()
-		if before.Misses != prev.Misses+tc.misses || before.Hits != prev.Hits {
-			t.Errorf("the first lookup of %v: %+v, then %+v; want %d misses and no hit", tc.key, prev, before, tc.misses)
+		if before.Misses != prev.Misses+tc.misses || before.Hits != prev.Hits+tc.hits {
+			t.Errorf("the first take of %v: %+v, then %+v; want %d misses and %d hits", tc.key, prev, before, tc.misses, tc.hits)
 		}
 		at := map[string]time.Time{
 			"time.Local":          utc.In(time.Local),
@@ -154,12 +150,41 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 				t.Errorf("%s: %v rows for the same day of %v, want %v (%v)", name, n, tc.key, first, err)
 			}
 		}
-		after := d.Stats()
-		if after.Entries != before.Entries || after.Misses != before.Misses || after.Hits != before.Hits+int64(len(at)) {
-			t.Errorf("%d lookups of a cached %v: %+v, then %+v; want as many hits and no new entry", len(at), tc.key, before, after)
+		if after := d.Stats(); after.Misses != before.Misses || after.Hits != before.Hits+int64(len(at)) {
+			t.Errorf("%d later takes of %v: %+v, then %+v; want as many hits and no miss", len(at), tc.key, before, after)
 		}
-		if _, ok := d.drawn[tc.key]; !ok || len(d.drawn) != i+1 {
-			t.Errorf("%d keys drawn after %d keys, %v among them: %v", len(d.drawn), i+1, tc.key, ok)
+	}
+}
+
+// batchRows is a reduction of the tests' own: the batch's row count.
+var batchRows = &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
+	return func(_ FlowKey, b *flowrec.Batch) (any, error) { return b.Len(), nil }, nil
+}}
+
+// takeAlone takes batchRows of k on a plan of its own, so it draws k
+// afresh.
+func takeAlone(d *Dataset, k FlowKey) (any, error) {
+	read := dayRead{kind: k.Kind, vp: k.VP, name: k.Name, days: []time.Time{k.Hour.Time()}, by: batchRows}
+	return newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).take(k, batchRows)
+}
+
+// TestCacheCountsIgnoreOrder: a draw's lookup of the model it draws from
+// counts like an experiment's, so taking a flows/ key and asking for its
+// vantage point's generator book the same counts in either order: one
+// miss, which builds the generator, and one hit.
+func TestCacheCountsIgnoreOrder(t *testing.T) {
+	k := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC))}
+	take := func(d *Dataset) error { _, err := takeAlone(d, k); return err }
+	gen := func(d *Dataset) error { _, err := d.Generator(k.VP); return err }
+	for name, order := range map[string][]func(*Dataset) error{"take, then Generator": {take, gen}, "Generator, then take": {gen, take}} {
+		d := NewDataset(Options{FlowScale: 0.05})
+		for _, step := range order {
+			if err := step(d); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := d.Stats(), (CacheStats{Hits: 1, Misses: 1}); got != want {
+			t.Errorf("%s: %+v, want %+v", name, got, want)
 		}
 	}
 }

@@ -133,15 +133,17 @@ func nextRunDrawsOnce(t *testing.T, label string, e *Engine, src *recordingSourc
 }
 
 // TestCacheStatsAcrossRuns pins the cache counters over two suite runs on
-// one engine, at -parallel 1 and 4: a key's first draw in the dataset
-// books its miss and every other take a hit, a later run's draws included,
-// so the second run adds hits and no entry. The first run's are the counts
-// of the stderr summary of `lockdown all`, which bench/ reads as
-// core.cache_hits after both of its passes.
+// one engine, at -parallel 1, 4 and 8: every lookup of a model or series
+// memo counts, whoever asks — an experiment, a reduction or a draw — a
+// miss when it built the value and a hit otherwise, so the counts do not
+// depend on who asks first. The second run builds nothing and adds hits
+// only. The first run's are the counts of the stderr summary of `lockdown
+// all`, which bench/ reads as core.cache_hits after both of its passes.
+// CI also runs it beside another test binary, where scheduling varies.
 func TestCacheStatsAcrossRuns(t *testing.T) {
-	for _, parallel := range []int{1, 4} {
+	for _, parallel := range []int{1, 4, 8} {
 		e := NewEngine(Options{FlowScale: 0.05})
-		for run, want := range []CacheStats{{Entries: 218, Hits: 66, Misses: 218}, {Entries: 218, Hits: 339, Misses: 218}} {
+		for run, want := range []CacheStats{{Hits: 311, Misses: 17}, {Hits: 629, Misses: 17}} {
 			if _, err := e.RunAll(context.Background(), parallel); err != nil {
 				t.Fatal(err)
 			}

@@ -71,11 +71,8 @@ func (env *Env) series(vp synth.VantagePoint, from, to time.Time) (*timeseries.S
 
 // CacheStats summarises the dataset cache's effectiveness.
 type CacheStats struct {
-	// Entries counts the memoized values (generators, series) and the
-	// flow keys ever drawn. Each was booked by one miss, the key's first
-	// draw in the dataset's life, and none is ever removed.
-	Entries int
-	// Hits and Misses count memoized lookups.
+	// Hits and Misses count the lookups of the model and series memos:
+	// a miss built the value, a hit found it.
 	Hits   int64
 	Misses int64
 	// Spills, Faults, Regens and SpilledBytes are always 0: read by
@@ -159,8 +156,7 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, plan *readPlan, b
 	// MetricWallMS and feeds the duration histogram, so the timing table,
 	// -json output, /metrics and the trace file all report one number.
 	sp := e.opts.Tracer.Start("exp:"+exp.ID, "experiment")
-	drawn := &drawnSet{seen: make(map[*planSlot]struct{})}
-	parts, extra, err := plan.takeReads(ctx, exp.reads, budget, drawn)
+	parts, extra, err := plan.takeReads(ctx, exp.reads, budget)
 	var res *Result
 	if err == nil {
 		res, err = exp.Run(&Env{Options: e.opts, Data: e.data, parts: parts})
@@ -185,7 +181,7 @@ func (e *Engine) runTimed(ctx context.Context, exp Experiment, plan *readPlan, b
 		wall = sp.End()
 	}
 	res.Metrics[MetricWallMS] = float64(wall) / float64(time.Millisecond)
-	res.Metrics[MetricBatchMB] = drawn.batchMB()
+	res.Metrics[MetricBatchMB] = plan.batchMB(exp.reads)
 	res.Metrics[MetricScanChunks] = float64(chunks)
 	res.Metrics[MetricScanWorkers] = float64(extra)
 	for _, c := range exp.claims {

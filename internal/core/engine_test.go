@@ -181,8 +181,8 @@ func TestDatasetSharing(t *testing.T) {
 		t.Error("the VPN generator must be a distinct, gateway-pinned copy")
 	}
 	stats := d.Stats()
-	if stats.Hits == 0 || stats.Misses == 0 || stats.Entries == 0 {
-		t.Errorf("cache stats should record entries, hits and misses: %+v", stats)
+	if stats.Hits == 0 || stats.Misses == 0 {
+		t.Errorf("cache stats should record hits and misses: %+v", stats)
 	}
 }
 

@@ -363,12 +363,12 @@ var defaultClassifier = sync.OnceValue(func() *appclass.Classifier { return appc
 var classVolumes = &reduction{owner: "fig9", build: func(d *Dataset) (reduceFunc, error) {
 	clf := defaultClassifier()
 	return func(k FlowKey, b *flowrec.Batch) (any, error) {
-		lo, hi, err := d.hourRows(k, b, calendar.WorkStart, calendar.WorkEnd)
+		rows, err := d.hourRows(k, b, [2]int{calendar.WorkStart, calendar.WorkEnd})
 		if err != nil {
 			return nil, err
 		}
 		sums := make(map[appclass.Class]uint64)
-		clf.VolumeByClassInto(sums, b.Slice(lo, hi))
+		clf.VolumeByClassInto(sums, b.Slice(rows[0][0], rows[0][1]))
 		return sums, nil
 	}, nil
 }}

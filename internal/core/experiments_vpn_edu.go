@@ -79,20 +79,17 @@ var vpnSplit = &reduction{owner: "fig10", build: func(d *Dataset) (reduceFunc, e
 	det := vpn.Detector
 	return func(k FlowKey, b *flowrec.Batch) (any, error) {
 		day := new(vpnDay)
-		type hours struct {
-			from, to int
-			sums     *[3]uint64
-		}
-		split := []hours{{0, 24, &day.other}}
+		hours, sums := [][2]int{{0, 24}}, []*[3]uint64{&day.other}
 		if calendar.IsWorkday(k.Hour.Time()) {
-			split = []hours{{0, calendar.WorkStart, &day.other}, {calendar.WorkStart, calendar.WorkEnd, &day.work}, {calendar.WorkEnd, 24, &day.other}}
+			hours = [][2]int{{0, calendar.WorkStart}, {calendar.WorkStart, calendar.WorkEnd}, {calendar.WorkEnd, 24}}
+			sums = []*[3]uint64{&day.other, &day.work, &day.other}
 		}
-		for _, h := range split {
-			lo, hi, err := d.hourRows(k, b, h.from, h.to)
-			if err != nil {
-				return nil, err
-			}
-			det.SplitBatchSums(h.sums, b.Slice(lo, hi))
+		rows, err := d.hourRows(k, b, hours...)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range rows {
+			det.SplitBatchSums(sums[i], b.Slice(r[0], r[1]))
 		}
 		return day, nil
 	}, nil

@@ -258,7 +258,11 @@ func TestPartialsEqualDirectReductions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := d.reduce(tk.r, tk.k, b)
+			f, err := tk.r.build(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := f(tk.k, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -307,11 +311,16 @@ func TestHourRowsAreHours(t *testing.T) {
 			t.Fatal(err)
 		}
 		from, to := k.Hours()
+		var each [][2]int
 		for h := from; h < to; h++ {
-			lo, hi, err := d.hourRows(k, b, h, h+1)
-			if err != nil {
-				t.Fatal(err)
-			}
+			each = append(each, [2]int{h, h + 1})
+		}
+		rows, err := d.hourRows(k, b, each...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range rows {
+			h, lo, hi := from+i, r[0], r[1]
 			want := g.HourBatch(k.Hour.Time().Add(time.Duration(h)*time.Hour), k.Name, k.Columns())
 			if got := b.Slice(lo, hi); !got.Equal(want) {
 				t.Errorf("%v hour %d: rows [%d, %d) differ from the hour's batch of %d rows", k, h, lo, hi, want.Len())
@@ -335,11 +344,11 @@ func TestHourRowsGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo, hi, err := d.hourRows(se, b, 9, 17); err != nil || lo != 0 || hi != b.Len() {
-		t.Errorf("the working hours of %v are rows [%d, %d) (%v), want the whole batch of %d", se, lo, hi, err, b.Len())
+	if rows, err := d.hourRows(se, b, [2]int{9, 17}); err != nil || rows[0] != [2]int{0, b.Len()} {
+		t.Errorf("the working hours of %v are rows %v (%v), want the whole batch of %d", se, rows, err, b.Len())
 	}
 	for _, r := range [][2]int{{8, 9}, {16, 18}, {0, 24}, {12, 11}} {
-		if _, _, err := d.hourRows(se, b, r[0], r[1]); err == nil || !strings.Contains(err.Error(), "outside its window") {
+		if _, err := d.hourRows(se, b, [2]int{9, 17}, r); err == nil || !strings.Contains(err.Error(), "outside its window") {
 			t.Errorf("hours %v of %v: %v, want a refusal", r, se, err)
 		}
 	}
@@ -348,11 +357,11 @@ func TestHourRowsGuards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := d.hourRows(ce, whole, 0, 24); err != nil {
+	if _, err := d.hourRows(ce, whole, [2]int{0, 24}); err != nil {
 		t.Errorf("the whole day of %v: %v", ce, err)
 	}
 	short := whole.Slice(0, whole.Len()-1)
-	if _, _, err := d.hourRows(ce, short, 9, 17); err == nil || !strings.Contains(err.Error(), "its model's hours") {
+	if _, err := d.hourRows(ce, short, [2]int{9, 17}); err == nil || !strings.Contains(err.Error(), "its model's hours") {
 		t.Errorf("a batch one row short: %v, want an error", err)
 	}
 }

@@ -58,9 +58,9 @@ func (r dayRead) keys() []FlowKey {
 // working-hours and other-hours sums tile the day.
 type reduction struct {
 	owner string // the experiment that declares it, named in its trace spans
-	// build makes the reduction's function for one dataset, once: the
-	// tables and models it folds with. The function never draws a flow
-	// batch, so it can run inside another key's draw.
+	// build makes the reduction's function on a dataset, once per run
+	// (readPlan.funcs): the tables and models it folds with. The function
+	// never draws a flow batch, so it can run inside another key's draw.
 	build func(d *Dataset) (reduceFunc, error)
 }
 
@@ -69,11 +69,14 @@ type reduction struct {
 type reduceFunc func(k FlowKey, b *flowrec.Batch) (any, error)
 
 // readPlan is the flow state of one run: a slot for every key its
-// experiments declare. Its map is complete before the run starts and never
-// written after, so takes find their slot without a lock.
+// experiments declare, and the function of every reduction they take,
+// built on its first use. Its maps are complete before the run starts and
+// never written after, so takes find their slot and fills their function
+// without a lock.
 type readPlan struct {
 	d     *Dataset
 	slots map[FlowKey]*planSlot
+	funcs map[*reduction]*memo[reduceFunc]
 	mu    sync.Mutex // guards every slot's reads once the slot is drawn
 }
 
@@ -84,7 +87,7 @@ type planSlot struct {
 	err   error // the draw failed
 	reads []planRead
 	// rows and cols of the batch as the source delivered it, for the
-	// batch accounting (drawnSet).
+	// batch accounting (batchMB).
 	rows int
 	cols flowrec.Columns
 }
@@ -100,9 +103,12 @@ type planRead struct {
 // newReadPlan plans the reads of exps on d: one take of a reduction of a
 // key for every experiment that declares it.
 func newReadPlan(d *Dataset, exps []Experiment) *readPlan {
-	p := &readPlan{d: d, slots: make(map[FlowKey]*planSlot)}
+	p := &readPlan{d: d, slots: make(map[FlowKey]*planSlot), funcs: make(map[*reduction]*memo[reduceFunc])}
 	for _, e := range exps {
 		for _, r := range e.reads {
+			if p.funcs[r.by] == nil {
+				p.funcs[r.by] = new(memo[reduceFunc])
+			}
 			for _, k := range r.keys() {
 				s := p.slots[k]
 				if s == nil {
@@ -132,11 +138,9 @@ func (s *planSlot) read(r *reduction) int {
 }
 
 // take returns reduction r of the batch k names. The slot's first take
-// draws the batch (fill); every take books a cache lookup (countTake),
-// reports the slot to drawn (the experiment's batch accounting, nil for
-// none), and counts against r's takes, the last of which drops the
-// partial. A take the plan does not hold is an error.
-func (p *readPlan) take(k FlowKey, r *reduction, drawn *drawnSet) (any, error) {
+// draws the batch (fill); every take counts against r's takes, the last of
+// which drops the partial. A take the plan does not hold is an error.
+func (p *readPlan) take(k FlowKey, r *reduction) (any, error) {
 	s, i := p.slots[k], -1
 	if s != nil {
 		i = s.read(r)
@@ -144,9 +148,7 @@ func (p *readPlan) take(k FlowKey, r *reduction, drawn *drawnSet) (any, error) {
 	if i < 0 {
 		return nil, fmt.Errorf("core: %s's reduction of %s is not planned", r.owner, k)
 	}
-	drew := false
-	s.once.Do(func() { drew, s.err = true, p.fill(k, s, r) })
-	p.d.countTake(k, drew)
+	s.once.Do(func() { s.err = p.fill(k, s, r) })
 	if s.err != nil {
 		return nil, s.err
 	}
@@ -160,9 +162,6 @@ func (p *readPlan) take(k FlowKey, r *reduction, drawn *drawnSet) (any, error) {
 	p.mu.Unlock()
 	if left < 0 {
 		return nil, fmt.Errorf("core: %s's reduction of %s taken more often than planned", r.owner, k)
-	}
-	if drawn != nil {
-		drawn.add(s)
 	}
 	if p.d.taken != nil {
 		p.d.taken(k, r, v)
@@ -188,7 +187,11 @@ func (p *readPlan) fill(k FlowKey, s *planSlot, asked *reduction) error {
 		if r != asked {
 			sp = p.d.tracer.Start("reduce", "scan")
 		}
-		v, err := p.d.reduce(r, k, b)
+		f, err := p.funcs[r].get(nil, func() (reduceFunc, error) { return r.build(p.d) })
+		var v any
+		if err == nil {
+			v, err = f(k, b)
+		}
 		if sp.Active() {
 			sp.EndArgs(map[string]any{"owner": r.owner, "key": k.String()})
 		}
@@ -201,21 +204,24 @@ func (p *readPlan) fill(k FlowKey, s *planSlot, asked *reduction) error {
 	return nil
 }
 
-// reduce runs r on the batch k names, building r's function on its first
-// use in this dataset.
-func (d *Dataset) reduce(r *reduction, k FlowKey, b *flowrec.Batch) (any, error) {
-	d.mu.Lock()
-	m := d.reducers[r]
-	if m == nil {
-		m = new(memo[reduceFunc])
-		d.reducers[r] = m
+// batchMB is the flow-batch memory reads stand for, in MiB: over their
+// distinct keys, the rows of each drawn batch at the width of the columns
+// it stores. It reads the slots after a pass that took every key of reads,
+// so each slot's draw is done, and being over a set it reads the same
+// however the pass was scheduled.
+func (p *readPlan) batchMB(reads []dayRead) float64 {
+	seen := make(map[FlowKey]bool)
+	var bytes int64
+	for _, r := range reads {
+		for _, k := range r.keys() {
+			if !seen[k] {
+				seen[k] = true
+				s := p.slots[k]
+				bytes += int64(s.rows) * int64(s.cols.RowBytes())
+			}
+		}
 	}
-	d.mu.Unlock()
-	f, err := m.get(nil, func() (reduceFunc, error) { return r.build(d) })
-	if err != nil {
-		return nil, err
-	}
-	return f(k, b)
+	return float64(bytes) / (1 << 20)
 }
 
 // weekDays returns the days of the weeks in order, only the workdays when

@@ -87,13 +87,12 @@ func (p dayPart) day() time.Time { return p.key.Hour.Time() }
 // chunk, and returns the partials as parts[i][j], the j-th day of
 // reads[i], and extra, the workers borrowed from budget beyond the caller,
 // who must hold one of its tokens (nil budget: the caller takes every key
-// alone). Each take reports its slot to drawn, the experiment's batch
-// accounting, and runs in a "scan-chunk" trace span of its own lane.
+// alone). Each take runs in a "scan-chunk" trace span of its own lane.
 //
 // The pass observes ctx between keys, and the first error wins. A pass
 // that fails or is cancelled leaves its untaken partials in the plan,
 // which dies with the run.
-func (p *readPlan) takeReads(ctx context.Context, reads []dayRead, budget *workerBudget, drawn *drawnSet) (parts [][]dayPart, extra int, err error) {
+func (p *readPlan) takeReads(ctx context.Context, reads []dayRead, budget *workerBudget) (parts [][]dayPart, extra int, err error) {
 	type item struct{ read, day int }
 	var items []item
 	parts = make([][]dayPart, len(reads))
@@ -133,7 +132,7 @@ func (p *readPlan) takeReads(ctx context.Context, reads []dayRead, budget *worke
 			it := items[i]
 			part := &parts[it.read][it.day]
 			sp := p.d.tracer.Start("scan-chunk", "scan")
-			v, err := p.take(part.key, reads[it.read].by, drawn)
+			v, err := p.take(part.key, reads[it.read].by)
 			if sp.Active() {
 				sp.EndArgs(map[string]any{"key": part.key.String()})
 			}

@@ -77,9 +77,6 @@ func requireSameResults(t *testing.T, label string, want, got []*Result) {
 // and leaves its plan holding nothing.
 func TestReadPassTakesEachKeyOnce(t *testing.T) {
 	d := NewDataset(Options{FlowScale: 0.01})
-	rows := &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
-		return func(_ FlowKey, b *flowrec.Batch) (any, error) { return b.Len(), nil }, nil
-	}}
 	var (
 		mu    sync.Mutex
 		order []FlowKey
@@ -92,8 +89,8 @@ func TestReadPassTakesEachKeyOnce(t *testing.T) {
 	edu, gaming := fig12Days(), fig8Days()
 	pass := func(n1, n2 uint8, budget int) bool {
 		reads := []dayRead{
-			{kind: KindFlows, vp: synth.EDU, days: edu[:int(n1)%(len(edu)+1)], by: rows},
-			{kind: KindComponentFlows, vp: synth.IXPSE, name: "gaming", days: gaming[:int(n2)%25], by: rows},
+			{kind: KindFlows, vp: synth.EDU, days: edu[:int(n1)%(len(edu)+1)], by: batchRows},
+			{kind: KindComponentFlows, vp: synth.IXPSE, name: "gaming", days: gaming[:int(n2)%25], by: batchRows},
 		}
 		label := fmt.Sprintf("%d+%d keys, budget %d", len(reads[0].days), len(reads[1].days), budget)
 		var declared []FlowKey
@@ -104,7 +101,7 @@ func TestReadPassTakesEachKeyOnce(t *testing.T) {
 		plan := newReadPlan(d, []Experiment{{reads: reads}})
 		b := newWorkerBudget(budget)
 		b.acquire() // the caller holds a token, like the engine
-		parts, extra, err := plan.takeReads(context.Background(), reads, b, nil)
+		parts, extra, err := plan.takeReads(context.Background(), reads, b)
 		if err != nil {
 			t.Logf("%s: %v", label, err)
 			return false
@@ -185,7 +182,7 @@ func TestPlanDropsPartialAtLastTake(t *testing.T) {
 		}
 	}
 	for i, tk := range takes {
-		if v, err := plan.take(tk.k, tk.r, nil); err != nil || v == nil {
+		if v, err := plan.take(tk.k, tk.r); err != nil || v == nil {
 			t.Fatalf("%s's take of %v: %v, %v", tk.r.owner, tk.k, v, err)
 		}
 		held := 0
@@ -200,7 +197,7 @@ func TestPlanDropsPartialAtLastTake(t *testing.T) {
 	}
 	drawsEachKeyOnce(t, "declared order", src, 1)
 	planHoldsNothing(t, "declared order", plan)
-	if _, err := plan.take(takes[0].k, takes[0].r, nil); err == nil {
+	if _, err := plan.take(takes[0].k, takes[0].r); err == nil {
 		t.Errorf("a take past the plan's of %v did not fail", takes[0].k)
 	}
 }
@@ -243,7 +240,7 @@ func TestReadPassFirstErrorWins(t *testing.T) {
 		pass := func() ([][]dayPart, error) {
 			b := newWorkerBudget(budget)
 			b.acquire()
-			parts, _, err := newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).takeReads(context.Background(), []dayRead{read}, b, nil)
+			parts, _, err := newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).takeReads(context.Background(), []dayRead{read}, b)
 			return parts, err
 		}
 		parts, err := pass()

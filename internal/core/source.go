@@ -18,14 +18,16 @@ import (
 // gateway-pinned variant used by the VPN analyses, and the flows of one
 // component — one method per FlowKind. Each method takes the 00:00 UTC of
 // its day and returns the hours of that day the key holds
-// (FlowKey.Hours), in hour order. The Dataset cache consumes exactly one
-// FlowSource and asks it for a key once per run (the next run asks again),
-// so a source must return the same batch for the same key every time.
+// (FlowKey.Hours), in hour order. A Dataset consumes exactly one
+// FlowSource, and a run's read plan asks it for each key once (the next
+// run asks again), so a source must return the same batch for the same key
+// every time.
 //
 // The generator-backed implementation is SyntheticSource; the wire-replay
 // bridge in package replay serves the same batches off live NetFlow/IPFIX
-// export. Returned batches are published read-only through the cache; a
-// source must never retain or mutate a batch after returning it.
+// export. Nothing caches a returned batch: the plan's reductions read it
+// and drop it, and a source must never retain or mutate a batch after
+// returning it.
 //
 // Ownership: a batch a source returns belongs to the caller, and only the
 // caller may hand it to the flowrec pool (Batch.Release). The Dataset
@@ -35,7 +37,7 @@ import (
 // harness is the caller that releases: a pump releases the batch it
 // exported once the bucket's END frame is out, and the bridge releases its
 // reference when the fetch returns, while the wire batch it returns
-// passes to the dataset like any other.
+// passes to the read plan like any other.
 //
 // Projection is a property of the batch kind: every scan of a kind reads
 // inside FlowKey.Columns, so a source returns those columns and the
@@ -230,7 +232,7 @@ type vpModel struct {
 // its default flow source.
 type SyntheticSource struct {
 	opts  Options
-	count func(miss bool) // the owning dataset's lookup accounting; nil standalone
+	count func(miss bool) // the owning dataset's lookup accounting, for every lookup; nil standalone
 
 	mu     sync.Mutex
 	models map[synth.VantagePoint]*vpModel
@@ -256,11 +258,7 @@ func (s *SyntheticSource) model(vp synth.VantagePoint) *vpModel {
 // Generator returns the shared generator of a vantage point. The instance
 // is safe for concurrent read-only use; never call its mutating methods.
 func (s *SyntheticSource) Generator(vp synth.VantagePoint) (*synth.Generator, error) {
-	return s.generatorOf(vp, s.count)
-}
-
-func (s *SyntheticSource) generatorOf(vp synth.VantagePoint, count func(miss bool)) (*synth.Generator, error) {
-	return s.model(vp).gen.get(count, func() (*synth.Generator, error) {
+	return s.model(vp).gen.get(s.count, func() (*synth.Generator, error) {
 		return synth.New(s.opts.synthConfig(vp))
 	})
 }
@@ -269,12 +267,8 @@ func (s *SyntheticSource) generatorOf(vp synth.VantagePoint, count func(miss boo
 // synthetic DNS corpus names the VPN gateways, the generator is re-pinned
 // to them, and the detector is built from the same corpus.
 func (s *SyntheticSource) VPN(vp synth.VantagePoint) (*VPNData, error) {
-	return s.vpnOf(vp, s.count)
-}
-
-func (s *SyntheticSource) vpnOf(vp synth.VantagePoint, count func(miss bool)) (*VPNData, error) {
-	return s.model(vp).vpn.get(count, func() (*VPNData, error) {
-		g, err := s.generatorOf(vp, count)
+	return s.model(vp).vpn.get(s.count, func() (*VPNData, error) {
+		g, err := s.Generator(vp)
 		if err != nil {
 			return nil, err
 		}
@@ -335,20 +329,11 @@ func (s *SyntheticSource) hourFlows(k FlowKey) ([]int, error) {
 // for vpn-flows/, the vantage point's own for the others.
 func (s *SyntheticSource) generator(k FlowKey) (*synth.Generator, error) {
 	if k.Kind == KindVPNFlows {
-		vd, err := s.vpnOf(k.VP, s.fillCount)
+		vd, err := s.VPN(k.VP)
 		if err != nil {
 			return nil, err
 		}
 		return vd.Gen, nil
 	}
-	return s.generatorOf(k.VP, s.fillCount)
-}
-
-// fillCount books a fill's own model lookup: the miss that builds a model,
-// since Stats counts entries by misses, but no hit, since no experiment
-// asked.
-func (s *SyntheticSource) fillCount(miss bool) {
-	if miss && s.count != nil {
-		s.count(true)
-	}
+	return s.Generator(k.VP)
 }

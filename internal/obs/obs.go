@@ -230,8 +230,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	f.single(func() *series { return &series{fn: fn} })
 }
 
-// GaugeFunc is CounterFunc with gauge semantics (cache entries,
-// goroutines).
+// GaugeFunc is CounterFunc with gauge semantics (live goroutines).
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	if r == nil {
 		return

@@ -29,7 +29,7 @@ func TestTraceRoundTrip(t *testing.T) {
 
 	root := tr.Start("exp:fig1", "experiment")
 	time.Sleep(time.Millisecond)
-	tr.Instant("dataset cache", "cache", map[string]any{"entries": "218"})
+	tr.Instant("dataset cache", "cache", map[string]any{"hits": "311"})
 	tr.Emit(Event{Cat: "cluster", Msg: "rebalance", Fields: []Field{Fi("moved", 4)}})
 	root.End()
 

@@ -207,12 +207,12 @@ func (st *stream) stats() Stats {
 }
 
 // Bridge is the collector side of the wire-replay harness: a
-// core.FlowSource that serves the dataset cache's flow batches off live
-// NetFlow/IPFIX export. On each cache miss it routes the key to the
-// stream serving it, requests it from that stream's pump, demuxes the
-// announced bucket out of its stream's datagrams, decoding each straight
-// into the bucket's columns, verifies the rows bit-for-bit against its
-// own reference model and returns the wire batch. Buckets hit by datagram
+// core.FlowSource that serves a run's flow batches off live NetFlow/IPFIX
+// export. For each key a run's read plan asks for, once per run, it
+// routes the key to the stream serving it, requests it from that stream's
+// pump, demuxes the announced bucket out of its stream's datagrams,
+// decoding each straight into the bucket's columns, verifies the rows
+// bit-for-bit against its own reference model and returns the wire batch. Buckets hit by datagram
 // loss are re-requested; everything observed on the way is accounted per
 // stream in Stats.
 //
@@ -220,9 +220,9 @@ func (st *stream) stats() Stats {
 // datagram with the stream carried in its header, a single demux
 // goroutine routes flow datagrams and control frames into one inbox per
 // stream in datagram order, undecoded, and each stream runs its bucket
-// state machine independently. One bucket is in flight per stream (the
-// dataset cache's per-key sync.Once already collapses duplicate
-// requests); with K connected streams, K buckets stream concurrently.
+// state machine independently. One bucket is in flight per stream (a
+// second fetch waits on the stream's fetch mutex); with K connected
+// streams, K buckets stream concurrently.
 type Bridge struct {
 	cfg    Config
 	src    *core.SyntheticSource
@@ -649,11 +649,12 @@ func (b *Bridge) routeMoved(k core.FlowKey, id uint32) bool {
 // attempt timeout, the one wait left, is truncated to the fetch deadline
 // so the last attempt cannot overrun the budget. An attempt that fails
 // (loss, overrun, timeout) releases its bucket to the pool, where the
-// next reference or export batch picks the columns up; a completed one
-// passes to the caller and, once verified, to the dataset cache for good.
-// That is also why the bucket is allocated at its exact size and not
-// drawn from the pool: the cache would keep whatever capacity a pooled
-// batch happened to have.
+// next reference or export batch picks the columns up; a completed one,
+// once verified, passes to the caller, which reduces it and drops it
+// without releasing it. That is also why the bucket is allocated at its
+// exact size and not drawn from the pool: a pooled batch handed over
+// would leave the pool for good, with whatever capacity it happened to
+// have.
 func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, deadline time.Time) (_ *flowrec.Batch, err error) {
 	timeout := b.cfg.AttemptTimeout
 	if remaining := time.Until(deadline); remaining < timeout {
