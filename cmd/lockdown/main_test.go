@@ -312,10 +312,10 @@ func TestMetricCatalog(t *testing.T) {
 // there is no tier to report.
 func TestSuiteEvents(t *testing.T) {
 	var out strings.Builder
-	if err := report.WriteEvents(&out, suiteEvents(core.CacheStats{Hits: 311, Misses: 17})); err != nil {
+	if err := report.WriteEvents(&out, suiteEvents(core.CacheStats{Hits: 232, Misses: 17})); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := out.String(), "dataset cache: 311 hits, 17 misses\n"; got != want {
+	if got, want := out.String(), "dataset cache: 232 hits, 17 misses\n"; got != want {
 		t.Errorf("suite summary %q, want %q", got, want)
 	}
 }

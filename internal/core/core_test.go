@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"lockdown/internal/flowrec"
 	"lockdown/internal/synth"
 )
 
@@ -95,7 +96,8 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	day := time.Date(2020, 2, 20, 0, 0, 0, 0, time.UTC)
 	// The seed and flow-scale overrides reach the flows: the dataset's day
 	// is the one a generator built with them draws, in the dataset's
-	// column set, and its hour 20 is that generator's hour.
+	// column set, and the pieces it streams of hour 20 are that
+	// generator's hour.
 	hour := day.Add(20 * time.Hour)
 	k := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(hour)}
 	got, err := flowBatch(d, synth.ISPCE, hour)
@@ -112,13 +114,16 @@ func TestDatasetRespectsOptions(t *testing.T) {
 	if got.Len() == 0 || !got.Equal(want) {
 		t.Errorf("dataset day (%d rows) differs from the seed-77 generator's (%d rows)", got.Len(), want.Len())
 	}
-	rows, err := d.hourRows(k, got, [2]int{20, 21})
-	if err != nil {
+	streamed := flowrec.NewProjected(0, k.Columns())
+	if _, _, err := d.stream(k, func(h int, piece *flowrec.Batch) {
+		if h == 20 {
+			streamed.AppendBatch(piece)
+		}
+	}); err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := rows[0][0], rows[0][1]
-	if want := ref.FlowsForHourBatch(hour).Project(k.Columns()); hi == lo || !got.Slice(lo, hi).Project(k.Columns()).Equal(want) {
-		t.Errorf("dataset hour (%d rows) differs from the seed-77 generator's (%d rows)", hi-lo, want.Len())
+	if want := ref.FlowsForHourBatch(hour).Project(k.Columns()); streamed.Len() == 0 || !streamed.Equal(want) {
+		t.Errorf("dataset hour (%d rows) differs from the seed-77 generator's (%d rows)", streamed.Len(), want.Len())
 	}
 	s, err := d.Series(synth.ISPCE, day, day.AddDate(0, 0, 1))
 	if err != nil {

@@ -18,15 +18,15 @@ import (
 // and runs. One Dataset serves exactly one Options value, so a key names
 // the input alone: the vantage point for a model, a range for a series.
 //
-// It caches nothing of the flow path. Flow batches, one per FlowKey, are
-// drawn from the dataset's FlowSource: by default its own model, projected
-// to each kind's columns, or — via NewDatasetWithSource — any other
-// implementation, e.g. the wire-replay bridge that serves the same batches
-// off live NetFlow/IPFIX export. A run plans its reads (readPlan,
-// reads.go), draws each key once inside the plan, reduces the batch with
-// functions the plan builds and drops it; the plan dies with the run.
-// Volume series always come from the local generator model; only the
-// flow-record path is sourced.
+// It caches nothing of the flow path. The rows of a FlowKey come from the
+// dataset's FlowSource: by default its own model, which streams them in
+// the kind's columns without building the day, or — via
+// NewDatasetWithSource — any other implementation, e.g. the wire-replay
+// bridge that serves the same day batches off live NetFlow/IPFIX export.
+// A run plans its reads (readPlan, reads.go) and streams each key once
+// inside the plan through fold functions the plan builds (Dataset.stream);
+// the plan dies with the run. Volume series always come from the local
+// generator model; only the flow-record path is sourced.
 //
 // Concurrency: a memo is installed under a short mutex and built inside
 // its sync.Once, so concurrent readers of a key block only on that key
@@ -41,6 +41,7 @@ type Dataset struct {
 	mu     sync.Mutex
 	series map[seriesKey]*memo[*timeseries.Series]
 	taken  func(FlowKey, *reduction, any) // when set, sees every partial a reader takes (tests)
+	filled func(FlowKey)                  // when set, sees every key a plan streams (tests)
 
 	// Cache instruments: every memo lookup — a model part or a series
 	// range, whoever asks — counts one miss when it built the value and one
@@ -99,8 +100,9 @@ func (d *Dataset) count(miss bool) {
 }
 
 // draw asks the flow source for the batch k names, which must hold at
-// least k's columns. Nothing keeps it: a run's plan reduces and drops it
-// (readPlan.fill), and the tests that need a batch call draw directly.
+// least k's columns. Nothing keeps it: a foreign source's batch is split
+// into its hours and folded (stream), and the tests that need a batch call
+// draw directly.
 func (d *Dataset) draw(k FlowKey) (*flowrec.Batch, error) {
 	b, err := fetch(d.src, k)
 	if err == nil {
@@ -121,37 +123,54 @@ func (d *Dataset) Stats() CacheStats {
 	return CacheStats{Hits: d.hits.Value(), Misses: d.misses.Value()}
 }
 
-// hourRows returns the rows [lo, hi) of b, the batch k names, that hold
-// each range of hours-of-day [from, to) in hours, in order. A key's batch
-// is its hours sampled in hour order, so an hour's rows are contiguous,
-// and where they lie follows from the model's row count of each hour,
-// computed once per call. Every source delivers the model's rows (the
-// replay bridge verifies each one), so the offsets hold for any source's
-// batch; a batch whose length disagrees with them, or hours outside the
-// key's window (FlowKey.Hours), are an error.
-func (d *Dataset) hourRows(k FlowKey, b *flowrec.Batch, hours ...[2]int) ([][2]int, error) {
-	w0, w1 := k.Hours()
-	for _, h := range hours {
-		if h[0] < w0 || h[1] > w1 || h[0] > h[1] {
-			return nil, fmt.Errorf("core: hours [%d, %d) of %s are outside its window [%d, %d)", h[0], h[1], k, w0, w1)
-		}
+// stream hands the rows of k to fold piece by piece, in hour order, each
+// piece within the hour of day fold is given, and returns how many rows
+// there were and the columns they store. From the dataset's own model no
+// day batch is built: the generator streams the rows an hour at a time
+// through one scratch (synth.Generator.ComponentStream). Any other source
+// returns the day's batch, which split cuts into its hours.
+func (d *Dataset) stream(k FlowKey, fold func(hour int, piece *flowrec.Batch)) (int, flowrec.Columns, error) {
+	if d.src == FlowSource(d.model) {
+		rows, err := d.model.stream(k, fold)
+		return rows, k.Columns(), err
 	}
+	b, err := d.draw(k)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := d.split(k, b, fold); err != nil {
+		return 0, 0, err
+	}
+	return b.Len(), b.Columns(), nil
+}
+
+// split hands b, the batch k names, to fold an hour at a time. A key's
+// batch is its hours sampled in hour order, so an hour's rows are
+// contiguous, and where they lie follows from the model's row count of
+// each hour. Every source delivers the model's rows (the replay bridge
+// verifies each one), so the counts hold for any source's batch; a batch
+// whose length disagrees with them is an error, and nothing is folded.
+func (d *Dataset) split(k FlowKey, b *flowrec.Batch, fold func(hour int, piece *flowrec.Batch)) error {
 	counts, err := d.model.hourFlows(k)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	offs := make([]int, len(counts)+1)
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
+	if total != b.Len() {
+		return fmt.Errorf("core: %s has %d rows, its model's hours %d", k, b.Len(), total)
+	}
+	from, _ := k.Hours()
+	lo := 0
 	for i, n := range counts {
-		offs[i+1] = offs[i] + n
+		if n > 0 {
+			fold(from+i, b.Slice(lo, lo+n))
+		}
+		lo += n
 	}
-	if total := offs[len(offs)-1]; total != b.Len() {
-		return nil, fmt.Errorf("core: %s has %d rows, its model's hours %d", k, b.Len(), total)
-	}
-	rows := make([][2]int, len(hours))
-	for i, h := range hours {
-		rows[i] = [2]int{offs[h[0]-w0], offs[h[1]-w0]}
-	}
-	return rows, nil
+	return nil
 }
 
 // Generator returns the shared generator of a vantage point. The instance

@@ -156,16 +156,23 @@ func TestFlowKeyIsCanonical(t *testing.T) {
 	}
 }
 
-// batchRows is a reduction of the tests' own: the batch's row count.
+// batchRows is a reduction of the tests' own: the key's row count.
 var batchRows = &reduction{owner: "test", build: func(*Dataset) (reduceFunc, error) {
-	return func(_ FlowKey, b *flowrec.Batch) (any, error) { return b.Len(), nil }, nil
+	return func(FlowKey) fold {
+		n := 0
+		return fold{add: func(_ int, b *flowrec.Batch) { n += b.Len() }, done: func() any { return n }}
+	}, nil
 }}
 
 // takeAlone takes batchRows of k on a plan of its own, so it draws k
 // afresh.
 func takeAlone(d *Dataset, k FlowKey) (any, error) {
 	read := dayRead{kind: k.Kind, vp: k.VP, name: k.Name, days: []time.Time{k.Hour.Time()}, by: batchRows}
-	return newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).take(k, batchRows)
+	plan, err := newReadPlan(d, []Experiment{{reads: []dayRead{read}}})
+	if err != nil {
+		return nil, err
+	}
+	return plan.take(k, batchRows)
 }
 
 // TestCacheCountsIgnoreOrder: a draw's lookup of the model it draws from

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"sync"
 	"testing"
 	"time"
 
@@ -129,7 +130,7 @@ func nextRunDrawsOnce(t *testing.T, label string, e *Engine, src *recordingSourc
 		t.Fatalf("%s: %v", label, err)
 	}
 	requireSameResults(t, label, want, got)
-	drawsEachKeyOnce(t, label, src, 1)
+	drawsEachKeyOnce(t, label, src.keys, 1)
 }
 
 // TestCacheStatsAcrossRuns pins the cache counters over two suite runs on
@@ -143,7 +144,7 @@ func nextRunDrawsOnce(t *testing.T, label string, e *Engine, src *recordingSourc
 func TestCacheStatsAcrossRuns(t *testing.T) {
 	for _, parallel := range []int{1, 4, 8} {
 		e := NewEngine(Options{FlowScale: 0.05})
-		for run, want := range []CacheStats{{Hits: 311, Misses: 17}, {Hits: 629, Misses: 17}} {
+		for run, want := range []CacheStats{{Hits: 232, Misses: 17}, {Hits: 471, Misses: 17}} {
 			if _, err := e.RunAll(context.Background(), parallel); err != nil {
 				t.Fatal(err)
 			}
@@ -170,43 +171,69 @@ func suiteKeys() int {
 	return len(keys)
 }
 
-// drawsEachKeyOnce fails unless src was asked for each of the suite's
-// keys exactly n times.
-func drawsEachKeyOnce(t *testing.T, label string, src *recordingSource, n int) {
+// drawsEachKeyOnce fails unless draws, the count of each key a source was
+// asked for (recordingSource.keys) or a dataset filled (countFills),
+// holds each of the suite's keys exactly n times.
+func drawsEachKeyOnce(t *testing.T, label string, draws map[FlowKey]int, n int) {
 	t.Helper()
-	if len(src.keys) != suiteKeys() {
-		t.Errorf("%s: %d keys drawn, want the %d the suite declares", label, len(src.keys), suiteKeys())
+	if len(draws) != suiteKeys() {
+		t.Errorf("%s: %d keys drawn, want the %d the suite declares", label, len(draws), suiteKeys())
 	}
-	for k, got := range src.keys {
+	for k, got := range draws {
 		if got != n {
 			t.Errorf("%s: %v drawn %d times in all, want %d", label, k, got, n)
 		}
 	}
 }
 
-// TestSuiteHoldsNoBatch: at -cache-budget 0, the wire modes' default, a
-// suite run at -parallel 1 and 4 asks the source for each of its keys
-// exactly once. A second run on the same engine does the same: it draws
-// each key once more, since the first run's plan died with it, and its
-// results equal the first run's. CI also runs it beside another test
+// countFills returns the count, per key, of the fills of d's read plans
+// from now on. A dataset on its default source streams each key from its
+// model without asking a source for a batch, so the fills are its draws.
+// Read the counts only when no run is in flight.
+func countFills(d *Dataset) map[FlowKey]int {
+	var mu sync.Mutex
+	fills := make(map[FlowKey]int)
+	d.filled = func(k FlowKey) {
+		mu.Lock()
+		fills[k]++
+		mu.Unlock()
+	}
+	return fills
+}
+
+// TestSuiteHoldsNoBatch: a suite run at -parallel 1 and 4 draws each of
+// its keys exactly once, on the path `lockdown all` runs (the dataset's
+// own model, which streams each key: its fills are counted) and on a
+// foreign source (asked for each key's batch: its asks are counted). A
+// second run on the same engine does the same: it draws each key once
+// more, since the first run's plan died with it, and its results equal
+// the first run's, on either path. CI also runs it beside another test
 // binary, whose load once changed how often a shared day was drawn.
 func TestSuiteHoldsNoBatch(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		opts := Options{FlowScale: 0.05}
 		src := newRecordingSource(opts)
-		e := NewEngineWithSource(opts, src)
+		foreign := NewEngineWithSource(opts, src)
+		own := NewEngine(opts)
+		fills := countFills(own.Data())
 		var first []*Result
 		for run := 1; run <= 2; run++ {
-			label := fmt.Sprintf("parallel %d, budget 0, run %d", parallel, run)
-			rs, err := e.RunAll(context.Background(), parallel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			drawsEachKeyOnce(t, label, src, run)
-			if run == 1 {
-				first = rs
-			} else {
-				requireSameResults(t, fmt.Sprintf("parallel %d, second run", parallel), first, rs)
+			for _, path := range []struct {
+				name  string
+				e     *Engine
+				draws map[FlowKey]int
+			}{{"streamed", own, fills}, {"foreign", foreign, src.keys}} {
+				label := fmt.Sprintf("parallel %d, %s, run %d", parallel, path.name, run)
+				rs, err := path.e.RunAll(context.Background(), parallel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				drawsEachKeyOnce(t, label, path.draws, run)
+				if first == nil {
+					first = rs
+				} else {
+					requireSameResults(t, label, first, rs)
+				}
 			}
 		}
 	}
@@ -235,7 +262,7 @@ func TestBudgetedFaultsMatchSerial(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			drawsEachKeyOnce(t, label, src, 1)
+			drawsEachKeyOnce(t, label, src.keys, 1)
 			if parallel == 1 {
 				serial = rs
 			} else {

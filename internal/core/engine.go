@@ -225,7 +225,10 @@ func (e *Engine) RunMany(ctx context.Context, ids []string, parallel int) ([]*Re
 		return nil, err
 	}
 	// The run's flow state: it dies with the run, however the run ends.
-	plan := newReadPlan(e.data, exps)
+	plan, err := newReadPlan(e.data, exps)
+	if err != nil {
+		return nil, err
+	}
 	// The worker budget carries the full -parallel allowance even when
 	// fewer experiments exist: engine workers hold a token each while
 	// running an experiment, and the declared-read passes borrow whatever
@@ -285,7 +288,7 @@ feed:
 	close(jobs)
 	wg.Wait()
 
-	err := firstErr
+	err = firstErr
 	if err == nil {
 		err = ctx.Err()
 	}

@@ -144,7 +144,7 @@ func TestConcurrentRunsDrawApart(t *testing.T) {
 		}
 		requireSameResults(t, fmt.Sprintf("concurrent run %d", i+1), want, rs)
 	}
-	drawsEachKeyOnce(t, "three concurrent runs", src, 3)
+	drawsEachKeyOnce(t, "three concurrent runs", src.keys, 3)
 }
 
 func TestRunAllUnknownID(t *testing.T) {

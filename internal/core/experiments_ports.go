@@ -105,17 +105,21 @@ func portLanes(owner string, topPorts []flowrec.PortProto) *reduction {
 		for k, p := range topPorts {
 			tab.Set(p, uint8(k))
 		}
-		return func(_ FlowKey, b *flowrec.Batch) (any, error) {
+		return func(FlowKey) fold {
 			day := new(portDay)
-			var lanes [simd.Tile]uint8
-			n := b.Len()
-			for lo := 0; lo < n; lo += simd.Tile {
-				hi := min(lo+simd.Tile, n)
-				b.ServerPortLanes(tab, lo, hi, lanes[:hi-lo])
-				simd.ScatterAddUint64(&day.sums, lanes[:hi-lo], b.Bytes[lo:hi])
-				simd.ScatterCount(&day.cnt, lanes[:hi-lo])
+			return fold{
+				add: func(_ int, b *flowrec.Batch) {
+					var lanes [simd.Tile]uint8
+					n := b.Len()
+					for lo := 0; lo < n; lo += simd.Tile {
+						hi := min(lo+simd.Tile, n)
+						b.ServerPortLanes(tab, lo, hi, lanes[:hi-lo])
+						simd.ScatterAddUint64(&day.sums, lanes[:hi-lo], b.Bytes[lo:hi])
+						simd.ScatterCount(&day.cnt, lanes[:hi-lo])
+					}
+				},
+				done: func() any { return day },
 			}
-			return day, nil
 		}, nil
 	}}
 }
@@ -229,27 +233,30 @@ type gamingDay struct {
 	ips    []uint32
 }
 
-// gamingIPs folds an IXP-SE component-flows/gaming day into a gamingDay.
+// gamingIPs folds an IXP-SE component-flows/gaming day into a gamingDay:
+// it sums the volume and collects the eyeball addresses piece by piece,
+// and sorts and compacts them once, at the end.
 var gamingIPs = &reduction{owner: "fig8", build: func(*Dataset) (reduceFunc, error) {
-	return func(_ FlowKey, b *flowrec.Batch) (any, error) {
-		day := &gamingDay{ips: uniqueAddrs(b.DstIP)} // eyeball side
-		for _, v := range b.Bytes {
-			day.volume += v
+	return func(FlowKey) fold {
+		day := new(gamingDay)
+		var keys []uint32
+		return fold{
+			add: func(_ int, b *flowrec.Batch) {
+				for _, a := range b.DstIP { // eyeball side
+					keys = append(keys, binary.BigEndian.Uint32(a[:]))
+				}
+				for _, v := range b.Bytes {
+					day.volume += v
+				}
+			},
+			done: func() any {
+				slices.Sort(keys)
+				day.ips = slices.Clone(slices.Compact(keys)) // the set alone outlives the fold
+				return day
+			},
 		}
-		return day, nil
 	}, nil
 }}
-
-// uniqueAddrs returns the distinct addresses of col as big-endian
-// integers, in ascending order.
-func uniqueAddrs(col []flowrec.Addr) []uint32 {
-	keys := make([]uint32, len(col))
-	for i, a := range col {
-		keys[i] = binary.BigEndian.Uint32(a[:])
-	}
-	slices.Sort(keys)
-	return slices.Clone(slices.Compact(keys)) // the set alone outlives the fold
-}
 
 // unionAddrs returns the sorted union of the sorted sets a and b in a new
 // slice; neither argument is written.
@@ -359,17 +366,20 @@ var defaultClassifier = sync.OnceValue(func() *appclass.Classifier { return appc
 
 // classVolumes is Figure 9's reduction: a day's volume per application
 // class over the working hours, as exact uint64 sums (a week of volume
-// crosses 2^53), which every merge of days keeps exact.
-var classVolumes = &reduction{owner: "fig9", build: func(d *Dataset) (reduceFunc, error) {
+// crosses 2^53), which every merge of days keeps exact. It folds the
+// pieces of the working hours and skips the others.
+var classVolumes = &reduction{owner: "fig9", hours: [2]int{calendar.WorkStart, calendar.WorkEnd}, build: func(*Dataset) (reduceFunc, error) {
 	clf := defaultClassifier()
-	return func(k FlowKey, b *flowrec.Batch) (any, error) {
-		rows, err := d.hourRows(k, b, [2]int{calendar.WorkStart, calendar.WorkEnd})
-		if err != nil {
-			return nil, err
-		}
+	return func(FlowKey) fold {
 		sums := make(map[appclass.Class]uint64)
-		clf.VolumeByClassInto(sums, b.Slice(rows[0][0], rows[0][1]))
-		return sums, nil
+		return fold{
+			add: func(hour int, b *flowrec.Batch) {
+				if calendar.WorkingHours(hour) {
+					clf.VolumeByClassInto(sums, b)
+				}
+			},
+			done: func() any { return sums },
+		}
 	}, nil
 }}
 

@@ -67,31 +67,28 @@ type vpnDay struct {
 }
 
 // vpnSplit folds an IXP-CE vpn-flows/ day into a vpnDay with the
-// vantage point's VPN detector. The kernel folds each range of hours into
-// exact per-method sums; a workday's working hours are one range, the rest
-// of the day two. The ranges tile the day, so work + other is the day's
-// volume: the VPN ablation reads it so.
+// vantage point's VPN detector. The kernel adds each piece to exact
+// per-method sums: a workday's pieces of the working hours to work, every
+// other piece to other. The hours tile the day, so work + other is the
+// day's volume: the VPN ablation reads it so.
 var vpnSplit = &reduction{owner: "fig10", build: func(d *Dataset) (reduceFunc, error) {
 	vpn, err := d.VPN(synth.IXPCE)
 	if err != nil {
 		return nil, err
 	}
 	det := vpn.Detector
-	return func(k FlowKey, b *flowrec.Batch) (any, error) {
-		day := new(vpnDay)
-		hours, sums := [][2]int{{0, 24}}, []*[3]uint64{&day.other}
-		if calendar.IsWorkday(k.Hour.Time()) {
-			hours = [][2]int{{0, calendar.WorkStart}, {calendar.WorkStart, calendar.WorkEnd}, {calendar.WorkEnd, 24}}
-			sums = []*[3]uint64{&day.other, &day.work, &day.other}
+	return func(k FlowKey) fold {
+		day, workday := new(vpnDay), calendar.IsWorkday(k.Hour.Time())
+		return fold{
+			add: func(hour int, b *flowrec.Batch) {
+				sums := &day.other
+				if workday && calendar.WorkingHours(hour) {
+					sums = &day.work
+				}
+				det.SplitBatchSums(sums, b)
+			},
+			done: func() any { return day },
 		}
-		rows, err := d.hourRows(k, b, hours...)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rows {
-			det.SplitBatchSums(sums[i], b.Slice(r[0], r[1]))
-		}
-		return day, nil
 	}, nil
 }}
 
@@ -219,10 +216,12 @@ func fig12Days() []time.Time {
 // eduCounts is Figure 12's reduction: a day's EDU connection counts per
 // class and direction.
 var eduCounts = &reduction{owner: "fig12", build: func(*Dataset) (reduceFunc, error) {
-	return func(_ FlowKey, b *flowrec.Batch) (any, error) {
-		var day appclass.EDUCounter
-		day.AddBatch(b)
-		return day.Counts(), nil
+	return func(FlowKey) fold {
+		day := new(appclass.EDUCounter)
+		return fold{
+			add:  func(_ int, b *flowrec.Batch) { day.AddBatch(b) },
+			done: func() any { return day.Counts() },
+		}
 	}, nil
 }}
 

@@ -170,50 +170,58 @@ func TestKeyCensus(t *testing.T) {
 
 // TestSharedDaysDrawnOnce: the five experiments whose reads share days, in
 // two groups, run together at -parallel 4, so which reader draws a shared
-// day first is up to the scheduler. The source is asked for each declared
-// key exactly once, the results equal the serial run's, and the run ends: no reader waits on a fold another
-// holds. CI runs it under -race -cpu 1,4.
+// day first is up to the scheduler. Each declared key is drawn exactly
+// once — streamed from the dataset's own model (the path `lockdown all`
+// runs; its fills are counted) and asked of a foreign source — the results
+// equal the serial run's, and the run ends: no reader waits on a fold
+// another holds. CI runs it under -race -cpu 1,4.
 func TestSharedDaysDrawnOnce(t *testing.T) {
 	ids := []string{"fig7a", "fig7b", "fig9", "fig10", "ablation-vpn"}
-	want, err := NewEngine(Options{FlowScale: 0.02}).RunMany(context.Background(), ids, 1)
+	opts := Options{FlowScale: 0.02}
+	want, err := NewEngine(opts).RunMany(context.Background(), ids, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{FlowScale: 0.02}
-	src := newRecordingSource(opts)
-	e := NewEngineWithSource(opts, src)
-	type outcome struct {
-		rs  []*Result
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		rs, err := e.RunMany(context.Background(), ids, 4)
-		done <- outcome{rs, err}
-	}()
-	var got outcome
-	select {
-	case got = <-done:
-	case <-time.After(2 * time.Minute):
-		t.Fatal("the five readers did not finish in two minutes")
-	}
-	if got.err != nil {
-		t.Fatal(got.err)
-	}
-	requireSameResults(t, "parallel 4", want, got.rs)
-
 	decl := make(map[FlowKey]bool)
 	for _, id := range ids {
 		e, _ := ByID(id)
 		maps.Copy(decl, declaredKeys(e))
 	}
-	for k, n := range src.keys {
-		if n != 1 || !decl[k] {
-			t.Errorf("%v reached the source %d times (declared: %v), want once", k, n, decl[k])
+	src := newRecordingSource(opts)
+	own := NewEngine(opts)
+	fills := countFills(own.Data())
+	for _, path := range []struct {
+		name  string
+		e     *Engine
+		draws map[FlowKey]int
+	}{{"streamed", own, fills}, {"foreign", NewEngineWithSource(opts, src), src.keys}} {
+		type outcome struct {
+			rs  []*Result
+			err error
 		}
-	}
-	if len(src.keys) != len(decl) {
-		t.Errorf("the source saw %d keys, the readers declare %d", len(src.keys), len(decl))
+		done := make(chan outcome, 1)
+		go func() {
+			rs, err := path.e.RunMany(context.Background(), ids, 4)
+			done <- outcome{rs, err}
+		}()
+		var got outcome
+		select {
+		case got = <-done:
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("%s: the five readers did not finish in two minutes", path.name)
+		}
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		requireSameResults(t, path.name+", parallel 4", want, got.rs)
+		for k, n := range path.draws {
+			if n != 1 || !decl[k] {
+				t.Errorf("%s: %v drawn %d times (declared: %v), want once", path.name, k, n, decl[k])
+			}
+		}
+		if len(path.draws) != len(decl) {
+			t.Errorf("%s: %d keys drawn, the readers declare %d", path.name, len(path.draws), len(decl))
+		}
 	}
 }
 
@@ -262,10 +270,11 @@ func TestPartialsEqualDirectReductions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			direct, err := f(tk.k, b)
-			if err != nil {
+			fl := f(tk.k)
+			if err := d.split(tk.k, b, fl.add); err != nil {
 				t.Fatal(err)
 			}
+			direct := fl.done()
 			for _, p := range ps {
 				if !reflect.DeepEqual(p, direct) {
 					t.Errorf("seed %d: %s's partial of %v differs from its reduction of a fresh batch", seed, tk.r.owner, tk.k)
@@ -293,75 +302,169 @@ func TestPartialsEqualDirectReductions(t *testing.T) {
 	}
 }
 
-// TestHourRowsAreHours: every hour of every key the suite draws, cut from
-// the key's batch by the model's row counts, is that hour's own batch —
-// the hour sampled alone, in the key's columns.
-func TestHourRowsAreHours(t *testing.T) {
-	opts := Options{FlowScale: 0.1}
-	_, all := keyCensus(t, opts)
-	d := NewDataset(opts)
-	hours := 0
-	for k := range all {
-		b, err := d.draw(k)
+// TestFoldAtAnyPieceSize: a fold is exact at any cut of a key's rows into
+// pieces. For every key the suite plans, at seeds 0 and 7, each of the
+// key's planned reductions gives the partial its fill streams (one piece
+// an hour) when the day's batch is split into its hours, as a foreign
+// source's is, and when those hours are cut further into pieces of 1, 7
+// and 256 rows (the sampler's draw chunk).
+func TestFoldAtAnyPieceSize(t *testing.T) {
+	for _, seed := range []int64{0, 7} {
+		d := NewDataset(Options{FlowScale: 0.02, Seed: seed})
+		plan, err := newReadPlan(d, All())
 		if err != nil {
 			t.Fatal(err)
 		}
-		g, err := d.model.generator(k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		from, to := k.Hours()
-		var each [][2]int
-		for h := from; h < to; h++ {
-			each = append(each, [2]int{h, h + 1})
-		}
-		rows, err := d.hourRows(k, b, each...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range rows {
-			h, lo, hi := from+i, r[0], r[1]
-			want := g.HourBatch(k.Hour.Time().Add(time.Duration(h)*time.Hour), k.Name, k.Columns())
-			if got := b.Slice(lo, hi); !got.Equal(want) {
-				t.Errorf("%v hour %d: rows [%d, %d) differ from the hour's batch of %d rows", k, h, lo, hi, want.Len())
+		folds := 0
+		for k, s := range plan.slots {
+			if err := plan.fill(k, s, nil); err != nil {
+				t.Fatal(err)
 			}
-			want.Release()
-			hours++
+			b, err := d.draw(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range s.reads {
+				r := s.reads[i].r
+				f, err := r.build(d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, size := range []int{1, 7, 256, 0} { // 0: whole hours
+					fl := f(k)
+					if err := d.split(k, b, cutPieces(size, fl.add)); err != nil {
+						t.Fatal(err)
+					}
+					if got := fl.done(); !reflect.DeepEqual(got, s.reads[i].p) {
+						t.Errorf("seed %d: %s's partial of %v at pieces of %d rows differs from its streamed fold", seed, r.owner, k, size)
+					}
+					folds++
+				}
+			}
 		}
-	}
-	if hours == 0 {
-		t.Fatal("no hour was compared")
+		// 201 keys, of which the 28 workdays Figures 7a and 7b share with
+		// Figure 9 have two reductions; four piece sizes each.
+		if want := (201 + 28) * 4; folds != want {
+			t.Errorf("seed %d: %d folds compared, want %d", seed, folds, want)
+		}
 	}
 }
 
-// TestHourRowsGuards: an hour outside the key's window is refused, and so
-// is a batch whose length disagrees with the model's row counts.
-func TestHourRowsGuards(t *testing.T) {
-	d := NewDataset(Options{FlowScale: 0.1})
-	day := DayOf(time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC))
-	se := FlowKey{Kind: KindFlows, VP: synth.IXPSE, Hour: day}
-	b, err := d.draw(se)
-	if err != nil {
-		t.Fatal(err)
+// cutPieces hands add each piece it is handed in pieces of size rows, the
+// last of them shorter; size 0 hands it on whole.
+func cutPieces(size int, add func(hour int, piece *flowrec.Batch)) func(int, *flowrec.Batch) {
+	if size == 0 {
+		return add
 	}
-	if rows, err := d.hourRows(se, b, [2]int{9, 17}); err != nil || rows[0] != [2]int{0, b.Len()} {
-		t.Errorf("the working hours of %v are rows %v (%v), want the whole batch of %d", se, rows, err, b.Len())
-	}
-	for _, r := range [][2]int{{8, 9}, {16, 18}, {0, 24}, {12, 11}} {
-		if _, err := d.hourRows(se, b, [2]int{9, 17}, r); err == nil || !strings.Contains(err.Error(), "outside its window") {
-			t.Errorf("hours %v of %v: %v, want a refusal", r, se, err)
+	return func(hour int, b *flowrec.Batch) {
+		for lo := 0; lo < b.Len(); lo += size {
+			add(hour, b.Slice(lo, min(lo+size, b.Len())))
 		}
 	}
-	ce := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: day}
+}
+
+// TestPiecesAreHours: on both paths a key's rows reach the reductions —
+// streamed from the dataset's model, and split from a foreign source's day
+// batch — every piece lies in one hour, and the pieces of an hour, in
+// order, are that hour's own batch: the hour sampled alone, in the key's
+// columns. Every key the suite draws, every hour of its window.
+func TestPiecesAreHours(t *testing.T) {
+	opts := Options{FlowScale: 0.1}
+	_, all := keyCensus(t, opts)
+	for name, d := range map[string]*Dataset{
+		"stream": NewDataset(opts),
+		"split":  NewDatasetWithSource(opts, NewSyntheticSource(opts)),
+	} {
+		hours := 0
+		for k := range all {
+			g, err := d.model.generator(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			from, to := k.Hours()
+			got := make([]*flowrec.Batch, 24)
+			last := -1
+			rows, _, err := d.stream(k, func(h int, piece *flowrec.Batch) {
+				if h < last {
+					t.Errorf("%s: %v: a piece of hour %d after one of hour %d", name, k, h, last)
+				}
+				last = h
+				if got[h] == nil {
+					got[h] = flowrec.NewProjected(0, k.Columns())
+				}
+				got[h].AppendBatch(piece)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for h := range got {
+				want := g.HourBatch(k.Hour.Time().Add(time.Duration(h)*time.Hour), k.Name, k.Columns())
+				if h < from || h >= to {
+					if got[h] != nil {
+						t.Errorf("%s: %v: pieces of hour %d, outside its window [%d, %d)", name, k, h, from, to)
+					}
+				} else if (got[h] == nil && want.Len() != 0) || (got[h] != nil && !got[h].Equal(want)) {
+					t.Errorf("%s: %v hour %d: its pieces differ from the hour's batch of %d rows", name, k, h, want.Len())
+				} else {
+					n += want.Len()
+					hours++
+				}
+				want.Release()
+			}
+			if rows != n {
+				t.Errorf("%s: %v: %d rows streamed, its hours hold %d", name, k, rows, n)
+			}
+		}
+		if hours == 0 {
+			t.Fatalf("%s: no hour was compared", name)
+		}
+	}
+}
+
+// TestHourGuards: a run that plans a reduction of hours outside a key's
+// window is refused before it draws anything, and a foreign batch whose
+// length disagrees with the model's row counts is refused before any
+// piece of it is folded.
+func TestHourGuards(t *testing.T) {
+	opts := Options{FlowScale: 0.1}
+	day := time.Date(2020, 3, 25, 0, 0, 0, 0, time.UTC)
+	plan := func(kind FlowKind, vp synth.VantagePoint, hours [2]int) error {
+		r := &reduction{owner: "test", hours: hours, build: batchRows.build}
+		read := dayRead{kind: kind, vp: vp, days: []time.Time{day}, by: r}
+		_, err := newReadPlan(NewDataset(opts), []Experiment{{reads: []dayRead{read}}})
+		return err
+	}
+	for _, h := range [][2]int{{9, 17}, {10, 12}} {
+		if err := plan(KindFlows, synth.IXPSE, h); err != nil {
+			t.Errorf("hours %v of IXP-SE's working-hours keys: %v", h, err)
+		}
+	}
+	for _, h := range [][2]int{{8, 9}, {16, 18}, {0, 24}, {12, 11}} {
+		if err := plan(KindFlows, synth.IXPSE, h); err == nil || !strings.Contains(err.Error(), "outside its window") {
+			t.Errorf("hours %v of IXP-SE's working-hours keys: %v, want a refusal", h, err)
+		}
+	}
+	if err := plan(KindFlows, synth.ISPCE, [2]int{0, 24}); err != nil {
+		t.Errorf("the whole day of ISP-CE: %v", err)
+	}
+	if err := plan(KindFlows, synth.ISPCE, [2]int{20, 25}); err == nil || !strings.Contains(err.Error(), "outside its window") {
+		t.Errorf("hours [20, 25) of ISP-CE: %v, want a refusal", err)
+	}
+
+	d := NewDataset(opts)
+	ce := FlowKey{Kind: KindFlows, VP: synth.ISPCE, Hour: DayOf(day)}
 	whole, err := d.draw(ce)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.hourRows(ce, whole, [2]int{0, 24}); err != nil {
-		t.Errorf("the whole day of %v: %v", ce, err)
+	pieces := 0
+	count := func(int, *flowrec.Batch) { pieces++ }
+	if err := d.split(ce, whole, count); err != nil || pieces == 0 {
+		t.Errorf("the whole day of %v: %d pieces, %v", ce, pieces, err)
 	}
-	short := whole.Slice(0, whole.Len()-1)
-	if _, err := d.hourRows(ce, short, [2]int{9, 17}); err == nil || !strings.Contains(err.Error(), "its model's hours") {
-		t.Errorf("a batch one row short: %v, want an error", err)
+	pieces = 0
+	if err := d.split(ce, whole.Slice(0, whole.Len()-1), count); err == nil || !strings.Contains(err.Error(), "its model's hours") || pieces != 0 {
+		t.Errorf("a batch one row short: %d pieces folded, %v; want an error and none", pieces, err)
 	}
 }

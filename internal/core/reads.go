@@ -8,26 +8,26 @@ import (
 
 	"lockdown/internal/calendar"
 	"lockdown/internal/flowrec"
-	"lockdown/internal/obs"
 	"lockdown/internal/synth"
 )
 
 // This file is the reader table of the flow batches. Every experiment
 // that reads flow batches declares, where it registers, the keys it reads:
 // the kind, the vantage point, the days, and the reduction it takes of
-// each day — a per-day fold of the batch into a small partial. No
-// experiment reads a batch, nor names a key, itself: the engine takes the
-// declared keys before the experiment runs (readPlan.takeReads, scan.go)
-// and hands it the partials. Some days have two readers — Figures 7a
-// and 9 share 13 ISP-CE workdays, Figures 7b and 9 share 15 IXP-CE
-// workdays, Figure 10 and the VPN ablation share the 7 days of the March
-// week — so a run plans its reads before it starts (newReadPlan): one slot
-// per declared key, with the run's reductions of the key and the takes
-// each has left. The slot's first take draws the batch, runs every
-// reduction on it, keeps the partials and drops the batch (readPlan.fill);
-// each partial is dropped at its last take. The plan dies with the run, so
-// a run that ends, fails or is cancelled leaves nothing behind, and the
-// next run draws every key afresh. Concurrent runs plan, and draw, apart.
+// each day — a fold of the day's rows into a small partial. No experiment
+// reads a batch, nor names a key, itself: the engine takes the declared
+// keys before the experiment runs (readPlan.takeReads, scan.go) and hands
+// it the partials. Some days have two readers — Figures 7a and 9 share 13
+// ISP-CE workdays, Figures 7b and 9 share 15 IXP-CE workdays, Figure 10
+// and the VPN ablation share the 7 days of the March week — so a run plans
+// its reads before it starts (newReadPlan): one slot per declared key,
+// with the run's reductions of the key and the takes each has left. The
+// slot's first take streams the key's rows through every reduction, piece
+// by piece, and keeps the partials (readPlan.fill); no day batch is built
+// on the way, and each partial is dropped at its last take. The plan dies
+// with the run, so a run that ends, fails or is cancelled leaves nothing
+// behind, and the next run draws every key afresh. Concurrent runs plan,
+// and draw, apart.
 
 // dayRead declares the flow batches of one kind an experiment reads at
 // one vantage point (and, for KindComponentFlows, one component): one key
@@ -50,23 +50,37 @@ func (r dayRead) keys() []FlowKey {
 	return out
 }
 
-// reduction is a per-day fold of a flow batch into a small partial
+// reduction is a per-day fold of a key's rows into a small partial
 // aggregate that its readers merge over their days. Partials hold exact
-// integers (uint64 byte sums, row counts), so a day folded once and
-// merged by two readers gives each what folding it itself would. A
-// reduction may be shared: the VPN ablation reads Figure 10's, whose
-// working-hours and other-hours sums tile the day.
+// integers (uint64 byte sums, row counts) or sets, so a fold is the same
+// at any cut of the day into pieces, and a day folded once and merged by
+// two readers gives each what folding it itself would. A reduction may be
+// shared: the VPN ablation reads Figure 10's, whose working-hours and
+// other-hours sums tile the day.
 type reduction struct {
-	owner string // the experiment that declares it, named in its trace spans
+	owner string // the experiment that declares it, named in its trace records
+	// hours, when set, are the hours of day [from, to) the reduction
+	// reads of a key, fewer than the key's window: its fold skips the
+	// pieces of the other hours, and a run that plans it on a key whose
+	// window (FlowKey.Hours) does not hold them is refused (newReadPlan).
+	hours [2]int
 	// build makes the reduction's function on a dataset, once per run
 	// (readPlan.funcs): the tables and models it folds with. The function
 	// never draws a flow batch, so it can run inside another key's draw.
 	build func(d *Dataset) (reduceFunc, error)
 }
 
-// reduceFunc folds the batch k names into its partial. The partial is
-// shared by every reader of k and must not be modified.
-type reduceFunc func(k FlowKey, b *flowrec.Batch) (any, error)
+// reduceFunc starts the reduction's fold of the key k.
+type reduceFunc func(k FlowKey) fold
+
+// fold is one reduction's fold of one key. add takes the key's rows a
+// piece at a time, in hour order, each piece within the hour of day it is
+// given; it may neither keep nor modify a piece. done returns the partial,
+// which is shared by every reader of the key and must not be modified.
+type fold struct {
+	add  func(hour int, piece *flowrec.Batch)
+	done func() any
+}
 
 // readPlan is the flow state of one run: a slot for every key its
 // experiments declare, and the function of every reduction they take,
@@ -101,8 +115,9 @@ type planRead struct {
 }
 
 // newReadPlan plans the reads of exps on d: one take of a reduction of a
-// key for every experiment that declares it.
-func newReadPlan(d *Dataset, exps []Experiment) *readPlan {
+// key for every experiment that declares it. A reduction that reads hours
+// outside a key's window is refused.
+func newReadPlan(d *Dataset, exps []Experiment) (*readPlan, error) {
 	p := &readPlan{d: d, slots: make(map[FlowKey]*planSlot), funcs: make(map[*reduction]*memo[reduceFunc])}
 	for _, e := range exps {
 		for _, r := range e.reads {
@@ -110,6 +125,11 @@ func newReadPlan(d *Dataset, exps []Experiment) *readPlan {
 				p.funcs[r.by] = new(memo[reduceFunc])
 			}
 			for _, k := range r.keys() {
+				if h := r.by.hours; h != [2]int{} {
+					if w0, w1 := k.Hours(); h[0] < w0 || h[1] > w1 || h[0] > h[1] {
+						return nil, fmt.Errorf("core: %s reads hours [%d, %d) of %s, outside its window [%d, %d)", r.by.owner, h[0], h[1], k, w0, w1)
+					}
+				}
 				s := p.slots[k]
 				if s == nil {
 					s = new(planSlot)
@@ -123,7 +143,7 @@ func newReadPlan(d *Dataset, exps []Experiment) *readPlan {
 			}
 		}
 	}
-	return p
+	return p, nil
 }
 
 // read returns the index of reduction r among the slot's reads, or -1. It
@@ -170,37 +190,51 @@ func (p *readPlan) take(k FlowKey, r *reduction) (any, error) {
 }
 
 // fill is the draw of slot s of k, run inside its once by the first take,
-// of reduction asked: it asks the flow source for the batch, runs every
-// reduction the plan holds on the key, keeps the partials and drops the
-// batch; only its rows and columns stay, for the batch accounting. A
-// reduction other than the one asked runs in a "reduce" trace span naming
-// its owner and the key, so the time one experiment spends folding a day
-// for another shows as such.
+// of reduction asked: it starts the fold of every reduction the plan holds
+// on the key, streams the key's rows through them (Dataset.stream) and
+// keeps the partials; of the rows only their count and columns stay, for
+// the batch accounting. With tracing on, each reduction other than the one
+// asked leaves a "reduce" record naming its owner, the key and its fold
+// seconds on the key, summed over the pieces, so the time one experiment
+// spends folding a day for another shows as such.
 func (p *readPlan) fill(k FlowKey, s *planSlot, asked *reduction) error {
-	b, err := p.d.draw(k)
-	if err != nil {
-		return err
+	if p.d.filled != nil {
+		p.d.filled(k)
 	}
+	folds := make([]fold, len(s.reads))
 	for i := range s.reads {
 		r := s.reads[i].r
-		var sp obs.Span
-		if r != asked {
-			sp = p.d.tracer.Start("reduce", "scan")
-		}
 		f, err := p.funcs[r].get(nil, func() (reduceFunc, error) { return r.build(p.d) })
-		var v any
-		if err == nil {
-			v, err = f(k, b)
-		}
-		if sp.Active() {
-			sp.EndArgs(map[string]any{"owner": r.owner, "key": k.String()})
-		}
 		if err != nil {
 			return err
 		}
-		s.reads[i].p = v
+		folds[i] = f(k)
 	}
-	s.rows, s.cols = b.Len(), b.Columns()
+	var secs []time.Duration // per fold, when traced
+	if p.d.tracer != nil {
+		secs = make([]time.Duration, len(folds))
+	}
+	rows, cols, err := p.d.stream(k, func(hour int, piece *flowrec.Batch) {
+		for i := range folds {
+			if secs == nil || s.reads[i].r == asked {
+				folds[i].add(hour, piece)
+				continue
+			}
+			t0 := time.Now()
+			folds[i].add(hour, piece)
+			secs[i] += time.Since(t0)
+		}
+	})
+	if err != nil {
+		return err
+	}
+	for i := range folds {
+		s.reads[i].p = folds[i].done()
+		if r := s.reads[i].r; secs != nil && r != asked {
+			p.d.tracer.Instant("reduce", "scan", map[string]any{"owner": r.owner, "key": k.String(), "fold_s": secs[i].Seconds()})
+		}
+	}
+	s.rows, s.cols = rows, cols
 	return nil
 }
 

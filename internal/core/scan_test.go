@@ -98,7 +98,11 @@ func TestReadPassTakesEachKeyOnce(t *testing.T) {
 			declared = append(declared, r.keys()...)
 		}
 		order = nil
-		plan := newReadPlan(d, []Experiment{{reads: reads}})
+		plan, err := newReadPlan(d, []Experiment{{reads: reads}})
+		if err != nil {
+			t.Logf("%s: %v", label, err)
+			return false
+		}
 		b := newWorkerBudget(budget)
 		b.acquire() // the caller holds a token, like the engine
 		parts, extra, err := plan.takeReads(context.Background(), reads, b)
@@ -166,7 +170,10 @@ func planHoldsNothing(t *testing.T, label string, p *readPlan) {
 func TestPlanDropsPartialAtLastTake(t *testing.T) {
 	opts := Options{FlowScale: 0.02}
 	src := newRecordingSource(opts)
-	plan := newReadPlan(NewDatasetWithSource(opts, src), All())
+	plan, err := newReadPlan(NewDatasetWithSource(opts, src), All())
+	if err != nil {
+		t.Fatal(err)
+	}
 	type take struct {
 		k FlowKey
 		r *reduction
@@ -195,7 +202,7 @@ func TestPlanDropsPartialAtLastTake(t *testing.T) {
 			t.Errorf("%v holds %d partials after take %d, its last being %d", tk.k, held, i, last[tk.k])
 		}
 	}
-	drawsEachKeyOnce(t, "declared order", src, 1)
+	drawsEachKeyOnce(t, "declared order", src.keys, 1)
 	planHoldsNothing(t, "declared order", plan)
 	if _, err := plan.take(takes[0].k, takes[0].r); err == nil {
 		t.Errorf("a take past the plan's of %v did not fail", takes[0].k)
@@ -240,7 +247,11 @@ func TestReadPassFirstErrorWins(t *testing.T) {
 		pass := func() ([][]dayPart, error) {
 			b := newWorkerBudget(budget)
 			b.acquire()
-			parts, _, err := newReadPlan(d, []Experiment{{reads: []dayRead{read}}}).takeReads(context.Background(), []dayRead{read}, b)
+			plan, err := newReadPlan(d, []Experiment{{reads: []dayRead{read}}})
+			if err != nil {
+				return nil, err
+			}
+			parts, _, err := plan.takeReads(context.Background(), []dayRead{read}, b)
 			return parts, err
 		}
 		parts, err := pass()

@@ -25,15 +25,17 @@ import (
 //
 // The generator-backed implementation is SyntheticSource; the wire-replay
 // bridge in package replay serves the same batches off live NetFlow/IPFIX
-// export. Nothing caches a returned batch: the plan's reductions read it
-// and drop it, and a source must never retain or mutate a batch after
-// returning it.
+// export. A Dataset whose source is its own model never asks it for a
+// batch: the model streams each key's rows through the plan's reductions
+// an hour at a time (Dataset.stream). Any other source's batch is cut
+// into its hours, folded and dropped; nothing caches it, and a source must
+// never retain or mutate a batch after returning it.
 //
 // Ownership: a batch a source returns belongs to the caller, and only the
 // caller may hand it to the flowrec pool (Batch.Release). The Dataset
-// reduces a batch and drops it, never releases it, so on the default path
-// the pool the generator draws from (synth.Generator.ComponentBatch) is
-// always empty and every batch is a fresh allocation. The wire-replay
+// folds a foreign source's batch and drops it, never releases it. On the
+// default path the stream's one-hour scratch is the only batch, drawn
+// from the pool and handed back at the end of each key. The wire-replay
 // harness is the caller that releases: a pump releases the batch it
 // exported once the bucket's END frame is out, and the bridge releases its
 // reference when the fetch returns, while the wire batch it returns
@@ -97,9 +99,9 @@ func (h Hour) Time() time.Time { return time.Unix(int64(h)*3600, 0).UTC() }
 // trace spans. Two keys of the same batch are ==. Every key
 // names one UTC day, so its Hour is the day's first (DayOf): the suite's
 // readers sum whole days and weeks, and only Figures 9 and 10 split a day
-// into working hours and the rest, which they read as row ranges of the
-// day's batch (Dataset.hourRows). An hour is too few rows to be worth a
-// batch, a plan slot and a wire bucket of its own.
+// into working hours and the rest, which they tell apart by the hour of
+// each piece their folds are handed. An hour is too few rows to be worth
+// a plan slot and a wire bucket of its own.
 type FlowKey struct {
 	Kind FlowKind
 	VP   synth.VantagePoint
@@ -122,8 +124,8 @@ func (k FlowKey) End() time.Time { return k.Hour.Time().Add(24 * time.Hour) }
 // Hours is the window of hours-of-day [from, to) of the key's day that
 // its batch holds: the union of what the kind's readers read at the key's
 // vantage point, each named below. A new reader widens the window here;
-// TestKeyCensus fails when one is forgotten, and a read outside the window
-// is refused (Dataset.hourRows).
+// TestKeyCensus fails when one is forgotten, and a reduction that declares
+// hours outside the window is refused when a run plans it (newReadPlan).
 func (k FlowKey) Hours() (from, to int) {
 	if k.Kind == KindFlows && (k.VP == synth.IXPSE || k.VP == synth.IXPUS) {
 		// Figure 9's working hours of workdays: the flows/ of the two
@@ -229,7 +231,8 @@ type vpModel struct {
 // the batches) and the bridge (which verifies the received rows
 // bit-for-bit) hold one, and both release each batch when done with it
 // (see FlowSource). A Dataset holds one for its generators, which is also
-// its default flow source.
+// its default flow source; the Dataset streams it (stream) instead of
+// asking it for batches.
 type SyntheticSource struct {
 	opts  Options
 	count func(miss bool) // the owning dataset's lookup accounting, for every lookup; nil standalone
@@ -312,6 +315,17 @@ func (s *SyntheticSource) draw(k FlowKey, day time.Time) (*flowrec.Batch, error)
 	}
 	from, to := k.span()
 	return g.ComponentBatch(k.Name, from, to, k.Columns()), nil
+}
+
+// stream hands the rows of k to fold in synth.Generator.ComponentStream's
+// pieces, storing the key's Columns, and returns how many there were.
+func (s *SyntheticSource) stream(k FlowKey, fold func(hour int, piece *flowrec.Batch)) (int, error) {
+	g, err := s.generator(k)
+	if err != nil {
+		return 0, err
+	}
+	from, to := k.span()
+	return g.ComponentStream(k.Name, from, to, k.Columns(), fold), nil
 }
 
 // hourFlows returns the row count of every hour of k's batch (see

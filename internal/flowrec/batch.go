@@ -30,8 +30,8 @@ import (
 // they read costs memory for nothing else. Every present column has the
 // batch's length; the set is fixed for the batch's life.
 //
-// A Batch is not safe for concurrent mutation. Shared read-only use (as
-// practiced by the core.Dataset cache) is safe.
+// A Batch is not safe for concurrent mutation. Shared read-only use is
+// safe.
 type Batch struct {
 	StartNs  []int64
 	EndNs    []int64
@@ -95,11 +95,11 @@ func NewProjected(n int, cols Columns) *Batch {
 func (b *Batch) Columns() Columns { return AllColumns &^ b.absent }
 
 // Require returns an error naming the columns of need that the batch does
-// not store, nil when it stores them all. The dataset cache calls it on
-// every batch a source delivers, and the Record conversions through
-// mustStore. The wire codecs do not: encoders leave a column the batch
-// lacks out of the template, and decoders fill exactly the columns the
-// batch stores.
+// not store, nil when it stores them all. The core dataset calls it on
+// every batch a foreign flow source delivers, and the Record conversions
+// through mustStore. The wire codecs do not: encoders leave a column the
+// batch lacks out of the template, and decoders fill exactly the columns
+// the batch stores.
 func (b *Batch) Require(need Columns) error {
 	if missing := need &^ b.Columns(); missing != 0 {
 		return fmt.Errorf("flowrec: batch does not store column %s (its set is %s)", missing, b.Columns())
@@ -427,9 +427,10 @@ func (b *Batch) ServerPortAt(i int) PortProto {
 
 // batchPool recycles batches (and, transitively, their column arrays): the
 // collector's decode loop gets a batch once, resets it per packet and never
-// allocates again, and the wire-replay harness returns the bucket-sized
-// batches it generates only to export or to compare (see core.FlowSource
-// for who releases what).
+// allocates again, the generator's stream borrows its one-hour scratch
+// for each span it folds, and the wire-replay harness returns the
+// bucket-sized batches it generates only to export or to compare (see
+// core.FlowSource for who releases what).
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // GetProjected is NewProjected drawing from the pool: an empty batch that

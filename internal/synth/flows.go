@@ -27,10 +27,9 @@ func (g *Generator) FlowsForHourBatch(t time.Time) *flowrec.Batch {
 // whatever is stored — so a caller whose readers declare their columns
 // pays for no others.
 //
-// The batch is drawn from the flowrec pool and belongs to the caller: one
-// that only exports or compares it hands the columns back with Release, one
-// that keeps it (the dataset cache) never releases, and its draws then find
-// the pool empty and allocate.
+// The batch is drawn from the flowrec pool and belongs to the caller, who
+// hands the columns back with Release when done with them; a batch that is
+// never released is only garbage, and the pool allocates afresh.
 func (g *Generator) HourBatch(t time.Time, component string, cols flowrec.Columns) *flowrec.Batch {
 	start := t.UTC().Truncate(time.Hour)
 	return g.ComponentBatch(component, start, start.Add(time.Hour), cols)
@@ -46,10 +45,40 @@ func (g *Generator) HourBatch(t time.Time, component string, cols flowrec.Column
 // span's exact flow count. An unknown name yields an empty batch of cols.
 // The batch belongs to the caller, as HourBatch's does.
 func (g *Generator) ComponentBatch(component string, from, to time.Time, cols flowrec.Columns) *flowrec.Batch {
-	b := flowrec.GetProjected(0, cols)
 	plans := g.plansOf(component)
 	span, total := g.evaluateSpan(plans, from, to)
-	b.Grow(total)
+	b := flowrec.GetProjected(total, cols)
+	g.sampleSpan(b, plans, span, from, to, nil)
+	return b
+}
+
+// ComponentStream samples the rows ComponentBatch of the same arguments
+// holds, in its order, without holding the span: it samples one hour at a
+// time into a scratch batch and hands each hour that has rows to fold,
+// with its UTC hour of day, so the pieces concatenate to the span's batch.
+// The scratch comes from the flowrec pool, grown once to the span's
+// largest hour, and goes back to it once the span is done; fold must
+// neither keep nor modify a piece. It returns how many rows the pieces
+// held.
+func (g *Generator) ComponentStream(component string, from, to time.Time, cols flowrec.Columns, fold func(hour int, piece *flowrec.Batch)) int {
+	plans := g.plansOf(component)
+	span, total := g.evaluateSpan(plans, from, to)
+	largest := 0
+	for _, n := range g.hourCounts(plans, span, from, to) {
+		largest = max(largest, n)
+	}
+	b := flowrec.GetProjected(largest, cols)
+	g.sampleSpan(b, plans, span, from, to, fold)
+	b.Release()
+	return total
+}
+
+// sampleSpan samples span, the component-hours of plans over [from, to)
+// that evaluateSpan returned, into b, whose columns have room for the
+// span's rows or, with fold set, for each hour's: then each hour that has
+// rows goes to fold with its UTC hour of day, and b is emptied for the
+// next.
+func (g *Generator) sampleSpan(b *flowrec.Batch, plans []componentPlan, span []componentHour, from, to time.Time, fold func(hour int, piece *flowrec.Batch)) {
 	var d draws
 	start, n := hoursOf(from, to)
 	for i := range n {
@@ -57,8 +86,11 @@ func (g *Generator) ComponentBatch(component string, from, to time.Time, cols fl
 		for j := range plans {
 			g.sampleInto(b, &d, &plans[j], &h, &span[i*len(plans)+j])
 		}
+		if fold != nil && b.Len() != 0 {
+			fold(h.ofDay, b)
+			b.Reset()
+		}
 	}
-	return b
 }
 
 // HourFlows returns the row count of every whole hour of [from, to) in
@@ -67,6 +99,12 @@ func (g *Generator) ComponentBatch(component string, from, to time.Time, cols fl
 func (g *Generator) HourFlows(component string, from, to time.Time) []int {
 	plans := g.plansOf(component)
 	span, _ := g.evaluateSpan(plans, from, to)
+	return g.hourCounts(plans, span, from, to)
+}
+
+// hourCounts sums span, the component-hours of plans over [from, to) that
+// evaluateSpan returned, hour by hour.
+func (g *Generator) hourCounts(plans []componentPlan, span []componentHour, from, to time.Time) []int {
 	_, n := hoursOf(from, to)
 	out := make([]int, n)
 	for i := range span {
@@ -115,8 +153,8 @@ func (g *Generator) sampled(p *componentPlan, h *hour) componentHour {
 // The sampler's contract: the draw sequence of a component-hour is a pure
 // function of (seed, component, hour); what is computed from it is a
 // function of the stored columns. Every row consumes the same draws in the
-// same order whatever the batch stores, so batches of any column set and
-// the dataset cache all observe identical flows — and a value nobody
+// same order whatever the batch stores, so batches of any column set, and
+// the pieces of a stream, all observe identical flows — and a value nobody
 // stores (an address, for three rows in four of the suite) is never
 // computed.
 

@@ -56,13 +56,15 @@ func TestFlowsBetweenBatchConcatenatesHours(t *testing.T) {
 }
 
 // TestComponentBatchConcatenatesHours: a day, sampled in one batch,
-// equals its 24 HourBatch hours appended in order, column for column — for
+// equals its 24 HourBatch hours appended in order, column for column, and
+// so do the pieces ComponentStream hands its fold: one a non-empty hour,
+// in hour order, each as long as HourFlows counts its hour — for
 // every component of the IXP-SE (gaming is the one the suite reads by the
 // day) and for every component at once (the flows/ and vpn-flows/ keys) at
 // every vantage point, plain and gateway-pinned; the probe days of the
 // sampler tests, every column set of samplerColumnSets, seeds 0 and 7, and
 // flow scales 0.5 and boundaryScale. A name the model lacks is an empty
-// batch of the set.
+// batch of the set, and streams nothing.
 //
 // A day's hours are drawn once, at full width, and projected to each set:
 // TestHourBatchMasksStoresOnly and TestSamplerMatchesReference pin an hour
@@ -82,11 +84,25 @@ func TestComponentBatchConcatenatesHours(t *testing.T) {
 				full.AppendBatch(hb)
 				hb.Release()
 			}
+			counts := g.HourFlows(component, day, day.Add(24*time.Hour))
 			for _, cols := range sets {
 				got := g.ComponentBatch(component, day, day.Add(24*time.Hour), cols)
 				if got.Len() == 0 || !got.Equal(full.Project(cols)) {
 					t.Errorf("%s %s, columns %s: the day batch (%d rows) differs from its %d hourly rows",
 						component, day.Format("2006-01-02"), cols, got.Len(), full.Len())
+				}
+				streamed, last := flowrec.NewProjected(0, cols), -1
+				rows := g.ComponentStream(component, day, day.Add(24*time.Hour), cols, func(h int, piece *flowrec.Batch) {
+					if h <= last || piece.Len() == 0 || piece.Len() != counts[h] {
+						t.Errorf("%s %s, columns %s: a piece of hour %d (%d rows, the hour has %d) after hour %d",
+							component, day.Format("2006-01-02"), cols, h, piece.Len(), counts[h], last)
+					}
+					last = h
+					streamed.AppendBatch(piece)
+				})
+				if rows != got.Len() || !streamed.Equal(got) {
+					t.Errorf("%s %s, columns %s: the stream's pieces (%d rows, %d counted) differ from the day batch of %d",
+						component, day.Format("2006-01-02"), cols, streamed.Len(), rows, got.Len())
 				}
 				got.Release()
 			}
@@ -121,6 +137,11 @@ func TestComponentBatchConcatenatesHours(t *testing.T) {
 	day := samplerHours[1].Truncate(24 * time.Hour)
 	if b := MustNewDefault(IXPSE).ComponentBatch("no-such-component", day, day.Add(24*time.Hour), flowrec.ColBytes); b.Len() != 0 || b.Columns() != flowrec.ColBytes {
 		t.Errorf("an unknown component must yield an empty batch of the asked set, got %s × %d", b.Columns(), b.Len())
+	}
+	if n := MustNewDefault(IXPSE).ComponentStream("no-such-component", day, day.Add(24*time.Hour), flowrec.ColBytes, func(h int, _ *flowrec.Batch) {
+		t.Errorf("an unknown component streamed a piece of hour %d", h)
+	}); n != 0 {
+		t.Errorf("an unknown component streamed %d rows", n)
 	}
 }
 

@@ -20,8 +20,10 @@
 //     synthetic flowrec.Batch rows for the flow-level analyses (top ports,
 //     VPN detection, EDU connection counts, unique IPs). One span sampler
 //     serves every caller: ComponentBatch samples a span of hours (a flow
-//     key's day) in the columns it is asked for (what the dataset cache's
-//     readers declared), HourBatch is its one-hour span and
+//     key's day) into one batch of the columns it is asked for,
+//     ComponentStream hands the same rows to a fold an hour at a time
+//     through one scratch batch (how the read plan reduces a key without
+//     holding its day), HourBatch is the one-hour span and
 //     FlowsForHourBatch that hour at full width; the rows drawn are the
 //     same, and HourFlows counts them hour by hour without drawing.
 //
