@@ -86,8 +86,9 @@
 // travels a real UDP wire first, the way the paper's measurement did: the
 // vantage points are partitioned over supervised pumps, each exporting its
 // flow batches as NetFlow v9 or IPFIX packets under its own stream
-// identity, and one bridge decodes, demuxes per stream and verifies them
-// bit-for-bit before the engine consumes them (see internal/cluster and
+// identity, and one bridge decodes and demuxes them per stream and checks
+// each bucket — its digest, its row count and one hour against its own
+// model — before the engine consumes it (see internal/cluster and
 // internal/replay). They are one code path: `replay` is the cluster at one
 // shard per vantage point, `cluster` adds the shard count and fault
 // injection. The results are byte-identical to `all`, or the run fails:

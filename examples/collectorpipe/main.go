@@ -8,8 +8,8 @@
 //
 //	go run ./examples/collectorpipe [-format v9|ipfix]
 //
-// For the full experiment suite over the same wire (demuxed, verified
-// bit-for-bit and fed into the engine), see `lockdown replay` and
+// For the full experiment suite over the same wire (demuxed, checked
+// bucket by bucket and fed into the engine), see `lockdown replay` and
 // internal/replay.
 package main
 

@@ -27,8 +27,9 @@
 // pump → bridge data path (drop/duplicate) plus scheduled pump kills
 // that drive the death → re-partition path reproducibly.
 //
-// The bridge verifies every bucket bit-for-bit against its reference
-// model regardless of which pump served it, so an engine drawing from a
+// The bridge checks every bucket — its digest, its row count and one hour
+// of its own model — regardless of which pump served it, and every pump
+// draws the model the bridge checks against, so an engine drawing from a
 // cluster produces output byte-identical to the in-memory engine —
 // `lockdown cluster -shards 4` versus `lockdown all` — even across
 // injected loss and a mid-run shard death, which the race-enabled
@@ -62,7 +63,7 @@ type Spec struct {
 	// Format is the wire format every pump exports.
 	Format collector.Format
 	// Options build the model on both sides; pumps and bridge must
-	// agree or verification fails.
+	// agree or the bridge's model checks fail the fetch.
 	Options core.Options
 	// AttemptTimeout and FetchBudget tune the bridge's retry policy
 	// (replay defaults if zero). The budget alone ends a fetch, and it
@@ -243,7 +244,8 @@ func New(spec Spec) (*Cluster, error) {
 // routeKey is the bridge's live route: the current partition under the
 // rebalance lock. The bridge calls it before every attempt, so a rebalance
 // re-targets in-flight fetches on their next retry. (It refuses a vantage
-// point outside the partition at its reference build, before routing.)
+// point outside the partition when it draws the key's check from its
+// model, before routing.)
 func (c *Cluster) routeKey(k core.FlowKey) uint32 {
 	c.partMu.Lock()
 	defer c.partMu.Unlock()
@@ -331,7 +333,7 @@ func (c *Cluster) bringUp(sh *shard) (*replay.Pump, error) {
 // owns a vantage point. In-flight fetches pick the new route up on their
 // next retry attempt with a fresh request generation; late data from the
 // dead assignment is discarded as stale by the bridge's generation
-// check, and verification keeps the output byte-identical no matter
+// check, and the bucket checks keep the output byte-identical no matter
 // which pump ends up serving a key.
 func (c *Cluster) repartition(from *shard) {
 	c.partMu.Lock()

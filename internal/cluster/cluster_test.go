@@ -176,7 +176,7 @@ func TestSevenShardsStreamPerVantagePoint(t *testing.T) {
 }
 
 // TestSevenShardsUnknownVantagePointNacks: the bridge refuses a vantage
-// point its own model does not have when it builds the reference, before
+// point its own model does not have when it draws the key's check, before
 // routing — the fetch fails fast and no pump is asked. (A pump refusing
 // one is replay.TestBridgeNackFromPump.)
 func TestSevenShardsUnknownVantagePointNacks(t *testing.T) {

@@ -26,7 +26,7 @@ var goldenOpts = core.Options{FlowScale: 0.05}
 // three IXPs, the EDU network) served buckets — the partition distributes
 // — and the pumps saw a request per bucket and refused none. Retries are
 // not asserted to be zero: a loaded box may drop a loopback datagram, and
-// a retried bucket is still a verified one.
+// a retried bucket is still a checked one.
 func runSharded(t *testing.T, format collector.Format, ids []string, n int) ([]*core.Result, Stats) {
 	t.Helper()
 	c := newTestCluster(t, Spec{Shards: n, Format: format, Options: goldenOpts})

@@ -72,7 +72,8 @@ func NewDataset(opts Options) *Dataset {
 // are drawn from src (nil selects the dataset's own model). The source
 // must produce batches bit-identical to the generator at the same options
 // for the suite's determinism guarantees to hold; the replay bridge
-// verifies this per batch.
+// checks each batch's row count and one of its hours against its own
+// model.
 func NewDatasetWithSource(opts Options, src FlowSource) *Dataset {
 	reg := opts.Obs
 	d := &Dataset{
@@ -148,10 +149,11 @@ func (d *Dataset) stream(k FlowKey, fold func(hour int, piece *flowrec.Batch)) (
 // batch is its hours sampled in hour order, so an hour's rows are
 // contiguous, and where they lie follows from the model's row count of
 // each hour. Every source delivers the model's rows (the replay bridge
-// verifies each one), so the counts hold for any source's batch; a batch
+// checks each bucket's row count against these counts), so the counts
+// hold for any source's batch; a batch
 // whose length disagrees with them is an error, and nothing is folded.
 func (d *Dataset) split(k FlowKey, b *flowrec.Batch, fold func(hour int, piece *flowrec.Batch)) error {
-	counts, err := d.model.hourFlows(k)
+	counts, err := d.model.HourFlows(k)
 	if err != nil {
 		return err
 	}

@@ -37,17 +37,18 @@ import (
 // default path the stream's one-hour scratch is the only batch, drawn
 // from the pool and handed back at the end of each key. The wire-replay
 // harness is the caller that releases: a pump releases the batch it
-// exported once the bucket's END frame is out, and the bridge releases its
-// reference when the fetch returns, while the wire batch it returns
-// passes to the read plan like any other.
+// exported once the bucket's END frame is out, and the bridge releases the
+// one hour of the key it drew to check the bucket against (HourBatch) when
+// the fetch returns, while the wire batch it returns passes to the read
+// plan like any other.
 //
 // Projection is a property of the batch kind: every scan of a kind reads
 // inside FlowKey.Columns, so a source returns those columns and the
 // reductions read them and no others. Both sources in the tree return
 // exactly that set — SyntheticSource generates it, and the wire bridge's
-// pumps export it (their templates carry the kind's fields) and verify and
-// return it — so the pump, the bridge's reference and the dataset share one
-// batch shape. A foreign source may return more columns, never fewer.
+// pumps export it (their templates carry the kind's fields), and the
+// bridge checks and returns it — so the pump, the bridge's checked hour
+// and the dataset share one batch shape. A foreign source may return more columns, never fewer.
 type FlowSource interface {
 	FlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
 	VPNFlowBatch(vp synth.VantagePoint, hour time.Time) (*flowrec.Batch, error)
@@ -227,12 +228,13 @@ type vpModel struct {
 // SyntheticSource is the generator-backed FlowSource: it memoizes the
 // model of each vantage point but generates every requested batch on
 // demand, without caching it, storing the key's FlowKey.Columns. It is the
-// model oracle of the wire-replay harness: both the pump (which exports
-// the batches) and the bridge (which verifies the received rows
-// bit-for-bit) hold one, and both release each batch when done with it
-// (see FlowSource). A Dataset holds one for its generators, which is also
-// its default flow source; the Dataset streams it (stream) instead of
-// asking it for batches.
+// model oracle of the wire-replay harness: the pump holds one and exports
+// its day batches, and the bridge holds one and draws no day from it,
+// only each key's hour counts (HourFlows) and one hour (HourBatch) to
+// check the received buckets against; both release each batch when done
+// with it (see FlowSource). A Dataset holds one for its generators, which
+// is also its default flow source; the Dataset streams it (stream) instead
+// of asking it for batches.
 type SyntheticSource struct {
 	opts  Options
 	count func(miss bool) // the owning dataset's lookup accounting, for every lookup; nil standalone
@@ -328,15 +330,29 @@ func (s *SyntheticSource) stream(k FlowKey, fold func(hour int, piece *flowrec.B
 	return g.ComponentStream(k.Name, from, to, k.Columns(), fold), nil
 }
 
-// hourFlows returns the row count of every hour of k's batch (see
+// HourFlows returns the row count of every hour of k's batch, the first
+// for the first hour of its Hours window, without drawing a row (see
 // synth.Generator.HourFlows).
-func (s *SyntheticSource) hourFlows(k FlowKey) ([]int, error) {
+func (s *SyntheticSource) HourFlows(k FlowKey) ([]int, error) {
 	g, err := s.generator(k)
 	if err != nil {
 		return nil, err
 	}
 	from, to := k.span()
 	return g.HourFlows(k.Name, from, to), nil
+}
+
+// HourBatch draws one hour of k's batch, the hour of day given, storing
+// the key's Columns: the rows that hour's count in HourFlows places in
+// the day's batch (synth.Generator.HourBatch is the one-hour span of the
+// day's draw). The batch comes from the flowrec pool, and the caller
+// releases it.
+func (s *SyntheticSource) HourBatch(k FlowKey, hour int) (*flowrec.Batch, error) {
+	g, err := s.generator(k)
+	if err != nil {
+		return nil, err
+	}
+	return g.HourBatch(k.Hour.Time().Add(time.Duration(hour)*time.Hour), k.Name, k.Columns()), nil
 }
 
 // generator returns the model k's kind draws from: the gateway-pinned one

@@ -20,7 +20,7 @@
 //     exercised deterministically.
 //
 // Every fault the relay injects is recoverable by the bridge's
-// retry/verify machinery (a dropped or duplicated datagram leaves its
+// retry machinery (a dropped or duplicated datagram leaves its
 // bucket's row count wrong, and the bucket is re-requested), so chaos
 // runs remain byte-identical to clean runs; the chaos golden test in
 // internal/cluster pins that. Reordered and corrupted datagrams are

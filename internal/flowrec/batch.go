@@ -429,8 +429,8 @@ func (b *Batch) ServerPortAt(i int) PortProto {
 // collector's decode loop gets a batch once, resets it per packet and never
 // allocates again, the generator's stream borrows its one-hour scratch
 // for each span it folds, and the wire-replay harness returns the
-// bucket-sized batches it generates only to export or to compare (see
-// core.FlowSource for who releases what).
+// batches it generates only to export (a pump's day) or to compare (the
+// bridge's checked hour; see core.FlowSource for who releases what).
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
 // GetProjected is NewProjected drawing from the pool: an empty batch that

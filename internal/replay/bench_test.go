@@ -13,8 +13,8 @@ import (
 // BenchmarkBridgeDemux measures the bridge's demux throughput: three
 // pumps stream one bucket each per iteration, concurrently, through one
 // bridge socket. The per-op work is fixed (the same three day buckets
-// every iteration, references regenerated per fetch since the
-// bridge does not cache), so allocs/op is a stable gate for the demux
+// every iteration, each checked against an hour drawn per fetch since
+// the bridge does not cache), so allocs/op is a stable gate for the demux
 // path — cmd/benchgate holds it against the baseline in CI.
 func BenchmarkBridgeDemux(b *testing.B) {
 	opts := core.Options{FlowScale: 0.1}
@@ -81,11 +81,11 @@ func BenchmarkPumpServe(b *testing.B) {
 }
 
 // BenchmarkBridgeFetch measures one bucket end to end over a loopback
-// pump/bridge pair: request, export, collect, reference, bit-for-bit
-// verification. The bucket the fetch returns is the caller's (the dataset
-// cache keeps it), so its 22 B a row (the flows/ columns) stay in B/op;
-// the pump's export batch and the bridge's reference are pool-drawn and
-// released, and do not.
+// pump/bridge pair: request, export, collect, and the checks — digest,
+// row count, one hour drawn from the bridge's model. The bucket the fetch
+// returns is the caller's, so its 22 B a row (the flows/ columns) stay in
+// B/op; the pump's export batch and the bridge's checked hour are
+// pool-drawn and released, and do not.
 func BenchmarkBridgeFetch(b *testing.B) {
 	br, _ := newHarness(b, collector.FormatIPFIX, core.Options{FlowScale: 0.5})
 	got, err := br.FlowBatch(synth.ISPCE, testDay) // warm both generators

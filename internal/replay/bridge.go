@@ -42,8 +42,9 @@ type Route func(core.FlowKey) uint32
 type Config struct {
 	// Format is the wire format the bridge decodes.
 	Format collector.Format
-	// Options build the bridge's reference model; they must match the
-	// pumps' options or verification fails.
+	// Options build the bridge's own model, which each bucket's row count
+	// and checked hour come from; they must match the pumps' options, or
+	// a fetch fails as a model mismatch.
 	Options core.Options
 	// Route maps each key to the stream serving it (nil routes every
 	// key to stream 0 — the single-pump topology).
@@ -147,11 +148,13 @@ type stream struct {
 
 	inbox chan inboxItem
 
-	// decode fills the stream's buckets straight from its datagrams, and
-	// orphans counts the rows of those that belong to none; both are the
-	// fetch's, under fetchMu.
+	// decode fills the stream's buckets straight from its datagrams,
+	// orphans counts the rows of those that belong to none, and timer
+	// bounds each attempt (collect resets it, and stops it on return); all
+	// three are the fetch's, under fetchMu.
 	decode  collector.Decoder
 	orphans rowCounter
+	timer   *time.Timer
 
 	// The accounting instruments come from the bridge's registry (nil is
 	// fine: the nil-safe registry hands out standalone counters), labelled
@@ -171,12 +174,15 @@ func newStream(id uint32, req *net.UDPConn, col *collector.Collector, reg *obs.R
 	vec := func(name, help string) *obs.Counter {
 		return reg.CounterVec(name, help, "stream").With(lv)
 	}
+	timer := time.NewTimer(DefaultAttemptTimeout)
+	timer.Stop()
 	return &stream{
 		id:      id,
 		req:     req,
 		inbox:   make(chan inboxItem, inboxSize),
 		decode:  col.NewDecoder(),
 		orphans: newRowCounter(col),
+		timer:   timer,
 		keys: vec("lockdown_bridge_keys_total",
 			"Buckets fetched successfully off the wire."),
 		rows: vec("lockdown_bridge_rows_total",
@@ -211,10 +217,12 @@ func (st *stream) stats() Stats {
 // export. For each key a run's read plan asks for, once per run, it
 // routes the key to the stream serving it, requests it from that stream's
 // pump, demuxes the announced bucket out of its stream's datagrams,
-// decoding each straight into the bucket's columns, verifies the rows
-// bit-for-bit against its own reference model and returns the wire batch. Buckets hit by datagram
-// loss are re-requested; everything observed on the way is accounted per
-// stream in Stats.
+// decoding each straight into the bucket's columns, checks the bucket —
+// its digest against the one the pump announced, its row count and one
+// hour of its rows against its own model, which never draws the day — and
+// returns the wire batch. Buckets hit by datagram loss or damage are
+// re-requested; everything observed on the way is accounted per stream in
+// Stats.
 //
 // Demux is by exporter stream identity: the collector tags every
 // datagram with the stream carried in its header, a single demux
@@ -225,7 +233,7 @@ func (st *stream) stats() Stats {
 // streams, K buckets stream concurrently.
 type Bridge struct {
 	cfg    Config
-	src    *core.SyntheticSource
+	model  *core.SyntheticSource // hour counts and one hour a key, never a day
 	col    *collector.Collector
 	tracer *obs.Tracer
 
@@ -263,7 +271,7 @@ func NewBridge(cfg Config) (*Bridge, error) {
 	col.Instrument(reg)
 	return &Bridge{
 		cfg:    cfg,
-		src:    core.NewSyntheticSource(cfg.Options),
+		model:  core.NewSyntheticSource(cfg.Options),
 		col:    col,
 		tracer: cfg.Options.Tracer,
 		badFrames: reg.Counter("lockdown_bridge_bad_frames_total",
@@ -459,8 +467,8 @@ func (b *Bridge) ComponentFlowBatch(vp synth.VantagePoint, name string, t time.T
 	return b.fetch(core.FlowKey{Kind: core.KindComponentFlows, VP: vp, Name: name, Hour: core.DayOf(t)})
 }
 
-// fatalError marks fetch failures that a retry cannot cure (model
-// mismatch, NACK, verification failure).
+// fatalError marks fetch failures that a retry cannot cure (a row count
+// or checked hour that differs from the bridge's model, a NACK).
 type fatalError struct{ err error }
 
 func (e fatalError) Error() string { return e.err.Error() }
@@ -483,8 +491,8 @@ const (
 // errNoAnswer marks an attempt that no frame of the pump decided: its
 // request could not be sent, or collect timed out. Only such an attempt
 // is followed by a backoff; any other failure (END short, END without
-// BEGIN, overrun, verification) came from a live pump, and the retry is
-// sent at once.
+// BEGIN, overrun, a digest that differs) came from a live pump, and the
+// retry is sent at once.
 var errNoAnswer = errors.New("no answer from pump")
 
 // backoff sleeps out the pre-retry delay after an unanswered attempt,
@@ -502,17 +510,18 @@ func (b *Bridge) backoff(attempts int, deadline time.Time) {
 }
 
 // fetch requests one bucket off the wire, retrying lost attempts under
-// the fetch's deadline budget, and returns the verified batch. The key
+// the fetch's deadline budget, and returns the checked batch. The key
 // is re-routed between attempts: after a cluster rebalance moved its
 // vantage point to a surviving shard, the next attempt requests it from
 // the new stream (with a fresh generation, so anything still in flight
 // from the dead assignment is discarded as stale). An exhausted budget
-// fails the fetch.
+// fails the fetch. Its trace span records checked_rows, the rows the
+// bridge drew from its own model for the key: one hour of it.
 func (b *Bridge) fetch(k core.FlowKey) (*flowrec.Batch, error) {
 	sp := b.tracer.Start("fetch", "bridge")
-	got, err := b.fetchKey(k)
+	got, checked, err := b.fetchKey(k)
 	if sp.Active() {
-		args := map[string]any{"key": k.String()}
+		args := map[string]any{"key": k.String(), "checked_rows": checked}
 		if err != nil {
 			args["error"] = err.Error()
 		} else {
@@ -523,18 +532,50 @@ func (b *Bridge) fetch(k core.FlowKey) (*flowrec.Batch, error) {
 	return got, err
 }
 
-func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
-	// Build the reference before taking the stream's fetch lock so
-	// reference generation of one key overlaps the wire wait of another.
-	// A key the model cannot build is refused here, before any pump is
-	// asked.
-	ref, err := b.src.Batch(k)
+// bucketCheck is what every bucket of a key is checked against, from the
+// bridge's own model: the row count of the key's day, the sum of its hour
+// counts, and the rows of one hour, the first of the key's window that
+// has any (its first hour when none has). Every hour before that one is
+// empty, so its rows lead the bucket.
+type bucketCheck struct {
+	rows int
+	hour *flowrec.Batch
+}
+
+// expect draws the check of k. No row of the other hours is drawn.
+func (b *Bridge) expect(k core.FlowKey) (bucketCheck, error) {
+	counts, err := b.model.HourFlows(k)
 	if err != nil {
-		return nil, err
+		return bucketCheck{}, err
 	}
-	// The reference is this fetch's alone and every attempt compares
-	// against it, so it goes back to the pool only when the fetch is over.
-	defer ref.Release()
+	first, rows := -1, 0
+	for i, n := range counts {
+		if first < 0 && n > 0 {
+			first = i
+		}
+		rows += n
+	}
+	from, _ := k.Hours()
+	hour, err := b.model.HourBatch(k, from+max(first, 0))
+	if err != nil {
+		return bucketCheck{}, err
+	}
+	return bucketCheck{rows: rows, hour: hour}, nil
+}
+
+// fetchKey is fetch, also returning how many rows the check drew.
+func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, int, error) {
+	// Draw the check before taking the stream's fetch lock so one key's
+	// draw overlaps the wire wait of another. A key the model cannot build
+	// is refused here, before any pump is asked.
+	want, err := b.expect(k)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The hour is this fetch's alone and every attempt compares against
+	// it, so it goes back to the pool only when the fetch is over.
+	defer want.hour.Release()
+	checked := want.hour.Len()
 	deadline := time.Now().Add(b.cfg.FetchBudget)
 	attempts := 0
 	var lastErr error
@@ -545,19 +586,19 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 			// A mis-wired topology: the cluster connects every shard
 			// before it serves, and a rebalance moves keys only to
 			// streams it has connected.
-			return nil, fmt.Errorf("replay: %s: no pump connected for stream %d", k, id)
+			return nil, checked, fmt.Errorf("replay: %s: no pump connected for stream %d", k, id)
 		}
-		got, err := b.fetchFromStream(st, k, ref, deadline, &attempts, lastErr)
+		got, err := b.fetchFromStream(st, k, want, deadline, &attempts, lastErr)
 		if err == nil {
-			return got, nil
+			return got, checked, nil
 		}
 		var fe fatalError
 		if errors.As(err, &fe) {
-			return nil, fmt.Errorf("replay: %s: %w", k, err)
+			return nil, checked, fmt.Errorf("replay: %s: %w", k, err)
 		}
 		lastErr = err
 		if exhausted(deadline) {
-			return nil, fmt.Errorf("replay: %s: giving up after %d attempts in %v: %w", k, attempts, b.cfg.FetchBudget, lastErr)
+			return nil, checked, fmt.Errorf("replay: %s: giving up after %d attempts in %v: %w", k, attempts, b.cfg.FetchBudget, lastErr)
 		}
 		// Not exhausted: the stream's route changed mid-fetch; loop to
 		// re-route and continue on the new stream.
@@ -572,7 +613,7 @@ func (b *Bridge) fetchKey(k core.FlowKey) (*flowrec.Batch, error) {
 // through the shared counters. lastErr is the failed attempt before this
 // call (nil on a fetch's first); each retry carries its predecessor's
 // error onto the trace and backs off only after errNoAnswer.
-func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch, deadline time.Time, attempts *int, lastErr error) (*flowrec.Batch, error) {
+func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, want bucketCheck, deadline time.Time, attempts *int, lastErr error) (*flowrec.Batch, error) {
 	st.fetchMu.Lock()
 	defer st.fetchMu.Unlock()
 	for {
@@ -598,7 +639,7 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch,
 			}
 			continue
 		}
-		got, err := b.collect(st, st.gen, k, ref.Len(), deadline)
+		got, err := b.collect(st, st.gen, k, want.rows, deadline)
 		if err != nil {
 			var fe fatalError
 			if errors.As(err, &fe) {
@@ -610,13 +651,12 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, ref *flowrec.Batch,
 			}
 			continue
 		}
-		if err := verify(ref, got); err != nil {
-			// Usually stray rows that happened to fill the bucket; a
-			// genuine model divergence keeps failing and surfaces after
-			// the budget runs out.
+		if err := sameRows(want.hour, got); err != nil {
+			// The bucket's digest held, so it is what the pump drew:
+			// the pump's model is not the bridge's, and a retry would
+			// draw the same rows.
 			got.Release()
-			lastErr = err
-			continue
+			return nil, fatalf("model mismatch in the hour the bridge checks (pump and bridge options differ?): %w", err)
 		}
 		st.keys.Add(1)
 		st.rows.Add(int64(got.Len()))
@@ -641,34 +681,36 @@ func (b *Bridge) routeMoved(k core.FlowKey, id uint32) bool {
 // spot. Frames of other generations are skipped, and all but END counted
 // as stale: a bucket completes on row count, so its END is usually read
 // by the next fetch. The bucket stores the key's columns, the set the
-// pump exported and the reference holds; expected is the reference's row
-// count: it sizes the bucket, and a BEGIN frame announcing anything else
-// is fatal. Each flow datagram is decoded once, straight into the
-// bucket's columns; a datagram that fails to decode adds no row and is
-// counted in DecodeErrors, so its bucket comes up short at END. The
-// attempt timeout, the one wait left, is truncated to the fetch deadline
-// so the last attempt cannot overrun the budget. An attempt that fails
-// (loss, overrun, timeout) releases its bucket to the pool, where the
-// next reference or export batch picks the columns up; a completed one,
-// once verified, passes to the caller, which reduces it and drops it
-// without releasing it. That is also why the bucket is allocated at its
-// exact size and not drawn from the pool: a pooled batch handed over
-// would leave the pool for good, with whatever capacity it happened to
-// have.
+// pump exported; expected is the day's row count in the bridge's model:
+// it sizes the bucket, and a BEGIN frame announcing anything else is
+// fatal. Each flow datagram is decoded once, straight into the bucket's
+// columns; a datagram that fails to decode adds no row and is counted in
+// DecodeErrors, so its bucket comes up short at END. A complete bucket
+// whose digest is not the one BEGIN announced was damaged or misfiled on
+// the way, and the attempt fails. The attempt timeout, the one wait left,
+// is truncated to the fetch deadline so the last attempt cannot overrun
+// the budget. An attempt that fails (loss, overrun, timeout, digest)
+// releases its bucket to the pool, where the next export batch or checked
+// hour picks the columns up; a completed one, once its hour is checked,
+// passes to the caller, which reduces it and drops it without releasing
+// it. That is also why the bucket is allocated at its exact size and not
+// drawn from the pool: a pooled batch handed over would leave the pool for
+// good, with whatever capacity it happened to have.
 func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, deadline time.Time) (_ *flowrec.Batch, err error) {
 	timeout := b.cfg.AttemptTimeout
 	if remaining := time.Until(deadline); remaining < timeout {
 		timeout = max(remaining, 10*time.Millisecond)
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
+	st.timer.Reset(timeout)
+	defer st.timer.Stop()
 	out := flowrec.NewProjected(expected, k.Columns())
 	defer func() {
 		if err != nil {
 			out.Release()
 		}
 	}()
-	begun := false // BEGIN seen, announcing the expected rows
+	begun := false    // BEGIN seen, announcing the expected rows
+	var digest uint32 // the digest BEGIN announced
 	for !begun || out.Len() < expected {
 		var it inboxItem
 		var ok bool
@@ -677,7 +719,7 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 			if !ok {
 				return nil, fatalf("collector closed")
 			}
-		case <-timer.C:
+		case <-st.timer.C:
 			if begun {
 				st.lostRows.Add(int64(expected - out.Len()))
 			}
@@ -714,9 +756,9 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 		switch f.typ {
 		case frameBegin:
 			if f.rows != expected {
-				return nil, fatalf("pump announced %d rows, reference model has %d (options mismatch between pump and bridge?)", f.rows, expected)
+				return nil, fatalf("pump announced %d rows, the bridge's model has %d (options mismatch between pump and bridge?)", f.rows, expected)
 			}
-			begun = true
+			begun, digest = true, f.digest
 		case frameNack:
 			return nil, fatalf("pump: %s", f.msg)
 		case frameEnd:
@@ -730,33 +772,36 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 			return nil, fmt.Errorf("bucket END with %d of %d rows", out.Len(), expected)
 		}
 	}
+	if got := out.Digest(); got != digest {
+		return nil, fmt.Errorf("bucket digest %#08x, BEGIN announced %#08x", got, digest)
+	}
 	return out, nil
 }
 
-// verify checks the wire batch against the reference column by column,
-// over the columns both store: the key's set, which the bucket and the
-// reference share. NetFlow v9 and IPFIX carry every column exactly, so
-// every bit must match.
-func verify(ref, got *flowrec.Batch) error {
-	if got.Len() != ref.Len() || got.Columns() != ref.Columns() {
-		return fmt.Errorf("verification: %d rows of %s off the wire, %d rows of %s in the reference", got.Len(), got.Columns(), ref.Len(), ref.Columns())
+// sameRows compares the checked hour with the bucket's leading rows,
+// column by column, over the columns both store: the key's set, which the
+// hour and the bucket share. NetFlow v9 and IPFIX carry every column
+// exactly, so every bit must match.
+func sameRows(hour, got *flowrec.Batch) error {
+	if hour.Len() > got.Len() || hour.Columns() != got.Columns() {
+		return fmt.Errorf("%d rows of %s off the wire, %d rows of %s in the checked hour", got.Len(), got.Columns(), hour.Len(), hour.Columns())
 	}
 	for _, err := range []error{
-		sameCol("StartNs", ref.StartNs, got.StartNs),
-		sameCol("EndNs", ref.EndNs, got.EndNs),
-		sameCol("SrcIP", ref.SrcIP, got.SrcIP),
-		sameCol("DstIP", ref.DstIP, got.DstIP),
-		sameCol("SrcPort", ref.SrcPort, got.SrcPort),
-		sameCol("DstPort", ref.DstPort, got.DstPort),
-		sameCol("Proto", ref.Proto, got.Proto),
-		sameCol("Bytes", ref.Bytes, got.Bytes),
-		sameCol("Packets", ref.Packets, got.Packets),
-		sameCol("SrcAS", ref.SrcAS, got.SrcAS),
-		sameCol("DstAS", ref.DstAS, got.DstAS),
-		sameCol("InIf", ref.InIf, got.InIf),
-		sameCol("OutIf", ref.OutIf, got.OutIf),
-		sameCol("Dir", ref.Dir, got.Dir),
-		sameCol("TCPFlags", ref.TCPFlags, got.TCPFlags),
+		sameCol("StartNs", hour.StartNs, got.StartNs),
+		sameCol("EndNs", hour.EndNs, got.EndNs),
+		sameCol("SrcIP", hour.SrcIP, got.SrcIP),
+		sameCol("DstIP", hour.DstIP, got.DstIP),
+		sameCol("SrcPort", hour.SrcPort, got.SrcPort),
+		sameCol("DstPort", hour.DstPort, got.DstPort),
+		sameCol("Proto", hour.Proto, got.Proto),
+		sameCol("Bytes", hour.Bytes, got.Bytes),
+		sameCol("Packets", hour.Packets, got.Packets),
+		sameCol("SrcAS", hour.SrcAS, got.SrcAS),
+		sameCol("DstAS", hour.DstAS, got.DstAS),
+		sameCol("InIf", hour.InIf, got.InIf),
+		sameCol("OutIf", hour.OutIf, got.OutIf),
+		sameCol("Dir", hour.Dir, got.Dir),
+		sameCol("TCPFlags", hour.TCPFlags, got.TCPFlags),
 	} {
 		if err != nil {
 			return err
@@ -766,16 +811,13 @@ func verify(ref, got *flowrec.Batch) error {
 }
 
 // sameCol reports the first row whose wire value differs from the
-// reference's (none for a column neither batch stores).
-func sameCol[T comparable](col string, ref, got []T) error {
-	for i := range ref {
-		if got[i] != ref[i] {
-			return mismatch(i, col, ref[i], got[i])
+// model's (none for a column neither batch stores). got may be longer
+// than want; its leading rows are compared.
+func sameCol[T comparable](col string, want, got []T) error {
+	for i := range want {
+		if got[i] != want[i] {
+			return fmt.Errorf("row %d column %s: wire %v != model %v", i, col, got[i], want[i])
 		}
 	}
 	return nil
-}
-
-func mismatch(row int, col string, want, got any) error {
-	return fmt.Errorf("verification: row %d column %s: wire %v != reference %v", row, col, got, want)
 }

@@ -609,7 +609,7 @@ func TestBridgeRetriesLostEndAndData(t *testing.T) {
 // 2 every END frame. Streams 0 and 1 must retry every bucket and stream 2
 // none, every batch must arrive bit-identical, and — the point of running
 // it under -race — the buckets abandoned by the failed attempts, the
-// references shared by both attempts of a fetch and the pumps' export
+// checked hours shared by both attempts of a fetch and the pumps' export
 // batches all cycle through the flowrec pool while the other streams draw
 // from it.
 func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
@@ -693,10 +693,10 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 
 // TestBridgeRetriesCorruptedData flips one byte of a stored column in
 // flight, as the chaos relay's corrupt fault does: the packet still
-// decodes and the bucket completes on row count, but verification fails,
-// so the bridge re-requests the bucket and delivers it bit-identical. The
-// template carries only the key's columns, so every data byte on the wire
-// is one the bridge compares.
+// decodes and the bucket completes on row count, but its digest is not
+// the one BEGIN announced, so the bridge re-requests the bucket and
+// delivers it bit-identical. The template carries only the key's columns,
+// so every data byte on the wire is one the digest covers.
 func TestBridgeRetriesCorruptedData(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
 	flipped := false

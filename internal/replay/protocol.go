@@ -1,5 +1,6 @@
 // Package replay runs the experiment suite over live NetFlow/IPFIX
-// export, verified bit-for-bit against the synthetic model.
+// export, each bucket checked by a digest and against the synthetic
+// model.
 //
 // The suite's flow inputs are keyed batches (see core.FlowKey), one UTC
 // day each: the plain batch of a vantage point, the gateway-pinned VPN
@@ -18,15 +19,15 @@
 //     flow packets, and an explicit field of its control frames — so
 //     several pumps (one per vantage-point shard, see internal/cluster;
 //     `lockdown replay` runs one per vantage point) share one bridge.
-//   - The Bridge is a core.FlowSource backed by a collector.Collector. On
-//     a dataset-cache miss it routes the key to the stream that serves
+//   - The Bridge is a core.FlowSource backed by a collector.Collector. For
+//     each key a run reads it routes the key to the stream that serves
 //     it, requests it from that stream's pump, decodes the datagrams the
 //     demux attributes to the stream straight into the bucket's columns
-//     (each datagram once), verifies every row bit-for-bit against its
-//     own reference model, and hands the wire batch to the engine. Buckets of different streams are in
-//     flight concurrently; lost or timed-out buckets are re-requested and
-//     accounted per stream; rows arriving outside a bucket are counted as
-//     orphans.
+//     (each datagram once), checks the bucket (below), and hands the wire
+//     batch to the engine. Buckets of different streams are in flight
+//     concurrently; lost, damaged or timed-out buckets are re-requested
+//     and accounted per stream; rows arriving outside a bucket are counted
+//     as orphans.
 //
 // The protocol is deliberately minimal: one request datagram per key from
 // bridge to pump, and BEGIN / END / NACK control datagrams from pump to
@@ -52,11 +53,36 @@
 // as the dataset stores them, and no others: both ends take the set from
 // the key, so no protocol field names it. The pump's model generates that
 // set, the NetFlow v9 and IPFIX templates carry exactly its fields, and
-// the bridge decodes into, verifies and returns exactly its columns. Both
+// the bridge decodes into, checks and returns exactly its columns. Both
 // formats carry every column the model generates at full width — 64-bit
-// counters, 32-bit AS numbers, the direction — so every bucket the engine
-// receives has been checked column for column off the wire, and no value
-// of it comes from the bridge's own model.
+// counters, 32-bit AS numbers, the direction — so no value the engine
+// reads comes from the bridge's own model.
+//
+// Every bucket the engine receives has passed three checks, none of which
+// draws the day a second time:
+//
+//   - Codec and transport: BEGIN carries the CRC-32C digest
+//     (flowrec.Batch.Digest) of the batch the pump is about to encode, and
+//     the bridge recomputes it over the bucket it decoded. A flipped bit,
+//     a stray row or a misfiled datagram that still completes the bucket
+//     fails it, and the bucket is re-requested at once, like a short one.
+//   - Model size: BEGIN's row count must equal the sum of the hour counts
+//     of the bridge's own model (core.SyntheticSource.HourFlows, which
+//     draws no row). A mismatch is fatal.
+//   - Model identity: the bridge draws one hour of the key from its own
+//     model, the first hour of the key's window that has rows, and
+//     compares it column by column with the bucket's leading rows. The
+//     digest held, so the bucket is what the pump drew: a difference means
+//     the pump's model is not the bridge's (another seed, say), and is
+//     fatal at once.
+//
+// What is no longer checked per bucket is whether the hours other than
+// the checked one equal the bridge's model. Those rest on the generator's
+// determinism: pump and bridge build the same model from the same
+// core.Options, and a day is its hours drawn one by one from each hour's
+// own streams. They are still checked end to end, by CI's wire goldendiff
+// of `lockdown replay` against `lockdown all` and by the output check of
+// every benchmark iteration.
 package replay
 
 import (
@@ -77,12 +103,13 @@ const requestMagic = "LKRQ"
 // layouts below or to what a key means; both sides reject other versions.
 // Version 2 added the stream identity to requests and control frames
 // (multi-pump demux); version 3 made a component key name a UTC day
-// instead of an hour, and version 4 every key.
-const protocolVersion = 4
+// instead of an hour, and version 4 every key; version 5 added the
+// bucket's digest to control frames, which BEGIN fills.
+const protocolVersion = 5
 
 // Control frame types.
 const (
-	frameBegin = 1 // announces a bucket: its key and exact row count
+	frameBegin = 1 // announces a bucket: its key, exact row count and digest
 	frameEnd   = 2 // closes a bucket: all rows for the key were sent
 	frameNack  = 3 // the pump could not serve the key; carries an error
 )
@@ -172,12 +199,13 @@ type ctrlFrame struct {
 	stream uint32
 	gen    uint32
 	rows   int
+	digest uint32 // the bucket's flowrec.Batch.Digest (frameBegin; zero otherwise)
 	key    core.FlowKey
 	msg    string // frameNack only
 }
 
 // encodeCtrl builds a control frame datagram.
-func encodeCtrl(typ byte, stream, gen uint32, rows int, k core.FlowKey, msg string) []byte {
+func encodeCtrl(typ byte, stream, gen uint32, rows int, digest uint32, k core.FlowKey, msg string) []byte {
 	dst := make([]byte, 0, 96)
 	dst = append(dst, collector.ControlMagic...)
 	dst = append(dst, protocolVersion, typ)
@@ -187,6 +215,8 @@ func encodeCtrl(typ byte, stream, gen uint32, rows int, k core.FlowKey, msg stri
 	binary.BigEndian.PutUint32(u[:], gen)
 	dst = append(dst, u[:]...)
 	binary.BigEndian.PutUint32(u[:], uint32(rows))
+	dst = append(dst, u[:]...)
+	binary.BigEndian.PutUint32(u[:], digest)
 	dst = append(dst, u[:]...)
 	dst = appendKey(dst, k)
 	var l [2]byte
@@ -213,7 +243,7 @@ func FrameStream(pkt []byte) (uint32, bool) {
 // parseCtrl decodes a control frame datagram.
 func parseCtrl(pkt []byte) (ctrlFrame, error) {
 	hdr := len(collector.ControlMagic)
-	if len(pkt) < hdr+2+12 || string(pkt[:hdr]) != collector.ControlMagic {
+	if len(pkt) < hdr+2+16 || string(pkt[:hdr]) != collector.ControlMagic {
 		return ctrlFrame{}, fmt.Errorf("replay: not a control datagram")
 	}
 	if v := pkt[hdr]; v != protocolVersion {
@@ -226,7 +256,8 @@ func parseCtrl(pkt []byte) (ctrlFrame, error) {
 	f.stream = binary.BigEndian.Uint32(pkt[hdr+2:])
 	f.gen = binary.BigEndian.Uint32(pkt[hdr+6:])
 	f.rows = int(binary.BigEndian.Uint32(pkt[hdr+10:]))
-	key, rest, err := parseKey(pkt[hdr+14:])
+	f.digest = binary.BigEndian.Uint32(pkt[hdr+14:])
+	key, rest, err := parseKey(pkt[hdr+18:])
 	if err != nil {
 		return ctrlFrame{}, err
 	}

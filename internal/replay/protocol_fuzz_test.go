@@ -29,13 +29,17 @@ func FuzzProtocolFrames(f *testing.F) {
 		f.Add(req[:len(req)/2])
 		f.Add(append(req, 0))
 		for _, typ := range []byte{frameBegin, frameEnd, frameNack} {
-			ctrl := encodeCtrl(typ, uint32(i), 9, 42<<uint(8*i), k, "boom")
+			digest := uint32(0)
+			if typ == frameBegin {
+				digest = 0x9e3779b9 << uint(i) // the pump's BEGIN carries its bucket's digest
+			}
+			ctrl := encodeCtrl(typ, uint32(i), 9, 42<<uint(8*i), digest, k, "boom")
 			f.Add(ctrl)
 			f.Add(ctrl[:len(ctrl)-3])
 			f.Add(append(ctrl, 0))
 		}
 	}
-	f.Add(encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, ""))
+	f.Add(encodeCtrl(frameBegin, 0, 1, 1, 0xffffffff, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, ""))
 	// A component key and a flows/ key that are not a UTC day.
 	at20 := core.HourOf(testDay.Add(20 * time.Hour))
 	f.Add(encodeRequest(0, 1, core.FlowKey{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: at20}))
@@ -45,7 +49,7 @@ func FuzzProtocolFrames(f *testing.F) {
 	f.Add([]byte(nil))
 	f.Fuzz(func(t *testing.T, pkt []byte) {
 		if fr, err := parseCtrl(pkt); err == nil {
-			if again := encodeCtrl(fr.typ, fr.stream, fr.gen, fr.rows, fr.key, fr.msg); !bytes.Equal(again, pkt) {
+			if again := encodeCtrl(fr.typ, fr.stream, fr.gen, fr.rows, fr.digest, fr.key, fr.msg); !bytes.Equal(again, pkt) {
 				t.Fatalf("control frame %+v re-encodes to\n%q, parsed from\n%q", fr, again, pkt)
 			}
 			if s, ok := FrameStream(pkt); !ok || s != fr.stream {

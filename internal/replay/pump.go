@@ -33,7 +33,7 @@ type PumpConfig struct {
 	// frames. Each pump sharing a bridge needs a distinct stream.
 	Stream uint32
 	// Options build the pump's model oracle; they must match the
-	// bridge's options or verification fails.
+	// bridge's options or the bridge's model checks fail the fetch.
 	Options core.Options
 }
 
@@ -133,7 +133,7 @@ func (p *Pump) Run(ctx context.Context) {
 			// echoes the *requested* stream so the bridge demux routes it
 			// back to the waiting fetch, which fails fast.
 			p.nacks.Add(1)
-			p.exp.WriteRaw(encodeCtrl(frameNack, stream, gen, 0, key,
+			p.exp.WriteRaw(encodeCtrl(frameNack, stream, gen, 0, 0, key,
 				fmt.Sprintf("request for stream %d reached pump of stream %d", stream, p.stream)))
 			continue
 		}
@@ -150,8 +150,11 @@ func (p *Pump) Run(ctx context.Context) {
 // 5 %), for one datagram more a bucket.
 const endCopies = 3
 
-// serve exports one requested bucket: BEGIN frame, the batch as flow
-// packets, END frame (endCopies times). Oracle failures turn into a NACK
+// serve exports one requested bucket: BEGIN frame with the batch's row
+// count and digest, the batch as flow packets, END frame (endCopies
+// times). The digest is taken before the batch is encoded, from the batch
+// itself, so it checks the codec and the transport: the bridge
+// recomputes it over what it decoded. Oracle failures turn into a NACK
 // frame so the bridge fails fast instead of timing out. The batch is the pump's own
 // (see core.FlowSource) and nothing holds it once the bucket is closed,
 // so every exit hands it back to the pool the next request draws from.
@@ -159,11 +162,11 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 	b, err := p.src.Batch(key)
 	if err != nil {
 		p.nacks.Add(1)
-		p.exp.WriteRaw(encodeCtrl(frameNack, p.stream, gen, 0, key, err.Error()))
+		p.exp.WriteRaw(encodeCtrl(frameNack, p.stream, gen, 0, 0, key, err.Error()))
 		return
 	}
 	defer b.Release()
-	if err := p.exp.WriteRaw(encodeCtrl(frameBegin, p.stream, gen, b.Len(), key, "")); err != nil {
+	if err := p.exp.WriteRaw(encodeCtrl(frameBegin, p.stream, gen, b.Len(), b.Digest(), key, "")); err != nil {
 		// Same policy as the export-error path below: close the bucket
 		// (best effort) so the bridge retries via the fast
 		// END-without-BEGIN path instead of waiting out its attempt
@@ -190,7 +193,7 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 
 // end closes a bucket: endCopies END frames, best effort.
 func (p *Pump) end(gen uint32, key core.FlowKey, rows int) {
-	pkt := encodeCtrl(frameEnd, p.stream, gen, rows, key, "")
+	pkt := encodeCtrl(frameEnd, p.stream, gen, rows, 0, key, "")
 	for range endCopies {
 		p.exp.WriteRaw(pkt)
 	}

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"reflect"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"lockdown/internal/collector"
 	"lockdown/internal/core"
 	"lockdown/internal/flowrec"
+	"lockdown/internal/obs"
 	"lockdown/internal/synth"
 )
 
@@ -30,8 +32,9 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 	}
 	// The request bytes of the first key. The layout is version 2's: version
 	// 3 made a component key a day and version 4 every key, which moved the
-	// version byte and this key's time (its day, no longer its 20:00).
-	const golden = "LKRQ\x04\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^z\x9f\x00\x06ISP-CE\x00"
+	// version byte and this key's time (its day, no longer its 20:00), and
+	// version 5, which added the digest to control frames, the version byte.
+	const golden = "LKRQ\x05\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^z\x9f\x00\x06ISP-CE\x00"
 	if got := encodeRequest(3, 7, keys[0]); string(got) != golden {
 		t.Fatalf("request encoding drifted:\n got %q\nwant %q", got, golden)
 	}
@@ -47,11 +50,11 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 			t.Fatalf("request round trip: got stream=%d gen=%d key=%v, want stream=3 gen=7 key=%v", stream, gen, got, k)
 		}
 		for _, typ := range []byte{frameBegin, frameEnd, frameNack} {
-			f, err := parseCtrl(encodeCtrl(typ, 5, 9, 42, k, "boom"))
+			f, err := parseCtrl(encodeCtrl(typ, 5, 9, 42, 0xc0ffee01, k, "boom"))
 			if err != nil {
 				t.Fatalf("parseCtrl(%v type %d): %v", k, typ, err)
 			}
-			if f.typ != typ || f.stream != 5 || f.gen != 9 || f.rows != 42 || f.key != k || f.msg != "boom" {
+			if f.typ != typ || f.stream != 5 || f.gen != 9 || f.rows != 42 || f.digest != 0xc0ffee01 || f.key != k || f.msg != "boom" {
 				t.Fatalf("ctrl round trip: got %+v", f)
 			}
 		}
@@ -74,7 +77,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 		t.Error("parseRequest accepted a protocol-version-1 datagram")
 	}
 	// A control frame whose key kind is out of range must be rejected.
-	bad := encodeCtrl(frameBegin, 0, 1, 1, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, "")
+	bad := encodeCtrl(frameBegin, 0, 1, 1, 0, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, "")
 	if _, err := parseCtrl(bad); err == nil {
 		t.Error("parseCtrl accepted an out-of-range batch kind")
 	}
@@ -89,7 +92,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 		if _, _, _, err := parseRequest(encodeRequest(0, 1, hourly)); err == nil || !strings.Contains(err.Error(), "not a UTC day") {
 			t.Errorf("parseRequest(%v) = %v, want a refusal", hourly, err)
 		}
-		if _, err := parseCtrl(encodeCtrl(frameBegin, 0, 1, 1, hourly, "")); err == nil {
+		if _, err := parseCtrl(encodeCtrl(frameBegin, 0, 1, 1, 0, hourly, "")); err == nil {
 			t.Errorf("parseCtrl accepted %v", hourly)
 		}
 	}
@@ -189,7 +192,7 @@ func TestBridgeServesAllKindsAllFormats(t *testing.T) {
 }
 
 // TestBridgeServesKindColumns: every batch kind travels at its key's
-// column set in every format — the pump exports it, the bridge verifies
+// column set in every format — the pump exports it, the bridge checks
 // and returns exactly k.Columns() — and equals what SyntheticSource
 // generates for the key.
 func TestBridgeServesKindColumns(t *testing.T) {
@@ -233,8 +236,8 @@ func TestBridgeOptionsMismatchIsFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The pump models a different flow scale: its announced row counts
-	// disagree with the bridge's reference, which must fail fast (a
-	// retry cannot cure a model mismatch).
+	// disagree with the bridge's model, which must fail fast (a retry
+	// cannot cure a model mismatch).
 	pump, err := NewPump(PumpConfig{Format: collector.FormatIPFIX, DataAddr: br.DataAddr(), Options: core.Options{FlowScale: 0.4}})
 	if err != nil {
 		t.Fatal(err)
@@ -258,9 +261,127 @@ func TestBridgeOptionsMismatchIsFatal(t *testing.T) {
 	}
 }
 
+// TestBridgeSeedMismatchIsFatal: a pump at another seed announces the
+// bridge's row counts — a day's hour counts do not depend on the seed —
+// and the digest of rows it did draw, so only the bridge's checked hour
+// can tell. The fetch must fail as a mismatch on the first attempt, not
+// retry until its budget is gone.
+func TestBridgeSeedMismatchIsFatal(t *testing.T) {
+	const attempt = 2 * time.Second
+	bridgeOpts, pumpOpts := core.Options{FlowScale: 0.1}, core.Options{FlowScale: 0.1, Seed: 7}
+	day := time.Date(2020, 3, 14, 0, 0, 0, 0, time.UTC)
+	k := core.FlowKey{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(day)}
+	ours, err := core.NewSyntheticSource(bridgeOpts).HourFlows(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	theirs, err := core.NewSyntheticSource(pumpOpts).HourFlows(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ours, theirs) {
+		t.Fatalf("hour counts differ between the seeds (%v, %v): the row count would catch this", ours, theirs)
+	}
+	br, err := NewBridge(Config{Format: collector.FormatIPFIX, Options: bridgeOpts, AttemptTimeout: attempt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pump, err := NewPump(PumpConfig{Format: collector.FormatIPFIX, DataAddr: br.DataAddr(), Options: pumpOpts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := br.ConnectPump(pump.CtrlAddr()); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer func() { cancel(); pump.Close(); br.Close() }()
+	go pump.Run(ctx)
+	br.Start(ctx)
+
+	start := time.Now()
+	if _, err := br.FlowBatch(synth.ISPCE, day); err == nil {
+		t.Fatal("fetch from a pump at another seed succeeded")
+	} else if !strings.Contains(err.Error(), "mismatch") {
+		t.Fatalf("unexpected error: %v", err)
+	}
+	if d := time.Since(start); d >= attempt {
+		t.Errorf("seed mismatch took %v; should fail within one attempt", d)
+	}
+	if ps := pump.Stats(); ps.Requests != 1 {
+		t.Errorf("pump served %d requests, want 1", ps.Requests)
+	}
+	if s := br.Stats(); s.Retries != 0 || s.Keys != 0 {
+		t.Errorf("stats %+v, want no retry and no bucket served", s)
+	}
+}
+
+// TestFetchSpanCountsCheckedRows: a traced fetch records how many rows the
+// bridge drew from its own model to check the bucket — the first hour of
+// the key's window that has rows, not the day.
+func TestFetchSpanCountsCheckedRows(t *testing.T) {
+	var sb strings.Builder
+	tr := obs.NewTracer(&sb)
+	opts := core.Options{FlowScale: 0.1}
+	keys := []core.FlowKey{
+		{Kind: core.KindFlows, VP: synth.ISPCE, Hour: core.DayOf(testDay)},
+		{Kind: core.KindFlows, VP: synth.IXPSE, Hour: core.DayOf(testDay)}, // working hours only
+	}
+	want := map[string][2]int{} // key → checked rows, rows
+	for _, k := range keys {
+		counts, err := core.NewSyntheticSource(opts).HourFlows(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, rows := 0, 0
+		for _, n := range counts {
+			if first == 0 {
+				first = n
+			}
+			rows += n
+		}
+		if first == 0 || first >= rows {
+			t.Fatalf("%v: hour counts %v do not exercise the check", k, counts)
+		}
+		want[k.String()] = [2]int{first, rows}
+	}
+	traced := opts
+	traced.Tracer = tr
+	br, _ := newHarness(t, collector.FormatIPFIX, traced)
+	for _, k := range keys {
+		if _, err := br.fetch(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string
+			Args struct {
+				Key     string
+				Checked int `json:"checked_rows"`
+				Rows    int
+			}
+		}
+	}
+	if err := json.Unmarshal([]byte(sb.String()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string][2]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Name == "fetch" {
+			got[ev.Args.Key] = [2]int{ev.Args.Checked, ev.Args.Rows}
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fetch spans (key → checked_rows, rows) = %v, want %v", got, want)
+	}
+}
+
 func TestBridgeNackFromPump(t *testing.T) {
-	// An unknown vantage point has no components: the bridge's own
-	// reference build fails before any request, so to exercise the NACK
+	// An unknown vantage point has no components: the bridge's own model
+	// refuses it before any request, so to exercise the NACK
 	// path we speak the request protocol directly and read the frame
 	// back on a bare socket standing in for the bridge's collector.
 	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
@@ -371,48 +492,66 @@ func TestBridgeDiscardsOrphanRows(t *testing.T) {
 	}
 }
 
-// TestVerify: a bucket passes only if every column it stores equals the
-// reference's, bit for bit — one flipped bit of any stored column fails
-// naming that column — and a bucket of other columns than the reference
-// fails.
-func TestVerify(t *testing.T) {
-	g := synth.MustNewDefault(synth.ISPCE)
-	ref := g.FlowsForHourBatch(testDay)
-	if ref.Len() == 0 {
-		t.Fatal("empty reference batch")
+// TestDigest: a bucket's digest changes when any bit of any column it
+// stores flips — for the full set and for each kind's — so the bridge's
+// digest check catches a single flipped bit anywhere in a bucket off the
+// wire; and a batch of other columns than the bucket's does not match it.
+func TestDigest(t *testing.T) {
+	hour := synth.MustNewDefault(synth.ISPCE).FlowsForHourBatch(testDay)
+	if hour.Len() < 2 {
+		t.Fatal("the hour has fewer than two rows")
 	}
-	names := reflect.TypeOf(*ref)
-	for _, cols := range []flowrec.Columns{flowrec.AllColumns, core.FlowKey{Kind: core.KindFlows}.Columns()} {
-		want := ref.Project(cols)
-		cp := ref.Project(cols)
-		if err := verify(want, cp); err != nil {
-			t.Fatalf("%s: identical batch rejected: %v", cols, err)
-		}
+	names := reflect.TypeOf(*hour)
+	sets := []flowrec.Columns{flowrec.AllColumns}
+	for _, kind := range []core.FlowKind{core.KindFlows, core.KindVPNFlows, core.KindComponentFlows} {
+		sets = append(sets, core.FlowKey{Kind: kind}.Columns())
+	}
+	for _, cols := range sets {
+		cp := hour.Project(cols)
+		want := cp.Digest()
 		for c := 0; c < flowrec.NumColumns; c++ {
 			if !cols.Has(flowrec.Columns(1) << c) {
 				continue
 			}
-			name := names.Field(c).Name
-			last := reflect.ValueOf(cp).Elem().Field(c).Index(cp.Len() - 1)
-			flip := func() { last.SetUint(last.Uint() ^ 1) }
-			if last.CanInt() {
-				flip = func() { last.SetInt(last.Int() ^ 1) }
-			} else if last.Kind() == reflect.Array {
-				flip = func() { last.Index(3).SetUint(last.Index(3).Uint() ^ 1) }
+			col := reflect.ValueOf(cp).Elem().Field(c)
+			// The low bit of the last row and the high bit of the first.
+			for _, at := range []struct{ row, bit int }{{cp.Len() - 1, 0}, {0, -1}} {
+				flip := flipper(col.Index(at.row), at.bit)
+				flip()
+				if cp.Digest() == want {
+					t.Errorf("%s: flipping a bit of %s row %d leaves the digest", cols, names.Field(c).Name, at.row)
+				}
+				flip()
 			}
-			flip()
-			if err := verify(want, cp); err == nil || !strings.Contains(err.Error(), "column "+name+":") {
-				t.Errorf("%s: flipped %s bit: err %v, want a %s mismatch", cols, name, err, name)
-			}
-			flip()
 		}
-		if err := verify(want, cp); err != nil {
-			t.Fatalf("%s: restored batch rejected: %v", cols, err)
+		if cp.Digest() != want {
+			t.Fatalf("%s: restored batch has another digest", cols)
+		}
+		for _, other := range sets {
+			if other != cols && hour.Project(other).Digest() == want {
+				t.Errorf("a batch of %s matches the digest of %s", other, cols)
+			}
 		}
 	}
-	if err := verify(ref, ref.Project(core.FlowKey{Kind: core.KindFlows}.Columns())); err == nil {
-		t.Fatal("a bucket of other columns than the reference accepted")
+}
+
+// flipper returns a function that flips one bit of v, an integer or a
+// byte array: bit b, or its highest bit for b = -1.
+func flipper(v reflect.Value, b int) func() {
+	if v.Kind() == reflect.Array {
+		if b < 0 {
+			b = 8*v.Len() - 1
+		}
+		e := v.Index(b / 8)
+		return func() { e.SetUint(e.Uint() ^ 1<<(b%8)) }
 	}
+	if b < 0 {
+		b = v.Type().Bits() - 1
+	}
+	if v.CanInt() {
+		return func() { v.SetInt(int64(uint64(v.Int()) ^ 1<<b)) }
+	}
+	return func() { v.SetUint(v.Uint() ^ 1<<b) }
 }
 
 // TestServedBatchDoubleReleasePanics: the batches the model oracle serves
