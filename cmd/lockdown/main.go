@@ -515,8 +515,8 @@ func runWire(ctx context.Context, o *options) error {
 
 // wireEvents converts a wire run's accounting into its summary events: the
 // bridge totals, one indented detail per shard naming the vantage points
-// it owns under part (the live partition), every rebalance, the chaos
-// relay totals when fault injection was active, and the pumps' counters
+// it owns under part (the live partition), every rebalance, the pumps'
+// chaos totals when fault injection was active, and the pumps' counters
 // summed over all shards.
 func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Event {
 	bs := stats.Bridge
@@ -562,10 +562,10 @@ func wireEvents(stats cluster.Stats, part map[synth.VantagePoint]int) []obs.Even
 	}
 	if cs := stats.Chaos; cs != nil {
 		events = append(events, obs.Event{Cat: "chaos", Sub: true,
-			Msg: "chaos relay", Fields: []obs.Field{
-				obs.Fi("datagrams", cs.Total.Seen),
-				obs.Fi("dropped", cs.Total.Dropped),
-				obs.Fi("duplicated", cs.Total.Duplicated),
+			Msg: "chaos", Fields: []obs.Field{
+				obs.Fi("datagrams", cs.Seen),
+				obs.Fi("dropped", cs.Dropped),
+				obs.Fi("duplicated", cs.Duplicated),
 			}})
 	}
 	return append(events, obs.Event{Cat: "bridge", Msg: "wire pump", Fields: []obs.Field{

@@ -236,7 +236,7 @@ func TestMetricsFamilies(t *testing.T) {
 
 // TestMetricCatalog: the families a scrape serves once every instrumented
 // subsystem is up on one registry — the engine with its dataset cache and
-// span store, a cluster with a chaos relay and a stream, whose bridge and
+// span store, a cluster with a chaos schedule and a stream, whose bridge and
 // collector register theirs, and the metrics server's own — are exactly
 // the rows of ARCHITECTURE.md's metric catalog: name, type, label and the
 // help text as what it counts.
@@ -402,7 +402,7 @@ func TestWireEvents(t *testing.T) {
 		},
 		Rebalances: []cluster.RebalanceEvent{{From: 1, Reason: "pump stopped",
 			Moved: map[synth.VantagePoint]int{synth.IXPCE: 0, synth.Mobile: 2}}},
-		Chaos: &faultinject.RelayStats{Total: faultinject.Counts{Seen: 100, Dropped: 5}},
+		Chaos: &faultinject.Counts{Seen: 100, Dropped: 5},
 	}
 	part[synth.IXPCE], part[synth.Mobile] = 0, 2
 	expect(render(clusterRun, part),
@@ -411,7 +411,7 @@ func TestWireEvents(t *testing.T) {
 		"  shard 1 [] (DEAD): 1 buckets, 10 rows, 4 retries, 7 rows lost",
 		"  shard 2 [IXP-SE MOBILE IPX] (live): 3 buckets",
 		"  rebalance: shard 1 (pump stopped), 2 vantage points moved",
-		"  chaos relay: 100 datagrams, 5 dropped",
+		"  chaos: 100 datagrams, 5 dropped",
 		"wire pump: 9 requests, 80 rows exported, 1 nacks")
 }
 
@@ -508,6 +508,7 @@ var fieldSetters = map[string]string{
 	"replay.PumpConfig.DataAddr": "internal/cluster/cluster.go",
 	"replay.PumpConfig.Stream":   "internal/cluster/cluster.go",
 	"replay.PumpConfig.Options":  "internal/cluster/cluster.go",
+	"replay.PumpConfig.Chaos":    "internal/cluster/cluster.go",
 }
 
 // checkSetter fails unless setBy is a reason or a repo file whose text

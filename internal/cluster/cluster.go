@@ -23,9 +23,9 @@
 // rebalances are surfaced in Stats (ShardStatus.Dead, RebalanceEvents).
 //
 // Spec.Chaos splices the deterministic fault harness of
-// internal/faultinject into the topology: a seeded relay on the
-// pump → bridge data path (drop/duplicate) plus scheduled pump kills
-// that drive the death → re-partition path reproducibly.
+// internal/faultinject into the topology: every pump drops or duplicates
+// its own datagrams by the seeded schedule of its stream, and scheduled
+// pump kills drive the death → re-partition path reproducibly.
 //
 // The bridge checks every bucket — its digest, its row count and one hour
 // of its own model — regardless of which pump served it, and every pump
@@ -72,9 +72,10 @@ type Spec struct {
 	// have moved or the budget runs out, which fails the run.
 	AttemptTimeout time.Duration
 	FetchBudget    time.Duration
-	// Chaos injects the deterministic fault schedule: a seeded relay on
-	// the pump → bridge data path plus scheduled pump kills (see
-	// internal/faultinject). Nil runs clean.
+	// Chaos injects the deterministic fault schedule: each pump drops or
+	// duplicates the datagrams it sends by its stream's seeded schedule,
+	// and scheduled kills close pumps (see internal/faultinject). Nil runs
+	// clean.
 	Chaos *faultinject.Spec
 }
 
@@ -137,13 +138,14 @@ type ShardStatus struct {
 
 // Stats aggregates what a cluster observed: the bridge totals, the
 // per-stream demux accounting, each shard's status, the rebalance log,
-// and the chaos relay's fault counters when a fault schedule is active.
+// and, when a fault schedule is active, the pumps' fault counters summed
+// (each shard's own are in its ShardStatus.Pump.Chaos).
 type Stats struct {
 	Bridge     replay.Stats
 	Streams    map[uint32]replay.Stats
 	Shards     []ShardStatus
 	Rebalances []RebalanceEvent
-	Chaos      *faultinject.RelayStats
+	Chaos      *faultinject.Counts
 }
 
 // shard is the supervisor's handle on one pump.
@@ -173,7 +175,7 @@ func (sh *shard) status() ShardStatus {
 type Cluster struct {
 	spec   Spec
 	bridge *replay.Bridge
-	relay  *faultinject.Relay // chaos wire injection (nil without Chaos)
+	chaos  *faultinject.Spec // the pumps' fault schedule (nil unless Spec.Chaos is active)
 	shards []*shard
 	epoch  time.Time // Start time; anchors the kill schedule
 
@@ -200,8 +202,8 @@ type Cluster struct {
 	closeErr  error
 }
 
-// New validates the spec and opens the bridge socket (and, with a chaos
-// spec, the fault relay in front of it). No pumps run until Start.
+// New validates the spec and opens the bridge socket. No pumps run until
+// Start.
 func New(spec Spec) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -225,18 +227,26 @@ func New(spec Spec) (*Cluster, error) {
 		return nil, err
 	}
 	c.bridge = bridge
-	if spec.Chaos != nil && spec.Chaos.Active() {
-		relay, err := faultinject.NewRelay(*spec.Chaos, spec.Format, bridge.DataAddr())
-		if err != nil {
-			bridge.Close()
-			return nil, err
-		}
-		c.relay = relay
-		relay.Instrument(reg)
-		relay.SetTracer(c.tracer)
-	}
 	for i := 0; i < spec.shards(); i++ {
 		c.shards = append(c.shards, &shard{id: i})
+	}
+	if spec.Chaos != nil && spec.Chaos.Active() {
+		c.chaos = spec.Chaos
+		total := func(pick func(faultinject.Counts) int64) func() float64 {
+			return func() float64 { return float64(pick(*c.Stats().Chaos)) }
+		}
+		reg.CounterFunc("lockdown_chaos_seen_total",
+			"Datagrams the pumps' chaos schedules decided.",
+			total(func(c faultinject.Counts) int64 { return c.Seen }))
+		reg.CounterFunc("lockdown_chaos_forwarded_total",
+			"Datagrams the pumps sent under their chaos schedules (duplicates counted).",
+			total(func(c faultinject.Counts) int64 { return c.Forwarded }))
+		reg.CounterFunc("lockdown_chaos_dropped_total",
+			"Datagrams the pumps' chaos schedules dropped.",
+			total(func(c faultinject.Counts) int64 { return c.Dropped }))
+		reg.CounterFunc("lockdown_chaos_duplicated_total",
+			"Datagrams the pumps' chaos schedules sent twice.",
+			total(func(c faultinject.Counts) int64 { return c.Duplicated }))
 	}
 	return c, nil
 }
@@ -269,15 +279,6 @@ func (c *Cluster) Bridge() *replay.Bridge { return c.bridge }
 // Source returns the cluster as a flow source for an engine.
 func (c *Cluster) Source() core.FlowSource { return c.bridge }
 
-// dataAddr is where pumps export to: the chaos relay when a fault
-// schedule is active, the bridge's collector socket otherwise.
-func (c *Cluster) dataAddr() string {
-	if c.relay != nil {
-		return c.relay.Addr()
-	}
-	return c.bridge.DataAddr()
-}
-
 // Start launches every pump, hands it to its supervisor, connects its
 // stream to the bridge and starts the bridge's demux. A shard that cannot
 // start fails the whole cluster. Start also anchors the kill schedule's
@@ -301,14 +302,16 @@ func (c *Cluster) Start(ctx context.Context) error {
 	return nil
 }
 
-// bringUp launches the shard's pump, exporting to the cluster's data
-// address under the shard's stream identity, and arms its chaos kill.
+// bringUp launches the shard's pump, exporting to the bridge's collector
+// socket under the shard's stream identity and the cluster's fault
+// schedule, and arms its chaos kill.
 func (c *Cluster) bringUp(sh *shard) (*replay.Pump, error) {
 	pump, err := replay.NewPump(replay.PumpConfig{
 		Format:   c.spec.Format,
-		DataAddr: c.dataAddr(),
+		DataAddr: c.bridge.DataAddr(),
 		Stream:   uint32(sh.id),
 		Options:  c.spec.Options,
+		Chaos:    c.chaos,
 	})
 	if err != nil {
 		return nil, err
@@ -404,15 +407,19 @@ func (c *Cluster) Stats() Stats {
 	}
 	s.Rebalances = append([]RebalanceEvent(nil), c.rebalances...)
 	c.partMu.Unlock()
-	if c.relay != nil {
-		rs := c.relay.Stats()
-		s.Chaos = &rs
+	if c.chaos != nil {
+		var total faultinject.Counts
+		for _, sh := range s.Shards {
+			total = total.Add(sh.Pump.Chaos)
+		}
+		s.Chaos = &total
 	}
 	return s
 }
 
 // Close tears the cluster down: chaos timers stopped, pumps closed, then
-// the relay and the bridge. Safe to call more than once.
+// the bridge. Once it returns every pump has stopped sending, so Stats
+// counts every datagram. Safe to call more than once.
 func (c *Cluster) Close() error {
 	c.closeOnce.Do(func() {
 		if c.cancel != nil {
@@ -431,9 +438,6 @@ func (c *Cluster) Close() error {
 			sh.mu.Unlock()
 		}
 		c.wg.Wait()
-		if c.relay != nil {
-			c.relay.Close()
-		}
 		c.closeErr = c.bridge.Close()
 	})
 	return c.closeErr

@@ -18,7 +18,7 @@ import (
 // never races the supervisor or a rebalance, and every snapshot is
 // internally consistent — each per-component block is copied under that
 // component's lock, so a reader can never observe a torn RebalanceEvent,
-// a dead shard that still owns a vantage point, or relay counts
+// a dead shard that still owns a vantage point, or chaos counts
 // mid-increment (Forwarded + Dropped != Seen + Duplicated).
 func TestStatsConsistentDuringChaos(t *testing.T) {
 	chaos, err := faultinject.ParseSpec("kill=shard1@t+100ms,drop=0.05,seed=11")
@@ -75,13 +75,13 @@ func TestStatsConsistentDuringChaos(t *testing.T) {
 						return
 					}
 				}
-				// The relay holds nothing back, so its counts close
-				// in every snapshot.
+				// A pump's schedule holds nothing back, so the
+				// counts close in every snapshot.
 				if s.Chaos == nil {
-					t.Error("a chaos run's snapshot has no relay stats")
+					t.Error("a chaos run's snapshot has no chaos stats")
 					return
 				}
-				if c := s.Chaos.Total; c.Forwarded+c.Dropped != c.Seen+c.Duplicated {
+				if c := *s.Chaos; c.Forwarded+c.Dropped != c.Seen+c.Duplicated {
 					t.Errorf("chaos totals inconsistent: %+v", c)
 					return
 				}
@@ -90,7 +90,7 @@ func TestStatsConsistentDuringChaos(t *testing.T) {
 		}()
 	}
 	// One reader scrapes the registry concurrently, while the supervisor
-	// and the relay move the counters it reads.
+	// and the pumps move the counters it reads.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()

@@ -54,35 +54,6 @@ func waitForDeadShard(t *testing.T, c *Cluster, shard int, deadline time.Duratio
 	}
 }
 
-// settledStats returns the cluster's stats once the chaos relay has gone
-// quiet. A bucket completes on row count, so a fetch returns while its
-// trailing END frame is still on its way through the relay; a snapshot
-// taken right then counts that datagram or not depending on scheduling.
-// The relay is settled when its datagram count has not moved for 100 ms —
-// the END follows the last data packet within microseconds.
-func settledStats(t *testing.T, c *Cluster) Stats {
-	t.Helper()
-	limit := time.Now().Add(10 * time.Second)
-	stats := c.Stats()
-	for quiet := 0; quiet < 10; {
-		if stats.Chaos == nil {
-			t.Fatal("no chaos stats")
-		}
-		if time.Now().After(limit) {
-			t.Fatalf("chaos relay still moving after 10s: %+v", stats.Chaos.Total)
-		}
-		time.Sleep(10 * time.Millisecond)
-		next := c.Stats()
-		if next.Chaos.Total == stats.Chaos.Total {
-			quiet++
-		} else {
-			quiet = 0
-		}
-		stats = next
-	}
-	return stats
-}
-
 // captureStderr points os.Stderr at a pipe and returns a function that
 // restores it and returns what was written meanwhile. Not for parallel
 // tests: os.Stderr is process-global.
@@ -203,13 +174,19 @@ func TestInProcessKillRestartRepartition(t *testing.T) {
 // TestClusterChaosReproducible pins the determinism contract of the
 // chaos harness end to end: two clusters with the same seed, fed the
 // same sequential key workload, inject the identical fault schedule and
-// land on identical fault and loss counters, and the relay's counts close
-// (Forwarded + Dropped == Seen + Duplicated).
+// land on identical fault and loss counters, and every stream's counts
+// close (Forwarded + Dropped == Seen + Duplicated). The stats are read
+// after Close, when every pump has returned and every send is counted.
 func TestClusterChaosReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos reproducibility test is not short")
 	}
-	run := func(seed int64) (faultinject.RelayStats, int64, int64) {
+	type outcome struct {
+		streams           map[uint32]faultinject.Counts
+		total             faultinject.Counts
+		retries, lostRows int64
+	}
+	run := func(seed int64) outcome {
 		// A drop rate high enough that the small test workload is all but
 		// guaranteed to lose datagrams, and a fetch budget wide enough
 		// that every key still gets through.
@@ -224,39 +201,47 @@ func TestClusterChaosReproducible(t *testing.T) {
 			Chaos:          &chaos,
 		})
 		for _, vp := range []synth.VantagePoint{synth.ISPCE, synth.IXPCE} {
-			for h := 0; h < 2; h++ {
-				if _, err := c.Source().FlowBatch(vp, testDay.Add(time.Duration(h)*time.Hour)); err != nil {
+			for d := 0; d < 2; d++ {
+				if _, err := c.Source().FlowBatch(vp, testDay.AddDate(0, 0, d)); err != nil {
 					t.Fatalf("%s: %v", vp, err)
 				}
 			}
 		}
-		stats := settledStats(t, c)
-		return *stats.Chaos, stats.Bridge.Retries, stats.Bridge.LostRows
-	}
-	relayA, retriesA, lostA := run(7)
-	relayB, retriesB, lostB := run(7)
-	if relayA.Total != relayB.Total {
-		t.Errorf("same seed, different fault schedules: %+v vs %+v", relayA.Total, relayB.Total)
-	}
-	for id, ca := range relayA.Streams {
-		if cb := relayB.Streams[id]; ca != cb {
-			t.Errorf("stream %d schedule differs: %+v vs %+v", id, ca, cb)
+		c.Close()
+		stats := c.Stats()
+		o := outcome{streams: map[uint32]faultinject.Counts{}, total: *stats.Chaos,
+			retries: stats.Bridge.Retries, lostRows: stats.Bridge.LostRows}
+		for _, sh := range stats.Shards {
+			o.streams[sh.Stream] = sh.Pump.Chaos
 		}
+		return o
 	}
-	if retriesA != retriesB || lostA != lostB {
-		t.Errorf("same seed, different loss accounting: retries %d/%d, lost %d/%d",
-			retriesA, retriesB, lostA, lostB)
+	a, b := run(7), run(7)
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("same seed, different fault schedules or loss accounting:\n%+v\n%+v", a, b)
 	}
-	if relayA.Total.Dropped == 0 {
+	// The seed-7 schedule of this workload: a bucket attempt is five
+	// datagrams (BEGIN, one flow packet, three ENDs), stream 1 retried one
+	// bucket, and the drops that cost no retry hit END copies.
+	want := map[uint32]faultinject.Counts{
+		0: {Seen: 10, Forwarded: 9, Dropped: 1},
+		1: {Seen: 15, Forwarded: 13, Dropped: 2},
+	}
+	if !reflect.DeepEqual(a.streams, want) || a.retries != 1 {
+		t.Errorf("seed 7: streams %+v, %d retries; want %+v, 1 retry", a.streams, a.retries, want)
+	}
+	if a.total.Dropped == 0 {
 		t.Error("the schedule dropped nothing; the test pinned a trivial run")
 	}
-	for _, rs := range []faultinject.RelayStats{relayA, relayB} {
-		if c := rs.Total; c.Forwarded+c.Dropped != c.Seen+c.Duplicated {
-			t.Errorf("relay accounting does not close: %+v", c)
+	for id, c := range a.streams {
+		if c.Forwarded+c.Dropped != c.Seen+c.Duplicated {
+			t.Errorf("stream %d accounting does not close: %+v", id, c)
 		}
 	}
-	relayC, _, _ := run(8)
-	if reflect.DeepEqual(relayA.Streams, relayC.Streams) {
+	if c := a.total; c.Forwarded+c.Dropped != c.Seen+c.Duplicated {
+		t.Errorf("total accounting does not close: %+v", c)
+	}
+	if other := run(8); reflect.DeepEqual(a.streams, other.streams) {
 		t.Error("different seeds produced identical per-stream fault schedules (suspicious)")
 	}
 }

@@ -8,9 +8,9 @@
 // A Collector receives and does not decode. It has one delivery channel:
 // every datagram arrives on Tagged() as a Datagram, its bytes in a pooled
 // buffer together with the stream identity carried in its header (IPFIX
-// observation domain or NetFlow v9 source ID — see StreamID), which is
-// what lets one collector socket demux the interleaved export of several
-// pumps; a consumer with a single exporter ignores the field. A datagram
+// observation domain or NetFlow v9 source ID), which is what lets one
+// collector socket demux the interleaved export of several pumps; a
+// consumer with a single exporter ignores the field. A datagram
 // that does not start with the format's export header (too short,
 // another version, a length field that does not match) is reported on
 // Errors() and not delivered. The consumer decodes with a Decoder
@@ -87,19 +87,6 @@ const ControlMagic = "LKRW"
 // at most the 65 507 bytes of one UDP datagram; a shorter buffer would cut
 // a legal message short and fail its length check.
 const maxDatagram = 0xFFFF
-
-// StreamID extracts the exporter stream identity an export packet
-// carries in its header: the IPFIX observation domain or the NetFlow v9
-// source ID, 32 bits each. It reads fixed header offsets without
-// decoding, so it is safe on arbitrary input; packets too short to carry
-// the field report stream 0, and the header check rejects them.
-func StreamID(format Format, pkt []byte) uint32 {
-	f, err := format.framing()
-	if err != nil {
-		return 0
-	}
-	return f.StreamID(pkt)
-}
 
 // Decoder decodes one format's export datagrams: it appends the records
 // of pkt to dst, in the columns dst stores (a field of a column dst lacks
@@ -349,6 +336,7 @@ type Exporter struct {
 	stream  uint32
 	seq     uint32
 	buf     []byte
+	copies  func() int // nil: every datagram is sent once (see SetCopies)
 }
 
 // NewExporter dials the given UDP collector address. The exporter's
@@ -359,9 +347,8 @@ func NewExporter(format Format, addr string) (*Exporter, error) {
 
 // NewStreamExporter is NewExporter with an explicit stream identity,
 // stamped into every packet header as the IPFIX observation domain or
-// NetFlow v9 source ID. The collector recovers the identity per datagram
-// (StreamID), which is what lets several exporters share one collector
-// socket.
+// NetFlow v9 source ID. The collector recovers the identity per datagram,
+// which is what lets several exporters share one collector socket.
 func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, error) {
 	f, err := format.framing()
 	if err != nil {
@@ -401,7 +388,7 @@ func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
 		if e.buf, err = e.framing.EncodeBatch(e.buf[:0], b, lo, hi, now, e.stream, &e.seq); err != nil {
 			return err
 		}
-		if _, err := e.conn.Write(e.buf); err != nil {
+		if err := e.send(e.buf); err != nil {
 			return fmt.Errorf("exporter: send: %w", err)
 		}
 	}
@@ -413,8 +400,28 @@ func (e *Exporter) ExportBatchAt(b *flowrec.Batch, exportTime time.Time) error {
 // with them on loopback paths; the wire-replay protocol uses this for its
 // BEGIN/END control frames around each exported bucket.
 func (e *Exporter) WriteRaw(pkt []byte) error {
-	if _, err := e.conn.Write(pkt); err != nil {
+	if err := e.send(pkt); err != nil {
 		return fmt.Errorf("exporter: send raw: %w", err)
+	}
+	return nil
+}
+
+// SetCopies has every later datagram, flow packet or raw, sent as many
+// times as copies returns when asked for it: 0 drops the datagram, 2
+// duplicates it. A dropped datagram is not an error. The wire-replay
+// pump injects its chaos schedule through it.
+func (e *Exporter) SetCopies(copies func() int) { e.copies = copies }
+
+// send writes one datagram, once or as SetCopies decides.
+func (e *Exporter) send(pkt []byte) error {
+	n := 1
+	if e.copies != nil {
+		n = e.copies()
+	}
+	for range n {
+		if _, err := e.conn.Write(pkt); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -235,9 +235,6 @@ func TestExporterBadAddress(t *testing.T) {
 	if _, err := NewExporter(Format(9), "127.0.0.1:9"); err == nil {
 		t.Error("exporter for an unknown format accepted")
 	}
-	if StreamID(Format(9), make([]byte, 64)) != 0 {
-		t.Error("an unknown format must report stream 0")
-	}
 }
 
 // TestExporterFillsDatagrams: a NetFlow v9 or IPFIX message carries as

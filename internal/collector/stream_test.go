@@ -72,18 +72,26 @@ func TestTaggedCollectorDemuxesStreams(t *testing.T) {
 	}
 }
 
-// TestStreamIDReadsHeaders checks the raw header extraction against
-// packets produced by the real encoders, plus the short-packet guard.
+// TestStreamIDReadsHeaders checks the raw header extraction the
+// collector tags each datagram with against packets produced by the real
+// encoders, plus the short-packet guard.
 func TestStreamIDReadsHeaders(t *testing.T) {
 	b := flowrec.FromRecords(testRecords(3))
 	now := time.Now().UTC()
+	streamID := func(format Format, pkt []byte) uint32 {
+		f, err := format.framing()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.StreamID(pkt)
+	}
 
 	var seq uint32
 	v9, err := tmpl.V9.EncodeBatch(nil, b, 0, b.Len(), now, 70000, &seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := StreamID(FormatNetflowV9, v9); got != 70000 {
+	if got := streamID(FormatNetflowV9, v9); got != 70000 {
 		t.Errorf("StreamID(v9) = %d, want 70000", got)
 	}
 
@@ -92,15 +100,15 @@ func TestStreamIDReadsHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := StreamID(FormatIPFIX, msg); got != 1<<24 {
+	if got := streamID(FormatIPFIX, msg); got != 1<<24 {
 		t.Errorf("StreamID(ipfix) = %d, want %d", got, 1<<24)
 	}
 
 	for _, format := range []Format{FormatNetflowV9, FormatIPFIX} {
-		if got := StreamID(format, nil); got != 0 {
+		if got := streamID(format, nil); got != 0 {
 			t.Errorf("StreamID(%v, nil) = %d, want 0", format, got)
 		}
-		if got := StreamID(format, []byte{1, 2, 3}); got != 0 {
+		if got := streamID(format, []byte{1, 2, 3}); got != 0 {
 			t.Errorf("StreamID(%v, short) = %d, want 0", format, got)
 		}
 	}

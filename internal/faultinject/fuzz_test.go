@@ -19,7 +19,7 @@ func canonical(s Spec) Spec {
 
 // FuzzParseSpec feeds arbitrary -chaos strings to ParseSpec. It must not
 // panic; a spec it accepts has every probability in [0, 1] with a sum of
-// at most 1 (the relay draws once per datagram) and no negative duration;
+// at most 1 (a schedule draws once per datagram) and no negative duration;
 // and String renders it back into something ParseSpec reads as the same
 // spec, up to the order of the scheduled events.
 func FuzzParseSpec(f *testing.F) {

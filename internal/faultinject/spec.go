@@ -6,20 +6,20 @@
 // (`drop=0.05,dup=0.01,kill=shard1@t+2s,seed=7`) and drives two
 // injection points:
 //
-//   - The Relay sits on the pump → bridge data path and drops or
-//     duplicates datagrams, decided by a splitmix64-based PRF keyed on
-//     (seed, stream, per-stream datagram index). The decision for
-//     datagram n of stream s depends on nothing else, so the same seed
-//     over the same per-stream datagram sequence reproduces the same
-//     fault schedule regardless of wall-clock timing or interleaving
-//     with other streams. The relay holds nothing and runs no timer.
+//   - Each pump sends its datagrams through a Schedule of its stream,
+//     which drops or duplicates them, decided by a splitmix64-based PRF
+//     keyed on (seed, stream, per-stream datagram index). The decision
+//     for datagram n of stream s depends on nothing else, so the same
+//     seed over the same per-stream datagram sequence reproduces the same
+//     fault schedule regardless of wall-clock timing or interleaving with
+//     other streams. A Schedule holds no datagram and runs no timer.
 //   - The cluster consumes the kill schedule (KillFor):
 //     `kill=shardN@t+X` closes shard N's pump once, X after cluster
 //     start. The shard is dead from then on, and the survival path —
 //     its vantage points re-partitioned over the other shards — is
 //     exercised deterministically.
 //
-// Every fault the relay injects is recoverable by the bridge's
+// Every fault the schedule injects is recoverable by the bridge's
 // retry machinery (a dropped or duplicated datagram leaves its
 // bucket's row count wrong, and the bucket is re-requested), so chaos
 // runs remain byte-identical to clean runs; the chaos golden test in
@@ -33,6 +33,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -204,4 +205,65 @@ func (s Spec) roll(stream uint32, n uint64) uint64 {
 // uniform maps a decision word to [0,1).
 func uniform(h uint64) float64 {
 	return float64(h>>11) / float64(1<<53)
+}
+
+// Counts is one stream's fault accounting, or a sum of streams'. A
+// Schedule holds nothing back, so every snapshot satisfies
+// Forwarded + Dropped == Seen + Duplicated.
+type Counts struct {
+	Seen       int64 // datagrams the schedule decided
+	Forwarded  int64 // datagrams sent (duplicates counted)
+	Dropped    int64
+	Duplicated int64
+}
+
+// Add returns the sum of c and d.
+func (c Counts) Add(d Counts) Counts {
+	return Counts{c.Seen + d.Seen, c.Forwarded + d.Forwarded, c.Dropped + d.Dropped, c.Duplicated + d.Duplicated}
+}
+
+// Schedule is the spec applied to one stream's datagrams in send order:
+// the n-th call of Next decides datagram n. One sender calls Next;
+// Counts may be read concurrently.
+type Schedule struct {
+	spec   Spec
+	stream uint32
+
+	mu     sync.Mutex
+	counts Counts // Seen is the PRF index of the next datagram
+}
+
+// Schedule returns the spec's schedule for a stream, at datagram 0.
+func (s Spec) Schedule(stream uint32) *Schedule {
+	return &Schedule{spec: s, stream: stream}
+}
+
+// Next decides the stream's next datagram and counts it: copies is how
+// many times to send it (0 drops it, 2 duplicates it), and fault names
+// the fault injected ("fault-drop", "fault-dup"; "" for none). One draw
+// per datagram lands in at most one fault's interval.
+func (sc *Schedule) Next() (copies int, fault string) {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	c := &sc.counts
+	u := uniform(sc.spec.roll(sc.stream, uint64(c.Seen)))
+	c.Seen++
+	copies = 1
+	switch {
+	case u < sc.spec.Drop:
+		copies, fault = 0, "fault-drop"
+		c.Dropped++
+	case u < sc.spec.Drop+sc.spec.Dup:
+		copies, fault = 2, "fault-dup"
+		c.Duplicated++
+	}
+	c.Forwarded += int64(copies)
+	return copies, fault
+}
+
+// Counts returns a snapshot of the stream's accounting.
+func (sc *Schedule) Counts() Counts {
+	sc.mu.Lock()
+	defer sc.mu.Unlock()
+	return sc.counts
 }

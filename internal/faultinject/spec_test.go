@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -185,5 +186,52 @@ func TestSpecStringEmpty(t *testing.T) {
 	}
 	if s := (Spec{Kills: []KillEvent{{Shard: 1, At: time.Second}, {Shard: 0, At: time.Second}}}).String(); s != "kill=shard0@t+1s,kill=shard1@t+1s" {
 		t.Fatalf("render = %q", s)
+	}
+}
+
+// TestScheduleFollowsTable: a stream's Schedule, called once per datagram
+// in send order, makes scheduleTable's decisions, names each fault, and
+// its counts close (Forwarded + Dropped == Seen + Duplicated).
+func TestScheduleFollowsTable(t *testing.T) {
+	for _, row := range scheduleTable {
+		spec, err := ParseSpec(row.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := spec.Schedule(row.stream)
+		var drop, dup []int
+		for n := range 256 {
+			switch copies, fault := sc.Next(); {
+			case copies == 0 && fault == "fault-drop":
+				drop = append(drop, n)
+			case copies == 2 && fault == "fault-dup":
+				dup = append(dup, n)
+			case copies != 1 || fault != "":
+				t.Fatalf("%s stream %d datagram %d: %d copies, fault %q", row.spec, row.stream, n, copies, fault)
+			}
+		}
+		if !slices.Equal(drop, row.drop) || !slices.Equal(dup, row.dup) {
+			t.Errorf("%s stream %d: drops %v, dups %v; want drops %v, dups %v",
+				row.spec, row.stream, drop, dup, row.drop, row.dup)
+		}
+		want := Counts{Seen: 256, Dropped: int64(len(row.drop)), Duplicated: int64(len(row.dup))}
+		want.Forwarded = want.Seen - want.Dropped + want.Duplicated
+		if got := sc.Counts(); got != want {
+			t.Errorf("%s stream %d: counts %+v, want %+v", row.spec, row.stream, got, want)
+		}
+	}
+}
+
+// TestScheduleForwardsClean: a spec without drop or dup forwards every
+// datagram once.
+func TestScheduleForwardsClean(t *testing.T) {
+	sc := Spec{Seed: 1}.Schedule(0)
+	for n := range 100 {
+		if copies, fault := sc.Next(); copies != 1 || fault != "" {
+			t.Fatalf("datagram %d: %d copies, fault %q", n, copies, fault)
+		}
+	}
+	if got := sc.Counts(); got != (Counts{Seen: 100, Forwarded: 100}) {
+		t.Fatalf("counts %+v", got)
 	}
 }

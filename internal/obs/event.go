@@ -6,7 +6,7 @@ import "strconv"
 // stderr and what the tracer records as an instant, so the human summary
 // and the trace file are two views of the same value. The engine's cache
 // summary, the bridge wire accounting, cluster shard/rebalance lines and
-// chaos relay counts are all Events — one renderer (report.WriteEvents)
+// the pumps' chaos counts are all Events — one renderer (report.WriteEvents)
 // replaces the per-command fmt.Fprintf blocks that used to drift apart.
 type Event struct {
 	// Cat groups events ("cache", "bridge", "cluster", "chaos"); the

@@ -6,7 +6,7 @@
 //
 // Every other stats surface of the repo — the engine's `_runtime/*` result
 // stamps, core.CacheStats, replay.Stats, cluster.Stats,
-// faultinject.RelayStats — is re-derived from (or mirrored into) these
+// faultinject.Counts — is re-derived from (or mirrored into) these
 // instruments, so the stderr summaries, `-json` output and `/metrics`
 // scrape can never drift apart: they read the same atomic counters.
 //
@@ -220,7 +220,7 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 
 // CounterFunc registers a counter family whose value is read from fn at
 // scrape time — the bridge between exposition and stats that already live
-// behind their own lock (e.g. the chaos relay's per-stream counts). No-op
+// behind their own lock (e.g. the pumps' chaos schedule counts). No-op
 // on a nil registry.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
 	if r == nil {

@@ -15,6 +15,7 @@ import (
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
 	"lockdown/internal/synth"
+	"lockdown/internal/tmpl"
 )
 
 // lossyRelay is a UDP transport with injected loss: it forwards every
@@ -39,7 +40,7 @@ func newLossyRelay(t *testing.T, dstAddr string, drop func(pkt []byte) bool) *lo
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bridge's and the chaos relay's receive buffer: a pump sends a
+	// The bridge's receive buffer: a pump sends a
 	// bucket of up to 65 507-byte messages in one burst, which a default
 	// buffer of ~200 KB does not hold for three pumps.
 	ln.SetReadBuffer(readBuffer)
@@ -150,7 +151,7 @@ func newMangleRelay(t *testing.T, dstAddr string, mangle func(pkt []byte) [][]by
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bridge's and the chaos relay's receive buffer: a pump sends a
+	// The bridge's receive buffer: a pump sends a
 	// bucket of up to 65 507-byte messages in one burst, which a default
 	// buffer of ~200 KB does not hold for three pumps.
 	ln.SetReadBuffer(readBuffer)
@@ -633,7 +634,7 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 			return f.stream == 1 && f.typ == frameBegin && f.gen%2 == 1 ||
 				f.stream == 2 && f.typ == frameEnd
 		}
-		s := collector.StreamID(collector.FormatIPFIX, pkt)
+		s := tmpl.IPFIX.StreamID(pkt)
 		dataIdx[s]++
 		return s == 0 && gen[s]%2 == 1 && dataIdx[s] == 2
 	}
@@ -692,7 +693,7 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 }
 
 // TestBridgeRetriesCorruptedData flips one byte of a stored column in
-// flight, as the chaos relay's corrupt fault does: the packet still
+// flight, as a corrupting link would: the packet still
 // decodes and the bucket completes on row count, but its digest is not
 // the one BEGIN announced, so the bridge re-requests the bucket and
 // delivers it bit-identical. The template carries only the key's columns,

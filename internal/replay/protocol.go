@@ -226,20 +226,6 @@ func encodeCtrl(typ byte, stream, gen uint32, rows int, digest uint32, k core.Fl
 	return dst
 }
 
-// FrameStream reports the stream identity a pump → bridge control
-// datagram carries, without decoding the rest of the frame. It exists
-// for transport middleboxes (the chaos relay in internal/faultinject)
-// that must attribute datagrams to streams: flow packets carry the
-// stream in their export header (collector.StreamID), control frames
-// carry it here. Non-control datagrams report false.
-func FrameStream(pkt []byte) (uint32, bool) {
-	hdr := len(collector.ControlMagic)
-	if len(pkt) < hdr+2+4 || string(pkt[:hdr]) != collector.ControlMagic {
-		return 0, false
-	}
-	return binary.BigEndian.Uint32(pkt[hdr+2:]), true
-}
-
 // parseCtrl decodes a control frame datagram.
 func parseCtrl(pkt []byte) (ctrlFrame, error) {
 	hdr := len(collector.ControlMagic)

@@ -10,6 +10,7 @@ import (
 
 	"lockdown/internal/collector"
 	"lockdown/internal/core"
+	"lockdown/internal/faultinject"
 )
 
 // PumpStats counts what a pump served. All fields are cumulative.
@@ -18,7 +19,10 @@ type PumpStats struct {
 	BadRequests  int64 // datagrams that failed to parse
 	Nacks        int64 // keys answered with a NACK frame (oracle failures)
 	ExportErrors int64 // transient send failures (the bridge re-requests)
-	RowsSent     int64 // flow rows exported
+	RowsSent     int64 // flow rows exported (a dropped datagram's rows too)
+	// Chaos is the fault accounting of the pump's chaos schedule (zero
+	// without PumpConfig.Chaos).
+	Chaos faultinject.Counts
 }
 
 // PumpConfig configures a Pump.
@@ -35,6 +39,12 @@ type PumpConfig struct {
 	// Options build the pump's model oracle; they must match the
 	// bridge's options or the bridge's model checks fail the fetch.
 	Options core.Options
+	// Chaos, when set, decides every datagram the pump sends — BEGIN,
+	// flow packets, END copies, NACKs — by the spec's schedule of Stream:
+	// it is sent once, dropped or sent twice (see internal/faultinject).
+	// A fault is recorded on Options.Tracer as a fault-drop or fault-dup
+	// instant. Nil sends every datagram once.
+	Chaos *faultinject.Spec
 }
 
 // Pump is the exporter side of the wire-replay harness: it owns a
@@ -51,6 +61,7 @@ type Pump struct {
 	src    *core.SyntheticSource
 	exp    *collector.Exporter
 	ctrl   *net.UDPConn
+	chaos  *faultinject.Schedule // nil without PumpConfig.Chaos
 
 	requests     atomic.Int64
 	badRequests  atomic.Int64
@@ -74,14 +85,26 @@ func NewPump(cfg PumpConfig) (*Pump, error) {
 		exp.Close()
 		return nil, fmt.Errorf("replay: listen pump control: %w", err)
 	}
-	return &Pump{
+	p := &Pump{
 		format: cfg.Format,
 		stream: cfg.Stream,
 		src:    core.NewSyntheticSource(cfg.Options),
 		exp:    exp,
 		ctrl:   ctrl,
 		done:   make(chan struct{}),
-	}, nil
+	}
+	if cfg.Chaos != nil {
+		p.chaos = cfg.Chaos.Schedule(cfg.Stream)
+		tracer := cfg.Options.Tracer
+		exp.SetCopies(func() int {
+			copies, fault := p.chaos.Next()
+			if fault != "" && tracer != nil {
+				tracer.Instant(fault, "chaos", map[string]any{"stream": cfg.Stream})
+			}
+			return copies
+		})
+	}
+	return p, nil
 }
 
 // CtrlAddr returns the address the pump receives key requests on.
@@ -89,13 +112,17 @@ func (p *Pump) CtrlAddr() string { return p.ctrl.LocalAddr().String() }
 
 // Stats returns a snapshot of the pump's counters.
 func (p *Pump) Stats() PumpStats {
-	return PumpStats{
+	s := PumpStats{
 		Requests:     p.requests.Load(),
 		BadRequests:  p.badRequests.Load(),
 		Nacks:        p.nacks.Load(),
 		ExportErrors: p.exportErrors.Load(),
 		RowsSent:     p.rowsSent.Load(),
 	}
+	if p.chaos != nil {
+		s.Chaos = p.chaos.Counts()
+	}
+	return s
 }
 
 // Run serves key requests until ctx is cancelled or Close is called. The

@@ -201,9 +201,9 @@ func TestBridgeSnapshotConsistentUnderFetches(t *testing.T) {
 		fetchers.Add(1)
 		go func() {
 			defer fetchers.Done()
-			for h := 0; h < 6; h++ {
-				if _, err := br.FlowBatch(vp, testDay.Add(time.Duration(h)*time.Hour)); err != nil {
-					t.Errorf("%s hour %d: %v", vp, h, err)
+			for d := 0; d < 6; d++ {
+				if _, err := br.FlowBatch(vp, testDay.AddDate(0, 0, d)); err != nil {
+					t.Errorf("%s day %d: %v", vp, d, err)
 					return
 				}
 			}

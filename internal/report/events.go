@@ -10,7 +10,7 @@ import (
 // WriteEvents renders structured run events as the human stderr summary.
 // Every accounting line the CLI prints after a run — the dataset-cache
 // totals, the flow-batch tier activity, wire bridge/pump stats, cluster
-// shard status, rebalances and chaos relay counts — flows through here
+// shard status, rebalances and the pumps' chaos counts — flows through here
 // from one []obs.Event that is also Emit'd to the tracer, so the
 // terminal and the trace file can never disagree.
 //
