@@ -85,9 +85,9 @@
 // `replay` and `cluster` run the same suite as `all`, but every flow batch
 // travels a real UDP wire first, the way the paper's measurement did: the
 // vantage points are partitioned over supervised pumps, each exporting its
-// flow batches as NetFlow v9 or IPFIX packets under its own stream
-// identity, and one bridge decodes and demuxes them per stream and checks
-// each bucket — its digest, its row count and one hour against its own
+// flow batches as NetFlow v9 or IPFIX packets to a bridge socket of its
+// own, and one bridge decodes each stream's datagrams and checks each
+// bucket — its digest, its row count and one hour against its own
 // model — before the engine consumes it (see internal/cluster and
 // internal/replay). They are one code path: `replay` is the cluster at one
 // shard per vantage point, `cluster` adds the shard count and fault
@@ -499,8 +499,8 @@ func runWire(ctx context.Context, o *options) error {
 	if err := c.Start(ctx); err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wire: %v bridge on %s, %d pump shards\n", spec.Format, c.Bridge().DataAddr(), spec.Shards)
-	if spec.Chaos != nil {
+	fmt.Fprintf(os.Stderr, "wire: %v bridge, %d pump shards\n", spec.Format, spec.Shards)
+	if spec.Chaos != nil && spec.Chaos.Active() {
 		fmt.Fprintf(os.Stderr, "wire: chaos active: %s\n", spec.Chaos)
 	}
 	if err := runSuite(ctx, core.NewEngineWithSource(o.core, c.Source()), o); err != nil {

@@ -459,6 +459,25 @@ func TestReplayPumpMatchesBridge(t *testing.T) {
 	}
 }
 
+// TestChaosLineOnlyWhenActive: a chaos spec that injects nothing — a seed
+// alone, or an empty spec — runs clean, so stderr says nothing about chaos;
+// a spec that drops datagrams says so. The wire line names the format and
+// the shard count and no address: each stream has a socket of its own.
+func TestChaosLineOnlyWhenActive(t *testing.T) {
+	for _, tc := range []struct {
+		spec   string
+		active bool
+	}{{"seed=7", false}, {"", false}, {"drop=0.01,seed=7", true}} {
+		out := string(output(t, &os.Stderr, "cluster", "-shards", "2", "-scale", "0.05", "-parallel", "2", "-chaos", tc.spec))
+		if !strings.Contains(out, "wire: ipfix bridge, 2 pump shards\n") {
+			t.Errorf("-chaos %q: no wire line naming the format and shard count in:\n%s", tc.spec, out)
+		}
+		if got := strings.Contains(out, "wire: chaos active: "); got != tc.active {
+			t.Errorf("-chaos %q: chaos-active line printed %v, want %v:\n%s", tc.spec, got, tc.active, out)
+		}
+	}
+}
+
 // flagModes names, for every flag, the modes that take it, its default,
 // another value, and who sets it outside the tests: a repo path whose text
 // passes the flag, or "why: " and the one-line reason it stays anyway. It

@@ -8,9 +8,9 @@
 //
 //	go run ./examples/collectorpipe [-format v9|ipfix]
 //
-// For the full experiment suite over the same wire (demuxed, checked
-// bucket by bucket and fed into the engine), see `lockdown replay` and
-// internal/replay.
+// For the full experiment suite over the same wire (one socket per
+// exporter, checked bucket by bucket and fed into the engine), see
+// `lockdown replay` and internal/replay.
 package main
 
 import (
@@ -35,8 +35,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Collector side: every datagram arrives undecoded, tagged with its
-	// exporter stream (a single exporter here, so the tag is ignored).
+	// Collector side: every datagram arrives undecoded, from the one
+	// exporter this socket serves.
 	col, err := collector.NewCollector(format, "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

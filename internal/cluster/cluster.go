@@ -8,12 +8,11 @@
 // `lockdown cluster -shards n` the same thing at another shard count.
 //
 // A Spec partitions the vantage points over N shards. Each shard is one
-// replay.Pump carrying the shard index as its wire stream identity
-// (IPFIX observation domain or NetFlow v9 source ID), so
-// all pumps share one bridge socket and the bridge demuxes their
-// interleaved export per stream (see internal/replay). The Cluster
-// supervisor runs each pump on a goroutine of its own, wires every stream
-// to the bridge, and aggregates the per-shard accounting.
+// replay.Pump serving the stream of the shard's index, and a stream is a
+// socket: each pump exports to a bridge data socket of its own, as each
+// of the paper's exporters has a feed of its own (see internal/replay).
+// The Cluster supervisor runs each pump on a goroutine of its own, wires
+// every stream to the bridge, and aggregates the per-shard accounting.
 //
 // A pump that stops while the cluster is live never comes back: its
 // shard is dead, and its vantage points are re-partitioned over the
@@ -137,7 +136,7 @@ type ShardStatus struct {
 }
 
 // Stats aggregates what a cluster observed: the bridge totals, the
-// per-stream demux accounting, each shard's status, the rebalance log,
+// per-stream accounting, each shard's status, the rebalance log,
 // and, when a fault schedule is active, the pumps' fault counters summed
 // (each shard's own are in its ShardStatus.Pump.Chaos).
 type Stats struct {
@@ -202,8 +201,8 @@ type Cluster struct {
 	closeErr  error
 }
 
-// New validates the spec and opens the bridge socket. No pumps run until
-// Start.
+// New validates the spec and opens the bridge (with stream 0's data
+// socket). No pumps run until Start.
 func New(spec Spec) (*Cluster, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -273,14 +272,11 @@ func (c *Cluster) Partition() map[synth.VantagePoint]int {
 	return out
 }
 
-// Bridge returns the cluster's bridge (stats, stream accounting).
-func (c *Cluster) Bridge() *replay.Bridge { return c.bridge }
-
 // Source returns the cluster as a flow source for an engine.
 func (c *Cluster) Source() core.FlowSource { return c.bridge }
 
-// Start launches every pump, hands it to its supervisor, connects its
-// stream to the bridge and starts the bridge's demux. A shard that cannot
+// Start starts the bridge, launches every pump, hands it to its
+// supervisor and connects its stream to the bridge. A shard that cannot
 // start fails the whole cluster. Start also anchors the kill schedule's
 // t+0.
 func (c *Cluster) Start(ctx context.Context) error {
@@ -302,13 +298,17 @@ func (c *Cluster) Start(ctx context.Context) error {
 	return nil
 }
 
-// bringUp launches the shard's pump, exporting to the bridge's collector
-// socket under the shard's stream identity and the cluster's fault
-// schedule, and arms its chaos kill.
+// bringUp launches the shard's pump, exporting to its stream's data
+// socket on the bridge under the cluster's fault schedule, and arms its
+// chaos kill.
 func (c *Cluster) bringUp(sh *shard) (*replay.Pump, error) {
+	addr, err := c.bridge.StreamAddr(uint32(sh.id))
+	if err != nil {
+		return nil, err
+	}
 	pump, err := replay.NewPump(replay.PumpConfig{
 		Format:   c.spec.Format,
-		DataAddr: c.bridge.DataAddr(),
+		DataAddr: addr,
 		Stream:   uint32(sh.id),
 		Options:  c.spec.Options,
 		Chaos:    c.chaos,

@@ -7,18 +7,16 @@
 //
 // A Collector receives and does not decode. It has one delivery channel:
 // every datagram arrives on Tagged() as a Datagram, its bytes in a pooled
-// buffer together with the stream identity carried in its header (IPFIX
-// observation domain or NetFlow v9 source ID), which is what lets one
-// collector socket demux the interleaved export of several pumps; a
-// consumer with a single exporter ignores the field. A datagram
-// that does not start with the format's export header (too short,
-// another version, a length field that does not match) is reported on
-// Errors() and not delivered. The consumer decodes with a Decoder
-// (NewDecoder) into a batch of the columns it wants, and returns the
-// datagram with Release, which keeps the receive loop allocation-free.
+// buffer. A collector is one socket, and a consumer that keeps exporters
+// apart gives each one of its own (the wire-replay bridge opens one per
+// pump). A datagram that does not start with the format's export header
+// (too short, another version, a length field that does not match) is
+// reported on Errors() and not delivered. The consumer decodes with a
+// Decoder (NewDecoder) into a batch of the columns it wants, and returns
+// the datagram with Release, which keeps the receive loop allocation-free.
 //
 // Datagrams prefixed with ControlMagic are not flow export: they are
-// delivered verbatim on the same channel, with Control set and Stream 0.
+// delivered verbatim on the same channel, with Control set.
 // In-band protocols (the wire-replay harness in package replay) thereby
 // see their control frames in datagram order with the data packets
 // around them.
@@ -111,12 +109,10 @@ func (f Format) framing() (*tmpl.Framing, error) {
 	}
 }
 
-// Datagram is one received datagram: its bytes and the exporter stream
-// its header names, or a control datagram (ControlMagic), with Control
-// set and Stream 0. Datagrams come from a pool: Release hands one back
-// once its bytes are decoded or parsed.
+// Datagram is one received datagram: its bytes, and whether it is a
+// control datagram (ControlMagic). Datagrams come from a pool: Release
+// hands one back once its bytes are decoded or parsed.
 type Datagram struct {
-	Stream  uint32
 	Control bool
 	Data    []byte
 }
@@ -126,9 +122,9 @@ type Datagram struct {
 var datagramPool = sync.Pool{New: func() any { return new(Datagram) }}
 
 // newDatagram is a pooled datagram holding a copy of pkt.
-func newDatagram(stream uint32, control bool, pkt []byte) *Datagram {
+func newDatagram(control bool, pkt []byte) *Datagram {
 	d := datagramPool.Get().(*Datagram)
-	d.Stream, d.Control = stream, control
+	d.Control = control
 	d.Data = append(d.Data[:0], pkt...)
 	return d
 }
@@ -213,8 +209,8 @@ func NewCollector(format Format, addr string) (*Collector, error) {
 func (c *Collector) Addr() string { return c.conn.LocalAddr().String() }
 
 // Tagged returns the channel every datagram is delivered on, in arrival
-// order: export datagrams with their stream identity, and control
-// datagrams (plain flow export never produces any). The channel is closed
+// order: export datagrams, and control datagrams tagged as such (plain
+// flow export never produces any). The channel is closed
 // when the collector stops. Release each datagram once it is consumed.
 func (c *Collector) Tagged() <-chan *Datagram { return c.tagged }
 
@@ -271,19 +267,18 @@ func (c *Collector) Run(ctx context.Context) {
 		var d *Datagram
 		if n >= len(ControlMagic) && string(pkt[:len(ControlMagic)]) == ControlMagic {
 			// Replay control packet: delivered verbatim.
-			d = newDatagram(0, true, pkt)
+			d = newDatagram(true, pkt)
 			if m := c.metrics.Load(); m != nil {
 				m.ctrl.Add(1)
 			}
 		} else {
 			// Only the header is checked here; the consumer decodes. A
-			// packet whose header is rejected never reaches the channel,
-			// so a garbage tag cannot either.
+			// packet whose header is rejected never reaches the channel.
 			if err := c.framing.CheckHeader(pkt); err != nil {
 				c.reportErr(err)
 				continue
 			}
-			d = newDatagram(c.framing.StreamID(pkt), false, pkt)
+			d = newDatagram(false, pkt)
 		}
 		select {
 		case c.tagged <- d:
@@ -347,8 +342,8 @@ func NewExporter(format Format, addr string) (*Exporter, error) {
 
 // NewStreamExporter is NewExporter with an explicit stream identity,
 // stamped into every packet header as the IPFIX observation domain or
-// NetFlow v9 source ID. The collector recovers the identity per datagram,
-// which is what lets several exporters share one collector socket.
+// NetFlow v9 source ID, which scopes the exporter's templates in a
+// decoder's cache.
 func NewStreamExporter(format Format, addr string, stream uint32) (*Exporter, error) {
 	f, err := format.framing()
 	if err != nil {
@@ -430,7 +425,7 @@ func (e *Exporter) send(pkt []byte) error {
 func (e *Exporter) Close() error { return e.conn.Close() }
 
 // CollectBatch gathers up to want rows from the collector into one
-// full-width batch, whatever their stream, waiting at most timeout;
+// full-width batch, waiting at most timeout;
 // control datagrams and datagrams that fail to decode are skipped. It is
 // a convenience for tests and examples. Rows beyond want in the final
 // datagram are dropped, so the result never exceeds want.

@@ -15,8 +15,8 @@
 // one atomic add, a Histogram Observe is a bounds scan plus two atomic
 // ops, and a Span on a nil Tracer is a time.Now pair. None of them
 // allocate — asserted by testing.AllocsPerRun in this package and pinned
-// by the benchgate gates on the instrumented hot paths (bridge demux,
-// segment write/fault, codec batches). A nil *Registry hands out fully
+// by the benchgate gates on the instrumented hot paths (the bridge's
+// multi-stream fetches, codec batches). A nil *Registry hands out fully
 // functional standalone instruments, so construction sites never branch
 // on "is observability on".
 package obs

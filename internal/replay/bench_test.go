@@ -10,12 +10,14 @@ import (
 	"lockdown/internal/synth"
 )
 
-// BenchmarkBridgeDemux measures the bridge's demux throughput: three
-// pumps stream one bucket each per iteration, concurrently, through one
-// bridge socket. The per-op work is fixed (the same three day buckets
-// every iteration, each checked against an hour drawn per fetch since
-// the bridge does not cache), so allocs/op is a stable gate for the demux
-// path — cmd/benchgate holds it against the baseline in CI.
+// BenchmarkBridgeDemux measures three streams side by side: three pumps
+// stream one bucket each per iteration, concurrently, each to its stream's
+// data socket, and the bridge collects the three at once. (The kernel
+// demuxes the streams; the name stays with its gate.) The per-op
+// work is fixed (the same three day buckets every iteration, each checked
+// against an hour drawn per fetch since the bridge does not cache), so
+// allocs/op is a stable gate for the multi-stream path — cmd/benchgate
+// holds it against the baseline in CI.
 func BenchmarkBridgeDemux(b *testing.B) {
 	opts := core.Options{FlowScale: 0.1}
 	br, _ := newShardedHarness(b, collector.FormatIPFIX, opts, 3)

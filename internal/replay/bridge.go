@@ -23,14 +23,17 @@ const DefaultAttemptTimeout = 5 * time.Second
 // timeouts: a zero Config.FetchBudget is this many AttemptTimeouts.
 const defaultBudgetAttempts = 4
 
-// readBuffer is the receive buffer the data socket asks for. Linux caps
-// the request at net.core.rmem_max (4 MiB on the 2-core Linux box where
-// the loss below was measured) and doubles it for its own accounting. That
-// holds the day buckets of -scale 2 but not two of -scale 8 in flight
-// at once (a flows/ day there is up to 104 datagrams, ~6.8 MB): the
-// kernel then drops datagrams (Udp RcvbufErrors in /proc/net/snmp) and
-// the bridge retries the day. Loss is detected and retried, so the size
-// sets how often that happens, not whether output is correct.
+// readBuffer is the receive buffer each stream's data socket asks for.
+// Linux caps the request at net.core.rmem_max (4 MiB on the 2-core Linux
+// box the numbers here were measured on) and doubles it for its own
+// accounting. A socket carries one stream, and a stream one bucket at a
+// time, which its fetch drains as it arrives: the largest bucket the suite
+// draws, a -scale 8 flows/ day of 104 datagrams (~6.8 MB), is not dropped
+// there. (When every stream shared one socket, two such buckets in flight
+// overflowed it: the kernel dropped datagrams, counted as Udp
+// RcvbufErrors in /proc/net/snmp, and the bridge retried the days.) Loss
+// is detected and retried, so the size sets how often that happens, not
+// whether output is correct.
 const readBuffer = 4 << 20
 
 // Route maps a flow key to the stream (pump) that serves it. The
@@ -62,15 +65,15 @@ type Config struct {
 }
 
 // Stats counts what a bridge observed. All fields are cumulative; the
-// aggregate Stats() sums every stream plus traffic attributable to none.
+// aggregate Stats() sums every stream plus the bridge-wide frame and
+// decode failures.
 type Stats struct {
 	Keys         int64 // buckets fetched successfully
 	Rows         int64 // rows served to the engine
 	Retries      int64 // re-requested buckets (loss, timeout or overrun)
 	LostRows     int64 // rows missing from abandoned attempts
 	OrphanRows   int64 // rows received outside any accepted bucket
-	InboxDrops   int64 // rows dropped at a full stream inbox (stalled consumer; the bucket's shortfall shows up in LostRows)
-	StaleFrames  int64 // control frames of an abandoned generation, an unknown stream, or a full inbox
+	StaleFrames  int64 // control frames of an abandoned generation
 	BadFrames    int64 // control frames that failed to parse
 	DecodeErrors int64 // malformed flow datagrams: headers the collector rejected, records a decoder rejected
 }
@@ -81,36 +84,14 @@ func (s *Stats) add(o Stats) {
 	s.Retries += o.Retries
 	s.LostRows += o.LostRows
 	s.OrphanRows += o.OrphanRows
-	s.InboxDrops += o.InboxDrops
 	s.StaleFrames += o.StaleFrames
 	s.BadFrames += o.BadFrames
 	s.DecodeErrors += o.DecodeErrors
 }
 
-// inboxSize is a stream inbox's capacity in datagrams. A bucket is its
-// BEGIN frame, a day's flow datagrams and three END frames; a NetFlow v9
-// or IPFIX message fills a UDP datagram, so the largest bucket the suite
-// draws is 104 flow datagrams at -scale 8, 108 datagrams in all. The
-// inbox holds many such buckets: the slack is for a consumer that falls
-// behind a burst, or a stale attempt's datagrams still arriving. The
-// demux goroutine never blocks on a stream (a stalled consumer must not
-// stall the other streams), so a full inbox drops like the wire does —
-// the fetch detects the shortfall and re-requests. A slot is two
-// pointers; what the queued datagrams hold is bounded by the one bucket
-// in flight per stream.
-const inboxSize = 8192
-
-// inboxItem is one datagram of a stream, in arrival order: a parsed
-// control frame or an undecoded flow datagram. Both are pointers, so a
-// full inbox holds two words a slot.
-type inboxItem struct {
-	frame *ctrlFrame
-	pkt   *collector.Datagram
-}
-
-// rowCounter decodes the flow datagrams nobody keeps — orphans, inbox
-// drops — only to count their rows, into a scratch batch of the one
-// cheapest column. It is not safe for concurrent use.
+// rowCounter decodes the flow datagrams nobody keeps, the orphans, only
+// to count their rows, into a scratch batch of the one cheapest column. It
+// is not safe for concurrent use.
 type rowCounter struct {
 	decode  collector.Decoder
 	scratch *flowrec.Batch
@@ -131,11 +112,15 @@ func (c rowCounter) rows(pkt []byte, errs *obs.Counter) int64 {
 	return int64(n)
 }
 
-// stream is the per-pump demux state of a bridge: the request socket,
-// the generation counter, the inbox the demux goroutine routes the
-// stream's datagrams into, and the stream's accounting.
+// stream is one pump's side of a bridge: its data socket, the request
+// socket, the generation counter and the stream's accounting.
 type stream struct {
 	id uint32
+
+	// col is the stream's data socket: the pump exports its flow packets
+	// and control frames there, so everything it delivers is this
+	// stream's, in the order it arrived.
+	col *collector.Collector
 
 	// fetchMu serialises fetches on this stream — one bucket in flight
 	// per stream keeps the packet→bucket attribution unambiguous without
@@ -144,9 +129,7 @@ type stream struct {
 	fetchMu sync.Mutex
 	gen     uint32
 
-	req *net.UDPConn // set at ConnectStream, never replaced
-
-	inbox chan inboxItem
+	req *net.UDPConn // set at ConnectStream (under the bridge lock), never replaced
 
 	// decode fills the stream's buckets straight from its datagrams,
 	// orphans counts the rows of those that belong to none, and timer
@@ -165,11 +148,10 @@ type stream struct {
 	retries     *obs.Counter
 	lostRows    *obs.Counter
 	orphanRows  *obs.Counter
-	inboxDrops  *obs.Counter
 	staleFrames *obs.Counter
 }
 
-func newStream(id uint32, req *net.UDPConn, col *collector.Collector, reg *obs.Registry) *stream {
+func newStream(id uint32, col *collector.Collector, reg *obs.Registry) *stream {
 	lv := fmt.Sprintf("%d", id)
 	vec := func(name, help string) *obs.Counter {
 		return reg.CounterVec(name, help, "stream").With(lv)
@@ -178,8 +160,7 @@ func newStream(id uint32, req *net.UDPConn, col *collector.Collector, reg *obs.R
 	timer.Stop()
 	return &stream{
 		id:      id,
-		req:     req,
-		inbox:   make(chan inboxItem, inboxSize),
+		col:     col,
 		decode:  col.NewDecoder(),
 		orphans: newRowCounter(col),
 		timer:   timer,
@@ -193,10 +174,8 @@ func newStream(id uint32, req *net.UDPConn, col *collector.Collector, reg *obs.R
 			"Rows missing from abandoned fetch attempts."),
 		orphanRows: vec("lockdown_bridge_orphan_rows_total",
 			"Rows received outside any accepted bucket."),
-		inboxDrops: vec("lockdown_bridge_inbox_drops_total",
-			"Rows dropped at a full stream inbox (stalled consumer)."),
 		staleFrames: vec("lockdown_bridge_stale_frames_total",
-			"Control frames of an abandoned generation or a full inbox."),
+			"Control frames of an abandoned generation."),
 	}
 }
 
@@ -207,7 +186,6 @@ func (st *stream) stats() Stats {
 		Retries:     st.retries.Value(),
 		LostRows:    st.lostRows.Value(),
 		OrphanRows:  st.orphanRows.Value(),
-		InboxDrops:  st.inboxDrops.Value(),
 		StaleFrames: st.staleFrames.Value(),
 	}
 }
@@ -216,43 +194,39 @@ func (st *stream) stats() Stats {
 // core.FlowSource that serves a run's flow batches off live NetFlow/IPFIX
 // export. For each key a run's read plan asks for, once per run, it
 // routes the key to the stream serving it, requests it from that stream's
-// pump, demuxes the announced bucket out of its stream's datagrams,
-// decoding each straight into the bucket's columns, checks the bucket —
+// pump, reads the announced bucket off the stream's data socket, decoding
+// each datagram straight into the bucket's columns, checks the bucket —
 // its digest against the one the pump announced, its row count and one
 // hour of its rows against its own model, which never draws the day — and
 // returns the wire batch. Buckets hit by datagram loss or damage are
 // re-requested; everything observed on the way is accounted per stream in
 // Stats.
 //
-// Demux is by exporter stream identity: the collector tags every
-// datagram with the stream carried in its header, a single demux
-// goroutine routes flow datagrams and control frames into one inbox per
-// stream in datagram order, undecoded, and each stream runs its bucket
-// state machine independently. One bucket is in flight per stream (a
-// second fetch waits on the stream's fetch mutex); with K connected
-// streams, K buckets stream concurrently.
+// A stream is a socket: each pump exports to a data socket of its own
+// (DataAddr for stream 0, StreamAddr for any other), so the kernel sorts
+// the pumps' datagrams apart and each stream runs its bucket state
+// machine on its own collector, in datagram order. One bucket is in
+// flight per stream (a second fetch waits on the stream's fetch mutex);
+// with K connected streams, K buckets stream concurrently.
 type Bridge struct {
 	cfg    Config
 	model  *core.SyntheticSource // hour counts and one hour a key, never a day
-	col    *collector.Collector
 	tracer *obs.Tracer
 
 	mu      sync.Mutex
-	streams map[uint32]*stream
-	closed  bool // demux exited; stream inboxes are closed
+	streams map[uint32]*stream // every stream with a data socket
+	ctx     context.Context    // Start's; nil before it
 
-	// Traffic attributable to no registered stream, plus collector-level
-	// accounting.
+	// Bridge-wide accounting: frames and datagrams that failed to parse,
+	// whatever stream's socket they arrived on.
 	badFrames    *obs.Counter
-	staleFrames  *obs.Counter
-	orphanRows   *obs.Counter
 	decodeErrors *obs.Counter
 
 	closeOnce sync.Once
 }
 
-// NewBridge opens the bridge's data socket on an ephemeral loopback port
-// (the pumps learn it from DataAddr). Connect at least one pump
+// NewBridge opens stream 0's data socket on an ephemeral loopback port
+// (its pump learns it from DataAddr). Connect at least one pump
 // (ConnectPump or ConnectStream) and call Start before using it as a
 // FlowSource.
 func NewBridge(cfg Config) (*Bridge, error) {
@@ -262,33 +236,63 @@ func NewBridge(cfg Config) (*Bridge, error) {
 	if cfg.FetchBudget <= 0 {
 		cfg.FetchBudget = defaultBudgetAttempts * cfg.AttemptTimeout
 	}
-	col, err := collector.NewCollector(cfg.Format, "127.0.0.1:0")
+	reg := cfg.Options.Obs
+	b := &Bridge{
+		cfg:    cfg,
+		model:  core.NewSyntheticSource(cfg.Options),
+		tracer: cfg.Options.Tracer,
+		badFrames: reg.Counter("lockdown_bridge_bad_frames_total",
+			"Control frames that failed to parse."),
+		decodeErrors: reg.Counter("lockdown_bridge_decode_errors_total",
+			"Malformed flow datagrams: headers the collector rejected, records a decoder rejected."),
+		streams: make(map[uint32]*stream),
+	}
+	if _, err := b.open(0); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// DataAddr returns the address stream 0's pump exports to: the data
+// socket of the one-pump topology.
+func (b *Bridge) DataAddr() string {
+	addr, _ := b.StreamAddr(0) // open since NewBridge: no error
+	return addr
+}
+
+// StreamAddr opens the data socket of the given stream, unless it is open
+// already, and returns its address: where the stream's pump exports its
+// flow packets and control frames.
+func (b *Bridge) StreamAddr(id uint32) (string, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	st, err := b.open(id)
+	if err != nil {
+		return "", err
+	}
+	return st.col.Addr(), nil
+}
+
+// open returns the stream of the given id, opening its data socket first
+// if it has none; a stream opened after Start starts receiving at once.
+// The caller holds b.mu (NewBridge needs no lock: no one else has b yet).
+func (b *Bridge) open(id uint32) (*stream, error) {
+	if st := b.streams[id]; st != nil {
+		return st, nil
+	}
+	col, err := collector.NewCollector(b.cfg.Format, "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
 	col.SetReadBuffer(readBuffer) // best effort; loss is detected and retried anyway
-	reg := cfg.Options.Obs
-	col.Instrument(reg)
-	return &Bridge{
-		cfg:    cfg,
-		model:  core.NewSyntheticSource(cfg.Options),
-		col:    col,
-		tracer: cfg.Options.Tracer,
-		badFrames: reg.Counter("lockdown_bridge_bad_frames_total",
-			"Control frames that failed to parse."),
-		staleFrames: reg.CounterVec("lockdown_bridge_stale_frames_total",
-			"Control frames of an abandoned generation or a full inbox.", "stream").With("none"),
-		orphanRows: reg.CounterVec("lockdown_bridge_orphan_rows_total",
-			"Rows received outside any accepted bucket.", "stream").With("none"),
-		decodeErrors: reg.Counter("lockdown_bridge_decode_errors_total",
-			"Malformed flow datagrams: headers the collector rejected, records a decoder rejected."),
-		streams: make(map[uint32]*stream),
-	}, nil
+	col.Instrument(b.cfg.Options.Obs)
+	st := newStream(id, col, b.cfg.Options.Obs)
+	b.streams[id] = st
+	if b.ctx != nil {
+		b.run(st)
+	}
+	return st, nil
 }
-
-// DataAddr returns the address flow packets must be exported to (the
-// pumps' data destination).
-func (b *Bridge) DataAddr() string { return b.col.Addr() }
 
 // ConnectPump dials a single pump as stream 0: the one-pump topology, with
 // a nil Route. The commands run one stream per shard instead (see
@@ -297,9 +301,9 @@ func (b *Bridge) DataAddr() string { return b.col.Addr() }
 func (b *Bridge) ConnectPump(addr string) error { return b.ConnectStream(0, addr) }
 
 // ConnectStream dials the request socket of the pump serving the given
-// stream and registers the stream for demux. A stream is served by one
-// pump for the bridge's life: an id that is already registered is
-// refused.
+// stream, opening the stream's data socket if StreamAddr has not. A
+// stream is served by one pump for the bridge's life: an id that is
+// already connected is refused.
 func (b *Bridge) ConnectStream(id uint32, addr string) error {
 	ua, err := net.ResolveUDPAddr("udp", addr)
 	if err != nil {
@@ -311,23 +315,27 @@ func (b *Bridge) ConnectStream(id uint32, addr string) error {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	st, err := b.open(id)
 	switch {
-	case b.closed:
+	case err != nil:
 		conn.Close()
-		return fmt.Errorf("replay: bridge is closed")
-	case b.streams[id] != nil:
+		return err
+	case st.req != nil:
 		conn.Close()
 		return fmt.Errorf("replay: stream %d is already connected", id)
 	}
-	b.streams[id] = newStream(id, conn, b.col, b.cfg.Options.Obs)
+	st.req = conn
 	return nil
 }
 
-// stream looks a registered stream up (nil if unknown).
+// stream looks a connected stream up (nil if none is).
 func (b *Bridge) stream(id uint32) *stream {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.streams[id]
+	if st := b.streams[id]; st != nil && st.req != nil {
+		return st
+	}
+	return nil
 }
 
 // route maps a key to its stream id.
@@ -338,80 +346,43 @@ func (b *Bridge) route(k core.FlowKey) uint32 {
 	return b.cfg.Route(k)
 }
 
-// Start runs the collector receive loop, the demux goroutine and the
-// decode-error drain until ctx is cancelled or Close is called.
+// Start runs every stream's collector receive loop and decode-error drain
+// until ctx is cancelled or Close is called; a stream opened later starts
+// when it opens.
 func (b *Bridge) Start(ctx context.Context) {
-	go b.col.Run(ctx)
-	go b.demux()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.ctx = ctx
+	for _, st := range b.streams {
+		b.run(st)
+	}
+}
+
+// run starts one stream's receive loop and decode-error drain. When the
+// collector stops it closes both channels: the drain ends, and a fetch
+// blocked on the stream fails fast.
+func (b *Bridge) run(st *stream) {
+	go st.col.Run(b.ctx)
 	go func() {
-		for range b.col.Errors() {
+		for range st.col.Errors() {
 			b.decodeErrors.Add(1)
 		}
 	}()
 }
 
-// demux routes the collector's datagrams, flow datagrams and control
-// frames alike, into the per-stream inboxes in the order they arrived. It
-// decodes only what it cannot hand on — a datagram of an unknown stream,
-// or one a full inbox drops — and only to count its rows. It never blocks
-// on a stream: a full inbox drops like the wire does (the fetch
-// re-requests), so one stalled stream cannot stall the others. When the
-// collector stops, every stream inbox is closed so blocked fetches fail
-// fast.
-func (b *Bridge) demux() {
-	counter := newRowCounter(b.col)
-	for d := range b.col.Tagged() {
-		if d.Control {
-			f, err := parseCtrl(d.Data)
-			d.Release()
-			if err != nil {
-				b.badFrames.Add(1)
-				continue
-			}
-			st := b.stream(f.stream)
-			if st == nil {
-				b.staleFrames.Add(1)
-				continue
-			}
-			select {
-			case st.inbox <- inboxItem{frame: &f}:
-			default:
-				st.staleFrames.Add(1)
-			}
-			continue
-		}
-		st := b.stream(d.Stream)
-		if st == nil {
-			b.orphanRows.Add(counter.rows(d.Data, b.decodeErrors))
-			d.Release()
-			continue
-		}
-		select {
-		case st.inbox <- inboxItem{pkt: d}:
-		default:
-			// Not orphans (the rows may belong to an accepted bucket,
-			// whose shortfall the fetch accounts as lost) — a dedicated
-			// counter avoids double-booking them.
-			st.inboxDrops.Add(counter.rows(d.Data, b.decodeErrors))
-			d.Release()
-		}
-	}
-	b.mu.Lock()
-	b.closed = true
-	for _, st := range b.streams {
-		close(st.inbox)
-	}
-	b.mu.Unlock()
-}
-
 // Close stops the bridge and releases its sockets.
 func (b *Bridge) Close() error {
-	err := b.col.Close()
+	var err error
 	b.closeOnce.Do(func() {
 		b.mu.Lock()
 		defer b.mu.Unlock()
 		for _, st := range b.streams {
-			st.req.Close()
+			if cerr := st.col.Close(); err == nil {
+				err = cerr
+			}
+			if st.req != nil {
+				st.req.Close()
+			}
 		}
 	})
 	return err
@@ -419,8 +390,8 @@ func (b *Bridge) Close() error {
 
 // Snapshot is one consistent reading of the bridge's accounting: the
 // per-stream counters keyed by stream id, and the aggregate derived from
-// those same readings plus the traffic attributable to no stream
-// (collector-level bad frames and decode errors). Because Total is summed
+// those same readings plus the bridge-wide bad frames and decode errors.
+// Because Total is summed
 // from Streams rather than read separately, no stream can ever exceed it.
 type Snapshot struct {
 	Total   Stats
@@ -431,8 +402,6 @@ type Snapshot struct {
 // the bridge lock.
 func (b *Bridge) Snapshot() Snapshot {
 	snap := Snapshot{Total: Stats{
-		OrphanRows:   b.orphanRows.Value(),
-		StaleFrames:  b.staleFrames.Value(),
 		BadFrames:    b.badFrames.Value(),
 		DecodeErrors: b.decodeErrors.Value(),
 	}}
@@ -448,7 +417,7 @@ func (b *Bridge) Snapshot() Snapshot {
 }
 
 // Stats returns the bridge's counters aggregated over all streams plus
-// traffic attributable to none (Snapshot().Total).
+// the bridge-wide ones (Snapshot().Total).
 func (b *Bridge) Stats() Stats { return b.Snapshot().Total }
 
 // FlowBatch implements core.FlowSource: the UTC day t falls in.
@@ -632,7 +601,7 @@ func (b *Bridge) fetchFromStream(st *stream, k core.FlowKey, want bucketCheck, d
 		}
 		*attempts++
 		st.gen++
-		if _, err := st.req.Write(encodeRequest(st.id, st.gen, k)); err != nil {
+		if _, err := st.req.Write(encodeRequest(st.gen, k)); err != nil {
 			lastErr = fmt.Errorf("%w: %w", errNoAnswer, err)
 			if b.routeMoved(k, st.id) {
 				return nil, lastErr
@@ -670,11 +639,12 @@ func (b *Bridge) routeMoved(k core.FlowKey, id uint32) bool {
 	return b.cfg.Route != nil && b.route(k) != id
 }
 
-// collect gathers one announced bucket from the stream's inbox, which
-// holds the stream's datagrams in the order they arrived. The pump serves
-// one request at a time, so everything of an earlier generation comes
-// before this generation's BEGIN, and the state machine is a straight
-// line: data before BEGIN belongs to no accepted bucket and is orphaned
+// collect gathers one announced bucket off the stream's data socket, whose
+// collector delivers the stream's datagrams, flow packets and control
+// frames alike, in the order they arrived. The pump serves one request at
+// a time, so everything of an earlier generation comes before this
+// generation's BEGIN, and the state machine is a straight line: data
+// before BEGIN belongs to no accepted bucket and is orphaned
 // at once (leftovers of a failed attempt, or rows reordered in front of
 // BEGIN, which then cost a retry); the bucket completes on row count; and
 // this generation's END with rows still missing is loss, decided on the
@@ -712,10 +682,10 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 	begun := false    // BEGIN seen, announcing the expected rows
 	var digest uint32 // the digest BEGIN announced
 	for !begun || out.Len() < expected {
-		var it inboxItem
+		var pkt *collector.Datagram
 		var ok bool
 		select {
-		case it, ok = <-st.inbox:
+		case pkt, ok = <-st.col.Tagged():
 			if !ok {
 				return nil, fatalf("collector closed")
 			}
@@ -725,7 +695,7 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 			}
 			return nil, fmt.Errorf("%w: timed out after %v with %d of %d rows", errNoAnswer, timeout, out.Len(), expected)
 		}
-		if pkt := it.pkt; pkt != nil {
+		if !pkt.Control {
 			if !begun {
 				st.orphanRows.Add(st.orphans.rows(pkt.Data, b.decodeErrors))
 				pkt.Release()
@@ -746,7 +716,12 @@ func (b *Bridge) collect(st *stream, gen uint32, k core.FlowKey, expected int, d
 			}
 			continue
 		}
-		f := it.frame
+		f, perr := parseCtrl(pkt.Data)
+		pkt.Release()
+		if perr != nil {
+			b.badFrames.Add(1)
+			continue
+		}
 		if f.gen != gen || f.key != k {
 			if f.typ != frameEnd {
 				st.staleFrames.Add(1)

@@ -149,8 +149,8 @@ func TestPumpChaosDuplicateAll(t *testing.T) {
 			t.Fatalf("datagram %d: the second copy differs from the first", i)
 		}
 		if i == 0 {
-			if f, err := parseCtrl(first); err != nil || f.typ != frameBegin || f.stream != 3 {
-				t.Fatalf("first datagram is not stream 3's BEGIN: %+v, %v", f, err)
+			if f, err := parseCtrl(first); err != nil || f.typ != frameBegin || f.gen != 1 {
+				t.Fatalf("first datagram is not generation 1's BEGIN: %+v, %v", f, err)
 			}
 		}
 	}

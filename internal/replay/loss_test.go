@@ -15,11 +15,10 @@ import (
 	"lockdown/internal/flowrec"
 	"lockdown/internal/ipfix"
 	"lockdown/internal/synth"
-	"lockdown/internal/tmpl"
 )
 
 // lossyRelay is a UDP transport with injected loss: it forwards every
-// datagram a pump sends to the bridge's data socket, except the ones the
+// datagram a pump sends to its stream's data socket, except the ones the
 // drop policy selects. Dropped flow packets are decoded (each IPFIX
 // message carries its template, so they are self-contained) to record
 // exactly how many rows the wire lost — which is what the bridge's loss
@@ -40,9 +39,9 @@ func newLossyRelay(t *testing.T, dstAddr string, drop func(pkt []byte) bool) *lo
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bridge's receive buffer: a pump sends a
-	// bucket of up to 65 507-byte messages in one burst, which a default
-	// buffer of ~200 KB does not hold for three pumps.
+	// The bridge's receive buffer: a pump sends a bucket of up to 65
+	// 507-byte messages in one burst, which a default buffer of ~200 KB
+	// does not hold.
 	ln.SetReadBuffer(readBuffer)
 	ua, err := net.ResolveUDPAddr("udp", dstAddr)
 	if err != nil {
@@ -151,9 +150,9 @@ func newMangleRelay(t *testing.T, dstAddr string, mangle func(pkt []byte) [][]by
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The bridge's receive buffer: a pump sends a
-	// bucket of up to 65 507-byte messages in one burst, which a default
-	// buffer of ~200 KB does not hold for three pumps.
+	// The bridge's receive buffer: a pump sends a bucket of up to 65
+	// 507-byte messages in one burst, which a default buffer of ~200 KB
+	// does not hold.
 	ln.SetReadBuffer(readBuffer)
 	ua, err := net.ResolveUDPAddr("udp", dstAddr)
 	if err != nil {
@@ -370,11 +369,12 @@ func TestBridgeToleratesDroppedEnd(t *testing.T) {
 	}
 }
 
-// TestBridgeSurvivesDroppedNack wires the bridge to request stream 1
-// from a pump that owns stream 0, so every request draws a
-// stream-mismatch NACK — and drops the first one. The bridge must ride
-// the lost NACK out as a timed-out attempt, retry, and fail fast and
-// fatally on the second NACK with the pump's diagnosis intact.
+// TestBridgeSurvivesDroppedNack serves stream 1 from a pump whose model
+// has no components, so it answers every request with a NACK, and drops
+// the first NACK in a relay in front of stream 1's data socket. The
+// bridge must ride the lost NACK out as a timed-out attempt, retry, and
+// fail fast and fatally on the second NACK with the pump's diagnosis
+// intact.
 func TestBridgeSurvivesDroppedNack(t *testing.T) {
 	opts := core.Options{FlowScale: 0.05}
 	br, err := NewBridge(Config{
@@ -387,19 +387,26 @@ func TestBridgeSurvivesDroppedNack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	addr, err := br.StreamAddr(1)
+	if err != nil {
+		br.Close()
+		t.Fatal(err)
+	}
 	var droppedNack atomic.Bool
-	relay := newLossyRelay(t, br.DataAddr(), func(pkt []byte) bool {
+	relay := newLossyRelay(t, addr, func(pkt []byte) bool {
 		if isCtrl(pkt) && frameType(pkt) == frameNack && !droppedNack.Load() {
 			droppedNack.Store(true)
 			return true
 		}
 		return false
 	})
+	empty := opts
+	empty.Model = func(vp synth.VantagePoint) synth.Config { return synth.Config{VP: vp} }
 	pump, err := NewPump(PumpConfig{
 		Format:   collector.FormatIPFIX,
 		DataAddr: relay.ln.LocalAddr().String(),
-		Options:  opts,
-		Stream:   0,
+		Options:  empty,
+		Stream:   1,
 	})
 	if err != nil {
 		br.Close()
@@ -415,9 +422,9 @@ func TestBridgeSurvivesDroppedNack(t *testing.T) {
 
 	_, err = br.FlowBatch(synth.ISPCE, testDay)
 	if err == nil {
-		t.Fatal("mis-wired stream fetch succeeded")
+		t.Fatal("fetch from a pump without a model succeeded")
 	}
-	if !strings.Contains(err.Error(), "reached pump of stream") {
+	if !strings.Contains(err.Error(), "has no components") {
 		t.Fatalf("error lost the pump's diagnosis: %v", err)
 	}
 	if !droppedNack.Load() {
@@ -603,11 +610,11 @@ func TestBridgeRetriesLostEndAndData(t *testing.T) {
 	}
 }
 
-// TestShardedBridgeRetriesUnderLoss runs three streams side by side behind
-// one lossy relay, each losing something else on the first attempt of every
-// bucket (odd generations; the retry of a bucket is the even one and goes
-// through clean): stream 0 a data packet, stream 1 its BEGIN frame, stream
-// 2 every END frame. Streams 0 and 1 must retry every bucket and stream 2
+// TestShardedBridgeRetriesUnderLoss runs three streams side by side, each
+// behind a lossy relay of its own and each losing something else on the
+// first attempt of every bucket (odd generations; the retry of a bucket is
+// the even one and goes through clean): stream 0 a data packet, stream 1
+// its BEGIN frame, stream 2 every END frame. Streams 0 and 1 must retry every bucket and stream 2
 // none, every batch must arrive bit-identical, and — the point of running
 // it under -race — the buckets abandoned by the failed attempts, the
 // checked hours shared by both attempts of a fetch and the pumps' export
@@ -617,35 +624,36 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 	opts := core.Options{FlowScale: multiMessageScale}
 	const shards, days = 3, 3
 	var (
-		relay   *lossyRelay
+		relays  [shards]*lossyRelay
 		gen     [shards]uint32 // generation of the bucket each stream is sending
 		dataIdx [shards]int    // data packets seen of that bucket
 	)
-	drop := func(pkt []byte) bool { // runs under the relay's lock
-		if isCtrl(pkt) {
-			f, err := parseCtrl(pkt)
-			if err != nil {
-				t.Errorf("relay saw an unparsable control frame: %v", err)
-				return false
+	drop := func(s int) func(pkt []byte) bool {
+		return func(pkt []byte) bool { // runs under stream s's relay lock
+			if isCtrl(pkt) {
+				f, err := parseCtrl(pkt)
+				if err != nil {
+					t.Errorf("relay saw an unparsable control frame: %v", err)
+					return false
+				}
+				if f.typ == frameBegin {
+					gen[s], dataIdx[s] = f.gen, 0
+				}
+				return s == 1 && f.typ == frameBegin && f.gen%2 == 1 ||
+					s == 2 && f.typ == frameEnd
 			}
-			if f.typ == frameBegin {
-				gen[f.stream], dataIdx[f.stream] = f.gen, 0
-			}
-			return f.stream == 1 && f.typ == frameBegin && f.gen%2 == 1 ||
-				f.stream == 2 && f.typ == frameEnd
+			dataIdx[s]++
+			return s == 0 && gen[s]%2 == 1 && dataIdx[s] == 2
 		}
-		s := tmpl.IPFIX.StreamID(pkt)
-		dataIdx[s]++
-		return s == 0 && gen[s]%2 == 1 && dataIdx[s] == 2
 	}
 	br, pumps := newShardedHarnessVia(t, Config{
 		Format:         collector.FormatIPFIX,
 		Options:        opts,
 		AttemptTimeout: 2 * time.Second,
 		FetchBudget:    12 * time.Second,
-	}, shards, func(bridgeAddr string) string {
-		relay = newLossyRelay(t, bridgeAddr, drop)
-		return relay.ln.LocalAddr().String()
+	}, shards, func(stream int, streamAddr string) string {
+		relays[stream] = newLossyRelay(t, streamAddr, drop(stream))
+		return relays[stream].ln.LocalAddr().String()
 	})
 
 	// One vantage point per stream (index mod shards), a few days each.
@@ -681,7 +689,7 @@ func TestShardedBridgeRetriesUnderLoss(t *testing.T) {
 	}
 	// Only stream 0 lost data packets; stream 1's unattributable first
 	// attempts count in full, as lost and as orphans.
-	if _, droppedRows := relay.stats(); per[0].LostRows != int64(droppedRows) {
+	if _, droppedRows := relays[0].stats(); per[0].LostRows != int64(droppedRows) {
 		t.Errorf("stream 0 lost %d rows, the relay dropped %d", per[0].LostRows, droppedRows)
 	}
 	if per[1].LostRows != per[1].Rows || per[1].OrphanRows != per[1].Rows {

@@ -11,40 +11,39 @@
 //     for key requests on a control socket and answers each by exporting
 //     the key's batch as real NetFlow v9 or IPFIX packets
 //     (collector.Exporter), framed by BEGIN/END control datagrams on the
-//     same socket so the receiver can demux the packet stream back into
+//     same socket so the receiver can cut the packet stream back into
 //     buckets. A v9 or IPFIX message fills one UDP datagram, so a bucket
 //     is one flow datagram unless it has thousands of rows (2 975 of the
-//     flows/ set over IPFIX). Each pump carries a stream identity on the
-//     wire — the IPFIX observation domain or NetFlow v9 source ID of its
-//     flow packets, and an explicit field of its control frames — so
-//     several pumps (one per vantage-point shard, see internal/cluster;
-//     `lockdown replay` runs one per vantage point) share one bridge.
-//   - The Bridge is a core.FlowSource backed by a collector.Collector. For
-//     each key a run reads it routes the key to the stream that serves
-//     it, requests it from that stream's pump, decodes the datagrams the
-//     demux attributes to the stream straight into the bucket's columns
-//     (each datagram once), checks the bucket (below), and hands the wire
-//     batch to the engine. Buckets of different streams are in flight
-//     concurrently; lost, damaged or timed-out buckets are re-requested
-//     and accounted per stream; rows arriving outside a bucket are counted
-//     as orphans.
+//     flows/ set over IPFIX). Several pumps (one per vantage-point shard,
+//     see internal/cluster; `lockdown replay` runs one per vantage point)
+//     serve one bridge, each as a stream of its own.
+//   - The Bridge is a core.FlowSource with one collector.Collector per
+//     stream. For each key a run reads it routes the key to the stream
+//     that serves it, requests it from that stream's pump, decodes the
+//     datagrams of the stream's data socket straight into the bucket's
+//     columns (each datagram once), checks the bucket (below), and hands
+//     the wire batch to the engine. Buckets of different streams are in
+//     flight concurrently; lost, damaged or timed-out buckets are
+//     re-requested and accounted per stream; rows arriving outside a
+//     bucket are counted as orphans.
 //
 // The protocol is deliberately minimal: one request datagram per key from
 // bridge to pump, and BEGIN / END / NACK control datagrams from pump to
 // bridge, in-band with the flow packets (prefixed with
 // collector.ControlMagic so the collector delivers them verbatim, in
-// datagram order with the flow packets). Several pumps may share one bridge socket: each pump owns a
-// stream identity that its flow packets carry in their export headers
-// (IPFIX observation domain, NetFlow v9 source ID) and its
-// control frames carry explicitly, so the bridge demuxes the interleaved
-// traffic per stream. Within one stream the bridge serialises keys — one
-// bucket in flight per stream — so flow packets need no per-bucket
-// tagging: every packet of a stream between its BEGIN and END belongs to
-// that stream's announced bucket, while other streams' buckets are in
-// flight concurrently. Retries carry a per-stream generation number in
-// their frames, and a pump answers one request at a time, so everything
-// of an abandoned attempt arrives before the retry's BEGIN and is
-// discarded, not misfiled. The bridge decides each attempt at a frame:
+// datagram order with the flow packets). A stream is a socket: each pump
+// exports to a bridge data socket of its own, as each of the paper's
+// vantage points is an exporter with a feed of its own, so the kernel
+// keeps the streams apart and no datagram names its stream. (A pump's
+// flow packets still carry its stream as the IPFIX observation domain or
+// NetFlow v9 source ID, which scopes their templates.) Within one stream
+// the bridge serialises keys — one bucket in flight per stream — so flow
+// packets need no per-bucket tagging: every packet of a stream between
+// its BEGIN and END belongs to that stream's announced bucket, while other
+// streams' buckets are in flight concurrently. Retries carry a per-stream
+// generation number in their frames, and a pump answers one request at a
+// time, so everything of an abandoned attempt arrives before the retry's
+// BEGIN and is discarded, not misfiled. The bridge decides each attempt at a frame:
 // the bucket completes on row count, and an END with rows missing (the
 // pump sends END three times) is loss, re-requested at once. Only an attempt
 // the pump never answered waits out its timeout and backs off.
@@ -104,8 +103,9 @@ const requestMagic = "LKRQ"
 // Version 2 added the stream identity to requests and control frames
 // (multi-pump demux); version 3 made a component key name a UTC day
 // instead of an hour, and version 4 every key; version 5 added the
-// bucket's digest to control frames, which BEGIN fills.
-const protocolVersion = 5
+// bucket's digest to control frames, which BEGIN fills; version 6 dropped
+// the stream identity again, since each stream has a socket of its own.
+const protocolVersion = 6
 
 // Control frame types.
 const (
@@ -157,46 +157,38 @@ func parseKey(b []byte) (core.FlowKey, []byte, error) {
 	return k, b[1+nameLen:], nil
 }
 
-// encodeRequest builds a key-request datagram. The stream names the pump
-// the bridge believes it is addressing; the pump NACKs a mismatch so a
-// mis-wired cluster (a request socket dialed to the wrong pump) fails
-// fast instead of stalling the stream's demux.
-func encodeRequest(stream, gen uint32, k core.FlowKey) []byte {
+// encodeRequest builds a key-request datagram: the attempt's generation
+// and the key.
+func encodeRequest(gen uint32, k core.FlowKey) []byte {
 	dst := make([]byte, 0, 64)
 	dst = append(dst, requestMagic...)
 	dst = append(dst, protocolVersion)
-	var u [4]byte
-	binary.BigEndian.PutUint32(u[:], stream)
-	dst = append(dst, u[:]...)
-	binary.BigEndian.PutUint32(u[:], gen)
-	dst = append(dst, u[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, gen)
 	return appendKey(dst, k)
 }
 
 // parseRequest decodes a key-request datagram.
-func parseRequest(pkt []byte) (stream, gen uint32, k core.FlowKey, err error) {
-	if len(pkt) < len(requestMagic)+1+8 || string(pkt[:len(requestMagic)]) != requestMagic {
-		return 0, 0, core.FlowKey{}, fmt.Errorf("replay: not a request datagram")
+func parseRequest(pkt []byte) (gen uint32, k core.FlowKey, err error) {
+	if len(pkt) < len(requestMagic)+1+4 || string(pkt[:len(requestMagic)]) != requestMagic {
+		return 0, core.FlowKey{}, fmt.Errorf("replay: not a request datagram")
 	}
 	if v := pkt[len(requestMagic)]; v != protocolVersion {
-		return 0, 0, core.FlowKey{}, fmt.Errorf("replay: request protocol version %d (want %d)", v, protocolVersion)
+		return 0, core.FlowKey{}, fmt.Errorf("replay: request protocol version %d (want %d)", v, protocolVersion)
 	}
-	stream = binary.BigEndian.Uint32(pkt[len(requestMagic)+1:])
-	gen = binary.BigEndian.Uint32(pkt[len(requestMagic)+5:])
-	k, rest, err := parseKey(pkt[len(requestMagic)+9:])
+	gen = binary.BigEndian.Uint32(pkt[len(requestMagic)+1:])
+	k, rest, err := parseKey(pkt[len(requestMagic)+5:])
 	if err != nil {
-		return 0, 0, core.FlowKey{}, err
+		return 0, core.FlowKey{}, err
 	}
 	if len(rest) != 0 {
-		return 0, 0, core.FlowKey{}, fmt.Errorf("replay: %d trailing bytes in request", len(rest))
+		return 0, core.FlowKey{}, fmt.Errorf("replay: %d trailing bytes in request", len(rest))
 	}
-	return stream, gen, k, nil
+	return gen, k, nil
 }
 
 // ctrlFrame is a decoded pump → bridge control datagram.
 type ctrlFrame struct {
 	typ    byte
-	stream uint32
 	gen    uint32
 	rows   int
 	digest uint32 // the bucket's flowrec.Batch.Digest (frameBegin; zero otherwise)
@@ -205,19 +197,13 @@ type ctrlFrame struct {
 }
 
 // encodeCtrl builds a control frame datagram.
-func encodeCtrl(typ byte, stream, gen uint32, rows int, digest uint32, k core.FlowKey, msg string) []byte {
+func encodeCtrl(typ byte, gen uint32, rows int, digest uint32, k core.FlowKey, msg string) []byte {
 	dst := make([]byte, 0, 96)
 	dst = append(dst, collector.ControlMagic...)
 	dst = append(dst, protocolVersion, typ)
-	var u [4]byte
-	binary.BigEndian.PutUint32(u[:], stream)
-	dst = append(dst, u[:]...)
-	binary.BigEndian.PutUint32(u[:], gen)
-	dst = append(dst, u[:]...)
-	binary.BigEndian.PutUint32(u[:], uint32(rows))
-	dst = append(dst, u[:]...)
-	binary.BigEndian.PutUint32(u[:], digest)
-	dst = append(dst, u[:]...)
+	dst = binary.BigEndian.AppendUint32(dst, gen)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(rows))
+	dst = binary.BigEndian.AppendUint32(dst, digest)
 	dst = appendKey(dst, k)
 	var l [2]byte
 	binary.BigEndian.PutUint16(l[:], uint16(len(msg)))
@@ -229,7 +215,7 @@ func encodeCtrl(typ byte, stream, gen uint32, rows int, digest uint32, k core.Fl
 // parseCtrl decodes a control frame datagram.
 func parseCtrl(pkt []byte) (ctrlFrame, error) {
 	hdr := len(collector.ControlMagic)
-	if len(pkt) < hdr+2+16 || string(pkt[:hdr]) != collector.ControlMagic {
+	if len(pkt) < hdr+2+12 || string(pkt[:hdr]) != collector.ControlMagic {
 		return ctrlFrame{}, fmt.Errorf("replay: not a control datagram")
 	}
 	if v := pkt[hdr]; v != protocolVersion {
@@ -239,11 +225,10 @@ func parseCtrl(pkt []byte) (ctrlFrame, error) {
 	if f.typ != frameBegin && f.typ != frameEnd && f.typ != frameNack {
 		return ctrlFrame{}, fmt.Errorf("replay: unknown control frame type %d", f.typ)
 	}
-	f.stream = binary.BigEndian.Uint32(pkt[hdr+2:])
-	f.gen = binary.BigEndian.Uint32(pkt[hdr+6:])
-	f.rows = int(binary.BigEndian.Uint32(pkt[hdr+10:]))
-	f.digest = binary.BigEndian.Uint32(pkt[hdr+14:])
-	key, rest, err := parseKey(pkt[hdr+18:])
+	f.gen = binary.BigEndian.Uint32(pkt[hdr+2:])
+	f.rows = int(binary.BigEndian.Uint32(pkt[hdr+6:]))
+	f.digest = binary.BigEndian.Uint32(pkt[hdr+10:])
+	key, rest, err := parseKey(pkt[hdr+14:])
 	if err != nil {
 		return ctrlFrame{}, err
 	}

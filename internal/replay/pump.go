@@ -29,12 +29,13 @@ type PumpStats struct {
 type PumpConfig struct {
 	// Format is the wire format the pump exports.
 	Format collector.Format
-	// DataAddr is the bridge's collector socket (flow packets and control
-	// frames are sent there).
+	// DataAddr is the data socket of the pump's stream on the bridge
+	// (Bridge.DataAddr for stream 0, Bridge.StreamAddr for any other):
+	// flow packets and control frames are sent there.
 	DataAddr string
-	// Stream is the pump's wire identity: the IPFIX observation domain
-	// or NetFlow v9 source ID of its flow packets, echoed in its control
-	// frames. Each pump sharing a bridge needs a distinct stream.
+	// Stream is the pump's identity: the IPFIX observation domain or
+	// NetFlow v9 source ID of its flow packets, and the key of its chaos
+	// schedule.
 	Stream uint32
 	// Options build the pump's model oracle; they must match the
 	// bridge's options or the bridge's model checks fail the fetch.
@@ -50,14 +51,13 @@ type PumpConfig struct {
 // Pump is the exporter side of the wire-replay harness: it owns a
 // synthetic model oracle and answers key requests by exporting the key's
 // batch as flow packets framed by BEGIN/END control datagrams. One Pump
-// serves one bridge (the exporter socket is dialed to the bridge's data
-// address); it is driven entirely by requests, so an idle pump costs
-// nothing. Several pumps with distinct stream identities may serve the
-// same bridge: internal/cluster runs one per vantage-point shard
-// (`lockdown replay`: one per vantage point).
+// serves one stream of a bridge (the exporter socket is dialed to the
+// stream's data socket); it is driven entirely by requests, so an idle
+// pump costs nothing. Several pumps, one a stream, may serve the same
+// bridge: internal/cluster runs one per vantage-point shard (`lockdown
+// replay`: one per vantage point).
 type Pump struct {
 	format collector.Format
-	stream uint32
 	src    *core.SyntheticSource
 	exp    *collector.Exporter
 	ctrl   *net.UDPConn
@@ -87,7 +87,6 @@ func NewPump(cfg PumpConfig) (*Pump, error) {
 	}
 	p := &Pump{
 		format: cfg.Format,
-		stream: cfg.Stream,
 		src:    core.NewSyntheticSource(cfg.Options),
 		exp:    exp,
 		ctrl:   ctrl,
@@ -146,24 +145,12 @@ func (p *Pump) Run(ctx context.Context) {
 			}
 			continue // unblocked (the select above returns) or transient
 		}
-		stream, gen, key, err := parseRequest(buf[:n])
+		gen, key, err := parseRequest(buf[:n])
 		if err != nil {
 			p.badRequests.Add(1)
 			continue
 		}
 		p.requests.Add(1)
-		if stream != p.stream {
-			// A request addressed to another stream means the cluster is
-			// mis-wired (a bridge dialed the wrong pump). NACK instead of
-			// serving: data tagged with this pump's stream would be
-			// misfiled or dropped on the bridge side anyway. The NACK
-			// echoes the *requested* stream so the bridge demux routes it
-			// back to the waiting fetch, which fails fast.
-			p.nacks.Add(1)
-			p.exp.WriteRaw(encodeCtrl(frameNack, stream, gen, 0, 0, key,
-				fmt.Sprintf("request for stream %d reached pump of stream %d", stream, p.stream)))
-			continue
-		}
 		p.serve(gen, key)
 	}
 }
@@ -189,11 +176,11 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 	b, err := p.src.Batch(key)
 	if err != nil {
 		p.nacks.Add(1)
-		p.exp.WriteRaw(encodeCtrl(frameNack, p.stream, gen, 0, 0, key, err.Error()))
+		p.exp.WriteRaw(encodeCtrl(frameNack, gen, 0, 0, key, err.Error()))
 		return
 	}
 	defer b.Release()
-	if err := p.exp.WriteRaw(encodeCtrl(frameBegin, p.stream, gen, b.Len(), b.Digest(), key, "")); err != nil {
+	if err := p.exp.WriteRaw(encodeCtrl(frameBegin, gen, b.Len(), b.Digest(), key, "")); err != nil {
 		// Same policy as the export-error path below: close the bucket
 		// (best effort) so the bridge retries via the fast
 		// END-without-BEGIN path instead of waiting out its attempt
@@ -220,7 +207,7 @@ func (p *Pump) serve(gen uint32, key core.FlowKey) {
 
 // end closes a bucket: endCopies END frames, best effort.
 func (p *Pump) end(gen uint32, key core.FlowKey, rows int) {
-	pkt := encodeCtrl(frameEnd, p.stream, gen, rows, 0, key, "")
+	pkt := encodeCtrl(frameEnd, gen, rows, 0, key, "")
 	for range endCopies {
 		p.exp.WriteRaw(pkt)
 	}

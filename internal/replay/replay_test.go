@@ -30,31 +30,32 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: core.DayOf(testDay.In(time.Local).Add(time.Nanosecond))},
 		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: core.DayOf(testDay.In(cest))},
 	}
-	// The request bytes of the first key. The layout is version 2's: version
-	// 3 made a component key a day and version 4 every key, which moved the
-	// version byte and this key's time (its day, no longer its 20:00), and
-	// version 5, which added the digest to control frames, the version byte.
-	const golden = "LKRQ\x05\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^z\x9f\x00\x06ISP-CE\x00"
-	if got := encodeRequest(3, 7, keys[0]); string(got) != golden {
+	// The request bytes of the first key: magic, version, generation, key.
+	// Version 4 made every key a day, which moved this key's time (its day,
+	// no longer its 20:00); version 5, which added the digest to control
+	// frames, moved the version byte; version 6 dropped the stream field
+	// that followed it.
+	const golden = "LKRQ\x06\x00\x00\x00\a\x00\x00\x00\x00\x00^z\x9f\x00\x06ISP-CE\x00"
+	if got := encodeRequest(7, keys[0]); string(got) != golden {
 		t.Fatalf("request encoding drifted:\n got %q\nwant %q", got, golden)
 	}
-	if keys[3] != keys[0] || string(encodeRequest(3, 7, keys[3])) != golden {
+	if keys[3] != keys[0] || string(encodeRequest(7, keys[3])) != golden {
 		t.Fatalf("a key built at 23:59 at +02:00 is %v, want %v", keys[3], keys[0])
 	}
 	for _, k := range keys {
-		stream, gen, got, err := parseRequest(encodeRequest(3, 7, k))
+		gen, got, err := parseRequest(encodeRequest(7, k))
 		if err != nil {
 			t.Fatalf("parseRequest(%v): %v", k, err)
 		}
-		if stream != 3 || gen != 7 || got != k {
-			t.Fatalf("request round trip: got stream=%d gen=%d key=%v, want stream=3 gen=7 key=%v", stream, gen, got, k)
+		if gen != 7 || got != k {
+			t.Fatalf("request round trip: got gen=%d key=%v, want gen=7 key=%v", gen, got, k)
 		}
 		for _, typ := range []byte{frameBegin, frameEnd, frameNack} {
-			f, err := parseCtrl(encodeCtrl(typ, 5, 9, 42, 0xc0ffee01, k, "boom"))
+			f, err := parseCtrl(encodeCtrl(typ, 9, 42, 0xc0ffee01, k, "boom"))
 			if err != nil {
 				t.Fatalf("parseCtrl(%v type %d): %v", k, typ, err)
 			}
-			if f.typ != typ || f.stream != 5 || f.gen != 9 || f.rows != 42 || f.digest != 0xc0ffee01 || f.key != k || f.msg != "boom" {
+			if f.typ != typ || f.gen != 9 || f.rows != 42 || f.digest != 0xc0ffee01 || f.key != k || f.msg != "boom" {
 				t.Fatalf("ctrl round trip: got %+v", f)
 			}
 		}
@@ -63,21 +64,26 @@ func TestKeyCodecRoundTrip(t *testing.T) {
 
 func TestParseRejectsGarbage(t *testing.T) {
 	for _, pkt := range [][]byte{nil, []byte("x"), []byte("LKRQ"), []byte("LKRW\x02\x01"), []byte("LKRQ\x03aaaaaaaaaaaaaaaaaaaa")} {
-		if _, _, _, err := parseRequest(pkt); err == nil {
+		if _, _, err := parseRequest(pkt); err == nil {
 			t.Errorf("parseRequest(%q) accepted garbage", pkt)
 		}
 		if _, err := parseCtrl(pkt); err == nil {
 			t.Errorf("parseCtrl(%q) accepted garbage", pkt)
 		}
 	}
-	// Version-1 datagrams (no stream field) must be rejected, not
-	// misparsed: the layouts are incompatible.
+	// Datagrams of other versions must be rejected, not misparsed: the
+	// layouts are incompatible. Version 1 had no stream field, version 5
+	// one that version 6 dropped.
 	v1 := []byte("LKRQ\x01aaaaaaaaaaaaaaaa")
-	if _, _, _, err := parseRequest(v1); err == nil {
+	if _, _, err := parseRequest(v1); err == nil {
 		t.Error("parseRequest accepted a protocol-version-1 datagram")
 	}
+	v5 := []byte("LKRQ\x05\x00\x00\x00\x03\x00\x00\x00\a\x00\x00\x00\x00\x00^z\x9f\x00\x06ISP-CE\x00")
+	if _, _, err := parseRequest(v5); err == nil {
+		t.Error("parseRequest accepted a protocol-version-5 datagram")
+	}
 	// A control frame whose key kind is out of range must be rejected.
-	bad := encodeCtrl(frameBegin, 0, 1, 1, 0, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, "")
+	bad := encodeCtrl(frameBegin, 1, 1, 0, core.FlowKey{Kind: 9, VP: synth.EDU, Hour: core.DayOf(testDay)}, "")
 	if _, err := parseCtrl(bad); err == nil {
 		t.Error("parseCtrl accepted an out-of-range batch kind")
 	}
@@ -89,10 +95,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 		{Kind: core.KindVPNFlows, VP: synth.IXPCE, Hour: at14},
 		{Kind: core.KindComponentFlows, VP: synth.IXPSE, Name: "gaming", Hour: at14},
 	} {
-		if _, _, _, err := parseRequest(encodeRequest(0, 1, hourly)); err == nil || !strings.Contains(err.Error(), "not a UTC day") {
+		if _, _, err := parseRequest(encodeRequest(1, hourly)); err == nil || !strings.Contains(err.Error(), "not a UTC day") {
 			t.Errorf("parseRequest(%v) = %v, want a refusal", hourly, err)
 		}
-		if _, err := parseCtrl(encodeCtrl(frameBegin, 0, 1, 1, 0, hourly, "")); err == nil {
+		if _, err := parseCtrl(encodeCtrl(frameBegin, 1, 1, 0, hourly, "")); err == nil {
 			t.Errorf("parseCtrl accepted %v", hourly)
 		}
 	}
@@ -402,7 +408,7 @@ func TestBridgeNackFromPump(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer req.Close()
-	if _, err := req.Write(encodeRequest(0, 1, core.FlowKey{Kind: core.KindFlows, VP: "NO-SUCH-VP", Hour: core.DayOf(testDay)})); err != nil {
+	if _, err := req.Write(encodeRequest(1, core.FlowKey{Kind: core.KindFlows, VP: "NO-SUCH-VP", Hour: core.DayOf(testDay)})); err != nil {
 		t.Fatal(err)
 	}
 	sink.SetReadDeadline(time.Now().Add(5 * time.Second))

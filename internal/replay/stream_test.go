@@ -13,19 +13,19 @@ import (
 	"lockdown/internal/synth"
 )
 
-// newShardedHarness wires n pumps (streams 0..n-1) to one bridge,
-// routing keys over the streams by vantage-point index — the same
-// partition shape internal/cluster uses.
+// newShardedHarness wires n pumps (streams 0..n-1) to one bridge, each
+// exporting to its stream's data socket, routing keys over the streams by
+// vantage-point index — the same partition shape internal/cluster uses.
 func newShardedHarness(t testing.TB, format collector.Format, opts core.Options, n int) (*Bridge, []*Pump) {
 	t.Helper()
 	return newShardedHarnessVia(t, Config{Format: format, Options: opts}, n, nil)
 }
 
 // newShardedHarnessVia is newShardedHarness under an explicit bridge
-// config, with the pumps exporting to via(bridge data address) instead of
-// to the bridge itself when via is set — the lossy tests splice a relay in
-// there.
-func newShardedHarnessVia(t testing.TB, cfg Config, n int, via func(bridgeAddr string) string) (*Bridge, []*Pump) {
+// config, with pump i exporting to via(i, its stream's data address)
+// instead of to the bridge itself when via is set — the lossy tests splice
+// a relay in there.
+func newShardedHarnessVia(t testing.TB, cfg Config, n int, via func(stream int, streamAddr string) string) (*Bridge, []*Pump) {
 	t.Helper()
 	vps := synth.AllVantagePoints()
 	cfg.Route = func(k core.FlowKey) uint32 {
@@ -40,13 +40,16 @@ func newShardedHarnessVia(t testing.TB, cfg Config, n int, via func(bridgeAddr s
 	if err != nil {
 		t.Fatalf("NewBridge: %v", err)
 	}
-	dataAddr := br.DataAddr()
-	if via != nil {
-		dataAddr = via(dataAddr)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	pumps := make([]*Pump, n)
 	for i := range pumps {
+		dataAddr, err := br.StreamAddr(uint32(i))
+		if err != nil {
+			t.Fatalf("StreamAddr(%d): %v", i, err)
+		}
+		if via != nil {
+			dataAddr = via(i, dataAddr)
+		}
 		pump, err := NewPump(PumpConfig{
 			Format:   cfg.Format,
 			DataAddr: dataAddr,
@@ -91,7 +94,7 @@ func fetchAndCompare(ref *core.SyntheticSource, br *Bridge, vp synth.VantagePoin
 }
 
 // TestShardedBridgeConcurrentStreams drives one bucket per stream
-// concurrently through a three-pump bridge and checks demux attribution:
+// concurrently through a three-pump bridge and checks the attribution:
 // every batch bit-identical to the reference, every stream served its
 // own keys, nothing lost or retried on a clean loopback wire.
 func TestShardedBridgeConcurrentStreams(t *testing.T) {
@@ -218,45 +221,65 @@ func TestBridgeSnapshotConsistentUnderFetches(t *testing.T) {
 	}
 }
 
-// TestShardedBridgeStreamMismatchNacks wires stream 1 to a pump that
-// believes it is stream 2: the pump must NACK (echoing the requested
-// stream so the frame routes back) and the fetch must fail fast.
-func TestShardedBridgeStreamMismatchNacks(t *testing.T) {
+// TestStreamSocketsKeepStreamsApart: a stream is a socket. Streams 0 and
+// 1 have data sockets of their own; a stray flow datagram exported to
+// stream 1's is booked as stream 1's orphan rows, read by stream 1's next
+// fetch ahead of its BEGIN, and a stream-0 fetch running meanwhile is
+// served with no retry and no orphan.
+func TestStreamSocketsKeepStreamsApart(t *testing.T) {
 	opts := core.Options{FlowScale: 0.1}
-	br, err := NewBridge(Config{
-		Format:         collector.FormatIPFIX,
-		Options:        opts,
-		Route:          func(core.FlowKey) uint32 { return 1 },
-		AttemptTimeout: 2 * time.Second,
-	})
+	br, _ := newShardedHarness(t, collector.FormatIPFIX, opts, 2)
+	addr0, err := br.StreamAddr(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pump, err := NewPump(PumpConfig{Format: collector.FormatIPFIX, DataAddr: br.DataAddr(), Stream: 2, Options: opts})
+	addr1, err := br.StreamAddr(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := br.ConnectStream(1, pump.CtrlAddr()); err != nil {
-		t.Fatal(err)
+	if addr0 != br.DataAddr() || addr0 == addr1 {
+		t.Fatalf("StreamAddr(0) = %s, StreamAddr(1) = %s, DataAddr = %s: want stream 0's socket at DataAddr and stream 1's apart", addr0, addr1, br.DataAddr())
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer func() { cancel(); pump.Close(); br.Close() }()
-	go pump.Run(ctx)
-	br.Start(ctx)
 
-	start := time.Now()
-	_, err = br.FlowBatch(synth.ISPCE, testDay)
-	if err == nil {
-		t.Fatal("fetch over a mis-wired stream succeeded")
+	ref := core.NewSyntheticSource(opts)
+	strayRows, err := ref.FlowBatch(synth.EDU, testDay)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "stream") {
-		t.Fatalf("unexpected error: %v", err)
+	stray, err := collector.NewExporter(collector.FormatIPFIX, addr1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("mis-wired stream took %v; the NACK should fail fast, not retry to timeout", d)
+	defer stray.Close()
+	if err := stray.ExportBatch(strayRows); err != nil {
+		t.Fatal(err)
 	}
-	if ps := pump.Stats(); ps.Nacks != 1 {
-		t.Errorf("pump.Stats().Nacks = %d, want 1", ps.Nacks)
+
+	// Under the harness partition ISP-CE routes to stream 0 and IXP-CE
+	// to stream 1.
+	vps := []synth.VantagePoint{synth.ISPCE, synth.IXPCE}
+	var wg sync.WaitGroup
+	errs := make([]error, len(vps))
+	for i, vp := range vps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = fetchAndCompare(ref, br, vp, testDay)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("stream %d (%s): %v", i, vps[i], err)
+		}
+	}
+
+	per := br.Snapshot().Streams
+	if s := per[0]; s.Keys != 1 || s.Retries != 0 || s.OrphanRows != 0 || s.LostRows != 0 {
+		t.Errorf("stream 0: %+v, want one bucket served with no retry, orphan or loss", s)
+	}
+	if s := per[1]; s.Keys != 1 || s.OrphanRows != int64(strayRows.Len()) || s.Retries != 0 {
+		t.Errorf("stream 1: %+v, want one bucket and the stray's %d rows as orphans", s, strayRows.Len())
 	}
 }
 

@@ -381,21 +381,11 @@ func storeAddr(dst []byte, col []flowrec.Addr, stride int) {
 	}
 }
 
-// StreamID returns the exporter stream identity of a message header
-// without decoding the sets (0 for messages too short to carry a header —
-// the decoder rejects those anyway). Collectors use it to attribute a
-// datagram to its exporter; the sharded replay cluster demuxes
-// interleaved pump streams by it.
-func (f *Framing) StreamID(msg []byte) uint32 {
-	if len(msg) < f.HeaderLen {
-		return 0
-	}
-	return binary.BigEndian.Uint32(msg[f.StreamOff:])
-}
-
 // Decoder parses the messages of one framing, maintaining the template
 // cache required to interpret data sets. Templates are cached per
-// exporter stream.
+// exporter stream, the observation domain or source ID of the message
+// header, as RFC 7011 scopes them: exporters that share a decoder cannot
+// evict each other's templates.
 type Decoder struct {
 	f         *Framing
 	templates map[uint64]template // key: stream<<16 | template ID
